@@ -8,30 +8,17 @@ let split_key key =
   let mac_key = Hmac.derive ~key ~info:"authenc-mac" in
   (Bytes.sub enc_key 0 16, mac_key)
 
-let mac_input ~nonce ~aad ~ciphertext =
-  let buf = Buffer.create (Bytes.length ciphertext + 64) in
-  let add_framed b =
-    let len = Bytes.create 4 in
-    Bytes.set_int32_be len 0 (Int32.of_int (Bytes.length b));
-    Buffer.add_bytes buf len;
-    Buffer.add_bytes buf b
-  in
-  add_framed nonce;
-  add_framed aad;
-  add_framed ciphertext;
-  Buffer.to_bytes buf
-
-(* Prepared key material for the zero-copy path: the HKDF split and the
-   AES key schedule are paid once per session instead of once per seal. *)
+(* Prepared key material: the HKDF split and the AES key schedule are
+   paid once per key instead of once per seal. *)
 type keys = { enc : Aes.key; mac : bytes }
 
 let prepare key =
   let enc_key, mac_key = split_key key in
   { enc = Aes.expand_key enc_key; mac = mac_key }
 
-(* The MAC input of [mac_input] expressed as slices, so ring-resident
-   ciphertext is hashed in place instead of copied into a scratch
-   buffer.  Framing must match [mac_input] byte for byte. *)
+(* The MAC input — each of nonce, AAD and ciphertext behind a 4-byte
+   big-endian length — expressed as slices, so ring-resident ciphertext
+   is hashed in place instead of copied into a scratch buffer. *)
 let mac_slices ~nonce ~aad ~ct ~ct_off ~ct_len =
   let hdr n =
     let b = Bytes.create 4 in
@@ -85,19 +72,19 @@ let unseal_in_place keys ?(aad = Bytes.empty) ~nonce ~tag buf ~off ~len =
 
 let seal ~key ?(aad = Bytes.empty) ~nonce plaintext =
   if Bytes.length nonce <> 12 then invalid_arg "Authenc.seal: nonce must be 12 bytes";
-  let enc_key, mac_key = split_key key in
-  let ciphertext = Aes.ctr_transform ~key:enc_key ~nonce plaintext in
-  let tag = Hmac.hmac ~key:mac_key (mac_input ~nonce ~aad ~ciphertext) in
+  let len = Bytes.length plaintext in
+  let ciphertext = Bytes.create len in
+  let tag =
+    seal_into (prepare key) ~aad ~nonce ~src:plaintext ~src_off:0
+      ~dst:ciphertext ~dst_off:0 ~len ()
+  in
   { nonce; ciphertext; tag; aad }
 
 let unseal ~key sealed =
-  let enc_key, mac_key = split_key key in
-  let expected =
-    Hmac.hmac ~key:mac_key
-      (mac_input ~nonce:sealed.nonce ~aad:sealed.aad ~ciphertext:sealed.ciphertext)
-  in
-  if not (Sha256.equal expected sealed.tag) then raise Authentication_failure;
-  Aes.ctr_transform ~key:enc_key ~nonce:sealed.nonce sealed.ciphertext
+  let buf = Bytes.copy sealed.ciphertext in
+  unseal_in_place (prepare key) ~aad:sealed.aad ~nonce:sealed.nonce
+    ~tag:sealed.tag buf ~off:0 ~len:(Bytes.length buf);
+  buf
 
 let encode sealed =
   let buf = Buffer.create (Bytes.length sealed.ciphertext + 64) in

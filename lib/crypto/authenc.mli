@@ -15,18 +15,21 @@ type sealed = {
 exception Authentication_failure
 
 val seal : key:bytes -> ?aad:bytes -> nonce:bytes -> bytes -> sealed
-(** @raise Invalid_argument if [key] is not 32 bytes or nonce not 12. *)
+(** One-shot seal: {!prepare} then {!seal_into} a fresh ciphertext buffer.
+    @raise Invalid_argument if [key] is not 32 bytes or nonce not 12. *)
 
 val unseal : key:bytes -> sealed -> bytes
-(** @raise Authentication_failure if the tag, AAD, or key is wrong. *)
+(** One-shot unseal: {!prepare} then {!unseal_in_place} over a copy of
+    the ciphertext.
+    @raise Authentication_failure if the tag, AAD, or key is wrong. *)
 
 (** {2 Zero-copy path}
 
     [prepare] pays the HKDF key split and AES key schedule once; the
     [_into]/[_in_place] operations then run the cipher over
     caller-provided buffer slices (e.g. ring-resident frames) without
-    allocating plaintext/ciphertext copies.  All of them are
-    byte-compatible with {!seal}/{!unseal} on the same key material. *)
+    allocating plaintext/ciphertext copies.  They are the only AEAD
+    implementation: {!seal}/{!unseal} are wrappers over them. *)
 
 type keys
 (** Prepared (pre-expanded) key material for one 32-byte key. *)

@@ -236,16 +236,17 @@ let evictable w =
 let sorted_store_keys w =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) w.store [])
 
-(* A store entry for which the archive holds a different (older) blob:
-   the attacker can roll that slot back. *)
+(* A store entry whose archive holds a different, older blob: the
+   attacker can roll that slot back.  The archive is newest-first; its
+   head is the monitor's own latest write-back, never a rollback. *)
 let replay_candidate w =
   List.find_map
     (fun k ->
       let cur = Hashtbl.find w.store k in
       match Hashtbl.find_opt w.archive k with
-      | None -> None
-      | Some blobs -> (
-          match List.find_opt (fun b -> not (Bytes.equal b cur)) blobs with
+      | None | Some [] -> None
+      | Some (_latest :: older) -> (
+          match List.find_opt (fun b -> not (Bytes.equal b cur)) older with
           | Some stale -> Some (k, stale)
           | None -> None))
     (sorted_store_keys w)

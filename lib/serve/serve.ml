@@ -105,11 +105,6 @@ type config = {
       (** replay-cache bound: only the last [nonce_cache] handshake /
           resume nonces are remembered *)
   ticket_ttl : int;  (** session-ticket lifetime, shared-clock cycles *)
-  arena : bool;
-      (** allocation-free data path: stage admissions into flat reusable
-          arenas and dispatch through per-shard marshalling-buffer rings
-          where the slot is the AEAD envelope.  Off = the list-structured
-          reference path (kept as the byte-identity oracle). *)
   shard_block : int;
       (** consecutive per-session requests assigned to one ring shard
           before the plane rotor moves to the next — small enough that a
@@ -126,7 +121,6 @@ let default_config =
     state_stride_pages = 16;
     nonce_cache = 1024;
     ticket_ttl = 1_000_000_000;
-    arena = true;
     shard_block = 8;
     slot_bytes = 256;
   }
@@ -145,10 +139,10 @@ let dummy_outcome : (bytes, string) result = Ok Bytes.empty
 
 (* Flat admission arena: one slot per staged request, recycled across
    flushes.  [sg_sids.(i) = -1] marks a slot whose session closed while
-   staged (the arena analogue of dropping [s.pending]).  [sg_shards] /
-   [sg_slots] / [sg_fb] are flush-time scratch columns: which ring shard
-   served entry [i] (or [-2] = the non-SDK fallback batch), the slot
-   index inside that ring, and the fallback outcome. *)
+   staged.  [sg_shards] / [sg_slots] / [sg_fb] are flush-time scratch
+   columns: which ring shard served entry [i] (or [-2] = the non-SDK
+   fallback batch), the slot index inside that ring, and the fallback
+   outcome. *)
 type stage = {
   mutable sg_sids : int array;
   mutable sg_seqs : int array;
@@ -230,10 +224,6 @@ type session = {
   mutable s_pages : int;
       (* high-water EDMM page count: what a migration must carry so the
          destination can rebuild the session's committed state *)
-  mutable pending : (int * int * Authenc.sealed) list;
-      (* rev (seq, ecall, envelope): envelopes are admitted
-         tag-verified but still encrypted — the in-place decrypt is
-         deferred to the batched flush *)
 }
 
 (* The attested name a serve plane answers under in a fleet: which node
@@ -277,7 +267,7 @@ type t = {
   mutable next_session : int;
   mutable qe : Urts.t option;  (* lazily-built quoting enclave *)
   mutable destroyed : bool;
-  (* --- arena path --- *)
+  (* --- data path --- *)
   shards : int;  (* ring shards per tenant = scheduler cores *)
   mutable rotor : int;
       (* plane-wide block rotor: each [shard_block]-long run of staged
@@ -505,15 +495,15 @@ let add_tenant t ~name (bc : Backend.config) =
     }
   in
   let bc =
-    (* Arena tenants carve [shards] request and reply segments out of the
-       marshalling buffer, each big enough to ring the whole admission
-       queue: size the buffer up front so a worst-case flush (every
-       staged request landing on one shard) can never outgrow a ring.
-       Quadruple [need] because the input region is half the buffer and
-       the reply region a quarter, plus a page of alignment slack per
-       segment. *)
+    (* Enclave tenants carve [shards] request and reply segments out of
+       the marshalling buffer, each big enough to ring the whole
+       admission queue: size the buffer up front so a worst-case flush
+       (every staged request landing on one shard) can never outgrow a
+       ring.  Quadruple [need] because the input region is half the
+       buffer and the reply region a quarter, plus a page of alignment
+       slack per segment. *)
     match bc.Backend.kind with
-    | Backend.Hyperenclave _ when t.config.arena ->
+    | Backend.Hyperenclave _ ->
         let need =
           8 + (t.config.max_queue * (16 + t.config.slot_bytes))
         in
@@ -687,7 +677,6 @@ let handshake t ~tenant hello =
                         state_slot;
                         recv_seq = 0;
                         s_pages = 0;
-                        pending = [];
                       };
                     Telemetry.incr t.telemetry "serve.handshake";
                     Telemetry.incr t.telemetry "serve.session_open";
@@ -764,7 +753,7 @@ let submit t (req : request) =
          prepared. *)
       let ct_len = Bytes.length req.envelope.Authenc.ciphertext in
       charge_aead_bytes t ~bytes:ct_len;
-      if t.config.arena && ct_len > t.config.slot_bytes then
+      if ct_len > t.config.slot_bytes then
         reject t
           (Unsupported
              (Printf.sprintf
@@ -811,12 +800,8 @@ let submit t (req : request) =
                            quota = tn.budget;
                          })
                   else begin
-                    (if t.config.arena then
-                       stage_push tn.stage ~sid:s.s_id ~seq:req.seq
-                         ~ecall:req.ecall_id ~env:req.envelope
-                     else
-                       s.pending <-
-                         (req.seq, req.ecall_id, req.envelope) :: s.pending);
+                    stage_push tn.stage ~sid:s.s_id ~seq:req.seq
+                      ~ecall:req.ecall_id ~env:req.envelope;
                     tn.queued <- tn.queued + 1;
                     Telemetry.incr t.telemetry "serve.request.admitted";
                     Telemetry.incr t.telemetry tn.t_req_counter;
@@ -830,12 +815,6 @@ let submit t (req : request) =
 let charge t (tn : tenant) cycles =
   tn.spent <- tn.spent + cycles;
   Telemetry.add t.telemetry tn.t_cyc_counter cycles
-
-let sessions_of t (tn : tenant) =
-  Hashtbl.fold
-    (fun _ s acc -> if s.tenant == tn && s.pending <> [] then s :: acc else acc)
-    t.sessions []
-  |> List.sort (fun a b -> compare a.s_id b.s_id)
 
 (* Split [l] into chunks of at most [k] elements, preserving order. *)
 let rec chunked k = function
@@ -851,167 +830,9 @@ let rec chunked k = function
       let c, rest = take k l in
       c :: chunked k rest
 
-(* The list-structured dispatch path ([config.arena = false]).  Kept as
-   the reference oracle the arena path is property-tested against: both
-   must produce byte-identical reply envelopes for the same traffic. *)
-let flush_reference t =
-  Telemetry.incr t.telemetry "serve.flush";
-  (* Every staged request gets a stable admission-order index; results
-     land keyed by it so replies come back in admission order no matter
-     which core served them. *)
-  let out : (int * session * int * (bytes, reject) result) list ref = ref [] in
-  let next = ref 0 in
-  let push s seq result =
-    let idx = !next in
-    incr next;
-    out := (idx, s, seq, result) :: !out;
-    idx
-  in
-  let record = Hashtbl.create 32 in
-  (* idx -> raw result, filled by the dispatch callbacks *)
-  (* Pass 1: drain every session's admitted envelopes per tenant.
-     Permanent session faults surface now as typed errors; the session
-     itself stays usable. *)
-  let staged_by_tenant =
-    List.map
-      (fun name ->
-        let tn = Hashtbl.find t.tenants name in
-        let staged = ref [] in
-        List.iter
-          (fun s ->
-            let work = List.rev s.pending in
-            s.pending <- [];
-            tn.queued <- tn.queued - List.length work;
-            match
-              Fault.with_retries ~backoff:(backoff t) (fun () ->
-                  Fault.point fault_site)
-            with
-            | () ->
-                List.iter
-                  (fun (seq, ecall, envelope) ->
-                    staged := (s, seq, ecall, envelope) :: !staged)
-                  work
-            | exception Fault.Injected { site; kind } ->
-                let msg = injected_msg site kind in
-                List.iter
-                  (fun (seq, _, _) ->
-                    ignore (push s seq (Error (Session_fault msg))))
-                  work)
-          (sessions_of t tn);
-        (tn, List.rev !staged))
-      (List.rev t.tenant_order)
-  in
-  (* Chunk each tenant's staged work into ring-sized jobs spread over
-     the cores: one job per tenant leaves cores idle when tenants are
-     few, so the chunk length shrinks until the whole flush covers
-     every core (never above the call-ring batch size). *)
-  let flush_total =
-    List.fold_left (fun acc (_, l) -> acc + List.length l) 0 staged_by_tenant
-  in
-  let cores = max 1 t.config.sched.Sched.cores in
-  let ring = max 1 (min Urts.max_batch t.config.sched.Sched.batch) in
-  let chunk_len = max 1 (min ring ((flush_total + cores - 1) / cores)) in
-  let reply_ring = ring in
-  List.iter
-    (fun (tn, staged) ->
-      List.iter
-        (fun chunk ->
-          (* Deferred in-place decrypt: the envelopes were tag-verified
-             at admission, so completing them is one CTR pass per chunk
-             — AEAD setup amortized over the ring batch, per-byte cost
-             for the rest. *)
-          charge_aead_setup t;
-          let items =
-            List.map
-              (fun (s, seq, ecall, (env : Authenc.sealed)) ->
-                let len = Bytes.length env.Authenc.ciphertext in
-                charge_aead_bytes t ~bytes:len;
-                let plaintext = Bytes.create len in
-                Authenc.decrypt_into s.keys ~nonce:env.Authenc.nonce
-                  ~src:env.Authenc.ciphertext ~src_off:0 ~dst:plaintext
-                  ~dst_off:0 ~len;
-                (s, seq, ecall, plaintext))
-              chunk
-          in
-          let slots =
-            Array.of_list
-              (List.map (fun (s, seq, _, _) -> push s seq (Ok Bytes.empty)) items)
-          in
-          let reqs = List.map (fun (_, _, ecall, pl) -> (ecall, pl)) items in
-          match tn.backend.Backend.urts with
-          | Some urts ->
-              Sched.submit t.sched ~urts ~label:tn.t_name
-                ~on_result:(fun ~index result ->
-                  Hashtbl.replace record slots.(index) result)
-                ~on_slice:(fun ~cycles -> charge t tn cycles)
-                reqs
-          | None ->
-              (* No SDK handle (the SGX model): dispatch directly through
-                 the backend's batch call, charging the shared-clock delta
-                 as this tenant's quota spend. *)
-              let clock = t.platform.Platform.clock in
-              let before = Cycles.now clock in
-              let outcomes = Backend.protected_batch tn.backend ~reqs () in
-              charge t tn (Cycles.now clock - before);
-              List.iteri
-                (fun i outcome ->
-                  Hashtbl.replace record slots.(i)
-                    (match outcome with
-                    | Backend.Success reply -> Ok reply
-                    | Backend.Typed_error m | Backend.Violation m -> Error m))
-                outcomes)
-        (chunked chunk_len staged))
-    staged_by_tenant;
-  ignore (Sched.run t.sched : Sched.stats);
-  (* Seal after the scheduler has drained so channel crypto is charged
-     to the plane, not smeared into per-core slice accounting.  Replies
-     ride the zero-copy path: prepared session keys, one AEAD setup per
-     ring's worth of sealed replies. *)
-  let sealed_in_batch = ref 0 in
-  !out
-  |> List.map (fun (idx, s, seq, early) ->
-         let result =
-           match Hashtbl.find_opt record idx with
-           | Some (Ok reply) -> Ok reply
-           | Some (Error msg) -> Error (Session_fault msg)
-           | None -> (
-               match early with
-               | Error _ as e -> e
-               | Ok _ -> Error (Session_fault "request lost by the scheduler"))
-         in
-         (idx, s, seq, result))
-  |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
-  |> List.map (fun (_, s, seq, result) ->
-         match result with
-         | Ok body ->
-             if !sealed_in_batch = 0 then charge_aead_setup t;
-             sealed_in_batch := (!sealed_in_batch + 1) mod reply_ring;
-             charge_aead_bytes t ~bytes:(Bytes.length body);
-             Telemetry.incr t.telemetry "serve.request.ok";
-             let nonce = envelope_nonce ~dir:'<' ~seq in
-             let aad = aad_rep ~session_id:s.s_id ~seq in
-             let len = Bytes.length body in
-             let ciphertext = Bytes.create len in
-             let tag =
-               Authenc.seal_into s.keys ~aad ~nonce ~src:body ~src_off:0
-                 ~dst:ciphertext ~dst_off:0 ~len ()
-             in
-             {
-               r_session_id = s.s_id;
-               r_seq = seq;
-               r_result = Ok { Authenc.nonce; ciphertext; tag; aad };
-             }
-         | Error rej ->
-             Telemetry.incr t.telemetry "serve.request.failed";
-             Telemetry.incr t.telemetry ("serve.reject." ^ reject_name rej);
-             { r_session_id = s.s_id; r_seq = seq; r_result = Error rej })
-
-(* ---------------------------------------------------------------------- *)
-(* Arena dispatch                                                         *)
-
 (* Collect the distinct live sessions staged in [st] into the plane's
-   scratch array, ascending id — the same per-tenant session order the
-   reference path dispatches in.  Linear dedup: distinct sessions per
+   scratch array, ascending id — the per-tenant session order of
+   dispatch and reply assembly.  Linear dedup: distinct sessions per
    tenant per flush are few. *)
 let collect_sids t (st : stage) =
   t.sid_count <- 0;
@@ -1056,7 +877,7 @@ let ring_for t (tn : tenant) urts shard =
 (* The allocation-free dispatch path.  Staging, dispatch and reply bytes
    all live in reusable arenas and the pinned marshalling rings; the only
    per-request allocations left are the wire-facing reply envelopes. *)
-let flush_arena t =
+let flush t =
   Telemetry.incr t.telemetry "serve.flush";
   t.flush_gen <- t.flush_gen + 1;
   let gen = t.flush_gen in
@@ -1068,9 +889,10 @@ let flush_arena t =
   in
   let flush_total = ref 0 in
   let rings_used = ref 0 in
-  (* Pass 1 per tenant: walk the staged entries per session in (session,
-     seq) order — exactly the reference dispatch order.  Permanent
-     session faults surface as typed errors in the assembly pass; live
+  (* Pass 1 per tenant: walk the staged entries in dispatch order —
+     ascending session id, then admission (= sequence) order within a
+     session.  Permanent session faults surface as typed errors in the
+     assembly pass; live
      entries decrypt straight into their ring slot (the slot IS the
      envelope's plaintext cell) or, for backends without an SDK handle,
      into the synchronous fallback batch. *)
@@ -1119,9 +941,9 @@ let flush_arena t =
                       if tn.ring_gen.(!shard) <> gen then begin
                         tn.ring_gen.(!shard) <- gen;
                         incr rings_used;
-                        (* one AEAD setup per (ring, flush): the batched
-                           analogue of the reference path's per-chunk
-                           setup charge *)
+                        (* one AEAD setup per (ring, flush): the decrypts
+                           staged into a ring share one key-schedule
+                           charge *)
                         charge_aead_setup t
                       end;
                       let off = Urts.ring_stage ring ~ecall_id:st.sg_ecalls.(i) ~len in
@@ -1214,8 +1036,8 @@ let flush_arena t =
     tenants;
   (* Assembly: seal replies in place inside the reply image — the served
      slot is encrypted where it lies and only the wire-facing envelope
-     (nonce, AAD, ciphertext slice) is materialized.  Order matches the
-     reference path: tenant insertion order, then session id, then
+     (nonce, AAD, ciphertext slice) is materialized.  Reply order is the
+     contract: tenant insertion order, then session id, then
      sequence. *)
   let sealed_in_batch = ref 0 in
   let out = ref [] in
@@ -1313,8 +1135,6 @@ let flush_arena t =
   end;
   List.rev !out
 
-let flush t = if t.config.arena then flush_arena t else flush_reference t
-
 (* ---------------------------------------------------------------------- *)
 (* Session state (EDMM)                                                   *)
 
@@ -1373,23 +1193,17 @@ let close_session t ~session =
   | None -> reject t (session_reject t session)
   | Some s ->
       let tn = s.tenant in
-      (if t.config.arena then begin
-         (* Kill the session's staged arena slots in place: [-1] marks a
-            dead slot every flush pass skips, so closing mid-stage never
-            compacts the arena or leaves a dangling session lookup. *)
-         let st = tn.stage in
-         for i = 0 to st.sg_n - 1 do
-           if st.sg_sids.(i) = s.s_id then begin
-             st.sg_sids.(i) <- -1;
-             st.sg_envs.(i) <- dummy_sealed;
-             tn.queued <- tn.queued - 1
-           end
-         done
-       end
-       else begin
-         tn.queued <- tn.queued - List.length s.pending;
-         s.pending <- []
-       end);
+      (* Kill the session's staged arena slots in place: [-1] marks a
+         dead slot every flush pass skips, so closing mid-stage never
+         compacts the arena or leaves a dangling session lookup. *)
+      let st = tn.stage in
+      for i = 0 to st.sg_n - 1 do
+        if st.sg_sids.(i) = s.s_id then begin
+          st.sg_sids.(i) <- -1;
+          st.sg_envs.(i) <- dummy_sealed;
+          tn.queued <- tn.queued - 1
+        end
+      done;
       Hashtbl.remove t.sessions session;
       tn.free_slots <- s.state_slot :: tn.free_slots;
       Telemetry.incr t.telemetry "serve.session_close";
@@ -1636,7 +1450,6 @@ let import_tenant t (x : tenant_export) =
                                 state_slot = slot;
                                 recv_seq = sx.x_recv_seq;
                                 s_pages = sx.x_pages;
-                                pending = [];
                               };
                             installed := (sx.x_session, slot) :: !installed;
                             go rest)
@@ -1780,7 +1593,6 @@ let resume t (r : resume) =
                             state_slot;
                             recv_seq = 0;
                             s_pages = 0;
-                            pending = [];
                           };
                         Telemetry.incr t.telemetry "serve.resume";
                         Telemetry.incr t.telemetry "serve.session_open";

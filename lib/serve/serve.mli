@@ -132,22 +132,13 @@ type config = {
           so session churn cannot grow the table without limit *)
   ticket_ttl : int;
       (** resumption-ticket lifetime in shared-clock cycles *)
-  arena : bool;
-      (** allocation-free data path (the default): admissions stage into
-          flat reusable arenas and {!flush} dispatches through per-shard
-          marshalling-buffer rings where the pinned slot {e is} the AEAD
-          envelope — requests decrypt into their ring slot, replies seal
-          in place in the reply image, and the only per-request
-          allocations left are the wire-facing reply envelopes.  [false]
-          selects the list-structured reference path, kept as the
-          byte-identity oracle the arena is property-tested against. *)
   shard_block : int;
       (** consecutive per-session staged requests assigned to one ring
           shard before the plane-wide rotor advances — small enough that
           one hot session spreads across every core, large enough that a
           session's replies cluster per reply segment *)
   slot_bytes : int;
-      (** ring slot payload capacity, a positive multiple of 8; arena
+      (** ring slot payload capacity, a positive multiple of 8;
           admissions whose ciphertext exceeds it are refused with
           {!Unsupported} *)
 }
@@ -155,8 +146,8 @@ type config = {
 val default_config : config
 (** 2 cores (scheduler defaults with [drop_on_error]), 64-request
     queues, unmetered quotas, 16-page session state stride, 1024-nonce
-    replay cache, 1e9-cycle ticket TTL, arena path on with 8-request
-    shard blocks and 256-byte slots. *)
+    replay cache, 1e9-cycle ticket TTL, 8-request shard blocks and
+    256-byte slots. *)
 
 (** {1 Node identity}
 
@@ -267,11 +258,13 @@ val submit : t -> request -> (unit, reject) result
     deferred to {!flush} — zero-copy admission. *)
 
 val flush : t -> reply list
-(** Complete the deferred decrypts in ring-sized chunks spread over the
-    scheduler's cores, drain every admitted request — enclave tenants
-    as batched ECALLs through the scheduler, SGX-model tenants through
-    the backend batch call — charge tenant quotas, and seal the replies
-    with the sessions' prepared keys (admission order per flush). *)
+(** Drain every admitted request.  Enclave tenants decrypt each envelope
+    into a slot of a per-shard marshalling-buffer ring (one shard per
+    scheduler core), dispatch the rings switchlessly through the
+    scheduler and seal each reply in place in the ring's reply image;
+    SGX-model tenants go through the backend batch call.  Tenant quotas
+    are charged from the dispatch cycles.  Replies come in tenant
+    insertion order, then session id, then sequence number. *)
 
 val resize_session : t -> session:int -> pages:int -> (int, reject) result
 (** Commit [pages] pages of in-enclave session state through the

@@ -161,53 +161,67 @@ let test_trace_pp () =
    among the transitions *enabled in the state actually reached*, so
    every generated sequence is well-formed by construction and shrinking
    stays meaningful (a prefix of choices is still a valid run). *)
+let walk (salt, choices) =
+  let w = World.create World.default_config in
+  let taken = ref [] in
+  let fail_with msg =
+    let steps =
+      Mc.to_trace (List.rev !taken) @ [ Mc_trace.step ~detail:msg "FAILED" ]
+    in
+    QCheck.Test.fail_reportf "%s@.trace:@.%s" msg (Trace.to_string steps)
+  in
+  List.iteri
+    (fun i choice ->
+      let enabled = List.filter (World.enabled w) (World.alphabet w) in
+      match enabled with
+      | [] -> fail_with "no transition enabled — world wedged"
+      | _ ->
+          let tr =
+            List.nth enabled ((choice + (salt * i)) mod List.length enabled)
+          in
+          taken := tr :: !taken;
+          (match World.apply w tr with
+          | World.Crashed msg ->
+              fail_with
+                (Printf.sprintf "untyped crash on %s: %s"
+                   (Alphabet.to_string tr) msg)
+          | World.Applied when Alphabet.expects_refusal tr ->
+              fail_with
+                (Printf.sprintf "attack %s applied without refusal"
+                   (Alphabet.to_string tr))
+          | World.Applied | World.Refused _ -> ());
+          (match World.oracle w with
+          | [] -> ()
+          | findings ->
+              fail_with
+                (Printf.sprintf "oracle after %s: %s" (Alphabet.to_string tr)
+                   (String.concat "; " findings))))
+    choices;
+  true
+
 let qcheck_random_walks =
   QCheck.Test.make ~name:"random well-formed walks stay green" ~count:60
     QCheck.(
       pair (int_bound 1_000_000)
         (list_of_size (QCheck.Gen.int_range 1 25) (int_bound 10_000)))
-    (fun (salt, choices) ->
-      let w = World.create World.default_config in
-      let taken = ref [] in
-      let fail_with msg =
-        let steps =
-          Mc.to_trace (List.rev !taken)
-          @ [ Mc_trace.step ~detail:msg "FAILED" ]
-        in
-        QCheck.Test.fail_reportf "%s@.trace:@.%s" msg
-          (Trace.to_string steps)
-      in
-      List.iteri
-        (fun i choice ->
-          let enabled =
-            List.filter (World.enabled w) (World.alphabet w)
-          in
-          match enabled with
-          | [] -> fail_with "no transition enabled — world wedged"
-          | _ ->
-              let tr =
-                List.nth enabled ((choice + (salt * i)) mod List.length enabled)
-              in
-              taken := tr :: !taken;
-              (match World.apply w tr with
-              | World.Crashed msg ->
-                  fail_with
-                    (Printf.sprintf "untyped crash on %s: %s"
-                       (Alphabet.to_string tr) msg)
-              | World.Applied when Alphabet.expects_refusal tr ->
-                  fail_with
-                    (Printf.sprintf "attack %s applied without refusal"
-                       (Alphabet.to_string tr))
-              | World.Applied | World.Refused _ -> ());
-              (match World.oracle w with
-              | [] -> ()
-              | findings ->
-                  fail_with
-                    (Printf.sprintf "oracle after %s: %s"
-                       (Alphabet.to_string tr)
-                       (String.concat "; " findings))))
-        choices;
-      true)
+    walk
+
+(* A walk that once failed on a correct monitor: a swap splice
+   overwrites a stored blob, and the replay attack then "rolled back" to
+   the only archived blob for that key — the monitor's latest
+   write-back, which the monitor rightly accepts on touch.  The replay
+   attack must only ever restore an older blob. *)
+let test_splice_then_replay_walk () =
+  let input =
+    ( 612939,
+      [ 63; 0; 15; 6; 15; 7; 18; 2817; 7; 3; 3; 9; 3; 0; 9; 0; 1; 2; 3; 19;
+        222; 8; 4020; 43; 3686 ] )
+  in
+  match walk input with
+  | true -> ()
+  | false -> Alcotest.fail "walk reported failure"
+  | exception QCheck.Test.Test_fail (_, msgs) ->
+      Alcotest.failf "walk failed:@.%s" (String.concat "\n" msgs)
 
 let suite =
   [
@@ -222,4 +236,6 @@ let suite =
     Alcotest.test_case "minimizer is 1-minimal" `Quick test_minimize;
     Alcotest.test_case "trace pretty-printer" `Quick test_trace_pp;
     QCheck_alcotest.to_alcotest qcheck_random_walks;
+    Alcotest.test_case "splice-then-replay walk stays green" `Quick
+      test_splice_then_replay_walk;
   ]

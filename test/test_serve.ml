@@ -806,74 +806,106 @@ let extra_client (p : Platform.t) (backend : Backend.t) ~seed =
   Serve.Client.create ~rng:(Rng.create ~seed) ~golden:(golden_of p)
     ~policy:(policy_pinning identity) ~expected_tenant:identity ()
 
-let sealed_equal (a : Crypto.Authenc.sealed) (b : Crypto.Authenc.sealed) =
-  Bytes.equal a.Crypto.Authenc.nonce b.Crypto.Authenc.nonce
-  && Bytes.equal a.Crypto.Authenc.ciphertext b.Crypto.Authenc.ciphertext
-  && Bytes.equal a.Crypto.Authenc.tag b.Crypto.Authenc.tag
-  && Bytes.equal a.Crypto.Authenc.aad b.Crypto.Authenc.aad
+(* [echo_handlers] as a pure function, for the spec. *)
+let echo_spec ecall input = if ecall = 2 then upper input else input
 
-(* The arena path must be a pure perf refactor: for identical traffic the
-   reply envelopes (nonce, ciphertext, tag, AAD — every byte on the wire)
-   must match the reference cons-cell path exactly.  Replies are
-   deterministic in the channel key, sequence number, and body — never in
-   clocks — so byte identity is checkable across two separately built
-   planes seeded alike. *)
-let arena_identity_property batches =
-  let run arena =
-    let config =
-      {
-        Serve.default_config with
-        Serve.arena;
-        sched =
-          { Sched.default_config with Sched.cores = 4; Sched.batch = 4 };
-      }
-    in
-    let _p, plane, _backend, client = build ~seed:7050L ~config () in
-    establish plane client;
-    let replies =
-      List.concat_map
-        (fun batch ->
-          List.iter
-            (fun (ecall, payload) ->
-              match
-                Serve.submit plane
-                  (Serve.Client.request client ~ecall
-                     (Bytes.of_string payload))
-              with
-              | Ok () -> ()
-              | Error r ->
-                  Alcotest.failf "submit rejected: %a" Serve.pp_reject r)
-            batch;
-          Serve.flush plane)
-        batches
-    in
-    Serve.destroy plane;
-    replies
+(* The plane against its executable spec ([Serve_spec]): every flush of
+   generated traffic must return exactly the replies the spec derives
+   from the admitted requests — order, ids, nonce, AAD and body, which
+   together pin every byte on the wire.  Tenant [zeta] (enclave, ring
+   path, two sessions) is added before [alpha] (SGX model, fallback
+   batch path), but alpha's session opens first, so insertion order,
+   name order and session-id order all disagree. *)
+let spec_property batches =
+  let p = Platform.create ~seed:7050L () in
+  let config =
+    {
+      Serve.default_config with
+      Serve.sched =
+        { Sched.default_config with Sched.cores = 4; Sched.batch = 4 };
+    }
   in
-  let arena = run true and reference = run false in
-  List.length arena = List.length reference
-  && List.for_all2
-       (fun (a : Serve.reply) (r : Serve.reply) ->
-         a.Serve.r_session_id = r.Serve.r_session_id
-         && a.Serve.r_seq = r.Serve.r_seq
-         &&
-         match (a.Serve.r_result, r.Serve.r_result) with
-         | Ok sa, Ok sr -> sealed_equal sa sr
-         | Error ra, Error rr ->
-             Serve.reject_name ra = Serve.reject_name rr
-         | _ -> false)
-       arena reference
+  let plane =
+    Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p config
+  in
+  let zeta = Serve.add_tenant plane ~name:"zeta" (tenant_config ()) in
+  let alpha =
+    Serve.add_tenant plane ~name:"alpha" (tenant_config ~kind:Backend.Sgx ())
+  in
+  let connect ~tenant ~pin (backend : Backend.t) ~seed =
+    let client =
+      Serve.Client.create ~rng:(Rng.create ~seed) ~golden:(golden_of p)
+        ~policy:(policy_pinning pin)
+        ~expected_tenant:(Option.get backend.Backend.identity) ()
+    in
+    (match Serve.handshake plane ~tenant (Serve.Client.hello client) with
+    | Error r -> Alcotest.failf "handshake rejected: %a" Serve.pp_reject r
+    | Ok accept -> (
+        match Serve.Client.establish client accept with
+        | Error r -> Alcotest.failf "establish failed: %a" Serve.pp_reject r
+        | Ok () -> ()));
+    client
+  in
+  let zeta_pin = Option.get zeta.Backend.identity in
+  let a0 =
+    connect ~tenant:"alpha" ~pin:(Serve.quoting_identity plane) alpha
+      ~seed:7150L
+  in
+  let z1 = connect ~tenant:"zeta" ~pin:zeta_pin zeta ~seed:7250L in
+  let z2 = connect ~tenant:"zeta" ~pin:zeta_pin zeta ~seed:7350L in
+  (* (client, tenant rank) *)
+  let clients = [| (a0, 1); (z1, 0); (z2, 0) |] in
+  let read_reply (r : Serve.reply) =
+    let client, _ =
+      List.find
+        (fun (c, _) -> Serve.Client.session_id c = r.Serve.r_session_id)
+        (Array.to_list clients)
+    in
+    Serve.Client.read_reply client r
+  in
+  let serve_batch batch =
+    let admitted =
+      List.map
+        (fun (c, ecall, payload) ->
+          let client, tenant_rank = clients.(c) in
+          let payload = Bytes.of_string payload in
+          let req = Serve.Client.request client ~ecall payload in
+          (match Serve.submit plane req with
+          | Ok () -> ()
+          | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r);
+          {
+            Serve_spec.tenant_rank;
+            session_id = req.Serve.session_id;
+            seq = req.Serve.seq;
+            ecall;
+            payload;
+          })
+        batch
+    in
+    Serve_spec.check ~read_reply
+      (Serve_spec.expected ~handler:echo_spec admitted)
+      (Serve.flush plane)
+  in
+  let outcome =
+    List.fold_left
+      (fun acc batch -> Result.bind acc (fun () -> serve_batch batch))
+      (Ok ()) batches
+  in
+  Serve.destroy plane;
+  match outcome with
+  | Ok () -> true
+  | Error msg -> QCheck.Test.fail_reportf "diverges from the spec: %s" msg
 
-let arena_identity_qcheck =
-  QCheck.Test.make ~name:"arena replies byte-identical to reference"
-    ~count:20
+let spec_qcheck =
+  QCheck.Test.make ~name:"replies match the executable spec" ~count:20
     QCheck.(
       list_of_size
         Gen.(int_range 1 4)
         (list_of_size
            Gen.(int_range 0 10)
-           (pair (oneofl [ 1; 2 ]) (string_of_size Gen.(int_range 0 64)))))
-    arena_identity_property
+           (triple (int_bound 2) (oneofl [ 1; 2 ])
+              (string_of_size Gen.(int_range 0 64)))))
+    spec_property
 
 let test_arena_hot_tenant_scales () =
   (* The point of block-rotor sharding: one hot tenant's traffic spreads
@@ -1081,7 +1113,7 @@ let suite =
     Alcotest.test_case "ticket expired" `Quick test_ticket_expired;
     Alcotest.test_case "ticket replay rejected" `Quick test_ticket_replay_rejected;
     Alcotest.test_case "telemetry counters" `Quick test_telemetry_counters;
-    QCheck_alcotest.to_alcotest arena_identity_qcheck;
+    QCheck_alcotest.to_alcotest spec_qcheck;
     Alcotest.test_case "arena hot tenant scales across cores" `Quick
       test_arena_hot_tenant_scales;
     Alcotest.test_case "arena preserves per-session reply order" `Quick
