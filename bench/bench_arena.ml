@@ -1,26 +1,19 @@
 (* PR 7 tentpole bench: the allocation-free attested data path.
 
-   Three quantities gate regressions (see BENCH_PR7.json and
-   perf_smoke.ml):
+   Its headline numbers are rows of the perf gate (Perf_gate.table,
+   BENCH.json):
 
    - steady-state GC pressure: minor words allocated per attested
      request across submit+flush, with requests pre-sealed so only the
-     plane's own allocations count.  It must stay within 25% of the
-     committed baseline;
-   - attested req/s at 8 cores on the arena path must stay within 25%
-     of the committed baseline and above the absolute 1.5x-over-PR6
-     acceptance floor;
+     plane's own allocations count;
    - a single hot tenant (8 sessions, one enclave) must reach at least
-     80% of the 8-core multi-tenant rate — the per-tenant ring sharding
-     claim: one tenant's traffic saturates all cores. *)
+     80% of the 8-core multi-tenant rate (Bench_serve's) and scale at
+     least 1.6x from 1 to 2 cores — the per-tenant ring sharding claim:
+     one tenant's traffic saturates all cores. *)
 
 open Hyperenclave
 
 let clock_hz = 2.2e9
-
-(* Absolute acceptance floor for the arena path: 1.5x the committed
-   PR 6 zero-copy baseline (4,405,369 attested req/s at 8 cores). *)
-let rps_8core_floor = 6.6e6
 
 (* --- steady-state allocation accounting -------------------------------- *)
 
@@ -215,7 +208,7 @@ let measure_hot ~cores =
     h_served = !served;
   }
 
-(* --- summary, baseline, gate -------------------------------------------- *)
+(* --- summary, gate headline ---------------------------------------------- *)
 
 type summary = {
   words_per_req : float;
@@ -226,9 +219,8 @@ type summary = {
   hot_speedup_2core : float;
 }
 
-let summarize () =
+let summarize ~rps_8core =
   let words_per_req = minor_words_per_request () in
-  let rps_8core = (Bench_serve.measure ~cores:8).Bench_serve.rps in
   let hot_runs = List.map (fun cores -> measure_hot ~cores) [ 1; 2; 4; 8 ] in
   let hot_rps n = (List.find (fun r -> r.h_cores = n) hot_runs).h_rps in
   {
@@ -245,7 +237,9 @@ let run () =
   Util.banner "Arena"
     "Allocation-free attested data path: minor words per request, 8-core \
      throughput, and a single hot tenant sharded across every core.";
-  let s = summarize () in
+  let s =
+    summarize ~rps_8core:(Bench_serve.measure ~cores:8).Bench_serve.rps
+  in
   Printf.printf "  minor words per attested request (steady state): %.1f\n"
     s.words_per_req;
   Printf.printf "\n  hot tenant (1 enclave, %d sessions) vs cores:\n\n"
@@ -267,73 +261,10 @@ let run () =
   Printf.printf "  hot tenant 1 -> 2 core speedup: %.2fx (gate: >= 1.6x)\n"
     s.hot_speedup_2core
 
-let write_baseline path =
-  let s = summarize () in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"hyperenclave-perf/1\",\n";
-  Printf.fprintf oc "  \"attested_rps_8core\": %.1f,\n" s.rps_8core;
-  Printf.fprintf oc "  \"hot_tenant_rps_8core\": %.1f,\n" s.hot_rps_8core;
-  Printf.fprintf oc "  \"hot_tenant_ratio\": %.3f,\n" s.hot_ratio;
-  Printf.fprintf oc "  \"hot_speedup_2core\": %.3f,\n" s.hot_speedup_2core;
-  Printf.fprintf oc "  \"minor_words_per_request\": %.1f\n}\n" s.words_per_req;
-  close_out oc;
-  Printf.printf "arena baseline written to %s\n" path
-
-(* Deterministic (cycles) + allocation (minor words) regression gate. *)
-let check_baseline path =
-  let tolerance = 1.25 in
-  let s = summarize () in
-  let read key =
-    match Util.perf_json_number ~path ~key with
-    | Some v -> v
-    | None ->
-        Printf.eprintf
-          "arena gate: no \"%s\" in %s — regenerate with: perf_smoke.exe \
-           --write-arena %s\n"
-          key path path;
-        exit 2
-  in
-  let rps_baseline = read "attested_rps_8core" in
-  let words_baseline = read "minor_words_per_request" in
-  let rps_ratio = rps_baseline /. s.rps_8core in
-  let words_ratio = s.words_per_req /. max 1e-9 words_baseline in
-  Printf.printf
-    "arena gate: %.0f attested req/s at 8 cores vs %.0f baseline (%.2fx), \
-     %.1f minor words/req vs %.1f baseline (%.2fx), hot tenant %.0f%%\n"
-    s.rps_8core rps_baseline rps_ratio s.words_per_req words_baseline words_ratio
-    (s.hot_ratio *. 100.0);
-  if rps_ratio > tolerance then begin
-    Printf.eprintf
-      "arena gate: FAIL — 8-core attested req/s regressed %.0f%% past the \
-       25%% budget.\nFix the regression or consciously re-baseline with: \
-       perf_smoke.exe --write-arena %s\n"
-      ((rps_ratio -. 1.0) *. 100.0)
-      path;
-    exit 1
-  end;
-  if s.rps_8core < rps_8core_floor then begin
-    Printf.eprintf
-      "arena gate: FAIL — %.0f attested req/s at 8 cores below the absolute \
-       %.1fM acceptance floor (1.5x the PR 6 baseline)\n"
-      s.rps_8core (rps_8core_floor /. 1e6);
-    exit 1
-  end;
-  if words_ratio > tolerance then begin
-    Printf.eprintf
-      "arena gate: FAIL — %.1f minor words per request, %.0f%% past the \
-       committed %.1f-word baseline's 25%% budget.\nAn allocation crept back \
-       into the steady-state flush path; fix it or consciously re-baseline \
-       with: perf_smoke.exe --write-arena %s\n"
-      s.words_per_req
-      ((words_ratio -. 1.0) *. 100.0)
-      words_baseline path;
-    exit 1
-  end;
-  if s.hot_ratio < 0.8 then begin
-    Printf.eprintf
-      "arena gate: FAIL — a single hot tenant reaches only %.0f%% of the \
-       8-core multi-tenant rate (gate: >= 80%%): ring sharding is not \
-       spreading one tenant's traffic across the cores\n"
-      (s.hot_ratio *. 100.0);
-    exit 1
-  end
+let headline s =
+  [
+    ("minor_words_per_request", s.words_per_req);
+    ("hot_tenant_rps_8core", s.hot_rps_8core);
+    ("hot_tenant_ratio", s.hot_ratio);
+    ("hot_speedup_2core", s.hot_speedup_2core);
+  ]

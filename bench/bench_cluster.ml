@@ -1,6 +1,6 @@
-(* PR 10 tentpole bench: the multi-monitor fleet.  Three headline
-   numbers gate regressions (BENCH_PR10.json, perf_smoke.ml, 25%
-   budget, plus a hard cross-node scaling floor):
+(* The multi-monitor fleet bench.  Its headline numbers are rows of
+   the perf gate (Perf_gate.table, BENCH.json; each doubling of nodes
+   also has a hard 1.6x scaling floor):
 
    - cluster_rps_4x8: aggregate attested req/s over 4 nodes x 8 cores,
      16 tenants sharded by the consistent-hash LB, every request sealed
@@ -21,7 +21,6 @@ let cores = 8
 let tenants = 16
 let rounds = 3
 let batch = 8
-let scaling_floor = 1.6
 
 let tenant_gen () =
   {
@@ -227,67 +226,11 @@ let smoke () =
   Printf.printf "cluster_smoke: OK — %d tenants served across migration\n"
     tenants
 
-let write_baseline path =
-  let s = summarize () in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"hyperenclave-perf/1\",\n";
-  Printf.fprintf oc "  \"cluster_rps_4x8\": %.1f,\n" s.rps_4x8;
-  Printf.fprintf oc "  \"cluster_scaling_1_2\": %.2f,\n" s.scaling_1_2;
-  Printf.fprintf oc "  \"cluster_scaling_2_4\": %.2f,\n" s.scaling_2_4;
-  Printf.fprintf oc "  \"cluster_p99_upgrade_cycles\": %d,\n" s.p99_upgrade;
-  Printf.fprintf oc "  \"cluster_pause_cycles\": %d\n}\n" s.pause;
-  close_out oc;
-  Printf.printf "cluster baseline written to %s\n" path
-
-(* Deterministic gate: the 4-node rate within 25% of baseline, cost
-   metrics within 25% the other way, and — unconditionally — at least
-   1.6x per node-count doubling. *)
-let check_baseline path =
-  let tolerance = 1.25 in
-  let s = summarize () in
-  let need key =
-    match Util.perf_json_number ~path ~key with
-    | Some v -> v
-    | None ->
-        Printf.eprintf
-          "cluster gate: no \"%s\" in %s — regenerate with: perf_smoke.exe \
-           --write-cluster %s\n"
-          key path path;
-        exit 2
-  in
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf
-          "cluster gate: FAIL — %s.\nFix the regression or consciously \
-           re-baseline with: perf_smoke.exe --write-cluster %s\n"
-          msg path;
-        exit 1)
-      fmt
-  in
-  let rps_base = need "cluster_rps_4x8" in
-  Printf.printf "cluster gate: 4x8 %.0f req/s vs %.0f baseline (%.2fx)\n"
-    s.rps_4x8 rps_base (rps_base /. s.rps_4x8);
-  if rps_base /. s.rps_4x8 > tolerance then
-    fail "4-node rate regressed %.0f%% past the 25%% budget"
-      ((rps_base /. s.rps_4x8 -. 1.0) *. 100.0);
-  List.iter
-    (fun (label, ratio) ->
-      Printf.printf "cluster gate: scaling %s = %.2fx (floor %.1fx)\n" label
-        ratio scaling_floor;
-      if ratio < scaling_floor then
-        fail "cross-node scaling %s fell to %.2fx, under the %.1fx floor" label
-          ratio scaling_floor)
-    [ ("1->2", s.scaling_1_2); ("2->4", s.scaling_2_4) ];
-  let p99_base = need "cluster_p99_upgrade_cycles" in
-  Printf.printf "cluster gate: upgrade p99 %d cycles vs %.0f baseline\n"
-    s.p99_upgrade p99_base;
-  if float_of_int s.p99_upgrade > p99_base *. tolerance then
-    fail "rolling-upgrade p99 grew %.0f%% past the 25%% budget"
-      ((float_of_int s.p99_upgrade /. p99_base -. 1.0) *. 100.0);
-  let pause_base = need "cluster_pause_cycles" in
-  Printf.printf "cluster gate: migration pause %d cycles vs %.0f baseline\n"
-    s.pause pause_base;
-  if float_of_int s.pause > pause_base *. tolerance then
-    fail "migration pause grew %.0f%% past the 25%% budget"
-      ((float_of_int s.pause /. pause_base -. 1.0) *. 100.0)
+let headline s =
+  [
+    ("cluster_rps_4x8", s.rps_4x8);
+    ("cluster_scaling_1_2", s.scaling_1_2);
+    ("cluster_scaling_2_4", s.scaling_2_4);
+    ("cluster_p99_upgrade_cycles", float_of_int s.p99_upgrade);
+    ("cluster_pause_cycles", float_of_int s.pause);
+  ]

@@ -3,10 +3,10 @@
    simulated cores, plus the switchless call ring's amortization of the
    world-switch cost as the batch factor K grows.
 
-   Two headline numbers gate regressions (see BENCH_PR4.json and
-   perf_smoke.ml): requests/sec must scale at least 1.6x from 1 to 2
-   cores, and at K = 8 the ring must serve a request in at most half the
-   cycles of eight individual world switches.  Both are simulated-cycle
+   Its headline numbers are rows of the perf gate (Perf_gate.table,
+   BENCH.json): requests/sec must scale at least 1.6x from 1 to 2 cores,
+   and at K = 8 the ring must serve a request in at most half the cycles
+   of eight individual world switches.  Both are simulated-cycle
    quantities, so the gate is deterministic. *)
 
 open Hyperenclave
@@ -179,62 +179,9 @@ let run () =
     "  K=8 amortization: %.2fx fewer cycles per request (gate: >= 2x).\n"
     s.amortized_ratio_k8
 
-(* --- baseline file + regression gate ---------------------------------- *)
-
-let write_baseline path =
-  let s = summarize () in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"hyperenclave-perf/1\",\n";
-  List.iter
-    (fun r -> Printf.fprintf oc "  \"rps_%dcore\": %.1f,\n" r.cores r.rps)
-    s.runs;
-  Printf.fprintf oc "  \"speedup_2core\": %.3f,\n" s.speedup_2core;
-  Printf.fprintf oc "  \"batch_amortized_ratio_k8\": %.3f\n}\n"
-    s.amortized_ratio_k8;
-  close_out oc;
-  Printf.printf "throughput baseline written to %s\n" path
-
-(* The simulated-cycle analogue of the wall-clock smoke gate: recompute
-   the headline numbers and fail on a >25%% throughput regression against
-   the committed baseline, or if either absolute acceptance bar (2-core
-   scaling, K=8 amortization) no longer holds. *)
-let check_baseline path =
-  let tolerance = 1.25 in
-  let s = summarize () in
-  let rps2 = (List.find (fun r -> r.cores = 2) s.runs).rps in
-  match Util.perf_json_number ~path ~key:"rps_2core" with
-  | None ->
-      Printf.eprintf
-        "throughput gate: no \"rps_2core\" in %s — regenerate with: \
-         perf_smoke.exe --write-throughput %s\n"
-        path path;
-      exit 2
-  | Some baseline ->
-      let ratio = baseline /. rps2 in
-      Printf.printf
-        "throughput gate: %.0f req/s at 2 cores vs %.0f baseline (%.2fx), \
-         2-core speedup %.2fx, K=8 amortization %.2fx\n"
-        rps2 baseline ratio s.speedup_2core s.amortized_ratio_k8;
-      if ratio > tolerance then begin
-        Printf.eprintf
-          "throughput gate: FAIL — 2-core req/s regressed %.0f%% past the \
-           25%% budget.\nFix the regression or consciously re-baseline with: \
-           perf_smoke.exe --write-throughput %s\n"
-          ((ratio -. 1.0) *. 100.0)
-          path;
-        exit 1
-      end;
-      if s.speedup_2core < 1.6 then begin
-        Printf.eprintf
-          "throughput gate: FAIL — 1->2 core speedup %.2fx below the 1.6x \
-           acceptance bar\n"
-          s.speedup_2core;
-        exit 1
-      end;
-      if s.amortized_ratio_k8 < 2.0 then begin
-        Printf.eprintf
-          "throughput gate: FAIL — K=8 ring amortization %.2fx below the 2x \
-           acceptance bar\n"
-          s.amortized_ratio_k8;
-        exit 1
-      end
+let headline (s : summary) =
+  List.map (fun r -> (Printf.sprintf "rps_%dcore" r.cores, r.rps)) s.runs
+  @ [
+      ("speedup_2core", s.speedup_2core);
+      ("batch_amortized_ratio_k8", s.amortized_ratio_k8);
+    ]

@@ -1,11 +1,8 @@
-(* PR 6 tentpole bench: the zero-copy attested request path.
+(* The zero-copy attested request path bench.  Its 8-core serving rate
+   is Bench_serve's; the headline numbers here are rows of the perf gate
+   (Perf_gate.table, BENCH.json), all deterministic simulated-cycle
+   quantities:
 
-   Three headline numbers gate regressions (see BENCH_PR6.json and
-   perf_smoke.ml), all deterministic simulated-cycle quantities:
-
-   - attested req/s at 8 cores (the serving plane's zero-copy AEAD +
-     chunked flush) must stay within 25% of the committed baseline —
-     and the baseline itself had to land at >= 1.5x BENCH_PR5's;
    - the switchless OCALL reply ring must serve K = 8 out-calls in at
      most half the cycles of eight individual EEXIT/ORET round trips;
    - resuming a session from a sealed ticket must cost at most 1/10th
@@ -132,32 +129,26 @@ let resume_vs_handshake () =
   Serve.destroy plane;
   (handshake_cycles, resume_cycles)
 
-type summary = {
-  rps_8core : float;
-  ring_k8 : float;
-  handshake_cycles : int;
-  resume_cycles : int;
-}
+type summary = { ring_k8 : float; handshake_cycles : int; resume_cycles : int }
 
 let summarize () =
-  let r8 = Bench_serve.measure ~cores:8 in
   let ringed, sequential = ocall_ring_amortization ~k:8 in
   let handshake_cycles, resume_cycles = resume_vs_handshake () in
   {
-    rps_8core = r8.Bench_serve.rps;
     ring_k8 = float_of_int sequential /. float_of_int ringed;
     handshake_cycles;
     resume_cycles;
   }
 
+let resume_ratio s =
+  float_of_int s.resume_cycles /. float_of_int s.handshake_cycles
+
 let run () =
   Util.set_experiment "zerocopy";
   Util.banner "Zero-copy"
-    "Zero-copy attested path: 8-core serving throughput, switchless OCALL \
-     reply-ring amortization vs K, and ticket resumption vs the full \
-     handshake.";
+    "Zero-copy attested path: switchless OCALL reply-ring amortization \
+     vs K, and ticket resumption vs the full handshake.";
   let s = summarize () in
-  Printf.printf "  attested req/s, 8 cores: %.0f\n\n" s.rps_8core;
   Printf.printf "  Switchless OCALL reply ring (echo out-call, pure transition cost):\n\n";
   Util.print_table
     ~columns:[ "K"; "ringed (cyc)"; "sequential (cyc)"; "ratio" ]
@@ -175,65 +166,11 @@ let run () =
     s.ring_k8;
   Printf.printf
     "  resumption: %d cycles vs %d handshake (%.3fx, gate: <= 0.1x).\n"
-    s.resume_cycles s.handshake_cycles
-    (float_of_int s.resume_cycles /. float_of_int s.handshake_cycles)
+    s.resume_cycles s.handshake_cycles (resume_ratio s)
 
-(* --- baseline file + regression gate ---------------------------------- *)
-
-let write_baseline path =
-  let s = summarize () in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"hyperenclave-perf/1\",\n";
-  Printf.fprintf oc "  \"attested_rps_8core\": %.1f,\n" s.rps_8core;
-  Printf.fprintf oc "  \"ocall_ring_amortization_k8\": %.3f,\n" s.ring_k8;
-  Printf.fprintf oc "  \"handshake_cycles\": %d,\n" s.handshake_cycles;
-  Printf.fprintf oc "  \"resume_cycles\": %d\n}\n" s.resume_cycles;
-  close_out oc;
-  Printf.printf "zero-copy baseline written to %s\n" path
-
-(* Recompute the three headline numbers and fail on a >25% regression
-   of the 8-core attested throughput against the committed baseline, or
-   if either absolute acceptance bar (K=8 OCALL-ring amortization,
-   resumption cost) no longer holds. *)
-let check_baseline path =
-  let tolerance = 1.25 in
-  let s = summarize () in
-  match Util.perf_json_number ~path ~key:"attested_rps_8core" with
-  | None ->
-      Printf.eprintf
-        "zerocopy gate: no \"attested_rps_8core\" in %s — regenerate with: \
-         perf_smoke.exe --write-zerocopy %s\n"
-        path path;
-      exit 2
-  | Some baseline ->
-      let ratio = baseline /. s.rps_8core in
-      let resume_ratio =
-        float_of_int s.resume_cycles /. float_of_int s.handshake_cycles
-      in
-      Printf.printf
-        "zerocopy gate: %.0f attested req/s at 8 cores vs %.0f baseline \
-         (%.2fx), OCALL ring K=8 %.2fx, resume %.3fx of handshake\n"
-        s.rps_8core baseline ratio s.ring_k8 resume_ratio;
-      if ratio > tolerance then begin
-        Printf.eprintf
-          "zerocopy gate: FAIL — 8-core attested req/s regressed %.0f%% past \
-           the 25%% budget.\nFix the regression or consciously re-baseline \
-           with: perf_smoke.exe --write-zerocopy %s\n"
-          ((ratio -. 1.0) *. 100.0)
-          path;
-        exit 1
-      end;
-      if s.ring_k8 < 2.0 then begin
-        Printf.eprintf
-          "zerocopy gate: FAIL — K=8 OCALL-ring amortization %.2fx below the \
-           2x acceptance bar\n"
-          s.ring_k8;
-        exit 1
-      end;
-      if resume_ratio > 0.1 then begin
-        Printf.eprintf
-          "zerocopy gate: FAIL — resumption costs %.3fx of a full handshake, \
-           above the 0.1x acceptance bar\n"
-          resume_ratio;
-        exit 1
-      end
+let headline s =
+  [
+    ("ocall_ring_amortization_k8", s.ring_k8);
+    ("resume_cycles", float_of_int s.resume_cycles);
+    ("resume_ratio", resume_ratio s);
+  ]

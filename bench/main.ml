@@ -42,9 +42,7 @@ let experiments =
   ]
 
 let usage () =
-  print_endline
-    "usage: main.exe [--bechamel] [--csv DIR] [--perf-json FILE] [experiment \
-     ...]";
+  print_endline "usage: main.exe [--bechamel] [--csv DIR] [experiment ...]";
   print_endline "experiments:";
   List.iter
     (fun (id, (description, _)) -> Printf.printf "  %-8s %s\n" id description)
@@ -53,16 +51,10 @@ let usage () =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let bechamel = List.mem "--bechamel" args in
-  let perf_json = ref None in
-  (* --csv DIR mirrors every printed table into DIR as CSV files;
-     --perf-json FILE records per-experiment wall-clock + simulated-cycle
-     totals (the PR-level perf baseline). *)
+  (* --csv DIR mirrors every printed table into DIR as CSV files. *)
   let rec extract_csv acc = function
     | "--csv" :: dir :: rest ->
         Util.set_csv_dir dir;
-        extract_csv acc rest
-    | "--perf-json" :: file :: rest ->
-        perf_json := Some file;
         extract_csv acc rest
     | arg :: rest -> extract_csv (arg :: acc) rest
     | [] -> List.rev acc
@@ -84,31 +76,9 @@ let () =
       print_endline
         "HyperEnclave reproduction benchmark harness (simulated cycles; see \
          EXPERIMENTS.md for paper-vs-measured notes)";
-      let perf_entries =
-        List.map
-          (fun id ->
-            Util.set_experiment id;
-            let _, run = List.assoc id experiments in
-            let wall0 = Unix.gettimeofday () in
-            let cycles0 = Hyperenclave.Cycles.total_ticked () in
-            let words0 = Gc.minor_words () in
-            run ();
-            {
-              Util.perf_name = id;
-              wall_seconds = Unix.gettimeofday () -. wall0;
-              simulated_cycles = Hyperenclave.Cycles.total_ticked () - cycles0;
-              minor_words = Gc.minor_words () -. words0;
-            })
-          to_run
-      in
-      (match !perf_json with
-      | None -> ()
-      | Some path ->
-          (* Time the perf_smoke slice too so the committed baseline
-             carries the reference the smoke gate compares against. *)
-          let wall0 = Unix.gettimeofday () in
-          Smoke.run ();
-          let smoke = Unix.gettimeofday () -. wall0 in
-          Util.write_perf_json ~path ~smoke_wall_seconds:(Some smoke)
-            perf_entries);
+      List.iter
+        (fun id ->
+          Util.set_experiment id;
+          (snd (List.assoc id experiments)) ())
+        to_run;
       if bechamel then Bechamel_suite.run ()

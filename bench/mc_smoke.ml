@@ -33,7 +33,7 @@ let report (result : Mc.result) dt ~depth =
       exit 1
 
 let baseline_field path field =
-  match Util.perf_json_number ~path ~key:field with
+  match Perf_gate.number (Perf_gate.read path) field with
   | Some v -> int_of_float v
   | None ->
       Printf.eprintf "mc_smoke: %s: missing field %S\n" path field;

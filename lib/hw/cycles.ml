@@ -1,8 +1,8 @@
 type t = { mutable now : int }
 
-(* Process-wide sum of every tick on every clock, for wall-clock-vs-work
-   accounting (the --perf-json baseline).  [reset] deliberately leaves it
-   alone: it counts simulation work performed, not clock positions. *)
+(* Process-wide sum of every tick on every clock: simulation work done
+   across all clocks.  [reset] deliberately leaves it alone: it counts
+   work performed, not clock positions. *)
 let grand_total = ref 0
 
 let create () = { now = 0 }

@@ -37,6 +37,6 @@ val reset : t -> unit
 
 val total_ticked : unit -> int
 (** Process-wide sum of every [tick] on every clock since startup — a
-    measure of simulation work performed, used to pair wall-clock timings
-    with the amount of simulated work they covered (see the benchmark
-    harness's [--perf-json]).  Monotone; unaffected by [reset]. *)
+    measure of simulation work performed across independent clocks (the
+    fleet bench charges a request with the delta over its call).
+    Monotone; unaffected by [reset]. *)

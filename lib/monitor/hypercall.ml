@@ -31,9 +31,6 @@ type request =
   | Egetkey of { enclave : Enclave.t; name : Sgx_types.key_name }
   | Ereport of { enclave : Enclave.t; report_data : bytes }
   | Gen_quote of { enclave : Enclave.t; report_data : bytes; nonce : bytes }
-  | Ebatch of request list
-      (** Batched dispatch: one VMMCALL carries several requests; the
-          gate (and its fault site) fires once for the whole batch. *)
   | Obatch of {
       enclave : Enclave.t;
       tcs : Sgx_types.tcs;
@@ -51,7 +48,6 @@ type result =
   | Key of bytes
   | Report of Sgx_types.report
   | Quote of Monitor.quote
-  | Batch of result list
   | Fault of string
 
 let number = function
@@ -69,7 +65,6 @@ let number = function
   | Egetkey _ -> 0x30
   | Ereport _ -> 0x31
   | Gen_quote _ -> 0x32
-  | Ebatch _ -> 0x40
   | Obatch _ -> 0x41
 
 let name = function
@@ -87,26 +82,16 @@ let name = function
   | Egetkey _ -> "EGETKEY"
   | Ereport _ -> "EREPORT"
   | Gen_quote _ -> "GEN_QUOTE"
-  | Ebatch reqs -> Printf.sprintf "EBATCH[%d]" (List.length reqs)
   | Obatch { slots; _ } -> Printf.sprintf "OBATCH[%d]" slots
 
-let rec dispatch monitor request =
+let dispatch monitor request =
   (* Fault site at the trust-boundary entry, before any monitor state is
      touched: an injected fault here models a VMMCALL that never reached
      the handler (dropped, truncated, or refused at the gate).  Transient
-     faults are retried by the kernel module's ioctl path.  For a batch
-     the gate fires once — the whole batch either reached the monitor or
-     did not. *)
+     faults are retried by the kernel module's ioctl path. *)
   Hyperenclave_fault.Fault.point "hypercall.dispatch";
-  dispatch_inner monitor request
-
-and dispatch_inner monitor request =
   try
     match request with
-    | Ebatch reqs ->
-        (* Sub-requests skip the gate (one VMMCALL already crossed it);
-           a faulting sub-request faults its slot, not the batch. *)
-        Batch (List.map (dispatch_inner monitor) reqs)
     | Obatch { enclave; tcs; return_va; slots } ->
         (* The monitor bounds the ring before touching the TCS: a slot
            count the uRTS could not have produced is a forged request. *)

@@ -46,11 +46,6 @@ type request =
   | Egetkey of { enclave : Enclave.t; name : Sgx_types.key_name }
   | Ereport of { enclave : Enclave.t; report_data : bytes }
   | Gen_quote of { enclave : Enclave.t; report_data : bytes; nonce : bytes }
-  | Ebatch of request list
-      (** Batched dispatch: one VMMCALL carries several requests, the
-          dispatch gate (and its fault site) fires once, and each slot
-          yields its own result — a faulting slot faults that slot, not
-          the batch. *)
   | Obatch of {
       enclave : Enclave.t;
       tcs : Sgx_types.tcs;
@@ -68,7 +63,6 @@ type result =
   | Key of bytes
   | Report of Sgx_types.report
   | Quote of Monitor.quote
-  | Batch of result list  (** per-slot results of an [Ebatch], in order *)
   | Fault of string  (** a rejected hypercall (Security_violation text) *)
 
 val number : request -> int

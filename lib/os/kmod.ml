@@ -61,15 +61,9 @@ let expect_ok t request =
   match hypercall t request with
   | Hypercall.Ok -> ()
   | Hypercall.Enclave_handle _ | Hypercall.Key _ | Hypercall.Report _
-  | Hypercall.Quote _ | Hypercall.Batch _ ->
+  | Hypercall.Quote _ ->
       invalid_arg ("Kmod: unexpected result for " ^ Hypercall.name request)
   | Hypercall.Fault _ -> assert false (* re-raised in [hypercall] *)
-
-let ioctl_batch t reqs =
-  ioctl_enter t;
-  match hypercall t (Hypercall.Ebatch reqs) with
-  | Hypercall.Batch results -> results
-  | _ -> invalid_arg "Kmod: EBATCH returned no batch result"
 
 let ioctl_obatch t ~enclave ~tcs ~return_va ~slots =
   ioctl_enter t;

@@ -29,11 +29,6 @@ val kernel : t -> Kernel.t
 
 val ioctl_create_enclave : t -> Sgx_types.secs -> Enclave.t
 
-val ioctl_batch : t -> Hypercall.request list -> Hypercall.result list
-(** Forward a batch of requests under a single ioctl + VMMCALL
-    ([Hypercall.Ebatch]): the crossing and the dispatch gate are paid
-    once; per-slot results come back in order. *)
-
 val ioctl_obatch :
   t ->
   enclave:Enclave.t ->

@@ -35,8 +35,6 @@ type job = {
   job_id : int;
   urts : Urts.t;
   mutable work : work;
-  mutable completed : int;
-  mutable failed : int;
   mutable next_index : int;  (* submission index of the head of [work] *)
   on_result : (index:int -> (bytes, string) result -> unit) option;
   on_slice : (cycles:int -> unit) option;
@@ -83,7 +81,8 @@ type t = {
   config : config;
   cores : core array;
   on_preempt : (core_id:int -> unit) option;
-  mutable jobs : job list;  (* reverse submission order *)
+  mutable completed : int;
+  mutable failed : int;
   mutable next_job : int;
   mutable aex_preempts : int;
 }
@@ -110,7 +109,8 @@ let create ?on_preempt ~shared_clock ~telemetry (config : config) =
             completed = 0;
           });
     on_preempt;
-    jobs = [];
+    completed = 0;
+    failed = 0;
     next_job = 0;
     aex_preempts = 0;
   }
@@ -131,15 +131,12 @@ let submit_work t ?core ?label ?on_result ?on_slice ~urts work =
       job_id;
       urts;
       work;
-      completed = 0;
-      failed = 0;
       next_index = 0;
       on_result;
       on_slice;
       svc_counter = Option.map (fun l -> "sched.svc." ^ l) label;
     }
   in
-  t.jobs <- job :: t.jobs;
   let target = t.cores.(home) in
   target.queue <- target.queue @ [ job ]
 
@@ -229,7 +226,7 @@ let run_requests t (job : job) =
           for i = 0 to count - 1 do
             deliver i ok_in_ring
           done;
-          job.completed <- job.completed + count;
+          t.completed <- t.completed + count;
           (match job.svc_counter with
           | Some c -> Telemetry.add t.telemetry c count
           | None -> ());
@@ -240,7 +237,7 @@ let run_requests t (job : job) =
           for i = 0 to count - 1 do
             deliver i (Error msg)
           done;
-          job.failed <- job.failed + count;
+          t.failed <- t.failed + count;
           Telemetry.add t.telemetry "sched.request_failed" count;
           count)
   | Calls pending -> (
@@ -272,7 +269,7 @@ let run_requests t (job : job) =
       with
       | replies ->
           List.iteri (fun i reply -> deliver i (Ok reply)) replies;
-          job.completed <- job.completed + count;
+          t.completed <- t.completed + count;
           (match job.svc_counter with
           | Some c -> Telemetry.add t.telemetry c count
           | None -> ());
@@ -283,7 +280,7 @@ let run_requests t (job : job) =
              the same typed failure. *)
           let msg = fail_msg exn in
           List.iteri (fun i _ -> deliver i (Error msg)) taken;
-          job.failed <- job.failed + count;
+          t.failed <- t.failed + count;
           Telemetry.add t.telemetry "sched.request_failed" count;
           count)
 
@@ -330,9 +327,10 @@ let run_slice t (core : core) (job : job) =
     core.queue <- core.queue @ [ job ]
   end
 
-(* Read-only aggregation over the current core/job state: safe to call
-   at any point (including between [submit] and [run]) — it never
-   advances a clock or drains a queue. *)
+(* Read-only aggregation over the core state and the request counters:
+   safe to call at any point (including between [submit] and [run]) — it
+   never advances a clock or drains a queue.  Drained jobs are not kept,
+   so a long-lived scheduler holds no per-job state. *)
 let stats t =
   let per_core =
     Array.map
@@ -348,10 +346,8 @@ let stats t =
       t.cores
   in
   {
-    total_requests =
-      List.fold_left (fun acc (j : job) -> acc + j.completed) 0 t.jobs;
-    failed_requests =
-      List.fold_left (fun acc (j : job) -> acc + j.failed) 0 t.jobs;
+    total_requests = t.completed;
+    failed_requests = t.failed;
     makespan =
       Array.fold_left (fun acc (c : core_stats) -> max acc c.cycles) 0 per_core;
     per_core;

@@ -27,4 +27,5 @@ let () =
       ("chaos", Test_chaos.suite);
       ("mc", Test_mc.suite);
       ("attacks", Test_attacks.suite);
+      ("perf_gate", Test_perf_gate.suite);
     ]

@@ -187,34 +187,6 @@ let test_destroy_unpins_marshalling_buffer () =
     "second cycle also clean" before
     (Process.pinned_count proc)
 
-(* The batched hypercall: one EBATCH carries several requests and the
-   results come back slot for slot, in order. *)
-let test_ioctl_batch () =
-  let p = platform () in
-  let handle =
-    Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
-      ~signer:p.Platform.signer
-      ~config:(Urts.default_config Sgx_types.GU)
-      ~ecalls:[ (1, fun _ input -> input) ]
-      ~ocalls:[]
-  in
-  let enclave = Urts.enclave handle in
-  let results =
-    Kmod.ioctl_batch p.Platform.kmod
-      [
-        Hypercall.Ereport { enclave; report_data = Bytes.of_string "batch" };
-        Hypercall.Egetkey { enclave; name = Sgx_types.Seal_key_mrenclave };
-      ]
-  in
-  (match results with
-  | [ Hypercall.Report r; Hypercall.Key k ] ->
-      Alcotest.(check bool)
-        "report verifies" true
-        (Monitor.verify_report p.Platform.monitor r);
-      Alcotest.(check bool) "key non-empty" true (Bytes.length k > 0)
-  | _ -> Alcotest.fail "batch results out of shape");
-  Urts.destroy handle
-
 (* The batched ORET path (PR 6): the monitor bounds the reply-ring slot
    count before touching the parked TCS, so a forged OBATCH is refused
    as a security violation and the enclave stays serviceable. *)
@@ -342,7 +314,6 @@ let suite =
       test_pin_range_unwinds_on_failure;
     Alcotest.test_case "destroy unpins ms buffer" `Quick
       test_destroy_unpins_marshalling_buffer;
-    Alcotest.test_case "EBATCH ioctl" `Quick test_ioctl_batch;
     Alcotest.test_case "OBATCH slot bounds" `Quick test_ioctl_obatch_bounds;
     Alcotest.test_case "fork/exit frames" `Quick test_fork_exit_frees_frames;
     Alcotest.test_case "with_translation toggle" `Quick test_with_translation;

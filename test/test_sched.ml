@@ -215,6 +215,34 @@ let test_batched_scheduler_run () =
     "batching reduces makespan" true
     (batched.stats.Sched.makespan < unbatched.stats.Sched.makespan)
 
+(* A drained job must not outlive its run: [stats] keeps only counts, so
+   the job's [on_result] closure (and everything it captures) becomes
+   garbage once [run] returns. *)
+let test_finished_jobs_released () =
+  let p = Platform.create ~seed:4300L () in
+  let handle = make_enclave p ~seed_name:"sched-release" ~burn:0 in
+  let sched =
+    Sched.create ~shared_clock:p.Platform.clock ~telemetry:(telemetry p)
+      Sched.default_config
+  in
+  let served = ref 0 in
+  let closures = Weak.create 1 in
+  (* Built out of line so no local of this frame keeps the closure
+     reachable; it captures [served], so it is a heap block. *)
+  let submit () =
+    let on_result ~index:_ _ = incr served in
+    Weak.set closures 0 (Some on_result);
+    Sched.submit sched ~on_result ~urts:handle (requests ~tag:"w" 3)
+  in
+  (Sys.opaque_identity submit) ();
+  ignore (Sched.run sched : Sched.stats);
+  Gc.full_major ();
+  Alcotest.(check int) "every request delivered" 3 !served;
+  Alcotest.(check int)
+    "stats still count the job" 3 (Sched.stats sched).Sched.total_requests;
+  Alcotest.(check bool) "on_result collected" false (Weak.check closures 0);
+  Urts.destroy handle
+
 (* --- 2-enclave / 2-core chaos with invariant checks ----------------------- *)
 
 let test_chaos_preemption_invariants () =
@@ -293,6 +321,8 @@ let suite =
       test_work_stealing_invariance;
     Alcotest.test_case "batched scheduler beats unbatched" `Quick
       test_batched_scheduler_run;
+    Alcotest.test_case "finished jobs are released" `Quick
+      test_finished_jobs_released;
     Alcotest.test_case "2-enclave/2-core chaos with invariant checks" `Quick
       test_chaos_preemption_invariants;
   ]
