@@ -12,9 +12,9 @@
    A5. The price of fault tolerance: ECALL latency with a transient
        injected fault absorbed by the SDK's retry/backoff path, vs the
        clean call, per mode.
-   A6. The switchless call ring vs individual ECALLs, per mode: how much
-       of the batching win survives when the world switch being
-       amortized is a GU/P VMRUN round trip vs HU's cheaper SYSCALL
+   A6. The switchless slot ring vs individual ECALLs, per mode: the
+       ring pays no world switch, so its win tracks what each mode's
+       ECALL costs — a GU/P VMRUN round trip vs HU's cheaper SYSCALL
        path. *)
 
 open Hyperenclave
@@ -307,56 +307,32 @@ let ablation_fault_retry () =
     "  The delta is one aborted marshalling leg + backoff + a full re-run:\n\
     \  bounded, typed, and invisible to the caller.\n"
 
-(* --- A6: the switchless call ring, per operation mode ----------------------- *)
+(* --- A6: the switchless slot ring, per operation mode ----------------------- *)
 
 let ablation_batching () =
   Util.banner "Ablation A6"
-    "Switchless ECALL ring vs individual calls at K = 8, per mode: the \
-     ring amortizes one world switch over the batch, so the win tracks \
-     how expensive that switch is (GU/P: VMRUN round trip; HU: SYSCALL).";
-  let measure mode =
-    let p = Platform.create ~seed:806L () in
-    let backend =
-      Backend.hyperenclave p ~mode
-        ~handlers:[ (1, fun (_ : Backend.env) input -> input) ]
-        ~ocalls:[] ()
-    in
-    let reqs = List.init 8 (fun i -> (1, Bytes.of_string (string_of_int i))) in
-    (* Warm call so both columns start from identical paging state. *)
-    ignore
-      (backend.Backend.call ~id:1 ~data:Bytes.empty ~direction:Edge.In_out ());
-    let _, batched =
-      Cycles.time backend.Backend.clock (fun () ->
-          ignore (backend.Backend.call_batch ~reqs ()))
-    in
-    let _, unbatched =
-      Cycles.time backend.Backend.clock (fun () ->
-          List.iter
-            (fun (id, data) ->
-              ignore
-                (backend.Backend.call ~id ~data ~direction:Edge.In_out ()))
-            reqs)
-    in
-    backend.Backend.destroy ();
-    (batched, unbatched)
-  in
+    "Switchless slot ring vs individual ECALLs at K = 8, per mode: the \
+     ring pays no world switch, so the win tracks how expensive each \
+     mode's ECALL is (GU/P: VMRUN round trip; HU: SYSCALL).";
   let rows =
     List.map
       (fun mode ->
-        let batched, unbatched = measure mode in
+        let ringed, single =
+          Bench_throughput.ring_vs_ecalls ~seed:806L ~mode ~k:8 ()
+        in
         [
           Sgx_types.mode_name mode;
-          string_of_int batched;
-          string_of_int unbatched;
-          string_of_int (batched / 8);
-          string_of_int (unbatched / 8);
-          Printf.sprintf "%.2fx" (float_of_int unbatched /. float_of_int batched);
+          string_of_int ringed;
+          string_of_int single;
+          string_of_int (ringed / 8);
+          string_of_int (single / 8);
+          Printf.sprintf "%.2fx" (float_of_int single /. float_of_int ringed);
         ])
       Sgx_types.all_modes
   in
   Util.print_table
     ~columns:
-      [ "mode"; "K=8 batched"; "8 single"; "cyc/req ring"; "cyc/req single"; "win" ]
+      [ "mode"; "K=8 ring"; "8 ECALLs"; "cyc/req ring"; "cyc/req ECALL"; "win" ]
     rows
 
 let run () =

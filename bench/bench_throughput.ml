@@ -1,13 +1,13 @@
 (* PR 4 tentpole bench: end-to-end request throughput of the SMP enclave
    scheduler (lib/sched) serving the RESP KV workload across 1/2/4/8
-   simulated cores, plus the switchless call ring's amortization of the
-   world-switch cost as the batch factor K grows.
+   simulated cores, plus the switchless slot ring's saving over K
+   individual ECALLs as K grows.
 
    Its headline numbers are rows of the perf gate (Perf_gate.table,
    BENCH.json): requests/sec must scale at least 1.6x from 1 to 2 cores,
    and at K = 8 the ring must serve a request in at most half the cycles
-   of eight individual world switches.  Both are simulated-cycle
-   quantities, so the gate is deterministic. *)
+   of eight individual ECALLs.  Both are simulated-cycle quantities, so
+   the gate is deterministic. *)
 
 open Hyperenclave
 module Resp_kv = Hyperenclave_workloads.Resp_kv
@@ -51,7 +51,7 @@ type run = {
 (* N enclaves, [reqs_per_enclave] requests each, scheduled over [cores]
    cores.  Fresh platform per configuration so runs are independent and
    seed-reproducible. *)
-let measure ~cores ~batch =
+let measure ~cores =
   let p = Platform.create ~seed:906L () in
   let backends =
     List.init enclaves (fun i ->
@@ -65,7 +65,7 @@ let measure ~cores ~batch =
   let sched =
     Sched.create ~shared_clock:p.Platform.clock
       ~telemetry:(Monitor.telemetry p.Platform.monitor)
-      { Sched.default_config with Sched.cores; batch; quantum = 500_000 }
+      { Sched.default_config with Sched.cores; quantum = 500_000 }
   in
   List.iteri
     (fun i b ->
@@ -87,48 +87,59 @@ let measure ~cores ~batch =
     aex = stats.Sched.aex_preempts;
   }
 
-(* Ring amortization on a minimal echo enclave: the compute inside the
-   call is ~zero, so the measured cycles are almost entirely transition
-   cost — the quantity the ring exists to amortize. *)
-let ring_amortization ~k =
-  let p = Platform.create ~seed:907L () in
+(* K echo requests on a minimal [mode] enclave, served once through the
+   slot ring (stage, publish, dispatch, read back) and once as K
+   individual ECALLs: [(ring_cycles, ecall_cycles)].  The compute inside
+   each call is ~zero, so the cycles are almost entirely call-path cost.
+   Shared by the K table below and ablation A6. *)
+let ring_vs_ecalls ?(seed = 907L) ?(mode = Sgx_types.GU) ~k () =
+  let p = Platform.create ~seed () in
   let handle =
     Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
-      ~signer:p.Platform.signer
-      ~config:(Urts.default_config Sgx_types.GU)
+      ~signer:p.Platform.signer ~config:(Urts.default_config mode)
       ~ecalls:[ (1, fun _ input -> input) ]
       ~ocalls:[]
   in
-  let reqs = List.init k (fun i -> (1, Bytes.of_string (string_of_int i))) in
+  let payloads = List.init k (fun i -> Bytes.of_string (string_of_int i)) in
+  let ring = Urts.create_ring handle ~shard:0 ~shards:1 ~slots:k ~slot_bytes:64 in
   (* Warm call: both paths start from identical paging/TLB state. *)
   ignore (Urts.ecall handle ~id:1 ~data:Bytes.empty ~direction:Edge.In_out ());
-  let _, batched =
-    Cycles.time p.Platform.clock (fun () -> Urts.ecall_batch handle ~reqs ())
-  in
-  let _, unbatched =
+  let (), ringed =
     Cycles.time p.Platform.clock (fun () ->
         List.iter
-          (fun (id, data) ->
-            ignore (Urts.ecall handle ~id ~data ~direction:Edge.In_out ()))
-          reqs)
+          (fun data ->
+            let len = Bytes.length data in
+            let off = Urts.ring_stage ring ~ecall_id:1 ~len in
+            Bytes.blit data 0 (Urts.ring_buf ring) off len)
+          payloads;
+        Urts.ring_publish ring;
+        Urts.ring_dispatch ring;
+        Urts.ring_read_replies ring)
+  in
+  let (), single =
+    Cycles.time p.Platform.clock (fun () ->
+        List.iter
+          (fun data ->
+            ignore (Urts.ecall handle ~id:1 ~data ~direction:Edge.In_out ()))
+          payloads)
   in
   Urts.destroy handle;
-  (batched, unbatched)
+  (ringed, single)
 
 type summary = {
   runs : run list;
   speedup_2core : float;
-  amortized_ratio_k8 : float;
+  ring_ratio_k8 : float;
 }
 
 let summarize () =
-  let runs = List.map (fun cores -> measure ~cores ~batch:1) [ 1; 2; 4; 8 ] in
+  let runs = List.map (fun cores -> measure ~cores) [ 1; 2; 4; 8 ] in
   let rps_of n = (List.find (fun r -> r.cores = n) runs).rps in
-  let batched, unbatched = ring_amortization ~k:8 in
+  let ringed, single = ring_vs_ecalls ~k:8 () in
   {
     runs;
     speedup_2core = rps_of 2 /. rps_of 1;
-    amortized_ratio_k8 = float_of_int unbatched /. float_of_int batched;
+    ring_ratio_k8 = float_of_int single /. float_of_int ringed;
   }
 
 let print_scaling (s : summary) =
@@ -150,17 +161,16 @@ let print_scaling (s : summary) =
 
 let print_ring () =
   Util.print_table
-    ~columns:
-      [ "K"; "batched (cyc)"; "unbatched (cyc)"; "cyc/req batched"; "ratio" ]
+    ~columns:[ "K"; "ring (cyc)"; "K ECALLs (cyc)"; "cyc/req ring"; "ratio" ]
     (List.map
        (fun k ->
-         let batched, unbatched = ring_amortization ~k in
+         let ringed, single = ring_vs_ecalls ~k () in
          [
            string_of_int k;
-           string_of_int batched;
-           string_of_int unbatched;
-           string_of_int (batched / k);
-           Printf.sprintf "%.2fx" (float_of_int unbatched /. float_of_int batched);
+           string_of_int ringed;
+           string_of_int single;
+           string_of_int (ringed / k);
+           Printf.sprintf "%.2fx" (float_of_int single /. float_of_int ringed);
          ])
        [ 1; 2; 4; 8; 16 ]);
   print_newline ()
@@ -169,19 +179,19 @@ let run () =
   Util.set_experiment "throughput";
   Util.banner "Throughput"
     "SMP scheduler: RESP KV requests/sec vs simulated cores (8 enclaves, \
-     YCSB-A), and the switchless ring's world-switch amortization vs K.";
+     YCSB-A), and the switchless slot ring vs K individual ECALLs.";
   let s = summarize () in
   print_scaling s;
   Printf.printf
-    "\n  Switchless call ring, echo ECALL (pure transition cost):\n\n";
+    "\n  Switchless slot ring vs K ECALLs, echo ECALL (pure call-path cost):\n\n";
   print_ring ();
   Printf.printf
-    "  K=8 amortization: %.2fx fewer cycles per request (gate: >= 2x).\n"
-    s.amortized_ratio_k8
+    "  K=8: the ring takes %.2fx fewer cycles per request (gate: >= 2x).\n"
+    s.ring_ratio_k8
 
 let headline (s : summary) =
   List.map (fun r -> (Printf.sprintf "rps_%dcore" r.cores, r.rps)) s.runs
   @ [
       ("speedup_2core", s.speedup_2core);
-      ("batch_amortized_ratio_k8", s.amortized_ratio_k8);
+      ("ring_amortized_ratio_k8", s.ring_ratio_k8);
     ]

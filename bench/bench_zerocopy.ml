@@ -1,68 +1,10 @@
 (* The zero-copy attested request path bench.  Its 8-core serving rate
    is Bench_serve's; the headline numbers here are rows of the perf gate
-   (Perf_gate.table, BENCH.json), all deterministic simulated-cycle
-   quantities:
-
-   - the switchless OCALL reply ring must serve K = 8 out-calls in at
-     most half the cycles of eight individual EEXIT/ORET round trips;
-   - resuming a session from a sealed ticket must cost at most 1/10th
-     of the full SIGMA handshake it replaces. *)
+   (Perf_gate.table, BENCH.json), deterministic simulated-cycle
+   quantities: resuming a session from a sealed ticket must cost at most
+   1/10th of the full SIGMA handshake it replaces. *)
 
 open Hyperenclave
-
-let echo_ocall = 7
-
-(* ECALL 1: fan [k] OCALLs out through the backend's reply ring (one
-   EEXIT + one batched ORET on HyperEnclave).  ECALL 2: the same k
-   out-calls as individual world switches — the baseline the ring's
-   amortization is measured against.  Payloads are identical so the
-   difference is pure transition cost. *)
-let ocall_handlers =
-  let reqs_of input =
-    let k = Char.code (Bytes.get input 0) in
-    List.init k (fun i -> (echo_ocall, Bytes.make 8 (Char.chr (65 + i))))
-  in
-  [
-    ( 1,
-      fun (env : Backend.env) input ->
-        let replies = env.Backend.ocall_ring ~reqs:(reqs_of input) () in
-        Bytes.make 1 (Char.chr (List.length replies)) );
-    ( 2,
-      fun (env : Backend.env) input ->
-        let n =
-          List.fold_left
-            (fun acc (id, data) ->
-              ignore (env.Backend.ocall ~id ~data () : bytes);
-              acc + 1)
-            0 (reqs_of input)
-        in
-        Bytes.make 1 (Char.chr n) );
-  ]
-
-let ocall_ring_amortization ~k =
-  let p = Platform.create ~seed:961L () in
-  let backend =
-    Backend.create p
-      {
-        (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
-        Backend.handlers = ocall_handlers;
-        ocalls = [ (echo_ocall, fun data -> data) ];
-        code_seed = Some "zerocopy-ocall-ring";
-      }
-  in
-  let data = Bytes.make 1 (Char.chr k) in
-  (* Warm call: both paths start from identical paging/TLB state. *)
-  ignore (backend.Backend.call ~id:2 ~data ~direction:Edge.In_out ());
-  let _, ringed =
-    Cycles.time p.Platform.clock (fun () ->
-        backend.Backend.call ~id:1 ~data ~direction:Edge.In_out ())
-  in
-  let _, sequential =
-    Cycles.time p.Platform.clock (fun () ->
-        backend.Backend.call ~id:2 ~data ~direction:Edge.In_out ())
-  in
-  backend.Backend.destroy ();
-  (ringed, sequential)
 
 (* Full SIGMA handshake vs ticket resumption on the same plane: the
    quantity a reconnecting client saves by skipping quote generation
@@ -129,16 +71,11 @@ let resume_vs_handshake () =
   Serve.destroy plane;
   (handshake_cycles, resume_cycles)
 
-type summary = { ring_k8 : float; handshake_cycles : int; resume_cycles : int }
+type summary = { handshake_cycles : int; resume_cycles : int }
 
 let summarize () =
-  let ringed, sequential = ocall_ring_amortization ~k:8 in
   let handshake_cycles, resume_cycles = resume_vs_handshake () in
-  {
-    ring_k8 = float_of_int sequential /. float_of_int ringed;
-    handshake_cycles;
-    resume_cycles;
-  }
+  { handshake_cycles; resume_cycles }
 
 let resume_ratio s =
   float_of_int s.resume_cycles /. float_of_int s.handshake_cycles
@@ -146,31 +83,14 @@ let resume_ratio s =
 let run () =
   Util.set_experiment "zerocopy";
   Util.banner "Zero-copy"
-    "Zero-copy attested path: switchless OCALL reply-ring amortization \
-     vs K, and ticket resumption vs the full handshake.";
+    "Zero-copy attested path: ticket resumption vs the full handshake.";
   let s = summarize () in
-  Printf.printf "  Switchless OCALL reply ring (echo out-call, pure transition cost):\n\n";
-  Util.print_table
-    ~columns:[ "K"; "ringed (cyc)"; "sequential (cyc)"; "ratio" ]
-    (List.map
-       (fun k ->
-         let ringed, sequential = ocall_ring_amortization ~k in
-         [
-           string_of_int k;
-           string_of_int ringed;
-           string_of_int sequential;
-           Printf.sprintf "%.2fx" (float_of_int sequential /. float_of_int ringed);
-         ])
-       [ 1; 2; 4; 8; 16 ]);
-  Printf.printf "\n  K=8 amortization: %.2fx fewer cycles per OCALL (gate: >= 2x).\n"
-    s.ring_k8;
   Printf.printf
     "  resumption: %d cycles vs %d handshake (%.3fx, gate: <= 0.1x).\n"
     s.resume_cycles s.handshake_cycles (resume_ratio s)
 
 let headline s =
   [
-    ("ocall_ring_amortization_k8", s.ring_k8);
     ("resume_cycles", float_of_int s.resume_cycles);
     ("resume_ratio", resume_ratio s);
   ]

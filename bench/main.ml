@@ -19,12 +19,12 @@ let experiments =
     ("fig11", ("memory-encryption latency scan", Bench_fig11.run));
     ("ablation", ("design-choice ablations (not in the paper)", Bench_ablation.run));
     ( "throughput",
-      ("SMP scheduler req/s scaling + switchless ring (PR 4)", Bench_throughput.run)
+      ("SMP scheduler req/s scaling + switchless slot ring (PR 4)", Bench_throughput.run)
     );
     ( "serve",
       ("attested serving plane end-to-end req/s (PR 5)", Bench_serve.run) );
     ( "zerocopy",
-      ( "zero-copy path: OCALL reply ring + ticket resumption (PR 6)",
+      ( "zero-copy path: ticket resumption (PR 6)",
         Bench_zerocopy.run ) );
     ( "arena",
       ( "allocation-free data path: arenas, in-slot envelopes, sharding (PR 7)",

@@ -32,13 +32,13 @@ let row ?(tol = 0.25) ?bar key better = { key; better; tol; bar; host = false }
 
 let table =
   [
-    (* bench_throughput: SMP scheduler scaling, switchless ECALL ring *)
+    (* bench_throughput: SMP scheduler scaling, switchless slot ring *)
     row "rps_1core" Higher;
     row "rps_2core" Higher;
     row "rps_4core" Higher;
     row "rps_8core" Higher;
     row "speedup_2core" Higher ~bar:1.6;
-    row "batch_amortized_ratio_k8" Higher ~bar:2.0;
+    row "ring_amortized_ratio_k8" Higher ~bar:2.0;
     (* bench_serve: attested serving plane.  The 8-core floor is 1.5x
        the zero-copy path's 4.41M req/s, the bar the arena path met. *)
     row "attested_rps_1core" Higher;
@@ -47,8 +47,7 @@ let table =
     row "attested_rps_8core" Higher ~bar:6.6e6;
     row "serve_speedup_2core" Higher ~bar:1.5;
     row "handshake_cycles" Lower;
-    (* bench_zerocopy: OCALL reply ring, ticket resumption *)
-    row "ocall_ring_amortization_k8" Higher ~bar:2.0;
+    (* bench_zerocopy: ticket resumption *)
     row "resume_cycles" Lower;
     row "resume_ratio" Lower ~bar:0.1;
     (* bench_arena: allocation, hot-tenant sharding.  Minor words use

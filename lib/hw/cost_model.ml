@@ -59,7 +59,6 @@ type t = {
   switchless_post : int;
   switchless_wait : int;
   switchless_dispatch : int;
-  batch_item_dispatch : int;
   ring_slot_dispatch : int;
   sha256_per_block : int;
   aes_per_block : int;
@@ -144,14 +143,10 @@ let default =
     switchless_post = 260;
     switchless_wait = 1_450;
     switchless_dispatch = 420;
-    (* Batched call ring: per-slot in-enclave dispatch past the first —
-       bounds-check + table lookup + frame walk, no world switch. *)
-    batch_item_dispatch = 350;
-    (* Fixed-stride arena ring: the persistent in-enclave worker's
-       per-slot dispatch.  Cheaper than [batch_item_dispatch] because the
-       slot boundaries are pre-validated at a fixed stride — one bounds
-       check, one table lookup, one indirect call; no variable-length
-       frame walk. *)
+    (* Fixed-stride slot ring: the persistent in-enclave worker's
+       per-slot dispatch — the slot boundaries are pre-validated at a
+       fixed stride, so one bounds check, one table lookup, one indirect
+       call; no variable-length frame walk, no world switch. *)
     ring_slot_dispatch = 110;
     sha256_per_block = 1200;
     aes_per_block = 60;
@@ -189,6 +184,5 @@ let no_overhead =
     sgx_eexit = 0;
     sgx_aex = 0;
     sgx_eresume = 0;
-    batch_item_dispatch = 0;
     ring_slot_dispatch = 0;
   }

@@ -77,15 +77,11 @@ type t = {
   switchless_wait : int;  (** expected wait for the worker to pick up and
       complete a small request (poll interval / 2 + execution). *)
   switchless_dispatch : int;  (** untrusted worker-side dispatch. *)
-  batch_item_dispatch : int;
-      (** batched call ring: in-enclave dispatch of one ring slot past the
-          first (bounds-check + table lookup), amortising the world switch
-          across the batch. *)
   ring_slot_dispatch : int;
-      (** arena ring: the persistent in-enclave worker's per-slot dispatch.
-          Cheaper than [batch_item_dispatch] because slot boundaries sit at
-          a fixed, pre-validated stride — one bounds check, one table
-          lookup, one indirect call; no variable-length frame walk. *)
+      (** slot ring: the persistent in-enclave worker's per-slot dispatch.
+          Slot boundaries sit at a fixed, pre-validated stride — one
+          bounds check, one table lookup, one indirect call; no
+          variable-length frame walk, no world switch. *)
   sha256_per_block : int;  (** per 64-byte block. *)
   aes_per_block : int;  (** per 16-byte block. *)
   tpm_command : int;  (** latency of one TPM command over the bus. *)

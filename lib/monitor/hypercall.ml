@@ -31,16 +31,6 @@ type request =
   | Egetkey of { enclave : Enclave.t; name : Sgx_types.key_name }
   | Ereport of { enclave : Enclave.t; report_data : bytes }
   | Gen_quote of { enclave : Enclave.t; report_data : bytes; nonce : bytes }
-  | Obatch of {
-      enclave : Enclave.t;
-      tcs : Sgx_types.tcs;
-      return_va : int;
-      slots : int;
-    }
-      (** Batched ORET: one VMMCALL re-enters the parked TCS after the
-          untrusted side drained [slots] OCALL replies from the reply
-          ring — the per-reply EENTER of the one-at-a-time path is paid
-          once for the whole ring. *)
 
 type result =
   | Ok
@@ -65,7 +55,6 @@ let number = function
   | Egetkey _ -> 0x30
   | Ereport _ -> 0x31
   | Gen_quote _ -> 0x32
-  | Obatch _ -> 0x41
 
 let name = function
   | Ecreate _ -> "ECREATE"
@@ -82,7 +71,6 @@ let name = function
   | Egetkey _ -> "EGETKEY"
   | Ereport _ -> "EREPORT"
   | Gen_quote _ -> "GEN_QUOTE"
-  | Obatch { slots; _ } -> Printf.sprintf "OBATCH[%d]" slots
 
 let dispatch monitor request =
   (* Fault site at the trust-boundary entry, before any monitor state is
@@ -92,16 +80,6 @@ let dispatch monitor request =
   Hyperenclave_fault.Fault.point "hypercall.dispatch";
   try
     match request with
-    | Obatch { enclave; tcs; return_va; slots } ->
-        (* The monitor bounds the ring before touching the TCS: a slot
-           count the uRTS could not have produced is a forged request. *)
-        if slots < 1 || slots > 64 then
-          raise
-            (Monitor.Security_violation
-               (Printf.sprintf "OBATCH: reply ring slot count %d out of range"
-                  slots));
-        Monitor.eenter monitor enclave ~tcs ~return_va;
-        Ok
     | Ecreate secs -> Enclave_handle (Monitor.ecreate monitor secs)
     | Eadd { enclave; vpn; content; perms; page_type } ->
         Monitor.eadd monitor enclave ~vpn ~content ~perms ~page_type;

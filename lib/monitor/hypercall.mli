@@ -46,16 +46,6 @@ type request =
   | Egetkey of { enclave : Enclave.t; name : Sgx_types.key_name }
   | Ereport of { enclave : Enclave.t; report_data : bytes }
   | Gen_quote of { enclave : Enclave.t; report_data : bytes; nonce : bytes }
-  | Obatch of {
-      enclave : Enclave.t;
-      tcs : Sgx_types.tcs;
-      return_va : int;
-      slots : int;
-    }
-      (** Batched ORET for the switchless OCALL reply ring: one VMMCALL
-          re-enters the parked TCS after [slots] replies were drained,
-          replacing [slots] individual EENTER crossings.  The monitor
-          refuses slot counts outside [1, 64]. *)
 
 type result =
   | Ok

@@ -38,13 +38,6 @@ let sdk_ocall_soft (m : Cost_model.t) = function
   | HU -> m.sdk_ocall_soft_hu
   | P -> m.sdk_ocall_soft_p
 
-(* A batched world switch dispatches K ring slots under one transition:
-   the first request rides the normal entry/exit pair, every further
-   slot pays only the in-enclave ring dispatch (Sec. 5.3's cheap-switch
-   motivation taken one step further). *)
-let batch_dispatch_cost (m : Cost_model.t) ~k =
-  max 0 (k - 1) * m.batch_item_dispatch
-
 (* Backoff charged between retry attempts on transient faults (EPC
    pressure, TPM busy, interrupted world switches): an OS context switch
    doubling per attempt, capped so a hostile schedule cannot stall the

@@ -30,11 +30,6 @@ val sdk_ecall_soft : Cost_model.t -> Sgx_types.operation_mode -> int
 
 val sdk_ocall_soft : Cost_model.t -> Sgx_types.operation_mode -> int
 
-val batch_dispatch_cost : Cost_model.t -> k:int -> int
-(** Extra in-enclave work to drain a [k]-slot call ring under one world
-    switch: [(k - 1) * batch_item_dispatch].  The first slot rides the
-    normal entry; the switch itself is charged once by the caller. *)
-
 val retry_backoff_cost : Cost_model.t -> attempt:int -> int
 (** Simulated cycles the SDK/kernel module charge before retry attempt
     [attempt] (numbered from 1) after a transient fault: exponential in

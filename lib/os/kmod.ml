@@ -65,10 +65,6 @@ let expect_ok t request =
       invalid_arg ("Kmod: unexpected result for " ^ Hypercall.name request)
   | Hypercall.Fault _ -> assert false (* re-raised in [hypercall] *)
 
-let ioctl_obatch t ~enclave ~tcs ~return_va ~slots =
-  ioctl_enter t;
-  expect_ok t (Hypercall.Obatch { enclave; tcs; return_va; slots })
-
 let ioctl_create_enclave t secs =
   ioctl_enter t;
   match hypercall t (Hypercall.Ecreate secs) with

@@ -29,17 +29,6 @@ val kernel : t -> Kernel.t
 
 val ioctl_create_enclave : t -> Sgx_types.secs -> Enclave.t
 
-val ioctl_obatch :
-  t ->
-  enclave:Enclave.t ->
-  tcs:Sgx_types.tcs ->
-  return_va:int ->
-  slots:int ->
-  unit
-(** Forward a batched ORET ([Hypercall.Obatch]): one ioctl + VMMCALL
-    re-enters the parked TCS after the untrusted side drained [slots]
-    OCALL replies from the reply ring. *)
-
 val ioctl_add_page :
   t ->
   Enclave.t ->

@@ -24,11 +24,11 @@ let default_config =
     drop_on_error = false;
   }
 
-(* A job's work is either a list of individual/batched ECALLs or one
-   arena ring whose slots were staged by the caller: the ring dispatches
-   as a single switchless unit, and the caller reads the replies out of
-   the ring's reply image afterwards (the scheduler only reports
-   per-slot success or failure). *)
+(* A job's work is either a list of individual ECALLs or one slot ring
+   whose slots were staged by the caller: the ring dispatches as a single
+   switchless unit, and the caller reads the replies out of the ring's
+   reply image afterwards (the scheduler only reports per-slot success
+   or failure). *)
 type work = Calls of (int * bytes) list | Ring of Urts.ring
 
 type job = {
@@ -90,9 +90,6 @@ type t = {
 let create ?on_preempt ~shared_clock ~telemetry (config : config) =
   if config.cores <= 0 then invalid_arg "Sched.create: cores must be positive";
   if config.quantum <= 0 then invalid_arg "Sched.create: quantum must be positive";
-  if config.batch <= 0 || config.batch > Urts.max_batch then
-    invalid_arg
-      (Printf.sprintf "Sched.create: batch must be in [1, %d]" Urts.max_batch);
   {
     shared_clock;
     telemetry;
@@ -191,11 +188,11 @@ let steal t (thief : core) =
           Cycles.tick thief.clock t.config.steal_penalty;
           Some last)
 
-(* Run one request (or one ring batch) of [job].  Typed failures — an
+(* Run one request (or one whole ring) of [job].  Typed failures — an
    injected permanent fault or an SDK refusal — optionally drop the
    request so chaos schedules drain to completion; monitor violations
    always propagate. *)
-(* The scheduler never copies reply bytes out of an arena ring — the
+(* The scheduler never copies reply bytes out of a slot ring — the
    submitter reads them in place from the ring's reply image — so a
    successful slot reports this preallocated placeholder instead of
    allocating a fresh [Ok] per request. *)
@@ -240,49 +237,28 @@ let run_requests t (job : job) =
           t.failed <- t.failed + count;
           Telemetry.add t.telemetry "sched.request_failed" count;
           count)
-  | Calls pending -> (
-      let n = min t.config.batch (List.length pending) in
-      let rec split k = function
-        | rest when k = 0 -> ([], rest)
-        | [] -> ([], [])
-        | r :: rest ->
-            let taken, left = split (k - 1) rest in
-            (r :: taken, left)
-      in
-      let taken, rest = split n pending in
+  | Calls [] -> 0
+  | Calls ((id, data) :: rest) -> (
       job.work <- Calls rest;
-      let count = List.length taken in
-      let base_index = job.next_index in
-      job.next_index <- base_index + count;
-      let deliver i result =
-        match job.on_result with
-        | Some f -> f ~index:(base_index + i) result
-        | None -> ()
+      let index = job.next_index in
+      job.next_index <- index + 1;
+      let deliver result =
+        match job.on_result with Some f -> f ~index result | None -> ()
       in
-      match
-        if t.config.batch > 1 then Urts.ecall_batch job.urts ~reqs:taken ()
-        else
-          List.map
-            (fun (id, data) ->
-              Urts.ecall job.urts ~id ~data ~direction:Edge.In_out ())
-            taken
-      with
-      | replies ->
-          List.iteri (fun i reply -> deliver i (Ok reply)) replies;
-          t.completed <- t.completed + count;
+      match Urts.ecall job.urts ~id ~data ~direction:Edge.In_out () with
+      | reply ->
+          deliver (Ok reply);
+          t.completed <- t.completed + 1;
           (match job.svc_counter with
-          | Some c -> Telemetry.add t.telemetry c count
+          | Some c -> Telemetry.incr t.telemetry c
           | None -> ());
-          count
+          1
       | exception ((Urts.Enclave_error _ | Fault.Injected _) as exn)
         when t.config.drop_on_error ->
-          (* The ring is all-or-nothing: every request of the dispatch gets
-             the same typed failure. *)
-          let msg = fail_msg exn in
-          List.iteri (fun i _ -> deliver i (Error msg)) taken;
-          t.failed <- t.failed + count;
-          Telemetry.add t.telemetry "sched.request_failed" count;
-          count)
+          deliver (Error (fail_msg exn));
+          t.failed <- t.failed + 1;
+          Telemetry.incr t.telemetry "sched.request_failed";
+          1)
 
 (* One scheduling slice: execute requests on the shared platform clock
    until the quantum is consumed or the job drains, then charge the

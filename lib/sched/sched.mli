@@ -7,6 +7,12 @@
     elapsed delta is charged to the core that ran it — so per-core totals
     decompose the platform's work deterministically.
 
+    A job is one of two kinds of work.  {!submit} queues a list of
+    requests that run one {!Hyperenclave_sdk.Urts.ecall} (one world
+    switch) per step; {!submit_ring} queues one staged slot ring that
+    runs as a single switchless {!Hyperenclave_sdk.Urts.ring_dispatch}
+    — the only batched call path, and the one the serving plane uses.
+
     Scheduling is discrete-event: the core with the earliest local clock
     runs next (ties to the lowest id), which makes runs bit-reproducible
     for a fixed submission order and config.  A slice executes requests
@@ -14,11 +20,7 @@
     duration, so one long request is sheared by genuine AEX + ERESUME
     round trips through the monitor (SSA spill/restore) at each quantum
     boundary.  Unfinished jobs requeue at the back; a drained core steals
-    from the richest queue (work stealing) when enabled.
-
-    With [batch > 1], each dispatch stages up to [batch] requests in the
-    marshalling-buffer call ring ({!Hyperenclave_sdk.Urts.ecall_batch})
-    and serves them under a single world switch. *)
+    from the richest queue (work stealing) when enabled. *)
 
 open Hyperenclave_hw
 open Hyperenclave_sdk
@@ -27,7 +29,14 @@ type config = {
   cores : int;
   quantum : int;  (** slice budget in cycles; also the AEX timer period *)
   work_stealing : bool;
-  batch : int;  (** ring batch size per dispatch; 1 = plain ECALLs *)
+  batch : int;
+      (** Not read by the scheduler.  The serving plane
+          ({!Hyperenclave_serve.Serve.flush}) reads it as its reply-seal
+          group — one AEAD setup charge per [batch] sealed replies — and
+          as the chunk size of its fallback for tenants without an SDK
+          handle; [Serve.create_node] requires it in [[1, 16]].  It stays
+          here because existing serve configurations set it through
+          [Sched.config]. *)
   steal_penalty : int;
       (** cycles charged to the thief per stolen job (cold working set) *)
   drop_on_error : bool;
@@ -37,7 +46,8 @@ type config = {
 }
 
 val default_config : config
-(** 2 cores, 250k-cycle quantum, stealing on, unbatched, strict errors. *)
+(** 2 cores, 250k-cycle quantum, stealing on, [batch = 1], strict
+    errors. *)
 
 type t
 
@@ -81,8 +91,9 @@ val submit :
   (int * bytes) list ->
   unit
 (** Queue a job: a list of [(ecall_id, payload)] requests against one
-    enclave.  Jobs land on [core] when given, else round-robin by
-    submission order.  All requests use [In_out] marshalling.
+    enclave, each served by its own {!Hyperenclave_sdk.Urts.ecall} with
+    [In_out] marshalling.  Jobs land on [core] when given, else
+    round-robin by submission order.
 
     [label] names the service this job belongs to: every completed
     request additionally bumps the [sched.svc.<label>] telemetry counter,
@@ -91,8 +102,8 @@ val submit :
 
     [on_result] receives every request's ending keyed by its submission
     index: [Ok reply] on completion, or [Error msg] when [drop_on_error]
-    dropped it (an injected permanent fault or SDK refusal; a batched
-    ring dispatch fails all-or-nothing).  [on_slice] receives every
+    dropped it (an injected permanent fault or SDK refusal).
+    [on_slice] receives every
     scheduling slice's consumed cycle delta — the accounting hook the
     serving plane charges per-tenant quotas from. *)
 
@@ -105,7 +116,7 @@ val submit_ring :
   urts:Urts.t ->
   Urts.ring ->
   unit
-(** Queue one staged arena ring ({!Urts.create_ring}/{!Urts.ring_stage})
+(** Queue one staged slot ring ({!Urts.create_ring}/{!Urts.ring_stage})
     as a job: the ring dispatches as a single switchless unit on its
     core's next slice ({!Urts.ring_dispatch}), all-or-nothing under
     [drop_on_error].  The scheduler does not read reply bytes out of the
@@ -119,8 +130,9 @@ val run : t -> stats
 (** Drain every queue to completion and return the run's statistics.
     Telemetry counters recorded along the way: [sched.steal],
     [sched.preempt], [sched.aex_preempt], [sched.request_failed],
-    [sched.slice_cycles] (histogram), plus the SDK's [sdk.ecall_batch] /
-    [ring.batch_occupancy] when batching. *)
+    [sched.slice_cycles] (histogram), plus the SDK's [sdk.ecall] per
+    call and [sdk.ring_dispatch] / [sdk.ring_slots] /
+    [ring.shard_occupancy] per ring. *)
 
 val stats : t -> stats
 (** Read-only snapshot of the same statistics {!run} returns: never

@@ -12,11 +12,6 @@ type t = {
   heap_base : int;
   ocall : id:int -> ?data:bytes -> Edge.direction -> bytes;
   ocall_switchless : id:int -> ?data:bytes -> unit -> bytes;
-  ocall_ring : reqs:(int * bytes) list -> unit -> bytes list;
-      (** Batched OCALLs through the reply ring: one EEXIT stages all
-          K <= 16 requests in the ocalloc arena, the untrusted side
-          drains every slot, and one batched ORET re-enters — replies
-          come back in request order. *)
   compute : int -> unit;
   getkey : Sgx_types.key_name -> bytes;
   report : report_data:bytes -> Sgx_types.report;

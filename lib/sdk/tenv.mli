@@ -28,14 +28,9 @@ type t = {
       (** switchless call (Tian et al., cited in Sec. 4): the request goes
           through a shared ring in the marshalling buffer to an untrusted
           worker thread — no EEXIT/EENTER.  Orders of magnitude cheaper
-          for chatty I/O, at the cost of a busy worker core. *)
-  ocall_ring : reqs:(int * bytes) list -> unit -> bytes list;
-      (** batched OCALLs through the reply ring (the OCALL mirror of the
-          ECALL ring): one EEXIT stages all K <= 16 requests in the
-          ocalloc arena, the untrusted side drains every slot, and one
-          batched ORET (OBATCH hypercall) re-enters the parked TCS —
-          replies come back in request order, and the per-reply
-          EENTER/EEXIT pair is paid once for the ring *)
+          for chatty I/O, at the cost of a busy worker core.  Out-calls
+          have no batched form: each one is an [ocall] or an
+          [ocall_switchless]. *)
   compute : int -> unit;  (** charge pure computation cycles *)
   getkey : Sgx_types.key_name -> bytes;
   report : report_data:bytes -> Sgx_types.report;

@@ -92,49 +92,14 @@ let ms_out_off t = t.ms_out_region
 let ms_ocall_off t = t.ms_ocall_region
 
 (* Raw app-side access to the pinned marshalling buffer through the
-   process mapping; cycle cost is charged explicitly by the Edge rates. *)
-let ms_raw rw t ~off data_or_len =
-  (* Fault site before the copy touches the buffer: a fault here is a
-     transfer that never started, so re-running the edge call re-stages
-     the same bytes. *)
-  Fault.point
-    (match rw with `Write -> Edge.fault_site_in | `Read -> Edge.fault_site_out);
-  let mem = Kernel.mem (kernel t) in
-  let run ~va ~len ~f =
-    let pos = ref 0 in
-    while !pos < len do
-      let a = va + !pos in
-      let chunk = min (len - !pos) (Addr.page_size - Addr.offset a) in
-      let frame =
-        match Kernel.resolve_frame (kernel t) t.proc ~vpn:(Addr.page_of a) with
-        | Some frame -> frame
-        | None -> fail "marshalling page 0x%x not resident" (Addr.page_of a)
-      in
-      f (Addr.base_of_page frame lor Addr.offset a) !pos chunk;
-      pos := !pos + chunk
-    done
-  in
-  match (rw, data_or_len) with
-  | `Write, `Data data ->
-      run ~va:(t.ms_base + off) ~len:(Bytes.length data) ~f:(fun pa pos chunk ->
-          Phys_mem.write_bytes mem pa (Bytes.sub data pos chunk));
-      Bytes.empty
-  | `Read, `Len len ->
-      let out = Bytes.create len in
-      run ~va:(t.ms_base + off) ~len ~f:(fun pa pos chunk ->
-          Bytes.blit (Phys_mem.read_bytes mem pa chunk) 0 out pos chunk);
-      out
-  | `Write, `Len _ | `Read, `Data _ -> assert false
-
-let ms_raw_write t ~off data = ignore (ms_raw `Write t ~off (`Data data))
-let ms_raw_read t ~off ~len = ms_raw `Read t ~off (`Len len)
-
-(* Slice variants over caller-owned buffers: the same per-page walk as
-   [ms_raw], but the bytes land in (or come from) a reusable image — the
-   arena rings recycle theirs across flushes, so the steady-state flush
-   path moves payloads without allocating.  [ms_slice_nofault] is the
-   bare walk; the [ms_raw_*] wrappers add the edge fault site the
-   marshalling copies fire. *)
+   process mapping; cycle cost is charged explicitly by the Edge rates.
+   [ms_slice_nofault] is the bare per-page walk over a caller-owned
+   buffer — the slot rings recycle theirs across flushes, so the
+   steady-state flush path moves payloads without allocating.  The
+   [ms_raw_*] wrappers add the edge fault site the marshalling copies
+   fire before the copy touches the buffer: a fault there is a transfer
+   that never started, so re-running the edge call re-stages the same
+   bytes. *)
 let ms_slice_nofault rw t ~off buf ~pos ~len =
   let mem = Kernel.mem (kernel t) in
   let va = t.ms_base + off in
@@ -162,63 +127,13 @@ let ms_raw_read_into t ~off buf ~pos ~len =
   Fault.point Edge.fault_site_out;
   ms_slice_nofault `Read t ~off buf ~pos ~len
 
-(* --- switchless ring framing ------------------------------------------------ *)
+let ms_raw_write t ~off data =
+  ms_raw_write_slice t ~off data ~pos:0 ~len:(Bytes.length data)
 
-(* Ring slot framing in the marshalling buffer.  Requests are staged
-   back-to-back as [count][id, len, payload]*; replies reuse the same
-   layout, echoing each request id.  Everything is length-prefixed with
-   8-byte little-endian words so the reader can validate bounds before
-   touching a slot.  The ECALL ring stages in the input region and
-   drains from the output region; the OCALL reply ring lives in the
-   ocalloc arena. *)
-let max_batch = 16
-
-(* The frame is assembled with one exact-size allocation and one blit
-   per slot — the payload travels straight from the caller's buffer into
-   the frame that lands in the pinned region. *)
-let frame_requests reqs =
-  let total =
-    List.fold_left (fun acc (_, d) -> acc + 16 + Bytes.length d) 8 reqs
-  in
-  let out = Bytes.create total in
-  Bytes.set_int64_le out 0 (Int64.of_int (List.length reqs));
-  let off = ref 8 in
-  List.iter
-    (fun (id, data) ->
-      let len = Bytes.length data in
-      Bytes.set_int64_le out !off (Int64.of_int id);
-      Bytes.set_int64_le out (!off + 8) (Int64.of_int len);
-      Bytes.blit data 0 out (!off + 16) len;
-      off := !off + 16 + len)
-    reqs;
+let ms_raw_read t ~off ~len =
+  let out = Bytes.create len in
+  ms_raw_read_into t ~off out ~pos:0 ~len;
   out
-
-let frame_replies = frame_requests
-
-let parse_frames ~what raw =
-  let len = Bytes.length raw in
-  let word off =
-    if off + 8 > len then fail "%s: truncated ring frame at %d" what off;
-    Int64.to_int (Bytes.get_int64_le raw off)
-  in
-  let count = word 0 in
-  if count < 0 || count > max_batch then
-    fail "%s: ring frame count %d out of range" what count;
-  let off = ref 8 in
-  List.init count (fun _ ->
-      let id = word !off in
-      let body_len = word (!off + 8) in
-      (* Bounds check in subtraction form: the addition
-         [!off + 16 + body_len] overflows for a corrupt near-max_int
-         length word read back from the shared region, passes the
-         comparison, and lets [Bytes.sub] escape as a bare
-         [Invalid_argument].  [len - !off - 16] cannot overflow because
-         both operands are already validated offsets into [raw]. *)
-      if body_len < 0 || body_len > len - !off - 16 then
-        fail "%s: ring slot overruns the frame" what;
-      let body = Bytes.sub raw (!off + 16) body_len in
-      off := !off + 16 + body_len;
-      (id, body))
 
 (* --- loader ---------------------------------------------------------------- *)
 
@@ -379,7 +294,6 @@ let rec make_tenv t : Tenv.t =
     heap_base = t.heap_base_va;
     ocall = (fun ~id ?data direction -> do_ocall t ~id ?data direction);
     ocall_switchless = (fun ~id ?data () -> do_ocall_switchless t ~id ?data ());
-    ocall_ring = (fun ~reqs () -> do_ocall_ring t ~reqs ());
     compute =
       (fun cycles ->
         Cycles.tick (clock t) cycles;
@@ -502,108 +416,6 @@ and do_ocall t ~id ?(data = Bytes.empty) direction =
   t.ocalloc_cursor <- max 0 (t.ocalloc_cursor - ((len + 15) land lnot 15));
   ignore direction;
   out
-
-(* OCALL reply ring: the batched mirror of the ECALL ring.  K replies
-   are framed in the ocalloc arena under one SDK soft path and one
-   EEXIT; the untrusted side drains every slot, and a single batched
-   ORET ([Kmod.ioctl_obatch] -> OBATCH hypercall) re-enters the parked
-   TCS — the per-reply EENTER of [do_ocall] is paid once for the whole
-   ring. *)
-and do_ocall_ring t ~reqs () =
-  let m = monitor t in
-  let c = cost t in
-  let k = List.length reqs in
-  if k = 0 then []
-  else if k > max_batch then
-    fail "ocall_ring: %d requests exceed the ring capacity (%d)" k max_batch
-  else begin
-    List.iter
-      (fun (id, _) ->
-        if not (Hashtbl.mem t.ocalls id) then fail "unknown OCALL %d" id)
-      reqs;
-    count t "sdk.ocall_ring";
-    Hyperenclave_obs.Telemetry.add (Monitor.telemetry m) "sdk.ocall_ringed" k;
-    Hyperenclave_obs.Telemetry.observe
-      (Monitor.telemetry m)
-      "ring.oret_occupancy" k;
-    Cycles.tick (clock t)
-      (World_switch.sdk_ocall_soft c t.config.mode
-      + World_switch.batch_dispatch_cost c ~k);
-    (* sgx_ocalloc-style: the framed ring is written straight into the
-       pinned arena — the enclave-side staging is the frame. *)
-    let staged = frame_requests reqs in
-    let arg_off = ms_ocall_off t + t.ocalloc_cursor in
-    if arg_off + Bytes.length staged > t.ms_size then
-      fail "ocall_ring: %d bytes of requests exhaust the ocalloc arena"
-        (Bytes.length staged);
-    Monitor.enclave_write m t.enclave ~va:(t.ms_base + arg_off) staged;
-    let reserve = (Bytes.length staged + 15) land lnot 15 in
-    t.ocalloc_cursor <- t.ocalloc_cursor + reserve;
-    let release () = t.ocalloc_cursor <- max 0 (t.ocalloc_cursor - reserve) in
-    let parked_tcs =
-      match t.active_tcs with
-      | Some tcs -> tcs
-      | None ->
-          release ();
-          fail "OCALL outside an ECALL"
-    in
-    Monitor.eexit m t.enclave ~target_va:aep;
-    t.active_tcs <- None;
-    Hashtbl.replace t.reserved_tcs parked_tcs.Sgx_types.tcs_vpn ();
-    let unpark () = Hashtbl.remove t.reserved_tcs parked_tcs.Sgx_types.tcs_vpn in
-    t.enclave.Enclave.stats.Enclave.ocalls <-
-      t.enclave.Enclave.stats.Enclave.ocalls + k;
-    let framed_len =
-      try oret_batch t ~arg_off ~staged_len:(Bytes.length staged)
-      with exn ->
-        unpark ();
-        release ();
-        raise exn
-    in
-    (* Batched ORET crossing: one ioctl + OBATCH hypercall re-enters the
-       parked TCS for all K replies. *)
-    unpark ();
-    Kmod.ioctl_obatch t.kmod ~enclave:t.enclave ~tcs:parked_tcs ~return_va:aep
-      ~slots:k;
-    t.enclave.Enclave.stats.Enclave.ecalls <-
-      t.enclave.Enclave.stats.Enclave.ecalls - 1;
-    t.active_tcs <- Some parked_tcs;
-    let drained =
-      parse_frames ~what:"ocall_ring(trusted)"
-        (Monitor.enclave_read m t.enclave ~va:(t.ms_base + arg_off)
-           ~len:framed_len)
-    in
-    release ();
-    List.map snd drained
-  end
-
-(* Untrusted half of the reply ring: drain every staged slot through its
-   handler and write the reply frame back over the request frame in
-   place.  Runs entirely outside the enclave (the TCS is parked), so a
-   handler exception propagates to [do_ocall_ring]'s cleanup.  Returns
-   the reply frame length for the trusted side to read back. *)
-and oret_batch t ~arg_off ~staged_len =
-  let slots =
-    parse_frames ~what:"ocall_ring(untrusted)"
-      (ms_raw_read t ~off:arg_off ~len:staged_len)
-  in
-  let replies =
-    List.map
-      (fun (id, body) ->
-        (* An unregistered id in a drained slot must surface as the typed
-           refusal, not a bare [Not_found]: the frame came back from the
-           shared region, so its ids are untrusted input. *)
-        match Hashtbl.find_opt t.ocalls id with
-        | Some handler -> (id, handler body)
-        | None -> fail "unknown OCALL %d" id)
-      slots
-  in
-  let framed = frame_replies replies in
-  if arg_off + Bytes.length framed > t.ms_size then
-    fail "ocall_ring: %d bytes of replies overflow the ocalloc arena"
-      (Bytes.length framed);
-  ms_raw_write t ~off:arg_off framed;
-  Bytes.length framed
 
 (* Switchless OCALL: the request and reply travel through the ocalloc
    arena like a regular OCALL's arguments, but no world switch happens —
@@ -841,88 +653,10 @@ let ecall_no_ms t ~id ?(data = Bytes.empty) ~direction () =
   Fault.with_retries ~backoff:(backoff t) (fun () ->
       run_ecall t ~id ~data ~direction ~use_ms:false)
 
-(* --- switchless call ring: batched ECALLs ---------------------------------- *)
-
-(* One world switch serves the whole batch (the paper's motivation for
-   cheap HU switches, taken one step further): the SDK soft path and the
-   EENTER/EEXIT pair are paid once, and each ring slot past the first
-   costs only the in-enclave dispatch.  Inputs are staged before entry,
-   replies drained after exit, so the enclave crosses the boundary
-   exactly twice regardless of K. *)
-let run_ecall_batch t reqs =
-  let m = monitor t in
-  let c = cost t in
-  let k = List.length reqs in
-  if k = 0 then []
-  else if k > max_batch then
-    fail "ecall_batch: %d requests exceed the ring capacity (%d)" k max_batch
-  else begin
-    List.iter (fun (id, _) -> ignore (lookup_ecall t id : Tenv.handler)) reqs;
-    count t "sdk.ecall_batch";
-    Hyperenclave_obs.Telemetry.add
-      (Monitor.telemetry m)
-      "sdk.ecall_batched" k;
-    Hyperenclave_obs.Telemetry.observe
-      (Monitor.telemetry m)
-      "ring.batch_occupancy" k;
-    Cycles.tick (clock t)
-      (World_switch.sdk_ecall_soft c t.config.mode
-      + World_switch.batch_dispatch_cost c ~k);
-    let staged = frame_requests reqs in
-    if Bytes.length staged > ms_out_off t then
-      fail "ecall_batch: %d bytes of requests exceed the marshalling input region"
-        (Bytes.length staged);
-    ms_raw_write t ~off:0 staged;
-    Edge.charge_ms_in c (clock t) ~bytes:(Bytes.length staged);
-    let tcs = take_tcs t in
-    Monitor.eenter m t.enclave ~tcs ~return_va:aep;
-    t.active_tcs <- Some tcs;
-    let tenv = make_tenv t in
-    let cleanup_exit () =
-      (match Monitor.current m with
-      | Some running when running.Enclave.id = t.enclave.Enclave.id ->
-          Monitor.eexit m t.enclave ~target_va:aep
-      | Some _ | None -> ());
-      t.active_tcs <- None
-    in
-    let replies =
-      try
-        (* Trusted drain loop: re-read the staged ring through the
-           enclave mapping, dispatch each slot in order. *)
-        let slots =
-          parse_frames ~what:"ecall_batch(trusted)"
-            (Monitor.enclave_read m t.enclave ~va:t.ms_base
-               ~len:(Bytes.length staged))
-        in
-        List.map (fun (id, body) -> (id, (lookup_ecall t id) tenv body)) slots
-      with exn ->
-        cleanup_exit ();
-        raise exn
-    in
-    let framed = frame_replies replies in
-    if Bytes.length framed > ms_ocall_off t - ms_out_off t then begin
-      cleanup_exit ();
-      fail "ecall_batch: %d bytes of replies exceed the marshalling output region"
-        (Bytes.length framed)
-    end;
-    Monitor.enclave_write m t.enclave ~va:(t.ms_base + ms_out_off t) framed;
-    Monitor.eexit m t.enclave ~target_va:aep;
-    t.active_tcs <- None;
-    Edge.charge_ms_out c (clock t) ~bytes:(Bytes.length framed);
-    let drained =
-      parse_frames ~what:"ecall_batch(untrusted)"
-        (ms_raw_read t ~off:(ms_out_off t) ~len:(Bytes.length framed))
-    in
-    List.map snd drained
-  end
-
-let ecall_batch t ~reqs () =
-  Fault.with_retries ~backoff:(backoff t) (fun () -> run_ecall_batch t reqs)
-
-(* --- arena ring: sharded, allocation-free switchless ECALL dispatch --------- *)
+(* --- slot ring: sharded, allocation-free switchless ECALL dispatch ---------- *)
 
 (* A fixed-stride slot ring per (tenant, shard) in the pinned marshalling
-   buffer.  Unlike the variable-length [ecall_batch] frame, every slot is
+   buffer: the SDK's one batched call path.  Every slot is
    [16 + slot_bytes] wide, so a caller can seal and decrypt AEAD payloads
    *in place* — the ring slot is the envelope — and the staging images
    ([rbuf]/[pbuf]) are recycled across flushes: the steady-state path
@@ -953,6 +687,10 @@ type ring = {
   rbuf : bytes;  (* reusable staged-request image, header included *)
   pbuf : bytes;  (* reusable reply image, same framing *)
   mutable staged : int;
+  mutable served : int;
+      (* slots whose reply is already framed in [pbuf]: a dispatch retried
+         after a transient fault resumes here instead of re-running the
+         handlers that completed *)
 }
 
 let ring_staged r = r.staged
@@ -961,7 +699,10 @@ let ring_slot_bytes r = r.slot_bytes
 let ring_shard r = r.shard
 let ring_buf r = r.rbuf
 let ring_reply_buf r = r.pbuf
-let ring_reset r = r.staged <- 0
+
+let ring_reset r =
+  r.staged <- 0;
+  r.served <- 0
 
 let create_ring t ~shard ~shards ~slots ~slot_bytes =
   if shards <= 0 then fail "create_ring: shards (%d) must be positive" shards;
@@ -991,6 +732,7 @@ let create_ring t ~shard ~shards ~slots ~slot_bytes =
     rbuf = Bytes.create need;
     pbuf = Bytes.create need;
     staged = 0;
+    served = 0;
   }
 
 (* Staging writes the slot header and hands the caller the payload offset
@@ -1050,21 +792,21 @@ let touch_segment t ~off ~len =
    is not copied into enclave memory first) and frames replies at the
    same stride in the shard's reply segment, storing the image through
    its own mapping of the pinned region.  The only per-slot byte
-   movement charged is each handler's reply landing in its slot. *)
+   movement charged is each handler's reply landing in its slot.  The
+   walk starts at the served-slot cursor, so a retry after a transient
+   fault pays the post fence and dispatch again only for the slots still
+   unserved, and re-runs the faulted slot's handler from its top. *)
 let run_ring_dispatch r =
   let t = r.rt in
   let m = monitor t in
   let c = cost t in
   let k = r.staged in
-  if k > 0 then begin
-    count t "sdk.ring_dispatch";
-    Hyperenclave_obs.Telemetry.add (Monitor.telemetry m) "sdk.ring_slots" k;
-    Hyperenclave_obs.Telemetry.observe
-      (Monitor.telemetry m)
-      "ring.shard_occupancy" k;
+  let first = r.served in
+  if first < k then begin
     let len = 8 + (k * r.stride) in
     Cycles.tick (clock t)
-      (c.Cost_model.switchless_post + (k * c.Cost_model.ring_slot_dispatch));
+      (c.Cost_model.switchless_post
+      + ((k - first) * c.Cost_model.ring_slot_dispatch));
     touch_segment t ~off:r.req_off ~len;
     let tenv = make_tenv t in
     (* The handlers run on the persistent in-enclave worker: enclave
@@ -1072,7 +814,7 @@ let run_ring_dispatch r =
        a LibOS-backed service pages its VFS through it) but no TCS is
        taken and no EENTER is paid. *)
     Monitor.with_worker m t.enclave (fun () ->
-        for slot = 0 to k - 1 do
+        for slot = first to k - 1 do
           let off = 8 + (slot * r.stride) in
           let id = Int64.to_int (Bytes.get_int64_le r.rbuf off) in
           let blen = Int64.to_int (Bytes.get_int64_le r.rbuf (off + 8)) in
@@ -1090,7 +832,8 @@ let run_ring_dispatch r =
           Cycles.tick (clock t) (Cost_model.copy_cost c rlen);
           Bytes.set_int64_le r.pbuf off (Int64.of_int id);
           Bytes.set_int64_le r.pbuf (off + 8) (Int64.of_int rlen);
-          Bytes.blit reply 0 r.pbuf (off + 16) rlen
+          Bytes.blit reply 0 r.pbuf (off + 16) rlen;
+          r.served <- slot + 1
         done);
     Bytes.set_int64_le r.pbuf 0 (Int64.of_int k);
     touch_segment t ~off:r.rep_off ~len;
@@ -1098,7 +841,15 @@ let run_ring_dispatch r =
   end
 
 let ring_dispatch r =
-  Fault.with_retries ~backoff:(backoff r.rt) (fun () -> run_ring_dispatch r)
+  let t = r.rt in
+  let k = r.staged - r.served in
+  if k > 0 then begin
+    let telemetry = Monitor.telemetry (monitor t) in
+    count t "sdk.ring_dispatch";
+    Hyperenclave_obs.Telemetry.add telemetry "sdk.ring_slots" k;
+    Hyperenclave_obs.Telemetry.observe telemetry "ring.shard_occupancy" k
+  end;
+  Fault.with_retries ~backoff:(backoff t) (fun () -> run_ring_dispatch r)
 
 (* Untrusted half, reply direction: pull the shard's reply image back
    into [ring_reply_buf] and pay the marshalling-out rate.  Runs on the

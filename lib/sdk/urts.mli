@@ -9,6 +9,9 @@
     - {!ecall} runs the full edge-call path of Fig. 6 with the
       marshalling-buffer copies of Fig. 7; OCALLs issued by the enclave
       come back through the registered untrusted handlers.
+    - the slot ring ({!create_ring} ... {!ring_read_replies}) is the one
+      batched call path: K staged ECALLs served switchlessly by a
+      persistent in-enclave worker.
     - exceptions raised inside the enclave follow the mode-appropriate
       path: in-enclave delivery for P-Enclaves, the AEX + signal +
       internal-handler-ECALL + ERESUME two-phase dance otherwise. *)
@@ -58,23 +61,13 @@ val ecall_no_ms :
 (** Fig. 7's baseline variant: the same call without the marshalling
     buffer legs (direct-copy semantics, as plain SGX would do). *)
 
-val max_batch : int
-(** Ring capacity: the most requests one batched world switch carries. *)
+(** {2 Slot ring: sharded, allocation-free switchless ECALL dispatch}
 
-val ecall_batch : t -> reqs:(int * bytes) list -> unit -> bytes list
-(** Switchless call ring: stage up to {!max_batch} ECALL requests in the
-    marshalling buffer and serve them all under a single world switch —
-    one SDK soft path + one EENTER/EEXIT pair, with each slot past the
-    first paying only the in-enclave ring dispatch cost.  Replies come
-    back in request order.  All slots use [In_out] marshalling
-    semantics.
-    @raise Enclave_error on unknown id, oversized batch, or ring frames
-    exceeding their marshalling region. *)
-
-(** {2 Arena ring: sharded, allocation-free switchless ECALL dispatch}
-
-    A fixed-stride slot ring per (tenant, shard) in the pinned
-    marshalling buffer.  Every slot is [16 + slot_bytes] wide, so callers
+    The SDK's one batched call path: a fixed-stride slot ring per
+    (tenant, shard) in the pinned marshalling buffer, used as
+    [create_ring] once, then per batch [ring_stage] x K, [ring_publish],
+    [ring_dispatch], [ring_read_replies] / [ring_reply_slot] and
+    [ring_reset].  Every slot is [16 + slot_bytes] wide, so callers
     seal/decrypt AEAD payloads in place — the ring slot {e is} the
     envelope — and the staging images are recycled across flushes.  The
     dispatch is switchless: no TCS take, no EENTER/EEXIT, no SDK soft
@@ -108,7 +101,12 @@ val ring_dispatch : ring -> unit
 (** Trusted half: the persistent in-enclave worker serves every staged
     slot in order, framing replies at the same stride in the shard's
     reply segment.  Charged to the calling (core) clock.  Wrapped in the
-    standard transient-fault retry loop. *)
+    standard transient-fault retry loop, which resumes at the slot that
+    faulted: handlers of already-served slots do not run again, the
+    faulted slot's handler re-runs from its top.  Permanent faults and
+    exhausted retries propagate, failing the whole ring.
+    @raise Enclave_error on an unknown ECALL id or a reply longer than
+    [slot_bytes]. *)
 
 val ring_read_replies : ring -> unit
 (** Untrusted reply half: pull the reply image back into
@@ -135,19 +133,8 @@ val ring_reply_buf : ring -> bytes
 (** The reusable reply image, valid after {!ring_read_replies}. *)
 
 val ring_reset : ring -> unit
-(** Forget the staged slots; the images are reused as-is. *)
-
-val frame_requests : (int * bytes) list -> bytes
-(** Ring frame layout shared by the ECALL and OCALL rings:
-    [[count][id, len, payload]*] with 8-byte little-endian words,
-    assembled with one exact-size allocation and one blit per slot. *)
-
-val parse_frames : what:string -> bytes -> (int * bytes) list
-(** Parse a ring frame back into [(id, payload)] slots, validating every
-    length word against the frame bounds before slicing.
-    @raise Enclave_error (tagged [what]) on a truncated frame, an
-    out-of-range slot count, or a corrupt length word — including
-    near-[max_int] lengths whose bounds arithmetic would overflow. *)
+(** Forget the staged slots and rewind the served-slot cursor; the
+    images are reused as-is. *)
 
 val arm_timer : t -> quantum:int -> ?on_preempt:(unit -> unit) -> unit -> unit
 (** Arm the scheduler's AEX preemption timer: once the clock passes the
@@ -176,21 +163,6 @@ val monitor : t -> Monitor.t
 
 val gen_quote : t -> report_data:bytes -> nonce:bytes -> Monitor.quote
 (** Sec. 3.3 remote attestation: quote for this enclave. *)
-
-val ms_ocall_off : t -> int
-(** Byte offset of the ocalloc arena within the marshalling buffer. *)
-
-val ms_raw_write : t -> off:int -> bytes -> unit
-(** Raw app-side write into the pinned marshalling buffer (fires the
-    marshalling-in fault site; cycle cost is the caller's to charge). *)
-
-val oret_batch : t -> arg_off:int -> staged_len:int -> int
-(** Untrusted half of the OCALL reply ring: drain every staged slot at
-    [arg_off] through its registered handler and write the reply frame
-    back in place, returning its length.  Exposed for direct testing of
-    the drain loop's refusals.
-    @raise Enclave_error on a corrupt frame or an unregistered OCALL id
-    in a drained slot. *)
 
 val aep : int
 (** The asynchronous exit pointer / ECALL return site the monitor's EEXIT

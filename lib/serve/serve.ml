@@ -141,8 +141,8 @@ let dummy_outcome : (bytes, string) result = Ok Bytes.empty
    flushes.  [sg_sids.(i) = -1] marks a slot whose session closed while
    staged.  [sg_shards] / [sg_slots] / [sg_fb] are flush-time scratch
    columns: which ring shard served entry [i] (or [-2] = the non-SDK
-   fallback batch), the slot index inside that ring, and the fallback
-   outcome. *)
+   per-request fallback), the slot index inside that ring, and the
+   fallback outcome. *)
 type stage = {
   mutable sg_sids : int array;
   mutable sg_seqs : int array;
@@ -284,6 +284,10 @@ type t = {
 
 let fault_site = "serve.session"
 
+(* Bound on [config.sched.batch]: [flush] shares one AEAD setup charge
+   among at most this many sealed replies, or fallback requests. *)
+let max_batch = 16
+
 module Node_config = struct
   type serve_config = config
 
@@ -312,6 +316,10 @@ let create_node ~platform (nc : Node_config.t) =
     invalid_arg "Serve.create_node: ticket_ttl must be positive";
   if config.shard_block <= 0 then
     invalid_arg "Serve.create_node: shard_block must be positive";
+  if config.sched.Sched.batch <= 0 || config.sched.Sched.batch > max_batch then
+    invalid_arg
+      (Printf.sprintf "Serve.create_node: sched.batch must be in [1, %d]"
+         max_batch);
   if config.slot_bytes <= 0 || config.slot_bytes mod 8 <> 0 then
     invalid_arg "Serve.create_node: slot_bytes must be a positive multiple of 8";
   let identity = nc.Node_config.identity in
@@ -883,7 +891,7 @@ let flush t =
   let gen = t.flush_gen in
   Hashtbl.reset t.fault_msgs;
   let cores = max 1 t.config.sched.Sched.cores in
-  let reply_ring = max 1 (min Urts.max_batch t.config.sched.Sched.batch) in
+  let seal_group = t.config.sched.Sched.batch in
   let tenants =
     List.rev_map (fun name -> Hashtbl.find t.tenants name) t.tenant_order
   in
@@ -895,7 +903,7 @@ let flush t =
      assembly pass; live
      entries decrypt straight into their ring slot (the slot IS the
      envelope's plaintext cell) or, for backends without an SDK handle,
-     into the synchronous fallback batch. *)
+     into the synchronous fallback list. *)
   List.iter
     (fun tn ->
       let st = tn.stage in
@@ -904,7 +912,7 @@ let flush t =
         collect_sids t st;
         let urts_opt = tn.backend.Backend.urts in
         let fb = ref [] in
-        (* rev (entry index, ecall, plaintext) for the fallback batch *)
+        (* rev (entry index, ecall, plaintext) for the fallback *)
         for k = 0 to t.sid_count - 1 do
           let sid = t.sid_scratch.(k) in
           let s = Hashtbl.find t.sessions sid in
@@ -990,25 +998,27 @@ let flush t =
               | Some _ | None -> ()
             done
         | None ->
-            (* No SDK handle (the SGX model): dispatch synchronously in
-               ring-sized chunks, charging the shared-clock delta as this
-               tenant's quota spend. *)
+            (* No SDK handle (the SGX model, native): one synchronous
+               call per request, so a failing request fails alone.  Each
+               [seal_group]-long chunk pays one AEAD setup, and its
+               shared-clock delta is this tenant's quota spend. *)
             List.iter
               (fun chunk ->
                 charge_aead_setup t;
-                let reqs = List.map (fun (_, e, pl) -> (e, pl)) chunk in
                 let clock = t.platform.Platform.clock in
                 let before = Cycles.now clock in
-                let outcomes = Backend.protected_batch tn.backend ~reqs () in
-                charge t tn (Cycles.now clock - before);
-                List.iter2
-                  (fun (i, _, _) outcome ->
+                List.iter
+                  (fun (i, id, data) ->
                     st.sg_fb.(i) <-
-                      (match outcome with
+                      (match
+                         Backend.protected_call tn.backend ~id ~data
+                           ~direction:Edge.In_out ()
+                       with
                       | Backend.Success reply -> Ok reply
                       | Backend.Typed_error m | Backend.Violation m -> Error m))
-                  chunk outcomes)
-              (chunked reply_ring (List.rev !fb))
+                  chunk;
+                charge t tn (Cycles.now clock - before))
+              (chunked seal_group (List.rev !fb))
       end)
     tenants;
   ignore (Sched.run t.sched : Sched.stats);
@@ -1063,7 +1073,7 @@ let flush t =
           in
           let seal seq ~src ~src_off ~len ~dst ~dst_off =
             if !sealed_in_batch = 0 then charge_aead_setup t;
-            sealed_in_batch := (!sealed_in_batch + 1) mod reply_ring;
+            sealed_in_batch := (!sealed_in_batch + 1) mod seal_group;
             charge_aead_bytes t ~bytes:len;
             let nonce = envelope_nonce ~dir:'<' ~seq in
             let aad = aad_rep ~session_id:sid ~seq in

@@ -6,8 +6,8 @@
     measured boot + hapk binding, monitor-signed ems), agrees on a
     per-session channel key, and then submits encrypted requests that
     the plane authenticates, decrypts into the marshalling buffer and
-    routes into the SMP scheduler as batched ECALLs, replying over the
-    same channel.
+    routes into the SMP scheduler as slot-ring batches, replying over
+    the same channel.
 
     {2 Handshake (SIGMA-style)}
 
@@ -35,8 +35,8 @@
     per-slice deltas ({!Quota_exhausted}), AEAD authentication
     ({!Bad_auth}) and strict sequence numbers ({!Bad_sequence}).
     {!flush} drains every admitted request through
-    {!Hyperenclave_sched.Sched} (tenants without an SDK handle dispatch
-    through the backend's batch call instead) and seals the replies.
+    {!Hyperenclave_sched.Sched} (tenants without an SDK handle make one
+    backend call per request instead) and seals the replies.
 
     Session work crosses the ["serve.session"] fault-injection site:
     transient faults are absorbed by the SDK's bounded retry/backoff,
@@ -117,7 +117,9 @@ type config = {
   sched : Hyperenclave_sched.Sched.config;
       (** scheduler for enclave-backed tenants; [drop_on_error] is
           forced on so injected permanent faults drain as typed
-          failures instead of aborting the plane *)
+          failures instead of aborting the plane.  [batch], in
+          [[1, 16]], is read by {!flush} only (reply-seal group and
+          fallback chunk size) *)
   max_queue : int;  (** per-tenant bound on admitted-but-unflushed requests *)
   cycle_quota : int option;
       (** initial per-tenant cycle budget ([None] = unmetered); spent
@@ -262,9 +264,14 @@ val flush : t -> reply list
     into a slot of a per-shard marshalling-buffer ring (one shard per
     scheduler core), dispatch the rings switchlessly through the
     scheduler and seal each reply in place in the ring's reply image;
-    SGX-model tenants go through the backend batch call.  Tenant quotas
-    are charged from the dispatch cycles.  Replies come in tenant
-    insertion order, then session id, then sequence number. *)
+    tenants without an SDK handle (the SGX model, native) make one
+    {!Hyperenclave_tee.Backend.protected_call} per request, so a request
+    that fails gets its own typed {!Session_fault} and its neighbours
+    are still served.  [config.sched.batch] sets how many replies share
+    one AEAD setup charge when sealing, and how many fallback requests
+    share one.  Tenant quotas are charged from the dispatch cycles.
+    Replies come in tenant insertion order, then session id, then
+    sequence number. *)
 
 val resize_session : t -> session:int -> pages:int -> (int, reject) result
 (** Commit [pages] pages of in-enclave session state through the

@@ -8,11 +8,6 @@ type env = {
   compute : int -> unit;
   mem : Mem_sim.t;
   ocall : id:int -> ?data:bytes -> unit -> bytes;
-  ocall_ring : reqs:(int * bytes) list -> unit -> bytes list;
-      (** Batched OCALLs through the backend's reply ring where it has
-          one (HyperEnclave's OBATCH path); ring-less backends dispatch
-          sequentially — the baseline the amortization is measured
-          against. *)
   interrupt : unit -> unit;
   heap_write : off:int -> bytes -> unit;
   heap_read : off:int -> len:int -> bytes;
@@ -34,10 +29,6 @@ type t = {
   clock : Cycles.t;
   mem : Mem_sim.t;
   call : id:int -> ?data:bytes -> direction:Edge.direction -> unit -> bytes;
-  call_batch : reqs:(int * bytes) list -> unit -> bytes list;
-      (** Serve several ECALLs under one boundary crossing where the
-          backend supports it (the HyperEnclave call ring); backends
-          without a ring dispatch sequentially. *)
   urts : Urts.t option;
       (** The SDK handle behind a HyperEnclave backend ([None] for native
           and the SGX model): what a scheduler submits jobs against. *)
@@ -87,15 +78,6 @@ let native ~clock ~cost ~rng ~handlers ~ocalls =
           match Hashtbl.find_opt ocall_tbl id with
           | Some h -> h data
           | None -> invalid_arg (Printf.sprintf "native: unknown OCALL %d" id));
-      ocall_ring =
-        (fun ~reqs () ->
-          List.map
-            (fun (id, data) ->
-              match Hashtbl.find_opt ocall_tbl id with
-              | Some h -> h data
-              | None ->
-                  invalid_arg (Printf.sprintf "native: unknown OCALL %d" id))
-            reqs);
       (* Native code takes timer interrupts too: handler plus scheduler
          work, without any enclave exit on top. *)
       interrupt = (fun () -> Cycles.tick clock (1_800 + cost.Cost_model.os_ctxsw));
@@ -116,14 +98,6 @@ let native ~clock ~cost ~rng ~handlers ~ocalls =
         match Hashtbl.find_opt ecall_tbl id with
         | Some h -> h env data
         | None -> invalid_arg (Printf.sprintf "native: unknown ECALL %d" id));
-    call_batch =
-      (fun ~reqs () ->
-        List.map
-          (fun (id, data) ->
-            match Hashtbl.find_opt ecall_tbl id with
-            | Some h -> h env data
-            | None -> invalid_arg (Printf.sprintf "native: unknown ECALL %d" id))
-          reqs);
     urts = None;
     identity = None;
     destroy = (fun () -> ());
@@ -152,13 +126,6 @@ let hyperenclave (platform : Platform.t) ~mode ?(tweak = fun c -> c) ~handlers
           let reply = tenv.Tenv.ocall ~id ?data Edge.In_out in
           Mem_sim.tlb_flush mem;
           reply);
-      ocall_ring =
-        (fun ~reqs () ->
-          (* One EEXIT/ORET pair for the whole ring — and one TLB flush,
-             where the sequential path pays one per OCALL. *)
-          let replies = tenv.Tenv.ocall_ring ~reqs () in
-          Mem_sim.tlb_flush mem;
-          replies);
       interrupt = tenv.Tenv.interrupt_now;
       (* Real demand-paged enclave heap: touching a wide offset range
          commits EPC frames and, on small platforms, forces EWB/ELDU —
@@ -191,11 +158,6 @@ let hyperenclave (platform : Platform.t) ~mode ?(tweak = fun c -> c) ~handlers
       (fun ~id ?(data = Bytes.empty) ~direction () ->
         Mem_sim.tlb_flush mem;
         Urts.ecall urts ~id ~data ~direction ());
-    call_batch =
-      (fun ~reqs () ->
-        (* One crossing, one TLB flush — K requests through the ring. *)
-        Mem_sim.tlb_flush mem;
-        Urts.ecall_batch urts ~reqs ());
     urts = Some urts;
     identity = Some (Urts.mrenclave urts);
     destroy = (fun () -> Urts.destroy urts);
@@ -222,16 +184,6 @@ let sgx ~clock ~cost ~rng ?(epc_bytes = Platform.sgx_epc_bytes)
           let reply = Sgx_model.ocall enclave ~id ?data () in
           Mem_sim.tlb_flush mem;
           reply);
-      ocall_ring =
-        (fun ~reqs () ->
-          (* No reply ring in the SGX model: each OCALL pays its own
-             world switch and TLB flush. *)
-          List.map
-            (fun (id, data) ->
-              let reply = Sgx_model.ocall enclave ~id ~data () in
-              Mem_sim.tlb_flush mem;
-              reply)
-            reqs);
       interrupt = (fun () -> Sgx_model.interrupt enclave);
       heap_write = (let w, _ = heap in w);
       heap_read = (let _, r = heap in r);
@@ -256,16 +208,6 @@ let sgx ~clock ~cost ~rng ?(epc_bytes = Platform.sgx_epc_bytes)
       (fun ~id ?(data = Bytes.empty) ~direction:_ () ->
         Mem_sim.tlb_flush mem;
         Sgx_model.ecall enclave ~id ~data ());
-    call_batch =
-      (fun ~reqs () ->
-        (* The SGX model has no call ring: every request pays its own
-           world switch, which is exactly the baseline the batched path
-           is measured against. *)
-        List.map
-          (fun (id, data) ->
-            Mem_sim.tlb_flush mem;
-            Sgx_model.ecall enclave ~id ~data ())
-          reqs);
     urts = None;
     identity = Some (Sgx_model.mrenclave enclave);
     destroy = (fun () -> ());
@@ -383,30 +325,16 @@ let pp_outcome fmt = function
    (its own typed refusals) and [Unsupported] (SGX1 restrictions such as
    EDMM), and the monitor's deliberate [Security_violation].  All of the
    first five are typed refusals; nothing else may cross the API. *)
-let classify ~on_typed ~on_violation f ~on_success =
-  match f () with
-  | v -> on_success v
-  | exception Monitor.Security_violation msg -> on_violation msg
+let protected_call t ~id ?(data = Bytes.empty) ~direction () =
+  match t.call ~id ~data ~direction () with
+  | reply -> Success reply
+  | exception Monitor.Security_violation msg -> Violation msg
   | exception Hyperenclave_fault.Fault.Injected { site; kind } ->
-      on_typed
+      Typed_error
         (Printf.sprintf "injected %s fault at %s"
            (Hyperenclave_fault.Fault.kind_name kind)
            site)
-  | exception Urts.Enclave_error msg -> on_typed ("enclave: " ^ msg)
-  | exception Invalid_argument msg -> on_typed ("invalid-argument: " ^ msg)
-  | exception Sgx_model.Sgx_error msg -> on_typed ("sgx: " ^ msg)
-  | exception Sgx_model.Unsupported msg -> on_typed ("unsupported: " ^ msg)
-
-let protected_call t ~id ?(data = Bytes.empty) ~direction () =
-  classify
-    (fun () -> t.call ~id ~data ~direction ())
-    ~on_success:(fun reply -> Success reply)
-    ~on_typed:(fun msg -> Typed_error msg)
-    ~on_violation:(fun msg -> Violation msg)
-
-let protected_batch t ~reqs () =
-  classify
-    (fun () -> t.call_batch ~reqs ())
-    ~on_success:(List.map (fun reply -> Success reply))
-    ~on_typed:(fun msg -> List.map (fun _ -> Typed_error msg) reqs)
-    ~on_violation:(fun msg -> List.map (fun _ -> Violation msg) reqs)
+  | exception Urts.Enclave_error msg -> Typed_error ("enclave: " ^ msg)
+  | exception Invalid_argument msg -> Typed_error ("invalid-argument: " ^ msg)
+  | exception Sgx_model.Sgx_error msg -> Typed_error ("sgx: " ^ msg)
+  | exception Sgx_model.Unsupported msg -> Typed_error ("unsupported: " ^ msg)

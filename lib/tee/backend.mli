@@ -22,11 +22,6 @@ type env = {
   compute : int -> unit;  (** charge pure computation *)
   mem : Mem_sim.t;  (** memory-system behaviour *)
   ocall : id:int -> ?data:bytes -> unit -> bytes;
-  ocall_ring : reqs:(int * bytes) list -> unit -> bytes list;
-      (** batched OCALLs through the backend's reply ring where it has
-          one (HyperEnclave's single EEXIT + OBATCH ORET for K <= 16
-          replies); native and SGX dispatch sequentially, which is the
-          baseline the ring's amortization is measured against *)
   interrupt : unit -> unit;  (** a timer tick lands now *)
   heap_write : off:int -> bytes -> unit;
       (** write at a byte offset into the workload's heap.  On the
@@ -50,16 +45,12 @@ type t = {
   clock : Cycles.t;
   mem : Mem_sim.t;
   call : id:int -> ?data:bytes -> direction:Edge.direction -> unit -> bytes;
-  call_batch : reqs:(int * bytes) list -> unit -> bytes list;
-      (** Serve several ECALLs under one boundary crossing where the
-          backend supports it (the HyperEnclave switchless call ring,
-          [In_out] semantics per slot); native and the SGX model have no
-          ring and dispatch sequentially — the baseline the ring is
-          measured against. *)
   urts : Urts.t option;
       (** The SDK handle behind a HyperEnclave backend ([None] for native
-          and the SGX model): what {!Hyperenclave_sched.Sched.submit}
-          takes to schedule this enclave's requests. *)
+          and the SGX model): what {!Hyperenclave_sched.Sched.submit} and
+          the slot ring ({!Urts.create_ring}) take.  Batched dispatch
+          exists only there; without a handle every request is its own
+          [call]. *)
   identity : bytes option;
       (** The enclave's MRENCLAVE where the backend has one ([None] for
           native): the code identity an attested serving plane binds
@@ -161,8 +152,3 @@ val protected_call :
     to [Typed_error]; monitor tamper detection maps to [Violation].  Any
     exception outside the trichotomy escapes — escaping is precisely the
     signal the chaos suite treats as a fault-handling bug. *)
-
-val protected_batch : t -> reqs:(int * bytes) list -> unit -> outcome list
-(** {!protected_call} for [t.call_batch]: one outcome per request, in
-    request order.  The HyperEnclave ring is all-or-nothing, so a typed
-    failure or violation yields that same outcome for every slot. *)

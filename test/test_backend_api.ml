@@ -172,41 +172,6 @@ let test_no_bare_exceptions () =
               Alcotest.failf "%s: %s escaped the trichotomy: %s"
                 (Backend.kind_name kind) what (Printexc.to_string e))
         (malformed_calls b);
-      (* Batch path: one malformed slot must fail the whole ring as
-         typed outcomes, one per request, never an exception. *)
-      (match
-         Backend.protected_batch b
-           ~reqs:[ (1, Bytes.of_string "a"); (999, Bytes.of_string "b") ]
-           ()
-       with
-      | outcomes ->
-          Alcotest.(check int)
-            (Backend.kind_name kind ^ ": one outcome per slot")
-            2 (List.length outcomes);
-          List.iter
-            (function
-              | Backend.Success _ | Backend.Typed_error _ | Backend.Violation _ -> ())
-            outcomes
-      | exception e ->
-          Alcotest.failf "%s: batch escaped the trichotomy: %s"
-            (Backend.kind_name kind) (Printexc.to_string e));
-      b.Backend.destroy ())
-    all_kinds
-
-let test_protected_batch_success () =
-  let p = Platform.create ~seed:7107L () in
-  List.iter
-    (fun kind ->
-      let b = make p kind in
-      (match
-         Backend.protected_batch b
-           ~reqs:[ (1, Bytes.of_string "one"); (7, Bytes.of_string "four") ]
-           ()
-       with
-      | [ Backend.Success r1; Backend.Success r2 ] ->
-          Alcotest.(check string) "slot 0" "one" (Bytes.to_string r1);
-          Alcotest.(check string) "slot 1" "4" (Bytes.to_string r2)
-      | _ -> Alcotest.failf "%s: batch did not succeed" (Backend.kind_name kind));
       b.Backend.destroy ())
     all_kinds
 
@@ -223,6 +188,4 @@ let suite =
     Alcotest.test_case "meaningless fields rejected" `Quick test_field_rejection;
     Alcotest.test_case "no bare exceptions cross the boundary" `Quick
       test_no_bare_exceptions;
-    Alcotest.test_case "protected batch success" `Quick
-      test_protected_batch_success;
   ]

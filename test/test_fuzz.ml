@@ -278,67 +278,72 @@ let libos_fd_invariants =
       Urts.destroy handle;
       !outcome)
 
-(* --- switchless ring frames: inverse + corruption --------------------------------- *)
+(* --- slot ring reply frame: corrupt length words ------------------------------------ *)
 
-(* The ring frames cross the shared ms region, so the parser consumes
-   attacker-reachable bytes: encode/parse must be inverses, and every
-   truncation or corrupted length word must surface as the typed
-   [Urts.Enclave_error] — never a bare [Invalid_argument] from
-   [Bytes.sub]. *)
-let ring_frame_gen =
-  QCheck.Gen.(
-    list_size (int_range 0 16)
-      (pair (int_range 0 1000) (string_size (int_range 0 64))))
-
-let ring_frame_roundtrip =
-  QCheck.Test.make ~name:"ring frame encode/parse inverse" ~count:200
-    (QCheck.make ring_frame_gen) (fun reqs ->
-      let reqs = List.map (fun (id, s) -> (id, Bytes.of_string s)) reqs in
-      let parsed =
-        Urts.parse_frames ~what:"fuzz" (Urts.frame_requests reqs)
-      in
-      List.map (fun (id, b) -> (id, Bytes.to_string b)) parsed
-      = List.map (fun (id, b) -> (id, Bytes.to_string b)) reqs)
-
-let ring_frame_truncation =
-  QCheck.Test.make ~name:"ring frame truncation rejected typed" ~count:50
-    (QCheck.make ring_frame_gen) (fun reqs ->
-      let reqs = List.map (fun (id, s) -> (id, Bytes.of_string s)) reqs in
-      let frame = Urts.frame_requests reqs in
-      let ok = ref true in
-      for len = 0 to Bytes.length frame - 1 do
-        match Urts.parse_frames ~what:"fuzz" (Bytes.sub frame 0 len) with
-        | _ -> () (* a shorter prefix can still be a valid frame *)
-        | exception Urts.Enclave_error _ -> ()
-        | exception exn ->
-            Printf.eprintf "prefix of %d/%d bytes raised %s\n" len
-              (Bytes.length frame) (Printexc.to_string exn);
-            ok := false
-      done;
-      !ok)
+(* The reply image comes back from the shared ms region, so its length
+   words are attacker-reachable: whatever they hold, [ring_reply_slot]
+   must hand out a slice inside the slot or refuse with the typed
+   [Urts.Enclave_error] — never a bare exception or an out-of-bounds
+   slice.  One enclave and ring serve every case; each case re-stages
+   the ring from scratch. *)
+let fuzz_ring =
+  lazy
+    (let p = Platform.create ~seed:9400L () in
+     let handle =
+       Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc
+         ~rng:p.Platform.rng ~signer:p.Platform.signer
+         ~config:(Urts.default_config Sgx_types.GU)
+         ~ecalls:[ (1, fun _ input -> input) ]
+         ~ocalls:[]
+     in
+     Urts.create_ring handle ~shard:0 ~shards:1 ~slots:8 ~slot_bytes:64)
 
 let ring_frame_corrupt_length =
   QCheck.Test.make ~name:"ring frame corrupt length word rejected typed"
     ~count:200
     (QCheck.make
        QCheck.Gen.(
-         pair ring_frame_gen (oneof [ int_range (-1000) (-1); int_range 65 max_int ])))
-    (fun (reqs, bad_len) ->
-      let reqs =
-        match reqs with
-        | [] -> [ (1, Bytes.of_string "x") ]
-        | l -> List.map (fun (id, s) -> (id, Bytes.of_string s)) l
-      in
-      let frame = Urts.frame_requests reqs in
-      Bytes.set_int64_le frame 16 (Int64.of_int bad_len);
-      match Urts.parse_frames ~what:"fuzz" frame with
-      | _ ->
-          (* Only lengths that still fit the frame may parse. *)
-          bad_len >= 0 && bad_len <= Bytes.length frame - 32
-      | exception Urts.Enclave_error _ -> true
-      | exception exn ->
-          QCheck.Test.fail_reportf "length %d raised %s" bad_len
-            (Printexc.to_string exn))
+         pair
+           (list_size (int_range 1 8) (string_size (int_range 0 64)))
+           (list_size (int_range 1 8)
+              (oneof
+                 [
+                   map Int64.of_int (int_range (-100) 100);
+                   map Int64.of_int int;
+                   ui64;
+                 ]))))
+    (fun (payloads, words) ->
+      let ring = Lazy.force fuzz_ring in
+      Urts.ring_reset ring;
+      List.iter
+        (fun s ->
+          let len = String.length s in
+          let off = Urts.ring_stage ring ~ecall_id:1 ~len in
+          Bytes.blit_string s 0 (Urts.ring_buf ring) off len)
+        payloads;
+      Urts.ring_publish ring;
+      Urts.ring_dispatch ring;
+      Urts.ring_read_replies ring;
+      let staged = Urts.ring_staged ring in
+      let stride = 16 + Urts.ring_slot_bytes ring in
+      let buf = Urts.ring_reply_buf ring in
+      List.iteri
+        (fun i w ->
+          Bytes.set_int64_le buf (8 + ((i mod staged) * stride) + 8) w)
+        words;
+      List.for_all
+        (fun slot ->
+          match Urts.ring_reply_slot ring ~slot with
+          | off, len ->
+              let base = 8 + (slot * stride) + 16 in
+              off = base && len >= 0
+              && len <= Urts.ring_slot_bytes ring
+              && off + len <= Bytes.length buf
+          | exception Urts.Enclave_error _ -> true
+          | exception exn ->
+              QCheck.Test.fail_reportf "slot %d raised %s" slot
+                (Printexc.to_string exn))
+        (List.init (staged + 2) (fun i -> i - 1)))
 
 (* --- determinism -------------------------------------------------------------------- *)
 
@@ -380,8 +385,6 @@ let suite =
       vcpu_malformed_rejected;
       quote_wire_roundtrip;
       quote_wire_truncation;
-      ring_frame_roundtrip;
-      ring_frame_truncation;
       ring_frame_corrupt_length;
       libos_fd_invariants;
       platform_cycle_determinism;

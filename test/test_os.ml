@@ -187,31 +187,6 @@ let test_destroy_unpins_marshalling_buffer () =
     "second cycle also clean" before
     (Process.pinned_count proc)
 
-(* The batched ORET path (PR 6): the monitor bounds the reply-ring slot
-   count before touching the parked TCS, so a forged OBATCH is refused
-   as a security violation and the enclave stays serviceable. *)
-let test_ioctl_obatch_bounds () =
-  let p = platform () in
-  let handle =
-    Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
-      ~signer:p.Platform.signer
-      ~config:(Urts.default_config Sgx_types.GU)
-      ~ecalls:[ (1, fun _ input -> input) ]
-      ~ocalls:[]
-  in
-  let enclave = Urts.enclave handle in
-  let tcs = Option.get (Enclave.free_tcs enclave) in
-  List.iter
-    (fun slots ->
-      try
-        Kmod.ioctl_obatch p.Platform.kmod ~enclave ~tcs ~return_va:0 ~slots;
-        Alcotest.failf "OBATCH with %d slots accepted" slots
-      with Monitor.Security_violation _ -> ())
-    [ 0; -1; 65; 1024 ];
-  let out = Urts.ecall handle ~id:1 ~data:(Bytes.of_string "ok") ~direction:Edge.In_out () in
-  Alcotest.(check string) "enclave survives refused OBATCH" "ok" (Bytes.to_string out);
-  Urts.destroy handle
-
 let test_fork_exit_frees_frames () =
   let p = platform () in
   let k = p.Platform.kernel in
@@ -314,7 +289,6 @@ let suite =
       test_pin_range_unwinds_on_failure;
     Alcotest.test_case "destroy unpins ms buffer" `Quick
       test_destroy_unpins_marshalling_buffer;
-    Alcotest.test_case "OBATCH slot bounds" `Quick test_ioctl_obatch_bounds;
     Alcotest.test_case "fork/exit frames" `Quick test_fork_exit_frees_frames;
     Alcotest.test_case "with_translation toggle" `Quick test_with_translation;
     Alcotest.test_case "no controlled channel on enclaves" `Quick

@@ -1,6 +1,7 @@
-(* The SMP enclave scheduler (lib/sched) and the switchless batched call
-   ring: determinism, core scaling, work-stealing invariance, preemption
-   with invariant checks, and the ring's single-switch amortization. *)
+(* The SMP enclave scheduler (lib/sched) and the switchless slot ring:
+   determinism, core scaling, work-stealing invariance, preemption with
+   invariant checks, and the ring's ordering, typed refusals, fault
+   retry and saving over individual ECALLs. *)
 
 open Hyperenclave
 
@@ -25,7 +26,31 @@ let make_enclave p ~seed_name ~burn =
 let requests ~tag n =
   List.init n (fun i -> (1, Bytes.of_string (Printf.sprintf "%s-%d" tag i)))
 
-(* --- batched call ring ----------------------------------------------------- *)
+(* --- switchless slot ring ---------------------------------------------------- *)
+
+let stage ring (id, data) =
+  let len = Bytes.length data in
+  let off = Urts.ring_stage ring ~ecall_id:id ~len in
+  Bytes.blit data 0 (Urts.ring_buf ring) off len
+
+let ring_replies ring =
+  List.init (Urts.ring_staged ring) (fun slot ->
+      let off, len = Urts.ring_reply_slot ring ~slot in
+      Bytes.sub_string (Urts.ring_reply_buf ring) off len)
+
+(* One full batch: stage, publish, dispatch, read back. *)
+let run_ring ring reqs =
+  Urts.ring_reset ring;
+  List.iter (stage ring) reqs;
+  Urts.ring_publish ring;
+  Urts.ring_dispatch ring;
+  Urts.ring_read_replies ring;
+  ring_replies ring
+
+let expect_enclave_error what f =
+  match f () with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception Urts.Enclave_error _ -> ()
 
 let test_batch_semantics () =
   let p = Platform.create ~seed:4100L () in
@@ -39,62 +64,131 @@ let test_batch_semantics () =
             fun (_ : Tenv.t) input ->
               Bytes.of_string (String.uppercase_ascii (Bytes.to_string input)) );
           (2, fun (_ : Tenv.t) input -> Bytes.cat input input);
+          (3, fun (_ : Tenv.t) _ -> Bytes.make 33 'z');
         ]
       ~ocalls:[]
   in
-  let replies =
-    Urts.ecall_batch handle
-      ~reqs:
-        [
-          (1, Bytes.of_string "aa");
-          (2, Bytes.of_string "xy");
-          (1, Bytes.of_string "bb");
-        ]
-      ()
-  in
+  let ring = Urts.create_ring handle ~shard:0 ~shards:1 ~slots:3 ~slot_bytes:32 in
+  let b = Bytes.of_string in
   Alcotest.(check (list string))
-    "replies in request order" [ "AA"; "xyxy"; "BB" ]
-    (List.map Bytes.to_string replies);
+    "replies in staged order" [ "AA"; "xyxy"; "BB" ]
+    (run_ring ring [ (1, b "aa"); (2, b "xy"); (1, b "bb") ]);
   Alcotest.(check int)
-    "one world switch for the whole batch" 3
-    (Telemetry.counter (telemetry p) "sdk.ecall_batched");
+    "one dispatch for the whole ring" 1
+    (Telemetry.counter (telemetry p) "sdk.ring_dispatch");
+  Alcotest.(check int)
+    "no world switch" 0
+    (Telemetry.counter (telemetry p) "sdk.ecall");
+  (* A full ring, an oversize payload, an unknown id and an oversize
+     reply are typed refusals. *)
+  Urts.ring_reset ring;
+  List.iter (stage ring) [ (1, b "a"); (1, b "b"); (1, b "c") ];
+  expect_enclave_error "a fourth slot in a full ring" (fun () ->
+      Urts.ring_stage ring ~ecall_id:1 ~len:1);
+  Urts.ring_reset ring;
+  expect_enclave_error "a payload past slot_bytes" (fun () ->
+      Urts.ring_stage ring ~ecall_id:1 ~len:33);
+  expect_enclave_error "an unknown ECALL id" (fun () ->
+      run_ring ring [ (99, b "x") ]);
+  expect_enclave_error "a reply past slot_bytes" (fun () ->
+      run_ring ring [ (3, b "x") ]);
   Alcotest.(check (list string))
-    "empty batch" []
-    (List.map Bytes.to_string (Urts.ecall_batch handle ~reqs:[] ()));
-  (* Oversized batches and unknown ids are typed refusals. *)
-  let too_many = List.init (Urts.max_batch + 1) (fun _ -> (1, Bytes.empty)) in
-  (try
-     ignore (Urts.ecall_batch handle ~reqs:too_many ());
-     Alcotest.fail "oversized batch accepted"
-   with Urts.Enclave_error _ -> ());
-  (try
-     ignore (Urts.ecall_batch handle ~reqs:[ (99, Bytes.empty) ] ());
-     Alcotest.fail "unknown id accepted"
-   with Urts.Enclave_error _ -> ());
+    "the ring still serves after the refusals" [ "OK" ]
+    (run_ring ring [ (1, b "ok") ]);
   Urts.destroy handle
 
 let test_batch_amortizes_transition () =
   let p = Platform.create ~seed:4101L () in
   let handle = make_enclave p ~seed_name:"batch-amortize" ~burn:0 in
   let reqs = requests ~tag:"r" 8 in
+  let ring = Urts.create_ring handle ~shard:0 ~shards:1 ~slots:8 ~slot_bytes:64 in
   let clock = p.Platform.clock in
-  let (_ : bytes list), batched =
-    Cycles.time clock (fun () -> Urts.ecall_batch handle ~reqs ())
-  in
-  let (_ : unit), unbatched =
+  let (_ : string list), ringed = Cycles.time clock (fun () -> run_ring ring reqs) in
+  let (_ : unit), single =
     Cycles.time clock (fun () ->
         List.iter
           (fun (id, data) ->
             ignore (Urts.ecall handle ~id ~data ~direction:Edge.In_out ()))
           reqs)
   in
-  (* Acceptance bar: at K = 8 the amortized transition cost of a batched
-     call beats unbatched by at least 2x. *)
+  (* Acceptance bar: at K = 8 the ring serves the batch in at most half
+     the cycles of eight individual ECALLs. *)
   Alcotest.(check bool)
-    (Printf.sprintf "batched 8 (% d cycles) at least 2x cheaper than unbatched (%d)"
-       batched unbatched)
+    (Printf.sprintf "ring of 8 (%d cycles) at least 2x cheaper than 8 ECALLs (%d)"
+       ringed single)
     true
-    (2 * batched <= unbatched);
+    (2 * ringed <= single);
+  Urts.destroy handle
+
+(* A transient fault in slot 1's handler (its heap read swaps a page
+   back in, and the ELDU reload fires the injected "epc.swap_in" fault)
+   is retried from slot 1: slot 0's handler, already served, must not
+   run again. *)
+let test_ring_retry_resumes () =
+  (* 134 MB DRAM - 128 MB OS - 4 MB monitor = a 512-frame EPC. *)
+  let p = Platform.create ~seed:1234L ~phys_mb:134 ~os_mb:128 ~monitor_mb:4 () in
+  let runs = Array.make 2 0 in
+  let handle =
+    Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
+      ~signer:p.Platform.signer
+      ~config:{ (Urts.default_config Sgx_types.GU) with Urts.elrange_pages = 2048 }
+      ~ecalls:
+        [
+          ( 1,
+            fun (tenv : Tenv.t) _ ->
+              (* Overcommit the EPC so early heap pages are swapped out. *)
+              let base = tenv.Tenv.malloc (700 * 4096) in
+              for i = 0 to 699 do
+                tenv.Tenv.write ~va:(base + (i * 4096)) (Bytes.of_string "x")
+              done;
+              Bytes.empty );
+          ( 2,
+            fun (tenv : Tenv.t) input ->
+              match String.split_on_char ':' (Bytes.to_string input) with
+              | [ slot; va ] ->
+                  let slot = int_of_string slot and va = int_of_string va in
+                  runs.(slot) <- runs.(slot) + 1;
+                  if va <> 0 then ignore (tenv.Tenv.read ~va ~len:1 : bytes);
+                  input
+              | _ -> invalid_arg "ring slot payload" );
+        ]
+      ~ocalls:[]
+  in
+  ignore (Urts.ecall handle ~id:1 ~direction:Edge.In ());
+  let enclave_id = (Urts.enclave handle).Enclave.id in
+  let first_vpn = 0x1_0000_0000 / 4096 in
+  let swapped_vpn =
+    List.find
+      (fun vpn ->
+        Kernel.disk_load p.Platform.kernel
+          ~key:(Printf.sprintf "heswap:%d:%x" enclave_id vpn)
+        <> None)
+      (List.init 2048 (fun i -> first_vpn + i))
+  in
+  let reqs =
+    [
+      (2, Bytes.of_string "0:0");
+      (2, Bytes.of_string (Printf.sprintf "1:%d" (swapped_vpn * 4096)));
+    ]
+  in
+  let ring = Urts.create_ring handle ~shard:0 ~shards:1 ~slots:2 ~slot_bytes:32 in
+  List.iter (stage ring) reqs;
+  Urts.ring_publish ring;
+  Fault.install ~telemetry:(telemetry p)
+    [ { Fault.site = "epc.swap_in"; nth = 1; kind = Fault.Transient } ];
+  let injected =
+    Fun.protect ~finally:Fault.clear (fun () ->
+        Urts.ring_dispatch ring;
+        Fault.injected_count ())
+  in
+  Urts.ring_read_replies ring;
+  Alcotest.(check int) "one transient injected" 1 injected;
+  Alcotest.(check int) "slot 0's handler ran once" 1 runs.(0);
+  Alcotest.(check int) "slot 1's handler re-ran from its top" 2 runs.(1);
+  Alcotest.(check (list string))
+    "both slots served"
+    (List.map (fun (_, d) -> Bytes.to_string d) reqs)
+    (ring_replies ring);
   Urts.destroy handle
 
 (* --- scheduler ------------------------------------------------------------- *)
@@ -138,7 +232,7 @@ let run_workload ?(seed = 4200L) ?(enclaves = 4) ?(reqs_per_job = 10)
   result
 
 let small_quantum =
-  { Sched.default_config with Sched.cores = 2; quantum = 40_000; batch = 1 }
+  { Sched.default_config with Sched.cores = 2; quantum = 40_000 }
 
 let test_determinism () =
   let a = run_workload small_quantum in
@@ -202,18 +296,6 @@ let test_work_stealing_invariance () =
   (* Without stealing, core 1 never ran anything. *)
   Alcotest.(check int)
     "serial run kept core 1 idle" 0 serial.stats.Sched.per_core.(1).Sched.busy
-
-let test_batched_scheduler_run () =
-  let unbatched = run_workload { small_quantum with Sched.quantum = 400_000 } in
-  let batched =
-    run_workload { small_quantum with Sched.quantum = 400_000; batch = 8 }
-  in
-  Alcotest.(check int)
-    "batched serves every request" unbatched.stats.Sched.total_requests
-    batched.stats.Sched.total_requests;
-  Alcotest.(check bool)
-    "batching reduces makespan" true
-    (batched.stats.Sched.makespan < unbatched.stats.Sched.makespan)
 
 (* A drained job must not outlive its run: [stats] keeps only counts, so
    the job's [on_result] closure (and everything it captures) becomes
@@ -314,13 +396,13 @@ let suite =
     Alcotest.test_case "batch ring semantics" `Quick test_batch_semantics;
     Alcotest.test_case "batch amortizes the world switch" `Quick
       test_batch_amortizes_transition;
+    Alcotest.test_case "ring retry resumes at the faulted slot" `Quick
+      test_ring_retry_resumes;
     Alcotest.test_case "determinism: same seed, same totals" `Quick
       test_determinism;
     Alcotest.test_case "requests/sec scales with cores" `Quick test_core_scaling;
     Alcotest.test_case "work stealing leaves totals invariant" `Quick
       test_work_stealing_invariance;
-    Alcotest.test_case "batched scheduler beats unbatched" `Quick
-      test_batched_scheduler_run;
     Alcotest.test_case "finished jobs are released" `Quick
       test_finished_jobs_released;
     Alcotest.test_case "2-enclave/2-core chaos with invariant checks" `Quick

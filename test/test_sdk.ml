@@ -529,192 +529,6 @@ let test_switchless_ocall () =
   Alcotest.(check int) "both counted as ocalls" 2 (Urts.stats handle).Enclave.ocalls;
   Urts.destroy handle
 
-let test_ocall_ring_semantics () =
-  let p, handle =
-    fixture
-      ~ecalls:
-        [
-          ( 1,
-            fun (tenv : Tenv.t) _ ->
-              let replies =
-                tenv.Tenv.ocall_ring
-                  ~reqs:
-                    [
-                      (7, Bytes.of_string "aa");
-                      (8, Bytes.of_string "xy");
-                      (7, Bytes.of_string "bb");
-                    ]
-                  ()
-              in
-              Bytes.of_string
-                (String.concat "|" (List.map Bytes.to_string replies)) );
-        ]
-      ~ocalls:
-        [
-          (7, fun data -> Bytes.cat (Bytes.of_string ">") data);
-          (8, fun data -> Bytes.cat data data);
-        ]
-      ()
-  in
-  let reply =
-    Urts.ecall handle ~id:1 ~data:Bytes.empty ~direction:Edge.In_out ()
-  in
-  Alcotest.(check string)
-    "replies in request order" ">aa|xyxy|>bb" (Bytes.to_string reply);
-  let telemetry = Monitor.telemetry p.Platform.monitor in
-  Alcotest.(check int)
-    "one ring dispatch" 1
-    (Telemetry.counter telemetry "sdk.ocall_ring");
-  Alcotest.(check int)
-    "three ringed ocalls" 3
-    (Telemetry.counter telemetry "sdk.ocall_ringed");
-  Alcotest.(check int)
-    "all counted as ocalls" 3 (Urts.stats handle).Enclave.ocalls;
-  Urts.destroy handle
-
-let test_ocall_ring_errors () =
-  let _, handle =
-    fixture
-      ~ecalls:
-        [
-          ( 1,
-            fun (tenv : Tenv.t) _ ->
-              let too_many =
-                List.init (Urts.max_batch + 1) (fun _ -> (7, Bytes.empty))
-              in
-              (try
-                 ignore (tenv.Tenv.ocall_ring ~reqs:too_many ());
-                 Alcotest.fail "oversized reply ring accepted"
-               with Urts.Enclave_error _ -> ());
-              (try
-                 ignore (tenv.Tenv.ocall_ring ~reqs:[ (99, Bytes.empty) ] ());
-                 Alcotest.fail "unknown ocall id accepted"
-               with Urts.Enclave_error _ -> ());
-              Alcotest.(check (list string))
-                "empty ring" []
-                (List.map Bytes.to_string (tenv.Tenv.ocall_ring ~reqs:[] ()));
-              Bytes.of_string "ok" );
-        ]
-      ~ocalls:[ (7, fun data -> data) ]
-      ()
-  in
-  Alcotest.(check string)
-    "enclave survived the refusals" "ok"
-    (Bytes.to_string
-       (Urts.ecall handle ~id:1 ~data:Bytes.empty ~direction:Edge.In_out ()));
-  Urts.destroy handle
-
-let test_ocall_ring_amortizes () =
-  (* The reply ring's reason to exist: K out-calls under one EEXIT +
-     one batched ORET must beat K individual world switches by at
-     least 2x at K = 8 (echo OCALL, pure transition cost). *)
-  let costs = ref (0, 0) in
-  let _, handle =
-    fixture
-      ~ecalls:
-        [
-          ( 1,
-            fun (tenv : Tenv.t) _ ->
-              let reqs = List.init 8 (fun i -> (7, Bytes.make 4 (Char.chr (65 + i)))) in
-              let _, ringed =
-                Cycles.time tenv.Tenv.clock (fun () ->
-                    tenv.Tenv.ocall_ring ~reqs ())
-              in
-              let _, sequential =
-                Cycles.time tenv.Tenv.clock (fun () ->
-                    List.iter
-                      (fun (id, data) ->
-                        ignore (tenv.Tenv.ocall ~id ~data Edge.In_out))
-                      reqs)
-              in
-              costs := (ringed, sequential);
-              Bytes.empty );
-        ]
-      ~ocalls:[ (7, fun data -> data) ]
-      ()
-  in
-  ignore (Urts.ecall handle ~id:1 ~data:Bytes.empty ~direction:Edge.In_out ());
-  let ringed, sequential = !costs in
-  Alcotest.(check bool)
-    (Printf.sprintf "ringed 8 (%d cycles) at least 2x cheaper than sequential (%d)"
-       ringed sequential)
-    true
-    (2 * ringed <= sequential);
-  Urts.destroy handle
-
-let test_ring_frame_parsing () =
-  (* The untrusted half hands the trusted half raw ring bytes through
-     the shared ms region; every malformed shape must surface as the
-     typed [Enclave_error], never a bare [Invalid_argument]. *)
-  let reqs = [ (1, Bytes.of_string "hello"); (2, Bytes.empty) ] in
-  let frame = Urts.frame_requests reqs in
-  Alcotest.(check (list (pair int string)))
-    "frame/parse inverse"
-    [ (1, "hello"); (2, "") ]
-    (List.map
-       (fun (id, b) -> (id, Bytes.to_string b))
-       (Urts.parse_frames ~what:"test" frame));
-  let expect_typed name raw =
-    try
-      ignore (Urts.parse_frames ~what:"test" raw);
-      Alcotest.fail (name ^ ": accepted")
-    with
-    | Urts.Enclave_error _ -> ()
-    | Invalid_argument m ->
-        Alcotest.fail (name ^ ": escaped as Invalid_argument " ^ m)
-  in
-  expect_typed "truncated header" (Bytes.sub frame 0 4);
-  expect_typed "truncated slot" (Bytes.sub frame 0 (Bytes.length frame - 3));
-  let negative_count = Bytes.copy frame in
-  Bytes.set_int64_le negative_count 0 (-1L);
-  expect_typed "negative count" negative_count;
-  let huge_count = Bytes.copy frame in
-  Bytes.set_int64_le huge_count 0 (Int64.of_int (Urts.max_batch + 1));
-  expect_typed "count past max_batch" huge_count;
-  let negative_len = Bytes.copy frame in
-  Bytes.set_int64_le negative_len 16 (-5L);
-  expect_typed "negative slot length" negative_len;
-  (* The int-overflow regression: a near-max_int length word must be a
-     typed refusal, not an escaped [Bytes.sub] failure. *)
-  let huge_len = Bytes.copy frame in
-  Bytes.set_int64_le huge_len 16 (Int64.of_int (max_int - 8));
-  expect_typed "near-max_int slot length" huge_len;
-  let oversized = Bytes.copy frame in
-  Bytes.set_int64_le oversized 16 (Int64.of_int (Bytes.length frame));
-  expect_typed "slot overruns frame" oversized
-
-let test_oret_batch_unknown_ocall () =
-  (* The drained reply-ring frame comes back through the shared ms
-     region, so its OCALL ids are untrusted input: an id with no
-     registered handler must surface as the typed [Enclave_error]
-     refusal, never a bare [Not_found] out of the handler table. *)
-  let _, handle = fixture ~ecalls:[] ~ocalls:[ (7, fun data -> data) ] () in
-  let arg_off = Urts.ms_ocall_off handle in
-  let frame = Urts.frame_requests [ (99, Bytes.of_string "boom") ] in
-  Urts.ms_raw_write handle ~off:arg_off frame;
-  (try
-     ignore (Urts.oret_batch handle ~arg_off ~staged_len:(Bytes.length frame));
-     Alcotest.fail "unregistered OCALL id accepted"
-   with
-  | Urts.Enclave_error msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "typed refusal names the id: %s" msg)
-        true
-        (let needle = "unknown OCALL" in
-         let n = String.length needle in
-         let rec has i =
-           i + n <= String.length msg
-           && (String.sub msg i n = needle || has (i + 1))
-         in
-         has 0)
-  | Not_found -> Alcotest.fail "escaped as bare Not_found");
-  (* A registered id through the same direct path still round-trips. *)
-  let ok = Urts.frame_requests [ (7, Bytes.of_string "echo") ] in
-  Urts.ms_raw_write handle ~off:arg_off ok;
-  let len = Urts.oret_batch handle ~arg_off ~staged_len:(Bytes.length ok) in
-  Alcotest.(check bool) "reply frame written back" true (len > 0);
-  Urts.destroy handle
-
 let test_local_attestation () =
   (* Enclave B proves its identity to enclave A on the same platform:
      B produces an EREPORT binding a channel nonce, the untrusted app
@@ -932,12 +746,6 @@ let suite =
       test_ecall_input_overflow;
     Alcotest.test_case "local attestation" `Quick test_local_attestation;
     Alcotest.test_case "switchless ocall" `Quick test_switchless_ocall;
-    Alcotest.test_case "ocall ring semantics" `Quick test_ocall_ring_semantics;
-    Alcotest.test_case "ocall ring errors" `Quick test_ocall_ring_errors;
-    Alcotest.test_case "ocall ring amortizes" `Quick test_ocall_ring_amortizes;
-    Alcotest.test_case "ring frame parsing" `Quick test_ring_frame_parsing;
-    Alcotest.test_case "oret_batch unknown OCALL typed" `Quick
-      test_oret_batch_unknown_ocall;
     Alcotest.test_case "interrupt-frequency guard" `Quick test_interrupt_guard;
     Alcotest.test_case "interrupt guard is P-only" `Quick
       test_interrupt_guard_p_only;

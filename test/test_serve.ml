@@ -21,16 +21,19 @@ let golden_of (p : Platform.t) =
 let policy_pinning identity =
   { Verifier.expected_mrenclave = Some identity; expected_mrsigner = None; allow_debug = false }
 
-let tenant_config ?(kind = Backend.Hyperenclave Sgx_types.GU) () =
-  { (Backend.config kind) with Backend.handlers = echo_handlers }
+let tenant_config ?(kind = Backend.Hyperenclave Sgx_types.GU)
+    ?(handlers = echo_handlers) () =
+  { (Backend.config kind) with Backend.handlers }
 
 (* One plane with one enclave tenant, plus a client already holding the
    golden values and the tenant pin. *)
 let build ?(seed = 7000L) ?(config = Serve.default_config)
-    ?(kind = Backend.Hyperenclave Sgx_types.GU) () =
+    ?(kind = Backend.Hyperenclave Sgx_types.GU) ?handlers () =
   let p = Platform.create ~seed () in
   let plane = Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p config in
-  let backend = Serve.add_tenant plane ~name:"acme" (tenant_config ~kind ()) in
+  let backend =
+    Serve.add_tenant plane ~name:"acme" (tenant_config ~kind ?handlers ())
+  in
   let identity =
     match backend.Backend.identity with
     | Some id -> id
@@ -99,6 +102,46 @@ let test_sgx_tenant_via_quoting_enclave () =
   (match Serve.Client.roundtrip plane client [ (2, Bytes.of_string "sgx") ] with
   | [ Ok r ] -> Alcotest.(check string) "served" "SGX" (Bytes.to_string r)
   | _ -> Alcotest.fail "SGX tenant roundtrip failed");
+  Serve.destroy plane
+
+let test_sgx_fallback_fails_per_request () =
+  (* A tenant without an SDK handle is served one backend call per
+     request: a handler refusal in the middle of a session's requests
+     fails that request alone, and its neighbours are served. *)
+  let config =
+    {
+      Serve.default_config with
+      Serve.sched = { Serve.default_config.Serve.sched with Sched.batch = 4 };
+    }
+  in
+  let handlers =
+    [
+      ( 1,
+        fun _env input ->
+          if Bytes.to_string input = "poison" then invalid_arg "poison payload";
+          input );
+    ]
+  in
+  let _p, plane, _backend, client =
+    build ~seed:7004L ~config ~kind:Backend.Sgx ~handlers ()
+  in
+  establish plane client;
+  let b = Bytes.of_string in
+  (match
+     Serve.Client.roundtrip plane client
+       [ (1, b "before"); (1, b "poison"); (1, b "after") ]
+   with
+  | [ Ok r1; Error (Serve.Session_fault _); Ok r3 ] ->
+      Alcotest.(check string) "first neighbour served" "before" (Bytes.to_string r1);
+      Alcotest.(check string) "last neighbour served" "after" (Bytes.to_string r3)
+  | replies ->
+      Alcotest.failf "expected ok / session-fault / ok, got [%s]"
+        (String.concat "; "
+           (List.map
+              (function
+                | Ok r -> "ok " ^ Bytes.to_string r
+                | Error r -> Format.asprintf "%a" Serve.pp_reject r)
+              replies)));
   Serve.destroy plane
 
 let test_sgx_wrong_tenant_pin_rejected () =
@@ -1071,6 +1114,8 @@ let suite =
     Alcotest.test_case "roundtrip on all modes" `Quick test_roundtrip_modes;
     Alcotest.test_case "sgx tenant via quoting enclave" `Quick
       test_sgx_tenant_via_quoting_enclave;
+    Alcotest.test_case "sgx fallback fails per request" `Quick
+      test_sgx_fallback_fails_per_request;
     Alcotest.test_case "sgx wrong tenant pin rejected" `Quick
       test_sgx_wrong_tenant_pin_rejected;
     Alcotest.test_case "native tenant refused" `Quick test_native_tenant_refused;
