@@ -16,9 +16,11 @@ let make_tests () =
   (* Shared fixtures, built once. *)
   let platform = Platform.create ~seed:111L () in
   let gu =
-    Backend.hyperenclave platform ~mode:Sgx_types.GU
-      ~handlers:[ (1, fun _ _ -> Bytes.empty) ]
-      ~ocalls:[] ()
+    Backend.create platform
+      {
+        (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
+        Backend.handlers = [ (1, fun _ _ -> Bytes.empty) ];
+      }
   in
   let p_enclave =
     Urts.create ~kmod:platform.Platform.kmod ~proc:platform.Platform.proc

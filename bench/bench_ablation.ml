@@ -225,7 +225,11 @@ let ablation_timer_rate () =
             ~rng:(Rng.create ~seed:1L) ~handlers ~ocalls:[]
       | `Gu ->
           let p = Platform.create ~seed:804L () in
-          Backend.hyperenclave p ~mode:Sgx_types.GU ~handlers ~ocalls:[] ()
+          Backend.create p
+            {
+              (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
+              Backend.handlers;
+            }
     in
     let _, cycles =
       Cycles.time backend.Backend.clock (fun () ->

@@ -20,8 +20,11 @@ let native_run () =
 let hyperenclave_run mode =
   let platform = Platform.create ~seed:404L () in
   let backend =
-    Backend.hyperenclave platform ~mode ~handlers:(Nbench.handlers ())
-      ~ocalls:[] ()
+    Backend.create platform
+      {
+        (Backend.config (Backend.Hyperenclave mode)) with
+        Backend.handlers = Nbench.handlers ();
+      }
   in
   let result = Nbench.run_suite backend ~iterations in
   backend.Backend.destroy ();

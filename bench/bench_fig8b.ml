@@ -33,8 +33,11 @@ let run () =
         in
         let hyper mode () =
           let platform = Platform.create ~seed:505L () in
-          Backend.hyperenclave platform ~mode ~handlers:(Kvdb.handlers ())
-            ~ocalls:[] ()
+          Backend.create platform
+            {
+              (Backend.config (Backend.Hyperenclave mode)) with
+              Backend.handlers = Kvdb.handlers ();
+            }
         in
         let sgx () =
           Backend.sgx ~clock:(Cycles.create ()) ~cost:Cost_model.default

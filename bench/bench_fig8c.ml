@@ -34,8 +34,12 @@ let run () =
   in
   let hyper mode () =
     let platform = Platform.create ~seed:606L () in
-    Backend.hyperenclave platform ~mode ~handlers:(Httpd.handlers ~pages)
-      ~ocalls:(Httpd.ocalls ()) ()
+    Backend.create platform
+      {
+        (Backend.config (Backend.Hyperenclave mode)) with
+        Backend.handlers = Httpd.handlers ~pages;
+        ocalls = Httpd.ocalls ();
+      }
   in
   let sgx () =
     Backend.sgx ~clock:(Cycles.create ()) ~cost:Cost_model.default

@@ -29,8 +29,12 @@ let run () =
   in
   let hyper mode () =
     let platform = Platform.create ~seed:707L () in
-    Backend.hyperenclave platform ~mode ~handlers:(Resp_kv.handlers ())
-      ~ocalls:(Resp_kv.ocalls ()) ()
+    Backend.create platform
+      {
+        (Backend.config (Backend.Hyperenclave mode)) with
+        Backend.handlers = Resp_kv.handlers ();
+        ocalls = Resp_kv.ocalls ();
+      }
   in
   let sgx () =
     Backend.sgx ~clock:(Cycles.create ()) ~cost:Cost_model.default

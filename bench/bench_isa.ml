@@ -11,9 +11,11 @@ let measure_ecall isa mode =
   let cost = Isa.scale_cost_model isa Cost_model.default in
   let platform = Platform.create ~seed:901L ~cost () in
   let backend =
-    Backend.hyperenclave platform ~mode
-      ~handlers:[ (1, fun _ _ -> Bytes.empty) ]
-      ~ocalls:[] ()
+    Backend.create platform
+      {
+        (Backend.config (Backend.Hyperenclave mode)) with
+        Backend.handlers = [ (1, fun _ _ -> Bytes.empty) ];
+      }
   in
   let samples =
     List.init 300 (fun _ ->

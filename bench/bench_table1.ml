@@ -25,9 +25,12 @@ let measure_mode platform mode =
     ]
   in
   let backend =
-    Backend.hyperenclave platform ~mode ~handlers
-      ~ocalls:[ (9, fun _ -> Bytes.empty) ]
-      ()
+    Backend.create platform
+      {
+        (Backend.config (Backend.Hyperenclave mode)) with
+        Backend.handlers;
+        ocalls = [ (9, fun _ -> Bytes.empty) ];
+      }
   in
   let ecall_samples =
     List.init iterations (fun _ ->

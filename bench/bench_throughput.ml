@@ -55,11 +55,13 @@ let measure ~cores =
   let p = Platform.create ~seed:906L () in
   let backends =
     List.init enclaves (fun i ->
-        Backend.hyperenclave p ~mode:Sgx_types.GU
-          ~tweak:(fun c ->
-            { c with Urts.code_seed = Printf.sprintf "throughput-%d" i })
-          ~handlers:(Resp_kv.handlers ())
-          ~ocalls:(Resp_kv.ocalls ()) ())
+        Backend.create p
+          {
+            (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
+            Backend.code_seed = Some (Printf.sprintf "throughput-%d" i);
+            handlers = Resp_kv.handlers ();
+            ocalls = Resp_kv.ocalls ();
+          })
   in
   List.iter (fun b -> Resp_kv.load b ~records) backends;
   let sched =

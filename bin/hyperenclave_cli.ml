@@ -156,7 +156,8 @@ let make_backend choice ~handlers ~ocalls =
         | Native | Sgx_b -> assert false
       in
       let p = Platform.create ~seed:99L () in
-      Backend.hyperenclave p ~mode ~handlers ~ocalls ()
+      Backend.create p
+        { (Backend.config (Backend.Hyperenclave mode)) with Backend.handlers; ocalls }
 
 let run_cmd =
   let module W = Workloads in

@@ -78,7 +78,6 @@ type config = {
   serve : Serve.config;
   net : Netsim.config;
   vnodes : int;
-  migration_retries : int;
 }
 
 let default_config =
@@ -88,8 +87,10 @@ let default_config =
     serve = Serve.default_config;
     net = Netsim.default_config;
     vnodes = 16;
-    migration_retries = 3;
   }
+
+(* Network retries per protocol message before a drop is a partition. *)
+let message_retries = 3
 
 type t = {
   c_config : config;
@@ -135,13 +136,27 @@ let mk_node ~node_id ~serve platform =
     n_anchor = anchor;
   }
 
-let mk ~config ~platforms ~net_clock =
+let create config =
+  if config.nodes <= 0 then
+    invalid_arg "Cluster.create: nodes must be positive";
+  if config.vnodes <= 0 then
+    invalid_arg "Cluster.create: vnodes must be positive";
+  let platforms =
+    List.init config.nodes (fun i ->
+        (* Distinct derived seeds: every node gets its own TPM state,
+           K_root and therefore hapk — siblings are honestly booted but
+           cryptographically distinct machines. *)
+        Platform.create
+          ~seed:(Int64.add config.seed (Int64.of_int (0x9E3779B1 * (i + 1))))
+          ())
+  in
   let nodes =
     Array.of_list
       (List.mapi
          (fun i platform -> mk_node ~node_id:i ~serve:config.serve platform)
          platforms)
   in
+  let net_clock = Cycles.create () in
   {
     c_config = config;
     c_nodes = nodes;
@@ -160,29 +175,6 @@ let mk ~config ~platforms ~net_clock =
     c_max_pause = 0;
     c_destroyed = false;
   }
-
-let create config =
-  if config.nodes <= 0 then
-    invalid_arg "Cluster.create: nodes must be positive";
-  if config.vnodes <= 0 then
-    invalid_arg "Cluster.create: vnodes must be positive";
-  if config.migration_retries < 0 then
-    invalid_arg "Cluster.create: migration_retries must be non-negative";
-  let platforms =
-    List.init config.nodes (fun i ->
-        (* Distinct derived seeds: every node gets its own TPM state,
-           K_root and therefore hapk — siblings are honestly booted but
-           cryptographically distinct machines. *)
-        Platform.create
-          ~seed:(Int64.add config.seed (Int64.of_int (0x9E3779B1 * (i + 1))))
-          ())
-  in
-  let net_clock = Cycles.create () in
-  mk ~config ~platforms ~net_clock
-
-let singleton ~platform ?(serve = Serve.default_config) () =
-  let config = { default_config with nodes = 1; serve } in
-  mk ~config ~platforms:[ platform ] ~net_clock:platform.Platform.clock
 
 let node t i =
   if i < 0 || i >= Array.length t.c_nodes then
@@ -275,7 +267,7 @@ let send t ~src ~dst ~bytes =
       match Netsim.transfer t.c_net ~src ~dst ~bytes with
       | Netsim.Delivered _ -> Ok ()
       | Netsim.Dropped ->
-          if attempt >= t.c_config.migration_retries then Error Net_partition
+          if attempt >= message_retries then Error Net_partition
           else go (attempt + 1)
     in
     go 0
@@ -326,84 +318,6 @@ let blob_aad ~tenant ~src ~dst ~nonce =
   Buffer.add_int64_le buf (Int64.of_int dst);
   Buffer.add_bytes buf nonce;
   Buffer.to_bytes buf
-
-(* --- export blob wire form ------------------------------------------- *)
-
-let blob_magic = "hemig1:"
-
-let put_u64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
-
-let put_field buf b =
-  put_u64 buf (Bytes.length b);
-  Buffer.add_bytes buf b
-
-let encode_export (x : Serve.tenant_export) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf blob_magic;
-  put_field buf (Bytes.of_string x.Serve.x_tenant);
-  put_field buf x.Serve.x_identity;
-  put_u64 buf (List.length x.Serve.x_sessions);
-  List.iter
-    (fun (s : Serve.session_export) ->
-      put_u64 buf s.Serve.x_session;
-      put_field buf s.Serve.x_key;
-      put_u64 buf s.Serve.x_recv_seq;
-      put_u64 buf s.Serve.x_pages;
-      put_field buf s.Serve.x_state)
-    x.Serve.x_sessions;
-  put_u64 buf (List.length x.Serve.x_nonces);
-  List.iter (fun n -> put_field buf (Bytes.of_string n)) x.Serve.x_nonces;
-  Buffer.to_bytes buf
-
-exception Short of string
-
-let decode_export b =
-  let pos = ref 0 in
-  let need n what =
-    if !pos + n > Bytes.length b then raise (Short what)
-  in
-  let u64 what =
-    need 8 what;
-    let v = Int64.to_int (Bytes.get_int64_le b !pos) in
-    pos := !pos + 8;
-    if v < 0 then raise (Short what);
-    v
-  in
-  let field what =
-    let n = u64 what in
-    need n what;
-    let v = Bytes.sub b !pos n in
-    pos := !pos + n;
-    v
-  in
-  match
-    let m = String.length blob_magic in
-    need m "magic";
-    if Bytes.sub_string b 0 m <> blob_magic then raise (Short "magic");
-    pos := m;
-    let x_tenant = Bytes.to_string (field "tenant") in
-    let x_identity = field "identity" in
-    let nsessions = u64 "session count" in
-    if nsessions > 1_000_000 then raise (Short "session count");
-    let x_sessions =
-      List.init nsessions (fun _ ->
-          let x_session = u64 "session id" in
-          let x_key = field "key" in
-          let x_recv_seq = u64 "recv_seq" in
-          let x_pages = u64 "pages" in
-          let x_state = field "state" in
-          { Serve.x_session; x_key; x_recv_seq; x_pages; x_state })
-    in
-    let nnonces = u64 "nonce count" in
-    if nnonces > 1_000_000 then raise (Short "nonce count");
-    let x_nonces =
-      List.init nnonces (fun _ -> Bytes.to_string (field "nonce"))
-    in
-    if !pos <> Bytes.length b then raise (Short "trailing bytes");
-    { Serve.x_tenant; x_identity; x_sessions; x_nonces }
-  with
-  | x -> Ok x
-  | exception Short what -> Error what
 
 module Migrate = struct
   type offer = {
@@ -497,7 +411,7 @@ module Migrate = struct
                          (Printf.sprintf "injected %s fault at %s"
                             (Fault.kind_name kind) site))
                 | Error r -> Error (Reject r)
-                | Ok export -> (
+                | Ok blob -> (
                     let secret, p_kx = Kx.generate t.c_rng in
                     match Kx.shared secret o.o_kx with
                     | None -> Error Binding_mismatch
@@ -508,9 +422,8 @@ module Migrate = struct
                             ~dst:o.o_dst ~nonce:o.o_nonce
                         in
                         let sealed =
-                          Authenc.seal ~key ~aad
-                            ~nonce:(Rng.bytes t.c_rng 12)
-                            (encode_export export)
+                          Authenc.seal ~key ~aad ~nonce:(Rng.bytes t.c_rng 12)
+                            blob
                         in
                         Ok
                           {
@@ -554,18 +467,13 @@ module Migrate = struct
                     match Authenc.unseal ~key sealed with
                     | exception Authenc.Authentication_failure ->
                         Error Transport_auth
-                    | plain -> (
-                        match decode_export plain with
-                        | Error m -> Error (Blob_malformed m)
-                        | Ok export -> (
-                            match ensure_tenant t dn p.p_tenant with
-                            | Error _ as e -> e
-                            | Ok () -> (
-                                match
-                                  Serve.import_tenant (Node.plane dn) export
-                                with
-                                | Error r -> Error (Reject r)
-                                | Ok n -> Ok n))))))
+                    | blob -> (
+                        match ensure_tenant t dn p.p_tenant with
+                        | Error _ as e -> e
+                        | Ok () ->
+                            Result.map_error
+                              (fun r -> Reject r)
+                              (Serve.import_tenant (Node.plane dn) blob)))))
     end
 end
 
@@ -605,9 +513,9 @@ let migrate t ~tenant ~dst =
     let* () = send t ~src ~dst ~bytes:(package_bytes p) in
     let* n = Migrate.install t p in
     let* _retired =
-      match Serve.retire_tenant (plane t src) ~tenant ~to_node:dst with
-      | Error r -> Error (Reject r)
-      | Ok k -> Ok k
+      Result.map_error
+        (fun r -> Reject r)
+        (Serve.retire_tenant (plane t src) ~tenant ~to_node:dst)
     in
     Hashtbl.replace t.c_placement tenant dst;
     let pause =

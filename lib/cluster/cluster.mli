@@ -31,17 +31,23 @@
       monitor-backed node {e before} any state moves;
     + {e seal} — A verifies B's quote against B's anchor (golden boot,
       pinned hapk, pinned quoting-enclave MRENCLAVE, transcript
-      binding), exports the tenant ({!Hyperenclave_serve.Serve.export_tenant}:
-      session keys, sequence cursors, committed EDMM pages, the burnt
-      replay cache) and seals the blob under a transport key derived
-      from the {!Kx} agreement, with AAD binding tenant, route and
-      nonce;
+      binding), exports the tenant
+      ({!Hyperenclave_serve.Serve.export_tenant}: one opaque blob of
+      session keys, sequence cursors, committed EDMM pages and the burnt
+      replay cache, in a format the serving plane owns) and seals those
+      bytes under a transport key derived from the {!Kx} agreement, with
+      AAD binding tenant, route and nonce;
     + {e install} — B burns the offer (each nonce admits one blob),
-      unseals, rebuilds the tenant
-      ({!Hyperenclave_serve.Serve.import_tenant} — refusing unless its
-      own enclave measures identically), and A cuts over
+      unseals, hands the bytes to
+      {!Hyperenclave_serve.Serve.import_tenant} — which rebuilds the
+      tenant, refusing a malformed blob or an enclave that does not
+      measure identically — and A cuts over
       ({!Hyperenclave_serve.Serve.retire_tenant}) so stragglers get
       typed forwards.
+
+    The cluster never looks inside the blob: it only seals, ships and
+    opens bytes.  Every protocol message gets {!message_retries}
+    network retries.
 
     Clients notice nothing: session keys and sequence numbers survive
     the move, and {!Client.call} chases the typed
@@ -68,7 +74,10 @@ type error =
           never offered, already consumed, or shipped to the wrong
           destination *)
   | Transport_auth  (** sealed state blob failed authentication *)
-  | Blob_malformed of string  (** structural decode failure *)
+  | Blob_malformed of string
+      (** the offer quote or the sealed package failed structural
+          decode; a malformed blob inside an authentic package is the
+          plane's [Reject (Import_conflict _)] *)
   | Net_partition  (** the network dropped the message past retries *)
   | Node_down of int
   | Migration_fault of string
@@ -108,12 +117,13 @@ type config = {
   serve : Serve.config;  (** per-node serving-plane configuration *)
   net : Netsim.config;
   vnodes : int;  (** virtual nodes per node on the consistent-hash ring *)
-  migration_retries : int;  (** network retries per protocol message *)
 }
 
 val default_config : config
-(** 4 nodes, seed 42, default serve and net configs, 16 vnodes, 3
-    retries. *)
+(** 4 nodes, seed 42, default serve and net configs, 16 vnodes. *)
+
+val message_retries : int
+(** 3: network retries per protocol message before {!Net_partition}. *)
 
 type t
 
@@ -121,11 +131,6 @@ val create : config -> t
 (** Boot [nodes] platforms (derived seeds), one serving plane per node
     (node [i] answers as identity [i]), record every anchor, and wire
     the network. *)
-
-val singleton : platform:Platform.t -> ?serve:Serve.config -> unit -> t
-(** A one-node cluster wrapping an existing platform — the shim that
-    keeps single-node callers on the node-addressed API.  [plane t 0]
-    is the serving plane; the network is a loopback. *)
 
 val node : t -> int -> Node.t
 val nodes : t -> Node.t list
@@ -173,7 +178,8 @@ module Migrate : sig
     p_dst : int;
     p_nonce : bytes;  (** echo of the offer nonce *)
     p_kx : Kx.public;  (** the source's ephemeral share *)
-    p_blob : bytes;  (** encoded sealed export — opaque, tamper-evident *)
+    p_blob : bytes;
+        (** the sealed export blob, encoded — opaque, tamper-evident *)
   }
 
   val offer : t -> tenant:string -> src:int -> dst:int -> (offer, error) result
@@ -187,7 +193,8 @@ module Migrate : sig
       fault site. *)
 
   val install : t -> package -> (int, error) result
-  (** Runs on [p_dst]: burn the pending offer, unseal, rebuild the
+  (** Runs on [p_dst]: burn the pending offer, unseal, and hand the
+      bytes to {!Hyperenclave_serve.Serve.import_tenant} to rebuild the
       tenant and its sessions.  Returns sessions installed. *)
 end
 

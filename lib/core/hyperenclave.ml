@@ -8,8 +8,12 @@
     {[
       let platform = Hyperenclave.Platform.create () in
       let backend =
-        Hyperenclave.Backend.hyperenclave platform ~mode:Hyperenclave.Sgx_types.GU
-          ~handlers:[ (1, fun env input -> ...) ] ~ocalls:[] ()
+        Hyperenclave.Backend.(
+          create platform
+            {
+              (config (Hyperenclave Hyperenclave.Sgx_types.GU)) with
+              handlers = [ (1, fun env input -> ...) ];
+            })
       in
       let reply = backend.call ~id:1 ~data ~direction:Hyperenclave.Edge.In_out ()
     ]}

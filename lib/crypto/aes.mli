@@ -32,7 +32,7 @@ val ctr_into :
     into [dst[dst_off, ...)].  [src] and [dst] may alias (including the
     same buffer at the same offset for a true in-place transform), and
     the key schedule is caller-provided so batched callers expand it
-    once.  Byte-identical to {!ctr_transform} on the same key material.
+    once.  {!ctr_transform} is this over a fresh output buffer.
     @raise Invalid_argument on out-of-bounds slices or a nonce longer
     than 12 bytes. *)
 

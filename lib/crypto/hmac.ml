@@ -12,7 +12,18 @@ let xor_pad_in_place pad byte =
       (Char.unsafe_chr (Char.code (Bytes.unsafe_get pad i) lxor byte))
   done
 
-let hmac ~key msg =
+(* A named loop, not [List.iter] over a closure: every HMAC runs it, and
+   it allocates nothing. *)
+let rec absorb ctx = function
+  | [] -> ()
+  | (b, off, len) :: rest ->
+      Sha256.update_sub ctx b ~off ~len;
+      absorb ctx rest
+
+(* HMAC over a concatenation of slices, none of which are copied: the
+   zero-copy AEAD path MACs length-prefix headers and ring-resident
+   ciphertext without assembling the message in a scratch buffer. *)
+let hmac_slices ~key slices =
   (* [normalize_key] already copies, so the pad mutates that copy:
      XOR 0x36 makes the inner pad, and re-XORing with 0x36 lxor 0x5c
      turns it into the outer pad without a second buffer. *)
@@ -20,7 +31,7 @@ let hmac ~key msg =
   xor_pad_in_place pad 0x36;
   let inner = Sha256.init () in
   Sha256.update inner pad;
-  Sha256.update inner msg;
+  absorb inner slices;
   let inner_digest = Sha256.finalize inner in
   xor_pad_in_place pad (0x36 lxor 0x5c);
   let outer = Sha256.init () in
@@ -28,21 +39,7 @@ let hmac ~key msg =
   Sha256.update outer inner_digest;
   Sha256.finalize outer
 
-(* HMAC over a concatenation of slices, none of which are copied: the
-   zero-copy AEAD path MACs length-prefix headers and ring-resident
-   ciphertext without assembling the message in a scratch buffer. *)
-let hmac_slices ~key slices =
-  let pad = normalize_key key in
-  xor_pad_in_place pad 0x36;
-  let inner = Sha256.init () in
-  Sha256.update inner pad;
-  List.iter (fun (b, off, len) -> Sha256.update_sub inner b ~off ~len) slices;
-  let inner_digest = Sha256.finalize inner in
-  xor_pad_in_place pad (0x36 lxor 0x5c);
-  let outer = Sha256.init () in
-  Sha256.update outer pad;
-  Sha256.update outer inner_digest;
-  Sha256.finalize outer
+let hmac ~key msg = hmac_slices ~key [ (msg, 0, Bytes.length msg) ]
 
 (* [hmac] never mutates [msg], so borrow the string's bytes. *)
 let hmac_string ~key msg = hmac ~key (Bytes.unsafe_of_string msg)

@@ -8,7 +8,6 @@ type config = {
   quantum : int;
   work_stealing : bool;
   batch : int;
-  steal_penalty : int;
   drop_on_error : bool;
 }
 
@@ -18,11 +17,12 @@ let default_config =
     quantum = 250_000;
     work_stealing = true;
     batch = 1;
-    (* Migrating a job pulls its working set cold on the thief: charge
-       one OS context switch worth of cache/TLB refill. *)
-    steal_penalty = 6_886;
     drop_on_error = false;
   }
+
+(* Migrating a job pulls its working set cold on the thief: charge one
+   OS context switch worth of cache/TLB refill. *)
+let steal_cycles = 6_886
 
 (* A job's work is either a list of individual ECALLs or one slot ring
    whose slots were staged by the caller: the ring dispatches as a single
@@ -185,7 +185,7 @@ let steal t (thief : core) =
           v.queue <- List.rev rev_front;
           thief.steals <- thief.steals + 1;
           Telemetry.incr t.telemetry "sched.steal";
-          Cycles.tick thief.clock t.config.steal_penalty;
+          Cycles.tick thief.clock steal_cycles;
           Some last)
 
 (* Run one request (or one whole ring) of [job].  Typed failures — an

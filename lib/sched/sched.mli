@@ -20,7 +20,8 @@
     duration, so one long request is sheared by genuine AEX + ERESUME
     round trips through the monitor (SSA spill/restore) at each quantum
     boundary.  Unfinished jobs requeue at the back; a drained core steals
-    from the richest queue (work stealing) when enabled. *)
+    from the richest queue (work stealing) when enabled, paying
+    {!steal_cycles} on its own clock per stolen job. *)
 
 open Hyperenclave_hw
 open Hyperenclave_sdk
@@ -37,8 +38,6 @@ type config = {
           handle; [Serve.create_node] requires it in [[1, 16]].  It stays
           here because existing serve configurations set it through
           [Sched.config]. *)
-  steal_penalty : int;
-      (** cycles charged to the thief per stolen job (cold working set) *)
   drop_on_error : bool;
       (** drop a request that ends in a typed error (injected permanent
           fault, SDK refusal) instead of aborting the run — lets chaos
@@ -48,6 +47,10 @@ type config = {
 val default_config : config
 (** 2 cores, 250k-cycle quantum, stealing on, [batch = 1], strict
     errors. *)
+
+val steal_cycles : int
+(** 6,886: cycles charged to the thief per stolen job — one OS context
+    switch worth of cold cache/TLB refill. *)
 
 type t
 

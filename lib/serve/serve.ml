@@ -12,8 +12,6 @@ module Kx = Hyperenclave_crypto.Kx
 module Authenc = Hyperenclave_crypto.Authenc
 module Sha256 = Hyperenclave_crypto.Sha256
 module Signature = Hyperenclave_crypto.Signature
-module Tpm = Hyperenclave_tpm.Tpm
-module Pcr = Hyperenclave_tpm.Pcr
 module Fault = Hyperenclave_fault.Fault
 module Telemetry = Hyperenclave_obs.Telemetry
 
@@ -100,17 +98,10 @@ type config = {
   sched : Sched.config;
   max_queue : int;
   cycle_quota : int option;
-  state_stride_pages : int;
   nonce_cache : int;
       (** replay-cache bound: only the last [nonce_cache] handshake /
           resume nonces are remembered *)
   ticket_ttl : int;  (** session-ticket lifetime, shared-clock cycles *)
-  shard_block : int;
-      (** consecutive per-session requests assigned to one ring shard
-          before the plane rotor moves to the next — small enough that a
-          single hot session spreads across every core, large enough to
-          keep a session's replies mostly on one reply segment *)
-  slot_bytes : int;  (** ring slot payload capacity (multiple of 8) *)
 }
 
 let default_config =
@@ -118,12 +109,16 @@ let default_config =
     sched = { Sched.default_config with Sched.drop_on_error = true };
     max_queue = 64;
     cycle_quota = None;
-    state_stride_pages = 16;
     nonce_cache = 1024;
     ticket_ttl = 1_000_000_000;
-    shard_block = 8;
-    slot_bytes = 256;
   }
+
+(* Fixed plane geometry, documented in the interface: pages per session
+   state slot, ring slot payload bytes (a multiple of 8), and the run of
+   one session's requests a ring shard takes before the rotor moves. *)
+let state_stride_pages = 16
+let slot_bytes = 256
+let rotor_block = 8
 
 (* Placeholders the stage arrays are filled with so dead entries never
    pin client envelopes (or stale fallback replies) against the GC. *)
@@ -227,25 +222,10 @@ type session = {
 }
 
 (* The attested name a serve plane answers under in a fleet: which node
-   it is, which monitor speaks for it, and that monitor's measured-boot
-   digest.  Threaded explicitly (rather than read off the platform at
-   use sites) so every quote-verification decision names its trust
-   anchor. *)
-type identity = {
-  node_id : int;
-  hapk : Signature.public_key;
-  pcr_digest : bytes;
-}
-
-let identity_of_platform ?(node_id = 0) (p : Platform.t) =
-  {
-    node_id;
-    hapk = Monitor.hapk p.Platform.monitor;
-    pcr_digest =
-      Pcr.selection_digest
-        (Tpm.pcrs p.Platform.tpm)
-        ~indices:Monitor.quote_pcr_selection;
-  }
+   it is and which monitor speaks for it.  Threaded explicitly (rather
+   than read off the platform at use sites) so every quote-verification
+   decision names its trust anchor. *)
+type identity = { node_id : int; hapk : Signature.public_key }
 
 type t = {
   platform : Platform.t;
@@ -270,7 +250,7 @@ type t = {
   (* --- data path --- *)
   shards : int;  (* ring shards per tenant = scheduler cores *)
   mutable rotor : int;
-      (* plane-wide block rotor: each [shard_block]-long run of staged
+      (* plane-wide block rotor: each [rotor_block]-long run of staged
          requests takes the next shard, so both many-tenant and single
          hot-tenant flushes spread over every core *)
   mutable flush_gen : int;
@@ -278,8 +258,6 @@ type t = {
   aad_scratch : bytes;  (* admission-path AAD render, no allocation *)
   mutable sid_scratch : int array;  (* distinct staged sessions, sorted *)
   mutable sid_count : int;
-  mutable hw_staged : int;  (* high-water marks behind the telemetry *)
-  mutable hw_shards : int;
 }
 
 let fault_site = "serve.session"
@@ -293,8 +271,11 @@ module Node_config = struct
 
   type t = { identity : identity; serve : serve_config }
 
-  let v ?node_id ~platform serve =
-    { identity = identity_of_platform ?node_id platform; serve }
+  let v ?(node_id = 0) ~platform serve =
+    {
+      identity = { node_id; hapk = Monitor.hapk platform.Platform.monitor };
+      serve;
+    }
 end
 
 let create_node ~platform (nc : Node_config.t) =
@@ -304,8 +285,6 @@ let create_node ~platform (nc : Node_config.t) =
   in
   if config.max_queue <= 0 then
     invalid_arg "Serve.create_node: max_queue must be positive";
-  if config.state_stride_pages <= 0 then
-    invalid_arg "Serve.create_node: state_stride_pages must be positive";
   (match config.cycle_quota with
   | Some q when q <= 0 ->
       invalid_arg "Serve.create_node: cycle_quota must be positive"
@@ -314,14 +293,10 @@ let create_node ~platform (nc : Node_config.t) =
     invalid_arg "Serve.create_node: nonce_cache must be positive";
   if config.ticket_ttl <= 0 then
     invalid_arg "Serve.create_node: ticket_ttl must be positive";
-  if config.shard_block <= 0 then
-    invalid_arg "Serve.create_node: shard_block must be positive";
   if config.sched.Sched.batch <= 0 || config.sched.Sched.batch > max_batch then
     invalid_arg
       (Printf.sprintf "Serve.create_node: sched.batch must be in [1, %d]"
          max_batch);
-  if config.slot_bytes <= 0 || config.slot_bytes mod 8 <> 0 then
-    invalid_arg "Serve.create_node: slot_bytes must be a positive multiple of 8";
   let identity = nc.Node_config.identity in
   (* The identity must speak for THIS platform's monitor: a plane that
      advertised another node's hapk would hand out quotes its own
@@ -364,8 +339,6 @@ let create_node ~platform (nc : Node_config.t) =
     aad_scratch = Bytes.create 34;
     sid_scratch = Array.make 16 0;
     sid_count = 0;
-    hw_staged = 0;
-    hw_shards = 0;
   }
 
 let identity t = t.identity
@@ -373,6 +346,12 @@ let identity t = t.identity
 let reject t r =
   Telemetry.incr t.telemetry ("serve.reject." ^ reject_name r);
   Error r
+
+(* A chain of checks that may fail anywhere counts its reject once, at
+   the end. *)
+let rejected t = function Ok _ as ok -> ok | Error r -> reject t r
+
+let ( let* ) = Result.bind
 
 (* A session id that is neither live nor migrated is unknown; a migrated
    one forwards the caller to the node that now owns it. *)
@@ -418,39 +397,37 @@ let nonce_replayed t nonce =
     false
   end
 
-(* EDMM state slots are recycled through the tenant's free list before
-   the stride arena grows — open/close churn reuses slots instead of
-   leaking them. *)
-let alloc_slot (tn : tenant) =
-  match tn.free_slots with
-  | slot :: rest ->
-      tn.free_slots <- rest;
-      slot
-  | [] ->
-      let slot = tn.next_slot in
-      tn.next_slot <- slot + 1;
-      slot
-
 (* ---------------------------------------------------------------------- *)
-(* Session state ECALL (EDMM-backed elastic per-session state)            *)
+(* Session state ECALLs (EDMM-backed elastic per-session state)           *)
 
-let state_ecall = 0x5e55
+(* Little-endian u64 words: the wire form of every state-ECALL argument
+   and count reply. *)
+let u64s vs =
+  let b = Bytes.create (8 * List.length vs) in
+  List.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.of_int v)) vs;
+  b
 
-(* Touch [pages] heap pages starting at byte [off]: on the HyperEnclave
+let get_u64 b off = Int64.to_int (Bytes.get_int64_le b off)
+
+(* [off:8][n:8] with both non-negative: the commit and read arguments. *)
+let get_range what input =
+  if Bytes.length input <> 16 then
+    invalid_arg ("serve: malformed session-state " ^ what);
+  let off = get_u64 input 0 and n = get_u64 input 8 in
+  if off < 0 || n < 0 then invalid_arg "serve: negative session-state range";
+  (off, n)
+
+(* Commit: touch [pages] heap pages from byte [off].  On the HyperEnclave
    backends each first touch demand-commits an EPC page through the
    monitor's EDMM path; native backs it with scratch memory. *)
+let state_ecall = 0x5e55
+
 let state_handler (env : Backend.env) input =
-  if Bytes.length input <> 16 then
-    invalid_arg "serve: malformed session-state request";
-  let off = Int64.to_int (Bytes.get_int64_le input 0) in
-  let pages = Int64.to_int (Bytes.get_int64_le input 8) in
-  if off < 0 || pages < 0 then invalid_arg "serve: negative session-state range";
+  let off, pages = get_range "request" input in
   for i = 0 to pages - 1 do
     env.Backend.heap_write ~off:(off + (i * Addr.page_size)) (Bytes.make 1 '\001')
   done;
-  let reply = Bytes.create 8 in
-  Bytes.set_int64_le reply 0 (Int64.of_int pages);
-  reply
+  u64s [ pages ]
 
 (* Migration-time state movers: read a session's committed heap range out
    for export, write it back on the destination.  [off:8][len:8] in /
@@ -458,11 +435,7 @@ let state_handler (env : Backend.env) input =
 let state_read_ecall = 0x5e56
 
 let state_read_handler (env : Backend.env) input =
-  if Bytes.length input <> 16 then
-    invalid_arg "serve: malformed session-state read";
-  let off = Int64.to_int (Bytes.get_int64_le input 0) in
-  let len = Int64.to_int (Bytes.get_int64_le input 8) in
-  if off < 0 || len < 0 then invalid_arg "serve: negative session-state range";
+  let off, len = get_range "read" input in
   env.Backend.heap_read ~off ~len
 
 let state_write_ecall = 0x5e57
@@ -470,13 +443,11 @@ let state_write_ecall = 0x5e57
 let state_write_handler (env : Backend.env) input =
   if Bytes.length input < 8 then
     invalid_arg "serve: malformed session-state write";
-  let off = Int64.to_int (Bytes.get_int64_le input 0) in
+  let off = get_u64 input 0 in
   if off < 0 then invalid_arg "serve: negative session-state offset";
   let data = Bytes.sub input 8 (Bytes.length input - 8) in
   env.Backend.heap_write ~off data;
-  let reply = Bytes.create 8 in
-  Bytes.set_int64_le reply 0 (Int64.of_int (Bytes.length data));
-  reply
+  u64s [ Bytes.length data ]
 
 let reserved_ecalls = [ state_ecall; state_read_ecall; state_write_ecall ]
 
@@ -512,9 +483,7 @@ let add_tenant t ~name (bc : Backend.config) =
        slack per segment. *)
     match bc.Backend.kind with
     | Backend.Hyperenclave _ ->
-        let need =
-          8 + (t.config.max_queue * (16 + t.config.slot_bytes))
-        in
+        let need = 8 + (t.config.max_queue * (16 + slot_bytes)) in
         let ms_min =
           Addr.align_up ((4 * t.shards * need) + (4 * Addr.page_size))
         in
@@ -558,6 +527,88 @@ let add_tenant t ~name (bc : Backend.config) =
   Hashtbl.replace t.tenants name tenant;
   t.tenant_order <- name :: t.tenant_order;
   backend
+
+(* ---------------------------------------------------------------------- *)
+(* Session lifecycle                                                      *)
+
+(* The only way into the reserved state ECALLs: one protected call, any
+   failure a typed session fault. *)
+let state_call (tn : tenant) ~id data =
+  match
+    Backend.protected_call tn.backend ~id ~data ~direction:Edge.In_out ()
+  with
+  | Backend.Success reply -> Ok reply
+  | Backend.Typed_error m | Backend.Violation m -> Error (Session_fault m)
+
+let slot_offset slot = slot * state_stride_pages * Addr.page_size
+
+(* Demand-commit the first [pages] pages of [slot]'s state region;
+   returns the page count the enclave reports. *)
+let commit_pages tn ~slot ~pages =
+  Result.map
+    (fun reply -> get_u64 reply 0)
+    (state_call tn ~id:state_ecall (u64s [ slot_offset slot; pages ]))
+
+(* EDMM state slots are recycled through the tenant's free list before
+   the stride arena grows — open/close churn reuses slots instead of
+   leaking them. *)
+let alloc_slot (tn : tenant) =
+  match tn.free_slots with
+  | slot :: rest ->
+      tn.free_slots <- rest;
+      slot
+  | [] ->
+      let slot = tn.next_slot in
+      tn.next_slot <- slot + 1;
+      slot
+
+let fresh_id t =
+  let id = t.next_session in
+  t.next_session <- id + 1;
+  id
+
+(* Every session record is built here.  Handshake and resume pass a
+   fresh id and slot with cursor 0 and no pages; import passes the
+   migrated id, key, cursor and pages, in the slot it re-committed.  The
+   AEAD key material is prepared once, so every envelope on the channel
+   rides the zero-copy path without per-request setup. *)
+let open_session t tn ~id ~key ~slot ~recv_seq ~pages =
+  charge_aead_setup t;
+  let s =
+    {
+      s_id = id;
+      tenant = tn;
+      key;
+      keys = Authenc.prepare key;
+      state_slot = slot;
+      recv_seq;
+      s_pages = pages;
+    }
+  in
+  Hashtbl.replace t.sessions id s;
+  s
+
+(* Every session leaves the table here (close, cutover, import
+   rollback): its staged arena slots die in place — [-1] marks a dead
+   slot every flush pass skips, so the arena is never compacted — and
+   its state slot goes back on the tenant's free list. *)
+let retire_session t (s : session) =
+  let tn = s.tenant in
+  let st = tn.stage in
+  for i = 0 to st.sg_n - 1 do
+    if st.sg_sids.(i) = s.s_id then begin
+      st.sg_sids.(i) <- -1;
+      st.sg_envs.(i) <- dummy_sealed;
+      tn.queued <- tn.queued - 1
+    end
+  done;
+  Hashtbl.remove t.sessions s.s_id;
+  tn.free_slots <- s.state_slot :: tn.free_slots
+
+let tenant_sessions t tn =
+  Hashtbl.fold
+    (fun _ s acc -> if s.tenant == tn then s :: acc else acc)
+    t.sessions []
 
 let quoting_urts t =
   match t.qe with
@@ -623,6 +674,10 @@ let injected_msg site kind =
   Printf.sprintf "injected %s fault at %s" (Fault.kind_name kind) site
 
 let handshake t ~tenant hello =
+  let refuse r =
+    Telemetry.incr t.telemetry "serve.handshake_rejected";
+    reject t r
+  in
   match Hashtbl.find_opt t.tenants tenant with
   | None -> reject t (Unknown_tenant tenant)
   | Some { t_migrated_to = Some to_node; _ } ->
@@ -630,16 +685,11 @@ let handshake t ~tenant hello =
   | Some tn -> (
       (* Burn the nonce even when the handshake later fails: a replayed
          challenge must never get a second quote. *)
-      if nonce_replayed t hello.nonce then begin
-        Telemetry.incr t.telemetry "serve.handshake_rejected";
-        reject t Replayed_nonce
-      end
-      else begin
+      if nonce_replayed t hello.nonce then refuse Replayed_nonce
+      else
         match tn.backend.Backend.identity with
         | None ->
-            Telemetry.incr t.telemetry "serve.handshake_rejected";
-            reject t
-              (Unsupported "native backend has no enclave identity to attest")
+            refuse (Unsupported "native backend has no enclave identity to attest")
         | Some tenant_identity -> (
             match
               Fault.with_retries ~backoff:(backoff t) (fun () ->
@@ -660,43 +710,26 @@ let handshake t ~tenant hello =
                   (secret, server_kx, Wire.encode quote))
             with
             | exception Fault.Injected { site; kind } ->
-                Telemetry.incr t.telemetry "serve.handshake_rejected";
-                reject t (Session_fault (injected_msg site kind))
+                refuse (Session_fault (injected_msg site kind))
             | secret, server_kx, quote_wire -> (
                 match Kx.shared secret hello.client_kx with
-                | None ->
-                    Telemetry.incr t.telemetry "serve.handshake_rejected";
-                    reject t Unknown_key_share
+                | None -> refuse Unknown_key_share
                 | Some shared ->
-                    let key = derive_key ~shared ~nonce:hello.nonce in
-                    let session_id = t.next_session in
-                    t.next_session <- session_id + 1;
-                    let state_slot = alloc_slot tn in
-                    (* Prepare the session's AEAD key material once: every
-                       envelope on this channel rides the zero-copy path
-                       without paying per-request setup. *)
-                    charge_aead_setup t;
-                    Hashtbl.replace t.sessions session_id
-                      {
-                        s_id = session_id;
-                        tenant = tn;
-                        key;
-                        keys = Authenc.prepare key;
-                        state_slot;
-                        recv_seq = 0;
-                        s_pages = 0;
-                      };
+                    let s =
+                      open_session t tn ~id:(fresh_id t) ~slot:(alloc_slot tn)
+                        ~key:(derive_key ~shared ~nonce:hello.nonce)
+                        ~recv_seq:0 ~pages:0
+                    in
                     Telemetry.incr t.telemetry "serve.handshake";
                     Telemetry.incr t.telemetry "serve.session_open";
                     Ok
                       {
-                        session_id;
+                        session_id = s.s_id;
                         node_id = t.identity.node_id;
                         server_kx;
                         quote_wire;
                         tenant_identity;
-                      }))
-      end)
+                      })))
 
 (* ---------------------------------------------------------------------- *)
 (* Request envelopes                                                      *)
@@ -761,12 +794,12 @@ let submit t (req : request) =
          prepared. *)
       let ct_len = Bytes.length req.envelope.Authenc.ciphertext in
       charge_aead_bytes t ~bytes:ct_len;
-      if ct_len > t.config.slot_bytes then
+      if ct_len > slot_bytes then
         reject t
           (Unsupported
              (Printf.sprintf
                 "request ciphertext (%d bytes) exceeds the %d-byte ring slot"
-                ct_len t.config.slot_bytes))
+                ct_len slot_bytes))
       else if
         not
           (aad_matches t ~domain:"serve-req:" ~session_id:req.session_id
@@ -877,7 +910,7 @@ let ring_for t (tn : tenant) urts shard =
   | None ->
       let r =
         Urts.create_ring urts ~shard ~shards:t.shards
-          ~slots:t.config.max_queue ~slot_bytes:t.config.slot_bytes
+          ~slots:t.config.max_queue ~slot_bytes
       in
       tn.rings.(shard) <- Some r;
       r
@@ -940,7 +973,7 @@ let flush t =
                   charge_aead_bytes t ~bytes:len;
                   match urts_opt with
                   | Some urts ->
-                      if !stamp mod t.config.shard_block = 0 then begin
+                      if !stamp mod rotor_block = 0 then begin
                         shard := t.rotor;
                         t.rotor <- (t.rotor + 1) mod t.shards
                       end;
@@ -1130,29 +1163,21 @@ let flush t =
           tn.rings
       end)
     tenants;
-  (* High-water telemetry: monotone counters stepped by the delta to the
-     new maximum, so `stats` shows the deepest flush and widest shard
-     spread the plane has reached. *)
-  if !flush_total > t.hw_staged then begin
-    Telemetry.add t.telemetry "serve.arena.high_water"
-      (!flush_total - t.hw_staged);
-    t.hw_staged <- !flush_total
-  end;
-  if !rings_used > t.hw_shards then begin
-    Telemetry.add t.telemetry "serve.ring.shards_active"
-      (!rings_used - t.hw_shards);
-    t.hw_shards <- !rings_used
-  end;
+  (* High-water telemetry: the deepest flush and widest shard spread any
+     plane on this platform has reached — the counters outlive a plane
+     rebuilt on the same monitor. *)
+  Telemetry.raise_to t.telemetry "serve.arena.high_water" !flush_total;
+  Telemetry.raise_to t.telemetry "serve.ring.shards_active" !rings_used;
   List.rev !out
 
 (* ---------------------------------------------------------------------- *)
 (* Session state (EDMM)                                                   *)
 
 let resize_session t ~session ~pages =
-  if pages < 0 || pages > t.config.state_stride_pages then
+  if pages < 0 || pages > state_stride_pages then
     invalid_arg
       (Printf.sprintf "Serve.resize_session: pages must be in [0, %d]"
-         t.config.state_stride_pages);
+         state_stride_pages);
   match Hashtbl.find_opt t.sessions session with
   | None -> reject t (session_reject t session)
   | Some s -> (
@@ -1162,21 +1187,12 @@ let resize_session t ~session ~pages =
             (Unsupported
                "SGX1 does not support EDMM: session state cannot grow after \
                 EINIT")
-      | Backend.Native | Backend.Hyperenclave _ ->
-          let data = Bytes.create 16 in
-          Bytes.set_int64_le data 0
-            (Int64.of_int
-               (s.state_slot * t.config.state_stride_pages * Addr.page_size));
-          Bytes.set_int64_le data 8 (Int64.of_int pages);
-          (match
-             Backend.protected_call s.tenant.backend ~id:state_ecall ~data
-               ~direction:Edge.In_out ()
-           with
-          | Backend.Success reply ->
+      | Backend.Native | Backend.Hyperenclave _ -> (
+          match commit_pages s.tenant ~slot:s.state_slot ~pages with
+          | Error rej -> reject t rej
+          | Ok committed ->
               s.s_pages <- max s.s_pages pages;
-              Ok (Int64.to_int (Bytes.get_int64_le reply 0))
-          | Backend.Typed_error m | Backend.Violation m ->
-              reject t (Session_fault m)))
+              Ok committed))
 
 (* ---------------------------------------------------------------------- *)
 (* Quotas and introspection                                               *)
@@ -1196,123 +1212,170 @@ let session_count t = Hashtbl.length t.sessions
 
 let sched_stats t = Sched.stats t.sched
 
-(* Retire a session: unstage anything still queued, recycle its EDMM
-   state slot through the tenant's free list, drop the table entry. *)
 let close_session t ~session =
   match Hashtbl.find_opt t.sessions session with
   | None -> reject t (session_reject t session)
   | Some s ->
-      let tn = s.tenant in
-      (* Kill the session's staged arena slots in place: [-1] marks a
-         dead slot every flush pass skips, so closing mid-stage never
-         compacts the arena or leaves a dangling session lookup. *)
-      let st = tn.stage in
-      for i = 0 to st.sg_n - 1 do
-        if st.sg_sids.(i) = s.s_id then begin
-          st.sg_sids.(i) <- -1;
-          st.sg_envs.(i) <- dummy_sealed;
-          tn.queued <- tn.queued - 1
-        end
-      done;
-      Hashtbl.remove t.sessions session;
-      tn.free_slots <- s.state_slot :: tn.free_slots;
+      retire_session t s;
       Telemetry.incr t.telemetry "serve.session_close";
       Ok ()
 
 (* ---------------------------------------------------------------------- *)
-(* Live migration: export / retire / import                               *)
+(* Live migration: the blob, export / retire / import                     *)
 
-type session_export = {
-  x_session : int;
-  x_key : bytes;
-  x_recv_seq : int;
-  x_pages : int;
-  x_state : bytes;
+(* A migrating tenant on the wire, every integer a u64 LE and every
+   field length-prefixed:
+     "hemig1:" [tenant] [identity] [n]
+       n x ( [id] [key] [recv_seq] [pages] [state] )
+     [m] m x [nonce]
+   Sessions in ascending id order; nonces in replay-cache FIFO order. *)
+let blob_magic = "hemig1:"
+
+let put_u64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
+
+let put_field buf b =
+  put_u64 buf (Bytes.length b);
+  Buffer.add_bytes buf b
+
+type moved = {
+  m_id : int;
+  m_key : bytes;
+  m_seq : int;
+  m_pages : int;
+  m_state : bytes;
 }
 
-type tenant_export = {
-  x_tenant : string;
-  x_identity : bytes;
-  x_sessions : session_export list;
-  x_nonces : string list;
-}
+exception Malformed of string
+
+(* Decode a blob; every structural fault (short field, negative or
+   oversized count, trailing bytes) is [Error what], never an
+   exception. *)
+let decode_blob b =
+  let pos = ref 0 in
+  (* Claim the next [n] bytes and return their offset. *)
+  let take n what =
+    if n > Bytes.length b - !pos then raise (Malformed what);
+    pos := !pos + n;
+    !pos - n
+  in
+  let u64 ?(max = max_int) what =
+    let v = get_u64 b (take 8 what) in
+    if v < 0 || v > max then raise (Malformed what);
+    v
+  in
+  let field what =
+    let n = u64 what in
+    Bytes.sub b (take n what) n
+  in
+  match
+    let m = String.length blob_magic in
+    if Bytes.sub_string b (take m "magic") m <> blob_magic then
+      raise (Malformed "magic");
+    let tenant = Bytes.to_string (field "tenant") in
+    let identity = field "identity" in
+    let moved =
+      List.init (u64 ~max:1_000_000 "session count") (fun _ ->
+          let m_id = u64 "session id" in
+          let m_key = field "key" in
+          let m_seq = u64 "recv_seq" in
+          let m_pages = u64 "pages" in
+          let m_state = field "state" in
+          { m_id; m_key; m_seq; m_pages; m_state })
+    in
+    let nonces =
+      List.init (u64 ~max:1_000_000 "nonce count") (fun _ -> field "nonce")
+    in
+    if !pos <> Bytes.length b then raise (Malformed "trailing bytes");
+    (tenant, identity, moved, nonces)
+  with
+  | x -> Ok x
+  | exception Malformed what -> Error ("malformed migration blob: " ^ what)
 
 (* Pull a session's committed EDMM pages out through the enclave's own
    state-read ECALL, one page per protected call — the simulation
    analogue of EWB-style page eviction into the migration blob. *)
-let read_state t (tn : tenant) (s : session) =
-  let stride_bytes = t.config.state_stride_pages * Addr.page_size in
-  let base = s.state_slot * stride_bytes in
+let read_state (s : session) =
+  let base = slot_offset s.state_slot in
   let buf = Buffer.create (s.s_pages * Addr.page_size) in
   let rec go pg =
     if pg = s.s_pages then Ok (Buffer.to_bytes buf)
-    else begin
-      let data = Bytes.create 16 in
-      Bytes.set_int64_le data 0 (Int64.of_int (base + (pg * Addr.page_size)));
-      Bytes.set_int64_le data 8 (Int64.of_int Addr.page_size);
+    else
       match
-        Backend.protected_call tn.backend ~id:state_read_ecall ~data
-          ~direction:Edge.In_out ()
+        state_call s.tenant ~id:state_read_ecall
+          (u64s [ base + (pg * Addr.page_size); Addr.page_size ])
       with
-      | Backend.Success page ->
+      | Error _ as e -> e
+      | Ok page ->
           Buffer.add_bytes buf page;
           go (pg + 1)
-      | Backend.Typed_error m | Backend.Violation m -> Error (Session_fault m)
-    end
+  in
+  go 0
+
+(* Replay exported state bytes into [slot]'s region, page-sized
+   protected writes. *)
+let write_state tn ~slot state =
+  let base = slot_offset slot in
+  let total = Bytes.length state in
+  let rec go off =
+    if off >= total then Ok ()
+    else
+      let len = min Addr.page_size (total - off) in
+      let data = Bytes.create (8 + len) in
+      Bytes.set_int64_le data 0 (Int64.of_int (base + off));
+      Bytes.blit state off data 8 len;
+      match state_call tn ~id:state_write_ecall data with
+      | Error _ as e -> e
+      | Ok _ -> go (off + len)
   in
   go 0
 
 let export_tenant t ~tenant =
-  match Hashtbl.find_opt t.tenants tenant with
-  | None -> reject t (Unknown_tenant tenant)
-  | Some { t_migrated_to = Some to_node; _ } ->
-      reject t (Tenant_migrated { tenant; to_node })
-  | Some tn -> (
-      if tn.queued > 0 then
+  rejected t @@
+  let* tn =
+    match Hashtbl.find_opt t.tenants tenant with
+    | None -> Error (Unknown_tenant tenant)
+    | Some { t_migrated_to = Some to_node; _ } ->
+        Error (Tenant_migrated { tenant; to_node })
+    | Some tn when tn.queued > 0 ->
         (* Staged-but-unflushed envelopes are in-flight work: exporting
-           under them would either drop admitted requests or replay them
-           on the destination.  The migration driver flushes first. *)
-        reject t (Tenant_busy { tenant; staged = tn.queued })
-      else
-        match tn.backend.Backend.identity with
-        | None ->
-            reject t
-              (Unsupported "native backend has no enclave identity to migrate")
-        | Some x_identity -> (
-            let sessions =
-              Hashtbl.fold
-                (fun _ s acc -> if s.tenant == tn then s :: acc else acc)
-                t.sessions []
-              |> List.sort (fun a b -> compare a.s_id b.s_id)
-            in
-            let rec pack acc = function
-              | [] -> Ok (List.rev acc)
-              | s :: rest -> (
-                  match read_state t tn s with
-                  | Error _ as e -> e
-                  | Ok x_state ->
-                      pack
-                        ({
-                           x_session = s.s_id;
-                           x_key = Bytes.copy s.key;
-                           x_recv_seq = s.recv_seq;
-                           x_pages = s.s_pages;
-                           x_state;
-                         }
-                        :: acc)
-                        rest)
-            in
-            match pack [] sessions with
-            | Error rej -> reject t rej
-            | Ok x_sessions ->
-                (* Carry the replay cache in FIFO order: a nonce burnt
-                   before the move must stay burnt after it, or a recorded
-                   handshake replays against the destination. *)
-                let x_nonces =
-                  List.rev (Queue.fold (fun acc n -> n :: acc) [] t.nonce_order)
-                in
-                Telemetry.incr t.telemetry "serve.migrate.export";
-                Ok { x_tenant = tenant; x_identity; x_sessions; x_nonces }))
+           under them would either drop admitted requests or replay
+           them on the destination.  The migration driver flushes
+           first. *)
+        Error (Tenant_busy { tenant; staged = tn.queued })
+    | Some tn -> Ok tn
+  in
+  let* identity =
+    Option.to_result
+      ~none:(Unsupported "native backend has no enclave identity to migrate")
+      tn.backend.Backend.identity
+  in
+  let sessions =
+    List.sort (fun a b -> compare a.s_id b.s_id) (tenant_sessions t tn)
+  in
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf blob_magic;
+  put_field buf (Bytes.of_string tenant);
+  put_field buf identity;
+  put_u64 buf (List.length sessions);
+  let rec pack = function
+    | [] -> Ok ()
+    | s :: rest ->
+        let* state = read_state s in
+        put_u64 buf s.s_id;
+        put_field buf s.key;
+        put_u64 buf s.recv_seq;
+        put_u64 buf s.s_pages;
+        put_field buf state;
+        pack rest
+  in
+  let* () = pack sessions in
+  (* Carry the replay cache: a nonce burnt before the move must stay
+     burnt after it, or a recorded handshake replays against the
+     destination. *)
+  put_u64 buf (Queue.length t.nonce_order);
+  Queue.iter (fun n -> put_field buf (Bytes.of_string n)) t.nonce_order;
+  Telemetry.incr t.telemetry "serve.migrate.export";
+  Ok (Buffer.to_bytes buf)
 
 (* Cutover: the source stops answering for the tenant and forwards
    stragglers.  Live sessions become typed forwards; their state slots
@@ -1320,167 +1383,101 @@ let export_tenant t ~tenant =
 let retire_tenant t ~tenant ~to_node =
   match Hashtbl.find_opt t.tenants tenant with
   | None -> reject t (Unknown_tenant tenant)
+  | Some tn when tn.queued > 0 ->
+      reject t (Tenant_busy { tenant; staged = tn.queued })
   | Some tn ->
-      if tn.queued > 0 then
-        reject t (Tenant_busy { tenant; staged = tn.queued })
-      else begin
-        let sessions =
-          Hashtbl.fold
-            (fun id s acc -> if s.tenant == tn then (id, s) :: acc else acc)
-            t.sessions []
-        in
-        List.iter
-          (fun (id, s) ->
-            Hashtbl.remove t.sessions id;
-            tn.free_slots <- s.state_slot :: tn.free_slots;
-            Hashtbl.replace t.migrated id to_node)
-          sessions;
-        tn.t_migrated_to <- Some to_node;
-        Telemetry.incr t.telemetry "serve.migrate.retire";
-        Ok (List.length sessions)
-      end
+      let sessions = tenant_sessions t tn in
+      List.iter
+        (fun s ->
+          retire_session t s;
+          Hashtbl.replace t.migrated s.s_id to_node)
+        sessions;
+      tn.t_migrated_to <- Some to_node;
+      Telemetry.incr t.telemetry "serve.migrate.retire";
+      Ok (List.length sessions)
 
-(* Replay an exported session's bytes into the destination enclave's
-   heap, page-sized protected writes after re-committing the pages. *)
-let write_state t (tn : tenant) ~slot (sx : session_export) =
-  let stride_bytes = t.config.state_stride_pages * Addr.page_size in
-  let base = slot * stride_bytes in
-  let total = Bytes.length sx.x_state in
-  let rec go off =
-    if off >= total then Ok ()
-    else begin
-      let len = min Addr.page_size (total - off) in
-      let data = Bytes.create (8 + len) in
-      Bytes.set_int64_le data 0 (Int64.of_int (base + off));
-      Bytes.blit sx.x_state off data 8 len;
-      match
-        Backend.protected_call tn.backend ~id:state_write_ecall ~data
-          ~direction:Edge.In_out ()
-      with
-      | Backend.Success _ -> go (off + len)
-      | Backend.Typed_error m | Backend.Violation m -> Error (Session_fault m)
-    end
+let import_tenant t blob =
+  rejected t @@
+  let* tenant, identity, moved, nonces =
+    Result.map_error (fun m -> Import_conflict m) (decode_blob blob)
   in
-  go 0
-
-let import_tenant t (x : tenant_export) =
-  match Hashtbl.find_opt t.tenants x.x_tenant with
-  | None -> reject t (Unknown_tenant x.x_tenant)
-  | Some tn -> (
-      match tn.backend.Backend.identity with
-      | None ->
-          reject t
-            (Unsupported "native backend has no enclave identity to verify")
-      | Some local when not (Bytes.equal local x.x_identity) ->
-          (* The destination rebuilt the tenant enclave from the same
-             registry config; if it does not measure identically the
-             sealed sessions would resume inside a different program. *)
-          reject t
-            (Import_conflict
-               "enclave identity does not match the destination's measurement")
-      | Some _ -> (
-          (* A live session with the same id is a hard conflict; an entry
-             in [migrated] is only a forwarding address and clears when
-             the session comes home (migrate-back / rolling upgrade). *)
-          match
-            List.find_opt
-              (fun (sx : session_export) -> Hashtbl.mem t.sessions sx.x_session)
-              x.x_sessions
-          with
-          | Some sx ->
-              reject t
-                (Import_conflict
-                   (Printf.sprintf "session id %d is live on this node"
-                      sx.x_session))
-          | None -> (
-              match
-                List.find_opt
-                  (fun (sx : session_export) ->
-                    sx.x_pages > t.config.state_stride_pages)
-                  x.x_sessions
-              with
-              | Some sx ->
-                  reject t
-                    (Import_conflict
-                       (Printf.sprintf
-                          "session %d state (%d pages) exceeds this node's \
-                           %d-page stride"
-                          sx.x_session sx.x_pages t.config.state_stride_pages))
-              | None -> (
-                  (* Install one session at a time; any state failure rolls
-                     back what was installed so a botched import never
-                     leaves half a tenant behind. *)
-                  let installed = ref [] in
-                  let rollback () =
-                    List.iter
-                      (fun (id, slot) ->
-                        Hashtbl.remove t.sessions id;
-                        tn.free_slots <- slot :: tn.free_slots)
-                      !installed
-                  in
-                  let recommit slot pages =
-                    if pages = 0 then Ok ()
-                    else begin
-                      let data = Bytes.create 16 in
-                      Bytes.set_int64_le data 0
-                        (Int64.of_int
-                           (slot * t.config.state_stride_pages * Addr.page_size));
-                      Bytes.set_int64_le data 8 (Int64.of_int pages);
-                      match
-                        Backend.protected_call tn.backend ~id:state_ecall ~data
-                          ~direction:Edge.In_out ()
-                      with
-                      | Backend.Success _ -> Ok ()
-                      | Backend.Typed_error m | Backend.Violation m ->
-                          Error (Session_fault m)
-                    end
-                  in
-                  let rec go = function
-                    | [] -> Ok ()
-                    | (sx : session_export) :: rest -> (
-                        let slot = alloc_slot tn in
-                        let outcome =
-                          match recommit slot sx.x_pages with
-                          | Error _ as e -> e
-                          | Ok () -> write_state t tn ~slot sx
-                        in
-                        match outcome with
-                        | Error e ->
-                            tn.free_slots <- slot :: tn.free_slots;
-                            Error e
-                        | Ok () ->
-                            let key = Bytes.copy sx.x_key in
-                            charge_aead_setup t;
-                            Hashtbl.replace t.sessions sx.x_session
-                              {
-                                s_id = sx.x_session;
-                                tenant = tn;
-                                key;
-                                keys = Authenc.prepare key;
-                                state_slot = slot;
-                                recv_seq = sx.x_recv_seq;
-                                s_pages = sx.x_pages;
-                              };
-                            installed := (sx.x_session, slot) :: !installed;
-                            go rest)
-                  in
-                  match go x.x_sessions with
-                  | Error rej ->
-                      rollback ();
-                      reject t rej
-                  | Ok () ->
-                      List.iter
-                        (fun (sx : session_export) ->
-                          Hashtbl.remove t.migrated sx.x_session;
-                          if sx.x_session >= t.next_session then
-                            t.next_session <- sx.x_session + 1)
-                        x.x_sessions;
-                      List.iter
-                        (fun n -> ignore (nonce_replayed t (Bytes.of_string n)))
-                        x.x_nonces;
-                      tn.t_migrated_to <- None;
-                      Telemetry.incr t.telemetry "serve.migrate.import";
-                      Ok (List.length x.x_sessions)))))
+  let* tn =
+    Option.to_result ~none:(Unknown_tenant tenant)
+      (Hashtbl.find_opt t.tenants tenant)
+  in
+  let* local =
+    Option.to_result
+      ~none:(Unsupported "native backend has no enclave identity to verify")
+      tn.backend.Backend.identity
+  in
+  (* The destination rebuilt the tenant enclave from the same registry
+     config; if it does not measure identically the sealed sessions
+     would resume inside a different program. *)
+  let* () =
+    if Bytes.equal local identity then Ok ()
+    else
+      Error
+        (Import_conflict
+           "enclave identity does not match the destination's measurement")
+  in
+  (* A live session with the same id is a hard conflict; an entry in
+     [migrated] is only a forwarding address and clears when the
+     session comes home (migrate-back / rolling upgrade). *)
+  let* () =
+    match List.find_opt (fun m -> Hashtbl.mem t.sessions m.m_id) moved with
+    | Some m ->
+        Error
+          (Import_conflict
+             (Printf.sprintf "session id %d is live on this node" m.m_id))
+    | None -> Ok ()
+  in
+  let* () =
+    match List.find_opt (fun m -> m.m_pages > state_stride_pages) moved with
+    | Some m ->
+        Error
+          (Import_conflict
+             (Printf.sprintf
+                "session %d state (%d pages) exceeds this node's %d-page \
+                 stride"
+                m.m_id m.m_pages state_stride_pages))
+    | None -> Ok ()
+  in
+  (* Install one session at a time: re-commit its pages, replay its
+     bytes, open it.  Any state failure rolls back what was installed
+     so a botched import never leaves half a tenant behind. *)
+  let rec install opened = function
+    | [] -> Ok ()
+    | m :: rest -> (
+        let slot = alloc_slot tn in
+        let placed =
+          let* () =
+            if m.m_pages = 0 then Ok ()
+            else Result.map ignore (commit_pages tn ~slot ~pages:m.m_pages)
+          in
+          write_state tn ~slot m.m_state
+        in
+        match placed with
+        | Error _ as e ->
+            tn.free_slots <- slot :: tn.free_slots;
+            List.iter (retire_session t) opened;
+            e
+        | Ok () ->
+            let s =
+              open_session t tn ~id:m.m_id ~key:m.m_key ~slot
+                ~recv_seq:m.m_seq ~pages:m.m_pages
+            in
+            install (s :: opened) rest)
+  in
+  let* () = install [] moved in
+  List.iter
+    (fun m ->
+      Hashtbl.remove t.migrated m.m_id;
+      if m.m_id >= t.next_session then t.next_session <- m.m_id + 1)
+    moved;
+  List.iter (fun n -> ignore (nonce_replayed t n)) nonces;
+  tn.t_migrated_to <- None;
+  Telemetry.incr t.telemetry "serve.migrate.import";
+  Ok (List.length moved)
 
 let destroy t =
   if not t.destroyed then begin
@@ -1589,24 +1586,15 @@ let resume t (r : resume) =
                     | Some { t_migrated_to = Some to_node; _ } ->
                         reject t (Tenant_migrated { tenant; to_node })
                     | Some tn ->
-                        let key = resumed_key ~key ~nonce:r.r_nonce in
-                        let session_id = t.next_session in
-                        t.next_session <- session_id + 1;
-                        let state_slot = alloc_slot tn in
-                        charge_aead_setup t;
-                        Hashtbl.replace t.sessions session_id
-                          {
-                            s_id = session_id;
-                            tenant = tn;
-                            key;
-                            keys = Authenc.prepare key;
-                            state_slot;
-                            recv_seq = 0;
-                            s_pages = 0;
-                          };
+                        let s =
+                          open_session t tn ~id:(fresh_id t)
+                            ~slot:(alloc_slot tn)
+                            ~key:(resumed_key ~key ~nonce:r.r_nonce)
+                            ~recv_seq:0 ~pages:0
+                        in
                         Telemetry.incr t.telemetry "serve.resume";
                         Telemetry.incr t.telemetry "serve.session_open";
-                        Ok session_id))
+                        Ok s.s_id))
         end
 
 (* ---------------------------------------------------------------------- *)

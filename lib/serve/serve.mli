@@ -43,21 +43,31 @@
     permanent ones surface as typed {!Session_fault} errors — never as
     an escaped exception, and always with the monitor invariants green.
 
+    {2 Session lifecycle}
+
+    A session is one attested channel: an id, a key, a strict-sequence
+    receive cursor, and a slot in the tenant enclave's heap — a
+    {!state_stride_pages}-page EDMM region, of which it has committed
+    some pages through the reserved state ECALLs ({!reserved_ecalls}).
+    {!handshake}, {!val-resume} and {!import_tenant} open sessions the
+    same way; {!close_session}, {!retire_tenant} and an import rollback
+    retire them the same way: staged requests die and the state slot is
+    recycled for the tenant's next session.
+
     {2 Fleet}
 
     A plane is one {e node} of a fleet: it is created with an explicit
-    {!identity} (node id, monitor hapk, measured-boot PCR digest) and
-    every session it opens is stamped with that identity.  Tenants and
-    their live sessions can move between nodes — {!export_tenant}
-    packages sessions (keys, sequence state, committed EDMM pages) and
-    the burnt-nonce replay cache, {!import_tenant} rebuilds them on a
+    {!identity} (node id, monitor hapk) and every session it opens is
+    stamped with that identity.  Tenants and their live sessions can
+    move between nodes — {!export_tenant} packs sessions (keys, sequence
+    state, committed EDMM pages) and the burnt-nonce replay cache into
+    one opaque blob, {!import_tenant} rebuilds them from it on a
     destination whose tenant enclave measures identically, and
     {!retire_tenant} cuts the source over so stragglers get typed
     forwards ({!Session_migrated} / {!Tenant_migrated}) instead of bare
-    unknown-id errors.  The cluster layer
-    ({!Hyperenclave_cluster.Cluster}) drives these through an attested
-    transfer protocol; the plane itself only enforces the local
-    invariants. *)
+    unknown-id errors.  The plane owns the blob's format; the cluster
+    layer ({!Hyperenclave_cluster.Cluster}) seals it and drives the
+    attested transfer protocol. *)
 
 open Hyperenclave_hw
 open Hyperenclave_tee
@@ -103,8 +113,9 @@ type reject =
       (** export/retire refused: admitted requests are still staged —
           flush first *)
   | Import_conflict of string
-      (** a migration blob that cannot install: identity mismatch, live
-          session-id collision, or state exceeding this node's stride *)
+      (** a migration blob that cannot install: malformed bytes, identity
+          mismatch, live session-id collision, or state exceeding the
+          stride *)
 
 val reject_name : reject -> string
 (** Short stable label, also the telemetry suffix ([serve.reject.<name>]). *)
@@ -126,30 +137,33 @@ type config = {
           cycles come from scheduler slice deltas (or the shared-clock
           delta of the direct dispatch path) and are replenished with
           {!grant} *)
-  state_stride_pages : int;
-      (** per-session elastic state region size, in pages *)
   nonce_cache : int;
       (** replay-cache bound: only the most recent [nonce_cache]
           handshake / resumption nonces are remembered (FIFO eviction),
           so session churn cannot grow the table without limit *)
   ticket_ttl : int;
       (** resumption-ticket lifetime in shared-clock cycles *)
-  shard_block : int;
-      (** consecutive per-session staged requests assigned to one ring
-          shard before the plane-wide rotor advances — small enough that
-          one hot session spreads across every core, large enough that a
-          session's replies cluster per reply segment *)
-  slot_bytes : int;
-      (** ring slot payload capacity, a positive multiple of 8;
-          admissions whose ciphertext exceeds it are refused with
-          {!Unsupported} *)
 }
 
 val default_config : config
 (** 2 cores (scheduler defaults with [drop_on_error]), 64-request
-    queues, unmetered quotas, 16-page session state stride, 1024-nonce
-    replay cache, 1e9-cycle ticket TTL, 8-request shard blocks and
-    256-byte slots. *)
+    queues, unmetered quotas, 1024-nonce replay cache, 1e9-cycle ticket
+    TTL. *)
+
+val state_stride_pages : int
+(** 16: the per-session EDMM state region, in pages — the bound on
+    {!resize_session} and on a migrated session's pages. *)
+
+val slot_bytes : int
+(** 256: ring slot payload capacity; an admission whose ciphertext
+    exceeds it is refused with {!Unsupported}, and a service reply must
+    fit in it. *)
+
+val rotor_block : int
+(** 8: consecutive per-session staged requests assigned to one ring
+    shard before the plane-wide rotor advances — small enough that one
+    hot session spreads across every core, large enough that a
+    session's replies cluster per reply segment. *)
 
 (** {1 Node identity}
 
@@ -162,14 +176,7 @@ type identity = {
   node_id : int;  (** fleet-unique address; 0 for the single-node case *)
   hapk : Signature.public_key;
       (** the monitor attestation key that signs this node's quotes *)
-  pcr_digest : bytes;
-      (** the node's measured-boot digest over the standard PCR
-          selection — what its TPM quotes attest *)
 }
-
-val identity_of_platform : ?node_id:int -> Platform.t -> identity
-(** Read the platform's monitor hapk and current PCR digest; [node_id]
-    defaults to [0]. *)
 
 module Node_config : sig
   type serve_config := config
@@ -177,7 +184,8 @@ module Node_config : sig
   type t = { identity : identity; serve : serve_config }
 
   val v : ?node_id:int -> platform:Platform.t -> serve_config -> t
-  (** Convenience: derive the identity from the platform. *)
+  (** The platform monitor's hapk as the identity; [node_id] defaults to
+      [0]. *)
 end
 
 type t
@@ -278,7 +286,7 @@ val resize_session : t -> session:int -> pages:int -> (int, reject) result
     reserved ECALL — the EDMM demand-commit path on HyperEnclave
     backends.  SGX-model tenants get the typed {!Unsupported} rejection
     (SGX1 cannot grow an enclave after EINIT).
-    @raise Invalid_argument if [pages] exceeds the configured stride or
+    @raise Invalid_argument if [pages] exceeds {!state_stride_pages} or
     is negative. *)
 
 val grant : t -> tenant:string -> int -> unit
@@ -308,47 +316,37 @@ val destroy : t -> unit
 
 (** {1 Live migration}
 
-    The plane-local half of moving a tenant between nodes.  These
-    functions deal in {e plaintext} session state — the cluster layer
-    seals the export under a transport key derived from an attested
-    exchange with the destination before it crosses the simulated
-    network; nothing here should touch a wire unsealed. *)
+    The plane-local half of moving a tenant between nodes.  The plane
+    owns the migration blob's format and hands it out as opaque bytes;
+    they carry {e plaintext} session state — channel keys, sequence
+    cursors and EDMM page contents — so the cluster layer seals them
+    under a transport key derived from an attested exchange with the
+    destination before they cross the simulated network; nothing here
+    should touch a wire unsealed. *)
 
-type session_export = {
-  x_session : int;  (** the session keeps its (node-prefixed) id *)
-  x_key : bytes;  (** channel key — the client notices nothing *)
-  x_recv_seq : int;  (** strict-sequence cursor *)
-  x_pages : int;  (** committed EDMM pages *)
-  x_state : bytes;  (** their bytes, read out through the enclave *)
-}
+val export_tenant : t -> tenant:string -> (bytes, reject) result
+(** Pack a tenant for migration: its enclave identity (MRENCLAVE), its
+    live sessions in ascending id order — each with its node-prefixed
+    id, channel key, receive cursor, committed page count and those
+    pages' bytes, read out through the enclave — and the burnt-nonce
+    replay cache in FIFO order.  Refuses with {!Tenant_busy} while
+    admitted requests are still staged (flush first),
+    {!Tenant_migrated} after cutover, and {!Unsupported} for native
+    tenants (nothing measured to re-attest).  Does not mutate the plane
+    — cutover is {!retire_tenant}. *)
 
-type tenant_export = {
-  x_tenant : string;
-  x_identity : bytes;
-      (** the source enclave's MRENCLAVE; the destination must measure
-          identically or the import is refused *)
-  x_sessions : session_export list;  (** ascending session id *)
-  x_nonces : string list;
-      (** the burnt-nonce replay cache in FIFO order — a nonce burnt
-          before the move stays burnt after it *)
-}
-
-val export_tenant : t -> tenant:string -> (tenant_export, reject) result
-(** Package a tenant's live sessions for migration.  Refuses with
-    {!Tenant_busy} while admitted requests are still staged (flush
-    first), {!Tenant_migrated} after cutover, and {!Unsupported} for
-    native tenants (nothing measured to re-attest).  Does not mutate
-    the plane — cutover is {!retire_tenant}. *)
-
-val import_tenant : t -> tenant_export -> (int, reject) result
-(** Install an exported tenant on this node: the tenant must already be
-    registered ({!add_tenant} with the same backend config), measure
-    identically to [x_identity], and have no live session-id collisions
-    ({!Import_conflict} otherwise).  Sessions are rebuilt with their
-    original ids, keys and sequence cursors; EDMM pages are re-committed
-    and replayed through the enclave; the replay cache is merged.  A
-    mid-install failure rolls back cleanly.  Returns the number of
-    sessions installed. *)
+val import_tenant : t -> bytes -> (int, reject) result
+(** Install a blob from {!export_tenant} on this node: the tenant must
+    already be registered ({!add_tenant} with the same backend config),
+    measure identically to the blob's identity, and have no live
+    session-id collisions.  Sessions reopen with their original ids,
+    keys and sequence cursors, so clients notice nothing; EDMM pages
+    are re-committed and replayed through the enclave; the replay cache
+    is merged, so a nonce burnt before the move stays burnt.  A
+    malformed blob, an identity mismatch, a collision or a session
+    larger than {!state_stride_pages} is {!Import_conflict}; a
+    mid-install failure rolls back cleanly.  Never raises on malformed
+    bytes.  Returns the number of sessions installed. *)
 
 val retire_tenant : t -> tenant:string -> to_node:int -> (int, reject) result
 (** Cutover: stop answering for the tenant and forward stragglers.

@@ -35,7 +35,8 @@ val kind_name : kind -> string
 
 val ecall_request : int
 (** One service request: RESP pipeline bytes / a SQL statement / an HTTP
-    request.  The reply must fit the plane's ring [slot_bytes]. *)
+    request.  The request and the reply must each fit one ring slot,
+    {!Serve.slot_bytes} (256 bytes). *)
 
 val ecall_admin : int
 (** Operator setup (bulk load, docroot population) — driven directly

@@ -103,8 +103,7 @@ let native ~clock ~cost ~rng ~handlers ~ocalls =
     destroy = (fun () -> ());
   }
 
-let hyperenclave (platform : Platform.t) ~mode ?(tweak = fun c -> c) ~handlers
-    ~ocalls () =
+let hyperenclave (platform : Platform.t) ~mode ~config ~handlers ~ocalls =
   let translation =
     match mode with
     | Sgx_types.HU -> Mem_sim.One_level
@@ -143,7 +142,6 @@ let hyperenclave (platform : Platform.t) ~mode ?(tweak = fun c -> c) ~handlers
       (fun (id, h) -> (id, fun tenv input -> h (env_of_tenv tenv) input))
       handlers
   in
-  let config = tweak (Urts.default_config mode) in
   let urts =
     Urts.create ~kmod:platform.Platform.kmod ~proc:platform.Platform.proc
       ~rng:platform.Platform.rng ~signer:platform.Platform.signer ~config
@@ -214,15 +212,13 @@ let sgx ~clock ~cost ~rng ?(epc_bytes = Platform.sgx_epc_bytes)
   }
 
 (* -------------------------------------------------------------------- *)
-(* Unified construction (API v2)                                        *)
+(* Construction                                                         *)
 
 type config = {
   kind : kind;
   ms_bytes : int option;
   epc_frames : int option;
-  fault_plan : Hyperenclave_fault.Fault.plan option;
   code_seed : string option;
-  tweak : (Urts.config -> Urts.config) option;
   handlers : (int * handler) list;
   ocalls : (int * (bytes -> bytes)) list;
 }
@@ -232,59 +228,36 @@ let config kind =
     kind;
     ms_bytes = None;
     epc_frames = None;
-    fault_plan = None;
     code_seed = None;
-    tweak = None;
     handlers = [];
     ocalls = [];
   }
 
 let create (platform : Platform.t) (c : config) =
-  let reject_field field =
-    invalid_arg
-      (Printf.sprintf "Backend.create: %s is meaningless for the %s backend"
-         field (kind_name c.kind))
+  let only_for ok field value =
+    if Option.is_some value && not ok then
+      invalid_arg
+        (Printf.sprintf "Backend.create: %s is meaningless for the %s backend"
+           field (kind_name c.kind))
   in
-  (match (c.kind, c.ms_bytes) with
-  | (Native | Sgx), Some _ -> reject_field "ms_bytes"
-  | _ -> ());
-  (match (c.kind, c.epc_frames) with
-  | (Native | Hyperenclave _), Some _ -> reject_field "epc_frames"
-  | _ -> ());
-  (match (c.kind, c.tweak) with
-  | (Native | Sgx), Some _ -> reject_field "tweak"
-  | _ -> ());
-  (match (c.kind, c.code_seed) with
-  | Native, Some _ -> reject_field "code_seed"
-  | _ -> ());
-  (* Arm the plan before building so build-time injection sites (EPC
-     allocation, ioctls, TPM commands) are already live. *)
-  (match c.fault_plan with
-  | Some plan ->
-      Hyperenclave_fault.Fault.install
-        ~telemetry:(Monitor.telemetry platform.Platform.monitor)
-        plan
-  | None -> ());
+  let enclave = match c.kind with Hyperenclave _ -> true | _ -> false in
+  only_for enclave "ms_bytes" c.ms_bytes;
+  only_for (c.kind = Sgx) "epc_frames" c.epc_frames;
+  only_for (c.kind <> Native) "code_seed" c.code_seed;
   match c.kind with
   | Native ->
       native ~clock:platform.Platform.clock ~cost:platform.Platform.cost
         ~rng:platform.Platform.rng ~handlers:c.handlers ~ocalls:c.ocalls
   | Hyperenclave mode ->
-      let tweak urts_config =
-        let urts_config =
-          match c.ms_bytes with
-          | Some ms_bytes -> { urts_config with Urts.ms_bytes }
-          | None -> urts_config
-        in
-        let urts_config =
-          match c.code_seed with
-          | Some code_seed -> { urts_config with Urts.code_seed }
-          | None -> urts_config
-        in
-        match c.tweak with Some f -> f urts_config | None -> urts_config
+      let d = Urts.default_config mode in
+      let config =
+        {
+          d with
+          Urts.ms_bytes = Option.value c.ms_bytes ~default:d.Urts.ms_bytes;
+          code_seed = Option.value c.code_seed ~default:d.Urts.code_seed;
+        }
       in
-      hyperenclave platform ~mode ~tweak ~handlers:c.handlers ~ocalls:c.ocalls
-        ()
+      hyperenclave platform ~mode ~config ~handlers:c.handlers ~ocalls:c.ocalls
   | Sgx ->
       sgx ~clock:platform.Platform.clock ~cost:platform.Platform.cost
         ~rng:platform.Platform.rng

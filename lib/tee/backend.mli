@@ -60,9 +60,10 @@ type t = {
 
 (** {1 Construction}
 
-    One constructor, one config record (API v2).  The per-kind
-    constructors below it are thin aliases kept so existing callers
-    compile unchanged. *)
+    {!create} builds every kind from one config record on a platform.
+    {!native} and {!sgx} build the two baselines from their own clock,
+    cost model and RNG instead, without booting a platform — what the
+    Fig. 8 comparisons use. *)
 
 type config = {
   kind : kind;
@@ -72,24 +73,22 @@ type config = {
   epc_frames : int option;
       (** SGX-model EPC size in 4 KiB frames (default: the paper part's
           93 MB).  Meaningless for other kinds — rejected. *)
-  fault_plan : Hyperenclave_fault.Fault.plan option;
-      (** Installed (with the platform monitor's telemetry) before the
-          backend is built, so build-time sites are already armed. *)
-  code_seed : string option;  (** enclave code identity (MRENCLAVE) *)
-  tweak : (Urts.config -> Urts.config) option;
-      (** HyperEnclave-only escape hatch, applied after [ms_bytes] /
-          [code_seed]; rejected for other kinds. *)
+  code_seed : string option;
+      (** enclave code identity (MRENCLAVE); meaningless for native —
+          rejected *)
   handlers : (int * handler) list;
   ocalls : (int * (bytes -> bytes)) list;
 }
 
 val config : kind -> config
-(** Defaults for [kind]: no overrides, no fault plan, no handlers. *)
+(** Defaults for [kind]: no overrides, no handlers. *)
 
 val create : Platform.t -> config -> t
 (** Build a backend of [config.kind] on the platform (native and the SGX
     model draw their clock/cost/RNG from it; HyperEnclave modes build a
-    real enclave through the SDK).
+    real enclave through the SDK with [Urts.default_config mode] plus
+    the [ms_bytes] / [code_seed] overrides).  To inject faults at build
+    time, {!Hyperenclave_fault.Fault.install} a plan first.
     @raise Invalid_argument when a config field is set for a kind it
     cannot apply to. *)
 
@@ -100,18 +99,7 @@ val native :
   handlers:(int * handler) list ->
   ocalls:(int * (bytes -> bytes)) list ->
   t
-(** @deprecated Use {!create} with [kind = Native]. *)
-
-val hyperenclave :
-  Platform.t ->
-  mode:Sgx_types.operation_mode ->
-  ?tweak:(Urts.config -> Urts.config) ->
-  handlers:(int * handler) list ->
-  ocalls:(int * (bytes -> bytes)) list ->
-  unit ->
-  t
-(** Builds a real enclave through the SDK on the given platform.
-    @deprecated Use {!create} with [kind = Hyperenclave mode]. *)
+(** The unprotected baseline on its own clock. *)
 
 val sgx :
   clock:Cycles.t ->
@@ -123,8 +111,7 @@ val sgx :
   ocalls:(int * (bytes -> bytes)) list ->
   unit ->
   t
-(** The Intel baseline; default EPC 93 MB.
-    @deprecated Use {!create} with [kind = Sgx]. *)
+(** The Intel baseline on its own clock; default EPC 93 MB. *)
 
 (** {1 Trichotomy oracle}
 

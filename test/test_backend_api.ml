@@ -1,6 +1,6 @@
-(* Backend API v2: the single config-record constructor, its per-kind
-   field validation, and the trichotomy audit — no bare exception may
-   cross the backend boundary for malformed inputs on any kind. *)
+(* The config-record constructor, its per-kind field validation, and
+   the trichotomy audit — no bare exception may cross the backend
+   boundary for malformed inputs on any kind. *)
 
 open Hyperenclave
 
@@ -40,26 +40,32 @@ let test_create_all_kinds () =
     all_kinds
 
 let test_aliases_match_create () =
-  (* The deprecated per-kind constructors are thin aliases: same reply,
-     same identity as the config-record path. *)
+  (* The baseline constructors build what [create] builds from the
+     platform's clock, cost model and RNG: same reply, same identity. *)
   let p = Platform.create ~seed:7101L () in
   let data = Bytes.of_string "alias" in
+  let reply (b : Backend.t) =
+    Bytes.to_string (b.Backend.call ~id:1 ~data ~direction:Edge.In_out ())
+  in
   let via_create = make p Backend.Native in
   let via_alias =
     Backend.native ~clock:p.Platform.clock ~cost:p.Platform.cost
       ~rng:p.Platform.rng ~handlers ~ocalls:[]
   in
-  Alcotest.(check string) "native replies match"
-    (Bytes.to_string (via_create.Backend.call ~id:1 ~data ~direction:Edge.In_out ()))
-    (Bytes.to_string (via_alias.Backend.call ~id:1 ~data ~direction:Edge.In_out ()));
+  Alcotest.(check string) "native replies match" (reply via_create)
+    (reply via_alias);
   via_create.Backend.destroy ();
   via_alias.Backend.destroy ();
-  let hc = make p (Backend.Hyperenclave Sgx_types.GU) in
-  let ha = Backend.hyperenclave p ~mode:Sgx_types.GU ~handlers ~ocalls:[] () in
-  Alcotest.(check bool) "hyperenclave identities match" true
-    (Option.get hc.Backend.identity = Option.get ha.Backend.identity);
-  hc.Backend.destroy ();
-  ha.Backend.destroy ()
+  let sc = make p Backend.Sgx in
+  let sa =
+    Backend.sgx ~clock:p.Platform.clock ~cost:p.Platform.cost
+      ~rng:p.Platform.rng ~handlers ~ocalls:[] ()
+  in
+  Alcotest.(check string) "sgx replies match" (reply sc) (reply sa);
+  Alcotest.(check bool) "sgx identities match" true
+    (Option.get sc.Backend.identity = Option.get sa.Backend.identity);
+  sc.Backend.destroy ();
+  sa.Backend.destroy ()
 
 let test_code_seed_changes_identity () =
   let p = Platform.create ~seed:7102L () in
@@ -94,28 +100,6 @@ let test_ms_bytes_override () =
     (Urts.config urts).Urts.ms_bytes;
   b.Backend.destroy ()
 
-let test_fault_plan_installed () =
-  let p = Platform.create ~seed:7104L () in
-  Fault.clear ();
-  let b =
-    Backend.create p
-      { (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
-        Backend.handlers;
-        fault_plan =
-          Some [ { Fault.site = "sdk.ms_copy_in"; nth = 1; kind = Fault.Permanent } ] }
-  in
-  Alcotest.(check bool) "plan armed by create" true (Fault.active ());
-  (match
-     Backend.protected_call b ~id:1 ~data:(Bytes.of_string "x")
-       ~direction:Edge.In_out ()
-   with
-  | Backend.Typed_error _ -> ()
-  | other ->
-      Alcotest.failf "expected typed error from installed plan, got %s"
-        (Backend.outcome_name other));
-  Fault.clear ();
-  b.Backend.destroy ()
-
 let test_field_rejection () =
   let p = Platform.create ~seed:7105L () in
   let expect_invalid what config =
@@ -132,8 +116,6 @@ let test_field_rejection () =
   expect_invalid "epc_frames on hyperenclave"
     { (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
       Backend.epc_frames = Some 64 };
-  expect_invalid "tweak on sgx"
-    { (Backend.config Backend.Sgx) with Backend.tweak = Some (fun c -> c) };
   expect_invalid "code_seed on native"
     { (Backend.config Backend.Native) with Backend.code_seed = Some "x" }
 
@@ -183,8 +165,6 @@ let suite =
     Alcotest.test_case "code_seed changes identity" `Quick
       test_code_seed_changes_identity;
     Alcotest.test_case "ms_bytes override" `Quick test_ms_bytes_override;
-    Alcotest.test_case "fault plan installed by create" `Quick
-      test_fault_plan_installed;
     Alcotest.test_case "meaningless fields rejected" `Quick test_field_rejection;
     Alcotest.test_case "no bare exceptions cross the boundary" `Quick
       test_no_bare_exceptions;

@@ -174,7 +174,10 @@ let run_schedule ~mode ~seed =
   let exec ~accounting calls =
     let p = small_platform seed in
     let m = p.Platform.monitor in
-    let backend = Backend.hyperenclave p ~mode ~handlers ~ocalls () in
+    let backend =
+      Backend.create p
+        { (Backend.config (Backend.Hyperenclave mode)) with Backend.handlers; ocalls }
+    in
     let inv_failures = ref [] in
     Fault.install ~telemetry:tel plan;
     arm_observer m inv_failures;
@@ -247,7 +250,14 @@ let build_schedule ~mode ~seed =
       let outcome =
         classify (fun () ->
             let p = small_platform (1000 + seed) in
-            let backend = Backend.hyperenclave p ~mode ~handlers ~ocalls () in
+            let backend =
+              Backend.create p
+                {
+                  (Backend.config (Backend.Hyperenclave mode)) with
+                  Backend.handlers;
+                  ocalls;
+                }
+            in
             let reply =
               backend.Backend.call ~id:1 ~data:(Bytes.of_string "boot")
                 ~direction:Edge.In_out ()

@@ -454,20 +454,6 @@ let test_permanent_migration_fault () =
   assert_green cl;
   Cluster.destroy cl
 
-(* The singleton shim: a one-node cluster over an existing platform
-   keeps single-node callers on the node-addressed API. *)
-let test_singleton () =
-  let p = Platform.create ~seed:4242L () in
-  let cl = Cluster.singleton ~platform:p () in
-  let o = Cluster.add_tenant cl ~name:"acme" tenant_gen in
-  Alcotest.(check int) "only node owns" 0 o;
-  let c = connect cl in
-  Alcotest.(check int) "node 0 affinity" 0 (Cluster.Client.node_id c);
-  let r = call_ok c [ (2, Bytes.of_string "solo") ] in
-  Alcotest.(check string) "singleton serves" "SOLO" (Bytes.to_string (List.hd r));
-  assert_green cl;
-  Cluster.destroy cl
-
 let suite =
   [
     Alcotest.test_case "live migration: seal, ship, re-attest, resume" `Quick
@@ -491,5 +477,4 @@ let suite =
       test_kill_failover_chaos;
     Alcotest.test_case "permanent migration fault is typed" `Quick
       test_permanent_migration_fault;
-    Alcotest.test_case "singleton shim" `Quick test_singleton;
   ]

@@ -112,9 +112,11 @@ let test_table1_ecall () =
      enclave launch measurement (Sha256 over every EADDed page). *)
   let platform = Platform.create ~seed:101L () in
   let backend =
-    Backend.hyperenclave platform ~mode:Sgx_types.GU
-      ~handlers:[ (1, fun _ _ -> Bytes.empty) ]
-      ~ocalls:[] ()
+    Backend.create platform
+      {
+        (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
+        Backend.handlers = [ (1, fun _ _ -> Bytes.empty) ];
+      }
   in
   let total = ref 0 in
   for _ = 1 to 50 do

@@ -389,7 +389,7 @@ let test_resize_session_edmm () =
   (* Out-of-stride requests are a caller error. *)
   (try
      ignore (Serve.resize_session plane ~session:(Serve.Client.session_id client)
-               ~pages:(Serve.default_config.Serve.state_stride_pages + 1));
+               ~pages:(Serve.state_stride_pages + 1));
      Alcotest.fail "oversized resize accepted"
    with Invalid_argument _ -> ());
   Serve.destroy plane
@@ -1109,6 +1109,114 @@ let test_close_session_mid_stage () =
        (Serve.Client.request client_a ~ecall:1 (Bytes.of_string "ghost")));
   Serve.destroy plane
 
+let roundtrip_three plane client =
+  match
+    Serve.Client.roundtrip plane client
+      (List.map (fun s -> (1, Bytes.of_string s)) [ "x"; "y"; "z" ])
+  with
+  | [ Ok _; Ok _; Ok _ ] -> ()
+  | _ -> Alcotest.fail "three-request roundtrip failed"
+
+let test_high_water_survives_rebuild () =
+  (* The arena and shard high-water counters live in the platform
+     monitor's telemetry, which outlives a plane.  Two planes built one
+     after the other on one platform (as an upgrade or a revive does)
+     each flush three requests from one session: the counters show the
+     deepest flush — 3 staged requests on 1 shard — not a sum over
+     planes. *)
+  let p = Platform.create ~seed:7061L () in
+  List.iter
+    (fun seed ->
+      let plane =
+        Serve.create_node ~platform:p
+        @@ Serve.Node_config.v ~platform:p Serve.default_config
+      in
+      let backend = Serve.add_tenant plane ~name:"acme" (tenant_config ()) in
+      let client = extra_client p backend ~seed in
+      establish plane client;
+      roundtrip_three plane client;
+      Serve.destroy plane)
+    [ 1L; 2L ];
+  let tel = Monitor.telemetry p.Platform.monitor in
+  Alcotest.(check int) "deepest flush" 3
+    (Telemetry.counter tel "serve.arena.high_water");
+  Alcotest.(check int) "widest shard spread" 1
+    (Telemetry.counter tel "serve.ring.shards_active")
+
+(* ------------------------------------------------------------------ *)
+(* Migration blob                                                      *)
+
+(* A seeded plane's export of one tenant with one session at receive
+   cursor 3 holding 2 committed EDMM pages. *)
+let exported_blob () =
+  let _p, plane, _backend, client = build ~seed:7060L () in
+  establish plane client;
+  roundtrip_three plane client;
+  (match
+     Serve.resize_session plane ~session:(Serve.Client.session_id client)
+       ~pages:2
+   with
+  | Ok 2 -> ()
+  | Ok n -> Alcotest.failf "committed %d pages, expected 2" n
+  | Error r -> Alcotest.failf "resize rejected: %a" Serve.pp_reject r);
+  let blob =
+    match Serve.export_tenant plane ~tenant:"acme" with
+    | Ok blob -> blob
+    | Error r -> Alcotest.failf "export rejected: %a" Serve.pp_reject r
+  in
+  Serve.destroy plane;
+  blob
+
+let test_migration_blob_kat () =
+  (* Nodes running different builds exchange these bytes during a
+     rolling upgrade, so the wire form is pinned byte for byte. *)
+  let blob = exported_blob () in
+  Alcotest.(check int) "blob length" 8363 (Bytes.length blob);
+  Alcotest.(check string) "blob sha256"
+    "4ec15dfe05d0abaf60d2eb04629798403b99ef7c9a13e46a32562758a0073888"
+    (Crypto.Sha256.to_hex (Crypto.Sha256.digest_bytes blob))
+
+let test_malformed_blob_refused () =
+  (* Every structural fault is a typed Import_conflict that installs
+     nothing: each strict prefix, one trailing byte, and a session count
+     of -1 or 2^40.  The intact blob then installs on the same
+     destination, so the refusals come from the bytes alone. *)
+  let blob = exported_blob () in
+  let p = Platform.create ~seed:7063L () in
+  let plane =
+    Serve.create_node ~platform:p
+    @@ Serve.Node_config.v ~node_id:1 ~platform:p Serve.default_config
+  in
+  ignore (Serve.add_tenant plane ~name:"acme" (tenant_config ()) : Backend.t);
+  let expect_conflict what b =
+    match Serve.import_tenant plane b with
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+    | Ok _ -> Alcotest.failf "%s: malformed blob installed" what
+    | Error (Serve.Import_conflict _) ->
+        if Serve.session_count plane <> 0 then
+          Alcotest.failf "%s: sessions installed" what
+    | Error r -> Alcotest.failf "%s: %a" what Serve.pp_reject r
+  in
+  for len = 0 to Bytes.length blob - 1 do
+    expect_conflict (Printf.sprintf "%d-byte prefix" len) (Bytes.sub blob 0 len)
+  done;
+  expect_conflict "trailing byte" (Bytes.cat blob (Bytes.make 1 '\000'));
+  (* The count follows the magic and two length-prefixed fields: the
+     tenant name and its 32-byte identity. *)
+  let count_off = String.length "hemig1:" + 8 + String.length "acme" + 8 + 32 in
+  Alcotest.(check int) "session count word" 1
+    (Int64.to_int (Bytes.get_int64_le blob count_off));
+  List.iter
+    (fun (what, count) ->
+      let b = Bytes.copy blob in
+      Bytes.set_int64_le b count_off count;
+      expect_conflict what b)
+    [ ("session count -1", -1L); ("session count 2^40", Int64.shift_left 1L 40) ];
+  (match Serve.import_tenant plane blob with
+  | Ok n -> Alcotest.(check int) "intact blob installs" 1 n
+  | Error r -> Alcotest.failf "intact blob refused: %a" Serve.pp_reject r);
+  Serve.destroy plane
+
 let suite =
   [
     Alcotest.test_case "roundtrip on all modes" `Quick test_roundtrip_modes;
@@ -1165,4 +1273,10 @@ let suite =
       test_arena_per_session_order;
     Alcotest.test_case "close session mid-stage drops arena slots" `Quick
       test_close_session_mid_stage;
+    Alcotest.test_case "high-water counters survive a plane rebuild" `Quick
+      test_high_water_survives_rebuild;
+    Alcotest.test_case "migration blob known answer" `Quick
+      test_migration_blob_kat;
+    Alcotest.test_case "malformed migration blob refused typed" `Quick
+      test_malformed_blob_refused;
   ]

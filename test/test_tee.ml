@@ -45,7 +45,11 @@ let test_backends_agree_on_results () =
       (native :: sgx
       :: List.map
            (fun mode ->
-             Backend.hyperenclave p ~mode ~handlers:echo_handlers ~ocalls:[] ())
+             Backend.create p
+               {
+                 (Backend.config (Backend.Hyperenclave mode)) with
+                 Backend.handlers = echo_handlers;
+               })
            Sgx_types.all_modes)
   in
   List.iter (fun r -> Alcotest.(check string) "identical output" "SAME INPUT" r) results
@@ -66,8 +70,16 @@ let test_backend_cost_ordering () =
          ~rng:(Rng.create ~seed:1L) ~handlers:echo_handlers ~ocalls:[])
   in
   let p = Platform.create ~seed:5001L () in
-  let hu = cost_of (Backend.hyperenclave p ~mode:Sgx_types.HU ~handlers:echo_handlers ~ocalls:[] ()) in
-  let gu = cost_of (Backend.hyperenclave p ~mode:Sgx_types.GU ~handlers:echo_handlers ~ocalls:[] ()) in
+  let enclave mode =
+    cost_of
+      (Backend.create p
+         {
+           (Backend.config (Backend.Hyperenclave mode)) with
+           Backend.handlers = echo_handlers;
+         })
+  in
+  let hu = enclave Sgx_types.HU in
+  let gu = enclave Sgx_types.GU in
   let sgx =
     cost_of
       (Backend.sgx ~clock:(Cycles.create ()) ~cost:Cost_model.default
