@@ -24,8 +24,6 @@ type public = bytes
 val generate : Hyperenclave_hw.Rng.t -> secret * public
 (** Fresh ephemeral keypair, registered for agreement. *)
 
-val public_of_secret : secret -> public
-
 val shared : secret -> public -> bytes option
 (** [shared mine theirs] is the 32-byte agreed secret, symmetric in the
     two keypairs ([shared a pk_b = shared b pk_a]); [None] if [theirs]

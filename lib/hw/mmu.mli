@@ -59,7 +59,5 @@ val npt : t -> Page_table.t option
 val nested : t -> bool
 
 val flush_tlb : t -> unit
-val invalidate_vpn : t -> vpn:int -> unit
-(** INVLPG after a PTE change; charges [tlb_shootdown]. *)
 
 val tlb : t -> Tlb.t

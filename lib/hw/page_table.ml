@@ -123,11 +123,6 @@ let iter t f =
   in
   go t.root 0 3
 
-let clear_accessed_dirty t =
-  iter t (fun ~vpn:_ e ->
-      e.accessed <- false;
-      e.dirty <- false)
-
 type snapshot = { gen : int; entries : (int * int * perms) list }
 
 let snapshot t =

@@ -60,7 +60,6 @@ val table_pages : t -> int
     would occupy (1 root + interior + leaf tables). *)
 
 val iter : t -> (vpn:int -> entry -> unit) -> unit
-val clear_accessed_dirty : t -> unit
 
 val find_vpn_of_frame : t -> frame:int -> int option
 (** Reverse lookup (first match); used by security tests for alias

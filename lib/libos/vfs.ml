@@ -10,7 +10,6 @@ type store =
   | Paged of { mutable base : int; mutable cap : int }
 
 type node = {
-  ino : int;
   created_at : int;
   mutable size : int;
   store : store ref;
@@ -21,22 +20,16 @@ type stat = { size : int; created_at : int }
 type t = {
   files : (string, node) Hashtbl.t;
   pager : pager option;
-  mutable next_ino : int;
   mutable heap_cursor : int;
 }
 
 let create ?pager () =
-  { files = Hashtbl.create 32; pager; next_ino = 1; heap_cursor = 0 }
+  { files = Hashtbl.create 32; pager; heap_cursor = 0 }
 
 let paged t = t.pager <> None
 let exists t ~path = Hashtbl.mem t.files path
 let lookup t ~path = Hashtbl.find_opt t.files path
-let linked t (node : node) =
-  Hashtbl.fold (fun _ (n : node) acc -> acc || n.ino = node.ino) t.files false
-
-let node_ino (n : node) = n.ino
 let node_size (n : node) = n.size
-let node_created_at (n : node) = n.created_at
 
 (* --- extent management (paged backing) ---------------------------------- *)
 
@@ -116,12 +109,10 @@ let node_truncate _t (node : node) =
 (* --- namespace operations ----------------------------------------------- *)
 
 let fresh_node t ~now =
-  let ino = t.next_ino in
-  t.next_ino <- ino + 1;
   let store =
     if paged t then Paged { base = 0; cap = 0 } else Mem { data = Bytes.empty }
   in
-  { ino; created_at = now; size = 0; store = ref store }
+  { created_at = now; size = 0; store = ref store }
 
 let open_node t ~path ~now ~create ~trunc =
   match Hashtbl.find_opt t.files path with
@@ -135,9 +126,6 @@ let open_node t ~path ~now ~create ~trunc =
         Hashtbl.replace t.files path node;
         Some node
       end
-
-let create_file t ~path ~now =
-  ignore (open_node t ~path ~now ~create:true ~trunc:true)
 
 let unlink t ~path =
   (* POSIX semantics: only the namespace entry goes away; any open fd
@@ -153,14 +141,6 @@ let stat t ~path =
     (fun (n : node) -> { size = n.size; created_at = n.created_at })
     (Hashtbl.find_opt t.files path)
 
-let read_at t ~path ~pos ~len =
-  Option.map (fun n -> node_read t n ~pos ~len) (Hashtbl.find_opt t.files path)
-
-let write_at t ~path ~pos data =
-  Option.map
-    (fun n -> node_write t n ~pos data)
-    (Hashtbl.find_opt t.files path)
-
 let size t ~path =
   Option.map (fun (n : node) -> n.size) (Hashtbl.find_opt t.files path)
 
@@ -170,10 +150,5 @@ let list_prefix t ~prefix =
       if String.starts_with ~prefix path then path :: acc else acc)
     t.files []
   |> List.sort compare
-
-let file_count t = Hashtbl.length t.files
-
-let total_bytes t =
-  Hashtbl.fold (fun _ (n : node) acc -> acc + n.size) t.files 0
 
 let paged_bytes t = t.heap_cursor

@@ -14,11 +14,6 @@ let monitor_mode = function
   | Armv8 -> "EL2"
   | Riscv_h -> "HS-mode"
 
-let normal_mode = function
-  | X86_64 -> "VMX non-root ring-0/ring-3"
-  | Armv8 -> "EL1/EL0"
-  | Riscv_h -> "VS/VU-mode"
-
 let secure_mode isa mode =
   match (isa, mode) with
   | X86_64, Sgx_types.GU -> "guest ring-3 (nested paging)"

@@ -25,9 +25,6 @@ val name : t -> string
 val monitor_mode : t -> string
 (** Where RustMonitor runs: "VMX root mode" / "EL2" / "HS-mode". *)
 
-val normal_mode : t -> string
-(** Where the demoted primary OS runs. *)
-
 val secure_mode : t -> Sgx_types.operation_mode -> string
 (** Where each enclave operation mode lands, e.g. GU on ARMv8 is "EL0
     under stage-2 translation". *)

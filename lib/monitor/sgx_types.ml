@@ -7,7 +7,6 @@ let mode_name = function
   | HU -> "HU-Enclave"
   | P -> "P-Enclave"
 
-let pp_mode fmt m = Format.pp_print_string fmt (mode_name m)
 let all_modes = [ GU; HU; P ]
 
 type page_type = Pt_secs | Pt_tcs | Pt_reg | Pt_ssa

@@ -14,7 +14,6 @@ type operation_mode =
   | P  (** privileged: guest ring-0, owns IDT and level-1 page table *)
 
 val mode_name : operation_mode -> string
-val pp_mode : Format.formatter -> operation_mode -> unit
 val all_modes : operation_mode list
 
 (** EPCM-style page types. *)

@@ -33,10 +33,9 @@ type config = {
   batch : int;
       (** Not read by the scheduler.  The serving plane
           ({!Hyperenclave_serve.Serve.flush}) reads it as its reply-seal
-          group — one AEAD setup charge per [batch] sealed replies — and
-          as the chunk size of its fallback for tenants without an SDK
-          handle; [Serve.create_node] requires it in [[1, 16]].  It stays
-          here because existing serve configurations set it through
+          group — one AEAD setup charge per [batch] sealed replies;
+          [Serve.create_node] requires it in [[1, 16]].  It stays here
+          because existing serve configurations set it through
           [Sched.config]. *)
   drop_on_error : bool;
       (** drop a request that ends in a typed error (injected permanent

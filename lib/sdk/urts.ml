@@ -678,7 +678,6 @@ let ecall_no_ms t ~id ?(data = Bytes.empty) ~direction () =
    replies echoing the same framing. *)
 type ring = {
   rt : t;
-  shard : int;
   req_off : int;  (* segment base in the input region *)
   rep_off : int;  (* segment base in the output region *)
   slots : int;
@@ -696,7 +695,6 @@ type ring = {
 let ring_staged r = r.staged
 let ring_capacity r = r.slots
 let ring_slot_bytes r = r.slot_bytes
-let ring_shard r = r.shard
 let ring_buf r = r.rbuf
 let ring_reply_buf r = r.pbuf
 
@@ -723,7 +721,6 @@ let create_ring t ~shard ~shards ~slots ~slot_bytes =
       slots slot_bytes need shards in_seg out_seg;
   {
     rt = t;
-    shard;
     req_off = shard * in_seg;
     rep_off = t.ms_out_region + (shard * out_seg);
     slots;

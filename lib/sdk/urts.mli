@@ -124,7 +124,6 @@ val ring_reply_slot : ring -> slot:int -> int * int
 val ring_staged : ring -> int
 val ring_capacity : ring -> int
 val ring_slot_bytes : ring -> int
-val ring_shard : ring -> int
 
 val ring_buf : ring -> bytes
 (** The reusable staged-request image (header + slots). *)

@@ -120,8 +120,8 @@ let state_stride_pages = 16
 let slot_bytes = 256
 let rotor_block = 8
 
-(* Placeholders the stage arrays are filled with so dead entries never
-   pin client envelopes (or stale fallback replies) against the GC. *)
+(* Placeholder the stage arrays are filled with so dead entries never
+   pin client envelopes against the GC. *)
 let dummy_sealed =
   {
     Authenc.nonce = Bytes.empty;
@@ -130,14 +130,11 @@ let dummy_sealed =
     aad = Bytes.empty;
   }
 
-let dummy_outcome : (bytes, string) result = Ok Bytes.empty
-
 (* Flat admission arena: one slot per staged request, recycled across
    flushes.  [sg_sids.(i) = -1] marks a slot whose session closed while
-   staged.  [sg_shards] / [sg_slots] / [sg_fb] are flush-time scratch
-   columns: which ring shard served entry [i] (or [-2] = the non-SDK
-   per-request fallback), the slot index inside that ring, and the
-   fallback outcome. *)
+   staged.  [sg_shards] / [sg_slots] are flush-time scratch columns:
+   which ring shard served entry [i] and the slot index inside that
+   ring. *)
 type stage = {
   mutable sg_sids : int array;
   mutable sg_seqs : int array;
@@ -145,11 +142,8 @@ type stage = {
   mutable sg_envs : Authenc.sealed array;
   mutable sg_shards : int array;
   mutable sg_slots : int array;
-  mutable sg_fb : (bytes, string) result array;
   mutable sg_n : int;
 }
-
-let fallback_shard = -2
 
 let stage_push (st : stage) ~sid ~seq ~ecall ~env =
   let n = st.sg_n in
@@ -167,18 +161,12 @@ let stage_push (st : stage) ~sid ~seq ~ecall ~env =
       Array.blit a 0 b 0 n;
       b
     in
-    let grow_fb a =
-      let b = Array.make cap dummy_outcome in
-      Array.blit a 0 b 0 n;
-      b
-    in
     st.sg_sids <- grow_int st.sg_sids;
     st.sg_seqs <- grow_int st.sg_seqs;
     st.sg_ecalls <- grow_int st.sg_ecalls;
     st.sg_envs <- grow_env st.sg_envs;
     st.sg_shards <- grow_int st.sg_shards;
-    st.sg_slots <- grow_int st.sg_slots;
-    st.sg_fb <- grow_fb st.sg_fb
+    st.sg_slots <- grow_int st.sg_slots
   end;
   st.sg_sids.(n) <- sid;
   st.sg_seqs.(n) <- seq;
@@ -191,6 +179,11 @@ type tenant = {
   t_req_counter : string;  (* "serve.tenant.<name>.requests", precomputed *)
   t_cyc_counter : string;  (* "serve.tenant.<name>.cycles" *)
   backend : Backend.t;
+  urts : Urts.t;  (* the enclave's SDK handle: rings and quotes *)
+  mrenclave : bytes;
+  handler_ids : int list;
+      (* the ECALLs a client may name: the caller's handlers, not the
+         plane's reserved state ECALLs *)
   mutable queued : int;
   mutable spent : int;
   mutable budget : int;  (* max_int when unmetered *)
@@ -263,7 +256,7 @@ type t = {
 let fault_site = "serve.session"
 
 (* Bound on [config.sched.batch]: [flush] shares one AEAD setup charge
-   among at most this many sealed replies, or fallback requests. *)
+   among at most this many sealed replies. *)
 let max_batch = 16
 
 module Node_config = struct
@@ -417,9 +410,8 @@ let get_range what input =
   if off < 0 || n < 0 then invalid_arg "serve: negative session-state range";
   (off, n)
 
-(* Commit: touch [pages] heap pages from byte [off].  On the HyperEnclave
-   backends each first touch demand-commits an EPC page through the
-   monitor's EDMM path; native backs it with scratch memory. *)
+(* Commit: touch [pages] heap pages from byte [off].  Each first touch
+   demand-commits an EPC page through the monitor's EDMM path. *)
 let state_ecall = 0x5e55
 
 let state_handler (env : Backend.env) input =
@@ -452,6 +444,15 @@ let state_write_handler (env : Backend.env) input =
 let reserved_ecalls = [ state_ecall; state_read_ecall; state_write_ecall ]
 
 let add_tenant t ~name (bc : Backend.config) =
+  (match bc.Backend.kind with
+  | Backend.Hyperenclave _ -> ()
+  | Backend.Native | Backend.Sgx ->
+      (* Every tenant quotes itself and serves through the slot ring;
+         the baselines have neither an enclave report the monitor signs
+         nor an SDK handle. *)
+      invalid_arg
+        (Printf.sprintf "Serve.add_tenant: %s is not a HyperEnclave backend"
+           (Backend.kind_name bc.Backend.kind)));
   if Hashtbl.mem t.tenants name then
     invalid_arg (Printf.sprintf "Serve.add_tenant: duplicate tenant %s" name);
   List.iter
@@ -461,47 +462,44 @@ let add_tenant t ~name (bc : Backend.config) =
           (Printf.sprintf
              "Serve.add_tenant: ECALL %#x is reserved for session state" id))
     reserved_ecalls;
-  let bc =
-    {
-      bc with
-      Backend.handlers =
-        bc.Backend.handlers
-        @ [
-            (state_ecall, state_handler);
-            (state_read_ecall, state_read_handler);
-            (state_write_ecall, state_write_handler);
-          ];
-    }
+  (* The tenant carves [shards] request and reply segments out of the
+     marshalling buffer, each big enough to ring the whole admission
+     queue: size the buffer up front so a worst-case flush (every staged
+     request landing on one shard) can never outgrow a ring.  Quadruple
+     [need] because the input region is half the buffer and the reply
+     region a quarter, plus a page of alignment slack per segment. *)
+  let need = 8 + (t.config.max_queue * (16 + slot_bytes)) in
+  let ms_min = Addr.align_up ((4 * t.shards * need) + (4 * Addr.page_size)) in
+  let ms_bytes =
+    max ms_min
+      (Option.value bc.Backend.ms_bytes
+         ~default:(Urts.default_config Sgx_types.GU).Urts.ms_bytes)
   in
-  let bc =
-    (* Enclave tenants carve [shards] request and reply segments out of
-       the marshalling buffer, each big enough to ring the whole
-       admission queue: size the buffer up front so a worst-case flush
-       (every staged request landing on one shard) can never outgrow a
-       ring.  Quadruple [need] because the input region is half the
-       buffer and the reply region a quarter, plus a page of alignment
-       slack per segment. *)
-    match bc.Backend.kind with
-    | Backend.Hyperenclave _ ->
-        let need = 8 + (t.config.max_queue * (16 + slot_bytes)) in
-        let ms_min =
-          Addr.align_up ((4 * t.shards * need) + (4 * Addr.page_size))
-        in
-        let ms_bytes =
-          match bc.Backend.ms_bytes with
-          | Some b -> max b ms_min
-          | None -> max (Urts.default_config Sgx_types.GU).Urts.ms_bytes ms_min
-        in
-        { bc with Backend.ms_bytes = Some ms_bytes }
-    | _ -> bc
+  let backend =
+    Backend.create t.platform
+      {
+        bc with
+        Backend.ms_bytes = Some ms_bytes;
+        handlers =
+          bc.Backend.handlers
+          @ [
+              (state_ecall, state_handler);
+              (state_read_ecall, state_read_handler);
+              (state_write_ecall, state_write_handler);
+            ];
+      }
   in
-  let backend = Backend.create t.platform bc in
+  (* A HyperEnclave backend always carries its SDK handle. *)
+  let urts = Option.get backend.Backend.urts in
   let tenant =
     {
       t_name = name;
       t_req_counter = "serve.tenant." ^ name ^ ".requests";
       t_cyc_counter = "serve.tenant." ^ name ^ ".cycles";
       backend;
+      urts;
+      mrenclave = Urts.mrenclave urts;
+      handler_ids = List.map fst bc.Backend.handlers;
       queued = 0;
       spent = 0;
       budget = (match t.config.cycle_quota with Some q -> q | None -> max_int);
@@ -516,7 +514,6 @@ let add_tenant t ~name (bc : Backend.config) =
           sg_envs = [||];
           sg_shards = [||];
           sg_slots = [||];
-          sg_fb = [||];
           sg_n = 0;
         };
       rings = Array.make t.shards None;
@@ -687,49 +684,40 @@ let handshake t ~tenant hello =
          challenge must never get a second quote. *)
       if nonce_replayed t hello.nonce then refuse Replayed_nonce
       else
-        match tn.backend.Backend.identity with
-        | None ->
-            refuse (Unsupported "native backend has no enclave identity to attest")
-        | Some tenant_identity -> (
-            match
-              Fault.with_retries ~backoff:(backoff t) (fun () ->
-                  Fault.point fault_site;
-                  let secret, server_kx = Kx.generate t.rng in
-                  let report_data =
-                    transcript ~nonce:hello.nonce ~client_kx:hello.client_kx
-                      ~server_kx ~identity:tenant_identity
-                  in
-                  let quoter =
-                    match tn.backend.Backend.urts with
-                    | Some u -> u
-                    | None -> quoting_urts t
-                  in
-                  let quote =
-                    Urts.gen_quote quoter ~report_data ~nonce:hello.nonce
-                  in
-                  (secret, server_kx, Wire.encode quote))
-            with
-            | exception Fault.Injected { site; kind } ->
-                refuse (Session_fault (injected_msg site kind))
-            | secret, server_kx, quote_wire -> (
-                match Kx.shared secret hello.client_kx with
-                | None -> refuse Unknown_key_share
-                | Some shared ->
-                    let s =
-                      open_session t tn ~id:(fresh_id t) ~slot:(alloc_slot tn)
-                        ~key:(derive_key ~shared ~nonce:hello.nonce)
-                        ~recv_seq:0 ~pages:0
-                    in
-                    Telemetry.incr t.telemetry "serve.handshake";
-                    Telemetry.incr t.telemetry "serve.session_open";
-                    Ok
-                      {
-                        session_id = s.s_id;
-                        node_id = t.identity.node_id;
-                        server_kx;
-                        quote_wire;
-                        tenant_identity;
-                      })))
+        match
+          Fault.with_retries ~backoff:(backoff t) (fun () ->
+              Fault.point fault_site;
+              let secret, server_kx = Kx.generate t.rng in
+              let report_data =
+                transcript ~nonce:hello.nonce ~client_kx:hello.client_kx
+                  ~server_kx ~identity:tn.mrenclave
+              in
+              let quote =
+                Urts.gen_quote tn.urts ~report_data ~nonce:hello.nonce
+              in
+              (secret, server_kx, Wire.encode quote))
+        with
+        | exception Fault.Injected { site; kind } ->
+            refuse (Session_fault (injected_msg site kind))
+        | secret, server_kx, quote_wire -> (
+            match Kx.shared secret hello.client_kx with
+            | None -> refuse Unknown_key_share
+            | Some shared ->
+                let s =
+                  open_session t tn ~id:(fresh_id t) ~slot:(alloc_slot tn)
+                    ~key:(derive_key ~shared ~nonce:hello.nonce)
+                    ~recv_seq:0 ~pages:0
+                in
+                Telemetry.incr t.telemetry "serve.handshake";
+                Telemetry.incr t.telemetry "serve.session_open";
+                Ok
+                  {
+                    session_id = s.s_id;
+                    node_id = t.identity.node_id;
+                    server_kx;
+                    quote_wire;
+                    tenant_identity = tn.mrenclave;
+                  }))
 
 (* ---------------------------------------------------------------------- *)
 (* Request envelopes                                                      *)
@@ -824,7 +812,16 @@ let submit t (req : request) =
               | exception Fault.Injected { site; kind } ->
                   reject t (Session_fault (injected_msg site kind))
               | () ->
-                  if tn.queued >= t.config.max_queue then
+                  (* Only the tenant's own handlers are addressable: the
+                     reserved state ECALLs read and write every session's
+                     state slot, and an id nobody registered would fail
+                     the whole ring shard it lands in. *)
+                  if not (List.mem req.ecall_id tn.handler_ids) then
+                    reject t
+                      (Unsupported
+                         (Printf.sprintf "ECALL %#x is not a %s handler"
+                            req.ecall_id tn.t_name))
+                  else if tn.queued >= t.config.max_queue then
                     reject t
                       (Backpressure
                          {
@@ -856,20 +853,6 @@ let submit t (req : request) =
 let charge t (tn : tenant) cycles =
   tn.spent <- tn.spent + cycles;
   Telemetry.add t.telemetry tn.t_cyc_counter cycles
-
-(* Split [l] into chunks of at most [k] elements, preserving order. *)
-let rec chunked k = function
-  | [] -> []
-  | l ->
-      let rec take n = function
-        | rest when n = 0 -> ([], rest)
-        | [] -> ([], [])
-        | x :: rest ->
-            let taken, left = take (n - 1) rest in
-            (x :: taken, left)
-      in
-      let c, rest = take k l in
-      c :: chunked k rest
 
 (* Collect the distinct live sessions staged in [st] into the plane's
    scratch array, ascending id — the per-tenant session order of
@@ -904,12 +887,12 @@ let collect_sids t (st : stage) =
     t.sid_scratch.(!j + 1) <- v
   done
 
-let ring_for t (tn : tenant) urts shard =
+let ring_for t (tn : tenant) shard =
   match tn.rings.(shard) with
   | Some r -> r
   | None ->
       let r =
-        Urts.create_ring urts ~shard ~shards:t.shards
+        Urts.create_ring tn.urts ~shard ~shards:t.shards
           ~slots:t.config.max_queue ~slot_bytes
       in
       tn.rings.(shard) <- Some r;
@@ -933,19 +916,14 @@ let flush t =
   (* Pass 1 per tenant: walk the staged entries in dispatch order —
      ascending session id, then admission (= sequence) order within a
      session.  Permanent session faults surface as typed errors in the
-     assembly pass; live
-     entries decrypt straight into their ring slot (the slot IS the
-     envelope's plaintext cell) or, for backends without an SDK handle,
-     into the synchronous fallback list. *)
+     assembly pass; live entries decrypt straight into their ring slot
+     (the slot IS the envelope's plaintext cell). *)
   List.iter
     (fun tn ->
       let st = tn.stage in
       if st.sg_n > 0 then begin
         Array.fill tn.ring_err 0 t.shards None;
         collect_sids t st;
-        let urts_opt = tn.backend.Backend.urts in
-        let fb = ref [] in
-        (* rev (entry index, ecall, plaintext) for the fallback *)
         for k = 0 to t.sid_count - 1 do
           let sid = t.sid_scratch.(k) in
           let s = Hashtbl.find t.sessions sid in
@@ -971,87 +949,54 @@ let flush t =
                   let env = st.sg_envs.(i) in
                   let len = Bytes.length env.Authenc.ciphertext in
                   charge_aead_bytes t ~bytes:len;
-                  match urts_opt with
-                  | Some urts ->
-                      if !stamp mod rotor_block = 0 then begin
-                        shard := t.rotor;
-                        t.rotor <- (t.rotor + 1) mod t.shards
-                      end;
-                      incr stamp;
-                      let ring = ring_for t tn urts !shard in
-                      if tn.ring_gen.(!shard) <> gen then begin
-                        tn.ring_gen.(!shard) <- gen;
-                        incr rings_used;
-                        (* one AEAD setup per (ring, flush): the decrypts
-                           staged into a ring share one key-schedule
-                           charge *)
-                        charge_aead_setup t
-                      end;
-                      let off = Urts.ring_stage ring ~ecall_id:st.sg_ecalls.(i) ~len in
-                      Authenc.decrypt_into s.keys ~nonce:env.Authenc.nonce
-                        ~src:env.Authenc.ciphertext ~src_off:0
-                        ~dst:(Urts.ring_buf ring) ~dst_off:off ~len;
-                      st.sg_shards.(i) <- !shard;
-                      st.sg_slots.(i) <- Urts.ring_staged ring - 1
-                  | None ->
-                      let plaintext = Bytes.create len in
-                      Authenc.decrypt_into s.keys ~nonce:env.Authenc.nonce
-                        ~src:env.Authenc.ciphertext ~src_off:0 ~dst:plaintext
-                        ~dst_off:0 ~len;
-                      st.sg_shards.(i) <- fallback_shard;
-                      fb := (i, st.sg_ecalls.(i), plaintext) :: !fb
+                  if !stamp mod rotor_block = 0 then begin
+                    shard := t.rotor;
+                    t.rotor <- (t.rotor + 1) mod t.shards
+                  end;
+                  incr stamp;
+                  let ring = ring_for t tn !shard in
+                  if tn.ring_gen.(!shard) <> gen then begin
+                    tn.ring_gen.(!shard) <- gen;
+                    incr rings_used;
+                    (* one AEAD setup per (ring, flush): the decrypts
+                       staged into a ring share one key-schedule charge *)
+                    charge_aead_setup t
+                  end;
+                  let off =
+                    Urts.ring_stage ring ~ecall_id:st.sg_ecalls.(i) ~len
+                  in
+                  Authenc.decrypt_into s.keys ~nonce:env.Authenc.nonce
+                    ~src:env.Authenc.ciphertext ~src_off:0
+                    ~dst:(Urts.ring_buf ring) ~dst_off:off ~len;
+                  st.sg_shards.(i) <- !shard;
+                  st.sg_slots.(i) <- Urts.ring_staged ring - 1
                 end
               done
         done;
-        match urts_opt with
-        | Some urts ->
-            (* Publish and enqueue every shard this tenant staged into:
-               shard [k] pins to core [k mod cores], so a single hot
-               tenant's rotor-spread blocks occupy every core. *)
-            for shard = 0 to t.shards - 1 do
-              match tn.rings.(shard) with
-              | Some ring
-                when tn.ring_gen.(shard) = gen && Urts.ring_staged ring > 0
-                -> (
-                  match
-                    Fault.with_retries ~backoff:(backoff t) (fun () ->
-                        Urts.ring_publish ring)
-                  with
-                  | exception Fault.Injected { site; kind } ->
-                      tn.ring_err.(shard) <- Some (injected_msg site kind)
-                  | () ->
-                      Sched.submit_ring t.sched ~core:(shard mod cores) ~urts
-                        ~label:tn.t_name
-                        ~on_result:(fun ~index:_ result ->
-                          match result with
-                          | Ok _ -> ()
-                          | Error msg -> tn.ring_err.(shard) <- Some msg)
-                        ~on_slice:(fun ~cycles -> charge t tn cycles)
-                        ring)
-              | Some _ | None -> ()
-            done
-        | None ->
-            (* No SDK handle (the SGX model, native): one synchronous
-               call per request, so a failing request fails alone.  Each
-               [seal_group]-long chunk pays one AEAD setup, and its
-               shared-clock delta is this tenant's quota spend. *)
-            List.iter
-              (fun chunk ->
-                charge_aead_setup t;
-                let clock = t.platform.Platform.clock in
-                let before = Cycles.now clock in
-                List.iter
-                  (fun (i, id, data) ->
-                    st.sg_fb.(i) <-
-                      (match
-                         Backend.protected_call tn.backend ~id ~data
-                           ~direction:Edge.In_out ()
-                       with
-                      | Backend.Success reply -> Ok reply
-                      | Backend.Typed_error m | Backend.Violation m -> Error m))
-                  chunk;
-                charge t tn (Cycles.now clock - before))
-              (chunked seal_group (List.rev !fb))
+        (* Publish and enqueue every shard this tenant staged into: shard
+           [k] pins to core [k mod cores], so a single hot tenant's
+           rotor-spread blocks occupy every core. *)
+        for shard = 0 to t.shards - 1 do
+          match tn.rings.(shard) with
+          | Some ring
+            when tn.ring_gen.(shard) = gen && Urts.ring_staged ring > 0 -> (
+              match
+                Fault.with_retries ~backoff:(backoff t) (fun () ->
+                    Urts.ring_publish ring)
+              with
+              | exception Fault.Injected { site; kind } ->
+                  tn.ring_err.(shard) <- Some (injected_msg site kind)
+              | () ->
+                  Sched.submit_ring t.sched ~core:(shard mod cores)
+                    ~urts:tn.urts ~label:tn.t_name
+                    ~on_result:(fun ~index:_ result ->
+                      match result with
+                      | Ok _ -> ()
+                      | Error msg -> tn.ring_err.(shard) <- Some msg)
+                    ~on_slice:(fun ~cycles -> charge t tn cycles)
+                    ring)
+          | Some _ | None -> ()
+        done
       end)
     tenants;
   ignore (Sched.run t.sched : Sched.stats);
@@ -1060,7 +1005,7 @@ let flush t =
      once per ring rather than per request. *)
   List.iter
     (fun tn ->
-      if tn.stage.sg_n > 0 && tn.backend.Backend.urts <> None then
+      if tn.stage.sg_n > 0 then
         for shard = 0 to t.shards - 1 do
           match tn.rings.(shard) with
           | Some ring
@@ -1099,26 +1044,22 @@ let flush t =
             out :=
               { r_session_id = sid; r_seq = seq; r_result = Error rej } :: !out
           in
-          let emit_sealed seq sealed =
-            Telemetry.incr t.telemetry "serve.request.ok";
-            out :=
-              { r_session_id = sid; r_seq = seq; r_result = Ok sealed } :: !out
-          in
-          let seal seq ~src ~src_off ~len ~dst ~dst_off =
+          let seal seq buf ~off ~len =
             if !sealed_in_batch = 0 then charge_aead_setup t;
             sealed_in_batch := (!sealed_in_batch + 1) mod seal_group;
             charge_aead_bytes t ~bytes:len;
             let nonce = envelope_nonce ~dir:'<' ~seq in
             let aad = aad_rep ~session_id:sid ~seq in
             let tag =
-              Authenc.seal_into s.keys ~aad ~nonce ~src ~src_off ~dst ~dst_off
-                ~len ()
+              Authenc.seal_into s.keys ~aad ~nonce ~src:buf ~src_off:off
+                ~dst:buf ~dst_off:off ~len ()
             in
-            let ciphertext =
-              if dst == src && dst_off = src_off then Bytes.sub dst dst_off len
-              else dst
+            let sealed =
+              { Authenc.nonce; ciphertext = Bytes.sub buf off len; tag; aad }
             in
-            emit_sealed seq { Authenc.nonce; ciphertext; tag; aad }
+            Telemetry.incr t.telemetry "serve.request.ok";
+            out :=
+              { r_session_id = sid; r_seq = seq; r_result = Ok sealed } :: !out
           in
           for i = 0 to st.sg_n - 1 do
             if st.sg_sids.(i) = sid then begin
@@ -1126,37 +1067,25 @@ let flush t =
               match fault with
               | Some msg -> emit_err seq (Session_fault msg)
               | None -> (
-                  match st.sg_shards.(i) with
-                  | shard when shard = fallback_shard -> (
-                      match st.sg_fb.(i) with
-                      | Ok body ->
-                          let len = Bytes.length body in
-                          let ciphertext = Bytes.create len in
-                          seal seq ~src:body ~src_off:0 ~len ~dst:ciphertext
-                            ~dst_off:0
-                      | Error m -> emit_err seq (Session_fault m))
-                  | shard -> (
-                      match tn.ring_err.(shard) with
-                      | Some msg -> emit_err seq (Session_fault msg)
-                      | None ->
-                          let ring =
-                            match tn.rings.(shard) with
-                            | Some r -> r
-                            | None -> assert false
-                          in
-                          let off, len =
-                            Urts.ring_reply_slot ring ~slot:st.sg_slots.(i)
-                          in
-                          let buf = Urts.ring_reply_buf ring in
-                          seal seq ~src:buf ~src_off:off ~len ~dst:buf
-                            ~dst_off:off))
+                  let shard = st.sg_shards.(i) in
+                  match tn.ring_err.(shard) with
+                  | Some msg -> emit_err seq (Session_fault msg)
+                  | None ->
+                      let ring =
+                        match tn.rings.(shard) with
+                        | Some r -> r
+                        | None -> assert false
+                      in
+                      let off, len =
+                        Urts.ring_reply_slot ring ~slot:st.sg_slots.(i)
+                      in
+                      seal seq (Urts.ring_reply_buf ring) ~off ~len)
             end
           done
         done;
         (* Recycle the arenas: drop envelope references, rewind the
            stage cursor, rewind every ring used this flush. *)
         Array.fill st.sg_envs 0 st.sg_n dummy_sealed;
-        Array.fill st.sg_fb 0 st.sg_n dummy_outcome;
         st.sg_n <- 0;
         Array.iter
           (function Some ring -> Urts.ring_reset ring | None -> ())
@@ -1181,18 +1110,11 @@ let resize_session t ~session ~pages =
   match Hashtbl.find_opt t.sessions session with
   | None -> reject t (session_reject t session)
   | Some s -> (
-      match s.tenant.backend.Backend.kind with
-      | Backend.Sgx ->
-          reject t
-            (Unsupported
-               "SGX1 does not support EDMM: session state cannot grow after \
-                EINIT")
-      | Backend.Native | Backend.Hyperenclave _ -> (
-          match commit_pages s.tenant ~slot:s.state_slot ~pages with
-          | Error rej -> reject t rej
-          | Ok committed ->
-              s.s_pages <- max s.s_pages pages;
-              Ok committed))
+      match commit_pages s.tenant ~slot:s.state_slot ~pages with
+      | Error rej -> reject t rej
+      | Ok committed ->
+          s.s_pages <- max s.s_pages pages;
+          Ok committed)
 
 (* ---------------------------------------------------------------------- *)
 (* Quotas and introspection                                               *)
@@ -1344,18 +1266,13 @@ let export_tenant t ~tenant =
         Error (Tenant_busy { tenant; staged = tn.queued })
     | Some tn -> Ok tn
   in
-  let* identity =
-    Option.to_result
-      ~none:(Unsupported "native backend has no enclave identity to migrate")
-      tn.backend.Backend.identity
-  in
   let sessions =
     List.sort (fun a b -> compare a.s_id b.s_id) (tenant_sessions t tn)
   in
   let buf = Buffer.create 512 in
   Buffer.add_string buf blob_magic;
   put_field buf (Bytes.of_string tenant);
-  put_field buf identity;
+  put_field buf tn.mrenclave;
   put_u64 buf (List.length sessions);
   let rec pack = function
     | [] -> Ok ()
@@ -1405,16 +1322,11 @@ let import_tenant t blob =
     Option.to_result ~none:(Unknown_tenant tenant)
       (Hashtbl.find_opt t.tenants tenant)
   in
-  let* local =
-    Option.to_result
-      ~none:(Unsupported "native backend has no enclave identity to verify")
-      tn.backend.Backend.identity
-  in
   (* The destination rebuilt the tenant enclave from the same registry
      config; if it does not measure identically the sealed sessions
      would resume inside a different program. *)
   let* () =
-    if Bytes.equal local identity then Ok ()
+    if Bytes.equal tn.mrenclave identity then Ok ()
     else
       Error
         (Import_conflict
@@ -1674,28 +1586,32 @@ module Client = struct
             | Verifier.Ok report -> (
                 (* The quote speaks; now check it speaks about THIS
                    exchange: transcript binding, then the claimed tenant
-                   identity against the pin. *)
+                   identity against the enclave that quoted (every
+                   tenant quotes itself) and against the pin. *)
                 let expected =
                   transcript ~nonce:hs.hs_nonce ~client_kx:hs.hs_client_kx
                     ~server_kx:accept.server_kx
                     ~identity:accept.tenant_identity
                 in
                 let bound =
-                  Bytes.length report.Hyperenclave_monitor.Sgx_types.report_data
-                  >= 32
+                  Bytes.length report.Sgx_types.report_data >= 32
                   && Bytes.equal expected
-                       (Bytes.sub
-                          report.Hyperenclave_monitor.Sgx_types.report_data 0 32)
+                       (Bytes.sub report.Sgx_types.report_data 0 32)
+                in
+                let mismatch what =
+                  Error (Handshake_failed (Verifier.Policy_violation what))
                 in
                 if not bound then Error Channel_binding_mismatch
+                else if
+                  not
+                    (Bytes.equal accept.tenant_identity
+                       report.Sgx_types.mrenclave)
+                then mismatch "tenant identity is not the quoted enclave"
                 else
                   match t.expected_tenant with
                   | Some pin when not (Bytes.equal pin accept.tenant_identity)
                     ->
-                      Error
-                        (Handshake_failed
-                           (Verifier.Policy_violation
-                              "tenant identity mismatch"))
+                      mismatch "tenant identity mismatch"
                   | Some _ | None -> (
                       match Kx.shared hs.secret accept.server_kx with
                       | None -> Error Unknown_key_share

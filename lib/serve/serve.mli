@@ -21,22 +21,23 @@
       {!Hyperenclave_attestation.Verifier.verify}, checks the transcript
       binding, and derives the same key.
 
-    Tenants on a HyperEnclave backend quote {e themselves} (the monitor
-    signs their report).  Tenants on the SGX-model backend cannot — the
-    Intel part's quoting flows through a {e quoting enclave}, so the
-    plane keeps one ({!quoting_identity}) whose quote vouches for the
-    tenant identity carried in the transcript.  Native tenants have no
-    enclave identity and are refused with {!Unsupported}.
+    Every tenant is a HyperEnclave enclave and quotes {e itself}: the
+    monitor signs the tenant's own report, so the identity in the
+    transcript is the quoted MRENCLAVE.  The native and SGX-model
+    baselines ({!Hyperenclave_tee.Backend.native},
+    {!Hyperenclave_tee.Backend.sgx}) have no such report and no slot
+    ring; they are measured through {!Hyperenclave_tee.Backend}, not
+    served here.
 
     {2 Serving}
 
     Admission control is typed and per-tenant: bounded queues
     ({!Backpressure}), cycle quotas charged from the scheduler's
     per-slice deltas ({!Quota_exhausted}), AEAD authentication
-    ({!Bad_auth}) and strict sequence numbers ({!Bad_sequence}).
-    {!flush} drains every admitted request through
-    {!Hyperenclave_sched.Sched} (tenants without an SDK handle make one
-    backend call per request instead) and seals the replies.
+    ({!Bad_auth}), strict sequence numbers ({!Bad_sequence}) and the
+    tenant's own request ECALLs ({!Unsupported}).  {!flush} drains every
+    admitted request through {!Hyperenclave_sched.Sched} and seals the
+    replies.
 
     Session work crosses the ["serve.session"] fault-injection site:
     transient faults are absorbed by the SDK's bounded retry/backoff,
@@ -90,7 +91,9 @@ type reject =
   | Unknown_tenant of string
   | Unknown_session of int
   | Unsupported of string
-      (** the backend cannot do this: native attestation, SGX1 EDMM *)
+      (** the plane cannot carry this request: a ciphertext larger than a
+          ring slot, or an ECALL id that is not one of the tenant's
+          handlers *)
   | Bad_auth  (** AEAD authentication failure on a request envelope *)
   | Bad_sequence of { expected : int; got : int }
       (** replayed or out-of-order request sequence number *)
@@ -129,14 +132,13 @@ type config = {
       (** scheduler for enclave-backed tenants; [drop_on_error] is
           forced on so injected permanent faults drain as typed
           failures instead of aborting the plane.  [batch], in
-          [[1, 16]], is read by {!flush} only (reply-seal group and
-          fallback chunk size) *)
+          [[1, 16]], is read by {!flush} only: the number of sealed
+          replies that share one AEAD setup charge *)
   max_queue : int;  (** per-tenant bound on admitted-but-unflushed requests *)
   cycle_quota : int option;
       (** initial per-tenant cycle budget ([None] = unmetered); spent
-          cycles come from scheduler slice deltas (or the shared-clock
-          delta of the direct dispatch path) and are replenished with
-          {!grant} *)
+          cycles come from scheduler slice deltas and are replenished
+          with {!grant} *)
   nonce_cache : int;
       (** replay-cache bound: only the most recent [nonce_cache]
           handshake / resumption nonces are remembered (FIFO eviction),
@@ -210,8 +212,11 @@ val add_tenant : t -> name:string -> Backend.config -> Backend.t
 (** Build the tenant's backend on the plane's platform ({!Backend.create}
     with the plane's reserved session-state ECALLs appended) and register
     it.  The returned backend is the tenant's own handle — for loading
-    data, direct calls, and teardown.
-    @raise Invalid_argument on a duplicate name or a handler colliding
+    data and direct calls; the plane owns its teardown.  Clients may
+    address only the config's own [handlers] ({!submit}).
+    @raise Invalid_argument, registering nothing, when [kind] is not
+    [Hyperenclave _] (the native and SGX-model baselines cannot quote
+    themselves or ring), on a duplicate name, or on a handler colliding
     with a reserved ECALL id. *)
 
 val state_ecall : int
@@ -219,12 +224,13 @@ val state_ecall : int
 
 val reserved_ecalls : int list
 (** All ECALL ids the plane reserves: session-state commit
-    ({!state_ecall}), and the migration-time state read / write movers. *)
+    ({!state_ecall}), and the migration-time state read / write movers.
+    Only the plane calls them; {!submit} refuses them. *)
 
 val quoting_identity : t -> bytes
-(** MRENCLAVE of the plane's quoting enclave — what a client should pin
-    as [expected_mrenclave] when verifying an SGX-model tenant's
-    handshake (created on first use). *)
+(** MRENCLAVE of the plane's quoting enclave, the enclave behind
+    {!node_quote} (created on first use) — what a migration peer pins as
+    this node's anchor.  Tenant handshakes never use it. *)
 
 (** {1 Wire messages} *)
 
@@ -237,8 +243,8 @@ type accept = {
   server_kx : Kx.public;
   quote_wire : bytes;  (** untrusted bytes until the client verifies *)
   tenant_identity : bytes;
-      (** the tenant MRENCLAVE bound into the transcript (equals the
-          quote's MRENCLAVE for self-quoting tenants) *)
+      (** the tenant MRENCLAVE bound into the transcript; the client
+          refuses it unless it equals the quote's MRENCLAVE *)
 }
 
 type request = {
@@ -258,34 +264,33 @@ type reply = {
 (** {1 Server operations} *)
 
 val handshake : t -> tenant:string -> hello -> (accept, reject) result
-(** Verify freshness, quote the tenant, derive the session key and open
-    a session.  Counters: [serve.handshake] / [serve.handshake_rejected]. *)
+(** Verify freshness, have the tenant enclave quote the transcript,
+    derive the session key and open a session.  Counters:
+    [serve.handshake] / [serve.handshake_rejected]. *)
 
 val submit : t -> request -> (unit, reject) result
 (** Authenticate and admit one request: AAD + AEAD tag check where the
-    envelope lies (no plaintext allocated), strict sequence check,
-    per-tenant queue bound, per-tenant cycle quota.  The decrypt is
-    deferred to {!flush} — zero-copy admission. *)
+    envelope lies (no plaintext allocated), strict sequence check, then
+    — with the sequence number burnt, so the channel stays in step
+    whatever the outcome — the ECALL check ({!Unsupported} unless
+    [ecall_id] is one of the tenant's handlers, never a
+    {!reserved_ecalls} id), per-tenant queue bound, per-tenant cycle
+    quota.  The decrypt is deferred to {!flush} — zero-copy admission. *)
 
 val flush : t -> reply list
-(** Drain every admitted request.  Enclave tenants decrypt each envelope
-    into a slot of a per-shard marshalling-buffer ring (one shard per
-    scheduler core), dispatch the rings switchlessly through the
-    scheduler and seal each reply in place in the ring's reply image;
-    tenants without an SDK handle (the SGX model, native) make one
-    {!Hyperenclave_tee.Backend.protected_call} per request, so a request
-    that fails gets its own typed {!Session_fault} and its neighbours
-    are still served.  [config.sched.batch] sets how many replies share
-    one AEAD setup charge when sealing, and how many fallback requests
-    share one.  Tenant quotas are charged from the dispatch cycles.
-    Replies come in tenant insertion order, then session id, then
-    sequence number. *)
+(** Drain every admitted request: decrypt each envelope into a slot of
+    a per-shard marshalling-buffer ring (one shard per scheduler core),
+    dispatch the rings switchlessly through the scheduler and seal each
+    reply in place in the ring's reply image.  A ring whose dispatch
+    fails answers every request it carried with a typed
+    {!Session_fault}.  [config.sched.batch] sets how many replies share
+    one AEAD setup charge when sealing.  Tenant quotas are charged from
+    the dispatch cycles.  Replies come in tenant insertion order, then
+    session id, then sequence number. *)
 
 val resize_session : t -> session:int -> pages:int -> (int, reject) result
 (** Commit [pages] pages of in-enclave session state through the
-    reserved ECALL — the EDMM demand-commit path on HyperEnclave
-    backends.  SGX-model tenants get the typed {!Unsupported} rejection
-    (SGX1 cannot grow an enclave after EINIT).
+    reserved ECALL — the monitor's EDMM demand-commit path.
     @raise Invalid_argument if [pages] exceeds {!state_stride_pages} or
     is negative. *)
 
@@ -330,10 +335,9 @@ val export_tenant : t -> tenant:string -> (bytes, reject) result
     id, channel key, receive cursor, committed page count and those
     pages' bytes, read out through the enclave — and the burnt-nonce
     replay cache in FIFO order.  Refuses with {!Tenant_busy} while
-    admitted requests are still staged (flush first),
-    {!Tenant_migrated} after cutover, and {!Unsupported} for native
-    tenants (nothing measured to re-attest).  Does not mutate the plane
-    — cutover is {!retire_tenant}. *)
+    admitted requests are still staged (flush first) and
+    {!Tenant_migrated} after cutover.  Does not mutate the plane —
+    cutover is {!retire_tenant}. *)
 
 val import_tenant : t -> bytes -> (int, reject) result
 (** Install a blob from {!export_tenant} on this node: the tenant must
@@ -396,22 +400,24 @@ module Client : sig
     ?expected_hapk:Signature.public_key ->
     unit ->
     t
-  (** A relying party: golden boot measurements, enclave policy, and —
-      for quoting-enclave-fronted tenants — the tenant identity to pin
-      ([expected_tenant]); without it the transcript's claimed identity
-      is accepted as-is.  [expected_hapk] pins the {e node}: in a fleet
-      every monitor boots the same golden measurements, so a client that
-      knows which node it addressed pins that node's monitor key and
-      gets {!Handshake_failed} ({!Verifier.Hapk_mismatch}) from any
-      sibling. *)
+  (** A relying party: golden boot measurements, enclave policy, and
+      optionally the tenant identity to pin ([expected_tenant]).  With
+      or without a pin, the transcript's claimed identity must be the
+      quoted enclave's MRENCLAVE.  [expected_hapk] pins the {e node}: in
+      a fleet every monitor boots the same golden measurements, so a
+      client that knows which node it addressed pins that node's monitor
+      key and gets {!Handshake_failed} ({!Verifier.Hapk_mismatch}) from
+      any sibling. *)
 
   val hello : t -> hello
   (** Fresh nonce + ephemeral share.  One client drives one session;
       calling it again restarts with fresh material. *)
 
   val establish : t -> accept -> (unit, reject) result
-  (** Decode + verify the quote, check the transcript binding, derive
-      the session key. *)
+  (** Decode + verify the quote, check the transcript binding, check
+      the claimed tenant identity against the quote and the pin
+      ({!Handshake_failed} with a policy violation), derive the session
+      key. *)
 
   val resume_hello : t -> ticket:bytes -> resume
   (** Start a resumption from the current session's key and a ticket

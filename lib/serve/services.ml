@@ -257,9 +257,11 @@ let handlers = function
   | Kvdb -> kvdb_handlers ()
   | Httpd -> httpd_handlers ()
 
-let backend_config ?(backend = Backend.Hyperenclave Hyperenclave_monitor.Sgx_types.GU)
-    kind =
-  { (Backend.config backend) with Backend.handlers = handlers kind }
+let backend_config kind =
+  {
+    (Backend.config (Backend.Hyperenclave Hyperenclave_monitor.Sgx_types.GU)) with
+    Backend.handlers = handlers kind;
+  }
 
 (* --- client-side request builders ---------------------------------------- *)
 

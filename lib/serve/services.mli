@@ -44,9 +44,9 @@ val ecall_admin : int
 
 val handlers : kind -> (int * Backend.handler) list
 
-val backend_config : ?backend:Backend.kind -> kind -> Backend.config
-(** A tenant config running this service (default backend: HyperEnclave
-    GU mode) — pass to {!Serve.add_tenant}. *)
+val backend_config : kind -> Backend.config
+(** A tenant config running this service in a HyperEnclave GU-mode
+    enclave — pass to {!Serve.add_tenant}. *)
 
 (** {1 Client-side request builders} *)
 

@@ -161,8 +161,9 @@ let hyperenclave (platform : Platform.t) ~mode ~config ~handlers ~ocalls =
     destroy = (fun () -> Urts.destroy urts);
   }
 
-let sgx ~clock ~cost ~rng ?(epc_bytes = Platform.sgx_epc_bytes)
-    ?(code_seed = "tee-backend-sgx") ~handlers ~ocalls () =
+let sgx ~clock ~cost ~rng ?(code_seed = "tee-backend-sgx") ~handlers ~ocalls
+    () =
+  let epc_bytes = Platform.sgx_epc_bytes in
   let mem =
     Mem_sim.create ~clock ~cost ~rng:(Rng.split rng)
       ~engine:(Mem_crypto.Mee { epc_bytes })
@@ -217,7 +218,6 @@ let sgx ~clock ~cost ~rng ?(epc_bytes = Platform.sgx_epc_bytes)
 type config = {
   kind : kind;
   ms_bytes : int option;
-  epc_frames : int option;
   code_seed : string option;
   handlers : (int * handler) list;
   ocalls : (int * (bytes -> bytes)) list;
@@ -227,7 +227,6 @@ let config kind =
   {
     kind;
     ms_bytes = None;
-    epc_frames = None;
     code_seed = None;
     handlers = [];
     ocalls = [];
@@ -242,7 +241,6 @@ let create (platform : Platform.t) (c : config) =
   in
   let enclave = match c.kind with Hyperenclave _ -> true | _ -> false in
   only_for enclave "ms_bytes" c.ms_bytes;
-  only_for (c.kind = Sgx) "epc_frames" c.epc_frames;
   only_for (c.kind <> Native) "code_seed" c.code_seed;
   match c.kind with
   | Native ->
@@ -260,11 +258,8 @@ let create (platform : Platform.t) (c : config) =
       hyperenclave platform ~mode ~config ~handlers:c.handlers ~ocalls:c.ocalls
   | Sgx ->
       sgx ~clock:platform.Platform.clock ~cost:platform.Platform.cost
-        ~rng:platform.Platform.rng
-        ?epc_bytes:
-          (Option.map (fun frames -> frames * Hyperenclave_hw.Addr.page_size)
-             c.epc_frames)
-        ?code_seed:c.code_seed ~handlers:c.handlers ~ocalls:c.ocalls ()
+        ~rng:platform.Platform.rng ?code_seed:c.code_seed ~handlers:c.handlers
+        ~ocalls:c.ocalls ()
 
 (* -------------------------------------------------------------------- *)
 (* Trichotomy oracle                                                    *)
@@ -278,11 +273,6 @@ let outcome_name = function
   | Success _ -> "success"
   | Typed_error _ -> "typed-error"
   | Violation _ -> "violation"
-
-let pp_outcome fmt = function
-  | Success reply -> Format.fprintf fmt "success (%d bytes)" (Bytes.length reply)
-  | Typed_error msg -> Format.fprintf fmt "typed-error: %s" msg
-  | Violation msg -> Format.fprintf fmt "violation: %s" msg
 
 (* The only acceptable endings of a call under fault injection.  A clean
    reply, a typed refusal the application can act on, or the monitor

@@ -49,8 +49,8 @@ type t = {
       (** The SDK handle behind a HyperEnclave backend ([None] for native
           and the SGX model): what {!Hyperenclave_sched.Sched.submit} and
           the slot ring ({!Urts.create_ring}) take.  Batched dispatch
-          exists only there; without a handle every request is its own
-          [call]. *)
+          exists only there, so the serving plane hosts only backends
+          that have one. *)
   identity : bytes option;
       (** The enclave's MRENCLAVE where the backend has one ([None] for
           native): the code identity an attested serving plane binds
@@ -70,9 +70,6 @@ type config = {
   ms_bytes : int option;
       (** HyperEnclave marshalling-buffer size override (page-aligned,
           >= 4 pages).  Meaningless for other kinds — rejected. *)
-  epc_frames : int option;
-      (** SGX-model EPC size in 4 KiB frames (default: the paper part's
-          93 MB).  Meaningless for other kinds — rejected. *)
   code_seed : string option;
       (** enclave code identity (MRENCLAVE); meaningless for native —
           rejected *)
@@ -105,13 +102,13 @@ val sgx :
   clock:Cycles.t ->
   cost:Cost_model.t ->
   rng:Rng.t ->
-  ?epc_bytes:int ->
   ?code_seed:string ->
   handlers:(int * handler) list ->
   ocalls:(int * (bytes -> bytes)) list ->
   unit ->
   t
-(** The Intel baseline on its own clock; default EPC 93 MB. *)
+(** The Intel baseline on its own clock, with the paper part's 93 MB
+    EPC. *)
 
 (** {1 Trichotomy oracle}
 
@@ -129,7 +126,6 @@ type outcome =
           a deliberate refusal, never an accident *)
 
 val outcome_name : outcome -> string
-val pp_outcome : Format.formatter -> outcome -> unit
 
 val protected_call :
   t -> id:int -> ?data:bytes -> direction:Edge.direction -> unit -> outcome

@@ -60,10 +60,6 @@ let pcr_extend t ~index m =
   charge t;
   Pcr.extend t.pcrs ~index m
 
-let pcr_read t ~index =
-  charge t;
-  Pcr.read t.pcrs ~index
-
 let extend_measurement t ~index blob =
   let measurement = Sha256.digest_bytes blob in
   pcr_extend t ~index measurement;

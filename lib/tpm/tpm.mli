@@ -37,7 +37,6 @@ val startup : t -> unit
 
 val pcrs : t -> Pcr.t
 val pcr_extend : t -> index:int -> bytes -> unit
-val pcr_read : t -> index:int -> bytes
 
 val extend_measurement : t -> index:int -> bytes -> bytes
 (** Measure a blob (SHA-256) then extend; returns the measurement. *)

@@ -24,9 +24,6 @@ val scan : t -> lo:int -> count:int -> (int * bytes) list
 val size : t -> int
 val depth : t -> int
 
-val working_set_bytes : t -> int
-(** Records plus node storage — the quantity compared against the EPC. *)
-
 val last_touched : t -> (int * int) list
 (** (address, length) of every region the most recent operation touched,
     root first; the caller feeds these to the memory simulator. *)

@@ -9,9 +9,6 @@ type result = {
   overhead_pct : float;
 }
 
-let op_names =
-  [ "null call"; "fork"; "ctxsw 2p/64KB"; "mmap"; "page fault"; "AF_UNIX" ]
-
 let us_of_cycles cycles = float_of_int cycles /. 2200.0
 
 let touch_pages kernel proc ~va ~pages =

@@ -305,6 +305,125 @@ let test_serve_handshake_splice () =
            { accept1 with Serve.server_kx = accept2.Serve.server_kx }));
   Serve.destroy plane
 
+let test_serve_ecall_admission () =
+  (* A client may name only its tenant's own handlers.  The reserved
+     state ECALLs read and write every session's state slot, and a
+     malformed or unregistered call would fail the whole ring shard it
+     lands in — here the neighbour's, on a 1-core plane. *)
+  let p = Platform.create ~seed:9110L () in
+  let config =
+    {
+      Serve.default_config with
+      Serve.sched = { Serve.default_config.Serve.sched with Sched.cores = 1 };
+    }
+  in
+  let plane = Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p config in
+  let backend = Serve.add_tenant plane ~name:"acme" (tenant_config ()) in
+  let identity = Option.get backend.Backend.identity in
+  let neighbour = client_for p ~identity ~seed:9111L in
+  let prober = client_for p ~identity ~seed:9112L in
+  ignore (establish plane ~tenant:"acme" neighbour);
+  ignore (establish plane ~tenant:"acme" prober);
+  (* The neighbour owns state slot 0 and has committed a page of it. *)
+  (match Serve.resize_session plane ~session:(Serve.Client.session_id neighbour) ~pages:1 with
+  | Ok _ -> ()
+  | Error r -> Alcotest.failf "resize rejected: %a" Serve.pp_reject r);
+  let submit client ~ecall data =
+    Serve.submit plane (Serve.Client.request client ~ecall data)
+  in
+  (match submit neighbour ~ecall:1 (Bytes.of_string "neighbour") with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "neighbour submit rejected: %a" Serve.pp_reject r);
+  let range = Bytes.create 16 in
+  Bytes.set_int64_le range 0 0L;
+  Bytes.set_int64_le range 8 16L;
+  List.iter
+    (fun (what, ecall, data) ->
+      match submit prober ~ecall data with
+      | Ok () -> Alcotest.failf "%s admitted" what
+      | Error r ->
+          Alcotest.(check string) what "unsupported" (Serve.reject_name r))
+    [
+      ("state read of slot 0", 0x5e56, range);
+      ("malformed state commit", Serve.state_ecall, Bytes.of_string "abc");
+      ("unregistered ECALL", 99, Bytes.of_string "x");
+    ];
+  (* The refusals burnt their sequence numbers: the prober's channel is
+     still in step. *)
+  (match submit prober ~ecall:1 (Bytes.of_string "prober") with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "prober submit rejected: %a" Serve.pp_reject r);
+  let replies = Serve.flush plane in
+  List.iter
+    (fun (client, expected) ->
+      let mine = Serve.Client.session_id client in
+      match List.find_opt (fun r -> r.Serve.r_session_id = mine) replies with
+      | None -> Alcotest.failf "no reply for %s" expected
+      | Some reply -> (
+          match Serve.Client.read_reply client reply with
+          | Ok body -> Alcotest.(check string) "served" expected (Bytes.to_string body)
+          | Error r -> Alcotest.failf "%s failed: %a" expected Serve.pp_reject r))
+    [ (neighbour, "neighbour"); (prober, "prober") ];
+  Serve.destroy plane
+
+(* [Serve]'s transcript framing: every field length-prefixed under the
+   handshake domain. *)
+let transcript fields =
+  let ctx = Sha256.init () in
+  Sha256.update_string ctx "hyperenclave-serve-sigma:";
+  List.iter
+    (fun field ->
+      let len = Bytes.create 8 in
+      Bytes.set_int64_le len 0 (Int64.of_int (Bytes.length field));
+      Sha256.update ctx len;
+      Sha256.update ctx field)
+    fields;
+  Sha256.finalize ctx
+
+let test_serve_forged_tenant_identity () =
+  (* The host answers a handshake with a genuine quote from enclave A
+     over a transcript that names enclave B.  A client with no MRENCLAVE
+     policy and no tenant pin must still see that the claimed tenant is
+     not the enclave that quoted. *)
+  let p = Platform.create ~seed:9120L () in
+  let plane = Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p Serve.default_config in
+  let a = Serve.add_tenant plane ~name:"acme" (tenant_config ()) in
+  let b =
+    Serve.add_tenant plane ~name:"globex"
+      { (tenant_config ()) with Backend.code_seed = Some "globex" }
+  in
+  let a_id = Option.get a.Backend.identity in
+  let b_id = Option.get b.Backend.identity in
+  Alcotest.(check bool) "distinct enclaves" false (Bytes.equal a_id b_id);
+  let client =
+    Serve.Client.create ~rng:(Rng.create ~seed:9121L) ~golden:(golden_of p)
+      ~policy:
+        { Verifier.expected_mrenclave = None; expected_mrsigner = None; allow_debug = false }
+      ()
+  in
+  let hello = Serve.Client.hello client in
+  let _secret, server_kx = Kx.generate (Rng.create ~seed:9122L) in
+  let report_data =
+    transcript [ hello.Serve.nonce; hello.Serve.client_kx; server_kx; b_id ]
+  in
+  let quote =
+    Urts.gen_quote (Option.get a.Backend.urts) ~report_data ~nonce:hello.Serve.nonce
+  in
+  let accept =
+    {
+      Serve.session_id = 0;
+      node_id = 0;
+      server_kx;
+      quote_wire = Quote_wire.encode quote;
+      tenant_identity = b_id;
+    }
+  in
+  (match Serve.Client.establish client accept with
+  | Error (Serve.Handshake_failed (Verifier.Policy_violation _)) -> ()
+  | Ok () -> Alcotest.fail "forged tenant identity accepted"
+  | Error r -> Alcotest.failf "expected a policy violation, got %a" Serve.pp_reject r);
+  Serve.destroy plane
+
 let suite =
   [
     Alcotest.test_case "malicious-kmod corpus (typed refusals)" `Quick
@@ -320,4 +439,8 @@ let suite =
       test_serve_handshake_replay;
     Alcotest.test_case "serve: handshake splice" `Quick
       test_serve_handshake_splice;
+    Alcotest.test_case "serve: reserved and unknown ECALLs refused at admission"
+      `Quick test_serve_ecall_admission;
+    Alcotest.test_case "serve: forged tenant identity" `Quick
+      test_serve_forged_tenant_identity;
   ]

@@ -113,9 +113,6 @@ let test_field_rejection () =
     { (Backend.config Backend.Native) with Backend.ms_bytes = Some 4096 };
   expect_invalid "ms_bytes on sgx"
     { (Backend.config Backend.Sgx) with Backend.ms_bytes = Some 4096 };
-  expect_invalid "epc_frames on hyperenclave"
-    { (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
-      Backend.epc_frames = Some 64 };
   expect_invalid "code_seed on native"
     { (Backend.config Backend.Native) with Backend.code_seed = Some "x" }
 

@@ -34,21 +34,12 @@ let build ?(seed = 7000L) ?(config = Serve.default_config)
   let backend =
     Serve.add_tenant plane ~name:"acme" (tenant_config ~kind ?handlers ())
   in
-  let identity =
-    match backend.Backend.identity with
-    | Some id -> id
-    | None -> Bytes.empty
-  in
-  let quoter_identity =
-    match kind with
-    | Backend.Sgx -> Serve.quoting_identity plane
-    | _ -> identity
-  in
+  let identity = Option.get backend.Backend.identity in
   let client =
     Serve.Client.create
       ~rng:(Rng.create ~seed:(Int64.add seed 1L))
       ~golden:(golden_of p)
-      ~policy:(policy_pinning quoter_identity)
+      ~policy:(policy_pinning identity)
       ~expected_tenant:identity ()
   in
   (p, plane, backend, client)
@@ -90,68 +81,14 @@ let test_roundtrip_modes () =
       Serve.destroy plane)
     Sgx_types.all_modes
 
-let test_sgx_tenant_via_quoting_enclave () =
-  (* An SGX-model tenant cannot self-quote; the plane's quoting enclave
-     vouches for the identity carried in the transcript, which the
-     client pins. *)
-  let _p, plane, backend, client = build ~seed:7002L ~kind:Backend.Sgx () in
-  establish plane client;
-  (match backend.Backend.urts with
-  | Some _ -> Alcotest.fail "SGX-model backend should have no SDK handle"
-  | None -> ());
-  (match Serve.Client.roundtrip plane client [ (2, Bytes.of_string "sgx") ] with
-  | [ Ok r ] -> Alcotest.(check string) "served" "SGX" (Bytes.to_string r)
-  | _ -> Alcotest.fail "SGX tenant roundtrip failed");
-  Serve.destroy plane
-
-let test_sgx_fallback_fails_per_request () =
-  (* A tenant without an SDK handle is served one backend call per
-     request: a handler refusal in the middle of a session's requests
-     fails that request alone, and its neighbours are served. *)
-  let config =
-    {
-      Serve.default_config with
-      Serve.sched = { Serve.default_config.Serve.sched with Sched.batch = 4 };
-    }
-  in
-  let handlers =
-    [
-      ( 1,
-        fun _env input ->
-          if Bytes.to_string input = "poison" then invalid_arg "poison payload";
-          input );
-    ]
-  in
-  let _p, plane, _backend, client =
-    build ~seed:7004L ~config ~kind:Backend.Sgx ~handlers ()
-  in
-  establish plane client;
-  let b = Bytes.of_string in
-  (match
-     Serve.Client.roundtrip plane client
-       [ (1, b "before"); (1, b "poison"); (1, b "after") ]
-   with
-  | [ Ok r1; Error (Serve.Session_fault _); Ok r3 ] ->
-      Alcotest.(check string) "first neighbour served" "before" (Bytes.to_string r1);
-      Alcotest.(check string) "last neighbour served" "after" (Bytes.to_string r3)
-  | replies ->
-      Alcotest.failf "expected ok / session-fault / ok, got [%s]"
-        (String.concat "; "
-           (List.map
-              (function
-                | Ok r -> "ok " ^ Bytes.to_string r
-                | Error r -> Format.asprintf "%a" Serve.pp_reject r)
-              replies)));
-  Serve.destroy plane
-
-let test_sgx_wrong_tenant_pin_rejected () =
+let test_wrong_tenant_pin_rejected () =
+  (* The quote and the transcript agree; only the client's pin differs. *)
   let p = Platform.create ~seed:7003L () in
   let plane = Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p Serve.default_config in
-  let backend = Serve.add_tenant plane ~name:"acme" (tenant_config ~kind:Backend.Sgx ()) in
-  ignore (backend : Backend.t);
+  let backend = Serve.add_tenant plane ~name:"acme" (tenant_config ()) in
   let client =
     Serve.Client.create ~rng:(Rng.create ~seed:1L) ~golden:(golden_of p)
-      ~policy:(policy_pinning (Serve.quoting_identity plane))
+      ~policy:(policy_pinning (Option.get backend.Backend.identity))
       ~expected_tenant:(Bytes.make 32 'z') ()
   in
   (match Serve.handshake plane ~tenant:"acme" (Serve.Client.hello client) with
@@ -160,17 +97,24 @@ let test_sgx_wrong_tenant_pin_rejected () =
       expect_reject "handshake-failed" (Serve.Client.establish client accept));
   Serve.destroy plane
 
-let test_native_tenant_refused () =
+let test_baseline_tenants_refused () =
+  (* The plane hosts HyperEnclave enclaves only: a baseline kind is a
+     caller error that registers nothing. *)
   let p = Platform.create ~seed:7004L () in
   let plane = Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p Serve.default_config in
-  ignore (Serve.add_tenant plane ~name:"bare" (tenant_config ~kind:Backend.Native ()));
   let client =
     Serve.Client.create ~rng:(Rng.create ~seed:2L) ~golden:(golden_of p)
       ~policy:{ Verifier.expected_mrenclave = None; expected_mrsigner = None; allow_debug = false }
       ()
   in
-  expect_reject "unsupported"
-    (Serve.handshake plane ~tenant:"bare" (Serve.Client.hello client));
+  List.iter
+    (fun (name, kind) ->
+      (match Serve.add_tenant plane ~name (tenant_config ~kind ()) with
+      | _ -> Alcotest.failf "%s tenant accepted" name
+      | exception Invalid_argument _ -> ());
+      expect_reject "unknown-tenant"
+        (Serve.handshake plane ~tenant:name (Serve.Client.hello client)))
+    [ ("bare", Backend.Native); ("sgx", Backend.Sgx) ];
   Serve.destroy plane
 
 let test_unknown_tenant () =
@@ -392,15 +336,6 @@ let test_resize_session_edmm () =
                ~pages:(Serve.state_stride_pages + 1));
      Alcotest.fail "oversized resize accepted"
    with Invalid_argument _ -> ());
-  Serve.destroy plane
-
-let test_resize_session_sgx_unsupported () =
-  let _p, plane, _backend, client = build ~seed:7021L ~kind:Backend.Sgx () in
-  establish plane client;
-  (match Serve.resize_session plane ~session:(Serve.Client.session_id client) ~pages:2 with
-  | Error (Serve.Unsupported _) -> ()
-  | Ok _ -> Alcotest.fail "SGX1 EDMM resize should be refused"
-  | Error r -> Alcotest.failf "expected Unsupported, got %a" Serve.pp_reject r);
   Serve.destroy plane
 
 let test_state_ecall_reserved () =
@@ -855,10 +790,10 @@ let echo_spec ecall input = if ecall = 2 then upper input else input
 (* The plane against its executable spec ([Serve_spec]): every flush of
    generated traffic must return exactly the replies the spec derives
    from the admitted requests — order, ids, nonce, AAD and body, which
-   together pin every byte on the wire.  Tenant [zeta] (enclave, ring
-   path, two sessions) is added before [alpha] (SGX model, fallback
-   batch path), but alpha's session opens first, so insertion order,
-   name order and session-id order all disagree. *)
+   together pin every byte on the wire.  Tenant [zeta] (GU, two
+   sessions) is added before [alpha] (HU), but alpha's session opens
+   first, so insertion order, name order and session-id order all
+   disagree. *)
 let spec_property batches =
   let p = Platform.create ~seed:7050L () in
   let config =
@@ -873,13 +808,14 @@ let spec_property batches =
   in
   let zeta = Serve.add_tenant plane ~name:"zeta" (tenant_config ()) in
   let alpha =
-    Serve.add_tenant plane ~name:"alpha" (tenant_config ~kind:Backend.Sgx ())
+    Serve.add_tenant plane ~name:"alpha"
+      (tenant_config ~kind:(Backend.Hyperenclave Sgx_types.HU) ())
   in
-  let connect ~tenant ~pin (backend : Backend.t) ~seed =
+  let connect ~tenant (backend : Backend.t) ~seed =
+    let identity = Option.get backend.Backend.identity in
     let client =
       Serve.Client.create ~rng:(Rng.create ~seed) ~golden:(golden_of p)
-        ~policy:(policy_pinning pin)
-        ~expected_tenant:(Option.get backend.Backend.identity) ()
+        ~policy:(policy_pinning identity) ~expected_tenant:identity ()
     in
     (match Serve.handshake plane ~tenant (Serve.Client.hello client) with
     | Error r -> Alcotest.failf "handshake rejected: %a" Serve.pp_reject r
@@ -889,13 +825,9 @@ let spec_property batches =
         | Ok () -> ()));
     client
   in
-  let zeta_pin = Option.get zeta.Backend.identity in
-  let a0 =
-    connect ~tenant:"alpha" ~pin:(Serve.quoting_identity plane) alpha
-      ~seed:7150L
-  in
-  let z1 = connect ~tenant:"zeta" ~pin:zeta_pin zeta ~seed:7250L in
-  let z2 = connect ~tenant:"zeta" ~pin:zeta_pin zeta ~seed:7350L in
+  let a0 = connect ~tenant:"alpha" alpha ~seed:7150L in
+  let z1 = connect ~tenant:"zeta" zeta ~seed:7250L in
+  let z2 = connect ~tenant:"zeta" zeta ~seed:7350L in
   (* (client, tenant rank) *)
   let clients = [| (a0, 1); (z1, 0); (z2, 0) |] in
   let read_reply (r : Serve.reply) =
@@ -1220,13 +1152,10 @@ let test_malformed_blob_refused () =
 let suite =
   [
     Alcotest.test_case "roundtrip on all modes" `Quick test_roundtrip_modes;
-    Alcotest.test_case "sgx tenant via quoting enclave" `Quick
-      test_sgx_tenant_via_quoting_enclave;
-    Alcotest.test_case "sgx fallback fails per request" `Quick
-      test_sgx_fallback_fails_per_request;
-    Alcotest.test_case "sgx wrong tenant pin rejected" `Quick
-      test_sgx_wrong_tenant_pin_rejected;
-    Alcotest.test_case "native tenant refused" `Quick test_native_tenant_refused;
+    Alcotest.test_case "wrong tenant pin rejected" `Quick
+      test_wrong_tenant_pin_rejected;
+    Alcotest.test_case "baseline tenants refused" `Quick
+      test_baseline_tenants_refused;
     Alcotest.test_case "unknown tenant" `Quick test_unknown_tenant;
     Alcotest.test_case "replayed nonce" `Quick test_replayed_nonce;
     Alcotest.test_case "spliced accept fails binding" `Quick
@@ -1245,8 +1174,6 @@ let suite =
     Alcotest.test_case "tenant isolation" `Quick test_tenant_isolation;
     Alcotest.test_case "many requests ordered" `Quick test_many_requests_ordered;
     Alcotest.test_case "resize session (EDMM)" `Quick test_resize_session_edmm;
-    Alcotest.test_case "resize session unsupported on SGX" `Quick
-      test_resize_session_sgx_unsupported;
     Alcotest.test_case "state ecall reserved" `Quick test_state_ecall_reserved;
     Alcotest.test_case "transient fault absorbed" `Quick
       test_transient_fault_absorbed;
