@@ -8,34 +8,34 @@ let split_key key =
   let mac_key = Hmac.derive ~key ~info:"authenc-mac" in
   (Bytes.sub enc_key 0 16, mac_key)
 
-(* Prepared key material: the HKDF split and the AES key schedule are
-   paid once per key instead of once per seal. *)
-type keys = { enc : Aes.key; mac : bytes }
+(* Prepared key material: the HKDF split, the AES key schedule and the
+   HMAC pad midstates are paid once per key instead of once per seal.
+   [hdr] is scratch for the MAC input's length prefixes. *)
+type keys = { enc : Aes.key; mac : Hmac.prepared; hdr : bytes }
 
 let prepare key =
   let enc_key, mac_key = split_key key in
-  { enc = Aes.expand_key enc_key; mac = mac_key }
+  {
+    enc = Aes.expand_key enc_key;
+    mac = Hmac.prepare ~key:mac_key;
+    hdr = Bytes.create 4;
+  }
 
-(* The MAC input — each of nonce, AAD and ciphertext behind a 4-byte
-   big-endian length — expressed as slices, so ring-resident ciphertext
-   is hashed in place instead of copied into a scratch buffer. *)
-let mac_slices ~nonce ~aad ~ct ~ct_off ~ct_len =
-  let hdr n =
-    let b = Bytes.create 4 in
-    Bytes.set_int32_be b 0 (Int32.of_int n);
-    b
-  in
-  [
-    (hdr (Bytes.length nonce), 0, 4);
-    (nonce, 0, Bytes.length nonce);
-    (hdr (Bytes.length aad), 0, 4);
-    (aad, 0, Bytes.length aad);
-    (hdr ct_len, 0, 4);
-    (ct, ct_off, ct_len);
-  ]
+(* One MAC-input field: a 4-byte big-endian length, then the bytes. *)
+let absorb_framed keys ctx b ~off ~len =
+  Bytes.set_int32_be keys.hdr 0 (Int32.of_int len);
+  Sha256.update ctx keys.hdr;
+  Sha256.update_sub ctx b ~off ~len
 
+(* The MAC input is nonce, AAD and ciphertext, each length-framed, fed
+   straight into the key's scratch context: ring-resident ciphertext is
+   hashed where it lies and nothing is allocated but the tag. *)
 let tag_of_slice keys ~nonce ~aad ~ct ~ct_off ~ct_len =
-  Hmac.hmac_slices ~key:keys.mac (mac_slices ~nonce ~aad ~ct ~ct_off ~ct_len)
+  let ctx = Hmac.start keys.mac in
+  absorb_framed keys ctx nonce ~off:0 ~len:(Bytes.length nonce);
+  absorb_framed keys ctx aad ~off:0 ~len:(Bytes.length aad);
+  absorb_framed keys ctx ct ~off:ct_off ~len:ct_len;
+  Hmac.finish keys.mac
 
 let seal_into keys ?(aad = Bytes.empty) ~nonce ~src ~src_off ~dst ~dst_off ~len
     () =

@@ -16,11 +16,15 @@ exception Authentication_failure
 
 val seal : key:bytes -> ?aad:bytes -> nonce:bytes -> bytes -> sealed
 (** One-shot seal: {!prepare} then {!seal_into} a fresh ciphertext buffer.
+    Every call prepares the key again (HKDF split, AES schedule, HMAC
+    pads), so it is meant for one-shot blobs — TPM sealing, EPC swap,
+    tickets; a channel that seals many messages under one key prepares
+    it once and uses {!seal_into}.
     @raise Invalid_argument if [key] is not 32 bytes or nonce not 12. *)
 
 val unseal : key:bytes -> sealed -> bytes
 (** One-shot unseal: {!prepare} then {!unseal_in_place} over a copy of
-    the ciphertext.
+    the ciphertext; like {!seal}, it prepares the key on every call.
     @raise Authentication_failure if the tag, AAD, or key is wrong. *)
 
 (** {2 Zero-copy path}
@@ -32,7 +36,10 @@ val unseal : key:bytes -> sealed -> bytes
     implementation: {!seal}/{!unseal} are wrappers over them. *)
 
 type keys
-(** Prepared (pre-expanded) key material for one 32-byte key. *)
+(** Prepared (pre-expanded) key material for one 32-byte key: the AES
+    key schedule and the MAC key's HMAC pad midstates.  It also carries
+    the MAC's scratch state, so a MAC under it allocates only the tag —
+    and a [keys] value must not be used from two domains at once. *)
 
 val prepare : bytes -> keys
 (** @raise Invalid_argument if the key is not 32 bytes. *)

@@ -12,34 +12,54 @@ let xor_pad_in_place pad byte =
       (Char.unsafe_chr (Char.code (Bytes.unsafe_get pad i) lxor byte))
   done
 
-(* A named loop, not [List.iter] over a closure: every HMAC runs it, and
-   it allocates nothing. *)
-let rec absorb ctx = function
-  | [] -> ()
-  | (b, off, len) :: rest ->
-      Sha256.update_sub ctx b ~off ~len;
-      absorb ctx rest
+(* A prepared key keeps the two pad midstates, so a MAC under it
+   compresses only the message and the outer digest block; [scratch] is
+   the one context every MAC under the key runs in. *)
+type prepared = {
+  inner : Sha256.midstate;
+  outer : Sha256.midstate;
+  scratch : Sha256.ctx;
+}
 
-(* HMAC over a concatenation of slices, none of which are copied: the
-   zero-copy AEAD path MACs length-prefix headers and ring-resident
-   ciphertext without assembling the message in a scratch buffer. *)
-let hmac_slices ~key slices =
+(* The SHA-256 initial state: [prepare] rewinds its scratch to it
+   between the two pads. *)
+let iv = Sha256.midstate (Sha256.init ())
+
+let prepare ~key =
   (* [normalize_key] already copies, so the pad mutates that copy:
      XOR 0x36 makes the inner pad, and re-XORing with 0x36 lxor 0x5c
      turns it into the outer pad without a second buffer. *)
   let pad = normalize_key key in
-  xor_pad_in_place pad 0x36;
-  let inner = Sha256.init () in
-  Sha256.update inner pad;
-  absorb inner slices;
-  let inner_digest = Sha256.finalize inner in
-  xor_pad_in_place pad (0x36 lxor 0x5c);
-  let outer = Sha256.init () in
-  Sha256.update outer pad;
-  Sha256.update outer inner_digest;
-  Sha256.finalize outer
+  let scratch = Sha256.init () in
+  let pad_midstate byte =
+    xor_pad_in_place pad byte;
+    Sha256.restore scratch ~from:iv;
+    Sha256.update scratch pad;
+    Sha256.midstate scratch
+  in
+  let inner = pad_midstate 0x36 in
+  let outer = pad_midstate (0x36 lxor 0x5c) in
+  { inner; outer; scratch }
 
-let hmac ~key msg = hmac_slices ~key [ (msg, 0, Bytes.length msg) ]
+let start p =
+  Sha256.restore p.scratch ~from:p.inner;
+  p.scratch
+
+(* The tag buffer carries the inner digest into the outer hash: [update]
+   copies it into the context's block buffer before the outer
+   [finalize_into] overwrites it. *)
+let finish p =
+  let tag = Bytes.create Sha256.digest_size in
+  Sha256.finalize_into p.scratch tag ~off:0;
+  Sha256.restore p.scratch ~from:p.outer;
+  Sha256.update p.scratch tag;
+  Sha256.finalize_into p.scratch tag ~off:0;
+  tag
+
+let hmac ~key msg =
+  let p = prepare ~key in
+  Sha256.update (start p) msg;
+  finish p
 
 (* [hmac] never mutates [msg], so borrow the string's bytes. *)
 let hmac_string ~key msg = hmac ~key (Bytes.unsafe_of_string msg)

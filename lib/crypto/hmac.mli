@@ -5,12 +5,29 @@
     K_root and the enclave's measurement") is built on these. *)
 
 val hmac : key:bytes -> bytes -> bytes
-(** HMAC-SHA256; 32-byte tag. *)
+(** HMAC-SHA256; 32-byte tag.  One-shot: {!prepare}, then {!start} /
+    {!finish} over the message. *)
 
-val hmac_slices : key:bytes -> (bytes * int * int) list -> bytes
-(** HMAC-SHA256 over the concatenation of [(buf, off, len)] slices,
-    absorbed in order without copying any of them — equal to {!hmac}
-    over the concatenated message. *)
+(** {2 Prepared keys}
+
+    A key used for many MACs is prepared once: the inner and outer pad
+    blocks are compressed into two midstates, and every MAC under the
+    key rewinds one scratch context to the inner midstate instead of
+    re-hashing the pads.  A MAC then allocates only its 32-byte tag. *)
+
+type prepared
+(** Two midstates and one scratch context.  The scratch makes a
+    [prepared] key single-threaded: one MAC at a time. *)
+
+val prepare : key:bytes -> prepared
+
+val start : prepared -> Sha256.ctx
+(** Rewind the key's scratch context to the inner midstate and return
+    it; feed the message with {!Sha256.update} / {!Sha256.update_sub}.
+    Any MAC in progress under the same key is discarded. *)
+
+val finish : prepared -> bytes
+(** The tag over everything fed since {!start}. *)
 
 val hmac_string : key:bytes -> string -> bytes
 val verify : key:bytes -> bytes -> tag:bytes -> bool

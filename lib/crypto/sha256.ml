@@ -136,30 +136,45 @@ let copy ctx =
     finalized = ctx.finalized;
   }
 
-let finalize ctx =
+(* A chaining value on a block boundary: no buffered bytes to keep. *)
+type midstate = { m_h : int array; m_total : int }
+
+let midstate ctx =
+  if ctx.finalized || ctx.buf_len <> 0 then
+    invalid_arg "Sha256.midstate: context is not on a block boundary";
+  { m_h = Array.copy ctx.h; m_total = ctx.total }
+
+let restore dst ~from =
+  Array.blit from.m_h 0 dst.h 0 8;
+  dst.buf_len <- 0;
+  dst.total <- from.m_total;
+  dst.finalized <- false
+
+(* The padding — 0x80, zeros, then the 64-bit bit length — is written
+   into the context's own block buffer, so finishing allocates nothing. *)
+let finalize_into ctx out ~off =
   if ctx.finalized then invalid_arg "Sha256.finalize: already finalized";
+  if off < 0 || off + digest_size > Bytes.length out then
+    invalid_arg "Sha256.finalize_into: digest slice out of bounds";
   ctx.finalized <- true;
-  let bit_len = Int64.of_int (ctx.total * 8) in
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let tail = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  Bytes.set_int64_be tail pad_len bit_len;
-  (* Absorb the tail directly (bypassing the finalized flag). *)
-  ctx.finalized <- false;
-  update ctx tail;
-  ctx.finalized <- true;
-  ctx.total <- ctx.total - Bytes.length tail;
-  assert (ctx.buf_len = 0);
-  let out = Bytes.create 32 in
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n >= 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx buf 0;
+  ctx.buf_len <- 0;
   for i = 0 to 7 do
-    Bytes.set out (4 * i) (Char.chr ((ctx.h.(i) lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((ctx.h.(i) lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((ctx.h.(i) lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (ctx.h.(i) land 0xff))
-  done;
+    Bytes.set_int32_be out (off + (4 * i)) (Int32.of_int ctx.h.(i))
+  done
+
+let finalize ctx =
+  let out = Bytes.create digest_size in
+  finalize_into ctx out ~off:0;
   out
 
 let digest_bytes data =

@@ -19,6 +19,26 @@ val finalize : ctx -> bytes
 (** Finalizing consumes the context; further [update]s raise
     [Invalid_argument]. *)
 
+val finalize_into : ctx -> bytes -> off:int -> unit
+(** {!finalize} writing the 32-byte digest to [buf[off, off+32)]; the
+    padding is built in the context's own block buffer, so nothing is
+    allocated.  @raise Invalid_argument on an out-of-bounds slice or an
+    already finalized context. *)
+
+type midstate
+(** The chaining value (8 words) and byte count of a context that sits
+    on a block boundary — e.g. after an HMAC key pad. *)
+
+val midstate : ctx -> midstate
+(** @raise Invalid_argument if the context holds buffered bytes or is
+    finalized. *)
+
+val restore : ctx -> from:midstate -> unit
+(** [restore dst ~from] rewinds [dst] to [from] without allocating: a
+    scratch context reused for many messages that share a prefix (HMAC
+    under one prepared key) pays the prefix's compressions once.  A
+    finalized [dst] becomes live again. *)
+
 val copy : ctx -> ctx
 (** Independent clone of a running context.  Lets a caller peek at the
     digest-so-far (finalize the copy) without consuming the original —

@@ -1524,7 +1524,8 @@ module Client = struct
         (* pin to one node's monitor: in a fleet, golden measurements
            alone admit every honestly-booted sibling *)
     mutable hs : hs option;
-    mutable session : (int * bytes) option;  (* id, key *)
+    mutable session : (int * bytes * Authenc.keys) option;
+        (* id, key (a resume derives from it), keys prepared from it *)
     mutable send_seq : int;
     mutable pending_resume : (bytes * bytes) option;
         (* (resumption nonce, ticketed key) while a resume is in flight *)
@@ -1543,6 +1544,10 @@ module Client = struct
       pending_resume = None;
     }
 
+  (* The session keys are prepared here, once per established or
+     resumed session, never per message. *)
+  let keyed_session id key = (id, key, Authenc.prepare key)
+
   let hello t =
     let hs_nonce = Rng.bytes t.rng 16 in
     let secret, hs_client_kx = Kx.generate t.rng in
@@ -1556,7 +1561,7 @@ module Client = struct
     match t.session with
     | None ->
         invalid_arg "Serve.Client.resume_hello: no session key to resume from"
-    | Some (_, key) ->
+    | Some (_, key, _) ->
         let nonce = Rng.bytes t.rng 16 in
         t.pending_resume <- Some (nonce, key);
         t.hs <- None;
@@ -1569,7 +1574,7 @@ module Client = struct
     | None -> invalid_arg "Serve.Client.complete_resume: no resume in flight"
     | Some (nonce, key) ->
         t.pending_resume <- None;
-        t.session <- Some (session_id, resumed_key ~key ~nonce)
+        t.session <- Some (keyed_session session_id (resumed_key ~key ~nonce))
 
   let establish t (accept : accept) =
     match t.hs with
@@ -1618,36 +1623,40 @@ module Client = struct
                       | Some shared ->
                           t.session <-
                             Some
-                              ( accept.session_id,
-                                derive_key ~shared ~nonce:hs.hs_nonce );
+                              (keyed_session accept.session_id
+                                 (derive_key ~shared ~nonce:hs.hs_nonce));
                           Ok ()))))
 
   let session_id t =
     match t.session with
-    | Some (id, _) -> id
+    | Some (id, _, _) -> id
     | None -> invalid_arg "Serve.Client.session_id: no session established"
 
   let request t ~ecall data =
     match t.session with
     | None -> invalid_arg "Serve.Client.request: no session established"
-    | Some (session_id, key) ->
+    | Some (session_id, _, keys) ->
         let seq = t.send_seq in
         t.send_seq <- seq + 1;
+        let aad = aad_req ~session_id ~seq ~ecall_id:ecall in
+        let nonce = envelope_nonce ~dir:'>' ~seq in
+        let len = Bytes.length data in
+        let ciphertext = Bytes.create len in
+        let tag =
+          Authenc.seal_into keys ~aad ~nonce ~src:data ~src_off:0
+            ~dst:ciphertext ~dst_off:0 ~len ()
+        in
         {
           session_id;
           seq;
           ecall_id = ecall;
-          envelope =
-            Authenc.seal ~key
-              ~aad:(aad_req ~session_id ~seq ~ecall_id:ecall)
-              ~nonce:(envelope_nonce ~dir:'>' ~seq)
-              data;
+          envelope = { Authenc.nonce; ciphertext; tag; aad };
         }
 
   let read_reply t (reply : reply) =
     match t.session with
     | None -> invalid_arg "Serve.Client.read_reply: no session established"
-    | Some (session_id, key) -> (
+    | Some (session_id, _, keys) -> (
         if reply.r_session_id <> session_id then
           Error (Unknown_session reply.r_session_id)
         else
@@ -1660,9 +1669,14 @@ module Client = struct
                      (aad_rep ~session_id ~seq:reply.r_seq))
               then Error Bad_auth
               else
-                match Authenc.unseal ~key sealed with
+                let body = Bytes.copy sealed.Authenc.ciphertext in
+                match
+                  Authenc.unseal_in_place keys ~aad:sealed.Authenc.aad
+                    ~nonce:sealed.Authenc.nonce ~tag:sealed.Authenc.tag body
+                    ~off:0 ~len:(Bytes.length body)
+                with
                 | exception Authenc.Authentication_failure -> Error Bad_auth
-                | body -> Ok body))
+                | () -> Ok body))
 
   let roundtrip plane t reqs =
     let submitted =

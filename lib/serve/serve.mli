@@ -417,7 +417,8 @@ module Client : sig
   (** Decode + verify the quote, check the transcript binding, check
       the claimed tenant identity against the quote and the pin
       ({!Handshake_failed} with a policy violation), derive the session
-      key. *)
+      key and prepare it ({!Authenc.prepare}): the HKDF split, AES key
+      schedule and HMAC pad midstates are paid here, once per session. *)
 
   val resume_hello : t -> ticket:bytes -> resume
   (** Start a resumption from the current session's key and a ticket
@@ -426,19 +427,21 @@ module Client : sig
       @raise Invalid_argument without an established session. *)
 
   val complete_resume : t -> session_id:int -> unit
-  (** Accept the plane's {!val-resume} result: derive the resumed
-      channel key and switch to the new session.
+  (** Accept the plane's {!val-resume} result: derive and prepare the
+      resumed channel key and switch to the new session.
       @raise Invalid_argument without a {!resume_hello} in flight. *)
 
   val session_id : t -> int
   (** @raise Invalid_argument before a session is established. *)
 
   val request : t -> ecall:int -> bytes -> request
-  (** Seal the payload under the session key with the next sequence
-      number. *)
+  (** Seal the payload under the session's prepared keys with the next
+      sequence number: one CTR pass and one MAC, no key setup. *)
 
   val read_reply : t -> reply -> (bytes, reject) result
-  (** Unseal a reply (or surface its typed server-side failure). *)
+  (** Unseal a copy of a reply's ciphertext in place under the
+      session's prepared keys (or surface its typed server-side
+      failure). *)
 
   val roundtrip :
     plane -> t -> (int * bytes) list -> (bytes, reject) result list

@@ -50,6 +50,51 @@ let test_sha256_equal () =
     (Sha256.equal a (Sha256.digest_string "y"));
   Alcotest.(check bool) "length mismatch" false (Sha256.equal a (Bytes.create 4))
 
+(* Messages around the padding boundaries: the length field fits in the
+   last block up to 55 bytes, and from 56 bytes it spills into an extra
+   one.  The n-byte message is bytes 0, 1, ..., n-1; the digests were
+   computed with Python's hashlib. *)
+let padding_vectors =
+  [
+    (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+    (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+    (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+    (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+    (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+    (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+    (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+  ]
+
+let test_sha256_padding () =
+  (* One scratch context, rewound to the initial state for every
+     message: [restore] must clear the previous message's buffered bytes
+     and its finalized flag. *)
+  let iv = Sha256.midstate (Sha256.init ()) in
+  let scratch = Sha256.init () in
+  let out = Bytes.make 40 '*' in
+  List.iter
+    (fun (n, expected) ->
+      let msg = Bytes.init n Char.chr in
+      check_hex (Printf.sprintf "%d-byte digest_bytes" n) expected
+        (hex (Sha256.digest_bytes msg));
+      Sha256.restore scratch ~from:iv;
+      Sha256.update scratch msg;
+      Sha256.finalize_into scratch out ~off:4;
+      check_hex
+        (Printf.sprintf "%d-byte restore+finalize_into" n)
+        expected
+        (hex (Bytes.sub out 4 32));
+      Alcotest.(check string)
+        "finalize_into stays in its slice" "********"
+        (Bytes.sub_string out 0 4 ^ Bytes.sub_string out 36 4))
+    padding_vectors;
+  Alcotest.check_raises "midstate needs a block boundary"
+    (Invalid_argument "Sha256.midstate: context is not on a block boundary")
+    (fun () ->
+      let ctx = Sha256.init () in
+      Sha256.update_string ctx "x";
+      ignore (Sha256.midstate ctx))
+
 (* --- HMAC (RFC 4231) ------------------------------------------------------------ *)
 
 let test_hmac_vectors () =
@@ -64,7 +109,22 @@ let test_hmac_vectors () =
   (* case 3: 20 x 0xaa key, 50 x 0xdd data *)
   check_hex "rfc4231 case 3"
     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-    (hex (Hmac.hmac ~key:(Bytes.make 20 '\xaa') (Bytes.make 50 '\xdd')))
+    (hex (Hmac.hmac ~key:(Bytes.make 20 '\xaa') (Bytes.make 50 '\xdd')));
+  (* Cases 6 and 7: a 131-byte key, longer than a block, is hashed down
+     to 32 bytes before padding. *)
+  let long_key = Bytes.make 131 '\xaa' in
+  check_hex "rfc4231 case 6"
+    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+    (hex
+       (Hmac.hmac_string ~key:long_key
+          "Test Using Larger Than Block-Size Key - Hash Key First"));
+  check_hex "rfc4231 case 7"
+    "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+    (hex
+       (Hmac.hmac_string ~key:long_key
+          "This is a test using a larger than block-size key and a larger \
+           than block-size data. The key needs to be hashed before being \
+           used by the HMAC algorithm."))
 
 let test_hmac_verify () =
   let key = Bytes.of_string "0123456789abcdef0123456789abcdef" in
@@ -223,17 +283,29 @@ let test_update_sub () =
     (Invalid_argument "Sha256.update_sub: slice out of bounds") (fun () ->
       Sha256.update_sub ctx data ~off:1 ~len:(Bytes.length data))
 
-let test_hmac_slices () =
-  let key = Bytes.of_string "hmac-slices-key" in
-  let a = Bytes.of_string "first|" in
-  let b = Bytes.of_string "XXsecondYY" in
-  let whole = Bytes.cat a (Bytes.sub b 2 6) in
-  Alcotest.(check string)
-    "slices = concatenation"
-    (hex (Hmac.hmac ~key whole))
-    (hex
-       (Hmac.hmac_slices ~key
-          [ (a, 0, Bytes.length a); (b, 2, 6) ]))
+let test_prepared_hmac () =
+  (* One prepared key over several messages — empty, sub-block, exactly
+     a block, multi-block, fed in pieces — must give the one-shot tags:
+     nothing of one MAC may leak into the next through the scratch. *)
+  let key = Bytes.of_string "prepared-hmac-key" in
+  let p = Hmac.prepare ~key in
+  List.iter
+    (fun n ->
+      let msg = Bytes.init n (fun i -> Char.chr ((i * 7) land 0xff)) in
+      let ctx = Hmac.start p in
+      Sha256.update_sub ctx msg ~off:0 ~len:(n / 3);
+      Sha256.update_sub ctx msg ~off:(n / 3) ~len:(n - (n / 3));
+      check_hex
+        (Printf.sprintf "%d-byte message" n)
+        (hex (Hmac.hmac ~key msg))
+        (hex (Hmac.finish p)))
+    [ 0; 5; 64; 200; 1; 55; 56 ];
+  (* An abandoned MAC is discarded by the next [start]. *)
+  Sha256.update_string (Hmac.start p) "abandoned";
+  Sha256.update_string (Hmac.start p) "kept";
+  check_hex "start discards a MAC in progress"
+    (hex (Hmac.hmac_string ~key "kept"))
+    (hex (Hmac.finish p))
 
 (* Known-answer vectors for the sealed wire form: the bytes of
    TPM-sealed blobs, EPC swap blobs, session tickets and migration blobs
@@ -340,6 +412,47 @@ let qcheck_tests =
         in
         Bytes.to_string (Authenc.unseal ~key (Authenc.decode (Authenc.encode sealed)))
         = secret);
+    (* One prepared [keys] value, reused across a random interleaving of
+       operations, must match fresh one-shot seals and unseals exactly:
+       MAC scratch state may not leak from one operation into the next. *)
+    Test.make ~name:"authenc reused keys = one-shot" ~count:100
+      (list_of_size (Gen.int_range 1 12)
+         (quad (int_bound 2) (int_bound 255)
+            (string_of_size (Gen.int_bound 300))
+            (string_of_size (Gen.int_bound 40))))
+      (fun ops ->
+        let key = Hmac.derive ~key:(Bytes.of_string "reuse") ~info:"prop" in
+        let keys = Authenc.prepare key in
+        List.for_all
+          (fun (op, n, msg, aad) ->
+            let nonce = Bytes.make 12 (Char.chr n) in
+            let plaintext = Bytes.of_string msg and aad = Bytes.of_string aad in
+            let len = Bytes.length plaintext in
+            let fresh = Authenc.seal ~key ~aad ~nonce plaintext in
+            match op with
+            | 0 ->
+                let ct = Bytes.create len in
+                let tag =
+                  Authenc.seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0
+                    ~dst:ct ~dst_off:0 ~len ()
+                in
+                Bytes.equal tag fresh.Authenc.tag
+                && Bytes.equal ct fresh.Authenc.ciphertext
+            | 1 ->
+                Authenc.verify_slice keys ~aad ~nonce ~tag:fresh.Authenc.tag
+                  ~buf:fresh.Authenc.ciphertext ~off:0 ~len ()
+                && not
+                     (Authenc.verify_slice keys ~aad:(Bytes.cat aad aad)
+                        ~nonce ~tag:fresh.Authenc.tag
+                        ~buf:fresh.Authenc.ciphertext ~off:0 ~len ()
+                     && Bytes.length aad > 0)
+            | _ ->
+                let buf = Bytes.copy fresh.Authenc.ciphertext in
+                Authenc.unseal_in_place keys ~aad ~nonce ~tag:fresh.Authenc.tag
+                  buf ~off:0 ~len;
+                Bytes.equal buf plaintext
+                && Bytes.equal buf (Authenc.unseal ~key fresh))
+          ops);
     Test.make ~name:"sha256 distinct on distinct strings" ~count:200
       (pair small_string small_string)
       (fun (a, b) ->
@@ -362,7 +475,10 @@ let suite =
       Alcotest.test_case "authenc" `Quick test_authenc;
       Alcotest.test_case "aes ctr_into slices" `Quick test_ctr_into;
       Alcotest.test_case "sha256 update_sub" `Quick test_update_sub;
-      Alcotest.test_case "hmac slices" `Quick test_hmac_slices;
+      Alcotest.test_case "prepared hmac = one-shot hmac" `Quick
+        test_prepared_hmac;
+      Alcotest.test_case "sha256 padding boundaries" `Quick
+        test_sha256_padding;
       Alcotest.test_case "authenc zero-copy" `Quick test_authenc_zero_copy;
       Alcotest.test_case "authenc known-answer vectors" `Quick test_authenc_kat;
     ]

@@ -368,7 +368,45 @@ let test_iommu () =
   (try
      ignore (Iommu.dma_read iommu ~device:"nic" mem ~addr:0x1000 ~len:2);
      Alcotest.fail "revoked range should block"
-   with Iommu.Dma_blocked _ -> ())
+   with Iommu.Dma_blocked _ -> ());
+  let allowed device frame = Iommu.allowed iommu ~device ~frame in
+  let frames device lo hi = List.init (hi - lo) (fun i -> allowed device (lo + i)) in
+  (* A grant past the end of the table grows it and keeps what was
+     granted before. *)
+  Iommu.grant iommu ~device:"nic" ~first_frame:0 ~nframes:4;
+  Iommu.grant iommu ~device:"nic" ~first_frame:1000 ~nframes:24;
+  Alcotest.(check (list bool)) "old grant kept" [ true; true; true; true; false ]
+    (frames "nic" 0 5);
+  check_bool "grown range mapped" true (allowed "nic" 1000 && allowed "nic" 1023);
+  check_bool "gap unmapped" false (allowed "nic" 500);
+  check_bool "past the table end" false (allowed "nic" 1024 || allowed "nic" 1_000_000);
+  check_bool "negative frame" false (allowed "nic" (-1));
+  check_bool "unattached device" false (allowed "gpu" 0);
+  (* revoke_everywhere clears a sub-range in every table, clipped to
+     each table's size. *)
+  Iommu.attach iommu ~device:"disk";
+  Iommu.grant iommu ~device:"disk" ~first_frame:0 ~nframes:8;
+  Iommu.revoke_everywhere iommu ~first_frame:2 ~nframes:2000;
+  Alcotest.(check (list bool)) "nic sub-range revoked" [ true; true; false; false ]
+    (frames "nic" 0 4);
+  Alcotest.(check (list bool)) "disk sub-range revoked" [ true; true; false; false ]
+    (frames "disk" 0 4);
+  check_bool "nic tail revoked" false (allowed "nic" 1000);
+  Iommu.revoke iommu ~device:"disk" ~first_frame:1 ~nframes:1;
+  check_bool "revoke is per device" true (allowed "nic" 1 && not (allowed "disk" 1));
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s: negative range accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("grant", fun () -> Iommu.grant iommu ~device:"nic" ~first_frame:(-1) ~nframes:2);
+      ("grant", fun () -> Iommu.grant iommu ~device:"nic" ~first_frame:0 ~nframes:(-2));
+      ("revoke", fun () -> Iommu.revoke iommu ~device:"nic" ~first_frame:(-4) ~nframes:1);
+      ( "revoke_everywhere",
+        fun () -> Iommu.revoke_everywhere iommu ~first_frame:0 ~nframes:(-1) );
+    ];
+  check_bool "refused grant mapped nothing" true (allowed "nic" 0 && not (allowed "nic" 2))
 
 (* --- property tests --------------------------------------------------------------------------- *)
 

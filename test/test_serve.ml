@@ -1149,6 +1149,44 @@ let test_malformed_blob_refused () =
   | Error r -> Alcotest.failf "intact blob refused: %a" Serve.pp_reject r);
   Serve.destroy plane
 
+(* The client prepares its session keys once, at [establish]: after
+   warm-up, sealing a 100-byte request and unsealing its reply allocate
+   the envelope, the ciphertext, the plaintext copy and the tags — a few
+   hundred words.  Re-preparing keys per message (HKDF, AES schedule,
+   HMAC pads) costs several thousand. *)
+let test_client_allocation () =
+  let _p, plane, _backend, client = build ~seed:7091L () in
+  establish plane client;
+  let payload = Bytes.make 100 'a' in
+  let client_words () =
+    let w0 = Gc.minor_words () in
+    let req = Serve.Client.request client ~ecall:1 payload in
+    let sealed = Gc.minor_words () -. w0 in
+    (match Serve.submit plane req with
+    | Ok () -> ()
+    | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r);
+    let reply =
+      match Serve.flush plane with
+      | [ reply ] -> reply
+      | replies -> Alcotest.failf "expected 1 reply, got %d" (List.length replies)
+    in
+    let w1 = Gc.minor_words () in
+    let body = Serve.Client.read_reply client reply in
+    let unsealed = Gc.minor_words () -. w1 in
+    (match body with
+    | Ok body -> Alcotest.(check bytes) "echoed" payload body
+    | Error r -> Alcotest.failf "read_reply failed: %a" Serve.pp_reject r);
+    sealed +. unsealed
+  in
+  for _ = 1 to 3 do
+    ignore (client_words ())
+  done;
+  let words = client_words () in
+  if words > 600. then
+    Alcotest.failf "request + read_reply allocated %.0f minor words (> 600)"
+      words;
+  Serve.destroy plane
+
 let suite =
   [
     Alcotest.test_case "roundtrip on all modes" `Quick test_roundtrip_modes;
@@ -1193,6 +1231,8 @@ let suite =
     Alcotest.test_case "ticket expired" `Quick test_ticket_expired;
     Alcotest.test_case "ticket replay rejected" `Quick test_ticket_replay_rejected;
     Alcotest.test_case "telemetry counters" `Quick test_telemetry_counters;
+    Alcotest.test_case "client keys prepared once (allocation)" `Quick
+      test_client_allocation;
     QCheck_alcotest.to_alcotest spec_qcheck;
     Alcotest.test_case "arena hot tenant scales across cores" `Quick
       test_arena_hot_tenant_scales;
