@@ -9,11 +9,10 @@
    - a single hot tenant (8 sessions, one enclave) must reach at least
      80% of the 8-core multi-tenant rate (Bench_serve's) and scale at
      least 1.6x from 1 to 2 cores — the per-tenant ring sharding claim:
-     one tenant's traffic saturates all cores. *)
+     one tenant's traffic saturates all cores.  Both rates are on the
+     critical-path basis (Serve.ledger). *)
 
 open Hyperenclave
-
-let clock_hz = 2.2e9
 
 (* --- steady-state allocation accounting -------------------------------- *)
 
@@ -117,7 +116,13 @@ let hot_sessions = 8
 let hot_rounds = 3
 let hot_reqs_per_session_round = 8
 
-type hot_run = { h_cores : int; h_rps : float; h_served : int }
+type hot_run = {
+  h_cores : int;
+  h_rps : float;  (** critical-path basis *)
+  h_sched_rps : float;  (** scheduler-only basis *)
+  h_served : int;
+  h_ledger : Serve.ledger;
+}
 
 (* One tenant, one enclave, [hot_sessions] attested sessions hammering
    it: the plane-wide block rotor must spread the single tenant's
@@ -197,15 +202,15 @@ let measure_hot ~cores =
             exit 2)
       (Serve.flush plane)
   done;
-  let stats = Serve.sched_stats plane in
+  let ledger = Serve.ledger plane in
+  let sched_rps = Util.sched_only_rps (Serve.sched_stats plane) in
   Serve.destroy plane;
   {
     h_cores = cores;
-    h_rps =
-      float_of_int stats.Sched.total_requests
-      *. clock_hz
-      /. float_of_int (max 1 stats.Sched.makespan);
+    h_rps = Util.critical_rps ledger;
+    h_sched_rps = sched_rps;
     h_served = !served;
+    h_ledger = ledger;
   }
 
 (* --- summary, gate headline ---------------------------------------------- *)
@@ -245,13 +250,26 @@ let run () =
   Printf.printf "\n  hot tenant (1 enclave, %d sessions) vs cores:\n\n"
     hot_sessions;
   Util.print_table
-    ~columns:[ "cores"; "served"; "attested req/s" ]
+    ~columns:
+      [
+        "cores";
+        "served";
+        "serial (Mcyc)";
+        "critical path (Mcyc)";
+        "attested req/s";
+        "sched-only req/s";
+      ]
     (List.map
        (fun r ->
          [
            string_of_int r.h_cores;
            string_of_int r.h_served;
+           Printf.sprintf "%.3f"
+             (float_of_int r.h_ledger.Serve.serial_cycles /. 1e6);
+           Printf.sprintf "%.3f"
+             (float_of_int r.h_ledger.Serve.critical_cycles /. 1e6);
            Printf.sprintf "%.0f" r.h_rps;
+           Printf.sprintf "%.0f" r.h_sched_rps;
          ])
        s.hot_runs);
   Printf.printf

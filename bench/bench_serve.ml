@@ -4,15 +4,16 @@
    the SMP scheduler — over 1/2/4/8 simulated cores.
 
    The headline numbers are rows of the perf gate (Perf_gate.table,
-   BENCH.json): attested req/s per core count, and a 1 -> 2 core
-   speedup of at least 1.5x.  All are simulated-cycle quantities, so the
-   gate is deterministic.  The one-time handshake cost (quote generation + verification + key
+   BENCH.json): attested req/s per core count on the critical-path basis
+   (served over the plane ledger's critical path, Serve.ledger), a 1 -> 2
+   core speedup of at least 1.5x, and the 8-core scheduler-only rate as
+   one labelled row.  All are simulated-cycle quantities, so the gate is
+   deterministic.  The one-time handshake cost (quote generation + verification + key
    agreement) is reported alongside so the amortization argument —
    attest once, serve thousands — stays visible. *)
 
 open Hyperenclave
 
-let clock_hz = 2.2e9 (* the paper's 2.2 GHz EPYC, as elsewhere *)
 let tenants = 4
 let rounds = 3
 let reqs_per_client_round = 16
@@ -38,9 +39,10 @@ let payload seed i =
 
 type run = {
   cores : int;
-  rps : float;
+  rps : float;  (** critical-path basis *)
+  sched_rps : float;  (** scheduler-only basis *)
   served : int;
-  makespan : int;
+  ledger : Serve.ledger;
   handshake_cycles : int;
 }
 
@@ -134,18 +136,17 @@ let measure ~cores =
             exit 2)
       replies
   done;
-  let stats = Serve.sched_stats plane in
+  let ledger = Serve.ledger plane in
+  let sched_rps = Util.sched_only_rps (Serve.sched_stats plane) in
   (* The plane owns the tenant backends now: one destroy tears down
      everything, including the quoting enclave. *)
   Serve.destroy plane;
   {
     cores;
-    rps =
-      float_of_int stats.Sched.total_requests
-      *. clock_hz
-      /. float_of_int (max 1 stats.Sched.makespan);
+    rps = Util.critical_rps ledger;
+    sched_rps;
     served = !served;
-    makespan = stats.Sched.makespan;
+    ledger;
     handshake_cycles = !handshake_cycles;
   }
 
@@ -161,26 +162,39 @@ let run () =
   Util.set_experiment "serve";
   Util.banner "Serve"
     "Attested serving plane: end-to-end req/s (handshake-keyed AEAD \
-     channels, batched ECALL dispatch) vs simulated cores, 4 tenants.";
+     channels, batched ECALL dispatch) vs simulated cores, 4 tenants.  \
+     Attested req/s = served / critical path (serial plane cycles + the \
+     slowest core, per flush); sched-only = served / slowest core clock.";
   let s = summarize () in
   Util.print_table
     ~columns:
-      [ "cores"; "served"; "makespan (Mcyc)"; "attested req/s"; "handshake (cyc)" ]
+      [
+        "cores";
+        "served";
+        "serial (Mcyc)";
+        "critical path (Mcyc)";
+        "attested req/s";
+        "sched-only req/s";
+        "handshake (cyc)";
+      ]
     (List.map
        (fun r ->
          [
            string_of_int r.cores;
            string_of_int r.served;
-           Printf.sprintf "%.2f" (float_of_int r.makespan /. 1e6);
+           Printf.sprintf "%.3f" (float_of_int r.ledger.Serve.serial_cycles /. 1e6);
+           Printf.sprintf "%.3f"
+             (float_of_int r.ledger.Serve.critical_cycles /. 1e6);
            Printf.sprintf "%.0f" r.rps;
+           Printf.sprintf "%.0f" r.sched_rps;
            string_of_int r.handshake_cycles;
          ])
        s.runs);
   Printf.printf "\n  1 -> 2 core speedup: %.2fx (gate: >= 1.5x)\n" s.speedup_2core;
   let h = (List.hd s.runs).handshake_cycles in
   let per_req =
-    (List.find (fun r -> r.cores = 2) s.runs).makespan
-    / max 1 (List.find (fun r -> r.cores = 2) s.runs).served
+    let r = List.find (fun r -> r.cores = 2) s.runs in
+    r.ledger.Serve.critical_cycles / max 1 r.served
   in
   Printf.printf
     "  handshake amortization: one attestation costs ~%d served requests.\n"
@@ -199,8 +213,8 @@ let smoke () =
     exit 1
   end;
   Printf.printf
-    "serve_smoke: OK — %d attested requests served at %.0f req/s (1 core), \
-     handshake %d cycles\n"
+    "serve_smoke: OK — %d attested requests served at %.0f req/s (1 core, \
+     critical path), handshake %d cycles\n"
     r.served r.rps r.handshake_cycles
 
 let headline (s : summary) =
@@ -208,6 +222,7 @@ let headline (s : summary) =
     (fun r -> (Printf.sprintf "attested_rps_%dcore" r.cores, r.rps))
     s.runs
   @ [
+      ("sched_only_rps_8core", (List.find (fun r -> r.cores = 8) s.runs).sched_rps);
       ("serve_speedup_2core", s.speedup_2core);
       ("handshake_cycles", float_of_int (List.hd s.runs).handshake_cycles);
     ]

@@ -39,12 +39,17 @@ let table =
     row "rps_8core" Higher;
     row "speedup_2core" Higher ~bar:1.6;
     row "ring_amortized_ratio_k8" Higher ~bar:2.0;
-    (* bench_serve: attested serving plane.  The 8-core floor is 1.5x
-       the zero-copy path's 4.41M req/s, the bar the arena path met. *)
+    (* bench_serve: attested serving plane, on the critical-path basis
+       (served over Serve.ledger's critical path).  The 8-core floor is
+       1.9x the 1.37M req/s the plane reached with its channel crypto
+       on the serial plane clock, the bar in-enclave ring crypto met.
+       The scheduler-only rate (slowest core clock alone) stays as one
+       labelled row. *)
     row "attested_rps_1core" Higher;
     row "attested_rps_2core" Higher;
     row "attested_rps_4core" Higher;
-    row "attested_rps_8core" Higher ~bar:6.6e6;
+    row "attested_rps_8core" Higher ~bar:2.6e6;
+    row "sched_only_rps_8core" Higher;
     row "serve_speedup_2core" Higher ~bar:1.5;
     row "handshake_cycles" Lower;
     (* bench_zerocopy: ticket resumption *)

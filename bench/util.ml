@@ -74,6 +74,18 @@ let median samples =
 let mean samples =
   float_of_int (List.fold_left ( + ) 0 samples) /. float_of_int (List.length samples)
 
+(* Serving rates at the paper's 2.2 GHz.  The attested rate is on the
+   critical-path basis: requests served over the plane ledger's critical
+   path, so serial plane work counts.  The scheduler-only rate divides by
+   the slowest core's clock alone, the basis earlier headlines used. *)
+let clock_hz = 2.2e9
+
+let critical_rps (l : Hyperenclave.Serve.ledger) =
+  float_of_int l.served *. clock_hz /. float_of_int (max 1 l.critical_cycles)
+
+let sched_only_rps (s : Hyperenclave.Sched.stats) =
+  float_of_int s.total_requests *. clock_hz /. float_of_int (max 1 s.makespan)
+
 let pct x = Printf.sprintf "%.1f%%" x
 let cyc n = Printf.sprintf "%d" n
 let fcyc f = Printf.sprintf "%.0f" f

@@ -332,6 +332,9 @@ let stats t =
     aex_preempts = t.aex_preempts;
   }
 
+let core_cycles t i = Cycles.now t.cores.(i).clock
+let core_busy t i = t.cores.(i).busy
+
 let run t =
   let has_work (core : core) = core.queue <> [] in
   let any_work () = Array.exists has_work t.cores in

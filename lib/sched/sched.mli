@@ -33,7 +33,8 @@ type config = {
   batch : int;
       (** Not read by the scheduler.  The serving plane
           ({!Hyperenclave_serve.Serve.flush}) reads it as its reply-seal
-          group — one AEAD setup charge per [batch] sealed replies;
+          group — one AEAD setup charge per [batch] replies its ring
+          workers seal;
           [Serve.create_node] requires it in [[1, 16]].  It stays here
           because existing serve configurations set it through
           [Sched.config]. *)
@@ -140,5 +141,12 @@ val stats : t -> stats
 (** Read-only snapshot of the same statistics {!run} returns: never
     advances a clock, runs a slice, or drains a queue, so it is safe to
     call between [submit] and [run] (or never calling [run] at all). *)
+
+val core_cycles : t -> int -> int
+(** Core [i]'s clock, read without building a {!stats} snapshot. *)
+
+val core_busy : t -> int -> int
+(** Core [i]'s cumulative slice cycles, read without building a
+    {!stats} snapshot. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -656,11 +656,11 @@ let ecall_no_ms t ~id ?(data = Bytes.empty) ~direction () =
 (* --- slot ring: sharded, allocation-free switchless ECALL dispatch ---------- *)
 
 (* A fixed-stride slot ring per (tenant, shard) in the pinned marshalling
-   buffer: the SDK's one batched call path.  Every slot is
-   [16 + slot_bytes] wide, so a caller can seal and decrypt AEAD payloads
-   *in place* — the ring slot is the envelope — and the staging images
-   ([rbuf]/[pbuf]) are recycled across flushes: the steady-state path
-   allocates nothing per request on the staging side.
+   buffer: the SDK's one batched call path.  Every slot has a fixed
+   stride, so the ring slot is the envelope: a caller stages ciphertext
+   straight into it — and the staging images ([rbuf]/[pbuf]) are
+   recycled across flushes: once they have grown to a ring's working
+   depth, the path allocates nothing per request on the staging side.
 
    The dispatch is switchless: the plane publishes the staged image and a
    persistent in-enclave worker picks it up — no TCS take, no
@@ -674,17 +674,32 @@ let ecall_no_ms t ~id ?(data = Bytes.empty) ~direction () =
    equal request segments and the output region [ms_out_region,
    ms_ocall_region) into [shards] reply segments; shard [i] owns segment
    [i] of each.  A segment holds [count:8][slot_0][slot_1]... with
-   slot_i = [id:8][len:8][payload:slot_bytes] at [8 + i*(16+slot_bytes)],
-   replies echoing the same framing. *)
+   slot_i = [id:8][len:8][payload] at [8 + i*stride], replies echoing the
+   same framing.  The payload area is [slot_bytes] wide, plus [tag_bytes]
+   on a ring with a channel: there slots carry ciphertext, and the
+   in-enclave worker opens each request and seals each reply itself. *)
+type channel = {
+  open_slot : slot:int -> bytes -> unit;
+  seal_slot : slot:int -> bytes -> dst:bytes -> dst_off:int -> int;
+}
+
+let tag_bytes = 32
+
+(* Staging images start this many slots wide and double on demand, so a
+   ring sized for a deep queue costs memory only for the depth it
+   reaches. *)
+let initial_image_slots = 16
+
 type ring = {
   rt : t;
   req_off : int;  (* segment base in the input region *)
   rep_off : int;  (* segment base in the output region *)
   slots : int;
   slot_bytes : int;
-  stride : int;  (* 16 + slot_bytes *)
-  rbuf : bytes;  (* reusable staged-request image, header included *)
-  pbuf : bytes;  (* reusable reply image, same framing *)
+  stride : int;  (* 16 + slot_bytes, + tag_bytes with a channel *)
+  channel : channel option;
+  mutable rbuf : bytes;  (* reusable staged-request image, header included *)
+  mutable pbuf : bytes;  (* reusable reply image, same framing *)
   mutable staged : int;
   mutable served : int;
       (* slots whose reply is already framed in [pbuf]: a dispatch retried
@@ -702,7 +717,7 @@ let ring_reset r =
   r.staged <- 0;
   r.served <- 0
 
-let create_ring t ~shard ~shards ~slots ~slot_bytes =
+let create_ring ?channel t ~shard ~shards ~slots ~slot_bytes =
   if shards <= 0 then fail "create_ring: shards (%d) must be positive" shards;
   if shard < 0 || shard >= shards then
     fail "create_ring: shard %d outside [0, %d)" shard shards;
@@ -710,7 +725,9 @@ let create_ring t ~shard ~shards ~slots ~slot_bytes =
   if slot_bytes <= 0 || slot_bytes land 7 <> 0 then
     fail "create_ring: slot_bytes (%d) must be a positive multiple of 8"
       slot_bytes;
-  let stride = 16 + slot_bytes in
+  let stride =
+    16 + slot_bytes + match channel with Some _ -> tag_bytes | None -> 0
+  in
   let need = 8 + (slots * stride) in
   let in_seg = (t.ms_out_region / shards) land lnot 7 in
   let out_seg = ((t.ms_ocall_region - t.ms_out_region) / shards) land lnot 7 in
@@ -718,7 +735,8 @@ let create_ring t ~shard ~shards ~slots ~slot_bytes =
     fail
       "create_ring: %d slots x %d B need %d B per segment, but %d shards \
        leave %d B (in) / %d B (out) — raise ms_bytes"
-      slots slot_bytes need shards in_seg out_seg;
+      slots (stride - 16) need shards in_seg out_seg;
+  let image = 8 + (min slots initial_image_slots * stride) in
   {
     rt = t;
     req_off = shard * in_seg;
@@ -726,20 +744,36 @@ let create_ring t ~shard ~shards ~slots ~slot_bytes =
     slots;
     slot_bytes;
     stride;
-    rbuf = Bytes.create need;
-    pbuf = Bytes.create need;
+    channel;
+    rbuf = Bytes.create image;
+    pbuf = Bytes.create image;
     staged = 0;
     served = 0;
   }
 
+(* Double both images (up to the ring's capacity), keeping every staged
+   slot and every framed reply. *)
+let grow_images r =
+  let keep = 8 + (r.staged * r.stride) in
+  let cap = (Bytes.length r.rbuf - 8) / r.stride in
+  let size = 8 + (min r.slots (2 * cap) * r.stride) in
+  let grow b =
+    let b' = Bytes.create size in
+    Bytes.blit b 0 b' 0 keep;
+    b'
+  in
+  r.rbuf <- grow r.rbuf;
+  r.pbuf <- grow r.pbuf
+
 (* Staging writes the slot header and hands the caller the payload offset
-   into [ring_buf]: the caller (e.g. [Authenc.decrypt_into]) produces the
-   payload directly in the slot. *)
+   into [ring_buf]: the caller produces the payload directly in the
+   slot. *)
 let ring_stage r ~ecall_id ~len =
   if len < 0 || len > r.slot_bytes then
     fail "ring_stage: %d bytes exceed the %d-byte slot" len r.slot_bytes;
   if r.staged >= r.slots then fail "ring_stage: ring full (%d slots)" r.slots;
   let off = 8 + (r.staged * r.stride) in
+  if off + r.stride > Bytes.length r.rbuf then grow_images r;
   Bytes.set_int64_le r.rbuf off (Int64.of_int ecall_id);
   Bytes.set_int64_le r.rbuf (off + 8) (Int64.of_int len);
   r.staged <- r.staged + 1;
@@ -750,7 +784,7 @@ let ring_reply_slot r ~slot =
     fail "ring reply slot %d outside the %d staged" slot r.staged;
   let off = 8 + (slot * r.stride) in
   let len = Int64.to_int (Bytes.get_int64_le r.pbuf (off + 8)) in
-  if len < 0 || len > r.slot_bytes then
+  if len < 0 || len > r.stride - 16 then
     fail "ring reply slot %d has a corrupt length word (%d)" slot len;
   (off + 16, len)
 
@@ -789,10 +823,14 @@ let touch_segment t ~off ~len =
    is not copied into enclave memory first) and frames replies at the
    same stride in the shard's reply segment, storing the image through
    its own mapping of the pinned region.  The only per-slot byte
-   movement charged is each handler's reply landing in its slot.  The
-   walk starts at the served-slot cursor, so a retry after a transient
-   fault pays the post fence and dispatch again only for the slots still
-   unserved, and re-runs the faulted slot's handler from its top. *)
+   movement charged is each handler's reply landing in its slot.  On a
+   ring with a channel the worker opens its private copy of each slot
+   before the handler runs and seals the reply into the reply slot after
+   it, so neither plaintext ever touches the shared segments.  The walk
+   starts at the served-slot cursor, so a retry after a transient fault
+   pays the post fence and dispatch again only for the slots still
+   unserved, and re-runs the faulted slot's channel callbacks and
+   handler from their top. *)
 let run_ring_dispatch r =
   let t = r.rt in
   let m = monitor t in
@@ -819,6 +857,9 @@ let run_ring_dispatch r =
             fail "ring_dispatch: slot %d has a corrupt length word" slot;
           let handler = lookup_ecall t id in
           let body = Bytes.sub r.rbuf (off + 16) blen in
+          (match r.channel with
+          | Some ch -> ch.open_slot ~slot body
+          | None -> ());
           let reply = handler tenv body in
           let rlen = Bytes.length reply in
           if rlen > r.slot_bytes then
@@ -827,9 +868,19 @@ let run_ring_dispatch r =
                slot"
               id rlen r.slot_bytes;
           Cycles.tick (clock t) (Cost_model.copy_cost c rlen);
+          let framed =
+            match r.channel with
+            | Some ch -> ch.seal_slot ~slot reply ~dst:r.pbuf ~dst_off:(off + 16)
+            | None ->
+                Bytes.blit reply 0 r.pbuf (off + 16) rlen;
+                rlen
+          in
+          if framed < 0 || framed > r.stride - 16 then
+            fail "ring_dispatch: slot %d sealed to %d bytes, past its %d-byte \
+                  payload area"
+              slot framed (r.stride - 16);
           Bytes.set_int64_le r.pbuf off (Int64.of_int id);
-          Bytes.set_int64_le r.pbuf (off + 8) (Int64.of_int rlen);
-          Bytes.blit reply 0 r.pbuf (off + 16) rlen;
+          Bytes.set_int64_le r.pbuf (off + 8) (Int64.of_int framed);
           r.served <- slot + 1
         done);
     Bytes.set_int64_le r.pbuf 0 (Int64.of_int k);

@@ -67,29 +67,62 @@ val ecall_no_ms :
     (tenant, shard) in the pinned marshalling buffer, used as
     [create_ring] once, then per batch [ring_stage] x K, [ring_publish],
     [ring_dispatch], [ring_read_replies] / [ring_reply_slot] and
-    [ring_reset].  Every slot is [16 + slot_bytes] wide, so callers
-    seal/decrypt AEAD payloads in place — the ring slot {e is} the
-    envelope — and the staging images are recycled across flushes.  The
-    dispatch is switchless: no TCS take, no EENTER/EEXIT, no SDK soft
-    path; one post fence plus [ring_slot_dispatch] cycles per slot.
-    Consequences: ring handlers must not OCALL (typed "OCALL outside an
-    ECALL" refusal) and the AEX preemption timer never fires inside a
-    ring dispatch. *)
+    [ring_reset].  The ring slot {e is} the envelope: callers stage
+    payloads straight into it, and the staging images are recycled
+    across flushes.  The dispatch is switchless: no TCS take, no
+    EENTER/EEXIT, no SDK soft path; one post fence plus
+    [ring_slot_dispatch] cycles per slot.  Consequences: ring handlers
+    must not OCALL (typed "OCALL outside an ECALL" refusal) and the AEX
+    preemption timer never fires inside a ring dispatch.
+
+    {b Slot layout.}  A segment is [[count:8][slot_0][slot_1]...], each
+    slot [[id:8][len:8][payload area]].  The payload area is [slot_bytes]
+    wide, plus {!tag_bytes} on a ring with a {!channel}.  Requests and
+    handler replies are at most [slot_bytes] either way; the reply length
+    word holds the framed length (on a channel ring: ciphertext + tag). *)
+
+type channel = {
+  open_slot : slot:int -> bytes -> unit;
+      (** Open the worker's private copy of slot [slot]'s request in place
+          (the copy is the payload's exact length), before its handler
+          runs. *)
+  seal_slot : slot:int -> bytes -> dst:bytes -> dst_off:int -> int;
+      (** Seal slot [slot]'s handler reply into the reply image at
+          [dst_off] and return the framed length, at most
+          [slot_bytes + tag_bytes]. *)
+}
+(** The enclave side of an attested channel, run by the in-enclave
+    worker during {!ring_dispatch} on the dispatching core's clock: the
+    slots of a channel ring carry ciphertext in both directions, so no
+    plaintext crosses the shared segments.  A retried slot re-runs its
+    callbacks from the top, as it re-runs its handler. *)
+
+val tag_bytes : int
+(** 32: room every slot of a channel ring keeps for the reply tag. *)
 
 type ring
 
 val create_ring :
-  t -> shard:int -> shards:int -> slots:int -> slot_bytes:int -> ring
+  ?channel:channel ->
+  t ->
+  shard:int ->
+  shards:int ->
+  slots:int ->
+  slot_bytes:int ->
+  ring
 (** Carve shard [shard] of [shards] equal segments out of the input and
-    output marshalling regions and build its reusable staging images.
-    [slot_bytes] must be a positive multiple of 8.
-    @raise Enclave_error when [slots * (16 + slot_bytes) + 8] exceeds the
-    per-shard segment — the fix is a larger [ms_bytes]. *)
+    output marshalling regions and build its staging images, which start
+    16 slots wide and double on demand up to [slots].  [slot_bytes] must
+    be a positive multiple of 8.  Without [channel], slots carry the
+    payloads as staged and replies as the handlers return them.
+    @raise Enclave_error when [slots] full slots and the count word
+    exceed the per-shard segment — the fix is a larger [ms_bytes]. *)
 
 val ring_stage : ring -> ecall_id:int -> len:int -> int
 (** Claim the next slot for a [len]-byte payload of ECALL [ecall_id] and
     return the payload's byte offset into {!ring_buf}: the caller writes
-    (or decrypts) the payload directly there.
+    the payload directly there.  Staging may grow the images, so fetch
+    {!ring_buf} after staging.
     @raise Enclave_error when the ring is full or [len > slot_bytes]. *)
 
 val ring_publish : ring -> unit
@@ -103,8 +136,9 @@ val ring_dispatch : ring -> unit
     reply segment.  Charged to the calling (core) clock.  Wrapped in the
     standard transient-fault retry loop, which resumes at the slot that
     faulted: handlers of already-served slots do not run again, the
-    faulted slot's handler re-runs from its top.  Permanent faults and
-    exhausted retries propagate, failing the whole ring.
+    faulted slot's channel callbacks and handler re-run from their top.
+    Permanent faults and exhausted retries propagate, failing the whole
+    ring.
     @raise Enclave_error on an unknown ECALL id or a reply longer than
     [slot_bytes]. *)
 
@@ -117,19 +151,22 @@ val ring_read_replies : ring -> unit
     count. *)
 
 val ring_reply_slot : ring -> slot:int -> int * int
-(** [(payload_offset, length)] of a served slot's reply inside
-    {!ring_reply_buf}; sealing in place reads and writes there.
-    @raise Enclave_error on an out-of-range slot or corrupt length. *)
+(** [(payload_offset, framed_length)] of a served slot's reply inside
+    {!ring_reply_buf}.
+    @raise Enclave_error on an out-of-range slot or a length word past
+    the slot's payload area. *)
 
 val ring_staged : ring -> int
 val ring_capacity : ring -> int
 val ring_slot_bytes : ring -> int
 
 val ring_buf : ring -> bytes
-(** The reusable staged-request image (header + slots). *)
+(** The staged-request image (header + slots).  Valid until the next
+    {!ring_stage}, which may replace it with a larger copy. *)
 
 val ring_reply_buf : ring -> bytes
-(** The reusable reply image, valid after {!ring_read_replies}. *)
+(** The reply image, valid after {!ring_read_replies} until the next
+    {!ring_stage}. *)
 
 val ring_reset : ring -> unit
 (** Forget the staged slots and rewind the served-slot cursor; the

@@ -196,6 +196,10 @@ type tenant = {
          resumes answer with a typed forward to the destination node *)
   stage : stage;
   rings : Urts.ring option array;  (* per shard, built on first use *)
+  ring_entries : int array array;
+      (* per shard, slot -> stage index of the request staged there this
+         flush: how the ring's in-enclave channel finds a slot's session
+         and nonce *)
   ring_err : string option array;  (* per-shard failure, one flush *)
   ring_gen : int array;  (* last flush generation that used the shard *)
 }
@@ -219,6 +223,25 @@ type session = {
    than read off the platform at use sites) so every quote-verification
    decision names its trust anchor. *)
 type identity = { node_id : int; hapk : Signature.public_key }
+
+type ledger = {
+  flushes : int;
+  served : int;
+  serial_cycles : int;
+  busy_cycles : int;
+  slowest_cycles : int;
+  critical_cycles : int;
+}
+
+let empty_ledger =
+  {
+    flushes = 0;
+    served = 0;
+    serial_cycles = 0;
+    busy_cycles = 0;
+    slowest_cycles = 0;
+    critical_cycles = 0;
+  }
 
 type t = {
   platform : Platform.t;
@@ -251,6 +274,14 @@ type t = {
   aad_scratch : bytes;  (* admission-path AAD render, no allocation *)
   mutable sid_scratch : int array;  (* distinct staged sessions, sorted *)
   mutable sid_count : int;
+  (* --- in-enclave channel: reply-seal scratch, one flush --- *)
+  seal_nonce : bytes;
+  seal_aad : bytes;
+  mutable sealed_in_group : int;
+  (* --- critical-path ledger --- *)
+  mutable submit_cyc : int;  (* platform cycles inside [submit] since the last flush *)
+  core_mark : int array;  (* per-core clock when the current flush began *)
+  mutable ledger : ledger;
 }
 
 let fault_site = "serve.session"
@@ -332,6 +363,12 @@ let create_node ~platform (nc : Node_config.t) =
     aad_scratch = Bytes.create 34;
     sid_scratch = Array.make 16 0;
     sid_count = 0;
+    seal_nonce = Bytes.make 12 '\000';
+    seal_aad = Bytes.create 34;
+    sealed_in_group = 0;
+    submit_cyc = 0;
+    core_mark = Array.make (max 1 config.sched.Sched.cores) 0;
+    ledger = empty_ledger;
   }
 
 let identity t = t.identity
@@ -467,8 +504,9 @@ let add_tenant t ~name (bc : Backend.config) =
      queue: size the buffer up front so a worst-case flush (every staged
      request landing on one shard) can never outgrow a ring.  Quadruple
      [need] because the input region is half the buffer and the reply
-     region a quarter, plus a page of alignment slack per segment. *)
-  let need = 8 + (t.config.max_queue * (16 + slot_bytes)) in
+     region a quarter, plus a page of alignment slack per segment.  Each
+     slot keeps room for the reply tag its ring's channel seals. *)
+  let need = 8 + (t.config.max_queue * (16 + slot_bytes + Urts.tag_bytes)) in
   let ms_min = Addr.align_up ((4 * t.shards * need) + (4 * Addr.page_size)) in
   let ms_bytes =
     max ms_min
@@ -517,6 +555,7 @@ let add_tenant t ~name (bc : Backend.config) =
           sg_n = 0;
         };
       rings = Array.make t.shards None;
+      ring_entries = Array.make t.shards [||];
       ring_err = Array.make t.shards None;
       ring_gen = Array.make t.shards 0;
     }
@@ -735,10 +774,14 @@ type reply = {
   r_result : (Authenc.sealed, reject) result;
 }
 
+(* [dir][0][0][0][seq:8], rendered over a zeroed 12-byte buffer. *)
+let render_nonce nonce ~dir ~seq =
+  Bytes.set nonce 0 dir;
+  Bytes.set_int64_le nonce 4 (Int64.of_int seq)
+
 let envelope_nonce ~dir ~seq =
   let nonce = Bytes.make 12 '\000' in
-  Bytes.set nonce 0 dir;
-  Bytes.set_int64_le nonce 4 (Int64.of_int seq);
+  render_nonce nonce ~dir ~seq;
   nonce
 
 let aad ~domain ~session_id ~seq ~tag =
@@ -754,22 +797,26 @@ let aad_req ~session_id ~seq ~ecall_id =
 
 let aad_rep ~session_id ~seq = aad ~domain:"serve-rep:" ~session_id ~seq ~tag:0
 
+(* [aad]'s layout rendered into a caller's 34-byte scratch buffer. *)
+let render_aad buf ~domain ~session_id ~seq ~tag =
+  Bytes.blit_string domain 0 buf 0 10;
+  Bytes.set_int64_le buf 10 (Int64.of_int session_id);
+  Bytes.set_int64_le buf 18 (Int64.of_int seq);
+  Bytes.set_int64_le buf 26 (Int64.of_int tag)
+
 (* Admission-path AAD check: render the expected AAD into the plane's
-   scratch buffer and compare — same layout as [aad], no allocation. *)
+   scratch buffer and compare, without allocating. *)
 let aad_matches t ~domain ~session_id ~seq ~tag candidate =
   Bytes.length candidate = 34
   && begin
-       Bytes.blit_string domain 0 t.aad_scratch 0 10;
-       Bytes.set_int64_le t.aad_scratch 10 (Int64.of_int session_id);
-       Bytes.set_int64_le t.aad_scratch 18 (Int64.of_int seq);
-       Bytes.set_int64_le t.aad_scratch 26 (Int64.of_int tag);
+       render_aad t.aad_scratch ~domain ~session_id ~seq ~tag;
        Bytes.equal t.aad_scratch candidate
      end
 
 (* ---------------------------------------------------------------------- *)
 (* Admission                                                              *)
 
-let submit t (req : request) =
+let admit t (req : request) =
   Telemetry.incr t.telemetry "serve.request";
   match Hashtbl.find_opt t.sessions req.session_id with
   | None -> reject t (session_reject t req.session_id)
@@ -777,9 +824,9 @@ let submit t (req : request) =
       let tn = s.tenant in
       (* Zero-copy admission: authenticate the envelope where it lies (a
          MAC pass over the ciphertext, no plaintext allocated) and defer
-         the decrypt to the batched flush.  Per-byte MAC cost only — the
-         AEAD setup was paid once when the session's keys were
-         prepared. *)
+         the decrypt to the ring's in-enclave worker.  Per-byte MAC cost
+         only — the AEAD setup was paid once when the session's keys
+         were prepared. *)
       let ct_len = Bytes.length req.envelope.Authenc.ciphertext in
       charge_aead_bytes t ~bytes:ct_len;
       if ct_len > slot_bytes then
@@ -847,6 +894,14 @@ let submit t (req : request) =
                   end
             end)
 
+(* The ledger's submit share: every platform cycle admission spends. *)
+let submit t req =
+  let clock = t.platform.Platform.clock in
+  let c0 = Cycles.now clock in
+  let r = admit t req in
+  t.submit_cyc <- t.submit_cyc + (Cycles.now clock - c0);
+  r
+
 (* ---------------------------------------------------------------------- *)
 (* Dispatch                                                               *)
 
@@ -887,27 +942,68 @@ let collect_sids t (st : stage) =
     t.sid_scratch.(!j + 1) <- v
   done
 
+(* The enclave side of the channel, run by the ring's in-enclave worker
+   on the core that dispatches the ring: each slot arrives as ciphertext,
+   is decrypted in the worker's private copy, and its reply leaves sealed
+   — ciphertext plus tag — so the shared segments never hold plaintext.
+   The keys and the request nonce come from the session table and the
+   stage arena, by slot index.  Charges: per-byte decrypt and seal, one
+   AEAD setup per (ring, flush) on its first slot, and one reply-seal
+   setup per [config.sched.batch] sealed replies, counted plane-wide
+   across the flush.  They tick the platform clock inside a scheduler
+   slice, so they are that core's busy time and the tenant's quota. *)
+let channel t (tn : tenant) entries =
+  let st = tn.stage in
+  let session_of slot = Hashtbl.find t.sessions st.sg_sids.(entries.(slot)) in
+  let open_slot ~slot buf =
+    let s = session_of slot in
+    if slot = 0 then charge_aead_setup t;
+    let len = Bytes.length buf in
+    charge_aead_bytes t ~bytes:len;
+    Authenc.decrypt_into s.keys ~nonce:st.sg_envs.(entries.(slot)).Authenc.nonce
+      ~src:buf ~src_off:0 ~dst:buf ~dst_off:0 ~len
+  in
+  let seal_slot ~slot reply ~dst ~dst_off =
+    let s = session_of slot in
+    let seq = st.sg_seqs.(entries.(slot)) in
+    if t.sealed_in_group = 0 then charge_aead_setup t;
+    t.sealed_in_group <- (t.sealed_in_group + 1) mod t.config.sched.Sched.batch;
+    let len = Bytes.length reply in
+    charge_aead_bytes t ~bytes:len;
+    render_nonce t.seal_nonce ~dir:'<' ~seq;
+    render_aad t.seal_aad ~domain:"serve-rep:" ~session_id:s.s_id ~seq ~tag:0;
+    let tag =
+      Authenc.seal_into s.keys ~aad:t.seal_aad ~nonce:t.seal_nonce ~src:reply
+        ~src_off:0 ~dst ~dst_off ~len ()
+    in
+    Bytes.blit tag 0 dst (dst_off + len) Urts.tag_bytes;
+    len + Urts.tag_bytes
+  in
+  { Urts.open_slot; seal_slot }
+
 let ring_for t (tn : tenant) shard =
   match tn.rings.(shard) with
   | Some r -> r
   | None ->
+      let entries = Array.make t.config.max_queue 0 in
       let r =
-        Urts.create_ring tn.urts ~shard ~shards:t.shards
-          ~slots:t.config.max_queue ~slot_bytes
+        Urts.create_ring tn.urts ~channel:(channel t tn entries) ~shard
+          ~shards:t.shards ~slots:t.config.max_queue ~slot_bytes
       in
       tn.rings.(shard) <- Some r;
+      tn.ring_entries.(shard) <- entries;
       r
 
 (* The allocation-free dispatch path.  Staging, dispatch and reply bytes
    all live in reusable arenas and the pinned marshalling rings; the only
    per-request allocations left are the wire-facing reply envelopes. *)
-let flush t =
+let drain t =
   Telemetry.incr t.telemetry "serve.flush";
   t.flush_gen <- t.flush_gen + 1;
   let gen = t.flush_gen in
   Hashtbl.reset t.fault_msgs;
+  t.sealed_in_group <- 0;
   let cores = max 1 t.config.sched.Sched.cores in
-  let seal_group = t.config.sched.Sched.batch in
   let tenants =
     List.rev_map (fun name -> Hashtbl.find t.tenants name) t.tenant_order
   in
@@ -916,8 +1012,8 @@ let flush t =
   (* Pass 1 per tenant: walk the staged entries in dispatch order —
      ascending session id, then admission (= sequence) order within a
      session.  Permanent session faults surface as typed errors in the
-     assembly pass; live entries decrypt straight into their ring slot
-     (the slot IS the envelope's plaintext cell). *)
+     assembly pass; live entries copy their ciphertext into a ring slot
+     (the slot IS the envelope), for the ring's worker to open. *)
   List.iter
     (fun tn ->
       let st = tn.stage in
@@ -926,7 +1022,6 @@ let flush t =
         collect_sids t st;
         for k = 0 to t.sid_count - 1 do
           let sid = t.sid_scratch.(k) in
-          let s = Hashtbl.find t.sessions sid in
           match
             Fault.with_retries ~backoff:(backoff t) (fun () ->
                 Fault.point fault_site)
@@ -946,9 +1041,8 @@ let flush t =
                 if st.sg_sids.(i) = sid then begin
                   tn.queued <- tn.queued - 1;
                   incr flush_total;
-                  let env = st.sg_envs.(i) in
-                  let len = Bytes.length env.Authenc.ciphertext in
-                  charge_aead_bytes t ~bytes:len;
+                  let ct = st.sg_envs.(i).Authenc.ciphertext in
+                  let len = Bytes.length ct in
                   if !stamp mod rotor_block = 0 then begin
                     shard := t.rotor;
                     t.rotor <- (t.rotor + 1) mod t.shards
@@ -957,19 +1051,16 @@ let flush t =
                   let ring = ring_for t tn !shard in
                   if tn.ring_gen.(!shard) <> gen then begin
                     tn.ring_gen.(!shard) <- gen;
-                    incr rings_used;
-                    (* one AEAD setup per (ring, flush): the decrypts
-                       staged into a ring share one key-schedule charge *)
-                    charge_aead_setup t
+                    incr rings_used
                   end;
                   let off =
                     Urts.ring_stage ring ~ecall_id:st.sg_ecalls.(i) ~len
                   in
-                  Authenc.decrypt_into s.keys ~nonce:env.Authenc.nonce
-                    ~src:env.Authenc.ciphertext ~src_off:0
-                    ~dst:(Urts.ring_buf ring) ~dst_off:off ~len;
+                  Bytes.blit ct 0 (Urts.ring_buf ring) off len;
+                  let slot = Urts.ring_staged ring - 1 in
+                  tn.ring_entries.(!shard).(slot) <- i;
                   st.sg_shards.(i) <- !shard;
-                  st.sg_slots.(i) <- Urts.ring_staged ring - 1
+                  st.sg_slots.(i) <- slot
                 end
               done
         done;
@@ -1022,12 +1113,9 @@ let flush t =
           | Some _ | None -> ()
         done)
     tenants;
-  (* Assembly: seal replies in place inside the reply image — the served
-     slot is encrypted where it lies and only the wire-facing envelope
-     (nonce, AAD, ciphertext slice) is materialized.  Reply order is the
-     contract: tenant insertion order, then session id, then
-     sequence. *)
-  let sealed_in_batch = ref 0 in
+  (* Assembly: frame each sealed reply slot as its wire envelope (nonce,
+     AAD, ciphertext, tag).  Reply order is the contract: tenant
+     insertion order, then session id, then sequence. *)
   let out = ref [] in
   List.iter
     (fun tn ->
@@ -1036,30 +1124,14 @@ let flush t =
         collect_sids t st;
         for k = 0 to t.sid_count - 1 do
           let sid = t.sid_scratch.(k) in
-          let s = Hashtbl.find t.sessions sid in
           let fault = Hashtbl.find_opt t.fault_msgs sid in
+          let emit seq r_result =
+            out := { r_session_id = sid; r_seq = seq; r_result } :: !out
+          in
           let emit_err seq rej =
             Telemetry.incr t.telemetry "serve.request.failed";
             Telemetry.incr t.telemetry ("serve.reject." ^ reject_name rej);
-            out :=
-              { r_session_id = sid; r_seq = seq; r_result = Error rej } :: !out
-          in
-          let seal seq buf ~off ~len =
-            if !sealed_in_batch = 0 then charge_aead_setup t;
-            sealed_in_batch := (!sealed_in_batch + 1) mod seal_group;
-            charge_aead_bytes t ~bytes:len;
-            let nonce = envelope_nonce ~dir:'<' ~seq in
-            let aad = aad_rep ~session_id:sid ~seq in
-            let tag =
-              Authenc.seal_into s.keys ~aad ~nonce ~src:buf ~src_off:off
-                ~dst:buf ~dst_off:off ~len ()
-            in
-            let sealed =
-              { Authenc.nonce; ciphertext = Bytes.sub buf off len; tag; aad }
-            in
-            Telemetry.incr t.telemetry "serve.request.ok";
-            out :=
-              { r_session_id = sid; r_seq = seq; r_result = Ok sealed } :: !out
+            emit seq (Error rej)
           in
           for i = 0 to st.sg_n - 1 do
             if st.sg_sids.(i) = sid then begin
@@ -1068,18 +1140,28 @@ let flush t =
               | Some msg -> emit_err seq (Session_fault msg)
               | None -> (
                   let shard = st.sg_shards.(i) in
-                  match tn.ring_err.(shard) with
-                  | Some msg -> emit_err seq (Session_fault msg)
-                  | None ->
-                      let ring =
-                        match tn.rings.(shard) with
-                        | Some r -> r
-                        | None -> assert false
-                      in
-                      let off, len =
+                  match (tn.ring_err.(shard), tn.rings.(shard)) with
+                  | Some msg, _ -> emit_err seq (Session_fault msg)
+                  | None, None -> assert false
+                  | None, Some ring ->
+                      let off, framed =
                         Urts.ring_reply_slot ring ~slot:st.sg_slots.(i)
                       in
-                      seal seq (Urts.ring_reply_buf ring) ~off ~len)
+                      let len = framed - Urts.tag_bytes in
+                      if len < 0 then
+                        emit_err seq (Session_fault "reply slot holds no tag")
+                      else begin
+                        let buf = Urts.ring_reply_buf ring in
+                        Telemetry.incr t.telemetry "serve.request.ok";
+                        emit seq
+                          (Ok
+                             {
+                               Authenc.nonce = envelope_nonce ~dir:'<' ~seq;
+                               ciphertext = Bytes.sub buf off len;
+                               tag = Bytes.sub buf (off + len) Urts.tag_bytes;
+                               aad = aad_rep ~session_id:sid ~seq;
+                             })
+                      end)
             end
           done
         done;
@@ -1098,6 +1180,49 @@ let flush t =
   Telemetry.raise_to t.telemetry "serve.arena.high_water" !flush_total;
   Telemetry.raise_to t.telemetry "serve.ring.shards_active" !rings_used;
   List.rev !out
+
+(* One ledger entry per flush.  Serial: the submit cycles since the last
+   flush plus the flush cycles no core slice saw.  The cores run in
+   parallel, so the flush's critical path is the serial part plus the
+   slowest core's clock advance. *)
+let flush t =
+  let clock = t.platform.Platform.clock in
+  let cores = Array.length t.core_mark in
+  let busy () =
+    let b = ref 0 in
+    for k = 0 to cores - 1 do
+      b := !b + Sched.core_busy t.sched k
+    done;
+    !b
+  in
+  for k = 0 to cores - 1 do
+    t.core_mark.(k) <- Sched.core_cycles t.sched k
+  done;
+  let p0 = Cycles.now clock and busy0 = busy () in
+  let replies = drain t in
+  let busy = busy () - busy0 in
+  let slowest = ref 0 in
+  for k = 0 to cores - 1 do
+    slowest := max !slowest (Sched.core_cycles t.sched k - t.core_mark.(k))
+  done;
+  let serial = t.submit_cyc + (Cycles.now clock - p0) - busy in
+  t.submit_cyc <- 0;
+  let l = t.ledger in
+  t.ledger <-
+    {
+      flushes = l.flushes + 1;
+      served =
+        List.fold_left
+          (fun n r -> match r.r_result with Ok _ -> n + 1 | Error _ -> n)
+          l.served replies;
+      serial_cycles = l.serial_cycles + serial;
+      busy_cycles = l.busy_cycles + busy;
+      slowest_cycles = l.slowest_cycles + !slowest;
+      critical_cycles = l.critical_cycles + serial + !slowest;
+    };
+  replies
+
+let ledger t = t.ledger
 
 (* ---------------------------------------------------------------------- *)
 (* Session state (EDMM)                                                   *)

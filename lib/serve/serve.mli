@@ -5,9 +5,9 @@
     with the paper's attestation chain (Sec. 5 — TPM quote over the
     measured boot + hapk binding, monitor-signed ems), agrees on a
     per-session channel key, and then submits encrypted requests that
-    the plane authenticates, decrypts into the marshalling buffer and
-    routes into the SMP scheduler as slot-ring batches, replying over
-    the same channel.
+    the plane authenticates and routes, still encrypted, into the SMP
+    scheduler as slot-ring batches; the in-enclave ring worker decrypts
+    each one and seals its reply over the same channel.
 
     {2 Handshake (SIGMA-style)}
 
@@ -137,8 +137,9 @@ type config = {
   max_queue : int;  (** per-tenant bound on admitted-but-unflushed requests *)
   cycle_quota : int option;
       (** initial per-tenant cycle budget ([None] = unmetered); spent
-          cycles come from scheduler slice deltas and are replenished
-          with {!grant} *)
+          cycles come from scheduler slice deltas — the tenant's handlers
+          and the channel crypto its ring workers run — and are
+          replenished with {!grant} *)
   nonce_cache : int;
       (** replay-cache bound: only the most recent [nonce_cache]
           handshake / resumption nonces are remembered (FIFO eviction),
@@ -158,8 +159,8 @@ val state_stride_pages : int
 
 val slot_bytes : int
 (** 256: ring slot payload capacity; an admission whose ciphertext
-    exceeds it is refused with {!Unsupported}, and a service reply must
-    fit in it. *)
+    exceeds it is refused with {!Unsupported}, and a handler reply must
+    fit in it.  Each slot also keeps 32 bytes for the reply tag. *)
 
 val rotor_block : int
 (** 8: consecutive per-session staged requests assigned to one ring
@@ -275,18 +276,48 @@ val submit : t -> request -> (unit, reject) result
     whatever the outcome — the ECALL check ({!Unsupported} unless
     [ecall_id] is one of the tenant's handlers, never a
     {!reserved_ecalls} id), per-tenant queue bound, per-tenant cycle
-    quota.  The decrypt is deferred to {!flush} — zero-copy admission. *)
+    quota.  The decrypt is deferred to the ring's in-enclave worker
+    during {!flush} — zero-copy admission. *)
 
 val flush : t -> reply list
-(** Drain every admitted request: decrypt each envelope into a slot of
-    a per-shard marshalling-buffer ring (one shard per scheduler core),
-    dispatch the rings switchlessly through the scheduler and seal each
-    reply in place in the ring's reply image.  A ring whose dispatch
-    fails answers every request it carried with a typed
-    {!Session_fault}.  [config.sched.batch] sets how many replies share
-    one AEAD setup charge when sealing.  Tenant quotas are charged from
-    the dispatch cycles.  Replies come in tenant insertion order, then
-    session id, then sequence number. *)
+(** Drain every admitted request: copy each envelope's ciphertext into a
+    slot of a per-shard marshalling-buffer ring (one shard per scheduler
+    core) and dispatch the rings switchlessly through the scheduler.  On
+    the core that runs a ring, its in-enclave worker decrypts each
+    slot's private copy, runs the handler, and seals the reply into the
+    reply slot as ciphertext plus a 32-byte tag
+    ({!Hyperenclave_sdk.Urts.channel}); the plane then only frames the
+    wire envelopes.  So the shared segments carry no plaintext, and the
+    channel crypto runs on the cores' clocks, not the plane's.  A ring
+    whose dispatch fails answers every request it carried with a typed
+    {!Session_fault}.  [config.sched.batch] sets how many sealed replies
+    share one AEAD setup charge, counted across the flush.  Tenant
+    quotas are charged from the dispatch cycles, which include the
+    channel crypto.  Replies come in tenant insertion order, then
+    session id, then sequence number.  Each flush adds one entry to the
+    {!ledger}. *)
+
+type ledger = {
+  flushes : int;
+  served : int;  (** replies sealed [Ok] *)
+  serial_cycles : int;
+      (** plane work no core clock sees: platform cycles inside {!submit}
+          since the previous flush, plus the {!flush} cycles outside every
+          scheduler slice *)
+  busy_cycles : int;  (** scheduler slice cycles, summed over cores *)
+  slowest_cycles : int;  (** per flush, the largest core clock advance *)
+  critical_cycles : int;
+      (** per flush, serial + slowest: the cores run in parallel, so this
+          is how long the round takes *)
+}
+(** The plane's critical-path ledger: cumulative sums over every {!flush}
+    so far.  On each flush, serial + busy equals the platform-clock
+    advance over its submits and the flush itself.  A core clock also
+    carries steal penalties and idle parking, which the platform clock
+    never sees, so the slowest advance can exceed its busy share.
+    [served * clock_hz / critical_cycles] is the attested rate. *)
+
+val ledger : t -> ledger
 
 val resize_session : t -> session:int -> pages:int -> (int, reject) result
 (** Commit [pages] pages of in-enclave session state through the

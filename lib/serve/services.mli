@@ -2,8 +2,9 @@
 
     The registration layer of ROADMAP item 2: a tenant becomes an enclave
     running one of the {!Hyperenclave_workloads} applications on the
-    {!Hyperenclave_libos.Libos} runtime, and the decrypted ring-slot
-    payloads of the attested plane become workload requests —
+    {!Hyperenclave_libos.Libos} runtime, and the ring-slot payloads of
+    the attested plane, decrypted by the in-enclave ring worker, become
+    workload requests —
 
     - {b resp_kv}: RESP command pipelines against a per-tenant
       {!Hyperenclave_workloads.Resp_kv.Store}, with SET commands
@@ -19,8 +20,8 @@
     an epoll wait gates the read, and replies leave through
     {!Hyperenclave_libos.Libos.sock_drain} — no OCALLs, so the handlers
     dispatch switchlessly inside arena ring slots, and the reply the
-    plane seals in place is exactly what the application wrote to its
-    socket.  Adding a new service scenario is one [handlers]-shaped
+    worker seals into the reply slot is exactly what the application
+    wrote to its socket.  Adding a new service scenario is one [handlers]-shaped
     function (~a page of code).
 
     Handlers never raise on malformed input that arrives through the

@@ -366,6 +366,74 @@ let test_serve_ecall_admission () =
     [ (neighbour, "neighbour"); (prober, "prober") ];
   Serve.destroy plane
 
+(* The host reads ring-slot plaintext.  The marshalling ring is
+   untrusted shared memory, so while one sealed request is submitted and
+   flushed, no frame written outside the EPC (Phys_mem's write observer
+   lists them) may hold the request's or the reply's plaintext: the
+   in-enclave ring worker opens and seals the slots itself.  Any 16-byte
+   window counts, as a plaintext may straddle a page boundary. *)
+let test_serve_ring_plaintext () =
+  let p = Platform.create ~seed:9130L () in
+  let plane =
+    Serve.create_node ~platform:p
+    @@ Serve.Node_config.v ~platform:p Serve.default_config
+  in
+  let upper b = Bytes.of_string (String.uppercase_ascii (Bytes.to_string b)) in
+  let backend =
+    Serve.add_tenant plane ~name:"acme"
+      {
+        (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
+        Backend.handlers = [ (1, fun _env input -> upper input) ];
+      }
+  in
+  let client =
+    client_for p ~identity:(Option.get backend.Backend.identity) ~seed:9131L
+  in
+  ignore (establish plane ~tenant:"acme" client);
+  let request = "attack twin: a request the host must never read in the clear" in
+  let reply = String.uppercase_ascii request in
+  let mem = p.Platform.mem in
+  let written = Hashtbl.create 64 in
+  Hw.Phys_mem.set_write_observer mem
+    (Some (fun frame -> Hashtbl.replace written frame ()));
+  let replies =
+    Fun.protect
+      ~finally:(fun () -> Hw.Phys_mem.set_write_observer mem None)
+      (fun () ->
+        match
+          Serve.submit plane
+            (Serve.Client.request client ~ecall:1 (Bytes.of_string request))
+        with
+        | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r
+        | Ok () -> Serve.flush plane)
+  in
+  (match replies with
+  | [ r ] -> (
+      match Serve.Client.read_reply client r with
+      | Ok body -> Alcotest.(check string) "served" reply (Bytes.to_string body)
+      | Error r -> Alcotest.failf "reply rejected: %a" Serve.pp_reject r)
+  | _ -> Alcotest.fail "expected one reply");
+  let epc = Monitor.epc p.Platform.monitor in
+  let shared =
+    Hashtbl.fold
+      (fun frame () acc ->
+        if Epc.in_pool epc frame then acc
+        else Bytes.to_string (Hw.Phys_mem.read_page mem ~frame) :: acc)
+      written []
+  in
+  Alcotest.(check bool) "the round wrote shared frames" true (shared <> []);
+  let leaks text =
+    List.exists
+      (fun page ->
+        List.exists
+          (fun i -> contains page (String.sub text i 16))
+          (List.init (String.length text - 15) Fun.id))
+      shared
+  in
+  Alcotest.(check bool) "request plaintext in shared memory" false (leaks request);
+  Alcotest.(check bool) "reply plaintext in shared memory" false (leaks reply);
+  Serve.destroy plane
+
 (* [Serve]'s transcript framing: every field length-prefixed under the
    handshake domain. *)
 let transcript fields =
@@ -443,4 +511,6 @@ let suite =
       `Quick test_serve_ecall_admission;
     Alcotest.test_case "serve: forged tenant identity" `Quick
       test_serve_forged_tenant_identity;
+    Alcotest.test_case "serve: host reads ring-slot plaintext" `Quick
+      test_serve_ring_plaintext;
   ]

@@ -191,6 +191,107 @@ let test_ring_retry_resumes () =
     (ring_replies ring);
   Urts.destroy handle
 
+(* Staging images start 16 slots wide and double on demand: staging past
+   the initial image keeps every earlier slot's bytes, and a full
+   256-slot ring round-trips. *)
+let test_ring_images_grow () =
+  let p = Platform.create ~seed:4103L () in
+  let handle =
+    Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
+      ~signer:p.Platform.signer
+      ~config:(Urts.default_config Sgx_types.GU)
+      ~ecalls:
+        [
+          ( 1,
+            fun (_ : Tenv.t) input ->
+              Bytes.of_string (String.uppercase_ascii (Bytes.to_string input)) );
+        ]
+      ~ocalls:[]
+  in
+  let ring =
+    Urts.create_ring handle ~shard:0 ~shards:1 ~slots:256 ~slot_bytes:32
+  in
+  let reqs =
+    List.init 256 (fun i -> (1, Bytes.of_string (Printf.sprintf "slot-%03d" i)))
+  in
+  List.iteri (fun i r -> if i < 16 then stage ring r) reqs;
+  let initial = Bytes.copy (Urts.ring_buf ring) in
+  stage ring (List.nth reqs 16);
+  let grown = Urts.ring_buf ring in
+  Alcotest.(check bool) "the 17th slot grows the image" true
+    (Bytes.length grown > Bytes.length initial);
+  Alcotest.(check bytes) "the first 16 slots keep their bytes" initial
+    (Bytes.sub grown 0 (Bytes.length initial));
+  List.iteri (fun i r -> if i > 16 then stage ring r) reqs;
+  expect_enclave_error "a 257th slot" (fun () ->
+      Urts.ring_stage ring ~ecall_id:1 ~len:1);
+  Urts.ring_publish ring;
+  Urts.ring_dispatch ring;
+  Urts.ring_read_replies ring;
+  Alcotest.(check (list string))
+    "all 256 slots round-trip"
+    (List.map
+       (fun (_, d) -> String.uppercase_ascii (Bytes.to_string d))
+       reqs)
+    (ring_replies ring);
+  Urts.destroy handle
+
+(* A channel ring hands each slot to the worker's callbacks: [open_slot]
+   sees the staged bytes in the worker's private copy before the
+   handler, and [seal_slot] frames the reply with room for the tag.  Here
+   the "cipher" is a byte XOR and the tag a run of '#'. *)
+let test_channel_ring () =
+  let p = Platform.create ~seed:4104L () in
+  let handle =
+    Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
+      ~signer:p.Platform.signer
+      ~config:(Urts.default_config Sgx_types.GU)
+      ~ecalls:
+        [
+          ( 1,
+            fun (_ : Tenv.t) input ->
+              Bytes.of_string (String.uppercase_ascii (Bytes.to_string input)) );
+          (2, fun (_ : Tenv.t) _ -> Bytes.make 32 'z');
+        ]
+      ~ocalls:[]
+  in
+  let xor b = Bytes.map (fun c -> Char.chr (Char.code c lxor 0x5a)) b in
+  let opened = ref [] in
+  let channel =
+    {
+      Urts.open_slot =
+        (fun ~slot buf ->
+          opened := slot :: !opened;
+          Bytes.blit (xor buf) 0 buf 0 (Bytes.length buf));
+      seal_slot =
+        (fun ~slot:_ reply ~dst ~dst_off ->
+          let len = Bytes.length reply in
+          Bytes.blit (xor reply) 0 dst dst_off len;
+          Bytes.fill dst (dst_off + len) Urts.tag_bytes '#';
+          len + Urts.tag_bytes);
+    }
+  in
+  let ring =
+    Urts.create_ring ~channel handle ~shard:0 ~shards:1 ~slots:4 ~slot_bytes:32
+  in
+  let sealed = List.map (fun s -> (1, xor (Bytes.of_string s))) [ "ab"; "cde" ] in
+  let replies = run_ring ring sealed in
+  Alcotest.(check (list int)) "each slot opened once, in order" [ 0; 1 ]
+    (List.rev !opened);
+  Alcotest.(check (list string))
+    "replies sealed with their tag"
+    [ "AB" ^ String.make 32 '#'; "CDE" ^ String.make 32 '#' ]
+    (List.map
+       (fun r ->
+         let n = String.length r - Urts.tag_bytes in
+         Bytes.to_string (xor (Bytes.of_string (String.sub r 0 n)))
+         ^ String.sub r n Urts.tag_bytes)
+       replies);
+  (* A full-size reply still fits next to its tag. *)
+  Alcotest.(check int) "32-byte reply + tag" (32 + Urts.tag_bytes)
+    (String.length (List.hd (run_ring ring [ (2, Bytes.of_string "x") ])));
+  Urts.destroy handle
+
 (* --- scheduler ------------------------------------------------------------- *)
 
 type run_result = {
@@ -407,4 +508,7 @@ let suite =
       test_finished_jobs_released;
     Alcotest.test_case "2-enclave/2-core chaos with invariant checks" `Quick
       test_chaos_preemption_invariants;
+    Alcotest.test_case "ring images grow on demand" `Quick test_ring_images_grow;
+    Alcotest.test_case "channel ring opens and seals in the worker" `Quick
+      test_channel_ring;
   ]

@@ -1187,6 +1187,120 @@ let test_client_allocation () =
       words;
   Serve.destroy plane
 
+(* ------------------------------------------------------------------ *)
+(* Critical-path ledger and slot limits                                *)
+
+(* Six seeded rounds over 4 tenants x 2 sessions: each client submits a
+   burst of 1-12 requests of 16-215 bytes, then one flush.  Returns, per
+   round, the ledger before and after, the platform-clock advance over
+   the round's submits and flush, and the replies, plus the scheduler
+   statistics after the last round. *)
+let ledger_rounds ~cores =
+  let config =
+    {
+      Serve.default_config with
+      Serve.max_queue = 256;
+      sched = { Sched.default_config with Sched.cores; batch = 16 };
+    }
+  in
+  let p = Platform.create ~seed:7095L () in
+  let plane =
+    Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p config
+  in
+  let clients =
+    List.concat_map
+      (fun k ->
+        let tenant = Printf.sprintf "tenant-%d" k in
+        let backend = Serve.add_tenant plane ~name:tenant (tenant_config ()) in
+        List.init 2 (fun j ->
+            let client =
+              extra_client p backend ~seed:(Int64.of_int (7096 + (10 * k) + j))
+            in
+            match Serve.handshake plane ~tenant (Serve.Client.hello client) with
+            | Error r -> Alcotest.failf "handshake rejected: %a" Serve.pp_reject r
+            | Ok accept -> (
+                match Serve.Client.establish client accept with
+                | Error r -> Alcotest.failf "establish failed: %a" Serve.pp_reject r
+                | Ok () -> client)))
+      [ 0; 1; 2; 3 ]
+  in
+  let rng = Rng.create ~seed:7099L in
+  let clock = p.Platform.clock in
+  let rounds =
+    List.init 6 (fun _ ->
+        let before = Serve.ledger plane and c0 = Cycles.now clock in
+        List.iter
+          (fun client ->
+            for _ = 1 to 1 + Rng.int rng 12 do
+              let data = Rng.bytes rng (16 + Rng.int rng 200) in
+              match
+                Serve.submit plane
+                  (Serve.Client.request client ~ecall:(1 + Rng.int rng 2) data)
+              with
+              | Ok () -> ()
+              | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r
+            done)
+          clients;
+        let replies = Serve.flush plane in
+        (before, Serve.ledger plane, Cycles.now clock - c0, replies))
+  in
+  let stats = Serve.sched_stats plane in
+  Serve.destroy plane;
+  (rounds, stats)
+
+let test_ledger_adds_up () =
+  let rounds, stats = ledger_rounds ~cores:8 in
+  List.iteri
+    (fun r ((b : Serve.ledger), (a : Serve.ledger), advance, replies) ->
+      let d f = f a - f b in
+      let serial = d (fun l -> l.Serve.serial_cycles)
+      and busy = d (fun l -> l.Serve.busy_cycles)
+      and slowest = d (fun l -> l.Serve.slowest_cycles) in
+      let what = Printf.sprintf "round %d: " r in
+      Alcotest.(check int) (what ^ "one flush") 1 (d (fun l -> l.Serve.flushes));
+      Alcotest.(check int) (what ^ "served = Ok replies")
+        (List.length
+           (List.filter (fun r -> Result.is_ok r.Serve.r_result) replies))
+        (d (fun l -> l.Serve.served));
+      Alcotest.(check int) (what ^ "serial + busy = platform advance") advance
+        (serial + busy);
+      Alcotest.(check int) (what ^ "critical = serial + slowest")
+        (serial + slowest)
+        (d (fun l -> l.Serve.critical_cycles));
+      Alcotest.(check bool) (what ^ "serial and slowest positive") true
+        (serial > 0 && slowest > 0))
+    rounds;
+  let _, last, _, _ = List.nth rounds (List.length rounds - 1) in
+  Alcotest.(check int) "busy = the scheduler's summed core busy"
+    (Array.fold_left (fun acc c -> acc + c.Sched.busy) 0 stats.Sched.per_core)
+    last.Serve.busy_cycles;
+  (* One core runs nothing in parallel: the critical path is the whole
+     platform advance. *)
+  let rounds, _ = ledger_rounds ~cores:1 in
+  List.iter
+    (fun ((b : Serve.ledger), (a : Serve.ledger), advance, _) ->
+      Alcotest.(check int) "1 core: critical path = platform advance" advance
+        (a.Serve.critical_cycles - b.Serve.critical_cycles))
+    rounds
+
+(* The slot limits: a 256-byte request ciphertext is admitted and its
+   256-byte reply comes back whole; one byte more is refused at
+   admission. *)
+let test_slot_size_limits () =
+  let _p, plane, _backend, client = build ~seed:7098L () in
+  establish plane client;
+  let full = Bytes.init Serve.slot_bytes (fun i -> Char.chr (97 + (i mod 26))) in
+  Alcotest.(check int) "slot payload" 256 Serve.slot_bytes;
+  (match Serve.Client.roundtrip plane client [ (2, full) ] with
+  | [ Ok body ] ->
+      Alcotest.(check bytes) "256-byte reply" (upper full) body
+  | [ Error r ] -> Alcotest.failf "256-byte request failed: %a" Serve.pp_reject r
+  | _ -> Alcotest.fail "expected one reply");
+  expect_reject "unsupported"
+    (Serve.submit plane
+       (Serve.Client.request client ~ecall:1 (Bytes.make (Serve.slot_bytes + 1) 'x')));
+  Serve.destroy plane
+
 let suite =
   [
     Alcotest.test_case "roundtrip on all modes" `Quick test_roundtrip_modes;
@@ -1246,4 +1360,8 @@ let suite =
       test_migration_blob_kat;
     Alcotest.test_case "malformed migration blob refused typed" `Quick
       test_malformed_blob_refused;
+    Alcotest.test_case "ledger adds up to the platform clock" `Quick
+      test_ledger_adds_up;
+    Alcotest.test_case "256-byte request and reply fit a slot" `Quick
+      test_slot_size_limits;
   ]
