@@ -14,61 +14,30 @@
 
 open Hyperenclave
 
+let what = "bench_arena"
+
 (* --- steady-state allocation accounting -------------------------------- *)
 
 let alloc_warmup_rounds = 2
 let alloc_rounds = 8
 let alloc_reqs_per_round = 32
 
-let attested_client plane ~p ~name =
-  let backend =
-    Serve.add_tenant plane ~name
-      {
-        (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
-        Backend.handlers = Bench_serve.handlers;
-        code_seed = Some name;
-      }
-  in
-  let identity = Option.get backend.Backend.identity in
-  let client =
-    Serve.Client.create
-      ~rng:(Rng.create ~seed:7001L)
-      ~golden:(Bench_serve.golden_of p)
-      ~policy:
-        {
-          Verifier.expected_mrenclave = Some identity;
-          expected_mrsigner = None;
-          allow_debug = false;
-        }
-      ~expected_tenant:identity ()
-  in
-  (match Serve.handshake plane ~tenant:name (Serve.Client.hello client) with
-  | Ok accept -> (
-      match Serve.Client.establish client accept with
-      | Ok () -> ()
-      | Error r ->
-          Format.eprintf "bench_arena: establish failed: %a@." Serve.pp_reject r;
-          exit 2)
-  | Error r ->
-      Format.eprintf "bench_arena: handshake failed: %a@." Serve.pp_reject r;
-      exit 2);
-  client
-
 (* Minor words allocated per request by the plane itself (admission +
    flush + reply assembly), measured over a steady state: every request
    envelope is sealed up front, the arenas and rings are warmed by
-   untimed rounds, then [Gc.minor_words] brackets the measured rounds. *)
+   untimed rounds, then [Gc.minor_words] brackets the measured rounds.
+   This plane keeps the default queue bound. *)
 let minor_words_per_request () =
-  let p = Platform.create ~seed:971L () in
-  let plane =
-    Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p
+  let p, plane =
+    Util.plane ~seed:971L
       {
-        Serve.default_config with
-        Serve.sched =
-          { Sched.default_config with Sched.batch = 16; drop_on_error = true };
+        (Util.serve_config ~cores:2) with
+        Serve.max_queue = Serve.default_config.Serve.max_queue;
       }
   in
-  let client = attested_client plane ~p ~name:"alloc-tenant" in
+  let name = "alloc-tenant" in
+  let pin = Util.tenant plane ~name Bench_serve.handlers in
+  let client, _ = Util.attest ~what p plane ~tenant:name ~seed:7001L ~pin () in
   let rounds =
     List.init (alloc_warmup_rounds + alloc_rounds) (fun r ->
         List.init alloc_reqs_per_round (fun i ->
@@ -76,33 +45,9 @@ let minor_words_per_request () =
               ~ecall:(1 + ((r + i) mod 2))
               (Bench_serve.payload r i)))
   in
-  let serve round =
-    List.iter
-      (fun req ->
-        match Serve.submit plane req with
-        | Ok () -> ()
-        | Error r ->
-            Format.eprintf "bench_arena: submit rejected: %a@." Serve.pp_reject r;
-            exit 2)
-      round;
-    List.iter
-      (function
-        | { Serve.r_result = Ok _; _ } -> ()
-        | { Serve.r_result = Error r; _ } ->
-            Format.eprintf "bench_arena: request failed: %a@." Serve.pp_reject r;
-            exit 2)
-      (Serve.flush plane)
-  in
-  let warmup, measured =
-    let rec split n = function
-      | rest when n = 0 -> ([], rest)
-      | [] -> ([], [])
-      | r :: rest ->
-          let w, m = split (n - 1) rest in
-          (r :: w, m)
-    in
-    split alloc_warmup_rounds rounds
-  in
+  let warmup = List.filteri (fun r _ -> r < alloc_warmup_rounds) rounds in
+  let measured = List.filteri (fun r _ -> r >= alloc_warmup_rounds) rounds in
+  let serve reqs = ignore (Util.round ~what plane reqs) in
   List.iter serve warmup;
   let words0 = Gc.minor_words () in
   List.iter serve measured;
@@ -116,125 +61,53 @@ let hot_sessions = 8
 let hot_rounds = 3
 let hot_reqs_per_session_round = 8
 
-type hot_run = {
-  h_cores : int;
-  h_rps : float;  (** critical-path basis *)
-  h_sched_rps : float;  (** scheduler-only basis *)
-  h_served : int;
-  h_ledger : Serve.ledger;
-}
-
 (* One tenant, one enclave, [hot_sessions] attested sessions hammering
    it: the plane-wide block rotor must spread the single tenant's
-   staged blocks across every ring shard (and so every core). *)
+   staged blocks across every ring shard (and so every core).  Returns
+   the plane's ledger. *)
 let measure_hot ~cores =
-  let p = Platform.create ~seed:972L () in
-  let plane =
-    Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p
-      {
-        Serve.default_config with
-        Serve.sched =
-          {
-            Sched.default_config with
-            Sched.cores;
-            batch = 16;
-            drop_on_error = true;
-          };
-        max_queue = 256;
-      }
-  in
-  let first = attested_client plane ~p ~name:"hot-tenant" in
+  let p, plane = Util.plane ~seed:972L (Util.serve_config ~cores) in
+  let tenant = "hot-tenant" in
+  let pin = Util.tenant plane ~name:tenant Bench_serve.handlers in
+  let first = Util.attest ~what p plane ~tenant ~seed:7001L ~pin () in
   let others =
     List.init (hot_sessions - 1) (fun i ->
-        let client =
-          Serve.Client.create
-            ~rng:(Rng.create ~seed:(Int64.of_int (7100 + i)))
-            ~golden:(Bench_serve.golden_of p)
-            ~policy:
-              {
-                Verifier.expected_mrenclave = None;
-                expected_mrsigner = None;
-                allow_debug = false;
-              }
-            ()
-        in
-        (match
-           Serve.handshake plane ~tenant:"hot-tenant" (Serve.Client.hello client)
-         with
-        | Ok accept -> (
-            match Serve.Client.establish client accept with
-            | Ok () -> ()
-            | Error r ->
-                Format.eprintf "bench_arena: hot establish failed: %a@."
-                  Serve.pp_reject r;
-                exit 2)
-        | Error r ->
-            Format.eprintf "bench_arena: hot handshake failed: %a@."
-              Serve.pp_reject r;
-            exit 2);
-        client)
+        Util.attest ~what p plane ~tenant ~seed:(Int64.of_int (7100 + i)) ())
   in
-  let clients = first :: others in
-  let served = ref 0 in
+  let clients = List.map fst (first :: others) in
   for round = 0 to hot_rounds - 1 do
-    List.iteri
-      (fun ci client ->
-        for i = 0 to hot_reqs_per_session_round - 1 do
-          let req =
-            Serve.Client.request client
-              ~ecall:(1 + ((round + i) mod 2))
-              (Bench_serve.payload ((ci * 131) + round) i)
-          in
-          match Serve.submit plane req with
-          | Ok () -> ()
-          | Error r ->
-              Format.eprintf "bench_arena: hot submit rejected: %a@."
-                Serve.pp_reject r;
-              exit 2
-        done)
-      clients;
-    List.iter
-      (function
-        | { Serve.r_result = Ok _; _ } -> incr served
-        | { Serve.r_result = Error r; _ } ->
-            Format.eprintf "bench_arena: hot request failed: %a@."
-              Serve.pp_reject r;
-            exit 2)
-      (Serve.flush plane)
+    ignore
+      (Util.round ~what plane
+         (Bench_serve.round_requests clients ~round
+            ~per_client:hot_reqs_per_session_round))
   done;
   let ledger = Serve.ledger plane in
-  let sched_rps = Util.sched_only_rps (Serve.sched_stats plane) in
   Serve.destroy plane;
-  {
-    h_cores = cores;
-    h_rps = Util.critical_rps ledger;
-    h_sched_rps = sched_rps;
-    h_served = !served;
-    h_ledger = ledger;
-  }
+  ledger
 
 (* --- summary, gate headline ---------------------------------------------- *)
 
 type summary = {
   words_per_req : float;
   rps_8core : float;  (* 4-tenant rate, from Bench_serve *)
-  hot_runs : hot_run list;
-  hot_rps_8core : float;
+  hot_runs : (int * Serve.ledger) list;  (* by core count *)
   hot_ratio : float;  (* hot single-tenant rate / multi-tenant rate *)
   hot_speedup_2core : float;
 }
 
+let hot_rps hot_runs cores = Util.critical_rps (List.assoc cores hot_runs)
+
 let summarize ~rps_8core =
   let words_per_req = minor_words_per_request () in
-  let hot_runs = List.map (fun cores -> measure_hot ~cores) [ 1; 2; 4; 8 ] in
-  let hot_rps n = (List.find (fun r -> r.h_cores = n) hot_runs).h_rps in
+  let hot_runs =
+    List.map (fun cores -> (cores, measure_hot ~cores)) [ 1; 2; 4; 8 ]
+  in
   {
     words_per_req;
     rps_8core;
     hot_runs;
-    hot_rps_8core = hot_rps 8;
-    hot_ratio = hot_rps 8 /. rps_8core;
-    hot_speedup_2core = hot_rps 2 /. hot_rps 1;
+    hot_ratio = hot_rps hot_runs 8 /. rps_8core;
+    hot_speedup_2core = hot_rps hot_runs 2 /. hot_rps hot_runs 1;
   }
 
 let run () =
@@ -243,46 +116,27 @@ let run () =
     "Allocation-free attested data path: minor words per request, 8-core \
      throughput, and a single hot tenant sharded across every core.";
   let s =
-    summarize ~rps_8core:(Bench_serve.measure ~cores:8).Bench_serve.rps
+    summarize
+      ~rps_8core:(Util.critical_rps (Bench_serve.measure ~cores:8).ledger)
   in
   Printf.printf "  minor words per attested request (steady state): %.1f\n"
     s.words_per_req;
   Printf.printf "\n  hot tenant (1 enclave, %d sessions) vs cores:\n\n"
     hot_sessions;
-  Util.print_table
-    ~columns:
-      [
-        "cores";
-        "served";
-        "serial (Mcyc)";
-        "critical path (Mcyc)";
-        "attested req/s";
-        "sched-only req/s";
-      ]
+  Util.print_table ~columns:("cores" :: Util.ledger_columns)
     (List.map
-       (fun r ->
-         [
-           string_of_int r.h_cores;
-           string_of_int r.h_served;
-           Printf.sprintf "%.3f"
-             (float_of_int r.h_ledger.Serve.serial_cycles /. 1e6);
-           Printf.sprintf "%.3f"
-             (float_of_int r.h_ledger.Serve.critical_cycles /. 1e6);
-           Printf.sprintf "%.0f" r.h_rps;
-           Printf.sprintf "%.0f" r.h_sched_rps;
-         ])
+       (fun (cores, ledger) -> string_of_int cores :: Util.ledger_cells ledger)
        s.hot_runs);
   Printf.printf
     "\n  8-core: %.0f req/s multi-tenant, %.0f hot tenant (%.0f%%, gate: >= \
      80%%)\n"
-    s.rps_8core s.hot_rps_8core (s.hot_ratio *. 100.0);
+    s.rps_8core (hot_rps s.hot_runs 8) (s.hot_ratio *. 100.0);
   Printf.printf "  hot tenant 1 -> 2 core speedup: %.2fx (gate: >= 1.6x)\n"
     s.hot_speedup_2core
 
 let headline s =
   [
     ("minor_words_per_request", s.words_per_req);
-    ("hot_tenant_rps_8core", s.hot_rps_8core);
     ("hot_tenant_ratio", s.hot_ratio);
     ("hot_speedup_2core", s.hot_speedup_2core);
   ]

@@ -17,7 +17,6 @@
 
 open Hyperenclave
 
-let clock_hz = 2.2e9
 let cores = 8
 let tenants = 16
 let rounds = 3
@@ -37,18 +36,7 @@ let build ~nodes ~seed =
         Cluster.nodes;
         seed;
         vnodes = 64;
-        serve =
-          {
-            Serve.default_config with
-            Serve.sched =
-              {
-                Sched.default_config with
-                Sched.cores;
-                batch = 16;
-                drop_on_error = true;
-              };
-            max_queue = 256;
-          };
+        serve = Util.serve_config ~cores;
       }
   in
   let names = List.init tenants (Printf.sprintf "tenant-%d") in
@@ -72,86 +60,68 @@ let build ~nodes ~seed =
 
 let payload = Bytes.make 64 'x'
 
+(* Every simulated cycle of the fleet, counted once: the node platform
+   clocks, which carry the scheduler slices too, plus what the wire
+   charged. *)
+let fleet_cycles cl =
+  List.fold_left
+    (fun acc n -> acc + Cycles.now (Cluster.Node.platform n).Platform.clock)
+    0 (Cluster.nodes cl)
+  + (Netsim.stats (Cluster.net cl)).Netsim.cycles_charged
+
 (* One batch per client; any rejected request is fatal.  Returns the
-   per-call simulated cost samples (all clocks: node work + wire). *)
-let drive_round clients =
+   per-call simulated cost samples (node work + wire). *)
+let drive_round cl clients =
   List.map
     (fun c ->
-      let t0 = Cycles.total_ticked () in
+      let t0 = fleet_cycles cl in
       (match Cluster.Client.call c (List.init batch (fun _ -> (1, payload))) with
       | Ok replies ->
           List.iter
             (function
               | Ok _ -> ()
-              | Error r ->
-                  Format.eprintf "bench_cluster: request rejected: %a@."
-                    Serve.pp_reject r;
-                  exit 2)
+              | Error r -> Util.fail "bench_cluster" "request" r)
             replies
       | Error e ->
           Format.eprintf "bench_cluster: call failed: %a@." Cluster.pp_error e;
           exit 2);
-      (Cycles.total_ticked () - t0) / batch)
+      (fleet_cycles cl - t0) / batch)
     clients
 
-type rate = {
-  rps : float;  (** critical-path basis *)
-  sched_rps : float;  (** scheduler-only basis *)
-  serial : int;  (** the slowest node's serial plane cycles *)
-  critical : int;  (** the slowest node's critical path *)
-}
-
-(* Aggregate attested rate: requests served by every node over the
-   slowest node's critical path — nodes run on independent simulated
-   clocks, so the fleet finishes when its most loaded node does.  The
-   scheduler-only rate divides the cores' requests by the slowest node's
-   makespan instead. *)
-let fleet_rate cl =
-  let served = ref 0 and slowest = ref None in
-  let requests = ref 0 and makespan = ref 1 in
-  List.iter
-    (fun n ->
-      if Cluster.Node.alive n then begin
-        let plane = Cluster.Node.plane n in
-        let l = Serve.ledger plane in
-        served := !served + l.Serve.served;
-        (match !slowest with
-        | Some (s : Serve.ledger) when s.critical_cycles >= l.critical_cycles
-          ->
-            ()
-        | Some _ | None -> slowest := Some l);
-        let s = Serve.sched_stats plane in
-        requests := !requests + s.Sched.total_requests;
-        makespan := max !makespan s.Sched.makespan
-      end)
-    (Cluster.nodes cl);
-  let serial, critical =
-    match !slowest with
-    | Some l -> (l.Serve.serial_cycles, l.Serve.critical_cycles)
-    | None -> (0, 0)
+(* The fleet's ledger: the slowest node's (the longest critical path),
+   credited with every node's served requests.  Nodes run on independent
+   simulated clocks, so the fleet finishes when its most loaded node
+   does; its Util.critical_rps is the aggregate attested rate. *)
+let fleet_ledger cl =
+  let ledgers =
+    List.map (fun n -> Serve.ledger (Cluster.Node.plane n)) (Cluster.nodes cl)
   in
-  {
-    rps = float_of_int !served *. clock_hz /. float_of_int (max 1 critical);
-    sched_rps = float_of_int !requests *. clock_hz /. float_of_int !makespan;
-    serial;
-    critical;
-  }
+  let slowest =
+    List.fold_left
+      (fun (s : Serve.ledger) (l : Serve.ledger) ->
+        if s.critical_cycles >= l.critical_cycles then s else l)
+      (List.hd ledgers) ledgers
+  in
+  let served =
+    List.fold_left (fun acc (l : Serve.ledger) -> acc + l.served) 0 ledgers
+  in
+  { slowest with served }
 
 let measure_rate ~nodes ~seed =
   let cl, clients = build ~nodes ~seed in
   for _ = 1 to rounds do
-    ignore (drive_round clients : int list)
+    ignore (drive_round cl clients : int list)
   done;
-  let rate = fleet_rate cl in
+  let ledger = fleet_ledger cl in
   List.iter Cluster.Client.close clients;
   Cluster.destroy cl;
-  rate
+  ledger
 
 (* p99 per-request cost while a rolling upgrade migrates every tenant
    out and back under live traffic, plus the worst migration pause. *)
 let measure_upgrade ~seed =
   let cl, clients = build ~nodes:4 ~seed in
-  let samples = ref (drive_round clients) in
+  let samples = ref (drive_round cl clients) in
   List.iter
     (fun n ->
       (match Cluster.upgrade_node cl (Cluster.Node.id n) with
@@ -159,7 +129,7 @@ let measure_upgrade ~seed =
       | Error e ->
           Format.eprintf "bench_cluster: upgrade failed: %a@." Cluster.pp_error e;
           exit 2);
-      samples := drive_round clients @ !samples)
+      samples := drive_round cl clients @ !samples)
     (Cluster.nodes cl);
   let sorted = List.sort compare !samples in
   let n = List.length sorted in
@@ -170,7 +140,7 @@ let measure_upgrade ~seed =
   (p99, stats.Cluster.max_pause, stats.Cluster.migrations)
 
 type summary = {
-  rates_by_nodes : (int * rate) list;
+  ledgers_by_nodes : (int * Serve.ledger) list;
   rps_4x8 : float;
   scaling_1_2 : float;
   scaling_2_4 : float;
@@ -180,13 +150,13 @@ type summary = {
 }
 
 let summarize () =
-  let rates_by_nodes =
+  let ledgers_by_nodes =
     List.map (fun nodes -> (nodes, measure_rate ~nodes ~seed:1001L)) [ 1; 2; 4 ]
   in
-  let rate n = (List.assoc n rates_by_nodes).rps in
+  let rate n = Util.critical_rps (List.assoc n ledgers_by_nodes) in
   let p99_upgrade, pause, upgrade_migrations = measure_upgrade ~seed:1002L in
   {
-    rates_by_nodes;
+    ledgers_by_nodes;
     rps_4x8 = rate 4;
     scaling_1_2 = rate 2 /. rate 1;
     scaling_2_4 = rate 4 /. rate 2;
@@ -204,30 +174,17 @@ let run () =
   let s = summarize () in
   Printf.printf "\n  cross-node scaling (fixed offered load, %d tenants):\n\n"
     tenants;
+  let rate n = Util.critical_rps (List.assoc n s.ledgers_by_nodes) in
   Util.print_table
-    ~columns:
-      [
-        "nodes";
-        "serial (Mcyc)";
-        "critical path (Mcyc)";
-        "attested req/s";
-        "sched-only req/s";
-        "scaling vs half";
-      ]
+    ~columns:(("nodes" :: Util.ledger_columns) @ [ "scaling vs half" ])
     (List.map
-       (fun (nodes, r) ->
-         [
-           string_of_int nodes;
-           Printf.sprintf "%.3f" (float_of_int r.serial /. 1e6);
-           Printf.sprintf "%.3f" (float_of_int r.critical /. 1e6);
-           Printf.sprintf "%.0f" r.rps;
-           Printf.sprintf "%.0f" r.sched_rps;
-           (if nodes = 1 then "-"
-            else
-              Printf.sprintf "%.2fx"
-                (r.rps /. (List.assoc (nodes / 2) s.rates_by_nodes).rps));
-         ])
-       s.rates_by_nodes);
+       (fun (nodes, l) ->
+         (string_of_int nodes :: Util.ledger_cells l)
+         @ [
+             (if nodes = 1 then "-"
+              else Printf.sprintf "%.2fx" (rate nodes /. rate (nodes / 2)));
+           ])
+       s.ledgers_by_nodes);
   Printf.printf
     "  (serial and critical path: the slowest node's, over which the \
      fleet's served requests are counted)\n";
@@ -235,8 +192,8 @@ let run () =
     "\n  rolling upgrade: %d live migrations, p99 request cost %d cycles,\n\
     \  worst migration pause %d cycles (%.1f us at %.1f GHz)\n"
     s.upgrade_migrations s.p99_upgrade s.pause
-    (float_of_int s.pause /. clock_hz *. 1e6)
-    (clock_hz /. 1e9);
+    (float_of_int s.pause /. Util.clock_hz *. 1e6)
+    (Util.clock_hz /. 1e9);
   Printf.printf "\n  headline: %.0f attested req/s at 4 nodes x %d cores\n"
     s.rps_4x8 cores
 
@@ -244,7 +201,7 @@ let run () =
    an open session, everything served. *)
 let smoke () =
   let cl, clients = build ~nodes:2 ~seed:1003L in
-  ignore (drive_round clients : int list);
+  ignore (drive_round cl clients : int list);
   let victim = "tenant-0" in
   let dst = 1 - Cluster.owner cl ~tenant:victim in
   (match Cluster.migrate cl ~tenant:victim ~dst with
@@ -252,7 +209,7 @@ let smoke () =
   | Error e ->
       Format.eprintf "cluster_smoke: FAIL — migrate: %a@." Cluster.pp_error e;
       exit 1);
-  ignore (drive_round clients : int list);
+  ignore (drive_round cl clients : int list);
   let bad =
     List.concat_map
       (fun (node, findings) ->

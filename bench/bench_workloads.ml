@@ -23,110 +23,52 @@ let cores = 2
 let rounds = 3
 let reqs_per_round = 16
 
+let what = "bench_workloads"
+
 let build kind ~seed =
-  let p = Platform.create ~seed () in
-  let plane =
-    Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p
-      {
-        Serve.default_config with
-        Serve.sched =
-          {
-            Sched.default_config with
-            Sched.cores;
-            batch = 16;
-            drop_on_error = true;
-          };
-        max_queue = 256;
-      }
-  in
+  let p, plane = Util.plane ~seed (Util.serve_config ~cores) in
   let name = Services.kind_name kind in
   let backend = Serve.add_tenant plane ~name (Services.backend_config kind) in
-  let identity = Option.get backend.Backend.identity in
-  let client =
-    Serve.Client.create
-      ~rng:(Rng.create ~seed:(Int64.add seed 1L))
-      ~golden:(Bench_serve.golden_of p)
-      ~policy:
-        {
-          Verifier.expected_mrenclave = Some identity;
-          expected_mrsigner = None;
-          allow_debug = false;
-        }
-      ~expected_tenant:identity ()
+  let client, _ =
+    Util.attest ~what p plane ~tenant:name ~seed:(Int64.add seed 1L)
+      ~pin:(Option.get backend.Backend.identity) ()
   in
-  (match Serve.handshake plane ~tenant:name (Serve.Client.hello client) with
-  | Ok accept -> (
-      match Serve.Client.establish client accept with
-      | Ok () -> ()
-      | Error r ->
-          Format.eprintf "bench_workloads: establish failed: %a@."
-            Serve.pp_reject r;
-          exit 2)
-  | Error r ->
-      Format.eprintf "bench_workloads: handshake failed: %a@." Serve.pp_reject r;
-      exit 2);
-  (p, plane, backend, client)
+  (plane, backend, client)
 
 let admin (backend : Backend.t) data =
   backend.Backend.call ~id:Services.ecall_admin ~data ~direction:Edge.In_out ()
 
-type run = {
-  label : string;
-  served : int;
-  rps : float; (* critical-path basis *)
-  sched_rps : float; (* scheduler-only basis *)
-  ledger : Serve.ledger;
-}
+type run = { label : string; ledger : Serve.ledger }
 
 (* Drive [rounds] x [batch] requests from [next_request] through the
-   plane and convert the plane ledger's critical path into an attested
-   service rate. *)
+   plane; the service must accept every one.  The plane's ledger gives
+   the attested service rate. *)
 let drive kind plane client ~label ~batch next_request =
-  let served = ref 0 in
   for round = 0 to rounds - 1 do
-    for i = 0 to batch - 1 do
-      let req =
-        Serve.Client.request client ~ecall:Services.ecall_request
-          (next_request ((round * batch) + i))
-      in
-      match Serve.submit plane req with
-      | Ok () -> ()
-      | Error r ->
-          Format.eprintf "bench_workloads: submit rejected: %a@."
-            Serve.pp_reject r;
-          exit 2
-    done;
+    let reqs =
+      List.init batch (fun i ->
+          Serve.Client.request client ~ecall:Services.ecall_request
+            (next_request ((round * batch) + i)))
+    in
     List.iter
       (fun reply ->
         match Serve.Client.read_reply client reply with
+        | Ok body when Services.reply_ok kind body -> ()
         | Ok body ->
-            if not (Services.reply_ok kind body) then begin
-              Format.eprintf "bench_workloads: %s refused a request: %s@." label
-                (Bytes.to_string body);
-              exit 2
-            end;
-            incr served
-        | Error r ->
-            Format.eprintf "bench_workloads: request failed: %a@."
-              Serve.pp_reject r;
-            exit 2)
-      (Serve.flush plane)
+            Format.eprintf "%s: %s refused a request: %s@." what label
+              (Bytes.to_string body);
+            exit 2
+        | Error r -> Util.fail what "request" r)
+      (Util.round ~what plane reqs)
   done;
-  let ledger = Serve.ledger plane in
-  {
-    label;
-    served = !served;
-    rps = Util.critical_rps ledger;
-    sched_rps = Util.sched_only_rps (Serve.sched_stats plane);
-    ledger;
-  }
+  { label; ledger = Serve.ledger plane }
 
 (* --- resp_kv: YCSB-shaped RESP traffic (Fig. 8d) ------------------------ *)
 
 let resp_records = 256
 
 let measure_resp ~batch ~seed =
-  let _p, plane, backend, client = build Services.Resp_kv ~seed in
+  let plane, backend, client = build Services.Resp_kv ~seed in
   ignore (admin backend (Services.load_request ~records:resp_records));
   let gen =
     Workloads.Ycsb.create ~rng:(Rng.create ~seed:81L) ~records:resp_records ()
@@ -144,7 +86,7 @@ let measure_resp ~batch ~seed =
 (* --- kvdb: YCSB-A SQL vs loaded records (Fig. 8b) ----------------------- *)
 
 let measure_kvdb ~records ~seed =
-  let _p, plane, backend, client = build Services.Kvdb ~seed in
+  let plane, backend, client = build Services.Kvdb ~seed in
   ignore (admin backend (Services.load_request ~records));
   let gen = Workloads.Ycsb.create ~rng:(Rng.create ~seed:82L) ~records () in
   let r =
@@ -162,7 +104,7 @@ let measure_kvdb ~records ~seed =
 (* --- httpd: GETs vs page size (Fig. 8c) --------------------------------- *)
 
 let measure_httpd ~page_bytes ~seed =
-  let _p, plane, backend, client = build Services.Httpd ~seed in
+  let plane, backend, client = build Services.Httpd ~seed in
   ignore (admin backend (Services.page_request ~path:"/index.html" ~bytes:page_bytes));
   let r =
     drive Services.Httpd plane client
@@ -201,34 +143,15 @@ let summarize () =
     resp_runs;
     kvdb_runs;
     httpd_runs;
-    rps_resp = (last resp_runs).rps;
-    rps_kvdb = (List.hd kvdb_runs).rps;
-    rps_httpd = (List.hd httpd_runs).rps;
+    rps_resp = Util.critical_rps (last resp_runs).ledger;
+    rps_kvdb = Util.critical_rps (List.hd kvdb_runs).ledger;
+    rps_httpd = Util.critical_rps (List.hd httpd_runs).ledger;
   }
 
 let print_runs title runs =
   Printf.printf "\n  %s:\n\n" title;
-  Util.print_table
-    ~columns:
-      [
-        "point";
-        "served";
-        "serial (cyc)";
-        "critical path (cyc)";
-        "attested req/s";
-        "sched-only req/s";
-      ]
-    (List.map
-       (fun r ->
-         [
-           r.label;
-           string_of_int r.served;
-           string_of_int r.ledger.Serve.serial_cycles;
-           string_of_int r.ledger.Serve.critical_cycles;
-           Printf.sprintf "%.0f" r.rps;
-           Printf.sprintf "%.0f" r.sched_rps;
-         ])
-       runs)
+  Util.print_table ~columns:("point" :: Util.ledger_columns)
+    (List.map (fun r -> r.label :: Util.ledger_cells r.ledger) runs)
 
 let run () =
   Util.set_experiment "workloads";
@@ -253,12 +176,14 @@ let run () =
 let smoke () =
   let checks =
     [
-      ("resp_kv", (measure_resp ~batch:4 ~seed:991L).served, rounds * 4);
-      ("kvdb", (measure_kvdb ~records:32 ~seed:992L).served, rounds * reqs_per_round);
+      ("resp_kv", measure_resp ~batch:4 ~seed:991L, rounds * 4);
+      ("kvdb", measure_kvdb ~records:32 ~seed:992L, rounds * reqs_per_round);
       ( "httpd",
-        (measure_httpd ~page_bytes:4096 ~seed:993L).served,
+        measure_httpd ~page_bytes:4096 ~seed:993L,
         rounds * reqs_per_round );
     ]
+    |> List.map (fun (name, r, expected) ->
+           (name, r.ledger.Serve.served, expected))
   in
   List.iter
     (fun (name, served, expected) ->

@@ -1,5 +1,8 @@
 (* Shared helpers for the benchmark harness: table rendering, CSV
-   emission, and small statistics over simulated-cycle samples. *)
+   emission, small statistics over simulated-cycle samples, and the one
+   way the serving benches build, attest and drive the plane. *)
+
+open Hyperenclave
 
 (* CSV mirroring (the artifact ships plotting scripts; `--csv DIR` makes
    every printed table also land as a data file). *)
@@ -74,18 +77,6 @@ let median samples =
 let mean samples =
   float_of_int (List.fold_left ( + ) 0 samples) /. float_of_int (List.length samples)
 
-(* Serving rates at the paper's 2.2 GHz.  The attested rate is on the
-   critical-path basis: requests served over the plane ledger's critical
-   path, so serial plane work counts.  The scheduler-only rate divides by
-   the slowest core's clock alone, the basis earlier headlines used. *)
-let clock_hz = 2.2e9
-
-let critical_rps (l : Hyperenclave.Serve.ledger) =
-  float_of_int l.served *. clock_hz /. float_of_int (max 1 l.critical_cycles)
-
-let sched_only_rps (s : Hyperenclave.Sched.stats) =
-  float_of_int s.total_requests *. clock_hz /. float_of_int (max 1 s.makespan)
-
 let pct x = Printf.sprintf "%.1f%%" x
 let cyc n = Printf.sprintf "%d" n
 let fcyc f = Printf.sprintf "%.0f" f
@@ -112,3 +103,105 @@ let with_phase_deltas telemetry ~phase f =
         (fun (name, d) -> Printf.printf "    %-28s %+10d\n" name d)
         deltas);
   result
+
+(* --- the attested serving plane (lib/serve) ----------------------------- *)
+
+(* Serving rate at the paper's 2.2 GHz, on the critical-path basis:
+   requests served over the plane ledger's critical path, so serial plane
+   work counts. *)
+let clock_hz = 2.2e9
+
+let critical_rps (l : Serve.ledger) =
+  float_of_int l.served *. clock_hz /. float_of_int (max 1 l.critical_cycles)
+
+(* The columns every serving table shares, and one ledger's cells. *)
+let ledger_columns =
+  [ "served"; "serial (cyc)"; "critical path (cyc)"; "attested req/s" ]
+
+let ledger_cells (l : Serve.ledger) =
+  [
+    string_of_int l.served;
+    string_of_int l.serial_cycles;
+    string_of_int l.critical_cycles;
+    Printf.sprintf "%.0f" (critical_rps l);
+  ]
+
+let fail what step r =
+  Format.eprintf "%s: %s failed: %a@." what step Serve.pp_reject r;
+  exit 2
+
+(* The configuration the serving benches share: batch 16, failed
+   requests dropped rather than retried, 256 queued requests. *)
+let serve_config ~cores =
+  {
+    Serve.default_config with
+    Serve.sched =
+      {
+        Sched.default_config with
+        Sched.cores;
+        batch = 16;
+        drop_on_error = true;
+      };
+    max_queue = 256;
+  }
+
+let plane ~seed config =
+  let p = Platform.create ~seed () in
+  (p, Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p config)
+
+let golden_of (p : Platform.t) =
+  Verifier.golden_of_boot_log
+    ~ek_public:(Tpm.ek_public p.Platform.tpm)
+    (Monitor.boot_log p.Platform.monitor)
+
+(* A GU enclave tenant serving [handlers], measured under its own name;
+   returns its identity. *)
+let tenant plane ~name handlers =
+  let backend =
+    Serve.add_tenant plane ~name
+      {
+        (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
+        Backend.handlers;
+        code_seed = Some name;
+      }
+  in
+  Option.get backend.Backend.identity
+
+(* An attested client of [tenant], pinned to the identity [pin] when
+   given: the handshake and key establishment, timed on the platform
+   clock.  Returns the client and the handshake's cycles. *)
+let attest ~what (p : Platform.t) plane ~tenant ~seed ?pin () =
+  let client =
+    Serve.Client.create ~rng:(Rng.create ~seed) ~golden:(golden_of p)
+      ~policy:
+        {
+          Verifier.expected_mrenclave = pin;
+          expected_mrsigner = None;
+          allow_debug = false;
+        }
+      ?expected_tenant:pin ()
+  in
+  let before = Cycles.now p.Platform.clock in
+  (match Serve.handshake plane ~tenant (Serve.Client.hello client) with
+  | Error r -> fail what "handshake" r
+  | Ok accept -> (
+      match Serve.Client.establish client accept with
+      | Ok () -> ()
+      | Error r -> fail what "establish" r));
+  (client, Cycles.now p.Platform.clock - before)
+
+(* One serving round: submit [reqs] in order and flush.  Any rejected
+   or failed request is fatal. *)
+let round ~what plane reqs =
+  List.iter
+    (fun req ->
+      match Serve.submit plane req with
+      | Ok () -> ()
+      | Error r -> fail what "submit" r)
+    reqs;
+  let replies = Serve.flush plane in
+  List.iter
+    (fun (reply : Serve.reply) ->
+      match reply.r_result with Ok _ -> () | Error r -> fail what "request" r)
+    replies;
+  replies

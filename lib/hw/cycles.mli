@@ -27,16 +27,9 @@ val time : t -> (unit -> 'a) -> 'a * int
 
 val advance_to : t -> at:int -> unit
 (** [advance_to clock ~at] moves the clock forward to cycle [at] if it is
-    behind (no-op otherwise).  Models idle time — a per-core scheduler
-    clock waiting for work — so the skipped span is NOT added to
-    {!total_ticked}, which counts only work performed. *)
+    behind (no-op otherwise).  Models idle time: a per-core scheduler
+    clock waiting for work. *)
 
 val reset : t -> unit
 (** [reset clock] sets the counter back to 0.  Only used by test fixtures;
     production code treats the clock as monotone. *)
-
-val total_ticked : unit -> int
-(** Process-wide sum of every [tick] on every clock since startup — a
-    measure of simulation work performed across independent clocks (the
-    fleet bench charges a request with the delta over its call).
-    Monotone; unaffected by [reset]. *)

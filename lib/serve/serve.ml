@@ -286,6 +286,10 @@ type t = {
 
 let fault_site = "serve.session"
 
+(* Session ids are node-prefixed: node [n] issues ids from
+   [n lsl session_id_bits] upward. *)
+let session_id_bits = 20
+
 (* Bound on [config.sched.batch]: [flush] shares one AEAD setup charge
    among at most this many sealed replies. *)
 let max_batch = 16
@@ -353,7 +357,7 @@ let create_node ~platform (nc : Node_config.t) =
        so a migrated session keeps its id on the destination without
        colliding with locally-opened ones.  Node 0 (the single-node
        case) keeps the familiar 0, 1, 2, ... *)
-    next_session = identity.node_id lsl 20;
+    next_session = identity.node_id lsl session_id_bits;
     qe = None;
     destroyed = false;
     shards = max 1 config.sched.Sched.cores;
@@ -784,25 +788,23 @@ let envelope_nonce ~dir ~seq =
   render_nonce nonce ~dir ~seq;
   nonce
 
-let aad ~domain ~session_id ~seq ~tag =
-  let buf = Buffer.create 34 in
-  Buffer.add_string buf domain;
-  Buffer.add_int64_le buf (Int64.of_int session_id);
-  Buffer.add_int64_le buf (Int64.of_int seq);
-  Buffer.add_int64_le buf (Int64.of_int tag);
-  Buffer.to_bytes buf
-
-let aad_req ~session_id ~seq ~ecall_id =
-  aad ~domain:"serve-req:" ~session_id ~seq ~tag:ecall_id
-
-let aad_rep ~session_id ~seq = aad ~domain:"serve-rep:" ~session_id ~seq ~tag:0
-
-(* [aad]'s layout rendered into a caller's 34-byte scratch buffer. *)
+(* The 34-byte request/reply AAD, rendered into [buf]: the 10-byte
+   domain, then session id, sequence number and tag as 64-bit LE. *)
 let render_aad buf ~domain ~session_id ~seq ~tag =
   Bytes.blit_string domain 0 buf 0 10;
   Bytes.set_int64_le buf 10 (Int64.of_int session_id);
   Bytes.set_int64_le buf 18 (Int64.of_int seq);
   Bytes.set_int64_le buf 26 (Int64.of_int tag)
+
+let aad ~domain ~session_id ~seq ~tag =
+  let buf = Bytes.create 34 in
+  render_aad buf ~domain ~session_id ~seq ~tag;
+  buf
+
+let aad_req ~session_id ~seq ~ecall_id =
+  aad ~domain:"serve-req:" ~session_id ~seq ~tag:ecall_id
+
+let aad_rep ~session_id ~seq = aad ~domain:"serve-rep:" ~session_id ~seq ~tag:0
 
 (* Admission-path AAD check: render the expected AAD into the plane's
    scratch buffer and compare, without allocating. *)
@@ -1509,7 +1511,13 @@ let import_tenant t blob =
   List.iter
     (fun m ->
       Hashtbl.remove t.migrated m.m_id;
-      if m.m_id >= t.next_session then t.next_session <- m.m_id + 1)
+      (* A rebuilt plane (upgrade, revive) restarts its counter and then
+         takes its own sessions home: step past them.  Another node's id
+         never moves this counter into that node's space. *)
+      if
+        m.m_id lsr session_id_bits = t.identity.node_id
+        && m.m_id >= t.next_session
+      then t.next_session <- m.m_id + 1)
     moved;
   List.iter (fun n -> ignore (nonce_replayed t n)) nonces;
   tn.t_migrated_to <- None;

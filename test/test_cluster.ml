@@ -23,8 +23,8 @@ let build ?(nodes = 4) ?(seed = 9000L) ?(net = Netsim.default_config) () =
   let owner = Cluster.add_tenant cl ~name:"acme" tenant_gen in
   (cl, owner)
 
-let connect ?(seed = 1L) cl =
-  match Cluster.Client.connect cl ~rng:(Rng.create ~seed) ~tenant:"acme" () with
+let connect ?(seed = 1L) ?(tenant = "acme") cl =
+  match Cluster.Client.connect cl ~rng:(Rng.create ~seed) ~tenant () with
   | Ok c -> c
   | Error e -> Alcotest.failf "connect failed: %a" Cluster.pp_error e
 
@@ -385,6 +385,58 @@ let test_rolling_upgrade () =
   assert_green cl;
   Cluster.destroy cl
 
+(* Session ids are node-prefixed ([node lsl 20]).  Importing another
+   node's session must not move this node's id counter into that node's
+   space: node 0 hosts a node-1 session, and its own next session still
+   gets a node-0 id, so it can later move to node 1 without colliding
+   with node 1's next one. *)
+let test_imported_ids_keep_their_space () =
+  let cl =
+    Cluster.create { Cluster.default_config with Cluster.nodes = 2; seed = 9100L }
+  in
+  let place tenant node =
+    if Cluster.add_tenant cl ~name:tenant tenant_gen <> node then
+      ignore (migrate_ok cl ~tenant ~dst:node : int)
+  in
+  place "a" 0;
+  place "b" 1;
+  place "c" 1;
+  let b = connect ~seed:11L ~tenant:"b" cl in
+  Alcotest.(check int) "node 1's first id" (1 lsl 20) (Cluster.Client.session_id b);
+  ignore (migrate_ok cl ~tenant:"b" ~dst:0 : int);
+  let a = connect ~seed:12L ~tenant:"a" cl in
+  let c = connect ~seed:13L ~tenant:"c" cl in
+  Alcotest.(check int) "a's id in node 0's space" 0
+    (Cluster.Client.session_id a lsr 20);
+  Alcotest.(check int) "c's id in node 1's space" 1
+    (Cluster.Client.session_id c lsr 20);
+  ignore (migrate_ok cl ~tenant:"a" ~dst:1 : int);
+  List.iter
+    (fun client -> ignore (call_ok client [ (1, Bytes.of_string "ping") ]))
+    [ a; b; c ];
+  assert_green cl;
+  Cluster.destroy cl
+
+(* An upgraded node's rebuilt plane restarts its id counter, then takes
+   its own sessions home: a session opened afterwards must not reuse a
+   homecoming id, or it would take over that session's slot. *)
+let test_upgrade_skips_homecoming_ids () =
+  let cl, src = build () in
+  let old = connect cl in
+  (match Cluster.upgrade_node cl src with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "upgrade failed: %a" Cluster.pp_error e);
+  let fresh = connect ~seed:2L cl in
+  Alcotest.(check int) "fresh session on the upgraded node" src
+    (Cluster.Client.node_id fresh);
+  Alcotest.(check bool) "homecoming id not reissued" true
+    (Cluster.Client.session_id fresh <> Cluster.Client.session_id old);
+  let r = call_ok old [ (2, Bytes.of_string "home") ] in
+  Alcotest.(check string) "old client still served" "HOME"
+    (Bytes.to_string (List.hd r));
+  assert_green cl;
+  Cluster.destroy cl
+
 (* Node-kill failover under the chaos plane: the owner dies mid-life,
    the LB repoints to the ring's next live node, the client re-attests
    there and resumes service; transient faults injected at the
@@ -473,6 +525,10 @@ let suite =
       test_lossy_network;
     Alcotest.test_case "LB consistent-hash sharding" `Quick test_lb_sharding;
     Alcotest.test_case "rolling monitor upgrade" `Quick test_rolling_upgrade;
+    Alcotest.test_case "imported session ids keep their node's space" `Quick
+      test_imported_ids_keep_their_space;
+    Alcotest.test_case "upgrade does not reissue homecoming ids" `Quick
+      test_upgrade_skips_homecoming_ids;
     Alcotest.test_case "node kill, failover, chaos migration home" `Quick
       test_kill_failover_chaos;
     Alcotest.test_case "permanent migration fault is typed" `Quick

@@ -115,6 +115,27 @@ let test_write_then_check () =
     (evaluate ~path:file ~rows:table ~baseline:committed (measured 0.1));
   Sys.remove file
 
+(* The committed BENCH.json and the gate table name the same rows: the
+   baseline's own numbers, measured against it, pass with no stray key
+   and no unmeasured row. *)
+let test_committed_baseline () =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) "../BENCH.json"
+  in
+  let baseline = read path in
+  let measured =
+    List.filter_map
+      (function key, Num v -> Some (key, v) | _, Str _ -> None)
+      baseline
+  in
+  let v = evaluate ~path ~rows:table ~baseline measured in
+  check_code "committed baseline" 0 v;
+  List.iter
+    (fun sub ->
+      Alcotest.(check bool) ("no line says " ^ sub) false
+        (List.exists (fun l -> contains l sub) (snd v)))
+    [ "has no gate row"; "nothing measured" ]
+
 let suite =
   [
     Alcotest.test_case "stale baselines fail as improvements" `Quick
@@ -125,4 +146,6 @@ let suite =
       test_missing_and_stray_keys;
     Alcotest.test_case "host row is one-sided" `Quick test_host_row_one_sided;
     Alcotest.test_case "write then check" `Quick test_write_then_check;
+    Alcotest.test_case "BENCH.json matches the table" `Quick
+      test_committed_baseline;
   ]
