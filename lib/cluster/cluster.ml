@@ -51,6 +51,9 @@ type node = {
   n_platform : Platform.t;
   n_config : Serve.Node_config.t;
   mutable n_plane : Serve.t option;  (* None = powered off *)
+  mutable n_next_session : int;
+      (* the session-id counter of the node's last plane torn down: its
+         next plane continues from it *)
   mutable n_version : int;
   n_tenants : (string, unit) Hashtbl.t;
       (* tenants built on the node's *current* plane *)
@@ -131,6 +134,7 @@ let mk_node ~node_id ~serve platform =
     n_platform = platform;
     n_config = nc;
     n_plane = Some plane;
+    n_next_session = 0;
     n_version = 0;
     n_tenants = Hashtbl.create 4;
     n_anchor = anchor;
@@ -532,20 +536,29 @@ let migrate t ~tenant ~dst =
 (* ---------------------------------------------------------------------- *)
 (* Fleet operations                                                       *)
 
+(* A plane torn down hands its session-id counter to the node's next
+   plane: an id it issued may still name a session that lives on another
+   node, and must not be issued again. *)
+let tear_down n p =
+  n.n_next_session <- Serve.next_session_id p;
+  Serve.destroy p;
+  n.n_plane <- None;
+  Hashtbl.reset n.n_tenants
+
+let bring_up n =
+  let p = Serve.create_node ~platform:n.n_platform n.n_config in
+  Serve.resume_session_ids p ~next:n.n_next_session;
+  n.n_plane <- Some p
+
 let kill_node t i =
   let n = node t i in
-  (match n.n_plane with
-  | Some p ->
-      Serve.destroy p;
-      n.n_plane <- None
-  | None -> ());
-  Hashtbl.reset n.n_tenants;
+  (match n.n_plane with Some p -> tear_down n p | None -> ());
   Netsim.set_down t.c_net i true
 
 let revive_node t i =
   let n = node t i in
   if n.n_plane = None then begin
-    n.n_plane <- Some (Serve.create_node ~platform:n.n_platform n.n_config);
+    bring_up n;
     Netsim.set_down t.c_net i false
   end
 
@@ -601,9 +614,8 @@ let upgrade_node t i =
     | Ok drained -> (
         (* The upgrade proper: tear the plane down and bring up the new
            build under the same node identity. *)
-        Serve.destroy (Node.plane n);
-        Hashtbl.reset n.n_tenants;
-        n.n_plane <- Some (Serve.create_node ~platform:n.n_platform n.n_config);
+        tear_down n (Node.plane n);
+        bring_up n;
         n.n_version <- n.n_version + 1;
         let rec come_home = function
           | [] -> Ok ()

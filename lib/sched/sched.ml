@@ -24,34 +24,50 @@ let default_config =
    OS context switch worth of cache/TLB refill. *)
 let steal_cycles = 6_886
 
-(* A job's work is either a list of individual ECALLs or one slot ring
-   whose slots were staged by the caller: the ring dispatches as a single
-   switchless unit, and the caller reads the replies out of the ring's
-   reply image afterwards (the scheduler only reports per-slot success
-   or failure). *)
-type work = Calls of (int * bytes) list | Ring of Urts.ring
+type on_result = index:int -> core:int -> (bytes, string) result -> unit
 
+(* A list of individual ECALLs, run in quantum-bounded slices; a drained
+   core may steal it whole. *)
 type job = {
-  job_id : int;
   urts : Urts.t;
-  mutable work : work;
-  mutable next_index : int;  (* submission index of the head of [work] *)
-  on_result : (index:int -> (bytes, string) result -> unit) option;
+  mutable calls : (int * bytes) list;
+  mutable next_index : int;  (* submission index of the head of [calls] *)
+  on_result : on_result option;
   on_slice : (cycles:int -> unit) option;
   svc_counter : string option;
-      (* "sched.svc.<label>": per-service completion counter, prefixed
-         once at submit so the hot path only increments *)
 }
 
-let drained (job : job) =
-  match job.work with Calls [] -> true | Calls _ | Ring _ -> false
+(* A staged slot ring.  [run] dispatches it once on the shared clock,
+   then places its slots on cores: [head, tail) are the slots no core
+   has claimed yet; the owner claims from the head, joiners from the
+   tail. *)
+type ring_job = {
+  ring : Urts.ring;
+  owner : int;
+  r_on_result : on_result option;
+  r_on_slice : (cycles:int -> unit) option;
+  r_svc_counter : string option;
+  mutable cycles : int;  (* the dispatch's cycles; -1 until dispatched *)
+  mutable rest : int;  (* of [cycles], what no slot carries: the owner's *)
+  mutable head : int;
+  mutable tail : int;
+  mutable started : bool;  (* the owner has paid [rest] *)
+  mutable joined : bool;
+}
 
 type core = {
   core_id : int;
   clock : Cycles.t;
+  mutable start : int;  (* clock when the current run began *)
   mutable queue : job list;  (* front = next to run *)
+  mutable rings : ring_job list;  (* own rings not yet done, queue order *)
+  mutable joined : ring_job list;
+      (* the ring this core joined, heading a suffix of its owner's
+         queue; [] for none *)
+  mutable placed : bool;  (* no slot left for this core in this run *)
   mutable busy : int;
   mutable steals : int;
+  mutable joins : int;
   mutable preempts : int;
   mutable completed : int;
 }
@@ -61,6 +77,7 @@ type core_stats = {
   cycles : int;
   busy : int;
   steals : int;
+  joins : int;
   preempts : int;
   completed : int;
 }
@@ -71,6 +88,7 @@ type stats = {
   makespan : int;
   per_core : core_stats array;
   steals : int;
+  joins : int;
   preempts : int;
   aex_preempts : int;
 }
@@ -81,6 +99,8 @@ type t = {
   config : config;
   cores : core array;
   on_preempt : (core_id:int -> unit) option;
+  svc_names : (string, string option) Hashtbl.t;
+      (* label -> Some "sched.svc.<label>", built once per label *)
   mutable completed : int;
   mutable failed : int;
   mutable next_job : int;
@@ -99,104 +119,100 @@ let create ?on_preempt ~shared_clock ~telemetry (config : config) =
           {
             core_id;
             clock = Cycles.create ();
+            start = 0;
             queue = [];
+            rings = [];
+            joined = [];
+            placed = false;
             busy = 0;
             steals = 0;
+            joins = 0;
             preempts = 0;
             completed = 0;
           });
     on_preempt;
+    svc_names = Hashtbl.create 8;
     completed = 0;
     failed = 0;
     next_job = 0;
     aex_preempts = 0;
   }
 
-let submit_work t ?core ?label ?on_result ?on_slice ~urts work =
+let svc_counter t = function
+  | None -> None
+  | Some label -> (
+      match Hashtbl.find t.svc_names label with
+      | name -> name
+      | exception Not_found ->
+          let name = Some ("sched.svc." ^ label) in
+          Hashtbl.add t.svc_names label name;
+          name)
+
+(* Jobs land on [core] when given, else round-robin by submission
+   order. *)
+let home t core =
   let job_id = t.next_job in
   t.next_job <- job_id + 1;
-  let home =
-    match core with
-    | Some c ->
-        if c < 0 || c >= t.config.cores then
-          invalid_arg "Sched.submit: core out of range";
-        c
-    | None -> job_id mod t.config.cores
-  in
+  match core with
+  | Some c ->
+      if c < 0 || c >= t.config.cores then
+        invalid_arg "Sched.submit: core out of range";
+      t.cores.(c)
+  | None -> t.cores.(job_id mod t.config.cores)
+
+let submit t ?core ?label ?on_result ?on_slice ~urts requests =
+  let target = home t core in
   let job =
     {
-      job_id;
       urts;
-      work;
+      calls = requests;
       next_index = 0;
       on_result;
       on_slice;
-      svc_counter = Option.map (fun l -> "sched.svc." ^ l) label;
+      svc_counter = svc_counter t label;
     }
   in
-  let target = t.cores.(home) in
   target.queue <- target.queue @ [ job ]
 
-let submit t ?core ?label ?on_result ?on_slice ~urts requests =
-  submit_work t ?core ?label ?on_result ?on_slice ~urts (Calls requests)
-
-let submit_ring t ?core ?label ?on_result ?on_slice ~urts ring =
-  submit_work t ?core ?label ?on_result ?on_slice ~urts (Ring ring)
-
-(* Discrete-event pick: the candidate core with the earliest local clock
-   runs next; ties break to the lowest core id so runs are reproducible
-   bit for bit. *)
-let earliest t pred =
-  Array.fold_left
-    (fun acc (core : core) ->
-      if not (pred core) then acc
-      else
-        match acc with
-        | Some (best : core)
-          when Cycles.now best.clock < Cycles.now core.clock
-               || (Cycles.now best.clock = Cycles.now core.clock
-                  && best.core_id < core.core_id) ->
-            acc
-        | Some _ | None -> Some core)
-    None t.cores
-
-(* Steal from the richest queue (most waiting jobs; ties to the lowest
-   core id), taking from the BACK — the job the victim would reach
-   last, so the victim's own order is disturbed least. *)
-let steal t (thief : core) =
-  let victim =
-    Array.fold_left
-      (fun acc (core : core) ->
-        if core.core_id = thief.core_id || core.queue = [] then acc
-        else
-          match acc with
-          | Some (v : core) when List.length v.queue >= List.length core.queue
-            ->
-              acc
-          | Some _ | None -> Some core)
-      None t.cores
+let submit_ring t ?core ?label ?on_result ?on_slice ring =
+  let target = home t core in
+  let job =
+    {
+      ring;
+      owner = target.core_id;
+      r_on_result = on_result;
+      r_on_slice = on_slice;
+      r_svc_counter = svc_counter t label;
+      cycles = -1;
+      rest = 0;
+      head = 0;
+      tail = 0;
+      started = false;
+      joined = false;
+    }
   in
-  match victim with
-  | None -> None
-  | Some v -> (
-      match List.rev v.queue with
-      | [] -> None
-      | last :: rev_front ->
-          v.queue <- List.rev rev_front;
-          thief.steals <- thief.steals + 1;
-          Telemetry.incr t.telemetry "sched.steal";
-          Cycles.tick thief.clock steal_cycles;
-          Some last)
+  target.rings <- target.rings @ [ job ]
 
-(* Run one request (or one whole ring) of [job].  Typed failures — an
-   injected permanent fault or an SDK refusal — optionally drop the
-   request so chaos schedules drain to completion; monitor violations
-   always propagate. *)
-(* The scheduler never copies reply bytes out of a slot ring — the
-   submitter reads them in place from the ring's reply image — so a
-   successful slot reports this preallocated placeholder instead of
-   allocating a fresh [Ok] per request. *)
-let ok_in_ring : (bytes, string) result = Ok Bytes.empty
+(* Cycles core [c] has advanced since the run began: every pick compares
+   these, never absolute clocks, so a core whose clock lags from earlier
+   runs is not "earliest" for the whole of this one. *)
+let elapsed (c : core) = Cycles.now c.clock - c.start
+
+(* Discrete-event pick: the candidate core with the least elapsed time
+   acts next; ties break to the lowest core id so runs are reproducible
+   bit for bit.  Returns its index, or -1 when no core is a candidate. *)
+let earliest t pred =
+  let best = ref (-1) in
+  for i = 0 to Array.length t.cores - 1 do
+    let c = t.cores.(i) in
+    if pred c && (!best < 0 || elapsed c < elapsed t.cores.(!best)) then
+      best := i
+  done;
+  !best
+
+let busy_tick (core : core) cycles =
+  Cycles.tick core.clock cycles;
+  core.busy <- core.busy + cycles
 
 let fail_msg = function
   | Urts.Enclave_error m -> "enclave: " ^ m
@@ -204,61 +220,190 @@ let fail_msg = function
       Printf.sprintf "injected %s fault at %s" (Fault.kind_name kind) site
   | exn -> Printexc.to_string exn
 
-let run_requests t (job : job) =
-  match job.work with
-  | Ring ring -> (
-      (* The whole ring is one switchless dispatch unit; the job drains
-         in a single step either way. *)
-      let count = Urts.ring_staged ring in
-      job.work <- Calls [];
-      let base_index = job.next_index in
-      job.next_index <- base_index + count;
-      let deliver i result =
-        match job.on_result with
-        | Some f -> f ~index:(base_index + i) result
-        | None -> ()
-      in
-      match Urts.ring_dispatch ring with
-      | () ->
-          for i = 0 to count - 1 do
-            deliver i ok_in_ring
-          done;
-          t.completed <- t.completed + count;
-          (match job.svc_counter with
-          | Some c -> Telemetry.add t.telemetry c count
-          | None -> ());
-          count
-      | exception ((Urts.Enclave_error _ | Fault.Injected _) as exn)
-        when t.config.drop_on_error ->
-          let msg = fail_msg exn in
-          for i = 0 to count - 1 do
-            deliver i (Error msg)
-          done;
-          t.failed <- t.failed + count;
-          Telemetry.add t.telemetry "sched.request_failed" count;
-          count)
-  | Calls [] -> 0
-  | Calls ((id, data) :: rest) -> (
-      job.work <- Calls rest;
+(* --- slot rings -------------------------------------------------------------- *)
+
+(* The scheduler never copies reply bytes out of a slot ring — the
+   submitter reads them in place from the ring's reply image — so a
+   successful slot reports this preallocated placeholder instead of
+   allocating a fresh [Ok] per request. *)
+let ok_in_ring : (bytes, string) result = Ok Bytes.empty
+
+let deliver f ~index ~core result =
+  match f with Some f -> f ~index ~core result | None -> ()
+
+(* Run one ring on the shared clock: one post fence, one worker context,
+   the channel callbacks and the fault retry, exactly as a single
+   switchless unit.  Under [drop_on_error] a typed failure fails the
+   whole ring: its cycles stay with the owner and no core joins it. *)
+let dispatch_ring t (r : ring_job) =
+  let count = Urts.ring_staged r.ring in
+  let p0 = Cycles.now t.shared_clock in
+  let outcome =
+    match Urts.ring_dispatch r.ring with
+    | () -> None
+    | exception ((Urts.Enclave_error _ | Fault.Injected _) as exn)
+      when t.config.drop_on_error ->
+        Some (fail_msg exn)
+    | exception exn ->
+        r.cycles <- Cycles.now t.shared_clock - p0;
+        (match r.r_on_slice with Some f -> f ~cycles:r.cycles | None -> ());
+        raise exn
+  in
+  let delta = Cycles.now t.shared_clock - p0 in
+  r.cycles <- delta;
+  r.rest <- delta;
+  (match r.r_on_slice with Some f -> f ~cycles:delta | None -> ());
+  Telemetry.observe t.telemetry "sched.slice_cycles" (max 1 delta);
+  match outcome with
+  | None ->
+      for slot = 0 to count - 1 do
+        r.rest <- r.rest - Urts.ring_slot_cycles r.ring ~slot
+      done;
+      r.tail <- count;
+      t.completed <- t.completed + count;
+      (match r.r_svc_counter with
+      | Some c -> Telemetry.add t.telemetry c count
+      | None -> ())
+  | Some msg ->
+      let failed = Error msg in
+      for index = 0 to count - 1 do
+        deliver r.r_on_result ~index ~core:r.owner failed
+      done;
+      t.failed <- t.failed + count;
+      let owner = t.cores.(r.owner) in
+      owner.completed <- owner.completed + count;
+      Telemetry.add t.telemetry "sched.request_failed" count
+
+(* Every ring runs in a fixed host order — owner core, then queue order —
+   whatever the placement does later, so runs stay bit-reproducible.  An
+   exception that escapes (a monitor violation, or any failure without
+   [drop_on_error]) charges each ring dispatched so far whole to its
+   owner and drops the run's rings. *)
+let dispatch_rings t =
+  let rec dispatch = function
+    | [] -> ()
+    | r :: rest ->
+        dispatch_ring t r;
+        dispatch rest
+  in
+  try
+    for i = 0 to Array.length t.cores - 1 do
+      dispatch t.cores.(i).rings
+    done
+  with exn ->
+    Array.iter
+      (fun (c : core) ->
+        List.iter
+          (fun (r : ring_job) -> if r.cycles >= 0 then busy_tick c r.cycles)
+          c.rings;
+        c.rings <- [])
+      t.cores;
+    raise exn
+
+(* Claim one slot for [core]: the slot's recorded cycles are slice time
+   on that core; a claim on a joined ring also pulls the cursor's cache
+   line, on the core's clock only. *)
+let claim (core : core) (r : ring_job) slot =
+  busy_tick core (Urts.ring_slot_cycles r.ring ~slot);
+  if r.joined then Cycles.tick core.clock (Urts.ring_claim_cycles r.ring);
+  core.completed <- core.completed + 1;
+  deliver r.r_on_result ~index:slot ~core:core.core_id ok_in_ring
+
+(* The ring with the most unclaimed slots, first in host order on a tie,
+   as the suffix of its owner's queue that it heads ([] when no slot is
+   left).  Only counts decide; no recorded cost is read.  Handling rings
+   as list suffixes keeps the search and the join allocation-free. *)
+let unclaimed = function r :: _ -> r.tail - r.head | [] -> 0
+
+let busiest_ring t =
+  let rec busier best = function
+    | [] -> best
+    | _ :: rest as rings ->
+        busier (if unclaimed rings > unclaimed best then rings else best) rest
+  in
+  Array.fold_left (fun best (c : core) -> busier best c.rings) [] t.cores
+
+(* One placement step for [core]: the next head slot of its own rings in
+   queue order (paying a ring's unslotted cycles when it starts it);
+   else the tail slot of the ring it joined; else it joins the busiest
+   ring.  A join is a second worker entering the ring: its own post
+   fence, worker context entry and exit, and the cursor's cache line,
+   all on the joiner's clock outside slices. *)
+let place_step t (core : core) =
+  let rec own = function
+    | r :: rest when r.started && r.head >= r.tail -> own rest
+    | rings -> rings
+  in
+  core.rings <- own core.rings;
+  match core.rings with
+  | r :: _ ->
+      if not r.started then begin
+        r.started <- true;
+        busy_tick core r.rest
+      end;
+      if r.head < r.tail then begin
+        r.head <- r.head + 1;
+        claim core r (r.head - 1)
+      end
+  | [] -> (
+      if unclaimed core.joined = 0 && t.config.work_stealing then begin
+        core.joined <- busiest_ring t;
+        match core.joined with
+        | r :: _ ->
+            Cycles.tick core.clock (Urts.ring_join_cycles r.ring);
+            core.joins <- core.joins + 1;
+            r.joined <- true
+        | [] -> ()
+      end;
+      match core.joined with
+      | r :: _ when r.head < r.tail ->
+          r.tail <- r.tail - 1;
+          claim core r r.tail
+      | _ -> core.placed <- true)
+
+(* Lay the run's slots out over the cores from the common start: the
+   core with the least elapsed time takes the next step, until no core
+   has a slot left to claim or a ring left to start. *)
+let place_slots t =
+  let joins () = Array.fold_left (fun n (c : core) -> n + c.joins) 0 t.cores in
+  let before = joins () in
+  Array.iter (fun (c : core) -> c.placed <- false) t.cores;
+  let unplaced (c : core) = not c.placed in
+  let next = ref (earliest t unplaced) in
+  while !next >= 0 do
+    place_step t t.cores.(!next);
+    next := earliest t unplaced
+  done;
+  Array.iter (fun (c : core) -> c.joined <- []) t.cores;
+  if joins () > before then Telemetry.add t.telemetry "sched.join" (joins () - before)
+
+(* --- individual calls -------------------------------------------------------- *)
+
+(* Run one request of [job].  Typed failures — an injected permanent
+   fault or an SDK refusal — optionally drop the request so chaos
+   schedules drain to completion; monitor violations always
+   propagate. *)
+let run_request t (core : core) (job : job) =
+  match job.calls with
+  | [] -> ()
+  | (id, data) :: rest -> (
+      job.calls <- rest;
       let index = job.next_index in
       job.next_index <- index + 1;
-      let deliver result =
-        match job.on_result with Some f -> f ~index result | None -> ()
-      in
       match Urts.ecall job.urts ~id ~data ~direction:Edge.In_out () with
       | reply ->
-          deliver (Ok reply);
+          deliver job.on_result ~index ~core:core.core_id (Ok reply);
           t.completed <- t.completed + 1;
+          core.completed <- core.completed + 1;
           (match job.svc_counter with
           | Some c -> Telemetry.incr t.telemetry c
-          | None -> ());
-          1
+          | None -> ())
       | exception ((Urts.Enclave_error _ | Fault.Injected _) as exn)
         when t.config.drop_on_error ->
-          deliver (Error (fail_msg exn));
+          deliver job.on_result ~index ~core:core.core_id (Error (fail_msg exn));
           t.failed <- t.failed + 1;
-          Telemetry.incr t.telemetry "sched.request_failed";
-          1)
+          core.completed <- core.completed + 1;
+          Telemetry.incr t.telemetry "sched.request_failed")
 
 (* One scheduling slice: execute requests on the shared platform clock
    until the quantum is consumed or the job drains, then charge the
@@ -277,31 +422,68 @@ let run_slice t (core : core) (job : job) =
            | Some f -> f ~core_id:core.core_id
            | None -> ()))
     ();
-  let finish () = Urts.disarm_timer job.urts in
+  let finish () =
+    Urts.disarm_timer job.urts;
+    let delta = consumed () in
+    busy_tick core delta;
+    (match job.on_slice with Some f -> f ~cycles:delta | None -> ());
+    delta
+  in
   (try
-     while (not (drained job)) && consumed () < t.config.quantum do
-       core.completed <- core.completed + run_requests t job
+     while job.calls <> [] && consumed () < t.config.quantum do
+       run_request t core job
      done
    with exn ->
-     finish ();
-     let delta = consumed () in
-     Cycles.tick core.clock delta;
-     core.busy <- core.busy + delta;
-     (match job.on_slice with Some f -> f ~cycles:delta | None -> ());
+     ignore (finish () : int);
      raise exn);
-  finish ();
-  let delta = consumed () in
-  Cycles.tick core.clock delta;
-  core.busy <- core.busy + delta;
-  (match job.on_slice with Some f -> f ~cycles:delta | None -> ());
-  Telemetry.observe t.telemetry "sched.slice_cycles" (max 1 delta);
-  if not (drained job) then begin
+  Telemetry.observe t.telemetry "sched.slice_cycles" (max 1 (finish ()));
+  if job.calls <> [] then begin
     (* Quantum expired with work left: requeue at the back. *)
     core.preempts <- core.preempts + 1;
     Telemetry.incr t.telemetry "sched.preempt";
     (match t.on_preempt with Some f -> f ~core_id:core.core_id | None -> ());
     core.queue <- core.queue @ [ job ]
   end
+
+(* Steal from the richest queue (most waiting jobs; ties to the lowest
+   core id), taking from the BACK — the job the victim would reach
+   last, so the victim's own order is disturbed least.  Only called
+   while some other core has a queued job. *)
+let steal t (thief : core) =
+  let victim =
+    Array.fold_left
+      (fun (v : core) (c : core) ->
+        if c.core_id <> thief.core_id
+           && List.length c.queue > List.length v.queue
+        then c
+        else v)
+      thief t.cores
+  in
+  match List.rev victim.queue with
+  | [] -> assert false
+  | last :: rev_front ->
+      victim.queue <- List.rev rev_front;
+      thief.steals <- thief.steals + 1;
+      Telemetry.incr t.telemetry "sched.steal";
+      Cycles.tick thief.clock steal_cycles;
+      last
+
+let run_calls t =
+  let has_work (c : core) = c.queue <> [] in
+  let candidate (c : core) = t.config.work_stealing || has_work c in
+  while Array.exists has_work t.cores do
+    let core = t.cores.(earliest t candidate) in
+    let job =
+      match core.queue with
+      | job :: rest ->
+          core.queue <- rest;
+          job
+      | [] -> steal t core
+    in
+    run_slice t core job
+  done
+
+(* --- runs -------------------------------------------------------------------- *)
 
 (* Read-only aggregation over the core state and the request counters:
    safe to call at any point (including between [submit] and [run]) — it
@@ -316,19 +498,22 @@ let stats t =
           cycles = Cycles.now core.clock;
           busy = core.busy;
           steals = core.steals;
+          joins = core.joins;
           preempts = core.preempts;
           completed = core.completed;
         })
       t.cores
   in
+  let sum f = Array.fold_left (fun acc (c : core_stats) -> acc + f c) 0 per_core in
   {
     total_requests = t.completed;
     failed_requests = t.failed;
     makespan =
       Array.fold_left (fun acc (c : core_stats) -> max acc c.cycles) 0 per_core;
     per_core;
-    steals = Array.fold_left (fun acc (c : core) -> acc + c.steals) 0 t.cores;
-    preempts = Array.fold_left (fun acc (c : core) -> acc + c.preempts) 0 t.cores;
+    steals = sum (fun c -> c.steals);
+    joins = sum (fun c -> c.joins);
+    preempts = sum (fun c -> c.preempts);
     aex_preempts = t.aex_preempts;
   }
 
@@ -336,45 +521,23 @@ let core_cycles t i = Cycles.now t.cores.(i).clock
 let core_busy t i = t.cores.(i).busy
 
 let run t =
-  let has_work (core : core) = core.queue <> [] in
-  let any_work () = Array.exists has_work t.cores in
-  while any_work () do
-    let candidate =
-      earliest t (fun core ->
-          has_work core || (t.config.work_stealing && any_work ()))
-    in
-    match candidate with
-    | None -> ()
-    | Some core -> (
-        match core.queue with
-        | job :: rest ->
-            core.queue <- rest;
-            run_slice t core job
-        | [] -> (
-            match steal t core with
-            | Some job -> run_slice t core job
-            | None ->
-                (* Nothing stealable right now: park this core just past
-                   the busiest working core so it stops being the
-                   earliest until the queues have moved on. *)
-                let horizon =
-                  Array.fold_left
-                    (fun acc c ->
-                      if has_work c then max acc (Cycles.now c.clock) else acc)
-                    (Cycles.now core.clock) t.cores
-                in
-                Cycles.advance_to core.clock ~at:(horizon + 1)))
-  done;
+  Array.iter (fun (c : core) -> c.start <- Cycles.now c.clock) t.cores;
+  dispatch_rings t;
+  place_slots t;
+  run_calls t;
   stats t
 
 let pp_stats fmt (s : stats) =
   Format.fprintf fmt
-    "@[<v>%d requests (%d failed), makespan %d cycles, %d steals, %d preempts, %d AEX preempts"
-    s.total_requests s.failed_requests s.makespan s.steals s.preempts
+    "@[<v>%d requests (%d failed), makespan %d cycles, %d steals, %d joins, \
+     %d preempts, %d AEX preempts"
+    s.total_requests s.failed_requests s.makespan s.steals s.joins s.preempts
     s.aex_preempts;
   Array.iter
     (fun c ->
-      Format.fprintf fmt "@,  core %d: clock %d, busy %d, %d done, %d stolen, %d preempted"
-        c.core_id c.cycles c.busy c.completed c.steals c.preempts)
+      Format.fprintf fmt
+        "@,  core %d: clock %d, busy %d, %d done, %d stolen, %d joined, %d \
+         preempted"
+        c.core_id c.cycles c.busy c.completed c.steals c.joins c.preempts)
     s.per_core;
   Format.fprintf fmt "@]"

@@ -700,6 +700,10 @@ type ring = {
   channel : channel option;
   mutable rbuf : bytes;  (* reusable staged-request image, header included *)
   mutable pbuf : bytes;  (* reusable reply image, same framing *)
+  mutable slot_cyc : int array;
+      (* per served slot: its fixed-stride dispatch plus the cycles of
+         its open, handler, reply copy and seal; one entry per image slot,
+         grown with the images *)
   mutable staged : int;
   mutable served : int;
       (* slots whose reply is already framed in [pbuf]: a dispatch retried
@@ -712,6 +716,22 @@ let ring_capacity r = r.slots
 let ring_slot_bytes r = r.slot_bytes
 let ring_buf r = r.rbuf
 let ring_reply_buf r = r.pbuf
+
+let ring_slot_cycles r ~slot =
+  if slot < 0 || slot >= r.served then
+    fail "ring slot %d outside the %d served" slot r.served;
+  r.slot_cyc.(slot)
+
+(* A second worker joining a ring posts its own fence, enters and leaves
+   the worker context as [Monitor.with_worker] does, and pulls the ring
+   cursor's cache line; every later claim on the shared cursor pulls the
+   line again. *)
+let ring_join_cycles r =
+  let c = cost r.rt in
+  c.Cost_model.switchless_post + (2 * c.Cost_model.tlb_flush)
+  + c.Cost_model.cache_miss_dram
+
+let ring_claim_cycles r = (cost r.rt).Cost_model.cache_miss_dram
 
 let ring_reset r =
   r.staged <- 0;
@@ -747,6 +767,7 @@ let create_ring ?channel t ~shard ~shards ~slots ~slot_bytes =
     channel;
     rbuf = Bytes.create image;
     pbuf = Bytes.create image;
+    slot_cyc = Array.make (min slots initial_image_slots) 0;
     staged = 0;
     served = 0;
   }
@@ -763,7 +784,10 @@ let grow_images r =
     b'
   in
   r.rbuf <- grow r.rbuf;
-  r.pbuf <- grow r.pbuf
+  r.pbuf <- grow r.pbuf;
+  let cyc = Array.make ((size - 8) / r.stride) 0 in
+  Array.blit r.slot_cyc 0 cyc 0 r.staged;
+  r.slot_cyc <- cyc
 
 (* Staging writes the slot header and hands the caller the payload offset
    into [ring_buf]: the caller produces the payload directly in the
@@ -830,7 +854,11 @@ let touch_segment t ~off ~len =
    starts at the served-slot cursor, so a retry after a transient fault
    pays the post fence and dispatch again only for the slots still
    unserved, and re-runs the faulted slot's channel callbacks and
-   handler from their top. *)
+   handler from their top.  Each served slot records its own cycles
+   (dispatch price included): the scheduler places slots, not whole
+   rings, on cores; the rest of the ring's cycles (post fence, segment
+   walks, worker context, reply store, a faulted attempt) stay with the
+   ring. *)
 let run_ring_dispatch r =
   let t = r.rt in
   let m = monitor t in
@@ -850,6 +878,7 @@ let run_ring_dispatch r =
        taken and no EENTER is paid. *)
     Monitor.with_worker m t.enclave (fun () ->
         for slot = first to k - 1 do
+          let c0 = Cycles.now (clock t) in
           let off = 8 + (slot * r.stride) in
           let id = Int64.to_int (Bytes.get_int64_le r.rbuf off) in
           let blen = Int64.to_int (Bytes.get_int64_le r.rbuf (off + 8)) in
@@ -881,6 +910,8 @@ let run_ring_dispatch r =
               slot framed (r.stride - 16);
           Bytes.set_int64_le r.pbuf off (Int64.of_int id);
           Bytes.set_int64_le r.pbuf (off + 8) (Int64.of_int framed);
+          r.slot_cyc.(slot) <-
+            c.Cost_model.ring_slot_dispatch + (Cycles.now (clock t) - c0);
           r.served <- slot + 1
         done);
     Bytes.set_int64_le r.pbuf 0 (Int64.of_int k);

@@ -92,7 +92,8 @@ type channel = {
           [slot_bytes + tag_bytes]. *)
 }
 (** The enclave side of an attested channel, run by the in-enclave
-    worker during {!ring_dispatch} on the dispatching core's clock: the
+    worker during {!ring_dispatch} on the calling clock (each slot's
+    share is in {!ring_slot_cycles}): the
     slots of a channel ring carry ciphertext in both directions, so no
     plaintext crosses the shared segments.  A retried slot re-runs its
     callbacks from the top, as it re-runs its handler. *)
@@ -155,6 +156,27 @@ val ring_reply_slot : ring -> slot:int -> int * int
     {!ring_reply_buf}.
     @raise Enclave_error on an out-of-range slot or a length word past
     the slot's payload area. *)
+
+val ring_slot_cycles : ring -> slot:int -> int
+(** The cycles {!ring_dispatch} spent on served slot [slot]: its
+    fixed-stride dispatch price plus its channel open, handler, reply
+    copy and seal, in the attempt that served it.  The ring's other
+    cycles (post fence, segment walks, worker context entry and exit,
+    reply store, a faulted attempt) belong to no slot.  The scheduler
+    places these per-slot costs on the cores that claim the slots.
+    Recorded in place, with no allocation per slot; valid until
+    {!ring_reset}.
+    @raise Enclave_error for a slot not served yet. *)
+
+val ring_join_cycles : ring -> int
+(** What a second worker pays to join the ring's slots: its own post
+    fence, one worker context entry and exit (2 TLB flushes, as
+    {!Hyperenclave_monitor.Monitor.with_worker} pays) and one DRAM miss
+    for the ring cursor's cache line. *)
+
+val ring_claim_cycles : ring -> int
+(** What each slot claim pays while two workers share the ring's
+    cursor: one DRAM miss for its cache line. *)
 
 val ring_staged : ring -> int
 val ring_capacity : ring -> int

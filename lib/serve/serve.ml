@@ -39,26 +39,41 @@ type reject =
   | Tenant_busy of { tenant : string; staged : int }
   | Import_conflict of string
 
-let reject_name = function
-  | Handshake_failed _ -> "handshake-failed"
-  | Channel_binding_mismatch -> "channel-binding"
-  | Bad_wire _ -> "bad-wire"
-  | Unknown_key_share -> "unknown-key-share"
-  | Replayed_nonce -> "replayed-nonce"
-  | Unknown_tenant _ -> "unknown-tenant"
-  | Unknown_session _ -> "unknown-session"
-  | Unsupported _ -> "unsupported"
-  | Bad_auth -> "bad-auth"
-  | Bad_sequence _ -> "bad-sequence"
-  | Backpressure _ -> "backpressure"
-  | Quota_exhausted _ -> "quota-exhausted"
-  | Session_fault _ -> "session-fault"
-  | Bad_ticket _ -> "bad-ticket"
-  | Ticket_expired -> "ticket-expired"
-  | Session_migrated _ -> "session-migrated"
-  | Tenant_migrated _ -> "tenant-migrated"
-  | Tenant_busy _ -> "tenant-busy"
-  | Import_conflict _ -> "import-conflict"
+(* Reject kinds in constructor order: each kind's short label and its
+   telemetry counter are built once, so a reject concatenates nothing. *)
+let reject_kinds =
+  [|
+    "handshake-failed"; "channel-binding"; "bad-wire"; "unknown-key-share";
+    "replayed-nonce"; "unknown-tenant"; "unknown-session"; "unsupported";
+    "bad-auth"; "bad-sequence"; "backpressure"; "quota-exhausted";
+    "session-fault"; "bad-ticket"; "ticket-expired"; "session-migrated";
+    "tenant-migrated"; "tenant-busy"; "import-conflict";
+  |]
+
+let reject_kind = function
+  | Handshake_failed _ -> 0
+  | Channel_binding_mismatch -> 1
+  | Bad_wire _ -> 2
+  | Unknown_key_share -> 3
+  | Replayed_nonce -> 4
+  | Unknown_tenant _ -> 5
+  | Unknown_session _ -> 6
+  | Unsupported _ -> 7
+  | Bad_auth -> 8
+  | Bad_sequence _ -> 9
+  | Backpressure _ -> 10
+  | Quota_exhausted _ -> 11
+  | Session_fault _ -> 12
+  | Bad_ticket _ -> 13
+  | Ticket_expired -> 14
+  | Session_migrated _ -> 15
+  | Tenant_migrated _ -> 16
+  | Tenant_busy _ -> 17
+  | Import_conflict _ -> 18
+
+let reject_name r = reject_kinds.(reject_kind r)
+let reject_counters = Array.map (fun k -> "serve.reject." ^ k) reject_kinds
+let reject_counter r = reject_counters.(reject_kind r)
 
 let pp_reject fmt = function
   | Handshake_failed f ->
@@ -378,7 +393,7 @@ let create_node ~platform (nc : Node_config.t) =
 let identity t = t.identity
 
 let reject t r =
-  Telemetry.incr t.telemetry ("serve.reject." ^ reject_name r);
+  Telemetry.incr t.telemetry (reject_counter r);
   Error r
 
 (* A chain of checks that may fail anywhere counts its reject once, at
@@ -606,6 +621,14 @@ let fresh_id t =
   let id = t.next_session in
   t.next_session <- id + 1;
   id
+
+let next_session_id t = t.next_session
+
+(* Only ids of this node's own space move the counter, and only
+   forward: another node's id never moves it into that node's space. *)
+let resume_session_ids t ~next =
+  if (next - 1) lsr session_id_bits = t.identity.node_id && next > t.next_session
+  then t.next_session <- next
 
 (* Every session record is built here.  Handshake and resume pass a
    fresh id and slot with cursor 0 and no pages; import passes the
@@ -945,15 +968,16 @@ let collect_sids t (st : stage) =
   done
 
 (* The enclave side of the channel, run by the ring's in-enclave worker
-   on the core that dispatches the ring: each slot arrives as ciphertext,
+   during the ring's dispatch: each slot arrives as ciphertext,
    is decrypted in the worker's private copy, and its reply leaves sealed
    — ciphertext plus tag — so the shared segments never hold plaintext.
    The keys and the request nonce come from the session table and the
    stage arena, by slot index.  Charges: per-byte decrypt and seal, one
    AEAD setup per (ring, flush) on its first slot, and one reply-seal
    setup per [config.sched.batch] sealed replies, counted plane-wide
-   across the flush.  They tick the platform clock inside a scheduler
-   slice, so they are that core's busy time and the tenant's quota. *)
+   across the flush.  They tick the platform clock inside the dispatch:
+   the tenant's quota, and busy time of the core the scheduler places
+   each slot on. *)
 let channel t (tn : tenant) entries =
   let st = tn.stage in
   let session_of slot = Hashtbl.find t.sessions st.sg_sids.(entries.(slot)) in
@@ -1081,8 +1105,8 @@ let drain t =
                   tn.ring_err.(shard) <- Some (injected_msg site kind)
               | () ->
                   Sched.submit_ring t.sched ~core:(shard mod cores)
-                    ~urts:tn.urts ~label:tn.t_name
-                    ~on_result:(fun ~index:_ result ->
+                    ~label:tn.t_name
+                    ~on_result:(fun ~index:_ ~core:_ result ->
                       match result with
                       | Ok _ -> ()
                       | Error msg -> tn.ring_err.(shard) <- Some msg)
@@ -1132,7 +1156,7 @@ let drain t =
           in
           let emit_err seq rej =
             Telemetry.incr t.telemetry "serve.request.failed";
-            Telemetry.incr t.telemetry ("serve.reject." ^ reject_name rej);
+            Telemetry.incr t.telemetry (reject_counter rej);
             emit seq (Error rej)
           in
           for i = 0 to st.sg_n - 1 do
@@ -1511,13 +1535,9 @@ let import_tenant t blob =
   List.iter
     (fun m ->
       Hashtbl.remove t.migrated m.m_id;
-      (* A rebuilt plane (upgrade, revive) restarts its counter and then
-         takes its own sessions home: step past them.  Another node's id
-         never moves this counter into that node's space. *)
-      if
-        m.m_id lsr session_id_bits = t.identity.node_id
-        && m.m_id >= t.next_session
-      then t.next_session <- m.m_id + 1)
+      (* A session of this node's own coming home: never issue its id
+         again. *)
+      resume_session_ids t ~next:(m.m_id + 1))
     moved;
   List.iter (fun n -> ignore (nonce_replayed t n)) nonces;
   tn.t_migrated_to <- None;

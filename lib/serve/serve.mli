@@ -282,13 +282,18 @@ val submit : t -> request -> (unit, reject) result
 val flush : t -> reply list
 (** Drain every admitted request: copy each envelope's ciphertext into a
     slot of a per-shard marshalling-buffer ring (one shard per scheduler
-    core) and dispatch the rings switchlessly through the scheduler.  On
-    the core that runs a ring, its in-enclave worker decrypts each
-    slot's private copy, runs the handler, and seals the reply into the
-    reply slot as ciphertext plus a 32-byte tag
-    ({!Hyperenclave_sdk.Urts.channel}); the plane then only frames the
-    wire envelopes.  So the shared segments carry no plaintext, and the
-    channel crypto runs on the cores' clocks, not the plane's.  A ring
+    core) and dispatch the rings switchlessly through the scheduler.
+    The block rotor picks each run of requests' shard, and shard [k]'s
+    ring is owned by core [k mod cores]: the owner serves its slots from
+    the head, and a core with no slot of its own left joins the ring and
+    serves slots from the tail
+    ({!Hyperenclave_sched.Sched.submit_ring}).  On the cores that serve
+    a ring's slots, its in-enclave workers decrypt each slot's private
+    copy, run the handler, and seal the reply into the reply slot as
+    ciphertext plus a 32-byte tag ({!Hyperenclave_sdk.Urts.channel});
+    the plane then only frames the wire envelopes.  So the shared
+    segments carry no plaintext, and the channel crypto runs on the
+    cores' clocks, not the plane's.  A ring
     whose dispatch fails answers every request it carried with a typed
     {!Session_fault}.  [config.sched.batch] sets how many sealed replies
     share one AEAD setup charge, counted across the flush.  Tenant
@@ -313,8 +318,9 @@ type ledger = {
 (** The plane's critical-path ledger: cumulative sums over every {!flush}
     so far.  On each flush, serial + busy equals the platform-clock
     advance over its submits and the flush itself.  A core clock also
-    carries steal penalties and idle parking, which the platform clock
-    never sees, so the slowest advance can exceed its busy share.
+    advances outside slices — ring join and claim charges and steal
+    penalties ({!Hyperenclave_sched.Sched}), which the platform clock
+    never sees — so the slowest advance can exceed its busy share.
     [served * clock_hz / critical_cycles] is the attested rate. *)
 
 val ledger : t -> ledger
@@ -332,6 +338,17 @@ val quota_state : t -> tenant:string -> int * int
 (** [(spent, budget)] — budget is [max_int] when unmetered. *)
 
 val session_count : t -> int
+
+val next_session_id : t -> int
+(** The id this plane's next session gets.  Ids are node-prefixed: node
+    [n] issues them from [n lsl 20] upward. *)
+
+val resume_session_ids : t -> next:int -> unit
+(** Issue no id below [next] from now on, when [next] lies in this
+    node's own id space and ahead of the counter; otherwise do nothing.
+    A plane rebuilt on the same node takes its predecessor's
+    {!next_session_id} this way, so it never re-issues an id whose
+    session may live on another node. *)
 
 val sched_stats : t -> Hyperenclave_sched.Sched.stats
 (** Cumulative scheduler statistics across every {!flush} so far — a

@@ -437,6 +437,50 @@ let test_upgrade_skips_homecoming_ids () =
   assert_green cl;
   Cluster.destroy cl
 
+(* A rebuilt plane continues its node's id counter: node 1 issues an id
+   to b, b moves to node 0, node 1 is rebuilt, and a fresh session on
+   node 1 must not get b's id again — or moving b home would collide.
+   Checked across an upgrade, then across a kill and revive. *)
+let test_rebuilt_plane_keeps_ids () =
+  let cl =
+    Cluster.create { Cluster.default_config with Cluster.nodes = 2; seed = 9200L }
+  in
+  let place tenant node =
+    if Cluster.add_tenant cl ~name:tenant tenant_gen <> node then
+      ignore (migrate_ok cl ~tenant ~dst:node : int)
+  in
+  place "b" 1;
+  place "c" 1;
+  let b = connect ~seed:21L ~tenant:"b" cl in
+  Alcotest.(check int) "node 1's first id" (1 lsl 20) (Cluster.Client.session_id b);
+  let rebuilt what rebuild fresh_tenant =
+    ignore (migrate_ok cl ~tenant:"b" ~dst:0 : int);
+    rebuild ();
+    let fresh = connect ~seed:22L ~tenant:fresh_tenant cl in
+    Alcotest.(check int) (what ^ ": fresh session on node 1") 1
+      (Cluster.Client.node_id fresh);
+    ignore (migrate_ok cl ~tenant:"b" ~dst:1 : int);
+    Alcotest.(check bool) (what ^ ": b's id not reissued") true
+      (Cluster.Client.session_id fresh <> Cluster.Client.session_id b);
+    List.iter
+      (fun client -> ignore (call_ok client [ (1, Bytes.of_string "ping") ]))
+      [ b; fresh ]
+  in
+  rebuilt "upgrade"
+    (fun () ->
+      match Cluster.upgrade_node cl 1 with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "upgrade failed: %a" Cluster.pp_error e)
+    "c";
+  rebuilt "revive"
+    (fun () ->
+      Cluster.kill_node cl 1;
+      Cluster.revive_node cl 1;
+      place "d" 1)
+    "d";
+  assert_green cl;
+  Cluster.destroy cl
+
 (* Node-kill failover under the chaos plane: the owner dies mid-life,
    the LB repoints to the ring's next live node, the client re-attests
    there and resumes service; transient faults injected at the
@@ -529,6 +573,8 @@ let suite =
       test_imported_ids_keep_their_space;
     Alcotest.test_case "upgrade does not reissue homecoming ids" `Quick
       test_upgrade_skips_homecoming_ids;
+    Alcotest.test_case "a rebuilt plane keeps its node's ids" `Quick
+      test_rebuilt_plane_keeps_ids;
     Alcotest.test_case "node kill, failover, chaos migration home" `Quick
       test_kill_failover_chaos;
     Alcotest.test_case "permanent migration fault is typed" `Quick

@@ -413,7 +413,7 @@ let test_finished_jobs_released () =
   (* Built out of line so no local of this frame keeps the closure
      reachable; it captures [served], so it is a heap block. *)
   let submit () =
-    let on_result ~index:_ _ = incr served in
+    let on_result ~index:_ ~core:_ _ = incr served in
     Weak.set closures 0 (Some on_result);
     Sched.submit sched ~on_result ~urts:handle (requests ~tag:"w" 3)
   in
@@ -424,6 +424,208 @@ let test_finished_jobs_released () =
   Alcotest.(check int)
     "stats still count the job" 3 (Sched.stats sched).Sched.total_requests;
   Alcotest.(check bool) "on_result collected" false (Weak.check closures 0);
+  Urts.destroy handle
+
+(* --- slot placement: run-relative time and ring joins ----------------------- *)
+
+(* An enclave whose ECALL 1 burns the cycle count its payload names, so
+   each ring slot can carry its own cost. *)
+let burner p ~seed_name =
+  Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
+    ~signer:p.Platform.signer
+    ~config:{ (Urts.default_config Sgx_types.GU) with Urts.code_seed = seed_name }
+    ~ecalls:
+      [
+        ( 1,
+          fun (tenv : Tenv.t) input ->
+            tenv.Tenv.compute (int_of_string (Bytes.to_string input));
+            input );
+      ]
+    ~ocalls:[]
+
+(* A published ring on [shard] of [shards] whose slots burn [burns]; an
+   ECALL id of 99 has no handler. *)
+let burn_ring ?(id = fun _ -> 1) handle ~shard ~shards burns =
+  let ring =
+    Urts.create_ring handle ~shard ~shards ~slots:(List.length burns)
+      ~slot_bytes:32
+  in
+  List.iteri
+    (fun i b -> stage ring (id i, Bytes.of_string (string_of_int b)))
+    burns;
+  Urts.ring_publish ring;
+  ring
+
+let sched_on p config =
+  Sched.create ~shared_clock:p.Platform.clock ~telemetry:(telemetry p) config
+
+(* Run one ring per entry of [rings] ((owner core, burns) pairs) through
+   one [Sched.run] on a fresh platform.  Returns the stats, each ring's
+   slot placement (the serving core, or -1 for an [Error]) and its
+   dispatch cycles. *)
+let place_rings ?(id = fun _ -> 1) config rings =
+  let p = Platform.create ~seed:4400L () in
+  let handle = burner p ~seed_name:"sched-place" in
+  let sched = sched_on p config in
+  let shards = List.length rings in
+  let placed =
+    List.mapi
+      (fun shard (core, burns) ->
+        let ring = burn_ring ~id handle ~shard ~shards burns in
+        let where = Array.make (List.length burns) (-2) in
+        let cycles = ref 0 in
+        Sched.submit_ring sched ~core
+          ~on_result:(fun ~index ~core result ->
+            where.(index) <- (match result with Ok _ -> core | Error _ -> -1))
+          ~on_slice:(fun ~cycles:c -> cycles := !cycles + c)
+          ring;
+        (where, cycles))
+      rings
+  in
+  let stats = Sched.run sched in
+  Urts.destroy handle;
+  (stats, List.map (fun (w, c) -> (Array.to_list w, !c)) placed)
+
+let busy_sum (s : Sched.stats) =
+  Array.fold_left (fun acc (c : Sched.core_stats) -> acc + c.Sched.busy) 0
+    s.Sched.per_core
+
+let advances (s : Sched.stats) =
+  Array.to_list (Array.map (fun (c : Sched.core_stats) -> c.Sched.cycles) s.Sched.per_core)
+
+(* A core whose clock lags from an earlier run gets no head start: each
+   core serves its own ring and advances by exactly that ring's cycles,
+   with no steal. *)
+let test_lagging_core () =
+  let p = Platform.create ~seed:4410L () in
+  let handle = burner p ~seed_name:"sched-lag" in
+  let sched = sched_on p Sched.default_config in
+  let r0 = burn_ring handle ~shard:0 ~shards:2 [ 60_000 ] in
+  Sched.submit_ring sched ~core:0 r0;
+  ignore (Sched.run sched : Sched.stats);
+  Alcotest.(check bool) "core 1 lags after the first run" true
+    (Sched.core_cycles sched 1 < Sched.core_cycles sched 0);
+  Urts.ring_reset r0;
+  stage r0 (1, Bytes.of_string "40000");
+  Urts.ring_publish r0;
+  let r1 = burn_ring handle ~shard:1 ~shards:2 [ 30_000 ] in
+  let own = Array.make 2 0 in
+  List.iteri
+    (fun core ring ->
+      Sched.submit_ring sched ~core
+        ~on_slice:(fun ~cycles -> own.(core) <- own.(core) + cycles)
+        ring)
+    [ r0; r1 ];
+  let before = Array.init 2 (Sched.core_cycles sched) in
+  let steals = (Sched.stats sched).Sched.steals in
+  let s = Sched.run sched in
+  Array.iteri
+    (fun core own ->
+      Alcotest.(check int)
+        (Printf.sprintf "core %d advances by its own ring" core)
+        own
+        (Sched.core_cycles sched core - before.(core)))
+    own;
+  Alcotest.(check int) "no steal" steals s.Sched.steals;
+  Urts.destroy handle
+
+(* One 16-slot ring on 2 cores: the idle core joins it and serves a
+   suffix of its slots from the tail.  The work is the 1-core run's; the
+   critical path is shorter. *)
+let test_join_from_tail () =
+  let burns = List.init 16 (fun i -> 20_000 + (1_000 * i)) in
+  let run cores =
+    place_rings { Sched.default_config with Sched.cores } [ (0, burns) ]
+  in
+  let one, _ = run 1 in
+  let two, placed = run 2 in
+  let where, _ = List.hd placed in
+  let first_joined =
+    match List.find_index (fun c -> c = 1) where with
+    | Some i -> i
+    | None -> Alcotest.fail "core 1 served no slot"
+  in
+  Alcotest.(check bool) "core 0 serves the head" true (first_joined > 0);
+  Alcotest.(check (list int))
+    "core 1 serves a suffix" (List.init 16 (fun i -> if i < first_joined then 0 else 1))
+    where;
+  Alcotest.(check int) "one join" 1 two.Sched.joins;
+  Alcotest.(check int) "no steal" 0 two.Sched.steals;
+  Alcotest.(check int) "busy equals the 1-core run's" (busy_sum one) (busy_sum two);
+  Alcotest.(check bool) "the slowest core beats one core" true
+    (List.fold_left max 0 (advances two) < List.fold_left max 0 (advances one));
+  let again, placed' = run 2 in
+  Alcotest.(check (list int)) "bit-identical clocks" (advances two) (advances again);
+  Alcotest.(check (list int)) "bit-identical placement" where
+    (fst (List.hd placed'))
+
+(* Where a core joins reads only unclaimed-slot counts and queue order:
+   swapping the per-slot costs of two equally long rings leaves every
+   slot on the same core. *)
+let test_join_ignores_costs () =
+  let config = { Sched.default_config with Sched.cores = 6 } in
+  let split cheap dear =
+    let _, placed = place_rings config [ (0, cheap); (1, dear) ] in
+    List.map fst placed
+  in
+  let cheap = [ 10_000; 10_000; 10_000 ] and dear = [ 90_000; 90_000; 90_000 ] in
+  let a = split cheap dear and b = split dear cheap in
+  Alcotest.(check (list (list int))) "same split" a b;
+  Alcotest.(check (list (list int)))
+    "owners take the head, joiners the tail" [ [ 0; 4; 2 ]; [ 1; 5; 3 ] ] a
+
+(* No core joins a ring that failed under [drop_on_error] (its cycles
+   stay on its owner), nor any ring with work stealing off. *)
+let test_no_join () =
+  let failing =
+    place_rings ~id:(fun i -> if i = 2 then 99 else 1)
+      { Sched.default_config with Sched.drop_on_error = true }
+      [ (0, List.init 8 (fun _ -> 20_000)) ]
+  in
+  let solo =
+    place_rings
+      { Sched.default_config with Sched.work_stealing = false }
+      [ (0, List.init 8 (fun _ -> 20_000)) ]
+  in
+  List.iter
+    (fun (what, expect, ((s : Sched.stats), placed)) ->
+      let where, cycles = List.hd placed in
+      Alcotest.(check (list int)) (what ^ ": slots") (List.init 8 (fun _ -> expect)) where;
+      Alcotest.(check int) (what ^ ": no join") 0 s.Sched.joins;
+      Alcotest.(check int) (what ^ ": core 1 idle") 0 s.Sched.per_core.(1).Sched.cycles;
+      Alcotest.(check int) (what ^ ": owner carries the ring") cycles
+        s.Sched.per_core.(0).Sched.busy)
+    [ ("failed ring", -1, failing); ("stealing off", 0, solo) ];
+  Alcotest.(check int) "failed ring: every slot failed" 8
+    (fst failing).Sched.failed_requests
+
+(* Without [drop_on_error] a failing ring aborts the run: the rings
+   dispatched so far stay charged to their owners and none stays queued,
+   so the next run serves only what is submitted to it. *)
+let test_strict_ring_failure () =
+  let p = Platform.create ~seed:4420L () in
+  let handle = burner p ~seed_name:"sched-strict" in
+  let sched = sched_on p Sched.default_config in
+  let good = burn_ring handle ~shard:0 ~shards:2 [ 20_000; 20_000 ] in
+  let bad =
+    burn_ring ~id:(fun _ -> 99) handle ~shard:1 ~shards:2 [ 20_000 ]
+  in
+  let p0 = Cycles.now p.Platform.clock in
+  Sched.submit_ring sched ~core:0 good;
+  Sched.submit_ring sched ~core:1 bad;
+  expect_enclave_error "a ring with an unknown ECALL" (fun () ->
+      Sched.run sched);
+  Alcotest.(check int) "both dispatches charged to their owners"
+    (Cycles.now p.Platform.clock - p0)
+    (busy_sum (Sched.stats sched));
+  Urts.ring_reset good;
+  stage good (1, Bytes.of_string "5000");
+  Urts.ring_publish good;
+  Sched.submit_ring sched ~core:0 good;
+  let served = (Sched.stats sched).Sched.total_requests in
+  let s = Sched.run sched in
+  Alcotest.(check int) "the next run serves only its own ring" 1
+    (s.Sched.total_requests - served);
   Urts.destroy handle
 
 (* --- 2-enclave / 2-core chaos with invariant checks ----------------------- *)
@@ -511,4 +713,14 @@ let suite =
     Alcotest.test_case "ring images grow on demand" `Quick test_ring_images_grow;
     Alcotest.test_case "channel ring opens and seals in the worker" `Quick
       test_channel_ring;
+    Alcotest.test_case "a lagging core runs only its own ring" `Quick
+      test_lagging_core;
+    Alcotest.test_case "an idle core joins a ring from the tail" `Quick
+      test_join_from_tail;
+    Alcotest.test_case "joins ignore recorded slot costs" `Quick
+      test_join_ignores_costs;
+    Alcotest.test_case "no join on a failed ring or without stealing" `Quick
+      test_no_join;
+    Alcotest.test_case "a strict-mode ring failure aborts the run" `Quick
+      test_strict_ring_failure;
   ]
