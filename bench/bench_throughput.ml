@@ -44,8 +44,7 @@ type run = {
   rps : float;
   makespan : int;
   total : int;
-  steals : int;
-  aex : int;
+  joins : int;
 }
 
 (* N enclaves, [reqs_per_enclave] requests each, scheduled over [cores]
@@ -67,7 +66,7 @@ let measure ~cores =
   let sched =
     Sched.create ~shared_clock:p.Platform.clock
       ~telemetry:(Monitor.telemetry p.Platform.monitor)
-      { Sched.default_config with Sched.cores; quantum = 500_000 }
+      { Sched.default_config with Sched.cores }
   in
   List.iteri
     (fun i b ->
@@ -85,8 +84,7 @@ let measure ~cores =
       /. float_of_int (max 1 stats.Sched.makespan);
     makespan = stats.Sched.makespan;
     total = stats.Sched.total_requests;
-    steals = stats.Sched.steals;
-    aex = stats.Sched.aex_preempts;
+    joins = stats.Sched.joins;
   }
 
 (* K echo requests on a minimal [mode] enclave, served once through the
@@ -146,7 +144,7 @@ let summarize () =
 
 let print_scaling (s : summary) =
   Util.print_table
-    ~columns:[ "cores"; "requests"; "makespan (Mcyc)"; "req/s"; "steals"; "AEX" ]
+    ~columns:[ "cores"; "requests"; "makespan (Mcyc)"; "req/s"; "joins" ]
     (List.map
        (fun r ->
          [
@@ -154,8 +152,7 @@ let print_scaling (s : summary) =
            string_of_int r.total;
            Printf.sprintf "%.2f" (float_of_int r.makespan /. 1e6);
            Printf.sprintf "%.0f" r.rps;
-           string_of_int r.steals;
-           string_of_int r.aex;
+           string_of_int r.joins;
          ])
        s.runs);
   Printf.printf "\n  1 -> 2 core speedup: %.2fx (gate: >= 1.6x)\n"

@@ -14,8 +14,4 @@ let time clock f =
   let result = f () in
   (result, clock.now - start)
 
-(* Idle advance: drag a lagging clock forward, e.g. a per-core clock
-   waiting for stealable work. *)
-let advance_to clock ~at = if at > clock.now then clock.now <- at
-
 let reset clock = clock.now <- 0

@@ -25,11 +25,6 @@ val time : t -> (unit -> 'a) -> 'a * int
 (** [time clock f] runs [f ()] and returns its result together with the
     number of simulated cycles it consumed. *)
 
-val advance_to : t -> at:int -> unit
-(** [advance_to clock ~at] moves the clock forward to cycle [at] if it is
-    behind (no-op otherwise).  Models idle time: a per-core scheduler
-    clock waiting for work. *)
-
 val reset : t -> unit
 (** [reset clock] sets the counter back to 0.  Only used by test fixtures;
     production code treats the clock as monotone. *)

@@ -38,15 +38,6 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Enclave_error m)) fmt
 let elbase = 0x1_0000_0000
 let aep = 0x40_1000
 
-(* AEX preemption timer, armed by the scheduler for the duration of a
-   slice: once the shared clock passes [deadline] mid-ECALL, the next
-   compute step AEXes out (SSA spill), lets the OS run, and ERESUMEs. *)
-type timer = {
-  quantum : int;
-  mutable deadline : int;
-  on_preempt : (unit -> unit) option;
-}
-
 type t = {
   kmod : Kmod.t;
   proc : Process.t;
@@ -67,7 +58,6 @@ type t = {
       (** TCSs parked on an in-flight OCALL, keyed by [tcs_vpn]: not busy
           monitor-side (the thread EEXITed) but owed an ORET re-entry, so
           no other entry may take them. *)
-  mutable timer : timer option;
 }
 
 let monitor t = Kmod.monitor t.kmod
@@ -246,7 +236,6 @@ let create ~kmod ~proc ~rng ~signer ~config ~ecalls ~ocalls =
       ocalloc_cursor = 0;
       active_tcs = None;
       reserved_tcs = Hashtbl.create 4;
-      timer = None;
     }
   in
   List.iter (fun (id, h) -> Hashtbl.replace t.ecalls id h) ecalls;
@@ -294,10 +283,7 @@ let rec make_tenv t : Tenv.t =
     heap_base = t.heap_base_va;
     ocall = (fun ~id ?data direction -> do_ocall t ~id ?data direction);
     ocall_switchless = (fun ~id ?data () -> do_ocall_switchless t ~id ?data ());
-    compute =
-      (fun cycles ->
-        Cycles.tick (clock t) cycles;
-        poll_timer t);
+    compute = (fun cycles -> Cycles.tick (clock t) cycles);
     getkey = (fun name -> Monitor.egetkey m enc name);
     report = (fun ~report_data -> Monitor.ereport m enc ~report_data);
     verify_report = (fun report -> Monitor.verify_report m report);
@@ -498,28 +484,6 @@ and simulate_interrupt t =
       Fault.with_retries ~backoff:(backoff t) (fun () ->
           Monitor.eresume m t.enclave ~tcs)
 
-(* Scheduler preemption: when the armed quantum expires mid-ECALL, the
-   next trusted compute step takes a timer interrupt — a genuine AEX
-   (SSA spill) + OS service + ERESUME through the monitor — and the
-   deadline advances by one quantum.  Disarmed, this is one field read
-   per compute call, so non-scheduled runs stay cycle-identical. *)
-and poll_timer t =
-  match t.timer with
-  | None -> ()
-  | Some timer ->
-      if Cycles.now (clock t) >= timer.deadline && t.active_tcs <> None then begin
-        count t "sched.aex_preempt";
-        simulate_interrupt t;
-        (match timer.on_preempt with Some f -> f () | None -> ());
-        timer.deadline <- Cycles.now (clock t) + timer.quantum
-      end
-
-let arm_timer t ~quantum ?on_preempt () =
-  if quantum <= 0 then fail "arm_timer: quantum must be positive";
-  t.timer <- Some { quantum; deadline = Cycles.now (clock t) + quantum; on_preempt }
-
-let disarm_timer t = t.timer <- None
-
 (* --- ECALL ------------------------------------------------------------------ *)
 
 (* A direct (non-marshalling) copy still translates the foreign pages it
@@ -666,9 +630,8 @@ let ecall_no_ms t ~id ?(data = Bytes.empty) ~direction () =
    persistent in-enclave worker picks it up — no TCS take, no
    EENTER/EEXIT, no SDK soft path; the enclave pays one post fence plus
    the fixed-stride per-slot dispatch ([Cost_model.ring_slot_dispatch]).
-   Two restrictions follow from having no entered TCS: ring handlers must
-   not OCALL (they get the typed "OCALL outside an ECALL" refusal), and
-   the AEX preemption timer never fires inside a ring dispatch.
+   Having no entered TCS, ring handlers must not OCALL (they get the
+   typed "OCALL outside an ECALL" refusal).
 
    Layout: the ECALL-input region [0, ms_out_region) splits into [shards]
    equal request segments and the output region [ms_out_region,

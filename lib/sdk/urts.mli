@@ -71,9 +71,8 @@ val ecall_no_ms :
     payloads straight into it, and the staging images are recycled
     across flushes.  The dispatch is switchless: no TCS take, no
     EENTER/EEXIT, no SDK soft path; one post fence plus
-    [ring_slot_dispatch] cycles per slot.  Consequences: ring handlers
-    must not OCALL (typed "OCALL outside an ECALL" refusal) and the AEX
-    preemption timer never fires inside a ring dispatch.
+    [ring_slot_dispatch] cycles per slot.  Consequence: ring handlers
+    must not OCALL (typed "OCALL outside an ECALL" refusal).
 
     {b Slot layout.}  A segment is [[count:8][slot_0][slot_1]...], each
     slot [[id:8][len:8][payload area]].  The payload area is [slot_bytes]
@@ -193,16 +192,6 @@ val ring_reply_buf : ring -> bytes
 val ring_reset : ring -> unit
 (** Forget the staged slots and rewind the served-slot cursor; the
     images are reused as-is. *)
-
-val arm_timer : t -> quantum:int -> ?on_preempt:(unit -> unit) -> unit -> unit
-(** Arm the scheduler's AEX preemption timer: once the clock passes the
-    armed deadline mid-ECALL, the next trusted compute step takes a full
-    AEX (SSA spill) + ERESUME round trip through the monitor, invokes
-    [on_preempt] (after the ERESUME, with the enclave re-entered), and
-    re-arms one quantum later.  Disarmed runs pay one field read per
-    compute call, keeping unscheduled executions cycle-identical. *)
-
-val disarm_timer : t -> unit
 
 val free_tcs_count : t -> int
 (** TCSs currently available for entry (neither busy nor parked on an

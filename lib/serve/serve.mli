@@ -318,9 +318,9 @@ type ledger = {
 (** The plane's critical-path ledger: cumulative sums over every {!flush}
     so far.  On each flush, serial + busy equals the platform-clock
     advance over its submits and the flush itself.  A core clock also
-    advances outside slices — ring join and claim charges and steal
-    penalties ({!Hyperenclave_sched.Sched}), which the platform clock
-    never sees — so the slowest advance can exceed its busy share.
+    advances outside slices — join and claim charges
+    ({!Hyperenclave_sched.Sched}), which the platform clock never sees —
+    so the slowest advance can exceed its busy share.
     [served * clock_hz / critical_cycles] is the attested rate. *)
 
 val ledger : t -> ledger

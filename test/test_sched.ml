@@ -1,7 +1,8 @@
 (* The SMP enclave scheduler (lib/sched) and the switchless slot ring:
-   determinism, core scaling, work-stealing invariance, preemption with
-   invariant checks, and the ring's ordering, typed refusals, fault
-   retry and saving over individual ECALLs. *)
+   determinism, core scaling, invariance of the work under joins, the
+   placement of ring slots and calls, chaos with invariant checks, and
+   the ring's ordering, typed refusals, fault retry and saving over
+   individual ECALLs. *)
 
 open Hyperenclave
 
@@ -304,15 +305,14 @@ type run_result = {
    each and run them through the scheduler.  Everything is derived from
    [seed] and the config, so two identical calls must be bit-identical. *)
 let run_workload ?(seed = 4200L) ?(enclaves = 4) ?(reqs_per_job = 10)
-    ?(burn = 15_000) ?on_preempt ?(submit_core = None) config =
+    ?(burn = 15_000) ?(submit_core = None) config =
   let p = Platform.create ~seed () in
   let handles =
     List.init enclaves (fun i ->
         make_enclave p ~seed_name:(Printf.sprintf "sched-enclave-%d" i) ~burn)
   in
   let sched =
-    Sched.create ?on_preempt ~shared_clock:p.Platform.clock
-      ~telemetry:(telemetry p) config
+    Sched.create ~shared_clock:p.Platform.clock ~telemetry:(telemetry p) config
   in
   List.iteri
     (fun i handle ->
@@ -332,29 +332,22 @@ let run_workload ?(seed = 4200L) ?(enclaves = 4) ?(reqs_per_job = 10)
   List.iter Urts.destroy handles;
   result
 
-let small_quantum =
-  { Sched.default_config with Sched.cores = 2; quantum = 40_000 }
+let two_cores = { Sched.default_config with Sched.cores = 2 }
 
 let test_determinism () =
-  let a = run_workload small_quantum in
-  let b = run_workload small_quantum in
+  let a = run_workload two_cores in
+  let b = run_workload two_cores in
   Alcotest.(check (list (pair string int)))
     "telemetry bit-identical" a.sched_counters b.sched_counters;
   Alcotest.(check (list int))
     "per-core cycle totals bit-identical" a.per_core_cycles b.per_core_cycles;
   Alcotest.(check int) "makespan identical" a.stats.Sched.makespan b.stats.Sched.makespan;
-  Alcotest.(check int) "steals identical" a.stats.Sched.steals b.stats.Sched.steals;
+  Alcotest.(check int) "joins identical" a.stats.Sched.joins b.stats.Sched.joins;
   Alcotest.(check int)
-    "all requests served" (4 * 10) a.stats.Sched.total_requests;
-  (* The small quantum actually preempted something. *)
-  Alcotest.(check bool)
-    "preemptions occurred" true
-    (a.stats.Sched.preempts + a.stats.Sched.aex_preempts > 0)
+    "all requests served" (4 * 10) a.stats.Sched.total_requests
 
 let test_core_scaling () =
-  let run cores =
-    run_workload { small_quantum with Sched.cores; quantum = 400_000 }
-  in
+  let run cores = run_workload { Sched.default_config with Sched.cores } in
   let one = run 1 and two = run 2 and four = run 4 in
   Alcotest.(check int) "1-core serves all" 40 one.stats.Sched.total_requests;
   Alcotest.(check int) "4-core serves all" 40 four.stats.Sched.total_requests;
@@ -367,12 +360,10 @@ let test_core_scaling () =
     (four.stats.Sched.makespan <= two.stats.Sched.makespan)
 
 let test_work_stealing_invariance () =
-  (* All jobs land on core 0; a huge quantum removes preemption from the
-     picture, so the only scheduling freedom left is stealing.  Work
-     performed (sum of busy cycles) must not depend on it. *)
-  let base =
-    { Sched.default_config with Sched.cores = 2; quantum = 100_000_000 }
-  in
+  (* All jobs land on core 0, so the only scheduling freedom left is
+     core 1 joining them.  Work performed (sum of busy cycles) must not
+     depend on it. *)
+  let base = two_cores in
   let stealing =
     run_workload ~submit_core:(Some 0) { base with Sched.work_stealing = true }
   in
@@ -384,7 +375,7 @@ let test_work_stealing_invariance () =
       (fun acc (c : Sched.core_stats) -> acc + c.Sched.busy)
       0 r.stats.Sched.per_core
   in
-  Alcotest.(check bool) "stealing happened" true (stealing.stats.Sched.steals > 0);
+  Alcotest.(check bool) "core 1 joined" true (stealing.stats.Sched.joins > 0);
   Alcotest.(check int)
     "both serve every request" serial.stats.Sched.total_requests
     stealing.stats.Sched.total_requests;
@@ -392,9 +383,9 @@ let test_work_stealing_invariance () =
     "cross-core busy totals invariant under stealing" (busy_sum serial)
     (busy_sum stealing);
   Alcotest.(check bool)
-    "stealing spread work to core 1" true
+    "joins spread work to core 1" true
     (stealing.stats.Sched.per_core.(1).Sched.busy > 0);
-  (* Without stealing, core 1 never ran anything. *)
+  (* Without joins, core 1 never ran anything. *)
   Alcotest.(check int)
     "serial run kept core 1 idle" 0 serial.stats.Sched.per_core.(1).Sched.busy
 
@@ -459,28 +450,36 @@ let burn_ring ?(id = fun _ -> 1) handle ~shard ~shards burns =
 let sched_on p config =
   Sched.create ~shared_clock:p.Platform.clock ~telemetry:(telemetry p) config
 
-(* Run one ring per entry of [rings] ((owner core, burns) pairs) through
-   one [Sched.run] on a fresh platform.  Returns the stats, each ring's
-   slot placement (the serving core, or -1 for an [Error]) and its
-   dispatch cycles. *)
-let place_rings ?(id = fun _ -> 1) config rings =
+(* Run one job per entry of [jobs] ((owner core, burns) pairs) through
+   one [Sched.run] on a fresh platform: a ring whose slots burn [burns],
+   or with [~kind:`Calls] a call job whose calls do.  Returns the stats,
+   each job's placement (the serving core, or -1 for an [Error]) and a
+   ring's dispatch cycles. *)
+let place_jobs ?(kind = `Ring) ?(id = fun _ -> 1) config jobs =
   let p = Platform.create ~seed:4400L () in
   let handle = burner p ~seed_name:"sched-place" in
   let sched = sched_on p config in
-  let shards = List.length rings in
+  let shards = List.length jobs in
   let placed =
     List.mapi
       (fun shard (core, burns) ->
-        let ring = burn_ring ~id handle ~shard ~shards burns in
         let where = Array.make (List.length burns) (-2) in
         let cycles = ref 0 in
-        Sched.submit_ring sched ~core
-          ~on_result:(fun ~index ~core result ->
-            where.(index) <- (match result with Ok _ -> core | Error _ -> -1))
-          ~on_slice:(fun ~cycles:c -> cycles := !cycles + c)
-          ring;
+        let on_result ~index ~core result =
+          where.(index) <- (match result with Ok _ -> core | Error _ -> -1)
+        in
+        (match kind with
+        | `Ring ->
+            Sched.submit_ring sched ~core ~on_result
+              ~on_slice:(fun ~cycles:c -> cycles := !cycles + c)
+              (burn_ring ~id handle ~shard ~shards burns)
+        | `Calls ->
+            Sched.submit sched ~core ~on_result ~urts:handle
+              (List.mapi
+                 (fun i b -> (id i, Bytes.of_string (string_of_int b)))
+                 burns));
         (where, cycles))
-      rings
+      jobs
   in
   let stats = Sched.run sched in
   Urts.destroy handle;
@@ -495,7 +494,7 @@ let advances (s : Sched.stats) =
 
 (* A core whose clock lags from an earlier run gets no head start: each
    core serves its own ring and advances by exactly that ring's cycles,
-   with no steal. *)
+   with no join. *)
 let test_lagging_core () =
   let p = Platform.create ~seed:4410L () in
   let handle = burner p ~seed_name:"sched-lag" in
@@ -517,7 +516,7 @@ let test_lagging_core () =
         ring)
     [ r0; r1 ];
   let before = Array.init 2 (Sched.core_cycles sched) in
-  let steals = (Sched.stats sched).Sched.steals in
+  let joins = (Sched.stats sched).Sched.joins in
   let s = Sched.run sched in
   Array.iteri
     (fun core own ->
@@ -526,38 +525,48 @@ let test_lagging_core () =
         own
         (Sched.core_cycles sched core - before.(core)))
     own;
-  Alcotest.(check int) "no steal" steals s.Sched.steals;
+  Alcotest.(check int) "no join" joins s.Sched.joins;
   Urts.destroy handle
 
-(* One 16-slot ring on 2 cores: the idle core joins it and serves a
-   suffix of its slots from the tail.  The work is the 1-core run's; the
-   critical path is shorter. *)
+(* One 16-slot ring, or one 16-call job, on 2 cores: the idle core joins
+   it and serves a suffix of its units from the tail.  The work is the
+   1-core run's; the critical path is shorter.  Joining the call job
+   costs core 1 [Sched.steal_cycles] once, and nothing per call. *)
 let test_join_from_tail () =
   let burns = List.init 16 (fun i -> 20_000 + (1_000 * i)) in
-  let run cores =
-    place_rings { Sched.default_config with Sched.cores } [ (0, burns) ]
-  in
-  let one, _ = run 1 in
-  let two, placed = run 2 in
-  let where, _ = List.hd placed in
-  let first_joined =
-    match List.find_index (fun c -> c = 1) where with
-    | Some i -> i
-    | None -> Alcotest.fail "core 1 served no slot"
-  in
-  Alcotest.(check bool) "core 0 serves the head" true (first_joined > 0);
-  Alcotest.(check (list int))
-    "core 1 serves a suffix" (List.init 16 (fun i -> if i < first_joined then 0 else 1))
-    where;
-  Alcotest.(check int) "one join" 1 two.Sched.joins;
-  Alcotest.(check int) "no steal" 0 two.Sched.steals;
-  Alcotest.(check int) "busy equals the 1-core run's" (busy_sum one) (busy_sum two);
-  Alcotest.(check bool) "the slowest core beats one core" true
-    (List.fold_left max 0 (advances two) < List.fold_left max 0 (advances one));
-  let again, placed' = run 2 in
-  Alcotest.(check (list int)) "bit-identical clocks" (advances two) (advances again);
-  Alcotest.(check (list int)) "bit-identical placement" where
-    (fst (List.hd placed'))
+  List.iter
+    (fun (what, kind) ->
+      let check_int name = Alcotest.(check int) (what ^ ": " ^ name) in
+      let run cores =
+        place_jobs ~kind { Sched.default_config with Sched.cores } [ (0, burns) ]
+      in
+      let one, _ = run 1 in
+      let two, placed = run 2 in
+      let where, _ = List.hd placed in
+      let first_joined =
+        match List.find_index (fun c -> c = 1) where with
+        | Some i -> i
+        | None -> Alcotest.failf "%s: core 1 served nothing" what
+      in
+      Alcotest.(check bool) (what ^ ": core 0 serves the head") true (first_joined > 0);
+      Alcotest.(check (list int))
+        (what ^ ": core 1 serves a suffix")
+        (List.init 16 (fun i -> if i < first_joined then 0 else 1))
+        where;
+      check_int "one join" 1 two.Sched.joins;
+      check_int "busy equals the 1-core run's" (busy_sum one) (busy_sum two);
+      Alcotest.(check bool) (what ^ ": the slowest core beats one core") true
+        (List.fold_left max 0 (advances two) < List.fold_left max 0 (advances one));
+      let again, placed' = run 2 in
+      Alcotest.(check (list int))
+        (what ^ ": bit-identical clocks") (advances two) (advances again);
+      Alcotest.(check (list int))
+        (what ^ ": bit-identical placement") where (fst (List.hd placed'));
+      if kind = `Calls then
+        let c1 = two.Sched.per_core.(1) in
+        check_int "core 1 pays the join price once" Sched.steal_cycles
+          (c1.Sched.cycles - c1.Sched.busy))
+    [ ("ring", `Ring); ("call job", `Calls) ]
 
 (* Where a core joins reads only unclaimed-slot counts and queue order:
    swapping the per-slot costs of two equally long rings leaves every
@@ -565,7 +574,7 @@ let test_join_from_tail () =
 let test_join_ignores_costs () =
   let config = { Sched.default_config with Sched.cores = 6 } in
   let split cheap dear =
-    let _, placed = place_rings config [ (0, cheap); (1, dear) ] in
+    let _, placed = place_jobs config [ (0, cheap); (1, dear) ] in
     List.map fst placed
   in
   let cheap = [ 10_000; 10_000; 10_000 ] and dear = [ 90_000; 90_000; 90_000 ] in
@@ -578,12 +587,12 @@ let test_join_ignores_costs () =
    stay on its owner), nor any ring with work stealing off. *)
 let test_no_join () =
   let failing =
-    place_rings ~id:(fun i -> if i = 2 then 99 else 1)
+    place_jobs ~id:(fun i -> if i = 2 then 99 else 1)
       { Sched.default_config with Sched.drop_on_error = true }
       [ (0, List.init 8 (fun _ -> 20_000)) ]
   in
   let solo =
-    place_rings
+    place_jobs
       { Sched.default_config with Sched.work_stealing = false }
       [ (0, List.init 8 (fun _ -> 20_000)) ]
   in
@@ -599,9 +608,10 @@ let test_no_join () =
   Alcotest.(check int) "failed ring: every slot failed" 8
     (fst failing).Sched.failed_requests
 
-(* Without [drop_on_error] a failing ring aborts the run: the rings
-   dispatched so far stay charged to their owners and none stays queued,
-   so the next run serves only what is submitted to it. *)
+(* Without [drop_on_error] a failing ring aborts the run: the jobs run so
+   far (a ring and a call job on core 0) stay charged to their owners,
+   nothing is delivered and nothing stays queued, so the next run serves
+   only what is submitted to it. *)
 let test_strict_ring_failure () =
   let p = Platform.create ~seed:4420L () in
   let handle = burner p ~seed_name:"sched-strict" in
@@ -610,12 +620,17 @@ let test_strict_ring_failure () =
   let bad =
     burn_ring ~id:(fun _ -> 99) handle ~shard:1 ~shards:2 [ 20_000 ]
   in
+  let delivered = ref 0 in
   let p0 = Cycles.now p.Platform.clock in
   Sched.submit_ring sched ~core:0 good;
+  Sched.submit sched ~core:0
+    ~on_result:(fun ~index:_ ~core:_ _ -> incr delivered)
+    ~urts:handle
+    (List.init 3 (fun _ -> (1, Bytes.of_string "20000")));
   Sched.submit_ring sched ~core:1 bad;
   expect_enclave_error "a ring with an unknown ECALL" (fun () ->
       Sched.run sched);
-  Alcotest.(check int) "both dispatches charged to their owners"
+  Alcotest.(check int) "every job run charged to its owner"
     (Cycles.now p.Platform.clock - p0)
     (busy_sum (Sched.stats sched));
   Urts.ring_reset good;
@@ -626,27 +641,17 @@ let test_strict_ring_failure () =
   let s = Sched.run sched in
   Alcotest.(check int) "the next run serves only its own ring" 1
     (s.Sched.total_requests - served);
+  Alcotest.(check int) "the aborted call job delivered nothing" 0 !delivered;
   Urts.destroy handle
 
 (* --- 2-enclave / 2-core chaos with invariant checks ----------------------- *)
 
-let test_chaos_preemption_invariants () =
+let test_chaos_invariants () =
   let seeds = List.init 12 (fun i -> Int64.of_int (5000 + (37 * i))) in
   List.iter
     (fun seed ->
       let p = Platform.create ~seed () in
       let plan = Fault.plan_of_seed ~faults:2 seed in
-      let checked = ref 0 in
-      let on_preempt ~core_id:_ =
-        let findings = Invariants.check p.Platform.monitor in
-        if findings <> [] then
-          Alcotest.fail
-            (Printf.sprintf
-               "seed %Ld (plan %s): invariant violation at preemption: %s" seed
-               (Fault.plan_to_string plan)
-               (Invariants.summary findings));
-        incr checked
-      in
       let handles =
         List.init 2 (fun i ->
             make_enclave p
@@ -654,14 +659,7 @@ let test_chaos_preemption_invariants () =
               ~burn:30_000)
       in
       let sched =
-        Sched.create ~on_preempt ~shared_clock:p.Platform.clock
-          ~telemetry:(telemetry p)
-          {
-            Sched.default_config with
-            Sched.cores = 2;
-            quantum = 25_000;
-            drop_on_error = true;
-          }
+        sched_on p { two_cores with Sched.drop_on_error = true }
       in
       List.iteri
         (fun i handle ->
@@ -682,10 +680,6 @@ let test_chaos_preemption_invariants () =
         (Printf.sprintf "seed %Ld: every request accounted for" seed)
         true
         (stats.Sched.total_requests + stats.Sched.failed_requests = 12);
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %Ld: invariants checked at preemptions" seed)
-        true
-        (!checked > 0 || stats.Sched.preempts + stats.Sched.aex_preempts = 0);
       let findings = Invariants.check p.Platform.monitor in
       if findings <> [] then
         Alcotest.fail
@@ -709,7 +703,7 @@ let suite =
     Alcotest.test_case "finished jobs are released" `Quick
       test_finished_jobs_released;
     Alcotest.test_case "2-enclave/2-core chaos with invariant checks" `Quick
-      test_chaos_preemption_invariants;
+      test_chaos_invariants;
     Alcotest.test_case "ring images grow on demand" `Quick test_ring_images_grow;
     Alcotest.test_case "channel ring opens and seals in the worker" `Quick
       test_channel_ring;
