@@ -24,7 +24,7 @@ let alloc_reqs_per_round = 32
 
 (* Minor words allocated per request by the plane itself (admission +
    flush + reply assembly), measured over a steady state: every request
-   envelope is sealed up front, the arenas and rings are warmed by
+   frame is sealed up front, the arenas and rings are warmed by
    untimed rounds, then [Gc.minor_words] brackets the measured rounds.
    This plane keeps the default queue bound. *)
 let minor_words_per_request () =

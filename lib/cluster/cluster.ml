@@ -700,14 +700,14 @@ module Client = struct
     + Bytes.length a.Serve.tenant_identity
     + 32 + 16
 
-  let request_bytes (r : Serve.request) =
-    Bytes.length r.Serve.envelope.Authenc.ciphertext + 70
+  (* 70 wire bytes over the ciphertext each way: a frame's 32-byte tag
+     and 38 bytes of header. *)
+  let request_bytes (r : Serve.request) = Bytes.length r.Serve.frame + 38
 
   let reply_bytes (r : Serve.reply) =
-    (match r.Serve.r_result with
-    | Ok sealed -> Bytes.length sealed.Authenc.ciphertext
-    | Error _ -> 0)
-    + 70
+    match r.Serve.r_result with
+    | Ok frame -> Bytes.length frame + 38
+    | Error _ -> 70
 
   (* One handshake attempt against [c.node]; chases Tenant_migrated
      forwards by re-pinning the new owner's anchor (bounded by fleet
@@ -764,7 +764,7 @@ module Client = struct
   let session_id c = Serve.Client.session_id c.sc
 
   (* Submit one sealed request, chasing typed migration forwards: the
-     same envelope stays valid on the new owner because the session's
+     same frame stays valid on the new owner because the session's
      key and sequence cursor moved with it. *)
   let rec submit_chase c (req : Serve.request) hops =
     if hops > Array.length c.cl.c_nodes then

@@ -274,7 +274,7 @@ module Client : sig
     t -> (int * bytes) list -> ((bytes, Serve.reject) result list, error) result
   (** Submit a batch over the network, flush the owning plane, read the
       replies.  A typed [Session_migrated] forward re-routes the {e
-      same} sealed envelopes to the new owner transparently — sequence
+      same} sealed frames to the new owner transparently — sequence
       numbers and keys survived the migration.  Network loss past
       retries is {!Net_partition}. *)
 

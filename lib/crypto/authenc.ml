@@ -44,28 +44,19 @@ let seal_into keys ?(aad = Bytes.empty) ~nonce ~src ~src_off ~dst ~dst_off ~len
   Aes.ctr_into ~key:keys.enc ~nonce ~src ~src_off ~dst ~dst_off ~len;
   tag_of_slice keys ~nonce ~aad ~ct:dst ~ct_off:dst_off ~ct_len:len
 
-let verify_slice keys ?(aad = Bytes.empty) ~nonce ~tag ~buf ~off ~len () =
+let verify_slice keys ~aad ~nonce ~tag ~buf ~off ~len =
   Sha256.equal (tag_of_slice keys ~nonce ~aad ~ct:buf ~ct_off:off ~ct_len:len)
     tag
 
-(* Tag check without producing plaintext: the serving plane
-   authenticates envelopes at admission and defers the (in-place)
-   decrypt to the batched flush. *)
-let verify_sealed keys sealed =
-  verify_slice keys ~aad:sealed.aad ~nonce:sealed.nonce ~tag:sealed.tag
-    ~buf:sealed.ciphertext ~off:0
-    ~len:(Bytes.length sealed.ciphertext)
-    ()
-
 (* Completion of a deferred decrypt: plain CTR over a ciphertext slice
-   whose tag was already checked (e.g. [verify_sealed] at admission
+   whose tag was already checked (e.g. [verify_slice] at admission
    time, decrypt at batch-flush time).  Never call this on
    unauthenticated bytes. *)
 let decrypt_into keys ~nonce ~src ~src_off ~dst ~dst_off ~len =
   Aes.ctr_into ~key:keys.enc ~nonce ~src ~src_off ~dst ~dst_off ~len
 
 let unseal_in_place keys ?(aad = Bytes.empty) ~nonce ~tag buf ~off ~len =
-  if not (verify_slice keys ~aad ~nonce ~tag ~buf ~off ~len ()) then
+  if not (verify_slice keys ~aad ~nonce ~tag ~buf ~off ~len) then
     raise Authentication_failure;
   Aes.ctr_into ~key:keys.enc ~nonce ~src:buf ~src_off:off ~dst:buf ~dst_off:off
     ~len

@@ -62,18 +62,14 @@ val seal_into :
 
 val verify_slice :
   keys ->
-  ?aad:bytes ->
+  aad:bytes ->
   nonce:bytes ->
   tag:bytes ->
   buf:bytes ->
   off:int ->
   len:int ->
-  unit ->
   bool
-(** Tag check over a ciphertext slice without decrypting. *)
-
-val verify_sealed : keys -> sealed -> bool
-(** Tag check of a {!sealed} record without producing plaintext — the
+(** Tag check over a ciphertext slice without decrypting — the
     admission-time half of a deferred in-place decrypt. *)
 
 val unseal_in_place :
@@ -92,8 +88,8 @@ val decrypt_into :
   len:int ->
   unit
 (** Decrypt WITHOUT authenticating: the completion half of a deferred
-    in-place unseal whose tag was already checked with {!verify_sealed}
-    / {!verify_slice}.  Never call this on unauthenticated bytes. *)
+    in-place unseal whose tag was already checked with {!verify_slice}.
+    Never call this on unauthenticated bytes. *)
 
 val encode : sealed -> bytes
 (** Length-prefixed wire form (for writing sealed blobs to "disk"). *)

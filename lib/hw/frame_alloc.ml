@@ -20,10 +20,6 @@ let create ~base_frame ~nframes =
 
 let owns t frame = frame >= t.base && frame < t.base + t.nframes
 
-let is_free t frame =
-  if not (owns t frame) then invalid_arg "Frame_alloc.is_free: out of range";
-  t.free.(frame - t.base)
-
 let alloc t =
   if t.free_count = 0 then raise Out_of_frames;
   let rec scan i remaining =

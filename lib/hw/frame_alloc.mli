@@ -24,7 +24,6 @@ val free : t -> int -> unit
 val owns : t -> int -> bool
 (** Whether the frame lies in this allocator's range (free or not). *)
 
-val is_free : t -> int -> bool
 val free_count : t -> int
 val used_count : t -> int
 val total : t -> int

@@ -36,8 +36,6 @@ open Hyperenclave_sdk
 
 type t
 
-type fd_kind = File | Socket | Epoll
-
 exception Bad_fd of int
 exception Bad_seek of int
 (** Typed rejection of a negative or overflowing seek position — the
@@ -117,7 +115,6 @@ val fstat_size : t -> int -> int
 (** Inode size through an open fd — works after unlink. *)
 
 val list_dir : t -> prefix:string -> string list
-val fd_kind : t -> int -> fd_kind
 
 (** {1 Process/time syscalls — served in-enclave} *)
 

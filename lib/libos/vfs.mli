@@ -68,5 +68,3 @@ val node_read : t -> node -> pos:int -> len:int -> bytes
 val node_write : t -> node -> pos:int -> bytes -> int
 (** Extends the file as needed (zero-filling holes); returns the number
     of bytes written.  @raise Invalid_argument on negative [pos]. *)
-
-val node_truncate : t -> node -> unit

@@ -99,15 +99,6 @@ let measure_chunk t chunk =
   | None -> invalid_arg "Enclave.measure_chunk: measurement finalized"
   | Some ctx -> Sha256.update ctx chunk
 
-let finalize_measurement t =
-  match t.measurement_ctx with
-  | None -> invalid_arg "Enclave.finalize_measurement: already finalized"
-  | Some ctx ->
-      let digest = Sha256.finalize ctx in
-      t.measurement_ctx <- None;
-      t.mrenclave <- digest;
-      digest
-
 let peek_measurement t =
   match t.measurement_ctx with
   | None -> invalid_arg "Enclave.peek_measurement: measurement finalized"

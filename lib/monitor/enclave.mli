@@ -73,9 +73,6 @@ val in_marshalling : t -> va:int -> len:int -> bool
 val measure_chunk : t -> bytes -> unit
 (** Extend the running measurement. @raise Invalid_argument after EINIT. *)
 
-val finalize_measurement : t -> bytes
-(** MRENCLAVE; freezes the context. *)
-
 val peek_measurement : t -> bytes
 (** Digest-so-far without freezing: finalizes a copy of the running
     context.  EINIT validates against this so a refused launch (bad

@@ -32,12 +32,9 @@ val secure_mode : t -> Sgx_types.operation_mode -> string
 val supports_flexible_modes : t -> bool
 (** All three do — the point of Sec. 8. *)
 
-val transition_factor : t -> float
-(** Scaling applied to the world-switch primitives (hypercall, vmexit,
-    injection) relative to the measured x86 values. *)
-
 val scale_cost_model : t -> Cost_model.t -> Cost_model.t
-(** The projected cost model for the ISA: transition primitives and the
-    mode-specific world-switch extras scaled by {!transition_factor};
+(** The projected cost model for the ISA: transition primitives
+    (hypercall, vmexit, injection) and the mode-specific world-switch
+    extras scaled relative to the measured x86 values;
     memory-system and OS costs untouched; the Intel-SGX-silicon constants
     untouched (they exist only on x86). *)

@@ -135,58 +135,87 @@ let state_stride_pages = 16
 let slot_bytes = 256
 let rotor_block = 8
 
-(* Placeholder the stage arrays are filled with so dead entries never
-   pin client envelopes against the GC. *)
-let dummy_sealed =
+(* ---------------------------------------------------------------------- *)
+(* Channel frames                                                         *)
+
+type request = { session_id : int; seq : int; ecall_id : int; frame : bytes }
+
+type reply = {
+  r_session_id : int;
+  r_seq : int;
+  r_result : (bytes, reject) result;
+}
+
+(* Placeholder the stage arena is filled with: session id [-1] marks a
+   dead entry, and a dead entry pins no client frame against the GC. *)
+let no_request = { session_id = -1; seq = 0; ecall_id = 0; frame = Bytes.empty }
+
+(* Every end derives a message's nonce and AAD from its header into
+   scratch of its own; neither travels.  Nonce: [dir][0^3][seq:8];
+   AAD: the 10-byte domain, then session id, sequence number and ECALL
+   id (0 on replies), each 64-bit LE.  [d_tag] holds a received frame's
+   tag while it is checked. *)
+type derived = { d_nonce : bytes; d_aad : bytes; d_tag : bytes }
+
+let derived () =
   {
-    Authenc.nonce = Bytes.empty;
-    ciphertext = Bytes.empty;
-    tag = Bytes.empty;
-    aad = Bytes.empty;
+    d_nonce = Bytes.make 12 '\000';
+    d_aad = Bytes.create 34;
+    d_tag = Bytes.create Urts.tag_bytes;
   }
 
-(* Flat admission arena: one slot per staged request, recycled across
-   flushes.  [sg_sids.(i) = -1] marks a slot whose session closed while
-   staged.  [sg_shards] / [sg_slots] are flush-time scratch columns:
-   which ring shard served entry [i] and the slot index inside that
-   ring. *)
+let derive d ~dir ~session_id ~seq ~ecall_id =
+  Bytes.set d.d_nonce 0 dir;
+  Bytes.set_int64_le d.d_nonce 4 (Int64.of_int seq);
+  Bytes.blit_string (if dir = '>' then "serve-req:" else "serve-rep:") 0 d.d_aad
+    0 10;
+  Bytes.set_int64_le d.d_aad 10 (Int64.of_int session_id);
+  Bytes.set_int64_le d.d_aad 18 (Int64.of_int seq);
+  Bytes.set_int64_le d.d_aad 26 (Int64.of_int ecall_id)
+
+(* Seal [src] into [dst] at [dst_off] as a frame, ciphertext then tag,
+   under the derived nonce and AAD; returns the frame length. *)
+let seal_frame keys d src ~dst ~dst_off =
+  let len = Bytes.length src in
+  let tag =
+    Authenc.seal_into keys ~aad:d.d_aad ~nonce:d.d_nonce ~src ~src_off:0 ~dst
+      ~dst_off ~len ()
+  in
+  Bytes.blit tag 0 dst (dst_off + len) Urts.tag_bytes;
+  len + Urts.tag_bytes
+
+(* The tag of a frame whose ciphertext is [len] bytes, copied into [d]. *)
+let frame_tag d frame ~len =
+  Bytes.blit frame len d.d_tag 0 Urts.tag_bytes;
+  d.d_tag
+
+(* Flat admission arena: each admitted request, in admission order,
+   recycled across flushes.  [sg_shards] / [sg_slots] are flush-time
+   scratch columns: which ring shard served entry [i] and the slot index
+   inside that ring. *)
 type stage = {
-  mutable sg_sids : int array;
-  mutable sg_seqs : int array;
-  mutable sg_ecalls : int array;
-  mutable sg_envs : Authenc.sealed array;
+  mutable sg_reqs : request array;
   mutable sg_shards : int array;
   mutable sg_slots : int array;
   mutable sg_n : int;
 }
 
-let stage_push (st : stage) ~sid ~seq ~ecall ~env =
+let stage_push (st : stage) req =
   let n = st.sg_n in
-  if n = Array.length st.sg_sids then begin
+  if n = Array.length st.sg_reqs then begin
     (* Doubling growth: the only allocation the admission path ever does,
        and only until the arena reaches the tenant's high-water mark. *)
     let cap = max 16 (2 * n) in
-    let grow_int a =
-      let b = Array.make cap 0 in
+    let grow a fill =
+      let b = Array.make cap fill in
       Array.blit a 0 b 0 n;
       b
     in
-    let grow_env a =
-      let b = Array.make cap dummy_sealed in
-      Array.blit a 0 b 0 n;
-      b
-    in
-    st.sg_sids <- grow_int st.sg_sids;
-    st.sg_seqs <- grow_int st.sg_seqs;
-    st.sg_ecalls <- grow_int st.sg_ecalls;
-    st.sg_envs <- grow_env st.sg_envs;
-    st.sg_shards <- grow_int st.sg_shards;
-    st.sg_slots <- grow_int st.sg_slots
+    st.sg_reqs <- grow st.sg_reqs no_request;
+    st.sg_shards <- grow st.sg_shards 0;
+    st.sg_slots <- grow st.sg_slots 0
   end;
-  st.sg_sids.(n) <- sid;
-  st.sg_seqs.(n) <- seq;
-  st.sg_ecalls.(n) <- ecall;
-  st.sg_envs.(n) <- env;
+  st.sg_reqs.(n) <- req;
   st.sg_n <- n + 1
 
 type tenant = {
@@ -213,8 +242,7 @@ type tenant = {
   rings : Urts.ring option array;  (* per shard, built on first use *)
   ring_entries : int array array;
       (* per shard, slot -> stage index of the request staged there this
-         flush: how the ring's in-enclave channel finds a slot's session
-         and nonce *)
+         flush: how the ring's in-enclave channel finds a slot's header *)
   ring_err : string option array;  (* per-shard failure, one flush *)
   ring_gen : int array;  (* last flush generation that used the shard *)
 }
@@ -286,13 +314,10 @@ type t = {
          hot-tenant flushes spread over every core *)
   mutable flush_gen : int;
   fault_msgs : (int, string) Hashtbl.t;  (* session faults, one flush *)
-  aad_scratch : bytes;  (* admission-path AAD render, no allocation *)
   mutable sid_scratch : int array;  (* distinct staged sessions, sorted *)
   mutable sid_count : int;
-  (* --- in-enclave channel: reply-seal scratch, one flush --- *)
-  seal_nonce : bytes;
-  seal_aad : bytes;
-  mutable sealed_in_group : int;
+  hdr : derived;  (* nonce and AAD scratch: admission and the ring channel *)
+  mutable sealed_in_group : int;  (* reply seals since the last setup charge *)
   (* --- critical-path ledger --- *)
   mutable submit_cyc : int;  (* platform cycles inside [submit] since the last flush *)
   core_mark : int array;  (* per-core clock when the current flush began *)
@@ -379,11 +404,9 @@ let create_node ~platform (nc : Node_config.t) =
     rotor = 0;
     flush_gen = 0;
     fault_msgs = Hashtbl.create 8;
-    aad_scratch = Bytes.create 34;
     sid_scratch = Array.make 16 0;
     sid_count = 0;
-    seal_nonce = Bytes.make 12 '\000';
-    seal_aad = Bytes.create 34;
+    hdr = derived ();
     sealed_in_group = 0;
     submit_cyc = 0;
     core_mark = Array.make (max 1 config.sched.Sched.cores) 0;
@@ -563,16 +586,7 @@ let add_tenant t ~name (bc : Backend.config) =
       next_slot = 0;
       free_slots = [];
       t_migrated_to = None;
-      stage =
-        {
-          sg_sids = [||];
-          sg_seqs = [||];
-          sg_ecalls = [||];
-          sg_envs = [||];
-          sg_shards = [||];
-          sg_slots = [||];
-          sg_n = 0;
-        };
+      stage = { sg_reqs = [||]; sg_shards = [||]; sg_slots = [||]; sg_n = 0 };
       rings = Array.make t.shards None;
       ring_entries = Array.make t.shards [||];
       ring_err = Array.make t.shards None;
@@ -633,7 +647,7 @@ let resume_session_ids t ~next =
 (* Every session record is built here.  Handshake and resume pass a
    fresh id and slot with cursor 0 and no pages; import passes the
    migrated id, key, cursor and pages, in the slot it re-committed.  The
-   AEAD key material is prepared once, so every envelope on the channel
+   AEAD key material is prepared once, so every frame on the channel
    rides the zero-copy path without per-request setup. *)
 let open_session t tn ~id ~key ~slot ~recv_seq ~pages =
   charge_aead_setup t;
@@ -652,16 +666,15 @@ let open_session t tn ~id ~key ~slot ~recv_seq ~pages =
   s
 
 (* Every session leaves the table here (close, cutover, import
-   rollback): its staged arena slots die in place — [-1] marks a dead
-   slot every flush pass skips, so the arena is never compacted — and
-   its state slot goes back on the tenant's free list. *)
+   rollback): its staged arena entries die in place — [no_request] marks
+   a dead entry every flush pass skips, so the arena is never compacted —
+   and its state slot goes back on the tenant's free list. *)
 let retire_session t (s : session) =
   let tn = s.tenant in
   let st = tn.stage in
   for i = 0 to st.sg_n - 1 do
-    if st.sg_sids.(i) = s.s_id then begin
-      st.sg_sids.(i) <- -1;
-      st.sg_envs.(i) <- dummy_sealed;
+    if st.sg_reqs.(i).session_id = s.s_id then begin
+      st.sg_reqs.(i) <- no_request;
       tn.queued <- tn.queued - 1
     end
   done;
@@ -786,60 +799,18 @@ let handshake t ~tenant hello =
                   }))
 
 (* ---------------------------------------------------------------------- *)
-(* Request envelopes                                                      *)
-
-type request = {
-  session_id : int;
-  seq : int;
-  ecall_id : int;
-  envelope : Authenc.sealed;
-}
-
-type reply = {
-  r_session_id : int;
-  r_seq : int;
-  r_result : (Authenc.sealed, reject) result;
-}
-
-(* [dir][0][0][0][seq:8], rendered over a zeroed 12-byte buffer. *)
-let render_nonce nonce ~dir ~seq =
-  Bytes.set nonce 0 dir;
-  Bytes.set_int64_le nonce 4 (Int64.of_int seq)
-
-let envelope_nonce ~dir ~seq =
-  let nonce = Bytes.make 12 '\000' in
-  render_nonce nonce ~dir ~seq;
-  nonce
-
-(* The 34-byte request/reply AAD, rendered into [buf]: the 10-byte
-   domain, then session id, sequence number and tag as 64-bit LE. *)
-let render_aad buf ~domain ~session_id ~seq ~tag =
-  Bytes.blit_string domain 0 buf 0 10;
-  Bytes.set_int64_le buf 10 (Int64.of_int session_id);
-  Bytes.set_int64_le buf 18 (Int64.of_int seq);
-  Bytes.set_int64_le buf 26 (Int64.of_int tag)
-
-let aad ~domain ~session_id ~seq ~tag =
-  let buf = Bytes.create 34 in
-  render_aad buf ~domain ~session_id ~seq ~tag;
-  buf
-
-let aad_req ~session_id ~seq ~ecall_id =
-  aad ~domain:"serve-req:" ~session_id ~seq ~tag:ecall_id
-
-let aad_rep ~session_id ~seq = aad ~domain:"serve-rep:" ~session_id ~seq ~tag:0
-
-(* Admission-path AAD check: render the expected AAD into the plane's
-   scratch buffer and compare, without allocating. *)
-let aad_matches t ~domain ~session_id ~seq ~tag candidate =
-  Bytes.length candidate = 34
-  && begin
-       render_aad t.aad_scratch ~domain ~session_id ~seq ~tag;
-       Bytes.equal t.aad_scratch candidate
-     end
-
-(* ---------------------------------------------------------------------- *)
 (* Admission                                                              *)
+
+(* A request frame's tag, checked under the nonce and AAD its header
+   derives; a frame shorter than a tag fails. *)
+let authentic t (s : session) (req : request) ~len =
+  len >= 0
+  && begin
+       derive t.hdr ~dir:'>' ~session_id:req.session_id ~seq:req.seq
+         ~ecall_id:req.ecall_id;
+       Authenc.verify_slice s.keys ~aad:t.hdr.d_aad ~nonce:t.hdr.d_nonce
+         ~tag:(frame_tag t.hdr req.frame ~len) ~buf:req.frame ~off:0 ~len
+     end
 
 let admit t (req : request) =
   Telemetry.incr t.telemetry "serve.request";
@@ -847,31 +818,25 @@ let admit t (req : request) =
   | None -> reject t (session_reject t req.session_id)
   | Some s -> (
       let tn = s.tenant in
-      (* Zero-copy admission: authenticate the envelope where it lies (a
-         MAC pass over the ciphertext, no plaintext allocated) and defer
-         the decrypt to the ring's in-enclave worker.  Per-byte MAC cost
-         only — the AEAD setup was paid once when the session's keys
-         were prepared. *)
-      let ct_len = Bytes.length req.envelope.Authenc.ciphertext in
-      charge_aead_bytes t ~bytes:ct_len;
-      if ct_len > slot_bytes then
+      (* Zero-copy admission: authenticate the frame where it lies (a MAC
+         pass over the ciphertext under the nonce and AAD derived from
+         the header, no plaintext allocated) and defer the decrypt to the
+         ring's in-enclave worker.  Per-byte MAC cost only — the AEAD
+         setup was paid once when the session's keys were prepared. *)
+      let len = Bytes.length req.frame - Urts.tag_bytes in
+      charge_aead_bytes t ~bytes:(max 0 len);
+      if len > slot_bytes then
         reject t
           (Unsupported
              (Printf.sprintf
                 "request ciphertext (%d bytes) exceeds the %d-byte ring slot"
-                ct_len slot_bytes))
-      else if
-        not
-          (aad_matches t ~domain:"serve-req:" ~session_id:req.session_id
-             ~seq:req.seq ~tag:req.ecall_id req.envelope.Authenc.aad)
-      then reject t Bad_auth
-      else if not (Authenc.verify_sealed s.keys req.envelope) then
-        reject t Bad_auth
+                len slot_bytes))
+      else if not (authentic t s req ~len) then reject t Bad_auth
       else if req.seq <> s.recv_seq then
         reject t (Bad_sequence { expected = s.recv_seq; got = req.seq })
       else
         begin
-              (* The envelope authenticated with the expected sequence
+              (* The frame authenticated with the expected sequence
                  number: the number is burnt from here on, whatever the
                  admission outcome — the client's counter advanced when
                  it sealed, so the channel stays in step across typed
@@ -910,8 +875,7 @@ let admit t (req : request) =
                            quota = tn.budget;
                          })
                   else begin
-                    stage_push tn.stage ~sid:s.s_id ~seq:req.seq
-                      ~ecall:req.ecall_id ~env:req.envelope;
+                    stage_push tn.stage req;
                     tn.queued <- tn.queued + 1;
                     Telemetry.incr t.telemetry "serve.request.admitted";
                     Telemetry.incr t.telemetry tn.t_req_counter;
@@ -941,7 +905,7 @@ let charge t (tn : tenant) cycles =
 let collect_sids t (st : stage) =
   t.sid_count <- 0;
   for i = 0 to st.sg_n - 1 do
-    let sid = st.sg_sids.(i) in
+    let sid = st.sg_reqs.(i).session_id in
     if sid >= 0 then begin
       let n = t.sid_count in
       let rec seen k = k < n && (t.sid_scratch.(k) = sid || seen (k + 1)) in
@@ -969,41 +933,37 @@ let collect_sids t (st : stage) =
 
 (* The enclave side of the channel, run by the ring's in-enclave worker
    during the ring's dispatch: each slot arrives as ciphertext,
-   is decrypted in the worker's private copy, and its reply leaves sealed
-   — ciphertext plus tag — so the shared segments never hold plaintext.
-   The keys and the request nonce come from the session table and the
-   stage arena, by slot index.  Charges: per-byte decrypt and seal, one
-   AEAD setup per (ring, flush) on its first slot, and one reply-seal
-   setup per [config.sched.batch] sealed replies, counted plane-wide
-   across the flush.  They tick the platform clock inside the dispatch:
-   the tenant's quota, and busy time of the core the scheduler places
-   each slot on. *)
+   is decrypted in the worker's private copy, and its reply leaves as a
+   frame — ciphertext plus tag — so the shared segments never hold
+   plaintext.  The worker derives each slot's nonce and AAD from the
+   header of the request staged there (found by slot index) and takes
+   the keys from the session table.  Charges: per-byte decrypt and seal,
+   one AEAD setup per (ring, flush) on its first slot, and one
+   reply-seal setup per [config.sched.batch] sealed replies, counted
+   plane-wide across the flush.  They tick the platform clock inside the
+   dispatch: the tenant's quota, and busy time of the core the scheduler
+   places each slot on. *)
 let channel t (tn : tenant) entries =
-  let st = tn.stage in
-  let session_of slot = Hashtbl.find t.sessions st.sg_sids.(entries.(slot)) in
+  let request_at slot = tn.stage.sg_reqs.(entries.(slot)) in
   let open_slot ~slot buf =
-    let s = session_of slot in
+    let r = request_at slot in
+    let s = Hashtbl.find t.sessions r.session_id in
     if slot = 0 then charge_aead_setup t;
     let len = Bytes.length buf in
     charge_aead_bytes t ~bytes:len;
-    Authenc.decrypt_into s.keys ~nonce:st.sg_envs.(entries.(slot)).Authenc.nonce
-      ~src:buf ~src_off:0 ~dst:buf ~dst_off:0 ~len
+    derive t.hdr ~dir:'>' ~session_id:r.session_id ~seq:r.seq
+      ~ecall_id:r.ecall_id;
+    Authenc.decrypt_into s.keys ~nonce:t.hdr.d_nonce ~src:buf ~src_off:0
+      ~dst:buf ~dst_off:0 ~len
   in
   let seal_slot ~slot reply ~dst ~dst_off =
-    let s = session_of slot in
-    let seq = st.sg_seqs.(entries.(slot)) in
+    let r = request_at slot in
+    let s = Hashtbl.find t.sessions r.session_id in
     if t.sealed_in_group = 0 then charge_aead_setup t;
     t.sealed_in_group <- (t.sealed_in_group + 1) mod t.config.sched.Sched.batch;
-    let len = Bytes.length reply in
-    charge_aead_bytes t ~bytes:len;
-    render_nonce t.seal_nonce ~dir:'<' ~seq;
-    render_aad t.seal_aad ~domain:"serve-rep:" ~session_id:s.s_id ~seq ~tag:0;
-    let tag =
-      Authenc.seal_into s.keys ~aad:t.seal_aad ~nonce:t.seal_nonce ~src:reply
-        ~src_off:0 ~dst ~dst_off ~len ()
-    in
-    Bytes.blit tag 0 dst (dst_off + len) Urts.tag_bytes;
-    len + Urts.tag_bytes
+    charge_aead_bytes t ~bytes:(Bytes.length reply);
+    derive t.hdr ~dir:'<' ~session_id:r.session_id ~seq:r.seq ~ecall_id:0;
+    seal_frame s.keys t.hdr reply ~dst ~dst_off
   in
   { Urts.open_slot; seal_slot }
 
@@ -1020,9 +980,19 @@ let ring_for t (tn : tenant) shard =
       tn.ring_entries.(shard) <- entries;
       r
 
+(* Rewind a tenant's arenas: drop the request references, rewind the
+   stage cursor and every ring.  Every staged request has then been
+   answered or dropped, so none is queued. *)
+let recycle (tn : tenant) =
+  let st = tn.stage in
+  Array.fill st.sg_reqs 0 st.sg_n no_request;
+  st.sg_n <- 0;
+  tn.queued <- 0;
+  Array.iter (function Some ring -> Urts.ring_reset ring | None -> ()) tn.rings
+
 (* The allocation-free dispatch path.  Staging, dispatch and reply bytes
    all live in reusable arenas and the pinned marshalling rings; the only
-   per-request allocations left are the wire-facing reply envelopes. *)
+   per-request allocation left is the wire-facing reply frame. *)
 let drain t =
   Telemetry.incr t.telemetry "serve.flush";
   t.flush_gen <- t.flush_gen + 1;
@@ -1038,8 +1008,8 @@ let drain t =
   (* Pass 1 per tenant: walk the staged entries in dispatch order —
      ascending session id, then admission (= sequence) order within a
      session.  Permanent session faults surface as typed errors in the
-     assembly pass; live entries copy their ciphertext into a ring slot
-     (the slot IS the envelope), for the ring's worker to open. *)
+     assembly pass; live entries copy their frame's ciphertext into a
+     ring slot, for the ring's worker to open. *)
   List.iter
     (fun tn ->
       let st = tn.stage in
@@ -1055,20 +1025,16 @@ let drain t =
           | exception Fault.Injected { site; kind } ->
               Hashtbl.replace t.fault_msgs sid (injected_msg site kind);
               for i = 0 to st.sg_n - 1 do
-                if st.sg_sids.(i) = sid then begin
-                  tn.queued <- tn.queued - 1;
-                  incr flush_total
-                end
+                if st.sg_reqs.(i).session_id = sid then incr flush_total
               done
           | () ->
               let stamp = ref 0 in
               let shard = ref 0 in
               for i = 0 to st.sg_n - 1 do
-                if st.sg_sids.(i) = sid then begin
-                  tn.queued <- tn.queued - 1;
+                let r = st.sg_reqs.(i) in
+                if r.session_id = sid then begin
                   incr flush_total;
-                  let ct = st.sg_envs.(i).Authenc.ciphertext in
-                  let len = Bytes.length ct in
+                  let len = Bytes.length r.frame - Urts.tag_bytes in
                   if !stamp mod rotor_block = 0 then begin
                     shard := t.rotor;
                     t.rotor <- (t.rotor + 1) mod t.shards
@@ -1079,10 +1045,8 @@ let drain t =
                     tn.ring_gen.(!shard) <- gen;
                     incr rings_used
                   end;
-                  let off =
-                    Urts.ring_stage ring ~ecall_id:st.sg_ecalls.(i) ~len
-                  in
-                  Bytes.blit ct 0 (Urts.ring_buf ring) off len;
+                  let off = Urts.ring_stage ring ~ecall_id:r.ecall_id ~len in
+                  Bytes.blit r.frame 0 (Urts.ring_buf ring) off len;
                   let slot = Urts.ring_staged ring - 1 in
                   tn.ring_entries.(!shard).(slot) <- i;
                   st.sg_shards.(i) <- !shard;
@@ -1139,9 +1103,9 @@ let drain t =
           | Some _ | None -> ()
         done)
     tenants;
-  (* Assembly: frame each sealed reply slot as its wire envelope (nonce,
-     AAD, ciphertext, tag).  Reply order is the contract: tenant
-     insertion order, then session id, then sequence. *)
+  (* Assembly: copy each sealed reply slot out once as its frame.  Reply
+     order is the contract: tenant insertion order, then session id, then
+     sequence. *)
   let out = ref [] in
   List.iter
     (fun tn ->
@@ -1160,8 +1124,8 @@ let drain t =
             emit seq (Error rej)
           in
           for i = 0 to st.sg_n - 1 do
-            if st.sg_sids.(i) = sid then begin
-              let seq = st.sg_seqs.(i) in
+            if st.sg_reqs.(i).session_id = sid then begin
+              let seq = st.sg_reqs.(i).seq in
               match fault with
               | Some msg -> emit_err seq (Session_fault msg)
               | None -> (
@@ -1173,31 +1137,17 @@ let drain t =
                       let off, framed =
                         Urts.ring_reply_slot ring ~slot:st.sg_slots.(i)
                       in
-                      let len = framed - Urts.tag_bytes in
-                      if len < 0 then
+                      if framed < Urts.tag_bytes then
                         emit_err seq (Session_fault "reply slot holds no tag")
                       else begin
-                        let buf = Urts.ring_reply_buf ring in
                         Telemetry.incr t.telemetry "serve.request.ok";
                         emit seq
-                          (Ok
-                             {
-                               Authenc.nonce = envelope_nonce ~dir:'<' ~seq;
-                               ciphertext = Bytes.sub buf off len;
-                               tag = Bytes.sub buf (off + len) Urts.tag_bytes;
-                               aad = aad_rep ~session_id:sid ~seq;
-                             })
+                          (Ok (Bytes.sub (Urts.ring_reply_buf ring) off framed))
                       end)
             end
           done
         done;
-        (* Recycle the arenas: drop envelope references, rewind the
-           stage cursor, rewind every ring used this flush. *)
-        Array.fill st.sg_envs 0 st.sg_n dummy_sealed;
-        st.sg_n <- 0;
-        Array.iter
-          (function Some ring -> Urts.ring_reset ring | None -> ())
-          tn.rings
+        recycle tn
       end)
     tenants;
   (* High-water telemetry: the deepest flush and widest shard spread any
@@ -1225,7 +1175,16 @@ let flush t =
     t.core_mark.(k) <- Sched.core_cycles t.sched k
   done;
   let p0 = Cycles.now clock and busy0 = busy () in
-  let replies = drain t in
+  let replies =
+    match drain t with
+    | replies -> replies
+    | exception e ->
+        (* An aborted flush drops what it staged: nothing may run again in
+           the next flush or hold the tenant busy. *)
+        let bt = Printexc.get_raw_backtrace () in
+        Hashtbl.iter (fun _ tn -> recycle tn) t.tenants;
+        Printexc.raise_with_backtrace e bt
+  in
   let busy = busy () - busy0 in
   let slowest = ref 0 in
   for k = 0 to cores - 1 do
@@ -1410,7 +1369,7 @@ let export_tenant t ~tenant =
     | Some { t_migrated_to = Some to_node; _ } ->
         Error (Tenant_migrated { tenant; to_node })
     | Some tn when tn.queued > 0 ->
-        (* Staged-but-unflushed envelopes are in-flight work: exporting
+        (* Staged-but-unflushed requests are in-flight work: exporting
            under them would either drop admitted requests or replay
            them on the destination.  The migration driver flushes
            first. *)
@@ -1682,6 +1641,7 @@ module Client = struct
     mutable send_seq : int;
     mutable pending_resume : (bytes * bytes) option;
         (* (resumption nonce, ticketed key) while a resume is in flight *)
+    hdr : derived;  (* nonce and AAD scratch, one message at a time *)
   }
 
   let create ~rng ~golden ~policy ?expected_tenant ?expected_hapk () =
@@ -1695,6 +1655,7 @@ module Client = struct
       session = None;
       send_seq = 0;
       pending_resume = None;
+      hdr = derived ();
     }
 
   (* The session keys are prepared here, once per established or
@@ -1791,20 +1752,10 @@ module Client = struct
     | Some (session_id, _, keys) ->
         let seq = t.send_seq in
         t.send_seq <- seq + 1;
-        let aad = aad_req ~session_id ~seq ~ecall_id:ecall in
-        let nonce = envelope_nonce ~dir:'>' ~seq in
-        let len = Bytes.length data in
-        let ciphertext = Bytes.create len in
-        let tag =
-          Authenc.seal_into keys ~aad ~nonce ~src:data ~src_off:0
-            ~dst:ciphertext ~dst_off:0 ~len ()
-        in
-        {
-          session_id;
-          seq;
-          ecall_id = ecall;
-          envelope = { Authenc.nonce; ciphertext; tag; aad };
-        }
+        derive t.hdr ~dir:'>' ~session_id ~seq ~ecall_id:ecall;
+        let frame = Bytes.create (Bytes.length data + Urts.tag_bytes) in
+        ignore (seal_frame keys t.hdr data ~dst:frame ~dst_off:0 : int);
+        { session_id; seq; ecall_id = ecall; frame }
 
   let read_reply t (reply : reply) =
     match t.session with
@@ -1815,18 +1766,16 @@ module Client = struct
         else
           match reply.r_result with
           | Error rej -> Error rej
-          | Ok sealed -> (
-              if
-                not
-                  (Bytes.equal sealed.Authenc.aad
-                     (aad_rep ~session_id ~seq:reply.r_seq))
-              then Error Bad_auth
+          | Ok frame -> (
+              let len = Bytes.length frame - Urts.tag_bytes in
+              if len < 0 then Error Bad_auth
               else
-                let body = Bytes.copy sealed.Authenc.ciphertext in
+                let body = Bytes.sub frame 0 len in
+                derive t.hdr ~dir:'<' ~session_id ~seq:reply.r_seq ~ecall_id:0;
                 match
-                  Authenc.unseal_in_place keys ~aad:sealed.Authenc.aad
-                    ~nonce:sealed.Authenc.nonce ~tag:sealed.Authenc.tag body
-                    ~off:0 ~len:(Bytes.length body)
+                  Authenc.unseal_in_place keys ~aad:t.hdr.d_aad
+                    ~nonce:t.hdr.d_nonce ~tag:(frame_tag t.hdr frame ~len) body
+                    ~off:0 ~len
                 with
                 | exception Authenc.Authentication_failure -> Error Bad_auth
                 | () -> Ok body))

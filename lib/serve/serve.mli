@@ -9,6 +9,18 @@
     scheduler as slot-ring batches; the in-enclave ring worker decrypts
     each one and seals its reply over the same channel.
 
+    {2 Channel frames}
+
+    Every request and reply travels as one frame: the ciphertext
+    followed by its 32-byte tag.  The nonce and the AAD never travel.
+    Every end derives them from the message's header into scratch it
+    owns — the client, admission, and the ring's in-enclave worker:
+    the nonce is [dir][0^3][seq] (dir ['>'] on requests, ['<'] on
+    replies) and the AAD is ["serve-req:"] or ["serve-rep:"], then
+    session id, sequence number and ECALL id (0 on replies), integers
+    as 64-bit little-endian.  A lie in any header field therefore fails
+    the tag.
+
     {2 Handshake (SIGMA-style)}
 
     + the client sends a fresh nonce and an ephemeral {!Kx} share;
@@ -94,7 +106,9 @@ type reject =
       (** the plane cannot carry this request: a ciphertext larger than a
           ring slot, or an ECALL id that is not one of the tenant's
           handlers *)
-  | Bad_auth  (** AEAD authentication failure on a request envelope *)
+  | Bad_auth
+      (** a channel frame whose tag does not verify under the nonce and
+          AAD derived from its header, or a frame shorter than a tag *)
   | Bad_sequence of { expected : int; got : int }
       (** replayed or out-of-order request sequence number *)
   | Backpressure of { tenant : string; queued : int; limit : int }
@@ -252,14 +266,15 @@ type request = {
   session_id : int;
   seq : int;
   ecall_id : int;
-  envelope : Authenc.sealed;
+  frame : bytes;  (** ciphertext, then its 32-byte tag *)
 }
 
 type reply = {
   r_session_id : int;
   r_seq : int;
-  r_result : (Authenc.sealed, reject) result;
-      (** sealed reply body, or the typed server-side failure *)
+  r_result : (bytes, reject) result;
+      (** the reply frame, copied out of its ring slot once, or the typed
+          server-side failure *)
 }
 
 (** {1 Server operations} *)
@@ -270,17 +285,20 @@ val handshake : t -> tenant:string -> hello -> (accept, reject) result
     [serve.handshake] / [serve.handshake_rejected]. *)
 
 val submit : t -> request -> (unit, reject) result
-(** Authenticate and admit one request: AAD + AEAD tag check where the
-    envelope lies (no plaintext allocated), strict sequence check, then
-    — with the sequence number burnt, so the channel stays in step
+(** Authenticate and admit one request, in this order: the slot size
+    ({!Unsupported} past {!slot_bytes} of ciphertext); the tag, checked
+    where the frame lies under the nonce and AAD derived from the header
+    (no plaintext allocated; a frame shorter than a tag is {!Bad_auth});
+    the strict sequence number.  None of these burns the sequence
+    number.  Then — with the number burnt, so the channel stays in step
     whatever the outcome — the ECALL check ({!Unsupported} unless
     [ecall_id] is one of the tenant's handlers, never a
-    {!reserved_ecalls} id), per-tenant queue bound, per-tenant cycle
-    quota.  The decrypt is deferred to the ring's in-enclave worker
-    during {!flush} — zero-copy admission. *)
+    {!reserved_ecalls} id), the per-tenant queue bound and the
+    per-tenant cycle quota.  The decrypt is deferred to the ring's
+    in-enclave worker during {!flush} — zero-copy admission. *)
 
 val flush : t -> reply list
-(** Drain every admitted request: copy each envelope's ciphertext into a
+(** Drain every admitted request: copy each frame's ciphertext into a
     slot of a per-shard marshalling-buffer ring (one shard per scheduler
     core) and dispatch the rings switchlessly through the scheduler.
     The block rotor picks each run of requests' shard, and shard [k]'s
@@ -288,19 +306,26 @@ val flush : t -> reply list
     the head, and a core with no slot of its own left joins the ring and
     serves slots from the tail
     ({!Hyperenclave_sched.Sched.submit_ring}).  On the cores that serve
-    a ring's slots, its in-enclave workers decrypt each slot's private
-    copy, run the handler, and seal the reply into the reply slot as
-    ciphertext plus a 32-byte tag ({!Hyperenclave_sdk.Urts.channel});
-    the plane then only frames the wire envelopes.  So the shared
-    segments carry no plaintext, and the channel crypto runs on the
-    cores' clocks, not the plane's.  A ring
-    whose dispatch fails answers every request it carried with a typed
-    {!Session_fault}.  [config.sched.batch] sets how many sealed replies
+    a ring's slots, its in-enclave workers derive each slot's nonce and
+    AAD from the staged request's header, decrypt the slot's private
+    copy, run the handler, and seal the reply into the reply slot as a
+    frame ({!Hyperenclave_sdk.Urts.channel}); the plane then copies each
+    reply frame out once.  So the shared segments carry no plaintext,
+    and the channel crypto runs on the cores' clocks, not the plane's.
+    A ring whose dispatch fails answers every request it carried with a
+    typed {!Session_fault}.  [config.sched.batch] sets how many sealed replies
     share one AEAD setup charge, counted across the flush.  Tenant
     quotas are charged from the dispatch cycles, which include the
     channel crypto.  Replies come in tenant insertion order, then
     session id, then sequence number.  Each flush adds one entry to the
-    {!ledger}. *)
+    {!ledger}.
+
+    An exception that escapes — a handler raising something the
+    scheduler does not turn into a typed failure, or a monitor
+    violation — aborts the flush: every staged request of every tenant
+    is dropped unanswered (the next flush does not run it, and no tenant
+    stays {!Tenant_busy}), no ledger entry is added, and the exception
+    is re-raised. *)
 
 type ledger = {
   flushes : int;
@@ -483,13 +508,16 @@ module Client : sig
   (** @raise Invalid_argument before a session is established. *)
 
   val request : t -> ecall:int -> bytes -> request
-  (** Seal the payload under the session's prepared keys with the next
-      sequence number: one CTR pass and one MAC, no key setup. *)
+  (** Seal the payload into a frame under the session's prepared keys,
+      with the next sequence number and the nonce and AAD that header
+      derives: one CTR pass and one MAC, no key setup. *)
 
   val read_reply : t -> reply -> (bytes, reject) result
-  (** Unseal a copy of a reply's ciphertext in place under the
-      session's prepared keys (or surface its typed server-side
-      failure). *)
+  (** Unseal a copy of a reply frame's ciphertext in place under the
+      session's prepared keys and the nonce and AAD derived from the
+      reply's session id and sequence number (or surface its typed
+      server-side failure).  A tag that fails, or a frame shorter than a
+      tag, is {!Bad_auth}; it never raises on a malformed frame. *)
 
   val roundtrip :
     plane -> t -> (int * bytes) list -> (bytes, reject) result list

@@ -8,11 +8,9 @@
 
 type t
 
-val bank_size : int
-(** 24 registers, as in TPM 2.0's SHA-256 bank. *)
-
 val create : unit -> t
-(** All registers at the 32-byte zero value (post-reset state). *)
+(** 24 registers, as in TPM 2.0's SHA-256 bank, all at the 32-byte zero
+    value (post-reset state). *)
 
 val reset : t -> unit
 

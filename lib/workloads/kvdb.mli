@@ -14,9 +14,6 @@ open Hyperenclave_tee
 val record_bytes : int
 (** 1024, as in YCSB. *)
 
-val ecall_load : int
-val ecall_run : int
-
 val handlers : unit -> (int * Backend.handler) list
 (** Fresh database state per call — build one handler set per backend. *)
 

@@ -21,8 +21,6 @@ val encode_command : string list -> bytes
 (** RESP array-of-bulk-strings encoding, e.g.
     [encode_command \["SET"; "k"; "v"\]]. *)
 
-val decode_reply : bytes -> (string, string) result
-
 val load : Backend.t -> records:int -> unit
 val op : Backend.t -> Ycsb.op -> int
 (** One GET/SET through the backend; simulated cycles. *)
@@ -49,7 +47,8 @@ module Store : sig
 end
 
 val service_time : Backend.t -> records:int -> samples:int -> float
-(** Mean cycles per operation under YCSB-A. *)
+(** Mean cycles per operation under YCSB-A, 12 pipelined commands per
+    server wakeup (saturation). *)
 
 val latency_curve :
   service_cycles:float ->
@@ -64,7 +63,3 @@ val parse_resp : string -> (string list, string) result
 val parse_pipeline : string -> (string list list, string) result
 (** The back-to-back commands of a pipelined request, one [string list]
     per command.  Returns the first parse error, if any. *)
-
-val pipeline_depth : int
-(** Commands per server wakeup under saturation (used by
-    {!service_time}). *)

@@ -253,14 +253,14 @@ let test_serve_cross_tenant_probe () =
   let plane, c1, c2 = two_tenant_plane () in
   ignore (establish plane ~tenant:"acme" c1);
   ignore (establish plane ~tenant:"globex" c2);
-  (* Steal tenant globex's sealed envelope and aim it at tenant acme's
-     session: the AAD binds (session, seq, ecall), so the AEAD check
-     dies before any plaintext exists. *)
+  (* Steal tenant globex's sealed frame and aim it at tenant acme's
+     session: the derived AAD binds (session, seq, ecall), so the AEAD
+     check dies before any plaintext exists. *)
   let stolen = Serve.Client.request c2 ~ecall:1 (Bytes.of_string "secret") in
   expect_reject "bad-auth"
     (Serve.submit plane
        { stolen with Serve.session_id = Serve.Client.session_id c1 });
-  (* The honest owner can still use the very same envelope. *)
+  (* The honest owner can still use the very same frame. *)
   (match Serve.submit plane stolen with
   | Ok () -> ()
   | Error r -> Alcotest.failf "honest submit rejected: %a" Serve.pp_reject r);

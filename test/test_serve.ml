@@ -56,6 +56,21 @@ let expect_reject expected = function
   | Ok _ -> Alcotest.failf "expected %s rejection" expected
   | Error r -> Alcotest.(check string) "reject kind" expected (Serve.reject_name r)
 
+(* [frame] with the low bit of byte [i] flipped. *)
+let flip frame i =
+  let f = Bytes.copy frame in
+  Bytes.set f i (Char.chr (Char.code (Bytes.get f i) lxor 1));
+  f
+
+(* A channel frame's every lie: one flipped bit per byte, ciphertext and
+   tag alike, then every strict prefix, those shorter than a tag too. *)
+let frame_lies frame =
+  let n = Bytes.length frame in
+  List.init n (fun i -> (Printf.sprintf "byte %d flipped" i, flip frame i))
+  @ List.init n (fun len -> (Printf.sprintf "cut to %d bytes" len, Bytes.sub frame 0 len))
+
+let outcome = function Ok _ -> "accepted" | Error r -> Serve.reject_name r
+
 (* ------------------------------------------------------------------ *)
 (* Handshake + end-to-end serving                                      *)
 
@@ -158,21 +173,38 @@ let test_garbage_quote_wire () =
 (* ------------------------------------------------------------------ *)
 (* Channel security + admission control                                *)
 
+(* Every lie about a request frame, or its sequence number moved by one
+   either way, is a typed bad-auth that stages nothing and burns no
+   sequence number: the honest request then serves, alone. *)
 let test_tampered_envelope_rejected () =
   let _p, plane, _backend, client = build ~seed:7010L () in
   establish plane client;
+  (match Serve.Client.roundtrip plane client [ (1, Bytes.of_string "warm") ] with
+  | [ Ok _ ] -> ()
+  | _ -> Alcotest.fail "warm-up roundtrip failed");
   let req = Serve.Client.request client ~ecall:1 (Bytes.of_string "payload") in
-  let ct = Bytes.copy req.Serve.envelope.Crypto.Authenc.ciphertext in
-  Bytes.set ct 0 (Char.chr (Char.code (Bytes.get ct 0) lxor 1));
-  let tampered =
-    { req with Serve.envelope = { req.Serve.envelope with Crypto.Authenc.ciphertext = ct } }
-  in
-  expect_reject "bad-auth" (Serve.submit plane tampered);
+  List.iter
+    (fun (what, lie) ->
+      Alcotest.(check string) what "bad-auth" (outcome (Serve.submit plane lie)))
+    (List.map (fun (what, frame) -> (what, { req with Serve.frame })) (frame_lies req.Serve.frame)
+    @ [
+        ("seq - 1", { req with Serve.seq = req.Serve.seq - 1 });
+        ("seq + 1", { req with Serve.seq = req.Serve.seq + 1 });
+      ]);
+  (match Serve.submit plane req with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "honest request rejected: %a" Serve.pp_reject r);
+  (match Serve.flush plane with
+  | [ reply ] ->
+      Alcotest.(check (result string string)) "honest request served" (Ok "payload")
+        (Result.map_error Serve.reject_name
+           (Result.map Bytes.to_string (Serve.Client.read_reply client reply)))
+  | replies -> Alcotest.failf "expected 1 reply, got %d" (List.length replies));
   Serve.destroy plane
 
 let test_respliced_header_rejected () =
-  (* Redirecting a valid envelope at a different ECALL id: the AAD binds
-     the id, so the plane refuses. *)
+  (* Redirecting a valid frame at a different ECALL id: the derived AAD
+     binds the id, so the plane refuses. *)
   let _p, plane, _backend, client = build ~seed:7011L () in
   establish plane client;
   let req = Serve.Client.request client ~ecall:1 (Bytes.of_string "payload") in
@@ -269,7 +301,7 @@ let test_tenant_isolation () =
       | Error r -> Alcotest.failf "globex establish failed: %a" Serve.pp_reject r
       | Ok () -> ()));
   (* A request sealed under c2's key aimed at c1's session must bounce —
-     and the very same envelope must still serve on its own session. *)
+     and the very same frame must still serve on its own session. *)
   let stolen = Serve.Client.request c2 ~ecall:2 (Bytes.of_string "two") in
   expect_reject "bad-auth"
     (Serve.submit plane { stolen with Serve.session_id = Serve.Client.session_id c1 });
@@ -610,8 +642,9 @@ let test_sched_stats_read_only () =
 let test_reply_splice_rejected () =
   (* Replies are sealed to their session and sequence: a reply lifted
      from tenant A's channel must bounce off client B, a re-numbered
-     reply must fail its AAD, and a reply envelope fed back in as a
-     request must trip the direction binding — all typed, with monitor
+     reply must fail its derived AAD, a tampered or cut frame must fail
+     its tag, and a reply frame fed back in as a request must trip the
+     direction binding — all typed, never raised, with monitor
      invariants green throughout. *)
   let p = Platform.create ~seed:7055L () in
   let plane = Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p Serve.default_config in
@@ -640,16 +673,22 @@ let test_reply_splice_rejected () =
       (* Re-numbered reply: the AAD binds the sequence. *)
       expect_reject "bad-auth"
         (Serve.Client.read_reply c1 { reply with Serve.r_seq = reply.Serve.r_seq + 9 });
-      (* Reply-as-request: the direction byte in nonce and AAD domain
-         separate the two halves of the channel. *)
       (match reply.Serve.r_result with
-      | Ok envelope ->
+      | Ok frame ->
+          List.iter
+            (fun (what, lie) ->
+              match Serve.Client.read_reply c1 { reply with Serve.r_result = Ok lie } with
+              | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+              | r -> Alcotest.(check string) what "bad-auth" (outcome r))
+            (frame_lies frame);
+          (* Reply-as-request: the direction byte in nonce and AAD domain
+             separate the two halves of the channel. *)
           expect_reject "bad-auth"
             (Serve.submit plane
                { Serve.session_id = reply.Serve.r_session_id;
                  seq = reply.Serve.r_seq;
                  ecall_id = 1;
-                 envelope })
+                 frame })
       | Error r -> Alcotest.failf "reply carried a rejection: %a" Serve.pp_reject r);
       (* The rightful recipient still reads it cleanly. *)
       (match Serve.Client.read_reply c1 reply with
@@ -1041,6 +1080,52 @@ let test_close_session_mid_stage () =
        (Serve.Client.request client_a ~ecall:1 (Bytes.of_string "ghost")));
   Serve.destroy plane
 
+(* A handler raising an exception the scheduler does not type aborts its
+   flush, which drops what it staged: the next flush serves only the
+   request admitted after it, without running the raising request's
+   handler again, and the tenant's queue count stays exact — a staged
+   request still makes export and retire refuse. *)
+let test_aborted_flush_drops_staged () =
+  let calls = ref 0 in
+  let handlers =
+    [
+      ( 1,
+        fun _env input ->
+          incr calls;
+          if !calls = 1 then failwith "handler bug";
+          input );
+    ]
+  in
+  let _p, plane, _backend, client = build ~seed:7065L ~handlers () in
+  establish plane client;
+  let submit payload =
+    match
+      Serve.submit plane (Serve.Client.request client ~ecall:1 (Bytes.of_string payload))
+    with
+    | Ok () -> ()
+    | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r
+  in
+  let served_alone what =
+    match Serve.flush plane with
+    | [ reply ] ->
+        Alcotest.(check (result string string)) what (Ok what)
+          (Result.map_error Serve.reject_name
+             (Result.map Bytes.to_string (Serve.Client.read_reply client reply)))
+    | replies -> Alcotest.failf "%s: expected 1 reply, got %d" what (List.length replies)
+  in
+  submit "first";
+  (match Serve.flush plane with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "the handler's exception did not escape flush");
+  submit "second";
+  served_alone "second";
+  Alcotest.(check int) "handler calls" 2 !calls;
+  submit "third";
+  expect_reject "tenant-busy" (Serve.export_tenant plane ~tenant:"acme");
+  expect_reject "tenant-busy" (Serve.retire_tenant plane ~tenant:"acme" ~to_node:1);
+  served_alone "third";
+  Serve.destroy plane
+
 let roundtrip_three plane client =
   match
     Serve.Client.roundtrip plane client
@@ -1108,6 +1193,39 @@ let test_migration_blob_kat () =
     "4ec15dfe05d0abaf60d2eb04629798403b99ef7c9a13e46a32562758a0073888"
     (Crypto.Sha256.to_hex (Crypto.Sha256.digest_bytes blob))
 
+(* A seeded session's first request frame and its reply frame (ECALL 2
+   upper-cases).  Neither nonce nor AAD travels, so equal frames prove
+   that every end derives both and builds the MAC input as nodes of
+   earlier builds do: frames stay byte-compatible across a rolling
+   upgrade. *)
+let test_channel_frame_kat () =
+  let _p, plane, _backend, client = build ~seed:7064L () in
+  establish plane client;
+  let pinned what ~len ~sha frame =
+    Alcotest.(check int) (what ^ " length") len (Bytes.length frame);
+    Alcotest.(check string) (what ^ " sha256") sha
+      (Crypto.Sha256.to_hex (Crypto.Sha256.digest_bytes frame))
+  in
+  let req =
+    Serve.Client.request client ~ecall:2 (Bytes.of_string "channel frame known answer")
+  in
+  pinned "request frame" ~len:58
+    ~sha:"2e89ca1c3caff3eacdf47a30357f2bbb548d29186373610ffc4c0a30356b8fd9"
+    req.Serve.frame;
+  (match Serve.submit plane req with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r);
+  (match Serve.flush plane with
+  | [ ({ Serve.r_result = Ok frame; _ } as reply) ] ->
+      pinned "reply frame" ~len:58
+        ~sha:"115c63579fa3204237e779c39473e622b59b6f37c7384e95ade71089d9143556" frame;
+      Alcotest.(check (result string string)) "reply body"
+        (Ok "CHANNEL FRAME KNOWN ANSWER")
+        (Result.map_error Serve.reject_name
+           (Result.map Bytes.to_string (Serve.Client.read_reply client reply)))
+  | _ -> Alcotest.fail "expected one served reply");
+  Serve.destroy plane
+
 let test_malformed_blob_refused () =
   (* Every structural fault is a typed Import_conflict that installs
      nothing: each strict prefix, one trailing byte, and a session count
@@ -1151,7 +1269,7 @@ let test_malformed_blob_refused () =
 
 (* The client prepares its session keys once, at [establish]: after
    warm-up, sealing a 100-byte request and unsealing its reply allocate
-   the envelope, the ciphertext, the plaintext copy and the tags — a few
+   the request, its frame, the plaintext copy and the tags — a few
    hundred words.  Re-preparing keys per message (HKDF, AES schedule,
    HMAC pads) costs several thousand. *)
 let test_client_allocation () =
@@ -1354,10 +1472,14 @@ let suite =
       test_arena_per_session_order;
     Alcotest.test_case "close session mid-stage drops arena slots" `Quick
       test_close_session_mid_stage;
+    Alcotest.test_case "aborted flush drops what it staged" `Quick
+      test_aborted_flush_drops_staged;
     Alcotest.test_case "high-water counters survive a plane rebuild" `Quick
       test_high_water_survives_rebuild;
     Alcotest.test_case "migration blob known answer" `Quick
       test_migration_blob_kat;
+    Alcotest.test_case "channel frame known answer" `Quick
+      test_channel_frame_kat;
     Alcotest.test_case "malformed migration blob refused typed" `Quick
       test_malformed_blob_refused;
     Alcotest.test_case "ledger adds up to the platform clock" `Quick

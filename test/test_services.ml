@@ -1,5 +1,5 @@
 (* Real LibOS workloads behind the attested plane: every request enters
-   as an AEAD envelope, decrypts into its ring slot, rides a loopback
+   as an AEAD frame, decrypts into its ring slot, rides a loopback
    socket through the service's in-enclave event loop, and the reply is
    sealed in place.  These are the Fig. 8b-8d request mixes, end to end. *)
 
