@@ -37,27 +37,15 @@ let tag_of_slice keys ~nonce ~aad ~ct ~ct_off ~ct_len =
   absorb_framed keys ctx ct ~off:ct_off ~len:ct_len;
   Hmac.finish keys.mac
 
-let seal_into keys ?(aad = Bytes.empty) ~nonce ~src ~src_off ~dst ~dst_off ~len
-    () =
+let seal_into keys ~aad ~nonce ~src ~src_off ~dst ~dst_off ~len =
   if Bytes.length nonce <> 12 then
     invalid_arg "Authenc.seal_into: nonce must be 12 bytes";
   Aes.ctr_into ~key:keys.enc ~nonce ~src ~src_off ~dst ~dst_off ~len;
   tag_of_slice keys ~nonce ~aad ~ct:dst ~ct_off:dst_off ~ct_len:len
 
-let verify_slice keys ~aad ~nonce ~tag ~buf ~off ~len =
-  Sha256.equal (tag_of_slice keys ~nonce ~aad ~ct:buf ~ct_off:off ~ct_len:len)
-    tag
-
-(* Completion of a deferred decrypt: plain CTR over a ciphertext slice
-   whose tag was already checked (e.g. [verify_slice] at admission
-   time, decrypt at batch-flush time).  Never call this on
-   unauthenticated bytes. *)
-let decrypt_into keys ~nonce ~src ~src_off ~dst ~dst_off ~len =
-  Aes.ctr_into ~key:keys.enc ~nonce ~src ~src_off ~dst ~dst_off ~len
-
-let unseal_in_place keys ?(aad = Bytes.empty) ~nonce ~tag buf ~off ~len =
-  if not (verify_slice keys ~aad ~nonce ~tag ~buf ~off ~len) then
-    raise Authentication_failure;
+let unseal_in_place keys ~aad ~nonce ~tag buf ~off ~len =
+  let mac = tag_of_slice keys ~nonce ~aad ~ct:buf ~ct_off:off ~ct_len:len in
+  if not (Sha256.equal mac tag) then raise Authentication_failure;
   Aes.ctr_into ~key:keys.enc ~nonce ~src:buf ~src_off:off ~dst:buf ~dst_off:off
     ~len
 
@@ -67,7 +55,7 @@ let seal ~key ?(aad = Bytes.empty) ~nonce plaintext =
   let ciphertext = Bytes.create len in
   let tag =
     seal_into (prepare key) ~aad ~nonce ~src:plaintext ~src_off:0
-      ~dst:ciphertext ~dst_off:0 ~len ()
+      ~dst:ciphertext ~dst_off:0 ~len
   in
   { nonce; ciphertext; tag; aad }
 

@@ -46,50 +46,25 @@ val prepare : bytes -> keys
 
 val seal_into :
   keys ->
-  ?aad:bytes ->
+  aad:bytes ->
   nonce:bytes ->
   src:bytes ->
   src_off:int ->
   dst:bytes ->
   dst_off:int ->
   len:int ->
-  unit ->
   bytes
 (** Encrypt [src[src_off, src_off+len)] into [dst[dst_off, ...)] ([src]
     and [dst] may alias for a true in-place seal) and return the 32-byte
     tag over the ciphertext slice.  @raise Invalid_argument on bad
     slices or a nonce that is not 12 bytes. *)
 
-val verify_slice :
-  keys ->
-  aad:bytes ->
-  nonce:bytes ->
-  tag:bytes ->
-  buf:bytes ->
-  off:int ->
-  len:int ->
-  bool
-(** Tag check over a ciphertext slice without decrypting — the
-    admission-time half of a deferred in-place decrypt. *)
-
 val unseal_in_place :
-  keys -> ?aad:bytes -> nonce:bytes -> tag:bytes -> bytes -> off:int -> len:int -> unit
-(** Authenticate then decrypt [buf[off, off+len)] in place.
+  keys -> aad:bytes -> nonce:bytes -> tag:bytes -> bytes -> off:int -> len:int -> unit
+(** Authenticate then decrypt [buf[off, off+len)] in place: the one way
+    to open a frame.
     @raise Authentication_failure if the tag, AAD, or key is wrong (the
     buffer is untouched in that case). *)
-
-val decrypt_into :
-  keys ->
-  nonce:bytes ->
-  src:bytes ->
-  src_off:int ->
-  dst:bytes ->
-  dst_off:int ->
-  len:int ->
-  unit
-(** Decrypt WITHOUT authenticating: the completion half of a deferred
-    in-place unseal whose tag was already checked with {!verify_slice}.
-    Never call this on unauthenticated bytes. *)
 
 val encode : sealed -> bytes
 (** Length-prefixed wire form (for writing sealed blobs to "disk"). *)

@@ -639,11 +639,14 @@ let ecall_no_ms t ~id ?(data = Bytes.empty) ~direction () =
    [i] of each.  A segment holds [count:8][slot_0][slot_1]... with
    slot_i = [id:8][len:8][payload] at [8 + i*stride], replies echoing the
    same framing.  The payload area is [slot_bytes] wide, plus [tag_bytes]
-   on a ring with a channel: there slots carry ciphertext, and the
-   in-enclave worker opens each request and seals each reply itself. *)
+   on a ring with a channel: there slots carry frames (ciphertext, then
+   tag), and the in-enclave worker opens each request and seals each
+   reply itself. *)
+type opened = Opened | Refused of bytes
+
 type channel = {
-  open_slot : slot:int -> bytes -> unit;
-  seal_slot : slot:int -> bytes -> dst:bytes -> dst_off:int -> int;
+  open_slot : slot:int -> ecall_id:int -> bytes -> tag:bytes -> opened;
+  seal_slot : bytes -> dst:bytes -> dst_off:int -> int;
 }
 
 let tag_bytes = 32
@@ -661,6 +664,7 @@ type ring = {
   slot_bytes : int;
   stride : int;  (* 16 + slot_bytes, + tag_bytes with a channel *)
   channel : channel option;
+  tag : bytes;  (* the worker's private copy of the slot's request tag *)
   mutable rbuf : bytes;  (* reusable staged-request image, header included *)
   mutable pbuf : bytes;  (* reusable reply image, same framing *)
   mutable slot_cyc : int array;
@@ -728,6 +732,7 @@ let create_ring ?channel t ~shard ~shards ~slots ~slot_bytes =
     slot_bytes;
     stride;
     channel;
+    tag = Bytes.create tag_bytes;
     rbuf = Bytes.create image;
     pbuf = Bytes.create image;
     slot_cyc = Array.make (min slots initial_image_slots) 0;
@@ -754,10 +759,10 @@ let grow_images r =
 
 (* Staging writes the slot header and hands the caller the payload offset
    into [ring_buf]: the caller produces the payload directly in the
-   slot. *)
+   slot, a frame with its tag on a channel ring. *)
 let ring_stage r ~ecall_id ~len =
-  if len < 0 || len > r.slot_bytes then
-    fail "ring_stage: %d bytes exceed the %d-byte slot" len r.slot_bytes;
+  if len < 0 || len > r.stride - 16 then
+    fail "ring_stage: %d bytes exceed the %d-byte slot" len (r.stride - 16);
   if r.staged >= r.slots then fail "ring_stage: ring full (%d slots)" r.slots;
   let off = 8 + (r.staged * r.stride) in
   if off + r.stride > Bytes.length r.rbuf then grow_images r;
@@ -804,6 +809,18 @@ let touch_segment t ~off ~len =
     | None -> fail "ring segment page 0x%x not resident" vpn
   done
 
+(* One slot's handler on the worker, and the copy of its reply into the
+   reply image. *)
+let run_slot r tenv id body =
+  let t = r.rt in
+  let reply = lookup_ecall t id tenv body in
+  let rlen = Bytes.length reply in
+  if rlen > r.slot_bytes then
+    fail "ring_dispatch: ECALL %d reply (%d bytes) exceeds the %d-byte slot" id
+      rlen r.slot_bytes;
+  Cycles.tick (clock t) (Cost_model.copy_cost (cost t) rlen);
+  reply
+
 (* Trusted half: the persistent in-enclave worker.  It reads the slots
    where they lie (User_check discipline: the segment's pages are
    translated through the enclave's mapping — charged — but the payload
@@ -811,13 +828,15 @@ let touch_segment t ~off ~len =
    same stride in the shard's reply segment, storing the image through
    its own mapping of the pinned region.  The only per-slot byte
    movement charged is each handler's reply landing in its slot.  On a
-   ring with a channel the worker opens its private copy of each slot
-   before the handler runs and seals the reply into the reply slot after
-   it, so neither plaintext ever touches the shared segments.  The walk
-   starts at the served-slot cursor, so a retry after a transient fault
-   pays the post fence and dispatch again only for the slots still
-   unserved, and re-runs the faulted slot's channel callbacks and
-   handler from their top.  Each served slot records its own cycles
+   ring with a channel the worker copies each slot's ciphertext and tag
+   into private buffers and has the channel open them before the handler
+   runs; a slot the channel refuses skips its handler and carries the
+   refusal as its reply, and an opened slot's reply is sealed into the
+   reply slot, so neither plaintext ever touches the shared segments.
+   The walk starts at the served-slot cursor, so a retry after a
+   transient fault pays the post fence and dispatch again only for the
+   slots still unserved, and re-runs the faulted slot's channel callbacks
+   and handler from their top.  Each served slot records its own cycles
    (dispatch price included): the scheduler places slots, not whole
    rings, on cores; the rest of the ring's cycles (post fence, segment
    walks, worker context, reply store, a faulted attempt) stay with the
@@ -845,27 +864,30 @@ let run_ring_dispatch r =
           let off = 8 + (slot * r.stride) in
           let id = Int64.to_int (Bytes.get_int64_le r.rbuf off) in
           let blen = Int64.to_int (Bytes.get_int64_le r.rbuf (off + 8)) in
-          if blen < 0 || blen > r.slot_bytes then
+          if blen < 0 || blen > r.stride - 16 then
             fail "ring_dispatch: slot %d has a corrupt length word" slot;
-          let handler = lookup_ecall t id in
-          let body = Bytes.sub r.rbuf (off + 16) blen in
-          (match r.channel with
-          | Some ch -> ch.open_slot ~slot body
-          | None -> ());
-          let reply = handler tenv body in
-          let rlen = Bytes.length reply in
-          if rlen > r.slot_bytes then
-            fail
-              "ring_dispatch: ECALL %d reply (%d bytes) exceeds the %d-byte \
-               slot"
-              id rlen r.slot_bytes;
-          Cycles.tick (clock t) (Cost_model.copy_cost c rlen);
           let framed =
             match r.channel with
-            | Some ch -> ch.seal_slot ~slot reply ~dst:r.pbuf ~dst_off:(off + 16)
             | None ->
+                let reply = run_slot r tenv id (Bytes.sub r.rbuf (off + 16) blen) in
+                let rlen = Bytes.length reply in
                 Bytes.blit reply 0 r.pbuf (off + 16) rlen;
                 rlen
+            | Some ch -> (
+                let len = blen - tag_bytes in
+                if len < 0 then fail "ring_dispatch: slot %d holds no tag" slot;
+                let body = Bytes.sub r.rbuf (off + 16) len in
+                Bytes.blit r.rbuf (off + 16 + len) r.tag 0 tag_bytes;
+                match ch.open_slot ~slot ~ecall_id:id body ~tag:r.tag with
+                | Opened ->
+                    ch.seal_slot (run_slot r tenv id body) ~dst:r.pbuf
+                      ~dst_off:(off + 16)
+                | Refused why ->
+                    let n = Bytes.length why in
+                    if n > r.stride - 16 then
+                      fail "ring_dispatch: slot %d refusal is %d bytes" slot n;
+                    Bytes.blit why 0 r.pbuf (off + 16) n;
+                    n)
           in
           if framed < 0 || framed > r.stride - 16 then
             fail "ring_dispatch: slot %d sealed to %d bytes, past its %d-byte \

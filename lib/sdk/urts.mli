@@ -76,29 +76,40 @@ val ecall_no_ms :
 
     {b Slot layout.}  A segment is [[count:8][slot_0][slot_1]...], each
     slot [[id:8][len:8][payload area]].  The payload area is [slot_bytes]
-    wide, plus {!tag_bytes} on a ring with a {!channel}.  Requests and
-    handler replies are at most [slot_bytes] either way; the reply length
-    word holds the framed length (on a channel ring: ciphertext + tag). *)
+    wide, plus {!tag_bytes} on a ring with a {!channel}.  Handler inputs
+    and replies are at most [slot_bytes] either way; on a channel ring
+    both length words hold the framed length (ciphertext + tag). *)
+
+type opened =
+  | Opened  (** the slot passed: its handler runs on the opened copy *)
+  | Refused of bytes
+      (** the slot failed the channel's check: its handler does not run,
+          and its reply slot carries these bytes (at most the payload
+          area) instead of a sealed reply.  The ring's other slots are
+          still served. *)
 
 type channel = {
-  open_slot : slot:int -> bytes -> unit;
-      (** Open the worker's private copy of slot [slot]'s request in place
-          (the copy is the payload's exact length), before its handler
-          runs. *)
-  seal_slot : slot:int -> bytes -> dst:bytes -> dst_off:int -> int;
-      (** Seal slot [slot]'s handler reply into the reply image at
-          [dst_off] and return the framed length, at most
+  open_slot : slot:int -> ecall_id:int -> bytes -> tag:bytes -> opened;
+      (** Check slot [slot]'s request, whose [ecall_id] is the slot's own
+          id word (the one the worker dispatches on), and on success
+          open it in place.  The worker has already copied the ciphertext
+          into the private buffer (its exact length) and the tag into
+          [tag], so the host cannot change what is checked. *)
+  seal_slot : bytes -> dst:bytes -> dst_off:int -> int;
+      (** Seal the handler reply of the slot opened last into the reply
+          image at [dst_off] and return the framed length, at most
           [slot_bytes + tag_bytes]. *)
 }
 (** The enclave side of an attested channel, run by the in-enclave
     worker during {!ring_dispatch} on the calling clock (each slot's
-    share is in {!ring_slot_cycles}): the
-    slots of a channel ring carry ciphertext in both directions, so no
-    plaintext crosses the shared segments.  A retried slot re-runs its
-    callbacks from the top, as it re-runs its handler. *)
+    share is in {!ring_slot_cycles}): the slots of a channel ring carry
+    frames in both directions, so no plaintext crosses the shared
+    segments.  A retried slot re-runs its callbacks from the top, as it
+    re-runs its handler: a channel that consumes state on an open (a
+    replay window) must open the same slot again. *)
 
 val tag_bytes : int
-(** 32: room every slot of a channel ring keeps for the reply tag. *)
+(** 32: room every slot of a channel ring keeps for its frame's tag. *)
 
 type ring
 
@@ -121,9 +132,11 @@ val create_ring :
 val ring_stage : ring -> ecall_id:int -> len:int -> int
 (** Claim the next slot for a [len]-byte payload of ECALL [ecall_id] and
     return the payload's byte offset into {!ring_buf}: the caller writes
-    the payload directly there.  Staging may grow the images, so fetch
-    {!ring_buf} after staging.
-    @raise Enclave_error when the ring is full or [len > slot_bytes]. *)
+    the payload directly there (on a channel ring, a frame: ciphertext,
+    then tag).  Staging may grow the images, so fetch {!ring_buf} after
+    staging.
+    @raise Enclave_error when the ring is full or [len] exceeds the
+    payload area. *)
 
 val ring_publish : ring -> unit
 (** Untrusted request half: publish the staged image into the shard's
@@ -139,8 +152,8 @@ val ring_dispatch : ring -> unit
     faulted slot's channel callbacks and handler re-run from their top.
     Permanent faults and exhausted retries propagate, failing the whole
     ring.
-    @raise Enclave_error on an unknown ECALL id or a reply longer than
-    [slot_bytes]. *)
+    @raise Enclave_error on an unknown ECALL id, a reply longer than
+    [slot_bytes], or a channel-ring slot shorter than a tag. *)
 
 val ring_read_replies : ring -> unit
 (** Untrusted reply half: pull the reply image back into

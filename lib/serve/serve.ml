@@ -153,8 +153,8 @@ let no_request = { session_id = -1; seq = 0; ecall_id = 0; frame = Bytes.empty }
 (* Every end derives a message's nonce and AAD from its header into
    scratch of its own; neither travels.  Nonce: [dir][0^3][seq:8];
    AAD: the 10-byte domain, then session id, sequence number and ECALL
-   id (0 on replies), each 64-bit LE.  [d_tag] holds a received frame's
-   tag while it is checked. *)
+   id (0 on replies), each 64-bit LE.  [d_tag] holds a received reply
+   frame's tag while the client checks it. *)
 type derived = { d_nonce : bytes; d_aad : bytes; d_tag : bytes }
 
 let derived () =
@@ -179,7 +179,7 @@ let seal_frame keys d src ~dst ~dst_off =
   let len = Bytes.length src in
   let tag =
     Authenc.seal_into keys ~aad:d.d_aad ~nonce:d.d_nonce ~src ~src_off:0 ~dst
-      ~dst_off ~len ()
+      ~dst_off ~len
   in
   Bytes.blit tag 0 dst (dst_off + len) Urts.tag_bytes;
   len + Urts.tag_bytes
@@ -247,6 +247,13 @@ type tenant = {
   ring_gen : int array;  (* last flush generation that used the shard *)
 }
 
+(* A session's anti-replay window (RFC 4303 §3.4.3), kept beside its
+   keys and touched only by the ring worker and export/import: [top] is
+   one past the highest sequence number the worker has verified, and bit
+   [n mod width] of [seen] marks number [n], for every [n] in
+   [top - width, top). *)
+type window = { mutable top : int; seen : bytes }
+
 type session = {
   s_id : int;
   tenant : tenant;
@@ -254,8 +261,8 @@ type session = {
   keys : Authenc.keys;
       (* prepared once at establishment: the per-request AEAD setup the
          one-shot seal/unseal paths pay is amortized to zero here *)
+  window : window;
   state_slot : int;
-  mutable recv_seq : int;
   mutable s_pages : int;
       (* high-water EDMM page count: what a migration must carry so the
          destination can rebuild the session's committed state *)
@@ -316,7 +323,7 @@ type t = {
   fault_msgs : (int, string) Hashtbl.t;  (* session faults, one flush *)
   mutable sid_scratch : int array;  (* distinct staged sessions, sorted *)
   mutable sid_count : int;
-  hdr : derived;  (* nonce and AAD scratch: admission and the ring channel *)
+  hdr : derived;  (* nonce and AAD scratch of the ring channel *)
   mutable sealed_in_group : int;  (* reply seals since the last setup charge *)
   (* --- critical-path ledger --- *)
   mutable submit_cyc : int;  (* platform cycles inside [submit] since the last flush *)
@@ -644,12 +651,52 @@ let resume_session_ids t ~next =
   if (next - 1) lsr session_id_bits = t.identity.node_id && next > t.next_session
   then t.next_session <- next
 
+(* The window's width in bits: at least [max_queue], the most a tenant
+   stages in one flush, so no honest request the rotor runs late falls
+   below it; and at least 1024, room for the numbers admission rejects
+   burn between staged ones. *)
+let window_bits config = 8 * ((max 1024 config.max_queue + 7) / 8)
+
+let seen w n =
+  let i = n mod (8 * Bytes.length w.seen) in
+  Bytes.get_uint8 w.seen (i lsr 3) land (1 lsl (i land 7)) <> 0
+
+let mark w n ~on =
+  let i = n mod (8 * Bytes.length w.seen) in
+  let v = Bytes.get_uint8 w.seen (i lsr 3) and bit = 1 lsl (i land 7) in
+  Bytes.set_uint8 w.seen (i lsr 3) (if on then v lor bit else v land lnot bit)
+
+(* Admit verified number [n] once.  A number at or past the top slides
+   the window up to it; one inside the window is admitted unless seen.
+   A seen number, one below the window, a negative one, and [max_int]
+   (whose successor would wrap the top) are refused. *)
+let window_admit w n =
+  let width = 8 * Bytes.length w.seen in
+  if n < 0 || n = max_int then false
+  else if n >= w.top then begin
+    if n - w.top >= width then Bytes.fill w.seen 0 (Bytes.length w.seen) '\000'
+    else
+      for k = w.top to n - 1 do
+        mark w k ~on:false
+      done;
+    w.top <- n + 1;
+    mark w n ~on:true;
+    true
+  end
+  else if n < w.top - width || seen w n then false
+  else begin
+    mark w n ~on:true;
+    true
+  end
+
 (* Every session record is built here.  Handshake and resume pass a
-   fresh id and slot with cursor 0 and no pages; import passes the
-   migrated id, key, cursor and pages, in the slot it re-committed.  The
-   AEAD key material is prepared once, so every frame on the channel
-   rides the zero-copy path without per-request setup. *)
-let open_session t tn ~id ~key ~slot ~recv_seq ~pages =
+   fresh id and slot with window top 0 and no pages; import passes the
+   migrated id, key, window top and pages, in the slot it re-committed.
+   The window starts with every number below its top seen, so a hole
+   left before a move cannot be replayed after it.  The AEAD key
+   material is prepared once, so every frame on the channel rides the
+   zero-copy path without per-request setup. *)
+let open_session t tn ~id ~key ~slot ~top ~pages =
   charge_aead_setup t;
   let s =
     {
@@ -657,8 +704,14 @@ let open_session t tn ~id ~key ~slot ~recv_seq ~pages =
       tenant = tn;
       key;
       keys = Authenc.prepare key;
+      window =
+        {
+          top;
+          seen =
+            Bytes.make (window_bits t.config / 8)
+              (if top > 0 then '\xff' else '\000');
+        };
       state_slot = slot;
-      recv_seq;
       s_pages = pages;
     }
   in
@@ -785,7 +838,7 @@ let handshake t ~tenant hello =
                 let s =
                   open_session t tn ~id:(fresh_id t) ~slot:(alloc_slot tn)
                     ~key:(derive_key ~shared ~nonce:hello.nonce)
-                    ~recv_seq:0 ~pages:0
+                    ~top:0 ~pages:0
                 in
                 Telemetry.incr t.telemetry "serve.handshake";
                 Telemetry.incr t.telemetry "serve.session_open";
@@ -801,86 +854,59 @@ let handshake t ~tenant hello =
 (* ---------------------------------------------------------------------- *)
 (* Admission                                                              *)
 
-(* A request frame's tag, checked under the nonce and AAD its header
-   derives; a frame shorter than a tag fails. *)
-let authentic t (s : session) (req : request) ~len =
-  len >= 0
-  && begin
-       derive t.hdr ~dir:'>' ~session_id:req.session_id ~seq:req.seq
-         ~ecall_id:req.ecall_id;
-       Authenc.verify_slice s.keys ~aad:t.hdr.d_aad ~nonce:t.hdr.d_nonce
-         ~tag:(frame_tag t.hdr req.frame ~len) ~buf:req.frame ~off:0 ~len
-     end
-
+(* Admission looks at the header and the frame's length only: no key, no
+   MAC and no sequence number.  The ring's in-enclave worker checks the
+   tag and the freshness of what it runs ([channel]), so any other lie
+   is admitted and answered in the flush. *)
 let admit t (req : request) =
   Telemetry.incr t.telemetry "serve.request";
   match Hashtbl.find_opt t.sessions req.session_id with
   | None -> reject t (session_reject t req.session_id)
   | Some s -> (
       let tn = s.tenant in
-      (* Zero-copy admission: authenticate the frame where it lies (a MAC
-         pass over the ciphertext under the nonce and AAD derived from
-         the header, no plaintext allocated) and defer the decrypt to the
-         ring's in-enclave worker.  Per-byte MAC cost only — the AEAD
-         setup was paid once when the session's keys were prepared. *)
       let len = Bytes.length req.frame - Urts.tag_bytes in
-      charge_aead_bytes t ~bytes:(max 0 len);
-      if len > slot_bytes then
+      if len < 0 then reject t Bad_auth
+      else if len > slot_bytes then
         reject t
           (Unsupported
              (Printf.sprintf
                 "request ciphertext (%d bytes) exceeds the %d-byte ring slot"
                 len slot_bytes))
-      else if not (authentic t s req ~len) then reject t Bad_auth
-      else if req.seq <> s.recv_seq then
-        reject t (Bad_sequence { expected = s.recv_seq; got = req.seq })
       else
-        begin
-              (* The frame authenticated with the expected sequence
-                 number: the number is burnt from here on, whatever the
-                 admission outcome — the client's counter advanced when
-                 it sealed, so the channel stays in step across typed
-                 rejections. *)
-              s.recv_seq <- s.recv_seq + 1;
-              match
-                Fault.with_retries ~backoff:(backoff t) (fun () ->
-                    Fault.point fault_site)
-              with
-              | exception Fault.Injected { site; kind } ->
-                  reject t (Session_fault (injected_msg site kind))
-              | () ->
-                  (* Only the tenant's own handlers are addressable: the
-                     reserved state ECALLs read and write every session's
-                     state slot, and an id nobody registered would fail
-                     the whole ring shard it lands in. *)
-                  if not (List.mem req.ecall_id tn.handler_ids) then
-                    reject t
-                      (Unsupported
-                         (Printf.sprintf "ECALL %#x is not a %s handler"
-                            req.ecall_id tn.t_name))
-                  else if tn.queued >= t.config.max_queue then
-                    reject t
-                      (Backpressure
-                         {
-                           tenant = tn.t_name;
-                           queued = tn.queued;
-                           limit = t.config.max_queue;
-                         })
-                  else if tn.spent >= tn.budget then
-                    reject t
-                      (Quota_exhausted
-                         {
-                           tenant = tn.t_name;
-                           spent = tn.spent;
-                           quota = tn.budget;
-                         })
-                  else begin
-                    stage_push tn.stage req;
-                    tn.queued <- tn.queued + 1;
-                    Telemetry.incr t.telemetry "serve.request.admitted";
-                    Telemetry.incr t.telemetry tn.t_req_counter;
-                    Ok ()
-                  end
+        match
+          Fault.with_retries ~backoff:(backoff t) (fun () ->
+              Fault.point fault_site)
+        with
+        | exception Fault.Injected { site; kind } ->
+            reject t (Session_fault (injected_msg site kind))
+        | () ->
+            (* Only the tenant's own handlers are addressable: the reserved
+               state ECALLs read and write every session's state slot, and
+               an id nobody registered would fail the whole ring shard it
+               lands in. *)
+            if not (List.mem req.ecall_id tn.handler_ids) then
+              reject t
+                (Unsupported
+                   (Printf.sprintf "ECALL %#x is not a %s handler" req.ecall_id
+                      tn.t_name))
+            else if tn.queued >= t.config.max_queue then
+              reject t
+                (Backpressure
+                   {
+                     tenant = tn.t_name;
+                     queued = tn.queued;
+                     limit = t.config.max_queue;
+                   })
+            else if tn.spent >= tn.budget then
+              reject t
+                (Quota_exhausted
+                   { tenant = tn.t_name; spent = tn.spent; quota = tn.budget })
+            else begin
+              stage_push tn.stage req;
+              tn.queued <- tn.queued + 1;
+              Telemetry.incr t.telemetry "serve.request.admitted";
+              Telemetry.incr t.telemetry tn.t_req_counter;
+              Ok ()
             end)
 
 (* The ledger's submit share: every platform cycle admission spends. *)
@@ -931,38 +957,90 @@ let collect_sids t (st : stage) =
     t.sid_scratch.(!j + 1) <- v
   done
 
+(* A slot the worker refuses carries [refusal_bytes] as its reply: -1
+   when the tag fails, or the window top when the sequence number is
+   seen or below the window.  Shorter than a tag, so assembly never
+   takes it for a frame. *)
+let refusal_bytes = 8
+
+let refusal n =
+  let b = Bytes.create refusal_bytes in
+  Bytes.set_int64_le b 0 (Int64.of_int n);
+  b
+
+let auth_refusal = refusal (-1)
+
+let refused buf ~off ~seq =
+  match get_u64 buf off with
+  | -1 -> Bad_auth
+  | expected -> Bad_sequence { expected; got = seq }
+
+(* The verified claims of the slot a ring's worker opened last. *)
+type verified = {
+  mutable v_gen : int;  (* the flush it was opened in *)
+  mutable v_slot : int;
+  mutable v_sid : int;
+  mutable v_seq : int;
+}
+
 (* The enclave side of the channel, run by the ring's in-enclave worker
-   during the ring's dispatch: each slot arrives as ciphertext,
-   is decrypted in the worker's private copy, and its reply leaves as a
-   frame — ciphertext plus tag — so the shared segments never hold
-   plaintext.  The worker derives each slot's nonce and AAD from the
-   header of the request staged there (found by slot index) and takes
-   the keys from the session table.  Charges: per-byte decrypt and seal,
-   one AEAD setup per (ring, flush) on its first slot, and one
-   reply-seal setup per [config.sched.batch] sealed replies, counted
-   plane-wide across the flush.  They tick the platform clock inside the
-   dispatch: the tenant's quota, and busy time of the core the scheduler
-   places each slot on. *)
+   during the ring's dispatch over its private copies of each slot's
+   ciphertext and tag.  [open_slot] reads the slot's claims once: the
+   ECALL id is the slot's own id word, the session id and sequence number
+   are the request's header in the stage.  It takes the keys of the
+   claimed session, if this tenant has it, derives the nonce and AAD from
+   the claims, authenticates and decrypts in place, and only then admits
+   the number into the session's window.  A slot that fails either check
+   is refused: its handler does not run, and its reply slot carries the
+   refusal.  [seal_slot] seals the reply as a frame under the claims the
+   open verified, so the shared segments never hold plaintext.  A
+   transient-fault retry re-opens the slot opened last, in the same
+   flush, with the same claims: its number is already in the window.
+   Charges: per-byte MAC and decrypt and per-byte seal, one AEAD setup
+   per (ring, flush) on its first slot, and one reply-seal setup per
+   [config.sched.batch] sealed replies, counted plane-wide across the
+   flush.  They tick the platform clock inside the dispatch: the
+   tenant's quota, and busy time of the core the scheduler places each
+   slot on. *)
 let channel t (tn : tenant) entries =
-  let request_at slot = tn.stage.sg_reqs.(entries.(slot)) in
-  let open_slot ~slot buf =
-    let r = request_at slot in
-    let s = Hashtbl.find t.sessions r.session_id in
+  let v = { v_gen = 0; v_slot = -1; v_sid = -1; v_seq = -1 } in
+  let open_slot ~slot ~ecall_id body ~tag =
+    let r = tn.stage.sg_reqs.(entries.(slot)) in
+    let sid = r.session_id and seq = r.seq in
     if slot = 0 then charge_aead_setup t;
-    let len = Bytes.length buf in
+    let len = Bytes.length body in
     charge_aead_bytes t ~bytes:len;
-    derive t.hdr ~dir:'>' ~session_id:r.session_id ~seq:r.seq
-      ~ecall_id:r.ecall_id;
-    Authenc.decrypt_into s.keys ~nonce:t.hdr.d_nonce ~src:buf ~src_off:0
-      ~dst:buf ~dst_off:0 ~len
+    match Hashtbl.find t.sessions sid with
+    | exception Not_found -> Urts.Refused auth_refusal
+    | s when s.tenant != tn -> Urts.Refused auth_refusal
+    | s -> (
+        derive t.hdr ~dir:'>' ~session_id:sid ~seq ~ecall_id;
+        match
+          Authenc.unseal_in_place s.keys ~aad:t.hdr.d_aad ~nonce:t.hdr.d_nonce
+            ~tag body ~off:0 ~len
+        with
+        | exception Authenc.Authentication_failure -> Urts.Refused auth_refusal
+        | () ->
+            charge_aead_bytes t ~bytes:len;
+            let retry =
+              v.v_gen = t.flush_gen && v.v_slot = slot && v.v_sid = sid
+              && v.v_seq = seq
+            in
+            if retry || window_admit s.window seq then begin
+              v.v_gen <- t.flush_gen;
+              v.v_slot <- slot;
+              v.v_sid <- sid;
+              v.v_seq <- seq;
+              Urts.Opened
+            end
+            else Urts.Refused (refusal s.window.top))
   in
-  let seal_slot ~slot reply ~dst ~dst_off =
-    let r = request_at slot in
-    let s = Hashtbl.find t.sessions r.session_id in
+  let seal_slot reply ~dst ~dst_off =
+    let s = Hashtbl.find t.sessions v.v_sid in
     if t.sealed_in_group = 0 then charge_aead_setup t;
     t.sealed_in_group <- (t.sealed_in_group + 1) mod t.config.sched.Sched.batch;
     charge_aead_bytes t ~bytes:(Bytes.length reply);
-    derive t.hdr ~dir:'<' ~session_id:r.session_id ~seq:r.seq ~ecall_id:0;
+    derive t.hdr ~dir:'<' ~session_id:v.v_sid ~seq:v.v_seq ~ecall_id:0;
     seal_frame s.keys t.hdr reply ~dst ~dst_off
   in
   { Urts.open_slot; seal_slot }
@@ -1006,10 +1084,10 @@ let drain t =
   let flush_total = ref 0 in
   let rings_used = ref 0 in
   (* Pass 1 per tenant: walk the staged entries in dispatch order —
-     ascending session id, then admission (= sequence) order within a
-     session.  Permanent session faults surface as typed errors in the
-     assembly pass; live entries copy their frame's ciphertext into a
-     ring slot, for the ring's worker to open. *)
+     ascending session id, then admission order within a session.
+     Permanent session faults surface as typed errors in the assembly
+     pass; live entries copy their whole frame, ciphertext and tag, into
+     a ring slot, for the ring's worker to open. *)
   List.iter
     (fun tn ->
       let st = tn.stage in
@@ -1034,7 +1112,7 @@ let drain t =
                 let r = st.sg_reqs.(i) in
                 if r.session_id = sid then begin
                   incr flush_total;
-                  let len = Bytes.length r.frame - Urts.tag_bytes in
+                  let len = Bytes.length r.frame in
                   if !stamp mod rotor_block = 0 then begin
                     shard := t.rotor;
                     t.rotor <- (t.rotor + 1) mod t.shards
@@ -1103,9 +1181,9 @@ let drain t =
           | Some _ | None -> ()
         done)
     tenants;
-  (* Assembly: copy each sealed reply slot out once as its frame.  Reply
-     order is the contract: tenant insertion order, then session id, then
-     sequence. *)
+  (* Assembly: copy each sealed reply slot out once as its frame, or turn
+     a refused slot into its typed reject.  Reply order is the contract:
+     tenant insertion order, then session id, then admission order. *)
   let out = ref [] in
   List.iter
     (fun tn ->
@@ -1137,13 +1215,15 @@ let drain t =
                       let off, framed =
                         Urts.ring_reply_slot ring ~slot:st.sg_slots.(i)
                       in
-                      if framed < Urts.tag_bytes then
-                        emit_err seq (Session_fault "reply slot holds no tag")
-                      else begin
+                      let buf = Urts.ring_reply_buf ring in
+                      if framed >= Urts.tag_bytes then begin
                         Telemetry.incr t.telemetry "serve.request.ok";
-                        emit seq
-                          (Ok (Bytes.sub (Urts.ring_reply_buf ring) off framed))
-                      end)
+                        emit seq (Ok (Bytes.sub buf off framed))
+                      end
+                      else if framed = refusal_bytes then
+                        emit_err seq (refused buf ~off ~seq)
+                      else
+                        emit_err seq (Session_fault "reply slot holds no tag"))
             end
           done
         done;
@@ -1258,7 +1338,7 @@ let close_session t ~session =
 (* A migrating tenant on the wire, every integer a u64 LE and every
    field length-prefixed:
      "hemig1:" [tenant] [identity] [n]
-       n x ( [id] [key] [recv_seq] [pages] [state] )
+       n x ( [id] [key] [window top] [pages] [state] )
      [m] m x [nonce]
    Sessions in ascending id order; nonces in replay-cache FIFO order. *)
 let blob_magic = "hemig1:"
@@ -1272,7 +1352,7 @@ let put_field buf b =
 type moved = {
   m_id : int;
   m_key : bytes;
-  m_seq : int;
+  m_top : int;
   m_pages : int;
   m_state : bytes;
 }
@@ -1309,10 +1389,10 @@ let decode_blob b =
       List.init (u64 ~max:1_000_000 "session count") (fun _ ->
           let m_id = u64 "session id" in
           let m_key = field "key" in
-          let m_seq = u64 "recv_seq" in
+          let m_top = u64 "window top" in
           let m_pages = u64 "pages" in
           let m_state = field "state" in
-          { m_id; m_key; m_seq; m_pages; m_state })
+          { m_id; m_key; m_top; m_pages; m_state })
     in
     let nonces =
       List.init (u64 ~max:1_000_000 "nonce count") (fun _ -> field "nonce")
@@ -1390,7 +1470,7 @@ let export_tenant t ~tenant =
         let* state = read_state s in
         put_u64 buf s.s_id;
         put_field buf s.key;
-        put_u64 buf s.recv_seq;
+        put_u64 buf s.window.top;
         put_u64 buf s.s_pages;
         put_field buf state;
         pack rest
@@ -1485,8 +1565,8 @@ let import_tenant t blob =
             e
         | Ok () ->
             let s =
-              open_session t tn ~id:m.m_id ~key:m.m_key ~slot
-                ~recv_seq:m.m_seq ~pages:m.m_pages
+              open_session t tn ~id:m.m_id ~key:m.m_key ~slot ~top:m.m_top
+                ~pages:m.m_pages
             in
             install (s :: opened) rest)
   in
@@ -1614,7 +1694,7 @@ let resume t (r : resume) =
                           open_session t tn ~id:(fresh_id t)
                             ~slot:(alloc_slot tn)
                             ~key:(resumed_key ~key ~nonce:r.r_nonce)
-                            ~recv_seq:0 ~pages:0
+                            ~top:0 ~pages:0
                         in
                         Telemetry.incr t.telemetry "serve.resume";
                         Telemetry.incr t.telemetry "serve.session_open";

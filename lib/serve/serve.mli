@@ -5,16 +5,17 @@
     with the paper's attestation chain (Sec. 5 — TPM quote over the
     measured boot + hapk binding, monitor-signed ems), agrees on a
     per-session channel key, and then submits encrypted requests that
-    the plane authenticates and routes, still encrypted, into the SMP
-    scheduler as slot-ring batches; the in-enclave ring worker decrypts
-    each one and seals its reply over the same channel.
+    the plane routes, still encrypted, into the SMP scheduler as
+    slot-ring batches; the in-enclave ring worker checks each one's tag
+    and freshness, decrypts it and seals its reply over the same
+    channel.
 
     {2 Channel frames}
 
     Every request and reply travels as one frame: the ciphertext
     followed by its 32-byte tag.  The nonce and the AAD never travel.
     Every end derives them from the message's header into scratch it
-    owns — the client, admission, and the ring's in-enclave worker:
+    owns — the client and the ring's in-enclave worker:
     the nonce is [dir][0^3][seq] (dir ['>'] on requests, ['<'] on
     replies) and the AAD is ["serve-req:"] or ["serve-rep:"], then
     session id, sequence number and ECALL id (0 on replies), integers
@@ -43,13 +44,16 @@
 
     {2 Serving}
 
-    Admission control is typed and per-tenant: bounded queues
-    ({!Backpressure}), cycle quotas charged from the scheduler's
-    per-slice deltas ({!Quota_exhausted}), AEAD authentication
-    ({!Bad_auth}), strict sequence numbers ({!Bad_sequence}) and the
-    tenant's own request ECALLs ({!Unsupported}).  {!flush} drains every
-    admitted request through {!Hyperenclave_sched.Sched} and seals the
-    replies.
+    Admission control is typed and per-tenant, and looks at headers and
+    lengths only: a live session, a frame that fits a slot
+    ({!Unsupported}) and holds a tag ({!Bad_auth}), the tenant's own
+    request ECALLs ({!Unsupported}), bounded queues ({!Backpressure})
+    and cycle quotas charged from the scheduler's per-slice deltas
+    ({!Quota_exhausted}).  Admission holds no key and no sequence
+    state.  {!flush} drains every admitted request through
+    {!Hyperenclave_sched.Sched}; inside the enclave the ring worker
+    authenticates each request ({!Bad_auth}) and checks its freshness
+    ({!Bad_sequence}) before its handler runs, and seals the replies.
 
     Session work crosses the ["serve.session"] fault-injection site:
     transient faults are absorbed by the SDK's bounded retry/backoff,
@@ -58,8 +62,9 @@
 
     {2 Session lifecycle}
 
-    A session is one attested channel: an id, a key, a strict-sequence
-    receive cursor, and a slot in the tenant enclave's heap — a
+    A session is one attested channel: an id, a key, the anti-replay
+    window the enclave keeps over its request sequence numbers, and a
+    slot in the tenant enclave's heap — a
     {!state_stride_pages}-page EDMM region, of which it has committed
     some pages through the reserved state ECALLs ({!reserved_ecalls}).
     {!handshake}, {!val-resume} and {!import_tenant} open sessions the
@@ -72,8 +77,8 @@
     A plane is one {e node} of a fleet: it is created with an explicit
     {!identity} (node id, monitor hapk) and every session it opens is
     stamped with that identity.  Tenants and their live sessions can
-    move between nodes — {!export_tenant} packs sessions (keys, sequence
-    state, committed EDMM pages) and the burnt-nonce replay cache into
+    move between nodes — {!export_tenant} packs sessions (keys, window
+    tops, committed EDMM pages) and the burnt-nonce replay cache into
     one opaque blob, {!import_tenant} rebuilds them from it on a
     destination whose tenant enclave measures identically, and
     {!retire_tenant} cuts the source over so stragglers get typed
@@ -108,9 +113,17 @@ type reject =
           handlers *)
   | Bad_auth
       (** a channel frame whose tag does not verify under the nonce and
-          AAD derived from its header, or a frame shorter than a tag *)
+          AAD derived from its header — the enclave's verdict, in the
+          request's reply from {!flush} — or a frame shorter than a tag,
+          at {!submit} *)
   | Bad_sequence of { expected : int; got : int }
-      (** replayed or out-of-order request sequence number *)
+      (** an authentic request whose sequence number [got] the session's
+          replay window has already seen or has left behind; [expected]
+          is the window top, one past the highest number the enclave has
+          verified.  The window is [max 1024 max_queue] numbers wide (rounded
+          up to a multiple of 8), so
+          a session's requests may run in any order within one flush.
+          Only in a reply from {!flush} *)
   | Backpressure of { tenant : string; queued : int; limit : int }
   | Quota_exhausted of { tenant : string; spent : int; quota : int }
   | Session_fault of string
@@ -285,40 +298,44 @@ val handshake : t -> tenant:string -> hello -> (accept, reject) result
     [serve.handshake] / [serve.handshake_rejected]. *)
 
 val submit : t -> request -> (unit, reject) result
-(** Authenticate and admit one request, in this order: the slot size
-    ({!Unsupported} past {!slot_bytes} of ciphertext); the tag, checked
-    where the frame lies under the nonce and AAD derived from the header
-    (no plaintext allocated; a frame shorter than a tag is {!Bad_auth});
-    the strict sequence number.  None of these burns the sequence
-    number.  Then — with the number burnt, so the channel stays in step
-    whatever the outcome — the ECALL check ({!Unsupported} unless
-    [ecall_id] is one of the tenant's handlers, never a
-    {!reserved_ecalls} id), the per-tenant queue bound and the
-    per-tenant cycle quota.  The decrypt is deferred to the ring's
-    in-enclave worker during {!flush} — zero-copy admission. *)
+(** Admit one request, in this order: a live session; a frame at least
+    a tag long ({!Bad_auth}) whose ciphertext fits {!slot_bytes}
+    ({!Unsupported}); the ["serve.session"] fault site; the ECALL check
+    ({!Unsupported} unless [ecall_id] is one of the tenant's handlers,
+    never a {!reserved_ecalls} id); the per-tenant queue bound and the
+    per-tenant cycle quota.  Admission uses no key, no MAC and no
+    sequence number and charges no cycles for crypto, so a forged,
+    tampered, replayed or misaddressed frame is admitted here and
+    refused by the enclave in its {!flush} reply; a rejection here
+    leaves no trace in the session. *)
 
 val flush : t -> reply list
-(** Drain every admitted request: copy each frame's ciphertext into a
-    slot of a per-shard marshalling-buffer ring (one shard per scheduler
-    core) and dispatch the rings switchlessly through the scheduler.
-    The block rotor picks each run of requests' shard, and shard [k]'s
-    ring is owned by core [k mod cores]: the owner serves its slots from
-    the head, and a core with no slot of its own left joins the ring and
-    serves slots from the tail
+(** Drain every admitted request: copy each whole frame, ciphertext and
+    tag, into a slot of a per-shard marshalling-buffer ring (one shard
+    per scheduler core) and dispatch the rings switchlessly through the
+    scheduler.  The block rotor picks each run of requests' shard, and
+    shard [k]'s ring is owned by core [k mod cores]: the owner serves
+    its slots from the head, and a core with no slot of its own left
+    joins the ring and serves slots from the tail
     ({!Hyperenclave_sched.Sched.submit_ring}).  On the cores that serve
-    a ring's slots, its in-enclave workers derive each slot's nonce and
-    AAD from the staged request's header, decrypt the slot's private
-    copy, run the handler, and seal the reply into the reply slot as a
-    frame ({!Hyperenclave_sdk.Urts.channel}); the plane then copies each
-    reply frame out once.  So the shared segments carry no plaintext,
-    and the channel crypto runs on the cores' clocks, not the plane's.
-    A ring whose dispatch fails answers every request it carried with a
-    typed {!Session_fault}.  [config.sched.batch] sets how many sealed replies
+    a ring's slots, its in-enclave workers copy each slot's ciphertext
+    and tag into private buffers, derive the nonce and AAD from the
+    slot's claims (its id word, and the session id and sequence number
+    of the request staged there), authenticate and decrypt, admit the
+    number into the session's replay window, run the handler, and seal
+    the reply into the reply slot as a frame under the verified claims
+    ({!Hyperenclave_sdk.Urts.channel}); the plane then copies each reply
+    frame out once.  So the shared segments carry no plaintext, and the
+    channel crypto runs on the cores' clocks, not the plane's.  A slot
+    that fails either check runs no handler: its reply is {!Bad_auth}
+    or {!Bad_sequence}, and the ring's other slots are served.  A ring
+    whose dispatch fails answers every request it carried with a typed
+    {!Session_fault}.  [config.sched.batch] sets how many sealed replies
     share one AEAD setup charge, counted across the flush.  Tenant
     quotas are charged from the dispatch cycles, which include the
     channel crypto.  Replies come in tenant insertion order, then
-    session id, then sequence number.  Each flush adds one entry to the
-    {!ledger}.
+    session id, then admission order (sequence order, for an honest
+    client).  Each flush adds one entry to the {!ledger}.
 
     An exception that escapes — a handler raising something the
     scheduler does not turn into a typed failure, or a monitor
@@ -396,8 +413,8 @@ val destroy : t -> unit
 
     The plane-local half of moving a tenant between nodes.  The plane
     owns the migration blob's format and hands it out as opaque bytes;
-    they carry {e plaintext} session state — channel keys, sequence
-    cursors and EDMM page contents — so the cluster layer seals them
+    they carry {e plaintext} session state — channel keys, replay
+    window tops and EDMM page contents — so the cluster layer seals them
     under a transport key derived from an attested exchange with the
     destination before they cross the simulated network; nothing here
     should touch a wire unsealed. *)
@@ -405,7 +422,7 @@ val destroy : t -> unit
 val export_tenant : t -> tenant:string -> (bytes, reject) result
 (** Pack a tenant for migration: its enclave identity (MRENCLAVE), its
     live sessions in ascending id order — each with its node-prefixed
-    id, channel key, receive cursor, committed page count and those
+    id, channel key, replay window top, committed page count and those
     pages' bytes, read out through the enclave — and the burnt-nonce
     replay cache in FIFO order.  Refuses with {!Tenant_busy} while
     admitted requests are still staged (flush first) and
@@ -417,7 +434,9 @@ val import_tenant : t -> bytes -> (int, reject) result
     already be registered ({!add_tenant} with the same backend config),
     measure identically to the blob's identity, and have no live
     session-id collisions.  Sessions reopen with their original ids,
-    keys and sequence cursors, so clients notice nothing; EDMM pages
+    keys and window tops, every number below a top counted as seen (a
+    number never used before the move cannot be replayed after it), so
+    clients notice nothing; EDMM pages
     are re-committed and replayed through the enclave; the replay cache
     is merged, so a nonce burnt before the move stays burnt.  A
     malformed blob, an identity mismatch, a collision or a session

@@ -249,33 +249,94 @@ let expect_reject expected = function
   | Error r ->
       Alcotest.(check string) "reject kind" expected (Serve.reject_name r)
 
+let admit plane req =
+  match Serve.submit plane req with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r
+
+(* A reply as its client reads it: the body, or the reject's label. *)
+let read_as client reply =
+  Result.map_error Serve.reject_name
+    (Result.map Bytes.to_string (Serve.Client.read_reply client reply))
+
 let test_serve_cross_tenant_probe () =
   let plane, c1, c2 = two_tenant_plane () in
   ignore (establish plane ~tenant:"acme" c1);
   ignore (establish plane ~tenant:"globex" c2);
   (* Steal tenant globex's sealed frame and aim it at tenant acme's
-     session: the derived AAD binds (session, seq, ecall), so the AEAD
-     check dies before any plaintext exists. *)
+     session: the derived AAD binds (session, seq, ecall), so acme's
+     enclave refuses it before any plaintext exists. *)
   let stolen = Serve.Client.request c2 ~ecall:1 (Bytes.of_string "secret") in
-  expect_reject "bad-auth"
-    (Serve.submit plane
-       { stolen with Serve.session_id = Serve.Client.session_id c1 });
-  (* The honest owner can still use the very same frame. *)
-  (match Serve.submit plane stolen with
-  | Ok () -> ()
-  | Error r -> Alcotest.failf "honest submit rejected: %a" Serve.pp_reject r);
+  admit plane { stolen with Serve.session_id = Serve.Client.session_id c1 };
+  (* The honest owner can still use the very same frame, in that flush. *)
+  admit plane stolen;
+  (match Serve.flush plane with
+  | [ probe; honest ] ->
+      Alcotest.(check (result string string)) "probe" (Error "bad-auth")
+        (read_as c1 probe);
+      Alcotest.(check (result string string)) "owner" (Ok "secret")
+        (read_as c2 honest)
+  | replies -> Alcotest.failf "expected 2 replies, got %d" (List.length replies));
   Serve.destroy plane
 
+(* A plane whose one tenant records every request its handler runs. *)
+let recording_plane ~seed =
+  let p = Platform.create ~seed () in
+  let plane =
+    Serve.create_node ~platform:p
+    @@ Serve.Node_config.v ~platform:p Serve.default_config
+  in
+  let ran = ref [] in
+  let backend =
+    Serve.add_tenant plane ~name:"acme"
+      {
+        (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
+        Backend.handlers =
+          [ (1, fun _env input -> ran := Bytes.to_string input :: !ran; input) ];
+      }
+  in
+  let client =
+    client_for p ~identity:(Option.get backend.Backend.identity)
+      ~seed:(Int64.succ seed)
+  in
+  ignore (establish plane ~tenant:"acme" client);
+  (plane, client, ran)
+
 let test_serve_request_replay () =
-  let plane, c1, _ = two_tenant_plane () in
-  ignore (establish plane ~tenant:"acme" c1);
+  (* Replaying the identical authenticated request, in its own flush or a
+     later one, is a refused sequence number: not a crash and not a
+     double execution. *)
+  let plane, c1, ran = recording_plane ~seed:9103L in
   let req = Serve.Client.request c1 ~ecall:1 (Bytes.of_string "once") in
-  (match Serve.submit plane req with
-  | Ok () -> ()
-  | Error r -> Alcotest.failf "first submit rejected: %a" Serve.pp_reject r);
-  (* Replaying the identical authenticated request is an out-of-order
-     sequence number, not a crash and not a double execution. *)
-  expect_reject "bad-sequence" (Serve.submit plane req);
+  admit plane req;
+  admit plane req;
+  Alcotest.(check (list (result string string))) "first flush"
+    [ Ok "once"; Error "bad-sequence" ]
+    (List.map (read_as c1) (Serve.flush plane));
+  admit plane req;
+  Alcotest.(check (list (result string string))) "later flush"
+    [ Error "bad-sequence" ]
+    (List.map (read_as c1) (Serve.flush plane));
+  Alcotest.(check (list string)) "the handler ran once" [ "once" ] !ran;
+  Serve.destroy plane
+
+(* The host flips a ciphertext bit after admission.  The stage keeps the
+   submitted request without copying it, so the host can XOR byte 10 of
+   an admitted frame with 0x08, turning "10" into "90" under CTR.  The
+   enclave checks the tag of what it runs: the tampered request is
+   refused and its handler never runs, and the honest request in the
+   same flush serves. *)
+let test_serve_flip_after_admission () =
+  let plane, client, ran = recording_plane ~seed:9104L in
+  let req = Serve.Client.request client ~ecall:1 (Bytes.of_string "pay alice 10") in
+  admit plane req;
+  Bytes.set req.Serve.frame 10
+    (Char.chr (Char.code (Bytes.get req.Serve.frame 10) lxor 0x08));
+  admit plane (Serve.Client.request client ~ecall:1 (Bytes.of_string "pay bob 5"));
+  Alcotest.(check (list (result string string))) "replies"
+    [ Error "bad-auth"; Ok "pay bob 5" ]
+    (List.map (read_as client) (Serve.flush plane));
+  Alcotest.(check (list string)) "handler runs" [ "pay bob 5" ] !ran;
   Serve.destroy plane
 
 let test_serve_handshake_replay () =
@@ -348,8 +409,8 @@ let test_serve_ecall_admission () =
       ("malformed state commit", Serve.state_ecall, Bytes.of_string "abc");
       ("unregistered ECALL", 99, Bytes.of_string "x");
     ];
-  (* The refusals burnt their sequence numbers: the prober's channel is
-     still in step. *)
+  (* The refusals leave holes in the prober's sequence numbers, which the
+     enclave's replay window tolerates: its next request serves. *)
   (match submit prober ~ecall:1 (Bytes.of_string "prober") with
   | Ok () -> ()
   | Error r -> Alcotest.failf "prober submit rejected: %a" Serve.pp_reject r);
@@ -503,6 +564,8 @@ let suite =
     Alcotest.test_case "serve: cross-tenant envelope probe" `Quick
       test_serve_cross_tenant_probe;
     Alcotest.test_case "serve: request replay" `Quick test_serve_request_replay;
+    Alcotest.test_case "serve: ciphertext flip after admission" `Quick
+      test_serve_flip_after_admission;
     Alcotest.test_case "serve: handshake replay" `Quick
       test_serve_handshake_replay;
     Alcotest.test_case "serve: handshake splice" `Quick

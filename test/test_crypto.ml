@@ -344,37 +344,37 @@ let test_authenc_zero_copy () =
   let buf = Bytes.make (len + 8) '*' in
   let tag =
     Authenc.seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0 ~dst:buf
-      ~dst_off:4 ~len ()
+      ~dst_off:4 ~len
   in
   Alcotest.(check string)
     "slice borders untouched" "********"
     (Bytes.sub_string buf 0 4 ^ Bytes.sub_string buf (len + 4) 4);
   let ct = Bytes.sub buf 4 len in
-  (* verify_slice authenticates without plaintext. *)
-  Alcotest.(check bool)
-    "verify_slice ok" true
-    (Authenc.verify_slice keys ~aad ~nonce ~tag ~buf:ct ~off:0 ~len);
-  Alcotest.(check bool)
-    "verify_slice rejects wrong aad" false
-    (Authenc.verify_slice keys ~aad:(Bytes.of_string "other") ~nonce ~tag
-       ~buf:ct ~off:0 ~len);
-  (* decrypt_into completes a deferred unseal. *)
-  let out = Bytes.create len in
-  Authenc.decrypt_into keys ~nonce ~src:ct ~src_off:0 ~dst:out ~dst_off:0 ~len;
+  (* unseal_in_place over a slice of a larger buffer opens the slice
+     alone. *)
+  let framed = Bytes.make (len + 8) '*' in
+  Bytes.blit ct 0 framed 4 len;
+  Authenc.unseal_in_place keys ~aad ~nonce ~tag framed ~off:4 ~len;
   Alcotest.(check string)
-    "deferred decrypt" (Bytes.to_string plaintext) (Bytes.to_string out);
-  (* unseal_in_place roundtrips and leaves the buffer untouched on a
-     bad tag. *)
-  let buf = Bytes.copy ct in
-  Authenc.unseal_in_place keys ~aad ~nonce ~tag buf ~off:0 ~len;
-  Alcotest.(check string)
-    "in-place unseal" (Bytes.to_string plaintext) (Bytes.to_string buf);
-  let buf = Bytes.copy ct in
-  let wrong = Bytes.map (fun c -> Char.chr (Char.code c lxor 1)) tag in
-  Alcotest.check_raises "in-place tamper" Authenc.Authentication_failure
-    (fun () -> Authenc.unseal_in_place keys ~aad ~nonce ~tag:wrong buf ~off:0 ~len);
-  Alcotest.(check string)
-    "buffer untouched on failure" (Bytes.to_string ct) (Bytes.to_string buf);
+    "in-place unseal of a slice"
+    ("****" ^ Bytes.to_string plaintext ^ "****")
+    (Bytes.to_string framed);
+  (* Each refusal leaves the buffer untouched: a wrong AAD, a wrong
+     nonce, a flipped tag bit and a flipped ciphertext bit. *)
+  let flip b = Bytes.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) b in
+  List.iter
+    (fun (what, aad, nonce, tag, ct) ->
+      let buf = Bytes.copy ct in
+      Alcotest.check_raises what Authenc.Authentication_failure (fun () ->
+          Authenc.unseal_in_place keys ~aad ~nonce ~tag buf ~off:0 ~len);
+      Alcotest.(check string)
+        (what ^ ": buffer untouched") (Bytes.to_string ct) (Bytes.to_string buf))
+    [
+      ("wrong aad", Bytes.of_string "other", nonce, tag, ct);
+      ("wrong nonce", aad, flip nonce, tag, ct);
+      ("tampered tag", aad, nonce, flip tag, ct);
+      ("tampered ciphertext", aad, nonce, tag, flip ct);
+    ];
   (* A prepared-keys unseal of a one-shot seal (and vice versa) is the
      compatibility the serving plane relies on. *)
   Alcotest.(check string)
@@ -432,18 +432,20 @@ let qcheck_tests =
                 let ct = Bytes.create len in
                 let tag =
                   Authenc.seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0
-                    ~dst:ct ~dst_off:0 ~len ()
+                    ~dst:ct ~dst_off:0 ~len
                 in
                 Bytes.equal tag fresh.Authenc.tag
                 && Bytes.equal ct fresh.Authenc.ciphertext
-            | 1 ->
-                Authenc.verify_slice keys ~aad ~nonce ~tag:fresh.Authenc.tag
-                  ~buf:fresh.Authenc.ciphertext ~off:0 ~len
-                && not
-                     (Authenc.verify_slice keys ~aad:(Bytes.cat aad aad)
-                        ~nonce ~tag:fresh.Authenc.tag
-                        ~buf:fresh.Authenc.ciphertext ~off:0 ~len
-                     && Bytes.length aad > 0)
+            | 1 -> (
+                (* A wrong AAD is refused and leaves the buffer as it was. *)
+                let buf = Bytes.copy fresh.Authenc.ciphertext in
+                match
+                  Authenc.unseal_in_place keys ~aad:(Bytes.cat aad (Bytes.of_string "!"))
+                    ~nonce ~tag:fresh.Authenc.tag buf ~off:0 ~len
+                with
+                | () -> false
+                | exception Authenc.Authentication_failure ->
+                    Bytes.equal buf fresh.Authenc.ciphertext)
             | _ ->
                 let buf = Bytes.copy fresh.Authenc.ciphertext in
                 Authenc.unseal_in_place keys ~aad ~nonce ~tag:fresh.Authenc.tag

@@ -238,11 +238,14 @@ let test_ring_images_grow () =
   Urts.destroy handle
 
 (* A channel ring hands each slot to the worker's callbacks: [open_slot]
-   sees the staged bytes in the worker's private copy before the
-   handler, and [seal_slot] frames the reply with room for the tag.  Here
-   the "cipher" is a byte XOR and the tag a run of '#'. *)
+   sees the slot's id word and private copies of its ciphertext and tag
+   before the handler, and [seal_slot] frames the reply with room for the
+   tag.  Here the "cipher" is a byte XOR and the tag a run of '#': a slot
+   with any other tag is refused, skips its handler and carries the
+   refusal as its reply, while the ring's other slots are served. *)
 let test_channel_ring () =
   let p = Platform.create ~seed:4104L () in
+  let calls = ref 0 in
   let handle =
     Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
       ~signer:p.Platform.signer
@@ -251,46 +254,62 @@ let test_channel_ring () =
         [
           ( 1,
             fun (_ : Tenv.t) input ->
+              incr calls;
               Bytes.of_string (String.uppercase_ascii (Bytes.to_string input)) );
           (2, fun (_ : Tenv.t) _ -> Bytes.make 32 'z');
         ]
       ~ocalls:[]
   in
   let xor b = Bytes.map (fun c -> Char.chr (Char.code c lxor 0x5a)) b in
+  let good_tag = Bytes.make Urts.tag_bytes '#' in
   let opened = ref [] in
   let channel =
     {
       Urts.open_slot =
-        (fun ~slot buf ->
-          opened := slot :: !opened;
-          Bytes.blit (xor buf) 0 buf 0 (Bytes.length buf));
+        (fun ~slot ~ecall_id buf ~tag ->
+          opened := (slot, ecall_id) :: !opened;
+          if Bytes.equal tag good_tag then begin
+            Bytes.blit (xor buf) 0 buf 0 (Bytes.length buf);
+            Urts.Opened
+          end
+          else Urts.Refused (Bytes.of_string "no"));
       seal_slot =
-        (fun ~slot:_ reply ~dst ~dst_off ->
+        (fun reply ~dst ~dst_off ->
           let len = Bytes.length reply in
           Bytes.blit (xor reply) 0 dst dst_off len;
-          Bytes.fill dst (dst_off + len) Urts.tag_bytes '#';
+          Bytes.blit good_tag 0 dst (dst_off + len) Urts.tag_bytes;
           len + Urts.tag_bytes);
     }
   in
   let ring =
     Urts.create_ring ~channel handle ~shard:0 ~shards:1 ~slots:4 ~slot_bytes:32
   in
-  let sealed = List.map (fun s -> (1, xor (Bytes.of_string s))) [ "ab"; "cde" ] in
-  let replies = run_ring ring sealed in
-  Alcotest.(check (list int)) "each slot opened once, in order" [ 0; 1 ]
+  let frame ?(tag = good_tag) s = Bytes.cat (xor (Bytes.of_string s)) tag in
+  let replies =
+    run_ring ring
+      [ (1, frame "ab"); (1, frame ~tag:(Bytes.make 32 '?') "xy"); (1, frame "cde") ]
+  in
+  Alcotest.(check (list (pair int int)))
+    "each slot opened once, in order, with its id word" [ (0, 1); (1, 1); (2, 1) ]
     (List.rev !opened);
+  Alcotest.(check int) "the refused slot's handler never ran" 2 !calls;
   Alcotest.(check (list string))
-    "replies sealed with their tag"
-    [ "AB" ^ String.make 32 '#'; "CDE" ^ String.make 32 '#' ]
+    "replies sealed with their tag, the refusal in its slot"
+    [ "AB" ^ String.make 32 '#'; "no"; "CDE" ^ String.make 32 '#' ]
     (List.map
        (fun r ->
          let n = String.length r - Urts.tag_bytes in
-         Bytes.to_string (xor (Bytes.of_string (String.sub r 0 n)))
-         ^ String.sub r n Urts.tag_bytes)
+         if n < 0 then r
+         else
+           Bytes.to_string (xor (Bytes.of_string (String.sub r 0 n)))
+           ^ String.sub r n Urts.tag_bytes)
        replies);
-  (* A full-size reply still fits next to its tag. *)
+  (* A full-size reply still fits next to its tag, and a full-size
+     request frame fits its slot. *)
   Alcotest.(check int) "32-byte reply + tag" (32 + Urts.tag_bytes)
-    (String.length (List.hd (run_ring ring [ (2, Bytes.of_string "x") ])));
+    (String.length (List.hd (run_ring ring [ (2, frame (String.make 32 'x')) ])));
+  expect_enclave_error "a frame one byte past the slot" (fun () ->
+      Urts.ring_stage ring ~ecall_id:1 ~len:(32 + Urts.tag_bytes + 1));
   Urts.destroy handle
 
 (* --- scheduler ------------------------------------------------------------- *)

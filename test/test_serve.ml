@@ -71,6 +71,19 @@ let frame_lies frame =
 
 let outcome = function Ok _ -> "accepted" | Error r -> Serve.reject_name r
 
+(* A reply as its client reads it: the body, or the reject's label. *)
+let read_as client reply =
+  Result.map_error Serve.reject_name
+    (Result.map Bytes.to_string (Serve.Client.read_reply client reply))
+
+let admit plane (req : Serve.request) =
+  match Serve.submit plane req with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r
+
+(* An echo handler that counts its runs. *)
+let counted_echo calls = [ (1, fun _env input -> incr calls; input) ]
+
 (* ------------------------------------------------------------------ *)
 (* Handshake + end-to-end serving                                      *)
 
@@ -174,51 +187,158 @@ let test_garbage_quote_wire () =
 (* Channel security + admission control                                *)
 
 (* Every lie about a request frame, or its sequence number moved by one
-   either way, is a typed bad-auth that stages nothing and burns no
-   sequence number: the honest request then serves, alone. *)
+   either way, is a typed bad-auth whose handler never runs and which
+   burns no sequence number.  A frame shorter than a tag is refused at
+   submit; every other lie is admitted, and the enclave refuses it in
+   the flush that serves the honest request. *)
 let test_tampered_envelope_rejected () =
-  let _p, plane, _backend, client = build ~seed:7010L () in
+  let calls = ref 0 in
+  let _p, plane, _backend, client =
+    build ~seed:7010L ~handlers:(counted_echo calls) ()
+  in
   establish plane client;
   (match Serve.Client.roundtrip plane client [ (1, Bytes.of_string "warm") ] with
   | [ Ok _ ] -> ()
   | _ -> Alcotest.fail "warm-up roundtrip failed");
   let req = Serve.Client.request client ~ecall:1 (Bytes.of_string "payload") in
-  List.iter
-    (fun (what, lie) ->
-      Alcotest.(check string) what "bad-auth" (outcome (Serve.submit plane lie)))
-    (List.map (fun (what, frame) -> (what, { req with Serve.frame })) (frame_lies req.Serve.frame)
-    @ [
-        ("seq - 1", { req with Serve.seq = req.Serve.seq - 1 });
-        ("seq + 1", { req with Serve.seq = req.Serve.seq + 1 });
-      ]);
-  (match Serve.submit plane req with
-  | Ok () -> ()
-  | Error r -> Alcotest.failf "honest request rejected: %a" Serve.pp_reject r);
-  (match Serve.flush plane with
-  | [ reply ] ->
-      Alcotest.(check (result string string)) "honest request served" (Ok "payload")
-        (Result.map_error Serve.reject_name
-           (Result.map Bytes.to_string (Serve.Client.read_reply client reply)))
-  | replies -> Alcotest.failf "expected 1 reply, got %d" (List.length replies));
+  let admitted =
+    List.filter
+      (fun (what, (lie : Serve.request)) ->
+        let short = Bytes.length lie.Serve.frame < Urts.tag_bytes in
+        Alcotest.(check string) (what ^ " at submit")
+          (if short then "bad-auth" else "accepted")
+          (outcome (Serve.submit plane lie));
+        not short)
+      (List.map (fun (what, frame) -> (what, { req with Serve.frame })) (frame_lies req.Serve.frame)
+      @ [
+          ("seq - 1", { req with Serve.seq = req.Serve.seq - 1 });
+          ("seq + 1", { req with Serve.seq = req.Serve.seq + 1 });
+        ])
+  in
+  admit plane req;
+  let replies = Serve.flush plane in
+  Alcotest.(check int) "a reply per admitted request" (List.length admitted + 1)
+    (List.length replies);
+  List.iteri
+    (fun i (reply : Serve.reply) ->
+      match List.nth_opt admitted i with
+      | Some (what, lie) ->
+          Alcotest.(check int) (what ^ ": reply seq") lie.Serve.seq reply.Serve.r_seq;
+          Alcotest.(check (result string string)) what (Error "bad-auth")
+            (read_as client reply)
+      | None ->
+          Alcotest.(check (result string string)) "honest request served"
+            (Ok "payload") (read_as client reply))
+    replies;
+  Alcotest.(check int) "no lie ran its handler" 2 !calls;
   Serve.destroy plane
 
 let test_respliced_header_rejected () =
-  (* Redirecting a valid frame at a different ECALL id: the derived AAD
-     binds the id, so the plane refuses. *)
+  (* Redirecting a valid frame at another of the tenant's ECALL ids:
+     admission takes it, but the derived AAD binds the id, so the enclave
+     refuses it; the frame still serves under its own id in that flush. *)
   let _p, plane, _backend, client = build ~seed:7011L () in
   establish plane client;
   let req = Serve.Client.request client ~ecall:1 (Bytes.of_string "payload") in
-  expect_reject "bad-auth" (Serve.submit plane { req with Serve.ecall_id = 2 });
+  admit plane { req with Serve.ecall_id = 2 };
+  admit plane req;
+  (match List.map (read_as client) (Serve.flush plane) with
+  | [ spliced; honest ] ->
+      Alcotest.(check (result string string)) "respliced" (Error "bad-auth") spliced;
+      Alcotest.(check (result string string)) "honest" (Ok "payload") honest
+  | replies -> Alcotest.failf "expected 2 replies, got %d" (List.length replies));
   Serve.destroy plane
 
 let test_replayed_request_rejected () =
-  let _p, plane, _backend, client = build ~seed:7012L () in
+  (* A served request replayed in a later flush is admitted and refused
+     by the enclave's replay window, naming the window top; its handler
+     runs once. *)
+  let calls = ref 0 in
+  let _p, plane, _backend, client =
+    build ~seed:7012L ~handlers:(counted_echo calls) ()
+  in
   establish plane client;
   let req = Serve.Client.request client ~ecall:1 (Bytes.of_string "once") in
-  (match Serve.submit plane req with
-  | Ok () -> ()
-  | Error r -> Alcotest.failf "first submit rejected: %a" Serve.pp_reject r);
-  expect_reject "bad-sequence" (Serve.submit plane req);
+  admit plane req;
+  (match List.map (read_as client) (Serve.flush plane) with
+  | [ first ] -> Alcotest.(check (result string string)) "served" (Ok "once") first
+  | replies -> Alcotest.failf "expected 1 reply, got %d" (List.length replies));
+  admit plane req;
+  (match Serve.flush plane with
+  | [ { Serve.r_result = Error (Serve.Bad_sequence { expected; got }); _ } ] ->
+      Alcotest.(check (pair int int)) "window top, replayed number"
+        (req.Serve.seq + 1, req.Serve.seq) (expected, got)
+  | _ -> Alcotest.fail "expected one bad-sequence reply");
+  Alcotest.(check int) "handler ran once" 1 !calls;
+  Serve.destroy plane
+
+(* The enclave's replay window, 1024 numbers wide here.  On two cores
+   one session's 16 requests in one flush span two rotor blocks: after a
+   one-request warm-up the rotor puts seq 9-16 on shard 0, which core 0
+   runs before core 1 runs seq 1-8, and all 16 still serve.  A number
+   sent twice in one flush is served once and refused once.  Of two
+   requests the host withheld, the one at the window's bottom still
+   serves and the one just below it is bad-sequence. *)
+let test_replay_window () =
+  let ran = ref [] in
+  let handlers =
+    [ (1, fun _env input -> ran := Bytes.to_string input :: !ran; input) ]
+  in
+  let config =
+    {
+      Serve.default_config with
+      Serve.max_queue = 256;
+      sched = { Sched.default_config with Sched.cores = 2; batch = 16 };
+    }
+  in
+  let _p, plane, _backend, client = build ~seed:7067L ~config ~handlers () in
+  establish plane client;
+  let sealed payload = Serve.Client.request client ~ecall:1 (Bytes.of_string payload) in
+  let send payload = admit plane (sealed payload) in
+  let served what =
+    List.iter
+      (fun reply ->
+        match read_as client reply with
+        | Ok _ -> ()
+        | Error r -> Alcotest.failf "%s: %s" what r)
+      (Serve.flush plane)
+  in
+  send "warm";
+  served "warm-up";
+  ran := [];
+  let burst = List.init 16 (fun i -> Printf.sprintf "r%d" (i + 1)) in
+  List.iter send burst;
+  Alcotest.(check (list (result string string))) "all 16 served"
+    (List.map Result.ok burst)
+    (List.map (read_as client) (Serve.flush plane));
+  Alcotest.(check (list string)) "seq 9-16 ran before seq 1-8"
+    (List.filteri (fun i _ -> i >= 8) burst @ List.filteri (fun i _ -> i < 8) burst)
+    (List.rev !ran);
+  let twice = sealed "twice" in
+  admit plane twice;
+  admit plane twice;
+  Alcotest.(check (list (result string string))) "one copy served, one refused"
+    [ Ok "twice"; Error "bad-sequence" ]
+    (List.sort compare (List.map (read_as client) (Serve.flush plane)));
+  let below = sealed "below" in
+  let bottom = sealed "bottom" in
+  for round = 1 to 4 do
+    for _ = 1 to if round < 4 then 256 else 255 do
+      send "fill"
+    done;
+    served "fill"
+  done;
+  admit plane below;
+  admit plane bottom;
+  (match Serve.flush plane with
+  | [ b; t ] ->
+      (match b.Serve.r_result with
+      | Error (Serve.Bad_sequence { expected; got }) ->
+          Alcotest.(check (pair int int)) "below: window top, its number"
+            (below.Serve.seq + 1025, below.Serve.seq) (expected, got)
+      | _ -> Alcotest.fail "the number below the window was not refused");
+      Alcotest.(check (result string string)) "bottom" (Ok "bottom") (read_as client t)
+  | replies -> Alcotest.failf "expected 2 replies, got %d" (List.length replies));
   Serve.destroy plane
 
 let test_unknown_session () =
@@ -300,20 +420,22 @@ let test_tenant_isolation () =
       match Serve.Client.establish c2 accept with
       | Error r -> Alcotest.failf "globex establish failed: %a" Serve.pp_reject r
       | Ok () -> ()));
-  (* A request sealed under c2's key aimed at c1's session must bounce —
-     and the very same frame must still serve on its own session. *)
+  (* A request sealed under c2's key aimed at c1's session must bounce
+     in acme's enclave — and the very same frame must still serve on its
+     own session, in the same flush. *)
   let stolen = Serve.Client.request c2 ~ecall:2 (Bytes.of_string "two") in
-  expect_reject "bad-auth"
-    (Serve.submit plane { stolen with Serve.session_id = Serve.Client.session_id c1 });
-  (match Serve.submit plane stolen with
-  | Ok () -> ()
-  | Error r -> Alcotest.failf "rightful session rejected: %a" Serve.pp_reject r);
+  admit plane { stolen with Serve.session_id = Serve.Client.session_id c1 };
+  admit plane stolen;
   (* Both tenants serve side by side in one flush. *)
-  (match Serve.submit plane (Serve.Client.request c1 ~ecall:2 (Bytes.of_string "one")) with
-  | Ok () -> ()
-  | Error r -> Alcotest.failf "c1 submit rejected: %a" Serve.pp_reject r);
+  admit plane (Serve.Client.request c1 ~ecall:2 (Bytes.of_string "one"));
   let replies = Serve.flush plane in
-  Alcotest.(check int) "both served" 2 (List.length replies);
+  (match replies with
+  | [ lie; one; two ] ->
+      Alcotest.(check (result string string)) "stolen frame" (Error "bad-auth")
+        (read_as c1 lie);
+      Alcotest.(check (result string string)) "c1" (Ok "ONE") (read_as c1 one);
+      Alcotest.(check (result string string)) "c2" (Ok "TWO") (read_as c2 two)
+  | _ -> Alcotest.failf "expected 3 replies, got %d" (List.length replies));
   let spent1, _ = Serve.quota_state plane ~tenant:"acme" in
   let spent2, _ = Serve.quota_state plane ~tenant:"globex" in
   Alcotest.(check bool) "acme charged" true (spent1 > 0);
@@ -395,6 +517,34 @@ let test_transient_fault_absorbed () =
   | [ Ok body ] -> Alcotest.(check string) "served through retry" "survive" (Bytes.to_string body)
   | [ Error r ] -> Alcotest.failf "transient fault not absorbed: %a" Serve.pp_reject r
   | _ -> Alcotest.fail "expected one reply");
+  Serve.destroy plane
+
+(* A transient fault inside a handler retries the ring from the slot
+   that faulted, and the retry opens that slot again: the enclave knows
+   the number it admitted into the window a moment ago is the same
+   request, so the retry serves instead of being refused as a replay. *)
+let test_transient_fault_in_handler () =
+  let ran = ref [] in
+  let handlers =
+    [
+      ( 1,
+        fun _env input ->
+          let s = Bytes.to_string input in
+          ran := s :: !ran;
+          if s = "b" && List.length !ran = 2 then
+            raise (Fault.Injected { site = "test.handler"; kind = Fault.Transient });
+          input );
+    ]
+  in
+  let _p, plane, _backend, client = build ~seed:7032L ~handlers () in
+  establish plane client;
+  List.iter
+    (fun s -> admit plane (Serve.Client.request client ~ecall:1 (Bytes.of_string s)))
+    [ "a"; "b" ];
+  Alcotest.(check (list (result string string))) "both served"
+    [ Ok "a"; Ok "b" ]
+    (List.map (read_as client) (Serve.flush plane));
+  Alcotest.(check (list string)) "b's handler re-ran" [ "a"; "b"; "b" ] (List.rev !ran);
   Serve.destroy plane
 
 let test_permanent_fault_typed () =
@@ -682,13 +832,20 @@ let test_reply_splice_rejected () =
               | r -> Alcotest.(check string) what "bad-auth" (outcome r))
             (frame_lies frame);
           (* Reply-as-request: the direction byte in nonce and AAD domain
-             separate the two halves of the channel. *)
-          expect_reject "bad-auth"
-            (Serve.submit plane
-               { Serve.session_id = reply.Serve.r_session_id;
-                 seq = reply.Serve.r_seq;
-                 ecall_id = 1;
-                 frame })
+             separate the two halves of the channel, so the enclave
+             refuses it in the flush that serves the next request. *)
+          admit plane
+            { Serve.session_id = reply.Serve.r_session_id;
+              seq = reply.Serve.r_seq;
+              ecall_id = 1;
+              frame };
+          admit plane (Serve.Client.request c1 ~ecall:1 (Bytes.of_string "next"));
+          (match List.map (read_as c1) (Serve.flush plane) with
+          | [ reflected; next ] ->
+              Alcotest.(check (result string string)) "reply-as-request"
+                (Error "bad-auth") reflected;
+              Alcotest.(check (result string string)) "next" (Ok "next") next
+          | replies -> Alcotest.failf "expected 2 replies, got %d" (List.length replies))
       | Error r -> Alcotest.failf "reply carried a rejection: %a" Serve.pp_reject r);
       (* The rightful recipient still reads it cleanly. *)
       (match Serve.Client.read_reply c1 reply with
@@ -832,7 +989,10 @@ let echo_spec ecall input = if ecall = 2 then upper input else input
    together pin every byte on the wire.  Tenant [zeta] (GU, two
    sessions) is added before [alpha] (HU), but alpha's session opens
    first, so insertion order, name order and session-id order all
-   disagree. *)
+   disagree.  The host mixes in lies: a copy of a frame with one bit
+   flipped, admitted before the frame itself, must be bad-auth, and a
+   frame admitted twice must serve once and be bad-sequence once, while
+   every other reply, on the same ring too, still matches the spec. *)
 let spec_property batches =
   let p = Platform.create ~seed:7050L () in
   let config =
@@ -879,26 +1039,36 @@ let spec_property batches =
   in
   let serve_batch batch =
     let admitted =
-      List.map
-        (fun (c, ecall, payload) ->
+      List.concat_map
+        (fun (c, ecall, payload, lie) ->
           let client, tenant_rank = clients.(c) in
           let payload = Bytes.of_string payload in
           let req = Serve.Client.request client ~ecall payload in
-          (match Serve.submit plane req with
-          | Ok () -> ()
-          | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r);
-          {
-            Serve_spec.tenant_rank;
-            session_id = req.Serve.session_id;
-            seq = req.Serve.seq;
-            ecall;
-            payload;
-          })
+          let body = echo_spec ecall payload in
+          let frames, outcomes =
+            match lie mod 4 with
+            | 0 ->
+                let f = Bytes.copy req.Serve.frame in
+                let bit = lie / 4 mod (8 * Bytes.length f) in
+                Bytes.set f (bit / 8)
+                  (Char.chr (Char.code (Bytes.get f (bit / 8)) lxor (1 lsl (bit mod 8))));
+                ([ f; req.Serve.frame ], [ Serve_spec.Refused "bad-auth"; Served body ])
+            | 1 -> ([ req.Serve.frame; req.Serve.frame ], [ Copy body; Copy body ])
+            | _ -> ([ req.Serve.frame ], [ Served body ])
+          in
+          List.map2
+            (fun frame outcome ->
+              admit plane { req with Serve.frame };
+              {
+                Serve_spec.tenant_rank;
+                session_id = req.Serve.session_id;
+                seq = req.Serve.seq;
+                outcome;
+              })
+            frames outcomes)
         batch
     in
-    Serve_spec.check ~read_reply
-      (Serve_spec.expected ~handler:echo_spec admitted)
-      (Serve.flush plane)
+    Serve_spec.check ~read_reply admitted (Serve.flush plane)
   in
   let outcome =
     List.fold_left
@@ -917,8 +1087,9 @@ let spec_qcheck =
         Gen.(int_range 1 4)
         (list_of_size
            Gen.(int_range 0 10)
-           (triple (int_bound 2) (oneofl [ 1; 2 ])
-              (string_of_size Gen.(int_range 0 64)))))
+           (quad (int_bound 2) (oneofl [ 1; 2 ])
+              (string_of_size Gen.(int_range 0 64))
+              (int_bound 4095))))
     spec_property
 
 let test_arena_hot_tenant_scales () =
@@ -1267,6 +1438,44 @@ let test_malformed_blob_refused () =
   | Error r -> Alcotest.failf "intact blob refused: %a" Serve.pp_reject r);
   Serve.destroy plane
 
+(* Import counts every number below the blob's window top as seen: a
+   request the host withheld before the move is refused after it, and
+   the client's next request serves on the destination. *)
+let test_import_closes_holes () =
+  let _p, plane, _backend, client = build ~seed:7068L () in
+  establish plane client;
+  let withheld = Serve.Client.request client ~ecall:1 (Bytes.of_string "withheld") in
+  admit plane (Serve.Client.request client ~ecall:1 (Bytes.of_string "served"));
+  ignore (Serve.flush plane : Serve.reply list);
+  let blob =
+    match Serve.export_tenant plane ~tenant:"acme" with
+    | Ok blob -> blob
+    | Error r -> Alcotest.failf "export rejected: %a" Serve.pp_reject r
+  in
+  Serve.destroy plane;
+  let p = Platform.create ~seed:7069L () in
+  let dest =
+    Serve.create_node ~platform:p
+    @@ Serve.Node_config.v ~node_id:1 ~platform:p Serve.default_config
+  in
+  ignore (Serve.add_tenant dest ~name:"acme" (tenant_config ()) : Backend.t);
+  (match Serve.import_tenant dest blob with
+  | Ok 1 -> ()
+  | Ok n -> Alcotest.failf "installed %d sessions" n
+  | Error r -> Alcotest.failf "import refused: %a" Serve.pp_reject r);
+  admit dest withheld;
+  admit dest (Serve.Client.request client ~ecall:1 (Bytes.of_string "after"));
+  (match Serve.flush dest with
+  | [ w; a ] ->
+      (match w.Serve.r_result with
+      | Error (Serve.Bad_sequence { expected; got }) ->
+          Alcotest.(check (pair int int)) "window top, withheld number" (2, 0)
+            (expected, got)
+      | _ -> Alcotest.fail "the withheld request was not refused");
+      Alcotest.(check (result string string)) "after" (Ok "after") (read_as client a)
+  | replies -> Alcotest.failf "expected 2 replies, got %d" (List.length replies));
+  Serve.destroy dest
+
 (* The client prepares its session keys once, at [establish]: after
    warm-up, sealing a 100-byte request and unsealing its reply allocate
    the request, its frame, the plaintext copy and the tags — a few
@@ -1435,6 +1644,7 @@ let suite =
       test_tampered_envelope_rejected;
     Alcotest.test_case "respliced header rejected" `Quick
       test_respliced_header_rejected;
+    Alcotest.test_case "replay window" `Quick test_replay_window;
     Alcotest.test_case "replayed request rejected" `Quick
       test_replayed_request_rejected;
     Alcotest.test_case "unknown session" `Quick test_unknown_session;
@@ -1447,6 +1657,8 @@ let suite =
     Alcotest.test_case "state ecall reserved" `Quick test_state_ecall_reserved;
     Alcotest.test_case "transient fault absorbed" `Quick
       test_transient_fault_absorbed;
+    Alcotest.test_case "transient fault in a handler re-opens its slot" `Quick
+      test_transient_fault_in_handler;
     Alcotest.test_case "permanent fault typed" `Quick test_permanent_fault_typed;
     Alcotest.test_case "chaos: two tenants, two cores" `Slow
       test_chaos_two_tenants_two_cores;
@@ -1480,6 +1692,7 @@ let suite =
       test_migration_blob_kat;
     Alcotest.test_case "channel frame known answer" `Quick
       test_channel_frame_kat;
+    Alcotest.test_case "import closes sequence holes" `Quick test_import_closes_holes;
     Alcotest.test_case "malformed migration blob refused typed" `Quick
       test_malformed_blob_refused;
     Alcotest.test_case "ledger adds up to the platform clock" `Quick

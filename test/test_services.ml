@@ -233,22 +233,36 @@ let test_negative_paths () =
   in
   Alcotest.(check string) "plane still serving" "+10" (Bytes.to_string healthy);
   (* Oversize request: ciphertext exceeding the ring slot is refused at
-     admission with a typed Unsupported, not a truncation.  (A rejected
-     submit still consumes the client's sequence number, so the typed
-     rejects run after the in-band traffic above.) *)
+     admission with a typed Unsupported, not a truncation. *)
   expect_reject "unsupported"
     (Serve.submit plane
        (Serve.Client.request c_resp ~ecall:Services.ecall_request
           (Bytes.make 300 'x')));
   (* Cross-tenant key confusion: a request sealed under kvdb's session
-     key replayed into the resp_kv session fails AEAD authentication. *)
+     key replayed into the resp_kv session is admitted, and resp_kv's
+     enclave refuses its tag in the flush that serves the honest
+     request. *)
   let stolen =
     Serve.Client.request c_kv ~ecall:Services.ecall_request
       (Bytes.of_string "SELECT v FROM kv WHERE k = 1")
   in
-  expect_reject "bad-auth"
-    (Serve.submit plane
-       { stolen with Serve.session_id = Serve.Client.session_id c_resp });
+  List.iter
+    (fun req ->
+      match Serve.submit plane req with
+      | Ok () -> ()
+      | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r)
+    [
+      { stolen with Serve.session_id = Serve.Client.session_id c_resp };
+      Serve.Client.request c_resp ~ecall:Services.ecall_request
+        (Hyperenclave.Workloads.Resp_kv.encode_command [ "DBSIZE" ]);
+    ];
+  (match Serve.flush plane with
+  | [ confused; honest ] ->
+      expect_reject "bad-auth" (Serve.Client.read_reply c_resp confused);
+      (match Serve.Client.read_reply c_resp honest with
+      | Ok body -> Alcotest.(check string) "honest request served" "+10" (Bytes.to_string body)
+      | Error r -> Alcotest.failf "honest request failed: %a" Serve.pp_reject r)
+  | replies -> Alcotest.failf "expected 2 replies, got %d" (List.length replies));
   (* Per-service request accounting surfaced through the scheduler. *)
   let telemetry = Monitor.telemetry p.Platform.monitor in
   Alcotest.(check bool) "resp_kv requests labeled" true
