@@ -13,7 +13,10 @@
      rolling monitor upgrade live-migrates every tenant out and home
      again under traffic;
    - cluster_pause_cycles: worst single live-migration pause (source
-     export + wire + destination rebuild). *)
+     export + wire + destination rebuild).
+
+   Beside the rolling-upgrade p99 it prints the wire traffic per call
+   and per migration, from Netsim's message and byte counters. *)
 
 open Hyperenclave
 
@@ -69,12 +72,21 @@ let fleet_cycles cl =
     0 (Cluster.nodes cl)
   + (Netsim.stats (Cluster.net cl)).Netsim.cycles_charged
 
-(* One batch per client; any rejected request is fatal.  Returns the
-   per-call simulated cost samples (node work + wire). *)
+(* Wire traffic so far: messages sent and bytes moved. *)
+let wire cl =
+  let n = Netsim.stats (Cluster.net cl) in
+  (n.Netsim.sent, n.Netsim.bytes_moved)
+
+(* One call's sample: its simulated cost per request (node work + wire)
+   and the messages and bytes it put on the wire. *)
+type sample = { cost : int; msgs : int; bytes : int }
+
+(* One batch per client; any rejected request is fatal.  Returns one
+   sample per call. *)
 let drive_round cl clients =
   List.map
     (fun c ->
-      let t0 = fleet_cycles cl in
+      let t0 = fleet_cycles cl and m0, b0 = wire cl in
       (match Cluster.Client.call c (List.init batch (fun _ -> (1, payload))) with
       | Ok replies ->
           List.iter
@@ -85,7 +97,8 @@ let drive_round cl clients =
       | Error e ->
           Format.eprintf "bench_cluster: call failed: %a@." Cluster.pp_error e;
           exit 2);
-      (fleet_cycles cl - t0) / batch)
+      let m1, b1 = wire cl in
+      { cost = (fleet_cycles cl - t0) / batch; msgs = m1 - m0; bytes = b1 - b0 })
     clients
 
 (* The fleet's ledger: the slowest node's (the longest critical path),
@@ -110,43 +123,67 @@ let fleet_ledger cl =
 let measure_rate ~nodes ~seed =
   let cl, clients = build ~nodes ~seed in
   for _ = 1 to rounds do
-    ignore (drive_round cl clients : int list)
+    ignore (drive_round cl clients : sample list)
   done;
   let ledger = fleet_ledger cl in
   List.iter Cluster.Client.close clients;
   Cluster.destroy cl;
   ledger
 
+type upgrade = {
+  p99 : int;
+  max_pause : int;
+  migrations : int;
+  call_msgs : float;  (* wire messages per call *)
+  call_bytes : float;
+  migration_msgs : float;  (* wire messages per migration *)
+  migration_bytes : float;
+}
+
 (* p99 per-request cost while a rolling upgrade migrates every tenant
-   out and back under live traffic, plus the worst migration pause. *)
+   out and back under live traffic, the worst migration pause, and the
+   wire traffic per call and per migration.  An upgrade step moves
+   nothing on the wire but its migrations. *)
 let measure_upgrade ~seed =
   let cl, clients = build ~nodes:4 ~seed in
   let samples = ref (drive_round cl clients) in
+  let mig_msgs = ref 0 and mig_bytes = ref 0 in
   List.iter
     (fun n ->
+      let m0, b0 = wire cl in
       (match Cluster.upgrade_node cl (Cluster.Node.id n) with
       | Ok () -> ()
       | Error e ->
           Format.eprintf "bench_cluster: upgrade failed: %a@." Cluster.pp_error e;
           exit 2);
+      let m1, b1 = wire cl in
+      mig_msgs := !mig_msgs + (m1 - m0);
+      mig_bytes := !mig_bytes + (b1 - b0);
       samples := drive_round cl clients @ !samples)
     (Cluster.nodes cl);
-  let sorted = List.sort compare !samples in
+  let sorted = List.sort compare (List.map (fun s -> s.cost) !samples) in
   let n = List.length sorted in
-  let p99 = List.nth sorted (min (n - 1) (n * 99 / 100)) in
   let stats = Cluster.stats cl in
+  let per count total = float_of_int total /. float_of_int (max 1 count) in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 !samples in
   List.iter Cluster.Client.close clients;
   Cluster.destroy cl;
-  (p99, stats.Cluster.max_pause, stats.Cluster.migrations)
+  {
+    p99 = List.nth sorted (min (n - 1) (n * 99 / 100));
+    max_pause = stats.Cluster.max_pause;
+    migrations = stats.Cluster.migrations;
+    call_msgs = per n (sum (fun s -> s.msgs));
+    call_bytes = per n (sum (fun s -> s.bytes));
+    migration_msgs = per stats.Cluster.migrations !mig_msgs;
+    migration_bytes = per stats.Cluster.migrations !mig_bytes;
+  }
 
 type summary = {
   ledgers_by_nodes : (int * Serve.ledger) list;
   rps_4x8 : float;
   scaling_1_2 : float;
   scaling_2_4 : float;
-  p99_upgrade : int;
-  pause : int;
-  upgrade_migrations : int;
+  upgrade : upgrade;
 }
 
 let summarize () =
@@ -154,15 +191,12 @@ let summarize () =
     List.map (fun nodes -> (nodes, measure_rate ~nodes ~seed:1001L)) [ 1; 2; 4 ]
   in
   let rate n = Util.critical_rps (List.assoc n ledgers_by_nodes) in
-  let p99_upgrade, pause, upgrade_migrations = measure_upgrade ~seed:1002L in
   {
     ledgers_by_nodes;
     rps_4x8 = rate 4;
     scaling_1_2 = rate 2 /. rate 1;
     scaling_2_4 = rate 4 /. rate 2;
-    p99_upgrade;
-    pause;
-    upgrade_migrations;
+    upgrade = measure_upgrade ~seed:1002L;
   }
 
 let run () =
@@ -188,20 +222,33 @@ let run () =
   Printf.printf
     "  (serial and critical path: the slowest node's, over which the \
      fleet's served requests are counted)\n";
+  let u = s.upgrade in
   Printf.printf
     "\n  rolling upgrade: %d live migrations, p99 request cost %d cycles,\n\
-    \  worst migration pause %d cycles (%.1f us at %.1f GHz)\n"
-    s.upgrade_migrations s.p99_upgrade s.pause
-    (float_of_int s.pause /. Util.clock_hz *. 1e6)
-    (Util.clock_hz /. 1e9);
+    \  worst migration pause %d cycles (%.1f us at %.1f GHz)\n\
+    \  wire per %d-request call: %.2f messages, %.0f bytes; per migration: \
+     %.2f messages, %.0f bytes\n"
+    u.migrations u.p99 u.max_pause
+    (float_of_int u.max_pause /. Util.clock_hz *. 1e6)
+    (Util.clock_hz /. 1e9) batch u.call_msgs u.call_bytes u.migration_msgs
+    u.migration_bytes;
   Printf.printf "\n  headline: %.0f attested req/s at 4 nodes x %d cores\n"
     s.rps_4x8 cores
 
 (* Fast sanity slice for @serve_smoke: two nodes, live migration under
-   an open session, everything served. *)
+   an open session, everything served.  The first round chases no
+   forward, so each of its calls must cross the wire once each way. *)
 let smoke () =
   let cl, clients = build ~nodes:2 ~seed:1003L in
-  ignore (drive_round cl clients : int list);
+  List.iter
+    (fun s ->
+      if s.msgs <> 2 then begin
+        Printf.eprintf
+          "cluster_smoke: FAIL — a call sent %d wire messages, expected 2\n"
+          s.msgs;
+        exit 1
+      end)
+    (drive_round cl clients);
   let victim = "tenant-0" in
   let dst = 1 - Cluster.owner cl ~tenant:victim in
   (match Cluster.migrate cl ~tenant:victim ~dst with
@@ -209,7 +256,7 @@ let smoke () =
   | Error e ->
       Format.eprintf "cluster_smoke: FAIL — migrate: %a@." Cluster.pp_error e;
       exit 1);
-  ignore (drive_round cl clients : int list);
+  ignore (drive_round cl clients : sample list);
   let bad =
     List.concat_map
       (fun (node, findings) ->
@@ -231,6 +278,6 @@ let headline s =
     ("cluster_rps_4x8", s.rps_4x8);
     ("cluster_scaling_1_2", s.scaling_1_2);
     ("cluster_scaling_2_4", s.scaling_2_4);
-    ("cluster_p99_upgrade_cycles", float_of_int s.p99_upgrade);
-    ("cluster_pause_cycles", float_of_int s.pause);
+    ("cluster_p99_upgrade_cycles", float_of_int s.upgrade.p99);
+    ("cluster_pause_cycles", float_of_int s.upgrade.max_pause);
   ]

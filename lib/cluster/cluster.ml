@@ -701,13 +701,15 @@ module Client = struct
     + 32 + 16
 
   (* 70 wire bytes over the ciphertext each way: a frame's 32-byte tag
-     and 38 bytes of header. *)
+     and 38 bytes of header.  A reject, from admission or the enclave,
+     is 70 bytes. *)
   let request_bytes (r : Serve.request) = Bytes.length r.Serve.frame + 38
 
-  let reply_bytes (r : Serve.reply) =
-    match r.Serve.r_result with
-    | Ok frame -> Bytes.length frame + 38
-    | Error _ -> 70
+  let reply_bytes = function
+    | Ok { Serve.r_result = Ok frame; _ } -> Bytes.length frame + 38
+    | Ok { Serve.r_result = Error _; _ } | Error _ -> 70
+
+  let sum_bytes size = List.fold_left (fun n x -> n + size x) 0
 
   (* One handshake attempt against [c.node]; chases Tenant_migrated
      forwards by re-pinning the new owner's anchor (bounded by fleet
@@ -763,69 +765,70 @@ module Client = struct
   let node_id c = c.node
   let session_id c = Serve.Client.session_id c.sc
 
-  (* Submit one sealed request, chasing typed migration forwards: the
-     same frame stays valid on the new owner because the session's
-     key and sequence cursor moved with it. *)
-  let rec submit_chase c (req : Serve.request) hops =
+  (* Send the unadmitted rest of a call's frames as one message and
+     admit them in order.  A typed [Session_migrated] forward re-points
+     the client and re-sends the rest as one message to the new owner:
+     the same frames stay valid there because the session's key and
+     anti-replay window moved with it.  Returns every admission, in
+     request order. *)
+  let rec admit_rest c hops admitted rest =
     if hops > Array.length c.cl.c_nodes then
       Error (Reject (Serve.Session_migrated { to_node = c.node }))
     else
-      match lb_send c ~bytes:(request_bytes req) with
+      match lb_send c ~bytes:(sum_bytes request_bytes rest) with
       | Error e -> Error e
-      | Ok () -> (
-          match Serve.submit (plane c.cl c.node) req with
-          | Error (Serve.Session_migrated { to_node }) ->
-              c.node <- to_node;
-              submit_chase c req (hops + 1)
-          | Error (Serve.Tenant_migrated { to_node; _ }) ->
-              c.node <- to_node;
-              submit_chase c req (hops + 1)
-          | Error r -> Ok (Error r)
-          | Ok () -> Ok (Ok ()))
+      | Ok () ->
+          let plane = plane c.cl c.node in
+          let rec go admitted = function
+            | [] -> Ok (List.rev admitted)
+            | req :: tl as rest -> (
+                match Serve.submit plane req with
+                | Error (Serve.Session_migrated { to_node }) ->
+                    c.node <- to_node;
+                    admit_rest c (hops + 1) admitted rest
+                | admission -> go ((req, admission) :: admitted) tl)
+          in
+          go admitted rest
 
   let call c reqs =
     if not c.open_ then Error (Reject (Serve.Session_fault "client not connected"))
-    else begin
-      let rec submit_all acc = function
-        | [] -> Ok (List.rev acc)
-        | (ecall, data) :: rest -> (
-            let req = Serve.Client.request c.sc ~ecall data in
-            match submit_chase c req 0 with
-            | Error e -> Error e
-            | Ok admitted -> submit_all ((req.Serve.seq, admitted) :: acc) rest)
+    else if reqs = [] then Ok []
+    else
+      let batch =
+        List.map (fun (ecall, data) -> Serve.Client.request c.sc ~ecall data) reqs
       in
-      match submit_all [] reqs with
+      match admit_rest c 0 [] batch with
       | Error e -> Error e
-      | Ok submitted -> (
+      | Ok admitted -> (
           let replies = Serve.flush (plane c.cl c.node) in
           let mine = session_id c in
-          let rec read acc = function
-            | [] -> Ok (List.rev acc)
-            | (seq, admitted) :: rest -> (
-                match admitted with
-                | Error r -> read (Error r :: acc) rest
+          let outcomes =
+            List.map
+              (fun ((req : Serve.request), admission) ->
+                match admission with
+                | Error r -> Error r
                 | Ok () -> (
                     match
                       List.find_opt
                         (fun (r : Serve.reply) ->
-                          r.Serve.r_session_id = mine && r.Serve.r_seq = seq)
+                          r.Serve.r_session_id = mine
+                          && r.Serve.r_seq = req.Serve.seq)
                         replies
                     with
                     | None ->
-                        read
-                          (Error
-                             (Serve.Session_fault
-                                "no reply for admitted request")
-                          :: acc)
-                          rest
-                    | Some reply -> (
-                        match lb_recv c ~bytes:(reply_bytes reply) with
-                        | Error e -> Error e
-                        | Ok () ->
-                            read (Serve.Client.read_reply c.sc reply :: acc) rest)))
+                        Error (Serve.Session_fault "no reply for admitted request")
+                    | Some reply -> Ok reply))
+              admitted
           in
-          read [] submitted)
-    end
+          match lb_recv c ~bytes:(sum_bytes reply_bytes outcomes) with
+          | Error e -> Error e
+          | Ok () ->
+              Ok
+                (List.map
+                   (function
+                     | Ok reply -> Serve.Client.read_reply c.sc reply
+                     | Error r -> Error r)
+                   outcomes))
 
   let reconnect c =
     c.open_ <- false;
@@ -835,11 +838,20 @@ module Client = struct
         c.node <- owner;
         connect_at c 0
 
+  (* Closing crosses no message; it follows [Session_migrated] forwards
+     under the call's hop bound, so a session whose tenant moved since
+     the last call is closed on its new owner. *)
   let close c =
+    let rec go hops =
+      if hops <= Array.length c.cl.c_nodes && Node.alive (node c.cl c.node) then
+        match Serve.close_session (plane c.cl c.node) ~session:(session_id c) with
+        | Error (Serve.Session_migrated { to_node }) ->
+            c.node <- to_node;
+            go (hops + 1)
+        | Ok () | Error _ -> ()
+    in
     if c.open_ then begin
       c.open_ <- false;
-      if Node.alive (node c.cl c.node) then
-        match Serve.close_session (plane c.cl c.node) ~session:(session_id c) with
-        | Ok () | Error _ -> ()
+      go 0
     end
 end

@@ -33,8 +33,9 @@
       pinned hapk, pinned quoting-enclave MRENCLAVE, transcript
       binding), exports the tenant
       ({!Hyperenclave_serve.Serve.export_tenant}: one opaque blob of
-      session keys, sequence cursors, committed EDMM pages and the burnt
-      replay cache, in a format the serving plane owns) and seals those
+      session keys, sequence cursors, committed EDMM pages and the
+      nonces burnt for the tenant, in a format the serving plane owns)
+      and seals those
       bytes under a transport key derived from the {!Kx} agreement, with
       AAD binding tenant, route and nonce;
     + {e install} — B burns the offer (each nonce admits one blob),
@@ -272,15 +273,25 @@ module Client : sig
 
   val call :
     t -> (int * bytes) list -> ((bytes, Serve.reject) result list, error) result
-  (** Submit a batch over the network, flush the owning plane, read the
-      replies.  A typed [Session_migrated] forward re-routes the {e
-      same} sealed frames to the new owner transparently — sequence
-      numbers and keys survived the migration.  Network loss past
-      retries is {!Net_partition}. *)
+  (** Seal a batch, admit it on the owning plane, flush the plane and
+      read the outcomes, one per request in request order.  The call
+      crosses the LB once each way: one message carries every request
+      frame, one every outcome (an admission reject included).  A typed
+      [Session_migrated] forward re-sends the unadmitted rest of the
+      batch, as one message, to the new owner — the {e same} sealed
+      frames, since sequence numbers and keys survived the migration —
+      at most once per fleet node.  Network loss past {!message_retries}
+      is {!Net_partition}: a lost request message admits nothing, a
+      lost reply message means the handlers ran.  An empty batch sends
+      nothing and returns [Ok []]. *)
 
   val reconnect : t -> (unit, error) result
   (** Re-resolve and re-handshake from scratch (fresh session) — the
       recovery path after {!kill_node} + {!failover}. *)
 
   val close : t -> unit
+  (** Close the session on the node that holds it, following
+      [Session_migrated] forwards (at most once per fleet node), so a
+      session whose tenant moved since the last call does not stay open
+      on its new owner.  Crosses no wire message. *)
 end

@@ -307,7 +307,8 @@ type t = {
       (* session id -> destination node: after cutover a straggler
          addressing a moved session gets a typed forward, not a bare
          unknown-session *)
-  seen_nonces : (string, unit) Hashtbl.t;
+  seen_nonces : (string, string list) Hashtbl.t;
+      (* replay cache: burnt nonce -> the tenants it was burnt for *)
   nonce_order : string Queue.t;  (* FIFO eviction for the replay cache *)
   ticket_key : bytes;  (* plane sealing key for resumption tickets *)
   mutable next_session : int;
@@ -461,20 +462,31 @@ let charge_aead_setup t = Cycles.tick t.platform.Platform.clock aead_setup_cycle
 let charge_aead_bytes t ~bytes =
   Cycles.tick t.platform.Platform.clock (aead_byte_cycles * bytes)
 
-(* Bounded replay cache: burn a nonce, evicting oldest entries past the
-   configured bound so session churn cannot grow the table without
-   limit.  Returns [true] when the nonce was already burnt. *)
-let nonce_replayed t nonce =
+(* Bounded replay cache: burn a nonce for [tenants], evicting oldest
+   entries past the configured bound so session churn cannot grow the
+   table without limit.  Lookup is node-wide: returns [true] when the
+   nonce was already burnt, for any tenant.  The tenants an entry records
+   pick the migrations that carry it ([export_tenant]). *)
+let nonce_replayed t ~tenants nonce =
   let key = Bytes.to_string nonce in
   if Hashtbl.mem t.seen_nonces key then true
   else begin
-    Hashtbl.replace t.seen_nonces key ();
+    Hashtbl.replace t.seen_nonces key tenants;
     Queue.push key t.nonce_order;
     while Queue.length t.nonce_order > t.config.nonce_cache do
       Hashtbl.remove t.seen_nonces (Queue.pop t.nonce_order)
     done;
     false
   end
+
+(* Record that a burnt nonce was burnt for [tenant] too; its FIFO place
+   does not move.  An evicted nonce stays evicted. *)
+let burn_for t nonce ~tenant =
+  let key = Bytes.to_string nonce in
+  match Hashtbl.find_opt t.seen_nonces key with
+  | Some tenants when not (List.mem tenant tenants) ->
+      Hashtbl.replace t.seen_nonces key (tenant :: tenants)
+  | Some _ | None -> ()
 
 (* ---------------------------------------------------------------------- *)
 (* Session state ECALLs (EDMM-backed elastic per-session state)           *)
@@ -814,7 +826,8 @@ let handshake t ~tenant hello =
   | Some tn -> (
       (* Burn the nonce even when the handshake later fails: a replayed
          challenge must never get a second quote. *)
-      if nonce_replayed t hello.nonce then refuse Replayed_nonce
+      if nonce_replayed t ~tenants:[ tenant ] hello.nonce then
+        refuse Replayed_nonce
       else
         match
           Fault.with_retries ~backoff:(backoff t) (fun () ->
@@ -1340,7 +1353,8 @@ let close_session t ~session =
      "hemig1:" [tenant] [identity] [n]
        n x ( [id] [key] [window top] [pages] [state] )
      [m] m x [nonce]
-   Sessions in ascending id order; nonces in replay-cache FIFO order. *)
+   Sessions in ascending id order; the nonces burnt for the tenant, in
+   replay-cache FIFO order. *)
 let blob_magic = "hemig1:"
 
 let put_u64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
@@ -1476,11 +1490,22 @@ let export_tenant t ~tenant =
         pack rest
   in
   let* () = pack sessions in
-  (* Carry the replay cache: a nonce burnt before the move must stay
-     burnt after it, or a recorded handshake replays against the
-     destination. *)
-  put_u64 buf (Queue.length t.nonce_order);
-  Queue.iter (fun n -> put_field buf (Bytes.of_string n)) t.nonce_order;
+  (* Carry the tenant's burnt nonces: one burnt before the move must
+     stay burnt after it, or a recorded handshake replays against the
+     destination.  Other tenants' nonces stay: each travels with its own
+     tenant, and a nonce replayed at another tenant gets a quote binding
+     that tenant's MRENCLAVE, which the victim's client refuses.  A
+     nonce burnt for no tenant (a resume whose ticket never opened)
+     stays too: a ticket opens only on the plane that sealed it. *)
+  let mine n = List.mem tenant (Hashtbl.find t.seen_nonces n) in
+  put_u64 buf (Queue.fold (fun k n -> if mine n then k + 1 else k) 0 t.nonce_order);
+  Queue.iter
+    (fun n ->
+      if mine n then begin
+        put_u64 buf (String.length n);
+        Buffer.add_string buf n
+      end)
+    t.nonce_order;
   Telemetry.incr t.telemetry "serve.migrate.export";
   Ok (Buffer.to_bytes buf)
 
@@ -1578,7 +1603,10 @@ let import_tenant t blob =
          again. *)
       resume_session_ids t ~next:(m.m_id + 1))
     moved;
-  List.iter (fun n -> ignore (nonce_replayed t n)) nonces;
+  List.iter
+    (fun n ->
+      if nonce_replayed t ~tenants:[ tenant ] n then burn_for t n ~tenant)
+    nonces;
   tn.t_migrated_to <- None;
   Telemetry.incr t.telemetry "serve.migrate.import";
   Ok (List.length moved)
@@ -1666,7 +1694,7 @@ type resume = { r_ticket : bytes; r_nonce : bytes }
 let resume t (r : resume) =
   (* Burn the nonce first, success or not — a replayed resumption must
      never open a second session. *)
-  if nonce_replayed t r.r_nonce then reject t Replayed_nonce
+  if nonce_replayed t ~tenants:[] r.r_nonce then reject t Replayed_nonce
   else
     match Authenc.decode r.r_ticket with
     | exception Invalid_argument m -> reject t (Bad_ticket m)
@@ -1682,6 +1710,7 @@ let resume t (r : resume) =
               match decode_ticket payload with
               | None -> reject t (Bad_ticket "malformed ticket payload")
               | Some (tenant, key, expires) -> (
+                  burn_for t r.r_nonce ~tenant;
                   if Cycles.now t.platform.Platform.clock > expires then
                     reject t Ticket_expired
                   else

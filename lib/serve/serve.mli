@@ -78,7 +78,7 @@
     {!identity} (node id, monitor hapk) and every session it opens is
     stamped with that identity.  Tenants and their live sessions can
     move between nodes — {!export_tenant} packs sessions (keys, window
-    tops, committed EDMM pages) and the burnt-nonce replay cache into
+    tops, committed EDMM pages) and the nonces burnt for the tenant into
     one opaque blob, {!import_tenant} rebuilds them from it on a
     destination whose tenant enclave measures identically, and
     {!retire_tenant} cuts the source over so stragglers get typed
@@ -423,8 +423,14 @@ val export_tenant : t -> tenant:string -> (bytes, reject) result
 (** Pack a tenant for migration: its enclave identity (MRENCLAVE), its
     live sessions in ascending id order — each with its node-prefixed
     id, channel key, replay window top, committed page count and those
-    pages' bytes, read out through the enclave — and the burnt-nonce
-    replay cache in FIFO order.  Refuses with {!Tenant_busy} while
+    pages' bytes, read out through the enclave — and the replay-cache
+    entries burnt for this tenant, in FIFO order: its handshakes' nonces,
+    its resumptions' once the ticket opened, and those an earlier import
+    brought in.  Other tenants' entries stay: each travels with its own
+    tenant, and a nonce replayed at another tenant gets a quote binding
+    that tenant's MRENCLAVE.  A resumption nonce whose ticket never
+    opened stays too: a ticket opens only on the plane that sealed it.
+    Refuses with {!Tenant_busy} while
     admitted requests are still staged (flush first) and
     {!Tenant_migrated} after cutover.  Does not mutate the plane —
     cutover is {!retire_tenant}. *)
@@ -437,8 +443,9 @@ val import_tenant : t -> bytes -> (int, reject) result
     keys and window tops, every number below a top counted as seen (a
     number never used before the move cannot be replayed after it), so
     clients notice nothing; EDMM pages
-    are re-committed and replayed through the enclave; the replay cache
-    is merged, so a nonce burnt before the move stays burnt.  A
+    are re-committed and replayed through the enclave; the carried
+    nonces are burnt here for the tenant, so a nonce burnt for it before
+    the move stays burnt.  A
     malformed blob, an identity mismatch, a collision or a session
     larger than {!state_stride_pages} is {!Import_conflict}; a
     mid-install failure rolls back cleanly.  Never raises on malformed

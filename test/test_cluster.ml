@@ -57,6 +57,16 @@ let migrate_ok cl ~tenant ~dst =
   | Ok n -> n
   | Error e -> Alcotest.failf "migrate failed: %a" Cluster.pp_error e
 
+(* A plane-level client pinned to node [n]'s anchor, for driving a
+   plane's handshake directly. *)
+let serve_client cl n ~seed =
+  let a = Cluster.anchor cl n in
+  Serve.Client.create ~rng:(Rng.create ~seed) ~golden:a.Cluster.a_golden
+    ~policy:
+      { Verifier.expected_mrenclave = None; expected_mrsigner = None;
+        allow_debug = false }
+    ~expected_hapk:a.Cluster.a_hapk ()
+
 (* ---------------------------------------------------------------- *)
 
 (* The headline demo: an enclave serving an active AEAD session is
@@ -225,15 +235,7 @@ let test_stale_source () =
   ignore (migrate_ok cl ~tenant:"acme" ~dst : int);
   let stale = Cluster.plane cl src in
   (* A fresh handshake against the stale source. *)
-  let probe =
-    Serve.Client.create
-      ~rng:(Rng.create ~seed:77L)
-      ~golden:(Cluster.anchor cl src).Cluster.a_golden
-      ~policy:
-        { Verifier.expected_mrenclave = None; expected_mrsigner = None;
-          allow_debug = false }
-      ()
-  in
+  let probe = serve_client cl src ~seed:77L in
   (match Serve.handshake stale ~tenant:"acme" (Serve.Client.hello probe) with
   | Error (Serve.Tenant_migrated { to_node; _ }) ->
       Alcotest.(check int) "forward names the destination" dst to_node
@@ -254,16 +256,7 @@ let test_stale_source () =
 let test_migrate_mid_flush () =
   let cl, src = build () in
   let plane = Cluster.plane cl src in
-  let a = Cluster.anchor cl src in
-  let sc =
-    Serve.Client.create
-      ~rng:(Rng.create ~seed:5L)
-      ~golden:a.Cluster.a_golden
-      ~policy:
-        { Verifier.expected_mrenclave = None; expected_mrsigner = None;
-          allow_debug = false }
-      ~expected_hapk:a.Cluster.a_hapk ()
-  in
+  let sc = serve_client cl src ~seed:5L in
   (match Serve.handshake plane ~tenant:"acme" (Serve.Client.hello sc) with
   | Error r -> Alcotest.failf "handshake: %a" Serve.pp_reject r
   | Ok accept -> (
@@ -550,6 +543,187 @@ let test_permanent_migration_fault () =
   assert_green cl;
   Cluster.destroy cl
 
+(* ---------------------------------------------------------------- *)
+(* The client's wire                                                  *)
+
+(* A call crosses the LB once each way: one message carries every
+   request frame, one every outcome, in request order.  After a
+   migration the request message meets the typed forward and the batch
+   is re-sent to the new owner as one message. *)
+let test_call_one_message_each_way () =
+  let cl, src = build () in
+  let c = connect cl in
+  let sent () = (Netsim.stats (Cluster.net cl)).Netsim.sent in
+  let expect what tag messages =
+    let bodies = List.init 4 (Printf.sprintf "%s-%d" tag) in
+    let s0 = sent () in
+    let replies = call_ok c (List.map (fun b -> (1, Bytes.of_string b)) bodies) in
+    Alcotest.(check int) (what ^ ": messages") messages (sent () - s0);
+    Alcotest.(check (list string))
+      (what ^ ": replies in request order")
+      bodies
+      (List.map Bytes.to_string replies)
+  in
+  expect "at the owner" "a" 2;
+  let dst = other cl src in
+  ignore (migrate_ok cl ~tenant:"acme" ~dst : int);
+  expect "after a migration" "b" 3;
+  Alcotest.(check int) "chased to destination" dst (Cluster.Client.node_id c);
+  Cluster.destroy cl
+
+(* A call that fails on the wire leaves nothing staged.  At cluster seed
+   11 the request message is lost past the retries, and nothing is
+   admitted; at seed 5 the reply message is, after the handlers ran.
+   Either way no admitted request is left for a later flush to serve to
+   nobody, or to hold the tenant busy against a migration. *)
+let test_lossy_call_strands_nothing () =
+  List.iter
+    (fun (seed, served) ->
+      let what = Printf.sprintf "seed %Ld" seed in
+      let cl, _ =
+        build ~nodes:2 ~seed
+          ~net:{ Netsim.default_config with Netsim.loss_per_mille = 600 }
+          ()
+      in
+      let c = connect cl in
+      let plane = Cluster.plane cl (Cluster.Client.node_id c) in
+      let sid = Cluster.Client.session_id c in
+      (match
+         Cluster.Client.call c
+           (List.init 4 (fun i -> (1, Bytes.of_string (string_of_int i))))
+       with
+      | Error Cluster.Net_partition -> ()
+      | Error e -> Alcotest.failf "%s: wrong failure: %a" what Cluster.pp_error e
+      | Ok _ -> Alcotest.failf "%s: call survived the loss" what);
+      (match Serve.export_tenant plane ~tenant:"acme" with
+      | Ok _ -> ()
+      | Error r -> Alcotest.failf "%s: export: %a" what Serve.pp_reject r);
+      Alcotest.(check int) (what ^ ": nothing left to serve") 0
+        (List.length
+           (List.filter
+              (fun (r : Serve.reply) -> r.Serve.r_session_id = sid)
+              (Serve.flush plane)));
+      Alcotest.(check int) (what ^ ": handlers run") served
+        (Serve.ledger plane).Serve.served;
+      Cluster.destroy cl)
+    [ (11L, 0); (5L, 4) ]
+
+(* Closing a client whose tenant moved since its last call closes the
+   session on the new owner: the source holds only a forward, and
+   ignoring it would leak the session's table entry and state slot. *)
+let test_close_follows_forward () =
+  let cl, src = build ~nodes:2 () in
+  let c = connect cl in
+  let dst = other cl src in
+  ignore (migrate_ok cl ~tenant:"acme" ~dst : int);
+  let dst_plane = Cluster.plane cl dst in
+  Alcotest.(check int) "session moved" 1 (Serve.session_count dst_plane);
+  Cluster.Client.close c;
+  Alcotest.(check int) "closed on the new owner" 0 (Serve.session_count dst_plane);
+  assert_green cl;
+  Cluster.destroy cl
+
+(* ---------------------------------------------------------------- *)
+(* The replay cache across a migration                                *)
+
+let expect_replayed what = function
+  | Error Serve.Replayed_nonce -> ()
+  | Error r -> Alcotest.failf "%s: wrong refusal: %a" what Serve.pp_reject r
+  | Ok _ -> Alcotest.failf "%s: replay accepted" what
+
+(* The moving tenant's burnt nonces travel with it: a hello and a
+   resumption recorded on the source are refused as replays at the
+   destination. *)
+let test_burnt_nonces_move () =
+  let cl, src = build () in
+  let plane = Cluster.plane cl src in
+  let sc = serve_client cl src ~seed:31L in
+  let hello = Serve.Client.hello sc in
+  (match Serve.handshake plane ~tenant:"acme" hello with
+  | Error r -> Alcotest.failf "handshake: %a" Serve.pp_reject r
+  | Ok accept -> (
+      match Serve.Client.establish sc accept with
+      | Error r -> Alcotest.failf "establish: %a" Serve.pp_reject r
+      | Ok () -> ()));
+  let ticket =
+    match Serve.issue_ticket plane ~session:(Serve.Client.session_id sc) with
+    | Ok tk -> tk
+    | Error r -> Alcotest.failf "issue_ticket: %a" Serve.pp_reject r
+  in
+  let resume = Serve.Client.resume_hello sc ~ticket in
+  (match Serve.resume plane resume with
+  | Ok _ -> ()
+  | Error r -> Alcotest.failf "resume: %a" Serve.pp_reject r);
+  let dst = other cl src in
+  ignore (migrate_ok cl ~tenant:"acme" ~dst : int);
+  let moved = Cluster.plane cl dst in
+  expect_replayed "recorded hello" (Serve.handshake moved ~tenant:"acme" hello);
+  expect_replayed "recorded resume" (Serve.resume moved resume);
+  assert_green cl;
+  Cluster.destroy cl
+
+(* A nonce stays burnt for every tenant it was burnt for.  A hello
+   recorded for acme on its owner is replayed at tenant other on a second
+   node, which burns it for other.  When acme moves there, the import
+   meets the nonce already burnt and records it for acme too, so it
+   travels on with acme to a third node and the replay is refused
+   there. *)
+let test_burnt_nonce_keeps_every_tenant () =
+  let cl, a = build () in
+  let b = other cl a in
+  if Cluster.add_tenant cl ~name:"other" tenant_gen <> b then
+    ignore (migrate_ok cl ~tenant:"other" ~dst:b : int);
+  let hello = Serve.Client.hello (serve_client cl a ~seed:32L) in
+  List.iter
+    (fun (node, tenant) ->
+      match Serve.handshake (Cluster.plane cl node) ~tenant hello with
+      | Ok _ -> ()
+      | Error r -> Alcotest.failf "handshake %s: %a" tenant Serve.pp_reject r)
+    [ (a, "acme"); (b, "other") ];
+  ignore (migrate_ok cl ~tenant:"acme" ~dst:b : int);
+  let c =
+    match
+      List.find_opt
+        (fun n -> Cluster.Node.id n <> a && Cluster.Node.id n <> b)
+        (Cluster.nodes cl)
+    with
+    | Some n -> Cluster.Node.id n
+    | None -> Alcotest.fail "need three nodes"
+  in
+  ignore (migrate_ok cl ~tenant:"acme" ~dst:c : int);
+  expect_replayed "recorded hello, two moves on"
+    (Serve.handshake (Cluster.plane cl c) ~tenant:"acme" hello);
+  assert_green cl;
+  Cluster.destroy cl
+
+(* A migration carries only its own tenant's burnt nonces: handshakes
+   for another tenant on the source, and a resumption whose ticket never
+   opened, leave the moving tenant's blob the same length. *)
+let test_blob_carries_own_nonces () =
+  let cl, src = build () in
+  if Cluster.add_tenant cl ~name:"other" tenant_gen <> src then
+    ignore (migrate_ok cl ~tenant:"other" ~dst:src : int);
+  let _acme = connect cl in
+  let plane = Cluster.plane cl src in
+  let blob_length () =
+    match Serve.export_tenant plane ~tenant:"acme" with
+    | Ok blob -> Bytes.length blob
+    | Error r -> Alcotest.failf "export: %a" Serve.pp_reject r
+  in
+  let before = blob_length () in
+  let _others =
+    List.init 3 (fun i -> connect ~seed:(Int64.of_int (40 + i)) ~tenant:"other" cl)
+  in
+  (match
+     Serve.resume plane
+       { Serve.r_ticket = Bytes.make 64 'x'; r_nonce = Bytes.make 16 'n' }
+   with
+  | Error (Serve.Bad_ticket _) -> ()
+  | Error r -> Alcotest.failf "forged ticket: %a" Serve.pp_reject r
+  | Ok _ -> Alcotest.fail "forged ticket resumed");
+  Alcotest.(check int) "other tenants' nonces stay home" before (blob_length ());
+  Cluster.destroy cl
+
 let suite =
   [
     Alcotest.test_case "live migration: seal, ship, re-attest, resume" `Quick
@@ -579,4 +753,16 @@ let suite =
       test_kill_failover_chaos;
     Alcotest.test_case "permanent migration fault is typed" `Quick
       test_permanent_migration_fault;
+    Alcotest.test_case "a call is one message each way" `Quick
+      test_call_one_message_each_way;
+    Alcotest.test_case "a lossy call strands no request" `Quick
+      test_lossy_call_strands_nothing;
+    Alcotest.test_case "close follows a migration forward" `Quick
+      test_close_follows_forward;
+    Alcotest.test_case "burnt nonces move with their tenant" `Quick
+      test_burnt_nonces_move;
+    Alcotest.test_case "a burnt nonce keeps every tenant it was burnt for"
+      `Quick test_burnt_nonce_keeps_every_tenant;
+    Alcotest.test_case "a migration carries only its tenant's nonces" `Quick
+      test_blob_carries_own_nonces;
   ]
