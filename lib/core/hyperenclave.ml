@@ -57,7 +57,6 @@ module Epc = Hyperenclave_monitor.Epc
 module Measure = Hyperenclave_monitor.Measure
 module World_switch = Hyperenclave_monitor.World_switch
 module Isa = Hyperenclave_monitor.Isa
-module Hypercall = Hyperenclave_monitor.Hypercall
 module Vcpu = Hyperenclave_monitor.Vcpu
 module Kernel = Hyperenclave_os.Kernel
 module Process = Hyperenclave_os.Process

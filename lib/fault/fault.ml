@@ -27,6 +27,10 @@ let sites =
     "cluster.migrate";
   ]
 
+let require_registered site =
+  if not (List.mem site sites) then
+    invalid_arg ("Fault: unregistered site " ^ site)
+
 (* A private splitmix64 keeps plan derivation independent of the
    platform RNG streams: installing a plan must not perturb the
    simulation's own randomness. *)
@@ -85,6 +89,7 @@ let state =
 let armed = ref false
 
 let install ?telemetry plan =
+  List.iter (fun s -> require_registered s.site) plan;
   state.specs <- List.map (fun s -> (s, ref false)) plan;
   Hashtbl.reset state.hits;
   state.telemetry <- telemetry;
@@ -112,6 +117,7 @@ let bump name =
 let check site =
   if not !armed then None
   else begin
+    require_registered site;
     let n = hits site + 1 in
     Hashtbl.replace state.hits site n;
     let firing =

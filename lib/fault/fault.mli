@@ -46,7 +46,7 @@ type plan = spec list
 
 val sites : string list
 (** Every named injection site threaded through the stack:
-    ["hypercall.dispatch"] (monitor hypercall entry),
+    ["hypercall.dispatch"] (the kernel module's hypercall gate),
     ["epc.alloc"] / ["epc.swap_in"] (EPC frame allocation / ELDU reload),
     ["tpm.quote"] / ["tpm.seal"] / ["tpm.unseal"] (TPM commands),
     ["switch.aex"] / ["switch.eresume"] (AEX delivery / ERESUME),
@@ -56,7 +56,9 @@ val sites : string list
     ["serve.session"] (serving-plane session work: handshake acceptance
     and per-session dispatch staging),
     ["cluster.migrate"] (fleet migration protocol steps: the offer,
-    seal and install phases of a live enclave migration). *)
+    seal and install phases of a live enclave migration).  A site outside
+    this list is refused by {!install}, and by {!point} and {!check}
+    while a plan is armed. *)
 
 (** {1 Plans} *)
 
@@ -76,7 +78,9 @@ val install : ?telemetry:Hyperenclave_obs.Telemetry.t -> plan -> unit
 (** Arm the plan, resetting all hit counters.  At each injection the
     optional [telemetry] sink receives [fault.injected] and
     [fault.injected.<site>] counter bumps (and [fault.retried] /
-    [fault.survived] from the retry helpers). *)
+    [fault.survived] from the retry helpers).
+    @raise Invalid_argument, arming nothing, if a spec's site is not in
+    {!sites}. *)
 
 val clear : unit -> unit
 (** Disarm: every site becomes a no-op again. *)
@@ -101,7 +105,9 @@ val hits : string -> int
 val check : string -> kind option
 (** Record a hit at [site]; [Some kind] when the plan fires here.  For
     sites whose failure has bespoke semantics (e.g. simulated EPC
-    pressure that the monitor absorbs by evicting). *)
+    pressure that the monitor absorbs by evicting).
+    @raise Invalid_argument if a plan is armed and [site] is not in
+    {!sites}; unarmed, every site is a no-op. *)
 
 val point : string -> unit
 (** [check] and raise {!Injected} when the plan fires. *)

@@ -46,38 +46,26 @@ let ioctl_enter t =
   Fault.with_retries ~backoff:(backoff t) (fun () -> Fault.point "os.ioctl");
   Kernel.null_syscall t.kernel
 
-(* Every privileged operation crosses the explicit hypercall ABI; a
-   Fault result is re-raised so callers see the monitor's refusal.
-   Transient injected faults at the dispatch gate are retried with
-   backoff, like the real driver reissuing an interrupted VMMCALL —
-   safe because the gate fires before the monitor mutates anything. *)
-let hypercall t request =
+(* The hypercall gate.  A fault at "hypercall.dispatch" models a VMMCALL
+   that never reached the monitor: nothing is mutated yet, so a transient
+   one is retried, like the real module reissuing an interrupted VMMCALL. *)
+let gate t op =
   Fault.with_retries ~backoff:(backoff t) (fun () ->
-      match Hypercall.dispatch t.monitor request with
-      | Hypercall.Fault message -> raise (Monitor.Security_violation message)
-      | result -> result)
-
-let expect_ok t request =
-  match hypercall t request with
-  | Hypercall.Ok -> ()
-  | Hypercall.Enclave_handle _ | Hypercall.Key _ | Hypercall.Report _
-  | Hypercall.Quote _ ->
-      invalid_arg ("Kmod: unexpected result for " ^ Hypercall.name request)
-  | Hypercall.Fault _ -> assert false (* re-raised in [hypercall] *)
+      Fault.point "hypercall.dispatch";
+      op t.monitor)
 
 let ioctl_create_enclave t secs =
   ioctl_enter t;
-  match hypercall t (Hypercall.Ecreate secs) with
-  | Hypercall.Enclave_handle enclave -> enclave
-  | _ -> invalid_arg "Kmod: ECREATE returned no handle"
+  gate t (fun m -> Monitor.ecreate m secs)
 
 let ioctl_add_page t enclave ~vpn ~content ~perms ~page_type =
   ioctl_enter t;
-  expect_ok t (Hypercall.Eadd { enclave; vpn; content; perms; page_type })
+  gate t (fun m -> Monitor.eadd m enclave ~vpn ~content ~perms ~page_type)
 
 let ioctl_add_tcs t enclave ~vpn ~entry_va ~nssa ~ssa_base_vpn =
   ioctl_enter t;
-  expect_ok t (Hypercall.Eadd_tcs { enclave; vpn; entry_va; nssa; ssa_base_vpn })
+  gate t (fun m ->
+      Monitor.eadd_tcs m enclave ~vpn ~entry_va ~nssa ~ssa_base_vpn)
 
 let ioctl_pin_range t proc ~va ~len =
   ioctl_enter t;
@@ -117,9 +105,9 @@ let ioctl_init_enclave t proc enclave ~sigstruct ~ms_base ~ms_size =
         invalid_arg
           (Printf.sprintf "ioctl_init_enclave: page 0x%x not resident" vpn)
   done;
-  expect_ok t
-    (Hypercall.Einit
-       { enclave; sigstruct; marshalling = (ms_base, ms_size, !pages) })
+  gate t (fun m ->
+      Monitor.einit m enclave ~sigstruct
+        ~marshalling:(ms_base, ms_size, !pages))
 
 let ioctl_destroy_enclave t proc enclave =
   ioctl_enter t;
@@ -127,7 +115,7 @@ let ioctl_destroy_enclave t proc enclave =
      lifetime: EREMOVE is where the module must release them, otherwise
      every create/destroy cycle leaks pinned pages. *)
   let marshalling = enclave.Enclave.marshalling in
-  expect_ok t (Hypercall.Eremove enclave);
+  gate t (fun m -> Monitor.eremove m enclave);
   match marshalling with
   | None -> ()
   | Some (ms_base, ms_size) -> unpin_range proc ~va:ms_base ~len:ms_size

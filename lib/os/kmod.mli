@@ -3,9 +3,9 @@
     Loaded by the primary OS during boot: it measures and launches
     RustMonitor ("measured late launch"), persists the sealed [K_root]
     blob, and afterwards exposes the emulated privileged SGX operations to
-    applications through [/dev/hyper_enclave] ioctls, each of which is a
-    thin hypercall forwarder.  The module runs inside the untrusted OS: the
-    monitor re-validates everything it passes. *)
+    applications through [/dev/hyper_enclave] ioctls.  The module runs
+    inside the untrusted OS: the monitor re-validates everything it
+    passes. *)
 
 open Hyperenclave_monitor
 
@@ -25,7 +25,13 @@ val load :
 val monitor : t -> Monitor.t
 val kernel : t -> Kernel.t
 
-(** {1 /dev/hyper_enclave ioctls} *)
+(** {1 /dev/hyper_enclave ioctls}
+
+    Each ioctl crosses the ["os.ioctl"] fault site, then enters the
+    monitor through the hypercall gate: the ["hypercall.dispatch"] site,
+    crossed once per attempt before the monitor operation runs, with a
+    transient fault there retried with backoff.  The monitor's refusals
+    surface as [Monitor.Security_violation]. *)
 
 val ioctl_create_enclave : t -> Sgx_types.secs -> Enclave.t
 
@@ -47,6 +53,9 @@ val ioctl_pin_range : t -> Process.t -> va:int -> len:int -> unit
     @raise Invalid_argument if any page is not resident (the uRTS mmaps
     with MAP_POPULATE first); in that case every pin taken by this call
     has been unwound — a failed ioctl does not leak pinned pages. *)
+
+val unpin_range : Process.t -> va:int -> len:int -> unit
+(** Release the pins {!ioctl_pin_range} took over the same range. *)
 
 val ioctl_init_enclave :
   t ->

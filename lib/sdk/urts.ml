@@ -149,6 +149,15 @@ let layout config =
 let create ~kmod ~proc ~rng ~signer ~config ~ecalls ~ocalls =
   let code_first, data_first, tcs_first, ssa_first, heap_first = layout config in
   if heap_first >= config.elrange_pages then fail "create: ELRANGE too small";
+  (* The marshalling buffer must be page-aligned and large enough to
+     split into the three page-rounded regions (inputs / outputs /
+     ocalloc arena); refuse before anything is built. *)
+  if config.ms_bytes <= 0 || not (Addr.is_aligned config.ms_bytes) then
+    fail "create: ms_bytes (%d) must be a positive multiple of the page size"
+      config.ms_bytes;
+  if config.ms_bytes < 4 * Addr.page_size then
+    fail "create: ms_bytes (%d) too small to split into regions (< 4 pages)"
+      config.ms_bytes;
   let secs =
     {
       Sgx_types.base_va = elbase;
@@ -158,66 +167,75 @@ let create ~kmod ~proc ~rng ~signer ~config ~ecalls ~ocalls =
     }
   in
   let enclave = Kmod.ioctl_create_enclave kmod secs in
-  let base_vpn = Addr.page_of elbase in
-  let pages = ref [] in
-  let add ~idx ~content ~perms ~page_type =
-    let vpn = base_vpn + idx in
-    Kmod.ioctl_add_page kmod enclave ~vpn ~content ~perms ~page_type;
-    pages :=
-      { Measure.vpn; perms; page_type; content = Measure.page_padded content }
-      :: !pages
-  in
-  for i = 0 to config.code_pages - 1 do
-    add ~idx:(code_first + i)
-      ~content:(code_page_content config i)
-      ~perms:Page_table.rx ~page_type:Sgx_types.Pt_reg
-  done;
-  for i = 0 to config.data_pages - 1 do
-    add ~idx:(data_first + i) ~content:Bytes.empty ~perms:Page_table.rw
-      ~page_type:Sgx_types.Pt_reg
-  done;
-  for i = 0 to config.tcs_count - 1 do
-    let vpn = base_vpn + tcs_first + i in
-    let entry_va = elbase in
-    let ssa_base_vpn = base_vpn + ssa_first + (i * config.nssa) in
-    Kmod.ioctl_add_tcs kmod enclave ~vpn ~entry_va ~nssa:config.nssa
-      ~ssa_base_vpn;
-    pages :=
-      {
-        Measure.vpn;
-        perms = Page_table.rw;
-        page_type = Sgx_types.Pt_tcs;
-        content =
-          Measure.page_padded
-            (Bytes.of_string
-               (Printf.sprintf "tcs:%x:%d:%x" entry_va config.nssa ssa_base_vpn));
-      }
-      :: !pages;
-    for s = 0 to config.nssa - 1 do
-      add
-        ~idx:(ssa_first + (i * config.nssa) + s)
-        ~content:Bytes.empty ~perms:Page_table.rw ~page_type:Sgx_types.Pt_ssa
-    done
-  done;
-  (* sgx_sign: predict the measurement offline and sign it. *)
-  let expected = Measure.expected secs (List.rev !pages) in
-  let sigstruct =
-    Sgx_types.make_sigstruct ~vendor:signer ~enclave_hash:expected
-      ~isv_prod_id:config.isv_prod_id ~isv_svn:config.isv_svn
-  in
-  (* Marshalling buffer: mmap + MAP_POPULATE, then the pin ioctl.  The
-     size must be page-aligned and large enough to split into the three
-     page-rounded regions (inputs / outputs / ocalloc arena). *)
-  if config.ms_bytes <= 0 || not (Addr.is_aligned config.ms_bytes) then
-    fail "create: ms_bytes (%d) must be a positive multiple of the page size"
-      config.ms_bytes;
-  if config.ms_bytes < 4 * Addr.page_size then
-    fail "create: ms_bytes (%d) too small to split into regions (< 4 pages)"
-      config.ms_bytes;
   let ms_size = config.ms_bytes in
-  let ms_base = Kernel.mmap (Kmod.kernel kmod) proc ~len:ms_size ~populate:true in
-  Kmod.ioctl_pin_range kmod proc ~va:ms_base ~len:ms_size;
-  Kmod.ioctl_init_enclave kmod proc enclave ~sigstruct ~ms_base ~ms_size;
+  let pinned = ref None in
+  let build () =
+    let base_vpn = Addr.page_of elbase in
+    let pages = ref [] in
+    let add ~idx ~content ~perms ~page_type =
+      let vpn = base_vpn + idx in
+      Kmod.ioctl_add_page kmod enclave ~vpn ~content ~perms ~page_type;
+      pages :=
+        { Measure.vpn; perms; page_type; content = Measure.page_padded content }
+        :: !pages
+    in
+    for i = 0 to config.code_pages - 1 do
+      add ~idx:(code_first + i)
+        ~content:(code_page_content config i)
+        ~perms:Page_table.rx ~page_type:Sgx_types.Pt_reg
+    done;
+    for i = 0 to config.data_pages - 1 do
+      add ~idx:(data_first + i) ~content:Bytes.empty ~perms:Page_table.rw
+        ~page_type:Sgx_types.Pt_reg
+    done;
+    for i = 0 to config.tcs_count - 1 do
+      let vpn = base_vpn + tcs_first + i in
+      let entry_va = elbase in
+      let ssa_base_vpn = base_vpn + ssa_first + (i * config.nssa) in
+      Kmod.ioctl_add_tcs kmod enclave ~vpn ~entry_va ~nssa:config.nssa
+        ~ssa_base_vpn;
+      pages :=
+        {
+          Measure.vpn;
+          perms = Page_table.rw;
+          page_type = Sgx_types.Pt_tcs;
+          content =
+            Measure.page_padded
+              (Bytes.of_string
+                 (Printf.sprintf "tcs:%x:%d:%x" entry_va config.nssa ssa_base_vpn));
+        }
+        :: !pages;
+      for s = 0 to config.nssa - 1 do
+        add
+          ~idx:(ssa_first + (i * config.nssa) + s)
+          ~content:Bytes.empty ~perms:Page_table.rw ~page_type:Sgx_types.Pt_ssa
+      done
+    done;
+    (* sgx_sign: predict the measurement offline and sign it. *)
+    let expected = Measure.expected secs (List.rev !pages) in
+    let sigstruct =
+      Sgx_types.make_sigstruct ~vendor:signer ~enclave_hash:expected
+        ~isv_prod_id:config.isv_prod_id ~isv_svn:config.isv_svn
+    in
+    (* Marshalling buffer: mmap + MAP_POPULATE, then the pin ioctl. *)
+    let ms_base = Kernel.mmap (Kmod.kernel kmod) proc ~len:ms_size ~populate:true in
+    Kmod.ioctl_pin_range kmod proc ~va:ms_base ~len:ms_size;
+    pinned := Some ms_base;
+    Kmod.ioctl_init_enclave kmod proc enclave ~sigstruct ~ms_base ~ms_size;
+    ms_base
+  in
+  let ms_base =
+    match build () with
+    | ms_base -> ms_base
+    | exception e ->
+        (* Undo the half-built enclave, best effort: a second fault here
+           must not hide the first.  A failed EINIT never bound the pins
+           to the enclave, so EREMOVE leaves them to be released here. *)
+        let bt = Printexc.get_raw_backtrace () in
+        (try Kmod.ioctl_destroy_enclave kmod proc enclave with _ -> ());
+        Option.iter (fun va -> Kmod.unpin_range proc ~va ~len:ms_size) !pinned;
+        Printexc.raise_with_backtrace e bt
+  in
   let t =
     {
       kmod;

@@ -51,6 +51,11 @@ val create :
   ecalls:(int * Tenv.handler) list ->
   ocalls:(int * (bytes -> bytes)) list ->
   t
+(** ECREATE, EADD every page, map and pin the marshalling buffer, EINIT.
+    A refused build leaves no enclave, EPC frame or pin behind: a bad
+    [ms_bytes] is refused before ECREATE, and a later failure EREMOVEs
+    the half-built enclave and re-raises.  The buffer's mapping stays,
+    as after {!destroy}: the model has no munmap. *)
 
 val ecall :
   t -> id:int -> ?data:bytes -> direction:Edge.direction -> unit -> bytes

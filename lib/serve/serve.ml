@@ -189,10 +189,10 @@ let frame_tag d frame ~len =
   Bytes.blit frame len d.d_tag 0 Urts.tag_bytes;
   d.d_tag
 
-(* Flat admission arena: each admitted request, in admission order,
-   recycled across flushes.  [sg_shards] / [sg_slots] are flush-time
-   scratch columns: which ring shard served entry [i] and the slot index
-   inside that ring. *)
+(* Flat admission arena: each admitted request, in admission order until
+   a flush sorts it by session, recycled across flushes.  [sg_shards] /
+   [sg_slots] are per-flush columns: which ring shard served entry [i]
+   (-1 when its session faulted) and the slot index inside that ring. *)
 type stage = {
   mutable sg_reqs : request array;
   mutable sg_shards : int array;
@@ -244,7 +244,6 @@ type tenant = {
       (* per shard, slot -> stage index of the request staged there this
          flush: how the ring's in-enclave channel finds a slot's header *)
   ring_err : string option array;  (* per-shard failure, one flush *)
-  ring_gen : int array;  (* last flush generation that used the shard *)
 }
 
 (* A session's anti-replay window (RFC 4303 §3.4.3), kept beside its
@@ -322,8 +321,6 @@ type t = {
          hot-tenant flushes spread over every core *)
   mutable flush_gen : int;
   fault_msgs : (int, string) Hashtbl.t;  (* session faults, one flush *)
-  mutable sid_scratch : int array;  (* distinct staged sessions, sorted *)
-  mutable sid_count : int;
   hdr : derived;  (* nonce and AAD scratch of the ring channel *)
   mutable sealed_in_group : int;  (* reply seals since the last setup charge *)
   (* --- critical-path ledger --- *)
@@ -412,8 +409,6 @@ let create_node ~platform (nc : Node_config.t) =
     rotor = 0;
     flush_gen = 0;
     fault_msgs = Hashtbl.create 8;
-    sid_scratch = Array.make 16 0;
-    sid_count = 0;
     hdr = derived ();
     sealed_in_group = 0;
     submit_cyc = 0;
@@ -609,7 +604,6 @@ let add_tenant t ~name (bc : Backend.config) =
       rings = Array.make t.shards None;
       ring_entries = Array.make t.shards [||];
       ring_err = Array.make t.shards None;
-      ring_gen = Array.make t.shards 0;
     }
   in
   Hashtbl.replace t.tenants name tenant;
@@ -937,37 +931,20 @@ let charge t (tn : tenant) cycles =
   tn.spent <- tn.spent + cycles;
   Telemetry.add t.telemetry tn.t_cyc_counter cycles
 
-(* Collect the distinct live sessions staged in [st] into the plane's
-   scratch array, ascending id — the per-tenant session order of
-   dispatch and reply assembly.  Linear dedup: distinct sessions per
-   tenant per flush are few. *)
-let collect_sids t (st : stage) =
-  t.sid_count <- 0;
-  for i = 0 to st.sg_n - 1 do
-    let sid = st.sg_reqs.(i).session_id in
-    if sid >= 0 then begin
-      let n = t.sid_count in
-      let rec seen k = k < n && (t.sid_scratch.(k) = sid || seen (k + 1)) in
-      if not (seen 0) then begin
-        if n = Array.length t.sid_scratch then begin
-          let b = Array.make (2 * n) 0 in
-          Array.blit t.sid_scratch 0 b 0 n;
-          t.sid_scratch <- b
-        end;
-        t.sid_scratch.(n) <- sid;
-        t.sid_count <- n + 1
-      end
-    end
-  done;
-  (* in-place insertion sort over the live prefix *)
-  for i = 1 to t.sid_count - 1 do
-    let v = t.sid_scratch.(i) in
+(* Sort a tenant's stage in place, stably by session id: dispatch and
+   reply order is ascending session id, then admission order.  Clients
+   stage a burst together, so the stage is nearly sorted and insertion
+   sort is linear in practice.  Dead entries (id -1) sort first. *)
+let sort_stage (st : stage) =
+  let a = st.sg_reqs in
+  for i = 1 to st.sg_n - 1 do
+    let r = a.(i) in
     let j = ref (i - 1) in
-    while !j >= 0 && t.sid_scratch.(!j) > v do
-      t.sid_scratch.(!j + 1) <- t.sid_scratch.(!j);
+    while !j >= 0 && a.(!j).session_id > r.session_id do
+      a.(!j + 1) <- a.(!j);
       decr j
     done;
-    t.sid_scratch.(!j + 1) <- v
+    a.(!j + 1) <- r
   done
 
 (* A slot the worker refuses carries [refusal_bytes] as its reply: -1
@@ -1083,11 +1060,12 @@ let recycle (tn : tenant) =
 
 (* The allocation-free dispatch path.  Staging, dispatch and reply bytes
    all live in reusable arenas and the pinned marshalling rings; the only
-   per-request allocation left is the wire-facing reply frame. *)
+   per-request allocation left is the wire-facing reply frame.  Every
+   flush ends in [recycle], aborted or not, so a ring with staged slots
+   is one this flush staged into. *)
 let drain t =
   Telemetry.incr t.telemetry "serve.flush";
   t.flush_gen <- t.flush_gen + 1;
-  let gen = t.flush_gen in
   Hashtbl.reset t.fault_msgs;
   t.sealed_in_group <- 0;
   let cores = max 1 t.config.sched.Sched.cores in
@@ -1096,62 +1074,61 @@ let drain t =
   in
   let flush_total = ref 0 in
   let rings_used = ref 0 in
-  (* Pass 1 per tenant: walk the staged entries in dispatch order —
-     ascending session id, then admission order within a session.
-     Permanent session faults surface as typed errors in the assembly
-     pass; live entries copy their whole frame, ciphertext and tag, into
-     a ring slot, for the ring's worker to open. *)
+  (* Pass 1 per tenant: walk the sorted stage.  Each session crosses the
+     session fault site at its first entry; a permanent fault there
+     surfaces as typed errors in the assembly pass.  Live entries copy
+     their whole frame, ciphertext and tag, into a ring slot, for the
+     ring's worker to open; each session starts a new rotor block. *)
   List.iter
     (fun tn ->
       let st = tn.stage in
       if st.sg_n > 0 then begin
         Array.fill tn.ring_err 0 t.shards None;
-        collect_sids t st;
-        for k = 0 to t.sid_count - 1 do
-          let sid = t.sid_scratch.(k) in
-          match
-            Fault.with_retries ~backoff:(backoff t) (fun () ->
-                Fault.point fault_site)
-          with
-          | exception Fault.Injected { site; kind } ->
-              Hashtbl.replace t.fault_msgs sid (injected_msg site kind);
-              for i = 0 to st.sg_n - 1 do
-                if st.sg_reqs.(i).session_id = sid then incr flush_total
-              done
-          | () ->
-              let stamp = ref 0 in
-              let shard = ref 0 in
-              for i = 0 to st.sg_n - 1 do
-                let r = st.sg_reqs.(i) in
-                if r.session_id = sid then begin
-                  incr flush_total;
-                  let len = Bytes.length r.frame in
-                  if !stamp mod rotor_block = 0 then begin
-                    shard := t.rotor;
-                    t.rotor <- (t.rotor + 1) mod t.shards
-                  end;
-                  incr stamp;
-                  let ring = ring_for t tn !shard in
-                  if tn.ring_gen.(!shard) <> gen then begin
-                    tn.ring_gen.(!shard) <- gen;
-                    incr rings_used
-                  end;
-                  let off = Urts.ring_stage ring ~ecall_id:r.ecall_id ~len in
-                  Bytes.blit r.frame 0 (Urts.ring_buf ring) off len;
-                  let slot = Urts.ring_staged ring - 1 in
-                  tn.ring_entries.(!shard).(slot) <- i;
-                  st.sg_shards.(i) <- !shard;
-                  st.sg_slots.(i) <- slot
-                end
-              done
+        sort_stage st;
+        let sid = ref (-1) and faulted = ref false in
+        let stamp = ref 0 and shard = ref 0 in
+        for i = 0 to st.sg_n - 1 do
+          let r = st.sg_reqs.(i) in
+          if r.session_id >= 0 then begin
+            incr flush_total;
+            if r.session_id <> !sid then begin
+              sid := r.session_id;
+              stamp := 0;
+              faulted :=
+                (match
+                   Fault.with_retries ~backoff:(backoff t) (fun () ->
+                       Fault.point fault_site)
+                 with
+                | () -> false
+                | exception Fault.Injected { site; kind } ->
+                    Hashtbl.replace t.fault_msgs !sid (injected_msg site kind);
+                    true)
+            end;
+            if not !faulted then begin
+              let len = Bytes.length r.frame in
+              if !stamp mod rotor_block = 0 then begin
+                shard := t.rotor;
+                t.rotor <- (t.rotor + 1) mod t.shards
+              end;
+              incr stamp;
+              let ring = ring_for t tn !shard in
+              let off = Urts.ring_stage ring ~ecall_id:r.ecall_id ~len in
+              Bytes.blit r.frame 0 (Urts.ring_buf ring) off len;
+              let slot = Urts.ring_staged ring - 1 in
+              tn.ring_entries.(!shard).(slot) <- i;
+              st.sg_shards.(i) <- !shard;
+              st.sg_slots.(i) <- slot
+            end
+            else st.sg_shards.(i) <- -1
+          end
         done;
         (* Publish and enqueue every shard this tenant staged into: shard
            [k] pins to core [k mod cores], so a single hot tenant's
            rotor-spread blocks occupy every core. *)
         for shard = 0 to t.shards - 1 do
           match tn.rings.(shard) with
-          | Some ring
-            when tn.ring_gen.(shard) = gen && Urts.ring_staged ring > 0 -> (
+          | Some ring when Urts.ring_staged ring > 0 -> (
+              incr rings_used;
               match
                 Fault.with_retries ~backoff:(backoff t) (fun () ->
                     Urts.ring_publish ring)
@@ -1177,68 +1154,57 @@ let drain t =
      once per ring rather than per request. *)
   List.iter
     (fun tn ->
-      if tn.stage.sg_n > 0 then
-        for shard = 0 to t.shards - 1 do
-          match tn.rings.(shard) with
-          | Some ring
-            when tn.ring_gen.(shard) = gen
-                 && Urts.ring_staged ring > 0
-                 && tn.ring_err.(shard) = None -> (
-              match
-                Fault.with_retries ~backoff:(backoff t) (fun () ->
-                    Urts.ring_read_replies ring)
-              with
-              | () -> ()
-              | exception Fault.Injected { site; kind } ->
-                  tn.ring_err.(shard) <- Some (injected_msg site kind))
-          | Some _ | None -> ()
-        done)
+      for shard = 0 to t.shards - 1 do
+        match tn.rings.(shard) with
+        | Some ring
+          when Urts.ring_staged ring > 0 && tn.ring_err.(shard) = None -> (
+            match
+              Fault.with_retries ~backoff:(backoff t) (fun () ->
+                  Urts.ring_read_replies ring)
+            with
+            | () -> ()
+            | exception Fault.Injected { site; kind } ->
+                tn.ring_err.(shard) <- Some (injected_msg site kind))
+        | Some _ | None -> ()
+      done)
     tenants;
-  (* Assembly: copy each sealed reply slot out once as its frame, or turn
-     a refused slot into its typed reject.  Reply order is the contract:
-     tenant insertion order, then session id, then admission order. *)
+  (* Assembly: walk the same sorted stage, copying each sealed reply slot
+     out once as its frame, or turning a refused slot into its typed
+     reject.  Reply order is the contract: tenant insertion order, then
+     session id, then admission order. *)
   let out = ref [] in
+  let emit sid seq r_result =
+    out := { r_session_id = sid; r_seq = seq; r_result } :: !out
+  in
+  let emit_err sid seq rej =
+    Telemetry.incr t.telemetry "serve.request.failed";
+    Telemetry.incr t.telemetry (reject_counter rej);
+    emit sid seq (Error rej)
+  in
   List.iter
     (fun tn ->
       let st = tn.stage in
       if st.sg_n > 0 then begin
-        collect_sids t st;
-        for k = 0 to t.sid_count - 1 do
-          let sid = t.sid_scratch.(k) in
-          let fault = Hashtbl.find_opt t.fault_msgs sid in
-          let emit seq r_result =
-            out := { r_session_id = sid; r_seq = seq; r_result } :: !out
-          in
-          let emit_err seq rej =
-            Telemetry.incr t.telemetry "serve.request.failed";
-            Telemetry.incr t.telemetry (reject_counter rej);
-            emit seq (Error rej)
-          in
-          for i = 0 to st.sg_n - 1 do
-            if st.sg_reqs.(i).session_id = sid then begin
-              let seq = st.sg_reqs.(i).seq in
-              match fault with
-              | Some msg -> emit_err seq (Session_fault msg)
-              | None -> (
-                  let shard = st.sg_shards.(i) in
-                  match (tn.ring_err.(shard), tn.rings.(shard)) with
-                  | Some msg, _ -> emit_err seq (Session_fault msg)
-                  | None, None -> assert false
-                  | None, Some ring ->
-                      let off, framed =
-                        Urts.ring_reply_slot ring ~slot:st.sg_slots.(i)
-                      in
-                      let buf = Urts.ring_reply_buf ring in
-                      if framed >= Urts.tag_bytes then begin
-                        Telemetry.incr t.telemetry "serve.request.ok";
-                        emit seq (Ok (Bytes.sub buf off framed))
-                      end
-                      else if framed = refusal_bytes then
-                        emit_err seq (refused buf ~off ~seq)
-                      else
-                        emit_err seq (Session_fault "reply slot holds no tag"))
-            end
-          done
+        for i = 0 to st.sg_n - 1 do
+          let { session_id = sid; seq; _ } = st.sg_reqs.(i) in
+          let shard = st.sg_shards.(i) in
+          if sid < 0 then ()
+          else if shard < 0 then
+            emit_err sid seq (Session_fault (Hashtbl.find t.fault_msgs sid))
+          else
+            match (tn.ring_err.(shard), tn.rings.(shard)) with
+            | Some msg, _ -> emit_err sid seq (Session_fault msg)
+            | None, None -> assert false
+            | None, Some ring ->
+                let off, framed = Urts.ring_reply_slot ring ~slot:st.sg_slots.(i) in
+                let buf = Urts.ring_reply_buf ring in
+                if framed >= Urts.tag_bytes then begin
+                  Telemetry.incr t.telemetry "serve.request.ok";
+                  emit sid seq (Ok (Bytes.sub buf off framed))
+                end
+                else if framed = refusal_bytes then
+                  emit_err sid seq (refused buf ~off ~seq)
+                else emit_err sid seq (Session_fault "reply slot holds no tag")
         done;
         recycle tn
       end)

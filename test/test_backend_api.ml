@@ -100,6 +100,48 @@ let test_ms_bytes_override () =
     (Urts.config urts).Urts.ms_bytes;
   b.Backend.destroy ()
 
+let test_refused_build_leaks_nothing () =
+  (* A build refused at any step — a malformed marshalling size, or a
+     permanent fault at any crossing of the build — must leave no
+     enclave, EPC frame or pinned page behind on the platform. *)
+  let p = Platform.create ~seed:5L () in
+  let m = p.Platform.monitor in
+  let footprint () =
+    ( Monitor.enclave_count m,
+      Epc.free_count (Monitor.epc m),
+      Process.pinned_count p.Platform.proc )
+  in
+  let start = footprint () in
+  let check_clean what =
+    Alcotest.(check (triple int int int)) (what ^ ": nothing left behind")
+      start (footprint ())
+  in
+  let build ms_bytes =
+    match
+      Backend.create p
+        { (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
+          Backend.handlers;
+          ms_bytes }
+    with
+    | b -> b.Backend.destroy ()
+    | exception
+        (Urts.Enclave_error _ | Fault.Injected _ | Monitor.Security_violation _)
+      ->
+        ()
+  in
+  build (Some 5000);
+  check_clean "ms_bytes 5000";
+  Fun.protect ~finally:Fault.clear (fun () ->
+      List.iter
+        (fun site ->
+          for nth = 1 to 24 do
+            Fault.install [ { Fault.site; nth; kind = Fault.Permanent } ];
+            build None;
+            Fault.clear ();
+            check_clean (Printf.sprintf "%s@%d" site nth)
+          done)
+        [ "hypercall.dispatch"; "os.ioctl"; "epc.alloc" ])
+
 let test_field_rejection () =
   let p = Platform.create ~seed:7105L () in
   let expect_invalid what config =
@@ -162,6 +204,8 @@ let suite =
     Alcotest.test_case "code_seed changes identity" `Quick
       test_code_seed_changes_identity;
     Alcotest.test_case "ms_bytes override" `Quick test_ms_bytes_override;
+    Alcotest.test_case "refused build leaks nothing" `Quick
+      test_refused_build_leaks_nothing;
     Alcotest.test_case "meaningless fields rejected" `Quick test_field_rejection;
     Alcotest.test_case "no bare exceptions cross the boundary" `Quick
       test_no_bare_exceptions;

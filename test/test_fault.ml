@@ -65,6 +65,29 @@ let test_disarmed_noop () =
   Alcotest.(check int) "no hits recorded while disarmed" 0
     (Fault.hits "os.ioctl")
 
+let test_unregistered_site () =
+  (* A misspelt site must fail loudly rather than never fire: a plan
+     naming it is refused, and so is crossing it while a plan is armed.
+     Disarmed, every site stays a no-op. *)
+  with_plane (fun () ->
+      let typo = "hypercall.dispach" in
+      Fault.clear ();
+      Alcotest.(check bool) "disarmed check is None" true (Fault.check typo = None);
+      Fault.point typo;
+      (match Fault.install [ { Fault.site = typo; nth = 1; kind = Fault.Permanent } ] with
+      | () -> Alcotest.fail "plan with an unregistered site installed"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) "rejected plan not armed" false (Fault.active ());
+      Fault.install
+        [ { Fault.site = "os.ioctl"; nth = 1; kind = Fault.Transient } ];
+      (match Fault.point typo with
+      | () -> Alcotest.fail "armed point accepted an unregistered site"
+      | exception Invalid_argument _ -> ());
+      (match Fault.check typo with
+      | _ -> Alcotest.fail "armed check accepted an unregistered site"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) "registered sites unaffected" 0 (Fault.hits "os.ioctl"))
+
 let test_with_retries_accounting () =
   with_plane (fun () ->
       let tel = Telemetry.create () in
@@ -186,6 +209,7 @@ let suite =
     Alcotest.test_case "plan determinism" `Quick test_plan_determinism;
     Alcotest.test_case "explicit schedule" `Quick test_explicit_schedule;
     Alcotest.test_case "disarmed no-op" `Quick test_disarmed_noop;
+    Alcotest.test_case "unregistered site rejected" `Quick test_unregistered_site;
     Alcotest.test_case "retry accounting" `Quick test_with_retries_accounting;
     Alcotest.test_case "observer pre-mutation" `Quick
       test_observer_fires_pre_mutation;

@@ -462,56 +462,40 @@ let audit_qcheck =
       findings = [] && Monitor.audit m = [])
 
 let test_hypercall_abi () =
-  (* Vector numbers must be unique, and refusals must surface as Fault
-     rather than exceptions crossing the boundary. *)
+  (* The kernel module's hypercall gate: a refusal surfaces as the
+     monitor's Security_violation, and the "hypercall.dispatch" site is
+     crossed once per attempt, before the monitor runs — a transient
+     fault there is retried, a permanent one leaves nothing behind. *)
   let p, handle = simple_enclave () in
+  let kmod = p.Platform.kmod and m = p.Platform.monitor in
   let enclave = Urts.enclave handle in
-  let requests =
-    [
-      Hypercall.Ecreate enclave.Enclave.secs;
-      Hypercall.Eadd
-        {
-          enclave;
-          vpn = 0;
-          content = Bytes.empty;
-          perms = Page_table.rw;
-          page_type = Sgx_types.Pt_reg;
-        };
-      Hypercall.Eremove enclave;
-      Hypercall.Eexit { enclave; target_va = 0 };
-      Hypercall.Egetkey { enclave; name = Sgx_types.Report_key };
-    ]
+  let base_vpn = enclave.Enclave.secs.Sgx_types.base_va / 4096 in
+  let add_page enclave =
+    Kmod.ioctl_add_page kmod enclave ~vpn:base_vpn ~content:Bytes.empty
+      ~perms:Page_table.rw ~page_type:Sgx_types.Pt_reg
   in
-  let numbers = List.map Hypercall.number requests in
-  Alcotest.(check int)
-    "vectors unique" (List.length numbers)
-    (List.length (List.sort_uniq compare numbers));
-  (* EADD after EINIT is refused: Fault, not an exception. *)
-  (match
-     Hypercall.dispatch p.Platform.monitor
-       (Hypercall.Eadd
-          {
-            enclave;
-            vpn = 0x1_0000_0000 / 4096;
-            content = Bytes.empty;
-            perms = Page_table.rw;
-            page_type = Sgx_types.Pt_reg;
-          })
-   with
-  | Hypercall.Fault _ -> ()
-  | _ -> Alcotest.fail "expected Fault for post-EINIT EADD");
-  (* EGETKEY through the ABI returns the same key as the typed call. *)
-  (match
-     Hypercall.dispatch p.Platform.monitor
-       (Hypercall.Egetkey { enclave; name = Sgx_types.Seal_key_mrenclave })
-   with
-  | Hypercall.Key key ->
-      Alcotest.(check bool)
-        "key matches typed path" true
-        (Bytes.equal key
-           (Monitor.egetkey p.Platform.monitor enclave Sgx_types.Seal_key_mrenclave))
-  | _ -> Alcotest.fail "expected Key");
-  Urts.destroy handle
+  expect_violation "EADD after EINIT" (fun () -> add_page enclave);
+  Urts.destroy handle;
+  Fun.protect ~finally:Fault.clear (fun () ->
+      let fresh = Kmod.ioctl_create_enclave kmod enclave.Enclave.secs in
+      Fault.install
+        [ { Fault.site = "hypercall.dispatch"; nth = 1; kind = Fault.Transient } ];
+      add_page fresh;
+      Alcotest.(check int) "page added after the retry" 1
+        (Epc.used_by (Monitor.epc m) ~enclave_id:fresh.Enclave.id);
+      Alcotest.(check int) "gate crossed once per attempt" 2
+        (Fault.hits "hypercall.dispatch");
+      Kmod.ioctl_destroy_enclave kmod p.Platform.proc fresh;
+      let before = Monitor.enclave_count m in
+      Fault.install
+        [ { Fault.site = "hypercall.dispatch"; nth = 1; kind = Fault.Permanent } ];
+      (match Kmod.ioctl_create_enclave kmod enclave.Enclave.secs with
+      | _ -> Alcotest.fail "permanent gate fault created an enclave"
+      | exception Fault.Injected { site = "hypercall.dispatch"; kind = Fault.Permanent }
+        ->
+          ());
+      Alcotest.(check int) "no enclave registered" before
+        (Monitor.enclave_count m))
 
 let test_isa_mapping () =
   List.iter

@@ -1610,6 +1610,86 @@ let test_ledger_adds_up () =
         (a.Serve.critical_cycles - b.Serve.critical_cycles))
     rounds
 
+(* Dispatch order pinned across interleaved traffic: two tenants with
+   three sessions each on 4 cores, where every submission goes to a
+   seeded-random session with a random size, so each tenant's stage holds
+   its sessions interleaved.  Per flush: a digest of the (session, seq)
+   reply order, the ledger's four sums and every core's clock.  A change
+   to the dispatch order, the rotor blocks or the reply order moves at
+   least one of the recorded values. *)
+let test_flush_dispatch_order_known_answer () =
+  let config =
+    {
+      Serve.default_config with
+      Serve.max_queue = 256;
+      sched = { Sched.default_config with Sched.cores = 4; batch = 16 };
+    }
+  in
+  let p = Platform.create ~seed:7410L () in
+  let plane =
+    Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p config
+  in
+  let clients =
+    Array.of_list
+      (List.concat_map
+         (fun k ->
+           let tenant = Printf.sprintf "tenant-%d" k in
+           let backend = Serve.add_tenant plane ~name:tenant (tenant_config ()) in
+           List.init 3 (fun j ->
+               let client =
+                 extra_client p backend ~seed:(Int64.of_int (7411 + (10 * k) + j))
+               in
+               match Serve.handshake plane ~tenant (Serve.Client.hello client) with
+               | Error r -> Alcotest.failf "handshake rejected: %a" Serve.pp_reject r
+               | Ok accept -> (
+                   match Serve.Client.establish client accept with
+                   | Error r ->
+                       Alcotest.failf "establish failed: %a" Serve.pp_reject r
+                   | Ok () -> client)))
+         [ 0; 1 ])
+  in
+  let rng = Rng.create ~seed:7420L in
+  let observed =
+    List.init 3 (fun _ ->
+        for _ = 1 to 40 do
+          let client = clients.(Rng.int rng (Array.length clients)) in
+          let data = Rng.bytes rng (16 + Rng.int rng 200) in
+          admit plane (Serve.Client.request client ~ecall:(1 + Rng.int rng 2) data)
+        done;
+        let replies = Serve.flush plane in
+        List.iter
+          (fun r ->
+            if Result.is_error r.Serve.r_result then
+              Alcotest.fail "flush refused an honest request")
+          replies;
+        let order =
+          String.concat ";"
+            (List.map
+               (fun r -> Printf.sprintf "%d:%d" r.Serve.r_session_id r.Serve.r_seq)
+               replies)
+        in
+        let l = Serve.ledger plane in
+        ( String.sub (Sha256.to_hex (Sha256.digest_string order)) 0 16,
+          [ l.Serve.serial_cycles; l.busy_cycles; l.slowest_cycles; l.critical_cycles ],
+          Array.to_list
+            (Array.map (fun c -> c.Sched.cycles) (Serve.sched_stats plane).Sched.per_core) ))
+  in
+  Serve.destroy plane;
+  let expected =
+    [
+      ("19bcc678b587cf42", [ 1860; 59563; 16041; 17901 ], [ 15996; 15478; 15388; 16041 ]);
+      ("daf04ee16d55bb31", [ 3720; 126007; 33480; 37200 ], [ 33185; 32917; 32258; 33107 ]);
+      ("2f8f913bfd8b5279", [ 5704; 192106; 51992; 57696 ], [ 51173; 49458; 50770; 49645 ]);
+    ]
+  in
+  List.iteri
+    (fun i ((digest, sums, cores), (digest', sums', cores')) ->
+      let what = Printf.sprintf "flush %d: " (i + 1) in
+      Alcotest.(check string) (what ^ "reply order") digest' digest;
+      Alcotest.(check (list int)) (what ^ "ledger sums") sums' sums;
+      Alcotest.(check (list int)) (what ^ "core clocks") cores' cores)
+    (List.combine observed expected)
+
 (* The slot limits: a 256-byte request ciphertext is admitted and its
    256-byte reply comes back whole; one byte more is refused at
    admission. *)
@@ -1697,6 +1777,8 @@ let suite =
       test_malformed_blob_refused;
     Alcotest.test_case "ledger adds up to the platform clock" `Quick
       test_ledger_adds_up;
+    Alcotest.test_case "flush dispatch order known answer" `Quick
+      test_flush_dispatch_order_known_answer;
     Alcotest.test_case "256-byte request and reply fit a slot" `Quick
       test_slot_size_limits;
   ]
