@@ -88,7 +88,7 @@ let measure ~cores =
   }
 
 (* K echo requests on a minimal [mode] enclave, served once through the
-   slot ring (stage, publish, dispatch, read back) and once as K
+   slot ring (stage, then one round trip) and once as K
    individual ECALLs: [(ring_cycles, ecall_cycles)].  The compute inside
    each call is ~zero, so the cycles are almost entirely call-path cost.
    Shared by the K table below and ablation A6. *)
@@ -112,9 +112,7 @@ let ring_vs_ecalls ?(seed = 907L) ?(mode = Sgx_types.GU) ~k () =
             let off = Urts.ring_stage ring ~ecall_id:1 ~len in
             Bytes.blit data 0 (Urts.ring_buf ring) off len)
           payloads;
-        Urts.ring_publish ring;
-        Urts.ring_dispatch ring;
-        Urts.ring_read_replies ring)
+        Urts.ring_dispatch ring)
   in
   let (), single =
     Cycles.time p.Platform.clock (fun () ->

@@ -38,6 +38,8 @@ let xtime b =
 type key = {
   rounds : int array array; (* 11 round keys of 16 bytes (decrypt path) *)
   w : int array; (* the same schedule as 44 big-endian words (encrypt path) *)
+  counter : bytes; (* CTR scratch: the counter block *)
+  keystream : int array; (* CTR scratch: the state the counter encrypts to *)
 }
 
 let expand_key raw =
@@ -73,7 +75,7 @@ let expand_key raw =
             let word = w.((4 * r) + (b / 4)) in
             (word lsr (8 * (3 - (b mod 4)))) land 0xff))
   in
-  { rounds; w }
+  { rounds; w; counter = Bytes.create 16; keystream = Array.make 16 0 }
 
 let add_round_key state rk =
   for i = 0 to 15 do
@@ -168,18 +170,26 @@ let te1 = Array.map ror8 te0
 let te2 = Array.map ror8 te1
 let te3 = Array.map ror8 te2
 
+(* Column [c] of [state] as a big-endian word, and back.  Top-level, so
+   no closure over [state] is built per block. *)
+let col state c =
+  (Array.unsafe_get state (4 * c) lsl 24)
+  lor (Array.unsafe_get state ((4 * c) + 1) lsl 16)
+  lor (Array.unsafe_get state ((4 * c) + 2) lsl 8)
+  lor Array.unsafe_get state ((4 * c) + 3)
+
+let put state c w =
+  state.(4 * c) <- (w lsr 24) land 0xff;
+  state.((4 * c) + 1) <- (w lsr 16) land 0xff;
+  state.((4 * c) + 2) <- (w lsr 8) land 0xff;
+  state.((4 * c) + 3) <- w land 0xff
+
 let encrypt_state key state =
   let kw = key.w in
-  let col c =
-    (Array.unsafe_get state (4 * c) lsl 24)
-    lor (Array.unsafe_get state ((4 * c) + 1) lsl 16)
-    lor (Array.unsafe_get state ((4 * c) + 2) lsl 8)
-    lor Array.unsafe_get state ((4 * c) + 3)
-  in
-  let s0 = ref (col 0 lxor kw.(0))
-  and s1 = ref (col 1 lxor kw.(1))
-  and s2 = ref (col 2 lxor kw.(2))
-  and s3 = ref (col 3 lxor kw.(3)) in
+  let s0 = ref (col state 0 lxor kw.(0))
+  and s1 = ref (col state 1 lxor kw.(1))
+  and s2 = ref (col state 2 lxor kw.(2))
+  and s3 = ref (col state 3 lxor kw.(3)) in
   (* Output column j reads rows 0..3 from input columns j, j+1, j+2, j+3
      (mod 4) — that byte walk IS ShiftRows. *)
   let round_col a b c d k =
@@ -208,16 +218,10 @@ let encrypt_state key state =
     lor Array.unsafe_get sbox (d land 0xff)
     lxor k
   in
-  let put c w =
-    state.(4 * c) <- (w lsr 24) land 0xff;
-    state.((4 * c) + 1) <- (w lsr 16) land 0xff;
-    state.((4 * c) + 2) <- (w lsr 8) land 0xff;
-    state.((4 * c) + 3) <- w land 0xff
-  in
-  put 0 (last_col !s0 !s1 !s2 !s3 kw.(40));
-  put 1 (last_col !s1 !s2 !s3 !s0 kw.(41));
-  put 2 (last_col !s2 !s3 !s0 !s1 kw.(42));
-  put 3 (last_col !s3 !s0 !s1 !s2 kw.(43))
+  put state 0 (last_col !s0 !s1 !s2 !s3 kw.(40));
+  put state 1 (last_col !s1 !s2 !s3 !s0 kw.(41));
+  put state 2 (last_col !s2 !s3 !s0 !s1 kw.(42));
+  put state 3 (last_col !s3 !s0 !s1 !s2 kw.(43))
 
 let decrypt_state key state =
   let key = key.rounds in
@@ -248,18 +252,19 @@ let decrypt_block key block =
    the zero-copy path runs the keystream XOR straight over [src] into
    [dst] (the two may alias, or even be the same buffer at the same
    offset for a true in-place transform), so neither a fresh output
-   buffer nor a per-call key expansion is paid.  One state array is
-   reused for every block and the keystream is XORed out of it
-   directly. *)
+   buffer nor a per-call key expansion is paid.  The counter block and
+   the state array are the key's own scratch, reused for every block of
+   every call, and the keystream is XORed out of the state directly: a
+   call allocates nothing. *)
 let ctr_into ~key ~nonce ~src ~src_off ~dst ~dst_off ~len =
   if Bytes.length nonce > 12 then invalid_arg "Aes.ctr_into: nonce > 12";
   if len < 0 || src_off < 0 || src_off + len > Bytes.length src then
     invalid_arg "Aes.ctr_into: source slice out of bounds";
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Aes.ctr_into: destination slice out of bounds";
-  let counter_block = Bytes.make 16 '\000' in
+  let counter_block = key.counter and state = key.keystream in
+  Bytes.fill counter_block 0 12 '\000';
   Bytes.blit nonce 0 counter_block 0 (Bytes.length nonce);
-  let state = Array.make 16 0 in
   let nblocks = (len + 15) / 16 in
   for blk = 0 to nblocks - 1 do
     Bytes.set_int32_be counter_block 12 (Int32.of_int blk);

@@ -6,6 +6,10 @@
     functional tests. *)
 
 type key
+(** An expanded key schedule.  It also carries {!ctr_into}'s scratch
+    counter block and state, so a CTR pass allocates nothing — and a key
+    runs one CTR pass at a time: it must not be used from two domains at
+    once. *)
 
 val expand_key : bytes -> key
 (** [expand_key k] expands a 16-byte key. @raise Invalid_argument. *)
@@ -32,7 +36,8 @@ val ctr_into :
     into [dst[dst_off, ...)].  [src] and [dst] may alias (including the
     same buffer at the same offset for a true in-place transform), and
     the key schedule is caller-provided so batched callers expand it
-    once.  {!ctr_transform} is this over a fresh output buffer.
+    once.  The pass runs in the key's scratch and allocates nothing.
+    {!ctr_transform} is this over a fresh output buffer.
     @raise Invalid_argument on out-of-bounds slices or a nonce longer
     than 12 bytes. *)
 

@@ -207,12 +207,14 @@ let deliver f ~index ~core result =
 (* --- run: every job once, on the shared clock ------------------------------- *)
 
 (* Run [job]'s work and count its endings; returns how many units it
-   left for the placer.  A ring runs as one switchless unit — one post
-   fence, one worker context, its channel callbacks and fault retry — and
-   under [drop_on_error] a typed failure fails the whole ring: every slot
-   is reported failed on the owner and none is placed.  A call job runs
-   one [Urts.ecall] per call; under [drop_on_error] a typed failure ends
-   only that call.  Monitor violations always propagate. *)
+   left for the placer.  A ring runs as one switchless round trip — its
+   publish, one post fence, one worker context, its channel callbacks,
+   its read-back and their fault retries — and under [drop_on_error] a
+   typed failure, a marshalling fault included, fails the whole ring:
+   every slot is reported failed on the owner and none is placed.  A
+   call job runs one [Urts.ecall] per call; under [drop_on_error] a
+   typed failure ends only that call.  Monitor violations always
+   propagate. *)
 let run_units t (job : job) =
   match job.work with
   | Ring ring -> (

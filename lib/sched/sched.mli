@@ -25,16 +25,17 @@
     {b Run every job once, then place its units.}  Each job runs once on
     the shared clock in a fixed host order (owner core, then queue
     order).  A ring runs as a single switchless
-    {!Hyperenclave_sdk.Urts.ring_dispatch} — one post fence, one worker
-    context, its channel callbacks and its fault retry — which records
+    {!Hyperenclave_sdk.Urts.ring_dispatch} — its publish, one post
+    fence, one worker context, its channel callbacks, its read-back and
+    their fault retries — which records
     each slot's cycles ({!Hyperenclave_sdk.Urts.ring_slot_cycles}); a
     call job runs its ECALLs in order, and the scheduler records each
     call's cycles and ending.  Slots and calls are the units the
     scheduler then places on cores, from the run's common start.  The
     core that has advanced least takes the next step: it serves its own
     jobs' units from the head, in queue order, paying a job's unplaced
-    cycles (a ring's post fence, segment walks, worker context) when it
-    starts it; when it has none left it {e joins} the job with the most
+    cycles (a ring's publish and read-back, post fence, segment walks,
+    worker context) when it starts it; when it has none left it {e joins} the job with the most
     unclaimed units (first in host order on a tie) and takes units from
     its tail, staying on that job until its units run out.  Whether and
     where to join reads only unclaimed-unit counts and queue order; the
@@ -144,9 +145,7 @@ val submit_ring :
     was placed on.  The scheduler does not read reply bytes out of the
     ring — [on_result] reports [Ok Bytes.empty] per served slot (a shared
     placeholder, no per-request allocation) and the submitter reads
-    replies in place via {!Urts.ring_read_replies} /
-    {!Urts.ring_reply_slot} after {!run}.  The submitter publishes the
-    staged image ({!Urts.ring_publish}) before [run]. *)
+    replies in place via {!Urts.ring_reply_slot} after {!run}. *)
 
 val run : t -> stats
 (** Run every queued job once in host order, place their units from the

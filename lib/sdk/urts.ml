@@ -644,10 +644,11 @@ let ecall_no_ms t ~id ?(data = Bytes.empty) ~direction () =
    recycled across flushes: once they have grown to a ring's working
    depth, the path allocates nothing per request on the staging side.
 
-   The dispatch is switchless: the plane publishes the staged image and a
-   persistent in-enclave worker picks it up — no TCS take, no
-   EENTER/EEXIT, no SDK soft path; the enclave pays one post fence plus
-   the fixed-stride per-slot dispatch ([Cost_model.ring_slot_dispatch]).
+   The dispatch is switchless: the caller publishes the staged image, a
+   persistent in-enclave worker serves it and the caller reads the reply
+   image back, all on the calling clock — no TCS take, no EENTER/EEXIT,
+   no SDK soft path; the enclave pays one post fence plus the
+   fixed-stride per-slot dispatch ([Cost_model.ring_slot_dispatch]).
    Having no entered TCS, ring handlers must not OCALL (they get the
    typed "OCALL outside an ECALL" refusal).
 
@@ -798,10 +799,9 @@ let ring_reply_slot r ~slot =
     fail "ring reply slot %d has a corrupt length word (%d)" slot len;
   (off + 16, len)
 
-(* Untrusted half, request direction: the plane publishes the staged
-   image into the shard's pinned request segment and pays the
-   marshalling-in rate.  Runs on the caller's (plane) clock. *)
-let ring_publish r =
+(* Request leg: publish the staged image into the shard's pinned request
+   segment and pay the marshalling-in rate. *)
+let publish r =
   let t = r.rt in
   if r.staged > 0 then begin
     let len = 8 + (r.staged * r.stride) in
@@ -922,6 +922,21 @@ let run_ring_dispatch r =
     ms_slice_nofault `Write t ~off:r.rep_off r.pbuf ~pos:0 ~len
   end
 
+(* Reply leg: pull the shard's reply image back into [ring_reply_buf]
+   and pay the marshalling-out rate. *)
+let read_replies r =
+  let t = r.rt in
+  if r.staged > 0 then begin
+    let len = 8 + (r.staged * r.stride) in
+    Edge.charge_ms_out (cost t) (clock t) ~bytes:len;
+    ms_raw_read_into t ~off:r.rep_off r.pbuf ~pos:0 ~len;
+    let k = Int64.to_int (Bytes.get_int64_le r.pbuf 0) in
+    if k <> r.staged then fail "ring replies: %d staged but %d served" r.staged k
+  end
+
+(* A ring's whole round trip on the calling clock: publish, serve, read
+   back, each leg in its own transient-fault retry, so a retried leg
+   never re-runs the legs before it. *)
 let ring_dispatch r =
   let t = r.rt in
   let k = r.staged - r.served in
@@ -931,21 +946,10 @@ let ring_dispatch r =
     Hyperenclave_obs.Telemetry.add telemetry "sdk.ring_slots" k;
     Hyperenclave_obs.Telemetry.observe telemetry "ring.shard_occupancy" k
   end;
-  Fault.with_retries ~backoff:(backoff t) (fun () -> run_ring_dispatch r)
-
-(* Untrusted half, reply direction: pull the shard's reply image back
-   into [ring_reply_buf] and pay the marshalling-out rate.  Runs on the
-   caller's (plane) clock; callers that must absorb injected
-   marshalling faults wrap this in [Fault.with_retries]. *)
-let ring_read_replies r =
-  let t = r.rt in
-  if r.staged > 0 then begin
-    let len = 8 + (r.staged * r.stride) in
-    Edge.charge_ms_out (cost t) (clock t) ~bytes:len;
-    ms_raw_read_into t ~off:r.rep_off r.pbuf ~pos:0 ~len;
-    let k = Int64.to_int (Bytes.get_int64_le r.pbuf 0) in
-    if k <> r.staged then fail "ring replies: %d staged but %d served" r.staged k
-  end
+  let backoff = backoff t in
+  Fault.with_retries ~backoff (fun () -> publish r);
+  Fault.with_retries ~backoff (fun () -> run_ring_dispatch r);
+  Fault.with_retries ~backoff (fun () -> read_replies r)
 
 let destroy t = Kmod.ioctl_destroy_enclave t.kmod t.proc t.enclave
 

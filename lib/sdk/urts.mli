@@ -9,7 +9,7 @@
     - {!ecall} runs the full edge-call path of Fig. 6 with the
       marshalling-buffer copies of Fig. 7; OCALLs issued by the enclave
       come back through the registered untrusted handlers.
-    - the slot ring ({!create_ring} ... {!ring_read_replies}) is the one
+    - the slot ring ({!create_ring} ... {!ring_dispatch}) is the one
       batched call path: K staged ECALLs served switchlessly by a
       persistent in-enclave worker.
     - exceptions raised inside the enclave follow the mode-appropriate
@@ -70,14 +70,14 @@ val ecall_no_ms :
 
     The SDK's one batched call path: a fixed-stride slot ring per
     (tenant, shard) in the pinned marshalling buffer, used as
-    [create_ring] once, then per batch [ring_stage] x K, [ring_publish],
-    [ring_dispatch], [ring_read_replies] / [ring_reply_slot] and
-    [ring_reset].  The ring slot {e is} the envelope: callers stage
-    payloads straight into it, and the staging images are recycled
-    across flushes.  The dispatch is switchless: no TCS take, no
-    EENTER/EEXIT, no SDK soft path; one post fence plus
-    [ring_slot_dispatch] cycles per slot.  Consequence: ring handlers
-    must not OCALL (typed "OCALL outside an ECALL" refusal).
+    [create_ring] once, then per batch [ring_stage] x K,
+    [ring_dispatch], [ring_reply_slot] and [ring_reset].  The ring slot
+    {e is} the envelope: callers stage payloads straight into it, and
+    the staging images are recycled across flushes.  The dispatch is
+    switchless: no TCS take, no EENTER/EEXIT, no SDK soft path; one
+    post fence plus [ring_slot_dispatch] cycles per slot.  Consequence:
+    ring handlers must not OCALL (typed "OCALL outside an ECALL"
+    refusal).
 
     {b Slot layout.}  A segment is [[count:8][slot_0][slot_1]...], each
     slot [[id:8][len:8][payload area]].  The payload area is [slot_bytes]
@@ -143,30 +143,22 @@ val ring_stage : ring -> ecall_id:int -> len:int -> int
     @raise Enclave_error when the ring is full or [len] exceeds the
     payload area. *)
 
-val ring_publish : ring -> unit
-(** Untrusted request half: publish the staged image into the shard's
-    pinned request segment (fires the marshalling-in fault site, pays the
-    marshalling-in rate) on the caller's clock. *)
-
 val ring_dispatch : ring -> unit
-(** Trusted half: the persistent in-enclave worker serves every staged
-    slot in order, framing replies at the same stride in the shard's
-    reply segment.  Charged to the calling (core) clock.  Wrapped in the
-    standard transient-fault retry loop, which resumes at the slot that
-    faulted: handlers of already-served slots do not run again, the
-    faulted slot's channel callbacks and handler re-run from their top.
-    Permanent faults and exhausted retries propagate, failing the whole
-    ring.
+(** The ring's whole round trip, on the calling (core) clock: publish
+    the staged image into the shard's pinned request segment (the
+    [sdk.ms_copy_in] fault site and the marshalling-in rate), have the
+    persistent in-enclave worker serve every staged slot in order,
+    framing replies at the same stride in the shard's reply segment,
+    and read the reply image back into {!ring_reply_buf} (the
+    [sdk.ms_copy_out] fault site and the marshalling-out rate).  Each
+    leg runs in its own standard transient-fault retry loop.  The
+    serving leg's retry resumes at the slot that faulted: handlers of
+    already-served slots do not run again, the faulted slot's channel
+    callbacks and handler re-run from their top.  Permanent faults and
+    exhausted retries propagate, failing the whole ring.
     @raise Enclave_error on an unknown ECALL id, a reply longer than
-    [slot_bytes], or a channel-ring slot shorter than a tag. *)
-
-val ring_read_replies : ring -> unit
-(** Untrusted reply half: pull the reply image back into
-    {!ring_reply_buf} (fires the marshalling-out fault site, pays the
-    marshalling-out rate) on the caller's clock.  Callers that must
-    absorb injected faults wrap this in [Fault.with_retries].
-    @raise Enclave_error if the reply count disagrees with the staged
-    count. *)
+    [slot_bytes], a channel-ring slot shorter than a tag, or a reply
+    count that disagrees with the staged count. *)
 
 val ring_reply_slot : ring -> slot:int -> int * int
 (** [(payload_offset, framed_length)] of a served slot's reply inside
@@ -178,11 +170,11 @@ val ring_slot_cycles : ring -> slot:int -> int
 (** The cycles {!ring_dispatch} spent on served slot [slot]: its
     fixed-stride dispatch price plus its channel open, handler, reply
     copy and seal, in the attempt that served it.  The ring's other
-    cycles (post fence, segment walks, worker context entry and exit,
-    reply store, a faulted attempt) belong to no slot.  The scheduler
-    places these per-slot costs on the cores that claim the slots.
-    Recorded in place, with no allocation per slot; valid until
-    {!ring_reset}.
+    cycles (publish, post fence, segment walks, worker context entry
+    and exit, reply store, read-back, a faulted attempt) belong to no
+    slot.  The scheduler places these per-slot costs on the cores that
+    claim the slots.  Recorded in place, with no allocation per slot;
+    valid until {!ring_reset}.
     @raise Enclave_error for a slot not served yet. *)
 
 val ring_join_cycles : ring -> int
@@ -204,7 +196,7 @@ val ring_buf : ring -> bytes
     {!ring_stage}, which may replace it with a larger copy. *)
 
 val ring_reply_buf : ring -> bytes
-(** The reply image, valid after {!ring_read_replies} until the next
+(** The reply image, valid after {!ring_dispatch} until the next
     {!ring_stage}. *)
 
 val ring_reset : ring -> unit

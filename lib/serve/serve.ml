@@ -1122,52 +1122,27 @@ let drain t =
             else st.sg_shards.(i) <- -1
           end
         done;
-        (* Publish and enqueue every shard this tenant staged into: shard
-           [k] pins to core [k mod cores], so a single hot tenant's
-           rotor-spread blocks occupy every core. *)
+        (* Enqueue every shard this tenant staged into: shard [k] pins to
+           core [k mod cores], so a single hot tenant's rotor-spread
+           blocks occupy every core.  The ring's job publishes, serves
+           and reads back on that core. *)
         for shard = 0 to t.shards - 1 do
           match tn.rings.(shard) with
-          | Some ring when Urts.ring_staged ring > 0 -> (
+          | Some ring when Urts.ring_staged ring > 0 ->
               incr rings_used;
-              match
-                Fault.with_retries ~backoff:(backoff t) (fun () ->
-                    Urts.ring_publish ring)
-              with
-              | exception Fault.Injected { site; kind } ->
-                  tn.ring_err.(shard) <- Some (injected_msg site kind)
-              | () ->
-                  Sched.submit_ring t.sched ~core:(shard mod cores)
-                    ~label:tn.t_name
-                    ~on_result:(fun ~index:_ ~core:_ result ->
-                      match result with
-                      | Ok _ -> ()
-                      | Error msg -> tn.ring_err.(shard) <- Some msg)
-                    ~on_slice:(fun ~cycles -> charge t tn cycles)
-                    ring)
+              Sched.submit_ring t.sched ~core:(shard mod cores)
+                ~label:tn.t_name
+                ~on_result:(fun ~index:_ ~core:_ result ->
+                  match result with
+                  | Ok _ -> ()
+                  | Error msg -> tn.ring_err.(shard) <- Some msg)
+                ~on_slice:(fun ~cycles -> charge t tn cycles)
+                ring
           | Some _ | None -> ()
         done
       end)
     tenants;
   ignore (Sched.run t.sched : Sched.stats);
-  (* Pull every dispatched ring's reply image back into its reusable
-     buffer — marshalling-out cost and fault site on the plane clock,
-     once per ring rather than per request. *)
-  List.iter
-    (fun tn ->
-      for shard = 0 to t.shards - 1 do
-        match tn.rings.(shard) with
-        | Some ring
-          when Urts.ring_staged ring > 0 && tn.ring_err.(shard) = None -> (
-            match
-              Fault.with_retries ~backoff:(backoff t) (fun () ->
-                  Urts.ring_read_replies ring)
-            with
-            | () -> ()
-            | exception Fault.Injected { site; kind } ->
-                tn.ring_err.(shard) <- Some (injected_msg site kind))
-        | Some _ | None -> ()
-      done)
-    tenants;
   (* Assembly: walk the same sorted stage, copying each sealed reply slot
      out once as its frame, or turning a refused slot into its typed
      reject.  Reply order is the contract: tenant insertion order, then

@@ -314,9 +314,11 @@ val flush : t -> reply list
     tag, into a slot of a per-shard marshalling-buffer ring (one shard
     per scheduler core) and dispatch the rings switchlessly through the
     scheduler.  The block rotor picks each run of requests' shard, and
-    shard [k]'s ring is owned by core [k mod cores]: the owner serves
-    its slots from the head, and a core with no slot of its own left
-    joins the ring and serves slots from the tail
+    shard [k]'s ring is owned by core [k mod cores]: the owner publishes
+    the ring, serves its slots from the head and reads its reply image
+    back ({!Hyperenclave_sdk.Urts.ring_dispatch}), so no marshalling
+    leg runs on the plane's clock, and a core with no slot of its own
+    left joins the ring and serves slots from the tail
     ({!Hyperenclave_sched.Sched.submit_ring}).  On the cores that serve
     a ring's slots, its in-enclave workers copy each slot's ciphertext
     and tag into private buffers, derive the nonce and AAD from the
@@ -333,7 +335,7 @@ val flush : t -> reply list
     {!Session_fault}.  [config.sched.batch] sets how many sealed replies
     share one AEAD setup charge, counted across the flush.  Tenant
     quotas are charged from the dispatch cycles, which include the
-    channel crypto.  Replies come in tenant insertion order, then
+    channel crypto and the ring's marshalling legs.  Replies come in tenant insertion order, then
     session id, then admission order (sequence order, for an honest
     client).  Each flush adds one entry to the {!ledger}.
 

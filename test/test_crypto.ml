@@ -269,6 +269,40 @@ let test_ctr_into () =
       Aes.ctr_into ~key ~nonce ~src:buf ~src_off:1 ~dst:buf ~dst_off:0
         ~len:(Bytes.length buf))
 
+(* Minor words per call of [f], over 1,000 calls after one warm call. *)
+let words_per_call f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. 1000.
+
+(* A key runs CTR over its own scratch counter block and state, so a
+   104-byte transform allocates nothing, and a seal under prepared keys
+   allocates only its 32-byte tag (6 words). *)
+let test_ctr_allocation () =
+  let key = Aes.expand_key (Bytes.of_string "0123456789abcdef") in
+  let nonce = Bytes.make 12 '\x07' in
+  let buf = Bytes.make 104 'a' in
+  let ctr () =
+    Aes.ctr_into ~key ~nonce ~src:buf ~src_off:0 ~dst:buf ~dst_off:0 ~len:104
+  in
+  let words = words_per_call ctr in
+  if words >= 1. then
+    Alcotest.failf "104-byte ctr_into allocated %.1f minor words per call" words;
+  let keys = Authenc.prepare (Bytes.make 32 'k') in
+  let aad = Bytes.of_string "serve-req:aad" in
+  let seal () =
+    ignore
+      (Authenc.seal_into keys ~aad ~nonce ~src:buf ~src_off:0 ~dst:buf
+         ~dst_off:0 ~len:104
+        : bytes)
+  in
+  let words = words_per_call seal in
+  if words > 6. then
+    Alcotest.failf "seal_into allocated %.1f minor words per call (> 6)" words
+
 let test_update_sub () =
   let data = Bytes.of_string "incremental hashing over sub-slices" in
   let ctx = Sha256.init () in
@@ -474,6 +508,8 @@ let suite =
       Alcotest.test_case "signatures" `Quick test_signature;
       Alcotest.test_case "authenc" `Quick test_authenc;
       Alcotest.test_case "aes ctr_into slices" `Quick test_ctr_into;
+      Alcotest.test_case "ctr and prepared seal allocate no scratch" `Quick
+        test_ctr_allocation;
       Alcotest.test_case "sha256 update_sub" `Quick test_update_sub;
       Alcotest.test_case "prepared hmac = one-shot hmac" `Quick
         test_prepared_hmac;

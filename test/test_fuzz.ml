@@ -321,9 +321,7 @@ let ring_frame_corrupt_length =
           let off = Urts.ring_stage ring ~ecall_id:1 ~len in
           Bytes.blit_string s 0 (Urts.ring_buf ring) off len)
         payloads;
-      Urts.ring_publish ring;
       Urts.ring_dispatch ring;
-      Urts.ring_read_replies ring;
       let staged = Urts.ring_staged ring in
       let stride = 16 + Urts.ring_slot_bytes ring in
       let buf = Urts.ring_reply_buf ring in

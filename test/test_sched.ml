@@ -39,13 +39,11 @@ let ring_replies ring =
       let off, len = Urts.ring_reply_slot ring ~slot in
       Bytes.sub_string (Urts.ring_reply_buf ring) off len)
 
-(* One full batch: stage, publish, dispatch, read back. *)
+(* One full batch: stage, then one round trip. *)
 let run_ring ring reqs =
   Urts.ring_reset ring;
   List.iter (stage ring) reqs;
-  Urts.ring_publish ring;
   Urts.ring_dispatch ring;
-  Urts.ring_read_replies ring;
   ring_replies ring
 
 let expect_enclave_error what f =
@@ -174,7 +172,6 @@ let test_ring_retry_resumes () =
   in
   let ring = Urts.create_ring handle ~shard:0 ~shards:1 ~slots:2 ~slot_bytes:32 in
   List.iter (stage ring) reqs;
-  Urts.ring_publish ring;
   Fault.install ~telemetry:(telemetry p)
     [ { Fault.site = "epc.swap_in"; nth = 1; kind = Fault.Transient } ];
   let injected =
@@ -182,7 +179,6 @@ let test_ring_retry_resumes () =
         Urts.ring_dispatch ring;
         Fault.injected_count ())
   in
-  Urts.ring_read_replies ring;
   Alcotest.(check int) "one transient injected" 1 injected;
   Alcotest.(check int) "slot 0's handler ran once" 1 runs.(0);
   Alcotest.(check int) "slot 1's handler re-ran from its top" 2 runs.(1);
@@ -226,9 +222,7 @@ let test_ring_images_grow () =
   List.iteri (fun i r -> if i > 16 then stage ring r) reqs;
   expect_enclave_error "a 257th slot" (fun () ->
       Urts.ring_stage ring ~ecall_id:1 ~len:1);
-  Urts.ring_publish ring;
   Urts.ring_dispatch ring;
-  Urts.ring_read_replies ring;
   Alcotest.(check (list string))
     "all 256 slots round-trip"
     (List.map
@@ -453,7 +447,7 @@ let burner p ~seed_name =
       ]
     ~ocalls:[]
 
-(* A published ring on [shard] of [shards] whose slots burn [burns]; an
+(* A staged ring on [shard] of [shards] whose slots burn [burns]; an
    ECALL id of 99 has no handler. *)
 let burn_ring ?(id = fun _ -> 1) handle ~shard ~shards burns =
   let ring =
@@ -463,7 +457,6 @@ let burn_ring ?(id = fun _ -> 1) handle ~shard ~shards burns =
   List.iteri
     (fun i b -> stage ring (id i, Bytes.of_string (string_of_int b)))
     burns;
-  Urts.ring_publish ring;
   ring
 
 let sched_on p config =
@@ -525,7 +518,6 @@ let test_lagging_core () =
     (Sched.core_cycles sched 1 < Sched.core_cycles sched 0);
   Urts.ring_reset r0;
   stage r0 (1, Bytes.of_string "40000");
-  Urts.ring_publish r0;
   let r1 = burn_ring handle ~shard:1 ~shards:2 [ 30_000 ] in
   let own = Array.make 2 0 in
   List.iteri
@@ -654,7 +646,6 @@ let test_strict_ring_failure () =
     (busy_sum (Sched.stats sched));
   Urts.ring_reset good;
   stage good (1, Bytes.of_string "5000");
-  Urts.ring_publish good;
   Sched.submit_ring sched ~core:0 good;
   let served = (Sched.stats sched).Sched.total_requests in
   let s = Sched.run sched in

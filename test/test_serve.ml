@@ -575,6 +575,46 @@ let test_permanent_fault_typed () =
   | _ -> Alcotest.fail "session unusable after typed fault");
   Serve.destroy plane
 
+(* A permanent fault at the flush's first crossing of a marshalling site
+   fails only the ring it hits, inside the scheduler.  One session's 12
+   requests fill shard 0's ring with 8 and shard 1's with 4; core 0 runs
+   its ring first, so its 8 requests get the site's Session_fault, the
+   other 4 are served, and the scheduler counts 4 completed and 8
+   failed.  Nothing runs on the plane's clock. *)
+let test_marshalling_fault_fails_its_ring () =
+  List.iter
+    (fun site ->
+      let config =
+        { Serve.default_config with
+          Serve.sched = { Sched.default_config with Sched.cores = 2 } }
+      in
+      let _p, plane, _backend, client = build ~seed:7700L ~config () in
+      establish plane client;
+      for i = 1 to 12 do
+        admit plane
+          (Serve.Client.request client ~ecall:1 (Bytes.of_string (string_of_int i)))
+      done;
+      let s0 = Serve.sched_stats plane and l0 = Serve.ledger plane in
+      Fault.install [ { Fault.site; nth = 1; kind = Fault.Permanent } ];
+      let replies = Fun.protect ~finally:Fault.clear (fun () -> Serve.flush plane) in
+      let s1 = Serve.sched_stats plane and l1 = Serve.ledger plane in
+      let count f = List.length (List.filter f replies) in
+      Alcotest.(check int) (site ^ ": 4 served") 4
+        (count (fun r -> Result.is_ok r.Serve.r_result));
+      Alcotest.(check int) (site ^ ": 8 faults naming the site") 8
+        (count (fun r ->
+             r.Serve.r_result
+             = Error (Serve.Session_fault ("injected permanent fault at " ^ site))));
+      Alcotest.(check (pair int int)) (site ^ ": scheduler completed, failed")
+        (4, 8)
+        ( s1.Sched.total_requests - s0.Sched.total_requests,
+          s1.Sched.failed_requests - s0.Sched.failed_requests );
+      Alcotest.(check (pair int int)) (site ^ ": ledger served, serial") (4, 0)
+        ( l1.Serve.served - l0.Serve.served,
+          l1.Serve.serial_cycles - l0.Serve.serial_cycles );
+      Serve.destroy plane)
+    [ "sdk.ms_copy_in"; "sdk.ms_copy_out" ]
+
 let test_chaos_two_tenants_two_cores () =
   (* Seeded chaos over the serving plane: 2 tenants, 2 cores, faults on
      every site the serving path crosses.  Every request must end in a
@@ -1594,8 +1634,11 @@ let test_ledger_adds_up () =
       Alcotest.(check int) (what ^ "critical = serial + slowest")
         (serial + slowest)
         (d (fun l -> l.Serve.critical_cycles));
-      Alcotest.(check bool) (what ^ "serial and slowest positive") true
-        (serial > 0 && slowest > 0))
+      (* Admission ticks no cycle and no fault fires, and every ring's
+         marshalling legs run in its job: nothing is serial. *)
+      Alcotest.(check int) (what ^ "serial = 0") 0 serial;
+      Alcotest.(check int) (what ^ "busy = platform advance") advance busy;
+      Alcotest.(check bool) (what ^ "slowest positive") true (slowest > 0))
     rounds;
   let _, last, _, _ = List.nth rounds (List.length rounds - 1) in
   Alcotest.(check int) "busy = the scheduler's summed core busy"
@@ -1610,13 +1653,50 @@ let test_ledger_adds_up () =
         (a.Serve.critical_cycles - b.Serve.critical_cycles))
     rounds
 
+(* A ring's marshalling legs run in its job, so on a one-tenant plane
+   every flush's quota spend, and the tenant's cycle counter, advance by
+   exactly the platform clock's advance. *)
+let test_quota_includes_marshalling () =
+  let config =
+    { Serve.default_config with
+      Serve.sched = { Sched.default_config with Sched.cores = 2 } }
+  in
+  let p, plane, _backend, client = build ~seed:7710L ~config () in
+  establish plane client;
+  let telemetry = Monitor.telemetry p.Platform.monitor in
+  let spent () =
+    ( fst (Serve.quota_state plane ~tenant:"acme"),
+      Telemetry.counter telemetry "serve.tenant.acme.cycles" )
+  in
+  List.iter
+    (fun n ->
+      for i = 1 to n do
+        admit plane
+          (Serve.Client.request client ~ecall:1 (Bytes.of_string (string_of_int i)))
+      done;
+      let q0, c0 = spent () and p0 = Cycles.now p.Platform.clock in
+      List.iter
+        (fun r ->
+          if Result.is_error r.Serve.r_result then
+            Alcotest.fail "flush refused an honest request")
+        (Serve.flush plane);
+      let q1, c1 = spent () and advance = Cycles.now p.Platform.clock - p0 in
+      let what = Printf.sprintf "%d requests: " n in
+      Alcotest.(check int) (what ^ "quota spend = platform advance") advance (q1 - q0);
+      Alcotest.(check int) (what ^ "cycle counter = platform advance") advance
+        (c1 - c0))
+    [ 1; 8; 12; 40 ];
+  Serve.destroy plane
+
 (* Dispatch order pinned across interleaved traffic: two tenants with
    three sessions each on 4 cores, where every submission goes to a
    seeded-random session with a random size, so each tenant's stage holds
    its sessions interleaved.  Per flush: a digest of the (session, seq)
    reply order, the ledger's four sums and every core's clock.  A change
    to the dispatch order, the rotor blocks or the reply order moves at
-   least one of the recorded values. *)
+   least one of the recorded values.  Serial + busy is the platform's
+   advance, pinned on its own: it does not depend on how the work splits
+   between the plane and the cores. *)
 let test_flush_dispatch_order_known_answer () =
   let config =
     {
@@ -1677,15 +1757,17 @@ let test_flush_dispatch_order_known_answer () =
   Serve.destroy plane;
   let expected =
     [
-      ("19bcc678b587cf42", [ 1860; 59563; 16041; 17901 ], [ 15996; 15478; 15388; 16041 ]);
-      ("daf04ee16d55bb31", [ 3720; 126007; 33480; 37200 ], [ 33185; 32917; 32258; 33107 ]);
-      ("2f8f913bfd8b5279", [ 5704; 192106; 51992; 57696 ], [ 51173; 49458; 50770; 49645 ]);
+      ("19bcc678b587cf42", 61423, [ 0; 61423; 16492; 16492 ], [ 16492; 15777; 16081; 16413 ]);
+      ("daf04ee16d55bb31", 129727, [ 0; 129727; 34302; 34302 ], [ 34053; 33464; 33447; 34223 ]);
+      ("2f8f913bfd8b5279", 197810, [ 0; 197810; 53258; 53258 ], [ 52413; 50501; 50657; 53179 ]);
     ]
   in
   List.iteri
-    (fun i ((digest, sums, cores), (digest', sums', cores')) ->
+    (fun i ((digest, sums, cores), (digest', advance, sums', cores')) ->
       let what = Printf.sprintf "flush %d: " (i + 1) in
       Alcotest.(check string) (what ^ "reply order") digest' digest;
+      Alcotest.(check int) (what ^ "serial + busy") advance
+        (List.nth sums 0 + List.nth sums 1);
       Alcotest.(check (list int)) (what ^ "ledger sums") sums' sums;
       Alcotest.(check (list int)) (what ^ "core clocks") cores' cores)
     (List.combine observed expected)
@@ -1779,6 +1861,10 @@ let suite =
       test_ledger_adds_up;
     Alcotest.test_case "flush dispatch order known answer" `Quick
       test_flush_dispatch_order_known_answer;
+    Alcotest.test_case "marshalling fault fails only its ring" `Quick
+      test_marshalling_fault_fails_its_ring;
+    Alcotest.test_case "tenant quota includes ring marshalling" `Quick
+      test_quota_includes_marshalling;
     Alcotest.test_case "256-byte request and reply fit a slot" `Quick
       test_slot_size_limits;
   ]
