@@ -29,7 +29,7 @@ let pp_error fmt = function
       Format.fprintf fmt "peer attestation failed: %a" Verifier.pp_failure f
   | Binding_mismatch ->
       Format.pp_print_string fmt
-        "message does not bind this tenant / route / nonce"
+        "quote or key share does not bind this tenant / route / nonce"
   | Unknown_offer ->
       Format.pp_print_string fmt "no pending migration offer for this nonce"
   | Transport_auth ->
@@ -425,10 +425,6 @@ module Migrate = struct
                           blob_aad ~tenant:o.o_tenant ~src:o.o_src
                             ~dst:o.o_dst ~nonce:o.o_nonce
                         in
-                        let sealed =
-                          Authenc.seal ~key ~aad ~nonce:(Rng.bytes t.c_rng 12)
-                            blob
-                        in
                         Ok
                           {
                             p_tenant = o.o_tenant;
@@ -436,7 +432,9 @@ module Migrate = struct
                             p_dst = o.o_dst;
                             p_nonce = o.o_nonce;
                             p_kx;
-                            p_blob = Authenc.encode sealed;
+                            p_blob =
+                              Authenc.seal (Authenc.prepare key) ~aad
+                                ~nonce:(Rng.bytes t.c_rng 12) blob;
                           })
               end)
     end
@@ -457,27 +455,22 @@ module Migrate = struct
           match Kx.shared secret p.p_kx with
           | None -> Error Binding_mismatch
           | Some shared -> (
+              (* The AAD comes from the package's own tenant, route and
+                 nonce: a lie in any of them fails the tag. *)
               let key = transport_key ~shared ~nonce:p.p_nonce in
-              match Authenc.decode p.p_blob with
-              | exception Invalid_argument m -> Error (Blob_malformed m)
-              | sealed -> (
-                  let expected_aad =
-                    blob_aad ~tenant:p.p_tenant ~src:p.p_src ~dst:p.p_dst
-                      ~nonce:p.p_nonce
-                  in
-                  if not (Bytes.equal sealed.Authenc.aad expected_aad) then
-                    Error Binding_mismatch
-                  else
-                    match Authenc.unseal ~key sealed with
-                    | exception Authenc.Authentication_failure ->
-                        Error Transport_auth
-                    | blob -> (
-                        match ensure_tenant t dn p.p_tenant with
-                        | Error _ as e -> e
-                        | Ok () ->
-                            Result.map_error
-                              (fun r -> Reject r)
-                              (Serve.import_tenant (Node.plane dn) blob)))))
+              let aad =
+                blob_aad ~tenant:p.p_tenant ~src:p.p_src ~dst:p.p_dst
+                  ~nonce:p.p_nonce
+              in
+              match Authenc.unseal (Authenc.prepare key) ~aad p.p_blob with
+              | exception Authenc.Authentication_failure -> Error Transport_auth
+              | blob -> (
+                  match ensure_tenant t dn p.p_tenant with
+                  | Error _ as e -> e
+                  | Ok () ->
+                      Result.map_error
+                        (fun r -> Reject r)
+                        (Serve.import_tenant (Node.plane dn) blob))))
     end
 end
 

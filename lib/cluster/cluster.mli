@@ -37,7 +37,8 @@
       nonces burnt for the tenant, in a format the serving plane owns)
       and seals those
       bytes under a transport key derived from the {!Kx} agreement, with
-      AAD binding tenant, route and nonce;
+      an AAD binding tenant, route and nonce that both ends derive and
+      the package does not carry;
     + {e install} — B burns the offer (each nonce admits one blob),
       unseals, hands the bytes to
       {!Hyperenclave_serve.Serve.import_tenant} — which rebuilds the
@@ -47,8 +48,7 @@
       typed forwards.
 
     The cluster never looks inside the blob: it only seals, ships and
-    opens bytes.  Every protocol message gets {!message_retries}
-    network retries.
+    opens bytes.  Every protocol message gets 3 network retries.
 
     Clients notice nothing: session keys and sequence numbers survive
     the move, and {!Client.call} chases the typed
@@ -69,16 +69,22 @@ type error =
   | Attest_failed of Verifier.failure
       (** a migration peer's quote did not verify against its anchor *)
   | Binding_mismatch
-      (** quote or blob AAD does not bind this tenant / route / nonce *)
+      (** the destination's quote does not bind this offer's tenant /
+          route / nonce / key share, or a key share agrees on no
+          secret *)
   | Unknown_offer
       (** no pending offer for this (tenant, nonce) on this node —
           never offered, already consumed, or shipped to the wrong
           destination *)
-  | Transport_auth  (** sealed state blob failed authentication *)
+  | Transport_auth
+      (** the package's blob did not open under the transport key and
+          the AAD derived from the package's own tenant, route and
+          nonce: a damaged or truncated blob, or a lie in any of those
+          fields *)
   | Blob_malformed of string
-      (** the offer quote or the sealed package failed structural
-          decode; a malformed blob inside an authentic package is the
-          plane's [Reject (Import_conflict _)] *)
+      (** the offer quote failed structural decode; a malformed blob
+          inside an authentic package is the plane's
+          [Reject (Import_conflict _)] *)
   | Net_partition  (** the network dropped the message past retries *)
   | Node_down of int
   | Migration_fault of string
@@ -122,9 +128,6 @@ type config = {
 
 val default_config : config
 (** 4 nodes, seed 42, default serve and net configs, 16 vnodes. *)
-
-val message_retries : int
-(** 3: network retries per protocol message before {!Net_partition}. *)
 
 type t
 
@@ -180,7 +183,10 @@ module Migrate : sig
     p_nonce : bytes;  (** echo of the offer nonce *)
     p_kx : Kx.public;  (** the source's ephemeral share *)
     p_blob : bytes;
-        (** the sealed export blob, encoded — opaque, tamper-evident *)
+        (** the export blob as one {!Hyperenclave_crypto.Authenc.seal}
+            blob (plaintext plus
+            {!Hyperenclave_crypto.Authenc.overhead} bytes) — opaque,
+            tamper-evident; its AAD is not carried *)
   }
 
   val offer : t -> tenant:string -> src:int -> dst:int -> (offer, error) result
@@ -194,7 +200,8 @@ module Migrate : sig
       fault site. *)
 
   val install : t -> package -> (int, error) result
-  (** Runs on [p_dst]: burn the pending offer, unseal, and hand the
+  (** Runs on [p_dst]: burn the pending offer, unseal under the AAD
+      derived from the package's tenant, route and nonce, and hand the
       bytes to {!Hyperenclave_serve.Serve.import_tenant} to rebuild the
       tenant and its sessions.  Returns sessions installed. *)
 end
@@ -280,8 +287,8 @@ module Client : sig
       [Session_migrated] forward re-sends the unadmitted rest of the
       batch, as one message, to the new owner — the {e same} sealed
       frames, since sequence numbers and keys survived the migration —
-      at most once per fleet node.  Network loss past {!message_retries}
-      is {!Net_partition}: a lost request message admits nothing, a
+      at most once per fleet node.  Network loss past 3 retries per
+      message is {!Net_partition}: a lost request message admits nothing, a
       lost reply message means the handlers ran.  An empty batch sends
       nothing and returns [Ok []]. *)
 

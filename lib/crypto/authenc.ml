@@ -1,5 +1,3 @@
-type sealed = { nonce : bytes; ciphertext : bytes; tag : bytes; aad : bytes }
-
 exception Authentication_failure
 
 let split_key key =
@@ -49,51 +47,25 @@ let unseal_in_place keys ~aad ~nonce ~tag buf ~off ~len =
   Aes.ctr_into ~key:keys.enc ~nonce ~src:buf ~src_off:off ~dst:buf ~dst_off:off
     ~len
 
-let seal ~key ?(aad = Bytes.empty) ~nonce plaintext =
-  if Bytes.length nonce <> 12 then invalid_arg "Authenc.seal: nonce must be 12 bytes";
+(* A one-shot blob is nonce ‖ ciphertext ‖ tag: the frame layout with
+   its nonce in front.  The AAD never travels; the opener derives it. *)
+let overhead = 12 + 32
+
+let seal keys ~aad ~nonce plaintext =
   let len = Bytes.length plaintext in
-  let ciphertext = Bytes.create len in
+  let blob = Bytes.create (overhead + len) in
   let tag =
-    seal_into (prepare key) ~aad ~nonce ~src:plaintext ~src_off:0
-      ~dst:ciphertext ~dst_off:0 ~len
+    seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0 ~dst:blob ~dst_off:12
+      ~len
   in
-  { nonce; ciphertext; tag; aad }
+  Bytes.blit nonce 0 blob 0 12;
+  Bytes.blit tag 0 blob (12 + len) 32;
+  blob
 
-let unseal ~key sealed =
-  let buf = Bytes.copy sealed.ciphertext in
-  unseal_in_place (prepare key) ~aad:sealed.aad ~nonce:sealed.nonce
-    ~tag:sealed.tag buf ~off:0 ~len:(Bytes.length buf);
+let unseal keys ~aad blob =
+  let len = Bytes.length blob - overhead in
+  if len < 0 then raise Authentication_failure;
+  let buf = Bytes.sub blob 12 len in
+  unseal_in_place keys ~aad ~nonce:(Bytes.sub blob 0 12)
+    ~tag:(Bytes.sub blob (12 + len) 32) buf ~off:0 ~len;
   buf
-
-let encode sealed =
-  let buf = Buffer.create (Bytes.length sealed.ciphertext + 64) in
-  let add_framed b =
-    let len = Bytes.create 4 in
-    Bytes.set_int32_be len 0 (Int32.of_int (Bytes.length b));
-    Buffer.add_bytes buf len;
-    Buffer.add_bytes buf b
-  in
-  add_framed sealed.nonce;
-  add_framed sealed.aad;
-  add_framed sealed.ciphertext;
-  add_framed sealed.tag;
-  Buffer.to_bytes buf
-
-let decode raw =
-  let pos = ref 0 in
-  let take_framed () =
-    if !pos + 4 > Bytes.length raw then invalid_arg "Authenc.decode: truncated";
-    let len = Int32.to_int (Bytes.get_int32_be raw !pos) in
-    pos := !pos + 4;
-    if len < 0 || !pos + len > Bytes.length raw then
-      invalid_arg "Authenc.decode: truncated";
-    let b = Bytes.sub raw !pos len in
-    pos := !pos + len;
-    b
-  in
-  let nonce = take_framed () in
-  let aad = take_framed () in
-  let ciphertext = take_framed () in
-  let tag = take_framed () in
-  if !pos <> Bytes.length raw then invalid_arg "Authenc.decode: trailing bytes";
-  { nonce; ciphertext; tag; aad }

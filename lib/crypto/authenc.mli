@@ -1,39 +1,22 @@
 (** Authenticated encryption: AES-128-CTR with an encrypt-then-MAC
     HMAC-SHA256 tag.
 
-    Backs TPM sealing and the SDK's [sgx_seal_data] equivalent.  The key is
-    any 32-byte secret; the first 16 bytes key the cipher, the last 16 key
-    the MAC (after domain separation). *)
-
-type sealed = {
-  nonce : bytes;  (** 12 bytes *)
-  ciphertext : bytes;
-  tag : bytes;  (** 32 bytes *)
-  aad : bytes;  (** additional authenticated data, bound but not hidden *)
-}
+    Backs the channel frames, TPM sealing and the SDK's [sgx_seal_data]
+    equivalent.  The key is any 32-byte secret, split by HKDF into a
+    cipher key and a MAC key.  There is one key type, {!keys}, and one
+    frame layout, ciphertext ‖ tag, whose nonce and AAD every end
+    derives; a one-shot blob is that frame with its nonce in front. *)
 
 exception Authentication_failure
 
-val seal : key:bytes -> ?aad:bytes -> nonce:bytes -> bytes -> sealed
-(** One-shot seal: {!prepare} then {!seal_into} a fresh ciphertext buffer.
-    Every call prepares the key again (HKDF split, AES schedule, HMAC
-    pads), so it is meant for one-shot blobs — TPM sealing, EPC swap,
-    tickets; a channel that seals many messages under one key prepares
-    it once and uses {!seal_into}.
-    @raise Invalid_argument if [key] is not 32 bytes or nonce not 12. *)
+(** {2 Frames}
 
-val unseal : key:bytes -> sealed -> bytes
-(** One-shot unseal: {!prepare} then {!unseal_in_place} over a copy of
-    the ciphertext; like {!seal}, it prepares the key on every call.
-    @raise Authentication_failure if the tag, AAD, or key is wrong. *)
-
-(** {2 Zero-copy path}
-
-    [prepare] pays the HKDF key split and AES key schedule once; the
-    [_into]/[_in_place] operations then run the cipher over
-    caller-provided buffer slices (e.g. ring-resident frames) without
-    allocating plaintext/ciphertext copies.  They are the only AEAD
-    implementation: {!seal}/{!unseal} are wrappers over them. *)
+    [prepare] pays the HKDF key split, the AES key schedule and the MAC
+    pad midstates once; the [_into]/[_in_place] operations then run the
+    cipher over caller-provided buffer slices (e.g. ring-resident
+    frames) without allocating plaintext/ciphertext copies.  They are
+    the only AEAD implementation: {!seal}/{!unseal} are wrappers over
+    them. *)
 
 type keys
 (** Prepared (pre-expanded) key material for one 32-byte key: the AES
@@ -66,8 +49,25 @@ val unseal_in_place :
     @raise Authentication_failure if the tag, AAD, or key is wrong (the
     buffer is untouched in that case). *)
 
-val encode : sealed -> bytes
-(** Length-prefixed wire form (for writing sealed blobs to "disk"). *)
+(** {2 One-shot blobs}
 
-val decode : bytes -> sealed
-(** @raise Invalid_argument on malformed input. *)
+    TPM-sealed keys, EPC swap pages, enclave-sealed data, session
+    tickets and migration packages are each one blob,
+    [nonce (12) ‖ ciphertext ‖ tag (32)]: a frame with its nonce in
+    front.  The AAD is never stored: the opener derives it from what it
+    already knows (a PCR policy, a page's identity and version, a
+    ticket domain, a migration route), so a blob opened under any other
+    context fails its tag. *)
+
+val overhead : int
+(** 44: the nonce plus the tag.  A blob is its plaintext plus this. *)
+
+val seal : keys -> aad:bytes -> nonce:bytes -> bytes -> bytes
+(** [seal keys ~aad ~nonce pt] is [nonce ‖ ciphertext ‖ tag], built with
+    {!seal_into}.  @raise Invalid_argument if [nonce] is not 12 bytes. *)
+
+val unseal : keys -> aad:bytes -> bytes -> bytes
+(** Open a {!seal} blob under the AAD the caller derives, through
+    {!unseal_in_place}; returns the plaintext.
+    @raise Authentication_failure if the tag, AAD or key is wrong, or the
+    blob is shorter than {!overhead}. *)

@@ -7,9 +7,6 @@
 val page_size : int
 (** 4096. *)
 
-val page_shift : int
-(** 12. *)
-
 val page_of : int -> int
 (** [page_of addr] is the page (or frame) number containing [addr]. *)
 

@@ -22,7 +22,6 @@ val flush_line : t -> int -> unit
 
 val flush_all : t -> unit
 val size_bytes : t -> int
-val line_bytes : t -> int
 val accesses : t -> int
 val misses : t -> int
 val reset_stats : t -> unit

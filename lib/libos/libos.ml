@@ -63,6 +63,9 @@ exception Bad_fd of int
 exception Bad_seek of int
 exception No_such_file of string
 
+(* In-enclave syscall entry/exit (a function call plus fd-table work,
+   not a world switch), and the per-watched-fd readiness check inside
+   [epoll_wait]. *)
 let syscall_dispatch_cost = 180
 let epoll_poll_cost = 12
 

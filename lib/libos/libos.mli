@@ -27,7 +27,7 @@
     writes always land at the inode's EOF regardless of [lseek].
 
     Costs: every syscall charges a small in-enclave dispatch
-    ({!syscall_dispatch_cost}) plus per-byte copy costs; forwarded calls
+    (180 cycles) plus per-byte copy costs; forwarded calls
     additionally pay the full OCALL path of the enclave's operation
     mode. *)
 
@@ -42,13 +42,6 @@ exception Bad_seek of int
     offset is reported, [state.pos] is left untouched. *)
 
 exception No_such_file of string
-
-val syscall_dispatch_cost : int
-(** In-enclave syscall entry/exit: a function call plus fd-table work
-    (~180 cycles), not a world switch. *)
-
-val epoll_poll_cost : int
-(** Per-watched-fd readiness check inside {!epoll_wait}. *)
 
 val max_file_bytes : int
 (** Largest accepted seek offset (1 TiB); beyond it {!lseek} raises
@@ -155,7 +148,8 @@ val epoll_del : t -> epfd:int -> fd:int -> unit
 val epoll_wait : t -> epfd:int -> (int * event) list
 (** Non-blocking poll: level-triggered readiness of every watched fd
     whose interest matches, sorted by fd.  Files are readable while
-    [pos < size]; loopback sockets while bytes are queued. *)
+    [pos < size]; loopback sockets while bytes are queued.  Charges the
+    syscall dispatch plus 12 cycles per watched fd. *)
 
 (** {1 Introspection} *)
 

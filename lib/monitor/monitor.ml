@@ -58,10 +58,11 @@ type t = {
   (* EPC overcommit: evicted pages are sealed and handed to untrusted
      storage through the kernel module's backend (EWB/ELDU analogue). *)
   mutable swap_backend : swap_backend option;
-  swapped : (int * int, unit) Hashtbl.t; (* (enclave, vpn) currently out *)
+  (* (enclave, vpn) currently out -> the evicted page's permissions *)
+  swapped : (int * int, Page_table.perms) Hashtbl.t;
   (* Monotonic per-(enclave, vpn) write-back counter, the analogue of
-     EWB's version array.  The current value is sealed into the blob's
-     AAD at eviction and demanded back at swap-in, so re-serving an
+     EWB's version array.  The current value is bound into the blob's
+     AAD at eviction and derived again at swap-in, so re-serving an
      older authentic blob for the same page (rollback) fails
      authentication instead of silently restoring stale state. *)
   swap_versions : (int * int, int) Hashtbl.t;
@@ -139,7 +140,7 @@ let launch t ~boot_log ~sealed_root_key =
   let outcome, k_root =
     match sealed_root_key with
     | Some blob -> (
-        match Tpm.unseal t.tpm blob with
+        match Tpm.unseal t.tpm ~pcr_selection:seal_pcr_selection blob with
         | key -> (`Resumed, key)
         | exception Tpm.Unseal_failed msg ->
             violation "launch: K_root unseal failed (%s)" msg)
@@ -188,7 +189,7 @@ let telemetry t = t.telemetry
 
 let swapped_out t ~enclave_id =
   Hashtbl.fold
-    (fun (id, _) () acc -> if id = enclave_id then acc + 1 else acc)
+    (fun (id, _) _ acc -> if id = enclave_id then acc + 1 else acc)
     t.swapped 0
 
 (* Shorthand for the instrumentation below: count an event, and record
@@ -205,16 +206,18 @@ let trace_switch t name (enclave : Enclave.t) =
   Telemetry.trace t.telemetry ~at:(Cycles.now t.clock)
     ~detail:(Printf.sprintf "enclave %d" enclave.Enclave.id)
     name
-let swap_key t = Hmac.derive ~key:t.k_root ~info:"epc-swap-key"
+let swap_keys t =
+  Authenc.prepare (Hmac.derive ~key:t.k_root ~info:"epc-swap-key")
+
 let swap_slot_name id vpn = Printf.sprintf "heswap:%d:%x" id vpn
 
-let parse_perms s : Page_table.perms =
-  if String.length s <> 4 then violation "swap-in: malformed permissions";
-  {
-    Page_table.write = s.[1] = 'w';
-    exec = s.[2] = 'x';
-    user = s.[3] = 'u';
-  }
+(* A swap blob's AAD names the page, its permissions and its write-back
+   version.  Eviction and swap-in both derive it from the monitor's own
+   tables, so a tampered, substituted or stale blob fails one tag
+   check. *)
+let swap_aad ~id ~vpn ~perms ~version =
+  Bytes.of_string
+    (Format.asprintf "%d:%x:%a:%d" id vpn Page_table.pp_perms perms version)
 
 (* A frame the running machinery is actively relying on: any page of the
    enclave currently on the vCPU (mid-ECALL state the monitor would fault
@@ -276,16 +279,10 @@ let evict_one_epc t ~prefer_not =
             (Hashtbl.find_opt t.swap_versions (owner_id, vpn))
       in
       Hashtbl.replace t.swap_versions (owner_id, vpn) version;
-      let aad =
-        Bytes.of_string
-          (Printf.sprintf "%d:%x:%s:%d" owner_id vpn
-             (Format.asprintf "%a" Page_table.pp_perms perms)
-             version)
-      in
       let blob =
-        Authenc.encode
-          (Authenc.seal ~key:(swap_key t) ~aad ~nonce:(Rng.bytes t.rng 12)
-             content)
+        Authenc.seal (swap_keys t)
+          ~aad:(swap_aad ~id:owner_id ~vpn ~perms ~version)
+          ~nonce:(Rng.bytes t.rng 12) content
       in
       store (swap_slot_name owner_id vpn) blob;
       Page_table.unmap victim.Enclave.gpt ~vpn;
@@ -295,7 +292,7 @@ let evict_one_epc t ~prefer_not =
       Tlb.invalidate (Mmu.tlb t.cpu) ~vpn;
       Phys_mem.zero_page t.mem ~frame;
       Epc.free t.epc frame;
-      Hashtbl.replace t.swapped (owner_id, vpn) ();
+      Hashtbl.replace t.swapped (owner_id, vpn) perms;
       t.epc_swaps <- t.epc_swaps + 1;
       Cycles.tick t.clock t.cost.epc_swap_page;
       count t "epc.evict";
@@ -485,7 +482,7 @@ let eremove t (enclave : Enclave.t) =
      stale (if authentic) page and the backend leaks ciphertexts forever. *)
   let stale =
     Hashtbl.fold
-      (fun ((id, _) as key) () acc -> if id = enclave.id then key :: acc else acc)
+      (fun ((id, _) as key) _ acc -> if id = enclave.id then key :: acc else acc)
       t.swapped []
   in
   List.iter
@@ -692,7 +689,7 @@ let commit_page t (enclave : Enclave.t) ~vpn =
 
 (* Fault on a page the monitor previously evicted: reload and unseal it
    (ELDU), verifying integrity and freshness of the untrusted blob. *)
-let swap_in_page t (enclave : Enclave.t) ~vpn =
+let swap_in_page t (enclave : Enclave.t) ~vpn ~perms =
   (* Pre-mutation fault site: the page is still recorded as swapped out
      and the blob is still on the backend, so a retried access simply
      faults and re-attempts the reload. *)
@@ -710,34 +707,22 @@ let swap_in_page t (enclave : Enclave.t) ~vpn =
     | Some blob -> blob
     | None -> violation "swap-in: enclave %d page 0x%x blob missing" enclave.id vpn
   in
-  let sealed =
-    try Authenc.decode blob
-    with Invalid_argument _ ->
-      violation "swap-in: enclave %d page 0x%x blob malformed" enclave.id vpn
+  (* Only the page's own, latest write-back opens: another page's blob
+     (a splice) or an older one of this page (a rollback) was sealed
+     under another AAD. *)
+  let version =
+    Option.value ~default:0 (Hashtbl.find_opt t.swap_versions (enclave.id, vpn))
   in
   let content =
-    try Authenc.unseal ~key:(swap_key t) sealed
+    try
+      Authenc.unseal (swap_keys t)
+        ~aad:(swap_aad ~id:enclave.id ~vpn ~perms ~version)
+        blob
     with Authenc.Authentication_failure ->
-      violation "swap-in: enclave %d page 0x%x integrity violation" enclave.id
-        vpn
-  in
-  let perms =
-    match String.split_on_char ':' (Bytes.to_string sealed.Authenc.aad) with
-    | [ id; page; perms; version ]
-      when int_of_string_opt id = Some enclave.id
-           && int_of_string_opt ("0x" ^ page) = Some vpn ->
-        (* Freshness: only the *latest* write-back of this page is
-           acceptable; an older authentic blob is a rollback attempt. *)
-        let expected =
-          Option.value ~default:0
-            (Hashtbl.find_opt t.swap_versions (enclave.id, vpn))
-        in
-        if int_of_string_opt version <> Some expected then
-          violation
-            "swap-in: enclave %d page 0x%x stale write-back (rollback replay?)"
-            enclave.id vpn;
-        parse_perms perms
-    | _ -> violation "swap-in: blob bound to a different page (replay?)"
+      violation
+        "swap-in: enclave %d page 0x%x integrity violation (tampered, \
+         substituted or stale blob)"
+        enclave.id vpn
   in
   let frame =
     alloc_epc t ~owner:(Epc.Enclave enclave.id) ~page_type:Sgx_types.Pt_reg ~vpn
@@ -791,9 +776,9 @@ let rec access_loop t (enclave : Enclave.t) ~access ~va ~attempts =
   try Mmu.translate t.cpu ~access ~user:true va
   with Mmu.Page_fault fault ->
     if (not fault.present) && Enclave.in_elrange enclave ~va then begin
-      if Hashtbl.mem t.swapped (enclave.id, fault.vpn) then
-        swap_in_page t enclave ~vpn:fault.vpn
-      else commit_page t enclave ~vpn:fault.vpn;
+      (match Hashtbl.find_opt t.swapped (enclave.id, fault.vpn) with
+      | Some perms -> swap_in_page t enclave ~vpn:fault.vpn ~perms
+      | None -> commit_page t enclave ~vpn:fault.vpn);
       access_loop t enclave ~access ~va ~attempts:(attempts + 1)
     end
     else if fault.present then
@@ -1204,7 +1189,7 @@ type snapshot = {
   ms_current : int option;
   ms_current_tcs : int option; (* tcs_vpn within the current enclave *)
   ms_saved_normal : (Page_table.t * Page_table.t option) option;
-  ms_swapped : (int * int) list;
+  ms_swapped : ((int * int) * Page_table.perms) list;
   ms_swap_versions : ((int * int) * int) list;
   ms_epc_swaps : int;
   ms_epc : Epc.snapshot;
@@ -1285,7 +1270,7 @@ let snapshot t =
     ms_current_tcs =
       Option.map (fun (tcs : Sgx_types.tcs) -> tcs.Sgx_types.tcs_vpn) t.current_tcs;
     ms_saved_normal = t.saved_normal;
-    ms_swapped = Hashtbl.fold (fun key () acc -> key :: acc) t.swapped [];
+    ms_swapped = Hashtbl.fold (fun key perms acc -> (key, perms) :: acc) t.swapped [];
     ms_swap_versions =
       Hashtbl.fold (fun key v acc -> (key, v) :: acc) t.swap_versions [];
     ms_epc_swaps = t.epc_swaps;
@@ -1303,7 +1288,7 @@ let restore t snap =
     snap.ms_enclaves;
   t.next_id <- snap.ms_next_id;
   Hashtbl.reset t.swapped;
-  List.iter (fun key -> Hashtbl.replace t.swapped key ()) snap.ms_swapped;
+  List.iter (fun (key, perms) -> Hashtbl.replace t.swapped key perms) snap.ms_swapped;
   Hashtbl.reset t.swap_versions;
   List.iter
     (fun (key, v) -> Hashtbl.replace t.swap_versions key v)

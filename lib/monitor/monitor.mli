@@ -50,9 +50,10 @@ val launch :
     - build the normal VM's nested page table with the reserved region
       unmapped (R-1),
     - strip the reserved region from every IOMMU table (R-3),
-    - obtain [K_root]: unseal the given blob, or on first boot draw a
-      fresh key from the TPM RNG and return the new sealed blob for the
-      OS to persist ([`First_boot blob]),
+    - obtain [K_root]: unseal the given blob under
+      {!seal_pcr_selection}, or on first boot draw a fresh key from the
+      TPM RNG and return the new sealed blob (76 bytes) for the OS to
+      persist ([`First_boot blob]),
     - derive the attestation keypair from [K_root], extend the hash of
       the public half (hapk) into a PCR,
     - flood the runtime PCR so the demoted OS can never unseal [K_root].
@@ -222,11 +223,14 @@ val gen_quote : t -> Enclave.t -> report_data:bytes -> nonce:bytes -> quote
 (** {1 EPC overcommit (EWB/ELDU analogue)}
 
     When the enclave pool runs dry, the monitor evicts a regular enclave
-    page: its contents are sealed (confidentiality + integrity + binding
-    to the owning page, under a [K_root]-derived key) and the ciphertext
-    is handed to untrusted storage through the kernel module's backend.
-    A later fault on that page reloads and verifies it.  Tampered or
-    substituted blobs are rejected with {!Security_violation}. *)
+    page: its contents are sealed under a [K_root]-derived key into one
+    {!Hyperenclave_crypto.Authenc.seal} blob (the page plus 44 bytes)
+    whose AAD, never stored, names the page, its permissions and its
+    write-back version, and the blob is handed to untrusted storage
+    through the kernel module's backend.  A later fault on that page
+    derives the AAD from the monitor's own tables and opens the blob;
+    a tampered, truncated, substituted or stale blob is one
+    {!Security_violation} ("swap-in: ... integrity violation"). *)
 
 val set_swap_backend :
   t ->

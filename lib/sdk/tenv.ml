@@ -16,7 +16,7 @@ type t = {
   getkey : Sgx_types.key_name -> bytes;
   report : report_data:bytes -> Sgx_types.report;
   verify_report : Sgx_types.report -> bool;
-  seal : ?aad:bytes -> bytes -> bytes;
+  seal : bytes -> bytes;
   unseal : bytes -> bytes;
   seal_versioned : bytes -> bytes;
   unseal_versioned : bytes -> bytes;

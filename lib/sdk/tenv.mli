@@ -38,15 +38,23 @@ type t = {
       (** EVERIFYREPORT: check that a report was produced by an enclave on
           {e this} platform — the primitive under local attestation
           (enclave-to-enclave trust without going through the TPM) *)
-  seal : ?aad:bytes -> bytes -> bytes;
+  seal : bytes -> bytes;
+      (** [sgx_seal_data] under the MRENCLAVE seal key: an
+          {!Hyperenclave_crypto.Authenc.seal} blob, the data plus
+          {!Hyperenclave_crypto.Authenc.overhead} bytes, with an empty
+          AAD *)
   unseal : bytes -> bytes;
+      (** @raise Hyperenclave_crypto.Authenc.Authentication_failure for
+          a blob this enclave did not seal, or a damaged one *)
   seal_versioned : bytes -> bytes;
-      (** rollback-protected sealing: the blob is bound to a fresh value
-          of the enclave's TPM monotonic counter, so every new seal
-          invalidates all older blobs *)
+      (** rollback-protected sealing: the blob is bound (as its AAD) to a
+          fresh value of the enclave's TPM monotonic counter, so every
+          new seal invalidates all older blobs *)
   unseal_versioned : bytes -> bytes;
-      (** @raise Failure ["stale sealed data"] when the blob's counter
-          value is not the current one (a rollback attempt) *)
+      (** opens under the counter's current value.
+          @raise Hyperenclave_crypto.Authenc.Authentication_failure for
+          a stale blob (a rollback attempt) exactly as for a tampered
+          one *)
   set_page_perms : vpn:int -> perms:Page_table.perms -> grant:bool -> unit;
       (** P-Enclaves update their own table; GU/HU issue
           EMODPE/EMODPR hypercalls (Sec. 4.3) *)

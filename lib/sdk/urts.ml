@@ -280,6 +280,14 @@ let take_tcs t =
       fail "TCS busy: no free TCS in enclave %d (%d total, all entered or parked on an OCALL)"
         t.enclave.Enclave.id (List.length t.enclave.Enclave.tcs_list)
 
+(* A versioned blob's AAD is the counter value it was sealed under; the
+   opener derives it from the current counter, so an older blob fails
+   its tag. *)
+let version_aad version = Bytes.of_string (Printf.sprintf "version:%d" version)
+
+let seal_keys m enc =
+  Authenc.prepare (Monitor.egetkey m enc Sgx_types.Seal_key_mrenclave)
+
 let rec make_tenv t : Tenv.t =
   let m = monitor t in
   let enc = t.enclave in
@@ -306,31 +314,22 @@ let rec make_tenv t : Tenv.t =
     report = (fun ~report_data -> Monitor.ereport m enc ~report_data);
     verify_report = (fun report -> Monitor.verify_report m report);
     seal =
-      (fun ?aad data ->
-        let key = Monitor.egetkey m enc Sgx_types.Seal_key_mrenclave in
-        let nonce = Rng.bytes t.rng 12 in
-        Authenc.encode (Authenc.seal ~key ?aad ~nonce data));
+      (fun data ->
+        let keys = seal_keys m enc in
+        Authenc.seal keys ~aad:Bytes.empty ~nonce:(Rng.bytes t.rng 12) data);
     unseal =
-      (fun blob ->
-        let key = Monitor.egetkey m enc Sgx_types.Seal_key_mrenclave in
-        Authenc.unseal ~key (Authenc.decode blob));
+      (fun blob -> Authenc.unseal (seal_keys m enc) ~aad:Bytes.empty blob);
     seal_versioned =
       (fun data ->
         (* Bind the blob to a fresh counter value: all older blobs die. *)
-        let version = Monitor.counter_increment_for m enc in
-        let key = Monitor.egetkey m enc Sgx_types.Seal_key_mrenclave in
-        let aad = Bytes.of_string (Printf.sprintf "version:%d" version) in
-        Authenc.encode
-          (Authenc.seal ~key ~aad ~nonce:(Rng.bytes t.rng 12) data));
+        let aad = version_aad (Monitor.counter_increment_for m enc) in
+        let keys = seal_keys m enc in
+        Authenc.seal keys ~aad ~nonce:(Rng.bytes t.rng 12) data);
     unseal_versioned =
       (fun blob ->
-        let key = Monitor.egetkey m enc Sgx_types.Seal_key_mrenclave in
-        let sealed = Authenc.decode blob in
-        let current = Monitor.counter_read_for m enc in
-        let expected = Bytes.of_string (Printf.sprintf "version:%d" current) in
-        if not (Bytes.equal sealed.Authenc.aad expected) then
-          failwith "stale sealed data";
-        Authenc.unseal ~key sealed);
+        let keys = seal_keys m enc in
+        Authenc.unseal keys ~aad:(version_aad (Monitor.counter_read_for m enc))
+          blob);
     set_page_perms =
       (fun ~vpn ~perms ~grant ->
         match t.config.mode with

@@ -128,9 +128,12 @@ let default_config =
     ticket_ttl = 1_000_000_000;
   }
 
-(* Fixed plane geometry, documented in the interface: pages per session
-   state slot, ring slot payload bytes (a multiple of 8), and the run of
-   one session's requests a ring shard takes before the rotor moves. *)
+(* Fixed plane geometry: pages per session state slot and ring slot
+   payload bytes (a multiple of 8), both documented in the interface,
+   and the run of one session's staged requests a ring shard takes
+   before the plane-wide rotor moves — small enough that one hot
+   session spreads across every core, large enough that a session's
+   replies cluster per reply segment. *)
 let state_stride_pages = 16
 let slot_bytes = 256
 let rotor_block = 8
@@ -309,7 +312,7 @@ type t = {
   seen_nonces : (string, string list) Hashtbl.t;
       (* replay cache: burnt nonce -> the tenants it was burnt for *)
   nonce_order : string Queue.t;  (* FIFO eviction for the replay cache *)
-  ticket_key : bytes;  (* plane sealing key for resumption tickets *)
+  ticket_key : Authenc.keys;  (* plane sealing key for resumption tickets *)
   mutable next_session : int;
   mutable qe : Urts.t option;  (* lazily-built quoting enclave *)
   mutable destroyed : bool;
@@ -397,7 +400,7 @@ let create_node ~platform (nc : Node_config.t) =
     migrated = Hashtbl.create 16;
     seen_nonces = Hashtbl.create 64;
     nonce_order = Queue.create ();
-    ticket_key = Rng.bytes rng 32;
+    ticket_key = Authenc.prepare (Rng.bytes rng 32);
     (* Node-prefixed session id space: ids stay distinct across a fleet,
        so a migrated session keeps its id on the destination without
        colliding with locally-opened ones.  Node 0 (the single-node
@@ -1577,6 +1580,8 @@ let destroy t =
 (* ---------------------------------------------------------------------- *)
 (* Session resumption                                                     *)
 
+(* Every ticket is sealed under this AAD; it is never stored, so a blob
+   sealed for any other purpose fails the ticket's tag. *)
 let ticket_aad = Bytes.of_string "serve-ticket:v1"
 
 (* Ticket payload: [8B LE name_len][name][32B session key][8B LE expiry]. *)
@@ -1613,12 +1618,12 @@ let issue_ticket t ~session =
       in
       let payload = encode_ticket ~tenant:s.tenant.t_name ~key:s.key ~expires in
       charge_aead t ~bytes:(Bytes.length payload);
-      let sealed =
-        Authenc.seal ~key:t.ticket_key ~aad:ticket_aad
-          ~nonce:(Rng.bytes t.rng 12) payload
+      let ticket =
+        Authenc.seal t.ticket_key ~aad:ticket_aad ~nonce:(Rng.bytes t.rng 12)
+          payload
       in
       Telemetry.incr t.telemetry "serve.ticket_issued";
-      Ok (Authenc.encode sealed)
+      Ok ticket
 
 (* The resumed channel never reuses the ticketed traffic key directly:
    both sides derive a fresh one from it and the client's resumption
@@ -1636,40 +1641,33 @@ let resume t (r : resume) =
   (* Burn the nonce first, success or not — a replayed resumption must
      never open a second session. *)
   if nonce_replayed t ~tenants:[] r.r_nonce then reject t Replayed_nonce
-  else
-    match Authenc.decode r.r_ticket with
-    | exception Invalid_argument m -> reject t (Bad_ticket m)
-    | sealed ->
-        if not (Bytes.equal sealed.Authenc.aad ticket_aad) then
-          reject t (Bad_ticket "wrong ticket domain")
-        else begin
-          charge_aead t ~bytes:(Bytes.length sealed.Authenc.ciphertext);
-          match Authenc.unseal ~key:t.ticket_key sealed with
-          | exception Authenc.Authentication_failure ->
-              reject t (Bad_ticket "ticket authentication failed")
-          | payload -> (
-              match decode_ticket payload with
-              | None -> reject t (Bad_ticket "malformed ticket payload")
-              | Some (tenant, key, expires) -> (
-                  burn_for t r.r_nonce ~tenant;
-                  if Cycles.now t.platform.Platform.clock > expires then
-                    reject t Ticket_expired
-                  else
-                    match Hashtbl.find_opt t.tenants tenant with
-                    | None -> reject t (Unknown_tenant tenant)
-                    | Some { t_migrated_to = Some to_node; _ } ->
-                        reject t (Tenant_migrated { tenant; to_node })
-                    | Some tn ->
-                        let s =
-                          open_session t tn ~id:(fresh_id t)
-                            ~slot:(alloc_slot tn)
-                            ~key:(resumed_key ~key ~nonce:r.r_nonce)
-                            ~top:0 ~pages:0
-                        in
-                        Telemetry.incr t.telemetry "serve.resume";
-                        Telemetry.incr t.telemetry "serve.session_open";
-                        Ok s.s_id))
-        end
+  else begin
+    charge_aead t ~bytes:(max 0 (Bytes.length r.r_ticket - Authenc.overhead));
+    match Authenc.unseal t.ticket_key ~aad:ticket_aad r.r_ticket with
+    | exception Authenc.Authentication_failure ->
+        reject t (Bad_ticket "ticket authentication failed")
+    | payload -> (
+        match decode_ticket payload with
+        | None -> reject t (Bad_ticket "malformed ticket payload")
+        | Some (tenant, key, expires) -> (
+            burn_for t r.r_nonce ~tenant;
+            if Cycles.now t.platform.Platform.clock > expires then
+              reject t Ticket_expired
+            else
+              match Hashtbl.find_opt t.tenants tenant with
+              | None -> reject t (Unknown_tenant tenant)
+              | Some { t_migrated_to = Some to_node; _ } ->
+                  reject t (Tenant_migrated { tenant; to_node })
+              | Some tn ->
+                  let s =
+                    open_session t tn ~id:(fresh_id t) ~slot:(alloc_slot tn)
+                      ~key:(resumed_key ~key ~nonce:r.r_nonce)
+                      ~top:0 ~pages:0
+                  in
+                  Telemetry.incr t.telemetry "serve.resume";
+                  Telemetry.incr t.telemetry "serve.session_open";
+                  Ok s.s_id))
+  end
 
 (* ---------------------------------------------------------------------- *)
 (* Client                                                                 *)

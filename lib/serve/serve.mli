@@ -66,7 +66,7 @@
     window the enclave keeps over its request sequence numbers, and a
     slot in the tenant enclave's heap — a
     {!state_stride_pages}-page EDMM region, of which it has committed
-    some pages through the reserved state ECALLs ({!reserved_ecalls}).
+    some pages through the reserved state ECALLs (0x5e55-0x5e57).
     {!handshake}, {!val-resume} and {!import_tenant} open sessions the
     same way; {!close_session}, {!retire_tenant} and an import rollback
     retire them the same way: staged requests die and the state slot is
@@ -129,9 +129,10 @@ type reject =
   | Session_fault of string
       (** a permanent fault surfaced as a typed session error *)
   | Bad_ticket of string
-      (** a resumption ticket that failed structural decode, carried the
-          wrong AAD domain, failed authentication, or had a malformed
-          payload *)
+      (** a resumption ticket that failed authentication under the
+          plane's ticket key and ticket AAD (damaged, truncated, sealed
+          elsewhere or for another purpose), or whose authentic payload
+          is malformed *)
   | Ticket_expired  (** a well-formed ticket past its TTL *)
   | Session_migrated of { to_node : int }
       (** the session moved to another node after cutover — re-resolve
@@ -189,12 +190,6 @@ val slot_bytes : int
     exceeds it is refused with {!Unsupported}, and a handler reply must
     fit in it.  Each slot also keeps 32 bytes for the reply tag. *)
 
-val rotor_block : int
-(** 8: consecutive per-session staged requests assigned to one ring
-    shard before the plane-wide rotor advances — small enough that one
-    hot session spreads across every core, large enough that a
-    session's replies cluster per reply segment. *)
-
 (** {1 Node identity}
 
     Every plane speaks as one addressable node of a fleet.  The identity
@@ -250,11 +245,6 @@ val add_tenant : t -> name:string -> Backend.config -> Backend.t
 val state_ecall : int
 (** The reserved ECALL id behind {!resize_session}. *)
 
-val reserved_ecalls : int list
-(** All ECALL ids the plane reserves: session-state commit
-    ({!state_ecall}), and the migration-time state read / write movers.
-    Only the plane calls them; {!submit} refuses them. *)
-
 val quoting_identity : t -> bytes
 (** MRENCLAVE of the plane's quoting enclave, the enclave behind
     {!node_quote} (created on first use) — what a migration peer pins as
@@ -302,7 +292,7 @@ val submit : t -> request -> (unit, reject) result
     a tag long ({!Bad_auth}) whose ciphertext fits {!slot_bytes}
     ({!Unsupported}); the ["serve.session"] fault site; the ECALL check
     ({!Unsupported} unless [ecall_id] is one of the tenant's handlers,
-    never a {!reserved_ecalls} id); the per-tenant queue bound and the
+    never a reserved id, 0x5e55-0x5e57); the per-tenant queue bound and the
     per-tenant cycle quota.  Admission uses no key, no MAC and no
     sequence number and charges no cycles for crypto, so a forged,
     tampered, replayed or misaddressed frame is admitted here and
@@ -474,15 +464,19 @@ val retire_tenant : t -> tenant:string -> to_node:int -> (int, reject) result
     replay cache as handshake nonces. *)
 
 val issue_ticket : t -> session:int -> (bytes, reject) result
-(** Seal [(tenant, session key, expiry)] under the plane's ticket key.
-    The wire form is opaque to the client.  Counter:
+(** Seal [(tenant, session key, expiry)] under the plane's prepared
+    ticket key: one {!Hyperenclave_crypto.Authenc.seal} blob, the payload
+    plus {!Hyperenclave_crypto.Authenc.overhead} bytes, opaque to the
+    client.  Charges one AEAD setup plus the payload's bytes.  Counter:
     [serve.ticket_issued]. *)
 
 type resume = { r_ticket : bytes; r_nonce : bytes }
 
 val resume : t -> resume -> (int, reject) result
 (** Open a new session from a ticket: replay check on the nonce, ticket
-    unseal + decode, TTL check, tenant lookup, fresh key derivation.
+    unseal under the ticket AAD the plane derives (charged like the
+    seal, on the ticket's length minus the overhead) + payload decode,
+    TTL check, tenant lookup, fresh key derivation.
     Typed failures: {!Replayed_nonce}, {!Bad_ticket}, {!Ticket_expired},
     {!Unknown_tenant}.  Counters: [serve.resume], [serve.session_open]. *)
 

@@ -79,10 +79,26 @@ let drive (i : instance) ~dispatch input =
     Libos.sock_drain i.os i.sock
   end
 
+(* Admin payloads, [load:<records>] and [page:<path>:<bytes>], arrive
+   like any request: a client of the tenant's sessions may send one, so
+   a malformed payload is answered in-band, never raised. *)
 let parse_admin tag raw =
-  match String.split_on_char ':' raw with
+  match String.split_on_char ':' (Bytes.to_string raw) with
   | t :: rest when t = tag -> Some rest
   | _ -> None
+
+let count s =
+  match int_of_string_opt s with Some n when n >= 0 -> Some n | _ -> None
+
+let load_records raw =
+  match parse_admin "load" raw with Some [ n ] -> count n | _ -> None
+
+let page_args raw =
+  match parse_admin "page" raw with
+  | Some [ path; bytes ] -> Option.map (fun size -> (path, size)) (count bytes)
+  | _ -> None
+
+let bad_admin = "bad admin request"
 
 (* --- resp_kv: RESP commands against a Store, SETs journaled to an AOF --- *)
 
@@ -120,16 +136,15 @@ let resp_handlers () =
   in
   let admin env input =
     let i = get_instance env in
-    match parse_admin "load" (Bytes.to_string input) with
-    | Some [ n ] ->
-        let records = int_of_string n in
+    match load_records input with
+    | Some records ->
         for key = 0 to records - 1 do
           ignore
             (exec_one i env
                [ "SET"; Resp_kv.key_name key; Resp_kv.value_for key ])
         done;
         Bytes.of_string (string_of_int (Resp_kv.Store.size store))
-    | Some _ | None -> invalid_arg "Services.resp_kv: bad admin request"
+    | None -> Bytes.of_string ("-ERR " ^ bad_admin)
   in
   [ (ecall_request, request); (ecall_admin, admin) ]
 
@@ -169,9 +184,8 @@ let kvdb_handlers () =
   in
   let admin env input =
     let i = get_instance env in
-    match parse_admin "load" (Bytes.to_string input) with
-    | Some [ n ] ->
-        let records = int_of_string n in
+    match load_records input with
+    | Some records ->
         for key = 0 to records - 1 do
           match
             exec_sql i env
@@ -182,7 +196,7 @@ let kvdb_handlers () =
           | Result.Error m -> failwith ("Services.kvdb load: " ^ m)
         done;
         Bytes.of_string (string_of_int records)
-    | Some _ | None -> invalid_arg "Services.kvdb: bad admin request"
+    | None -> Bytes.of_string ("-ERR " ^ bad_admin)
   in
   [ (ecall_request, request); (ecall_admin, admin) ]
 
@@ -230,9 +244,8 @@ let httpd_handlers () =
   in
   let admin env input =
     let i = instance_of cell env in
-    match parse_admin "page" (Bytes.to_string input) with
-    | Some [ path; bytes ] ->
-        let size = int_of_string bytes in
+    match page_args input with
+    | Some (path, size) ->
         let full = docroot_prefix ^ path in
         let fd =
           Libos.openf i.os ~path:full
@@ -246,7 +259,7 @@ let httpd_handlers () =
         done;
         Libos.close i.os fd;
         Bytes.of_string (string_of_int size)
-    | Some _ | None -> invalid_arg "Services.httpd: bad admin request"
+    | None -> Bytes.of_string ("HTTP/1.1 400 " ^ bad_admin)
   in
   [ (ecall_request, request); (ecall_admin, admin) ]
 

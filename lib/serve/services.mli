@@ -40,8 +40,13 @@ val ecall_request : int
     {!Serve.slot_bytes} (256 bytes). *)
 
 val ecall_admin : int
-(** Operator setup (bulk load, docroot population) — driven directly
-    through the backend by whoever owns the tenant, not over sessions. *)
+(** Operator setup: a bulk load ({!load_request}) or a docroot file
+    ({!page_request}).  Whoever owns the tenant drives it through the
+    backend, but the plane admits it like any other handler, so a
+    session client may send one too.  A malformed payload is answered
+    in-band, like a bad request (["-ERR bad admin request"],
+    ["HTTP/1.1 400 bad admin request"]); it never raises out of the
+    flush. *)
 
 val handlers : kind -> (int * Backend.handler) list
 

@@ -184,14 +184,13 @@ let getkey e name =
   Hmac.derive ~key:e.platform.sealing_root
     ~info:(Sgx_types.key_name_label name ^ ":" ^ Sha256.to_hex identity)
 
-let seal e ?aad data =
-  let key = getkey e Sgx_types.Seal_key_mrenclave in
-  let nonce = Rng.bytes e.platform.rng 12 in
-  Authenc.encode (Authenc.seal ~key ?aad ~nonce data)
+let seal_keys e = Authenc.prepare (getkey e Sgx_types.Seal_key_mrenclave)
 
-let unseal e blob =
-  let key = getkey e Sgx_types.Seal_key_mrenclave in
-  Authenc.unseal ~key (Authenc.decode blob)
+let seal e data =
+  let keys = seal_keys e in
+  Authenc.seal keys ~aad:Bytes.empty ~nonce:(Rng.bytes e.platform.rng 12) data
+
+let unseal e blob = Authenc.unseal (seal_keys e) ~aad:Bytes.empty blob
 
 (* --- the OS's controlled channel ------------------------------------------ *)
 

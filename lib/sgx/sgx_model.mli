@@ -77,8 +77,14 @@ val emodpr : enclave -> vpn:int -> unit
     GC benchmark). *)
 
 val getkey : enclave -> Sgx_types.key_name -> bytes
-val seal : enclave -> ?aad:bytes -> bytes -> bytes
+val seal : enclave -> bytes -> bytes
+(** An {!Hyperenclave_crypto.Authenc.seal} blob under the MRENCLAVE seal
+    key with an empty AAD: the data plus
+    {!Hyperenclave_crypto.Authenc.overhead} bytes. *)
+
 val unseal : enclave -> bytes -> bytes
+(** @raise Hyperenclave_crypto.Authenc.Authentication_failure for a
+    foreign or damaged blob. *)
 
 (** {1 The untrusted OS's powers (for the controlled-channel contrast)} *)
 

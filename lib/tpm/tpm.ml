@@ -8,7 +8,7 @@ type t = {
   aik_private : Signature.private_key;
   aik_public : Signature.public_key;
   aik_certificate : bytes;
-  storage_key : bytes; (* chip-internal symmetric root for sealing *)
+  storage_key : Authenc.keys; (* chip-internal symmetric root for sealing *)
   rng : Rng.t;
   clock : Cycles.t;
   cost : Cost_model.t;
@@ -43,7 +43,7 @@ let manufacture ~clock ~cost ~rng =
     aik_private;
     aik_public;
     aik_certificate;
-    storage_key = Rng.bytes rng 32;
+    storage_key = Authenc.prepare (Rng.bytes rng 32);
     rng;
     clock;
     cost;
@@ -103,46 +103,29 @@ let random t n =
   charge t;
   Rng.bytes t.rng n
 
-(* Sealed-blob AAD carries the policy (selection + digest at seal time) so
-   unseal can re-check it against the live PCRs. *)
-let encode_policy ~pcr_selection ~policy_digest =
+(* A blob's AAD is its policy: the selection and the digest of those
+   PCRs.  Neither is stored; the unsealer names the selection and the
+   chip reads its live PCRs, so a changed PCR, another selection or
+   another chip all fail the one tag check. *)
+let encode_policy t ~pcr_selection =
   let buf = Buffer.create 64 in
   Buffer.add_char buf (Char.chr (List.length pcr_selection));
   List.iter (fun i -> Buffer.add_char buf (Char.chr i)) pcr_selection;
-  Buffer.add_bytes buf policy_digest;
+  Buffer.add_bytes buf (Pcr.selection_digest t.pcrs ~indices:pcr_selection);
   Buffer.to_bytes buf
-
-let decode_policy aad =
-  if Bytes.length aad < 1 then raise (Unseal_failed "empty policy");
-  let n = Char.code (Bytes.get aad 0) in
-  if Bytes.length aad <> 1 + n + Sha256.digest_size then
-    raise (Unseal_failed "malformed policy");
-  let selection = List.init n (fun i -> Char.code (Bytes.get aad (1 + i))) in
-  let digest = Bytes.sub aad (1 + n) Sha256.digest_size in
-  (selection, digest)
 
 let seal t ~pcr_selection data =
   Hyperenclave_fault.Fault.point "tpm.seal";
   charge t;
-  let policy_digest = Pcr.selection_digest t.pcrs ~indices:pcr_selection in
-  let aad = encode_policy ~pcr_selection ~policy_digest in
-  let nonce = Rng.bytes t.rng 12 in
-  Authenc.encode (Authenc.seal ~key:t.storage_key ~aad ~nonce data)
+  let aad = encode_policy t ~pcr_selection in
+  Authenc.seal t.storage_key ~aad ~nonce:(Rng.bytes t.rng 12) data
 
-let unseal t blob =
+let unseal t ~pcr_selection blob =
   Hyperenclave_fault.Fault.point "tpm.unseal";
   charge t;
-  let sealed =
-    try Authenc.decode blob
-    with Invalid_argument m -> raise (Unseal_failed ("malformed blob: " ^ m))
-  in
-  let selection, sealed_digest = decode_policy sealed.Authenc.aad in
-  let current = Pcr.selection_digest t.pcrs ~indices:selection in
-  if not (Sha256.equal current sealed_digest) then
-    raise (Unseal_failed "PCR policy mismatch");
-  try Authenc.unseal ~key:t.storage_key sealed
+  try Authenc.unseal t.storage_key ~aad:(encode_policy t ~pcr_selection) blob
   with Authenc.Authentication_failure ->
-    raise (Unseal_failed "authentication failure (wrong chip?)")
+    raise (Unseal_failed "PCR policy mismatch, foreign chip or corrupt blob")
 
 let ek_public (t : t) = t.ek_public
 

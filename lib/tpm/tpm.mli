@@ -53,11 +53,18 @@ val random : t -> int -> bytes
 val seal : t -> pcr_selection:int list -> bytes -> bytes
 (** Seal to the {e current} values of the selected PCRs; the blob is
     encrypted under a chip-internal storage key and may be stored
-    anywhere. *)
+    anywhere.  It is an {!Hyperenclave_crypto.Authenc.seal} blob, the
+    data plus {!Hyperenclave_crypto.Authenc.overhead} bytes, whose AAD
+    is the policy (the selection and the digest of those PCRs); the
+    policy itself is not stored. *)
 
-val unseal : t -> bytes -> bytes
-(** @raise Unseal_failed if the blob is corrupt, from another chip, or the
-    selected PCRs no longer match the sealing-time values. *)
+val unseal : t -> pcr_selection:int list -> bytes -> bytes
+(** The unsealer names the policy, as a TPM2 policy session does: the
+    blob opens only under the selection it was sealed to, on the chip
+    that sealed it, while those PCRs hold their sealing-time values.
+    @raise Unseal_failed otherwise — a changed PCR, another selection
+    (a subset, a reordering, [[]]), another chip's blob and a corrupt
+    or truncated blob are one refusal. *)
 
 val ek_public : t -> Hyperenclave_crypto.Signature.public_key
 

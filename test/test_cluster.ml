@@ -171,7 +171,7 @@ let test_replay_and_misroute () =
   let o = offer_ok cl ~src ~dst in
   let p = seal_ok cl o in
   (* Mis-route first (the offer must survive this): aim the package at
-     a third node.  Its AAD still names [dst], but the third node has
+     a third node.  Its blob was sealed for [dst], but the third node has
      no pending offer for this nonce. *)
   let third =
     match
@@ -189,11 +189,12 @@ let test_replay_and_misroute () =
   | Error e -> Alcotest.failf "wrong refusal: %a" Cluster.pp_error e
   | Ok _ -> Alcotest.fail "mis-routed package accepted");
   (* Route tamper: keep the destination honest but lie about the
-     source.  The offer is found, the key agrees — the AAD refuses. *)
+     source.  The offer is found, the key agrees — the AAD the install
+     derives from the lying route fails the blob's tag. *)
   (match
      Cluster.Migrate.install cl { p with Cluster.Migrate.p_src = src + 100 }
    with
-  | Error Cluster.Binding_mismatch -> ()
+  | Error Cluster.Transport_auth -> ()
   | Error e -> Alcotest.failf "wrong refusal: %a" Cluster.pp_error e
   | Ok _ -> Alcotest.fail "src-tampered package accepted");
   (* The burn rule again: the src tamper consumed the offer. *)

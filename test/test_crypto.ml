@@ -215,26 +215,42 @@ let test_signature () =
 (* --- Authenc ---------------------------------------------------------------------------- *)
 
 let test_authenc () =
-  let key = Hmac.derive ~key:(Bytes.of_string "root") ~info:"seal" in
+  let keys = Authenc.prepare (Hmac.derive ~key:(Bytes.of_string "root") ~info:"seal") in
   let nonce = Bytes.make 12 '\x42' in
   let aad = Bytes.of_string "policy" in
-  let sealed = Authenc.seal ~key ~aad ~nonce (Bytes.of_string "secret data") in
+  let blob = Authenc.seal keys ~aad ~nonce (Bytes.of_string "secret data") in
+  Alcotest.(check int) "blob is plaintext + overhead" (11 + 44) (Bytes.length blob);
+  Alcotest.(check string) "nonce leads the blob" (Bytes.to_string nonce)
+    (Bytes.sub_string blob 0 12);
   Alcotest.(check string)
     "roundtrip" "secret data"
-    (Bytes.to_string (Authenc.unseal ~key sealed));
-  let tampered = { sealed with Authenc.ciphertext = Bytes.map (fun c -> Char.chr (Char.code c lxor 1)) sealed.Authenc.ciphertext } in
-  Alcotest.check_raises "tampered ciphertext" Authenc.Authentication_failure
-    (fun () -> ignore (Authenc.unseal ~key tampered));
-  let tampered_aad = { sealed with Authenc.aad = Bytes.of_string "POLICY" } in
-  Alcotest.check_raises "tampered aad" Authenc.Authentication_failure (fun () ->
-      ignore (Authenc.unseal ~key tampered_aad));
-  let wrong_key = Hmac.derive ~key:(Bytes.of_string "other") ~info:"seal" in
-  Alcotest.check_raises "wrong key" Authenc.Authentication_failure (fun () ->
-      ignore (Authenc.unseal ~key:wrong_key sealed));
-  let decoded = Authenc.decode (Authenc.encode sealed) in
-  Alcotest.(check string)
-    "encode/decode roundtrip" "secret data"
-    (Bytes.to_string (Authenc.unseal ~key decoded))
+    (Bytes.to_string (Authenc.unseal keys ~aad blob));
+  let flip i =
+    let b = Bytes.copy blob in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+    b
+  in
+  List.iter
+    (fun (what, keys, aad, blob) ->
+      Alcotest.check_raises what Authenc.Authentication_failure (fun () ->
+          ignore (Authenc.unseal keys ~aad blob)))
+    [
+      ("tampered nonce", keys, aad, flip 0);
+      ("tampered ciphertext", keys, aad, flip 12);
+      ("tampered tag", keys, aad, flip (Bytes.length blob - 1));
+      ("other aad", keys, Bytes.of_string "POLICY", blob);
+      ( "wrong key",
+        Authenc.prepare (Hmac.derive ~key:(Bytes.of_string "other") ~info:"seal"),
+        aad,
+        blob );
+      ("shorter than overhead", keys, aad, Bytes.sub blob 0 43);
+      ("empty", keys, aad, Bytes.empty);
+    ];
+  let empty = Authenc.seal keys ~aad ~nonce Bytes.empty in
+  Alcotest.(check int) "empty plaintext is overhead alone" Authenc.overhead
+    (Bytes.length empty);
+  Alcotest.(check string) "empty roundtrip" ""
+    (Bytes.to_string (Authenc.unseal keys ~aad empty))
 
 (* --- zero-copy path ---------------------------------------------------------------------- *)
 
@@ -341,30 +357,29 @@ let test_prepared_hmac () =
     (hex (Hmac.hmac_string ~key "kept"))
     (hex (Hmac.finish p))
 
-(* Known-answer vectors for the sealed wire form: the bytes of
-   TPM-sealed blobs, EPC swap blobs, session tickets and migration blobs
-   already written must keep unsealing, so [encode (seal ...)] is pinned
+(* Known-answer vectors for the one-shot blob, nonce ‖ ciphertext ‖ tag,
    for a fixed key, nonce and AAD — an empty plaintext and a 37-byte one
-   that is not a block multiple. *)
+   that is not a block multiple.  The AAD is not in the blob, but the tag
+   covers it: the ciphertext and tag here are the cipher's and the MAC's
+   own known answers. *)
 let test_authenc_kat () =
-  let key = Bytes.init 32 Char.chr in
+  let keys = Authenc.prepare (Bytes.init 32 Char.chr) in
   let nonce = Bytes.init 12 (fun i -> Char.chr (0xc0 + i)) in
   let aad = Bytes.of_string "authenc-kat" in
   let kat plaintext expected =
     let plaintext = Bytes.of_string plaintext in
-    let sealed = Authenc.seal ~key ~aad ~nonce plaintext in
     check_hex
       (Printf.sprintf "%d-byte seal" (Bytes.length plaintext))
       expected
-      (hex (Authenc.encode sealed));
+      (hex (Authenc.seal keys ~aad ~nonce plaintext));
     Alcotest.(check string)
       "unseal inverts" (Bytes.to_string plaintext)
-      (Bytes.to_string (Authenc.unseal ~key (Authenc.decode (of_hex expected))))
+      (Bytes.to_string (Authenc.unseal keys ~aad (of_hex expected)))
   in
   kat ""
-    "0000000cc0c1c2c3c4c5c6c7c8c9cacb0000000b61757468656e632d6b61740000000000000020a688aa97d102d65dcd692a292d839c59f67e4f96d29a5cdee0f2ec67710cbf75";
+    "c0c1c2c3c4c5c6c7c8c9cacba688aa97d102d65dcd692a292d839c59f67e4f96d29a5cdee0f2ec67710cbf75";
   kat "the quick brown fox jumps over a dog!"
-    "0000000cc0c1c2c3c4c5c6c7c8c9cacb0000000b61757468656e632d6b617400000025db509f5a74fae33735d2e44273cf4d0c014b85874fdc2be267a324e93326b0b1875c3bd9f8000000201b7bcbf83b1e2907c597bcdade11c11e5c6d73b4e6218f239845f0727fc05daa"
+    "c0c1c2c3c4c5c6c7c8c9cacbdb509f5a74fae33735d2e44273cf4d0c014b85874fdc2be267a324e93326b0b1875c3bd9f81b7bcbf83b1e2907c597bcdade11c11e5c6d73b4e6218f239845f0727fc05daa"
 
 let test_authenc_zero_copy () =
   let key = Hmac.derive ~key:(Bytes.of_string "root") ~info:"zc" in
@@ -409,12 +424,11 @@ let test_authenc_zero_copy () =
       ("tampered tag", aad, nonce, flip tag, ct);
       ("tampered ciphertext", aad, nonce, tag, flip ct);
     ];
-  (* A prepared-keys unseal of a one-shot seal (and vice versa) is the
-     compatibility the serving plane relies on. *)
+  (* A one-shot blob is the frame with its nonce in front. *)
   Alcotest.(check string)
     "one-shot unseal of seal_into output" (Bytes.to_string plaintext)
     (Bytes.to_string
-       (Authenc.unseal ~key { Authenc.nonce; ciphertext = ct; tag; aad }))
+       (Authenc.unseal keys ~aad (Bytes.concat Bytes.empty [ nonce; ct; tag ])))
 
 (* --- properties ---------------------------------------------------------------------------- *)
 
@@ -437,16 +451,17 @@ let qcheck_tests =
     Test.make ~name:"authenc seal/unseal roundtrip" ~count:100
       (pair string string)
       (fun (secret, aad) ->
-        let key = Hmac.derive ~key:(Bytes.of_string "k") ~info:"t" in
-        let sealed =
-          Authenc.seal ~key ~aad:(Bytes.of_string aad) ~nonce:(Bytes.make 12 'x')
-            (Bytes.of_string secret)
+        let keys = Authenc.prepare (Hmac.derive ~key:(Bytes.of_string "k") ~info:"t") in
+        let aad = Bytes.of_string aad in
+        let blob =
+          Authenc.seal keys ~aad ~nonce:(Bytes.make 12 'x') (Bytes.of_string secret)
         in
-        Bytes.to_string (Authenc.unseal ~key (Authenc.decode (Authenc.encode sealed)))
-        = secret);
+        Bytes.length blob = String.length secret + Authenc.overhead
+        && Bytes.to_string (Authenc.unseal keys ~aad blob) = secret);
     (* One prepared [keys] value, reused across a random interleaving of
-       operations, must match fresh one-shot seals and unseals exactly:
-       MAC scratch state may not leak from one operation into the next. *)
+       operations, must match one-shot seals and unseals under freshly
+       prepared keys exactly: MAC scratch state may not leak from one
+       operation into the next. *)
     Test.make ~name:"authenc reused keys = one-shot" ~count:100
       (list_of_size (Gen.int_range 1 12)
          (quad (int_bound 2) (int_bound 255)
@@ -460,7 +475,9 @@ let qcheck_tests =
             let nonce = Bytes.make 12 (Char.chr n) in
             let plaintext = Bytes.of_string msg and aad = Bytes.of_string aad in
             let len = Bytes.length plaintext in
-            let fresh = Authenc.seal ~key ~aad ~nonce plaintext in
+            let fresh = Authenc.seal (Authenc.prepare key) ~aad ~nonce plaintext in
+            let fresh_ct = Bytes.sub fresh 12 len
+            and fresh_tag = Bytes.sub fresh (12 + len) 32 in
             match op with
             | 0 ->
                 let ct = Bytes.create len in
@@ -468,24 +485,23 @@ let qcheck_tests =
                   Authenc.seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0
                     ~dst:ct ~dst_off:0 ~len
                 in
-                Bytes.equal tag fresh.Authenc.tag
-                && Bytes.equal ct fresh.Authenc.ciphertext
+                Bytes.equal tag fresh_tag && Bytes.equal ct fresh_ct
             | 1 -> (
                 (* A wrong AAD is refused and leaves the buffer as it was. *)
-                let buf = Bytes.copy fresh.Authenc.ciphertext in
+                let buf = Bytes.copy fresh_ct in
                 match
                   Authenc.unseal_in_place keys ~aad:(Bytes.cat aad (Bytes.of_string "!"))
-                    ~nonce ~tag:fresh.Authenc.tag buf ~off:0 ~len
+                    ~nonce ~tag:fresh_tag buf ~off:0 ~len
                 with
                 | () -> false
                 | exception Authenc.Authentication_failure ->
-                    Bytes.equal buf fresh.Authenc.ciphertext)
+                    Bytes.equal buf fresh_ct)
             | _ ->
-                let buf = Bytes.copy fresh.Authenc.ciphertext in
-                Authenc.unseal_in_place keys ~aad ~nonce ~tag:fresh.Authenc.tag
-                  buf ~off:0 ~len;
+                let buf = Bytes.copy fresh_ct in
+                Authenc.unseal_in_place keys ~aad ~nonce ~tag:fresh_tag buf ~off:0
+                  ~len;
                 Bytes.equal buf plaintext
-                && Bytes.equal buf (Authenc.unseal ~key fresh))
+                && Bytes.equal buf (Authenc.unseal (Authenc.prepare key) ~aad fresh))
           ops);
     Test.make ~name:"sha256 distinct on distinct strings" ~count:200
       (pair small_string small_string)

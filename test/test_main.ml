@@ -20,6 +20,7 @@ let () =
       ("serve", Test_serve.suite);
       ("services", Test_services.suite);
       ("cluster", Test_cluster.suite);
+      ("sealed", Test_sealed.suite);
       ("workloads", Test_workloads.suite);
       ("golden", Test_golden.suite);
       ("fuzz", Test_fuzz.suite);

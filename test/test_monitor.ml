@@ -53,7 +53,9 @@ let test_flooding_blocks_os_unseal () =
   | None -> Alcotest.fail "expected sealed blob"
   | Some blob -> (
       try
-        ignore (Hyperenclave.Tpm.unseal p.Platform.tpm blob);
+        ignore
+          (Hyperenclave.Tpm.unseal p.Platform.tpm
+             ~pcr_selection:Monitor.seal_pcr_selection blob);
         Alcotest.fail "OS must not be able to unseal K_root"
       with Hyperenclave.Tpm.Unseal_failed _ -> ())
 

@@ -270,6 +270,57 @@ let test_negative_paths () =
   check_invariants p;
   Serve.destroy plane
 
+(* The plane admits the admin ECALL like any handler, so a session
+   client can send one.  A malformed payload must be answered in-band:
+   an exception escaping a handler leaves [Serve.flush] and drops every
+   staged request unanswered, the honest one in the same flush too. *)
+let test_malformed_admin_in_band () =
+  let module Ycsb = Hyperenclave.Workloads.Ycsb in
+  List.iter
+    (fun (kind, seed, setup, honest, refusal) ->
+      let p, plane, backend, client = build kind ~seed in
+      ignore (admin backend setup);
+      List.iter
+        (fun payload ->
+          List.iter
+            (fun (ecall, data) ->
+              match Serve.submit plane (Serve.Client.request client ~ecall data) with
+              | Ok () -> ()
+              | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r)
+            [
+              (Services.ecall_admin, Bytes.of_string payload);
+              (Services.ecall_request, honest);
+            ];
+          let body reply =
+            match Serve.Client.read_reply client reply with
+            | Ok body -> Bytes.to_string body
+            | Error r -> Alcotest.failf "%S: reply failed: %a" payload Serve.pp_reject r
+          in
+          match Serve.flush plane with
+          | [ bad; good ] ->
+              let bad = body bad and good = body good in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %S answered in-band: %s"
+                   (Services.kind_name kind) payload bad)
+                true (prefix refusal bad);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s honest request served: %s"
+                   (Services.kind_name kind) good)
+                true
+                (Services.reply_ok kind (Bytes.of_string good))
+          | replies -> Alcotest.failf "expected 2 replies, got %d" (List.length replies))
+        [ "load:x"; "bogus"; ""; "load:-1"; "load:1:2"; "page:/x:abc"; "page:/x:-1" ];
+      check_invariants p;
+      Serve.destroy plane)
+    [
+      ( Services.Resp_kv, 77L, Services.load_request ~records:4,
+        Services.request_of_op Services.Resp_kv (Ycsb.Read 1), "-ERR bad admin" );
+      ( Services.Kvdb, 78L, Services.load_request ~records:4,
+        Services.request_of_op Services.Kvdb (Ycsb.Read 1), "-ERR bad admin" );
+      ( Services.Httpd, 79L, Services.page_request ~path:"/index.html" ~bytes:100,
+        Services.http_request ~path:"/index.html", "HTTP/1.1 400 bad admin" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "resp_kv over AEAD sessions" `Quick test_resp_kv_end_to_end;
@@ -278,4 +329,6 @@ let suite =
     Alcotest.test_case "httpd file-backed docroot over AEAD" `Quick
       test_httpd_end_to_end;
     Alcotest.test_case "negative paths stay typed" `Quick test_negative_paths;
+    Alcotest.test_case "malformed admin answered in-band" `Quick
+      test_malformed_admin_in_band;
   ]

@@ -72,14 +72,38 @@ let test_seal_policy () =
   let blob = Tpm.seal tpm ~pcr_selection:[ 3 ] (Bytes.of_string "K_root") in
   Alcotest.(check string)
     "unseal on same state" "K_root"
-    (Bytes.to_string (Tpm.unseal tpm blob));
+    (Bytes.to_string (Tpm.unseal tpm ~pcr_selection:[ 3 ] blob));
   (* Any further extend of a policy PCR kills unsealing - the flooding
      defence of Sec. 3.3. *)
   Tpm.pcr_extend tpm ~index:3 (Bytes.of_string "flood");
   (try
-     ignore (Tpm.unseal tpm blob);
+     ignore (Tpm.unseal tpm ~pcr_selection:[ 3 ] blob);
      Alcotest.fail "expected Unseal_failed after PCR change"
    with Tpm.Unseal_failed _ -> ())
+
+(* The unsealer names the policy: a blob opens only under the selection
+   it was sealed to, even while every PCR still holds its sealing-time
+   value. *)
+let test_seal_selection () =
+  let tpm = fixture () in
+  Tpm.pcr_extend tpm ~index:0 (Bytes.of_string "bios");
+  Tpm.pcr_extend tpm ~index:3 (Bytes.of_string "kernel");
+  let blob = Tpm.seal tpm ~pcr_selection:[ 0; 3 ] (Bytes.of_string "K_root") in
+  List.iter
+    (fun (what, pcr_selection) ->
+      match Tpm.unseal tpm ~pcr_selection blob with
+      | _ -> Alcotest.failf "%s: unsealed under another selection" what
+      | exception Tpm.Unseal_failed _ -> ())
+    [
+      ("subset", [ 0 ]);
+      ("other subset", [ 3 ]);
+      ("reordering", [ 3; 0 ]);
+      ("superset", [ 0; 3; 4 ]);
+      ("empty selection", []);
+    ];
+  Alcotest.(check string)
+    "the sealing selection still opens it" "K_root"
+    (Bytes.to_string (Tpm.unseal tpm ~pcr_selection:[ 0; 3 ] blob))
 
 let test_seal_wrong_chip () =
   let tpm = fixture () in
@@ -89,7 +113,7 @@ let test_seal_wrong_chip () =
     Tpm.manufacture ~clock ~cost:Cost_model.default ~rng:(Rng.create ~seed:2L)
   in
   try
-    ignore (Tpm.unseal other blob);
+    ignore (Tpm.unseal other ~pcr_selection:[ 0 ] blob);
     Alcotest.fail "expected Unseal_failed on another chip"
   with Tpm.Unseal_failed _ -> ()
 
@@ -102,12 +126,12 @@ let test_seal_survives_reboot () =
   Tpm.pcr_extend tpm ~index:0 (Bytes.of_string "bios");
   Alcotest.(check string)
     "unseal after identical reboot" "persistent"
-    (Bytes.to_string (Tpm.unseal tpm blob));
+    (Bytes.to_string (Tpm.unseal tpm ~pcr_selection:[ 0 ] blob));
   (* Reboot with a modified chain: policy mismatch. *)
   Tpm.startup tpm;
   Tpm.pcr_extend tpm ~index:0 (Bytes.of_string "evil-bios");
   try
-    ignore (Tpm.unseal tpm blob);
+    ignore (Tpm.unseal tpm ~pcr_selection:[ 0 ] blob);
     Alcotest.fail "expected Unseal_failed after boot tampering"
   with Tpm.Unseal_failed _ -> ()
 
@@ -147,6 +171,8 @@ let suite =
     Alcotest.test_case "quote reflects tampering" `Quick
       test_quote_reflects_boot_tampering;
     Alcotest.test_case "seal policy" `Quick test_seal_policy;
+    Alcotest.test_case "unseal names the sealing selection" `Quick
+      test_seal_selection;
     Alcotest.test_case "seal wrong chip" `Quick test_seal_wrong_chip;
     Alcotest.test_case "seal across reboot" `Quick test_seal_survives_reboot;
     Alcotest.test_case "random + command cost" `Quick test_random_and_cycles;
