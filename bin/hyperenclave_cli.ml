@@ -110,7 +110,7 @@ let attest_cmd =
     in
     ignore subject;
     let nonce = Bytes.of_string "cli-nonce" in
-    let quote = Urts.gen_quote subject_enclave ~report_data:nonce ~nonce in
+    let quote = Urts.gen_quote subject_enclave ~report_data:nonce in
     Printf.printf "MRENCLAVE: %s\n" (Sha256.to_hex (Urts.mrenclave subject_enclave));
     Printf.printf "hapk:      %s\n" (Sha256.to_hex quote.Monitor.hapk);
     let policy =
@@ -120,7 +120,7 @@ let attest_cmd =
         allow_debug = false;
       }
     in
-    match Verifier.verify ~golden ~policy ~nonce quote with
+    match Verifier.verify ~golden ~policy ~report_data:nonce quote with
     | Verifier.Ok _ -> print_endline "verification: OK"
     | Verifier.Error failure ->
         Format.printf "verification: FAILED — %a@." Verifier.pp_failure failure;

@@ -44,10 +44,12 @@ let () =
     (List.length golden.Verifier.boot_measurements)
     (String.sub (Sha256.to_hex (Urts.mrenclave reference_enclave)) 0 16);
 
-  (* --- runtime: the production platform requests a secret --- *)
+  (* --- runtime: the production platform requests a secret.  The
+     verifier's challenge goes in the report the monitor signs; the TPM
+     half of the quote is the one the monitor took at boot. --- *)
   let nonce = Bytes.of_string "freshness-0001" in
-  let quote = Urts.gen_quote reference_enclave ~report_data:nonce ~nonce in
-  (match Verifier.verify ~golden ~policy ~nonce quote with
+  let quote = Urts.gen_quote reference_enclave ~report_data:nonce in
+  (match Verifier.verify ~golden ~policy ~report_data:nonce quote with
   | Verifier.Ok report ->
       Printf.printf "verified: enclave %s... on a trusted boot chain\n"
         (String.sub (Sha256.to_hex report.Sgx_types.mrenclave) 0 16);
@@ -60,25 +62,30 @@ let () =
       Printf.printf "secret provisioned and sealed (%d bytes)\n"
         (Bytes.length sealed)
   | Verifier.Error failure ->
-      Format.printf "unexpected rejection: %a@." Verifier.pp_failure failure);
+      Format.printf "unexpected rejection: %a@." Verifier.pp_failure failure;
+      exit 1);
 
   (* --- the attack: same hardware identity, but grub was modified --- *)
   let _evil_platform, evil_enclave =
     build_platform ~seed:51L ~tamper_boot:"grub" ()
   in
-  let evil_quote = Urts.gen_quote evil_enclave ~report_data:nonce ~nonce in
-  (match Verifier.verify ~golden ~policy ~nonce evil_quote with
-  | Verifier.Ok _ -> print_endline "BUG: tampered platform verified!"
+  let evil_quote = Urts.gen_quote evil_enclave ~report_data:nonce in
+  (match Verifier.verify ~golden ~policy ~report_data:nonce evil_quote with
+  | Verifier.Ok _ ->
+      print_endline "BUG: tampered platform verified!";
+      exit 1
   | Verifier.Error failure ->
       Format.printf "tampered platform rejected: %a@." Verifier.pp_failure
         failure);
 
-  (* --- replay: an old quote with a stale nonce is refused --- *)
+  (* --- replay: the old quote presented to a new challenge is refused --- *)
   (match
-     Verifier.verify ~golden ~policy ~nonce:(Bytes.of_string "freshness-0002")
-       quote
+     Verifier.verify ~golden ~policy
+       ~report_data:(Bytes.of_string "freshness-0002") quote
    with
-  | Verifier.Ok _ -> print_endline "BUG: replayed quote accepted!"
+  | Verifier.Ok _ ->
+      print_endline "BUG: replayed quote accepted!";
+      exit 1
   | Verifier.Error failure ->
       Format.printf "replayed quote rejected: %a@." Verifier.pp_failure failure);
 

@@ -98,9 +98,10 @@ let () =
 
   (* A different (e.g. trojaned) build cannot unseal the customer data. *)
   let impostor = make_enclave p ~code_seed:"private-kv-TROJAN" in
-  (try
-     ignore (Urts.ecall impostor ~id:4 ~data:blob ~direction:Edge.In_out ());
-     print_endline "BUG: impostor read the data!"
-   with _ -> print_endline "impostor enclave failed to unseal (as it must)");
+  (match Urts.ecall impostor ~id:4 ~data:blob ~direction:Edge.In_out () with
+  | _ ->
+      print_endline "BUG: impostor read the data!";
+      exit 1
+  | exception _ -> print_endline "impostor enclave failed to unseal (as it must)");
   Urts.destroy impostor;
   print_endline "private_kv done."

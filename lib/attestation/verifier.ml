@@ -22,7 +22,7 @@ type failure =
   | Hapk_mismatch
   | Bad_ems
   | Policy_violation of string
-  | Stale_nonce
+  | Report_data_mismatch
 
 type result = Ok of Sgx_types.report | Error of failure
 
@@ -36,7 +36,8 @@ let pp_failure fmt = function
         "quote signed by a different monitor than the pinned trust anchor"
   | Bad_ems -> Format.pp_print_string fmt "enclave measurement signature invalid"
   | Policy_violation m -> Format.fprintf fmt "enclave policy violation: %s" m
-  | Stale_nonce -> Format.pp_print_string fmt "nonce mismatch"
+  | Report_data_mismatch ->
+      Format.pp_print_string fmt "report_data does not answer this challenge"
 
 let golden_of_boot_log ~ek_public events =
   {
@@ -44,22 +45,36 @@ let golden_of_boot_log ~ek_public events =
     boot_measurements =
       List.filter_map
         (fun (e : Monitor.boot_event) ->
-          if e.label = "hapk" then None else Some (e.label, e.measurement))
+          if e.pcr_index = Monitor.pcr_hapk then None
+          else Some (e.label, e.measurement))
         events;
   }
 
 (* Replay the event log into a scratch PCR bank and compute the digest the
-   TPM would have quoted over the standard selection. *)
-let replay_digest (events : Monitor.boot_event list) =
+   TPM would have quoted over the standard selection.  An event at any
+   other PCR is never replayed, so the TPM vouches for nothing it says:
+   such a log is refused outright. *)
+let log_replays (q : Monitor.quote) =
+  List.for_all
+    (fun (e : Monitor.boot_event) ->
+      List.mem e.pcr_index Monitor.quote_pcr_selection)
+    q.events
+  &&
   let bank = Pcr.create () in
-  List.iter (fun (e : Monitor.boot_event) -> Pcr.extend bank ~index:e.pcr_index e.measurement) events;
-  Pcr.selection_digest bank ~indices:Monitor.quote_pcr_selection
+  List.iter
+    (fun (e : Monitor.boot_event) -> Pcr.extend bank ~index:e.pcr_index e.measurement)
+    q.events;
+  Sha256.equal
+    (Pcr.selection_digest bank ~indices:Monitor.quote_pcr_selection)
+    q.tpm_quote.Tpm.pcr_digest
 
+(* The events at hapk's PCR are checked by [hapk_bound]; every other
+   event must match its golden measurement. *)
 let check_boot_components ~golden (events : Monitor.boot_event list) =
   let rec go = function
     | [] -> None
     | (e : Monitor.boot_event) :: rest ->
-        if e.label = "hapk" then go rest
+        if e.pcr_index = Monitor.pcr_hapk then go rest
         else (
           match List.assoc_opt e.label golden.boot_measurements with
           | Some expected when Sha256.equal expected e.measurement -> go rest
@@ -67,11 +82,16 @@ let check_boot_components ~golden (events : Monitor.boot_event list) =
   in
   go events
 
+(* hapk speaks for the platform only through the one event at its PCR,
+   which the monitor extends at launch. *)
 let hapk_bound (q : Monitor.quote) =
-  List.exists
-    (fun (e : Monitor.boot_event) ->
-      e.label = "hapk" && Sha256.equal e.measurement (Sha256.digest_bytes q.hapk))
-    q.events
+  match
+    List.filter
+      (fun (e : Monitor.boot_event) -> e.pcr_index = Monitor.pcr_hapk)
+      q.events
+  with
+  | [ e ] -> Sha256.equal e.measurement (Sha256.digest_bytes q.hapk)
+  | _ -> false
 
 let check_policy ~policy (report : Sgx_types.report) =
   if report.attributes.Sgx_types.debug && not policy.allow_debug then
@@ -86,12 +106,18 @@ let check_policy ~policy (report : Sgx_types.report) =
             Some "MRSIGNER mismatch"
         | Some _ | None -> None)
 
-let verify ~golden ~policy ?expected_hapk ~nonce (q : Monitor.quote) =
+(* The expected value is compared with the report's whole field,
+   zero-padded as EREPORT pads it. *)
+let answers ~report_data (report : Sgx_types.report) =
+  Bytes.length report_data <= 64
+  && Sha256.equal
+       (Sgx_types.pad_report_data report_data)
+       report.Sgx_types.report_data
+
+let verify ~golden ~policy ?expected_hapk ~report_data (q : Monitor.quote) =
   if not (Tpm.verify_quote q.tpm_quote ~expected_ek:golden.ek_public) then
     Error Bad_tpm_signature
-  else if not (Sha256.equal q.tpm_quote.Tpm.nonce nonce) then Error Stale_nonce
-  else if not (Sha256.equal (replay_digest q.events) q.tpm_quote.Tpm.pcr_digest)
-  then Error Event_log_mismatch
+  else if not (log_replays q) then Error Event_log_mismatch
   else
     match check_boot_components ~golden q.events with
     | Some component -> Error (Boot_component_mismatch component)
@@ -115,5 +141,8 @@ let verify ~golden ~policy ?expected_hapk ~nonce (q : Monitor.quote) =
           else
             match check_policy ~policy q.report with
             | Some reason -> Error (Policy_violation reason)
-            | None -> Ok q.report
+            | None ->
+                if not (answers ~report_data q.report) then
+                  Error Report_data_mismatch
+                else Ok q.report
         end

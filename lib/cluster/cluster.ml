@@ -351,9 +351,7 @@ module Migrate = struct
       let report_data =
         offer_transcript ~tenant ~src ~dst ~nonce:o_nonce ~kx:o_kx
       in
-      let quote =
-        Serve.node_quote (Node.plane dn) ~report_data ~nonce:o_nonce
-      in
+      let quote = Serve.node_quote (Node.plane dn) ~report_data in
       Hashtbl.replace t.c_offers (offer_key ~dst ~tenant ~nonce:o_nonce) secret;
       Ok
         {
@@ -376,8 +374,13 @@ module Migrate = struct
       | Ok quote -> (
           (* The full fleet trust check before any state leaves: the
              destination's golden boot, its pinned hapk (a sibling
-             monitor must not be able to receive this tenant), and its
-             pinned quoting enclave. *)
+             monitor must not be able to receive this tenant), its
+             pinned quoting enclave, and a report that answers this
+             offer's tenant, route, nonce and share. *)
+          let report_data =
+            offer_transcript ~tenant:o.o_tenant ~src:o.o_src ~dst:o.o_dst
+              ~nonce:o.o_nonce ~kx:o.o_kx
+          in
           match
             Verifier.verify ~golden:dst_anchor.a_golden
               ~policy:
@@ -386,57 +389,47 @@ module Migrate = struct
                   expected_mrsigner = None;
                   allow_debug = false;
                 }
-              ~expected_hapk:dst_anchor.a_hapk ~nonce:o.o_nonce quote
+              ~expected_hapk:dst_anchor.a_hapk ~report_data quote
           with
+          | Verifier.Error Verifier.Report_data_mismatch ->
+              Error Binding_mismatch
           | Verifier.Error f -> Error (Attest_failed f)
-          | Verifier.Ok report ->
-              let expected =
-                offer_transcript ~tenant:o.o_tenant ~src:o.o_src ~dst:o.o_dst
-                  ~nonce:o.o_nonce ~kx:o.o_kx
+          | Verifier.Ok _ -> (
+              let backoff attempt =
+                Cycles.tick sn.n_platform.Platform.clock (1_000 * attempt)
               in
-              let rd = report.Hyperenclave_monitor.Sgx_types.report_data in
-              if
-                not
-                  (Bytes.length rd >= 32
-                  && Bytes.equal expected (Bytes.sub rd 0 32))
-              then Error Binding_mismatch
-              else begin
-                let backoff attempt =
-                  Cycles.tick sn.n_platform.Platform.clock (1_000 * attempt)
-                in
-                match
-                  Fault.with_retries ~backoff (fun () ->
-                      Fault.point fault_site;
-                      Serve.export_tenant (Node.plane sn) ~tenant:o.o_tenant)
-                with
-                | exception Fault.Injected { site; kind } ->
-                    Error
-                      (Migration_fault
-                         (Printf.sprintf "injected %s fault at %s"
-                            (Fault.kind_name kind) site))
-                | Error r -> Error (Reject r)
-                | Ok blob -> (
-                    let secret, p_kx = Kx.generate t.c_rng in
-                    match Kx.shared secret o.o_kx with
-                    | None -> Error Binding_mismatch
-                    | Some shared ->
-                        let key = transport_key ~shared ~nonce:o.o_nonce in
-                        let aad =
-                          blob_aad ~tenant:o.o_tenant ~src:o.o_src
-                            ~dst:o.o_dst ~nonce:o.o_nonce
-                        in
-                        Ok
-                          {
-                            p_tenant = o.o_tenant;
-                            p_src = o.o_src;
-                            p_dst = o.o_dst;
-                            p_nonce = o.o_nonce;
-                            p_kx;
-                            p_blob =
-                              Authenc.seal (Authenc.prepare key) ~aad
-                                ~nonce:(Rng.bytes t.c_rng 12) blob;
-                          })
-              end)
+              match
+                Fault.with_retries ~backoff (fun () ->
+                    Fault.point fault_site;
+                    Serve.export_tenant (Node.plane sn) ~tenant:o.o_tenant)
+              with
+              | exception Fault.Injected { site; kind } ->
+                  Error
+                    (Migration_fault
+                       (Printf.sprintf "injected %s fault at %s"
+                          (Fault.kind_name kind) site))
+              | Error r -> Error (Reject r)
+              | Ok blob -> (
+                  let secret, p_kx = Kx.generate t.c_rng in
+                  match Kx.shared secret o.o_kx with
+                  | None -> Error Binding_mismatch
+                  | Some shared ->
+                      let key = transport_key ~shared ~nonce:o.o_nonce in
+                      let aad =
+                        blob_aad ~tenant:o.o_tenant ~src:o.o_src
+                          ~dst:o.o_dst ~nonce:o.o_nonce
+                      in
+                      Ok
+                        {
+                          p_tenant = o.o_tenant;
+                          p_src = o.o_src;
+                          p_dst = o.o_dst;
+                          p_nonce = o.o_nonce;
+                          p_kx;
+                          p_blob =
+                            Authenc.seal (Authenc.prepare key) ~aad
+                              ~nonce:(Rng.bytes t.c_rng 12) blob;
+                        })))
     end
 
   let install t (p : package) =

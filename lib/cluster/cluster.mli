@@ -28,7 +28,10 @@
     + {e offer} — B generates a fresh nonce and an ephemeral {!Kx}
       share, and quotes them (plus tenant and route) through its
       quoting enclave: proof that the key share belongs to a real
-      monitor-backed node {e before} any state moves;
+      monitor-backed node {e before} any state moves.  The offer
+      transcript is the report's [report_data], signed by B's monitor;
+      the TPM half is the platform quote B's monitor took at boot, so an
+      offer runs no TPM command;
     + {e seal} — A verifies B's quote against B's anchor (golden boot,
       pinned hapk, pinned quoting-enclave MRENCLAVE, transcript
       binding), exports the tenant
@@ -190,14 +193,17 @@ module Migrate : sig
   }
 
   val offer : t -> tenant:string -> src:int -> dst:int -> (offer, error) result
-  (** Runs on [dst]: fresh nonce + share, quoted.  The secret share is
-      held pending until {!install} burns it. *)
+  (** Runs on [dst]: fresh nonce + share, quoted through
+      {!Hyperenclave_serve.Serve.node_quote} with the offer transcript
+      (tenant, route, nonce, share) as [report_data].  The secret share
+      is held pending until {!install} burns it. *)
 
   val seal : t -> offer -> (package, error) result
   (** Runs on [o_src]: verify the destination's quote (anchor + hapk +
-      quoting-enclave pin + transcript binding), export the tenant, seal
-      under the agreed transport key.  Crosses the ["cluster.migrate"]
-      fault site. *)
+      quoting-enclave pin, with this offer's transcript as the expected
+      [report_data]: a quote that answers another offer is
+      {!Binding_mismatch}), export the tenant, seal under the agreed
+      transport key.  Crosses the ["cluster.migrate"] fault site. *)
 
   val install : t -> package -> (int, error) result
   (** Runs on [p_dst]: burn the pending offer, unseal under the AAD

@@ -47,7 +47,8 @@ type t = {
   normal_npt : Page_table.t;
   mutable launched : bool;
   mutable k_root : bytes;
-  mutable att_private : Signature.private_key option;
+  mutable attestation : (Signature.private_key * Tpm.quote) option;
+      (* the attestation key and the platform quote taken at launch *)
   mutable hapk : Signature.public_key;
   mutable boot_log : boot_event list;
   enclaves : (int, Enclave.t) Hashtbl.t;
@@ -105,7 +106,7 @@ let create ~clock ~cost ~rng ~mem ~cpu ~iommu ~tpm config =
     normal_npt = Page_table.create ();
     launched = false;
     k_root = Bytes.empty;
-    att_private = None;
+    attestation = None;
     hapk = Bytes.empty;
     boot_log = [];
     enclaves = Hashtbl.create 16;
@@ -154,7 +155,6 @@ let launch t ~boot_log ~sealed_root_key =
   let att_private =
     Signature.import_private (Hmac.derive ~key:k_root ~info:"attestation-key")
   in
-  t.att_private <- Some att_private;
   t.hapk <- Signature.public_of_private att_private;
   Tpm.pcr_extend t.tpm ~index:pcr_hapk (Sha256.digest_bytes t.hapk);
   t.boot_log <-
@@ -166,8 +166,25 @@ let launch t ~boot_log ~sealed_root_key =
           measurement = Sha256.digest_bytes t.hapk;
         };
       ];
-  (* Flood the runtime PCR so the demoted OS can never unseal K_root. *)
+  (* Flood the runtime PCR so the demoted OS can never unseal K_root.
+     Nothing that can fail may run before this: a launch that raises
+     with PCR 16 unflooded would leave the sealed blob openable. *)
   Tpm.pcr_extend t.tpm ~index:pcr_flood (Bytes.of_string "hyperenclave-flood");
+  (* The platform half of every quote, taken once: the boot PCRs and
+     hapk under the TPM's signature (PCR 16 is not quoted).  Each
+     attestation pairs it with a fresh EREPORT and ems, whose
+     report_data carries the challenger's freshness, so the TPM nonce
+     is a constant.  A transient bus fault is retried; the chip keeps
+     no partial state across an aborted command. *)
+  let platform_quote =
+    Fault.with_retries
+      ~backoff:(fun attempt ->
+        Cycles.tick t.clock (World_switch.retry_backoff_cost t.cost ~attempt))
+      (fun () ->
+        Tpm.quote t.tpm ~nonce:(Bytes.make 16 '\000')
+          ~pcr_selection:quote_pcr_selection)
+  in
+  t.attestation <- Some (att_private, platform_quote);
   t.launched <- true;
   Log.info (fun k ->
       k "launched: reserved frames [0x%x, 0x%x), %s K_root" res_lo res_hi
@@ -987,8 +1004,6 @@ let ereport t (enclave : Enclave.t) ~report_data =
   require_initialized enclave "ereport";
   Cycles.tick t.clock (World_switch.transition_cost t.cost (Enclave.mode enclave));
   if Bytes.length report_data > 64 then violation "ereport: report_data > 64 bytes";
-  let padded = Bytes.make 64 '\000' in
-  Bytes.blit report_data 0 padded 0 (Bytes.length report_data);
   let report =
     {
       Sgx_types.mrenclave = enclave.mrenclave;
@@ -996,7 +1011,7 @@ let ereport t (enclave : Enclave.t) ~report_data =
       attributes = enclave.secs.Sgx_types.attributes;
       isv_prod_id = enclave.isv_prod_id;
       isv_svn = enclave.isv_svn;
-      report_data = padded;
+      report_data = Sgx_types.pad_report_data report_data;
       key_id = Rng.bytes t.rng 16;
       mac = Bytes.empty;
     }
@@ -1024,12 +1039,12 @@ let counter_read_for t (enclave : Enclave.t) =
   Tpm.counter_create t.tpm ~name:(counter_name enclave);
   Tpm.counter_read t.tpm ~name:(counter_name enclave)
 
-let gen_quote t enclave ~report_data ~nonce =
+let gen_quote t enclave ~report_data =
   require_launched t "gen_quote";
   let report = ereport t enclave ~report_data in
-  let att_private =
-    match t.att_private with
-    | Some key -> key
+  let att_private, tpm_quote =
+    match t.attestation with
+    | Some attestation -> attestation
     | None -> violation "gen_quote: no attestation key"
   in
   let body =
@@ -1037,9 +1052,6 @@ let gen_quote t enclave ~report_data ~nonce =
       (Sgx_types.report_body { report with Sgx_types.mac = Bytes.empty })
   in
   let ems = Signature.sign att_private body in
-  let tpm_quote =
-    Hyperenclave_tpm.Tpm.quote t.tpm ~nonce ~pcr_selection:quote_pcr_selection
-  in
   { report; ems; hapk = t.hapk; tpm_quote; events = t.boot_log }
 
 (* --- isolation audit ------------------------------------------------------- *)

@@ -55,10 +55,16 @@ val launch :
       TPM RNG and return the new sealed blob (76 bytes) for the OS to
       persist ([`First_boot blob]),
     - derive the attestation keypair from [K_root], extend the hash of
-      the public half (hapk) into a PCR,
-    - flood the runtime PCR so the demoted OS can never unseal [K_root].
+      the public half (hapk) into PCR {!pcr_hapk},
+    - flood the runtime PCR so the demoted OS can never unseal [K_root],
+    - take the platform quote: one TPM quote over
+      {!quote_pcr_selection}, kept for every {!gen_quote} (transient
+      ["tpm.quote"] faults are retried with backoff).
 
-    @raise Security_violation if already launched or unsealing fails. *)
+    @raise Security_violation if already launched or unsealing fails.
+    @raise Hyperenclave_fault.Fault.Injected on a permanent
+    ["tpm.quote"] fault, or once the retries are exhausted; the runtime
+    PCR is flooded by then, so the sealed [K_root] stays shut. *)
 
 val launched : t -> bool
 val normal_npt : t -> Page_table.t
@@ -70,6 +76,12 @@ val seal_pcr_selection : int list
 (** PCR indices binding [K_root]: the boot chain plus the flood PCR. *)
 
 val quote_pcr_selection : int list
+(** PCR indices the platform quote covers: the boot chain and
+    {!pcr_hapk}. *)
+
+val pcr_hapk : int
+(** The PCR hapk is extended into (11); the only event that binds hapk
+    to the measured boot. *)
 
 (** {1 Enclave lifecycle — emulated privileged SGX instructions} *)
 
@@ -215,10 +227,17 @@ type quote = {
   ems : bytes;  (** enclave measurement signature, by the monitor *)
   hapk : Hyperenclave_crypto.Signature.public_key;
   tpm_quote : Hyperenclave_tpm.Tpm.quote;
+      (** the platform quote {!launch} took, the same for every quote of
+          one boot *)
   events : boot_event list;  (** measured-boot event log for replay *)
 }
 
-val gen_quote : t -> Enclave.t -> report_data:bytes -> nonce:bytes -> quote
+val gen_quote : t -> Enclave.t -> report_data:bytes -> quote
+(** Remote attestation (Sec. 3.3): a fresh EREPORT over [report_data]
+    and its ems under the monitor's attestation key, paired with the
+    platform quote {!launch} took.  No TPM command runs: freshness is
+    the challenger's [report_data] inside the signed report, and every
+    quote of one boot carries the same [tpm_quote]. *)
 
 (** {1 EPC overcommit (EWB/ELDU analogue)}
 

@@ -92,6 +92,11 @@ let report_body r =
   Buffer.add_bytes buf r.key_id;
   Buffer.to_bytes buf
 
+let pad_report_data data =
+  let padded = Bytes.make 64 '\000' in
+  Bytes.blit data 0 padded 0 (Bytes.length data);
+  padded
+
 type key_name = Seal_key_mrenclave | Seal_key_mrsigner | Report_key
 
 let key_name_label = function

@@ -81,6 +81,11 @@ type report = {
 val report_body : report -> bytes
 (** Serialization covered by the MAC / the quote signature. *)
 
+val pad_report_data : bytes -> bytes
+(** The [report_data] field EREPORT makes of the caller's bytes: them,
+    zero-padded to 64.
+    @raise Invalid_argument beyond 64 bytes. *)
+
 (** EGETKEY key requests. *)
 type key_name = Seal_key_mrenclave | Seal_key_mrsigner | Report_key
 

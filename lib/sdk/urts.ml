@@ -958,9 +958,4 @@ let mode t = t.config.mode
 let stats t = t.enclave.Enclave.stats
 let config t = t.config
 
-(* Quote generation crosses into the TPM; transient TPM faults are
-   retried with backoff (the chip keeps no partial state across an
-   aborted command). *)
-let gen_quote t ~report_data ~nonce =
-  Fault.with_retries ~backoff:(backoff t) (fun () ->
-      Monitor.gen_quote (monitor t) t.enclave ~report_data ~nonce)
+let gen_quote t ~report_data = Monitor.gen_quote (monitor t) t.enclave ~report_data

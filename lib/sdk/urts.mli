@@ -218,8 +218,11 @@ val stats : t -> Enclave.stats
 val config : t -> config
 val monitor : t -> Monitor.t
 
-val gen_quote : t -> report_data:bytes -> nonce:bytes -> Monitor.quote
-(** Sec. 3.3 remote attestation: quote for this enclave. *)
+val gen_quote : t -> report_data:bytes -> Monitor.quote
+(** Sec. 3.3 remote attestation: quote for this enclave
+    ({!Hyperenclave_monitor.Monitor.gen_quote}).  The challenger's
+    freshness goes in [report_data]; the TPM quote inside is the one
+    the monitor took at launch, so no TPM command runs here. *)
 
 val aep : int
 (** The asynchronous exit pointer / ECALL return site the monitor's EEXIT

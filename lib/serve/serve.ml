@@ -771,8 +771,7 @@ let quoting_identity t = Urts.mrenclave (quoting_urts t)
    enclave, signed by this node's monitor — what a migration peer or
    fleet control plane verifies before trusting the node with sealed
    state. *)
-let node_quote t ~report_data ~nonce =
-  Urts.gen_quote (quoting_urts t) ~report_data ~nonce
+let node_quote t ~report_data = Urts.gen_quote (quoting_urts t) ~report_data
 
 (* ---------------------------------------------------------------------- *)
 (* Handshake                                                              *)
@@ -834,9 +833,7 @@ let handshake t ~tenant hello =
                 transcript ~nonce:hello.nonce ~client_kx:hello.client_kx
                   ~server_kx ~identity:tn.mrenclave
               in
-              let quote =
-                Urts.gen_quote tn.urts ~report_data ~nonce:hello.nonce
-              in
+              let quote = Urts.gen_quote tn.urts ~report_data in
               (secret, server_kx, Wire.encode quote))
         with
         | exception Fault.Injected { site; kind } ->
@@ -1745,31 +1742,27 @@ module Client = struct
         match Wire.decode accept.quote_wire with
         | Error m -> Error (Bad_wire m)
         | Ok quote -> (
+            (* The quote must speak about THIS exchange: its report
+               answers the transcript (nonce, both shares, the claimed
+               tenant identity), checked last by the verifier.  Then
+               the claimed identity against the enclave that quoted
+               (every tenant quotes itself) and against the pin. *)
+            let report_data =
+              transcript ~nonce:hs.hs_nonce ~client_kx:hs.hs_client_kx
+                ~server_kx:accept.server_kx ~identity:accept.tenant_identity
+            in
             match
               Verifier.verify ~golden:t.golden ~policy:t.policy
-                ?expected_hapk:t.expected_hapk ~nonce:hs.hs_nonce quote
+                ?expected_hapk:t.expected_hapk ~report_data quote
             with
+            | Verifier.Error Verifier.Report_data_mismatch ->
+                Error Channel_binding_mismatch
             | Verifier.Error f -> Error (Handshake_failed f)
             | Verifier.Ok report -> (
-                (* The quote speaks; now check it speaks about THIS
-                   exchange: transcript binding, then the claimed tenant
-                   identity against the enclave that quoted (every
-                   tenant quotes itself) and against the pin. *)
-                let expected =
-                  transcript ~nonce:hs.hs_nonce ~client_kx:hs.hs_client_kx
-                    ~server_kx:accept.server_kx
-                    ~identity:accept.tenant_identity
-                in
-                let bound =
-                  Bytes.length report.Sgx_types.report_data >= 32
-                  && Bytes.equal expected
-                       (Bytes.sub report.Sgx_types.report_data 0 32)
-                in
                 let mismatch what =
                   Error (Handshake_failed (Verifier.Policy_violation what))
                 in
-                if not bound then Error Channel_binding_mismatch
-                else if
+                if
                   not
                     (Bytes.equal accept.tenant_identity
                        report.Sgx_types.mrenclave)

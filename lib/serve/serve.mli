@@ -31,8 +31,12 @@
       enclave identity) — so the key exchange is authenticated by the
       attestation chain and cannot be spliced across sessions;
     + the client decodes the quote on untrusted bytes, runs
-      {!Hyperenclave_attestation.Verifier.verify}, checks the transcript
-      binding, and derives the same key.
+      {!Hyperenclave_attestation.Verifier.verify} with the transcript
+      as the expected [report_data], and derives the same key.
+
+    The quote's TPM half is the platform quote the monitor took at
+    boot; the transcript in the monitor-signed report is what makes it
+    fresh, so a handshake runs no TPM command.
 
     Every tenant is a HyperEnclave enclave and quotes {e itself}: the
     monitor signs the tenant's own report, so the identity in the
@@ -225,11 +229,12 @@ val create_node : platform:Platform.t -> Node_config.t -> t
 
 val identity : t -> identity
 
-val node_quote :
-  t -> report_data:bytes -> nonce:bytes -> Monitor.quote
+val node_quote : t -> report_data:bytes -> Monitor.quote
 (** A quote from the plane's quoting enclave, signed by this node's
     monitor — the node's own attestation voice, used by the migration
-    protocol to prove a destination before sealed state is shipped. *)
+    protocol to prove a destination before sealed state is shipped.
+    The challenger's freshness goes in [report_data]; the TPM quote
+    inside is the one the node's monitor took at boot. *)
 
 val add_tenant : t -> name:string -> Backend.config -> Backend.t
 (** Build the tenant's backend on the plane's platform ({!Backend.create}
@@ -283,9 +288,11 @@ type reply = {
 (** {1 Server operations} *)
 
 val handshake : t -> tenant:string -> hello -> (accept, reject) result
-(** Verify freshness, have the tenant enclave quote the transcript,
-    derive the session key and open a session.  Counters:
-    [serve.handshake] / [serve.handshake_rejected]. *)
+(** Burn the hello's nonce ({!Replayed_nonce} if seen), have the tenant
+    enclave quote the transcript (a fresh EREPORT and ems over it,
+    paired with the platform quote from boot: no TPM command), derive
+    the session key and open a session.  Counters: [serve.handshake] /
+    [serve.handshake_rejected]. *)
 
 val submit : t -> request -> (unit, reject) result
 (** Admit one request, in this order: a live session; a frame at least
@@ -509,9 +516,12 @@ module Client : sig
       calling it again restarts with fresh material. *)
 
   val establish : t -> accept -> (unit, reject) result
-  (** Decode + verify the quote, check the transcript binding, check
-      the claimed tenant identity against the quote and the pin
-      ({!Handshake_failed} with a policy violation), derive the session
+  (** Decode + verify the quote with the transcript as the expected
+      [report_data] (a quote that answers another transcript — a
+      replayed accept, a spliced key share — is
+      {!Channel_binding_mismatch}), check the claimed tenant identity
+      against the quote and the pin ({!Handshake_failed} with a policy
+      violation), derive the session
       key and prepare it ({!Authenc.prepare}): the HKDF split, AES key
       schedule and HMAC pad midstates are paid here, once per session. *)
 

@@ -9,14 +9,14 @@
 
     Every command charges [Cost_model.tpm_command] cycles: discrete TPMs
     sit on a slow bus, which is why the monitor uses the TPM only at boot
-    and derives everything else in software. *)
+    (its one quote included) and derives everything else in software. *)
 
 type t
 
 type quote = {
   pcr_digest : bytes;  (** digest over the selected PCRs *)
   pcr_selection : int list;
-  nonce : bytes;  (** verifier freshness challenge *)
+  nonce : bytes;  (** the caller's value, covered by the signature *)
   signature : bytes;  (** by the AIK *)
   aik_public : Hyperenclave_crypto.Signature.public_key;
   aik_certificate : bytes;  (** EK signature over the AIK public key *)

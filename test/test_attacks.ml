@@ -536,7 +536,7 @@ let test_serve_forged_tenant_identity () =
     transcript [ hello.Serve.nonce; hello.Serve.client_kx; server_kx; b_id ]
   in
   let quote =
-    Urts.gen_quote (Option.get a.Backend.urts) ~report_data ~nonce:hello.Serve.nonce
+    Urts.gen_quote (Option.get a.Backend.urts) ~report_data
   in
   let accept =
     {
@@ -551,6 +551,76 @@ let test_serve_forged_tenant_identity () =
   | Error (Serve.Handshake_failed (Verifier.Policy_violation _)) -> ()
   | Ok () -> Alcotest.fail "forged tenant identity accepted"
   | Error r -> Alcotest.failf "expected a policy violation, got %a" Serve.pp_reject r);
+  Serve.destroy plane
+
+let test_serve_host_key_share () =
+  (* A host with TPM access (the untrusted OS has it) answers a client's
+     hello itself, with its own key share and a quote for a key pair of
+     its own: a TPM quote over the quoted selection, the honest boot log
+     plus an event naming its key at PCR 16, which that quote does not
+     cover, and a report naming the tenant's enclave and the transcript
+     over the host's share, signed with its key.  The client pins no
+     hapk, like every single-node client. *)
+  let p = Platform.create ~seed:9130L () in
+  let plane =
+    Serve.create_node ~platform:p
+    @@ Serve.Node_config.v ~platform:p Serve.default_config
+  in
+  let backend = Serve.add_tenant plane ~name:"acme" (tenant_config ()) in
+  let identity = Option.get backend.Backend.identity in
+  let client = client_for p ~identity ~seed:9131L in
+  let hello = Serve.Client.hello client in
+  let _secret, server_kx = Kx.generate (Rng.create ~seed:9132L) in
+  let host_private, host_hapk =
+    Crypto.Signature.generate (Rng.create ~seed:9133L)
+  in
+  let report =
+    {
+      (Urts.gen_quote (Option.get backend.Backend.urts) ~report_data:Bytes.empty)
+        .Monitor.report
+      with
+      Sgx_types.report_data =
+        Sgx_types.pad_report_data
+          (transcript
+             [ hello.Serve.nonce; hello.Serve.client_kx; server_kx; identity ]);
+    }
+  in
+  let quote =
+    {
+      Monitor.report;
+      ems =
+        Crypto.Signature.sign host_private
+          (Bytes.cat (Bytes.of_string "ems:")
+             (Sgx_types.report_body { report with Sgx_types.mac = Bytes.empty }));
+      hapk = host_hapk;
+      tpm_quote =
+        Tpm.quote p.Platform.tpm ~nonce:hello.Serve.nonce
+          ~pcr_selection:Monitor.quote_pcr_selection;
+      events =
+        Monitor.boot_log p.Platform.monitor
+        @ [
+            {
+              Monitor.pcr_index = 16;
+              label = "hapk";
+              measurement = Sha256.digest_bytes host_hapk;
+            };
+          ];
+    }
+  in
+  let accept =
+    {
+      Serve.session_id = 0;
+      node_id = 0;
+      server_kx;
+      quote_wire = Quote_wire.encode quote;
+      tenant_identity = identity;
+    }
+  in
+  (match Serve.Client.establish client accept with
+  | Error (Serve.Handshake_failed Verifier.Event_log_mismatch) -> ()
+  | Ok () -> Alcotest.fail "host key share accepted"
+  | Error r ->
+      Alcotest.failf "expected an event-log refusal, got %a" Serve.pp_reject r);
   Serve.destroy plane
 
 let suite =
@@ -574,6 +644,8 @@ let suite =
       `Quick test_serve_ecall_admission;
     Alcotest.test_case "serve: forged tenant identity" `Quick
       test_serve_forged_tenant_identity;
+    Alcotest.test_case "serve: host key share under a forged quote" `Quick
+      test_serve_host_key_share;
     Alcotest.test_case "serve: host reads ring-slot plaintext" `Quick
       test_serve_ring_plaintext;
   ]

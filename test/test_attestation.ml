@@ -3,7 +3,9 @@
 
 open Hyperenclave
 
-let nonce = Bytes.of_string "verifier-nonce-1"
+(* The challenge every quote here answers: the verifier's expected
+   report_data. *)
+let rd = Bytes.of_string "rd"
 
 let build ?(seed = 4000L) ?(code_seed = "attested-app") () =
   let p = Platform.create ~seed () in
@@ -14,7 +16,7 @@ let build ?(seed = 4000L) ?(code_seed = "attested-app") () =
       ~ecalls:[ (1, fun _ _ -> Bytes.empty) ]
       ~ocalls:[]
   in
-  let quote = Urts.gen_quote handle ~report_data:(Bytes.of_string "rd") ~nonce in
+  let quote = Urts.gen_quote handle ~report_data:rd in
   (p, handle, quote)
 
 let golden_of (p : Platform.t) =
@@ -47,7 +49,7 @@ let expect_error expected result =
 let test_verify_ok () =
   let p, handle, quote = build () in
   let report =
-    expect_ok (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle) ~nonce quote)
+    expect_ok (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle) ~report_data:rd quote)
   in
   Alcotest.(check string)
     "report data survives" "rd"
@@ -55,10 +57,12 @@ let test_verify_ok () =
   Urts.destroy handle
 
 let test_stale_nonce () =
+  (* A quote made for one challenge, presented for another: every check
+     but the last passes, and the signed report_data refuses it. *)
   let p, handle, quote = build () in
-  expect_error Verifier.Stale_nonce
+  expect_error Verifier.Report_data_mismatch
     (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle)
-       ~nonce:(Bytes.of_string "old-nonce") quote);
+       ~report_data:(Bytes.of_string "another challenge") quote);
   Urts.destroy handle
 
 let test_wrong_ek () =
@@ -75,7 +79,7 @@ let test_wrong_ek () =
     }
   in
   expect_error Verifier.Bad_tpm_signature
-    (Verifier.verify ~golden ~policy:(policy_for handle) ~nonce quote);
+    (Verifier.verify ~golden ~policy:(policy_for handle) ~report_data:rd quote);
   Urts.destroy handle
 
 let test_tampered_boot_component () =
@@ -93,7 +97,7 @@ let test_tampered_boot_component () =
       ~ocalls:[]
   in
   let evil_quote =
-    Urts.gen_quote evil_handle ~report_data:(Bytes.of_string "rd") ~nonce
+    Urts.gen_quote evil_handle ~report_data:rd
   in
   (match
      Verifier.verify ~golden
@@ -103,7 +107,7 @@ let test_tampered_boot_component () =
            expected_mrsigner = None;
            allow_debug = false;
          }
-       ~nonce evil_quote
+       ~report_data:rd evil_quote
    with
   | Verifier.Ok _ -> Alcotest.fail "tampered platform verified"
   | Verifier.Error (Verifier.Boot_component_mismatch name) ->
@@ -130,7 +134,7 @@ let test_event_log_replay () =
     }
   in
   expect_error Verifier.Event_log_mismatch
-    (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle) ~nonce
+    (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle) ~report_data:rd
        doctored);
   Urts.destroy handle
 
@@ -138,7 +142,7 @@ let test_forged_ems () =
   let p, handle, quote = build () in
   let forged = { quote with Monitor.ems = Bytes.make 32 'f' } in
   expect_error Verifier.Bad_ems
-    (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle) ~nonce
+    (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle) ~report_data:rd
        forged);
   Urts.destroy handle
 
@@ -153,7 +157,7 @@ let test_policy_mrenclave () =
   in
   expect_error
     (Verifier.Policy_violation "MRENCLAVE mismatch")
-    (Verifier.verify ~golden:(golden_of p) ~policy ~nonce quote);
+    (Verifier.verify ~golden:(golden_of p) ~policy ~report_data:rd quote);
   Urts.destroy handle
 
 let test_policy_mrsigner () =
@@ -166,13 +170,13 @@ let test_policy_mrsigner () =
       allow_debug = false;
     }
   in
-  ignore (expect_ok (Verifier.verify ~golden:(golden_of p) ~policy ~nonce quote));
+  ignore (expect_ok (Verifier.verify ~golden:(golden_of p) ~policy ~report_data:rd quote));
   let bad =
     { policy with Verifier.expected_mrsigner = Some (Bytes.make 32 'y') }
   in
   expect_error
     (Verifier.Policy_violation "MRSIGNER mismatch")
-    (Verifier.verify ~golden:(golden_of p) ~policy:bad ~nonce quote);
+    (Verifier.verify ~golden:(golden_of p) ~policy:bad ~report_data:rd quote);
   Urts.destroy handle
 
 let test_debug_policy () =
@@ -184,7 +188,7 @@ let test_debug_policy () =
       ~ecalls:[ (1, fun _ _ -> Bytes.empty) ]
       ~ocalls:[]
   in
-  let quote = Urts.gen_quote handle ~report_data:Bytes.empty ~nonce in
+  let quote = Urts.gen_quote handle ~report_data:Bytes.empty in
   let policy =
     {
       Verifier.expected_mrenclave = None;
@@ -194,12 +198,12 @@ let test_debug_policy () =
   in
   expect_error
     (Verifier.Policy_violation "debug enclave not allowed")
-    (Verifier.verify ~golden:(golden_of p) ~policy ~nonce quote);
+    (Verifier.verify ~golden:(golden_of p) ~policy ~report_data:Bytes.empty quote);
   ignore
     (expect_ok
        (Verifier.verify ~golden:(golden_of p)
           ~policy:{ policy with Verifier.allow_debug = true }
-          ~nonce quote));
+          ~report_data:Bytes.empty quote));
   Urts.destroy handle
 
 let test_wrong_pcr_selection () =
@@ -211,11 +215,12 @@ let test_wrong_pcr_selection () =
     {
       quote with
       Monitor.tpm_quote =
-        Hyperenclave.Tpm.quote p.Platform.tpm ~nonce ~pcr_selection:[ 0 ];
+        Hyperenclave.Tpm.quote p.Platform.tpm
+          ~nonce:(Bytes.of_string "verifier-nonce-1") ~pcr_selection:[ 0 ];
     }
   in
   expect_error Verifier.Event_log_mismatch
-    (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle) ~nonce
+    (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle) ~report_data:rd
        doctored);
   Urts.destroy handle
 
@@ -230,7 +235,7 @@ let foreign_quote seed =
       ~ecalls:[ (1, fun _ _ -> Bytes.empty) ]
       ~ocalls:[]
   in
-  let quote = Urts.gen_quote handle ~report_data:(Bytes.of_string "rd") ~nonce in
+  let quote = Urts.gen_quote handle ~report_data:rd in
   Urts.destroy handle;
   quote
 
@@ -241,7 +246,7 @@ let test_ems_from_foreign_hapk () =
   let p, handle, quote = build ~seed:4021L () in
   let foreign = foreign_quote 4022L in
   expect_error Verifier.Bad_ems
-    (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle) ~nonce
+    (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle) ~report_data:rd
        { quote with Monitor.ems = foreign.Monitor.ems });
   Urts.destroy handle
 
@@ -252,13 +257,80 @@ let test_foreign_hapk_and_ems () =
   let p, handle, quote = build ~seed:4023L () in
   let foreign = foreign_quote 4024L in
   expect_error Verifier.Hapk_not_measured
-    (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle) ~nonce
+    (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle) ~report_data:rd
        {
          quote with
          Monitor.hapk = foreign.Monitor.hapk;
          Monitor.ems = foreign.Monitor.ems;
        });
   Urts.destroy handle
+
+(* A host with TPM access (the untrusted OS has it) forges a quote for
+   a key pair of its own: it takes a TPM quote over the quoted
+   selection, keeps the honest boot log plus one event naming its key
+   at [pcr_index], and signs a report of its choosing (the expected
+   MRENCLAVE, its own report_data) with that key.  At a quoted PCR it
+   must extend the TPM for the log to replay. *)
+let host_forged_quote (p : Platform.t) (quote : Monitor.quote) ~report_data
+    ~pcr_index =
+  let host_private, host_hapk =
+    Crypto.Signature.generate (Rng.create ~seed:4031L)
+  in
+  let report =
+    {
+      quote.Monitor.report with
+      Sgx_types.report_data = Sgx_types.pad_report_data report_data;
+    }
+  in
+  let ems =
+    Crypto.Signature.sign host_private
+      (Bytes.cat (Bytes.of_string "ems:")
+         (Sgx_types.report_body { report with Sgx_types.mac = Bytes.empty }))
+  in
+  let measurement = Sha256.digest_bytes host_hapk in
+  if List.mem pcr_index Monitor.quote_pcr_selection then
+    Tpm.pcr_extend p.Platform.tpm ~index:pcr_index measurement;
+  {
+    Monitor.report;
+    ems;
+    hapk = host_hapk;
+    tpm_quote =
+      Tpm.quote p.Platform.tpm ~nonce:(Bytes.of_string "verifier-nonce-1")
+        ~pcr_selection:Monitor.quote_pcr_selection;
+    events =
+      Monitor.boot_log p.Platform.monitor
+      @ [ { Monitor.pcr_index; label = "hapk"; measurement } ];
+  }
+
+(* The forged quote is refused as it is and after a wire round trip. *)
+let expect_forgery_refused expected ~pcr_index =
+  let p, handle, quote = build () in
+  let report_data = Bytes.of_string "host-chosen" in
+  let forged = host_forged_quote p quote ~report_data ~pcr_index in
+  let verify q =
+    Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle)
+      ~report_data q
+  in
+  expect_error expected (verify forged);
+  (match Quote_wire.decode (Quote_wire.encode forged) with
+  | Result.Error m -> Alcotest.failf "forged quote did not decode: %s" m
+  | Result.Ok decoded -> expect_error expected (verify decoded));
+  Urts.destroy handle
+
+let test_hapk_outside_quoted_pcrs () =
+  (* The event sits at PCR 16, which the quote does not cover: the TPM
+     vouches for nothing it says. *)
+  expect_forgery_refused Verifier.Event_log_mismatch ~pcr_index:16
+
+let test_hapk_extended_again () =
+  (* The host extends PCR 11 after launch: the log replays, but hapk is
+     bound only through the one event the monitor made there. *)
+  expect_forgery_refused Verifier.Hapk_not_measured ~pcr_index:Monitor.pcr_hapk
+
+let test_hapk_at_boot_pcr () =
+  (* The host extends a boot PCR: the log replays, and an event there is
+     a boot component whatever its label, with no golden value. *)
+  expect_forgery_refused (Verifier.Boot_component_mismatch "hapk") ~pcr_index:0
 
 let test_wire_roundtrip () =
   let p, handle, quote = build ~seed:4010L () in
@@ -270,7 +342,7 @@ let test_wire_roundtrip () =
       ignore
         (expect_ok
            (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle)
-              ~nonce decoded)));
+              ~report_data:rd decoded)));
   (* Truncations at every prefix length must be rejected, not crash. *)
   for len = 0 to Bytes.length encoded - 1 do
     match Quote_wire.decode (Bytes.sub encoded 0 len) with
@@ -297,7 +369,7 @@ let test_wire_bitflips_never_verify () =
     match Quote_wire.decode copy with
     | Result.Error _ -> ()
     | Result.Ok doctored -> (
-        match Verifier.verify ~golden ~policy ~nonce doctored with
+        match Verifier.verify ~golden ~policy ~report_data:rd doctored with
         | Verifier.Error _ -> ()
         | Verifier.Ok report ->
             (* A flip may land in fields the remote chain deliberately
@@ -337,6 +409,11 @@ let suite =
     Alcotest.test_case "ems from foreign hapk" `Quick test_ems_from_foreign_hapk;
     Alcotest.test_case "foreign hapk and ems spliced" `Quick
       test_foreign_hapk_and_ems;
+    Alcotest.test_case "forged hapk outside the quoted PCRs" `Quick
+      test_hapk_outside_quoted_pcrs;
+    Alcotest.test_case "forged hapk extended again into PCR 11" `Quick
+      test_hapk_extended_again;
+    Alcotest.test_case "forged hapk at a boot PCR" `Quick test_hapk_at_boot_pcr;
     Alcotest.test_case "policy mrenclave" `Quick test_policy_mrenclave;
     Alcotest.test_case "policy mrsigner" `Quick test_policy_mrsigner;
     Alcotest.test_case "debug policy" `Quick test_debug_policy;

@@ -315,6 +315,15 @@ let sgx_schedule ~seed =
 (* ------------------------------------------------------------------ *)
 (* Group 4: remote attestation under TPM faults                        *)
 
+(* The monitor takes its one TPM quote at launch, so the plan is armed
+   before the platform boots and the boot is classified like any other
+   call: a transient fault is absorbed by launch's retry, a permanent
+   one fails [Platform.create] typed, and a booted platform's quotes
+   (no TPM command each) must verify. *)
+let attest_fired = ref 0
+let attest_booted = ref 0
+let attest_refused = ref 0
+
 let attest_schedule ~seed =
   let plan =
     Fault.plan_of_seed ~sites:[ "tpm.quote" ] ~faults:2 ~max_nth:2
@@ -322,38 +331,67 @@ let attest_schedule ~seed =
   in
   let plan_str = Fault.plan_to_string plan in
   with_context ~group:"attest" ~seed ~plan:plan_str (fun () ->
-      let p = small_platform (5000 + seed) in
-      let m = p.Platform.monitor in
-      let handle =
-        Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc
-          ~rng:p.Platform.rng ~signer:p.Platform.signer
-          ~config:(Urts.default_config Sgx_types.GU)
-          ~ecalls:[ (1, fun _tenv input -> input) ]
-          ~ocalls:[]
-      in
-      let inv_failures = ref [] in
       Fault.install ~telemetry:tel plan;
-      arm_observer m inv_failures;
-      for i = 1 to 2 do
-        let nonce = Bytes.of_string (Printf.sprintf "nonce-%d-%d" seed i) in
-        match
-          classify (fun () ->
-              let quote =
-                Urts.gen_quote handle ~report_data:(Bytes.of_string "chaos")
-                  ~nonce
-              in
-              (* Round-trip through the wire format: a quote that
-                 survived a fault schedule must still parse. *)
-              match Quote_wire.decode (Quote_wire.encode quote) with
-              | Result.Ok _ -> Bytes.of_string "ok"
-              | Result.Error e -> failwith ("quote wire roundtrip: " ^ e))
-        with
-        | Backend.Success _ as o -> record o
-        | o -> record o
-      done;
-      Fault.clear ();
-      assert_clean ~what:"attestation" m inv_failures;
-      Urts.destroy handle)
+      Fault.on_inject (fun ~site _kind -> Hashtbl.replace sites_fired site ());
+      let booted = ref None in
+      let boot =
+        classify (fun () ->
+            booted := Some (small_platform (5000 + seed));
+            Bytes.empty)
+      in
+      record boot;
+      attest_fired := !attest_fired + Fault.injected_count ();
+      match !booted with
+      | None -> (
+          match boot with
+          | Backend.Violation msg -> failwith ("boot refused: " ^ msg)
+          | Backend.Success _ | Backend.Typed_error _ -> incr attest_refused)
+      | Some p ->
+          incr attest_booted;
+          let m = p.Platform.monitor in
+          let inv_failures = ref [] in
+          arm_observer m inv_failures;
+          let handle =
+            Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc
+              ~rng:p.Platform.rng ~signer:p.Platform.signer
+              ~config:(Urts.default_config Sgx_types.GU)
+              ~ecalls:[ (1, fun _tenv input -> input) ]
+              ~ocalls:[]
+          in
+          let golden =
+            Verifier.golden_of_boot_log
+              ~ek_public:(Tpm.ek_public p.Platform.tpm)
+              (Monitor.boot_log m)
+          in
+          let policy =
+            {
+              Verifier.expected_mrenclave = Some (Urts.mrenclave handle);
+              expected_mrsigner = None;
+              allow_debug = false;
+            }
+          in
+          for i = 1 to 2 do
+            let report_data =
+              Bytes.of_string (Printf.sprintf "challenge-%d-%d" seed i)
+            in
+            record
+              (classify (fun () ->
+                  let quote = Urts.gen_quote handle ~report_data in
+                  (* Round-trip through the wire format, then the full
+                     chain: a booted platform's quote must verify. *)
+                  match Quote_wire.decode (Quote_wire.encode quote) with
+                  | Result.Error e -> failwith ("quote wire roundtrip: " ^ e)
+                  | Result.Ok decoded -> (
+                      match Verifier.verify ~golden ~policy ~report_data decoded with
+                      | Verifier.Ok _ -> Bytes.of_string "ok"
+                      | Verifier.Error f ->
+                          failwith
+                            (Format.asprintf "quote refused: %a"
+                               Verifier.pp_failure f))))
+          done;
+          Fault.clear ();
+          assert_clean ~what:"attestation" m inv_failures;
+          Urts.destroy handle)
 
 (* ------------------------------------------------------------------ *)
 (* Alcotest cases                                                      *)
@@ -384,7 +422,14 @@ let test_sgx_chaos () =
 let test_attest_chaos () =
   for seed = 0 to attest_seeds - 1 do
     attest_schedule ~seed
-  done
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "tpm.quote faults fired at boot (%d), boots absorbed them (%d) and \
+        failed typed (%d)"
+       !attest_fired !attest_booted !attest_refused)
+    true
+    (!attest_fired > 0 && !attest_booted > 0 && !attest_refused > 0)
 
 let test_aggregate () =
   (* The acceptance floor: enough schedules, real injections, all three

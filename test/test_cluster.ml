@@ -128,6 +128,72 @@ let seal_ok cl o =
   | Ok p -> p
   | Error e -> Alcotest.failf "seal failed: %a" Cluster.pp_error e
 
+(* The source hands [seal] an earlier offer's quote with a new offer's
+   nonce and share: the quote verifies against the destination's anchor,
+   but its report answers the earlier offer.  Nothing is exported. *)
+let test_replayed_offer_quote () =
+  let cl, src = build () in
+  let dst = other cl src in
+  let earlier = offer_ok cl ~src ~dst in
+  let fresh = offer_ok cl ~src ~dst in
+  (match
+     Cluster.Migrate.seal cl
+       { fresh with Cluster.Migrate.o_quote = earlier.Cluster.Migrate.o_quote }
+   with
+  | Error Cluster.Binding_mismatch -> ()
+  | Error e -> Alcotest.failf "wrong refusal: %a" Cluster.pp_error e
+  | Ok _ -> Alcotest.fail "replayed offer quote sealed");
+  Alcotest.(check int) "placement unchanged" src (Cluster.owner cl ~tenant:"acme");
+  ignore (seal_ok cl fresh : Cluster.Migrate.package);
+  assert_green cl;
+  Cluster.destroy cl
+
+(* The monitor takes its TPM quote once, at launch.  With a permanent
+   fault armed at the next ["tpm.quote"] crossing after boot, eight
+   handshakes on one plane and four migration offers to the same node
+   run no TPM command, and every quote they carry holds the same
+   platform quote. *)
+let test_one_tpm_quote_per_boot () =
+  let cl, owner = build ~nodes:2 () in
+  let src = other cl owner in
+  let decode wire =
+    match Quote_wire.decode wire with
+    | Result.Ok q -> q.Monitor.tpm_quote
+    | Result.Error m -> Alcotest.failf "quote did not decode: %s" m
+  in
+  let handshakes, offers, hits =
+    Fun.protect ~finally:Fault.clear (fun () ->
+        Fault.install
+          [ { Fault.site = "tpm.quote"; nth = 1; kind = Fault.Permanent } ];
+        let handshakes =
+          List.init 8 (fun i ->
+              let client =
+                serve_client cl owner ~seed:(Int64.of_int (9200 + i))
+              in
+              match
+                Serve.handshake (Cluster.plane cl owner) ~tenant:"acme"
+                  (Serve.Client.hello client)
+              with
+              | Ok accept -> decode accept.Serve.quote_wire
+              | Error r ->
+                  Alcotest.failf "handshake %d rejected: %a" i Serve.pp_reject r)
+        in
+        let offers =
+          List.init 4 (fun _ ->
+              decode (offer_ok cl ~src ~dst:owner).Cluster.Migrate.o_quote)
+        in
+        (handshakes, offers, Fault.hits "tpm.quote"))
+  in
+  Alcotest.(check int) "no TPM quote after boot" 0 hits;
+  let first = List.hd handshakes in
+  List.iteri
+    (fun i q ->
+      Alcotest.(check bool)
+        (Printf.sprintf "quote %d carries the boot's TPM quote" i)
+        true (q = first))
+    (handshakes @ offers);
+  Cluster.destroy cl
+
 (* Sealed blob tampered in transit: one flipped ciphertext bit must
    surface as a transport authentication failure, and nothing may have
    been installed. *)
@@ -731,6 +797,10 @@ let suite =
       test_live_migration;
     Alcotest.test_case "migrate back home" `Quick test_migrate_back;
     Alcotest.test_case "sealed blob tampered in transit" `Quick test_blob_tamper;
+    Alcotest.test_case "a replayed offer quote is a binding mismatch" `Quick
+      test_replayed_offer_quote;
+    Alcotest.test_case "one TPM quote per boot" `Quick
+      test_one_tpm_quote_per_boot;
     Alcotest.test_case "package replayed / mis-routed" `Quick
       test_replay_and_misroute;
     Alcotest.test_case "replay after successful install" `Quick

@@ -172,23 +172,16 @@ let quote_fixture =
 
 let quote_wire_roundtrip =
   QCheck.Test.make ~name:"quote wire encode/decode inverse" ~count:40
-    (QCheck.make
-       QCheck.Gen.(
-         pair
-           (string_size (int_range 0 32))
-           (string_size (int_range 1 24))))
-    (fun (rd, nonce) ->
+    (QCheck.make QCheck.Gen.(string_size (int_range 0 32)))
+    (fun rd ->
       let handle = Lazy.force quote_fixture in
-      let quote =
-        Urts.gen_quote handle ~report_data:(Bytes.of_string rd)
-          ~nonce:(Bytes.of_string nonce)
-      in
+      let quote = Urts.gen_quote handle ~report_data:(Bytes.of_string rd) in
       match Quote_wire.decode (Quote_wire.encode quote) with
       | Result.Error m -> QCheck.Test.fail_reportf "decode failed: %s" m
       | Result.Ok decoded ->
           decoded = quote
           || QCheck.Test.fail_reportf
-               "decode . encode <> id (report_data=%S nonce=%S)" rd nonce)
+               "decode . encode <> id (report_data=%S)" rd)
 
 let quote_wire_truncation =
   QCheck.Test.make ~name:"quote wire truncation rejected" ~count:10
@@ -198,7 +191,6 @@ let quote_wire_truncation =
       let quote =
         Urts.gen_quote handle
           ~report_data:(Bytes.of_string (string_of_int salt))
-          ~nonce:(Bytes.of_string "trunc")
       in
       let encoded = Quote_wire.encode quote in
       let ok = ref true in

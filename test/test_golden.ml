@@ -127,7 +127,7 @@ let test_table1_ecall () =
     total := !total + c
   done;
   check "ecall cycles" 474_000 !total;
-  check "platform clock" 4_662_139 (Cycles.now platform.Platform.clock);
+  check "platform clock" 4_712_139 (Cycles.now platform.Platform.clock);
   backend.Backend.destroy ()
 
 let test_fig7_marshalling () =
@@ -152,7 +152,7 @@ let test_fig7_marshalling () =
     total := !total + c
   done;
   check "in&out cycles" 355_180 !total;
-  check "platform clock" 4_543_319 (Cycles.now platform.Platform.clock);
+  check "platform clock" 4_593_319 (Cycles.now platform.Platform.clock);
   let snap =
     Telemetry.snapshot (Monitor.telemetry platform.Platform.monitor)
   in

@@ -59,6 +59,52 @@ let test_flooding_blocks_os_unseal () =
         Alcotest.fail "OS must not be able to unseal K_root"
       with Hyperenclave.Tpm.Unseal_failed _ -> ())
 
+let test_failed_launch_keeps_root_key_sealed () =
+  (* A launch that fails on its TPM quote must still have flooded the
+     runtime PCR: otherwise the OS, which holds the blob and the TPM,
+     unseals K_root.  Reboot the chip, replay the measured boot up to
+     the hypervisor, and relaunch a fresh monitor with the disk blob
+     while every quote fails. *)
+  let p = platform () in
+  let blob =
+    match Kernel.disk_load p.Platform.kernel ~key:"hyperenclave/k_root.sealed" with
+    | Some blob -> blob
+    | None -> Alcotest.fail "expected sealed blob"
+  in
+  let tpm = p.Platform.tpm in
+  Tpm.startup tpm;
+  let boot_log =
+    List.filter
+      (fun (e : Monitor.boot_event) -> e.pcr_index <> Monitor.pcr_hapk)
+      (Monitor.boot_log p.Platform.monitor)
+  in
+  List.iter
+    (fun (e : Monitor.boot_event) ->
+      Tpm.pcr_extend tpm ~index:e.pcr_index e.measurement)
+    boot_log;
+  let base, nframes = Monitor.reserved_range p.Platform.monitor in
+  let monitor =
+    Monitor.create ~clock:p.Platform.clock ~cost:p.Platform.cost
+      ~rng:(Rng.create ~seed:7L) ~mem:p.Platform.mem ~cpu:p.Platform.cpu
+      ~iommu:p.Platform.iommu ~tpm
+      {
+        Monitor.reserved_base_frame = base;
+        reserved_nframes = nframes;
+        monitor_private_frames =
+          Monitor.monitor_private_frames p.Platform.monitor;
+      }
+  in
+  Fun.protect ~finally:Fault.clear (fun () ->
+      Fault.install
+        [ { Fault.site = "tpm.quote"; nth = 1; kind = Fault.Permanent } ];
+      match Monitor.launch monitor ~boot_log ~sealed_root_key:(Some blob) with
+      | _ -> Alcotest.fail "launch must fail on a permanent tpm.quote fault"
+      | exception Fault.Injected _ -> ());
+  Alcotest.(check bool) "monitor not launched" false (Monitor.launched monitor);
+  match Tpm.unseal tpm ~pcr_selection:Monitor.seal_pcr_selection blob with
+  | _ -> Alcotest.fail "OS unsealed K_root after a failed launch"
+  | exception Tpm.Unseal_failed _ -> ()
+
 (* --- isolation requirements ------------------------------------------------------ *)
 
 let test_r1_reserved_invisible_to_normal_vm () =
@@ -1092,6 +1138,8 @@ let suite =
     Alcotest.test_case "K_root persisted" `Quick test_launch_persists_root_key;
     Alcotest.test_case "PCR flooding blocks OS unseal" `Quick
       test_flooding_blocks_os_unseal;
+    Alcotest.test_case "failed launch keeps K_root sealed" `Quick
+      test_failed_launch_keeps_root_key_sealed;
     Alcotest.test_case "R-1 reserved memory" `Quick
       test_r1_reserved_invisible_to_normal_vm;
     Alcotest.test_case "R-3 DMA blocked" `Quick test_r3_dma_blocked;

@@ -237,7 +237,7 @@ let test_report_quote_api () =
   Alcotest.(check string)
     "report data embedded" "nonce-xyz"
     (String.sub (Bytes.to_string reply) 0 9);
-  let quote = Urts.gen_quote handle ~report_data:(Bytes.of_string "q") ~nonce:(Bytes.of_string "n") in
+  let quote = Urts.gen_quote handle ~report_data:(Bytes.of_string "q") in
   Alcotest.(check bool)
     "quote carries hapk" true
     (Bytes.length quote.Monitor.hapk = 32);

@@ -173,6 +173,21 @@ let test_spliced_accept_fails_binding () =
         (Serve.Client.establish client { accept with Serve.server_kx = other_share }));
   Serve.destroy plane
 
+let test_replayed_accept_fails_binding () =
+  (* The host keeps an earlier accept, its quote and server share, and
+     answers a fresh hello with it.  Every quote of one boot carries the
+     same platform quote; the report answers the old transcript, so the
+     new one refuses it. *)
+  let _p, plane, _backend, client = build ~seed:7009L () in
+  let earlier =
+    match Serve.handshake plane ~tenant:"acme" (Serve.Client.hello client) with
+    | Ok accept -> accept
+    | Error r -> Alcotest.failf "handshake rejected: %a" Serve.pp_reject r
+  in
+  ignore (Serve.Client.hello client : Serve.hello);
+  expect_reject "channel-binding" (Serve.Client.establish client earlier);
+  Serve.destroy plane
+
 let test_garbage_quote_wire () =
   let _p, plane, _backend, client = build ~seed:7008L () in
   (match Serve.handshake plane ~tenant:"acme" (Serve.Client.hello client) with
@@ -1801,6 +1816,8 @@ let suite =
     Alcotest.test_case "replayed nonce" `Quick test_replayed_nonce;
     Alcotest.test_case "spliced accept fails binding" `Quick
       test_spliced_accept_fails_binding;
+    Alcotest.test_case "replayed accept fails binding" `Quick
+      test_replayed_accept_fails_binding;
     Alcotest.test_case "garbage quote wire" `Quick test_garbage_quote_wire;
     Alcotest.test_case "tampered envelope rejected" `Quick
       test_tampered_envelope_rejected;
