@@ -13,7 +13,8 @@
      rolling monitor upgrade live-migrates every tenant out and home
      again under traffic;
    - cluster_pause_cycles: worst single live-migration pause (source
-     export + wire + destination rebuild).
+     export + wire + destination rebuild);
+   - migration_minor_words: host allocation of one live migration.
 
    Beside the rolling-upgrade p99 it prints the wire traffic per call
    and per migration, from Netsim's message and byte counters. *)
@@ -178,12 +179,59 @@ let measure_upgrade ~seed =
     migration_bytes = per stats.Cluster.migrations !mig_bytes;
   }
 
+let round_trips = 8
+
+(* Minor words of one live migration: a tenant with an open session
+   moves between the two nodes of a fleet and back.  An untimed round
+   trip first builds the tenant on both nodes and appraises each node's
+   platform, so the measured migrations are a steady fleet's. *)
+let migration_minor_words () =
+  let cl =
+    Cluster.create
+      {
+        Cluster.default_config with
+        Cluster.nodes = 2;
+        seed = 1004L;
+        serve = Util.serve_config ~cores:2;
+      }
+  in
+  let tenant = "mover" in
+  let home = Cluster.add_tenant cl ~name:tenant tenant_gen in
+  let fail what e =
+    Format.eprintf "bench_cluster: %s failed: %a@." what Cluster.pp_error e;
+    exit 2
+  in
+  let client =
+    match Cluster.Client.connect cl ~rng:(Rng.create ~seed:1005L) ~tenant () with
+    | Ok c -> c
+    | Error e -> fail "connect" e
+  in
+  let move dst =
+    match Cluster.migrate cl ~tenant ~dst with
+    | Ok _ -> ()
+    | Error e -> fail "migrate" e
+  in
+  let round_trip () =
+    move (1 - home);
+    move home
+  in
+  round_trip ();
+  let words0 = Gc.minor_words () in
+  for _ = 1 to round_trips do
+    round_trip ()
+  done;
+  let words1 = Gc.minor_words () in
+  Cluster.Client.close client;
+  Cluster.destroy cl;
+  (words1 -. words0) /. float_of_int (2 * round_trips)
+
 type summary = {
   ledgers_by_nodes : (int * Serve.ledger) list;
   rps_4x8 : float;
   scaling_1_2 : float;
   scaling_2_4 : float;
   upgrade : upgrade;
+  migration_words : float;
 }
 
 let summarize () =
@@ -197,6 +245,7 @@ let summarize () =
     scaling_1_2 = rate 2 /. rate 1;
     scaling_2_4 = rate 4 /. rate 2;
     upgrade = measure_upgrade ~seed:1002L;
+    migration_words = migration_minor_words ();
   }
 
 let run () =
@@ -232,6 +281,8 @@ let run () =
     (float_of_int u.max_pause /. Util.clock_hz *. 1e6)
     (Util.clock_hz /. 1e9) batch u.call_msgs u.call_bytes u.migration_msgs
     u.migration_bytes;
+  Printf.printf "  a live migration allocates %.0f minor words on the host\n"
+    s.migration_words;
   Printf.printf "\n  headline: %.0f attested req/s at 4 nodes x %d cores\n"
     s.rps_4x8 cores
 
@@ -280,4 +331,5 @@ let headline s =
     ("cluster_scaling_2_4", s.scaling_2_4);
     ("cluster_p99_upgrade_cycles", float_of_int s.upgrade.p99);
     ("cluster_pause_cycles", float_of_int s.upgrade.max_pause);
+    ("migration_minor_words", s.migration_words);
   ]

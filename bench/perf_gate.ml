@@ -59,6 +59,9 @@ let table =
        either leg. *)
     row "resume_cycles" Lower;
     row "resume_ratio" Lower;
+    (* Host allocation of a full handshake, both ends, under one shared
+       golden; the bound is minor_words_per_request's. *)
+    row "handshake_minor_words" Lower ~tol:0.05;
     (* bench_arena: allocation, hot-tenant sharding.  Minor words use
        the bound BENCHMARK.json fixes for minor_words_per_req.  The hot
        tenant's 8-core rate is attested_rps_8core x hot_tenant_ratio. *)
@@ -75,6 +78,8 @@ let table =
     row "cluster_scaling_2_4" Higher ~bar:1.6;
     row "cluster_p99_upgrade_cycles" Lower;
     row "cluster_pause_cycles" Lower;
+    (* Host allocation of one live migration; the same bound. *)
+    row "migration_minor_words" Lower ~tol:0.05;
     (* Smoke slice wall seconds, one-sided.  Baseline: the median of 101
        fresh perf_smoke.exe processes on a shared 2-vCPU VM over 35
        minutes, 0.111-0.281 s with the slowest 1.62x the median; the

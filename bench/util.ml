@@ -167,27 +167,34 @@ let tenant plane ~name handlers =
   in
   Option.get backend.Backend.identity
 
-(* An attested client of [tenant], pinned to the identity [pin] when
-   given: the handshake and key establishment, timed on the platform
-   clock.  Returns the client and the handshake's cycles. *)
-let attest ~what (p : Platform.t) plane ~tenant ~seed ?pin () =
-  let client =
-    Serve.Client.create ~rng:(Rng.create ~seed) ~golden:(golden_of p)
-      ~policy:
-        {
-          Verifier.expected_mrenclave = pin;
-          expected_mrsigner = None;
-          allow_debug = false;
-        }
-      ?expected_tenant:pin ()
-  in
-  let before = Cycles.now p.Platform.clock in
-  (match Serve.handshake plane ~tenant (Serve.Client.hello client) with
+(* A client verifying against [golden], pinned to the identity [pin]
+   when given. *)
+let client ~golden ~seed ?pin () =
+  Serve.Client.create ~rng:(Rng.create ~seed) ~golden
+    ~policy:
+      {
+        Verifier.expected_mrenclave = pin;
+        expected_mrsigner = None;
+        allow_debug = false;
+      }
+    ?expected_tenant:pin ()
+
+(* The handshake and key establishment of [client] with [tenant]. *)
+let establish ~what plane ~tenant client =
+  match Serve.handshake plane ~tenant (Serve.Client.hello client) with
   | Error r -> fail what "handshake" r
   | Ok accept -> (
       match Serve.Client.establish client accept with
       | Ok () -> ()
-      | Error r -> fail what "establish" r));
+      | Error r -> fail what "establish" r)
+
+(* An attested client of [tenant], pinned to the identity [pin] when
+   given: the handshake and key establishment, timed on the platform
+   clock.  Returns the client and the handshake's cycles. *)
+let attest ~what (p : Platform.t) plane ~tenant ~seed ?pin () =
+  let client = client ~golden:(golden_of p) ~seed ?pin () in
+  let before = Cycles.now p.Platform.clock in
+  establish ~what plane ~tenant client;
   (client, Cycles.now p.Platform.clock - before)
 
 (* One serving round: submit [reqs] in order and flush.  Any rejected

@@ -41,7 +41,7 @@ let () =
     }
   in
   Printf.printf "golden: %d boot measurements + MRENCLAVE %s...\n"
-    (List.length golden.Verifier.boot_measurements)
+    (List.length (Verifier.boot_measurements golden))
     (String.sub (Sha256.to_hex (Urts.mrenclave reference_enclave)) 0 16);
 
   (* --- runtime: the production platform requests a secret.  The

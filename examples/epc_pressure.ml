@@ -2,11 +2,19 @@
    the enclave page cache.  RustMonitor seals victim pages out to the
    untrusted disk (EWB-style) and reloads + verifies them on the next
    fault; the operator sees only ciphertext, and a tampered blob is
-   refused.
+   refused.  It exits 1 (a [BUG:] line) if a page comes back wrong, no
+   swap blob reached the disk, or a blob holds a page's plaintext.
 
    Run with: dune exec examples/epc_pressure.exe *)
 
 open Hyperenclave
+
+let bug fmt =
+  Printf.ksprintf
+    (fun m ->
+      print_endline ("BUG: " ^ m);
+      exit 1)
+    fmt
 
 let () =
   (* A deliberately tiny platform: 2 MB of EPC (512 frames). *)
@@ -47,31 +55,38 @@ let () =
     (Epc.nframes (Monitor.epc p.Platform.monitor));
   Printf.printf "pages intact after the storm: %s / %d\n"
     (Bytes.to_string intact) pages;
+  if int_of_string (Bytes.to_string intact) < pages then
+    bug "only %s of %d pages came back intact" (Bytes.to_string intact) pages;
   Printf.printf "monitor evictions (EWB analogue): %d, %d cycles end-to-end\n"
     (Monitor.epc_swap_count p.Platform.monitor)
     cycles;
   (* What the operator actually possesses: sealed blobs. *)
   let enclave = Urts.enclave handle in
-  let a_blob = ref None in
-  for vpn = 0x1_0000_0000 / 4096 to (0x1_0000_0000 / 4096) + 4096 do
-    if !a_blob = None then
-      a_blob :=
+  let base_vpn = 0x1_0000_0000 / 4096 in
+  let blobs =
+    List.filter_map
+      (fun vpn ->
         Kernel.disk_load p.Platform.kernel
-          ~key:(Printf.sprintf "heswap:%d:%x" enclave.Enclave.id vpn)
-  done;
-  (match !a_blob with
-  | Some blob ->
+          ~key:(Printf.sprintf "heswap:%d:%x" enclave.Enclave.id vpn))
+      (List.init 4096 (fun i -> base_vpn + i))
+  in
+  let plaintext_free blob =
+    let s = Bytes.to_string blob in
+    let rec go i =
+      if i + 6 > String.length s then true
+      else if String.sub s i 6 = "record" then false
+      else go (i + 1)
+    in
+    go 0
+  in
+  (match blobs with
+  | [] -> bug "no swap blob reached the disk"
+  | blob :: _ ->
+      let sealed = List.for_all plaintext_free blobs in
       Printf.printf
-        "a swapped page on the untrusted disk is %d bytes of ciphertext \
-         (no plaintext 'record' marker inside: %b)\n"
-        (Bytes.length blob)
-        (let s = Bytes.to_string blob in
-         let rec plaintext_free i =
-           if i + 6 > String.length s then true
-           else if String.sub s i 6 = "record" then false
-           else plaintext_free (i + 1)
-         in
-         plaintext_free 0)
-  | None -> print_endline "no blob found (unexpected)");
+        "%d swapped pages on the untrusted disk, each %d bytes of \
+         ciphertext (no plaintext 'record' marker inside: %b)\n"
+        (List.length blobs) (Bytes.length blob) sealed;
+      if not sealed then bug "a swap blob holds a page's plaintext");
   Urts.destroy handle;
   print_endline "epc_pressure done."

@@ -3,9 +3,19 @@ open Hyperenclave_monitor
 module Tpm = Hyperenclave_tpm.Tpm
 module Pcr = Hyperenclave_tpm.Pcr
 
+(* A platform half: what the TPM chain, the log replay, the golden
+   compare and the hapk binding read of a quote, and nothing else. *)
+type platform = {
+  p_hapk : Signature.public_key;
+  p_tpm_quote : Tpm.quote;
+  p_events : Monitor.boot_event list;
+}
+
 type golden = {
   ek_public : Signature.public_key;
   boot_measurements : (string * bytes) list;
+  mutable accepted : platform option;
+      (* the platform half of the last quote that verified *)
 }
 
 type policy = {
@@ -39,16 +49,18 @@ let pp_failure fmt = function
   | Report_data_mismatch ->
       Format.pp_print_string fmt "report_data does not answer this challenge"
 
+let golden_of_measurements ~ek_public boot_measurements =
+  { ek_public; boot_measurements; accepted = None }
+
 let golden_of_boot_log ~ek_public events =
-  {
-    ek_public;
-    boot_measurements =
-      List.filter_map
-        (fun (e : Monitor.boot_event) ->
-          if e.pcr_index = Monitor.pcr_hapk then None
-          else Some (e.label, e.measurement))
-        events;
-  }
+  golden_of_measurements ~ek_public
+    (List.filter_map
+       (fun (e : Monitor.boot_event) ->
+         if e.pcr_index = Monitor.pcr_hapk then None
+         else Some (e.label, e.measurement))
+       events)
+
+let boot_measurements golden = golden.boot_measurements
 
 (* Replay the event log into a scratch PCR bank and compute the digest the
    TPM would have quoted over the standard selection.  An event at any
@@ -114,35 +126,59 @@ let answers ~report_data (report : Sgx_types.report) =
        (Sgx_types.pad_report_data report_data)
        report.Sgx_types.report_data
 
-let verify ~golden ~policy ?expected_hapk ~report_data (q : Monitor.quote) =
+(* The first four checks read only the platform half, so one that
+   passed them once passes them again: structural equality with the
+   accepted half stands in for them. *)
+let remembered golden (q : Monitor.quote) =
+  match golden.accepted with
+  | Some p ->
+      p.p_hapk = q.hapk && p.p_tpm_quote = q.tpm_quote && p.p_events = q.events
+  | None -> false
+
+let appraise_platform ~golden (q : Monitor.quote) =
   if not (Tpm.verify_quote q.tpm_quote ~expected_ek:golden.ek_public) then
-    Error Bad_tpm_signature
-  else if not (log_replays q) then Error Event_log_mismatch
+    Some Bad_tpm_signature
+  else if not (log_replays q) then Some Event_log_mismatch
   else
     match check_boot_components ~golden q.events with
-    | Some component -> Error (Boot_component_mismatch component)
+    | Some component -> Some (Boot_component_mismatch component)
+    | None -> if not (hapk_bound q) then Some Hapk_not_measured else None
+
+let remember golden (q : Monitor.quote) =
+  golden.accepted <-
+    Some { p_hapk = q.hapk; p_tpm_quote = q.tpm_quote; p_events = q.events }
+
+let appraise_enclave ~policy ?expected_hapk ~report_data (q : Monitor.quote) =
+  if
+    (* The verifying party's trust anchor: in a fleet every monitor
+       has its own measured-boot state and hapk, so a verifier that
+       knows which node it is talking to pins that node's key — a
+       quote from any *other* honestly-booted monitor must fail. *)
+    match expected_hapk with
+    | Some pin -> not (Signature.equal_public pin q.hapk)
+    | None -> false
+  then Error Hapk_mismatch
+  else begin
+    let body =
+      Bytes.cat (Bytes.of_string "ems:")
+        (Sgx_types.report_body { q.report with Sgx_types.mac = Bytes.empty })
+    in
+    if not (Signature.verify q.hapk body ~signature:q.ems) then Error Bad_ems
+    else
+      match check_policy ~policy q.report with
+      | Some reason -> Error (Policy_violation reason)
+      | None ->
+          if not (answers ~report_data q.report) then Error Report_data_mismatch
+          else Ok q.report
+  end
+
+let verify ~golden ~policy ?expected_hapk ~report_data (q : Monitor.quote) =
+  if remembered golden q then
+    appraise_enclave ~policy ?expected_hapk ~report_data q
+  else
+    match appraise_platform ~golden q with
+    | Some failure -> Error failure
     | None ->
-        if not (hapk_bound q) then Error Hapk_not_measured
-        else if
-          (* The verifying party's trust anchor: in a fleet every monitor
-             has its own measured-boot state and hapk, so a verifier that
-             knows which node it is talking to pins that node's key — a
-             quote from any *other* honestly-booted monitor must fail. *)
-          match expected_hapk with
-          | Some pin -> not (Signature.equal_public pin q.hapk)
-          | None -> false
-        then Error Hapk_mismatch
-        else begin
-          let body =
-            Bytes.cat (Bytes.of_string "ems:")
-              (Sgx_types.report_body { q.report with Sgx_types.mac = Bytes.empty })
-          in
-          if not (Signature.verify q.hapk body ~signature:q.ems) then Error Bad_ems
-          else
-            match check_policy ~policy q.report with
-            | Some reason -> Error (Policy_violation reason)
-            | None ->
-                if not (answers ~report_data q.report) then
-                  Error Report_data_mismatch
-                else Ok q.report
-        end
+        let result = appraise_enclave ~policy ?expected_hapk ~report_data q in
+        (match result with Ok _ -> remember golden q | Error _ -> ());
+        result

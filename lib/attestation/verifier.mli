@@ -25,17 +25,32 @@
     + the enclave policy;
     + that the report's whole 64-byte [report_data] is the expected
       value, zero-padded as EREPORT pads it — the freshness check: a
-      quote made for one challenge fails it for any other. *)
+      quote made for one challenge fails it for any other.
+
+    The first four checks read only the quote's platform half — its
+    hapk, TPM quote and event log — which a monitor takes once per boot
+    (§3.3), so a golden appraises each platform once: see {!golden}. *)
 
 open Hyperenclave_monitor
 
-type golden = {
-  ek_public : Hyperenclave_crypto.Signature.public_key;
-  boot_measurements : (string * bytes) list;
-      (** component label -> expected SHA-256 (the event at
-          {!Hyperenclave_monitor.Monitor.pcr_hapk} excluded; it binds
-          hapk) *)
-}
+type golden
+(** The relying party's reference for one platform build: the pinned
+    TPM EK public key and the golden boot measurements.
+
+    A golden also remembers one platform half (hapk, TPM quote and
+    event log): that of the last quote it verified.  A golden pins one
+    chip's EK, and a monitor takes one TPM quote per boot, so one slot
+    holds the platform a golden sees.  A later quote whose half is
+    structurally equal to the remembered one skips the TPM chain, the
+    log replay, the golden compare and the hapk binding — they read
+    nothing else, so they would pass again — and runs only the hapk
+    pin, the ems, the policy and the [report_data] checks, in that
+    order.  A half is remembered only when its whole quote verifies: a
+    failure is never remembered, and neither is a half whose quote
+    failed a later check.  A verified quote with another half replaces
+    the remembered one, which is then appraised in full next time.  So
+    a golden is mutable: share one per platform (or fleet node) among
+    its verifiers, on one domain at a time. *)
 
 type policy = {
   expected_mrenclave : bytes option;
@@ -71,6 +86,17 @@ val golden_of_boot_log :
     {!Hyperenclave_monitor.Monitor.pcr_hapk} is dropped: it names the
     booted monitor's key, not a component. *)
 
+val golden_of_measurements :
+  ek_public:Hyperenclave_crypto.Signature.public_key ->
+  (string * bytes) list ->
+  golden
+(** A golden from component label -> expected SHA-256 pairs.  It
+    remembers nothing: a golden never inherits another's accepted
+    platforms. *)
+
+val boot_measurements : golden -> (string * bytes) list
+(** The golden's component label -> expected SHA-256 pairs. *)
+
 val verify :
   golden:golden ->
   policy:policy ->
@@ -87,4 +113,6 @@ val verify :
     pins that node's hapk and gets {!Hapk_mismatch} for a quote signed by
     any other (even honestly booted) monitor.  Omitting it keeps the
     single-platform behaviour: any monitor whose boot chain replays
-    against [golden] is accepted. *)
+    against [golden] is accepted.  A quote that verifies leaves its
+    platform half in [golden] (see {!golden}); the result never depends
+    on what [golden] remembers. *)

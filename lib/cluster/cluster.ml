@@ -279,11 +279,8 @@ let send t ~src ~dst ~bytes =
 (* ---------------------------------------------------------------------- *)
 (* Migration protocol                                                     *)
 
-let hex b =
-  String.concat "" (List.map (Printf.sprintf "%02x") (List.init (Bytes.length b) (Bytes.get_uint8 b)))
-
 let offer_key ~dst ~tenant ~nonce =
-  Printf.sprintf "%d:%s:%s" dst tenant (hex nonce)
+  Printf.sprintf "%d:%s:%s" dst tenant (Sha256.to_hex nonce)
 
 (* Length-prefixed transcript over every offer field: what the
    destination's quote binds, so a verified offer cannot be spliced onto
@@ -498,10 +495,21 @@ let migrate t ~tenant ~dst =
     let w0 = Cycles.now t.c_wire_clock in
     let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v in
     let* o = Migrate.offer t ~tenant ~src ~dst in
-    let* () = send t ~src:dst ~dst:src ~bytes:(offer_bytes o) in
-    let* p = Migrate.seal t o in
-    let* () = send t ~src ~dst ~bytes:(package_bytes p) in
-    let* n = Migrate.install t p in
+    (* From here the destination holds a pending Kx secret: a migration
+       that fails before [install] consumes it burns it, so no failed
+       attempt leaves an offer behind. *)
+    let installed =
+      let* () = send t ~src:dst ~dst:src ~bytes:(offer_bytes o) in
+      let* p = Migrate.seal t o in
+      let* () = send t ~src ~dst ~bytes:(package_bytes p) in
+      Migrate.install t p
+    in
+    Result.iter_error
+      (fun _ ->
+        Hashtbl.remove t.c_offers
+          (offer_key ~dst ~tenant ~nonce:o.Migrate.o_nonce))
+      installed;
+    let* n = installed in
     let* _retired =
       Result.map_error
         (fun r -> Reject r)
@@ -627,13 +635,19 @@ let check t =
   |> List.map (fun n ->
          (n.n_id, Invariants.check n.n_platform.Platform.monitor))
 
-type stats = { migrations : int; migration_cycles : int; max_pause : int }
+type stats = {
+  migrations : int;
+  migration_cycles : int;
+  max_pause : int;
+  pending_offers : int;
+}
 
 let stats t =
   {
     migrations = t.c_migrations;
     migration_cycles = t.c_migration_cycles;
     max_pause = t.c_max_pause;
+    pending_offers = Hashtbl.length t.c_offers;
   }
 
 let destroy t =

@@ -216,7 +216,10 @@ val migrate : t -> tenant:string -> dst:int -> (int, error) result
 (** The full live migration: offer, seal and install shipped over the
     network (with bounded retries), then cutover on the source and a
     placement update.  Refuses with [Reject Tenant_busy] while admitted
-    requests are staged — flush first.  Returns sessions moved. *)
+    requests are staged — flush first.  Returns sessions moved.  A
+    migration that fails after its offer (a lost message, a refused
+    export or quote, a ["cluster.migrate"] fault) burns the offer's
+    pending secret: no failed attempt leaves one behind. *)
 
 (** {1 Fleet operations} *)
 
@@ -250,6 +253,9 @@ type stats = {
   migrations : int;
   migration_cycles : int;  (** total source-side pause, cycles *)
   max_pause : int;  (** worst single migration pause *)
+  pending_offers : int;
+      (** offers made but neither installed nor burnt: only a
+          {!Migrate.offer} driven by hand leaves one *)
 }
 
 val stats : t -> stats

@@ -1,21 +1,19 @@
 exception Authentication_failure
 
-let split_key key =
-  if Bytes.length key <> 32 then invalid_arg "Authenc: key must be 32 bytes";
-  let enc_key = Hmac.derive ~key ~info:"authenc-enc" in
-  let mac_key = Hmac.derive ~key ~info:"authenc-mac" in
-  (Bytes.sub enc_key 0 16, mac_key)
-
 (* Prepared key material: the HKDF split, the AES key schedule and the
    HMAC pad midstates are paid once per key instead of once per seal.
    [hdr] is scratch for the MAC input's length prefixes. *)
 type keys = { enc : Aes.key; mac : Hmac.prepared; hdr : bytes }
 
+(* One HKDF extract, two expands: the cipher key is the first 16 bytes
+   of the "authenc-enc" block, the MAC key the whole "authenc-mac"
+   block. *)
 let prepare key =
-  let enc_key, mac_key = split_key key in
+  if Bytes.length key <> 32 then invalid_arg "Authenc: key must be 32 bytes";
+  let prk = Hmac.extract ~ikm:key in
   {
-    enc = Aes.expand_key enc_key;
-    mac = Hmac.prepare ~key:mac_key;
+    enc = Aes.expand_key (Hmac.expand prk ~info:"authenc-enc" ~len:16);
+    mac = Hmac.prepare ~key:(Hmac.expand prk ~info:"authenc-mac" ~len:32);
     hdr = Bytes.create 4;
   }
 

@@ -25,7 +25,12 @@ type keys
     and a [keys] value must not be used from two domains at once. *)
 
 val prepare : bytes -> keys
-(** @raise Invalid_argument if the key is not 32 bytes. *)
+(** Split the key with one HKDF extract and two expands
+    ({!Hmac.extract}, {!Hmac.expand}: the cipher key is the first 16
+    bytes of the ["authenc-enc"] block, the MAC key the ["authenc-mac"]
+    block), expand the AES key schedule and the MAC key's pad midstates:
+    12 SHA-256 compressions and one AES key expansion per key.
+    @raise Invalid_argument if the key is not 32 bytes. *)
 
 val seal_into :
   keys ->

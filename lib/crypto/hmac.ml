@@ -69,21 +69,29 @@ let hkdf_extract ?salt ~ikm () =
   let salt = match salt with Some s -> s | None -> Bytes.make 32 '\000' in
   hmac ~key:salt ikm
 
-let hkdf_expand ~prk ~info ~len =
-  if len > 255 * 32 then invalid_arg "Hmac.hkdf_expand: len too large";
-  let out = Buffer.create len in
-  let prev = ref Bytes.empty in
-  let counter = ref 1 in
-  while Buffer.length out < len do
-    let block = Buffer.create (Bytes.length !prev + String.length info + 1) in
-    Buffer.add_bytes block !prev;
-    Buffer.add_string block info;
-    Buffer.add_char block (Char.chr !counter);
-    prev := hmac ~key:prk (Buffer.to_bytes block);
-    Buffer.add_bytes out !prev;
-    incr counter
-  done;
-  Bytes.sub (Buffer.to_bytes out) 0 len
+let extract ~ikm = prepare ~key:(hkdf_extract ~ikm ())
 
-let derive ~key ~info =
-  hkdf_expand ~prk:(hkdf_extract ~ikm:key ()) ~info ~len:32
+(* T(i) = HMAC(PRK, T(i-1) || info || i): the counter byte is fed from
+   this table, so a block allocates only its tag. *)
+let counters = Bytes.init 255 (fun i -> Char.chr (i + 1))
+
+let expand prk ~info ~len =
+  if len < 0 || len > 255 * Sha256.digest_size then
+    invalid_arg "Hmac.expand: len out of range";
+  let out = Bytes.create len in
+  let rec block prev i =
+    let off = i * Sha256.digest_size in
+    if off < len then begin
+      let ctx = start prk in
+      Sha256.update ctx prev;
+      Sha256.update_string ctx info;
+      Sha256.update_sub ctx counters ~off:i ~len:1;
+      let t = finish prk in
+      Bytes.blit t 0 out off (min Sha256.digest_size (len - off));
+      block t (i + 1)
+    end
+  in
+  block Bytes.empty 0;
+  out
+
+let derive ~key ~info = expand (extract ~ikm:key) ~info ~len:32

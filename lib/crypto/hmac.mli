@@ -33,8 +33,27 @@ val hmac_string : key:bytes -> string -> bytes
 val verify : key:bytes -> bytes -> tag:bytes -> bool
 
 val hkdf_extract : ?salt:bytes -> ikm:bytes -> unit -> bytes
-val hkdf_expand : prk:bytes -> info:string -> len:int -> bytes
+(** RFC 5869 HKDF-Extract: the pseudorandom key (PRK) as raw bytes.
+    [expand (prepare ~key:prk)] is HKDF-Expand under it. *)
+
+(** {2 Extract once, expand many}
+
+    Every key derived from one secret shares its HKDF-Extract.  A caller
+    that derives several keys from one secret extracts once and keeps the
+    PRK prepared: each 32-byte key is then one expand block, two SHA-256
+    compressions for an [info] of at most 54 bytes (the message block
+    and the outer digest), where a {!derive} pays eight (the extract's
+    four, the PRK's two pad midstates and the block's two). *)
+
+val extract : ikm:bytes -> prepared
+(** HKDF-Extract under the zero salt, with the PRK prepared for
+    {!expand}: [prepare ~key:(hkdf_extract ~ikm ())].  Like any
+    {!prepared} key it runs one expand at a time. *)
+
+val expand : prepared -> info:string -> len:int -> bytes
+(** HKDF-Expand of [len] bytes under a prepared PRK.
+    @raise Invalid_argument unless [0 <= len <= 255 * 32]. *)
 
 val derive : key:bytes -> info:string -> bytes
-(** [derive ~key ~info] is a 32-byte subkey: extract-then-expand with
-    [info] as the context label. *)
+(** [derive ~key ~info] is a 32-byte subkey:
+    [expand (extract ~ikm:key) ~info ~len:32]. *)

@@ -34,6 +34,18 @@ type quote = {
   events : boot_event list;
 }
 
+(* Everything the monitor keys from K_root, made once at launch: K_root's
+   HKDF extract (every further key is one expand under it), the report
+   key's pad midstates, the EPC swap keys, and the attestation key with
+   the platform quote taken after hapk was measured. *)
+type keys = {
+  root : Hmac.prepared;
+  report_key : Hmac.prepared;
+  swap_keys : Authenc.keys;
+  att_private : Signature.private_key;
+  platform_quote : Tpm.quote;
+}
+
 type t = {
   clock : Cycles.t;
   cost : Cost_model.t;
@@ -45,10 +57,7 @@ type t = {
   config : config;
   epc : Epc.t;
   normal_npt : Page_table.t;
-  mutable launched : bool;
-  mutable k_root : bytes;
-  mutable attestation : (Signature.private_key * Tpm.quote) option;
-      (* the attestation key and the platform quote taken at launch *)
+  mutable keys : keys option;  (* [Some] once launched *)
   mutable hapk : Signature.public_key;
   mutable boot_log : boot_event list;
   enclaves : (int, Enclave.t) Hashtbl.t;
@@ -104,9 +113,7 @@ let create ~clock ~cost ~rng ~mem ~cpu ~iommu ~tpm config =
     config;
     epc;
     normal_npt = Page_table.create ();
-    launched = false;
-    k_root = Bytes.empty;
-    attestation = None;
+    keys = None;
     hapk = Bytes.empty;
     boot_log = [];
     enclaves = Hashtbl.create 16;
@@ -124,7 +131,7 @@ let create ~clock ~cost ~rng ~mem ~cpu ~iommu ~tpm config =
 (* --- measured late launch ------------------------------------------------ *)
 
 let launch t ~boot_log ~sealed_root_key =
-  if t.launched then violation "launch: already launched";
+  if t.keys <> None then violation "launch: already launched";
   (* Normal VM nested table: identity over all of DRAM except the
      reserved region (R-1). *)
   let total_frames = Phys_mem.frames t.mem in
@@ -150,11 +157,10 @@ let launch t ~boot_log ~sealed_root_key =
         let blob = Tpm.seal t.tpm ~pcr_selection:seal_pcr_selection key in
         (`First_boot blob, key)
   in
-  t.k_root <- k_root;
+  let root = Hmac.extract ~ikm:k_root in
+  let derive info = Hmac.expand root ~info ~len:32 in
   (* Attestation keypair derived from K_root; public half measured. *)
-  let att_private =
-    Signature.import_private (Hmac.derive ~key:k_root ~info:"attestation-key")
-  in
+  let att_private = Signature.import_private (derive "attestation-key") in
   t.hapk <- Signature.public_of_private att_private;
   Tpm.pcr_extend t.tpm ~index:pcr_hapk (Sha256.digest_bytes t.hapk);
   t.boot_log <-
@@ -184,19 +190,31 @@ let launch t ~boot_log ~sealed_root_key =
         Tpm.quote t.tpm ~nonce:(Bytes.make 16 '\000')
           ~pcr_selection:quote_pcr_selection)
   in
-  t.attestation <- Some (att_private, platform_quote);
-  t.launched <- true;
+  t.keys <-
+    Some
+      {
+        root;
+        report_key = Hmac.prepare ~key:(derive "report:");
+        swap_keys = Authenc.prepare (derive "epc-swap-key");
+        att_private;
+        platform_quote;
+      };
   Log.info (fun k ->
       k "launched: reserved frames [0x%x, 0x%x), %s K_root" res_lo res_hi
         (match outcome with `First_boot _ -> "fresh" | `Resumed -> "unsealed"));
   outcome
 
-let launched t = t.launched
+let launched t = t.keys <> None
 let normal_npt t = t.normal_npt
 let hapk t = t.hapk
 let boot_log t = t.boot_log
 
-let require_launched t op = if not t.launched then violation "%s: monitor not launched" op
+let keys t op =
+  match t.keys with
+  | Some keys -> keys
+  | None -> violation "%s: monitor not launched" op
+
+let require_launched t op = ignore (keys t op : keys)
 
 let set_swap_backend t ~store ~load ~delete =
   t.swap_backend <- Some { store; load; delete }
@@ -223,8 +241,6 @@ let trace_switch t name (enclave : Enclave.t) =
   Telemetry.trace t.telemetry ~at:(Cycles.now t.clock)
     ~detail:(Printf.sprintf "enclave %d" enclave.Enclave.id)
     name
-let swap_keys t =
-  Authenc.prepare (Hmac.derive ~key:t.k_root ~info:"epc-swap-key")
 
 let swap_slot_name id vpn = Printf.sprintf "heswap:%d:%x" id vpn
 
@@ -297,7 +313,7 @@ let evict_one_epc t ~prefer_not =
       in
       Hashtbl.replace t.swap_versions (owner_id, vpn) version;
       let blob =
-        Authenc.seal (swap_keys t)
+        Authenc.seal (keys t "evict").swap_keys
           ~aad:(swap_aad ~id:owner_id ~vpn ~perms ~version)
           ~nonce:(Rng.bytes t.rng 12) content
       in
@@ -732,7 +748,7 @@ let swap_in_page t (enclave : Enclave.t) ~vpn ~perms =
   in
   let content =
     try
-      Authenc.unseal (swap_keys t)
+      Authenc.unseal (keys t "swap-in").swap_keys
         ~aad:(swap_aad ~id:enclave.id ~vpn ~perms ~version)
         blob
     with Authenc.Authentication_failure ->
@@ -983,7 +999,7 @@ let interrupt_alarms (enclave : Enclave.t) =
 (* --- keys and attestation ------------------------------------------------- *)
 
 let egetkey t (enclave : Enclave.t) key_name =
-  require_launched t "egetkey";
+  let keys = keys t "egetkey" in
   Cycles.tick t.clock (World_switch.transition_cost t.cost (Enclave.mode enclave));
   let label = Sgx_types.key_name_label key_name in
   let identity =
@@ -995,12 +1011,15 @@ let egetkey t (enclave : Enclave.t) key_name =
   let info =
     Printf.sprintf "%s:%s:%d" label (Sha256.to_hex identity) enclave.isv_svn
   in
-  Hmac.derive ~key:t.k_root ~info
+  Hmac.expand keys.root ~info ~len:32
 
-let report_key t = Hmac.derive ~key:t.k_root ~info:"report:" (* platform-wide *)
+(* The MAC under the platform-wide report key, prepared at launch. *)
+let report_mac keys body =
+  Sha256.update (Hmac.start keys.report_key) body;
+  Hmac.finish keys.report_key
 
 let ereport t (enclave : Enclave.t) ~report_data =
-  require_launched t "ereport";
+  let keys = keys t "ereport" in
   require_initialized enclave "ereport";
   Cycles.tick t.clock (World_switch.transition_cost t.cost (Enclave.mode enclave));
   if Bytes.length report_data > 64 then violation "ereport: report_data > 64 bytes";
@@ -1016,13 +1035,17 @@ let ereport t (enclave : Enclave.t) ~report_data =
       mac = Bytes.empty;
     }
   in
-  let mac = Hmac.hmac ~key:(report_key t) (Sgx_types.report_body report) in
-  { report with Sgx_types.mac }
+  { report with Sgx_types.mac = report_mac keys (Sgx_types.report_body report) }
 
+(* An unlaunched monitor made no report, so it verifies none. *)
 let verify_report t (report : Sgx_types.report) =
-  Hmac.verify ~key:(report_key t)
-    (Sgx_types.report_body { report with Sgx_types.mac = Bytes.empty })
-    ~tag:report.Sgx_types.mac
+  match t.keys with
+  | None -> false
+  | Some keys ->
+      Sha256.equal
+        (report_mac keys
+           (Sgx_types.report_body { report with Sgx_types.mac = Bytes.empty }))
+        report.Sgx_types.mac
 
 let counter_name (enclave : Enclave.t) =
   "enclave:" ^ Sha256.to_hex enclave.Enclave.mrenclave
@@ -1040,19 +1063,20 @@ let counter_read_for t (enclave : Enclave.t) =
   Tpm.counter_read t.tpm ~name:(counter_name enclave)
 
 let gen_quote t enclave ~report_data =
-  require_launched t "gen_quote";
+  let keys = keys t "gen_quote" in
   let report = ereport t enclave ~report_data in
-  let att_private, tpm_quote =
-    match t.attestation with
-    | Some attestation -> attestation
-    | None -> violation "gen_quote: no attestation key"
-  in
   let body =
     Bytes.cat (Bytes.of_string "ems:")
       (Sgx_types.report_body { report with Sgx_types.mac = Bytes.empty })
   in
-  let ems = Signature.sign att_private body in
-  { report; ems; hapk = t.hapk; tpm_quote; events = t.boot_log }
+  let ems = Signature.sign keys.att_private body in
+  {
+    report;
+    ems;
+    hapk = t.hapk;
+    tpm_quote = keys.platform_quote;
+    events = t.boot_log;
+  }
 
 (* --- isolation audit ------------------------------------------------------- *)
 

@@ -54,12 +54,17 @@ val launch :
       {!seal_pcr_selection}, or on first boot draw a fresh key from the
       TPM RNG and return the new sealed blob (76 bytes) for the OS to
       persist ([`First_boot blob]),
-    - derive the attestation keypair from [K_root], extend the hash of
-      the public half (hapk) into PCR {!pcr_hapk},
+    - run [K_root]'s HKDF extract once ({!Hyperenclave_crypto.Hmac.extract}):
+      every key the monitor derives from [K_root] is one expand under
+      it.  Derive the attestation keypair, extend the hash of the public
+      half (hapk) into PCR {!pcr_hapk},
     - flood the runtime PCR so the demoted OS can never unseal [K_root],
     - take the platform quote: one TPM quote over
       {!quote_pcr_selection}, kept for every {!gen_quote} (transient
-      ["tpm.quote"] faults are retried with backoff).
+      ["tpm.quote"] faults are retried with backoff),
+    - key the monitor: the report key's HMAC pad midstates and the EPC
+      swap keys are prepared here, so {!ereport}, {!verify_report},
+      {!gen_quote} and an eviction or swap-in run no HKDF.
 
     @raise Security_violation if already launched or unsealing fails.
     @raise Hyperenclave_fault.Fault.Injected on a permanent
@@ -209,11 +214,16 @@ val interrupt_alarms : Enclave.t -> int
 (** {1 Keys and attestation (Sec. 3.3)} *)
 
 val egetkey : t -> Enclave.t -> Sgx_types.key_name -> bytes
-(** 32-byte key derived from [K_root] and the enclave identity. *)
+(** 32-byte key derived from [K_root] and the enclave identity: one
+    HKDF expand under the extract {!launch} made. *)
 
 val ereport : t -> Enclave.t -> report_data:bytes -> Sgx_types.report
+(** A report MACed under the platform-wide report key {!launch}
+    prepared. *)
+
 val verify_report : t -> Sgx_types.report -> bool
-(** Local attestation: recompute the report MAC on-platform. *)
+(** Local attestation: recompute the report MAC on-platform (false on a
+    monitor not launched). *)
 
 val counter_increment_for : t -> Enclave.t -> int
 (** Bump the enclave's TPM monotonic counter (named by MRENCLAVE,

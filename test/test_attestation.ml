@@ -73,10 +73,9 @@ let test_wrong_ek () =
       ~rng:(Rng.create ~seed:9L)
   in
   let golden =
-    {
-      (golden_of p) with
-      Verifier.ek_public = Hyperenclave.Tpm.ek_public other_tpm;
-    }
+    Verifier.golden_of_measurements
+      ~ek_public:(Hyperenclave.Tpm.ek_public other_tpm)
+      (Verifier.boot_measurements (golden_of p))
   in
   expect_error Verifier.Bad_tpm_signature
     (Verifier.verify ~golden ~policy:(policy_for handle) ~report_data:rd quote);
@@ -394,6 +393,154 @@ let test_wire_bitflips_never_verify () =
     !flips_verified;
   Urts.destroy handle
 
+(* --- the appraisal memo ------------------------------------------------------ *)
+
+(* A golden that has accepted [quote] — every test below appraises the
+   honest platform first. *)
+let appraised (p : Platform.t) handle quote =
+  let golden = golden_of p in
+  ignore
+    (expect_ok
+       (Verifier.verify ~golden ~policy:(policy_for handle) ~report_data:rd quote));
+  golden
+
+let pp_result fmt = function
+  | Verifier.Ok _ -> Format.pp_print_string fmt "Ok"
+  | Verifier.Error f -> Verifier.pp_failure fmt f
+
+(* The bit-flip corpus of "wire bitflips never verify": every decodable
+   doctored copy of the seed-4011 quote. *)
+let flipped_quotes quote =
+  let encoded = Quote_wire.encode quote in
+  let rng = Rng.create ~seed:4242L in
+  List.filter_map
+    (fun _ ->
+      let copy = Bytes.copy encoded in
+      let i = Rng.int rng (Bytes.length copy) in
+      Bytes.set copy i
+        (Char.chr (Char.code (Bytes.get copy i) lxor (1 lsl Rng.int rng 8)));
+      Result.to_option (Quote_wire.decode copy))
+    (List.init 200 Fun.id)
+
+let same_platform (a : Monitor.quote) (b : Monitor.quote) =
+  a.Monitor.hapk = b.Monitor.hapk
+  && a.Monitor.tpm_quote = b.Monitor.tpm_quote
+  && a.Monitor.events = b.Monitor.events
+
+(* The memo never changes a result: every flipped quote gets the same
+   variant and report from a golden that has accepted the honest quote
+   as from a fresh one, and again when it is presented a second time (a
+   failure is not remembered).  The corpus reaches both paths: flips in
+   the report or ems keep the remembered platform half, flips in it do
+   not. *)
+let test_memo_differential () =
+  let p, handle, quote = build ~seed:4011L () in
+  let policy = policy_for handle in
+  let hits = ref 0 and misses = ref 0 in
+  List.iter
+    (fun doctored ->
+      let fresh =
+        Verifier.verify ~golden:(golden_of p) ~policy ~report_data:rd doctored
+      in
+      let golden = appraised p handle quote in
+      List.iter
+        (fun memo ->
+          if fresh <> memo then
+            Alcotest.failf "fresh golden: %a, appraised golden: %a" pp_result
+              fresh pp_result memo)
+        (List.init 2 (fun _ ->
+             Verifier.verify ~golden ~policy ~report_data:rd doctored));
+      incr (if same_platform doctored quote then hits else misses))
+    (flipped_quotes quote);
+  Alcotest.(check bool) "flips that keep the platform half" true (!hits > 0);
+  Alcotest.(check bool) "flips inside the platform half" true (!misses > 0);
+  Urts.destroy handle
+
+(* The forged-hapk twins and the hapk/ems splice are refused as they are
+   by a fresh golden when the honest platform was appraised first: each
+   names another hapk, so none matches what the golden remembers. *)
+let test_forgeries_after_appraisal () =
+  List.iter
+    (fun (pcr_index, expected) ->
+      let p, handle, quote = build () in
+      let golden = appraised p handle quote in
+      let report_data = Bytes.of_string "host-chosen" in
+      expect_error expected
+        (Verifier.verify ~golden ~policy:(policy_for handle) ~report_data
+           (host_forged_quote p quote ~report_data ~pcr_index));
+      Urts.destroy handle)
+    [
+      (16, Verifier.Event_log_mismatch);
+      (Monitor.pcr_hapk, Verifier.Hapk_not_measured);
+      (0, Verifier.Boot_component_mismatch "hapk");
+    ];
+  let p, handle, quote = build ~seed:4023L () in
+  let golden = appraised p handle quote in
+  let foreign = foreign_quote 4024L in
+  expect_error Verifier.Hapk_not_measured
+    (Verifier.verify ~golden ~policy:(policy_for handle) ~report_data:rd
+       {
+         quote with
+         Monitor.hapk = foreign.Monitor.hapk;
+         Monitor.ems = foreign.Monitor.ems;
+       });
+  Urts.destroy handle
+
+(* A golden built from an appraised golden's measurements under another
+   EK inherits none of its accepted platforms. *)
+let test_memo_not_inherited () =
+  let p, handle, quote = build () in
+  let other_tpm =
+    Hyperenclave.Tpm.manufacture ~clock:(Cycles.create ()) ~cost:Cost_model.default
+      ~rng:(Rng.create ~seed:9L)
+  in
+  let golden =
+    Verifier.golden_of_measurements
+      ~ek_public:(Hyperenclave.Tpm.ek_public other_tpm)
+      (Verifier.boot_measurements (appraised p handle quote))
+  in
+  expect_error Verifier.Bad_tpm_signature
+    (Verifier.verify ~golden ~policy:(policy_for handle) ~report_data:rd quote);
+  Urts.destroy handle
+
+(* What a golden remembers, seen in allocation: a full appraisal runs
+   the TPM chain and the log replay, which a remembered platform skips.
+   A quote refused by a later check (here the ems) leaves its platform
+   half unremembered.  A golden remembers one platform: a second one
+   that verifies displaces the first, whose next quote is appraised in
+   full and still verifies.  The second platform is the honest quote
+   with its TPM quote taken again under another nonce, which the
+   verifier does not read. *)
+let test_memo_displaced () =
+  let p, handle, quote = build ~seed:4030L () in
+  let golden = golden_of p in
+  let policy = policy_for handle in
+  let words verdict q =
+    let w0 = Gc.minor_words () in
+    verdict (Verifier.verify ~golden ~policy ~report_data:rd q);
+    Gc.minor_words () -. w0
+  in
+  let accepted result = ignore (expect_ok result) in
+  let appraised_in_full what q =
+    let appraisal = words accepted q in
+    let remembered = words accepted q in
+    Alcotest.(check bool) what true (appraisal > remembered +. 500.)
+  in
+  ignore
+    (words (expect_error Verifier.Bad_ems)
+       { quote with Monitor.ems = Bytes.make 32 'f' }
+      : float);
+  appraised_in_full "a refused quote is not remembered" quote;
+  appraised_in_full "a second platform is appraised in full"
+    {
+      quote with
+      Monitor.tpm_quote =
+        Tpm.quote p.Platform.tpm ~nonce:(Bytes.make 16 '\001')
+          ~pcr_selection:Monitor.quote_pcr_selection;
+    };
+  appraised_in_full "the displaced platform is appraised again" quote;
+  Urts.destroy handle
+
 let suite =
   [
     Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
@@ -417,4 +564,12 @@ let suite =
     Alcotest.test_case "policy mrenclave" `Quick test_policy_mrenclave;
     Alcotest.test_case "policy mrsigner" `Quick test_policy_mrsigner;
     Alcotest.test_case "debug policy" `Quick test_debug_policy;
+    Alcotest.test_case "an appraised golden answers the bit-flip corpus alike"
+      `Quick test_memo_differential;
+    Alcotest.test_case "forgeries after the honest platform was appraised"
+      `Quick test_forgeries_after_appraisal;
+    Alcotest.test_case "another EK inherits no appraisal" `Quick
+      test_memo_not_inherited;
+    Alcotest.test_case "a displaced platform is appraised again" `Quick
+      test_memo_displaced;
   ]

@@ -610,6 +610,81 @@ let test_permanent_migration_fault () =
   assert_green cl;
   Cluster.destroy cl
 
+(* A migration that fails after its offer burns the destination's
+   pending Kx secret, whatever failed: a permanent fault at the
+   migration site, a tenant with staged requests, a message lost past
+   its retries.  Each leaves no pending offer, and the next honest
+   migration goes through. *)
+let test_failed_migration_burns_offer () =
+  let pending cl = (Cluster.stats cl).Cluster.pending_offers in
+  let expect_failed what cl ~dst expected =
+    (match Cluster.migrate cl ~tenant:"acme" ~dst with
+    | Ok _ -> Alcotest.failf "%s: migrated" what
+    | Error e when expected e -> ()
+    | Error e -> Alcotest.failf "%s: wrong failure: %a" what Cluster.pp_error e);
+    Alcotest.(check int) (what ^ ": no pending offer") 0 (pending cl)
+  in
+  let expect_migrates what cl ~dst =
+    ignore (migrate_ok cl ~tenant:"acme" ~dst : int);
+    Alcotest.(check int) (what ^ ": offer installed") 0 (pending cl);
+    assert_green cl;
+    Cluster.destroy cl
+  in
+  (* A permanent fault at the migration site. *)
+  let cl, src = build () in
+  let dst = other cl src in
+  Fault.install
+    [ { Fault.site = "cluster.migrate"; nth = 1; kind = Fault.Permanent } ];
+  expect_failed "permanent fault" cl ~dst (function
+    | Cluster.Migration_fault _ -> true
+    | _ -> false);
+  Fault.clear ();
+  expect_migrates "after the fault" cl ~dst;
+  (* A request staged but not flushed: the export refuses. *)
+  let cl, src = build () in
+  let dst = other cl src in
+  let plane = Cluster.plane cl src in
+  let sc = serve_client cl src ~seed:5L in
+  (match Serve.handshake plane ~tenant:"acme" (Serve.Client.hello sc) with
+  | Error r -> Alcotest.failf "handshake: %a" Serve.pp_reject r
+  | Ok accept -> (
+      match Serve.Client.establish sc accept with
+      | Error r -> Alcotest.failf "establish: %a" Serve.pp_reject r
+      | Ok () -> ()));
+  (match
+     Serve.submit plane
+       (Serve.Client.request sc ~ecall:1 (Bytes.of_string "staged"))
+   with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "submit: %a" Serve.pp_reject r);
+  expect_failed "staged request" cl ~dst (function
+    | Cluster.Reject (Serve.Tenant_busy _) -> true
+    | _ -> false);
+  ignore (Serve.flush plane : Serve.reply list);
+  expect_migrates "after the flush" cl ~dst;
+  (* A network that drops every message: the offer never arrives, on
+     every attempt. *)
+  let cl, src =
+    build ~net:{ Netsim.default_config with Netsim.loss_per_mille = 1000 } ()
+  in
+  let dst = other cl src in
+  for attempt = 1 to 2 do
+    expect_failed
+      (Printf.sprintf "lossy network, attempt %d" attempt)
+      cl ~dst
+      (function Cluster.Net_partition -> true | _ -> false)
+  done;
+  Cluster.destroy cl;
+  (* The source partitioned off, then healed. *)
+  let cl, src = build () in
+  let dst = other cl src in
+  Netsim.set_down (Cluster.net cl) src true;
+  expect_failed "partitioned source" cl ~dst (function
+    | Cluster.Node_down n -> n = src
+    | _ -> false);
+  Netsim.set_down (Cluster.net cl) src false;
+  expect_migrates "after the heal" cl ~dst
+
 (* ---------------------------------------------------------------- *)
 (* The client's wire                                                  *)
 
@@ -824,6 +899,8 @@ let suite =
       test_kill_failover_chaos;
     Alcotest.test_case "permanent migration fault is typed" `Quick
       test_permanent_migration_fault;
+    Alcotest.test_case "a failed migration leaves no pending offer" `Quick
+      test_failed_migration_burns_offer;
     Alcotest.test_case "a call is one message each way" `Quick
       test_call_one_message_each_way;
     Alcotest.test_case "a lossy call strands no request" `Quick

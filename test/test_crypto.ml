@@ -144,7 +144,7 @@ let test_hkdf () =
     (hex prk);
   (* info = 0xf0..f9, L=42 *)
   let info = Bytes.to_string (of_hex "f0f1f2f3f4f5f6f7f8f9") in
-  let okm = Hmac.hkdf_expand ~prk ~info ~len:42 in
+  let okm = Hmac.expand (Hmac.prepare ~key:prk) ~info ~len:42 in
   check_hex "okm"
     "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
     (hex okm);
@@ -432,6 +432,21 @@ let test_authenc_zero_copy () =
 
 (* --- properties ---------------------------------------------------------------------------- *)
 
+(* RFC 5869 HKDF-Expand spelled out with one-shot HMACs:
+   T(i) = HMAC(PRK, T(i-1) || info || i). *)
+let reference_expand ~prk ~info ~len =
+  let rec go prev i okm =
+    if Bytes.length okm >= len then Bytes.sub okm 0 len
+    else
+      let t =
+        Hmac.hmac ~key:prk
+          (Bytes.concat Bytes.empty
+             [ prev; Bytes.of_string info; Bytes.make 1 (Char.chr i) ])
+      in
+      go t (i + 1) (Bytes.cat okm t)
+  in
+  go Bytes.empty 1 Bytes.empty
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -503,6 +518,25 @@ let qcheck_tests =
                 Bytes.equal buf plaintext
                 && Bytes.equal buf (Authenc.unseal (Authenc.prepare key) ~aad fresh))
           ops);
+    (* Extract once, expand many: every expand under one prepared PRK
+       gives the bytes of the RFC spelled out over hkdf_extract's PRK,
+       whatever expanded under it before, and derive is its first
+       32-byte block. *)
+    Test.make ~name:"hkdf expand under a prepared PRK = the RFC expand"
+      ~count:100
+      (pair string
+         (list_of_size (Gen.int_range 1 4) (pair small_string (int_bound 100))))
+      (fun (ikm, outputs) ->
+        let ikm = Bytes.of_string ikm in
+        let prk = Hmac.extract ~ikm in
+        let raw_prk = Hmac.hkdf_extract ~ikm () in
+        List.for_all
+          (fun (info, len) ->
+            Bytes.equal (Hmac.expand prk ~info ~len)
+              (reference_expand ~prk:raw_prk ~info ~len)
+            && Bytes.equal (Hmac.derive ~key:ikm ~info)
+                 (reference_expand ~prk:raw_prk ~info ~len:32))
+          outputs);
     Test.make ~name:"sha256 distinct on distinct strings" ~count:200
       (pair small_string small_string)
       (fun (a, b) ->

@@ -398,6 +398,39 @@ let test_report () =
   let forged = { report with Sgx_types.mrenclave = Bytes.make 32 'f' } in
   Alcotest.(check bool) "forged fails" false (Monitor.verify_report m forged)
 
+(* An unlaunched monitor holds no K_root, so it verifies no report: not
+   even one MACed under the report key of an empty root, which anyone
+   can derive. *)
+let test_unlaunched_verifies_no_report () =
+  let p, handle = simple_enclave () in
+  let m = p.Platform.monitor in
+  let report =
+    Monitor.ereport m (Urts.enclave handle) ~report_data:(Bytes.of_string "hello")
+  in
+  let base, nframes = Monitor.reserved_range m in
+  let unlaunched =
+    Monitor.create ~clock:p.Platform.clock ~cost:p.Platform.cost
+      ~rng:(Rng.create ~seed:7L) ~mem:p.Platform.mem ~cpu:p.Platform.cpu
+      ~iommu:p.Platform.iommu ~tpm:p.Platform.tpm
+      {
+        Monitor.reserved_base_frame = base;
+        reserved_nframes = nframes;
+        monitor_private_frames = Monitor.monitor_private_frames m;
+      }
+  in
+  let empty_root_mac =
+    Crypto.Hmac.hmac
+      ~key:(Crypto.Hmac.derive ~key:Bytes.empty ~info:"report:")
+      (Sgx_types.report_body { report with Sgx_types.mac = Bytes.empty })
+  in
+  Alcotest.(check bool)
+    "report under the empty root's key" false
+    (Monitor.verify_report unlaunched
+       { report with Sgx_types.mac = empty_root_mac });
+  Alcotest.(check bool)
+    "honest report" false
+    (Monitor.verify_report unlaunched report)
+
 let test_measurement_matches_sdk_prediction () =
   let _, handle = simple_enclave () in
   (* EINIT succeeded, so the monitor-computed MRENCLAVE equalled the
@@ -1156,6 +1189,8 @@ let suite =
     Alcotest.test_case "P-Enclave exclusivity" `Quick test_penclave_only_self_managed;
     Alcotest.test_case "EGETKEY identity binding" `Quick test_egetkey_identity;
     Alcotest.test_case "EREPORT local attestation" `Quick test_report;
+    Alcotest.test_case "an unlaunched monitor verifies no report" `Quick
+      test_unlaunched_verifies_no_report;
     Alcotest.test_case "measurement = SDK prediction" `Quick
       test_measurement_matches_sdk_prediction;
     Alcotest.test_case "EREMOVE scrubs and frees" `Quick test_eremove_scrubs;
