@@ -82,8 +82,22 @@ let modes_cmd =
 
 let attest_cmd =
   let tamper =
-    let doc = "Tamper with the named boot component (crtm|bios|grub|kernel|initramfs)." in
-    Arg.(value & opt (some string) None & info [ "tamper" ] ~docv:"COMPONENT" ~doc)
+    (* Any other name is a usage error: tampering with a component the
+       chain does not have would verify an untampered platform. *)
+    let components =
+      List.map
+        (fun (c : Boot.component) -> (c.Boot.name, c.Boot.name))
+        (Boot.default_chain (Rng.create ~seed:0L))
+    in
+    let doc =
+      "Tamper with the named boot component, "
+      ^ Arg.doc_alts_enum ~quoted:false components
+      ^ "."
+    in
+    Arg.(
+      value
+      & opt (some (enum components)) None
+      & info [ "tamper" ] ~docv:"COMPONENT" ~doc)
   in
   let run seed tamper =
     (* Golden values always come from the untampered build. *)

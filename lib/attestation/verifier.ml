@@ -158,19 +158,15 @@ let appraise_enclave ~policy ?expected_hapk ~report_data (q : Monitor.quote) =
     | Some pin -> not (Signature.equal_public pin q.hapk)
     | None -> false
   then Error Hapk_mismatch
-  else begin
-    let body =
-      Bytes.cat (Bytes.of_string "ems:")
-        (Sgx_types.report_body { q.report with Sgx_types.mac = Bytes.empty })
-    in
-    if not (Signature.verify q.hapk body ~signature:q.ems) then Error Bad_ems
-    else
-      match check_policy ~policy q.report with
-      | Some reason -> Error (Policy_violation reason)
-      | None ->
-          if not (answers ~report_data q.report) then Error Report_data_mismatch
-          else Ok q.report
-  end
+  else if
+    not (Signature.verify q.hapk (Sgx_types.ems_body q.report) ~signature:q.ems)
+  then Error Bad_ems
+  else
+    match check_policy ~policy q.report with
+    | Some reason -> Error (Policy_violation reason)
+    | None ->
+        if not (answers ~report_data q.report) then Error Report_data_mismatch
+        else Ok q.report
 
 let verify ~golden ~policy ?expected_hapk ~report_data (q : Monitor.quote) =
   if remembered golden q then

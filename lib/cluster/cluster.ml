@@ -2,7 +2,7 @@ open Hyperenclave_hw
 open Hyperenclave_tee
 module Serve = Hyperenclave_serve.Serve
 module Verifier = Hyperenclave_attestation.Verifier
-module Wire = Hyperenclave_attestation.Wire
+module Sigma = Hyperenclave_attestation.Sigma
 module Invariants = Hyperenclave_monitor.Invariants
 module Monitor = Hyperenclave_monitor.Monitor
 module Tpm = Hyperenclave_tpm.Tpm
@@ -279,36 +279,32 @@ let send t ~src ~dst ~bytes =
 (* ---------------------------------------------------------------------- *)
 (* Migration protocol                                                     *)
 
-let offer_key ~dst ~tenant ~nonce =
+let ( let* ) = Result.bind
+
+let offer_id ~dst ~tenant ~nonce =
   Printf.sprintf "%d:%s:%s" dst tenant (Sha256.to_hex nonce)
 
-(* Length-prefixed transcript over every offer field: what the
-   destination's quote binds, so a verified offer cannot be spliced onto
-   another tenant, route or key share. *)
-let offer_transcript ~tenant ~src ~dst ~nonce ~kx =
-  let ctx = Sha256.init () in
-  Sha256.update_string ctx "cluster-migrate-offer:";
-  List.iter
-    (fun field ->
-      let len = Bytes.create 8 in
-      Bytes.set_int64_le len 0 (Int64.of_int (Bytes.length field));
-      Sha256.update ctx len;
-      Sha256.update ctx field)
-    [
-      Bytes.of_string tenant;
-      Bytes.of_string (string_of_int src);
-      Bytes.of_string (string_of_int dst);
-      nonce;
-      kx;
-    ];
-  Sha256.finalize ctx
+(* The exchange's labels ({!Sigma}): the destination's quote binds the
+   transcript of every offer field, so a verified offer cannot be
+   spliced onto another tenant, route or key share; the transport key
+   derives under [key_label]. *)
+let offer_label = "cluster-migrate-offer:"
+let key_label = "cluster-migrate-key:"
 
-let transport_key ~shared ~nonce =
-  let ctx = Sha256.init () in
-  Sha256.update_string ctx "cluster-migrate-key:";
-  Sha256.update ctx shared;
-  Sha256.update ctx nonce;
-  Sha256.finalize ctx
+let offer_fields ~tenant ~src ~dst ~nonce kx =
+  [
+    Bytes.of_string tenant;
+    Bytes.of_string (string_of_int src);
+    Bytes.of_string (string_of_int dst);
+    nonce;
+    kx;
+  ]
+
+(* The exchange's refusals, as the fleet names them. *)
+let of_sigma = function
+  | Sigma.Bad_wire m -> Blob_malformed ("offer quote: " ^ m)
+  | Sigma.Refused f -> Attest_failed f
+  | Sigma.Unbound | Sigma.Unknown_share -> Binding_mismatch
 
 let blob_aad ~tenant ~src ~dst ~nonce =
   let buf = Buffer.create 64 in
@@ -344,124 +340,105 @@ module Migrate = struct
     if not (Node.alive dn) then Error (Node_down dst)
     else begin
       let o_nonce = Rng.bytes t.c_rng 16 in
-      let secret, o_kx = Kx.generate t.c_rng in
-      let report_data =
-        offer_transcript ~tenant ~src ~dst ~nonce:o_nonce ~kx:o_kx
+      let secret, o_kx, o_quote =
+        Sigma.respond t.c_rng ~label:offer_label
+          ~quote:(Serve.node_quote (Node.plane dn))
+          (offer_fields ~tenant ~src ~dst ~nonce:o_nonce)
       in
-      let quote = Serve.node_quote (Node.plane dn) ~report_data in
-      Hashtbl.replace t.c_offers (offer_key ~dst ~tenant ~nonce:o_nonce) secret;
-      Ok
-        {
-          o_tenant = tenant;
-          o_src = src;
-          o_dst = dst;
-          o_nonce;
-          o_kx;
-          o_quote = Wire.encode quote;
-        }
+      Hashtbl.replace t.c_offers (offer_id ~dst ~tenant ~nonce:o_nonce) secret;
+      Ok { o_tenant = tenant; o_src = src; o_dst = dst; o_nonce; o_kx; o_quote }
     end
 
   let seal t (o : offer) =
     let sn = node t o.o_src in
     if not (Node.alive sn) then Error (Node_down o.o_src)
-    else begin
+    else
       let dst_anchor = (node t o.o_dst).n_anchor in
-      match Wire.decode o.o_quote with
-      | Error m -> Error (Blob_malformed ("offer quote: " ^ m))
-      | Ok quote -> (
-          (* The full fleet trust check before any state leaves: the
-             destination's golden boot, its pinned hapk (a sibling
-             monitor must not be able to receive this tenant), its
-             pinned quoting enclave, and a report that answers this
-             offer's tenant, route, nonce and share. *)
-          let report_data =
-            offer_transcript ~tenant:o.o_tenant ~src:o.o_src ~dst:o.o_dst
-              ~nonce:o.o_nonce ~kx:o.o_kx
-          in
-          match
-            Verifier.verify ~golden:dst_anchor.a_golden
-              ~policy:
-                {
-                  Verifier.expected_mrenclave = Some dst_anchor.a_quoting;
-                  expected_mrsigner = None;
-                  allow_debug = false;
-                }
-              ~expected_hapk:dst_anchor.a_hapk ~report_data quote
-          with
-          | Verifier.Error Verifier.Report_data_mismatch ->
-              Error Binding_mismatch
-          | Verifier.Error f -> Error (Attest_failed f)
-          | Verifier.Ok _ -> (
-              let backoff attempt =
-                Cycles.tick sn.n_platform.Platform.clock (1_000 * attempt)
-              in
-              match
-                Fault.with_retries ~backoff (fun () ->
-                    Fault.point fault_site;
-                    Serve.export_tenant (Node.plane sn) ~tenant:o.o_tenant)
-              with
-              | exception Fault.Injected { site; kind } ->
-                  Error
-                    (Migration_fault
-                       (Printf.sprintf "injected %s fault at %s"
-                          (Fault.kind_name kind) site))
-              | Error r -> Error (Reject r)
-              | Ok blob -> (
-                  let secret, p_kx = Kx.generate t.c_rng in
-                  match Kx.shared secret o.o_kx with
-                  | None -> Error Binding_mismatch
-                  | Some shared ->
-                      let key = transport_key ~shared ~nonce:o.o_nonce in
-                      let aad =
-                        blob_aad ~tenant:o.o_tenant ~src:o.o_src
-                          ~dst:o.o_dst ~nonce:o.o_nonce
-                      in
-                      Ok
-                        {
-                          p_tenant = o.o_tenant;
-                          p_src = o.o_src;
-                          p_dst = o.o_dst;
-                          p_nonce = o.o_nonce;
-                          p_kx;
-                          p_blob =
-                            Authenc.seal (Authenc.prepare key) ~aad
-                              ~nonce:(Rng.bytes t.c_rng 12) blob;
-                        })))
-    end
+      (* The full fleet trust check before any state leaves: the
+         destination's golden boot, its pinned hapk (a sibling monitor
+         must not be able to receive this tenant), its pinned quoting
+         enclave, and a report that answers this offer's tenant, route,
+         nonce and share. *)
+      let* _report =
+        Result.map_error of_sigma
+          (Sigma.check ~golden:dst_anchor.a_golden
+             ~policy:
+               {
+                 Verifier.expected_mrenclave = Some dst_anchor.a_quoting;
+                 expected_mrsigner = None;
+                 allow_debug = false;
+               }
+             ~expected_hapk:dst_anchor.a_hapk ~label:offer_label
+             (offer_fields ~tenant:o.o_tenant ~src:o.o_src ~dst:o.o_dst
+                ~nonce:o.o_nonce o.o_kx)
+             o.o_quote)
+      in
+      let backoff attempt =
+        Cycles.tick sn.n_platform.Platform.clock (1_000 * attempt)
+      in
+      let* blob =
+        match
+          Fault.with_retries ~backoff (fun () ->
+              Fault.point fault_site;
+              Serve.export_tenant (Node.plane sn) ~tenant:o.o_tenant)
+        with
+        | exception Fault.Injected { site; kind } ->
+            Error
+              (Migration_fault
+                 (Printf.sprintf "injected %s fault at %s"
+                    (Fault.kind_name kind) site))
+        | exported -> Result.map_error (fun r -> Reject r) exported
+      in
+      let secret, p_kx = Kx.generate t.c_rng in
+      let* key =
+        Result.map_error of_sigma
+          (Sigma.agree ~label:key_label secret o.o_kx ~nonce:o.o_nonce)
+      in
+      let aad =
+        blob_aad ~tenant:o.o_tenant ~src:o.o_src ~dst:o.o_dst ~nonce:o.o_nonce
+      in
+      Ok
+        {
+          p_tenant = o.o_tenant;
+          p_src = o.o_src;
+          p_dst = o.o_dst;
+          p_nonce = o.o_nonce;
+          p_kx;
+          p_blob =
+            Authenc.seal (Authenc.prepare key) ~aad
+              ~nonce:(Rng.bytes t.c_rng 12) blob;
+        }
 
   let install t (p : package) =
     let dn = node t p.p_dst in
     if not (Node.alive dn) then Error (Node_down p.p_dst)
-    else begin
-      let key_id = offer_key ~dst:p.p_dst ~tenant:p.p_tenant ~nonce:p.p_nonce in
-      match Hashtbl.find_opt t.c_offers key_id with
+    else
+      let id = offer_id ~dst:p.p_dst ~tenant:p.p_tenant ~nonce:p.p_nonce in
+      match Hashtbl.find_opt t.c_offers id with
       | None ->
           (* Never offered by this node, already consumed (replay), or
              the package was re-routed to a destination that did not
              make the offer. *)
           Error Unknown_offer
       | Some secret -> (
-          Hashtbl.remove t.c_offers key_id;
-          match Kx.shared secret p.p_kx with
-          | None -> Error Binding_mismatch
-          | Some shared -> (
-              (* The AAD comes from the package's own tenant, route and
-                 nonce: a lie in any of them fails the tag. *)
-              let key = transport_key ~shared ~nonce:p.p_nonce in
-              let aad =
-                blob_aad ~tenant:p.p_tenant ~src:p.p_src ~dst:p.p_dst
-                  ~nonce:p.p_nonce
-              in
-              match Authenc.unseal (Authenc.prepare key) ~aad p.p_blob with
-              | exception Authenc.Authentication_failure -> Error Transport_auth
-              | blob -> (
-                  match ensure_tenant t dn p.p_tenant with
-                  | Error _ as e -> e
-                  | Ok () ->
-                      Result.map_error
-                        (fun r -> Reject r)
-                        (Serve.import_tenant (Node.plane dn) blob))))
-    end
+          Hashtbl.remove t.c_offers id;
+          let* key =
+            Result.map_error of_sigma
+              (Sigma.agree ~label:key_label secret p.p_kx ~nonce:p.p_nonce)
+          in
+          (* The AAD comes from the package's own tenant, route and
+             nonce: a lie in any of them fails the tag. *)
+          let aad =
+            blob_aad ~tenant:p.p_tenant ~src:p.p_src ~dst:p.p_dst
+              ~nonce:p.p_nonce
+          in
+          match Authenc.unseal (Authenc.prepare key) ~aad p.p_blob with
+          | exception Authenc.Authentication_failure -> Error Transport_auth
+          | blob ->
+              let* () = ensure_tenant t dn p.p_tenant in
+              Result.map_error
+                (fun r -> Reject r)
+                (Serve.import_tenant (Node.plane dn) blob))
 end
 
 (* Rough wire sizes: enough for the network cost model, not a codec. *)
@@ -493,7 +470,6 @@ let migrate t ~tenant ~dst =
     let s0 = Cycles.now src_clock in
     let d0 = Cycles.now dst_clock in
     let w0 = Cycles.now t.c_wire_clock in
-    let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v in
     let* o = Migrate.offer t ~tenant ~src ~dst in
     (* From here the destination holds a pending Kx secret: a migration
        that fails before [install] consumes it burns it, so no failed
@@ -507,7 +483,7 @@ let migrate t ~tenant ~dst =
     Result.iter_error
       (fun _ ->
         Hashtbl.remove t.c_offers
-          (offer_key ~dst ~tenant ~nonce:o.Migrate.o_nonce))
+          (offer_id ~dst ~tenant ~nonce:o.Migrate.o_nonce))
       installed;
     let* n = installed in
     let* _retired =

@@ -23,13 +23,16 @@
     {2 Live migration}
 
     Moving a tenant from node A to B is a three-message attested
-    protocol ({!Migrate}):
+    protocol ({!Migrate}), the fleet's run of the attested key exchange
+    {!Hyperenclave_attestation.Sigma} that the serving plane's handshake
+    shares:
 
     + {e offer} — B generates a fresh nonce and an ephemeral {!Kx}
       share, and quotes them (plus tenant and route) through its
       quoting enclave: proof that the key share belongs to a real
       monitor-backed node {e before} any state moves.  The offer
-      transcript is the report's [report_data], signed by B's monitor;
+      transcript ({!Hyperenclave_attestation.Sigma.transcript}) is the
+      report's [report_data], signed by B's monitor;
       the TPM half is the platform quote B's monitor took at boot, so an
       offer runs no TPM command;
     + {e seal} — A verifies B's quote against B's anchor (golden boot,
@@ -201,15 +204,20 @@ module Migrate : sig
   val seal : t -> offer -> (package, error) result
   (** Runs on [o_src]: verify the destination's quote (anchor + hapk +
       quoting-enclave pin, with this offer's transcript as the expected
-      [report_data]: a quote that answers another offer is
-      {!Binding_mismatch}), export the tenant, seal under the agreed
-      transport key.  Crosses the ["cluster.migrate"] fault site. *)
+      [report_data], {!Hyperenclave_attestation.Sigma.check}: a wire
+      that does not decode is {!Blob_malformed}, a quote that answers
+      another offer {!Binding_mismatch}, any other verifier failure
+      {!Attest_failed}), export the tenant, seal under the agreed
+      transport key ({!Binding_mismatch} if the offer's share is no
+      group element).  Crosses the ["cluster.migrate"] fault site. *)
 
   val install : t -> package -> (int, error) result
-  (** Runs on [p_dst]: burn the pending offer, unseal under the AAD
-      derived from the package's tenant, route and nonce, and hand the
-      bytes to {!Hyperenclave_serve.Serve.import_tenant} to rebuild the
-      tenant and its sessions.  Returns sessions installed. *)
+  (** Runs on [p_dst]: burn the pending offer, agree on the package's
+      share ({!Binding_mismatch} if it is no group element), unseal
+      under the AAD derived from the package's tenant, route and nonce,
+      and hand the bytes to {!Hyperenclave_serve.Serve.import_tenant} to
+      rebuild the tenant and its sessions.  Returns sessions
+      installed. *)
 end
 
 val migrate : t -> tenant:string -> dst:int -> (int, error) result

@@ -69,6 +69,7 @@ module Edl = Hyperenclave_sdk.Edl
 module Edl_app = Hyperenclave_sdk.Edl_app
 module Verifier = Hyperenclave_attestation.Verifier
 module Quote_wire = Hyperenclave_attestation.Wire
+module Sigma = Hyperenclave_attestation.Sigma
 module Libos = Hyperenclave_libos.Libos
 module Vfs = Hyperenclave_libos.Vfs
 module Platform = Hyperenclave_tee.Platform

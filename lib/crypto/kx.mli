@@ -1,11 +1,12 @@
 (** Simulated ephemeral Diffie–Hellman key exchange.
 
-    The serving plane's SIGMA-style handshake needs an ephemeral key
-    agreement: each side contributes a public share, and only the two
-    holders of the matching secrets can compute the session secret.
-    Implementing production ECDH is outside the scope of this
+    The attested key exchange ([Hyperenclave_attestation.Sigma]: the
+    serving plane's handshake and the fleet's migration) needs an
+    ephemeral key agreement: each side contributes a public share, and
+    only the two holders of the matching secrets can compute the session
+    secret.  Implementing production ECDH is outside the scope of this
     reproduction (the same documented substitution as {!Signature},
-    DESIGN.md Sec. 2); what the handshake needs is the {e logic}: the
+    DESIGN.md Sec. 2); what the exchange needs is the {e logic}: the
     shared secret is a function of the {e pair} of keypairs, both
     endpoints compute the same value, and code holding only the public
     shares cannot.

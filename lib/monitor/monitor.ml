@@ -1043,8 +1043,7 @@ let verify_report t (report : Sgx_types.report) =
   | None -> false
   | Some keys ->
       Sha256.equal
-        (report_mac keys
-           (Sgx_types.report_body { report with Sgx_types.mac = Bytes.empty }))
+        (report_mac keys (Sgx_types.report_body report))
         report.Sgx_types.mac
 
 let counter_name (enclave : Enclave.t) =
@@ -1065,11 +1064,7 @@ let counter_read_for t (enclave : Enclave.t) =
 let gen_quote t enclave ~report_data =
   let keys = keys t "gen_quote" in
   let report = ereport t enclave ~report_data in
-  let body =
-    Bytes.cat (Bytes.of_string "ems:")
-      (Sgx_types.report_body { report with Sgx_types.mac = Bytes.empty })
-  in
-  let ems = Signature.sign keys.att_private body in
+  let ems = Signature.sign keys.att_private (Sgx_types.ems_body report) in
   {
     report;
     ems;

@@ -92,6 +92,8 @@ let report_body r =
   Buffer.add_bytes buf r.key_id;
   Buffer.to_bytes buf
 
+let ems_body r = Bytes.cat (Bytes.of_string "ems:") (report_body r)
+
 let pad_report_data data =
   let padded = Bytes.make 64 '\000' in
   Bytes.blit data 0 padded 0 (Bytes.length data);

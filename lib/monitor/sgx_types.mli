@@ -79,7 +79,12 @@ type report = {
 }
 
 val report_body : report -> bytes
-(** Serialization covered by the MAC / the quote signature. *)
+(** Serialization covered by the MAC.  It never reads [mac], so a
+    report hashes the same before and after its MAC is set. *)
+
+val ems_body : report -> bytes
+(** What the monitor signs under hapk for a quote's enclave measurement
+    signature (ems): ["ems:"] followed by {!report_body}. *)
 
 val pad_report_data : bytes -> bytes
 (** The [report_data] field EREPORT makes of the caller's bytes: them,

@@ -16,6 +16,8 @@ let default_chain rng =
   ]
 
 let tamper chain ~name =
+  if not (List.exists (fun c -> c.name = name) chain) then
+    invalid_arg (Printf.sprintf "Boot.tamper: no boot component %S" name);
   List.map
     (fun c ->
       if c.name <> name then c

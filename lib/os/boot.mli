@@ -16,7 +16,8 @@ val default_chain : Hyperenclave_hw.Rng.t -> component list
 
 val tamper : component list -> name:string -> component list
 (** Flip a byte in the named component — an "evil maid" modification whose
-    effect on the quote the tests check. *)
+    effect on the quote the tests check.
+    @raise Invalid_argument if no component of the chain has that name. *)
 
 val measured_boot :
   Hyperenclave_tpm.Tpm.t ->

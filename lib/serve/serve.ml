@@ -7,10 +7,9 @@ module Monitor = Hyperenclave_monitor.Monitor
 module World_switch = Hyperenclave_monitor.World_switch
 module Sgx_types = Hyperenclave_monitor.Sgx_types
 module Verifier = Hyperenclave_attestation.Verifier
-module Wire = Hyperenclave_attestation.Wire
+module Sigma = Hyperenclave_attestation.Sigma
 module Kx = Hyperenclave_crypto.Kx
 module Authenc = Hyperenclave_crypto.Authenc
-module Sha256 = Hyperenclave_crypto.Sha256
 module Signature = Hyperenclave_crypto.Signature
 module Fault = Hyperenclave_fault.Fault
 module Telemetry = Hyperenclave_obs.Telemetry
@@ -786,26 +785,20 @@ type accept = {
   tenant_identity : bytes;
 }
 
-(* Every field is length-prefixed so distinct transcripts can never
-   collide by concatenation. *)
-let transcript ~nonce ~client_kx ~server_kx ~identity =
-  let ctx = Sha256.init () in
-  Sha256.update_string ctx "hyperenclave-serve-sigma:";
-  List.iter
-    (fun field ->
-      let len = Bytes.create 8 in
-      Bytes.set_int64_le len 0 (Int64.of_int (Bytes.length field));
-      Sha256.update ctx len;
-      Sha256.update ctx field)
-    [ nonce; client_kx; server_kx; identity ];
-  Sha256.finalize ctx
+(* The exchange's labels ({!Sigma}): the quote binds the transcript of
+   nonce, client share, server share and tenant identity; a handshake's
+   key derives under [key_label], a resumed session's under
+   [resume_label]. *)
+let sigma_label = "hyperenclave-serve-sigma:"
+let key_label = "hyperenclave-serve-key:"
+let resume_label = "hyperenclave-serve-resume:"
 
-let derive_key ~shared ~nonce =
-  let ctx = Sha256.init () in
-  Sha256.update_string ctx "hyperenclave-serve-key:";
-  Sha256.update ctx shared;
-  Sha256.update ctx nonce;
-  Sha256.finalize ctx
+(* The exchange's refusals, as the plane names them. *)
+let of_sigma = function
+  | Sigma.Bad_wire m -> Bad_wire m
+  | Sigma.Unbound -> Channel_binding_mismatch
+  | Sigma.Refused f -> Handshake_failed f
+  | Sigma.Unknown_share -> Unknown_key_share
 
 let injected_msg site kind =
   Printf.sprintf "injected %s fault at %s" (Fault.kind_name kind) site
@@ -828,23 +821,21 @@ let handshake t ~tenant hello =
         match
           Fault.with_retries ~backoff:(backoff t) (fun () ->
               Fault.point fault_site;
-              let secret, server_kx = Kx.generate t.rng in
-              let report_data =
-                transcript ~nonce:hello.nonce ~client_kx:hello.client_kx
-                  ~server_kx ~identity:tn.mrenclave
-              in
-              let quote = Urts.gen_quote tn.urts ~report_data in
-              (secret, server_kx, Wire.encode quote))
+              Sigma.respond t.rng ~label:sigma_label
+                ~quote:(Urts.gen_quote tn.urts) (fun server_kx ->
+                  [ hello.nonce; hello.client_kx; server_kx; tn.mrenclave ]))
         with
         | exception Fault.Injected { site; kind } ->
             refuse (Session_fault (injected_msg site kind))
         | secret, server_kx, quote_wire -> (
-            match Kx.shared secret hello.client_kx with
-            | None -> refuse Unknown_key_share
-            | Some shared ->
+            match
+              Sigma.agree ~label:key_label secret hello.client_kx
+                ~nonce:hello.nonce
+            with
+            | Error f -> refuse (of_sigma f)
+            | Ok key ->
                 let s =
-                  open_session t tn ~id:(fresh_id t) ~slot:(alloc_slot tn)
-                    ~key:(derive_key ~shared ~nonce:hello.nonce)
+                  open_session t tn ~id:(fresh_id t) ~slot:(alloc_slot tn) ~key
                     ~top:0 ~pages:0
                 in
                 Telemetry.incr t.telemetry "serve.handshake";
@@ -1622,16 +1613,6 @@ let issue_ticket t ~session =
       Telemetry.incr t.telemetry "serve.ticket_issued";
       Ok ticket
 
-(* The resumed channel never reuses the ticketed traffic key directly:
-   both sides derive a fresh one from it and the client's resumption
-   nonce, so tickets are single-direction key material. *)
-let resumed_key ~key ~nonce =
-  let ctx = Sha256.init () in
-  Sha256.update_string ctx "hyperenclave-serve-resume:";
-  Sha256.update ctx key;
-  Sha256.update ctx nonce;
-  Sha256.finalize ctx
-
 type resume = { r_ticket : bytes; r_nonce : bytes }
 
 let resume t (r : resume) =
@@ -1658,7 +1639,7 @@ let resume t (r : resume) =
               | Some tn ->
                   let s =
                     open_session t tn ~id:(fresh_id t) ~slot:(alloc_slot tn)
-                      ~key:(resumed_key ~key ~nonce:r.r_nonce)
+                      ~key:(Sigma.key ~label:resume_label key ~nonce:r.r_nonce)
                       ~top:0 ~pages:0
                   in
                   Telemetry.incr t.telemetry "serve.resume";
@@ -1733,54 +1714,44 @@ module Client = struct
     | None -> invalid_arg "Serve.Client.complete_resume: no resume in flight"
     | Some (nonce, key) ->
         t.pending_resume <- None;
-        t.session <- Some (keyed_session session_id (resumed_key ~key ~nonce))
+        t.session <-
+          Some (keyed_session session_id (Sigma.key ~label:resume_label key ~nonce))
 
   let establish t (accept : accept) =
     match t.hs with
     | None -> invalid_arg "Serve.Client.establish: no handshake in flight"
-    | Some hs -> (
-        match Wire.decode accept.quote_wire with
-        | Error m -> Error (Bad_wire m)
-        | Ok quote -> (
-            (* The quote must speak about THIS exchange: its report
-               answers the transcript (nonce, both shares, the claimed
-               tenant identity), checked last by the verifier.  Then
-               the claimed identity against the enclave that quoted
-               (every tenant quotes itself) and against the pin. *)
-            let report_data =
-              transcript ~nonce:hs.hs_nonce ~client_kx:hs.hs_client_kx
-                ~server_kx:accept.server_kx ~identity:accept.tenant_identity
-            in
-            match
-              Verifier.verify ~golden:t.golden ~policy:t.policy
-                ?expected_hapk:t.expected_hapk ~report_data quote
-            with
-            | Verifier.Error Verifier.Report_data_mismatch ->
-                Error Channel_binding_mismatch
-            | Verifier.Error f -> Error (Handshake_failed f)
-            | Verifier.Ok report -> (
-                let mismatch what =
-                  Error (Handshake_failed (Verifier.Policy_violation what))
-                in
-                if
-                  not
-                    (Bytes.equal accept.tenant_identity
-                       report.Sgx_types.mrenclave)
-                then mismatch "tenant identity is not the quoted enclave"
-                else
-                  match t.expected_tenant with
-                  | Some pin when not (Bytes.equal pin accept.tenant_identity)
-                    ->
-                      mismatch "tenant identity mismatch"
-                  | Some _ | None -> (
-                      match Kx.shared hs.secret accept.server_kx with
-                      | None -> Error Unknown_key_share
-                      | Some shared ->
-                          t.session <-
-                            Some
-                              (keyed_session accept.session_id
-                                 (derive_key ~shared ~nonce:hs.hs_nonce));
-                          Ok ()))))
+    | Some hs ->
+        (* The quote must speak about THIS exchange: its report answers
+           the transcript (nonce, both shares, the claimed tenant
+           identity), checked last by the verifier.  Then the claimed
+           identity against the enclave that quoted (every tenant quotes
+           itself) and against the pin. *)
+        let* report =
+          Result.map_error of_sigma
+            (Sigma.check ~golden:t.golden ~policy:t.policy
+               ?expected_hapk:t.expected_hapk ~label:sigma_label
+               [ hs.hs_nonce; hs.hs_client_kx; accept.server_kx;
+                 accept.tenant_identity ]
+               accept.quote_wire)
+        in
+        let mismatch what =
+          Error (Handshake_failed (Verifier.Policy_violation what))
+        in
+        if not (Bytes.equal accept.tenant_identity report.Sgx_types.mrenclave)
+        then mismatch "tenant identity is not the quoted enclave"
+        else if
+          match t.expected_tenant with
+          | Some pin -> not (Bytes.equal pin accept.tenant_identity)
+          | None -> false
+        then mismatch "tenant identity mismatch"
+        else
+          let* key =
+            Result.map_error of_sigma
+              (Sigma.agree ~label:key_label hs.secret accept.server_kx
+                 ~nonce:hs.hs_nonce)
+          in
+          t.session <- Some (keyed_session accept.session_id key);
+          Ok ()
 
   let session_id t =
     match t.session with

@@ -24,15 +24,20 @@
 
     {2 Handshake (SIGMA-style)}
 
+    The plane's run of the attested key exchange
+    {!Hyperenclave_attestation.Sigma}, which fleet migrations share:
+
     + the client sends a fresh nonce and an ephemeral {!Kx} share;
     + the plane generates its own share, derives the session key, and
       answers with a wire-encoded HyperEnclave quote whose [report_data]
-      binds the whole transcript (nonce, both shares, and the tenant's
-      enclave identity) — so the key exchange is authenticated by the
-      attestation chain and cannot be spliced across sessions;
-    + the client decodes the quote on untrusted bytes, runs
-      {!Hyperenclave_attestation.Verifier.verify} with the transcript
-      as the expected [report_data], and derives the same key.
+      is the {!Hyperenclave_attestation.Sigma.transcript} of nonce,
+      both shares and the tenant's enclave identity — so the key
+      exchange is authenticated by the attestation chain and cannot be
+      spliced across sessions;
+    + the client decodes the quote on untrusted bytes, verifies it with
+      that transcript as the expected [report_data]
+      ({!Hyperenclave_attestation.Sigma.check}), and derives the same
+      key ({!Hyperenclave_attestation.Sigma.agree}).
 
     The quote's TPM half is the platform quote the monitor took at
     boot; the transcript in the monitor-signed report is what makes it
@@ -465,10 +470,11 @@ val retire_tenant : t -> tenant:string -> to_node:int -> (int, reject) result
     returning client presents the ticket with a fresh nonce and gets a
     new session for one AEAD unseal — skipping the quote generation and
     verification of the full SIGMA handshake (an order of magnitude
-    cheaper).  Both sides derive the new channel key as
-    [H(ticket_key, nonce)], so the ticketed key itself never carries
-    traffic, and the plane burns resumption nonces in the same bounded
-    replay cache as handshake nonces. *)
+    cheaper).  Both sides derive the new channel key from the ticketed
+    key and the nonce ({!Hyperenclave_attestation.Sigma.key}), so the
+    ticketed key itself never carries traffic, and the plane burns
+    resumption nonces in the same bounded replay cache as handshake
+    nonces. *)
 
 val issue_ticket : t -> session:int -> (bytes, reject) result
 (** Seal [(tenant, session key, expiry)] under the plane's prepared
@@ -517,13 +523,16 @@ module Client : sig
 
   val establish : t -> accept -> (unit, reject) result
   (** Decode + verify the quote with the transcript as the expected
-      [report_data] (a quote that answers another transcript — a
-      replayed accept, a spliced key share — is
-      {!Channel_binding_mismatch}), check the claimed tenant identity
-      against the quote and the pin ({!Handshake_failed} with a policy
-      violation), derive the session
-      key and prepare it ({!Authenc.prepare}): the HKDF split, AES key
-      schedule and HMAC pad midstates are paid here, once per session. *)
+      [report_data] ({!Hyperenclave_attestation.Sigma.check}: a wire
+      that does not decode is {!Bad_wire}; a quote that answers another
+      transcript — a replayed accept, a spliced key share — is
+      {!Channel_binding_mismatch}; any other verifier failure is
+      {!Handshake_failed}), check the claimed tenant identity against
+      the quote and the pin ({!Handshake_failed} with a policy
+      violation), agree on the server's share ({!Unknown_key_share} if
+      it is no group element), derive the session key and prepare it
+      ({!Authenc.prepare}): the HKDF split, AES key schedule and HMAC
+      pad midstates are paid here, once per session. *)
 
   val resume_hello : t -> ticket:bytes -> resume
   (** Start a resumption from the current session's key and a ticket

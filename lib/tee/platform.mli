@@ -37,7 +37,8 @@ val create :
     monitor-private, the rest of the reservation as EPC.  Deterministic:
     equal seeds build bit-identical platforms.  [tamper_boot] flips a byte
     in the named boot component before the measured boot — the "evil
-    maid" fixture for attestation tests. *)
+    maid" fixture for attestation tests; a name outside the boot chain
+    raises [Invalid_argument] ({!Hyperenclave_os.Boot.tamper}). *)
 
 val llc_bytes : int
 (** 8 MiB — the paper's last-level cache size (Fig. 11). *)

@@ -495,19 +495,8 @@ let test_serve_ring_plaintext () =
   Alcotest.(check bool) "reply plaintext in shared memory" false (leaks reply);
   Serve.destroy plane
 
-(* [Serve]'s transcript framing: every field length-prefixed under the
-   handshake domain. *)
-let transcript fields =
-  let ctx = Sha256.init () in
-  Sha256.update_string ctx "hyperenclave-serve-sigma:";
-  List.iter
-    (fun field ->
-      let len = Bytes.create 8 in
-      Bytes.set_int64_le len 0 (Int64.of_int (Bytes.length field));
-      Sha256.update ctx len;
-      Sha256.update ctx field)
-    fields;
-  Sha256.finalize ctx
+(* The label of the transcript a plane's tenant quotes in a handshake. *)
+let sigma_label = "hyperenclave-serve-sigma:"
 
 let test_serve_forged_tenant_identity () =
   (* The host answers a handshake with a genuine quote from enclave A
@@ -533,7 +522,8 @@ let test_serve_forged_tenant_identity () =
   let hello = Serve.Client.hello client in
   let _secret, server_kx = Kx.generate (Rng.create ~seed:9122L) in
   let report_data =
-    transcript [ hello.Serve.nonce; hello.Serve.client_kx; server_kx; b_id ]
+    Sigma.transcript ~label:sigma_label
+      [ hello.Serve.nonce; hello.Serve.client_kx; server_kx; b_id ]
   in
   let quote =
     Urts.gen_quote (Option.get a.Backend.urts) ~report_data
@@ -581,7 +571,7 @@ let test_serve_host_key_share () =
       with
       Sgx_types.report_data =
         Sgx_types.pad_report_data
-          (transcript
+          (Sigma.transcript ~label:sigma_label
              [ hello.Serve.nonce; hello.Serve.client_kx; server_kx; identity ]);
     }
   in
@@ -589,9 +579,7 @@ let test_serve_host_key_share () =
     {
       Monitor.report;
       ems =
-        Crypto.Signature.sign host_private
-          (Bytes.cat (Bytes.of_string "ems:")
-             (Sgx_types.report_body { report with Sgx_types.mac = Bytes.empty }));
+        Crypto.Signature.sign host_private (Sgx_types.ems_body report);
       hapk = host_hapk;
       tpm_quote =
         Tpm.quote p.Platform.tpm ~nonce:hello.Serve.nonce

@@ -282,9 +282,7 @@ let host_forged_quote (p : Platform.t) (quote : Monitor.quote) ~report_data
     }
   in
   let ems =
-    Crypto.Signature.sign host_private
-      (Bytes.cat (Bytes.of_string "ems:")
-         (Sgx_types.report_body { report with Sgx_types.mac = Bytes.empty }))
+    Crypto.Signature.sign host_private (Sgx_types.ems_body report)
   in
   let measurement = Sha256.digest_bytes host_hapk in
   if List.mem pcr_index Monitor.quote_pcr_selection then

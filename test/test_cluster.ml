@@ -148,6 +148,82 @@ let test_replayed_offer_quote () =
   assert_green cl;
   Cluster.destroy cl
 
+(* The refusals of the migration's attested key exchange that no other
+   test reaches, as the fleet names them.  A lie in the offer refuses
+   the seal: a quote wire that does not decode, a sibling node's quote
+   (another TPM than the destination's pinned EK), and a genuine
+   destination quote over a share that is no group element.  A package
+   share that is no group element refuses the install and burns the
+   offer, so the genuine package is refused too. *)
+let test_exchange_refusals () =
+  let cl, src = build () in
+  let dst = other cl src in
+  let third =
+    match
+      List.find_opt
+        (fun n -> not (List.mem (Cluster.Node.id n) [ src; dst ]))
+        (Cluster.nodes cl)
+    with
+    | Some n -> Cluster.Node.id n
+    | None -> Alcotest.fail "need three nodes"
+  in
+  let non_group = Bytes.make 32 '\000' in
+  let garbage = Bytes.of_string "junk" in
+  let undecodable =
+    match Quote_wire.decode garbage with
+    | Result.Error m -> m
+    | Result.Ok _ -> Alcotest.fail "garbage decoded"
+  in
+  let error = Alcotest.testable Cluster.pp_error ( = ) in
+  let refused what expected = function
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error e -> Alcotest.check error what expected e
+  in
+  List.iter
+    (fun (what, expected, lie) ->
+      refused what expected (Cluster.Migrate.seal cl (lie (offer_ok cl ~src ~dst))))
+    [
+      ( "seal: garbage offer quote",
+        Cluster.Blob_malformed ("offer quote: " ^ undecodable),
+        fun o -> { o with Cluster.Migrate.o_quote = garbage } );
+      ( "seal: a sibling node's offer quote",
+        Cluster.Attest_failed Verifier.Bad_tpm_signature,
+        fun o ->
+          {
+            o with
+            Cluster.Migrate.o_quote =
+              (offer_ok cl ~src ~dst:third).Cluster.Migrate.o_quote;
+          } );
+      ( "seal: destination quote over a non-group share",
+        Cluster.Binding_mismatch,
+        fun o ->
+          let report_data =
+            Sigma.transcript ~label:"cluster-migrate-offer:"
+              [
+                Bytes.of_string "acme";
+                Bytes.of_string (string_of_int src);
+                Bytes.of_string (string_of_int dst);
+                o.Cluster.Migrate.o_nonce;
+                non_group;
+              ]
+          in
+          {
+            o with
+            Cluster.Migrate.o_kx = non_group;
+            o_quote =
+              Quote_wire.encode
+                (Serve.node_quote (Cluster.plane cl dst) ~report_data);
+          } );
+    ];
+  let p = seal_ok cl (offer_ok cl ~src ~dst) in
+  refused "install: non-group package share" Cluster.Binding_mismatch
+    (Cluster.Migrate.install cl { p with Cluster.Migrate.p_kx = non_group });
+  refused "install: the genuine package after" Cluster.Unknown_offer
+    (Cluster.Migrate.install cl p);
+  Alcotest.(check int) "placement unchanged" src (Cluster.owner cl ~tenant:"acme");
+  assert_green cl;
+  Cluster.destroy cl
+
 (* The monitor takes its TPM quote once, at launch.  With a permanent
    fault armed at the next ["tpm.quote"] crossing after boot, eight
    handshakes on one plane and four migration offers to the same node
@@ -192,6 +268,32 @@ let test_one_tpm_quote_per_boot () =
         (Printf.sprintf "quote %d carries the boot's TPM quote" i)
         true (q = first))
     (handshakes @ offers);
+  Cluster.destroy cl
+
+(* One offer's quote wire and the package sealed against it, pinned
+   byte for byte: the quote's report answers the offer transcript, and
+   the blob is sealed under the transport key both nodes derive, so
+   nodes of different builds keep migrating to each other across a
+   rolling upgrade.  The pinned package then installs. *)
+let test_migration_transport_kat () =
+  let cl, src = build () in
+  let dst = other cl src in
+  let o = offer_ok cl ~src ~dst in
+  let p = seal_ok cl o in
+  let pinned what ~len ~sha bytes =
+    Alcotest.(check int) (what ^ " length") len (Bytes.length bytes);
+    Alcotest.(check string) (what ^ " sha256") sha
+      (Sha256.to_hex (Sha256.digest_bytes bytes))
+  in
+  pinned "offer quote" ~len:928
+    ~sha:"3c370bfc7d52a2dfd3027bb11c50926e2a71c5db80e2355ef0b8c7d031379085"
+    o.Cluster.Migrate.o_quote;
+  pinned "package blob" ~len:119
+    ~sha:"69e4a6c4eed02242eb65477a02397d58ce06efbb13712d13a563c9bd8ada36fe"
+    p.Cluster.Migrate.p_blob;
+  (match Cluster.Migrate.install cl p with
+  | Ok n -> Alcotest.(check int) "no session to install" 0 n
+  | Error e -> Alcotest.failf "install failed: %a" Cluster.pp_error e);
   Cluster.destroy cl
 
 (* Sealed blob tampered in transit: one flipped ciphertext bit must
@@ -874,8 +976,12 @@ let suite =
     Alcotest.test_case "sealed blob tampered in transit" `Quick test_blob_tamper;
     Alcotest.test_case "a replayed offer quote is a binding mismatch" `Quick
       test_replayed_offer_quote;
+    Alcotest.test_case "exchange refusals are typed" `Quick
+      test_exchange_refusals;
     Alcotest.test_case "one TPM quote per boot" `Quick
       test_one_tpm_quote_per_boot;
+    Alcotest.test_case "migration transport known answer" `Quick
+      test_migration_transport_kat;
     Alcotest.test_case "package replayed / mis-routed" `Quick
       test_replay_and_misroute;
     Alcotest.test_case "replay after successful install" `Quick

@@ -44,6 +44,20 @@ let test_boot_tamper () =
           (Bytes.equal a.Boot.image b.Boot.image))
     chain tampered
 
+(* A name outside the chain is a caller error, not a silent no-op that
+   boots (and verifies) an untampered platform. *)
+let test_boot_tamper_unknown () =
+  let chain = Boot.default_chain (Rng.create ~seed:5L) in
+  List.iter
+    (fun name ->
+      match Boot.tamper chain ~name with
+      | _ -> Alcotest.failf "tampering with %S returned a chain" name
+      | exception Invalid_argument _ -> ())
+    [ "kernal"; ""; "KERNEL" ];
+  match Platform.create ~seed:5L ~tamper_boot:"kernal" () with
+  | _ -> Alcotest.fail "a platform booted with an unknown tampered component"
+  | exception Invalid_argument _ -> ()
+
 let test_process_memory () =
   let p = platform () in
   let k = p.Platform.kernel in
@@ -279,6 +293,8 @@ let suite =
     Alcotest.test_case "round-robin scheduler" `Quick test_round_robin;
     Alcotest.test_case "boot chain" `Quick test_boot_chain;
     Alcotest.test_case "boot tamper helper" `Quick test_boot_tamper;
+    Alcotest.test_case "boot tamper refuses an unknown component" `Quick
+      test_boot_tamper_unknown;
     Alcotest.test_case "process memory" `Quick test_process_memory;
     Alcotest.test_case "swap out/in" `Quick test_swap_roundtrip;
     Alcotest.test_case "pinning refuses swap" `Quick test_pinning_refuses_swap;

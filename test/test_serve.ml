@@ -198,6 +198,46 @@ let test_garbage_quote_wire () =
            { accept with Serve.quote_wire = Bytes.of_string "not a quote" }));
   Serve.destroy plane
 
+(* The key-share refusals of the attested key exchange, on either end,
+   which no other test reaches: a hello whose client share is no group
+   element, and an accept whose server share is none, under a genuine
+   quote of the transcript naming it (the host asks the tenant for that
+   quote itself). *)
+let test_key_share_refusals () =
+  let _p, plane, backend, client = build ~seed:7070L () in
+  let identity = Option.get backend.Backend.identity in
+  let non_group = Bytes.make 32 '\000' in
+  List.iter
+    (fun (what, run) -> Alcotest.(check string) what "unknown-key-share" (run ()))
+    [
+      ( "handshake: non-group client share",
+        fun () ->
+          outcome
+            (Serve.handshake plane ~tenant:"acme"
+               { (Serve.Client.hello client) with Serve.client_kx = non_group })
+      );
+      ( "establish: quoted non-group server share",
+        fun () ->
+          let hello = Serve.Client.hello client in
+          let report_data =
+            Sigma.transcript ~label:"hyperenclave-serve-sigma:"
+              [ hello.Serve.nonce; hello.Serve.client_kx; non_group; identity ]
+          in
+          let quote =
+            Urts.gen_quote (Option.get backend.Backend.urts) ~report_data
+          in
+          outcome
+            (Serve.Client.establish client
+               {
+                 Serve.session_id = 0;
+                 node_id = 0;
+                 server_kx = non_group;
+                 quote_wire = Quote_wire.encode quote;
+                 tenant_identity = identity;
+               }) );
+    ];
+  Serve.destroy plane
+
 (* ------------------------------------------------------------------ *)
 (* Channel security + admission control                                *)
 
@@ -1419,37 +1459,54 @@ let test_migration_blob_kat () =
     "4ec15dfe05d0abaf60d2eb04629798403b99ef7c9a13e46a32562758a0073888"
     (Crypto.Sha256.to_hex (Crypto.Sha256.digest_bytes blob))
 
-(* A seeded session's first request frame and its reply frame (ECALL 2
-   upper-cases).  Neither nonce nor AAD travels, so equal frames prove
-   that every end derives both and builds the MAC input as nodes of
-   earlier builds do: frames stay byte-compatible across a rolling
-   upgrade. *)
+let pinned what ~len ~sha frame =
+  Alcotest.(check int) (what ^ " length") len (Bytes.length frame);
+  Alcotest.(check string) (what ^ " sha256") sha
+    (Crypto.Sha256.to_hex (Crypto.Sha256.digest_bytes frame))
+
+(* A session's next request frame carrying [text] to ECALL 2 (which
+   upper-cases it) and the frame of its reply, both pinned, then the
+   reply read back. *)
+let pin_exchange plane client text ~len ~request ~reply =
+  let req = Serve.Client.request client ~ecall:2 (Bytes.of_string text) in
+  pinned "request frame" ~len ~sha:request req.Serve.frame;
+  admit plane req;
+  match Serve.flush plane with
+  | [ ({ Serve.r_result = Ok frame; _ } as r) ] ->
+      pinned "reply frame" ~len ~sha:reply frame;
+      Alcotest.(check (result string string)) "reply body"
+        (Ok (String.uppercase_ascii text)) (read_as client r)
+  | _ -> Alcotest.fail "expected one served reply"
+
+(* A seeded session's first request frame and its reply frame.  Neither
+   nonce nor AAD travels, so equal frames prove that every end derives
+   both and builds the MAC input as nodes of earlier builds do: frames
+   stay byte-compatible across a rolling upgrade. *)
 let test_channel_frame_kat () =
   let _p, plane, _backend, client = build ~seed:7064L () in
   establish plane client;
-  let pinned what ~len ~sha frame =
-    Alcotest.(check int) (what ^ " length") len (Bytes.length frame);
-    Alcotest.(check string) (what ^ " sha256") sha
-      (Crypto.Sha256.to_hex (Crypto.Sha256.digest_bytes frame))
+  pin_exchange plane client "channel frame known answer" ~len:58
+    ~request:"2e89ca1c3caff3eacdf47a30357f2bbb548d29186373610ffc4c0a30356b8fd9"
+    ~reply:"115c63579fa3204237e779c39473e622b59b6f37c7384e95ade71089d9143556";
+  Serve.destroy plane
+
+(* The same pin for a ticket-resumed session: its key derives from the
+   ticketed key and the client's resumption nonce on both ends, so these
+   frames pin that derivation as the frames above pin the handshake's. *)
+let test_resumed_frame_kat () =
+  let _p, plane, _backend, client = build ~seed:7066L () in
+  establish plane client;
+  let ticket =
+    match Serve.issue_ticket plane ~session:(Serve.Client.session_id client) with
+    | Ok tk -> tk
+    | Error r -> Alcotest.failf "issue_ticket rejected: %a" Serve.pp_reject r
   in
-  let req =
-    Serve.Client.request client ~ecall:2 (Bytes.of_string "channel frame known answer")
-  in
-  pinned "request frame" ~len:58
-    ~sha:"2e89ca1c3caff3eacdf47a30357f2bbb548d29186373610ffc4c0a30356b8fd9"
-    req.Serve.frame;
-  (match Serve.submit plane req with
-  | Ok () -> ()
-  | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r);
-  (match Serve.flush plane with
-  | [ ({ Serve.r_result = Ok frame; _ } as reply) ] ->
-      pinned "reply frame" ~len:58
-        ~sha:"115c63579fa3204237e779c39473e622b59b6f37c7384e95ade71089d9143556" frame;
-      Alcotest.(check (result string string)) "reply body"
-        (Ok "CHANNEL FRAME KNOWN ANSWER")
-        (Result.map_error Serve.reject_name
-           (Result.map Bytes.to_string (Serve.Client.read_reply client reply)))
-  | _ -> Alcotest.fail "expected one served reply");
+  (match Serve.resume plane (Serve.Client.resume_hello client ~ticket) with
+  | Ok session_id -> Serve.Client.complete_resume client ~session_id
+  | Error r -> Alcotest.failf "resume rejected: %a" Serve.pp_reject r);
+  pin_exchange plane client "resumed frame known answer" ~len:58
+    ~request:"7488197bb78ddf9a9af17e387cca6a26ce5bf4fc5f8803d7d8021e47d0d706da"
+    ~reply:"6b6a0eb759a9b52e1c83953e1c6ec3d23bbd2f2149bc88b8a1f9703e4d4d83b9";
   Serve.destroy plane
 
 let test_malformed_blob_refused () =
@@ -1819,6 +1876,8 @@ let suite =
     Alcotest.test_case "replayed accept fails binding" `Quick
       test_replayed_accept_fails_binding;
     Alcotest.test_case "garbage quote wire" `Quick test_garbage_quote_wire;
+    Alcotest.test_case "key-share refusals are typed" `Quick
+      test_key_share_refusals;
     Alcotest.test_case "tampered envelope rejected" `Quick
       test_tampered_envelope_rejected;
     Alcotest.test_case "respliced header rejected" `Quick
@@ -1871,6 +1930,8 @@ let suite =
       test_migration_blob_kat;
     Alcotest.test_case "channel frame known answer" `Quick
       test_channel_frame_kat;
+    Alcotest.test_case "resumed frame known answer" `Quick
+      test_resumed_frame_kat;
     Alcotest.test_case "import closes sequence holes" `Quick test_import_closes_holes;
     Alcotest.test_case "malformed migration blob refused typed" `Quick
       test_malformed_blob_refused;
