@@ -373,6 +373,11 @@ module Migrate = struct
                 ~nonce:o.o_nonce o.o_kx)
              o.o_quote)
       in
+      (* A share no key agrees with refuses the seal before the export. *)
+      let* () =
+        if Kx.valid_share o.o_kx then Ok ()
+        else Error (of_sigma Sigma.Unknown_share)
+      in
       let backoff attempt =
         Cycles.tick sn.n_platform.Platform.clock (1_000 * attempt)
       in

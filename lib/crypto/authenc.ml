@@ -2,8 +2,11 @@ exception Authentication_failure
 
 (* Prepared key material: the HKDF split, the AES key schedule and the
    HMAC pad midstates are paid once per key instead of once per seal.
-   [hdr] is scratch for the MAC input's length prefixes. *)
-type keys = { enc : Aes.key; mac : Hmac.prepared; hdr : bytes }
+   [hdr] is scratch for the MAC input's length prefixes and [tag] the
+   scratch an opened frame's tag is recomputed into. *)
+type keys = { enc : Aes.key; mac : Hmac.prepared; hdr : bytes; tag : bytes }
+
+let tag_bytes = Sha256.digest_size
 
 (* One HKDF extract, two expands: the cipher key is the first 16 bytes
    of the "authenc-enc" block, the MAC key the whole "authenc-mac"
@@ -15,6 +18,7 @@ let prepare key =
     enc = Aes.expand_key (Hmac.expand prk ~info:"authenc-enc" ~len:16);
     mac = Hmac.prepare ~key:(Hmac.expand prk ~info:"authenc-mac" ~len:32);
     hdr = Bytes.create 4;
+    tag = Bytes.create tag_bytes;
   }
 
 (* One MAC-input field: a 4-byte big-endian length, then the bytes. *)
@@ -25,39 +29,40 @@ let absorb_framed keys ctx b ~off ~len =
 
 (* The MAC input is nonce, AAD and ciphertext, each length-framed, fed
    straight into the key's scratch context: ring-resident ciphertext is
-   hashed where it lies and nothing is allocated but the tag. *)
-let tag_of_slice keys ~nonce ~aad ~ct ~ct_off ~ct_len =
+   hashed where it lies, and the tag is written to [dst] at [dst_off]. *)
+let tag_into keys ~nonce ~aad ~ct ~ct_off ~ct_len ~dst ~dst_off =
   let ctx = Hmac.start keys.mac in
   absorb_framed keys ctx nonce ~off:0 ~len:(Bytes.length nonce);
   absorb_framed keys ctx aad ~off:0 ~len:(Bytes.length aad);
   absorb_framed keys ctx ct ~off:ct_off ~len:ct_len;
-  Hmac.finish keys.mac
+  Hmac.finish_into keys.mac dst ~off:dst_off
 
 let seal_into keys ~aad ~nonce ~src ~src_off ~dst ~dst_off ~len =
   if Bytes.length nonce <> 12 then
     invalid_arg "Authenc.seal_into: nonce must be 12 bytes";
+  if len < 0 || dst_off < 0 || dst_off + len + tag_bytes > Bytes.length dst then
+    invalid_arg "Authenc.seal_into: no room for the frame";
   Aes.ctr_into ~key:keys.enc ~nonce ~src ~src_off ~dst ~dst_off ~len;
-  tag_of_slice keys ~nonce ~aad ~ct:dst ~ct_off:dst_off ~ct_len:len
+  tag_into keys ~nonce ~aad ~ct:dst ~ct_off:dst_off ~ct_len:len ~dst
+    ~dst_off:(dst_off + len)
 
 let unseal_in_place keys ~aad ~nonce ~tag buf ~off ~len =
-  let mac = tag_of_slice keys ~nonce ~aad ~ct:buf ~ct_off:off ~ct_len:len in
-  if not (Sha256.equal mac tag) then raise Authentication_failure;
+  tag_into keys ~nonce ~aad ~ct:buf ~ct_off:off ~ct_len:len ~dst:keys.tag
+    ~dst_off:0;
+  if not (Sha256.equal keys.tag tag) then raise Authentication_failure;
   Aes.ctr_into ~key:keys.enc ~nonce ~src:buf ~src_off:off ~dst:buf ~dst_off:off
     ~len
 
 (* A one-shot blob is nonce ‖ ciphertext ‖ tag: the frame layout with
    its nonce in front.  The AAD never travels; the opener derives it. *)
-let overhead = 12 + 32
+let overhead = 12 + tag_bytes
 
 let seal keys ~aad ~nonce plaintext =
   let len = Bytes.length plaintext in
   let blob = Bytes.create (overhead + len) in
-  let tag =
-    seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0 ~dst:blob ~dst_off:12
-      ~len
-  in
+  seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0 ~dst:blob ~dst_off:12
+    ~len;
   Bytes.blit nonce 0 blob 0 12;
-  Bytes.blit tag 0 blob (12 + len) 32;
   blob
 
 let unseal keys ~aad blob =
@@ -65,5 +70,5 @@ let unseal keys ~aad blob =
   if len < 0 then raise Authentication_failure;
   let buf = Bytes.sub blob 12 len in
   unseal_in_place keys ~aad ~nonce:(Bytes.sub blob 0 12)
-    ~tag:(Bytes.sub blob (12 + len) 32) buf ~off:0 ~len;
+    ~tag:(Bytes.sub blob (12 + len) tag_bytes) buf ~off:0 ~len;
   buf

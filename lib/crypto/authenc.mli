@@ -21,15 +21,16 @@ exception Authentication_failure
 type keys
 (** Prepared (pre-expanded) key material for one 32-byte key: the AES
     key schedule and the MAC key's HMAC pad midstates.  It also carries
-    the MAC's scratch state, so a MAC under it allocates only the tag —
-    and a [keys] value must not be used from two domains at once. *)
+    the MAC's scratch state and a tag's worth of scratch, so a frame
+    sealed or opened under it allocates nothing — and a [keys] value must
+    not be used from two domains at once. *)
 
 val prepare : bytes -> keys
 (** Split the key with one HKDF extract and two expands
     ({!Hmac.extract}, {!Hmac.expand}: the cipher key is the first 16
     bytes of the ["authenc-enc"] block, the MAC key the ["authenc-mac"]
     block), expand the AES key schedule and the MAC key's pad midstates:
-    12 SHA-256 compressions and one AES key expansion per key.
+    10 SHA-256 compressions and one AES key expansion per key.
     @raise Invalid_argument if the key is not 32 bytes. *)
 
 val seal_into :
@@ -41,16 +42,19 @@ val seal_into :
   dst:bytes ->
   dst_off:int ->
   len:int ->
-  bytes
-(** Encrypt [src[src_off, src_off+len)] into [dst[dst_off, ...)] ([src]
-    and [dst] may alias for a true in-place seal) and return the 32-byte
-    tag over the ciphertext slice.  @raise Invalid_argument on bad
-    slices or a nonce that is not 12 bytes. *)
+  unit
+(** Write the frame of [src[src_off, src_off+len)] to [dst] at
+    [dst_off]: the ciphertext in [dst[dst_off, dst_off+len)], then its
+    32-byte tag ([src] and [dst] may alias for a true in-place seal).
+    Nothing is allocated.
+    @raise Invalid_argument on bad slices, a [dst] without room for the
+    tag, or a nonce that is not 12 bytes. *)
 
 val unseal_in_place :
   keys -> aad:bytes -> nonce:bytes -> tag:bytes -> bytes -> off:int -> len:int -> unit
 (** Authenticate then decrypt [buf[off, off+len)] in place: the one way
-    to open a frame.
+    to open a frame.  The tag is recomputed in the keys' own scratch, so
+    nothing is allocated.
     @raise Authentication_failure if the tag, AAD, or key is wrong (the
     buffer is untouched in that case). *)
 

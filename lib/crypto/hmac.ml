@@ -25,12 +25,11 @@ type prepared = {
    between the two pads. *)
 let iv = Sha256.midstate (Sha256.init ())
 
-let prepare ~key =
-  (* [normalize_key] already copies, so the pad mutates that copy:
-     XOR 0x36 makes the inner pad, and re-XORing with 0x36 lxor 0x5c
-     turns it into the outer pad without a second buffer. *)
-  let pad = normalize_key key in
-  let scratch = Sha256.init () in
+(* The pad midstates of the normalised key [pad], computed in [scratch],
+   which the prepared key keeps.  The XOR with 0x36 makes the inner pad
+   in place, and re-XORing with 0x36 lxor 0x5c turns it into the outer
+   pad without a second buffer. *)
+let prepare_pad scratch pad =
   let pad_midstate byte =
     xor_pad_in_place pad byte;
     Sha256.restore scratch ~from:iv;
@@ -41,19 +40,24 @@ let prepare ~key =
   let outer = pad_midstate (0x36 lxor 0x5c) in
   { inner; outer; scratch }
 
+let prepare ~key = prepare_pad (Sha256.init ()) (normalize_key key)
+
 let start p =
   Sha256.restore p.scratch ~from:p.inner;
   p.scratch
 
-(* The tag buffer carries the inner digest into the outer hash: [update]
-   copies it into the context's block buffer before the outer
-   [finalize_into] overwrites it. *)
+(* The inner digest lands in the tag's own slot and is carried into the
+   outer hash from there: [update_sub] copies it into the context's block
+   buffer before the outer [finalize_into] overwrites it. *)
+let finish_into p dst ~off =
+  Sha256.finalize_into p.scratch dst ~off;
+  Sha256.restore p.scratch ~from:p.outer;
+  Sha256.update_sub p.scratch dst ~off ~len:Sha256.digest_size;
+  Sha256.finalize_into p.scratch dst ~off
+
 let finish p =
   let tag = Bytes.create Sha256.digest_size in
-  Sha256.finalize_into p.scratch tag ~off:0;
-  Sha256.restore p.scratch ~from:p.outer;
-  Sha256.update p.scratch tag;
-  Sha256.finalize_into p.scratch tag ~off:0;
+  finish_into p tag ~off:0;
   tag
 
 let hmac ~key msg =
@@ -69,7 +73,26 @@ let hkdf_extract ?salt ~ikm () =
   let salt = match salt with Some s -> s | None -> Bytes.make 32 '\000' in
   hmac ~key:salt ikm
 
-let extract ~ikm = prepare ~key:(hkdf_extract ~ikm ())
+(* The zero salt's pad midstates, computed once: midstates are never
+   mutated, so every extract shares them and brings its own scratch. *)
+let zero_salt_inner, zero_salt_outer =
+  let p = prepare ~key:(Bytes.make Sha256.digest_size '\000') in
+  (p.inner, p.outer)
+
+(* The PRK is written straight into the pad it is prepared from, and the
+   extract's scratch becomes the PRK's. *)
+let extract ~ikm =
+  let salt =
+    {
+      inner = zero_salt_inner;
+      outer = zero_salt_outer;
+      scratch = Sha256.init ();
+    }
+  in
+  Sha256.update (start salt) ikm;
+  let pad = Bytes.make block_size '\000' in
+  finish_into salt pad ~off:0;
+  prepare_pad salt.scratch pad
 
 (* T(i) = HMAC(PRK, T(i-1) || info || i): the counter byte is fed from
    this table, so a block allocates only its tag. *)

@@ -13,7 +13,9 @@ val hmac : key:bytes -> bytes -> bytes
     A key used for many MACs is prepared once: the inner and outer pad
     blocks are compressed into two midstates, and every MAC under the
     key rewinds one scratch context to the inner midstate instead of
-    re-hashing the pads.  A MAC then allocates only its 32-byte tag. *)
+    re-hashing the pads.  A MAC then allocates only its 32-byte tag, or
+    nothing when {!finish_into} writes the tag into the caller's
+    buffer. *)
 
 type prepared
 (** Two midstates and one scratch context.  The scratch makes a
@@ -29,6 +31,12 @@ val start : prepared -> Sha256.ctx
 val finish : prepared -> bytes
 (** The tag over everything fed since {!start}. *)
 
+val finish_into : prepared -> bytes -> off:int -> unit
+(** {!finish} writing the 32-byte tag to [buf[off, off+32)] instead of a
+    fresh buffer: the inner digest is carried through that slot, so
+    nothing is allocated.
+    @raise Invalid_argument on an out-of-bounds slice. *)
+
 val hmac_string : key:bytes -> string -> bytes
 val verify : key:bytes -> bytes -> tag:bytes -> bool
 
@@ -42,13 +50,15 @@ val hkdf_extract : ?salt:bytes -> ikm:bytes -> unit -> bytes
     that derives several keys from one secret extracts once and keeps the
     PRK prepared: each 32-byte key is then one expand block, two SHA-256
     compressions for an [info] of at most 54 bytes (the message block
-    and the outer digest), where a {!derive} pays eight (the extract's
-    four, the PRK's two pad midstates and the block's two). *)
+    and the outer digest), where a {!derive} pays six (the extract's
+    two, the PRK's two pad midstates and the block's two). *)
 
 val extract : ikm:bytes -> prepared
 (** HKDF-Extract under the zero salt, with the PRK prepared for
-    {!expand}: [prepare ~key:(hkdf_extract ~ikm ())].  Like any
-    {!prepared} key it runs one expand at a time. *)
+    {!expand}: [prepare ~key:(hkdf_extract ~ikm ())].  The zero salt's
+    pad midstates are computed once per process, and the extract runs in
+    the scratch context the PRK then keeps: one context per extract.
+    Like any {!prepared} key it runs one expand at a time. *)
 
 val expand : prepared -> info:string -> len:int -> bytes
 (** HKDF-Expand of [len] bytes under a prepared PRK.

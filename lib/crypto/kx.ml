@@ -17,6 +17,8 @@ let generate rng =
   Hashtbl.replace registry (Bytes.to_string public) secret;
   (secret, public)
 
+let valid_share public = Hashtbl.mem registry (Bytes.to_string public)
+
 (* Hash the unordered pair of secrets so both endpoints compute the same
    value regardless of who calls. *)
 let shared mine theirs =

@@ -25,6 +25,12 @@ type public = bytes
 val generate : Hyperenclave_hw.Rng.t -> secret * public
 (** Fresh ephemeral keypair, registered for agreement. *)
 
+val valid_share : public -> bool
+(** Whether a peer's share is a group element, one {!shared} agrees
+    with.  A receiver checks a share here before it spends any work on
+    the exchange.  In this simulation that means the registry knows the
+    share; with real group algebra it is a membership test. *)
+
 val shared : secret -> public -> bytes option
 (** [shared mine theirs] is the 32-byte agreed secret, symmetric in the
     two keypairs ([shared a pk_b = shared b pk_a]); [None] if [theirs]

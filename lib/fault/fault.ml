@@ -151,18 +151,20 @@ let retried site =
   bump "fault.retried";
   bump ("fault.retried." ^ site)
 
+(* A top-level loop, not a local closure: a call that no fault
+   interrupts allocates nothing here. *)
+let rec attempt ~max_attempts ~backoff f n recovering_from =
+  match f () with
+  | v ->
+      (match recovering_from with Some site -> survived site | None -> ());
+      v
+  | exception (Injected { site; kind = Transient } as e) ->
+      if n >= max_attempts then raise e
+      else begin
+        retried site;
+        backoff n;
+        attempt ~max_attempts ~backoff f (n + 1) (Some site)
+      end
+
 let with_retries ?(max_attempts = 3) ~backoff f =
-  let rec go attempt recovering_from =
-    match f () with
-    | v ->
-        (match recovering_from with Some site -> survived site | None -> ());
-        v
-    | exception (Injected { site; kind = Transient } as e) ->
-        if attempt >= max_attempts then raise e
-        else begin
-          retried site;
-          backoff attempt;
-          go (attempt + 1) (Some site)
-        end
-  in
-  go 1 None
+  attempt ~max_attempts ~backoff f 1 None

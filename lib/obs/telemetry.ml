@@ -17,6 +17,7 @@ type t = {
   tbl_histograms : (string, hist) Hashtbl.t;
   ring : event option array;
   mutable next_seq : int;
+  mutable epoch : int;  (* bumped by [reset]: every handle re-resolves *)
 }
 
 let create ?(ring_capacity = 256) () =
@@ -26,13 +27,21 @@ let create ?(ring_capacity = 256) () =
     tbl_histograms = Hashtbl.create 16;
     ring = Array.make ring_capacity None;
     next_seq = 0;
+    epoch = 0;
   }
+
+let cell t name =
+  match Hashtbl.find t.tbl_counters name with
+  | cell -> cell
+  | exception Not_found ->
+      let cell = ref 0 in
+      Hashtbl.replace t.tbl_counters name cell;
+      cell
 
 let add t name n =
   if n < 0 then invalid_arg "Telemetry.add: negative increment";
-  match Hashtbl.find_opt t.tbl_counters name with
-  | Some cell -> cell := !cell + n
-  | None -> Hashtbl.replace t.tbl_counters name (ref n)
+  let c = cell t name in
+  c := !c + n
 
 let incr t name = add t name 1
 
@@ -69,30 +78,71 @@ let bucket_index sample =
     let rec bits v acc = if v = 0 then acc else bits (v lsr 1) (acc + 1) in
     bits sample 0
 
-let observe t name sample =
+let hist t name =
+  match Hashtbl.find t.tbl_histograms name with
+  | hist -> hist
+  | exception Not_found ->
+      let hist =
+        {
+          h_count = 0;
+          h_sum = 0;
+          h_min = max_int;
+          h_max = 0;
+          h_buckets = Array.make (bucket_bits + 1) 0;
+        }
+      in
+      Hashtbl.replace t.tbl_histograms name hist;
+      hist
+
+let record hist sample =
   let sample = max 0 sample in
-  let hist =
-    match Hashtbl.find_opt t.tbl_histograms name with
-    | Some hist -> hist
-    | None ->
-        let hist =
-          {
-            h_count = 0;
-            h_sum = 0;
-            h_min = max_int;
-            h_max = 0;
-            h_buckets = Array.make (bucket_bits + 1) 0;
-          }
-        in
-        Hashtbl.replace t.tbl_histograms name hist;
-        hist
-  in
   hist.h_count <- hist.h_count + 1;
   hist.h_sum <- hist.h_sum + sample;
   if sample < hist.h_min then hist.h_min <- sample;
   if sample > hist.h_max then hist.h_max <- sample;
   let i = bucket_index sample in
   hist.h_buckets.(i) <- hist.h_buckets.(i) + 1
+
+let observe t name sample = record (hist t name) sample
+
+(* --- handles ------------------------------------------------------------- *)
+
+(* A handle keeps the cell its name resolved to, and the epoch it
+   resolved in: the first bump after creation or after a [reset]
+   resolves the name again, so a handle creates nothing until bumped and
+   never writes into a dropped cell. *)
+type 'a handle = {
+  tel : t;
+  name : string;
+  resolve : t -> string -> 'a;
+  mutable target : 'a option;
+  mutable resolved : int;
+}
+
+type counter_handle = int ref handle
+type histogram_handle = hist handle
+
+let handle resolve tel name =
+  { tel; name; resolve; target = None; resolved = -1 }
+
+let counter_handle tel name = handle cell tel name
+let histogram_handle tel name = handle hist tel name
+
+let target h =
+  match h.target with
+  | Some x when h.resolved = h.tel.epoch -> x
+  | Some _ | None ->
+      let x = h.resolve h.tel h.name in
+      h.target <- Some x;
+      h.resolved <- h.tel.epoch;
+      x
+
+let bump h n =
+  if n < 0 then invalid_arg "Telemetry.bump: negative increment";
+  let c = target h in
+  c := !c + n
+
+let sample h v = record (target h) v
 
 let trace t ~at ?(detail = "") name =
   let slot = t.next_seq mod Array.length t.ring in
@@ -236,6 +286,7 @@ let pp fmt snap =
   Format.fprintf fmt "@]"
 
 let reset t =
+  t.epoch <- t.epoch + 1;
   Hashtbl.reset t.tbl_counters;
   Hashtbl.reset t.tbl_histograms;
   Array.fill t.ring 0 (Array.length t.ring) None;

@@ -52,6 +52,28 @@ val observe : t -> string -> int -> unit
 val trace : t -> at:int -> ?detail:string -> string -> unit
 (** Append an event to the ring; [at] is the simulated cycle stamp. *)
 
+(** {1 Handles}
+
+    {!incr}, {!add} and {!observe} hash the name on every call.  A hot
+    site takes a handle once instead: the handle looks its name up on
+    its first bump, and again on its first bump after a {!reset}, and
+    otherwise writes straight into the counter or histogram.  A handle
+    shares its counter with {!incr}/{!add} on the same name, creates
+    nothing until it is bumped, and allocates nothing per bump once
+    resolved. *)
+
+type counter_handle
+type histogram_handle
+
+val counter_handle : t -> string -> counter_handle
+val histogram_handle : t -> string -> histogram_handle
+
+val bump : counter_handle -> int -> unit
+(** {!add} through a handle: bump the counter by [n >= 0]. *)
+
+val sample : histogram_handle -> int -> unit
+(** {!observe} through a handle. *)
+
 (** {1 Snapshots} *)
 
 type hist_summary = {

@@ -40,7 +40,7 @@ type job = {
   owner : int;
   on_result : on_result option;
   on_slice : (cycles:int -> unit) option;
-  svc_counter : string option;
+  svc_counter : Telemetry.counter_handle option;
   mutable cycles : int;  (* the run's cycles; -1 until run *)
   mutable rest : int;  (* of [cycles], what no unit carries: the owner's *)
   mutable head : int;
@@ -87,8 +87,9 @@ type t = {
   telemetry : Telemetry.t;
   config : config;
   cores : core array;
-  svc_names : (string, string option) Hashtbl.t;
-      (* label -> Some "sched.svc.<label>", built once per label *)
+  svc_counters : (string, Telemetry.counter_handle option) Hashtbl.t;
+      (* label -> Some handle of "sched.svc.<label>", built once per label *)
+  h_slice : Telemetry.histogram_handle;  (* "sched.slice_cycles" *)
   mutable completed : int;
   mutable failed : int;
   mutable next_job : int;
@@ -113,7 +114,8 @@ let create ~shared_clock ~telemetry (config : config) =
             joins = 0;
             completed = 0;
           });
-    svc_names = Hashtbl.create 8;
+    svc_counters = Hashtbl.create 8;
+    h_slice = Telemetry.histogram_handle telemetry "sched.slice_cycles";
     completed = 0;
     failed = 0;
     next_job = 0;
@@ -122,12 +124,14 @@ let create ~shared_clock ~telemetry (config : config) =
 let svc_counter t = function
   | None -> None
   | Some label -> (
-      match Hashtbl.find t.svc_names label with
-      | name -> name
+      match Hashtbl.find t.svc_counters label with
+      | c -> c
       | exception Not_found ->
-          let name = Some ("sched.svc." ^ label) in
-          Hashtbl.add t.svc_names label name;
-          name)
+          let c =
+            Some (Telemetry.counter_handle t.telemetry ("sched.svc." ^ label))
+          in
+          Hashtbl.add t.svc_counters label c;
+          c)
 
 (* The scheduler never copies reply bytes out of a slot ring — the
    submitter reads them in place from the ring's reply image — so a
@@ -223,7 +227,7 @@ let run_units t (job : job) =
       | () ->
           t.completed <- t.completed + count;
           (match job.svc_counter with
-          | Some c -> Telemetry.add t.telemetry c count
+          | Some c -> Telemetry.bump c count
           | None -> ());
           count
       | exception ((Urts.Enclave_error _ | Fault.Injected _) as exn)
@@ -281,7 +285,7 @@ let run_job t (job : job) =
   done;
   job.tail <- units;
   report delta;
-  Telemetry.observe t.telemetry "sched.slice_cycles" (max 1 delta)
+  Telemetry.sample t.h_slice (max 1 delta)
 
 (* Every job runs in a fixed host order — owner core, then queue order —
    whatever the placement does later, so runs stay bit-reproducible.  An

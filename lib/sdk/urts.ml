@@ -2,6 +2,8 @@ open Hyperenclave_hw
 open Hyperenclave_crypto
 open Hyperenclave_monitor
 open Hyperenclave_os
+module Telemetry = Hyperenclave_obs.Telemetry
+module Fault = Hyperenclave_fault.Fault
 
 type config = {
   mode : Sgx_types.operation_mode;
@@ -58,6 +60,15 @@ type t = {
       (** TCSs parked on an in-flight OCALL, keyed by [tcs_vpn]: not busy
           monitor-side (the thread EEXITed) but owed an ORET re-entry, so
           no other entry may take them. *)
+  mutable tenv : Tenv.t option;
+      (** the trusted environment, built on the first call and handed to
+          every later one: its closures capture only this handle, its
+          monitor and its enclave, none of which ever changes *)
+  backoff : int -> unit;  (** transient-fault backoff on the kernel clock *)
+  c_ecall : Telemetry.counter_handle;
+  c_ring_dispatch : Telemetry.counter_handle;
+  c_ring_slots : Telemetry.counter_handle;
+  h_occupancy : Telemetry.histogram_handle;
 }
 
 let monitor t = Kmod.monitor t.kmod
@@ -65,13 +76,7 @@ let kernel t = Kmod.kernel t.kmod
 let clock t = Kernel.clock (kernel t)
 let cost t = Kernel.cost (kernel t)
 
-let count t name =
-  Hyperenclave_obs.Telemetry.incr (Monitor.telemetry (monitor t)) name
-
-module Fault = Hyperenclave_fault.Fault
-
-let backoff t attempt =
-  Cycles.tick (clock t) (World_switch.retry_backoff_cost (cost t) ~attempt)
+let count t name = Telemetry.incr (Monitor.telemetry (monitor t)) name
 
 (* Marshalling-buffer regions: [0, 1/2) ECALL inputs, [1/2, 3/4) ECALL
    outputs, [3/4, 1) OCALL allocations (sgx_ocalloc arena).  The splits
@@ -236,6 +241,8 @@ let create ~kmod ~proc ~rng ~signer ~config ~ecalls ~ocalls =
         Option.iter (fun va -> Kmod.unpin_range proc ~va ~len:ms_size) !pinned;
         Printexc.raise_with_backtrace e bt
   in
+  let kernel = Kmod.kernel kmod in
+  let telemetry = Monitor.telemetry (Kmod.monitor kmod) in
   let t =
     {
       kmod;
@@ -254,6 +261,15 @@ let create ~kmod ~proc ~rng ~signer ~config ~ecalls ~ocalls =
       ocalloc_cursor = 0;
       active_tcs = None;
       reserved_tcs = Hashtbl.create 4;
+      tenv = None;
+      backoff =
+        (fun attempt ->
+          Cycles.tick (Kernel.clock kernel)
+            (World_switch.retry_backoff_cost (Kernel.cost kernel) ~attempt));
+      c_ecall = Telemetry.counter_handle telemetry "sdk.ecall";
+      c_ring_dispatch = Telemetry.counter_handle telemetry "sdk.ring_dispatch";
+      c_ring_slots = Telemetry.counter_handle telemetry "sdk.ring_slots";
+      h_occupancy = Telemetry.histogram_handle telemetry "ring.shard_occupancy";
     }
   in
   List.iter (fun (id, h) -> Hashtbl.replace t.ecalls id h) ecalls;
@@ -487,7 +503,7 @@ and simulate_exception t vector =
              fault leaves the SSA frame intact, so the uRTS re-issues the
              ERESUME after backoff, like the AEP retry loop in the real
              runtime. *)
-          Fault.with_retries ~backoff:(backoff t) (fun () ->
+          Fault.with_retries ~backoff:t.backoff (fun () ->
               Monitor.eresume m t.enclave ~tcs:interrupted_tcs))
 
 and simulate_interrupt t =
@@ -498,8 +514,17 @@ and simulate_interrupt t =
       Monitor.deliver_interrupt m t.enclave;
       (* The primary OS services the interrupt and schedules us back. *)
       Cycles.tick (clock t) (1_800 + (cost t).Cost_model.os_ctxsw);
-      Fault.with_retries ~backoff:(backoff t) (fun () ->
+      Fault.with_retries ~backoff:t.backoff (fun () ->
           Monitor.eresume m t.enclave ~tcs)
+
+(* The handle's one trusted environment, built on first use. *)
+let trusted_env t =
+  match t.tenv with
+  | Some tenv -> tenv
+  | None ->
+      let tenv = make_tenv t in
+      t.tenv <- Some tenv;
+      tenv
 
 (* --- ECALL ------------------------------------------------------------------ *)
 
@@ -514,15 +539,15 @@ let foreign_touch_cost (c : Cost_model.t) ~bytes =
   else (12 * c.pt_level_access) + ((pages - 1) * ((4 * c.pt_level_access) + 2))
 
 let lookup_ecall t id =
-  match Hashtbl.find_opt t.ecalls id with
-  | Some h -> h
-  | None -> fail "unknown ECALL %d" id
+  match Hashtbl.find t.ecalls id with
+  | h -> h
+  | exception Not_found -> fail "unknown ECALL %d" id
 
 let run_ecall t ~id ~data ~direction ~use_ms =
   let m = monitor t in
   let c = cost t in
   let handler = lookup_ecall t id in
-  count t "sdk.ecall";
+  Telemetry.bump t.c_ecall 1;
   Cycles.tick (clock t) (World_switch.sdk_ecall_soft c t.config.mode);
   let len = Bytes.length data in
   let carries_in =
@@ -546,7 +571,7 @@ let run_ecall t ~id ~data ~direction ~use_ms =
   let tcs = take_tcs t in
   Monitor.eenter m t.enclave ~tcs ~return_va:aep;
   t.active_tcs <- Some tcs;
-  let tenv = make_tenv t in
+  let tenv = trusted_env t in
   (* Trusted-side leg: copy the staged input into enclave memory (the
      copy SGX-style direct access performs as well). *)
   let input =
@@ -627,21 +652,25 @@ let run_ecall t ~id ~data ~direction ~use_ms =
    Permanent faults and exhausted retries surface as the typed
    [Fault.Injected] error. *)
 let ecall t ~id ?(data = Bytes.empty) ~direction () =
-  Fault.with_retries ~backoff:(backoff t) (fun () ->
+  Fault.with_retries ~backoff:t.backoff (fun () ->
       run_ecall t ~id ~data ~direction ~use_ms:true)
 
 let ecall_no_ms t ~id ?(data = Bytes.empty) ~direction () =
-  Fault.with_retries ~backoff:(backoff t) (fun () ->
+  Fault.with_retries ~backoff:t.backoff (fun () ->
       run_ecall t ~id ~data ~direction ~use_ms:false)
 
-(* --- slot ring: sharded, allocation-free switchless ECALL dispatch ---------- *)
+(* --- slot ring: sharded switchless ECALL dispatch ------------------------- *)
 
 (* A fixed-stride slot ring per (tenant, shard) in the pinned marshalling
    buffer: the SDK's one batched call path.  Every slot has a fixed
    stride, so the ring slot is the envelope: a caller stages ciphertext
    straight into it — and the staging images ([rbuf]/[pbuf]) are
    recycled across flushes: once they have grown to a ring's working
-   depth, the path allocates nothing per request on the staging side.
+   depth, staging allocates nothing.  A dispatch reuses the ring's legs,
+   the handle's trusted environment and its counter handles, so per slot
+   it allocates only the worker's private copy of the slot body and
+   whatever the handler returns; per ring, the page walks and the
+   worker context.
 
    The dispatch is switchless: the caller publishes the staged image, a
    persistent in-enclave worker serves it and the caller reads the reply
@@ -694,6 +723,12 @@ type ring = {
       (* slots whose reply is already framed in [pbuf]: a dispatch retried
          after a transient fault resumes here instead of re-running the
          handlers that completed *)
+  publish_leg : unit -> unit;
+  serve_leg : unit -> unit;
+  read_leg : unit -> unit;
+  worker : unit -> unit;
+      (* the dispatch's legs, each run in its own transient retry, and
+         the worker's slot walk: built once per ring *)
 }
 
 let ring_staged r = r.staged
@@ -721,42 +756,6 @@ let ring_claim_cycles r = (cost r.rt).Cost_model.cache_miss_dram
 let ring_reset r =
   r.staged <- 0;
   r.served <- 0
-
-let create_ring ?channel t ~shard ~shards ~slots ~slot_bytes =
-  if shards <= 0 then fail "create_ring: shards (%d) must be positive" shards;
-  if shard < 0 || shard >= shards then
-    fail "create_ring: shard %d outside [0, %d)" shard shards;
-  if slots <= 0 then fail "create_ring: slots (%d) must be positive" slots;
-  if slot_bytes <= 0 || slot_bytes land 7 <> 0 then
-    fail "create_ring: slot_bytes (%d) must be a positive multiple of 8"
-      slot_bytes;
-  let stride =
-    16 + slot_bytes + match channel with Some _ -> tag_bytes | None -> 0
-  in
-  let need = 8 + (slots * stride) in
-  let in_seg = (t.ms_out_region / shards) land lnot 7 in
-  let out_seg = ((t.ms_ocall_region - t.ms_out_region) / shards) land lnot 7 in
-  if need > in_seg || need > out_seg then
-    fail
-      "create_ring: %d slots x %d B need %d B per segment, but %d shards \
-       leave %d B (in) / %d B (out) — raise ms_bytes"
-      slots (stride - 16) need shards in_seg out_seg;
-  let image = 8 + (min slots initial_image_slots * stride) in
-  {
-    rt = t;
-    req_off = shard * in_seg;
-    rep_off = t.ms_out_region + (shard * out_seg);
-    slots;
-    slot_bytes;
-    stride;
-    channel;
-    tag = Bytes.create tag_bytes;
-    rbuf = Bytes.create image;
-    pbuf = Bytes.create image;
-    slot_cyc = Array.make (min slots initial_image_slots) 0;
-    staged = 0;
-    served = 0;
-  }
 
 (* Double both images (up to the ring's capacity), keeping every staged
    slot and every framed reply. *)
@@ -858,9 +857,54 @@ let run_slot r tenv id body =
    rings, on cores; the rest of the ring's cycles (post fence, segment
    walks, worker context, reply store, a faulted attempt) stay with the
    ring. *)
+let serve_slots r =
+  let t = r.rt in
+  let tenv = trusted_env t in
+  for slot = r.served to r.staged - 1 do
+    let c0 = Cycles.now (clock t) in
+    let off = 8 + (slot * r.stride) in
+    let id = Int64.to_int (Bytes.get_int64_le r.rbuf off) in
+    let blen = Int64.to_int (Bytes.get_int64_le r.rbuf (off + 8)) in
+    if blen < 0 || blen > r.stride - 16 then
+      fail "ring_dispatch: slot %d has a corrupt length word" slot;
+    let framed =
+      match r.channel with
+      | None ->
+          let reply = run_slot r tenv id (Bytes.sub r.rbuf (off + 16) blen) in
+          let rlen = Bytes.length reply in
+          Bytes.blit reply 0 r.pbuf (off + 16) rlen;
+          rlen
+      | Some ch -> (
+          let len = blen - tag_bytes in
+          if len < 0 then fail "ring_dispatch: slot %d holds no tag" slot;
+          let body = Bytes.sub r.rbuf (off + 16) len in
+          Bytes.blit r.rbuf (off + 16 + len) r.tag 0 tag_bytes;
+          match ch.open_slot ~slot ~ecall_id:id body ~tag:r.tag with
+          | Opened ->
+              ch.seal_slot (run_slot r tenv id body) ~dst:r.pbuf
+                ~dst_off:(off + 16)
+          | Refused why ->
+              let n = Bytes.length why in
+              if n > r.stride - 16 then
+                fail "ring_dispatch: slot %d refusal is %d bytes" slot n;
+              Bytes.blit why 0 r.pbuf (off + 16) n;
+              n)
+    in
+    if framed < 0 || framed > r.stride - 16 then
+      fail "ring_dispatch: slot %d sealed to %d bytes, past its %d-byte \
+            payload area"
+        slot framed (r.stride - 16);
+    Bytes.set_int64_le r.pbuf off (Int64.of_int id);
+    Bytes.set_int64_le r.pbuf (off + 8) (Int64.of_int framed);
+    r.slot_cyc.(slot) <-
+      (cost t).Cost_model.ring_slot_dispatch + (Cycles.now (clock t) - c0);
+    r.served <- slot + 1
+  done
+
+(* Serve leg: the post fence, the slots' dispatch and the segment walks
+   around the worker's walk, then the reply image's store. *)
 let run_ring_dispatch r =
   let t = r.rt in
-  let m = monitor t in
   let c = cost t in
   let k = r.staged in
   let first = r.served in
@@ -870,52 +914,11 @@ let run_ring_dispatch r =
       (c.Cost_model.switchless_post
       + ((k - first) * c.Cost_model.ring_slot_dispatch));
     touch_segment t ~off:r.req_off ~len;
-    let tenv = make_tenv t in
     (* The handlers run on the persistent in-enclave worker: enclave
        translation is current (so they can reach the demand-paged heap —
        a LibOS-backed service pages its VFS through it) but no TCS is
        taken and no EENTER is paid. *)
-    Monitor.with_worker m t.enclave (fun () ->
-        for slot = first to k - 1 do
-          let c0 = Cycles.now (clock t) in
-          let off = 8 + (slot * r.stride) in
-          let id = Int64.to_int (Bytes.get_int64_le r.rbuf off) in
-          let blen = Int64.to_int (Bytes.get_int64_le r.rbuf (off + 8)) in
-          if blen < 0 || blen > r.stride - 16 then
-            fail "ring_dispatch: slot %d has a corrupt length word" slot;
-          let framed =
-            match r.channel with
-            | None ->
-                let reply = run_slot r tenv id (Bytes.sub r.rbuf (off + 16) blen) in
-                let rlen = Bytes.length reply in
-                Bytes.blit reply 0 r.pbuf (off + 16) rlen;
-                rlen
-            | Some ch -> (
-                let len = blen - tag_bytes in
-                if len < 0 then fail "ring_dispatch: slot %d holds no tag" slot;
-                let body = Bytes.sub r.rbuf (off + 16) len in
-                Bytes.blit r.rbuf (off + 16 + len) r.tag 0 tag_bytes;
-                match ch.open_slot ~slot ~ecall_id:id body ~tag:r.tag with
-                | Opened ->
-                    ch.seal_slot (run_slot r tenv id body) ~dst:r.pbuf
-                      ~dst_off:(off + 16)
-                | Refused why ->
-                    let n = Bytes.length why in
-                    if n > r.stride - 16 then
-                      fail "ring_dispatch: slot %d refusal is %d bytes" slot n;
-                    Bytes.blit why 0 r.pbuf (off + 16) n;
-                    n)
-          in
-          if framed < 0 || framed > r.stride - 16 then
-            fail "ring_dispatch: slot %d sealed to %d bytes, past its %d-byte \
-                  payload area"
-              slot framed (r.stride - 16);
-          Bytes.set_int64_le r.pbuf off (Int64.of_int id);
-          Bytes.set_int64_le r.pbuf (off + 8) (Int64.of_int framed);
-          r.slot_cyc.(slot) <-
-            c.Cost_model.ring_slot_dispatch + (Cycles.now (clock t) - c0);
-          r.served <- slot + 1
-        done);
+    Monitor.with_worker (monitor t) t.enclave r.worker;
     Bytes.set_int64_le r.pbuf 0 (Int64.of_int k);
     touch_segment t ~off:r.rep_off ~len;
     ms_slice_nofault `Write t ~off:r.rep_off r.pbuf ~pos:0 ~len
@@ -933,6 +936,51 @@ let read_replies r =
     if k <> r.staged then fail "ring replies: %d staged but %d served" r.staged k
   end
 
+(* A ring is built with its legs and its worker's walk as closures over
+   itself, so a dispatch allocates none. *)
+let create_ring ?channel t ~shard ~shards ~slots ~slot_bytes =
+  if shards <= 0 then fail "create_ring: shards (%d) must be positive" shards;
+  if shard < 0 || shard >= shards then
+    fail "create_ring: shard %d outside [0, %d)" shard shards;
+  if slots <= 0 then fail "create_ring: slots (%d) must be positive" slots;
+  if slot_bytes <= 0 || slot_bytes land 7 <> 0 then
+    fail "create_ring: slot_bytes (%d) must be a positive multiple of 8"
+      slot_bytes;
+  let stride =
+    16 + slot_bytes + match channel with Some _ -> tag_bytes | None -> 0
+  in
+  let need = 8 + (slots * stride) in
+  let in_seg = (t.ms_out_region / shards) land lnot 7 in
+  let out_seg = ((t.ms_ocall_region - t.ms_out_region) / shards) land lnot 7 in
+  if need > in_seg || need > out_seg then
+    fail
+      "create_ring: %d slots x %d B need %d B per segment, but %d shards \
+       leave %d B (in) / %d B (out) — raise ms_bytes"
+      slots (stride - 16) need shards in_seg out_seg;
+  let image = 8 + (min slots initial_image_slots * stride) in
+  let rec r =
+    {
+      rt = t;
+      req_off = shard * in_seg;
+      rep_off = t.ms_out_region + (shard * out_seg);
+      slots;
+      slot_bytes;
+      stride;
+      channel;
+      tag = Bytes.create tag_bytes;
+      rbuf = Bytes.create image;
+      pbuf = Bytes.create image;
+      slot_cyc = Array.make (min slots initial_image_slots) 0;
+      staged = 0;
+      served = 0;
+      publish_leg = (fun () -> publish r);
+      serve_leg = (fun () -> run_ring_dispatch r);
+      read_leg = (fun () -> read_replies r);
+      worker = (fun () -> serve_slots r);
+    }
+  in
+  r
+
 (* A ring's whole round trip on the calling clock: publish, serve, read
    back, each leg in its own transient-fault retry, so a retried leg
    never re-runs the legs before it. *)
@@ -940,15 +988,13 @@ let ring_dispatch r =
   let t = r.rt in
   let k = r.staged - r.served in
   if k > 0 then begin
-    let telemetry = Monitor.telemetry (monitor t) in
-    count t "sdk.ring_dispatch";
-    Hyperenclave_obs.Telemetry.add telemetry "sdk.ring_slots" k;
-    Hyperenclave_obs.Telemetry.observe telemetry "ring.shard_occupancy" k
+    Telemetry.bump t.c_ring_dispatch 1;
+    Telemetry.bump t.c_ring_slots k;
+    Telemetry.sample t.h_occupancy k
   end;
-  let backoff = backoff t in
-  Fault.with_retries ~backoff (fun () -> publish r);
-  Fault.with_retries ~backoff (fun () -> run_ring_dispatch r);
-  Fault.with_retries ~backoff (fun () -> read_replies r)
+  Fault.with_retries ~backoff:t.backoff r.publish_leg;
+  Fault.with_retries ~backoff:t.backoff r.serve_leg;
+  Fault.with_retries ~backoff:t.backoff r.read_leg
 
 let destroy t = Kmod.ioctl_destroy_enclave t.kmod t.proc t.enclave
 

@@ -55,7 +55,9 @@ val create :
     A refused build leaves no enclave, EPC frame or pin behind: a bad
     [ms_bytes] is refused before ECREATE, and a later failure EREMOVEs
     the half-built enclave and re-raises.  The buffer's mapping stays,
-    as after {!destroy}: the model has no munmap. *)
+    as after {!destroy}: the model has no munmap.  Every handler call,
+    ECALL or ring slot, gets the handle's one {!Tenv.t}, built on the
+    first call. *)
 
 val ecall :
   t -> id:int -> ?data:bytes -> direction:Edge.direction -> unit -> bytes
@@ -66,14 +68,16 @@ val ecall_no_ms :
 (** Fig. 7's baseline variant: the same call without the marshalling
     buffer legs (direct-copy semantics, as plain SGX would do). *)
 
-(** {2 Slot ring: sharded, allocation-free switchless ECALL dispatch}
+(** {2 Slot ring: sharded switchless ECALL dispatch}
 
     The SDK's one batched call path: a fixed-stride slot ring per
     (tenant, shard) in the pinned marshalling buffer, used as
     [create_ring] once, then per batch [ring_stage] x K,
     [ring_dispatch], [ring_reply_slot] and [ring_reset].  The ring slot
     {e is} the envelope: callers stage payloads straight into it, and
-    the staging images are recycled across flushes.  The dispatch is
+    the staging images are recycled across flushes.  Per slot a dispatch
+    allocates only the worker's private copy of the slot body and what
+    the handler returns.  The dispatch is
     switchless: no TCS take, no EENTER/EEXIT, no SDK soft path; one
     post fence plus [ring_slot_dispatch] cycles per slot.  Consequence:
     ring handlers must not OCALL (typed "OCALL outside an ECALL"

@@ -179,11 +179,8 @@ let derive d ~dir ~session_id ~seq ~ecall_id =
    under the derived nonce and AAD; returns the frame length. *)
 let seal_frame keys d src ~dst ~dst_off =
   let len = Bytes.length src in
-  let tag =
-    Authenc.seal_into keys ~aad:d.d_aad ~nonce:d.d_nonce ~src ~src_off:0 ~dst
-      ~dst_off ~len
-  in
-  Bytes.blit tag 0 dst (dst_off + len) Urts.tag_bytes;
+  Authenc.seal_into keys ~aad:d.d_aad ~nonce:d.d_nonce ~src ~src_off:0 ~dst
+    ~dst_off ~len;
   len + Urts.tag_bytes
 
 (* The tag of a frame whose ciphertext is [len] bytes, copied into [d]. *)
@@ -220,10 +217,23 @@ let stage_push (st : stage) req =
   st.sg_reqs.(n) <- req;
   st.sg_n <- n + 1
 
+(* One ring shard of a tenant, built on its first use together with the
+   scheduler callbacks its dispatches report through, so a flush builds
+   none of them. *)
+type lane = {
+  ring : Urts.ring;
+  entries : int array;
+      (* slot -> stage index of the request staged there this flush: how
+         the ring's in-enclave channel finds a slot's header *)
+  mutable err : string option;  (* the ring's failure, one flush *)
+  on_result : Sched.on_result;
+  on_slice : cycles:int -> unit;
+}
+
 type tenant = {
   t_name : string;
-  t_req_counter : string;  (* "serve.tenant.<name>.requests", precomputed *)
-  t_cyc_counter : string;  (* "serve.tenant.<name>.cycles" *)
+  c_requests : Telemetry.counter_handle;  (* "serve.tenant.<name>.requests" *)
+  c_cycles : Telemetry.counter_handle;  (* "serve.tenant.<name>.cycles" *)
   backend : Backend.t;
   urts : Urts.t;  (* the enclave's SDK handle: rings and quotes *)
   mrenclave : bytes;
@@ -241,11 +251,7 @@ type tenant = {
       (* set by [retire_tenant] at migration cutover: new handshakes and
          resumes answer with a typed forward to the destination node *)
   stage : stage;
-  rings : Urts.ring option array;  (* per shard, built on first use *)
-  ring_entries : int array array;
-      (* per shard, slot -> stage index of the request staged there this
-         flush: how the ring's in-enclave channel finds a slot's header *)
-  ring_err : string option array;  (* per-shard failure, one flush *)
+  lanes : lane option array;  (* per shard, built on first use *)
 }
 
 (* A session's anti-replay window (RFC 4303 §3.4.3), kept beside its
@@ -300,6 +306,10 @@ type t = {
   config : config;
   rng : Rng.t;
   telemetry : Telemetry.t;
+  c_request : Telemetry.counter_handle;
+  c_admitted : Telemetry.counter_handle;
+  c_ok : Telemetry.counter_handle;
+  backoff : int -> unit;  (* transient-fault backoff on the platform clock *)
   sched : Sched.t;
   tenants : (string, tenant) Hashtbl.t;
   mutable tenant_order : string list;  (* reverse insertion order *)
@@ -391,6 +401,13 @@ let create_node ~platform (nc : Node_config.t) =
     config;
     rng;
     telemetry;
+    c_request = Telemetry.counter_handle telemetry "serve.request";
+    c_admitted = Telemetry.counter_handle telemetry "serve.request.admitted";
+    c_ok = Telemetry.counter_handle telemetry "serve.request.ok";
+    backoff =
+      (fun attempt ->
+        Cycles.tick platform.Platform.clock
+          (World_switch.retry_backoff_cost platform.Platform.cost ~attempt));
     sched =
       Sched.create ~shared_clock:platform.Platform.clock ~telemetry config.sched;
     tenants = Hashtbl.create 8;
@@ -436,10 +453,6 @@ let session_reject t id =
   match Hashtbl.find_opt t.migrated id with
   | Some to_node -> Session_migrated { to_node }
   | None -> Unknown_session id
-
-let backoff t attempt =
-  Cycles.tick t.platform.Platform.clock
-    (World_switch.retry_backoff_cost t.platform.Platform.cost ~attempt)
 
 (* Channel crypto cost: the plane's AEAD (AES-CTR + HMAC) runs at a few
    cycles per byte with a fixed setup.  The one-shot paths (handshake,
@@ -590,8 +603,12 @@ let add_tenant t ~name (bc : Backend.config) =
   let tenant =
     {
       t_name = name;
-      t_req_counter = "serve.tenant." ^ name ^ ".requests";
-      t_cyc_counter = "serve.tenant." ^ name ^ ".cycles";
+      c_requests =
+        Telemetry.counter_handle t.telemetry
+          ("serve.tenant." ^ name ^ ".requests");
+      c_cycles =
+        Telemetry.counter_handle t.telemetry
+          ("serve.tenant." ^ name ^ ".cycles");
       backend;
       urts;
       mrenclave = Urts.mrenclave urts;
@@ -603,9 +620,7 @@ let add_tenant t ~name (bc : Backend.config) =
       free_slots = [];
       t_migrated_to = None;
       stage = { sg_reqs = [||]; sg_shards = [||]; sg_slots = [||]; sg_n = 0 };
-      rings = Array.make t.shards None;
-      ring_entries = Array.make t.shards [||];
-      ring_err = Array.make t.shards None;
+      lanes = Array.make t.shards None;
     }
   in
   Hashtbl.replace t.tenants name tenant;
@@ -803,6 +818,9 @@ let of_sigma = function
 let injected_msg site kind =
   Printf.sprintf "injected %s fault at %s" (Fault.kind_name kind) site
 
+(* The session fault site as a retry thunk: closed, so built once. *)
+let cross_session_site () = Fault.point fault_site
+
 let handshake t ~tenant hello =
   let refuse r =
     Telemetry.incr t.telemetry "serve.handshake_rejected";
@@ -817,9 +835,13 @@ let handshake t ~tenant hello =
          challenge must never get a second quote. *)
       if nonce_replayed t ~tenants:[ tenant ] hello.nonce then
         refuse Replayed_nonce
+      else if not (Kx.valid_share hello.client_kx) then
+        (* No key could ever agree with it: refuse before the plane draws
+           a share or cuts a quote. *)
+        refuse Unknown_key_share
       else
         match
-          Fault.with_retries ~backoff:(backoff t) (fun () ->
+          Fault.with_retries ~backoff:t.backoff (fun () ->
               Fault.point fault_site;
               Sigma.respond t.rng ~label:sigma_label
                 ~quote:(Urts.gen_quote tn.urts) (fun server_kx ->
@@ -857,10 +879,10 @@ let handshake t ~tenant hello =
    tag and the freshness of what it runs ([channel]), so any other lie
    is admitted and answered in the flush. *)
 let admit t (req : request) =
-  Telemetry.incr t.telemetry "serve.request";
-  match Hashtbl.find_opt t.sessions req.session_id with
-  | None -> reject t (session_reject t req.session_id)
-  | Some s -> (
+  Telemetry.bump t.c_request 1;
+  match Hashtbl.find t.sessions req.session_id with
+  | exception Not_found -> reject t (session_reject t req.session_id)
+  | s -> (
       let tn = s.tenant in
       let len = Bytes.length req.frame - Urts.tag_bytes in
       if len < 0 then reject t Bad_auth
@@ -871,10 +893,7 @@ let admit t (req : request) =
                 "request ciphertext (%d bytes) exceeds the %d-byte ring slot"
                 len slot_bytes))
       else
-        match
-          Fault.with_retries ~backoff:(backoff t) (fun () ->
-              Fault.point fault_site)
-        with
+        match Fault.with_retries ~backoff:t.backoff cross_session_site with
         | exception Fault.Injected { site; kind } ->
             reject t (Session_fault (injected_msg site kind))
         | () ->
@@ -902,8 +921,8 @@ let admit t (req : request) =
             else begin
               stage_push tn.stage req;
               tn.queued <- tn.queued + 1;
-              Telemetry.incr t.telemetry "serve.request.admitted";
-              Telemetry.incr t.telemetry tn.t_req_counter;
+              Telemetry.bump t.c_admitted 1;
+              Telemetry.bump tn.c_requests 1;
               Ok ()
             end)
 
@@ -918,9 +937,9 @@ let submit t req =
 (* ---------------------------------------------------------------------- *)
 (* Dispatch                                                               *)
 
-let charge t (tn : tenant) cycles =
+let charge (tn : tenant) cycles =
   tn.spent <- tn.spent + cycles;
-  Telemetry.add t.telemetry tn.t_cyc_counter cycles
+  Telemetry.bump tn.c_cycles cycles
 
 (* Sort a tenant's stage in place, stably by session id: dispatch and
    reply order is ascending session id, then admission order.  Clients
@@ -1026,32 +1045,53 @@ let channel t (tn : tenant) entries =
   in
   { Urts.open_slot; seal_slot }
 
-let ring_for t (tn : tenant) shard =
-  match tn.rings.(shard) with
-  | Some r -> r
+let lane_for t (tn : tenant) shard =
+  match tn.lanes.(shard) with
+  | Some l -> l
   | None ->
       let entries = Array.make t.config.max_queue 0 in
-      let r =
+      let ring =
         Urts.create_ring tn.urts ~channel:(channel t tn entries) ~shard
           ~shards:t.shards ~slots:t.config.max_queue ~slot_bytes
       in
-      tn.rings.(shard) <- Some r;
-      tn.ring_entries.(shard) <- entries;
-      r
+      let rec l =
+        {
+          ring;
+          entries;
+          err = None;
+          on_result =
+            (fun ~index:_ ~core:_ -> function
+              | Ok _ -> () | Error msg -> l.err <- Some msg);
+          on_slice = (fun ~cycles -> charge tn cycles);
+        }
+      in
+      tn.lanes.(shard) <- Some l;
+      l
 
 (* Rewind a tenant's arenas: drop the request references, rewind the
-   stage cursor and every ring.  Every staged request has then been
-   answered or dropped, so none is queued. *)
+   stage cursor and every ring, and clear every ring's failure.  Every
+   staged request has then been answered or dropped, so none is
+   queued. *)
 let recycle (tn : tenant) =
   let st = tn.stage in
   Array.fill st.sg_reqs 0 st.sg_n no_request;
   st.sg_n <- 0;
   tn.queued <- 0;
-  Array.iter (function Some ring -> Urts.ring_reset ring | None -> ()) tn.rings
+  Array.iter
+    (function
+      | Some l ->
+          l.err <- None;
+          Urts.ring_reset l.ring
+      | None -> ())
+    tn.lanes
 
-(* The allocation-free dispatch path.  Staging, dispatch and reply bytes
-   all live in reusable arenas and the pinned marshalling rings; the only
-   per-request allocation left is the wire-facing reply frame.  Every
+(* The dispatch path.  Staging, dispatch and reply bytes live in reusable
+   arenas and the pinned marshalling rings, and every lane, channel,
+   counter handle and retry thunk is built once.  Per request a flush
+   allocates the enclave's private copy of the slot body (the worker
+   opens it away from the shared segment), the reply frame with its
+   record and list cell, and the (offset, length) pair of
+   [Urts.ring_reply_slot]; the rest is per ring or per flush.  Every
    flush ends in [recycle], aborted or not, so a ring with staged slots
    is one this flush staged into. *)
 let drain t =
@@ -1074,7 +1114,6 @@ let drain t =
     (fun tn ->
       let st = tn.stage in
       if st.sg_n > 0 then begin
-        Array.fill tn.ring_err 0 t.shards None;
         sort_stage st;
         let sid = ref (-1) and faulted = ref false in
         let stamp = ref 0 and shard = ref 0 in
@@ -1087,8 +1126,7 @@ let drain t =
               stamp := 0;
               faulted :=
                 (match
-                   Fault.with_retries ~backoff:(backoff t) (fun () ->
-                       Fault.point fault_site)
+                   Fault.with_retries ~backoff:t.backoff cross_session_site
                  with
                 | () -> false
                 | exception Fault.Injected { site; kind } ->
@@ -1102,11 +1140,11 @@ let drain t =
                 t.rotor <- (t.rotor + 1) mod t.shards
               end;
               incr stamp;
-              let ring = ring_for t tn !shard in
-              let off = Urts.ring_stage ring ~ecall_id:r.ecall_id ~len in
-              Bytes.blit r.frame 0 (Urts.ring_buf ring) off len;
-              let slot = Urts.ring_staged ring - 1 in
-              tn.ring_entries.(!shard).(slot) <- i;
+              let lane = lane_for t tn !shard in
+              let off = Urts.ring_stage lane.ring ~ecall_id:r.ecall_id ~len in
+              Bytes.blit r.frame 0 (Urts.ring_buf lane.ring) off len;
+              let slot = Urts.ring_staged lane.ring - 1 in
+              lane.entries.(slot) <- i;
               st.sg_shards.(i) <- !shard;
               st.sg_slots.(i) <- slot
             end
@@ -1118,26 +1156,22 @@ let drain t =
            blocks occupy every core.  The ring's job publishes, serves
            and reads back on that core. *)
         for shard = 0 to t.shards - 1 do
-          match tn.rings.(shard) with
-          | Some ring when Urts.ring_staged ring > 0 ->
+          match tn.lanes.(shard) with
+          | Some l when Urts.ring_staged l.ring > 0 ->
               incr rings_used;
               Sched.submit_ring t.sched ~core:(shard mod cores)
-                ~label:tn.t_name
-                ~on_result:(fun ~index:_ ~core:_ result ->
-                  match result with
-                  | Ok _ -> ()
-                  | Error msg -> tn.ring_err.(shard) <- Some msg)
-                ~on_slice:(fun ~cycles -> charge t tn cycles)
-                ring
+                ~label:tn.t_name ~on_result:l.on_result ~on_slice:l.on_slice
+                l.ring
           | Some _ | None -> ()
         done
       end)
     tenants;
   ignore (Sched.run t.sched : Sched.stats);
-  (* Assembly: walk the same sorted stage, copying each sealed reply slot
-     out once as its frame, or turning a refused slot into its typed
+  (* Assembly: walk the same sorted stages, copying each sealed reply
+     slot out once as its frame, or turning a refused slot into its typed
      reject.  Reply order is the contract: tenant insertion order, then
-     session id, then admission order. *)
+     session id, then admission order.  The walk runs backwards and
+     conses each reply onto the front, so the list needs no reversal. *)
   let out = ref [] in
   let emit sid seq r_result =
     out := { r_session_id = sid; r_seq = seq; r_result } :: !out
@@ -1151,21 +1185,21 @@ let drain t =
     (fun tn ->
       let st = tn.stage in
       if st.sg_n > 0 then begin
-        for i = 0 to st.sg_n - 1 do
+        for i = st.sg_n - 1 downto 0 do
           let { session_id = sid; seq; _ } = st.sg_reqs.(i) in
           let shard = st.sg_shards.(i) in
           if sid < 0 then ()
           else if shard < 0 then
             emit_err sid seq (Session_fault (Hashtbl.find t.fault_msgs sid))
           else
-            match (tn.ring_err.(shard), tn.rings.(shard)) with
-            | Some msg, _ -> emit_err sid seq (Session_fault msg)
-            | None, None -> assert false
-            | None, Some ring ->
+            match tn.lanes.(shard) with
+            | None -> assert false
+            | Some { err = Some msg; _ } -> emit_err sid seq (Session_fault msg)
+            | Some { ring; _ } ->
                 let off, framed = Urts.ring_reply_slot ring ~slot:st.sg_slots.(i) in
                 let buf = Urts.ring_reply_buf ring in
                 if framed >= Urts.tag_bytes then begin
-                  Telemetry.incr t.telemetry "serve.request.ok";
+                  Telemetry.bump t.c_ok 1;
                   emit sid seq (Ok (Bytes.sub buf off framed))
                 end
                 else if framed = refusal_bytes then
@@ -1174,13 +1208,13 @@ let drain t =
         done;
         recycle tn
       end)
-    tenants;
+    (List.rev tenants);
   (* High-water telemetry: the deepest flush and widest shard spread any
      plane on this platform has reached — the counters outlive a plane
      rebuilt on the same monitor. *)
   Telemetry.raise_to t.telemetry "serve.arena.high_water" !flush_total;
   Telemetry.raise_to t.telemetry "serve.ring.shards_active" !rings_used;
-  List.rev !out
+  !out
 
 (* One ledger entry per flush.  Serial: the submit cycles since the last
    flush plus the flush cycles no core slice saw.  The cores run in

@@ -137,9 +137,20 @@ let hyperenclave (platform : Platform.t) ~mode ~config ~handlers ~ocalls =
       backend_name = Sgx_types.mode_name mode;
     }
   in
+  (* The SDK hands every call its handle's one trusted environment, so
+     the env built around it on the first call serves every later one. *)
+  let env = ref None in
+  let env_for tenv =
+    match !env with
+    | Some (seen, e) when seen == tenv -> e
+    | Some _ | None ->
+        let e = env_of_tenv tenv in
+        env := Some (tenv, e);
+        e
+  in
   let ecalls =
     List.map
-      (fun (id, h) -> (id, fun tenv input -> h (env_of_tenv tenv) input))
+      (fun (id, h) -> (id, fun tenv input -> h (env_for tenv) input))
       handlers
   in
   let urts =

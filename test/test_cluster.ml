@@ -224,6 +224,48 @@ let test_exchange_refusals () =
   assert_green cl;
   Cluster.destroy cl
 
+(* An offer whose share is no group element is refused right after its
+   quote checks out, before the source exports the tenant: the source's
+   export counter does not move. *)
+let test_refused_seal_exports_nothing () =
+  let cl, src = build ~nodes:2 () in
+  let dst = other cl src in
+  let tel =
+    Monitor.telemetry
+      (Cluster.Node.platform (Cluster.node cl src)).Platform.monitor
+  in
+  let exports () = Telemetry.counter tel "serve.migrate.export" in
+  let o = offer_ok cl ~src ~dst in
+  let non_group = Bytes.make 32 '\000' in
+  let report_data =
+    Sigma.transcript ~label:"cluster-migrate-offer:"
+      [
+        Bytes.of_string "acme";
+        Bytes.of_string (string_of_int src);
+        Bytes.of_string (string_of_int dst);
+        o.Cluster.Migrate.o_nonce;
+        non_group;
+      ]
+  in
+  let lie =
+    {
+      o with
+      Cluster.Migrate.o_kx = non_group;
+      o_quote =
+        Quote_wire.encode
+          (Serve.node_quote (Cluster.plane cl dst) ~report_data);
+    }
+  in
+  let before = exports () in
+  (match Cluster.Migrate.seal cl lie with
+  | Error Cluster.Binding_mismatch -> ()
+  | Error e -> Alcotest.failf "wrong refusal: %a" Cluster.pp_error e
+  | Ok _ -> Alcotest.fail "non-group offer share sealed");
+  Alcotest.(check int) "serve.migrate.export unchanged" before (exports ());
+  ignore (seal_ok cl o : Cluster.Migrate.package);
+  Alcotest.(check int) "the honest seal exports once" (before + 1) (exports ());
+  Cluster.destroy cl
+
 (* The monitor takes its TPM quote once, at launch.  With a permanent
    fault armed at the next ["tpm.quote"] crossing after boot, eight
    handshakes on one plane and four migration offers to the same node
@@ -978,6 +1020,8 @@ let suite =
       test_replayed_offer_quote;
     Alcotest.test_case "exchange refusals are typed" `Quick
       test_exchange_refusals;
+    Alcotest.test_case "a refused seal exports nothing" `Quick
+      test_refused_seal_exports_nothing;
     Alcotest.test_case "one TPM quote per boot" `Quick
       test_one_tpm_quote_per_boot;
     Alcotest.test_case "migration transport known answer" `Quick

@@ -295,12 +295,13 @@ let words_per_call f =
   (Gc.minor_words () -. w0) /. 1000.
 
 (* A key runs CTR over its own scratch counter block and state, so a
-   104-byte transform allocates nothing, and a seal under prepared keys
-   allocates only its 32-byte tag (6 words). *)
+   104-byte transform allocates nothing.  Under prepared keys a seal
+   writes its tag into the frame and an open recomputes the tag in the
+   keys' scratch, so neither allocates either. *)
 let test_ctr_allocation () =
   let key = Aes.expand_key (Bytes.of_string "0123456789abcdef") in
   let nonce = Bytes.make 12 '\x07' in
-  let buf = Bytes.make 104 'a' in
+  let buf = Bytes.make (104 + 32) 'a' in
   let ctr () =
     Aes.ctr_into ~key ~nonce ~src:buf ~src_off:0 ~dst:buf ~dst_off:0 ~len:104
   in
@@ -310,14 +311,22 @@ let test_ctr_allocation () =
   let keys = Authenc.prepare (Bytes.make 32 'k') in
   let aad = Bytes.of_string "serve-req:aad" in
   let seal () =
-    ignore
-      (Authenc.seal_into keys ~aad ~nonce ~src:buf ~src_off:0 ~dst:buf
-         ~dst_off:0 ~len:104
-        : bytes)
+    Authenc.seal_into keys ~aad ~nonce ~src:buf ~src_off:0 ~dst:buf ~dst_off:0
+      ~len:104
   in
   let words = words_per_call seal in
-  if words > 6. then
-    Alcotest.failf "seal_into allocated %.1f minor words per call (> 6)" words
+  if words >= 1. then
+    Alcotest.failf "seal_into allocated %.1f minor words per call (>= 1)" words;
+  (* Each call seals the plaintext the previous one opened. *)
+  let tag = Bytes.sub buf 104 32 in
+  let roundtrip () =
+    Authenc.unseal_in_place keys ~aad ~nonce ~tag buf ~off:0 ~len:104;
+    seal ()
+  in
+  let words = words_per_call roundtrip -. words in
+  if words >= 1. then
+    Alcotest.failf "unseal_in_place allocated %.1f minor words per call (>= 1)"
+      words
 
 let test_update_sub () =
   let data = Bytes.of_string "incremental hashing over sub-slices" in
@@ -388,17 +397,19 @@ let test_authenc_zero_copy () =
   let aad = Bytes.of_string "zc-policy" in
   let plaintext = Bytes.of_string "zero-copy sealed payload" in
   let len = Bytes.length plaintext in
-  (* seal_into over a slice of a larger buffer leaves the bytes around
-     the slice alone. *)
-  let buf = Bytes.make (len + 8) '*' in
-  let tag =
-    Authenc.seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0 ~dst:buf
-      ~dst_off:4 ~len
-  in
+  (* seal_into over a slice of a larger buffer writes the frame,
+     ciphertext then tag, and leaves the bytes around it alone. *)
+  let buf = Bytes.make (len + 32 + 8) '*' in
+  Authenc.seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0 ~dst:buf
+    ~dst_off:4 ~len;
   Alcotest.(check string)
-    "slice borders untouched" "********"
-    (Bytes.sub_string buf 0 4 ^ Bytes.sub_string buf (len + 4) 4);
-  let ct = Bytes.sub buf 4 len in
+    "frame borders untouched" "********"
+    (Bytes.sub_string buf 0 4 ^ Bytes.sub_string buf (len + 36) 4);
+  Alcotest.check_raises "no room for the tag"
+    (Invalid_argument "Authenc.seal_into: no room for the frame") (fun () ->
+      Authenc.seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0 ~dst:buf
+        ~dst_off:9 ~len);
+  let ct = Bytes.sub buf 4 len and tag = Bytes.sub buf (4 + len) 32 in
   (* unseal_in_place over a slice of a larger buffer opens the slice
      alone. *)
   let framed = Bytes.make (len + 8) '*' in
@@ -495,12 +506,10 @@ let qcheck_tests =
             and fresh_tag = Bytes.sub fresh (12 + len) 32 in
             match op with
             | 0 ->
-                let ct = Bytes.create len in
-                let tag =
-                  Authenc.seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0
-                    ~dst:ct ~dst_off:0 ~len
-                in
-                Bytes.equal tag fresh_tag && Bytes.equal ct fresh_ct
+                let frame = Bytes.create (len + 32) in
+                Authenc.seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0
+                  ~dst:frame ~dst_off:0 ~len;
+                Bytes.equal frame (Bytes.cat fresh_ct fresh_tag)
             | 1 -> (
                 (* A wrong AAD is refused and leaves the buffer as it was. *)
                 let buf = Bytes.copy fresh_ct in

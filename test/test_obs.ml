@@ -96,6 +96,46 @@ let test_reset () =
   Alcotest.(check int) "no histograms" 0 (List.length snap.Telemetry.histograms);
   Alcotest.(check int) "no events" 0 (List.length snap.Telemetry.events)
 
+(* A handle resolves its name on its first bump: until then it creates
+   nothing.  It shares the counter [incr] bumps under the same name, and
+   after a [reset] an old handle writes into the fresh counter, not the
+   dropped one.  Histogram handles follow the same rules. *)
+let test_handles () =
+  let t = Telemetry.create () in
+  let c = Telemetry.counter_handle t "hot" in
+  let h = Telemetry.histogram_handle t "hot.cycles" in
+  let snap = Telemetry.snapshot t in
+  Alcotest.(check int) "a never-bumped handle creates no counter" 0
+    (List.length snap.Telemetry.counters);
+  Alcotest.(check int) "nor a histogram" 0
+    (List.length snap.Telemetry.histograms);
+  Telemetry.bump c 2;
+  Telemetry.incr t "hot";
+  Telemetry.bump c 1;
+  Alcotest.(check int) "bump and incr share one counter" 4
+    (Telemetry.counter t "hot");
+  Telemetry.sample h 8;
+  Telemetry.observe t "hot.cycles" 2;
+  let count () =
+    let snap = Telemetry.snapshot t in
+    match List.assoc_opt "hot.cycles" snap.Telemetry.histograms with
+    | Some hist -> hist.Telemetry.count
+    | None -> 0
+  in
+  Alcotest.(check int) "sample and observe share one histogram" 2 (count ());
+  Telemetry.reset t;
+  Telemetry.bump c 5;
+  Alcotest.(check int) "an old handle after reset: the post-reset count" 5
+    (Telemetry.counter t "hot");
+  Telemetry.incr t "hot";
+  Alcotest.(check int) "still one counter after reset" 6
+    (Telemetry.counter t "hot");
+  Telemetry.sample h 3;
+  Alcotest.(check int) "an old histogram handle after reset" 1 (count ());
+  Alcotest.check_raises "negative bump rejected"
+    (Invalid_argument "Telemetry.bump: negative increment") (fun () ->
+      Telemetry.bump c (-1))
+
 let test_monitor_counts_match_enclave_stats () =
   (* The monitor-wide counters and the per-enclave stats record are two
      views of the same events; with a single enclave they must agree. *)
@@ -152,6 +192,7 @@ let suite =
     Alcotest.test_case "delta counters" `Quick test_delta_counters;
     Alcotest.test_case "JSON rendering" `Quick test_json_shape;
     Alcotest.test_case "reset" `Quick test_reset;
+    Alcotest.test_case "counter and histogram handles" `Quick test_handles;
     Alcotest.test_case "monitor counters vs enclave stats" `Quick
       test_monitor_counts_match_enclave_stats;
   ]

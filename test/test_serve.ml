@@ -238,6 +238,37 @@ let test_key_share_refusals () =
     ];
   Serve.destroy plane
 
+(* A hello whose share is no group element is refused before the plane
+   does any work for it: the platform clock does not move, and no share
+   is drawn and no quote cut, so the next honest handshake gets the
+   very accept a twin plane that never saw the garbage gives. *)
+let test_garbage_hello_costs_nothing () =
+  let accept_of plane client =
+    match Serve.handshake plane ~tenant:"acme" (Serve.Client.hello client) with
+    | Ok a -> a
+    | Error r -> Alcotest.failf "handshake rejected: %a" Serve.pp_reject r
+  in
+  let p, plane, _backend, client = build ~seed:7071L () in
+  let _, twin, _, twin_client = build ~seed:7071L () in
+  let liar =
+    Serve.Client.create ~rng:(Rng.create ~seed:7171L) ~golden:(golden_of p)
+      ~policy:(policy_pinning Bytes.empty) ()
+  in
+  let c0 = Cycles.now p.Platform.clock in
+  expect_reject "unknown-key-share"
+    (Serve.handshake plane ~tenant:"acme"
+       {
+         (Serve.Client.hello liar) with
+         Serve.client_kx = Bytes.make 32 '\000';
+       });
+  Alcotest.(check int) "platform cycles for a refused hello" 0
+    (Cycles.now p.Platform.clock - c0);
+  let a = accept_of plane client and b = accept_of twin twin_client in
+  Alcotest.(check bytes) "no share drawn" b.Serve.server_kx a.Serve.server_kx;
+  Alcotest.(check bytes) "no quote cut" b.Serve.quote_wire a.Serve.quote_wire;
+  Serve.destroy plane;
+  Serve.destroy twin
+
 (* ------------------------------------------------------------------ *)
 (* Channel security + admission control                                *)
 
@@ -1590,9 +1621,10 @@ let test_import_closes_holes () =
 
 (* The client prepares its session keys once, at [establish]: after
    warm-up, sealing a 100-byte request and unsealing its reply allocate
-   the request, its frame, the plaintext copy and the tags — a few
-   hundred words.  Re-preparing keys per message (HKDF, AES schedule,
-   HMAC pads) costs several thousand. *)
+   only the request record, its 132-byte frame, the 100-byte plaintext
+   and the [Ok] around it — 39 words; tags are written into the frame
+   and checked in the keys' scratch.  Re-preparing keys per message
+   (HKDF, AES schedule, HMAC pads) costs several thousand. *)
 let test_client_allocation () =
   let _p, plane, _backend, client = build ~seed:7091L () in
   establish plane client;
@@ -1621,9 +1653,51 @@ let test_client_allocation () =
     ignore (client_words ())
   done;
   let words = client_words () in
-  if words > 600. then
-    Alcotest.failf "request + read_reply allocated %.0f minor words (> 600)"
+  if words > 44. then
+    Alcotest.failf "request + read_reply allocated %.0f minor words (> 44)"
       words;
+  Serve.destroy plane
+
+(* The plane sets its request path up once: once warm, admitting and
+   flushing 32 sealed requests of one session allocates per request only
+   the enclave's private copy of the slot body, the reply frame, its
+   record and list cell, and the ring's share of the dispatch, about 56
+   words.  Building the trusted environment per dispatch and the
+   handler env, tags, counter lookups and retry closures per call read
+   132. *)
+let test_plane_allocation () =
+  let _p, plane, _backend, client = build ~seed:7092L () in
+  establish plane client;
+  let payload = Bytes.make 100 'a' in
+  let flush_words () =
+    let reqs =
+      List.init 32 (fun _ -> Serve.Client.request client ~ecall:1 payload)
+    in
+    let w0 = Gc.minor_words () in
+    List.iter
+      (fun req ->
+        match Serve.submit plane req with
+        | Ok () -> ()
+        | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r)
+      reqs;
+    let replies = Serve.flush plane in
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "every request answered" 32 (List.length replies);
+    List.iter
+      (fun reply ->
+        match Serve.Client.read_reply client reply with
+        | Ok body -> Alcotest.(check bytes) "echoed" payload body
+        | Error r -> Alcotest.failf "read_reply failed: %a" Serve.pp_reject r)
+      replies;
+    words /. 32.
+  in
+  for _ = 1 to 3 do
+    ignore (flush_words ())
+  done;
+  let words = flush_words () in
+  if words > 80. then
+    Alcotest.failf
+      "submit + flush allocated %.1f minor words per request (> 80)" words;
   Serve.destroy plane
 
 (* ------------------------------------------------------------------ *)
@@ -1878,6 +1952,8 @@ let suite =
     Alcotest.test_case "garbage quote wire" `Quick test_garbage_quote_wire;
     Alcotest.test_case "key-share refusals are typed" `Quick
       test_key_share_refusals;
+    Alcotest.test_case "a non-group hello costs the plane nothing" `Quick
+      test_garbage_hello_costs_nothing;
     Alcotest.test_case "tampered envelope rejected" `Quick
       test_tampered_envelope_rejected;
     Alcotest.test_case "respliced header rejected" `Quick
@@ -1915,6 +1991,8 @@ let suite =
     Alcotest.test_case "telemetry counters" `Quick test_telemetry_counters;
     Alcotest.test_case "client keys prepared once (allocation)" `Quick
       test_client_allocation;
+    Alcotest.test_case "plane request path set up once (allocation)" `Quick
+      test_plane_allocation;
     QCheck_alcotest.to_alcotest spec_qcheck;
     Alcotest.test_case "arena hot tenant scales across cores" `Quick
       test_arena_hot_tenant_scales;
