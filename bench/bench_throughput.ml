@@ -74,7 +74,8 @@ let measure ~cores =
         ~urts:(Option.get b.Backend.urts)
         (request_stream ~seed:(Int64.of_int (7_000 + i)) reqs_per_enclave))
     backends;
-  let stats = Sched.run sched in
+  Sched.run sched;
+  let stats = Sched.stats sched in
   List.iter (fun b -> b.Backend.destroy ()) backends;
   {
     cores;

@@ -10,8 +10,12 @@
 open Hyperenclave_monitor
 
 val encode : Monitor.quote -> bytes
+(** One buffer of exactly the quote's size; every integer is written as
+    [string_of_int] writes it. *)
 
 val decode : bytes -> (Monitor.quote, string) result
 (** Structural parse: every field length-checked, trailing bytes
-    rejected.  A decoded quote is untrusted data until {!Verifier.verify}
-    passes. *)
+    rejected, and every integer accepted only in the spelling {!encode}
+    writes (no sign but a leading '-', no leading zero, no "-0", base
+    prefix or '_'), so a quote has one wire form.  A decoded quote is
+    untrusted data until {!Verifier.verify} passes. *)

@@ -36,8 +36,7 @@ let xtime b =
   if b land 0x100 <> 0 then (b lxor 0x1b) land 0xff else b
 
 type key = {
-  rounds : int array array; (* 11 round keys of 16 bytes (decrypt path) *)
-  w : int array; (* the same schedule as 44 big-endian words (encrypt path) *)
+  w : int array; (* the schedule as 44 big-endian words *)
   counter : bytes; (* CTR scratch: the counter block *)
   keystream : int array; (* CTR scratch: the state the counter encrypts to *)
 }
@@ -69,18 +68,15 @@ let expand_key raw =
     end;
     w.(i) <- w.(i - 4) lxor !temp
   done;
-  let rounds =
-    Array.init 11 (fun r ->
-        Array.init 16 (fun b ->
-            let word = w.((4 * r) + (b / 4)) in
-            (word lsr (8 * (3 - (b mod 4)))) land 0xff))
-  in
-  { rounds; w; counter = Bytes.create 16; keystream = Array.make 16 0 }
+  { w; counter = Bytes.create 16; keystream = Array.make 16 0 }
 
-let add_round_key state rk =
+(* Round [r]'s key, byte [i] of the state, read out of its schedule
+   word: only the decrypt path works byte-wise. *)
+let add_round_key state (key : key) r =
   for i = 0 to 15 do
+    let word = Array.unsafe_get key.w ((4 * r) + (i / 4)) in
     Array.unsafe_set state i
-      (Array.unsafe_get state i lxor Array.unsafe_get rk i)
+      (Array.unsafe_get state i lxor ((word lsr (8 * (3 - (i mod 4)))) land 0xff))
   done
 
 let sub_bytes state table =
@@ -224,17 +220,16 @@ let encrypt_state key state =
   put state 3 (last_col !s3 !s0 !s1 !s2 kw.(43))
 
 let decrypt_state key state =
-  let key = key.rounds in
-  add_round_key state key.(10);
+  add_round_key state key 10;
   inv_shift_rows state;
   sub_bytes state inv_sbox;
   for round = 9 downto 1 do
-    add_round_key state key.(round);
+    add_round_key state key round;
     inv_mix_columns state;
     inv_shift_rows state;
     sub_bytes state inv_sbox
   done;
-  add_round_key state key.(0)
+  add_round_key state key 0
 
 let encrypt_block key block =
   if Bytes.length block <> 16 then invalid_arg "Aes.encrypt_block";

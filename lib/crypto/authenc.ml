@@ -10,13 +10,19 @@ let tag_bytes = Sha256.digest_size
 
 (* One HKDF extract, two expands: the cipher key is the first 16 bytes
    of the "authenc-enc" block, the MAC key the whole "authenc-mac"
-   block. *)
+   block.  Both blocks are expanded into the MAC key's pad, whose second
+   half stays zero, and the MAC key is prepared in the extract's
+   scratch. *)
 let prepare key =
   if Bytes.length key <> 32 then invalid_arg "Authenc: key must be 32 bytes";
   let prk = Hmac.extract ~ikm:key in
+  let pad = Bytes.make 64 '\000' in
+  Hmac.expand_into prk ~info:"authenc-enc" pad ~off:0 ~len:tag_bytes;
+  let enc = Aes.expand_key (Bytes.sub pad 0 16) in
+  Hmac.expand_into prk ~info:"authenc-mac" pad ~off:0 ~len:tag_bytes;
   {
-    enc = Aes.expand_key (Hmac.expand prk ~info:"authenc-enc" ~len:16);
-    mac = Hmac.prepare ~key:(Hmac.expand prk ~info:"authenc-mac" ~len:32);
+    enc;
+    mac = Hmac.prepare_in prk pad;
     hdr = Bytes.create 4;
     tag = Bytes.create tag_bytes;
   }

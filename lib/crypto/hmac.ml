@@ -29,15 +29,15 @@ let iv = Sha256.midstate (Sha256.init ())
    which the prepared key keeps.  The XOR with 0x36 makes the inner pad
    in place, and re-XORing with 0x36 lxor 0x5c turns it into the outer
    pad without a second buffer. *)
+let pad_midstate scratch pad byte =
+  xor_pad_in_place pad byte;
+  Sha256.restore scratch ~from:iv;
+  Sha256.update scratch pad;
+  Sha256.midstate scratch
+
 let prepare_pad scratch pad =
-  let pad_midstate byte =
-    xor_pad_in_place pad byte;
-    Sha256.restore scratch ~from:iv;
-    Sha256.update scratch pad;
-    Sha256.midstate scratch
-  in
-  let inner = pad_midstate 0x36 in
-  let outer = pad_midstate (0x36 lxor 0x5c) in
+  let inner = pad_midstate scratch pad 0x36 in
+  let outer = pad_midstate scratch pad (0x36 lxor 0x5c) in
   { inner; outer; scratch }
 
 let prepare ~key = prepare_pad (Sha256.init ()) (normalize_key key)
@@ -94,27 +94,46 @@ let extract ~ikm =
   finish_into salt pad ~off:0;
   prepare_pad salt.scratch pad
 
+let prepare_in spent pad =
+  if Bytes.length pad <> block_size then
+    invalid_arg "Hmac.prepare_in: pad must be 64 bytes";
+  prepare_pad spent.scratch pad
+
 (* T(i) = HMAC(PRK, T(i-1) || info || i): the counter byte is fed from
-   this table, so a block allocates only its tag. *)
+   this table.  A block that fits is finished straight into [dst], and
+   the next block reads it from there; only a last partial block
+   allocates its tag. *)
 let counters = Bytes.init 255 (fun i -> Char.chr (i + 1))
 
-let expand prk ~info ~len =
-  if len < 0 || len > 255 * Sha256.digest_size then
-    invalid_arg "Hmac.expand: len out of range";
-  let out = Bytes.create len in
-  let rec block prev i =
-    let off = i * Sha256.digest_size in
-    if off < len then begin
-      let ctx = start prk in
-      Sha256.update ctx prev;
-      Sha256.update_string ctx info;
-      Sha256.update_sub ctx counters ~off:i ~len:1;
-      let t = finish prk in
-      Bytes.blit t 0 out off (min Sha256.digest_size (len - off));
-      block t (i + 1)
+let rec expand_blocks prk ~info dst ~at ~stop i =
+  if at < stop then begin
+    let ctx = start prk in
+    if i > 0 then
+      Sha256.update_sub ctx dst ~off:(at - Sha256.digest_size)
+        ~len:Sha256.digest_size;
+    Sha256.update_string ctx info;
+    Sha256.update_sub ctx counters ~off:i ~len:1;
+    if at + Sha256.digest_size <= stop then begin
+      finish_into prk dst ~off:at;
+      expand_blocks prk ~info dst ~at:(at + Sha256.digest_size) ~stop (i + 1)
     end
-  in
-  block Bytes.empty 0;
+    else Bytes.blit (finish prk) 0 dst at (stop - at)
+  end
+
+let check_len len =
+  if len < 0 || len > 255 * Sha256.digest_size then
+    invalid_arg "Hmac.expand: len out of range"
+
+let expand_into prk ~info dst ~off ~len =
+  check_len len;
+  if off < 0 || off + len > Bytes.length dst then
+    invalid_arg "Hmac.expand_into: slice out of bounds";
+  expand_blocks prk ~info dst ~at:off ~stop:(off + len) 0
+
+let expand prk ~info ~len =
+  check_len len;
+  let out = Bytes.create len in
+  expand_into prk ~info out ~off:0 ~len;
   out
 
 let derive ~key ~info = expand (extract ~ikm:key) ~info ~len:32

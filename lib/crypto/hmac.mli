@@ -61,8 +61,27 @@ val extract : ikm:bytes -> prepared
     Like any {!prepared} key it runs one expand at a time. *)
 
 val expand : prepared -> info:string -> len:int -> bytes
-(** HKDF-Expand of [len] bytes under a prepared PRK.
+(** HKDF-Expand of [len] bytes under a prepared PRK: {!expand_into} a
+    fresh buffer.
     @raise Invalid_argument unless [0 <= len <= 255 * 32]. *)
+
+val expand_into : prepared -> info:string -> bytes -> off:int -> len:int -> unit
+(** {!expand} writing [buf[off, off+len)] in place: each whole block is
+    finished straight into [buf] and the next block reads it from there,
+    so only a last partial block allocates (its 32-byte tag).  A key
+    that needs the first 16 bytes of a block can expand the whole block
+    and read its prefix: block 1 does not depend on [len].
+    @raise Invalid_argument unless [0 <= len <= 255 * 32] and the slice
+    is in bounds. *)
+
+val prepare_in : prepared -> bytes -> prepared
+(** [prepare_in spent pad] prepares the key whose zero-padded 64-byte
+    block is [pad] (a key of at most 64 bytes, e.g. one {!expand_into}
+    wrote there) in [spent]'s scratch context, which the result takes
+    over: [spent] must not be used again, and [pad] is overwritten.  A
+    key expanded under a PRK that is then discarded is prepared without
+    a second context.
+    @raise Invalid_argument unless [pad] is 64 bytes. *)
 
 val derive : key:bytes -> info:string -> bytes
 (** [derive ~key ~info] is a 32-byte subkey:

@@ -74,10 +74,16 @@ let unmap t ~vpn =
         t.mapped <- t.mapped - 1
       end
 
-let lookup t ~vpn =
-  match descend t t.root 3 vpn false with
-  | None -> None
-  | Some slots -> slots.(leaf_index vpn)
+(* The leaf slot's own option: a lookup allocates nothing. *)
+let rec find node level vpn =
+  match node with
+  | Leaf slots -> slots.(leaf_index vpn)
+  | Table slots -> (
+      match slots.((vpn lsr (9 * level)) land 0x1ff) with
+      | Some child -> find child (level - 1) vpn
+      | None -> None)
+
+let lookup t ~vpn = find t.root 3 vpn
 
 let protect t ~vpn ~perms =
   match lookup t ~vpn with

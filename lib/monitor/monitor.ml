@@ -685,6 +685,11 @@ let current t = t.current
    enclave's translation current but takes no TCS and pays no world
    switch — only the vCPU's context switches (the single simulated CPU
    has to borrow the worker's address space for the duration). *)
+let leave_worker t (enclave : Enclave.t) =
+  enclave.entered <- false;
+  t.current <- None;
+  leave_context t
+
 let with_worker t (enclave : Enclave.t) f =
   require_initialized enclave "with_worker";
   (match t.current with
@@ -694,10 +699,13 @@ let with_worker t (enclave : Enclave.t) f =
   enclave.entered <- true;
   t.current <- Some enclave;
   enter_context t enclave;
-  Fun.protect f ~finally:(fun () ->
-      enclave.entered <- false;
-      t.current <- None;
-      leave_context t)
+  match f () with
+  | v ->
+      leave_worker t enclave;
+      v
+  | exception exn ->
+      leave_worker t enclave;
+      raise exn
 
 (* --- enclave memory with demand paging ----------------------------------- *)
 
@@ -1018,7 +1026,10 @@ let report_mac keys body =
   Sha256.update (Hmac.start keys.report_key) body;
   Hmac.finish keys.report_key
 
-let ereport t (enclave : Enclave.t) ~report_data =
+(* EREPORT, returning the report with its ems body: the body is written
+   once, and the MAC over its report suffix lands in the report's own
+   [mac] buffer. *)
+let ereport_body t (enclave : Enclave.t) ~report_data =
   let keys = keys t "ereport" in
   require_initialized enclave "ereport";
   Cycles.tick t.clock (World_switch.transition_cost t.cost (Enclave.mode enclave));
@@ -1032,10 +1043,17 @@ let ereport t (enclave : Enclave.t) ~report_data =
       isv_svn = enclave.isv_svn;
       report_data = Sgx_types.pad_report_data report_data;
       key_id = Rng.bytes t.rng 16;
-      mac = Bytes.empty;
+      mac = Bytes.create Sha256.digest_size;
     }
   in
-  { report with Sgx_types.mac = report_mac keys (Sgx_types.report_body report) }
+  let ems = Sgx_types.ems_body report in
+  let off = Sgx_types.report_body_offset in
+  Sha256.update_sub (Hmac.start keys.report_key) ems ~off
+    ~len:(Bytes.length ems - off);
+  Hmac.finish_into keys.report_key report.mac ~off:0;
+  (report, ems)
+
+let ereport t enclave ~report_data = fst (ereport_body t enclave ~report_data)
 
 (* An unlaunched monitor made no report, so it verifies none. *)
 let verify_report t (report : Sgx_types.report) =
@@ -1063,11 +1081,10 @@ let counter_read_for t (enclave : Enclave.t) =
 
 let gen_quote t enclave ~report_data =
   let keys = keys t "gen_quote" in
-  let report = ereport t enclave ~report_data in
-  let ems = Signature.sign keys.att_private (Sgx_types.ems_body report) in
+  let report, body = ereport_body t enclave ~report_data in
   {
     report;
-    ems;
+    ems = Signature.sign keys.att_private body;
     hapk = t.hapk;
     tpm_quote = keys.platform_quote;
     events = t.boot_log;

@@ -79,20 +79,69 @@ type report = {
   mac : bytes;
 }
 
-let report_body r =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "report:";
-  Buffer.add_bytes buf r.mrenclave;
-  Buffer.add_bytes buf r.mrsigner;
-  Buffer.add_string buf
-    (Printf.sprintf "%b:%s:%d:%d:%d" r.attributes.debug
-       (mode_name r.attributes.mode)
-       r.attributes.xfrm r.isv_prod_id r.isv_svn);
-  Buffer.add_bytes buf r.report_data;
-  Buffer.add_bytes buf r.key_id;
-  Buffer.to_bytes buf
+(* Decimals as [string_of_int] writes them, sized first and written in
+   place: the report body and the quote codec share them.  Digits come
+   off the negated value, so [min_int] needs no special case. *)
+let decimal_width n =
+  let rec digits m k = if m > -10 then k else digits (m / 10) (k + 1) in
+  if n < 0 then digits n 2 else digits (-n) 1
 
-let ems_body r = Bytes.cat (Bytes.of_string "ems:") (report_body r)
+let rec put_digits b i m =
+  Bytes.set b i (Char.unsafe_chr (48 - (m mod 10)));
+  if m <= -10 then put_digits b (i - 1) (m / 10)
+
+let put_decimal b off n =
+  let stop = off + decimal_width n in
+  if n < 0 then Bytes.set b off '-';
+  put_digits b (stop - 1) (if n < 0 then n else -n);
+  stop
+
+let put_string b off s =
+  Bytes.blit_string s 0 b off (String.length s);
+  off + String.length s
+
+let put_bytes b off d =
+  Bytes.blit d 0 b off (Bytes.length d);
+  off + Bytes.length d
+
+let report_tag = "report:"
+let ems_tag = "ems:"
+let report_body_offset = String.length ems_tag
+
+(* [prefix] then the body: "report:" ‖ mrenclave ‖ mrsigner ‖
+   "<debug>:<mode>:<xfrm>:<isv_prod_id>:<isv_svn>" ‖ report_data ‖
+   key_id, written once into a buffer of exact size. *)
+let body ~prefix r =
+  let debug = string_of_bool r.attributes.debug
+  and mode = mode_name r.attributes.mode in
+  let size =
+    String.length prefix + String.length report_tag
+    + Bytes.length r.mrenclave + Bytes.length r.mrsigner
+    + String.length debug + String.length mode
+    + decimal_width r.attributes.xfrm + decimal_width r.isv_prod_id
+    + decimal_width r.isv_svn + 4
+    + Bytes.length r.report_data + Bytes.length r.key_id
+  in
+  let b = Bytes.create size in
+  let off = put_string b 0 prefix in
+  let off = put_string b off report_tag in
+  let off = put_bytes b off r.mrenclave in
+  let off = put_bytes b off r.mrsigner in
+  let off = put_string b off debug in
+  Bytes.set b off ':';
+  let off = put_string b (off + 1) mode in
+  Bytes.set b off ':';
+  let off = put_decimal b (off + 1) r.attributes.xfrm in
+  Bytes.set b off ':';
+  let off = put_decimal b (off + 1) r.isv_prod_id in
+  Bytes.set b off ':';
+  let off = put_decimal b (off + 1) r.isv_svn in
+  let off = put_bytes b off r.report_data in
+  ignore (put_bytes b off r.key_id : int);
+  b
+
+let report_body r = body ~prefix:"" r
+let ems_body r = body ~prefix:ems_tag r
 
 let pad_report_data data =
   let padded = Bytes.make 64 '\000' in

@@ -84,7 +84,21 @@ val report_body : report -> bytes
 
 val ems_body : report -> bytes
 (** What the monitor signs under hapk for a quote's enclave measurement
-    signature (ems): ["ems:"] followed by {!report_body}. *)
+    signature (ems): ["ems:"] followed by {!report_body}, written once
+    into one buffer.  EREPORT MACs its suffix from
+    {!report_body_offset} on, so a quote builds the body once. *)
+
+val report_body_offset : int
+(** 4: where {!report_body} starts inside {!ems_body}. *)
+
+val decimal_width : int -> int
+(** The length of [string_of_int n]. *)
+
+val put_decimal : bytes -> int -> int -> int
+(** [put_decimal buf off n] writes the bytes [string_of_int n] spells at
+    [off] and returns the offset after them; nothing is allocated.  The
+    report body and the quote codec ({!Hyperenclave_attestation.Wire})
+    write every integer with it. *)
 
 val pad_report_data : bytes -> bytes
 (** The [report_data] field EREPORT makes of the caller's bytes: them,

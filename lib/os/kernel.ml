@@ -204,9 +204,9 @@ let proc_write t proc ~va data =
   Cycles.tick t.clock (Cost_model.copy_cost t.cost len)
 
 let resolve_frame _t (proc : Process.t) ~vpn =
-  Option.map
-    (fun (e : Page_table.entry) -> e.frame)
-    (Page_table.lookup proc.gpt ~vpn)
+  match Page_table.lookup proc.gpt ~vpn with
+  | Some e -> e.frame
+  | None -> raise Not_found
 
 let map_alias _t (proc : Process.t) ~vpn ~frame =
   Page_table.map proc.gpt ~vpn ~frame ~perms:Page_table.rw

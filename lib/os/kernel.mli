@@ -87,9 +87,11 @@ val proc_read : t -> Process.t -> va:int -> len:int -> bytes
 
 val proc_write : t -> Process.t -> va:int -> bytes -> unit
 
-val resolve_frame : t -> Process.t -> vpn:int -> int option
+val resolve_frame : t -> Process.t -> vpn:int -> int
 (** Present-frame lookup (no fault handling) — what the kernel module uses
-    to collect pinned marshalling frames. *)
+    to collect pinned marshalling frames, and the SDK's ring legs to walk
+    them.  It allocates nothing.
+    @raise Not_found when [vpn] has no present PTE. *)
 
 val map_alias : t -> Process.t -> vpn:int -> frame:int -> unit
 (** Install an arbitrary PTE in a process table — the primitive a

@@ -73,8 +73,8 @@ let ioctl_pin_range t proc ~va ~len =
   let last = Addr.page_of (va + len - 1) in
   for vpn = first to last do
     match Kernel.resolve_frame t.kernel proc ~vpn with
-    | Some _ -> Process.pin proc ~vpn
-    | None ->
+    | _ -> Process.pin proc ~vpn
+    | exception Not_found ->
         (* A failed ioctl must leave the process as it found it: unwind
            every pin this call took, or the pages stay unreclaimable for
            the life of the process. *)
@@ -100,8 +100,8 @@ let ioctl_init_enclave t proc enclave ~sigstruct ~ms_base ~ms_size =
       invalid_arg
         (Printf.sprintf "ioctl_init_enclave: page 0x%x not pinned" vpn);
     match Kernel.resolve_frame t.kernel proc ~vpn with
-    | Some frame -> pages := (vpn, frame) :: !pages
-    | None ->
+    | frame -> pages := (vpn, frame) :: !pages
+    | exception Not_found ->
         invalid_arg
           (Printf.sprintf "ioctl_init_enclave: page 0x%x not resident" vpn)
   done;

@@ -47,16 +47,19 @@ type job = {
   mutable tail : int;
   mutable started : bool;  (* the owner has paid [rest] *)
   mutable joined : bool;
+  mutable next : job option;  (* the link to the next job its owner queued *)
 }
 
 type core = {
   core_id : int;
   clock : Cycles.t;
   mutable start : int;  (* clock when the current run began *)
-  mutable jobs : job list;  (* own jobs not yet done, queue order *)
-  mutable joined : job list;
-      (* the job this core joined, heading a suffix of its owner's queue;
-         [] for none *)
+  mutable jobs : job option;
+      (* own jobs not yet done, in queue order: the link to the first,
+         whose [next] links the rest *)
+  mutable last : job option;  (* the link to the last, which enqueue extends *)
+  mutable joined : job option;
+      (* the job this core joined, by its link in its owner's queue *)
   mutable placed : bool;  (* no unit left for this core in this run *)
   mutable busy : int;
   mutable joins : int;
@@ -107,8 +110,9 @@ let create ~shared_clock ~telemetry (config : config) =
             core_id;
             clock = Cycles.create ();
             start = 0;
-            jobs = [];
-            joined = [];
+            jobs = None;
+            last = None;
+            joined = None;
             placed = false;
             busy = 0;
             joins = 0;
@@ -165,9 +169,16 @@ let enqueue t ?core ?label ?on_result ?on_slice work =
       tail = 0;
       started = false;
       joined = false;
+      next = None;
     }
   in
-  target.jobs <- target.jobs @ [ job ]
+  (* The queue is threaded through its jobs: appending allocates only
+     the new job's link, which the queue then holds once. *)
+  let link = Some job in
+  (match target.last with
+  | Some last -> last.next <- link
+  | None -> target.jobs <- link);
+  target.last <- link
 
 let submit t ?core ?on_result ~urts requests =
   let n = List.length requests in
@@ -287,29 +298,32 @@ let run_job t (job : job) =
   report delta;
   Telemetry.sample t.h_slice (max 1 delta)
 
+(* [f] over a queue, from the link to its first job. *)
+let rec iter_jobs f = function
+  | Some (job : job) ->
+      f job;
+      iter_jobs f job.next
+  | None -> ()
+
 (* Every job runs in a fixed host order — owner core, then queue order —
    whatever the placement does later, so runs stay bit-reproducible.  An
    exception that escapes (a monitor violation, or any failure without
    [drop_on_error]) charges each job run so far whole to its owner,
    delivers nothing and drops the run's jobs. *)
 let run_jobs t =
-  let rec run = function
-    | [] -> ()
-    | job :: rest ->
-        run_job t job;
-        run rest
-  in
+  let run job = run_job t job in
   try
     for i = 0 to Array.length t.cores - 1 do
-      run t.cores.(i).jobs
+      iter_jobs run t.cores.(i).jobs
     done
   with exn ->
     Array.iter
       (fun (c : core) ->
-        List.iter
-          (fun (job : job) -> if job.cycles >= 0 then busy_tick c job.cycles)
+        iter_jobs
+          (fun job -> if job.cycles >= 0 then busy_tick c job.cycles)
           c.jobs;
-        c.jobs <- [])
+        c.jobs <- None;
+        c.last <- None)
       t.cores;
     raise exn
 
@@ -337,18 +351,18 @@ let claim (core : core) (job : job) i =
     (match job.work with Ring _ -> ok_in_ring | Calls c -> c.endings.(i))
 
 (* The job with the most unclaimed units, first in host order on a tie,
-   as the suffix of its owner's queue that it heads ([] when no unit is
-   left).  Only counts decide; no recorded cost is read.  Handling jobs
-   as list suffixes keeps the search and the join allocation-free. *)
-let unclaimed = function (job : job) :: _ -> job.tail - job.head | [] -> 0
+   by its link in its owner's queue ([None] when no unit is left).  Only
+   counts decide; no recorded cost is read.  Handing out the queue's own
+   links keeps the search and the join allocation-free. *)
+let unclaimed = function Some (job : job) -> job.tail - job.head | None -> 0
 
 let busiest_job t =
   let rec busier best = function
-    | [] -> best
-    | _ :: rest as jobs ->
-        busier (if unclaimed jobs > unclaimed best then jobs else best) rest
+    | None -> best
+    | Some (job : job) as link ->
+        busier (if unclaimed link > unclaimed best then link else best) job.next
   in
-  Array.fold_left (fun best (c : core) -> busier best c.jobs) [] t.cores
+  Array.fold_left (fun best (c : core) -> busier best c.jobs) None t.cores
 
 (* One placement step for [core]: the next head unit of its own jobs in
    queue order (paying a job's unplaced cycles when it starts it); else
@@ -356,12 +370,12 @@ let busiest_job t =
    paying [join_cycles] on its clock outside slices. *)
 let place_step t (core : core) =
   let rec own = function
-    | (job : job) :: rest when job.started && job.head >= job.tail -> own rest
-    | jobs -> jobs
+    | Some (job : job) when job.started && job.head >= job.tail -> own job.next
+    | link -> link
   in
   core.jobs <- own core.jobs;
   match core.jobs with
-  | job :: _ ->
+  | Some job ->
       if not job.started then begin
         job.started <- true;
         busy_tick core job.rest
@@ -370,18 +384,18 @@ let place_step t (core : core) =
         job.head <- job.head + 1;
         claim core job (job.head - 1)
       end
-  | [] -> (
+  | None -> (
       if unclaimed core.joined = 0 && t.config.work_stealing then begin
         core.joined <- busiest_job t;
         match core.joined with
-        | job :: _ ->
+        | Some job ->
             Cycles.tick core.clock (join_cycles job);
             core.joins <- core.joins + 1;
             job.joined <- true
-        | [] -> ()
+        | None -> ()
       end;
       match core.joined with
-      | job :: _ when job.head < job.tail ->
+      | Some job when job.head < job.tail ->
           job.tail <- job.tail - 1;
           claim core job job.tail
       | _ -> core.placed <- true)
@@ -399,7 +413,12 @@ let place t =
     place_step t t.cores.(!next);
     next := earliest t unplaced
   done;
-  Array.iter (fun (c : core) -> c.joined <- []) t.cores;
+  (* Every own queue is empty now: the next enqueue starts a new one. *)
+  Array.iter
+    (fun (c : core) ->
+      c.joined <- None;
+      c.last <- None)
+    t.cores;
   if joins () > before then Telemetry.add t.telemetry "sched.join" (joins () - before)
 
 (* --- runs -------------------------------------------------------------------- *)
@@ -439,5 +458,4 @@ let core_busy t i = t.cores.(i).busy
 let run t =
   Array.iter (fun (c : core) -> c.start <- Cycles.now c.clock) t.cores;
   run_jobs t;
-  place t;
-  stats t
+  place t

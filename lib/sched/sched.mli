@@ -145,11 +145,12 @@ val submit_ring :
     was placed on.  The scheduler does not read reply bytes out of the
     ring — [on_result] reports [Ok Bytes.empty] per served slot (a shared
     placeholder, no per-request allocation) and the submitter reads
-    replies in place via {!Urts.ring_reply_slot} after {!run}. *)
+    replies in place via {!Urts.ring_reply_offset} and
+    {!Urts.ring_reply_length} after {!run}. *)
 
-val run : t -> stats
-(** Run every queued job once in host order, place their units from the
-    common start (see the header) and return the run's statistics.  A
+val run : t -> unit
+(** Run every queued job once in host order and place their units from
+    the common start (see the header); {!stats} reads the result.  A
     core's clock advances by its slice time plus its join and claim
     charges; a core with nothing to do does not advance.  Telemetry
     recorded along the way: [sched.join], [sched.request_failed],
@@ -161,7 +162,7 @@ val run : t -> stats
     their units and dequeues the whole run. *)
 
 val stats : t -> stats
-(** Read-only snapshot of the same statistics {!run} returns: never
+(** Read-only snapshot of the scheduler's statistics: never
     advances a clock, runs a job, or drains a queue, so it is safe to
     call between [submit] and [run] (or never calling [run] at all). *)
 

@@ -104,8 +104,9 @@ let ms_slice_nofault rw t ~off buf ~pos ~len =
     let chunk = min (len - !p) (Addr.page_size - Addr.offset a) in
     let frame =
       match Kernel.resolve_frame (kernel t) t.proc ~vpn:(Addr.page_of a) with
-      | Some frame -> frame
-      | None -> fail "marshalling page 0x%x not resident" (Addr.page_of a)
+      | frame -> frame
+      | exception Not_found ->
+          fail "marshalling page 0x%x not resident" (Addr.page_of a)
     in
     let pa = Addr.base_of_page frame lor Addr.offset a in
     (match rw with
@@ -788,14 +789,17 @@ let ring_stage r ~ecall_id ~len =
   r.staged <- r.staged + 1;
   off + 16
 
-let ring_reply_slot r ~slot =
+let ring_reply_offset r ~slot =
   if slot < 0 || slot >= r.staged then
     fail "ring reply slot %d outside the %d staged" slot r.staged;
-  let off = 8 + (slot * r.stride) in
-  let len = Int64.to_int (Bytes.get_int64_le r.pbuf (off + 8)) in
+  8 + (slot * r.stride) + 16
+
+let ring_reply_length r ~slot =
+  let off = ring_reply_offset r ~slot in
+  let len = Int64.to_int (Bytes.get_int64_le r.pbuf (off - 8)) in
   if len < 0 || len > r.stride - 16 then
     fail "ring reply slot %d has a corrupt length word (%d)" slot len;
-  (off + 16, len)
+  len
 
 (* Request leg: publish the staged image into the shard's pinned request
    segment and pay the marshalling-in rate. *)
@@ -821,8 +825,8 @@ let touch_segment t ~off ~len =
   for vpn = first to last do
     Cycles.tick (clock t) c.Cost_model.tlb_hit;
     match Kernel.resolve_frame (kernel t) t.proc ~vpn with
-    | Some _ -> ()
-    | None -> fail "ring segment page 0x%x not resident" vpn
+    | _ -> ()
+    | exception Not_found -> fail "ring segment page 0x%x not resident" vpn
   done
 
 (* One slot's handler on the worker, and the copy of its reply into the

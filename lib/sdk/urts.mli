@@ -73,7 +73,8 @@ val ecall_no_ms :
     The SDK's one batched call path: a fixed-stride slot ring per
     (tenant, shard) in the pinned marshalling buffer, used as
     [create_ring] once, then per batch [ring_stage] x K,
-    [ring_dispatch], [ring_reply_slot] and [ring_reset].  The ring slot
+    [ring_dispatch], [ring_reply_offset] / [ring_reply_length] and
+    [ring_reset].  The ring slot
     {e is} the envelope: callers stage payloads straight into it, and
     the staging images are recycled across flushes.  Per slot a dispatch
     allocates only the worker's private copy of the slot body and what
@@ -164,9 +165,15 @@ val ring_dispatch : ring -> unit
     [slot_bytes], a channel-ring slot shorter than a tag, or a reply
     count that disagrees with the staged count. *)
 
-val ring_reply_slot : ring -> slot:int -> int * int
-(** [(payload_offset, framed_length)] of a served slot's reply inside
+val ring_reply_offset : ring -> slot:int -> int
+(** Where a served slot's reply payload starts inside
     {!ring_reply_buf}.
+    @raise Enclave_error on an out-of-range slot. *)
+
+val ring_reply_length : ring -> slot:int -> int
+(** The framed length of a served slot's reply, read from its length
+    word: the reply is [ring_reply_buf[off, off + length)] with [off]
+    from {!ring_reply_offset}.  Neither allocates.
     @raise Enclave_error on an out-of-range slot or a length word past
     the slot's payload area. *)
 

@@ -218,16 +218,19 @@ let stage_push (st : stage) req =
   st.sg_n <- n + 1
 
 (* One ring shard of a tenant, built on its first use together with the
-   scheduler callbacks its dispatches report through, so a flush builds
-   none of them. *)
+   scheduler arguments its dispatches are submitted with (owner core,
+   service label and callbacks, each already an option), so a flush
+   builds none of them. *)
 type lane = {
   ring : Urts.ring;
   entries : int array;
       (* slot -> stage index of the request staged there this flush: how
          the ring's in-enclave channel finds a slot's header *)
   mutable err : string option;  (* the ring's failure, one flush *)
-  on_result : Sched.on_result;
-  on_slice : cycles:int -> unit;
+  core : int option;
+  label : string option;
+  on_result : Sched.on_result option;
+  on_slice : (cycles:int -> unit) option;
 }
 
 type tenant = {
@@ -477,11 +480,10 @@ let charge_aead_bytes t ~bytes =
    table without limit.  Lookup is node-wide: returns [true] when the
    nonce was already burnt, for any tenant.  The tenants an entry records
    pick the migrations that carry it ([export_tenant]). *)
-let nonce_replayed t ~tenants nonce =
-  let key = Bytes.to_string nonce in
+let key_replayed t ~tenants key =
   if Hashtbl.mem t.seen_nonces key then true
   else begin
-    Hashtbl.replace t.seen_nonces key tenants;
+    Hashtbl.add t.seen_nonces key tenants;
     Queue.push key t.nonce_order;
     while Queue.length t.nonce_order > t.config.nonce_cache do
       Hashtbl.remove t.seen_nonces (Queue.pop t.nonce_order)
@@ -489,14 +491,18 @@ let nonce_replayed t ~tenants nonce =
     false
   end
 
-(* Record that a burnt nonce was burnt for [tenant] too; its FIFO place
-   does not move.  An evicted nonce stays evicted. *)
-let burn_for t nonce ~tenant =
-  let key = Bytes.to_string nonce in
-  match Hashtbl.find_opt t.seen_nonces key with
-  | Some tenants when not (List.mem tenant tenants) ->
-      Hashtbl.replace t.seen_nonces key (tenant :: tenants)
-  | Some _ | None -> ()
+let nonce_replayed t ~tenants nonce =
+  key_replayed t ~tenants (Bytes.to_string nonce)
+
+(* Record that a burnt nonce, keyed as in the cache, was burnt for
+   [tenant] too; its FIFO place does not move.  An evicted nonce stays
+   evicted. *)
+let burn_for t key ~tenant =
+  match Hashtbl.find t.seen_nonces key with
+  | tenants ->
+      if not (List.mem tenant tenants) then
+        Hashtbl.replace t.seen_nonces key (tenant :: tenants)
+  | exception Not_found -> ()
 
 (* ---------------------------------------------------------------------- *)
 (* Session state ECALLs (EDMM-backed elastic per-session state)           *)
@@ -1059,10 +1065,13 @@ let lane_for t (tn : tenant) shard =
           ring;
           entries;
           err = None;
+          core = Some (shard mod max 1 t.config.sched.Sched.cores);
+          label = Some tn.t_name;
           on_result =
-            (fun ~index:_ ~core:_ -> function
-              | Ok _ -> () | Error msg -> l.err <- Some msg);
-          on_slice = (fun ~cycles -> charge tn cycles);
+            Some
+              (fun ~index:_ ~core:_ -> function
+                | Ok _ -> () | Error msg -> l.err <- Some msg);
+          on_slice = Some (fun ~cycles -> charge tn cycles);
         }
       in
       tn.lanes.(shard) <- Some l;
@@ -1089,9 +1098,8 @@ let recycle (tn : tenant) =
    arenas and the pinned marshalling rings, and every lane, channel,
    counter handle and retry thunk is built once.  Per request a flush
    allocates the enclave's private copy of the slot body (the worker
-   opens it away from the shared segment), the reply frame with its
-   record and list cell, and the (offset, length) pair of
-   [Urts.ring_reply_slot]; the rest is per ring or per flush.  Every
+   opens it away from the shared segment) and the reply frame with its
+   record and list cell; the rest is per ring or per flush.  Every
    flush ends in [recycle], aborted or not, so a ring with staged slots
    is one this flush staged into. *)
 let drain t =
@@ -1099,7 +1107,6 @@ let drain t =
   t.flush_gen <- t.flush_gen + 1;
   Hashtbl.reset t.fault_msgs;
   t.sealed_in_group <- 0;
-  let cores = max 1 t.config.sched.Sched.cores in
   let tenants =
     List.rev_map (fun name -> Hashtbl.find t.tenants name) t.tenant_order
   in
@@ -1159,14 +1166,13 @@ let drain t =
           match tn.lanes.(shard) with
           | Some l when Urts.ring_staged l.ring > 0 ->
               incr rings_used;
-              Sched.submit_ring t.sched ~core:(shard mod cores)
-                ~label:tn.t_name ~on_result:l.on_result ~on_slice:l.on_slice
-                l.ring
+              Sched.submit_ring t.sched ?core:l.core ?label:l.label
+                ?on_result:l.on_result ?on_slice:l.on_slice l.ring
           | Some _ | None -> ()
         done
       end)
     tenants;
-  ignore (Sched.run t.sched : Sched.stats);
+  Sched.run t.sched;
   (* Assembly: walk the same sorted stages, copying each sealed reply
      slot out once as its frame, or turning a refused slot into its typed
      reject.  Reply order is the contract: tenant insertion order, then
@@ -1196,7 +1202,9 @@ let drain t =
             | None -> assert false
             | Some { err = Some msg; _ } -> emit_err sid seq (Session_fault msg)
             | Some { ring; _ } ->
-                let off, framed = Urts.ring_reply_slot ring ~slot:st.sg_slots.(i) in
+                let slot = st.sg_slots.(i) in
+                let off = Urts.ring_reply_offset ring ~slot in
+                let framed = Urts.ring_reply_length ring ~slot in
                 let buf = Urts.ring_reply_buf ring in
                 if framed >= Urts.tag_bytes then begin
                   Telemetry.bump t.c_ok 1;
@@ -1375,7 +1383,9 @@ let decode_blob b =
           { m_id; m_key; m_top; m_pages; m_state })
     in
     let nonces =
-      List.init (u64 ~max:1_000_000 "nonce count") (fun _ -> field "nonce")
+      Array.init (u64 ~max:1_000_000 "nonce count") (fun _ ->
+          let n = u64 "nonce" in
+          Bytes.sub_string b (take n "nonce") n)
     in
     if !pos <> Bytes.length b then raise (Malformed "trailing bytes");
     (tenant, identity, moved, nonces)
@@ -1569,9 +1579,10 @@ let import_tenant t blob =
          again. *)
       resume_session_ids t ~next:(m.m_id + 1))
     moved;
-  List.iter
-    (fun n ->
-      if nonce_replayed t ~tenants:[ tenant ] n then burn_for t n ~tenant)
+  (* Each carried nonce is already its cache key. *)
+  let tenants = [ tenant ] in
+  Array.iter
+    (fun key -> if key_replayed t ~tenants key then burn_for t key ~tenant)
     nonces;
   tn.t_migrated_to <- None;
   Telemetry.incr t.telemetry "serve.migrate.import";
@@ -1662,7 +1673,7 @@ let resume t (r : resume) =
         match decode_ticket payload with
         | None -> reject t (Bad_ticket "malformed ticket payload")
         | Some (tenant, key, expires) -> (
-            burn_for t r.r_nonce ~tenant;
+            burn_for t (Bytes.to_string r.r_nonce) ~tenant;
             if Cycles.now t.platform.Platform.clock > expires then
               reject t Ticket_expired
             else

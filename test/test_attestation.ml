@@ -352,6 +352,127 @@ let test_wire_roundtrip () =
   | Result.Ok _ -> Alcotest.fail "trailing bytes accepted");
   Urts.destroy handle
 
+(* [q]'s wire form written independently of the codec, with the [k]-th
+   integer on the wire (in wire order) spelled [spell k n].  Fields are
+   thunks so the integers are numbered in the order they are written. *)
+let reframe (q : Monitor.quote) ~spell =
+  let k = ref (-1) in
+  let record fields =
+    let buf = Buffer.create 256 in
+    List.iter
+      (fun field ->
+        let s = field () in
+        Buffer.add_int32_be buf (Int32.of_int (String.length s));
+        Buffer.add_string buf s)
+      fields;
+    Buffer.contents buf
+  in
+  let bytes b () = Bytes.to_string b and text s () = s in
+  let int n =
+    incr k;
+    spell !k n
+  in
+  let num n () = int n in
+  let r = q.Monitor.report and t = q.Monitor.tpm_quote in
+  let report () =
+    record
+      [
+        bytes r.Sgx_types.mrenclave;
+        bytes r.mrsigner;
+        text (if r.attributes.Sgx_types.debug then "1" else "0");
+        text (Sgx_types.mode_name r.attributes.mode);
+        num r.attributes.xfrm;
+        num r.isv_prod_id;
+        num r.isv_svn;
+        bytes r.report_data;
+        bytes r.key_id;
+        bytes r.mac;
+      ]
+  in
+  let selection () = String.concat "," (List.map int t.Tpm.pcr_selection) in
+  let tpm () =
+    record
+      [
+        bytes t.pcr_digest;
+        selection;
+        bytes t.nonce;
+        bytes t.signature;
+        bytes t.aik_public;
+        bytes t.aik_certificate;
+        bytes t.ek_public;
+      ]
+  in
+  let event (e : Monitor.boot_event) () =
+    record [ num e.pcr_index; text e.label; bytes e.measurement ]
+  in
+  Bytes.of_string
+    (record
+       ([ text "HEQ1"; report; bytes q.ems; bytes q.hapk; tpm;
+          num (List.length q.events) ]
+       @ List.map event q.events))
+
+(* A quote has one wire form: every integer the wire carries (xfrm,
+   ISV product id and SVN, each PCR-selection entry, the event count and
+   each event's PCR index) decodes only as [string_of_int] writes it.
+   Each other spelling of any one of them is refused, values that read
+   the same included, so no re-framed copy of a genuine quote decodes
+   and verifies. *)
+let test_wire_one_spelling () =
+  let p, handle, quote = build ~seed:4012L () in
+  let canonical _ n = string_of_int n in
+  let genuine = reframe quote ~spell:canonical in
+  Alcotest.(check string)
+    "the codec writes every integer as string_of_int does"
+    (Bytes.to_string (Quote_wire.encode quote))
+    (Bytes.to_string genuine);
+  (match Quote_wire.decode genuine with
+  | Result.Error m -> Alcotest.fail ("genuine wire refused: " ^ m)
+  | Result.Ok decoded ->
+      Alcotest.(check bool) "the genuine wire round-trips" true (decoded = quote);
+      ignore
+        (expect_ok
+           (Verifier.verify ~golden:(golden_of p) ~policy:(policy_for handle)
+              ~report_data:rd decoded)));
+  let integers = ref 0 in
+  ignore
+    (reframe quote ~spell:(fun _ n ->
+         incr integers;
+         string_of_int n)
+      : bytes);
+  let rec binary n =
+    if n < 2 then string_of_int n else binary (n / 2) ^ string_of_int (n mod 2)
+  in
+  let spellings =
+    [
+      (fun n -> "0" ^ string_of_int n);
+      (fun n -> "+" ^ string_of_int n);
+      Printf.sprintf "0x%x";
+      (fun n -> "0b" ^ binary n);
+      (fun n -> string_of_int n ^ "_");
+      (fun _ -> "-0");
+    ]
+  in
+  for k = 0 to !integers - 1 do
+    List.iter
+      (fun spell ->
+        let odd = ref "" in
+        let wire =
+          reframe quote ~spell:(fun j n ->
+              if j <> k then string_of_int n
+              else begin
+                odd := spell n;
+                !odd
+              end)
+        in
+        match Quote_wire.decode wire with
+        | Result.Error _ -> ()
+        | Result.Ok _ -> Alcotest.failf "integer %d spelled %S decoded" k !odd)
+      spellings
+  done;
+  Alcotest.(check bool) "xfrm, ids, selection, count and indices" true
+    (!integers >= 6);
+  Urts.destroy handle
+
 let test_wire_bitflips_never_verify () =
   let p, handle, quote = build ~seed:4011L () in
   let golden = golden_of p in
@@ -542,6 +663,8 @@ let test_memo_displaced () =
 let suite =
   [
     Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
+    Alcotest.test_case "wire: one spelling per integer" `Quick
+      test_wire_one_spelling;
     Alcotest.test_case "wire bitflips never verify" `Quick
       test_wire_bitflips_never_verify;
     Alcotest.test_case "verify ok" `Quick test_verify_ok;

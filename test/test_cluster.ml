@@ -1010,6 +1010,76 @@ let test_blob_carries_own_nonces () =
   Alcotest.(check int) "other tenants' nonces stay home" before (blob_length ());
   Cluster.destroy cl
 
+(* --- host allocation of a live migration ------------------------------ *)
+
+(* Minor words per migration of acme, with one open session, between
+   its owner and a second node, in a fleet that has already moved it
+   there and back once. *)
+let migration_words cl ~home =
+  let away = other cl home in
+  let round_trip () =
+    ignore (migrate_ok cl ~tenant:"acme" ~dst:away : int);
+    ignore (migrate_ok cl ~tenant:"acme" ~dst:home : int)
+  in
+  round_trip ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 4 do
+    round_trip ()
+  done;
+  (Gc.minor_words () -. w0) /. 8.
+
+(* Burn [n] fresh nonces for acme on [node]: hellos with a share no key
+   agrees with burn their nonce and cost the plane nothing else. *)
+let burn_nonces cl ~node ~from n =
+  let plane = Cluster.plane cl node in
+  for i = from to from + n - 1 do
+    let nonce = Bytes.make 16 'n' in
+    Bytes.set_int64_le nonce 0 (Int64.of_int i);
+    match
+      Serve.handshake plane ~tenant:"acme"
+        { Serve.nonce; client_kx = Bytes.make 32 'x' }
+    with
+    | Error Serve.Unknown_key_share -> ()
+    | Error r -> Alcotest.failf "burn %d: %a" i Serve.pp_reject r
+    | Ok _ -> Alcotest.failf "burn %d: a non-group share was accepted" i
+  done
+
+(* A steady migration allocates what the move keeps: the offer's quote
+   and its appraisal, both ends' prepared transport keys, the tenant's
+   blob and the rebuilt session, plus the signatures, key-exchange steps
+   and transcript hashes that each start a fresh SHA-256 context, about
+   4,000 words.  The quote codec, the report body built twice and
+   per-key scratch read 6,646. *)
+let test_migration_allocation () =
+  let cl, home = build ~nodes:2 () in
+  let client = connect cl in
+  let words = migration_words cl ~home in
+  if words > 5000. then
+    Alcotest.failf "a steady migration allocated %.0f minor words (> 5,000)"
+      words;
+  Cluster.Client.close client;
+  Cluster.destroy cl
+
+(* Each burnt nonce the tenant carries costs the move its cache key on
+   the destination and little else: the slope between 300 and 600
+   carried nonces is at most 10 words a nonce (three copies of it, two
+   list cells and an option read 20).  Blobs this long, and the import's
+   nonce array, are past the minor heap's 256-word limit, so the slope
+   is what the import makes per nonce. *)
+let test_carried_nonce_allocation () =
+  let cl, home = build ~nodes:2 () in
+  let client = connect cl in
+  burn_nonces cl ~node:home ~from:0 300;
+  let w300 = migration_words cl ~home in
+  burn_nonces cl ~node:home ~from:300 300;
+  let w600 = migration_words cl ~home in
+  let per_nonce = (w600 -. w300) /. 300. in
+  if per_nonce > 10. then
+    Alcotest.failf "each carried nonce allocated %.2f minor words (> 10)"
+      per_nonce;
+  Cluster.Client.close client;
+  Cluster.destroy cl
+
 let suite =
   [
     Alcotest.test_case "live migration: seal, ship, re-attest, resume" `Quick
@@ -1063,4 +1133,8 @@ let suite =
       `Quick test_burnt_nonce_keeps_every_tenant;
     Alcotest.test_case "a migration carries only its tenant's nonces" `Quick
       test_blob_carries_own_nonces;
+    Alcotest.test_case "a steady migration allocates what it keeps (allocation)"
+      `Quick test_migration_allocation;
+    Alcotest.test_case "a carried nonce costs its cache key (allocation)"
+      `Quick test_carried_nonce_allocation;
   ]

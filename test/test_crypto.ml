@@ -294,6 +294,38 @@ let words_per_call f =
   done;
   (Gc.minor_words () -. w0) /. 1000.
 
+(* Key preparation allocates what the keys keep: the AES schedule with
+   its CTR scratch, the MAC key's two pad midstates and the scratch
+   context the extract ran in, and the keys' record with its two small
+   buffers, about 260 words.  A second context for the MAC key, a tag
+   per expand block and byte-wise AES round keys read 652. *)
+let test_prepare_allocation () =
+  let key = Bytes.make 32 'k' in
+  let words =
+    words_per_call (fun () -> ignore (Authenc.prepare key : Authenc.keys))
+  in
+  if words > 320. then
+    Alcotest.failf "Authenc.prepare allocated %.0f minor words per call (> 320)"
+      words
+
+(* In-place HKDF-Expand writes exactly its slice, whole blocks and a
+   partial last one alike, with the bytes [expand] returns. *)
+let test_expand_into () =
+  let prk = Hmac.extract ~ikm:(Bytes.of_string "input keying material") in
+  List.iter
+    (fun len ->
+      let buf = Bytes.make (len + 10) 'z' in
+      Hmac.expand_into prk ~info:"slice" buf ~off:5 ~len;
+      Alcotest.(check string)
+        (Printf.sprintf "%d bytes in place" len)
+        (Bytes.to_string (Hmac.expand prk ~info:"slice" ~len))
+        (Bytes.sub_string buf 5 len);
+      Alcotest.(check string)
+        (Printf.sprintf "%d bytes: the rest untouched" len)
+        "zzzzzzzzzz"
+        (Bytes.sub_string buf 0 5 ^ Bytes.sub_string buf (5 + len) 5))
+    [ 0; 16; 32; 42; 64; 100 ]
+
 (* A key runs CTR over its own scratch counter block and state, so a
    104-byte transform allocates nothing.  Under prepared keys a seal
    writes its tag into the frame and an open recomputes the tag in the
@@ -569,6 +601,10 @@ let suite =
       Alcotest.test_case "aes ctr_into slices" `Quick test_ctr_into;
       Alcotest.test_case "ctr and prepared seal allocate no scratch" `Quick
         test_ctr_allocation;
+      Alcotest.test_case "authenc prepare allocates its keys only" `Quick
+        test_prepare_allocation;
+      Alcotest.test_case "hkdf expand_into writes its slice" `Quick
+        test_expand_into;
       Alcotest.test_case "sha256 update_sub" `Quick test_update_sub;
       Alcotest.test_case "prepared hmac = one-shot hmac" `Quick
         test_prepared_hmac;

@@ -273,9 +273,9 @@ let libos_fd_invariants =
 (* --- slot ring reply frame: corrupt length words ------------------------------------ *)
 
 (* The reply image comes back from the shared ms region, so its length
-   words are attacker-reachable: whatever they hold, [ring_reply_slot]
-   must hand out a slice inside the slot or refuse with the typed
-   [Urts.Enclave_error] — never a bare exception or an out-of-bounds
+   words are attacker-reachable: whatever they hold, [ring_reply_offset]
+   and [ring_reply_length] must hand out a slice inside the slot or
+   refuse with the typed [Urts.Enclave_error] — never a bare exception or an out-of-bounds
    slice.  One enclave and ring serve every case; each case re-stages
    the ring from scratch. *)
 let fuzz_ring =
@@ -323,7 +323,10 @@ let ring_frame_corrupt_length =
         words;
       List.for_all
         (fun slot ->
-          match Urts.ring_reply_slot ring ~slot with
+          match
+            ( Urts.ring_reply_offset ring ~slot,
+              Urts.ring_reply_length ring ~slot )
+          with
           | off, len ->
               let base = 8 + (slot * stride) + 16 in
               off = base && len >= 0

@@ -36,8 +36,9 @@ let stage ring (id, data) =
 
 let ring_replies ring =
   List.init (Urts.ring_staged ring) (fun slot ->
-      let off, len = Urts.ring_reply_slot ring ~slot in
-      Bytes.sub_string (Urts.ring_reply_buf ring) off len)
+      Bytes.sub_string (Urts.ring_reply_buf ring)
+        (Urts.ring_reply_offset ring ~slot)
+        (Urts.ring_reply_length ring ~slot))
 
 (* One full batch: stage, then one round trip. *)
 let run_ring ring reqs =
@@ -332,7 +333,8 @@ let run_workload ?(seed = 4200L) ?(enclaves = 4) ?(reqs_per_job = 10)
       Sched.submit sched ?core:submit_core ~urts:handle
         (requests ~tag:(Printf.sprintf "job%d" i) reqs_per_job))
     handles;
-  let stats = Sched.run sched in
+  Sched.run sched;
+  let stats = Sched.stats sched in
   let result =
     {
       stats;
@@ -422,7 +424,7 @@ let test_finished_jobs_released () =
     Sched.submit sched ~on_result ~urts:handle (requests ~tag:"w" 3)
   in
   (Sys.opaque_identity submit) ();
-  ignore (Sched.run sched : Sched.stats);
+  Sched.run sched;
   Gc.full_major ();
   Alcotest.(check int) "every request delivered" 3 !served;
   Alcotest.(check int)
@@ -493,7 +495,8 @@ let place_jobs ?(kind = `Ring) ?(id = fun _ -> 1) config jobs =
         (where, cycles))
       jobs
   in
-  let stats = Sched.run sched in
+  Sched.run sched;
+  let stats = Sched.stats sched in
   Urts.destroy handle;
   (stats, List.map (fun (w, c) -> (Array.to_list w, !c)) placed)
 
@@ -513,7 +516,7 @@ let test_lagging_core () =
   let sched = sched_on p Sched.default_config in
   let r0 = burn_ring handle ~shard:0 ~shards:2 [ 60_000 ] in
   Sched.submit_ring sched ~core:0 r0;
-  ignore (Sched.run sched : Sched.stats);
+  Sched.run sched;
   Alcotest.(check bool) "core 1 lags after the first run" true
     (Sched.core_cycles sched 1 < Sched.core_cycles sched 0);
   Urts.ring_reset r0;
@@ -528,7 +531,8 @@ let test_lagging_core () =
     [ r0; r1 ];
   let before = Array.init 2 (Sched.core_cycles sched) in
   let joins = (Sched.stats sched).Sched.joins in
-  let s = Sched.run sched in
+  Sched.run sched;
+  let s = Sched.stats sched in
   Array.iteri
     (fun core own ->
       Alcotest.(check int)
@@ -648,7 +652,8 @@ let test_strict_ring_failure () =
   stage good (1, Bytes.of_string "5000");
   Sched.submit_ring sched ~core:0 good;
   let served = (Sched.stats sched).Sched.total_requests in
-  let s = Sched.run sched in
+  Sched.run sched;
+  let s = Sched.stats sched in
   Alcotest.(check int) "the next run serves only its own ring" 1
     (s.Sched.total_requests - served);
   Alcotest.(check int) "the aborted call job delivered nothing" 0 !delivered;
@@ -678,7 +683,9 @@ let test_chaos_invariants () =
         handles;
       Fault.install ~telemetry:(telemetry p) plan;
       let stats =
-        try Sched.run sched
+        try
+          Sched.run sched;
+          Sched.stats sched
         with exn ->
           Fault.clear ();
           Alcotest.fail

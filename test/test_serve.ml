@@ -1700,6 +1700,79 @@ let test_plane_allocation () =
       "submit + flush allocated %.1f minor words per request (> 80)" words;
   Serve.destroy plane
 
+(* A flush sets little up per flush: once warm, admitting and flushing
+   one sealed 100-byte request allocates the enclave's copy of the slot
+   body, the reply frame with its record and list cell, the ring's
+   scheduler job and queue link, and the flush's own lists and closures,
+   about 150 words on 1, 2 and 8 cores alike.  A per-core statistics snapshot per run, a
+   protected worker context per dispatch, boxed submit options, a boxed
+   frame per page the ring legs walk and a tuple per reply read 205, 212
+   and 254. *)
+let test_one_request_flush_allocation () =
+  List.iter
+    (fun cores ->
+      let config =
+        {
+          Serve.default_config with
+          Serve.sched = { Sched.default_config with Sched.cores; batch = 16 };
+        }
+      in
+      let _p, plane, _backend, client = build ~seed:7093L ~config () in
+      establish plane client;
+      let payload = Bytes.make 100 'a' in
+      let flush_words () =
+        let req = Serve.Client.request client ~ecall:1 payload in
+        let w0 = Gc.minor_words () in
+        admit plane req;
+        let replies = Serve.flush plane in
+        let words = Gc.minor_words () -. w0 in
+        (match replies with
+        | [ reply ] ->
+            Alcotest.(check (result string string))
+              "echoed" (Ok (Bytes.to_string payload)) (read_as client reply)
+        | replies ->
+            Alcotest.failf "expected 1 reply, got %d" (List.length replies));
+        words
+      in
+      (* The rotor moves each flush to the next shard: warm every lane. *)
+      for _ = 1 to 40 do
+        ignore (flush_words () : float)
+      done;
+      let words = flush_words () in
+      if words > 165. then
+        Alcotest.failf
+          "%d cores: a one-request flush allocated %.0f minor words (> 165)"
+          cores words;
+      Serve.destroy plane)
+    [ 1; 2; 8 ]
+
+(* An attested connect allocates what it keeps: once the client's golden
+   has appraised the platform, the hello, the plane's handshake and the
+   client's establish allocate the quote's fields and wire bytes, both
+   key shares and the two session records with their prepared keys, plus
+   the signatures, key-exchange steps and transcript hashes that each
+   start a fresh SHA-256 context, about 2,800 words.  A report body built twice per quote, a codec that
+   framed every field in its own buffer and decoded nested records by
+   copy, and key preparation in fresh scratch read 5,109. *)
+let test_connect_allocation () =
+  let _p, plane, _backend, client = build ~seed:7094L () in
+  let connect_words () =
+    let w0 = Gc.minor_words () in
+    establish plane client;
+    let words = Gc.minor_words () -. w0 in
+    (match Serve.close_session plane ~session:(Serve.Client.session_id client) with
+    | Ok () -> ()
+    | Error r -> Alcotest.failf "close_session: %a" Serve.pp_reject r);
+    words
+  in
+  for _ = 1 to 3 do
+    ignore (connect_words () : float)
+  done;
+  let words = connect_words () in
+  if words > 3600. then
+    Alcotest.failf "a warm connect allocated %.0f minor words (> 3,600)" words;
+  Serve.destroy plane
+
 (* ------------------------------------------------------------------ *)
 (* Critical-path ledger and slot limits                                *)
 
@@ -1993,6 +2066,10 @@ let suite =
       test_client_allocation;
     Alcotest.test_case "plane request path set up once (allocation)" `Quick
       test_plane_allocation;
+    Alcotest.test_case "one-request flush set up once (allocation)" `Quick
+      test_one_request_flush_allocation;
+    Alcotest.test_case "a connect allocates what it keeps (allocation)"
+      `Quick test_connect_allocation;
     QCheck_alcotest.to_alcotest spec_qcheck;
     Alcotest.test_case "arena hot tenant scales across cores" `Quick
       test_arena_hot_tenant_scales;
