@@ -115,6 +115,41 @@ let measure_httpd ~page_bytes ~seed =
   Serve.destroy plane;
   r
 
+(* --- allocation: warm kvdb requests --------------------------------------- *)
+
+let alloc_records = 256
+let alloc_warmup_rounds = 2
+let alloc_rounds = 8
+
+(* Minor words a warm kvdb request allocates on the plane: admission, the
+   flush (the in-enclave engine, its WAL and the memory simulator
+   included) and reply assembly, over the YCSB-A mix with one scan in
+   eight.  Every request frame is sealed up front and untimed rounds warm
+   the rings, the engine's buffers and the WAL, then [Gc.minor_words]
+   brackets the measured rounds. *)
+let kvdb_minor_words_per_request () =
+  let plane, backend, client = build Services.Kvdb ~seed:984L in
+  ignore (admin backend (Services.load_request ~records:alloc_records));
+  let gen =
+    Workloads.Ycsb.create ~rng:(Rng.create ~seed:84L) ~records:alloc_records ()
+  in
+  let round () =
+    List.init reqs_per_round (fun i ->
+        Serve.Client.request client ~ecall:Services.ecall_request
+          (Services.request_of_op Services.Kvdb
+             (if i mod 8 = 7 then Workloads.Ycsb.next_scan gen ~max_len:8 ()
+              else Workloads.Ycsb.next_op_a gen)))
+  in
+  let warmup = List.init alloc_warmup_rounds (fun _ -> round ()) in
+  let measured = List.init alloc_rounds (fun _ -> round ()) in
+  let serve reqs = ignore (Util.round ~what plane reqs) in
+  List.iter serve warmup;
+  let words0 = Gc.minor_words () in
+  List.iter serve measured;
+  let words1 = Gc.minor_words () in
+  Serve.destroy plane;
+  (words1 -. words0) /. float_of_int (alloc_rounds * reqs_per_round)
+
 (* --- summary, smoke, gate headline ------------------------------------- *)
 
 type summary = {
@@ -124,6 +159,7 @@ type summary = {
   rps_resp : float; (* headline rates for the gate *)
   rps_kvdb : float;
   rps_httpd : float;
+  kvdb_words : float; (* minor words per warm kvdb request *)
 }
 
 let summarize () =
@@ -146,6 +182,7 @@ let summarize () =
     rps_resp = Util.critical_rps (last resp_runs).ledger;
     rps_kvdb = Util.critical_rps (List.hd kvdb_runs).ledger;
     rps_httpd = Util.critical_rps (List.hd httpd_runs).ledger;
+    kvdb_words = kvdb_minor_words_per_request ();
   }
 
 let print_runs title runs =
@@ -168,7 +205,9 @@ let run () =
     s.httpd_runs;
   Printf.printf
     "\n  headline: resp_kv %.0f req/s, kvdb %.0f req/s, httpd %.0f req/s\n"
-    s.rps_resp s.rps_kvdb s.rps_httpd
+    s.rps_resp s.rps_kvdb s.rps_httpd;
+  Printf.printf "  host allocation: %.1f minor words per warm kvdb request\n"
+    s.kvdb_words
 
 (* Fast end-to-end sanity pass, run from `dune build @serve_smoke`: each
    service serves one round over a real AEAD session; any refused or
@@ -204,4 +243,5 @@ let headline s =
     ("workload_rps_resp_kv", s.rps_resp);
     ("workload_rps_kvdb", s.rps_kvdb);
     ("workload_rps_httpd", s.rps_httpd);
+    ("kvdb_minor_words_per_request", s.kvdb_words);
   ]

@@ -85,7 +85,7 @@ let renormalize t =
   done;
   t.tick <- ways + 1
 
-let access t ?(write = false) addr =
+let access t ~write addr =
   t.accesses <- t.accesses + 1;
   if t.tick >= renorm_threshold then renormalize t;
   t.tick <- t.tick + 1;

@@ -13,8 +13,11 @@ val create : ?line_bytes:int -> ?ways:int -> size_bytes:int -> unit -> t
 (** Default: 64-byte lines, 16 ways.  [size_bytes] is rounded to a power-of-
     two number of sets. *)
 
-val access : t -> ?write:bool -> int -> result
-(** Look up the line containing the physical address, filling on miss. *)
+val access : t -> write:bool -> int -> result
+(** Look up the line containing the physical address, filling on miss; a
+    write marks the line dirty.  [~write] is required: the simulator calls
+    this once per simulated line, and an optional argument would box its
+    value on every call. *)
 
 val flush_line : t -> int -> unit
 (** CLFLUSH: evict the line containing the address (Fig. 7 methodology

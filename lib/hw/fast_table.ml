@@ -41,17 +41,20 @@ let create ?(size_hint = 16) ~dummy () =
 let slot_of t key = (key * 0x5851F42D4C957F2D) lsr 7 land t.mask
 
 (* Slot holding [key], or [lnot free_slot] (negative) where the probe
-   ended: one scan answers both "is it here" and "where would it go". *)
-let find_slot t key =
-  let keys = t.keys in
-  let mask = t.mask in
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = key then i
-    else if k = empty_key then lnot i
-    else probe ((i + 1) land mask)
-  in
-  probe (slot_of t key)
+   ended: one scan answers both "is it here" and "where would it go".
+   The probe is a top-level function, not a closure over the arrays, so a
+   lookup allocates nothing. *)
+let rec probe keys mask key i =
+  let k = Array.unsafe_get keys i in
+  if k = key then i
+  else if k = empty_key then lnot i
+  else probe keys mask key ((i + 1) land mask)
+
+let find_slot t key = probe t.keys t.mask key (slot_of t key)
+
+(* First empty slot from [j] on. *)
+let rec free_slot keys mask j =
+  if keys.(j) = empty_key then j else free_slot keys mask ((j + 1) land mask)
 
 let mem t key = find_slot t key >= 0
 
@@ -75,10 +78,7 @@ let resize t cap =
   Array.iteri
     (fun i k ->
       if k >= 0 then begin
-        let rec free j =
-          if t.keys.(j) = empty_key then j else free ((j + 1) land t.mask)
-        in
-        let j = free (slot_of t k) in
+        let j = free_slot t.keys t.mask (slot_of t k) in
         t.keys.(j) <- k;
         t.vals.(j) <- ovals.(i)
       end)
@@ -94,10 +94,7 @@ let set t key v =
       if (t.live + 1) * 2 > cap then begin
         (* Keep load <= 1/2 so probe clusters stay short. *)
         resize t (cap * 2);
-        let rec free j =
-          if t.keys.(j) = empty_key then j else free ((j + 1) land t.mask)
-        in
-        free (slot_of t key)
+        free_slot t.keys t.mask (slot_of t key)
       end
       else lnot i
     in

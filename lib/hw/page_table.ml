@@ -92,19 +92,19 @@ let protect t ~vpn ~perms =
       t.generation <- t.generation + 1;
       e.perms <- perms
 
-let walk t ~vpn ~levels_visited =
-  (* A real walk loads one entry per level including the leaf PTE. *)
-  let rec go node level =
-    incr levels_visited;
-    match node with
-    | Leaf slots -> slots.(leaf_index vpn)
-    | Table slots -> (
-        let idx = (vpn lsr (9 * level)) land 0x1ff in
-        match slots.(idx) with
-        | None -> None
-        | Some child -> go child (level - 1))
-  in
-  go t.root 3
+(* A real walk loads one entry per level including the leaf PTE.  Like
+   [find], a top-level function rather than a closure over [vpn]: a walk
+   on a TLB miss allocates nothing. *)
+let rec walk_from node level vpn levels_visited =
+  incr levels_visited;
+  match node with
+  | Leaf slots -> slots.(leaf_index vpn)
+  | Table slots -> (
+      match slots.((vpn lsr (9 * level)) land 0x1ff) with
+      | None -> None
+      | Some child -> walk_from child (level - 1) vpn levels_visited)
+
+let walk t ~vpn ~levels_visited = walk_from t.root 3 vpn levels_visited
 
 let mapped_count t = t.mapped
 let table_pages t = t.nodes

@@ -28,12 +28,12 @@ type sock = {
   loopback : bool;
 }
 
-type interest = { want_rd : bool; want_wr : bool }
+type interest = { fd : int; want_rd : bool; want_wr : bool }
 
 type target =
   | File_fd of Vfs.node
   | Sock_fd of sock
-  | Epoll_fd of (int, interest) Hashtbl.t
+  | Epoll_fd of interest list ref  (* ascending fd *)
 
 type fd_state = {
   target : target;
@@ -102,9 +102,9 @@ let syscall t =
 let charge_bytes t n = t.rt.rt_compute (n / 8)
 
 let fd_state t fd =
-  match Hashtbl.find_opt t.fds fd with
-  | Some state -> state
-  | None -> raise (Bad_fd fd)
+  match Hashtbl.find t.fds fd with
+  | state -> state
+  | exception Not_found -> raise (Bad_fd fd)
 
 let alloc_fd t state =
   let fd = t.next_fd in
@@ -149,13 +149,25 @@ let openf t ~path flags =
       writable = has O_wronly || has O_rdwr || has O_append;
     }
 
+(* [l] without [fd]'s interest (at most one), and [l] itself when it has
+   none. *)
+let rec without fd = function
+  | [] -> []
+  | w :: rest as l ->
+      if w.fd = fd then rest
+      else
+        let rest' = without fd rest in
+        if rest' == rest then l else w :: rest'
+
+let unwatch watched fd = watched := without fd !watched
+
 (* Drop [fd] from every epoll interest set, like the kernel does when the
    last reference to an open file description goes away. *)
 let epoll_forget t fd =
   Hashtbl.iter
     (fun _ state ->
       match state.target with
-      | Epoll_fd watched -> Hashtbl.remove watched fd
+      | Epoll_fd watched -> unwatch watched fd
       | File_fd _ | Sock_fd _ -> ())
     t.fds
 
@@ -275,7 +287,8 @@ let recv t fd ~len =
        EWOULDBLOCK of this world — callers gate on epoll readiness. *)
     let avail = sock_pending s in
     let n = min (max len 0) avail in
-    let data = Bytes.of_string (Buffer.sub s.inbuf s.in_pos n) in
+    let data = Bytes.create n in
+    Buffer.blit s.inbuf s.in_pos data 0 n;
     s.in_pos <- s.in_pos + n;
     if s.in_pos = Buffer.length s.inbuf then begin
       Buffer.clear s.inbuf;
@@ -311,7 +324,7 @@ let epoll_create t =
   syscall t;
   alloc_fd t
     {
-      target = Epoll_fd (Hashtbl.create 8);
+      target = Epoll_fd (ref []);
       path = "";
       pos = 0;
       append = false;
@@ -324,45 +337,64 @@ let epoll_table t epfd =
   | Epoll_fd watched -> watched
   | File_fd _ | Sock_fd _ -> raise (Bad_fd epfd)
 
+let rec insert_interest w = function
+  | x :: rest when x.fd < w.fd -> x :: insert_interest w rest
+  | rest -> w :: rest
+
 let epoll_add t ~epfd ~fd ~rd ~wr =
   syscall t;
   let watched = epoll_table t epfd in
   (match (fd_state t fd).target with
   | File_fd _ | Sock_fd _ -> ()
   | Epoll_fd _ -> raise (Bad_fd fd) (* no nested epoll *));
-  Hashtbl.replace watched fd { want_rd = rd; want_wr = wr }
+  unwatch watched fd;
+  watched := insert_interest { fd; want_rd = rd; want_wr = wr } !watched
 
 let epoll_del t ~epfd ~fd =
   syscall t;
   let watched = epoll_table t epfd in
-  if not (Hashtbl.mem watched fd) then raise (Bad_fd fd);
-  Hashtbl.remove watched fd
+  let rest = without fd !watched in
+  if rest == !watched then raise (Bad_fd fd);
+  watched := rest
 
-let readiness state =
+(* The four events, shared: a ready fd costs its result cell only. *)
+let ev_rd = { rd = true; wr = false }
+let ev_wr = { rd = false; wr = true }
+let ev_rdwr = { rd = true; wr = true }
+
+let readable state =
   match state.target with
-  | File_fd node ->
-      {
-        rd = state.readable && state.pos < Vfs.node_size node;
-        wr = state.writable;
-      }
-  | Sock_fd s -> { rd = sock_pending s > 0; wr = state.writable }
-  | Epoll_fd _ -> { rd = false; wr = false }
+  | File_fd node -> state.readable && state.pos < Vfs.node_size node
+  | Sock_fd s -> sock_pending s > 0
+  | Epoll_fd _ -> false
+
+let writable state =
+  match state.target with
+  | File_fd _ | Sock_fd _ -> state.writable
+  | Epoll_fd _ -> false
+
+(* The ready events of an interest list, in its (ascending fd) order. *)
+let rec ready_events t = function
+  | [] -> []
+  | w :: rest -> (
+      let later = ready_events t rest in
+      match Hashtbl.find t.fds w.fd with
+      | exception Not_found ->
+          later (* closed while watched; already forgotten normally *)
+      | state -> (
+          let rd = w.want_rd && readable state in
+          let wr = w.want_wr && writable state in
+          match (rd, wr) with
+          | true, false -> (w.fd, ev_rd) :: later
+          | false, true -> (w.fd, ev_wr) :: later
+          | true, true -> (w.fd, ev_rdwr) :: later
+          | false, false -> later))
 
 let epoll_wait t ~epfd =
   syscall t;
-  let watched = epoll_table t epfd in
-  t.rt.rt_compute (epoll_poll_cost * Hashtbl.length watched);
-  Hashtbl.fold
-    (fun fd interest acc ->
-      match Hashtbl.find_opt t.fds fd with
-      | None -> acc (* closed while watched; already forgotten normally *)
-      | Some state ->
-          let ready = readiness state in
-          let rd = interest.want_rd && ready.rd in
-          let wr = interest.want_wr && ready.wr in
-          if rd || wr then (fd, { rd; wr }) :: acc else acc)
-    watched []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let watched = !(epoll_table t epfd) in
+  t.rt.rt_compute (epoll_poll_cost * List.length watched);
+  ready_events t watched
 
 (* --- introspection --------------------------------------------------------------- *)
 

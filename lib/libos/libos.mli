@@ -122,9 +122,13 @@ val socket : ?loopback:bool -> t -> int
     in-enclave byte queues fed by {!sock_deliver}/{!sock_drain}. *)
 
 val send : t -> int -> bytes -> int
+(** On a loopback socket, copies [data] into the out-queue and keeps no
+    reference to it. *)
+
 val recv : t -> int -> len:int -> bytes
 (** On a loopback socket, a short (possibly empty) read of buffered
-    bytes — the EWOULDBLOCK of this world; gate on {!epoll_wait}. *)
+    bytes — the EWOULDBLOCK of this world; gate on {!epoll_wait}.  The
+    result is a fresh buffer, copied once out of the queue. *)
 
 val sock_deliver : t -> int -> bytes -> unit
 (** Plane-side: inject bytes into a loopback socket's receive queue.
@@ -149,7 +153,10 @@ val epoll_wait : t -> epfd:int -> (int * event) list
 (** Non-blocking poll: level-triggered readiness of every watched fd
     whose interest matches, sorted by fd.  Files are readable while
     [pos < size]; loopback sockets while bytes are queued.  Charges the
-    syscall dispatch plus 12 cycles per watched fd. *)
+    syscall dispatch plus 12 cycles per watched fd.  An epoll fd keeps
+    its interests sorted by fd, so a wait builds only its result: one
+    pair and one list cell per ready fd (the [event] records are
+    shared, so compare them structurally). *)
 
 (** {1 Introspection} *)
 

@@ -849,7 +849,7 @@ let enclave_read t enclave ~va ~len =
     let chunk = min (len - !pos) (Addr.page_size - Addr.offset a) in
     let pa = access_loop t enclave ~access:Mmu.Read ~va:a ~attempts:0 in
     Epc.mark_referenced t.epc (Addr.page_of pa);
-    Bytes.blit (Phys_mem.read_bytes t.mem pa chunk) 0 out !pos chunk;
+    Phys_mem.read_into t.mem pa out ~pos:!pos ~len:chunk;
     pos := !pos + chunk
   done;
   Cycles.tick t.clock (Cost_model.copy_cost t.cost len);
@@ -864,7 +864,7 @@ let enclave_write t enclave ~va data =
     let chunk = min (len - !pos) (Addr.page_size - Addr.offset a) in
     let pa = access_loop t enclave ~access:Mmu.Write ~va:a ~attempts:0 in
     Epc.mark_referenced t.epc (Addr.page_of pa);
-    Phys_mem.write_bytes t.mem pa (Bytes.sub data !pos chunk);
+    Phys_mem.write_sub t.mem pa data ~pos:!pos ~len:chunk;
     pos := !pos + chunk
   done;
   Cycles.tick t.clock (Cost_model.copy_cost t.cost len)

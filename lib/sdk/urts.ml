@@ -830,15 +830,14 @@ let touch_segment t ~off ~len =
   done
 
 (* One slot's handler on the worker, and the copy of its reply into the
-   reply image. *)
+   reply image when it fits the slot.  One that does not is the caller's
+   to refuse. *)
 let run_slot r tenv id body =
   let t = r.rt in
   let reply = lookup_ecall t id tenv body in
   let rlen = Bytes.length reply in
-  if rlen > r.slot_bytes then
-    fail "ring_dispatch: ECALL %d reply (%d bytes) exceeds the %d-byte slot" id
-      rlen r.slot_bytes;
-  Cycles.tick (clock t) (Cost_model.copy_cost (cost t) rlen);
+  if rlen <= r.slot_bytes then
+    Cycles.tick (clock t) (Cost_model.copy_cost (cost t) rlen);
   reply
 
 (* Trusted half: the persistent in-enclave worker.  It reads the slots
@@ -853,6 +852,8 @@ let run_slot r tenv id body =
    runs; a slot the channel refuses skips its handler and carries the
    refusal as its reply, and an opened slot's reply is sealed into the
    reply slot, so neither plaintext ever touches the shared segments.
+   The channel also refuses a reply longer than the slot, so one such
+   reply costs its own slot only: without a channel it fails the ring.
    The walk starts at the served-slot cursor, so a retry after a
    transient fault pays the post fence and dispatch again only for the
    slots still unserved, and re-runs the faulted slot's channel callbacks
@@ -876,6 +877,10 @@ let serve_slots r =
       | None ->
           let reply = run_slot r tenv id (Bytes.sub r.rbuf (off + 16) blen) in
           let rlen = Bytes.length reply in
+          if rlen > r.slot_bytes then
+            fail "ring_dispatch: ECALL %d reply (%d bytes) exceeds the %d-byte \
+                  slot"
+              id rlen r.slot_bytes;
           Bytes.blit reply 0 r.pbuf (off + 16) rlen;
           rlen
       | Some ch -> (

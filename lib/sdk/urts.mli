@@ -87,8 +87,10 @@ val ecall_no_ms :
     {b Slot layout.}  A segment is [[count:8][slot_0][slot_1]...], each
     slot [[id:8][len:8][payload area]].  The payload area is [slot_bytes]
     wide, plus {!tag_bytes} on a ring with a {!channel}.  Handler inputs
-    and replies are at most [slot_bytes] either way; on a channel ring
-    both length words hold the framed length (ciphertext + tag). *)
+    and replies are at most [slot_bytes] either way (a longer reply
+    fails a ring without a channel, and its channel refuses it on a ring
+    with one); on a channel ring both length words hold the framed
+    length (ciphertext + tag). *)
 
 type opened =
   | Opened  (** the slot passed: its handler runs on the opened copy *)
@@ -108,7 +110,11 @@ type channel = {
   seal_slot : bytes -> dst:bytes -> dst_off:int -> int;
       (** Seal the handler reply of the slot opened last into the reply
           image at [dst_off] and return the framed length, at most
-          [slot_bytes + tag_bytes]. *)
+          [slot_bytes + tag_bytes].  The worker hands over every reply,
+          whatever its length: one longer than [slot_bytes] cannot be
+          sealed into the slot, and the channel writes a refusal there
+          instead (at most the payload area), so it costs its own slot
+          only.  (Without a channel, such a reply fails the ring.) *)
 }
 (** The enclave side of an attested channel, run by the in-enclave
     worker during {!ring_dispatch} on the calling clock (each slot's
@@ -162,8 +168,9 @@ val ring_dispatch : ring -> unit
     callbacks and handler re-run from their top.  Permanent faults and
     exhausted retries propagate, failing the whole ring.
     @raise Enclave_error on an unknown ECALL id, a reply longer than
-    [slot_bytes], a channel-ring slot shorter than a tag, or a reply
-    count that disagrees with the staged count. *)
+    [slot_bytes] on a ring without a channel, a channel-ring slot
+    shorter than a tag, or a reply count that disagrees with the staged
+    count. *)
 
 val ring_reply_offset : ring -> slot:int -> int
 (** Where a served slot's reply payload starts inside

@@ -964,8 +964,9 @@ let sort_stage (st : stage) =
   done
 
 (* A slot the worker refuses carries [refusal_bytes] as its reply: -1
-   when the tag fails, or the window top when the sequence number is
-   seen or below the window.  Shorter than a tag, so assembly never
+   when the tag fails, the window top when the sequence number is seen or
+   below the window, or minus the length of a handler reply too long for
+   the slot (always below -1).  Shorter than a tag, so assembly never
    takes it for a frame. *)
 let refusal_bytes = 8
 
@@ -979,6 +980,10 @@ let auth_refusal = refusal (-1)
 let refused buf ~off ~seq =
   match get_u64 buf off with
   | -1 -> Bad_auth
+  | n when n < 0 ->
+      Unsupported
+        (Printf.sprintf "reply (%d bytes) exceeds the %d-byte ring slot" (-n)
+           slot_bytes)
   | expected -> Bad_sequence { expected; got = seq }
 
 (* The verified claims of the slot a ring's worker opened last. *)
@@ -999,7 +1004,8 @@ type verified = {
    the number into the session's window.  A slot that fails either check
    is refused: its handler does not run, and its reply slot carries the
    refusal.  [seal_slot] seals the reply as a frame under the claims the
-   open verified, so the shared segments never hold plaintext.  A
+   open verified, so the shared segments never hold plaintext; a reply
+   too long for the slot is refused instead, unsealed and uncharged.  A
    transient-fault retry re-opens the slot opened last, in the same
    flush, with the same claims: its number is already in the window.
    Charges: per-byte MAC and decrypt and per-byte seal, one AEAD setup
@@ -1042,12 +1048,20 @@ let channel t (tn : tenant) entries =
             else Urts.Refused (refusal s.window.top))
   in
   let seal_slot reply ~dst ~dst_off =
-    let s = Hashtbl.find t.sessions v.v_sid in
-    if t.sealed_in_group = 0 then charge_aead_setup t;
-    t.sealed_in_group <- (t.sealed_in_group + 1) mod t.config.sched.Sched.batch;
-    charge_aead_bytes t ~bytes:(Bytes.length reply);
-    derive t.hdr ~dir:'<' ~session_id:v.v_sid ~seq:v.v_seq ~ecall_id:0;
-    seal_frame s.keys t.hdr reply ~dst ~dst_off
+    let len = Bytes.length reply in
+    if len > slot_bytes then begin
+      Bytes.set_int64_le dst dst_off (Int64.of_int (-len));
+      refusal_bytes
+    end
+    else begin
+      let s = Hashtbl.find t.sessions v.v_sid in
+      if t.sealed_in_group = 0 then charge_aead_setup t;
+      t.sealed_in_group <-
+        (t.sealed_in_group + 1) mod t.config.sched.Sched.batch;
+      charge_aead_bytes t ~bytes:len;
+      derive t.hdr ~dir:'<' ~session_id:v.v_sid ~seq:v.v_seq ~ecall_id:0;
+      seal_frame s.keys t.hdr reply ~dst ~dst_off
+    end
   in
   { Urts.open_slot; seal_slot }
 

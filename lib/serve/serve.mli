@@ -119,7 +119,10 @@ type reject =
   | Unsupported of string
       (** the plane cannot carry this request: a ciphertext larger than a
           ring slot, or an ECALL id that is not one of the tenant's
-          handlers *)
+          handlers (both at {!submit}), or a handler reply longer than a
+          ring slot (in the request's reply from {!flush}: the handler
+          ran, its reply is dropped, and the other slots of its ring are
+          served) *)
   | Bad_auth
       (** a channel frame whose tag does not verify under the nonce and
           AAD derived from its header — the enclave's verdict, in the

@@ -61,21 +61,24 @@ let instance_of cell env =
       cell := Some i;
       i
 
+let rec readable sock = function
+  | [] -> false
+  | (fd, ev) :: rest -> (fd = sock && ev.Libos.rd) || readable sock rest
+
 (* One request through the event loop: deliver the decrypted payload to
    the loopback socket, wait for readiness, recv, dispatch, send the
    reply back, and hand the drained reply bytes to the caller (who seals
-   them into the ring slot). *)
+   them into the ring slot).  The received bytes are the request's own
+   copy and [send] only reads the reply, so neither is copied again on
+   the way. *)
 let drive (i : instance) ~dispatch input =
   Libos.sock_deliver i.os i.sock input;
-  let ready = Libos.epoll_wait i.os ~epfd:i.epfd in
-  let readable =
-    List.exists (fun (fd, ev) -> fd = i.sock && ev.Libos.rd) ready
-  in
-  if not readable then Bytes.of_string "-ERR socket not ready"
+  if not (readable i.sock (Libos.epoll_wait i.os ~epfd:i.epfd)) then
+    Bytes.of_string "-ERR socket not ready"
   else begin
     let raw = Libos.recv i.os i.sock ~len:(Bytes.length input) in
-    let reply = dispatch (Bytes.to_string raw) in
-    ignore (Libos.send i.os i.sock (Bytes.of_string reply));
+    let reply = dispatch (Bytes.unsafe_to_string raw) in
+    ignore (Libos.send i.os i.sock (Bytes.unsafe_of_string reply));
     Libos.sock_drain i.os i.sock
   end
 
@@ -164,15 +167,18 @@ let kvdb_handlers () =
         wal := Libos.openf i.os ~path:wal_path [ Libos.O_creat; Libos.O_append ];
         i
   in
+  (* The WAL journals what the engine executed, a row inserted or
+     updated, as the statement and a newline built in one buffer. *)
   let exec_sql i env stmt =
     let result = Kvdb.Engine.exec engine stmt in
     Kvdb.charge_engine env engine;
-    (match result with
-    | Result.Ok _
-      when String.length stmt > 0 && (stmt.[0] = 'I' || stmt.[0] = 'U'
-                                     || stmt.[0] = 'i' || stmt.[0] = 'u') ->
-        ignore (Libos.write i.os !wal (Bytes.of_string (stmt ^ "\n")))
-    | Result.Ok _ | Result.Error _ -> ());
+    if Kvdb.Engine.mutated engine then begin
+      let n = String.length stmt in
+      let line = Bytes.create (n + 1) in
+      Bytes.blit_string stmt 0 line 0 n;
+      Bytes.set line n '\n';
+      ignore (Libos.write i.os !wal line)
+    end;
     result
   in
   let request env input =

@@ -37,7 +37,12 @@ val kind_name : kind -> string
 val ecall_request : int
 (** One service request: RESP pipeline bytes / a SQL statement / an HTTP
     request.  The request and the reply must each fit one ring slot,
-    {!Serve.slot_bytes} (256 bytes). *)
+    {!Serve.slot_bytes} (256 bytes): a longer request is refused at
+    admission, and a longer reply (resp_kv and httpd echo an unknown
+    command or a bad version) is refused as [Serve.Unsupported] for its
+    request alone.  kvdb journals a statement to its WAL when the engine
+    reports it inserted or updated a row ({!Hyperenclave_workloads.Kvdb.Engine.mutated}),
+    whatever its spelling or leading blanks. *)
 
 val ecall_admin : int
 (** Operator setup: a bulk load ({!load_request}) or a docroot file

@@ -16,7 +16,13 @@ type t = {
   value_addr : (int, int) Hashtbl.t;
   mutable next_addr : int;
   mutable count : int;
-  mutable touched : (int * int) list;
+  mutable trail : int array;
+      (* (address, length) pairs of the regions the last operation
+         touched, root first; reused across operations *)
+  mutable trail_n : int;  (* regions in [trail] *)
+  mutable found : int array;
+      (* keys the last range walk visited, ascending; reused likewise *)
+  mutable found_n : int;
 }
 
 let is_leaf node = Array.length node.children = 0
@@ -35,7 +41,10 @@ let create ?(order = 32) ~addr_base ~record_bytes () =
       value_addr = Hashtbl.create 1024;
       next_addr = addr_base + node_bytes;
       count = 0;
-      touched = [];
+      trail = Array.make 32 0;
+      trail_n = 0;
+      found = Array.make 16 0;
+      found_n = 0;
     }
   in
   t
@@ -45,12 +54,30 @@ let alloc t bytes =
   t.next_addr <- t.next_addr + ((bytes + 63) land lnot 63);
   addr
 
-let touch t node = t.touched <- (node.addr, t.node_bytes) :: t.touched
+(* [a], or a copy twice its size when index [i] (at most its length) lies
+   past its end: the trail and the found keys are never shrunk, so a warm
+   operation records its touches without allocating. *)
+let grown a i =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let record t addr len =
+  let i = 2 * t.trail_n in
+  t.trail <- grown t.trail (i + 1);
+  t.trail.(i) <- addr;
+  t.trail.(i + 1) <- len;
+  t.trail_n <- t.trail_n + 1
+
+let touch t node = record t node.addr t.node_bytes
 
 let touch_value t key =
-  match Hashtbl.find_opt t.value_addr key with
-  | Some addr -> t.touched <- (addr, t.record_bytes) :: t.touched
-  | None -> ()
+  match Hashtbl.find t.value_addr key with
+  | addr -> record t addr t.record_bytes
+  | exception Not_found -> ()
 
 (* Split the full child [child] of [parent] at child index [i]. *)
 let split_child t parent i =
@@ -117,7 +144,7 @@ let rec insert_nonfull t node key =
   end
 
 let insert t ~key value =
-  t.touched <- [];
+  t.trail_n <- 0;
   if not (Hashtbl.mem t.values key) then begin
     t.count <- t.count + 1;
     Hashtbl.replace t.value_addr key (alloc t t.record_bytes)
@@ -142,7 +169,7 @@ let rec find_node t node key =
   else find_node t node.children.(i) key
 
 let find t ~key =
-  t.touched <- [];
+  t.trail_n <- 0;
   if find_node t t.root key then begin
     touch_value t key;
     Hashtbl.find_opt t.values key
@@ -150,7 +177,7 @@ let find t ~key =
   else None
 
 let update t ~key value =
-  t.touched <- [];
+  t.trail_n <- 0;
   if find_node t t.root key then begin
     touch_value t key;
     Hashtbl.replace t.values key value;
@@ -158,46 +185,60 @@ let update t ~key value =
   end
   else false
 
-(* In-order walk from the first key >= lo, collecting up to [count]
-   records; every node on the visited frontier is touched so the memory
-   simulator sees the leaf-heavy access pattern of a range scan. *)
+(* The one range traversal: in-order from the first key >= lo over up to
+   [count] records.  Every node on the visited frontier and every visited
+   record is touched, so the memory simulator sees the leaf-heavy access
+   pattern of a range scan, and the visited keys are left in [found]. *)
+let visit t key count =
+  if t.found_n < count then begin
+    touch_value t key;
+    if Hashtbl.mem t.values key then begin
+      t.found <- grown t.found t.found_n;
+      t.found.(t.found_n) <- key;
+      t.found_n <- t.found_n + 1
+    end
+  end
+
+let rec walk_range t node lo count =
+  if t.found_n < count then begin
+    touch t node;
+    let i0 = find_slot node.keys lo in
+    if is_leaf node then
+      for i = i0 to Array.length node.keys - 1 do
+        if node.keys.(i) >= lo then visit t node.keys.(i) count
+      done
+    else begin
+      (* Child i0 may still hold keys >= lo (they sit below the first
+         separator >= lo), so descend there first, then alternate
+         key/child rightwards. *)
+      walk_range t node.children.(i0) lo count;
+      let i = ref i0 in
+      while t.found_n < count && !i < Array.length node.keys do
+        if node.keys.(!i) >= lo then visit t node.keys.(!i) count;
+        incr i;
+        if t.found_n < count then walk_range t node.children.(!i) lo count
+      done
+    end
+  end
+
+let range t ~lo ~count =
+  t.trail_n <- 0;
+  t.found_n <- 0;
+  walk_range t t.root lo count
+
 let scan t ~lo ~count =
-  t.touched <- [];
-  let out = ref [] and n = ref 0 in
-  let collect key =
-    if key >= lo && !n < count then begin
-      touch_value t key;
-      match Hashtbl.find_opt t.values key with
-      | Some v ->
-          out := (key, v) :: !out;
-          incr n
-      | None -> ()
-    end
-  in
-  let rec go node =
-    if !n < count then begin
-      touch t node;
-      let i0 = find_slot node.keys lo in
-      if is_leaf node then
-        for i = i0 to Array.length node.keys - 1 do
-          collect node.keys.(i)
-        done
-      else begin
-        (* Child i0 may still hold keys >= lo (they sit below the first
-           separator >= lo), so descend there first, then alternate
-           key/child rightwards. *)
-        go node.children.(i0);
-        let i = ref i0 in
-        while !n < count && !i < Array.length node.keys do
-          collect node.keys.(!i);
-          incr i;
-          if !n < count then go node.children.(!i)
-        done
-      end
-    end
-  in
-  go t.root;
-  List.rev !out
+  range t ~lo ~count;
+  List.init t.found_n (fun i ->
+      let key = t.found.(i) in
+      (key, Hashtbl.find t.values key))
+
+let count_range t ~lo ~hi ~count =
+  range t ~lo ~count;
+  let rows = ref 0 in
+  for i = 0 to t.found_n - 1 do
+    if t.found.(i) <= hi then incr rows
+  done;
+  !rows
 
 let size t = t.count
 
@@ -205,7 +246,15 @@ let depth t =
   let rec go node acc = if is_leaf node then acc else go node.children.(0) (acc + 1) in
   go t.root 1
 
-let last_touched t = List.rev t.touched
+let touched t = t.trail_n
+
+let touched_addr t i =
+  if i < 0 || i >= t.trail_n then invalid_arg "Btree.touched_addr";
+  t.trail.(2 * i)
+
+let touched_len t i =
+  if i < 0 || i >= t.trail_n then invalid_arg "Btree.touched_len";
+  t.trail.((2 * i) + 1)
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in

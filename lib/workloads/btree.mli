@@ -19,14 +19,31 @@ val update : t -> key:int -> bytes -> bool
 
 val scan : t -> lo:int -> count:int -> (int * bytes) list
 (** Up to [count] records with key >= [lo], ascending.  Like {!find},
-    records every node and value region visited for {!last_touched}. *)
+    records every node and value region visited in the trail. *)
+
+val count_range : t -> lo:int -> hi:int -> count:int -> int
+(** The walk of {!scan} (same nodes and records, same trail), returning
+    how many of the visited records have key <= [hi] instead of listing
+    them: a range scan that allocates nothing once the tree's reused
+    buffers have grown to fit it. *)
 
 val size : t -> int
 val depth : t -> int
 
-val last_touched : t -> (int * int) list
-(** (address, length) of every region the most recent operation touched,
-    root first; the caller feeds these to the memory simulator. *)
+(** {1 Touch trail}
+
+    Every operation records the (address, length) of each region it
+    touched, root first, in a trail the tree reuses: the caller walks it
+    with the three readers below and feeds each region to the memory
+    simulator.  The trail is valid until the next operation. *)
+
+val touched : t -> int
+(** Regions the most recent operation touched. *)
+
+val touched_addr : t -> int -> int
+val touched_len : t -> int -> int
+(** Address and length of region [i], [0 <= i < touched t];
+    @raise Invalid_argument outside that range. *)
 
 val check_invariants : t -> unit
 (** Sorted keys, balanced leaf depth, branching bounds.  @raise Failure. *)

@@ -11,90 +11,204 @@ let ecall_run = 201
 (* --- mini-SQL engine --------------------------------------------------------- *)
 
 module Engine = struct
-  type t = { btree : Btree.t; mutable tokens_parsed : int }
+  (* A statement is scanned in place: each token is a [start; stop; kind]
+     triple of offsets into the statement, kept in an array the engine
+     reuses, so a statement allocates only what it stores or returns.
+     Kinds: a bare word (matched in any case), a quoted string (its
+     contents, verbatim) and the tail of an unterminated string (a word
+     matched verbatim). *)
+  let bare = 0
+  let quoted = 1
+  let tail = 2
+
+  type t = {
+    btree : Btree.t;
+    mutable tokens_parsed : int;
+    mutable mutated : bool;
+    mutable stmt : string;
+    mutable toks : int array;
+    mutable ntoks : int;
+  }
+
+  exception Bad_int
 
   let create () =
     {
       btree = Btree.create ~addr_base:0x1000_0000 ~record_bytes ();
       tokens_parsed = 0;
+      mutated = false;
+      stmt = "";
+      toks = Array.make 48 0;
+      ntoks = 0;
     }
 
-  let tokenize stmt =
-    let buf = Buffer.create 16 in
-    let tokens = ref [] in
-    let flush () =
-      if Buffer.length buf > 0 then begin
-        tokens := Buffer.contents buf :: !tokens;
-        Buffer.clear buf
-      end
+  let push t start stop kind =
+    let i = 3 * t.ntoks in
+    if i + 3 > Array.length t.toks then begin
+      let toks = Array.make (2 * Array.length t.toks) 0 in
+      Array.blit t.toks 0 toks 0 i;
+      t.toks <- toks
+    end;
+    t.toks.(i) <- start;
+    t.toks.(i + 1) <- stop;
+    t.toks.(i + 2) <- kind;
+    t.ntoks <- t.ntoks + 1
+
+  (* Blanks and [,()=] end a bare word; a quote ends it too and opens a
+     string, which the next quote closes (its contents may be empty); an
+     unterminated string's non-empty tail is a token of its own. *)
+  let scan t stmt =
+    t.stmt <- stmt;
+    t.ntoks <- 0;
+    let start = ref 0 and in_string = ref false in
+    for i = 0 to String.length stmt - 1 do
+      match String.unsafe_get stmt i with
+      | '\'' when !in_string ->
+          push t !start i quoted;
+          in_string := false;
+          start := i + 1
+      | _ when !in_string -> ()
+      | ' ' | '\t' | '\n' | ',' | '(' | ')' | '=' ->
+          if i > !start then push t !start i bare;
+          start := i + 1
+      | '\'' ->
+          if i > !start then push t !start i bare;
+          in_string := true;
+          start := i + 1
+      | _ -> ()
+    done;
+    let n = String.length stmt in
+    if n > !start then push t !start n (if !in_string then tail else bare)
+
+  let kind t i = t.toks.((3 * i) + 2)
+
+  let rec same s pos w j ~fold =
+    j = String.length w
+    || (let c = String.unsafe_get s (pos + j) in
+        (if fold then Char.lowercase_ascii c else c) = String.unsafe_get w j)
+       && same s pos w (j + 1) ~fold
+
+  (* Token [i] is the keyword [w] (lowercase). *)
+  let word t i w =
+    let start = t.toks.(3 * i) in
+    t.toks.((3 * i) + 1) - start = String.length w
+    && kind t i <> quoted
+    && same t.stmt start w 0 ~fold:(kind t i = bare)
+
+  let digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | _ -> -1
+
+  (* Token [i] read as [int_of_string] reads it (a quoted string never
+     is one), in place: an optional sign, an optional 0x/0o/0b/0u prefix,
+     then digits with underscores after the first.  Without a prefix the
+     value must fit an int; with one, 63 bits, and it wraps.
+     @raise Bad_int otherwise. *)
+  let int_at t i =
+    if kind t i = quoted then raise Bad_int;
+    let s = t.stmt and stop = t.toks.((3 * i) + 1) in
+    let p = ref t.toks.(3 * i) in
+    let neg = !p < stop && s.[!p] = '-' in
+    if !p < stop && (s.[!p] = '-' || s.[!p] = '+') then incr p;
+    let prefix =
+      if !p + 1 < stop && s.[!p] = '0' then
+        match s.[!p + 1] with
+        | 'x' | 'X' -> 16
+        | 'o' | 'O' -> 8
+        | 'b' | 'B' -> 2
+        | 'u' | 'U' -> 10
+        | _ -> 0
+      else 0
     in
-    let in_string = ref false in
-    String.iter
-      (fun c ->
-        if !in_string then
-          if c = '\'' then begin
-            tokens := ("'" ^ Buffer.contents buf) :: !tokens;
-            Buffer.clear buf;
-            in_string := false
-          end
-          else Buffer.add_char buf c
-        else
-          match c with
-          | ' ' | '\t' | '\n' | ',' -> flush ()
-          | '(' | ')' | '=' -> flush ()
-          | '\'' ->
-              flush ();
-              in_string := true
-          | c -> Buffer.add_char buf (Char.lowercase_ascii c))
-      stmt;
-    flush ();
-    List.rev !tokens
+    if prefix > 0 then p := !p + 2;
+    let base = if prefix > 0 then prefix else 10 in
+    (* The largest magnitude is [cutoff * base + last]: max_int for a
+       positive decimal, max_int + 1 for a negative one, 2^63 - 1 with a
+       prefix (a wrapped [res] is negative: no digit may follow it). *)
+    let r =
+      if prefix = 0 then (max_int mod base) + if neg then 1 else 0
+      else (2 * (max_int mod base)) + 1
+    in
+    let q = if prefix = 0 then max_int / base else 2 * (max_int / base) in
+    let cutoff = q + (r / base) and last = r mod base in
+    let res = ref 0 and digits = ref 0 in
+    while !p < stop do
+      let c = s.[!p] in
+      if c <> '_' || !digits = 0 then begin
+        let d = digit c in
+        if d < 0 || d >= base then raise Bad_int;
+        if !res < 0 || !res > cutoff || (!res = cutoff && d > last) then
+          raise Bad_int;
+        res := (!res * base) + d;
+        incr digits
+      end;
+      incr p
+    done;
+    if !digits = 0 then raise Bad_int;
+    if neg then - !res else !res
+
+  (* A fresh copy of quoted token [i]'s contents: the stored value. *)
+  let contents t i =
+    let start = t.toks.(3 * i) in
+    let len = t.toks.((3 * i) + 1) - start in
+    let v = Bytes.create len in
+    Bytes.blit_string t.stmt start v 0 len;
+    v
+
+  let select_k t =
+    word t 0 "select" && word t 1 "v" && word t 2 "from" && word t 3 "kv"
+    && word t 4 "where" && word t 5 "k"
 
   let exec t stmt =
-    let tokens = tokenize stmt in
-    t.tokens_parsed <- t.tokens_parsed + List.length tokens;
-    match tokens with
-    | [ "insert"; "into"; "kv"; "values"; key; value ]
-      when String.length value > 0 && value.[0] = '\'' -> (
-        match int_of_string_opt key with
-        | Some key ->
-            Btree.insert t.btree ~key
-              (Bytes.of_string (String.sub value 1 (String.length value - 1)));
+    scan t stmt;
+    t.tokens_parsed <- t.tokens_parsed + t.ntoks;
+    t.mutated <- false;
+    match t.ntoks with
+    | 6
+      when word t 0 "insert" && word t 1 "into" && word t 2 "kv"
+           && word t 3 "values" && kind t 5 = quoted -> (
+        match int_at t 4 with
+        | key ->
+            Btree.insert t.btree ~key (contents t 5);
+            t.mutated <- true;
             Result.Ok "ok"
-        | None -> Result.Error "bad key")
-    | [ "select"; "v"; "from"; "kv"; "where"; "k"; key ] -> (
-        match int_of_string_opt key with
-        | Some key -> (
+        | exception Bad_int -> Result.Error "bad key")
+    | 7 when select_k t -> (
+        match int_at t 6 with
+        | key -> (
             match Btree.find t.btree ~key with
             | Some value -> Result.Ok (Bytes.to_string value)
             | None -> Result.Error "not found")
-        | None -> Result.Error "bad key")
-    | [ "select"; "v"; "from"; "kv"; "where"; "k"; "between"; lo; "and"; hi ]
-      -> (
-        match (int_of_string_opt lo, int_of_string_opt hi) with
-        | Some lo, Some hi when lo <= hi ->
+        | exception Bad_int -> Result.Error "bad key")
+    | 10 when select_k t && word t 6 "between" && word t 8 "and" -> (
+        match (int_at t 7, int_at t 9) with
+        | lo, hi when lo <= hi ->
             (* Range scans are bounded like SQLite's LIMIT would: the
-               engine never materializes more than 1024 rows. *)
+               engine never visits more than 1024 rows. *)
             let count = min (hi - lo + 1) 1024 in
-            let rows =
-              Btree.scan t.btree ~lo ~count
-              |> List.filter (fun (k, _) -> k <= hi)
-            in
-            Result.Ok (Printf.sprintf "%d rows" (List.length rows))
-        | _ -> Result.Error "bad range")
-    | [ "update"; "kv"; "set"; "v"; value; "where"; "k"; key ]
-      when String.length value > 0 && value.[0] = '\'' -> (
-        match int_of_string_opt key with
-        | Some key ->
-            if
-              Btree.update t.btree ~key
-                (Bytes.of_string (String.sub value 1 (String.length value - 1)))
-            then Result.Ok "ok"
+            let rows = Btree.count_range t.btree ~lo ~hi ~count in
+            Result.Ok (string_of_int rows ^ " rows")
+        | _ | (exception Bad_int) -> Result.Error "bad range")
+    | 8
+      when word t 0 "update" && word t 1 "kv" && word t 2 "set"
+           && word t 3 "v" && kind t 4 = quoted && word t 5 "where"
+           && word t 6 "k" -> (
+        match int_at t 7 with
+        | key ->
+            if Btree.update t.btree ~key (contents t 4) then begin
+              t.mutated <- true;
+              Result.Ok "ok"
+            end
             else Result.Error "not found"
-        | None -> Result.Error "bad key")
-    | _ -> Result.Error ("parse error: " ^ stmt)
+        | exception Bad_int -> Result.Error "bad key")
+    | _ -> Result.Error "parse error"
 
   let btree t = t.btree
+  let tokens_parsed t = t.tokens_parsed
+  let mutated t = t.mutated
 end
 
 (* --- enclave workload --------------------------------------------------------- *)
@@ -118,10 +232,11 @@ let charge_engine (env : Backend.env) engine =
   Mem_sim.random_access env.Backend.mem ~base:0x7000_0000
     ~working_set:heap_scatter_bytes ~count:heap_scatter_count ~write:false;
   (* B-tree descent and the record itself are dependent loads. *)
-  List.iter
-    (fun (addr, len) ->
-      Mem_sim.touch_dependent env.Backend.mem ~addr ~len ~write:false)
-    (Btree.last_touched (Engine.btree engine))
+  let bt = Engine.btree engine in
+  for i = 0 to Btree.touched bt - 1 do
+    Mem_sim.touch_dependent env.Backend.mem ~addr:(Btree.touched_addr bt i)
+      ~len:(Btree.touched_len bt i) ~write:false
+  done
 
 let value_literal key = Bytes.to_string (Ycsb.record_value ~key ~size:stored_bytes)
 

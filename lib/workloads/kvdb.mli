@@ -37,15 +37,38 @@ module Engine : sig
   (** Mini-SQL: [INSERT INTO kv VALUES (k, 'v')], [SELECT v FROM kv WHERE
       k = n], [UPDATE kv SET v = 'x' WHERE k = n], [SELECT v FROM kv
       WHERE k BETWEEN a AND b] (range scan, capped at 1024 rows, returns
-      ["N rows"]).  Returns the value for SELECT, ["ok"] otherwise. *)
+      ["N rows"]).  Returns the value for SELECT, ["ok"] otherwise.
+
+      Tokens: blanks (space, tab, newline) and [,()=] separate words,
+      which match keywords in any case; ['...'] is a string literal,
+      matched as written; the non-empty tail of an unterminated string is
+      a word of its own, matched as written.  A key is read as
+      [int_of_string] reads it (["0x1f"], ["1_000"], ["-5"]).  The
+      statement is scanned in place into a token array the engine
+      reuses, so [exec] allocates only the value it stores and the reply
+      it returns.  Errors are ["parse error"], ["bad key"], ["bad
+      range"] and ["not found"]; none echoes the statement, so an error
+      reply stays short whatever the statement's length. *)
+
+  val tokens_parsed : t -> int
+  (** Tokens scanned since the last {!charge_engine}: it charges them
+      and resets the count. *)
+
+  val mutated : t -> bool
+  (** Whether the last [exec] inserted or updated a row — what a
+      write-ahead log journals, whatever the statement's spelling. *)
 
   val btree : t -> Btree.t
+  (** The engine's table.  Its touch trail ({!Btree.touched}) holds the
+      regions of the last statement that reached the table; a statement
+      that did not (a parse error, a bad key) leaves it as it was. *)
 end
 
 val charge_engine : Backend.env -> Engine.t -> unit
 (** Charge the fixed per-statement cost, heap scatter and the memory
     touches of whatever the engine just executed — the cost model the
-    in-enclave handlers use, exposed for the service layer. *)
+    in-enclave handlers use, exposed for the service layer.  It walks the
+    table's touch trail in place and allocates nothing. *)
 
 val stmt_of_op : Ycsb.op -> string
 (** The SQL statement for a YCSB operation (scans become BETWEEN). *)

@@ -117,6 +117,189 @@ let sql_store_consistency =
           | Result.Ok _, None | Result.Error _, Some _ -> false)
         ops)
 
+(* The engine's statement path before it scanned in place, kept here as
+   the oracle of the scanner: [oracle_tokenize] lists the tokens (a bare
+   word lowercased, a string literal as "'" ^ its contents, an
+   unterminated string's tail as written) and [oracle_exec] matches the
+   list and reads keys with [int_of_string_opt].  It runs on a table of
+   its own and returns the result, the token count and whether it
+   inserted or updated a row. *)
+let oracle_tokenize stmt =
+  let buf = Buffer.create 16 in
+  let tokens = ref [] in
+  let flush () =
+    if Buffer.length buf > 0 then begin
+      tokens := Buffer.contents buf :: !tokens;
+      Buffer.clear buf
+    end
+  in
+  let in_string = ref false in
+  String.iter
+    (fun c ->
+      if !in_string then
+        if c = '\'' then begin
+          tokens := ("'" ^ Buffer.contents buf) :: !tokens;
+          Buffer.clear buf;
+          in_string := false
+        end
+        else Buffer.add_char buf c
+      else
+        match c with
+        | ' ' | '\t' | '\n' | ',' -> flush ()
+        | '(' | ')' | '=' -> flush ()
+        | '\'' ->
+            flush ();
+            in_string := true
+        | c -> Buffer.add_char buf (Char.lowercase_ascii c))
+    stmt;
+  flush ();
+  List.rev !tokens
+
+let oracle_exec btree stmt =
+  let tokens = oracle_tokenize stmt in
+  let literal v = Bytes.of_string (String.sub v 1 (String.length v - 1)) in
+  let mutated = ref false in
+  let result =
+    match tokens with
+    | [ "insert"; "into"; "kv"; "values"; key; value ]
+      when String.length value > 0 && value.[0] = '\'' -> (
+        match int_of_string_opt key with
+        | Some key ->
+            W.Btree.insert btree ~key (literal value);
+            mutated := true;
+            Result.Ok "ok"
+        | None -> Result.Error "bad key")
+    | [ "select"; "v"; "from"; "kv"; "where"; "k"; key ] -> (
+        match int_of_string_opt key with
+        | Some key -> (
+            match W.Btree.find btree ~key with
+            | Some value -> Result.Ok (Bytes.to_string value)
+            | None -> Result.Error "not found")
+        | None -> Result.Error "bad key")
+    | [ "select"; "v"; "from"; "kv"; "where"; "k"; "between"; lo; "and"; hi ]
+      -> (
+        match (int_of_string_opt lo, int_of_string_opt hi) with
+        | Some lo, Some hi when lo <= hi ->
+            let count = min (hi - lo + 1) 1024 in
+            let rows =
+              W.Btree.scan btree ~lo ~count |> List.filter (fun (k, _) -> k <= hi)
+            in
+            Result.Ok (Printf.sprintf "%d rows" (List.length rows))
+        | _ -> Result.Error "bad range")
+    | [ "update"; "kv"; "set"; "v"; value; "where"; "k"; key ]
+      when String.length value > 0 && value.[0] = '\'' -> (
+        match int_of_string_opt key with
+        | Some key ->
+            if W.Btree.update btree ~key (literal value) then begin
+              mutated := true;
+              Result.Ok "ok"
+            end
+            else Result.Error "not found"
+        | None -> Result.Error "bad key")
+    | _ -> Result.Error "parse error"
+  in
+  (result, List.length tokens, !mutated)
+
+let trail btree =
+  List.init (W.Btree.touched btree) (fun i ->
+      (W.Btree.touched_addr btree i, W.Btree.touched_len btree i))
+
+(* Statements that reach every branch of the grammar and its edges:
+   keywords in mixed case, every separator, string literals (empty,
+   with blanks, unterminated), and keys spelled every way
+   [int_of_string] reads or refuses one; plus fragment soup and the
+   garbage of "SQL engine total on garbage". *)
+let sql_stmt_gen =
+  let open QCheck.Gen in
+  let mixed w =
+    map
+      (fun mask ->
+        String.mapi
+          (fun i c -> if (mask lsr (i mod 60)) land 1 = 1 then Char.uppercase_ascii c else c)
+          w)
+      (int_bound max_int)
+  in
+  let kw w = mixed w in
+  let sep = oneofl [ " "; "  "; "\t"; "\n"; ","; "("; ")"; "="; " = "; "\t,(" ] in
+  let key =
+    oneof
+      [
+        map string_of_int (int_range (-3) 40);
+        mixed "0x1f";
+        oneofl
+          [
+            "1_000"; "-5"; "+7"; "0b101"; "0o17"; "0u42"; "0x"; "-"; "_1"; "1__";
+            "1e3"; "007"; "-0"; "0x_1"; "3x";
+            "4611686018427387903"; "4611686018427387904";
+            "-4611686018427387904"; "-4611686018427387905";
+            "0x3fffffffffffffff"; "0x7fffffffffffffff"; "0x8000000000000000";
+            "0xffffffffffffffff"; "-0x7fffffffffffffff"; "0u9223372036854775807";
+            "0u9223372036854775808"; "0b" ^ String.make 63 '1';
+            "0b1" ^ String.make 63 '0'; "99999999999999999999"; "0o777777777777777777777";
+          ];
+      ]
+  in
+  let value =
+    oneof
+      [
+        map (fun w -> "'" ^ w ^ "'") (string_size ~gen:(char_range 'a' 'z') (int_range 0 12));
+        oneofl [ "''"; "'a b'"; "'x,y=(z)'"; "'It''s'"; "'MiXeD'"; "'tab\there'" ];
+      ]
+  in
+  let unterminated =
+    map (fun w -> "'" ^ w) (string_size ~gen:(char_range 'A' 'z') (int_range 0 8))
+  in
+  let join parts = map (String.concat "") (flatten_l parts) in
+  let words ws = List.concat_map (fun w -> [ kw w; sep ]) ws in
+  let select_where = words [ "select"; "v"; "from"; "kv"; "where"; "k" ] in
+  oneof
+    [
+      join (words [ "insert"; "into"; "kv"; "values" ] @ [ key; sep; value; sep ]);
+      join (select_where @ [ key ]);
+      join (select_where @ [ kw "between"; sep; key; sep; kw "and"; sep; key ]);
+      join (words [ "update"; "kv"; "set"; "v" ] @ [ value; sep ] @ words [ "where"; "k" ] @ [ key ]);
+      join (select_where @ [ unterminated ]);
+      join (words [ "update"; "kv"; "set"; "v" ] @ [ unterminated ]);
+      map (String.concat "")
+        (list_size (int_range 0 14)
+           (oneof
+              [ kw "select"; kw "insert"; kw "update"; kw "between"; kw "and";
+                kw "kv"; kw "v"; kw "k"; sep; key; value; unterminated ]));
+      string;
+    ]
+
+let sql_scanner_matches_oracle =
+  QCheck.Test.make ~name:"SQL scanner = the tokenizer it replaced" ~count:400
+    (QCheck.make
+       ~print:QCheck.Print.(list string)
+       QCheck.Gen.(list_size (int_range 1 25) sql_stmt_gen))
+    (fun stmts ->
+      let e = W.Kvdb.Engine.create () in
+      let table = W.Kvdb.Engine.btree e in
+      let oracle =
+        W.Btree.create ~addr_base:0x1000_0000 ~record_bytes:W.Kvdb.record_bytes ()
+      in
+      let preload =
+        List.init 48 (fun k -> Printf.sprintf "INSERT INTO kv VALUES (%d, 'v%d')" (k * 2) k)
+      in
+      let tokens = ref 0 in
+      List.for_all
+        (fun stmt ->
+          let got = W.Kvdb.Engine.exec e stmt in
+          let want, n, mutated = oracle_exec oracle stmt in
+          tokens := !tokens + n;
+          if got <> want then
+            QCheck.Test.fail_reportf "%S: result differs from the oracle's" stmt;
+          if W.Kvdb.Engine.tokens_parsed e <> !tokens then
+            QCheck.Test.fail_reportf "%S: %d tokens counted, the oracle %d" stmt
+              (W.Kvdb.Engine.tokens_parsed e) !tokens;
+          if W.Kvdb.Engine.mutated e <> mutated then
+            QCheck.Test.fail_reportf "%S: mutation reported wrongly" stmt;
+          if trail table <> trail oracle then
+            QCheck.Test.fail_reportf "%S: touch trail differs" stmt;
+          true)
+        (preload @ stmts))
+
 (* --- quote wire format ----------------------------------------------------------- *)
 
 let wire_total =
@@ -373,6 +556,7 @@ let suite =
       http_valid_requests;
       sql_total;
       sql_store_consistency;
+      sql_scanner_matches_oracle;
       wire_total;
       vcpu_roundtrip;
       vcpu_malformed_rejected;

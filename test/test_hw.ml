@@ -301,17 +301,17 @@ let test_mmu_switch_flushes () =
 
 let test_cache () =
   let cache = Cache.create ~size_bytes:(64 * 1024) () in
-  (match Cache.access cache 0x1000 with
+  (match Cache.access cache ~write:false 0x1000 with
   | Cache.Miss _ -> ()
   | Cache.Hit -> Alcotest.fail "cold access should miss");
-  (match Cache.access cache 0x1000 with
+  (match Cache.access cache ~write:false 0x1000 with
   | Cache.Hit -> ()
   | Cache.Miss _ -> Alcotest.fail "warm access should hit");
-  (match Cache.access cache 0x1010 with
+  (match Cache.access cache ~write:false 0x1010 with
   | Cache.Hit -> () (* same 64-byte line *)
   | Cache.Miss _ -> Alcotest.fail "same line should hit");
   Cache.flush_line cache 0x1000;
-  (match Cache.access cache 0x1000 with
+  (match Cache.access cache ~write:false 0x1000 with
   | Cache.Miss { evicted_dirty } ->
       check_bool "clean after flush" false evicted_dirty
   | Cache.Hit -> Alcotest.fail "flushed line should miss");
@@ -324,11 +324,11 @@ let test_cache_capacity () =
   (* Stream 64 KB (4x capacity), then re-stream: the first pass must have
      been largely evicted. *)
   for i = 0 to 1023 do
-    ignore (Cache.access cache (i * 64))
+    ignore (Cache.access cache ~write:false (i * 64))
   done;
   Cache.reset_stats cache;
   for i = 0 to 1023 do
-    ignore (Cache.access cache (i * 64))
+    ignore (Cache.access cache ~write:false (i * 64))
   done;
   check_bool "capacity misses on re-stream" true (Cache.misses cache > 512)
 
@@ -474,15 +474,39 @@ let qcheck_tests =
           ops);
   ]
 
+(* Lookups and updates allocate nothing: the probe is a top-level
+   function, not a closure built per call (6 words per [mem] and 12 per
+   [set] and [remove] pair with one). *)
+let test_fast_table_allocation () =
+  let t = Fast_table.create ~dummy:0 () in
+  for k = 0 to 99 do
+    Fast_table.set t k k
+  done;
+  let words name f =
+    let w0 = Gc.minor_words () in
+    for k = 0 to 999 do
+      f k
+    done;
+    let words = Gc.minor_words () -. w0 in
+    if words > 0. then
+      Alcotest.failf "Fast_table.%s allocated %.0f words over 1,000 calls" name
+        words
+  in
+  words "mem" (fun k -> ignore (Fast_table.mem t (k land 127) : bool));
+  words "set" (fun k -> Fast_table.set t (k land 127) k);
+  words "remove" (fun k ->
+      Fast_table.remove t (k land 127);
+      Fast_table.set t (k land 127) k)
+
 let test_cache_dirty_writeback () =
   let cache = Cache.create ~size_bytes:(4 * 1024) ~ways:1 () in
   ignore (Cache.access cache ~write:true 0x0);
   (* Direct-mapped: an aliasing address evicts the dirty line. *)
-  (match Cache.access cache 0x10000 with
+  (match Cache.access cache ~write:false 0x10000 with
   | Cache.Miss { evicted_dirty } ->
       Alcotest.(check bool) "dirty eviction reported" true evicted_dirty
   | Cache.Hit -> Alcotest.fail "expected conflict miss");
-  match Cache.access cache 0x20000 with
+  match Cache.access cache ~write:false 0x20000 with
   | Cache.Miss { evicted_dirty } ->
       Alcotest.(check bool) "clean eviction reported" false evicted_dirty
   | Cache.Hit -> Alcotest.fail "expected conflict miss"
@@ -557,4 +581,6 @@ let suite =
       Alcotest.test_case "cache capacity" `Quick test_cache_capacity;
       Alcotest.test_case "mem_crypto costs" `Quick test_mem_crypto_costs;
       Alcotest.test_case "iommu (R-3 primitive)" `Quick test_iommu;
+      Alcotest.test_case "fast_table probes allocate nothing" `Quick
+        test_fast_table_allocation;
     ]

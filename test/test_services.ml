@@ -321,6 +321,201 @@ let test_malformed_admin_in_band () =
         Services.http_request ~path:"/index.html", "HTTP/1.1 400 bad admin" );
     ]
 
+(* A handler reply longer than the 256-byte ring slot refuses its own
+   slot only.  One request per service whose reply would not fit (kvdb's
+   engine no longer echoes the statement, so its answer is an in-band
+   error that fits; resp_kv's unknown command and httpd's bad version
+   still echo and are refused as Unsupported) shares a one-core ring
+   with another session's honest request, which must be served.  Failing
+   the whole ring answered both with a session fault. *)
+let test_oversized_reply_refuses_its_slot () =
+  let module Ycsb = Hyperenclave.Workloads.Ycsb in
+  let config =
+    {
+      Serve.default_config with
+      Serve.sched = { Sched.default_config with Sched.cores = 1 };
+    }
+  in
+  List.iter
+    (fun (kind, seed, setup, bad, in_band) ->
+      let p = Platform.create ~seed () in
+      let plane =
+        Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p config
+      in
+      let name = Services.kind_name kind in
+      let backend = Serve.add_tenant plane ~name (Services.backend_config kind) in
+      let connect k =
+        let client = client_for p ~seed:(Int64.add seed k) backend in
+        (match Serve.handshake plane ~tenant:name (Serve.Client.hello client) with
+        | Error r -> Alcotest.failf "handshake rejected: %a" Serve.pp_reject r
+        | Ok accept -> (
+            match Serve.Client.establish client accept with
+            | Error r -> Alcotest.failf "establish failed: %a" Serve.pp_reject r
+            | Ok () -> ()));
+        client
+      in
+      let c_bad = connect 1L and c_honest = connect 2L in
+      ignore (admin backend setup);
+      let honest =
+        match kind with
+        | Services.Httpd -> Services.http_request ~path:"/index.html"
+        | Services.Resp_kv | Services.Kvdb ->
+            Services.request_of_op kind (Ycsb.Read 1)
+      in
+      Alcotest.(check bool) (name ^ ": the request fits its slot") true
+        (Bytes.length bad <= Serve.slot_bytes);
+      List.iter
+        (fun (client, data) ->
+          match
+            Serve.submit plane
+              (Serve.Client.request client ~ecall:Services.ecall_request data)
+          with
+          | Ok () -> ()
+          | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r)
+        [ (c_bad, bad); (c_honest, honest) ];
+      let replies = Serve.flush plane in
+      Alcotest.(check int) (name ^ ": two replies") 2 (List.length replies);
+      let reply_of client =
+        match
+          List.find_opt
+            (fun r -> r.Serve.r_session_id = Serve.Client.session_id client)
+            replies
+        with
+        | Some r -> Serve.Client.read_reply client r
+        | None -> Alcotest.failf "%s: no reply for a session" name
+      in
+      (match (reply_of c_bad, in_band) with
+      | Ok body, Some expected ->
+          Alcotest.(check string) (name ^ ": in-band error") expected
+            (Bytes.to_string body)
+      | Error (Serve.Unsupported _), None -> ()
+      | Ok body, None ->
+          Alcotest.failf "%s: an oversized reply came back (%d bytes)" name
+            (Bytes.length body)
+      | Error r, _ ->
+          Alcotest.failf "%s: the bad request got %a" name Serve.pp_reject r);
+      (match reply_of c_honest with
+      | Ok body ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: the neighbour is served (%s)" name
+               (Bytes.to_string body))
+            true (Services.reply_ok kind body)
+      | Error r ->
+          Alcotest.failf "%s: the neighbour failed: %a" name Serve.pp_reject r);
+      check_invariants p;
+      Serve.destroy plane)
+    [
+      ( Services.Kvdb, 9500L, Services.load_request ~records:4,
+        Bytes.of_string ("SELECT " ^ String.make 243 'x'),
+        Some "-ERR parse error" );
+      ( Services.Resp_kv, 9510L, Services.load_request ~records:4,
+        Hyperenclave.Workloads.Resp_kv.encode_command [ String.make 244 'z' ],
+        None );
+      ( Services.Httpd, 9520L,
+        Services.page_request ~path:"/index.html" ~bytes:100,
+        Bytes.of_string ("GET / " ^ String.make 250 'V'),
+        None );
+    ]
+
+(* The WAL journals what the engine executed, not what the statement's
+   first byte looks like: an update with a leading blank is applied and
+   must be journaled; a SELECT and an update of a missing row are not.
+   The handlers run on a hand-built env whose heap records every write,
+   which is where the WAL's extent lives. *)
+let test_wal_journals_executed_mutations () =
+  let clock = Cycles.create () in
+  let heap = Bytes.make 65536 '\000' and written = ref [] in
+  let env =
+    {
+      Backend.clock;
+      compute = Cycles.tick clock;
+      mem =
+        Mem_sim.create ~clock ~cost:Cost_model.default ~rng:(Rng.create ~seed:5L)
+          ~engine:Hw.Mem_crypto.Sme ();
+      ocall = (fun ~id:_ ?data:_ () -> Alcotest.fail "a service OCALLed");
+      interrupt = (fun () -> ());
+      heap_write =
+        (fun ~off data ->
+          written := Bytes.to_string data :: !written;
+          Bytes.blit data 0 heap off (Bytes.length data));
+      heap_read = (fun ~off ~len -> Bytes.sub heap off len);
+      backend_name = "wal-probe";
+    }
+  in
+  let handlers = Services.handlers Services.Kvdb in
+  let call id data = Bytes.to_string ((List.assoc id handlers) env data) in
+  Alcotest.(check string) "loaded" "4"
+    (call Services.ecall_admin (Services.load_request ~records:4));
+  let journaled stmt = List.mem (stmt ^ "\n") !written in
+  List.iter
+    (fun (stmt, reply, logged) ->
+      Alcotest.(check string) ("reply to " ^ stmt) reply
+        (call Services.ecall_request (Bytes.of_string stmt));
+      Alcotest.(check bool) ("journaled: " ^ stmt) logged (journaled stmt))
+    [
+      (" UPDATE kv SET v = 'x' WHERE k = 3", "+ok", true);
+      ("\tupdate kv SET v = 'y' WHERE k = 2", "+ok", true);
+      ("SELECT v FROM kv WHERE k = 3", "+x", false);
+      ("UPDATE kv SET v = 'z' WHERE k = 99", "-ERR not found", false);
+      ("\n INSERT INTO kv VALUES (7, 'w')", "+ok", true);
+    ]
+
+(* A warm kvdb statement through the plane allocates what its request
+   keeps: the enclave's copy of the slot body, the received statement,
+   the value it stores or returns, the reply on its way out and its
+   sealed frame, the flush's own set-up and the memory simulator's RNG
+   draws: 213, 234 and 197 words for a SELECT, an UPDATE and a BETWEEN.
+   A closure per hash probe and a boxed flag per simulated cache line, a
+   list-built tokenizer and touch trail, a listed range scan, and copies
+   in the LibOS socket path and the WAL line read 580, 708 and 1,130.
+   The median of nine one-request flushes leaves out a flush where the
+   WAL's extent grows. *)
+let test_kvdb_request_allocation () =
+  let _p, plane, backend, client = build Services.Kvdb ~seed:9600L in
+  ignore (admin backend (Services.load_request ~records:200));
+  let words stmt =
+    let once () =
+      let req =
+        Serve.Client.request client ~ecall:Services.ecall_request
+          (Bytes.of_string stmt)
+      in
+      let w0 = Gc.minor_words () in
+      (match Serve.submit plane req with
+      | Ok () -> ()
+      | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r);
+      let reply =
+        match Serve.flush plane with
+        | [ reply ] -> Serve.Client.read_reply client reply
+        | replies -> Alcotest.failf "expected 1 reply, got %d" (List.length replies)
+      in
+      let words = Gc.minor_words () -. w0 in
+      (match reply with
+      | Ok body ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S answered (%s)" stmt (Bytes.to_string body))
+            true
+            (Services.reply_ok Services.Kvdb body)
+      | Error r -> Alcotest.failf "%S failed: %a" stmt Serve.pp_reject r);
+      words
+    in
+    for _ = 1 to 5 do
+      ignore (once () : float)
+    done;
+    let runs = List.sort compare (List.init 9 (fun _ -> once ())) in
+    List.nth runs 4
+  in
+  List.iter
+    (fun stmt ->
+      let w = words stmt in
+      if w > 280. then
+        Alcotest.failf "%S allocated %.0f minor words (> 280)" stmt w)
+    [
+      "SELECT v FROM kv WHERE k = 17";
+      "UPDATE kv SET v = 'fresh-value-for-17' WHERE k = 17";
+      "SELECT v FROM kv WHERE k BETWEEN 40 AND 47";
+    ];
+  Serve.destroy plane
+
 let suite =
   [
     Alcotest.test_case "resp_kv over AEAD sessions" `Quick test_resp_kv_end_to_end;
@@ -331,4 +526,10 @@ let suite =
     Alcotest.test_case "negative paths stay typed" `Quick test_negative_paths;
     Alcotest.test_case "malformed admin answered in-band" `Quick
       test_malformed_admin_in_band;
+    Alcotest.test_case "an oversized reply refuses its own slot" `Quick
+      test_oversized_reply_refuses_its_slot;
+    Alcotest.test_case "the WAL journals executed mutations" `Quick
+      test_wal_journals_executed_mutations;
+    Alcotest.test_case "a warm kvdb request allocates what it keeps" `Quick
+      test_kvdb_request_allocation;
   ]

@@ -155,6 +155,53 @@ let test_mem_sim_tlb_translation_cost () =
     "nested walks cost more" true
     (lat Mem_sim.Nested > lat Mem_sim.One_level)
 
+(* The simulator's per-line kernels allocate nothing once warm: no
+   closure per hash probe and no boxed [~write] per cache line, which
+   cost a 64 KiB scan 2,144 words, a 1 KiB touch 38 and a 512-byte
+   dependent touch 22.  A random access allocates only its draw from the
+   RNG, whose state is a boxed int64; the working set fits the TLB, so
+   no eviction draws more. *)
+let test_mem_sim_allocation () =
+  let words f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100 do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. 100.
+  in
+  let sim =
+    Mem_sim.create ~clock:(Cycles.create ()) ~cost:Cost_model.default
+      ~rng:(Rng.create ~seed:5L) ~engine:Hw.Mem_crypto.Sme
+      ~translation:Mem_sim.Nested ()
+  in
+  List.iter
+    (fun (name, f) ->
+      let w = words f in
+      if w > 0. then
+        Alcotest.failf "warm %s allocated %.2f minor words per call" name w)
+    [
+      ( "seq_scan",
+        fun () -> Mem_sim.seq_scan sim ~base:0x2000_0000 ~bytes:65536 ~write:false );
+      ( "touch_bytes",
+        fun () -> Mem_sim.touch_bytes sim ~addr:0x1000_0040 ~len:1024 ~write:true );
+      ( "touch_dependent",
+        fun () ->
+          Mem_sim.touch_dependent sim ~addr:0x1000_0000 ~len:512 ~write:false );
+    ];
+  let rng = Rng.create ~seed:6L in
+  let draw = words (fun () -> ignore (Rng.int rng 4096 : int)) in
+  let random =
+    words (fun () ->
+        Mem_sim.random_access sim ~base:0x7000_0000 ~working_set:(1 lsl 20)
+          ~count:6 ~write:false)
+  in
+  if random > 6. *. draw then
+    Alcotest.failf
+      "warm random_access of 6 lines allocated %.2f minor words (> 6 draws of \
+       %.2f)"
+      random draw
+
 let suite =
   [
     Alcotest.test_case "platform determinism" `Quick test_platform_determinism;
@@ -167,4 +214,6 @@ let suite =
     Alcotest.test_case "mem_sim swap counting" `Quick test_mem_sim_swaps_counted;
     Alcotest.test_case "mem_sim translation cost" `Quick
       test_mem_sim_tlb_translation_cost;
+    Alcotest.test_case "mem_sim kernels allocate nothing once warm" `Quick
+      test_mem_sim_allocation;
   ]
