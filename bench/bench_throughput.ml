@@ -1,92 +1,11 @@
-(* PR 4 tentpole bench: end-to-end request throughput of the SMP enclave
-   scheduler (lib/sched) serving the RESP KV workload across 1/2/4/8
-   simulated cores, plus the switchless slot ring's saving over K
-   individual ECALLs as K grows.
-
-   Its headline numbers are rows of the perf gate (Perf_gate.table,
-   BENCH.json): requests/sec must scale at least 1.6x from 1 to 2 cores,
-   and at K = 8 the ring must serve a request in at most half the cycles
-   of eight individual ECALLs.  Both are simulated-cycle quantities, so
-   the gate is deterministic. *)
+(* The switchless slot ring's saving over K individual ECALLs as K
+   grows.  Its headline number is a row of the perf gate
+   (Perf_gate.table, BENCH.json): at K = 8 the ring must serve a request
+   in at most half the cycles of eight individual ECALLs.  It is a
+   simulated-cycle quantity, so the gate is deterministic.  The serving
+   plane's scaling over cores is bench_serve's. *)
 
 open Hyperenclave
-module Resp_kv = Hyperenclave_workloads.Resp_kv
-module Ycsb = Hyperenclave_workloads.Ycsb
-
-(* The paper's evaluation machine: 2.2 GHz EPYC (Sec. 7.1); same
-   constant resp_kv uses for its latency curves. *)
-let clock_hz = 2.2e9
-let records = 256
-let enclaves = 8
-let reqs_per_enclave = 24
-let value_bytes = 128
-
-let key_name key = Printf.sprintf "user%08d" key
-
-(* A YCSB-A request stream, pre-encoded as RESP commands. *)
-let request_stream ~seed n =
-  let gen = Ycsb.create ~rng:(Rng.create ~seed) ~records () in
-  List.init n (fun _ ->
-      let parts =
-        match Ycsb.next_op_a gen with
-        | Ycsb.Read key | Ycsb.Scan (key, _) -> [ "GET"; key_name key ]
-        | Ycsb.Update key ->
-            [
-              "SET";
-              key_name key;
-              Bytes.to_string (Ycsb.record_value ~key ~size:value_bytes);
-            ]
-      in
-      (Resp_kv.ecall_command, Resp_kv.encode_command parts))
-
-type run = {
-  cores : int;
-  rps : float;
-  makespan : int;
-  total : int;
-  joins : int;
-}
-
-(* N enclaves, [reqs_per_enclave] requests each, scheduled over [cores]
-   cores.  Fresh platform per configuration so runs are independent and
-   seed-reproducible. *)
-let measure ~cores =
-  let p = Platform.create ~seed:906L () in
-  let backends =
-    List.init enclaves (fun i ->
-        Backend.create p
-          {
-            (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
-            Backend.code_seed = Some (Printf.sprintf "throughput-%d" i);
-            handlers = Resp_kv.handlers ();
-            ocalls = Resp_kv.ocalls ();
-          })
-  in
-  List.iter (fun b -> Resp_kv.load b ~records) backends;
-  let sched =
-    Sched.create ~shared_clock:p.Platform.clock
-      ~telemetry:(Monitor.telemetry p.Platform.monitor)
-      { Sched.default_config with Sched.cores }
-  in
-  List.iteri
-    (fun i b ->
-      Sched.submit sched
-        ~urts:(Option.get b.Backend.urts)
-        (request_stream ~seed:(Int64.of_int (7_000 + i)) reqs_per_enclave))
-    backends;
-  Sched.run sched;
-  let stats = Sched.stats sched in
-  List.iter (fun b -> b.Backend.destroy ()) backends;
-  {
-    cores;
-    rps =
-      float_of_int stats.Sched.total_requests
-      *. clock_hz
-      /. float_of_int (max 1 stats.Sched.makespan);
-    makespan = stats.Sched.makespan;
-    total = stats.Sched.total_requests;
-    joins = stats.Sched.joins;
-  }
 
 (* K echo requests on a minimal [mode] enclave, served once through the
    slot ring (stage, then one round trip) and once as K
@@ -125,37 +44,9 @@ let ring_vs_ecalls ?(seed = 907L) ?(mode = Sgx_types.GU) ~k () =
   Urts.destroy handle;
   (ringed, single)
 
-type summary = {
-  runs : run list;
-  speedup_2core : float;
-  ring_ratio_k8 : float;
-}
-
-let summarize () =
-  let runs = List.map (fun cores -> measure ~cores) [ 1; 2; 4; 8 ] in
-  let rps_of n = (List.find (fun r -> r.cores = n) runs).rps in
+let ring_ratio_k8 () =
   let ringed, single = ring_vs_ecalls ~k:8 () in
-  {
-    runs;
-    speedup_2core = rps_of 2 /. rps_of 1;
-    ring_ratio_k8 = float_of_int single /. float_of_int ringed;
-  }
-
-let print_scaling (s : summary) =
-  Util.print_table
-    ~columns:[ "cores"; "requests"; "makespan (Mcyc)"; "req/s"; "joins" ]
-    (List.map
-       (fun r ->
-         [
-           string_of_int r.cores;
-           string_of_int r.total;
-           Printf.sprintf "%.2f" (float_of_int r.makespan /. 1e6);
-           Printf.sprintf "%.0f" r.rps;
-           string_of_int r.joins;
-         ])
-       s.runs);
-  Printf.printf "\n  1 -> 2 core speedup: %.2fx (gate: >= 1.6x)\n"
-    s.speedup_2core
+  float_of_int single /. float_of_int ringed
 
 let print_ring () =
   Util.print_table
@@ -176,20 +67,11 @@ let print_ring () =
 let run () =
   Util.set_experiment "throughput";
   Util.banner "Throughput"
-    "SMP scheduler: RESP KV requests/sec vs simulated cores (8 enclaves, \
-     YCSB-A), and the switchless slot ring vs K individual ECALLs.";
-  let s = summarize () in
-  print_scaling s;
-  Printf.printf
-    "\n  Switchless slot ring vs K ECALLs, echo ECALL (pure call-path cost):\n\n";
+    "The switchless slot ring vs K individual ECALLs, echo ECALL (pure \
+     call-path cost).";
   print_ring ();
   Printf.printf
     "  K=8: the ring takes %.2fx fewer cycles per request (gate: >= 2x).\n"
-    s.ring_ratio_k8
+    (ring_ratio_k8 ())
 
-let headline (s : summary) =
-  List.map (fun r -> (Printf.sprintf "rps_%dcore" r.cores, r.rps)) s.runs
-  @ [
-      ("speedup_2core", s.speedup_2core);
-      ("ring_amortized_ratio_k8", s.ring_ratio_k8);
-    ]
+let headline ratio = [ ("ring_amortized_ratio_k8", ratio) ]

@@ -18,9 +18,7 @@ let experiments =
     ("fig10", ("SPEC CPU 2017 virtualization overhead", Bench_fig10.run));
     ("fig11", ("memory-encryption latency scan", Bench_fig11.run));
     ("ablation", ("design-choice ablations (not in the paper)", Bench_ablation.run));
-    ( "throughput",
-      ("SMP scheduler req/s scaling + switchless slot ring (PR 4)", Bench_throughput.run)
-    );
+    ("throughput", ("switchless slot ring vs K ECALLs", Bench_throughput.run));
     ( "serve",
       ("attested serving plane end-to-end req/s (PR 5)", Bench_serve.run) );
     ( "zerocopy",

@@ -32,12 +32,7 @@ let row ?(tol = 0.25) ?bar key better = { key; better; tol; bar; host = false }
 
 let table =
   [
-    (* bench_throughput: SMP scheduler scaling, switchless slot ring *)
-    row "rps_1core" Higher;
-    row "rps_2core" Higher;
-    row "rps_4core" Higher;
-    row "rps_8core" Higher;
-    row "speedup_2core" Higher ~bar:1.6;
+    (* bench_throughput: the switchless slot ring vs K ECALLs *)
     row "ring_amortized_ratio_k8" Higher ~bar:2.0;
     (* bench_serve: attested serving plane, on the critical-path basis
        (served over Serve.ledger's critical path).  The 8-core floor

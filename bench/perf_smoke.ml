@@ -21,7 +21,7 @@ let smoke_wall_seconds () =
 let measure () =
   let wall = smoke_wall_seconds () in
   let serve = Bench_serve.summarize () in
-  Bench_throughput.headline (Bench_throughput.summarize ())
+  Bench_throughput.headline (Bench_throughput.ring_ratio_k8 ())
   @ Bench_serve.headline serve
   @ Bench_zerocopy.headline (Bench_zerocopy.summarize ())
   @ Bench_arena.headline

@@ -55,8 +55,6 @@ type node = {
       (* the session-id counter of the node's last plane torn down: its
          next plane continues from it *)
   mutable n_version : int;
-  n_tenants : (string, unit) Hashtbl.t;
-      (* tenants built on the node's *current* plane *)
   n_anchor : anchor;
 }
 
@@ -102,7 +100,6 @@ type t = {
   c_wire_clock : Cycles.t;
   c_rng : Rng.t;
   c_registry : (string, unit -> Backend.config) Hashtbl.t;
-  c_order : string Queue.t;  (* registration order, for drains *)
   c_placement : (string, int) Hashtbl.t;
   c_offers : (string, Kx.secret) Hashtbl.t;
       (* "(dst):(tenant):(nonce hex)" -> the destination's pending
@@ -136,7 +133,6 @@ let mk_node ~node_id ~serve platform =
     n_plane = Some plane;
     n_next_session = 0;
     n_version = 0;
-    n_tenants = Hashtbl.create 4;
     n_anchor = anchor;
   }
 
@@ -171,7 +167,6 @@ let create config =
     c_wire_clock = net_clock;
     c_rng = Rng.create ~seed:(Int64.add config.seed 0x5EED5L);
     c_registry = Hashtbl.create 8;
-    c_order = Queue.create ();
     c_placement = Hashtbl.create 8;
     c_offers = Hashtbl.create 8;
     c_migrations = 0;
@@ -238,17 +233,15 @@ let ensure_tenant t (n : node) name =
   match Hashtbl.find_opt t.c_registry name with
   | None -> Error (Reject (Serve.Unknown_tenant name))
   | Some gen ->
-      if not (Hashtbl.mem n.n_tenants name) then begin
-        ignore (Serve.add_tenant (Node.plane n) ~name (gen ()) : Backend.t);
-        Hashtbl.replace n.n_tenants name ()
-      end;
+      let plane = Node.plane n in
+      if not (Serve.has_tenant plane ~tenant:name) then
+        ignore (Serve.add_tenant plane ~name (gen ()) : Backend.t);
       Ok ()
 
 let add_tenant t ~name gen =
   if Hashtbl.mem t.c_registry name then
     invalid_arg (Printf.sprintf "Cluster.add_tenant: duplicate tenant %s" name);
   Hashtbl.replace t.c_registry name gen;
-  Queue.push name t.c_order;
   let o =
     match ring_owner t name with
     | Some o -> o
@@ -388,10 +381,7 @@ module Migrate = struct
               Serve.export_tenant (Node.plane sn) ~tenant:o.o_tenant)
         with
         | exception Fault.Injected { site; kind } ->
-            Error
-              (Migration_fault
-                 (Printf.sprintf "injected %s fault at %s"
-                    (Fault.kind_name kind) site))
+            Error (Migration_fault (Fault.message ~site kind))
         | exported -> Result.map_error (fun r -> Reject r) exported
       in
       let secret, p_kx = Kx.generate t.c_rng in
@@ -517,8 +507,7 @@ let migrate t ~tenant ~dst =
 let tear_down n p =
   n.n_next_session <- Serve.next_session_id p;
   Serve.destroy p;
-  n.n_plane <- None;
-  Hashtbl.reset n.n_tenants
+  n.n_plane <- None
 
 let bring_up n =
   let p = Serve.create_node ~platform:n.n_platform n.n_config in

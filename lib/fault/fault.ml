@@ -6,6 +6,9 @@ exception Injected of { site : string; kind : kind }
 
 let kind_name = function Transient -> "transient" | Permanent -> "permanent"
 
+let message ~site kind =
+  Printf.sprintf "injected %s fault at %s" (kind_name kind) site
+
 type spec = { site : string; nth : int; kind : kind }
 type plan = spec list
 

@@ -37,6 +37,10 @@ exception Injected of { site : string; kind : kind }
 
 val kind_name : kind -> string
 
+val message : site:string -> kind -> string
+(** ["injected <kind> fault at <site>"]: the one text a typed error
+    gives for a fault that fired. *)
+
 type spec = { site : string; nth : int; kind : kind }
 (** Fire [kind] on the [nth] (1-based) hit of [site] after install. *)
 

@@ -13,36 +13,19 @@ type config = {
 let default_config =
   { cores = 2; work_stealing = true; batch = 1; drop_on_error = false }
 
-(* A core joining a call job pulls the job's enclave state cold: charge
-   one OS context switch worth of cache/TLB refill. *)
-let steal_cycles = 6_886
+type on_result = index:int -> core:int -> (unit, string) result -> unit
 
-type on_result = index:int -> core:int -> (bytes, string) result -> unit
-
-(* What a job runs once: a staged slot ring as one switchless dispatch, or
-   a list of individual ECALLs, each call's cycles and ending recorded
-   for the placer. *)
-type work =
-  | Ring of Urts.ring
-  | Calls of {
-      urts : Urts.t;
-      requests : (int * bytes) list;
-      cyc : int array;
-      endings : (bytes, string) result array;
-    }
-
-(* A job runs once on the shared clock, then its units (ring slots or
-   calls) are placed on cores: [head, tail) are the units no core has
-   claimed yet; the owner claims from the head, a joiner from the
-   tail. *)
+(* A staged slot ring runs once on the shared clock, then its slots are
+   placed on cores: [head, tail) are the slots no core has claimed yet;
+   the owner claims from the head, a joiner from the tail. *)
 type job = {
-  work : work;
+  ring : Urts.ring;
   owner : int;
   on_result : on_result option;
   on_slice : (cycles:int -> unit) option;
   svc_counter : Telemetry.counter_handle option;
   mutable cycles : int;  (* the run's cycles; -1 until run *)
-  mutable rest : int;  (* of [cycles], what no unit carries: the owner's *)
+  mutable rest : int;  (* of [cycles], what no slot carries: the owner's *)
   mutable head : int;
   mutable tail : int;
   mutable started : bool;  (* the owner has paid [rest] *)
@@ -57,10 +40,11 @@ type core = {
   mutable jobs : job option;
       (* own jobs not yet done, in queue order: the link to the first,
          whose [next] links the rest *)
-  mutable last : job option;  (* the link to the last, which enqueue extends *)
+  mutable last : job option;
+      (* the link to the last, which [submit_ring] extends *)
   mutable joined : job option;
       (* the job this core joined, by its link in its owner's queue *)
-  mutable placed : bool;  (* no unit left for this core in this run *)
+  mutable placed : bool;  (* no slot left for this core in this run *)
   mutable busy : int;
   mutable joins : int;
   mutable completed : int;
@@ -137,28 +121,22 @@ let svc_counter t = function
           Hashtbl.add t.svc_counters label c;
           c)
 
-(* The scheduler never copies reply bytes out of a slot ring — the
-   submitter reads them in place from the ring's reply image — so a
-   served slot reports this preallocated placeholder instead of
-   allocating a fresh [Ok] per request. *)
-let ok_in_ring : (bytes, string) result = Ok Bytes.empty
-
-(* Jobs land on [core] when given, else round-robin by submission
+(* Rings land on [core] when given, else round-robin by submission
    order. *)
-let enqueue t ?core ?label ?on_result ?on_slice work =
+let submit_ring t ?core ?label ?on_result ?on_slice ring =
   let job_id = t.next_job in
   t.next_job <- job_id + 1;
   let target =
     match core with
     | Some c ->
         if c < 0 || c >= t.config.cores then
-          invalid_arg "Sched.submit: core out of range";
+          invalid_arg "Sched.submit_ring: core out of range";
         t.cores.(c)
     | None -> t.cores.(job_id mod t.config.cores)
   in
   let job =
     {
-      work;
+      ring;
       owner = target.core_id;
       on_result;
       on_slice;
@@ -179,15 +157,6 @@ let enqueue t ?core ?label ?on_result ?on_slice work =
   | Some last -> last.next <- link
   | None -> target.jobs <- link);
   target.last <- link
-
-let submit t ?core ?on_result ~urts requests =
-  let n = List.length requests in
-  enqueue t ?core ?on_result
-    (Calls
-       { urts; requests; cyc = Array.make n 0; endings = Array.make n ok_in_ring })
-
-let submit_ring t ?core ?label ?on_result ?on_slice ring =
-  enqueue t ?core ?label ?on_result ?on_slice (Ring ring)
 
 (* Cycles core [c] has advanced since the run began: every pick compares
    these, never absolute clocks, so a core whose clock lags from earlier
@@ -212,89 +181,62 @@ let busy_tick (core : core) cycles =
 
 let fail_msg = function
   | Urts.Enclave_error m -> "enclave: " ^ m
-  | Fault.Injected { site; kind } ->
-      Printf.sprintf "injected %s fault at %s" (Fault.kind_name kind) site
+  | Fault.Injected { site; kind } -> Fault.message ~site kind
   | exn -> Printexc.to_string exn
 
 let deliver f ~index ~core result =
   match f with Some f -> f ~index ~core result | None -> ()
 
-(* --- run: every job once, on the shared clock ------------------------------- *)
+(* --- run: every ring once, on the shared clock ------------------------------ *)
 
-(* Run [job]'s work and count its endings; returns how many units it
-   left for the placer.  A ring runs as one switchless round trip — its
-   publish, one post fence, one worker context, its channel callbacks,
-   its read-back and their fault retries — and under [drop_on_error] a
-   typed failure, a marshalling fault included, fails the whole ring:
-   every slot is reported failed on the owner and none is placed.  A
-   call job runs one [Urts.ecall] per call; under [drop_on_error] a
-   typed failure ends only that call.  Monitor violations always
-   propagate. *)
-let run_units t (job : job) =
-  match job.work with
-  | Ring ring -> (
-      let count = Urts.ring_staged ring in
-      match Urts.ring_dispatch ring with
-      | () ->
-          t.completed <- t.completed + count;
-          (match job.svc_counter with
-          | Some c -> Telemetry.bump c count
-          | None -> ());
-          count
-      | exception ((Urts.Enclave_error _ | Fault.Injected _) as exn)
-        when t.config.drop_on_error ->
-          let failed = Error (fail_msg exn) in
-          for index = 0 to count - 1 do
-            deliver job.on_result ~index ~core:job.owner failed
-          done;
-          t.failed <- t.failed + count;
-          let owner = t.cores.(job.owner) in
-          owner.completed <- owner.completed + count;
-          Telemetry.add t.telemetry "sched.request_failed" count;
-          0)
-  | Calls c ->
-      List.iteri
-        (fun i (id, data) ->
-          let c0 = Cycles.now t.shared_clock in
-          (c.endings.(i) <-
-             match Urts.ecall c.urts ~id ~data ~direction:Edge.In_out () with
-             | reply ->
-                 t.completed <- t.completed + 1;
-                 Ok reply
-             | exception ((Urts.Enclave_error _ | Fault.Injected _) as exn)
-               when t.config.drop_on_error ->
-                 t.failed <- t.failed + 1;
-                 Telemetry.incr t.telemetry "sched.request_failed";
-                 Error (fail_msg exn));
-          c.cyc.(i) <- Cycles.now t.shared_clock - c0)
-        c.requests;
-      Array.length c.cyc
-
-let unit_cycles (job : job) i =
-  match job.work with
-  | Ring ring -> Urts.ring_slot_cycles ring ~slot:i
-  | Calls c -> c.cyc.(i)
+(* Dispatch [job]'s ring and count its endings; returns how many slots
+   it left for the placer.  The ring runs as one switchless round trip —
+   its publish, one post fence, one worker context, its channel
+   callbacks, its read-back and their fault retries — and under
+   [drop_on_error] a typed failure, a marshalling fault included, fails
+   the whole ring: every slot is reported failed on the owner and none
+   is placed.  Monitor violations always propagate. *)
+let run_ring t (job : job) =
+  let count = Urts.ring_staged job.ring in
+  match Urts.ring_dispatch job.ring with
+  | () ->
+      t.completed <- t.completed + count;
+      (match job.svc_counter with
+      | Some c -> Telemetry.bump c count
+      | None -> ());
+      count
+  | exception ((Urts.Enclave_error _ | Fault.Injected _) as exn)
+    when t.config.drop_on_error ->
+      let failed = Error (fail_msg exn) in
+      for index = 0 to count - 1 do
+        deliver job.on_result ~index ~core:job.owner failed
+      done;
+      t.failed <- t.failed + count;
+      let owner = t.cores.(job.owner) in
+      owner.completed <- owner.completed + count;
+      Telemetry.add t.telemetry "sched.request_failed" count;
+      0
 
 (* Run [job] once and record its cycles: [on_slice] receives them all,
-   and what no unit carries stays with the owner as [rest]. *)
+   and what no slot carries stays with the owner as [rest]. *)
 let run_job t (job : job) =
   let p0 = Cycles.now t.shared_clock in
   let report cycles =
     job.cycles <- cycles;
     match job.on_slice with Some f -> f ~cycles | None -> ()
   in
-  let units =
-    try run_units t job
+  let slots =
+    try run_ring t job
     with exn ->
       report (Cycles.now t.shared_clock - p0);
       raise exn
   in
   let delta = Cycles.now t.shared_clock - p0 in
   job.rest <- delta;
-  for i = 0 to units - 1 do
-    job.rest <- job.rest - unit_cycles job i
+  for slot = 0 to slots - 1 do
+    job.rest <- job.rest - Urts.ring_slot_cycles job.ring ~slot
   done;
-  job.tail <- units;
+  job.tail <- slots;
   report delta;
   Telemetry.sample t.h_slice (max 1 delta)
 
@@ -327,31 +269,19 @@ let run_jobs t =
       t.cores;
     raise exn
 
-(* --- placement: the run's units over the cores ------------------------------ *)
+(* --- placement: the run's slots over the cores ------------------------------ *)
 
-(* What a second core pays to join a job, and then per unit it claims on
-   the job: a ring's second worker and shared cursor, or a call job's
-   cold enclave state (its calls have no shared cursor). *)
-let join_cycles (job : job) =
-  match job.work with
-  | Ring ring -> Urts.ring_join_cycles ring
-  | Calls _ -> steal_cycles
-
-let claim_cycles (job : job) =
-  match job.work with Ring ring -> Urts.ring_claim_cycles ring | Calls _ -> 0
-
-(* Claim one unit for [core]: its recorded cycles are slice time on that
+(* Claim slot [i] for [core]: its recorded cycles are slice time on that
    core; a claim on a joined ring also pulls the cursor's cache line, on
    the core's clock only. *)
 let claim (core : core) (job : job) i =
-  busy_tick core (unit_cycles job i);
-  if job.joined then Cycles.tick core.clock (claim_cycles job);
+  busy_tick core (Urts.ring_slot_cycles job.ring ~slot:i);
+  if job.joined then Cycles.tick core.clock (Urts.ring_claim_cycles job.ring);
   core.completed <- core.completed + 1;
-  deliver job.on_result ~index:i ~core:core.core_id
-    (match job.work with Ring _ -> ok_in_ring | Calls c -> c.endings.(i))
+  deliver job.on_result ~index:i ~core:core.core_id (Ok ())
 
-(* The job with the most unclaimed units, first in host order on a tie,
-   by its link in its owner's queue ([None] when no unit is left).  Only
+(* The job with the most unclaimed slots, first in host order on a tie,
+   by its link in its owner's queue ([None] when no slot is left).  Only
    counts decide; no recorded cost is read.  Handing out the queue's own
    links keeps the search and the join allocation-free. *)
 let unclaimed = function Some (job : job) -> job.tail - job.head | None -> 0
@@ -364,10 +294,10 @@ let busiest_job t =
   in
   Array.fold_left (fun best (c : core) -> busier best c.jobs) None t.cores
 
-(* One placement step for [core]: the next head unit of its own jobs in
+(* One placement step for [core]: the next head slot of its own jobs in
    queue order (paying a job's unplaced cycles when it starts it); else
-   the tail unit of the job it joined; else it joins the busiest job,
-   paying [join_cycles] on its clock outside slices. *)
+   the tail slot of the job it joined; else it joins the busiest job,
+   paying the ring's join price on its clock outside slices. *)
 let place_step t (core : core) =
   let rec own = function
     | Some (job : job) when job.started && job.head >= job.tail -> own job.next
@@ -389,7 +319,7 @@ let place_step t (core : core) =
         core.joined <- busiest_job t;
         match core.joined with
         | Some job ->
-            Cycles.tick core.clock (join_cycles job);
+            Cycles.tick core.clock (Urts.ring_join_cycles job.ring);
             core.joins <- core.joins + 1;
             job.joined <- true
         | None -> ()
@@ -400,9 +330,9 @@ let place_step t (core : core) =
           claim core job job.tail
       | _ -> core.placed <- true)
 
-(* Lay the run's units out over the cores from the common start: the core
+(* Lay the run's slots out over the cores from the common start: the core
    with the least elapsed time takes the next step, until no core has a
-   unit left to claim or a job left to start. *)
+   slot left to claim or a job left to start. *)
 let place t =
   let joins () = Array.fold_left (fun n (c : core) -> n + c.joins) 0 t.cores in
   let before = joins () in
@@ -413,7 +343,8 @@ let place t =
     place_step t t.cores.(!next);
     next := earliest t unplaced
   done;
-  (* Every own queue is empty now: the next enqueue starts a new one. *)
+  (* Every own queue is empty now: the next [submit_ring] starts a new
+     one. *)
   Array.iter
     (fun (c : core) ->
       c.joined <- None;
@@ -424,7 +355,7 @@ let place t =
 (* --- runs -------------------------------------------------------------------- *)
 
 (* Read-only aggregation over the core state and the request counters:
-   safe to call at any point (including between [submit] and [run]) — it
+   safe to call at any point (including between [submit_ring] and [run]) — it
    never advances a clock or drains a queue.  Placed jobs are not kept,
    so a long-lived scheduler holds no per-job state. *)
 let stats t =

@@ -821,9 +821,6 @@ let of_sigma = function
   | Sigma.Refused f -> Handshake_failed f
   | Sigma.Unknown_share -> Unknown_key_share
 
-let injected_msg site kind =
-  Printf.sprintf "injected %s fault at %s" (Fault.kind_name kind) site
-
 (* The session fault site as a retry thunk: closed, so built once. *)
 let cross_session_site () = Fault.point fault_site
 
@@ -854,7 +851,7 @@ let handshake t ~tenant hello =
                   [ hello.nonce; hello.client_kx; server_kx; tn.mrenclave ]))
         with
         | exception Fault.Injected { site; kind } ->
-            refuse (Session_fault (injected_msg site kind))
+            refuse (Session_fault (Fault.message ~site kind))
         | secret, server_kx, quote_wire -> (
             match
               Sigma.agree ~label:key_label secret hello.client_kx
@@ -901,7 +898,7 @@ let admit t (req : request) =
       else
         match Fault.with_retries ~backoff:t.backoff cross_session_site with
         | exception Fault.Injected { site; kind } ->
-            reject t (Session_fault (injected_msg site kind))
+            reject t (Session_fault (Fault.message ~site kind))
         | () ->
             (* Only the tenant's own handlers are addressable: the reserved
                state ECALLs read and write every session's state slot, and
@@ -1084,7 +1081,7 @@ let lane_for t (tn : tenant) shard =
           on_result =
             Some
               (fun ~index:_ ~core:_ -> function
-                | Ok _ -> () | Error msg -> l.err <- Some msg);
+                | Ok () -> () | Error msg -> l.err <- Some msg);
           on_slice = Some (fun ~cycles -> charge tn cycles);
         }
       in
@@ -1151,7 +1148,7 @@ let drain t =
                  with
                 | () -> false
                 | exception Fault.Injected { site; kind } ->
-                    Hashtbl.replace t.fault_msgs !sid (injected_msg site kind);
+                    Hashtbl.replace t.fault_msgs !sid (Fault.message ~site kind);
                     true)
             end;
             if not !faulted then begin
@@ -1321,6 +1318,7 @@ let quota_state t ~tenant =
       invalid_arg (Printf.sprintf "Serve.quota_state: unknown tenant %s" tenant)
   | Some tn -> (tn.spent, tn.budget)
 
+let has_tenant t ~tenant = Hashtbl.mem t.tenants tenant
 let session_count t = Hashtbl.length t.sessions
 
 let sched_stats t = Sched.stats t.sched
@@ -1344,12 +1342,6 @@ let close_session t ~session =
    Sessions in ascending id order; the nonces burnt for the tenant, in
    replay-cache FIFO order. *)
 let blob_magic = "hemig1:"
-
-let put_u64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
-
-let put_field buf b =
-  put_u64 buf (Bytes.length b);
-  Buffer.add_bytes buf b
 
 type moved = {
   m_id : int;
@@ -1408,13 +1400,13 @@ let decode_blob b =
   | exception Malformed what -> Error ("malformed migration blob: " ^ what)
 
 (* Pull a session's committed EDMM pages out through the enclave's own
-   state-read ECALL, one page per protected call — the simulation
-   analogue of EWB-style page eviction into the migration blob. *)
-let read_state (s : session) =
+   state-read ECALL, one page per protected call, into [dst] from [off]
+   — the simulation analogue of EWB-style page eviction into the
+   migration blob. *)
+let read_state (s : session) dst ~off =
   let base = slot_offset s.state_slot in
-  let buf = Buffer.create (s.s_pages * Addr.page_size) in
   let rec go pg =
-    if pg = s.s_pages then Ok (Buffer.to_bytes buf)
+    if pg = s.s_pages then Ok ()
     else
       match
         state_call s.tenant ~id:state_read_ecall
@@ -1422,7 +1414,7 @@ let read_state (s : session) =
       with
       | Error _ as e -> e
       | Ok page ->
-          Buffer.add_bytes buf page;
+          Bytes.blit page 0 dst (off + (pg * Addr.page_size)) Addr.page_size;
           go (pg + 1)
   in
   go 0
@@ -1463,23 +1455,6 @@ let export_tenant t ~tenant =
   let sessions =
     List.sort (fun a b -> compare a.s_id b.s_id) (tenant_sessions t tn)
   in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf blob_magic;
-  put_field buf (Bytes.of_string tenant);
-  put_field buf tn.mrenclave;
-  put_u64 buf (List.length sessions);
-  let rec pack = function
-    | [] -> Ok ()
-    | s :: rest ->
-        let* state = read_state s in
-        put_u64 buf s.s_id;
-        put_field buf s.key;
-        put_u64 buf s.window.top;
-        put_u64 buf s.s_pages;
-        put_field buf state;
-        pack rest
-  in
-  let* () = pack sessions in
   (* Carry the tenant's burnt nonces: one burnt before the move must
      stay burnt after it, or a recorded handshake replays against the
      destination.  Other tenants' nonces stay: each travels with its own
@@ -1488,16 +1463,66 @@ let export_tenant t ~tenant =
      nonce burnt for no tenant (a resume whose ticket never opened)
      stays too: a ticket opens only on the plane that sealed it. *)
   let mine n = List.mem tenant (Hashtbl.find t.seen_nonces n) in
-  put_u64 buf (Queue.fold (fun k n -> if mine n then k + 1 else k) 0 t.nonce_order);
+  (* The blob is sized up front and written once, each state page
+     copied straight into place. *)
+  let prefixed len = 8 + len in
+  let size =
+    String.length blob_magic
+    + prefixed (String.length tenant)
+    + prefixed (Bytes.length tn.mrenclave)
+    + List.fold_left
+        (fun n s ->
+          n + 8 + prefixed (Bytes.length s.key) + 16
+          + prefixed (s.s_pages * Addr.page_size))
+        8 sessions
+    + Queue.fold
+        (fun n nonce ->
+          if mine nonce then n + prefixed (String.length nonce) else n)
+        8 t.nonce_order
+  in
+  let blob = Bytes.create size and pos = ref 0 in
+  let u64 v =
+    Bytes.set_int64_le blob !pos (Int64.of_int v);
+    pos := !pos + 8
+  in
+  let string s =
+    Bytes.blit_string s 0 blob !pos (String.length s);
+    pos := !pos + String.length s
+  in
+  let field b =
+    u64 (Bytes.length b);
+    Bytes.blit b 0 blob !pos (Bytes.length b);
+    pos := !pos + Bytes.length b
+  in
+  string blob_magic;
+  u64 (String.length tenant);
+  string tenant;
+  field tn.mrenclave;
+  u64 (List.length sessions);
+  let rec pack = function
+    | [] -> Ok ()
+    | s :: rest ->
+        u64 s.s_id;
+        field s.key;
+        u64 s.window.top;
+        u64 s.s_pages;
+        let len = s.s_pages * Addr.page_size in
+        u64 len;
+        let* () = read_state s blob ~off:!pos in
+        pos := !pos + len;
+        pack rest
+  in
+  let* () = pack sessions in
+  u64 (Queue.fold (fun k n -> if mine n then k + 1 else k) 0 t.nonce_order);
   Queue.iter
     (fun n ->
       if mine n then begin
-        put_u64 buf (String.length n);
-        Buffer.add_string buf n
+        u64 (String.length n);
+        string n
       end)
     t.nonce_order;
   Telemetry.incr t.telemetry "serve.migrate.export";
-  Ok (Buffer.to_bytes buf)
+  Ok blob
 
 (* Cutover: the source stops answering for the tenant and forwards
    stragglers.  Live sessions become typed forwards; their state slots

@@ -386,6 +386,11 @@ val grant : t -> tenant:string -> int -> unit
 val quota_state : t -> tenant:string -> int * int
 (** [(spent, budget)] — budget is [max_int] when unmetered. *)
 
+val has_tenant : t -> tenant:string -> bool
+(** Whether {!add_tenant} registered [tenant] on this plane.  A plane
+    never forgets a tenant: a retired one stays registered, to forward
+    its sessions. *)
+
 val session_count : t -> int
 
 val next_session_id : t -> int

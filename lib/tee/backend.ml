@@ -304,10 +304,7 @@ let protected_call t ~id ?(data = Bytes.empty) ~direction () =
   | reply -> Success reply
   | exception Monitor.Security_violation msg -> Violation msg
   | exception Hyperenclave_fault.Fault.Injected { site; kind } ->
-      Typed_error
-        (Printf.sprintf "injected %s fault at %s"
-           (Hyperenclave_fault.Fault.kind_name kind)
-           site)
+      Typed_error (Hyperenclave_fault.Fault.message ~site kind)
   | exception Urts.Enclave_error msg -> Typed_error ("enclave: " ^ msg)
   | exception Invalid_argument msg -> Typed_error ("invalid-argument: " ^ msg)
   | exception Sgx_model.Sgx_error msg -> Typed_error ("sgx: " ^ msg)

@@ -47,10 +47,10 @@ type t = {
   call : id:int -> ?data:bytes -> direction:Edge.direction -> unit -> bytes;
   urts : Urts.t option;
       (** The SDK handle behind a HyperEnclave backend ([None] for native
-          and the SGX model): what {!Hyperenclave_sched.Sched.submit} and
-          the slot ring ({!Urts.create_ring}) take.  Batched dispatch
-          exists only there, so the serving plane hosts only backends
-          that have one. *)
+          and the SGX model): what the slot ring ({!Urts.create_ring})
+          takes, and with it {!Hyperenclave_sched.Sched.submit_ring}.
+          Batched dispatch exists only there, so the serving plane hosts
+          only backends that have one. *)
   identity : bytes option;
       (** The enclave's MRENCLAVE where the backend has one ([None] for
           native): the code identity an attested serving plane binds

@@ -38,8 +38,7 @@ let classify f =
   | v -> Backend.Success v
   | exception Monitor.Security_violation msg -> Backend.Violation msg
   | exception Fault.Injected { site; kind } ->
-      Backend.Typed_error
-        (Printf.sprintf "injected %s fault at %s" (Fault.kind_name kind) site)
+      Backend.Typed_error (Fault.message ~site kind)
   | exception Urts.Enclave_error msg -> Backend.Typed_error ("enclave: " ^ msg)
   | exception Invalid_argument msg ->
       Backend.Typed_error ("invalid-argument: " ^ msg)

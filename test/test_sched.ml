@@ -1,8 +1,8 @@
-(* The SMP enclave scheduler (lib/sched) and the switchless slot ring:
-   determinism, core scaling, invariance of the work under joins, the
-   placement of ring slots and calls, chaos with invariant checks, and
-   the ring's ordering, typed refusals, fault retry and saving over
-   individual ECALLs. *)
+(* The SMP enclave scheduler (lib/sched) and the switchless slot ring it
+   schedules: determinism, core scaling, invariance of the work under
+   joins, the placement of ring slots, chaos at the ring's marshalling
+   legs with invariant checks, and the ring's ordering, typed refusals,
+   fault retry and saving over individual ECALLs. *)
 
 open Hyperenclave
 
@@ -315,7 +315,17 @@ type run_result = {
   per_core_cycles : int list;
 }
 
-(* Build a fresh platform with [enclaves] jobs of [reqs_per_job] requests
+(* A ring on [shard] of [shards] (default: the handle's only one), staged
+   with [reqs]. *)
+let staged_ring ?(shard = 0) ?(shards = 1) handle reqs =
+  let ring =
+    Urts.create_ring handle ~shard ~shards ~slots:(List.length reqs)
+      ~slot_bytes:32
+  in
+  List.iter (stage ring) reqs;
+  ring
+
+(* Build a fresh platform with [enclaves] rings of [reqs_per_job] requests
    each and run them through the scheduler.  Everything is derived from
    [seed] and the config, so two identical calls must be bit-identical. *)
 let run_workload ?(seed = 4200L) ?(enclaves = 4) ?(reqs_per_job = 10)
@@ -330,8 +340,9 @@ let run_workload ?(seed = 4200L) ?(enclaves = 4) ?(reqs_per_job = 10)
   in
   List.iteri
     (fun i handle ->
-      Sched.submit sched ?core:submit_core ~urts:handle
-        (requests ~tag:(Printf.sprintf "job%d" i) reqs_per_job))
+      Sched.submit_ring sched ?core:submit_core
+        (staged_ring handle
+           (requests ~tag:(Printf.sprintf "job%d" i) reqs_per_job)))
     handles;
   Sched.run sched;
   let stats = Sched.stats sched in
@@ -421,7 +432,8 @@ let test_finished_jobs_released () =
   let submit () =
     let on_result ~index:_ ~core:_ _ = incr served in
     Weak.set closures 0 (Some on_result);
-    Sched.submit sched ~on_result ~urts:handle (requests ~tag:"w" 3)
+    Sched.submit_ring sched ~on_result
+      (staged_ring handle (requests ~tag:"w" 3))
   in
   (Sys.opaque_identity submit) ();
   Sched.run sched;
@@ -452,24 +464,17 @@ let burner p ~seed_name =
 (* A staged ring on [shard] of [shards] whose slots burn [burns]; an
    ECALL id of 99 has no handler. *)
 let burn_ring ?(id = fun _ -> 1) handle ~shard ~shards burns =
-  let ring =
-    Urts.create_ring handle ~shard ~shards ~slots:(List.length burns)
-      ~slot_bytes:32
-  in
-  List.iteri
-    (fun i b -> stage ring (id i, Bytes.of_string (string_of_int b)))
-    burns;
-  ring
+  staged_ring ~shard ~shards handle
+    (List.mapi (fun i b -> (id i, Bytes.of_string (string_of_int b))) burns)
 
 let sched_on p config =
   Sched.create ~shared_clock:p.Platform.clock ~telemetry:(telemetry p) config
 
-(* Run one job per entry of [jobs] ((owner core, burns) pairs) through
-   one [Sched.run] on a fresh platform: a ring whose slots burn [burns],
-   or with [~kind:`Calls] a call job whose calls do.  Returns the stats,
-   each job's placement (the serving core, or -1 for an [Error]) and a
-   ring's dispatch cycles. *)
-let place_jobs ?(kind = `Ring) ?(id = fun _ -> 1) config jobs =
+(* Run one ring per entry of [jobs] ((owner core, burns) pairs) through
+   one [Sched.run] on a fresh platform, its slots burning [burns].
+   Returns the stats, each ring's placement (the serving core, or -1 for
+   an [Error]) and its dispatch cycles. *)
+let place_jobs ?(id = fun _ -> 1) config jobs =
   let p = Platform.create ~seed:4400L () in
   let handle = burner p ~seed_name:"sched-place" in
   let sched = sched_on p config in
@@ -480,18 +485,11 @@ let place_jobs ?(kind = `Ring) ?(id = fun _ -> 1) config jobs =
         let where = Array.make (List.length burns) (-2) in
         let cycles = ref 0 in
         let on_result ~index ~core result =
-          where.(index) <- (match result with Ok _ -> core | Error _ -> -1)
+          where.(index) <- (match result with Ok () -> core | Error _ -> -1)
         in
-        (match kind with
-        | `Ring ->
-            Sched.submit_ring sched ~core ~on_result
-              ~on_slice:(fun ~cycles:c -> cycles := !cycles + c)
-              (burn_ring ~id handle ~shard ~shards burns)
-        | `Calls ->
-            Sched.submit sched ~core ~on_result ~urts:handle
-              (List.mapi
-                 (fun i b -> (id i, Bytes.of_string (string_of_int b)))
-                 burns));
+        Sched.submit_ring sched ~core ~on_result
+          ~on_slice:(fun ~cycles:c -> cycles := !cycles + c)
+          (burn_ring ~id handle ~shard ~shards burns);
         (where, cycles))
       jobs
   in
@@ -543,45 +541,35 @@ let test_lagging_core () =
   Alcotest.(check int) "no join" joins s.Sched.joins;
   Urts.destroy handle
 
-(* One 16-slot ring, or one 16-call job, on 2 cores: the idle core joins
-   it and serves a suffix of its units from the tail.  The work is the
-   1-core run's; the critical path is shorter.  Joining the call job
-   costs core 1 [Sched.steal_cycles] once, and nothing per call. *)
+(* One 16-slot ring on 2 cores: the idle core joins it and serves a
+   suffix of its slots from the tail.  The work is the 1-core run's; the
+   critical path is shorter. *)
 let test_join_from_tail () =
   let burns = List.init 16 (fun i -> 20_000 + (1_000 * i)) in
-  List.iter
-    (fun (what, kind) ->
-      let check_int name = Alcotest.(check int) (what ^ ": " ^ name) in
-      let run cores =
-        place_jobs ~kind { Sched.default_config with Sched.cores } [ (0, burns) ]
-      in
-      let one, _ = run 1 in
-      let two, placed = run 2 in
-      let where, _ = List.hd placed in
-      let first_joined =
-        match List.find_index (fun c -> c = 1) where with
-        | Some i -> i
-        | None -> Alcotest.failf "%s: core 1 served nothing" what
-      in
-      Alcotest.(check bool) (what ^ ": core 0 serves the head") true (first_joined > 0);
-      Alcotest.(check (list int))
-        (what ^ ": core 1 serves a suffix")
-        (List.init 16 (fun i -> if i < first_joined then 0 else 1))
-        where;
-      check_int "one join" 1 two.Sched.joins;
-      check_int "busy equals the 1-core run's" (busy_sum one) (busy_sum two);
-      Alcotest.(check bool) (what ^ ": the slowest core beats one core") true
-        (List.fold_left max 0 (advances two) < List.fold_left max 0 (advances one));
-      let again, placed' = run 2 in
-      Alcotest.(check (list int))
-        (what ^ ": bit-identical clocks") (advances two) (advances again);
-      Alcotest.(check (list int))
-        (what ^ ": bit-identical placement") where (fst (List.hd placed'));
-      if kind = `Calls then
-        let c1 = two.Sched.per_core.(1) in
-        check_int "core 1 pays the join price once" Sched.steal_cycles
-          (c1.Sched.cycles - c1.Sched.busy))
-    [ ("ring", `Ring); ("call job", `Calls) ]
+  let run cores =
+    place_jobs { Sched.default_config with Sched.cores } [ (0, burns) ]
+  in
+  let one, _ = run 1 in
+  let two, placed = run 2 in
+  let where, _ = List.hd placed in
+  let first_joined =
+    match List.find_index (fun c -> c = 1) where with
+    | Some i -> i
+    | None -> Alcotest.fail "core 1 served nothing"
+  in
+  Alcotest.(check bool) "core 0 serves the head" true (first_joined > 0);
+  Alcotest.(check (list int))
+    "core 1 serves a suffix"
+    (List.init 16 (fun i -> if i < first_joined then 0 else 1))
+    where;
+  Alcotest.(check int) "one join" 1 two.Sched.joins;
+  Alcotest.(check int) "busy equals the 1-core run's" (busy_sum one) (busy_sum two);
+  Alcotest.(check bool) "the slowest core beats one core" true
+    (List.fold_left max 0 (advances two) < List.fold_left max 0 (advances one));
+  let again, placed' = run 2 in
+  Alcotest.(check (list int)) "bit-identical clocks" (advances two) (advances again);
+  Alcotest.(check (list int))
+    "bit-identical placement" where (fst (List.hd placed'))
 
 (* Where a core joins reads only unclaimed-slot counts and queue order:
    swapping the per-slot costs of two equally long rings leaves every
@@ -623,25 +611,25 @@ let test_no_join () =
   Alcotest.(check int) "failed ring: every slot failed" 8
     (fst failing).Sched.failed_requests
 
-(* Without [drop_on_error] a failing ring aborts the run: the jobs run so
-   far (a ring and a call job on core 0) stay charged to their owners,
-   nothing is delivered and nothing stays queued, so the next run serves
-   only what is submitted to it. *)
+(* Without [drop_on_error] a failing ring aborts the run: the rings run so
+   far (two on core 0) stay charged to their owners, nothing is delivered
+   and nothing stays queued, so the next run serves only what is
+   submitted to it. *)
 let test_strict_ring_failure () =
   let p = Platform.create ~seed:4420L () in
   let handle = burner p ~seed_name:"sched-strict" in
   let sched = sched_on p Sched.default_config in
-  let good = burn_ring handle ~shard:0 ~shards:2 [ 20_000; 20_000 ] in
+  let good = burn_ring handle ~shard:0 ~shards:3 [ 20_000; 20_000 ] in
+  let second = burn_ring handle ~shard:1 ~shards:3 [ 20_000; 20_000; 20_000 ] in
   let bad =
-    burn_ring ~id:(fun _ -> 99) handle ~shard:1 ~shards:2 [ 20_000 ]
+    burn_ring ~id:(fun _ -> 99) handle ~shard:2 ~shards:3 [ 20_000 ]
   in
   let delivered = ref 0 in
   let p0 = Cycles.now p.Platform.clock in
   Sched.submit_ring sched ~core:0 good;
-  Sched.submit sched ~core:0
+  Sched.submit_ring sched ~core:0
     ~on_result:(fun ~index:_ ~core:_ _ -> incr delivered)
-    ~urts:handle
-    (List.init 3 (fun _ -> (1, Bytes.of_string "20000")));
+    second;
   Sched.submit_ring sched ~core:1 bad;
   expect_enclave_error "a ring with an unknown ECALL" (fun () ->
       Sched.run sched);
@@ -656,17 +644,22 @@ let test_strict_ring_failure () =
   let s = Sched.stats sched in
   Alcotest.(check int) "the next run serves only its own ring" 1
     (s.Sched.total_requests - served);
-  Alcotest.(check int) "the aborted call job delivered nothing" 0 !delivered;
+  Alcotest.(check int) "the aborted ring delivered nothing" 0 !delivered;
   Urts.destroy handle
 
 (* --- 2-enclave / 2-core chaos with invariant checks ----------------------- *)
 
+(* Every fault site a ring dispatch crosses: its publish leg and its
+   read-back leg (the burn handler touches no memory). *)
+let ring_sites = [ "sdk.ms_copy_in"; "sdk.ms_copy_out" ]
+
 let test_chaos_invariants () =
   let seeds = List.init 12 (fun i -> Int64.of_int (5000 + (37 * i))) in
+  let fired = Array.make (List.length ring_sites) 0 in
   List.iter
     (fun seed ->
       let p = Platform.create ~seed () in
-      let plan = Fault.plan_of_seed ~faults:2 seed in
+      let plan = Fault.plan_of_seed ~sites:ring_sites ~faults:2 seed in
       let handles =
         List.init 2 (fun i ->
             make_enclave p
@@ -678,8 +671,8 @@ let test_chaos_invariants () =
       in
       List.iteri
         (fun i handle ->
-          Sched.submit sched ~urts:handle
-            (requests ~tag:(Printf.sprintf "chaos%d" i) 6))
+          Sched.submit_ring sched
+            (staged_ring handle (requests ~tag:(Printf.sprintf "chaos%d" i) 6)))
         handles;
       Fault.install ~telemetry:(telemetry p) plan;
       let stats =
@@ -693,6 +686,12 @@ let test_chaos_invariants () =
                (Fault.plan_to_string plan) (Printexc.to_string exn))
       in
       Fault.clear ();
+      List.iteri
+        (fun i site ->
+          fired.(i) <-
+            fired.(i)
+            + Telemetry.counter (telemetry p) ("fault.injected." ^ site))
+        ring_sites;
       Alcotest.(check bool)
         (Printf.sprintf "seed %Ld: every request accounted for" seed)
         true
@@ -703,7 +702,13 @@ let test_chaos_invariants () =
           (Printf.sprintf "seed %Ld: post-run invariant violation: %s" seed
              (Invariants.summary findings));
       List.iter Urts.destroy handles)
-    seeds
+    seeds;
+  List.iteri
+    (fun i site ->
+      Alcotest.(check bool)
+        (Printf.sprintf "a fault fired at %s (%d over the seeds)" site fired.(i))
+        true (fired.(i) > 0))
+    ring_sites
 
 let suite =
   [
