@@ -1540,6 +1540,48 @@ let test_resumed_frame_kat () =
     ~reply:"6b6a0eb759a9b52e1c83953e1c6ec3d23bbd2f2149bc88b8a1f9703e4d4d83b9";
   Serve.destroy plane
 
+(* The paths that open a session from a key, pinned at one seed: the
+   platform cycles of a handshake and of the resume that redeems a
+   ticket, the issued ticket's bytes and its issue cost, and the resumed
+   session's id.  A handshake pays its EREPORT and one key setup; a
+   ticket's seal and unseal each pay a setup and 3 cycles per payload
+   byte, and the payload holds the tenant name (bench_zerocopy's
+   13-byte name reads 4,183 for the resume, this 4-byte one 4,156). *)
+let test_ticket_kat () =
+  let p, plane, _backend, client = build ~seed:7096L () in
+  let timed f =
+    let c0 = Cycles.now p.Platform.clock in
+    let r = f () in
+    (r, Cycles.now p.Platform.clock - c0)
+  in
+  let (), handshake = timed (fun () -> establish plane client) in
+  Alcotest.(check int) "handshake cycles" 2880 handshake;
+  let ticket, issue =
+    timed (fun () ->
+        match Serve.issue_ticket plane ~session:(Serve.Client.session_id client) with
+        | Ok tk -> tk
+        | Error r -> Alcotest.failf "issue_ticket rejected: %a" Serve.pp_reject r)
+  in
+  pinned "ticket" ~len:96
+    ~sha:"9a1ba1ee1c3bf8a287826e51c0328a9408309f91f325c6b6022488b0ebac520b"
+    ticket;
+  Alcotest.(check int) "issue cycles" 2156 issue;
+  let resumed, resume =
+    timed (fun () ->
+        match Serve.resume plane (Serve.Client.resume_hello client ~ticket) with
+        | Ok session_id -> session_id
+        | Error r -> Alcotest.failf "resume rejected: %a" Serve.pp_reject r)
+  in
+  Alcotest.(check int) "resume cycles" 4156 resume;
+  Alcotest.(check int) "resumed session id" 1 resumed;
+  Serve.Client.complete_resume client ~session_id:resumed;
+  (match Serve.Client.roundtrip plane client [ (2, Bytes.of_string "ping") ] with
+  | [ Ok body ] ->
+      Alcotest.(check string) "resumed session serves" "PING"
+        (Bytes.to_string body)
+  | _ -> Alcotest.fail "the resumed session did not serve");
+  Serve.destroy plane
+
 let test_malformed_blob_refused () =
   (* Every structural fault is a typed Import_conflict that installs
      nothing: each strict prefix, one trailing byte, and a session count
@@ -2087,6 +2129,8 @@ let suite =
       test_channel_frame_kat;
     Alcotest.test_case "resumed frame known answer" `Quick
       test_resumed_frame_kat;
+    Alcotest.test_case "ticket and session-opening known answer" `Quick
+      test_ticket_kat;
     Alcotest.test_case "import closes sequence holes" `Quick test_import_closes_holes;
     Alcotest.test_case "malformed migration blob refused typed" `Quick
       test_malformed_blob_refused;
