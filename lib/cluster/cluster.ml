@@ -5,6 +5,7 @@ module Verifier = Hyperenclave_attestation.Verifier
 module Sigma = Hyperenclave_attestation.Sigma
 module Invariants = Hyperenclave_monitor.Invariants
 module Monitor = Hyperenclave_monitor.Monitor
+module World_switch = Hyperenclave_monitor.World_switch
 module Tpm = Hyperenclave_tpm.Tpm
 module Kx = Hyperenclave_crypto.Kx
 module Authenc = Hyperenclave_crypto.Authenc
@@ -372,7 +373,8 @@ module Migrate = struct
         else Error (of_sigma Sigma.Unknown_share)
       in
       let backoff attempt =
-        Cycles.tick sn.n_platform.Platform.clock (1_000 * attempt)
+        Cycles.tick sn.n_platform.Platform.clock
+          (World_switch.retry_backoff_cost sn.n_platform.Platform.cost ~attempt)
       in
       let* blob =
         match

@@ -754,6 +754,34 @@ let test_permanent_migration_fault () =
   assert_green cl;
   Cluster.destroy cl
 
+(* A transient fault at the migration site costs the source the retry
+   backoff every other retry loop pays, os_ctxsw x 2^attempt on the
+   source platform: twin fleets that differ only in the fault differ on
+   the source clock by exactly one first-attempt backoff. *)
+let test_migration_retry_backoff () =
+  let source_advance faults =
+    let cl, src = build ~nodes:2 () in
+    let c = connect cl in
+    ignore (call_ok c [ (1, Bytes.of_string "x") ] : bytes list);
+    let p = Cluster.Node.platform (Cluster.node cl src) in
+    let c0 = Cycles.now p.Platform.clock in
+    Fault.install faults;
+    let moved = Cluster.migrate cl ~tenant:"acme" ~dst:(other cl src) in
+    Fault.clear ();
+    (match moved with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "migrate failed: %a" Cluster.pp_error e);
+    let advance = Cycles.now p.Platform.clock - c0 in
+    Cluster.destroy cl;
+    (advance, World_switch.retry_backoff_cost p.Platform.cost ~attempt:1)
+  in
+  let clean, backoff = source_advance [] in
+  let faulted, _ =
+    source_advance
+      [ { Fault.site = "cluster.migrate"; nth = 1; kind = Fault.Transient } ]
+  in
+  Alcotest.(check int) "one first-attempt backoff" backoff (faulted - clean)
+
 (* A migration that fails after its offer burns the destination's
    pending Kx secret, whatever failed: a permanent fault at the
    migration site, a tenant with staged requests, a message lost past
@@ -1121,6 +1149,8 @@ let suite =
       test_permanent_migration_fault;
     Alcotest.test_case "a failed migration leaves no pending offer" `Quick
       test_failed_migration_burns_offer;
+    Alcotest.test_case "a migration retry pays the standard backoff" `Quick
+      test_migration_retry_backoff;
     Alcotest.test_case "a call is one message each way" `Quick
       test_call_one_message_each_way;
     Alcotest.test_case "a lossy call strands no request" `Quick
