@@ -1,0 +1,100 @@
+(** What a serving plane and its clients say to each other: the attested
+    exchange's messages, the channel's requests and replies, and the
+    typed rejections either end answers with.  {!Serve} includes this
+    module, so each is also [Serve.<name>].  Types and one mapping,
+    documented here once: the module has no interface file. *)
+
+(** {1 Typed rejections} *)
+
+type reject =
+  | Handshake_failed of Hyperenclave_attestation.Verifier.failure
+      (** the quote did not verify (client side) *)
+  | Channel_binding_mismatch
+      (** the quote verifies but does not bind this transcript *)
+  | Bad_wire of string  (** quote wire bytes failed structural decode *)
+  | Unknown_key_share  (** the peer's key share is not a group element *)
+  | Replayed_nonce  (** handshake nonce already seen by this plane *)
+  | Unknown_tenant of string
+  | Unknown_session of int
+  | Unsupported of string
+      (** the plane cannot carry this request: a ciphertext larger than a
+          ring slot, or an ECALL id that is not one of the tenant's
+          handlers (both at {!Serve.submit}), or a handler reply longer
+          than a ring slot (in the request's reply from {!Serve.flush}:
+          the handler ran, its reply is dropped, and the other slots of
+          its ring are served) *)
+  | Bad_auth
+      (** a channel frame whose tag does not verify under the nonce and
+          AAD derived from its header — the enclave's verdict, in the
+          request's reply from {!Serve.flush} — or a frame shorter than a
+          tag, at {!Serve.submit} *)
+  | Bad_sequence of { expected : int; got : int }
+      (** an authentic request whose sequence number [got] the session's
+          replay window ({!Channel.create}) has already seen or has left
+          behind; [expected] is the window top, one past the highest
+          number the enclave has verified.  Only in a reply from
+          {!Serve.flush} *)
+  | Backpressure of { tenant : string; queued : int; limit : int }
+  | Quota_exhausted of { tenant : string; spent : int; quota : int }
+  | Session_fault of string
+      (** a permanent fault surfaced as a typed session error *)
+  | Bad_ticket of string
+      (** a resumption ticket that failed authentication (damaged,
+          truncated, sealed elsewhere or for another purpose), or whose
+          authentic payload is malformed *)
+  | Ticket_expired  (** a well-formed ticket past its TTL *)
+  | Session_migrated of { to_node : int }
+      (** the session moved to another node after cutover — re-resolve
+          and resubmit there *)
+  | Tenant_migrated of { tenant : string; to_node : int }
+      (** the tenant no longer lives here; handshakes and resumes must
+          go to [to_node] *)
+  | Tenant_busy of { tenant : string; staged : int }
+      (** export/retire refused: admitted requests are still staged —
+          flush first *)
+  | Import_conflict of string
+      (** a migration blob that cannot install: malformed bytes, identity
+          mismatch, live session-id collision, or state exceeding the
+          stride *)
+
+(** The attested exchange's refusals as the plane and its clients name
+    them. *)
+let of_sigma : Hyperenclave_attestation.Sigma.failure -> reject = function
+  | Bad_wire m -> Bad_wire m
+  | Unbound -> Channel_binding_mismatch
+  | Refused f -> Handshake_failed f
+  | Unknown_share -> Unknown_key_share
+
+(** {1 Wire messages} *)
+
+type hello = { nonce : bytes; client_kx : Hyperenclave_crypto.Kx.public }
+
+type accept = {
+  session_id : int;
+  node_id : int;
+      (** which fleet node accepted — clients route follow-ups there *)
+  server_kx : Hyperenclave_crypto.Kx.public;
+  quote_wire : bytes;  (** untrusted bytes until the client verifies *)
+  tenant_identity : bytes;
+      (** the tenant MRENCLAVE bound into the transcript; the client
+          refuses it unless it equals the quote's MRENCLAVE *)
+}
+
+type request = {
+  session_id : int;
+  seq : int;
+  ecall_id : int;
+  frame : bytes;  (** ciphertext, then its 32-byte tag *)
+}
+
+type reply = {
+  r_session_id : int;
+  r_seq : int;
+  r_result : (bytes, reject) result;
+      (** the reply frame, copied out of its ring slot once, or the typed
+          server-side failure *)
+}
+
+type resume = { r_ticket : bytes; r_nonce : bytes }
+(** A resumption: a ticket from [Serve.issue_ticket] and the client's
+    fresh nonce. *)

@@ -7,36 +7,11 @@ module Monitor = Hyperenclave_monitor.Monitor
 module World_switch = Hyperenclave_monitor.World_switch
 module Sgx_types = Hyperenclave_monitor.Sgx_types
 module Verifier = Hyperenclave_attestation.Verifier
-module Sigma = Hyperenclave_attestation.Sigma
-module Kx = Hyperenclave_crypto.Kx
-module Authenc = Hyperenclave_crypto.Authenc
 module Signature = Hyperenclave_crypto.Signature
 module Fault = Hyperenclave_fault.Fault
 module Telemetry = Hyperenclave_obs.Telemetry
 
-(* ---------------------------------------------------------------------- *)
-(* Typed rejections                                                       *)
-
-type reject =
-  | Handshake_failed of Verifier.failure
-  | Channel_binding_mismatch
-  | Bad_wire of string
-  | Unknown_key_share
-  | Replayed_nonce
-  | Unknown_tenant of string
-  | Unknown_session of int
-  | Unsupported of string
-  | Bad_auth
-  | Bad_sequence of { expected : int; got : int }
-  | Backpressure of { tenant : string; queued : int; limit : int }
-  | Quota_exhausted of { tenant : string; spent : int; quota : int }
-  | Session_fault of string
-  | Bad_ticket of string
-  | Ticket_expired
-  | Session_migrated of { to_node : int }
-  | Tenant_migrated of { tenant : string; to_node : int }
-  | Tenant_busy of { tenant : string; staged : int }
-  | Import_conflict of string
+include Msg
 
 (* Reject kinds in constructor order: each kind's short label and its
    telemetry counter are built once, so a reject concatenates nothing. *)
@@ -127,71 +102,21 @@ let default_config =
     ticket_ttl = 1_000_000_000;
   }
 
-(* Fixed plane geometry: pages per session state slot and ring slot
-   payload bytes (a multiple of 8), both documented in the interface,
-   and the run of one session's staged requests a ring shard takes
-   before the plane-wide rotor moves — small enough that one hot
-   session spreads across every core, large enough that a session's
-   replies cluster per reply segment. *)
+(* Fixed plane geometry ({!state_stride_pages}, {!slot_bytes}), and the
+   run of one session's staged requests a ring shard takes before the
+   plane-wide rotor moves: small enough that one hot session spreads
+   across every core, large enough that its replies cluster. *)
 let state_stride_pages = 16
-let slot_bytes = 256
+let slot_bytes = Channel.slot_bytes
 let rotor_block = 8
-
-(* ---------------------------------------------------------------------- *)
-(* Channel frames                                                         *)
-
-type request = { session_id : int; seq : int; ecall_id : int; frame : bytes }
-
-type reply = {
-  r_session_id : int;
-  r_seq : int;
-  r_result : (bytes, reject) result;
-}
 
 (* Placeholder the stage arena is filled with: session id [-1] marks a
    dead entry, and a dead entry pins no client frame against the GC. *)
 let no_request = { session_id = -1; seq = 0; ecall_id = 0; frame = Bytes.empty }
 
-(* Every end derives a message's nonce and AAD from its header into
-   scratch of its own; neither travels.  Nonce: [dir][0^3][seq:8];
-   AAD: the 10-byte domain, then session id, sequence number and ECALL
-   id (0 on replies), each 64-bit LE.  [d_tag] holds a received reply
-   frame's tag while the client checks it. *)
-type derived = { d_nonce : bytes; d_aad : bytes; d_tag : bytes }
-
-let derived () =
-  {
-    d_nonce = Bytes.make 12 '\000';
-    d_aad = Bytes.create 34;
-    d_tag = Bytes.create Urts.tag_bytes;
-  }
-
-let derive d ~dir ~session_id ~seq ~ecall_id =
-  Bytes.set d.d_nonce 0 dir;
-  Bytes.set_int64_le d.d_nonce 4 (Int64.of_int seq);
-  Bytes.blit_string (if dir = '>' then "serve-req:" else "serve-rep:") 0 d.d_aad
-    0 10;
-  Bytes.set_int64_le d.d_aad 10 (Int64.of_int session_id);
-  Bytes.set_int64_le d.d_aad 18 (Int64.of_int seq);
-  Bytes.set_int64_le d.d_aad 26 (Int64.of_int ecall_id)
-
-(* Seal [src] into [dst] at [dst_off] as a frame, ciphertext then tag,
-   under the derived nonce and AAD; returns the frame length. *)
-let seal_frame keys d src ~dst ~dst_off =
-  let len = Bytes.length src in
-  Authenc.seal_into keys ~aad:d.d_aad ~nonce:d.d_nonce ~src ~src_off:0 ~dst
-    ~dst_off ~len;
-  len + Urts.tag_bytes
-
-(* The tag of a frame whose ciphertext is [len] bytes, copied into [d]. *)
-let frame_tag d frame ~len =
-  Bytes.blit frame len d.d_tag 0 Urts.tag_bytes;
-  d.d_tag
-
-(* Flat admission arena: each admitted request, in admission order until
-   a flush sorts it by session, recycled across flushes.  [sg_shards] /
-   [sg_slots] are per-flush columns: which ring shard served entry [i]
-   (-1 when its session faulted) and the slot index inside that ring. *)
+(* Flat admission arena, in admission order until a flush sorts it by
+   session, recycled across flushes.  Per-flush columns: the ring shard
+   of entry [i] (-1 when its session faulted) and its slot there. *)
 type stage = {
   mutable sg_reqs : request array;
   mutable sg_shards : int array;
@@ -217,9 +142,8 @@ let stage_push (st : stage) req =
   st.sg_reqs.(n) <- req;
   st.sg_n <- n + 1
 
-(* One ring shard of a tenant, built on its first use together with the
-   scheduler arguments its dispatches are submitted with (owner core,
-   service label and callbacks, each already an option), so a flush
+(* One ring shard of a tenant, built on its first use with the scheduler
+   arguments its dispatches take, each already an option, so a flush
    builds none of them. *)
 type lane = {
   ring : Urts.ring;
@@ -238,8 +162,7 @@ type tenant = {
   c_requests : Telemetry.counter_handle;  (* "serve.tenant.<name>.requests" *)
   c_cycles : Telemetry.counter_handle;  (* "serve.tenant.<name>.cycles" *)
   backend : Backend.t;
-  urts : Urts.t;  (* the enclave's SDK handle: rings and quotes *)
-  mrenclave : bytes;
+  urts : Urts.t;  (* the enclave's SDK handle: rings, quotes, identity *)
   handler_ids : int list;
       (* the ECALLs a client may name: the caller's handlers, not the
          plane's reserved state ECALLs *)
@@ -257,31 +180,17 @@ type tenant = {
   lanes : lane option array;  (* per shard, built on first use *)
 }
 
-(* A session's anti-replay window (RFC 4303 §3.4.3), kept beside its
-   keys and touched only by the ring worker and export/import: [top] is
-   one past the highest sequence number the worker has verified, and bit
-   [n mod width] of [seen] marks number [n], for every [n] in
-   [top - width, top). *)
-type window = { mutable top : int; seen : bytes }
-
+(* The plane's half of a session: its key material lives in the channel
+   store under the same id. *)
 type session = {
   s_id : int;
   tenant : tenant;
-  key : bytes;
-  keys : Authenc.keys;
-      (* prepared once at establishment: the per-request AEAD setup the
-         one-shot seal/unseal paths pay is amortized to zero here *)
-  window : window;
   state_slot : int;
   mutable s_pages : int;
       (* high-water EDMM page count: what a migration must carry so the
          destination can rebuild the session's committed state *)
 }
 
-(* The attested name a serve plane answers under in a fleet: which node
-   it is and which monitor speaks for it.  Threaded explicitly (rather
-   than read off the platform at use sites) so every quote-verification
-   decision names its trust anchor. *)
 type identity = { node_id : int; hapk : Signature.public_key }
 
 type ledger = {
@@ -307,7 +216,6 @@ type t = {
   platform : Platform.t;
   identity : identity;
   config : config;
-  rng : Rng.t;
   telemetry : Telemetry.t;
   c_request : Telemetry.counter_handle;
   c_admitted : Telemetry.counter_handle;
@@ -324,7 +232,7 @@ type t = {
   seen_nonces : (string, string list) Hashtbl.t;
       (* replay cache: burnt nonce -> the tenants it was burnt for *)
   nonce_order : string Queue.t;  (* FIFO eviction for the replay cache *)
-  ticket_key : Authenc.keys;  (* plane sealing key for resumption tickets *)
+  channel : Channel.t;  (* the enclave's half: every session's secrets *)
   mutable next_session : int;
   mutable qe : Urts.t option;  (* lazily-built quoting enclave *)
   mutable destroyed : bool;
@@ -334,10 +242,7 @@ type t = {
       (* plane-wide block rotor: each [rotor_block]-long run of staged
          requests takes the next shard, so both many-tenant and single
          hot-tenant flushes spread over every core *)
-  mutable flush_gen : int;
   fault_msgs : (int, string) Hashtbl.t;  (* session faults, one flush *)
-  hdr : derived;  (* nonce and AAD scratch of the ring channel *)
-  mutable sealed_in_group : int;  (* reply seals since the last setup charge *)
   (* --- critical-path ledger --- *)
   mutable submit_cyc : int;  (* platform cycles inside [submit] since the last flush *)
   core_mark : int array;  (* per-core clock when the current flush began *)
@@ -350,8 +255,7 @@ let fault_site = "serve.session"
    [n lsl session_id_bits] upward. *)
 let session_id_bits = 20
 
-(* Bound on [config.sched.batch]: [flush] shares one AEAD setup charge
-   among at most this many sealed replies. *)
+(* Bound on [config.sched.batch], the sealed replies per setup charge. *)
 let max_batch = 16
 
 module Node_config = struct
@@ -371,20 +275,17 @@ let create_node ~platform (nc : Node_config.t) =
   let config =
     { config with sched = { config.sched with Sched.drop_on_error = true } }
   in
-  if config.max_queue <= 0 then
-    invalid_arg "Serve.create_node: max_queue must be positive";
-  (match config.cycle_quota with
-  | Some q when q <= 0 ->
-      invalid_arg "Serve.create_node: cycle_quota must be positive"
-  | _ -> ());
-  if config.nonce_cache <= 0 then
-    invalid_arg "Serve.create_node: nonce_cache must be positive";
-  if config.ticket_ttl <= 0 then
-    invalid_arg "Serve.create_node: ticket_ttl must be positive";
-  if config.sched.Sched.batch <= 0 || config.sched.Sched.batch > max_batch then
-    invalid_arg
-      (Printf.sprintf "Serve.create_node: sched.batch must be in [1, %d]"
-         max_batch);
+  List.iter
+    (fun (bad, what) -> if bad then invalid_arg ("Serve.create_node: " ^ what))
+    [
+      (config.max_queue <= 0, "max_queue must be positive");
+      ( Option.fold ~none:false ~some:(fun q -> q <= 0) config.cycle_quota,
+        "cycle_quota must be positive" );
+      (config.nonce_cache <= 0, "nonce_cache must be positive");
+      (config.ticket_ttl <= 0, "ticket_ttl must be positive");
+      ( config.sched.Sched.batch <= 0 || config.sched.Sched.batch > max_batch,
+        Printf.sprintf "sched.batch must be in [1, %d]" max_batch );
+    ];
   let identity = nc.Node_config.identity in
   (* The identity must speak for THIS platform's monitor: a plane that
      advertised another node's hapk would hand out quotes its own
@@ -398,19 +299,19 @@ let create_node ~platform (nc : Node_config.t) =
       "Serve.create_node: identity hapk does not match this platform's monitor";
   let telemetry = Monitor.telemetry platform.Platform.monitor in
   let rng = Rng.split platform.Platform.rng in
+  let backoff attempt =
+    Cycles.tick platform.Platform.clock
+      (World_switch.retry_backoff_cost platform.Platform.cost ~attempt)
+  in
   {
     platform;
     identity;
     config;
-    rng;
     telemetry;
     c_request = Telemetry.counter_handle telemetry "serve.request";
     c_admitted = Telemetry.counter_handle telemetry "serve.request.admitted";
     c_ok = Telemetry.counter_handle telemetry "serve.request.ok";
-    backoff =
-      (fun attempt ->
-        Cycles.tick platform.Platform.clock
-          (World_switch.retry_backoff_cost platform.Platform.cost ~attempt));
+    backoff;
     sched =
       Sched.create ~shared_clock:platform.Platform.clock ~telemetry config.sched;
     tenants = Hashtbl.create 8;
@@ -419,20 +320,18 @@ let create_node ~platform (nc : Node_config.t) =
     migrated = Hashtbl.create 16;
     seen_nonces = Hashtbl.create 64;
     nonce_order = Queue.create ();
-    ticket_key = Authenc.prepare (Rng.bytes rng 32);
-    (* Node-prefixed session id space: ids stay distinct across a fleet,
-       so a migrated session keeps its id on the destination without
-       colliding with locally-opened ones.  Node 0 (the single-node
-       case) keeps the familiar 0, 1, 2, ... *)
+    channel =
+      Channel.create ~clock:platform.Platform.clock ~rng ~backoff
+        ~site:fault_site ~batch:config.sched.Sched.batch
+        ~max_queue:config.max_queue;
+    (* Node-prefixed ids: a migrated session keeps its id on the
+       destination without colliding; node 0 counts 0, 1, 2, ... *)
     next_session = identity.node_id lsl session_id_bits;
     qe = None;
     destroyed = false;
     shards = max 1 config.sched.Sched.cores;
     rotor = 0;
-    flush_gen = 0;
     fault_msgs = Hashtbl.create 8;
-    hdr = derived ();
-    sealed_in_group = 0;
     submit_cyc = 0;
     core_mark = Array.make (max 1 config.sched.Sched.cores) 0;
     ledger = empty_ledger;
@@ -457,24 +356,6 @@ let session_reject t id =
   | Some to_node -> Session_migrated { to_node }
   | None -> Unknown_session id
 
-(* Channel crypto cost: the plane's AEAD (AES-CTR + HMAC) runs at a few
-   cycles per byte with a fixed setup.  The one-shot paths (handshake,
-   tickets) pay setup + bytes per call; the zero-copy request path pays
-   the setup once per prepared session / ring batch and per-byte
-   everywhere else — the crypto analogue of the ECALL ring amortizing
-   EENTER. *)
-let aead_setup_cycles = 2_000
-let aead_byte_cycles = 3
-let aead_cycles ~bytes = aead_setup_cycles + (aead_byte_cycles * bytes)
-
-let charge_aead t ~bytes =
-  Cycles.tick t.platform.Platform.clock (aead_cycles ~bytes)
-
-let charge_aead_setup t = Cycles.tick t.platform.Platform.clock aead_setup_cycles
-
-let charge_aead_bytes t ~bytes =
-  Cycles.tick t.platform.Platform.clock (aead_byte_cycles * bytes)
-
 (* Bounded replay cache: burn a nonce for [tenants], evicting oldest
    entries past the configured bound so session churn cannot grow the
    table without limit.  Lookup is node-wide: returns [true] when the
@@ -494,9 +375,8 @@ let key_replayed t ~tenants key =
 let nonce_replayed t ~tenants nonce =
   key_replayed t ~tenants (Bytes.to_string nonce)
 
-(* Record that a burnt nonce, keyed as in the cache, was burnt for
-   [tenant] too; its FIFO place does not move.  An evicted nonce stays
-   evicted. *)
+(* Record that a burnt nonce was burnt for [tenant] too; its FIFO place
+   does not move, and an evicted nonce stays evicted. *)
 let burn_for t key ~tenant =
   match Hashtbl.find t.seen_nonces key with
   | tenants ->
@@ -617,7 +497,6 @@ let add_tenant t ~name (bc : Backend.config) =
           ("serve.tenant." ^ name ^ ".cycles");
       backend;
       urts;
-      mrenclave = Urts.mrenclave urts;
       handler_ids = List.map fst bc.Backend.handlers;
       queued = 0;
       spent = 0;
@@ -654,9 +533,8 @@ let commit_pages tn ~slot ~pages =
     (fun reply -> get_u64 reply 0)
     (state_call tn ~id:state_ecall (u64s [ slot_offset slot; pages ]))
 
-(* EDMM state slots are recycled through the tenant's free list before
-   the stride arena grows — open/close churn reuses slots instead of
-   leaking them. *)
+(* State slots are recycled through the tenant's free list before the
+   stride arena grows. *)
 let alloc_slot (tn : tenant) =
   match tn.free_slots with
   | slot :: rest ->
@@ -667,11 +545,6 @@ let alloc_slot (tn : tenant) =
       tn.next_slot <- slot + 1;
       slot
 
-let fresh_id t =
-  let id = t.next_session in
-  t.next_session <- id + 1;
-  id
-
 let next_session_id t = t.next_session
 
 (* Only ids of this node's own space move the counter, and only
@@ -680,72 +553,17 @@ let resume_session_ids t ~next =
   if (next - 1) lsr session_id_bits = t.identity.node_id && next > t.next_session
   then t.next_session <- next
 
-(* The window's width in bits: at least [max_queue], the most a tenant
-   stages in one flush, so no honest request the rotor runs late falls
-   below it; and at least 1024, room for the numbers admission rejects
-   burn between staged ones. *)
-let window_bits config = 8 * ((max 1024 config.max_queue + 7) / 8)
-
-let seen w n =
-  let i = n mod (8 * Bytes.length w.seen) in
-  Bytes.get_uint8 w.seen (i lsr 3) land (1 lsl (i land 7)) <> 0
-
-let mark w n ~on =
-  let i = n mod (8 * Bytes.length w.seen) in
-  let v = Bytes.get_uint8 w.seen (i lsr 3) and bit = 1 lsl (i land 7) in
-  Bytes.set_uint8 w.seen (i lsr 3) (if on then v lor bit else v land lnot bit)
-
-(* Admit verified number [n] once.  A number at or past the top slides
-   the window up to it; one inside the window is admitted unless seen.
-   A seen number, one below the window, a negative one, and [max_int]
-   (whose successor would wrap the top) are refused. *)
-let window_admit w n =
-  let width = 8 * Bytes.length w.seen in
-  if n < 0 || n = max_int then false
-  else if n >= w.top then begin
-    if n - w.top >= width then Bytes.fill w.seen 0 (Bytes.length w.seen) '\000'
-    else
-      for k = w.top to n - 1 do
-        mark w k ~on:false
-      done;
-    w.top <- n + 1;
-    mark w n ~on:true;
-    true
-  end
-  else if n < w.top - width || seen w n then false
-  else begin
-    mark w n ~on:true;
-    true
-  end
-
-(* Every session record is built here.  Handshake and resume pass a
-   fresh id and slot with window top 0 and no pages; import passes the
-   migrated id, key, window top and pages, in the slot it re-committed.
-   The window starts with every number below its top seen, so a hole
-   left before a move cannot be replayed after it.  The AEAD key
-   material is prepared once, so every frame on the channel rides the
-   zero-copy path without per-request setup. *)
-let open_session t tn ~id ~key ~slot ~top ~pages =
-  charge_aead_setup t;
-  let s =
-    {
-      s_id = id;
-      tenant = tn;
-      key;
-      keys = Authenc.prepare key;
-      window =
-        {
-          top;
-          seen =
-            Bytes.make (window_bits t.config / 8)
-              (if top > 0 then '\xff' else '\000');
-        };
-      state_slot = slot;
-      s_pages = pages;
-    }
-  in
+(* The plane's half of a session, opened after the channel store's half
+   under the same id ([t.next_session] for a fresh one). *)
+let open_session t tn ~id ~slot ~pages =
+  let s = { s_id = id; tenant = tn; state_slot = slot; s_pages = pages } in
   Hashtbl.replace t.sessions id s;
   s
+
+let open_fresh t tn =
+  let id = t.next_session in
+  t.next_session <- id + 1;
+  open_session t tn ~id ~slot:(alloc_slot tn) ~pages:0
 
 (* Every session leaves the table here (close, cutover, import
    rollback): its staged arena entries die in place — [no_request] marks
@@ -761,6 +579,7 @@ let retire_session t (s : session) =
     end
   done;
   Hashtbl.remove t.sessions s.s_id;
+  Channel.close t.channel ~id:s.s_id;
   tn.free_slots <- s.state_slot :: tn.free_slots
 
 let tenant_sessions t tn =
@@ -787,39 +606,10 @@ let quoting_urts t =
 
 let quoting_identity t = Urts.mrenclave (quoting_urts t)
 
-(* The node's own attestation voice: a quote from the plane's quoting
-   enclave, signed by this node's monitor — what a migration peer or
-   fleet control plane verifies before trusting the node with sealed
-   state. *)
 let node_quote t ~report_data = Urts.gen_quote (quoting_urts t) ~report_data
 
 (* ---------------------------------------------------------------------- *)
 (* Handshake                                                              *)
-
-type hello = { nonce : bytes; client_kx : Kx.public }
-
-type accept = {
-  session_id : int;
-  node_id : int;  (** which fleet node accepted — clients route follow-ups *)
-  server_kx : Kx.public;
-  quote_wire : bytes;
-  tenant_identity : bytes;
-}
-
-(* The exchange's labels ({!Sigma}): the quote binds the transcript of
-   nonce, client share, server share and tenant identity; a handshake's
-   key derives under [key_label], a resumed session's under
-   [resume_label]. *)
-let sigma_label = "hyperenclave-serve-sigma:"
-let key_label = "hyperenclave-serve-key:"
-let resume_label = "hyperenclave-serve-resume:"
-
-(* The exchange's refusals, as the plane names them. *)
-let of_sigma = function
-  | Sigma.Bad_wire m -> Bad_wire m
-  | Sigma.Unbound -> Channel_binding_mismatch
-  | Sigma.Refused f -> Handshake_failed f
-  | Sigma.Unknown_share -> Unknown_key_share
 
 (* The session fault site as a retry thunk: closed, so built once. *)
 let cross_session_site () = Fault.point fault_site
@@ -838,49 +628,31 @@ let handshake t ~tenant hello =
          challenge must never get a second quote. *)
       if nonce_replayed t ~tenants:[ tenant ] hello.nonce then
         refuse Replayed_nonce
-      else if not (Kx.valid_share hello.client_kx) then
-        (* No key could ever agree with it: refuse before the plane draws
-           a share or cuts a quote. *)
-        refuse Unknown_key_share
       else
         match
-          Fault.with_retries ~backoff:t.backoff (fun () ->
-              Fault.point fault_site;
-              Sigma.respond t.rng ~label:sigma_label
-                ~quote:(Urts.gen_quote tn.urts) (fun server_kx ->
-                  [ hello.nonce; hello.client_kx; server_kx; tn.mrenclave ]))
+          Channel.handshake t.channel ~owner:tn.urts ~id:t.next_session hello
         with
         | exception Fault.Injected { site; kind } ->
             refuse (Session_fault (Fault.message ~site kind))
-        | secret, server_kx, quote_wire -> (
-            match
-              Sigma.agree ~label:key_label secret hello.client_kx
-                ~nonce:hello.nonce
-            with
-            | Error f -> refuse (of_sigma f)
-            | Ok key ->
-                let s =
-                  open_session t tn ~id:(fresh_id t) ~slot:(alloc_slot tn) ~key
-                    ~top:0 ~pages:0
-                in
-                Telemetry.incr t.telemetry "serve.handshake";
-                Telemetry.incr t.telemetry "serve.session_open";
-                Ok
-                  {
-                    session_id = s.s_id;
-                    node_id = t.identity.node_id;
-                    server_kx;
-                    quote_wire;
-                    tenant_identity = tn.mrenclave;
-                  }))
+        | Error f -> refuse (of_sigma f)
+        | Ok (server_kx, quote_wire) ->
+            let s = open_fresh t tn in
+            Telemetry.incr t.telemetry "serve.handshake";
+            Telemetry.incr t.telemetry "serve.session_open";
+            Ok
+              {
+                session_id = s.s_id;
+                node_id = t.identity.node_id;
+                server_kx;
+                quote_wire;
+                tenant_identity = Urts.mrenclave tn.urts;
+              })
 
 (* ---------------------------------------------------------------------- *)
 (* Admission                                                              *)
 
-(* Admission looks at the header and the frame's length only: no key, no
-   MAC and no sequence number.  The ring's in-enclave worker checks the
-   tag and the freshness of what it runs ([channel]), so any other lie
-   is admitted and answered in the flush. *)
+(* Admission looks at the header and the frame's length only; the
+   enclave checks tag and freshness ({!Channel.ring}) in the flush. *)
 let admit t (req : request) =
   Telemetry.bump t.c_request 1;
   match Hashtbl.find t.sessions req.session_id with
@@ -960,115 +732,17 @@ let sort_stage (st : stage) =
     a.(!j + 1) <- r
   done
 
-(* A slot the worker refuses carries [refusal_bytes] as its reply: -1
-   when the tag fails, the window top when the sequence number is seen or
-   below the window, or minus the length of a handler reply too long for
-   the slot (always below -1).  Shorter than a tag, so assembly never
-   takes it for a frame. *)
-let refusal_bytes = 8
-
-let refusal n =
-  let b = Bytes.create refusal_bytes in
-  Bytes.set_int64_le b 0 (Int64.of_int n);
-  b
-
-let auth_refusal = refusal (-1)
-
-let refused buf ~off ~seq =
-  match get_u64 buf off with
-  | -1 -> Bad_auth
-  | n when n < 0 ->
-      Unsupported
-        (Printf.sprintf "reply (%d bytes) exceeds the %d-byte ring slot" (-n)
-           slot_bytes)
-  | expected -> Bad_sequence { expected; got = seq }
-
-(* The verified claims of the slot a ring's worker opened last. *)
-type verified = {
-  mutable v_gen : int;  (* the flush it was opened in *)
-  mutable v_slot : int;
-  mutable v_sid : int;
-  mutable v_seq : int;
-}
-
-(* The enclave side of the channel, run by the ring's in-enclave worker
-   during the ring's dispatch over its private copies of each slot's
-   ciphertext and tag.  [open_slot] reads the slot's claims once: the
-   ECALL id is the slot's own id word, the session id and sequence number
-   are the request's header in the stage.  It takes the keys of the
-   claimed session, if this tenant has it, derives the nonce and AAD from
-   the claims, authenticates and decrypts in place, and only then admits
-   the number into the session's window.  A slot that fails either check
-   is refused: its handler does not run, and its reply slot carries the
-   refusal.  [seal_slot] seals the reply as a frame under the claims the
-   open verified, so the shared segments never hold plaintext; a reply
-   too long for the slot is refused instead, unsealed and uncharged.  A
-   transient-fault retry re-opens the slot opened last, in the same
-   flush, with the same claims: its number is already in the window.
-   Charges: per-byte MAC and decrypt and per-byte seal, one AEAD setup
-   per (ring, flush) on its first slot, and one reply-seal setup per
-   [config.sched.batch] sealed replies, counted plane-wide across the
-   flush.  They tick the platform clock inside the dispatch: the
-   tenant's quota, and busy time of the core the scheduler places each
-   slot on. *)
-let channel t (tn : tenant) entries =
-  let v = { v_gen = 0; v_slot = -1; v_sid = -1; v_seq = -1 } in
-  let open_slot ~slot ~ecall_id body ~tag =
-    let r = tn.stage.sg_reqs.(entries.(slot)) in
-    let sid = r.session_id and seq = r.seq in
-    if slot = 0 then charge_aead_setup t;
-    let len = Bytes.length body in
-    charge_aead_bytes t ~bytes:len;
-    match Hashtbl.find t.sessions sid with
-    | exception Not_found -> Urts.Refused auth_refusal
-    | s when s.tenant != tn -> Urts.Refused auth_refusal
-    | s -> (
-        derive t.hdr ~dir:'>' ~session_id:sid ~seq ~ecall_id;
-        match
-          Authenc.unseal_in_place s.keys ~aad:t.hdr.d_aad ~nonce:t.hdr.d_nonce
-            ~tag body ~off:0 ~len
-        with
-        | exception Authenc.Authentication_failure -> Urts.Refused auth_refusal
-        | () ->
-            charge_aead_bytes t ~bytes:len;
-            let retry =
-              v.v_gen = t.flush_gen && v.v_slot = slot && v.v_sid = sid
-              && v.v_seq = seq
-            in
-            if retry || window_admit s.window seq then begin
-              v.v_gen <- t.flush_gen;
-              v.v_slot <- slot;
-              v.v_sid <- sid;
-              v.v_seq <- seq;
-              Urts.Opened
-            end
-            else Urts.Refused (refusal s.window.top))
-  in
-  let seal_slot reply ~dst ~dst_off =
-    let len = Bytes.length reply in
-    if len > slot_bytes then begin
-      Bytes.set_int64_le dst dst_off (Int64.of_int (-len));
-      refusal_bytes
-    end
-    else begin
-      let s = Hashtbl.find t.sessions v.v_sid in
-      if t.sealed_in_group = 0 then charge_aead_setup t;
-      t.sealed_in_group <-
-        (t.sealed_in_group + 1) mod t.config.sched.Sched.batch;
-      charge_aead_bytes t ~bytes:len;
-      derive t.hdr ~dir:'<' ~session_id:v.v_sid ~seq:v.v_seq ~ecall_id:0;
-      seal_frame s.keys t.hdr reply ~dst ~dst_off
-    end
-  in
-  { Urts.open_slot; seal_slot }
-
 let lane_for t (tn : tenant) shard =
   match tn.lanes.(shard) with
   | Some l -> l
   | None ->
       let entries = Array.make t.config.max_queue 0 in
       let ring =
-        Urts.create_ring tn.urts ~channel:(channel t tn entries) ~shard
+        Urts.create_ring tn.urts
+          ~channel:
+            (Channel.ring t.channel ~owner:tn.urts ~claim:(fun slot ->
+                 tn.stage.sg_reqs.(entries.(slot))))
+          ~shard
           ~shards:t.shards ~slots:t.config.max_queue ~slot_bytes
       in
       let rec l =
@@ -1088,10 +762,8 @@ let lane_for t (tn : tenant) shard =
       tn.lanes.(shard) <- Some l;
       l
 
-(* Rewind a tenant's arenas: drop the request references, rewind the
-   stage cursor and every ring, and clear every ring's failure.  Every
-   staged request has then been answered or dropped, so none is
-   queued. *)
+(* Rewind a tenant's stage and rings and clear every ring's failure:
+   every staged request has been answered or dropped. *)
 let recycle (tn : tenant) =
   let st = tn.stage in
   Array.fill st.sg_reqs 0 st.sg_n no_request;
@@ -1115,9 +787,8 @@ let recycle (tn : tenant) =
    is one this flush staged into. *)
 let drain t =
   Telemetry.incr t.telemetry "serve.flush";
-  t.flush_gen <- t.flush_gen + 1;
+  Channel.new_flush t.channel;
   Hashtbl.reset t.fault_msgs;
-  t.sealed_in_group <- 0;
   let tenants =
     List.rev_map (fun name -> Hashtbl.find t.tenants name) t.tenant_order
   in
@@ -1221,8 +892,8 @@ let drain t =
                   Telemetry.bump t.c_ok 1;
                   emit sid seq (Ok (Bytes.sub buf off framed))
                 end
-                else if framed = refusal_bytes then
-                  emit_err sid seq (refused buf ~off ~seq)
+                else if framed = Channel.refusal_bytes then
+                  emit_err sid seq (Channel.refused buf ~off ~seq)
                 else emit_err sid seq (Session_fault "reply slot holds no tag")
         done;
         recycle tn
@@ -1288,7 +959,7 @@ let flush t =
 let ledger t = t.ledger
 
 (* ---------------------------------------------------------------------- *)
-(* Session state (EDMM)                                                   *)
+(* Session state, quotas and introspection                                *)
 
 let resize_session t ~session ~pages =
   if pages < 0 || pages > state_stride_pages then
@@ -1303,9 +974,6 @@ let resize_session t ~session ~pages =
       | Ok committed ->
           s.s_pages <- max s.s_pages pages;
           Ok committed)
-
-(* ---------------------------------------------------------------------- *)
-(* Quotas and introspection                                               *)
 
 let grant t ~tenant cycles =
   match Hashtbl.find_opt t.tenants tenant with
@@ -1337,15 +1005,16 @@ let close_session t ~session =
 (* A migrating tenant on the wire, every integer a u64 LE and every
    field length-prefixed:
      "hemig1:" [tenant] [identity] [n]
-       n x ( [id] [key] [window top] [pages] [state] )
+       n x ( [id] [channel record] [pages] [state] )
      [m] m x [nonce]
-   Sessions in ascending id order; the nonces burnt for the tenant, in
+   Sessions in ascending id order, each with the record the channel
+   store writes ({!Channel.export}); the nonces burnt for the tenant, in
    replay-cache FIFO order. *)
 let blob_magic = "hemig1:"
 
 type moved = {
   m_id : int;
-  m_key : bytes;
+  m_key : Channel.key;
   m_top : int;
   m_pages : int;
   m_state : bytes;
@@ -1353,9 +1022,8 @@ type moved = {
 
 exception Malformed of string
 
-(* Decode a blob; every structural fault (short field, negative or
-   oversized count, trailing bytes) is [Error what], never an
-   exception. *)
+(* Every structural fault (short field, negative or oversized count,
+   trailing bytes) is [Error what], never an exception. *)
 let decode_blob b =
   let pos = ref 0 in
   (* Claim the next [n] bytes and return their offset. *)
@@ -1382,8 +1050,13 @@ let decode_blob b =
     let moved =
       List.init (u64 ~max:1_000_000 "session count") (fun _ ->
           let m_id = u64 "session id" in
-          let m_key = field "key" in
-          let m_top = u64 "window top" in
+          let m_key, m_top =
+            match
+              Channel.read_record b ~off:(take Channel.record_bytes "key")
+            with
+            | Ok r -> r
+            | Error what -> raise (Malformed what)
+          in
           let m_pages = u64 "pages" in
           let m_state = field "state" in
           { m_id; m_key; m_top; m_pages; m_state })
@@ -1399,10 +1072,8 @@ let decode_blob b =
   | x -> Ok x
   | exception Malformed what -> Error ("malformed migration blob: " ^ what)
 
-(* Pull a session's committed EDMM pages out through the enclave's own
-   state-read ECALL, one page per protected call, into [dst] from [off]
-   — the simulation analogue of EWB-style page eviction into the
-   migration blob. *)
+(* Pull a session's committed EDMM pages into [dst] from [off] through
+   the enclave's state-read ECALL, one page per protected call. *)
 let read_state (s : session) dst ~off =
   let base = slot_offset s.state_slot in
   let rec go pg =
@@ -1469,10 +1140,10 @@ let export_tenant t ~tenant =
   let size =
     String.length blob_magic
     + prefixed (String.length tenant)
-    + prefixed (Bytes.length tn.mrenclave)
+    + prefixed (Bytes.length (Urts.mrenclave tn.urts))
     + List.fold_left
         (fun n s ->
-          n + 8 + prefixed (Bytes.length s.key) + 16
+          n + 8 + Channel.record_bytes + 8
           + prefixed (s.s_pages * Addr.page_size))
         8 sessions
     + Queue.fold
@@ -1497,14 +1168,14 @@ let export_tenant t ~tenant =
   string blob_magic;
   u64 (String.length tenant);
   string tenant;
-  field tn.mrenclave;
+  field (Urts.mrenclave tn.urts);
   u64 (List.length sessions);
   let rec pack = function
     | [] -> Ok ()
     | s :: rest ->
         u64 s.s_id;
-        field s.key;
-        u64 s.window.top;
+        Channel.export t.channel ~id:s.s_id blob ~off:!pos;
+        pos := !pos + Channel.record_bytes;
         u64 s.s_pages;
         let len = s.s_pages * Addr.page_size in
         u64 len;
@@ -1524,9 +1195,6 @@ let export_tenant t ~tenant =
   Telemetry.incr t.telemetry "serve.migrate.export";
   Ok blob
 
-(* Cutover: the source stops answering for the tenant and forwards
-   stragglers.  Live sessions become typed forwards; their state slots
-   recycle. *)
 let retire_tenant t ~tenant ~to_node =
   match Hashtbl.find_opt t.tenants tenant with
   | None -> reject t (Unknown_tenant tenant)
@@ -1552,37 +1220,28 @@ let import_tenant t blob =
     Option.to_result ~none:(Unknown_tenant tenant)
       (Hashtbl.find_opt t.tenants tenant)
   in
+  let conflict fmt = Printf.ksprintf (fun m -> Error (Import_conflict m)) fmt in
   (* The destination rebuilt the tenant enclave from the same registry
      config; if it does not measure identically the sealed sessions
-     would resume inside a different program. *)
+     would resume inside a different program.  A live session with the
+     same id is a hard conflict; an entry in [migrated] is only a
+     forwarding address and clears when the session comes home. *)
   let* () =
-    if Bytes.equal tn.mrenclave identity then Ok ()
+    if not (Bytes.equal (Urts.mrenclave tn.urts) identity) then
+      conflict "enclave identity does not match the destination's measurement"
     else
-      Error
-        (Import_conflict
-           "enclave identity does not match the destination's measurement")
-  in
-  (* A live session with the same id is a hard conflict; an entry in
-     [migrated] is only a forwarding address and clears when the
-     session comes home (migrate-back / rolling upgrade). *)
-  let* () =
-    match List.find_opt (fun m -> Hashtbl.mem t.sessions m.m_id) moved with
-    | Some m ->
-        Error
-          (Import_conflict
-             (Printf.sprintf "session id %d is live on this node" m.m_id))
-    | None -> Ok ()
-  in
-  let* () =
-    match List.find_opt (fun m -> m.m_pages > state_stride_pages) moved with
-    | Some m ->
-        Error
-          (Import_conflict
-             (Printf.sprintf
+      match List.find_opt (fun m -> Hashtbl.mem t.sessions m.m_id) moved with
+      | Some m -> conflict "session id %d is live on this node" m.m_id
+      | None -> (
+          match
+            List.find_opt (fun m -> m.m_pages > state_stride_pages) moved
+          with
+          | Some m ->
+              conflict
                 "session %d state (%d pages) exceeds this node's %d-page \
                  stride"
-                m.m_id m.m_pages state_stride_pages))
-    | None -> Ok ()
+                m.m_id m.m_pages state_stride_pages
+          | None -> Ok ())
   in
   (* Install one session at a time: re-commit its pages, replay its
      bytes, open it.  Any state failure rolls back what was installed
@@ -1604,10 +1263,9 @@ let import_tenant t blob =
             List.iter (retire_session t) opened;
             e
         | Ok () ->
-            let s =
-              open_session t tn ~id:m.m_id ~key:m.m_key ~slot ~top:m.m_top
-                ~pages:m.m_pages
-            in
+            Channel.open_session t.channel ~owner:tn.urts ~id:m.m_id m.m_key
+              ~top:m.m_top;
+            let s = open_session t tn ~id:m.m_id ~slot ~pages:m.m_pages in
             install (s :: opened) rest)
   in
   let* () = install [] moved in
@@ -1632,9 +1290,7 @@ let destroy t =
     t.destroyed <- true;
     (match t.qe with Some u -> Urts.destroy u | None -> ());
     t.qe <- None;
-    (* The plane built every tenant backend ([add_tenant] calls
-       [Backend.create]), so it owns their teardown too — callers no
-       longer destroy the returned handle themselves. *)
+    (* [add_tenant] built every tenant backend, so the plane owns it. *)
     List.iter
       (fun name ->
         match Hashtbl.find_opt t.tenants name with
@@ -1642,6 +1298,7 @@ let destroy t =
         | None -> ())
       (List.rev t.tenant_order);
     Hashtbl.reset t.tenants;
+    Hashtbl.iter (fun id _ -> Channel.close t.channel ~id) t.sessions;
     Hashtbl.reset t.sessions;
     Hashtbl.reset t.migrated;
     Hashtbl.reset t.seen_nonces;
@@ -1652,35 +1309,6 @@ let destroy t =
 (* ---------------------------------------------------------------------- *)
 (* Session resumption                                                     *)
 
-(* Every ticket is sealed under this AAD; it is never stored, so a blob
-   sealed for any other purpose fails the ticket's tag. *)
-let ticket_aad = Bytes.of_string "serve-ticket:v1"
-
-(* Ticket payload: [8B LE name_len][name][32B session key][8B LE expiry]. *)
-let encode_ticket ~tenant ~key ~expires =
-  let name = Bytes.of_string tenant in
-  let name_len = Bytes.length name in
-  let buf = Bytes.create (8 + name_len + 32 + 8) in
-  Bytes.set_int64_le buf 0 (Int64.of_int name_len);
-  Bytes.blit name 0 buf 8 name_len;
-  Bytes.blit key 0 buf (8 + name_len) 32;
-  Bytes.set_int64_le buf (8 + name_len + 32) (Int64.of_int expires);
-  buf
-
-let decode_ticket payload =
-  if Bytes.length payload < 48 then None
-  else
-    let name_len = Int64.to_int (Bytes.get_int64_le payload 0) in
-    if name_len < 0 || name_len > Bytes.length payload - 48 then None
-    else if Bytes.length payload <> 8 + name_len + 40 then None
-    else
-      let tenant = Bytes.sub_string payload 8 name_len in
-      let key = Bytes.sub payload (8 + name_len) 32 in
-      let expires =
-        Int64.to_int (Bytes.get_int64_le payload (8 + name_len + 32))
-      in
-      Some (tenant, key, expires)
-
 let issue_ticket t ~session =
   match Hashtbl.find_opt t.sessions session with
   | None -> reject t (session_reject t session)
@@ -1688,193 +1316,38 @@ let issue_ticket t ~session =
       let expires =
         Cycles.now t.platform.Platform.clock + t.config.ticket_ttl
       in
-      let payload = encode_ticket ~tenant:s.tenant.t_name ~key:s.key ~expires in
-      charge_aead t ~bytes:(Bytes.length payload);
       let ticket =
-        Authenc.seal t.ticket_key ~aad:ticket_aad ~nonce:(Rng.bytes t.rng 12)
-          payload
+        Channel.issue t.channel ~id:session ~tenant:s.tenant.t_name ~expires
       in
       Telemetry.incr t.telemetry "serve.ticket_issued";
       Ok ticket
-
-type resume = { r_ticket : bytes; r_nonce : bytes }
 
 let resume t (r : resume) =
   (* Burn the nonce first, success or not — a replayed resumption must
      never open a second session. *)
   if nonce_replayed t ~tenants:[] r.r_nonce then reject t Replayed_nonce
-  else begin
-    charge_aead t ~bytes:(max 0 (Bytes.length r.r_ticket - Authenc.overhead));
-    match Authenc.unseal t.ticket_key ~aad:ticket_aad r.r_ticket with
-    | exception Authenc.Authentication_failure ->
-        reject t (Bad_ticket "ticket authentication failed")
-    | payload -> (
-        match decode_ticket payload with
-        | None -> reject t (Bad_ticket "malformed ticket payload")
-        | Some (tenant, key, expires) -> (
-            burn_for t (Bytes.to_string r.r_nonce) ~tenant;
-            if Cycles.now t.platform.Platform.clock > expires then
-              reject t Ticket_expired
-            else
-              match Hashtbl.find_opt t.tenants tenant with
-              | None -> reject t (Unknown_tenant tenant)
-              | Some { t_migrated_to = Some to_node; _ } ->
-                  reject t (Tenant_migrated { tenant; to_node })
-              | Some tn ->
-                  let s =
-                    open_session t tn ~id:(fresh_id t) ~slot:(alloc_slot tn)
-                      ~key:(Sigma.key ~label:resume_label key ~nonce:r.r_nonce)
-                      ~top:0 ~pages:0
-                  in
-                  Telemetry.incr t.telemetry "serve.resume";
-                  Telemetry.incr t.telemetry "serve.session_open";
-                  Ok s.s_id))
-  end
-
-(* ---------------------------------------------------------------------- *)
-(* Client                                                                 *)
+  else
+    match Channel.redeem t.channel r.r_ticket ~nonce:r.r_nonce with
+    | Error m -> reject t (Bad_ticket m)
+    | Ok (tenant, expires, key) -> (
+        burn_for t (Bytes.to_string r.r_nonce) ~tenant;
+        if Cycles.now t.platform.Platform.clock > expires then
+          reject t Ticket_expired
+        else
+          match Hashtbl.find_opt t.tenants tenant with
+          | None -> reject t (Unknown_tenant tenant)
+          | Some { t_migrated_to = Some to_node; _ } ->
+              reject t (Tenant_migrated { tenant; to_node })
+          | Some tn ->
+              Channel.open_session t.channel ~owner:tn.urts ~id:t.next_session
+                key ~top:0;
+              let s = open_fresh t tn in
+              Telemetry.incr t.telemetry "serve.resume";
+              Telemetry.incr t.telemetry "serve.session_open";
+              Ok s.s_id)
 
 module Client = struct
-  type hs = { hs_nonce : bytes; secret : Kx.secret; hs_client_kx : Kx.public }
-
-  type t = {
-    rng : Rng.t;
-    golden : Verifier.golden;
-    policy : Verifier.policy;
-    expected_tenant : bytes option;
-    expected_hapk : Signature.public_key option;
-        (* pin to one node's monitor: in a fleet, golden measurements
-           alone admit every honestly-booted sibling *)
-    mutable hs : hs option;
-    mutable session : (int * bytes * Authenc.keys) option;
-        (* id, key (a resume derives from it), keys prepared from it *)
-    mutable send_seq : int;
-    mutable pending_resume : (bytes * bytes) option;
-        (* (resumption nonce, ticketed key) while a resume is in flight *)
-    hdr : derived;  (* nonce and AAD scratch, one message at a time *)
-  }
-
-  let create ~rng ~golden ~policy ?expected_tenant ?expected_hapk () =
-    {
-      rng;
-      golden;
-      policy;
-      expected_tenant;
-      expected_hapk;
-      hs = None;
-      session = None;
-      send_seq = 0;
-      pending_resume = None;
-      hdr = derived ();
-    }
-
-  (* The session keys are prepared here, once per established or
-     resumed session, never per message. *)
-  let keyed_session id key = (id, key, Authenc.prepare key)
-
-  let hello t =
-    let hs_nonce = Rng.bytes t.rng 16 in
-    let secret, hs_client_kx = Kx.generate t.rng in
-    t.hs <- Some { hs_nonce; secret; hs_client_kx };
-    t.session <- None;
-    t.send_seq <- 0;
-    t.pending_resume <- None;
-    { nonce = hs_nonce; client_kx = hs_client_kx }
-
-  let resume_hello t ~ticket =
-    match t.session with
-    | None ->
-        invalid_arg "Serve.Client.resume_hello: no session key to resume from"
-    | Some (_, key, _) ->
-        let nonce = Rng.bytes t.rng 16 in
-        t.pending_resume <- Some (nonce, key);
-        t.hs <- None;
-        t.session <- None;
-        t.send_seq <- 0;
-        { r_ticket = ticket; r_nonce = nonce }
-
-  let complete_resume t ~session_id =
-    match t.pending_resume with
-    | None -> invalid_arg "Serve.Client.complete_resume: no resume in flight"
-    | Some (nonce, key) ->
-        t.pending_resume <- None;
-        t.session <-
-          Some (keyed_session session_id (Sigma.key ~label:resume_label key ~nonce))
-
-  let establish t (accept : accept) =
-    match t.hs with
-    | None -> invalid_arg "Serve.Client.establish: no handshake in flight"
-    | Some hs ->
-        (* The quote must speak about THIS exchange: its report answers
-           the transcript (nonce, both shares, the claimed tenant
-           identity), checked last by the verifier.  Then the claimed
-           identity against the enclave that quoted (every tenant quotes
-           itself) and against the pin. *)
-        let* report =
-          Result.map_error of_sigma
-            (Sigma.check ~golden:t.golden ~policy:t.policy
-               ?expected_hapk:t.expected_hapk ~label:sigma_label
-               [ hs.hs_nonce; hs.hs_client_kx; accept.server_kx;
-                 accept.tenant_identity ]
-               accept.quote_wire)
-        in
-        let mismatch what =
-          Error (Handshake_failed (Verifier.Policy_violation what))
-        in
-        if not (Bytes.equal accept.tenant_identity report.Sgx_types.mrenclave)
-        then mismatch "tenant identity is not the quoted enclave"
-        else if
-          match t.expected_tenant with
-          | Some pin -> not (Bytes.equal pin accept.tenant_identity)
-          | None -> false
-        then mismatch "tenant identity mismatch"
-        else
-          let* key =
-            Result.map_error of_sigma
-              (Sigma.agree ~label:key_label hs.secret accept.server_kx
-                 ~nonce:hs.hs_nonce)
-          in
-          t.session <- Some (keyed_session accept.session_id key);
-          Ok ()
-
-  let session_id t =
-    match t.session with
-    | Some (id, _, _) -> id
-    | None -> invalid_arg "Serve.Client.session_id: no session established"
-
-  let request t ~ecall data =
-    match t.session with
-    | None -> invalid_arg "Serve.Client.request: no session established"
-    | Some (session_id, _, keys) ->
-        let seq = t.send_seq in
-        t.send_seq <- seq + 1;
-        derive t.hdr ~dir:'>' ~session_id ~seq ~ecall_id:ecall;
-        let frame = Bytes.create (Bytes.length data + Urts.tag_bytes) in
-        ignore (seal_frame keys t.hdr data ~dst:frame ~dst_off:0 : int);
-        { session_id; seq; ecall_id = ecall; frame }
-
-  let read_reply t (reply : reply) =
-    match t.session with
-    | None -> invalid_arg "Serve.Client.read_reply: no session established"
-    | Some (session_id, _, keys) -> (
-        if reply.r_session_id <> session_id then
-          Error (Unknown_session reply.r_session_id)
-        else
-          match reply.r_result with
-          | Error rej -> Error rej
-          | Ok frame -> (
-              let len = Bytes.length frame - Urts.tag_bytes in
-              if len < 0 then Error Bad_auth
-              else
-                let body = Bytes.sub frame 0 len in
-                derive t.hdr ~dir:'<' ~session_id ~seq:reply.r_seq ~ecall_id:0;
-                match
-                  Authenc.unseal_in_place keys ~aad:t.hdr.d_aad
-                    ~nonce:t.hdr.d_nonce ~tag:(frame_tag t.hdr frame ~len) body
-                    ~off:0 ~len
-                with
-                | exception Authenc.Authentication_failure -> Error Bad_auth
-                | () -> Ok body))
+  include Client
 
   let roundtrip plane t reqs =
     let submitted =

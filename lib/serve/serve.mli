@@ -1,164 +1,50 @@
-(** Multi-tenant attested serving plane.
+(** Multi-tenant attested serving plane: the host half.
 
-    The end-to-end path from an untrusted client to an enclave that the
-    rest of the stack was missing: a client proves who it is talking to
-    with the paper's attestation chain (Sec. 5 — TPM quote over the
-    measured boot + hapk binding, monitor-signed ems), agrees on a
-    per-session channel key, and then submits encrypted requests that
-    the plane routes, still encrypted, into the SMP scheduler as
-    slot-ring batches; the in-enclave ring worker checks each one's tag
-    and freshness, decrypts it and seals its reply over the same
-    channel.
-
-    {2 Channel frames}
-
-    Every request and reply travels as one frame: the ciphertext
-    followed by its 32-byte tag.  The nonce and the AAD never travel.
-    Every end derives them from the message's header into scratch it
-    owns — the client and the ring's in-enclave worker:
-    the nonce is [dir][0^3][seq] (dir ['>'] on requests, ['<'] on
-    replies) and the AAD is ["serve-req:"] or ["serve-rep:"], then
-    session id, sequence number and ECALL id (0 on replies), integers
-    as 64-bit little-endian.  A lie in any header field therefore fails
-    the tag.
+    A client proves who it is talking to with the paper's attestation
+    chain (Sec. 5 — TPM quote over the measured boot + hapk binding,
+    monitor-signed ems), agrees on a per-session channel key, and then
+    submits encrypted requests that the plane admits and routes, still
+    encrypted, into the SMP scheduler as slot-ring batches.  Everything
+    that holds a key — the server's side of the exchange, each session's
+    keys and replay window, tickets, and the ring worker that opens each
+    request and seals its reply — is the enclave's half, {!Channel}; the
+    plane reaches it only by session id.
 
     {2 Handshake (SIGMA-style)}
 
     The plane's run of the attested key exchange
-    {!Hyperenclave_attestation.Sigma}, which fleet migrations share:
+    {!Hyperenclave_attestation.Sigma}: the client sends a fresh nonce
+    and a key share; the tenant enclave answers with its own share and a
+    quote over the transcript of nonce, both shares and its MRENCLAVE
+    ({!Channel.handshake}); the client verifies it and derives the same
+    key ({!Client.establish}).  Every tenant is a HyperEnclave enclave
+    and quotes {e itself}; the native and SGX-model baselines are
+    measured through {!Hyperenclave_tee.Backend}, not served here.
 
-    + the client sends a fresh nonce and an ephemeral {!Kx} share;
-    + the plane generates its own share, derives the session key, and
-      answers with a wire-encoded HyperEnclave quote whose [report_data]
-      is the {!Hyperenclave_attestation.Sigma.transcript} of nonce,
-      both shares and the tenant's enclave identity — so the key
-      exchange is authenticated by the attestation chain and cannot be
-      spliced across sessions;
-    + the client decodes the quote on untrusted bytes, verifies it with
-      that transcript as the expected [report_data]
-      ({!Hyperenclave_attestation.Sigma.check}), and derives the same
-      key ({!Hyperenclave_attestation.Sigma.agree}).
+    {2 Sessions}
 
-    The quote's TPM half is the platform quote the monitor took at
-    boot; the transcript in the monitor-signed report is what makes it
-    fresh, so a handshake runs no TPM command.
+    A session is one attested channel and a {!state_stride_pages}-page
+    EDMM region of the tenant enclave's heap, committed through the
+    reserved state ECALLs (0x5e55-0x5e57).  {!handshake}, {!val-resume}
+    and {!import_tenant} open sessions; {!close_session},
+    {!retire_tenant} and an import rollback retire them: staged requests
+    die and the state slot is recycled.  Session work crosses the
+    ["serve.session"] fault site: transient faults are retried with
+    backoff, permanent ones surface as typed {!Session_fault} errors.
 
-    Every tenant is a HyperEnclave enclave and quotes {e itself}: the
-    monitor signs the tenant's own report, so the identity in the
-    transcript is the quoted MRENCLAVE.  The native and SGX-model
-    baselines ({!Hyperenclave_tee.Backend.native},
-    {!Hyperenclave_tee.Backend.sgx}) have no such report and no slot
-    ring; they are measured through {!Hyperenclave_tee.Backend}, not
-    served here.
+    A plane is one {e node} of a fleet, created with an explicit
+    {!identity}; tenants and their live sessions move between nodes
+    through {!export_tenant}, {!import_tenant} and {!retire_tenant}. *)
 
-    {2 Serving}
-
-    Admission control is typed and per-tenant, and looks at headers and
-    lengths only: a live session, a frame that fits a slot
-    ({!Unsupported}) and holds a tag ({!Bad_auth}), the tenant's own
-    request ECALLs ({!Unsupported}), bounded queues ({!Backpressure})
-    and cycle quotas charged from the scheduler's per-slice deltas
-    ({!Quota_exhausted}).  Admission holds no key and no sequence
-    state.  {!flush} drains every admitted request through
-    {!Hyperenclave_sched.Sched}; inside the enclave the ring worker
-    authenticates each request ({!Bad_auth}) and checks its freshness
-    ({!Bad_sequence}) before its handler runs, and seals the replies.
-
-    Session work crosses the ["serve.session"] fault-injection site:
-    transient faults are absorbed by the SDK's bounded retry/backoff,
-    permanent ones surface as typed {!Session_fault} errors — never as
-    an escaped exception, and always with the monitor invariants green.
-
-    {2 Session lifecycle}
-
-    A session is one attested channel: an id, a key, the anti-replay
-    window the enclave keeps over its request sequence numbers, and a
-    slot in the tenant enclave's heap — a
-    {!state_stride_pages}-page EDMM region, of which it has committed
-    some pages through the reserved state ECALLs (0x5e55-0x5e57).
-    {!handshake}, {!val-resume} and {!import_tenant} open sessions the
-    same way; {!close_session}, {!retire_tenant} and an import rollback
-    retire them the same way: staged requests die and the state slot is
-    recycled for the tenant's next session.
-
-    {2 Fleet}
-
-    A plane is one {e node} of a fleet: it is created with an explicit
-    {!identity} (node id, monitor hapk) and every session it opens is
-    stamped with that identity.  Tenants and their live sessions can
-    move between nodes — {!export_tenant} packs sessions (keys, window
-    tops, committed EDMM pages) and the nonces burnt for the tenant into
-    one opaque blob, {!import_tenant} rebuilds them from it on a
-    destination whose tenant enclave measures identically, and
-    {!retire_tenant} cuts the source over so stragglers get typed
-    forwards ({!Session_migrated} / {!Tenant_migrated}) instead of bare
-    unknown-id errors.  The plane owns the blob's format; the cluster
-    layer ({!Hyperenclave_cluster.Cluster}) seals it and drives the
-    attested transfer protocol. *)
-
-open Hyperenclave_hw
 open Hyperenclave_tee
-module Verifier := Hyperenclave_attestation.Verifier
-module Kx := Hyperenclave_crypto.Kx
-module Authenc := Hyperenclave_crypto.Authenc
 module Signature := Hyperenclave_crypto.Signature
 module Monitor := Hyperenclave_monitor.Monitor
 
-(** {1 Typed rejections} *)
+(** {1 Typed rejections and wire messages} *)
 
-type reject =
-  | Handshake_failed of Verifier.failure
-      (** the quote did not verify (client side) *)
-  | Channel_binding_mismatch
-      (** the quote verifies but does not bind this transcript *)
-  | Bad_wire of string  (** quote wire bytes failed structural decode *)
-  | Unknown_key_share  (** the peer's {!Kx} share is not a group element *)
-  | Replayed_nonce  (** handshake nonce already seen by this plane *)
-  | Unknown_tenant of string
-  | Unknown_session of int
-  | Unsupported of string
-      (** the plane cannot carry this request: a ciphertext larger than a
-          ring slot, or an ECALL id that is not one of the tenant's
-          handlers (both at {!submit}), or a handler reply longer than a
-          ring slot (in the request's reply from {!flush}: the handler
-          ran, its reply is dropped, and the other slots of its ring are
-          served) *)
-  | Bad_auth
-      (** a channel frame whose tag does not verify under the nonce and
-          AAD derived from its header — the enclave's verdict, in the
-          request's reply from {!flush} — or a frame shorter than a tag,
-          at {!submit} *)
-  | Bad_sequence of { expected : int; got : int }
-      (** an authentic request whose sequence number [got] the session's
-          replay window has already seen or has left behind; [expected]
-          is the window top, one past the highest number the enclave has
-          verified.  The window is [max 1024 max_queue] numbers wide (rounded
-          up to a multiple of 8), so
-          a session's requests may run in any order within one flush.
-          Only in a reply from {!flush} *)
-  | Backpressure of { tenant : string; queued : int; limit : int }
-  | Quota_exhausted of { tenant : string; spent : int; quota : int }
-  | Session_fault of string
-      (** a permanent fault surfaced as a typed session error *)
-  | Bad_ticket of string
-      (** a resumption ticket that failed authentication under the
-          plane's ticket key and ticket AAD (damaged, truncated, sealed
-          elsewhere or for another purpose), or whose authentic payload
-          is malformed *)
-  | Ticket_expired  (** a well-formed ticket past its TTL *)
-  | Session_migrated of { to_node : int }
-      (** the session moved to another node after cutover — re-resolve
-          and resubmit there *)
-  | Tenant_migrated of { tenant : string; to_node : int }
-      (** the tenant no longer lives here; handshakes and resumes must
-          go to [to_node] *)
-  | Tenant_busy of { tenant : string; staged : int }
-      (** export/retire refused: admitted requests are still staged —
-          flush first *)
-  | Import_conflict of string
-      (** a migration blob that cannot install: malformed bytes, identity
-          mismatch, live session-id collision, or state exceeding the
-          stride *)
+include module type of struct
+  include Msg
+end
 
 val reject_name : reject -> string
 (** Short stable label, also the telemetry suffix ([serve.reject.<name>]). *)
@@ -204,10 +90,9 @@ val slot_bytes : int
 
 (** {1 Node identity}
 
-    Every plane speaks as one addressable node of a fleet.  The identity
-    is explicit — callers thread it rather than the plane silently
-    reading it off the platform — so each quote-verification decision in
-    the system names its trust anchor. *)
+    Every plane speaks as one addressable node of a fleet.  Callers
+    thread the identity explicitly, so each quote-verification decision
+    names its trust anchor. *)
 
 type identity = {
   node_id : int;  (** fleet-unique address; 0 for the single-node case *)
@@ -228,31 +113,26 @@ end
 type t
 
 val create_node : platform:Platform.t -> Node_config.t -> t
-(** Build a serving plane that answers as [identity.node_id].  Session
-    ids are node-prefixed so they stay distinct across a fleet and a
-    migrated session keeps its id on the destination.
+(** Build a serving plane that answers as [identity.node_id], with its
+    channel store ({!Channel.create}).  Session ids are node-prefixed, so
+    a migrated session keeps its id on the destination.
     @raise Invalid_argument on invalid configuration, or when the
-    identity's hapk is not this platform's monitor key — a plane must
-    not advertise an identity its own monitor cannot back. *)
+    identity's hapk is not this platform's monitor key. *)
 
 val identity : t -> identity
 
 val node_quote : t -> report_data:bytes -> Monitor.quote
 (** A quote from the plane's quoting enclave, signed by this node's
-    monitor — the node's own attestation voice, used by the migration
-    protocol to prove a destination before sealed state is shipped.
-    The challenger's freshness goes in [report_data]; the TPM quote
-    inside is the one the node's monitor took at boot. *)
+    monitor: what a migration peer verifies before shipping sealed
+    state.  The challenger's freshness goes in [report_data]. *)
 
 val add_tenant : t -> name:string -> Backend.config -> Backend.t
-(** Build the tenant's backend on the plane's platform ({!Backend.create}
-    with the plane's reserved session-state ECALLs appended) and register
-    it.  The returned backend is the tenant's own handle — for loading
-    data and direct calls; the plane owns its teardown.  Clients may
-    address only the config's own [handlers] ({!submit}).
+(** Build the tenant's backend ({!Backend.create} with the plane's
+    reserved session-state ECALLs appended) and register it.  The handle
+    is for loading data and direct calls; the plane owns its teardown.
+    Clients may address only the config's own [handlers] ({!submit}).
     @raise Invalid_argument, registering nothing, when [kind] is not
-    [Hyperenclave _] (the native and SGX-model baselines cannot quote
-    themselves or ring), on a duplicate name, or on a handler colliding
+    [Hyperenclave _], on a duplicate name, or on a handler colliding
     with a reserved ECALL id. *)
 
 val state_ecall : int
@@ -263,86 +143,44 @@ val quoting_identity : t -> bytes
     {!node_quote} (created on first use) — what a migration peer pins as
     this node's anchor.  Tenant handshakes never use it. *)
 
-(** {1 Wire messages} *)
-
-type hello = { nonce : bytes; client_kx : Kx.public }
-
-type accept = {
-  session_id : int;
-  node_id : int;
-      (** which fleet node accepted — clients route follow-ups there *)
-  server_kx : Kx.public;
-  quote_wire : bytes;  (** untrusted bytes until the client verifies *)
-  tenant_identity : bytes;
-      (** the tenant MRENCLAVE bound into the transcript; the client
-          refuses it unless it equals the quote's MRENCLAVE *)
-}
-
-type request = {
-  session_id : int;
-  seq : int;
-  ecall_id : int;
-  frame : bytes;  (** ciphertext, then its 32-byte tag *)
-}
-
-type reply = {
-  r_session_id : int;
-  r_seq : int;
-  r_result : (bytes, reject) result;
-      (** the reply frame, copied out of its ring slot once, or the typed
-          server-side failure *)
-}
-
 (** {1 Server operations} *)
 
 val handshake : t -> tenant:string -> hello -> (accept, reject) result
-(** Burn the hello's nonce ({!Replayed_nonce} if seen), have the tenant
-    enclave quote the transcript (a fresh EREPORT and ems over it,
-    paired with the platform quote from boot: no TPM command), derive
-    the session key and open a session.  Counters: [serve.handshake] /
-    [serve.handshake_rejected]. *)
+(** Burn the hello's nonce ({!Replayed_nonce} if seen), then
+    {!Channel.handshake}: a fresh EREPORT and ems over the transcript,
+    paired with the platform quote from boot (no TPM command).
+    Counters: [serve.handshake] / [serve.handshake_rejected]. *)
 
 val submit : t -> request -> (unit, reject) result
 (** Admit one request, in this order: a live session; a frame at least
     a tag long ({!Bad_auth}) whose ciphertext fits {!slot_bytes}
     ({!Unsupported}); the ["serve.session"] fault site; the ECALL check
     ({!Unsupported} unless [ecall_id] is one of the tenant's handlers,
-    never a reserved id, 0x5e55-0x5e57); the per-tenant queue bound and the
-    per-tenant cycle quota.  Admission uses no key, no MAC and no
-    sequence number and charges no cycles for crypto, so a forged,
-    tampered, replayed or misaddressed frame is admitted here and
-    refused by the enclave in its {!flush} reply; a rejection here
-    leaves no trace in the session. *)
+    never a reserved id); the per-tenant queue bound and cycle quota.
+    Admission uses no key and no sequence number, so a forged, tampered,
+    replayed or misaddressed frame is admitted here and refused by the
+    enclave in its {!flush} reply; a rejection here leaves no trace in
+    the session. *)
 
 val flush : t -> reply list
-(** Drain every admitted request: copy each whole frame, ciphertext and
-    tag, into a slot of a per-shard marshalling-buffer ring (one shard
-    per scheduler core) and dispatch the rings switchlessly through the
-    scheduler.  The block rotor picks each run of requests' shard, and
-    shard [k]'s ring is owned by core [k mod cores]: the owner publishes
-    the ring, serves its slots from the head and reads its reply image
-    back ({!Hyperenclave_sdk.Urts.ring_dispatch}), so no marshalling
-    leg runs on the plane's clock, and a core with no slot of its own
-    left joins the ring and serves slots from the tail
-    ({!Hyperenclave_sched.Sched.submit_ring}).  On the cores that serve
-    a ring's slots, its in-enclave workers copy each slot's ciphertext
-    and tag into private buffers, derive the nonce and AAD from the
-    slot's claims (its id word, and the session id and sequence number
-    of the request staged there), authenticate and decrypt, admit the
-    number into the session's replay window, run the handler, and seal
-    the reply into the reply slot as a frame under the verified claims
-    ({!Hyperenclave_sdk.Urts.channel}); the plane then copies each reply
-    frame out once.  So the shared segments carry no plaintext, and the
-    channel crypto runs on the cores' clocks, not the plane's.  A slot
-    that fails either check runs no handler: its reply is {!Bad_auth}
-    or {!Bad_sequence}, and the ring's other slots are served.  A ring
-    whose dispatch fails answers every request it carried with a typed
-    {!Session_fault}.  [config.sched.batch] sets how many sealed replies
-    share one AEAD setup charge, counted across the flush.  Tenant
-    quotas are charged from the dispatch cycles, which include the
-    channel crypto and the ring's marshalling legs.  Replies come in tenant insertion order, then
-    session id, then admission order (sequence order, for an honest
-    client).  Each flush adds one entry to the {!ledger}.
+(** Drain every admitted request: copy each whole frame into a slot of a
+    per-shard marshalling-buffer ring (one shard per scheduler core) and
+    dispatch the rings switchlessly through the scheduler.  The block
+    rotor picks each run of requests' shard, and shard [k]'s ring is
+    owned by core [k mod cores]: the owner publishes the ring, serves
+    its slots from the head and reads its reply image back
+    ({!Hyperenclave_sdk.Urts.ring_dispatch}), and a core with no slot of
+    its own left joins the ring and serves slots from the tail
+    ({!Hyperenclave_sched.Sched.submit_ring}).  Inside the enclave each
+    slot is opened, checked for freshness and sealed back by
+    {!Channel.ring}, on the clock of the core that serves it, so the
+    shared segments carry no plaintext; a slot that fails a check runs
+    no handler and its reply is {!Bad_auth} or {!Bad_sequence}, and a
+    ring whose dispatch fails answers every request it carried with a
+    typed {!Session_fault}.  Tenant quotas are charged from the dispatch
+    cycles.  Replies come in tenant insertion order, then session id,
+    then admission order, each frame copied out of its slot once.  Each
+    flush adds one entry to the {!ledger}.
 
     An exception that escapes — a handler raising something the
     scheduler does not turn into a typed failure, or a monitor
@@ -405,15 +243,13 @@ val resume_session_ids : t -> next:int -> unit
     session may live on another node. *)
 
 val sched_stats : t -> Hyperenclave_sched.Sched.stats
-(** Cumulative scheduler statistics across every {!flush} so far — a
-    read-only snapshot ({!Hyperenclave_sched.Sched.stats}); it never
-    runs the scheduler. *)
+(** Cumulative scheduler statistics across every {!flush} so far, a
+    read-only snapshot ({!Hyperenclave_sched.Sched.stats}). *)
 
 val close_session : t -> session:int -> (unit, reject) result
-(** Retire a session: drop anything still queued (the tenant's queue
-    count shrinks accordingly), recycle its state slot for the next
-    session on the same tenant, and forget the channel key.  Counter:
-    [serve.session_close]. *)
+(** Retire a session: drop anything still queued, recycle its state
+    slot for the tenant's next session, and have the channel store forget
+    its key.  Counter: [serve.session_close]. *)
 
 val destroy : t -> unit
 (** Tear down the plane: the quoting enclave, then every tenant backend
@@ -428,40 +264,30 @@ val destroy : t -> unit
     they carry {e plaintext} session state — channel keys, replay
     window tops and EDMM page contents — so the cluster layer seals them
     under a transport key derived from an attested exchange with the
-    destination before they cross the simulated network; nothing here
-    should touch a wire unsealed. *)
+    destination before they cross the simulated network. *)
 
 val export_tenant : t -> tenant:string -> (bytes, reject) result
-(** Pack a tenant for migration: its enclave identity (MRENCLAVE), its
-    live sessions in ascending id order — each with its node-prefixed
-    id, channel key, replay window top, committed page count and those
-    pages' bytes, read out through the enclave — and the replay-cache
-    entries burnt for this tenant, in FIFO order: its handshakes' nonces,
-    its resumptions' once the ticket opened, and those an earlier import
-    brought in.  Other tenants' entries stay: each travels with its own
-    tenant, and a nonce replayed at another tenant gets a quote binding
-    that tenant's MRENCLAVE.  A resumption nonce whose ticket never
-    opened stays too: a ticket opens only on the plane that sealed it.
-    Refuses with {!Tenant_busy} while
-    admitted requests are still staged (flush first) and
-    {!Tenant_migrated} after cutover.  Does not mutate the plane —
-    cutover is {!retire_tenant}. *)
+(** Pack a tenant for migration: its MRENCLAVE, its live sessions in
+    ascending id order — each with its id, its channel record
+    ({!Channel.export}), its committed page count and those pages'
+    bytes, read out through the enclave — and the replay-cache entries
+    burnt for this tenant, in FIFO order.  Other tenants' entries stay,
+    and so does a resumption nonce whose ticket never opened: a ticket
+    opens only on the plane that sealed it.  Refuses with
+    {!Tenant_busy} while admitted requests are still staged and
+    {!Tenant_migrated} after cutover.  Does not mutate the plane. *)
 
 val import_tenant : t -> bytes -> (int, reject) result
-(** Install a blob from {!export_tenant} on this node: the tenant must
-    already be registered ({!add_tenant} with the same backend config),
-    measure identically to the blob's identity, and have no live
-    session-id collisions.  Sessions reopen with their original ids,
-    keys and window tops, every number below a top counted as seen (a
-    number never used before the move cannot be replayed after it), so
-    clients notice nothing; EDMM pages
-    are re-committed and replayed through the enclave; the carried
-    nonces are burnt here for the tenant, so a nonce burnt for it before
-    the move stays burnt.  A
-    malformed blob, an identity mismatch, a collision or a session
-    larger than {!state_stride_pages} is {!Import_conflict}; a
-    mid-install failure rolls back cleanly.  Never raises on malformed
-    bytes.  Returns the number of sessions installed. *)
+(** Install a blob from {!export_tenant}: the tenant must already be
+    registered here and measure identically to the blob's identity.
+    Sessions reopen with their original ids, keys and window tops, so
+    clients notice nothing; EDMM pages are re-committed and replayed
+    through the enclave; the carried nonces are burnt here for the
+    tenant.  A malformed blob, an identity mismatch, a live session-id
+    collision or a session larger than {!state_stride_pages} is
+    {!Import_conflict}, and a mid-install failure rolls back; it never
+    raises on malformed bytes.  Returns the number of sessions
+    installed. *)
 
 val retire_tenant : t -> tenant:string -> to_node:int -> (int, reject) result
 (** Cutover: stop answering for the tenant and forward stragglers.
@@ -473,31 +299,17 @@ val retire_tenant : t -> tenant:string -> to_node:int -> (int, reject) result
 
 (** {1 Session resumption}
 
-    A live session can be converted into a {e ticket}: the channel key
-    and tenant identity sealed under a plane-local key with a TTL.  A
-    returning client presents the ticket with a fresh nonce and gets a
-    new session for one AEAD unseal — skipping the quote generation and
-    verification of the full SIGMA handshake (an order of magnitude
-    cheaper).  Both sides derive the new channel key from the ticketed
-    key and the nonce ({!Hyperenclave_attestation.Sigma.key}), so the
-    ticketed key itself never carries traffic, and the plane burns
-    resumption nonces in the same bounded replay cache as handshake
-    nonces. *)
+    Tickets are sealed and opened by the channel store ({!Channel}); the
+    plane burns resumption nonces in the same bounded replay cache as
+    handshake nonces. *)
 
 val issue_ticket : t -> session:int -> (bytes, reject) result
-(** Seal [(tenant, session key, expiry)] under the plane's prepared
-    ticket key: one {!Hyperenclave_crypto.Authenc.seal} blob, the payload
-    plus {!Hyperenclave_crypto.Authenc.overhead} bytes, opaque to the
-    client.  Charges one AEAD setup plus the payload's bytes.  Counter:
-    [serve.ticket_issued]. *)
-
-type resume = { r_ticket : bytes; r_nonce : bytes }
+(** {!Channel.issue} with an expiry [ticket_ttl] cycles from now.
+    Counter: [serve.ticket_issued]. *)
 
 val resume : t -> resume -> (int, reject) result
 (** Open a new session from a ticket: replay check on the nonce, ticket
-    unseal under the ticket AAD the plane derives (charged like the
-    seal, on the ticket's length minus the overhead) + payload decode,
-    TTL check, tenant lookup, fresh key derivation.
+    unseal ({!Channel.redeem}), TTL check, tenant lookup, resumed key.
     Typed failures: {!Replayed_nonce}, {!Bad_ticket}, {!Ticket_expired},
     {!Unknown_tenant}.  Counters: [serve.resume], [serve.session_open]. *)
 
@@ -506,67 +318,9 @@ val resume : t -> resume -> (int, reject) result
 module Client : sig
   type plane := t
 
-  type t
-
-  val create :
-    rng:Rng.t ->
-    golden:Verifier.golden ->
-    policy:Verifier.policy ->
-    ?expected_tenant:bytes ->
-    ?expected_hapk:Signature.public_key ->
-    unit ->
-    t
-  (** A relying party: golden boot measurements, enclave policy, and
-      optionally the tenant identity to pin ([expected_tenant]).  With
-      or without a pin, the transcript's claimed identity must be the
-      quoted enclave's MRENCLAVE.  [expected_hapk] pins the {e node}: in
-      a fleet every monitor boots the same golden measurements, so a
-      client that knows which node it addressed pins that node's monitor
-      key and gets {!Handshake_failed} ({!Verifier.Hapk_mismatch}) from
-      any sibling. *)
-
-  val hello : t -> hello
-  (** Fresh nonce + ephemeral share.  One client drives one session;
-      calling it again restarts with fresh material. *)
-
-  val establish : t -> accept -> (unit, reject) result
-  (** Decode + verify the quote with the transcript as the expected
-      [report_data] ({!Hyperenclave_attestation.Sigma.check}: a wire
-      that does not decode is {!Bad_wire}; a quote that answers another
-      transcript — a replayed accept, a spliced key share — is
-      {!Channel_binding_mismatch}; any other verifier failure is
-      {!Handshake_failed}), check the claimed tenant identity against
-      the quote and the pin ({!Handshake_failed} with a policy
-      violation), agree on the server's share ({!Unknown_key_share} if
-      it is no group element), derive the session key and prepare it
-      ({!Authenc.prepare}): the HKDF split, AES key schedule and HMAC
-      pad midstates are paid here, once per session. *)
-
-  val resume_hello : t -> ticket:bytes -> resume
-  (** Start a resumption from the current session's key and a ticket
-      previously issued for it: fresh nonce, sequence reset.  The old
-      session becomes unusable on this client.
-      @raise Invalid_argument without an established session. *)
-
-  val complete_resume : t -> session_id:int -> unit
-  (** Accept the plane's {!val-resume} result: derive and prepare the
-      resumed channel key and switch to the new session.
-      @raise Invalid_argument without a {!resume_hello} in flight. *)
-
-  val session_id : t -> int
-  (** @raise Invalid_argument before a session is established. *)
-
-  val request : t -> ecall:int -> bytes -> request
-  (** Seal the payload into a frame under the session's prepared keys,
-      with the next sequence number and the nonce and AAD that header
-      derives: one CTR pass and one MAC, no key setup. *)
-
-  val read_reply : t -> reply -> (bytes, reject) result
-  (** Unseal a copy of a reply frame's ciphertext in place under the
-      session's prepared keys and the nonce and AAD derived from the
-      reply's session id and sequence number (or surface its typed
-      server-side failure).  A tag that fails, or a frame shorter than a
-      tag, is {!Bad_auth}; it never raises on a malformed frame. *)
+  include module type of struct
+    include Client
+  end
 
   val roundtrip :
     plane -> t -> (int * bytes) list -> (bytes, reject) result list
