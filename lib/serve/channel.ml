@@ -8,8 +8,6 @@ module Fault = Hyperenclave_fault.Fault
 (* ---------------------------------------------------------------------- *)
 (* Keys and frames                                                        *)
 
-(* The exchange's labels ({!Sigma}): the transcript's, a handshake's
-   key's and a resumed session's key's. *)
 let sigma_label = "hyperenclave-serve-sigma:"
 let key_label = "hyperenclave-serve-key:"
 let resume_label = "hyperenclave-serve-resume:"

@@ -53,7 +53,10 @@ type key
     schedule, HMAC pads). *)
 
 val agree : Kx.secret -> Kx.public -> nonce:bytes -> (key, Sigma.failure) result
+(** A handshake's session key, on either end. *)
+
 val resumed : key -> nonce:bytes -> key
+(** The key of a session resumed with [nonce] from a ticket for [key]. *)
 
 type scratch  (** one end's nonce, AAD and tag scratch *)
 

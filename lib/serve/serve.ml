@@ -275,17 +275,20 @@ let create_node ~platform (nc : Node_config.t) =
   let config =
     { config with sched = { config.sched with Sched.drop_on_error = true } }
   in
-  List.iter
-    (fun (bad, what) -> if bad then invalid_arg ("Serve.create_node: " ^ what))
-    [
-      (config.max_queue <= 0, "max_queue must be positive");
-      ( Option.fold ~none:false ~some:(fun q -> q <= 0) config.cycle_quota,
-        "cycle_quota must be positive" );
-      (config.nonce_cache <= 0, "nonce_cache must be positive");
-      (config.ticket_ttl <= 0, "ticket_ttl must be positive");
-      ( config.sched.Sched.batch <= 0 || config.sched.Sched.batch > max_batch,
-        Printf.sprintf "sched.batch must be in [1, %d]" max_batch );
-    ];
+  if config.max_queue <= 0 then
+    invalid_arg "Serve.create_node: max_queue must be positive";
+  (match config.cycle_quota with
+  | Some q when q <= 0 ->
+      invalid_arg "Serve.create_node: cycle_quota must be positive"
+  | _ -> ());
+  if config.nonce_cache <= 0 then
+    invalid_arg "Serve.create_node: nonce_cache must be positive";
+  if config.ticket_ttl <= 0 then
+    invalid_arg "Serve.create_node: ticket_ttl must be positive";
+  if config.sched.Sched.batch <= 0 || config.sched.Sched.batch > max_batch then
+    invalid_arg
+      (Printf.sprintf "Serve.create_node: sched.batch must be in [1, %d]"
+         max_batch);
   let identity = nc.Node_config.identity in
   (* The identity must speak for THIS platform's monitor: a plane that
      advertised another node's hapk would hand out quotes its own
@@ -534,7 +537,7 @@ let commit_pages tn ~slot ~pages =
     (state_call tn ~id:state_ecall (u64s [ slot_offset slot; pages ]))
 
 (* State slots are recycled through the tenant's free list before the
-   stride arena grows. *)
+   stride arena grows, so open/close churn does not leak them. *)
 let alloc_slot (tn : tenant) =
   match tn.free_slots with
   | slot :: rest ->
@@ -1073,7 +1076,8 @@ let decode_blob b =
   | exception Malformed what -> Error ("malformed migration blob: " ^ what)
 
 (* Pull a session's committed EDMM pages into [dst] from [off] through
-   the enclave's state-read ECALL, one page per protected call. *)
+   the enclave's state-read ECALL, one page per protected call — the
+   simulation analogue of EWB-style eviction into the migration blob. *)
 let read_state (s : session) dst ~off =
   let base = slot_offset s.state_slot in
   let rec go pg =

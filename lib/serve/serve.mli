@@ -151,6 +151,17 @@ val handshake : t -> tenant:string -> hello -> (accept, reject) result
     paired with the platform quote from boot (no TPM command).
     Counters: [serve.handshake] / [serve.handshake_rejected]. *)
 
+val issue_ticket : t -> session:int -> (bytes, reject) result
+(** A resumption ticket ({!Channel.issue}) expiring [ticket_ttl] cycles
+    from now.  Counter: [serve.ticket_issued]. *)
+
+val resume : t -> resume -> (int, reject) result
+(** Open a new session from a ticket: burn the nonce in the handshake
+    replay cache, open the ticket ({!Channel.redeem}), check its TTL and
+    tenant.  Typed failures: {!Replayed_nonce}, {!Bad_ticket},
+    {!Ticket_expired}, {!Unknown_tenant}.  Counters: [serve.resume],
+    [serve.session_open]. *)
+
 val submit : t -> request -> (unit, reject) result
 (** Admit one request, in this order: a live session; a frame at least
     a tag long ({!Bad_auth}) whose ciphertext fits {!slot_bytes}
@@ -297,21 +308,6 @@ val retire_tenant : t -> tenant:string -> to_node:int -> (int, reject) result
     sessions retired.  An {!import_tenant} of the same tenant back onto
     this node (migrate-back) clears the forwards. *)
 
-(** {1 Session resumption}
-
-    Tickets are sealed and opened by the channel store ({!Channel}); the
-    plane burns resumption nonces in the same bounded replay cache as
-    handshake nonces. *)
-
-val issue_ticket : t -> session:int -> (bytes, reject) result
-(** {!Channel.issue} with an expiry [ticket_ttl] cycles from now.
-    Counter: [serve.ticket_issued]. *)
-
-val resume : t -> resume -> (int, reject) result
-(** Open a new session from a ticket: replay check on the nonce, ticket
-    unseal ({!Channel.redeem}), TTL check, tenant lookup, resumed key.
-    Typed failures: {!Replayed_nonce}, {!Bad_ticket}, {!Ticket_expired},
-    {!Unknown_tenant}.  Counters: [serve.resume], [serve.session_open]. *)
 
 (** {1 Client} *)
 

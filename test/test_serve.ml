@@ -1584,8 +1584,8 @@ let test_ticket_kat () =
 
 let test_malformed_blob_refused () =
   (* Every structural fault is a typed Import_conflict that installs
-     nothing: each strict prefix, one trailing byte, and a session count
-     of -1 or 2^40.  The intact blob then installs on the same
+     nothing: each strict prefix, one trailing byte, a session count of
+     -1 or 2^40, and a key field of the wrong length.  The intact blob then installs on the same
      destination, so the refusals come from the bytes alone. *)
   let blob = exported_blob () in
   let p = Platform.create ~seed:7063L () in
@@ -1618,6 +1618,18 @@ let test_malformed_blob_refused () =
       Bytes.set_int64_le b count_off count;
       expect_conflict what b)
     [ ("session count -1", -1L); ("session count 2^40", Int64.shift_left 1L 40) ];
+  (* A well-framed session whose key field is 16 bytes long: no session
+     key has that length. *)
+  let key_off = count_off + 8 + 8 in
+  Alcotest.(check int) "key length word" 32
+    (Int64.to_int (Bytes.get_int64_le blob key_off));
+  let short =
+    Bytes.cat
+      (Bytes.sub blob 0 (key_off + 8 + 16))
+      (Bytes.sub blob (key_off + 40) (Bytes.length blob - key_off - 40))
+  in
+  Bytes.set_int64_le short key_off 16L;
+  expect_conflict "16-byte key" short;
   (match Serve.import_tenant plane blob with
   | Ok n -> Alcotest.(check int) "intact blob installs" 1 n
   | Error r -> Alcotest.failf "intact blob refused: %a" Serve.pp_reject r);
