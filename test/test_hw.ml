@@ -44,6 +44,43 @@ let test_rng_set_seed () =
   Rng.set_seed rng 3L;
   Alcotest.(check int64) "replay after set_seed" first (Rng.next_int64 rng)
 
+(* The splitmix64 reference outputs: every key share, nonce and secret
+   in the simulation comes from this stream, so its layout may change
+   but its values may not. *)
+let test_rng_known_answer () =
+  let first3 seed =
+    let rng = Rng.create ~seed in
+    List.init 3 (fun _ -> Rng.next_int64 rng)
+  in
+  Alcotest.(check (list int64))
+    "seed 0"
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ]
+    (first3 0L);
+  Alcotest.(check (list int64))
+    "seed 42"
+    [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L ]
+    (first3 42L);
+  (* A checkpoint taken mid-stream replays the rest of it. *)
+  let rng = Rng.create ~seed:42L in
+  ignore (Rng.next_int64 rng : int64);
+  let mark = Rng.state rng in
+  let ahead = List.init 2 (fun _ -> Rng.next_int64 rng) in
+  Rng.set_seed rng mark;
+  Alcotest.(check (list int64))
+    "state/set_seed replays" ahead
+    (List.init 2 (fun _ -> Rng.next_int64 rng));
+  (* A split child is a fresh generator seeded with the parent's next
+     output, and the parent moves past that output. *)
+  let parent = Rng.create ~seed:0L and twin = Rng.create ~seed:0L in
+  let child = Rng.split parent in
+  let seeded = Rng.create ~seed:(Rng.next_int64 twin) in
+  Alcotest.(check (list int64))
+    "split = create ~seed:next"
+    (List.init 3 (fun _ -> Rng.next_int64 seeded))
+    (List.init 3 (fun _ -> Rng.next_int64 child));
+  Alcotest.(check int64) "parent advanced" 0x6E789E6AA1B965F4L
+    (Rng.next_int64 parent)
+
 let test_rng_shuffle () =
   let rng = Rng.create ~seed:5L in
   let a = Array.init 50 (fun i -> i) in
@@ -563,6 +600,7 @@ let suite =
       Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
       Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
       Alcotest.test_case "rng set_seed" `Quick test_rng_set_seed;
+      Alcotest.test_case "rng stream known answer" `Quick test_rng_known_answer;
       Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle;
       Alcotest.test_case "addr arithmetic" `Quick test_addr;
       Alcotest.test_case "phys_mem" `Quick test_phys_mem;
