@@ -326,7 +326,9 @@ module Migrate = struct
     p_dst : int;
     p_nonce : bytes;
     p_kx : Kx.public;
+    p_iv : bytes;
     p_blob : bytes;
+    p_tag : bytes;
   }
 
   let offer t ~tenant ~src ~dst =
@@ -394,6 +396,11 @@ module Migrate = struct
       let aad =
         blob_aad ~tenant:o.o_tenant ~src:o.o_src ~dst:o.o_dst ~nonce:o.o_nonce
       in
+      (* The export is fresh and no one else holds it: it is encrypted
+         where it lies and travels as the package's ciphertext. *)
+      let p_iv = Rng.bytes t.c_rng 12 and p_tag = Bytes.create Authenc.tag_bytes in
+      Authenc.seal_in_place (Authenc.prepare key) ~aad ~nonce:p_iv blob
+        ~tag:p_tag;
       Ok
         {
           p_tenant = o.o_tenant;
@@ -401,9 +408,9 @@ module Migrate = struct
           p_dst = o.o_dst;
           p_nonce = o.o_nonce;
           p_kx;
-          p_blob =
-            Authenc.seal (Authenc.prepare key) ~aad
-              ~nonce:(Rng.bytes t.c_rng 12) blob;
+          p_iv;
+          p_blob = blob;
+          p_tag;
         }
 
   let install t (p : package) =
@@ -429,13 +436,18 @@ module Migrate = struct
             blob_aad ~tenant:p.p_tenant ~src:p.p_src ~dst:p.p_dst
               ~nonce:p.p_nonce
           in
-          match Authenc.unseal (Authenc.prepare key) ~aad p.p_blob with
+          (* The tag is checked before a byte is decrypted; the
+             plaintext then replaces the ciphertext in [p_blob]. *)
+          match
+            Authenc.unseal_in_place (Authenc.prepare key) ~aad ~nonce:p.p_iv
+              ~tag:p.p_tag p.p_blob ~off:0 ~len:(Bytes.length p.p_blob)
+          with
           | exception Authenc.Authentication_failure -> Error Transport_auth
-          | blob ->
+          | () ->
               let* () = ensure_tenant t dn p.p_tenant in
               Result.map_error
                 (fun r -> Reject r)
-                (Serve.import_tenant (Node.plane dn) blob))
+                (Serve.import_tenant (Node.plane dn) p.p_blob))
 end
 
 (* Rough wire sizes: enough for the network cost model, not a codec. *)
@@ -450,7 +462,9 @@ let package_bytes (p : Migrate.package) =
   String.length p.Migrate.p_tenant
   + Bytes.length p.Migrate.p_nonce
   + Bytes.length p.Migrate.p_kx
+  + Bytes.length p.Migrate.p_iv
   + Bytes.length p.Migrate.p_blob
+  + Bytes.length p.Migrate.p_tag
   + 24
 
 let migrate t ~tenant ~dst =

@@ -188,11 +188,14 @@ module Migrate : sig
     p_dst : int;
     p_nonce : bytes;  (** echo of the offer nonce *)
     p_kx : Kx.public;  (** the source's ephemeral share *)
+    p_iv : bytes;  (** the 12-byte AEAD nonce *)
     p_blob : bytes;
-        (** the export blob as one {!Hyperenclave_crypto.Authenc.seal}
-            blob (plaintext plus
-            {!Hyperenclave_crypto.Authenc.overhead} bytes) — opaque,
-            tamper-evident; its AAD is not carried *)
+        (** the export blob, encrypted in place
+            ({!Hyperenclave_crypto.Authenc.seal_in_place}): as long as
+            its plaintext, opaque; its AAD is not carried *)
+    p_tag : bytes;
+        (** [p_blob]'s 32-byte tag.  [p_iv ‖ p_blob ‖ p_tag] are the
+            bytes of one {!Hyperenclave_crypto.Authenc.seal} blob. *)
   }
 
   val offer : t -> tenant:string -> src:int -> dst:int -> (offer, error) result
@@ -213,11 +216,17 @@ module Migrate : sig
 
   val install : t -> package -> (int, error) result
   (** Runs on [p_dst]: burn the pending offer, agree on the package's
-      share ({!Binding_mismatch} if it is no group element), unseal
-      under the AAD derived from the package's tenant, route and nonce,
-      and hand the bytes to {!Hyperenclave_serve.Serve.import_tenant} to
-      rebuild the tenant and its sessions.  Returns sessions
-      installed. *)
+      share ({!Binding_mismatch} if it is no group element), check
+      [p_tag] under the AAD derived from the package's tenant, route and
+      nonce ({!Transport_auth}, with [p_blob] untouched, if it fails),
+      decrypt [p_blob] in place and hand it to
+      {!Hyperenclave_serve.Serve.import_tenant} to rebuild the tenant and
+      its sessions.  Returns sessions installed.
+
+      Install consumes the package: once the tag verifies, [p_blob]
+      holds the plaintext, so keep a copy of the bytes to replay or
+      inspect them (a replay is {!Unknown_offer} before any byte is
+      read). *)
 end
 
 val migrate : t -> tenant:string -> dst:int -> (int, error) result

@@ -52,6 +52,16 @@ let seal_into keys ~aad ~nonce ~src ~src_off ~dst ~dst_off ~len =
   tag_into keys ~nonce ~aad ~ct:dst ~ct_off:dst_off ~ct_len:len ~dst
     ~dst_off:(dst_off + len)
 
+let seal_in_place keys ~aad ~nonce buf ~tag =
+  if Bytes.length nonce <> 12 then
+    invalid_arg "Authenc.seal_in_place: nonce must be 12 bytes";
+  if Bytes.length tag <> tag_bytes then
+    invalid_arg "Authenc.seal_in_place: tag must be 32 bytes";
+  let len = Bytes.length buf in
+  Aes.ctr_into ~key:keys.enc ~nonce ~src:buf ~src_off:0 ~dst:buf ~dst_off:0
+    ~len;
+  tag_into keys ~nonce ~aad ~ct:buf ~ct_off:0 ~ct_len:len ~dst:tag ~dst_off:0
+
 let unseal_in_place keys ~aad ~nonce ~tag buf ~off ~len =
   tag_into keys ~nonce ~aad ~ct:buf ~ct_off:off ~ct_len:len ~dst:keys.tag
     ~dst_off:0;

@@ -50,6 +50,16 @@ val seal_into :
     @raise Invalid_argument on bad slices, a [dst] without room for the
     tag, or a nonce that is not 12 bytes. *)
 
+val tag_bytes : int
+(** 32: an HMAC-SHA256 tag. *)
+
+val seal_in_place : keys -> aad:bytes -> nonce:bytes -> bytes -> tag:bytes -> unit
+(** [seal_in_place keys ~aad ~nonce buf ~tag] encrypts the whole of
+    [buf] in place and writes its 32-byte tag into [tag]: the detached
+    mirror of {!unseal_in_place}, for a payload too large to copy into a
+    frame (a migration's export blob).  Nothing is allocated.
+    @raise Invalid_argument if [nonce] is not 12 bytes or [tag] not 32. *)
+
 val unseal_in_place :
   keys -> aad:bytes -> nonce:bytes -> tag:bytes -> bytes -> off:int -> len:int -> unit
 (** Authenticate then decrypt [buf[off, off+len)] in place: the one way
@@ -60,10 +70,11 @@ val unseal_in_place :
 
 (** {2 One-shot blobs}
 
-    TPM-sealed keys, EPC swap pages, enclave-sealed data, session
-    tickets and migration packages are each one blob,
-    [nonce (12) ‖ ciphertext ‖ tag (32)]: a frame with its nonce in
-    front.  The AAD is never stored: the opener derives it from what it
+    TPM-sealed keys, EPC swap pages, enclave-sealed data and session
+    tickets are each one blob, [nonce (12) ‖ ciphertext ‖ tag (32)]: a
+    frame with its nonce in front.  A migration package carries the same
+    three parts as separate fields ({!seal_in_place}), so its blob is
+    never copied.  The AAD is never stored: the opener derives it from what it
     already knows (a PCR policy, a page's identity and version, a
     ticket domain, a migration route), so a blob opened under any other
     context fails its tag. *)

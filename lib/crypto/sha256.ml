@@ -17,7 +17,7 @@ let k =
 
 type ctx = {
   h : int array; (* 8 state words *)
-  w : int array; (* 64-word message schedule, reused across blocks *)
+  w : int array; (* 16-word rolling message schedule, reused across blocks *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int; (* total bytes absorbed *)
@@ -34,7 +34,7 @@ let init () =
         0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
         0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
       |];
-    w = Array.make 64 0;
+    w = Array.make 16 0;
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
@@ -43,20 +43,11 @@ let init () =
 
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
+(* The message schedule rolls through 16 words: round [i] reads word
+   [i land 15], which for [i >= 16] is computed in place from the four
+   words it depends on, all still in the window. *)
 let compress ctx block off =
   let w = ctx.w in
-  for i = 0 to 15 do
-    (* One 32-bit big-endian load per word instead of four byte reads. *)
-    w.(i) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask
-  done;
-  for i = 16 to 63 do
-    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
-    Array.unsafe_set w i
-      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
-      land mask)
-  done;
   let a = ref ctx.h.(0)
   and b = ref ctx.h.(1)
   and c = ref ctx.h.(2)
@@ -66,22 +57,45 @@ let compress ctx block off =
   and g = ref ctx.h.(6)
   and hh = ref ctx.h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let temp1 =
-      (!hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get ctx.w i)
-      land mask
+    let wi =
+      if i < 16 then begin
+        (* One 32-bit big-endian load per word instead of four byte reads. *)
+        let x =
+          Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask
+        in
+        Array.unsafe_set w i x;
+        x
+      end
+      else begin
+        let w15 = Array.unsafe_get w ((i - 15) land 15)
+        and w2 = Array.unsafe_get w ((i - 2) land 15) in
+        let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
+        let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+        let x =
+          (Array.unsafe_get w (i land 15)
+          + s0
+          + Array.unsafe_get w ((i - 7) land 15)
+          + s1)
+          land mask
+        in
+        Array.unsafe_set w (i land 15) x;
+        x
+      end
     in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
+    let e0 = !e and a0 = !a in
+    let s1 = rotr e0 6 lxor rotr e0 11 lxor rotr e0 25 in
+    let ch = e0 land !f lxor (lnot e0 land !g) in
+    let temp1 = (!hh + s1 + ch + Array.unsafe_get k i + wi) land mask in
+    let s0 = rotr a0 2 lxor rotr a0 13 lxor rotr a0 22 in
+    let maj = a0 land !b lxor (a0 land !c) lxor (!b land !c) in
     let temp2 = (s0 + maj) land mask in
     hh := !g;
     g := !f;
-    f := !e;
+    f := e0;
     e := (!d + temp1) land mask;
     d := !c;
     c := !b;
-    b := !a;
+    b := a0;
     a := (temp1 + temp2) land mask
   done;
   ctx.h.(0) <- (ctx.h.(0) + !a) land mask;
@@ -129,7 +143,7 @@ let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
 let copy ctx =
   {
     h = Array.copy ctx.h;
-    w = Array.make 64 0;
+    w = Array.make 16 0;
     buf = Bytes.copy ctx.buf;
     buf_len = ctx.buf_len;
     total = ctx.total;

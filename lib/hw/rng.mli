@@ -2,7 +2,11 @@
 
     Used for everything that needs randomness in the simulation — TPM RNG,
     key generation, workload distributions, cache-jitter — so that every
-    run of the test suite and benchmark harness is reproducible. *)
+    run of the test suite and benchmark harness is reproducible.
+
+    The stream is the splitmix64 reference stream (test_hw pins its first
+    outputs).  Its state is kept unboxed, so {!int}, {!bool} and
+    {!shuffle} allocate nothing and {!bytes} only its result. *)
 
 type t
 
@@ -18,7 +22,8 @@ val state : t -> int64
     Lets lib/mc checkpoint and rewind the generator during DFS. *)
 
 val split : t -> t
-(** [split t] derives an independent generator from [t], advancing [t]. *)
+(** [split t] derives an independent generator from [t], advancing [t]:
+    it is [create ~seed:(next_int64 t)]. *)
 
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
@@ -32,7 +37,8 @@ val float : t -> float -> float
 val bool : t -> bool
 
 val bytes : t -> int -> bytes
-(** [bytes t n] is [n] pseudo-random bytes. *)
+(** [bytes t n] is [n] pseudo-random bytes, one draw each: byte [i] is
+    what the [i]th [int t 256] would return. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

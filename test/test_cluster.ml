@@ -316,7 +316,8 @@ let test_one_tpm_quote_per_boot () =
    byte for byte: the quote's report answers the offer transcript, and
    the blob is sealed under the transport key both nodes derive, so
    nodes of different builds keep migrating to each other across a
-   rolling upgrade.  The pinned package then installs. *)
+   rolling upgrade.  Nonce, ciphertext and tag are pinned as the one
+   [Authenc.seal] blob they spell.  The pinned package then installs. *)
 let test_migration_transport_kat () =
   let cl, src = build () in
   let dst = other cl src in
@@ -330,9 +331,10 @@ let test_migration_transport_kat () =
   pinned "offer quote" ~len:928
     ~sha:"3c370bfc7d52a2dfd3027bb11c50926e2a71c5db80e2355ef0b8c7d031379085"
     o.Cluster.Migrate.o_quote;
-  pinned "package blob" ~len:119
+  pinned "package iv ‖ blob ‖ tag" ~len:119
     ~sha:"69e4a6c4eed02242eb65477a02397d58ce06efbb13712d13a563c9bd8ada36fe"
-    p.Cluster.Migrate.p_blob;
+    (Bytes.concat Bytes.empty
+       Cluster.Migrate.[ p.p_iv; p.p_blob; p.p_tag ]);
   (match Cluster.Migrate.install cl p with
   | Ok n -> Alcotest.(check int) "no session to install" 0 n
   | Error e -> Alcotest.failf "install failed: %a" Cluster.pp_error e);
@@ -1074,16 +1076,18 @@ let burn_nonces cl ~node ~from n =
 
 (* A steady migration allocates what the move keeps: the offer's quote
    and its appraisal, both ends' prepared transport keys, the tenant's
-   blob and the rebuilt session, plus the signatures, key-exchange steps
-   and transcript hashes that each start a fresh SHA-256 context, about
-   4,000 words.  The quote codec, the report body built twice and
-   per-key scratch read 6,646. *)
+   blob (once: it is sealed and opened in place) and the rebuilt
+   session, plus a 43-word SHA-256 context for each signature,
+   key-exchange step and transcript hash, about 2,550 words.  Three
+   copies of the blob, a 64-word message schedule per context and a
+   boxed RNG state per draw read 3,890; the quote codec, the report body
+   built twice and per-key scratch read 6,646. *)
 let test_migration_allocation () =
   let cl, home = build ~nodes:2 () in
   let client = connect cl in
   let words = migration_words cl ~home in
-  if words > 5000. then
-    Alcotest.failf "a steady migration allocated %.0f minor words (> 5,000)"
+  if words > 3300. then
+    Alcotest.failf "a steady migration allocated %.0f minor words (> 3,300)"
       words;
   Cluster.Client.close client;
   Cluster.destroy cl

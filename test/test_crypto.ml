@@ -297,7 +297,7 @@ let words_per_call f =
 (* Key preparation allocates what the keys keep: the AES schedule with
    its CTR scratch, the MAC key's two pad midstates and the scratch
    context the extract ran in, and the keys' record with its two small
-   buffers, about 260 words.  A second context for the MAC key, a tag
+   buffers, about 210 words.  A second context for the MAC key, a tag
    per expand block and byte-wise AES round keys read 652. *)
 let test_prepare_allocation () =
   let key = Bytes.make 32 'k' in
@@ -307,6 +307,20 @@ let test_prepare_allocation () =
   if words > 320. then
     Alcotest.failf "Authenc.prepare allocated %.0f minor words per call (> 320)"
       words
+
+(* A context is its 8 chaining words, a 16-word rolling schedule and
+   a 64-byte block: 43 words, where a 64-word schedule read 91.  Once
+   made, it absorbs a page without allocating. *)
+let test_sha256_allocation () =
+  let init =
+    words_per_call (fun () -> ignore (Sys.opaque_identity (Sha256.init ())))
+  in
+  if init > 43. then
+    Alcotest.failf "Sha256.init allocated %.0f minor words (> 43)" init;
+  let ctx = Sha256.init () and page = Bytes.make 4096 'p' in
+  Alcotest.(check (float 0.))
+    "a warm 4 KB update allocates nothing" 0.
+    (words_per_call (fun () -> Sha256.update ctx page))
 
 (* In-place HKDF-Expand writes exactly its slice, whole blocks and a
    partial last one alike, with the bytes [expand] returns. *)
@@ -358,6 +372,13 @@ let test_ctr_allocation () =
   let words = words_per_call roundtrip -. words in
   if words >= 1. then
     Alcotest.failf "unseal_in_place allocated %.1f minor words per call (>= 1)"
+      words;
+  let body = Bytes.sub buf 0 104 in
+  let words =
+    words_per_call (fun () -> Authenc.seal_in_place keys ~aad ~nonce body ~tag)
+  in
+  if words >= 1. then
+    Alcotest.failf "seal_in_place allocated %.1f minor words per call (>= 1)"
       words
 
 let test_update_sub () =
@@ -373,6 +394,27 @@ let test_update_sub () =
   Alcotest.check_raises "slice bounds"
     (Invalid_argument "Sha256.update_sub: slice out of bounds") (fun () ->
       Sha256.update_sub ctx data ~off:1 ~len:(Bytes.length data))
+
+(* A chaining value taken on a block boundary, restored into a scratch
+   context that was mid-way through another message, then fed the rest:
+   the straight digest, whatever the schedule words left behind. *)
+let test_sha256_midstate_resume () =
+  let msg = Bytes.init 300 (fun i -> Char.chr ((i * 31) land 0xff)) in
+  List.iter
+    (fun boundary ->
+      let prefix = Sha256.init () in
+      Sha256.update_sub prefix msg ~off:0 ~len:boundary;
+      let mid = Sha256.midstate prefix in
+      let scratch = Sha256.init () in
+      Sha256.update_string scratch (String.make 100 'o');
+      Sha256.restore scratch ~from:mid;
+      Sha256.update_sub scratch msg ~off:boundary
+        ~len:(Bytes.length msg - boundary);
+      check_hex
+        (Printf.sprintf "resumed at byte %d" boundary)
+        (hex (Sha256.digest_bytes msg))
+        (hex (Sha256.finalize scratch)))
+    [ 0; 64; 128; 256 ]
 
 let test_prepared_hmac () =
   (* One prepared key over several messages — empty, sub-block, exactly
@@ -522,7 +564,7 @@ let qcheck_tests =
        operation into the next. *)
     Test.make ~name:"authenc reused keys = one-shot" ~count:100
       (list_of_size (Gen.int_range 1 12)
-         (quad (int_bound 2) (int_bound 255)
+         (quad (int_bound 3) (int_bound 255)
             (string_of_size (Gen.int_bound 300))
             (string_of_size (Gen.int_bound 40))))
       (fun ops ->
@@ -552,12 +594,17 @@ let qcheck_tests =
                 | () -> false
                 | exception Authenc.Authentication_failure ->
                     Bytes.equal buf fresh_ct)
-            | _ ->
+            | 2 ->
                 let buf = Bytes.copy fresh_ct in
                 Authenc.unseal_in_place keys ~aad ~nonce ~tag:fresh_tag buf ~off:0
                   ~len;
                 Bytes.equal buf plaintext
-                && Bytes.equal buf (Authenc.unseal (Authenc.prepare key) ~aad fresh))
+                && Bytes.equal buf (Authenc.unseal (Authenc.prepare key) ~aad fresh)
+            | _ ->
+                (* A detached seal in place is the blob's ciphertext and tag. *)
+                let buf = Bytes.copy plaintext and tag = Bytes.create 32 in
+                Authenc.seal_in_place keys ~aad ~nonce buf ~tag;
+                Bytes.equal buf fresh_ct && Bytes.equal tag fresh_tag)
           ops);
     (* Extract once, expand many: every expand under one prepared PRK
        gives the bytes of the RFC spelled out over hkdf_extract's PRK,
@@ -578,6 +625,34 @@ let qcheck_tests =
             && Bytes.equal (Hmac.derive ~key:ikm ~info)
                  (reference_expand ~prk:raw_prk ~info ~len:32))
           outputs);
+    (* The rolling schedule must not care how a message is cut: one
+       shot, random chunks (with an empty update before each) and one
+       byte at a time give one digest. *)
+    Test.make ~name:"sha256 one-shot = random chunks = byte at a time"
+      ~count:200
+      (pair
+         (string_of_size (Gen.int_bound 1000))
+         (list_of_size (Gen.int_range 1 8) (int_range 1 130)))
+      (fun (msg, cuts) ->
+        let data = Bytes.of_string msg in
+        let n = Bytes.length data in
+        let chunked = Sha256.init () and bytewise = Sha256.init () in
+        let rec feed off = function
+          | _ when off >= n -> ()
+          | [] -> feed off cuts
+          | cut :: rest ->
+              let len = min cut (n - off) in
+              Sha256.update_sub chunked data ~off ~len:0;
+              Sha256.update_sub chunked data ~off ~len;
+              feed (off + len) rest
+        in
+        feed 0 cuts;
+        for i = 0 to n - 1 do
+          Sha256.update_sub bytewise data ~off:i ~len:1
+        done;
+        let oneshot = Sha256.digest_bytes data in
+        Bytes.equal oneshot (Sha256.finalize chunked)
+        && Bytes.equal oneshot (Sha256.finalize bytewise));
     Test.make ~name:"sha256 distinct on distinct strings" ~count:200
       (pair small_string small_string)
       (fun (a, b) ->
@@ -606,6 +681,10 @@ let suite =
       Alcotest.test_case "hkdf expand_into writes its slice" `Quick
         test_expand_into;
       Alcotest.test_case "sha256 update_sub" `Quick test_update_sub;
+      Alcotest.test_case "sha256 midstate resumes a message" `Quick
+        test_sha256_midstate_resume;
+      Alcotest.test_case "sha256 context allocation" `Quick
+        test_sha256_allocation;
       Alcotest.test_case "prepared hmac = one-shot hmac" `Quick
         test_prepared_hmac;
       Alcotest.test_case "sha256 padding boundaries" `Quick

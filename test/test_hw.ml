@@ -81,6 +81,26 @@ let test_rng_known_answer () =
   Alcotest.(check int64) "parent advanced" 0x6E789E6AA1B965F4L
     (Rng.next_int64 parent)
 
+(* Every key share, nonce and secret is drawn here: a draw allocates
+   nothing, and [bytes] only its result (32 bytes: 6 words). *)
+let test_rng_allocation () =
+  let rng = Rng.create ~seed:9L in
+  let words f =
+    ignore (f () : unit);
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. 1000.
+  in
+  let sink = ref 0 in
+  Alcotest.(check (float 0.)) "Rng.int words" 0.
+    (words (fun () -> sink := !sink + Rng.int rng 1000));
+  Alcotest.(check (float 0.)) "Rng.bool words" 0.
+    (words (fun () -> if Rng.bool rng then incr sink));
+  Alcotest.(check (float 0.)) "Rng.bytes 32 words" 6.
+    (words (fun () -> ignore (Sys.opaque_identity (Rng.bytes rng 32))))
+
 let test_rng_shuffle () =
   let rng = Rng.create ~seed:5L in
   let a = Array.init 50 (fun i -> i) in
@@ -601,6 +621,7 @@ let suite =
       Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
       Alcotest.test_case "rng set_seed" `Quick test_rng_set_seed;
       Alcotest.test_case "rng stream known answer" `Quick test_rng_known_answer;
+      Alcotest.test_case "rng draws allocate nothing" `Quick test_rng_allocation;
       Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle;
       Alcotest.test_case "addr arithmetic" `Quick test_addr;
       Alcotest.test_case "phys_mem" `Quick test_phys_mem;

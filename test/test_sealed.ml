@@ -73,6 +73,25 @@ let ticket () =
 let package cl ~src ~dst =
   Test_cluster.seal_ok cl (Test_cluster.offer_ok cl ~src ~dst)
 
+(* A package's sealed bytes travel as three fields, nonce ‖ ciphertext ‖
+   tag: together they are one blob. *)
+let package_wire p =
+  Bytes.concat Bytes.empty Cluster.Migrate.[ p.p_iv; p.p_blob; p.p_tag ]
+
+(* Damaged wire bytes cut back into the three fields the way a receiver
+   would: the nonce first, the tag last, the ciphertext between (a wire
+   too short for both leaves them short and the ciphertext empty). *)
+let with_wire p wire =
+  let n = Bytes.length wire in
+  let iv = min 12 n in
+  let tag = min 32 (n - iv) in
+  {
+    p with
+    Cluster.Migrate.p_iv = Bytes.sub wire 0 iv;
+    p_blob = Bytes.sub wire iv (n - iv - tag);
+    p_tag = Bytes.sub wire (n - tag) tag;
+  }
+
 let test_blob_sizes () =
   let size what ~plaintext blob =
     Alcotest.(check int)
@@ -109,7 +128,7 @@ let test_blob_sizes () =
     | Error r -> Alcotest.failf "export: %a" Serve.pp_reject r
   in
   size "migration package" ~plaintext:(Bytes.length export)
-    (package cl ~src ~dst).Cluster.Migrate.p_blob;
+    (package_wire (package cl ~src ~dst));
   Cluster.destroy cl
 
 (* Every blob damaged the same ways: a flipped first, middle or last
@@ -208,8 +227,7 @@ let test_damaged_blobs () =
   refuses_damage "Cluster.Migrate.install" (fun damage ->
       let pkg = package cl ~src ~dst in
       match
-        Cluster.Migrate.install cl
-          { pkg with Cluster.Migrate.p_blob = damage pkg.Cluster.Migrate.p_blob }
+        Cluster.Migrate.install cl (with_wire pkg (damage (package_wire pkg)))
       with
       | Ok _ -> Opened
       | Error Cluster.Transport_auth -> Refused

@@ -463,11 +463,12 @@ let test_wal_journals_executed_mutations () =
 (* A warm kvdb statement through the plane allocates what its request
    keeps: the enclave's copy of the slot body, the received statement,
    the value it stores or returns, the reply on its way out and its
-   sealed frame, the flush's own set-up and the memory simulator's RNG
-   draws: 213, 234 and 197 words for a SELECT, an UPDATE and a BETWEEN.
-   A closure per hash probe and a boxed flag per simulated cache line, a
-   list-built tokenizer and touch trail, a listed range scan, and copies
-   in the LibOS socket path and the WAL line read 580, 708 and 1,130.
+   sealed frame, and the flush's own set-up: 175, 196 and 159 words for
+   a SELECT, an UPDATE and a BETWEEN.  A boxed RNG state per memory
+   simulator draw read 211, 232 and 195.  A closure per hash probe and a
+   boxed flag per simulated cache line, a list-built tokenizer and touch
+   trail, a listed range scan, and copies in the LibOS socket path and
+   the WAL line read 580, 708 and 1,130.
    The median of nine one-request flushes leaves out a flush where the
    WAL's extent grows. *)
 let test_kvdb_request_allocation () =
