@@ -29,9 +29,9 @@ let client_for p ~seed backend =
     ~expected_tenant:identity ()
 
 (* One plane, one service tenant, one established session. *)
-let build kind ~seed =
+let build ?(config = Serve.default_config) kind ~seed =
   let p = Platform.create ~seed () in
-  let plane = Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p Serve.default_config in
+  let plane = Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p config in
   let name = Services.kind_name kind in
   let backend = Serve.add_tenant plane ~name (Services.backend_config kind) in
   let client = client_for p ~seed:(Int64.add seed 1L) backend in
@@ -517,6 +517,64 @@ let test_kvdb_request_allocation () =
     ];
   Serve.destroy plane
 
+(* The services path's simulated cost, pinned.  On a one-core plane at
+   a fixed seed, each service's admin setup costs the platform a known
+   number of cycles, and one request that journals or streams through
+   the LibOS's heap-paged files has a known reply and a known flush
+   advance on the platform clock.  A change under the services (the
+   LibOS, its VFS, the env they run on) that charges one more cycle or
+   pages one more byte moves these numbers. *)
+let test_services_known_answers () =
+  let config =
+    {
+      Serve.default_config with
+      Serve.sched = { Sched.default_config with Sched.cores = 1 };
+    }
+  in
+  let pipeline commands =
+    Bytes.concat Bytes.empty
+      (List.map Hyperenclave.Workloads.Resp_kv.encode_command commands)
+  in
+  List.iter
+    (fun (kind, seed, setup, request, (setup_cyc, reply, flush_cyc)) ->
+      let p, plane, backend, client = build ~config kind ~seed in
+      let name = Services.kind_name kind in
+      let clock = p.Platform.clock in
+      let _, admin_cyc = Cycles.time clock (fun () -> admin backend setup) in
+      (match
+         Serve.submit plane
+           (Serve.Client.request client ~ecall:Services.ecall_request request)
+       with
+      | Ok () -> ()
+      | Error r -> Alcotest.failf "%s: submit rejected: %a" name Serve.pp_reject r);
+      let replies, flush_adv = Cycles.time clock (fun () -> Serve.flush plane) in
+      let body =
+        match replies with
+        | [ r ] -> (
+            match Serve.Client.read_reply client r with
+            | Ok body -> Bytes.to_string body
+            | Error r -> Alcotest.failf "%s: reply failed: %a" name Serve.pp_reject r)
+        | rs -> Alcotest.failf "%s: expected 1 reply, got %d" name (List.length rs)
+      in
+      Alcotest.(check int) (name ^ ": admin setup cycles") setup_cyc admin_cyc;
+      Alcotest.(check string) (name ^ ": reply") reply body;
+      Alcotest.(check int) (name ^ ": flush advance") flush_cyc flush_adv;
+      Serve.destroy plane)
+    [
+      ( Services.Resp_kv, 9700L, Services.load_request ~records:64,
+        pipeline
+          [ [ "SET"; "paper"; "hyperenclave" ]; [ "GET"; "paper" ];
+            [ "GET"; Hyperenclave.Workloads.Resp_kv.key_name 5 ] ],
+        (465879, "+OK\r$12\nhyperenclave\r$32\nrecord-00000005:record-00000005:", 19975) );
+      ( Services.Kvdb, 9710L, Services.load_request ~records:64,
+        Bytes.of_string "UPDATE kv SET v = 'known-answer' WHERE k = 9",
+        (1982735, "+ok", 33394) );
+      ( Services.Httpd, 9720L,
+        Services.page_request ~path:"/index.html" ~bytes:20000,
+        Services.http_request ~path:"/index.html",
+        (35373, "HTTP/1.1 200 OK bytes=20000", 78320) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "resp_kv over AEAD sessions" `Quick test_resp_kv_end_to_end;
@@ -533,4 +591,6 @@ let suite =
       test_wal_journals_executed_mutations;
     Alcotest.test_case "a warm kvdb request allocates what it keeps" `Quick
       test_kvdb_request_allocation;
+    Alcotest.test_case "services known answers (one core)" `Quick
+      test_services_known_answers;
   ]
