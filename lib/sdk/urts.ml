@@ -1012,5 +1012,6 @@ let mrenclave t = t.enclave.Enclave.mrenclave
 let mode t = t.config.mode
 let stats t = t.enclave.Enclave.stats
 let config t = t.config
+let heap_bytes t = elbase + t.enclave.Enclave.secs.Sgx_types.size - t.heap_base_va
 
 let gen_quote t ~report_data = Monitor.gen_quote (monitor t) t.enclave ~report_data

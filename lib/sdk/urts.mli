@@ -234,6 +234,11 @@ val mrenclave : t -> bytes
 val mode : t -> Sgx_types.operation_mode
 val stats : t -> Enclave.stats
 val config : t -> config
+
+val heap_bytes : t -> int
+(** The heap's extent: bytes from [Tenv.heap_base] to the end of
+    ELRANGE, the range a [Backend.env]'s heap offsets address. *)
+
 val monitor : t -> Monitor.t
 
 val gen_quote : t -> report_data:bytes -> Monitor.quote

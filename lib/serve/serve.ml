@@ -527,14 +527,17 @@ let state_call (tn : tenant) ~id data =
   | Backend.Success reply -> Ok reply
   | Backend.Typed_error m | Backend.Violation m -> Error (Session_fault m)
 
-let slot_offset slot = slot * state_stride_pages * Addr.page_size
+(* State slots fill the heap from its top down, clear of the LibOS
+   files, whose extents the VFS allocates from offset 0 up. *)
+let slot_offset (tn : tenant) slot =
+  Urts.heap_bytes tn.urts - ((slot + 1) * state_stride_pages * Addr.page_size)
 
 (* Demand-commit the first [pages] pages of [slot]'s state region;
    returns the page count the enclave reports. *)
 let commit_pages tn ~slot ~pages =
   Result.map
     (fun reply -> get_u64 reply 0)
-    (state_call tn ~id:state_ecall (u64s [ slot_offset slot; pages ]))
+    (state_call tn ~id:state_ecall (u64s [ slot_offset tn slot; pages ]))
 
 (* State slots are recycled through the tenant's free list before the
    stride arena grows, so open/close churn does not leak them. *)
@@ -1079,7 +1082,7 @@ let decode_blob b =
    the enclave's state-read ECALL, one page per protected call — the
    simulation analogue of EWB-style eviction into the migration blob. *)
 let read_state (s : session) dst ~off =
-  let base = slot_offset s.state_slot in
+  let base = slot_offset s.tenant s.state_slot in
   let rec go pg =
     if pg = s.s_pages then Ok ()
     else
@@ -1097,7 +1100,7 @@ let read_state (s : session) dst ~off =
 (* Replay exported state bytes into [slot]'s region, page-sized
    protected writes. *)
 let write_state tn ~slot state =
-  let base = slot_offset slot in
+  let base = slot_offset tn slot in
   let total = Bytes.length state in
   let rec go off =
     if off >= total then Ok ()

@@ -25,7 +25,9 @@
 
     A session is one attested channel and a {!state_stride_pages}-page
     EDMM region of the tenant enclave's heap, committed through the
-    reserved state ECALLs (0x5e55-0x5e57).  {!handshake}, {!val-resume}
+    reserved state ECALLs (0x5e55-0x5e57).  The regions stack down from
+    the heap's top, clear of the LibOS files, which grow up from its
+    base.  {!handshake}, {!val-resume}
     and {!import_tenant} open sessions; {!close_session},
     {!retire_tenant} and an import rollback retire them: staged requests
     die and the state slot is recycled.  Session work crosses the

@@ -575,6 +575,40 @@ let test_services_known_answers () =
         (35373, "HTTP/1.1 200 OK bytes=20000", 78320) );
     ]
 
+(* A session's state slot and the tenant's LibOS files share the
+   enclave heap, and must not share its pages: a resize commits the slot
+   by writing a byte into each of its pages, and an export carries those
+   pages.  With both counted up from heap offset 0, the commit
+   overwrote the WAL's first byte and the exported state carried the
+   WAL's text. *)
+let test_session_state_clear_of_files () =
+  let _p, plane, backend, client = build Services.Kvdb ~seed:9730L in
+  ignore (admin backend (Services.load_request ~records:8));
+  (match
+     Serve.resize_session plane ~session:(Serve.Client.session_id client)
+       ~pages:1
+   with
+  | Ok 1 -> ()
+  | Ok n -> Alcotest.failf "committed %d pages, expected 1" n
+  | Error r -> Alcotest.failf "resize rejected: %a" Serve.pp_reject r);
+  Alcotest.(check string) "update served" "+ok"
+    (Bytes.to_string
+       (serve_one plane client
+          (Bytes.of_string "UPDATE kv SET v = 'moved' WHERE k = 3")));
+  let blob =
+    match Serve.export_tenant plane ~tenant:"kvdb" with
+    | Ok blob -> Bytes.to_string blob
+    | Error r -> Alcotest.failf "export rejected: %a" Serve.pp_reject r
+  in
+  let wal_text = "INSERT INTO kv" in
+  let rec holds i =
+    i + String.length wal_text <= String.length blob
+    && (String.sub blob i (String.length wal_text) = wal_text || holds (i + 1))
+  in
+  Alcotest.(check bool) "the exported session state holds no WAL text" false
+    (holds 0);
+  Serve.destroy plane
+
 let suite =
   [
     Alcotest.test_case "resp_kv over AEAD sessions" `Quick test_resp_kv_end_to_end;
@@ -593,4 +627,6 @@ let suite =
       test_kvdb_request_allocation;
     Alcotest.test_case "services known answers (one core)" `Quick
       test_services_known_answers;
+    Alcotest.test_case "session state clear of the LibOS files" `Quick
+      test_session_state_clear_of_files;
   ]
