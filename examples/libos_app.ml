@@ -9,8 +9,8 @@
 
 open Hyperenclave
 
-let analyzer (tenv : Tenv.t) _input =
-  let os = Libos.create tenv () in
+let analyzer (env : Backend.env) _input =
+  let os = Libos.create env in
   (* Write the application's config and a day of "logs". *)
   let conf = Libos.openf os ~path:"/etc/analyzer.conf" [ Libos.O_creat; Libos.O_rdwr ] in
   ignore (Libos.write os conf (Bytes.of_string "threshold=3\npattern=ERROR\n"));
@@ -39,7 +39,7 @@ let analyzer (tenv : Tenv.t) _input =
            && String.sub line 6 5 = "ERROR")
          (String.split_on_char '\n' contents))
   in
-  tenv.Tenv.compute (String.length contents * 4);
+  env.Backend.compute (String.length contents * 4);
   (* Ship the report: the only syscalls that genuinely exit. *)
   let sock = Libos.socket os in
   let report = Printf.sprintf "daily-report errors=%d files=%d" errors 2 in
@@ -51,19 +51,23 @@ let analyzer (tenv : Tenv.t) _input =
 
 let run_on mode =
   let p = Platform.create ~seed:61L () in
-  let handle =
-    Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
-      ~signer:p.Platform.signer
-      ~config:(Urts.default_config mode)
-      ~ecalls:[ (1, analyzer) ]
-      ~ocalls:
-        [ (900, fun data -> Bytes.of_string (string_of_int (Bytes.length data))) ]
+  let backend =
+    Backend.create p
+      {
+        (Backend.config (Backend.Hyperenclave mode)) with
+        Backend.handlers = [ (1, analyzer) ];
+        ocalls =
+          [
+            ( Libos.net_send_ocall,
+              fun data -> Bytes.of_string (string_of_int (Bytes.length data)) );
+          ];
+      }
   in
   let reply, cycles =
     Cycles.time p.Platform.clock (fun () ->
-        Urts.ecall handle ~id:1 ~direction:Edge.Out ())
+        backend.Backend.call ~id:1 ~direction:Edge.Out ())
   in
-  Urts.destroy handle;
+  backend.Backend.destroy ();
   match String.split_on_char ':' (Bytes.to_string reply) with
   | [ errors; inside; forwarded ] ->
       Printf.printf

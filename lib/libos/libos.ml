@@ -1,23 +1,5 @@
 open Hyperenclave_hw
-open Hyperenclave_sdk
-
-(* --- runtime substrate --------------------------------------------------- *)
-
-type rt = {
-  rt_clock : Cycles.t;
-  rt_compute : int -> unit;
-  rt_ocall : id:int -> bytes -> bytes;
-  rt_ocall_switchless : id:int -> bytes -> bytes;
-}
-
-let of_tenv (tenv : Tenv.t) =
-  {
-    rt_clock = tenv.Tenv.clock;
-    rt_compute = tenv.Tenv.compute;
-    rt_ocall = (fun ~id data -> tenv.Tenv.ocall ~id ~data Edge.In_out);
-    rt_ocall_switchless =
-      (fun ~id data -> tenv.Tenv.ocall_switchless ~id ~data ());
-  }
+open Hyperenclave_tee
 
 (* --- fd table ------------------------------------------------------------ *)
 
@@ -47,13 +29,10 @@ type fd_state = {
 type stats = { in_enclave : int; forwarded : int }
 
 type t = {
-  rt : rt;
+  env : Backend.env;
   vfs : Vfs.t;
   fds : (int, fd_state) Hashtbl.t;
   mutable next_fd : int;
-  net_send_ocall : int;
-  net_recv_ocall : int;
-  switchless_net : bool;
   pid : int;
   mutable in_enclave : int;
   mutable forwarded : int;
@@ -73,23 +52,21 @@ let epoll_poll_cost = 12
    [pos + Bytes.length data] can never overflow into a negative offset. *)
 let max_file_bytes = 1 lsl 40
 
-let create_rt rt ?pager ?(net_send_ocall = 900) ?(net_recv_ocall = 901)
-    ?(switchless_net = false) () =
+let net_send_ocall = 900
+let net_recv_ocall = 901
+
+let create (env : Backend.env) =
   {
-    rt;
-    vfs = Vfs.create ?pager ();
+    env;
+    vfs =
+      Vfs.create
+        { Vfs.p_read = env.Backend.heap_read; p_write = env.Backend.heap_write };
     fds = Hashtbl.create 16;
     next_fd = 3; (* 0-2 reserved, as tradition demands *)
-    net_send_ocall;
-    net_recv_ocall;
-    switchless_net;
     pid = 1;
     in_enclave = 0;
     forwarded = 0;
   }
-
-let create tenv ?net_send_ocall ?net_recv_ocall ?switchless_net () =
-  create_rt (of_tenv tenv) ?net_send_ocall ?net_recv_ocall ?switchless_net ()
 
 let vfs t = t.vfs
 
@@ -97,9 +74,9 @@ let vfs t = t.vfs
    switch (the libOS point). *)
 let syscall t =
   t.in_enclave <- t.in_enclave + 1;
-  t.rt.rt_compute syscall_dispatch_cost
+  t.env.Backend.compute syscall_dispatch_cost
 
-let charge_bytes t n = t.rt.rt_compute (n / 8)
+let charge_bytes t n = t.env.Backend.compute (n / 8)
 
 let fd_state t fd =
   match Hashtbl.find t.fds fd with
@@ -133,7 +110,7 @@ let openf t ~path flags =
   let has flag = List.mem flag flags in
   let node =
     match
-      Vfs.open_node t.vfs ~path ~now:(Cycles.now t.rt.rt_clock)
+      Vfs.open_node t.vfs ~path ~now:(Cycles.now t.env.Backend.clock)
         ~create:(has O_creat) ~trunc:(has O_trunc)
     with
     | Some node -> node
@@ -237,7 +214,7 @@ let getpid t =
 
 let clock_monotonic t =
   syscall t;
-  Cycles.now t.rt.rt_clock
+  Cycles.now t.env.Backend.clock
 
 (* --- network ------------------------------------------------------------------- *)
 
@@ -257,8 +234,7 @@ let socket ?(loopback = false) t =
 
 let net_call t ~id data =
   t.forwarded <- t.forwarded + 1;
-  if t.switchless_net then t.rt.rt_ocall_switchless ~id data
-  else t.rt.rt_ocall ~id data
+  t.env.Backend.ocall ~id ~data ()
 
 let send t fd data =
   syscall t;
@@ -272,7 +248,7 @@ let send t fd data =
     Bytes.length data
   end
   else
-    let reply = net_call t ~id:t.net_send_ocall data in
+    let reply = net_call t ~id:net_send_ocall data in
     match int_of_string_opt (Bytes.to_string reply) with
     | Some n -> n
     | None -> invalid_arg "Libos.send: malformed host reply"
@@ -297,7 +273,7 @@ let recv t fd ~len =
     charge_bytes t n;
     data
   end
-  else net_call t ~id:t.net_recv_ocall (Bytes.of_string (string_of_int len))
+  else net_call t ~id:net_recv_ocall (Bytes.of_string (string_of_int len))
 
 (* Host/plane side of a loopback socket: inject request bytes / drain the
    reply queue.  Not syscalls — this is the service shim's memcpy. *)
@@ -393,7 +369,7 @@ let rec ready_events t = function
 let epoll_wait t ~epfd =
   syscall t;
   let watched = !(epoll_table t epfd) in
-  t.rt.rt_compute (epoll_poll_cost * List.length watched);
+  t.env.Backend.compute (epoll_poll_cost * List.length watched);
   ready_events t watched
 
 (* --- introspection --------------------------------------------------------------- *)

@@ -26,13 +26,13 @@
     reads past EOF return short data, never exceptions.  [O_APPEND]
     writes always land at the inode's EOF regardless of [lseek].
 
+    The libOS runs on a {!Hyperenclave_tee.Backend.env}, so an
+    application written against it runs unchanged on native, the SGX
+    model and every HyperEnclave mode.
+
     Costs: every syscall charges a small in-enclave dispatch
     (180 cycles) plus per-byte copy costs; forwarded calls
-    additionally pay the full OCALL path of the enclave's operation
-    mode. *)
-
-open Hyperenclave_hw
-open Hyperenclave_sdk
+    additionally pay the full OCALL path of the backend. *)
 
 type t
 
@@ -49,39 +49,22 @@ val max_file_bytes : int
 
 (** {1 Construction} *)
 
-type rt = {
-  rt_clock : Cycles.t;
-  rt_compute : int -> unit;
-  rt_ocall : id:int -> bytes -> bytes;
-  rt_ocall_switchless : id:int -> bytes -> bytes;
-}
-(** The slice of an execution environment the libOS needs.  Built from a
-    full {!Tenv.t} with {!of_tenv}, or assembled by hand from a
-    [Backend.env] (which is what the service layer hands to handlers). *)
+val create : Hyperenclave_tee.Backend.env -> t
+(** A libOS on [env]: syscalls charge [env.compute] and read
+    [env.clock], forwarding sockets OCALL through [env.ocall]
+    ({!net_send_ocall}, {!net_recv_ocall}), and every file lives in
+    [env]'s heap, read and written through [heap_read]/[heap_write]:
+    demand-paged EPC on the HyperEnclave backends, a scratch buffer on
+    native and the SGX model.  File extents are allocated from heap
+    offset 0 up ({!Vfs}). *)
 
-val of_tenv : Tenv.t -> rt
+val net_send_ocall : int
+(** 900: a forwarding socket's [send] OCALLs this id with the bytes;
+    the host replies with the count it took, in decimal. *)
 
-val create_rt :
-  rt ->
-  ?pager:Vfs.pager ->
-  ?net_send_ocall:int ->
-  ?net_recv_ocall:int ->
-  ?switchless_net:bool ->
-  unit ->
-  t
-(** [pager] backs VFS file extents with the demand-paged enclave heap
-    (see {!Vfs.pager}); without it files are plain in-enclave bytes. *)
-
-val create :
-  Tenv.t ->
-  ?net_send_ocall:int ->
-  ?net_recv_ocall:int ->
-  ?switchless_net:bool ->
-  unit ->
-  t
-(** [create_rt (of_tenv tenv)].  [net_send_ocall]/[net_recv_ocall] are the
-    registered OCALL ids backing forwarding-socket I/O (defaults
-    900/901); [switchless_net] routes them through switchless calls. *)
+val net_recv_ocall : int
+(** 901: a forwarding socket's [recv] OCALLs this id with the length
+    wanted, in decimal; the host replies with the bytes. *)
 
 val vfs : t -> Vfs.t
 

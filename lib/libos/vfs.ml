@@ -5,33 +5,28 @@ type pager = {
   p_write : off:int -> bytes -> unit;
 }
 
-type store =
-  | Mem of { mutable data : bytes }
-  | Paged of { mutable base : int; mutable cap : int }
-
 type node = {
   created_at : int;
   mutable size : int;
-  store : store ref;
+  mutable base : int; (* the extent's heap offset *)
+  mutable cap : int; (* the extent's bytes; 0 before the first write *)
 }
 
 type stat = { size : int; created_at : int }
 
 type t = {
   files : (string, node) Hashtbl.t;
-  pager : pager option;
+  pager : pager;
   mutable heap_cursor : int;
 }
 
-let create ?pager () =
-  { files = Hashtbl.create 32; pager; heap_cursor = 0 }
+let create pager = { files = Hashtbl.create 32; pager; heap_cursor = 0 }
 
-let paged t = t.pager <> None
 let exists t ~path = Hashtbl.mem t.files path
 let lookup t ~path = Hashtbl.find_opt t.files path
 let node_size (n : node) = n.size
 
-(* --- extent management (paged backing) ---------------------------------- *)
+(* --- extent management ---------------------------------------------------- *)
 
 let alloc_extent t bytes =
   let aligned = Addr.align_up (max bytes Addr.page_size) in
@@ -39,15 +34,10 @@ let alloc_extent t bytes =
   t.heap_cursor <- base + aligned;
   (base, aligned)
 
-let pager_exn t =
-  match t.pager with
-  | Some p -> p
-  | None -> invalid_arg "Vfs: paged store without a pager"
-
 (* Copy [len] live bytes between extents through the pager, one page at a
    time so a demand-paged heap commits/evicts at page granularity. *)
 let move_extent t ~src ~dst ~len =
-  let p = pager_exn t in
+  let p = t.pager in
   let pos = ref 0 in
   while !pos < len do
     let chunk = min Addr.page_size (len - !pos) in
@@ -56,48 +46,31 @@ let move_extent t ~src ~dst ~len =
   done
 
 let ensure_cap t (node : node) ~needed =
-  match !(node.store) with
-  | Mem m ->
-      if needed > Bytes.length m.data then begin
-        let grown = Bytes.make needed '\000' in
-        Bytes.blit m.data 0 grown 0 (Bytes.length m.data);
-        m.data <- grown
-      end
-  | Paged pg ->
-      if needed > pg.cap then begin
-        let base, cap = alloc_extent t (max needed (2 * pg.cap)) in
-        if node.size > 0 then move_extent t ~src:pg.base ~dst:base ~len:node.size;
-        pg.base <- base;
-        pg.cap <- cap
-      end
+  if needed > node.cap then begin
+    let base, cap = alloc_extent t (max needed (2 * node.cap)) in
+    if node.size > 0 then move_extent t ~src:node.base ~dst:base ~len:node.size;
+    node.base <- base;
+    node.cap <- cap
+  end
 
 (* --- inode-level operations --------------------------------------------- *)
 
 let node_read t (node : node) ~pos ~len =
   if pos < 0 || len < 0 then invalid_arg "Vfs.node_read: negative pos/len";
   if pos >= node.size || len = 0 then Bytes.empty
-  else
-    let len = min len (node.size - pos) in
-    match !(node.store) with
-    | Mem m -> Bytes.sub m.data pos len
-    | Paged pg -> (pager_exn t).p_read ~off:(pg.base + pos) ~len
+  else t.pager.p_read ~off:(node.base + pos) ~len:(min len (node.size - pos))
 
 let node_write t (node : node) ~pos data =
   if pos < 0 then invalid_arg "Vfs.node_write: negative pos";
   let len = Bytes.length data in
   let needed = pos + len in
   ensure_cap t node ~needed;
-  (* Zero-fill any hole between current EOF and the write position, so
-     sparse writes behave the same on both store kinds. *)
-  (match !(node.store) with
-  | Mem m ->
-      Bytes.blit data 0 m.data pos len
-  | Paged pg ->
-      let p = pager_exn t in
-      if pos > node.size then
-        p.p_write ~off:(pg.base + node.size)
-          (Bytes.make (pos - node.size) '\000');
-      if len > 0 then p.p_write ~off:(pg.base + pos) data);
+  (* Zero-fill any hole between the current EOF and the write position:
+     a truncated file keeps its extent and the bytes it held. *)
+  if pos > node.size then
+    t.pager.p_write ~off:(node.base + node.size)
+      (Bytes.make (pos - node.size) '\000');
+  if len > 0 then t.pager.p_write ~off:(node.base + pos) data;
   if needed > node.size then node.size <- needed;
   len
 
@@ -108,12 +81,6 @@ let node_truncate _t (node : node) =
 
 (* --- namespace operations ----------------------------------------------- *)
 
-let fresh_node t ~now =
-  let store =
-    if paged t then Paged { base = 0; cap = 0 } else Mem { data = Bytes.empty }
-  in
-  { created_at = now; size = 0; store = ref store }
-
 let open_node t ~path ~now ~create ~trunc =
   match Hashtbl.find_opt t.files path with
   | Some node ->
@@ -122,7 +89,7 @@ let open_node t ~path ~now ~create ~trunc =
   | None ->
       if not create then None
       else begin
-        let node = fresh_node t ~now in
+        let node = { created_at = now; size = 0; base = 0; cap = 0 } in
         Hashtbl.replace t.files path node;
         Some node
       end

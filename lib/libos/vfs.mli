@@ -11,11 +11,12 @@
     semantics) — it is neither resurrected by later writes nor a source of
     exceptions.  Reads past EOF return short (possibly empty) data.
 
-    With a {!pager}, file extents live in the demand-paged enclave heap
-    (PR 3): every extent read/write goes through the pager callbacks, so
-    file I/O drives EPC commit and EWB/ELDU under pressure exactly like
-    any other heap touch.  Without one, extents are ordinary in-enclave
-    bytes.  Pure data structure; all cycle charging happens in {!Libos}. *)
+    File extents live in the heap behind the {!pager}: every extent
+    read/write goes through its callbacks, so on a demand-paged enclave
+    heap file I/O drives EPC commit and EWB/ELDU under pressure exactly
+    like any other heap touch.  Extents are bump-allocated from heap
+    offset 0 up and never freed.  Pure data structure; all cycle
+    charging happens in {!Libos}. *)
 
 type t
 type node
@@ -28,11 +29,10 @@ type pager = {
   p_write : off:int -> bytes -> unit;
 }
 (** Backing store for file extents, offset-addressed from 0.  {!Libos}
-    wires these to the enclave heap ([heap_base + off]), making the VFS
-    file-backed against demand-paged EPC. *)
+    wires these to its env's [heap_read]/[heap_write], making the VFS
+    file-backed against demand-paged EPC on the HyperEnclave backends. *)
 
-val create : ?pager:pager -> unit -> t
-val paged : t -> bool
+val create : pager -> t
 
 (** {1 Namespace} *)
 

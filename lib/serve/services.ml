@@ -31,22 +31,8 @@ type instance = {
   epfd : int;
 }
 
-let rt_of_env (env : Backend.env) =
-  {
-    Libos.rt_clock = env.Backend.clock;
-    rt_compute = env.Backend.compute;
-    rt_ocall = (fun ~id data -> env.Backend.ocall ~id ~data ());
-    rt_ocall_switchless = (fun ~id data -> env.Backend.ocall ~id ~data ());
-  }
-
-let pager_of_env (env : Backend.env) =
-  {
-    Vfs.p_read = (fun ~off ~len -> env.Backend.heap_read ~off ~len);
-    p_write = (fun ~off data -> env.Backend.heap_write ~off data);
-  }
-
 let make_instance (env : Backend.env) =
-  let os = Libos.create_rt (rt_of_env env) ~pager:(pager_of_env env) () in
+  let os = Libos.create env in
   let sock = Libos.socket ~loopback:true os in
   let body_sock = Libos.socket ~loopback:true os in
   let epfd = Libos.epoll_create os in

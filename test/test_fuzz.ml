@@ -401,56 +401,56 @@ let libos_fd_invariants =
     (fun ops ->
       let p = Platform.create ~seed:7100L () in
       let outcome = ref true in
-      let handle =
-        Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc
-          ~rng:p.Platform.rng ~signer:p.Platform.signer
-          ~config:(Urts.default_config Sgx_types.HU)
-          ~ecalls:
-            [
-              ( 1,
-                fun tenv _ ->
-                  let os = Libos.create tenv () in
-                  let fds = ref [] in
-                  List.iter
-                    (fun (op, which) ->
-                      match op with
-                      | 0 ->
-                          let path = Printf.sprintf "/f%d" which in
-                          fds := Libos.openf os ~path [ Libos.O_creat; Libos.O_rdwr ] :: !fds
-                      | 1 -> (
-                          match !fds with
-                          | fd :: rest ->
-                              Libos.close os fd;
-                              fds := rest
-                          | [] -> ())
-                      | 2 -> (
-                          match !fds with
-                          | fd :: _ -> ignore (Libos.write os fd (Bytes.of_string "data"))
-                          | [] -> ())
-                      | 3 -> (
-                          match !fds with
-                          | fd :: _ ->
-                              ignore (Libos.lseek os fd ~pos:0);
-                              ignore (Libos.read os fd ~len:2)
-                          | [] -> ())
-                      | 4 | _ -> (
-                          (* double close must raise, not corrupt *)
-                          match !fds with
-                          | fd :: rest ->
-                              Libos.close os fd;
-                              fds := rest;
-                              (match Libos.close os fd with
-                              | () -> outcome := false
-                              | exception Libos.Bad_fd _ -> ())
-                          | [] -> ()))
-                    ops;
-                  if Libos.open_fds os <> List.length !fds then outcome := false;
-                  Bytes.empty );
-            ]
-          ~ocalls:[]
+      let backend =
+        Backend.create p
+          {
+            (Backend.config (Backend.Hyperenclave Sgx_types.HU)) with
+            Backend.handlers =
+              [
+                ( 1,
+                  fun env _ ->
+                    let os = Libos.create env in
+                    let fds = ref [] in
+                    List.iter
+                      (fun (op, which) ->
+                        match op with
+                        | 0 ->
+                            let path = Printf.sprintf "/f%d" which in
+                            fds := Libos.openf os ~path [ Libos.O_creat; Libos.O_rdwr ] :: !fds
+                        | 1 -> (
+                            match !fds with
+                            | fd :: rest ->
+                                Libos.close os fd;
+                                fds := rest
+                            | [] -> ())
+                        | 2 -> (
+                            match !fds with
+                            | fd :: _ -> ignore (Libos.write os fd (Bytes.of_string "data"))
+                            | [] -> ())
+                        | 3 -> (
+                            match !fds with
+                            | fd :: _ ->
+                                ignore (Libos.lseek os fd ~pos:0);
+                                ignore (Libos.read os fd ~len:2)
+                            | [] -> ())
+                        | 4 | _ -> (
+                            (* double close must raise, not corrupt *)
+                            match !fds with
+                            | fd :: rest ->
+                                Libos.close os fd;
+                                fds := rest;
+                                (match Libos.close os fd with
+                                | () -> outcome := false
+                                | exception Libos.Bad_fd _ -> ())
+                            | [] -> ()))
+                      ops;
+                    if Libos.open_fds os <> List.length !fds then outcome := false;
+                    Bytes.empty );
+              ];
+          }
       in
-      ignore (Urts.ecall handle ~id:1 ~direction:Edge.In ());
-      Urts.destroy handle;
+      ignore (backend.Backend.call ~id:1 ~direction:Edge.In ());
+      backend.Backend.destroy ();
       !outcome)
 
 (* --- slot ring reply frame: corrupt length words ------------------------------------ *)

@@ -4,66 +4,98 @@
 
 open Hyperenclave
 
-let with_libos ?(mode = Sgx_types.GU) ?(switchless_net = false) body =
-  let p = Platform.create ~seed:7000L () in
+(* The host's side of the forwarding sockets: a send takes every byte, a
+   recv returns the bytes asked for, all 'r'. *)
+let host_ocalls =
+  [
+    ( Libos.net_send_ocall,
+      fun data -> Bytes.of_string (string_of_int (Bytes.length data)) );
+    ( Libos.net_recv_ocall,
+      fun len -> Bytes.make (int_of_string (Bytes.to_string len)) 'r' );
+  ]
+
+(* Run [body] inside one ECALL of a [kind] backend on a fresh platform. *)
+let in_enclave ?(kind = Backend.Hyperenclave Sgx_types.GU) ~seed body =
+  let p = Platform.create ~seed () in
   let result = ref None in
-  let handle =
-    Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
-      ~signer:p.Platform.signer
-      ~config:(Urts.default_config mode)
-      ~ecalls:
-        [
-          ( 1,
-            fun tenv _ ->
-              let os = Libos.create tenv ~switchless_net () in
-              result := Some (body os);
-              Bytes.empty );
-        ]
-      ~ocalls:
-        [
-          (900, fun data -> Bytes.of_string (string_of_int (Bytes.length data)));
-          ( 901,
-            fun len ->
-              Bytes.make (int_of_string (Bytes.to_string len)) 'r' );
-        ]
+  let backend =
+    Backend.create p
+      {
+        (Backend.config kind) with
+        Backend.handlers =
+          [
+            ( 1,
+              fun env _ ->
+                result := Some (body env);
+                Bytes.empty );
+          ];
+        ocalls = host_ocalls;
+      }
   in
-  ignore (Urts.ecall handle ~id:1 ~direction:Edge.In ());
-  Urts.destroy handle;
+  ignore (backend.Backend.call ~id:1 ~direction:Edge.In ());
+  backend.Backend.destroy ();
   Option.get !result
 
-let test_file_lifecycle () =
-  with_libos (fun os ->
-      let fd = Libos.openf os ~path:"/data/log.txt" [ Libos.O_creat; Libos.O_rdwr ] in
-      Alcotest.(check int) "first write" 5 (Libos.write os fd (Bytes.of_string "hello"));
-      Alcotest.(check int) "append-style write" 7 (Libos.write os fd (Bytes.of_string " libos!"));
-      ignore (Libos.lseek os fd ~pos:0);
-      Alcotest.(check string)
-        "read back" "hello libos!"
-        (Bytes.to_string (Libos.read os fd ~len:100));
-      Alcotest.(check string)
-        "read at EOF is empty" ""
-        (Bytes.to_string (Libos.read os fd ~len:10));
-      ignore (Libos.lseek os fd ~pos:6);
-      Alcotest.(check string)
-        "seek + partial read" "libos"
-        (Bytes.to_string (Libos.read os fd ~len:5));
-      Alcotest.(check int) "stat" 12 (Libos.stat_size os ~path:"/data/log.txt");
-      Libos.close os fd;
-      Alcotest.(check int) "fd table drained" 0 (Libos.open_fds os);
-      (* O_TRUNC resets; O_APPEND writes at the end regardless of seeks. *)
-      let fd2 = Libos.openf os ~path:"/data/log.txt" [ Libos.O_trunc; Libos.O_append ] in
-      ignore (Libos.write os fd2 (Bytes.of_string "a"));
-      ignore (Libos.lseek os fd2 ~pos:0);
-      ignore (Libos.write os fd2 (Bytes.of_string "b"));
-      Alcotest.(check int) "append semantics" 2 (Libos.stat_size os ~path:"/data/log.txt");
-      Libos.close os fd2;
-      Libos.unlink os ~path:"/data/log.txt";
-      (try
-         ignore (Libos.stat_size os ~path:"/data/log.txt");
-         Alcotest.fail "stat after unlink"
-       with Libos.No_such_file _ -> ());
-      true)
-  |> Alcotest.(check bool) "completed" true
+let with_libos body = in_enclave ~seed:7000L (fun env -> body (Libos.create env))
+
+let file_lifecycle os =
+  let fd = Libos.openf os ~path:"/data/log.txt" [ Libos.O_creat; Libos.O_rdwr ] in
+  Alcotest.(check int) "first write" 5 (Libos.write os fd (Bytes.of_string "hello"));
+  Alcotest.(check int) "append-style write" 7 (Libos.write os fd (Bytes.of_string " libos!"));
+  ignore (Libos.lseek os fd ~pos:0);
+  Alcotest.(check string)
+    "read back" "hello libos!"
+    (Bytes.to_string (Libos.read os fd ~len:100));
+  Alcotest.(check string)
+    "read at EOF is empty" ""
+    (Bytes.to_string (Libos.read os fd ~len:10));
+  ignore (Libos.lseek os fd ~pos:6);
+  Alcotest.(check string)
+    "seek + partial read" "libos"
+    (Bytes.to_string (Libos.read os fd ~len:5));
+  Alcotest.(check int) "stat" 12 (Libos.stat_size os ~path:"/data/log.txt");
+  Libos.close os fd;
+  Alcotest.(check int) "fd table drained" 0 (Libos.open_fds os);
+  (* O_TRUNC resets; O_APPEND writes at the end regardless of seeks. *)
+  let fd2 = Libos.openf os ~path:"/data/log.txt" [ Libos.O_trunc; Libos.O_append ] in
+  ignore (Libos.write os fd2 (Bytes.of_string "a"));
+  ignore (Libos.lseek os fd2 ~pos:0);
+  ignore (Libos.write os fd2 (Bytes.of_string "b"));
+  Alcotest.(check int) "append semantics" 2 (Libos.stat_size os ~path:"/data/log.txt");
+  Libos.close os fd2;
+  Libos.unlink os ~path:"/data/log.txt";
+  try
+    ignore (Libos.stat_size os ~path:"/data/log.txt");
+    Alcotest.fail "stat after unlink"
+  with Libos.No_such_file _ -> ()
+
+let test_file_lifecycle () = with_libos file_lifecycle
+
+(* One application, unchanged, on every backend: the same file bytes
+   come back and the same syscalls stay in or leave, whether the files
+   live in demand-paged EPC or in a scratch heap. *)
+let test_every_backend () =
+  List.iter
+    (fun kind ->
+      let name = Backend.kind_name kind in
+      let stats =
+        in_enclave ~kind ~seed:7003L (fun env ->
+            let os = Libos.create env in
+            file_lifecycle os;
+            Alcotest.(check int) (name ^ ": forwarded send") 6
+              (Libos.send os (Libos.socket os) (Bytes.of_string "report"));
+            Libos.stats os)
+      in
+      Alcotest.(check (pair int int))
+        (name ^ ": in-enclave/forwarded split")
+        (20, 1)
+        (stats.Libos.in_enclave, stats.Libos.forwarded))
+    [
+      Backend.Native;
+      Backend.Sgx;
+      Backend.Hyperenclave Sgx_types.HU;
+      Backend.Hyperenclave Sgx_types.GU;
+    ]
 
 let test_errors () =
   with_libos (fun os ->
@@ -120,61 +152,22 @@ let test_network_forwarding_and_stats () =
 let test_exitless_is_cheaper () =
   (* The same file work costs far less than the equivalent number of
      world switches would. *)
-  let p = Platform.create ~seed:7001L () in
-  let cycles = ref 0 in
-  let handle =
-    Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
-      ~signer:p.Platform.signer
-      ~config:(Urts.default_config Sgx_types.GU)
-      ~ecalls:
-        [
-          ( 1,
-            fun tenv _ ->
-              let os = Libos.create tenv () in
-              let fd = Libos.openf os ~path:"/f" [ Libos.O_creat; Libos.O_rdwr ] in
-              let _, c =
-                Cycles.time tenv.Tenv.clock (fun () ->
-                    for _ = 1 to 100 do
-                      ignore (Libos.write os fd (Bytes.of_string "x"))
-                    done)
-              in
-              cycles := c;
-              Bytes.empty );
-        ]
-      ~ocalls:[]
+  let cycles =
+    in_enclave ~seed:7001L (fun env ->
+        let os = Libos.create env in
+        let fd = Libos.openf os ~path:"/f" [ Libos.O_creat; Libos.O_rdwr ] in
+        snd
+          (Cycles.time env.Backend.clock (fun () ->
+               for _ = 1 to 100 do
+                 ignore (Libos.write os fd (Bytes.of_string "x"))
+               done)))
   in
-  ignore (Urts.ecall handle ~id:1 ~direction:Edge.In ());
-  Urts.destroy handle;
   let ocall_equivalent = 100 * 4920 in
   Alcotest.(check bool)
     (Printf.sprintf "100 in-enclave writes (%d cyc) << 100 OCALLs (%d cyc)"
-       !cycles ocall_equivalent)
+       cycles ocall_equivalent)
     true
-    (!cycles * 5 < ocall_equivalent)
-
-let test_switchless_net () =
-  let regular =
-    with_libos ~switchless_net:false (fun os ->
-        let s = Libos.socket os in
-        let clock_before = Libos.clock_monotonic os in
-        for _ = 1 to 20 do
-          ignore (Libos.send os s (Bytes.of_string "chunk"))
-        done;
-        Libos.clock_monotonic os - clock_before)
-  in
-  let switchless =
-    with_libos ~switchless_net:true (fun os ->
-        let s = Libos.socket os in
-        let clock_before = Libos.clock_monotonic os in
-        for _ = 1 to 20 do
-          ignore (Libos.send os s (Bytes.of_string "chunk"))
-        done;
-        Libos.clock_monotonic os - clock_before)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "switchless net (%d) beats regular (%d)" switchless regular)
-    true
-    (switchless * 2 < regular)
+    (cycles * 5 < ocall_equivalent)
 
 (* --- PR 9 additions ------------------------------------------------------ *)
 
@@ -335,59 +328,28 @@ let test_loopback_sockets () =
     stats.Libos.forwarded
 
 let test_paged_vfs () =
-  (* File extents backed by the demand-paged enclave heap: a multi-page
-     file round-trips through Tenv heap reads/writes (EPC commit under the
-     hood) and the VFS bump allocator reports the extent bytes. *)
-  let p = Platform.create ~seed:7002L () in
-  let ok = ref false in
-  let handle =
-    Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
-      ~signer:p.Platform.signer
-      ~config:(Urts.default_config Sgx_types.GU)
-      ~ecalls:
-        [
-          ( 1,
-            fun tenv _ ->
-              let pager =
-                {
-                  Vfs.p_read =
-                    (fun ~off ~len ->
-                      tenv.Tenv.read ~va:(tenv.Tenv.heap_base + off) ~len);
-                  p_write =
-                    (fun ~off data ->
-                      tenv.Tenv.write ~va:(tenv.Tenv.heap_base + off) data);
-                }
-              in
-              let os = Libos.create_rt (Libos.of_tenv tenv) ~pager () in
-              let fd =
-                Libos.openf os ~path:"/big" [ Libos.O_creat; Libos.O_rdwr ]
-              in
-              let chunk = Bytes.make 4096 'p' in
-              for page = 0 to 2 do
-                Bytes.set chunk 0 (Char.chr (Char.code 'a' + page));
-                ignore (Libos.write os fd chunk)
-              done;
-              Alcotest.(check int) "three pages" 12288 (Libos.fstat_size os fd);
-              ignore (Libos.lseek os fd ~pos:8192);
-              let back = Libos.read os fd ~len:4096 in
-              Alcotest.(check char) "page marker survives paging" 'c'
-                (Bytes.get back 0);
-              Alcotest.(check char) "page body survives paging" 'p'
-                (Bytes.get back 4095);
-              ignore (Libos.lseek os fd ~pos:4000);
-              Alcotest.(check int)
-                "cross-page read" 2000
-                (Bytes.length (Libos.read os fd ~len:2000));
-              Alcotest.(check bool) "extents came from the heap" true
-                (Vfs.paged_bytes (Libos.vfs os) >= 12288);
-              ok := true;
-              Bytes.empty );
-        ]
-      ~ocalls:[]
-  in
-  ignore (Urts.ecall handle ~id:1 ~direction:Edge.In ());
-  Urts.destroy handle;
-  Alcotest.(check bool) "ecall body ran" true !ok
+  (* File extents live in the demand-paged enclave heap: a multi-page
+     file round-trips through the env's heap reads/writes (EPC commit
+     under the hood) and the VFS bump allocator reports the extent
+     bytes. *)
+  with_libos (fun os ->
+      let fd = Libos.openf os ~path:"/big" [ Libos.O_creat; Libos.O_rdwr ] in
+      let chunk = Bytes.make 4096 'p' in
+      for page = 0 to 2 do
+        Bytes.set chunk 0 (Char.chr (Char.code 'a' + page));
+        ignore (Libos.write os fd chunk)
+      done;
+      Alcotest.(check int) "three pages" 12288 (Libos.fstat_size os fd);
+      ignore (Libos.lseek os fd ~pos:8192);
+      let back = Libos.read os fd ~len:4096 in
+      Alcotest.(check char) "page marker survives paging" 'c' (Bytes.get back 0);
+      Alcotest.(check char) "page body survives paging" 'p' (Bytes.get back 4095);
+      ignore (Libos.lseek os fd ~pos:4000);
+      Alcotest.(check int)
+        "cross-page read" 2000
+        (Bytes.length (Libos.read os fd ~len:2000));
+      Alcotest.(check bool) "extents came from the heap" true
+        (Vfs.paged_bytes (Libos.vfs os) >= 12288))
 
 let suite =
   [
@@ -403,5 +365,6 @@ let suite =
     Alcotest.test_case "network forwarding + stats" `Quick
       test_network_forwarding_and_stats;
     Alcotest.test_case "exitless file I/O is cheap" `Quick test_exitless_is_cheaper;
-    Alcotest.test_case "switchless network" `Quick test_switchless_net;
+    Alcotest.test_case "one application on every backend" `Quick
+      test_every_backend;
   ]
