@@ -697,24 +697,30 @@ module Client = struct
 
   let sum_bytes size = List.fold_left (fun n x -> n + size x) 0
 
-  (* One handshake attempt against [c.node]; chases Tenant_migrated
-     forwards by re-pinning the new owner's anchor (bounded by fleet
-     size — forwards cannot cycle without a migration in between). *)
+  (* A serving client pinned to [node]'s anchor. *)
+  let serving_client cl ~rng ~policy node =
+    let a = anchor cl node in
+    Serve.Client.create ~rng ~golden:a.a_golden ~policy ~expected_hapk:a.a_hapk ()
+
+  let retarget c node =
+    c.node <- node;
+    c.sc <- serving_client c.cl ~rng:c.rng ~policy:c.policy node
+
+  (* One handshake attempt against [c.node], whose anchor [c.sc] pins;
+     chases Tenant_migrated forwards by re-pinning the new owner's
+     anchor (bounded by fleet size — forwards cannot cycle without a
+     migration in between). *)
   let rec connect_at c hops =
     if hops > Array.length c.cl.c_nodes then Error (Reject (Serve.Unknown_tenant c.tenant))
     else if not (Node.alive (node c.cl c.node)) then Error (Node_down c.node)
     else begin
-      let a = anchor c.cl c.node in
-      c.sc <-
-        Serve.Client.create ~rng:c.rng ~golden:a.a_golden ~policy:c.policy
-          ~expected_hapk:a.a_hapk ();
       let hello = Serve.Client.hello c.sc in
       match lb_send c ~bytes:hello_bytes with
       | Error e -> Error e
       | Ok () -> (
           match Serve.handshake (plane c.cl c.node) ~tenant:c.tenant hello with
           | Error (Serve.Tenant_migrated { to_node; _ }) ->
-              c.node <- to_node;
+              retarget c to_node;
               connect_at c (hops + 1)
           | Error r -> Error (Reject r)
           | Ok accept -> (
@@ -732,16 +738,13 @@ module Client = struct
     match route cl ~tenant with
     | Error e -> Error e
     | Ok owner ->
-        let a = anchor cl owner in
         let c =
           {
             cl;
             tenant;
             rng;
             policy;
-            sc =
-              Serve.Client.create ~rng ~golden:a.a_golden ~policy
-                ~expected_hapk:a.a_hapk ();
+            sc = serving_client cl ~rng ~policy owner;
             node = owner;
             open_ = false;
           }
@@ -821,7 +824,7 @@ module Client = struct
     match route c.cl ~tenant:c.tenant with
     | Error e -> Error e
     | Ok owner ->
-        c.node <- owner;
+        retarget c owner;
         connect_at c 0
 
   (* Closing crosses no message; it follows [Session_migrated] forwards
