@@ -9,7 +9,7 @@ let run () =
     "SPEC CPU 2017 INTspeed stand-ins, native vs normal VM; paper: <1% \
      overhead in most benchmarks.";
   let platform = Platform.create ~seed:909L () in
-  let results = Spec_cpu.run platform () in
+  let results = Spec_cpu.run platform in
   Util.print_table
     ~columns:[ "benchmark"; "native Mcyc"; "VM Mcyc"; "overhead" ]
     (List.map

@@ -21,9 +21,10 @@
    overflow, which preserves within-set order (LRU never compares across
    sets) and hence every observable result. *)
 
+let line_bytes = 64
+let line_shift = 6
+
 type t = {
-  line_bytes : int;
-  line_shift : int; (* -1 when line_bytes is not a power of two *)
   ways : int;
   sets : int;
   slab : int array; (* sets x ways packed words *)
@@ -42,15 +43,9 @@ let renorm_threshold = 1 lsl 29
 
 let rec pow2_floor n = if n land (n - 1) = 0 then n else pow2_floor (n land (n - 1))
 
-let shift_of n =
-  let rec go v s = if v = 1 then s else go (v lsr 1) (s + 1) in
-  if n > 0 && n land (n - 1) = 0 then go n 0 else -1
-
-let create ?(line_bytes = 64) ?(ways = 16) ~size_bytes () =
+let create ?(ways = 16) ~size_bytes () =
   let sets = max 1 (pow2_floor (size_bytes / line_bytes / ways)) in
   {
-    line_bytes;
-    line_shift = shift_of line_bytes;
     ways;
     sets;
     slab = Array.make (sets * ways) invalid;
@@ -59,8 +54,7 @@ let create ?(line_bytes = 64) ?(ways = 16) ~size_bytes () =
     misses = 0;
   }
 
-let line_no t addr =
-  if t.line_shift >= 0 then addr lsr t.line_shift else addr / t.line_bytes
+let line_no addr = addr lsr line_shift
 
 (* Replace each valid way's tick with its rank among the valid ways of
    its set (1..ways).  Within-set order — the only order LRU ever
@@ -89,7 +83,7 @@ let access t ~write addr =
   t.accesses <- t.accesses + 1;
   if t.tick >= renorm_threshold then renormalize t;
   t.tick <- t.tick + 1;
-  let tag = line_no t addr in
+  let tag = line_no addr in
   let base = (tag land (t.sets - 1)) * t.ways in
   let slab = t.slab in
   let ways = t.ways in
@@ -126,7 +120,7 @@ let access t ~write addr =
   end
 
 let flush_line t addr =
-  let tag = line_no t addr in
+  let tag = line_no addr in
   let base = (tag land (t.sets - 1)) * t.ways in
   for i = 0 to t.ways - 1 do
     let w = t.slab.(base + i) in
@@ -134,7 +128,7 @@ let flush_line t addr =
   done
 
 let flush_all t = Array.fill t.slab 0 (Array.length t.slab) invalid
-let size_bytes t = t.sets * t.ways * t.line_bytes
+let size_bytes t = t.sets * t.ways * line_bytes
 let accesses t = t.accesses
 let misses t = t.misses
 

@@ -9,8 +9,8 @@ type t
 
 type result = Hit | Miss of { evicted_dirty : bool }
 
-val create : ?line_bytes:int -> ?ways:int -> size_bytes:int -> unit -> t
-(** Default: 64-byte lines, 16 ways.  [size_bytes] is rounded to a power-of-
+val create : ?ways:int -> size_bytes:int -> unit -> t
+(** 64-byte lines; default 16 ways.  [size_bytes] is rounded to a power-of-
     two number of sets. *)
 
 val access : t -> write:bool -> int -> result

@@ -1,6 +1,10 @@
 (* CLRS-style B-tree with preemptive splitting; minimum degree td =
    order/2, so nodes hold between td-1 and 2*td-1 keys (root excepted). *)
 
+let order = 32 (* max children per node *)
+let td = order / 2
+let node_bytes = order * 16
+
 type node = {
   addr : int;
   mutable keys : int array;
@@ -8,9 +12,7 @@ type node = {
 }
 
 type t = {
-  td : int;
   record_bytes : int;
-  node_bytes : int;
   mutable root : node;
   values : (int, bytes) Hashtbl.t;
   value_addr : (int, int) Hashtbl.t;
@@ -27,15 +29,10 @@ type t = {
 
 let is_leaf node = Array.length node.children = 0
 
-let create ?(order = 32) ~addr_base ~record_bytes () =
-  if order < 4 || order mod 2 <> 0 then invalid_arg "Btree.create: bad order";
-  let td = order / 2 in
-  let node_bytes = order * 16 in
+let create ~addr_base ~record_bytes =
   let t =
     {
-      td;
       record_bytes;
-      node_bytes;
       root = { addr = addr_base; keys = [||]; children = [||] };
       values = Hashtbl.create 1024;
       value_addr = Hashtbl.create 1024;
@@ -72,7 +69,7 @@ let record t addr len =
   t.trail.(i + 1) <- len;
   t.trail_n <- t.trail_n + 1
 
-let touch t node = record t node.addr t.node_bytes
+let touch t node = record t node.addr node_bytes
 
 let touch_value t key =
   match Hashtbl.find t.value_addr key with
@@ -82,11 +79,10 @@ let touch_value t key =
 (* Split the full child [child] of [parent] at child index [i]. *)
 let split_child t parent i =
   let child = parent.children.(i) in
-  let td = t.td in
-  let median = child.keys.(td - 1) in
+    let median = child.keys.(td - 1) in
   let right =
     {
-      addr = alloc t t.node_bytes;
+      addr = alloc t node_bytes;
       keys = Array.sub child.keys td (td - 1);
       children =
         (if is_leaf child then [||] else Array.sub child.children td td);
@@ -130,7 +126,7 @@ let rec insert_nonfull t node key =
   end
   else begin
     let continue_at = ref (Some i) in
-    if Array.length node.children.(i).keys = (2 * t.td) - 1 then begin
+    if Array.length node.children.(i).keys = (2 * td) - 1 then begin
       split_child t node i;
       (* The promoted median may be exactly the key being inserted (a
          duplicate): it now lives in this node, so there is nothing left
@@ -150,10 +146,10 @@ let insert t ~key value =
     Hashtbl.replace t.value_addr key (alloc t t.record_bytes)
   end;
   Hashtbl.replace t.values key value;
-  if Array.length t.root.keys = (2 * t.td) - 1 then begin
+  if Array.length t.root.keys = (2 * td) - 1 then begin
     let old_root = t.root in
     let new_root =
-      { addr = alloc t t.node_bytes; keys = [||]; children = [| old_root |] }
+      { addr = alloc t node_bytes; keys = [||]; children = [| old_root |] }
     in
     t.root <- new_root;
     split_child t new_root 0
@@ -261,8 +257,8 @@ let check_invariants t =
   let leaf_depth = ref (-1) in
   let rec go node depth ~is_root lo hi =
     let n = Array.length node.keys in
-    if (not is_root) && n < t.td - 1 then fail "node underfull (%d keys)" n;
-    if n > (2 * t.td) - 1 then fail "node overfull (%d keys)" n;
+    if (not is_root) && n < td - 1 then fail "node underfull (%d keys)" n;
+    if n > (2 * td) - 1 then fail "node overfull (%d keys)" n;
     for i = 0 to n - 2 do
       if node.keys.(i) >= node.keys.(i + 1) then fail "keys out of order"
     done;

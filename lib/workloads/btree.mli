@@ -8,8 +8,8 @@
 
 type t
 
-val create : ?order:int -> addr_base:int -> record_bytes:int -> unit -> t
-(** [order] is the max children per node (default 32). *)
+val create : addr_base:int -> record_bytes:int -> t
+(** An empty tree of order 32 (at most 32 children per node). *)
 
 val insert : t -> key:int -> bytes -> unit
 val find : t -> key:int -> bytes option

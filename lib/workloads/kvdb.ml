@@ -34,7 +34,7 @@ module Engine = struct
 
   let create () =
     {
-      btree = Btree.create ~addr_base:0x1000_0000 ~record_bytes ();
+      btree = Btree.create ~addr_base:0x1000_0000 ~record_bytes;
       tokens_parsed = 0;
       mutated = false;
       stmt = "";

@@ -291,10 +291,10 @@ let run_mode (p : Platform.t) ~nested kernel ~iterations =
       in
       cycles)
 
-let run (p : Platform.t) ?(scale = 1) () =
+let run (p : Platform.t) =
   List.map2
     (fun name kernel ->
-      let iterations = 8 * scale in
+      let iterations = 8 in
       let native_cycles = run_mode p ~nested:false kernel ~iterations in
       let vm_cycles = run_mode p ~nested:true kernel ~iterations in
       let overhead_pct =

@@ -15,5 +15,5 @@ val kernel_names : string list
 
 type result = { name : string; native_cycles : int; vm_cycles : int; overhead_pct : float }
 
-val run : Platform.t -> ?scale:int -> unit -> result list
-(** [scale] multiplies each kernel's iteration count (default 1). *)
+val run : Platform.t -> result list
+(** Each kernel for 8 iterations, natively and nested. *)

@@ -5,7 +5,6 @@ type op = Read of int | Update of int | Scan of int * int
 type t = {
   rng : Rng.t;
   records : int;
-  theta : float;
   zetan : float;
   zeta2 : float;
   alpha : float;
@@ -19,16 +18,19 @@ let zeta n theta =
   done;
   !acc
 
-let create ~rng ~records ?(zipf_theta = 0.99) () =
+(* The YCSB standard zipfian constant. *)
+let theta = 0.99
+
+let create ~rng ~records () =
   if records <= 0 then invalid_arg "Ycsb.create: records <= 0";
-  let zetan = zeta records zipf_theta in
-  let zeta2 = zeta 2 zipf_theta in
-  let alpha = 1.0 /. (1.0 -. zipf_theta) in
+  let zetan = zeta records theta in
+  let zeta2 = zeta 2 theta in
+  let alpha = 1.0 /. (1.0 -. theta) in
   let eta =
-    (1.0 -. ((2.0 /. float_of_int records) ** (1.0 -. zipf_theta)))
+    (1.0 -. ((2.0 /. float_of_int records) ** (1.0 -. theta)))
     /. (1.0 -. (zeta2 /. zetan))
   in
-  { rng; records; theta = zipf_theta; zetan; zeta2; alpha; eta }
+  { rng; records; zetan; zeta2; alpha; eta }
 
 (* FNV-1a scramble, as YCSB does, so hot keys are spread over the
    keyspace instead of clustered at 0. *)
@@ -46,7 +48,7 @@ let next_key t =
   let uz = u *. t.zetan in
   let rank =
     if uz < 1.0 then 0
-    else if uz < 1.0 +. (0.5 ** t.theta) then 1
+    else if uz < 1.0 +. (0.5 ** theta) then 1
     else
       int_of_float
         (float_of_int t.records *. (((t.eta *. u) -. t.eta +. 1.0) ** t.alpha))

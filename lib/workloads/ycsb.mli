@@ -13,9 +13,9 @@ type op =
 
 type t
 
-val create :
-  rng:Hyperenclave_hw.Rng.t -> records:int -> ?zipf_theta:float -> unit -> t
-(** Default theta 0.99 (the YCSB standard constant). *)
+val create : rng:Hyperenclave_hw.Rng.t -> records:int -> unit -> t
+(** Keys over [records] rows, zipfian with theta 0.99 (the YCSB
+    standard constant). *)
 
 val next_key : t -> int
 (** Zipfian-distributed key in [\[0, records)], hottest keys first. *)

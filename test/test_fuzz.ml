@@ -277,7 +277,7 @@ let sql_scanner_matches_oracle =
       let e = W.Kvdb.Engine.create () in
       let table = W.Kvdb.Engine.btree e in
       let oracle =
-        W.Btree.create ~addr_base:0x1000_0000 ~record_bytes:W.Kvdb.record_bytes ()
+        W.Btree.create ~addr_base:0x1000_0000 ~record_bytes:W.Kvdb.record_bytes
       in
       let preload =
         List.init 48 (fun k -> Printf.sprintf "INSERT INTO kv VALUES (%d, 'v%d')" (k * 2) k)

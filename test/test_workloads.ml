@@ -54,7 +54,7 @@ let test_ycsb_zipfian () =
 (* --- B-tree ---------------------------------------------------------------------- *)
 
 let make_btree () =
-  let t = W.Btree.create ~addr_base:0x1000 ~record_bytes:64 () in
+  let t = W.Btree.create ~addr_base:0x1000 ~record_bytes:64 in
   for key = 0 to 999 do
     W.Btree.insert t ~key (Bytes.of_string (Printf.sprintf "v%d" key))
   done;
@@ -91,7 +91,7 @@ let btree_qcheck =
   Test.make ~name:"btree holds every inserted key and stays valid" ~count:50
     (list_of_size (Gen.int_bound 400) (int_bound 10_000))
     (fun keys ->
-      let t = W.Btree.create ~addr_base:0x1000 ~record_bytes:64 () in
+      let t = W.Btree.create ~addr_base:0x1000 ~record_bytes:64 in
       List.iter
         (fun key -> W.Btree.insert t ~key (Bytes.of_string (string_of_int key)))
         keys;
@@ -225,7 +225,7 @@ let test_lmbench_small_overhead () =
 
 let test_spec_small_overhead () =
   let p = Platform.create ~seed:6001L () in
-  let results = W.Spec_cpu.run p () in
+  let results = W.Spec_cpu.run p in
   Alcotest.(check int) "nine kernels" 9 (List.length results);
   List.iter
     (fun (r : W.Spec_cpu.result) ->
@@ -392,7 +392,7 @@ let test_ycsb_mixes () =
   done
 
 let test_btree_scan () =
-  let t = W.Btree.create ~addr_base:0x1000 ~record_bytes:64 () in
+  let t = W.Btree.create ~addr_base:0x1000 ~record_bytes:64 in
   for key = 0 to 199 do
     W.Btree.insert t ~key (Bytes.of_string (Printf.sprintf "v%03d" key))
   done;
