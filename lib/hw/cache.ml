@@ -21,8 +21,8 @@
    overflow, which preserves within-set order (LRU never compares across
    sets) and hence every observable result. *)
 
-let line_bytes = 64
 let line_shift = 6
+let line_bytes = 1 lsl line_shift
 
 type t = {
   ways : int;

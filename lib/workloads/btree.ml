@@ -79,7 +79,7 @@ let touch_value t key =
 (* Split the full child [child] of [parent] at child index [i]. *)
 let split_child t parent i =
   let child = parent.children.(i) in
-    let median = child.keys.(td - 1) in
+  let median = child.keys.(td - 1) in
   let right =
     {
       addr = alloc t node_bytes;

@@ -6,8 +6,6 @@ type t = {
   rng : Rng.t;
   records : int;
   zetan : float;
-  zeta2 : float;
-  alpha : float;
   eta : float;
 }
 
@@ -18,19 +16,20 @@ let zeta n theta =
   done;
   !acc
 
-(* The YCSB standard zipfian constant. *)
+(* The YCSB standard zipfian constant, and the generator's terms that
+   depend on it alone. *)
 let theta = 0.99
+let zeta2 = zeta 2 theta
+let alpha = 1.0 /. (1.0 -. theta)
 
 let create ~rng ~records () =
   if records <= 0 then invalid_arg "Ycsb.create: records <= 0";
   let zetan = zeta records theta in
-  let zeta2 = zeta 2 theta in
-  let alpha = 1.0 /. (1.0 -. theta) in
   let eta =
     (1.0 -. ((2.0 /. float_of_int records) ** (1.0 -. theta)))
     /. (1.0 -. (zeta2 /. zetan))
   in
-  { rng; records; zetan; zeta2; alpha; eta }
+  { rng; records; zetan; eta }
 
 (* FNV-1a scramble, as YCSB does, so hot keys are spread over the
    keyspace instead of clustered at 0. *)
@@ -51,7 +50,7 @@ let next_key t =
     else if uz < 1.0 +. (0.5 ** theta) then 1
     else
       int_of_float
-        (float_of_int t.records *. (((t.eta *. u) -. t.eta +. 1.0) ** t.alpha))
+        (float_of_int t.records *. (((t.eta *. u) -. t.eta +. 1.0) ** alpha))
   in
   scramble t (min rank (t.records - 1))
 

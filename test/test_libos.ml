@@ -332,7 +332,8 @@ let test_paged_vfs () =
      file round-trips through the env's heap reads/writes (EPC commit
      under the hood) and the VFS bump allocator reports the extent
      bytes. *)
-  with_libos (fun os ->
+  in_enclave ~seed:7002L (fun env ->
+      let os = Libos.create env in
       let fd = Libos.openf os ~path:"/big" [ Libos.O_creat; Libos.O_rdwr ] in
       let chunk = Bytes.make 4096 'p' in
       for page = 0 to 2 do
