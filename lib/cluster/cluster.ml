@@ -692,7 +692,7 @@ module Client = struct
   let request_bytes (r : Serve.request) = Bytes.length r.Serve.frame + 38
 
   let reply_bytes = function
-    | Ok { Serve.r_result = Ok frame; _ } -> Bytes.length frame + 38
+    | Ok { Serve.r_result = Ok (); r_len; _ } -> r_len + 38
     | Ok { Serve.r_result = Error _; _ } | Error _ -> 70
 
   let sum_bytes size = List.fold_left (fun n x -> n + size x) 0

@@ -41,6 +41,7 @@ type t = {
   mutable return_va : int;
   mutable regs : Vcpu.regs;
   stats : stats;
+  self : t option;
 }
 
 let mode t = t.secs.Sgx_types.attributes.Sgx_types.mode
@@ -55,34 +56,38 @@ let make ~id ~(secs : Sgx_types.secs) =
     | Sgx_types.GU | Sgx_types.P -> Some (Page_table.create ())
     | Sgx_types.HU -> None
   in
-  {
-    id;
-    secs;
-    gpt = Page_table.create ();
-    npt;
-    lifecycle = Uninitialized;
-    measurement_ctx = Some ctx;
-    mrenclave = Bytes.empty;
-    mrsigner = Bytes.empty;
-    isv_prod_id = 0;
-    isv_svn = 0;
-    tcs_list = [];
-    marshalling = None;
-    handlers = [];
-    interrupt_guard = None;
-    entered = false;
-    return_va = 0;
-    regs = Vcpu.fresh ~entry:secs.base_va;
-    stats =
-      {
-        ecalls = 0;
-        ocalls = 0;
-        aexs = 0;
-        page_faults = 0;
-        dyn_pages = 0;
-        in_enclave_exceptions = 0;
-      };
-  }
+  let rec t =
+    {
+      id;
+      secs;
+      gpt = Page_table.create ();
+      npt;
+      lifecycle = Uninitialized;
+      measurement_ctx = Some ctx;
+      mrenclave = Bytes.empty;
+      mrsigner = Bytes.empty;
+      isv_prod_id = 0;
+      isv_svn = 0;
+      tcs_list = [];
+      marshalling = None;
+      handlers = [];
+      interrupt_guard = None;
+      entered = false;
+      return_va = 0;
+      regs = Vcpu.fresh ~entry:secs.base_va;
+      stats =
+        {
+          ecalls = 0;
+          ocalls = 0;
+          aexs = 0;
+          page_faults = 0;
+          dyn_pages = 0;
+          in_enclave_exceptions = 0;
+        };
+      self = Some t;
+    }
+  in
+  t
 
 let in_elrange t ~va =
   va >= t.secs.Sgx_types.base_va && va < t.secs.Sgx_types.base_va + t.secs.Sgx_types.size

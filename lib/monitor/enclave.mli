@@ -54,6 +54,9 @@ type t = {
   mutable return_va : int;  (** recorded at EENTER; EEXIT must match *)
   mutable regs : Vcpu.regs;  (** in-enclave register state (symbolic) *)
   stats : stats;
+  self : t option;
+      (** [Some] of this enclave, built once: what the monitor records as
+          its vCPU's current enclave, so an entry allocates no box *)
 }
 
 val mode : t -> Sgx_types.operation_mode

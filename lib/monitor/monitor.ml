@@ -64,7 +64,12 @@ type t = {
   mutable next_id : int;
   mutable current : Enclave.t option;
   mutable current_tcs : Sgx_types.tcs option;
-  mutable saved_normal : (Page_table.t * Page_table.t option) option;
+  (* The normal context an entry left, kept in place so an entry
+     allocates nothing: [saved_gpt]/[saved_npt] are meaningful only while
+     [saved] is set. *)
+  mutable saved : bool;
+  mutable saved_gpt : Page_table.t;
+  mutable saved_npt : Page_table.t option;
   (* EPC overcommit: evicted pages are sealed and handed to untrusted
      storage through the kernel module's backend (EWB/ELDU analogue). *)
   mutable swap_backend : swap_backend option;
@@ -120,7 +125,9 @@ let create ~clock ~cost ~rng ~mem ~cpu ~iommu ~tpm config =
     next_id = 1;
     current = None;
     current_tcs = None;
-    saved_normal = None;
+    saved = false;
+    saved_gpt = Mmu.gpt cpu;
+    saved_npt = None;
     swap_backend = None;
     swapped = Hashtbl.create 64;
     swap_versions = Hashtbl.create 64;
@@ -541,22 +548,21 @@ let eremove t (enclave : Enclave.t) =
 
 (* --- world switches ------------------------------------------------------ *)
 
+(* Both directions pass the tables' own options through, so a context
+   switch allocates nothing. *)
 let enter_context t (enclave : Enclave.t) =
-  (match t.saved_normal with
-  | Some _ -> ()
-  | None -> t.saved_normal <- Some (Mmu.gpt t.cpu, Mmu.npt t.cpu));
-  match enclave.npt with
-  | Some npt -> Mmu.switch_context t.cpu ~gpt:enclave.gpt ~npt ()
-  | None -> Mmu.switch_context t.cpu ~gpt:enclave.gpt ()
+  if not t.saved then begin
+    t.saved <- true;
+    t.saved_gpt <- Mmu.gpt t.cpu;
+    t.saved_npt <- Mmu.npt t.cpu
+  end;
+  Mmu.switch_context t.cpu ~gpt:enclave.gpt ?npt:enclave.npt ()
 
 let leave_context t =
-  match t.saved_normal with
-  | None -> ()
-  | Some (gpt, npt) ->
-      (match npt with
-      | Some npt -> Mmu.switch_context t.cpu ~gpt ~npt ()
-      | None -> Mmu.switch_context t.cpu ~gpt ());
-      t.saved_normal <- None
+  if t.saved then begin
+    Mmu.switch_context t.cpu ~gpt:t.saved_gpt ?npt:t.saved_npt ();
+    t.saved <- false
+  end
 
 let eenter t (enclave : Enclave.t) ~(tcs : Sgx_types.tcs) ~return_va =
   require_initialized enclave "eenter";
@@ -577,7 +583,7 @@ let eenter t (enclave : Enclave.t) ~(tcs : Sgx_types.tcs) ~return_va =
       enclave.return_va <- return_va;
       enclave.regs <- Vcpu.fresh ~entry:tcs.entry_va;
       enclave.stats.ecalls <- enclave.stats.ecalls + 1;
-      t.current <- Some enclave;
+      t.current <- enclave.self;
       t.current_tcs <- Some tcs;
       enter_context t enclave)
 
@@ -640,9 +646,9 @@ let aex t (enclave : Enclave.t) =
   (* The normal context is restored but stays recorded so the eventual
      EEXIT (after ERESUME) returns to the context saved at EENTER;
      leave_context clears the record, so re-save it. *)
-  let saved = t.saved_normal in
+  let saved = t.saved in
   leave_context t;
-  t.saved_normal <- saved;
+  t.saved <- saved;
   Telemetry.observe t.telemetry "cycles.aex" (Cycles.now t.clock - aex_start)
 
 let eresume t (enclave : Enclave.t) ~(tcs : Sgx_types.tcs) =
@@ -672,7 +678,7 @@ let eresume t (enclave : Enclave.t) ~(tcs : Sgx_types.tcs) =
              Vcpu.ssa_frame_bytes)
   | None -> violation "eresume: SSA page 0x%x not mapped" ssa_vpn);
   enclave.entered <- true;
-  t.current <- Some enclave;
+  t.current <- enclave.self;
   t.current_tcs <- Some tcs;
   enter_context t enclave;
   Telemetry.observe t.telemetry "cycles.eresume"
@@ -697,7 +703,7 @@ let with_worker t (enclave : Enclave.t) f =
       violation "with_worker: enclave %d already on this vCPU" running.id
   | None -> ());
   enclave.entered <- true;
-  t.current <- Some enclave;
+  t.current <- enclave.self;
   enter_context t enclave;
   match f () with
   | v ->
@@ -1317,7 +1323,7 @@ let snapshot t =
     ms_current = Option.map (fun (e : Enclave.t) -> e.Enclave.id) t.current;
     ms_current_tcs =
       Option.map (fun (tcs : Sgx_types.tcs) -> tcs.Sgx_types.tcs_vpn) t.current_tcs;
-    ms_saved_normal = t.saved_normal;
+    ms_saved_normal = (if t.saved then Some (t.saved_gpt, t.saved_npt) else None);
     ms_swapped = Hashtbl.fold (fun key perms acc -> (key, perms) :: acc) t.swapped [];
     ms_swap_versions =
       Hashtbl.fold (fun key v acc -> (key, v) :: acc) t.swap_versions [];
@@ -1350,22 +1356,20 @@ let restore t snap =
     (match (t.current, snap.ms_current_tcs) with
     | Some e, Some vpn -> Enclave.find_tcs e ~vpn
     | _ -> None);
-  t.saved_normal <- snap.ms_saved_normal;
+  (match snap.ms_saved_normal with
+  | Some (gpt, npt) ->
+      t.saved <- true;
+      t.saved_gpt <- gpt;
+      t.saved_npt <- npt
+  | None -> t.saved <- false);
   (* Re-point the MMU at the tables matching the restored world and drop
      any translations cached inside the undone branch. *)
   match t.current with
-  | Some e -> (
-      match e.Enclave.npt with
-      | Some npt -> Mmu.switch_context t.cpu ~gpt:e.Enclave.gpt ~npt ()
-      | None -> Mmu.switch_context t.cpu ~gpt:e.Enclave.gpt ())
-  | None -> (
-      match snap.ms_saved_normal with
-      | Some (gpt, npt) -> (
-          match npt with
-          | Some npt -> Mmu.switch_context t.cpu ~gpt ~npt ()
-          | None -> Mmu.switch_context t.cpu ~gpt ())
-      | None ->
-          (* The CPU already sits on the normal tables (monitor
-             operations always restore them on exit); only the TLB may
-             hold entries from the undone branch. *)
-          Mmu.flush_tlb t.cpu)
+  | Some e -> Mmu.switch_context t.cpu ~gpt:e.Enclave.gpt ?npt:e.Enclave.npt ()
+  | None ->
+      if t.saved then Mmu.switch_context t.cpu ~gpt:t.saved_gpt ?npt:t.saved_npt ()
+      else
+        (* The CPU already sits on the normal tables (monitor operations
+           always restore them on exit); only the TLB may hold entries
+           from the undone branch. *)
+        Mmu.flush_tlb t.cpu

@@ -146,7 +146,8 @@ val with_worker : t -> Enclave.t -> (unit -> 'a) -> 'a
     without an EENTER/EEXIT pair or a TCS take; the worker thread entered
     once at startup and never leaves, so the only per-dispatch charge is
     the pair of context switches of the single simulated vCPU.  The
-    normal context is restored even if [f] raises.
+    normal context is restored even if [f] raises.  Once the enclave
+    exists, entering and leaving allocate nothing.
     @raise Security_violation if not initialized or the vCPU is already
     running an enclave. *)
 

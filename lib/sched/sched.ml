@@ -17,13 +17,18 @@ type on_result = index:int -> core:int -> (unit, string) result -> unit
 
 (* A staged slot ring runs once on the shared clock, then its slots are
    placed on cores: [head, tail) are the slots no core has claimed yet;
-   the owner claims from the head, a joiner from the tail. *)
+   the owner claims from the head, a joiner from the tail.  A job is
+   built once ({!ring_job}) and queued again per run: [submit_job]
+   rewinds its cursors and links it in through [link], its own [Some],
+   so a run allocates no job, link or closure. *)
 type job = {
   ring : Urts.ring;
   owner : int;
   on_result : on_result option;
   on_slice : (cycles:int -> unit) option;
   svc_counter : Telemetry.counter_handle option;
+  link : job option;  (* [Some] of this job: how a queue holds it *)
+  mutable queued : bool;  (* in an owner's queue, from submit to placement *)
   mutable cycles : int;  (* the run's cycles; -1 until run *)
   mutable rest : int;  (* of [cycles], what no slot carries: the owner's *)
   mutable head : int;
@@ -41,7 +46,7 @@ type core = {
       (* own jobs not yet done, in queue order: the link to the first,
          whose [next] links the rest *)
   mutable last : job option;
-      (* the link to the last, which [submit_ring] extends *)
+      (* the link to the last, which [submit_job] extends *)
   mutable joined : job option;
       (* the job this core joined, by its link in its owner's queue *)
   mutable placed : bool;  (* no slot left for this core in this run *)
@@ -121,26 +126,27 @@ let svc_counter t = function
           Hashtbl.add t.svc_counters label c;
           c)
 
-(* Rings land on [core] when given, else round-robin by submission
-   order. *)
-let submit_ring t ?core ?label ?on_result ?on_slice ring =
+(* A job lands on [core] when given, else round-robin by build order. *)
+let ring_job t ?core ?label ?on_result ?on_slice ring =
   let job_id = t.next_job in
   t.next_job <- job_id + 1;
-  let target =
+  let owner =
     match core with
     | Some c ->
         if c < 0 || c >= t.config.cores then
-          invalid_arg "Sched.submit_ring: core out of range";
-        t.cores.(c)
-    | None -> t.cores.(job_id mod t.config.cores)
+          invalid_arg "Sched.ring_job: core out of range";
+        c
+    | None -> job_id mod t.config.cores
   in
-  let job =
+  let rec job =
     {
       ring;
-      owner = target.core_id;
+      owner;
       on_result;
       on_slice;
       svc_counter = svc_counter t label;
+      link = Some job;
+      queued = false;
       cycles = -1;
       rest = 0;
       head = 0;
@@ -150,13 +156,28 @@ let submit_ring t ?core ?label ?on_result ?on_slice ring =
       next = None;
     }
   in
-  (* The queue is threaded through its jobs: appending allocates only
-     the new job's link, which the queue then holds once. *)
-  let link = Some job in
+  job
+
+(* The queue is threaded through its jobs' own links, so appending
+   allocates nothing. *)
+let submit_job t (job : job) =
+  if job.queued then invalid_arg "Sched.submit_job: job already queued";
+  job.queued <- true;
+  job.cycles <- -1;
+  job.rest <- 0;
+  job.head <- 0;
+  job.tail <- 0;
+  job.started <- false;
+  job.joined <- false;
+  job.next <- None;
+  let target = t.cores.(job.owner) in
   (match target.last with
-  | Some last -> last.next <- link
-  | None -> target.jobs <- link);
-  target.last <- link
+  | Some last -> last.next <- job.link
+  | None -> target.jobs <- job.link);
+  target.last <- job.link
+
+let submit_ring t ?core ?label ?on_result ?on_slice ring =
+  submit_job t (ring_job t ?core ?label ?on_result ?on_slice ring)
 
 (* Cycles core [c] has advanced since the run began: every pick compares
    these, never absolute clocks, so a core whose clock lags from earlier
@@ -217,18 +238,19 @@ let run_ring t (job : job) =
       Telemetry.add t.telemetry "sched.request_failed" count;
       0
 
-(* Run [job] once and record its cycles: [on_slice] receives them all,
-   and what no slot carries stays with the owner as [rest]. *)
+(* Record [job]'s run: [on_slice] receives its cycles. *)
+let report (job : job) cycles =
+  job.cycles <- cycles;
+  match job.on_slice with Some f -> f ~cycles | None -> ()
+
+(* Run [job] once and record its cycles; what no slot carries stays with
+   the owner as [rest]. *)
 let run_job t (job : job) =
   let p0 = Cycles.now t.shared_clock in
-  let report cycles =
-    job.cycles <- cycles;
-    match job.on_slice with Some f -> f ~cycles | None -> ()
-  in
   let slots =
     try run_ring t job
     with exn ->
-      report (Cycles.now t.shared_clock - p0);
+      report job (Cycles.now t.shared_clock - p0);
       raise exn
   in
   let delta = Cycles.now t.shared_clock - p0 in
@@ -237,14 +259,29 @@ let run_job t (job : job) =
     job.rest <- job.rest - Urts.ring_slot_cycles job.ring ~slot
   done;
   job.tail <- slots;
-  report delta;
+  report job delta;
   Telemetry.sample t.h_slice (max 1 delta)
 
-(* [f] over a queue, from the link to its first job. *)
-let rec iter_jobs f = function
+(* Run a queue's jobs in order, from the link to its first. *)
+let rec run_queue t = function
   | Some (job : job) ->
-      f job;
-      iter_jobs f job.next
+      run_job t job;
+      run_queue t job.next
+  | None -> ()
+
+(* Take [job] out of its owner's queue: it may be submitted again. *)
+let dequeue (job : job) =
+  let next = job.next in
+  job.queued <- false;
+  job.next <- None;
+  next
+
+(* Drop core [c]'s queue after an aborted run, charging each job run so
+   far whole to [c], its owner. *)
+let rec abort (c : core) = function
+  | Some (job : job) ->
+      if job.cycles >= 0 then busy_tick c job.cycles;
+      abort c (dequeue job)
   | None -> ()
 
 (* Every job runs in a fixed host order — owner core, then queue order —
@@ -253,17 +290,14 @@ let rec iter_jobs f = function
    [drop_on_error]) charges each job run so far whole to its owner,
    delivers nothing and drops the run's jobs. *)
 let run_jobs t =
-  let run job = run_job t job in
   try
     for i = 0 to Array.length t.cores - 1 do
-      iter_jobs run t.cores.(i).jobs
+      run_queue t t.cores.(i).jobs
     done
   with exn ->
     Array.iter
       (fun (c : core) ->
-        iter_jobs
-          (fun job -> if job.cycles >= 0 then busy_tick c job.cycles)
-          c.jobs;
+        abort c c.jobs;
         c.jobs <- None;
         c.last <- None)
       t.cores;
@@ -294,15 +328,16 @@ let busiest_job t =
   in
   Array.fold_left (fun best (c : core) -> busier best c.jobs) None t.cores
 
+(* A queue without its finished jobs, which leave it here. *)
+let rec own = function
+  | Some (job : job) when job.started && job.head >= job.tail -> own (dequeue job)
+  | link -> link
+
 (* One placement step for [core]: the next head slot of its own jobs in
    queue order (paying a job's unplaced cycles when it starts it); else
    the tail slot of the job it joined; else it joins the busiest job,
    paying the ring's join price on its clock outside slices. *)
 let place_step t (core : core) =
-  let rec own = function
-    | Some (job : job) when job.started && job.head >= job.tail -> own job.next
-    | link -> link
-  in
   core.jobs <- own core.jobs;
   match core.jobs with
   | Some job ->
@@ -343,7 +378,7 @@ let place t =
     place_step t t.cores.(!next);
     next := earliest t unplaced
   done;
-  (* Every own queue is empty now: the next [submit_ring] starts a new
+  (* Every own queue is empty now: the next [submit_job] starts a new
      one. *)
   Array.iter
     (fun (c : core) ->
@@ -355,7 +390,7 @@ let place t =
 (* --- runs -------------------------------------------------------------------- *)
 
 (* Read-only aggregation over the core state and the request counters:
-   safe to call at any point (including between [submit_ring] and [run]) — it
+   safe to call at any point (including between [submit_job] and [run]) — it
    never advances a clock or drains a queue.  Placed jobs are not kept,
    so a long-lived scheduler holds no per-job state. *)
 let stats t =

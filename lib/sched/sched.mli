@@ -7,8 +7,9 @@
     piece of work took are charged to the core it is placed on — so
     per-core totals decompose the platform's work deterministically.
 
-    A job is one staged slot ring ({!submit_ring}): the SDK's only
-    batched call path, and the only work the serving plane submits.
+    A job is one staged slot ring ({!ring_job}, {!submit_job}): the
+    SDK's only batched call path, and the only work the serving plane
+    submits.
 
     {b Run-relative time.}  {!run} records every core's clock on entry,
     and every pick compares the cycles each core has advanced since
@@ -106,6 +107,38 @@ type on_result = index:int -> core:int -> (unit, string) result -> unit
     reads them in place via {!Urts.ring_reply_offset} and
     {!Urts.ring_reply_length} after {!run}. *)
 
+type job
+(** One slot ring's place in the scheduler, built once ({!ring_job}) and
+    queued once per {!run} ({!submit_job}): a caller that dispatches the
+    same ring every round keeps its job, and queueing it again allocates
+    nothing. *)
+
+val ring_job :
+  t ->
+  ?core:int ->
+  ?label:string ->
+  ?on_result:on_result ->
+  ?on_slice:(cycles:int -> unit) ->
+  Urts.ring ->
+  job
+(** The job of a slot ring ({!Urts.create_ring}), owned by [core] (else
+    round-robin by build order).  [label] names the service the ring
+    belongs to: its served slots also bump the [sched.svc.<label>]
+    telemetry counter, whose name is built once per label.  [on_slice]
+    receives the whole dispatch's cycles once per run — the hook the
+    serving plane charges per-tenant quotas from; [on_result] reports
+    each slot.  Reporting a served slot allocates nothing.
+    @raise Invalid_argument if [core] is out of range. *)
+
+val submit_job : t -> job -> unit
+(** Queue the job's ring, as staged now ({!Urts.ring_stage}): {!run}
+    dispatches it once as a single switchless unit
+    ({!Urts.ring_dispatch}), all-or-nothing under [drop_on_error], then
+    places its slots on cores (see the header).  The job leaves its
+    queue in that run, placed or aborted, and the scheduler keeps no
+    reference to it; it may then be submitted again.
+    @raise Invalid_argument if the job is already queued. *)
+
 val submit_ring :
   t ->
   ?core:int ->
@@ -114,16 +147,7 @@ val submit_ring :
   ?on_slice:(cycles:int -> unit) ->
   Urts.ring ->
   unit
-(** Queue one staged slot ring ({!Urts.create_ring}/{!Urts.ring_stage}),
-    owned by [core] (else round-robin by submission order): {!run}
-    dispatches it once as a single switchless unit
-    ({!Urts.ring_dispatch}), all-or-nothing under [drop_on_error], then
-    places its slots on cores (see the header).  [label] names the
-    service the ring belongs to: its served slots also bump the
-    [sched.svc.<label>] telemetry counter, whose name is built once per
-    label.  [on_slice] receives the whole dispatch's cycles once — the
-    hook the serving plane charges per-tenant quotas from; [on_result]
-    reports each slot.  Reporting a served slot allocates nothing.
+(** [submit_job] of a fresh {!ring_job}: one ring, one run.
     @raise Invalid_argument if [core] is out of range. *)
 
 val run : t -> unit
@@ -142,7 +166,7 @@ val run : t -> unit
 val stats : t -> stats
 (** Read-only snapshot of the scheduler's statistics: never
     advances a clock, runs a ring, or drains a queue, so it is safe to
-    call between {!submit_ring} and {!run} (or never calling [run] at
+    call between {!submit_job} and {!run} (or never calling [run] at
     all). *)
 
 val core_cycles : t -> int -> int

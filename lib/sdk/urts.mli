@@ -214,8 +214,12 @@ val ring_buf : ring -> bytes
     {!ring_stage}, which may replace it with a larger copy. *)
 
 val ring_reply_buf : ring -> bytes
-(** The reply image, valid after {!ring_dispatch} until the next
-    {!ring_stage}. *)
+(** The reply image, valid after {!ring_dispatch}: what a caller's
+    replies borrow instead of copying their frames out.  Only the ring's
+    next {!ring_dispatch} rewrites it; a {!ring_stage} that grows the
+    images replaces it with a larger copy and leaves the old buffer's
+    bytes as they were.  So a view into it stays good until the ring
+    dispatches again, and fetch it afresh after every dispatch. *)
 
 val ring_reset : ring -> unit
 (** Forget the staged slots and rewind the served-slot cursor; the

@@ -121,6 +121,9 @@ let request t ~ecall data =
           : int);
       { session_id; seq; ecall_id = ecall; frame }
 
+(* The body is the only allocation: the ciphertext is copied out of the
+   view into it, and [Channel.unseal] copies the tag into the scratch
+   before checking either. *)
 let read_reply t (reply : reply) =
   match t.session with
   | None -> invalid_arg "Serve.Client.read_reply: no session established"
@@ -130,13 +133,16 @@ let read_reply t (reply : reply) =
       else
         match reply.r_result with
         | Error rej -> Error rej
-        | Ok frame ->
-            let len = Bytes.length frame - Urts.tag_bytes in
-            if len < 0 then Error Bad_auth
+        | Ok () ->
+            let { r_image = image; r_off = off; r_len = framed; _ } = reply in
+            let len = framed - Urts.tag_bytes in
+            if !(reply.r_flushes) <> reply.r_flush then Error Stale_reply
+            else if len < 0 || off < 0 || off > Bytes.length image - framed then
+              Error Bad_auth
             else
-              let body = Bytes.sub frame 0 len in
+              let body = Bytes.sub image off len in
               if
                 Channel.unseal t.hdr key ~dir:'<' ~session_id ~seq:reply.r_seq
-                  ~ecall_id:0 body ~tag:frame ~tag_off:len
+                  ~ecall_id:0 body ~tag:image ~tag_off:(off + len)
               then Ok body
               else Error Bad_auth)

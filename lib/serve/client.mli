@@ -62,8 +62,12 @@ val request : t -> ecall:int -> bytes -> request
     sequence number: one CTR pass and one MAC, no key setup. *)
 
 val read_reply : t -> reply -> (bytes, reject) result
-(** Open a copy of a reply frame's ciphertext ({!Channel.unseal}), or
-    surface its typed server-side failure.  A tag that fails, or a frame
-    shorter than a tag, is {!Bad_auth}; it never raises on a malformed
-    frame. *)
+(** Copy a served reply's ciphertext out of its view into the body it
+    returns and open it there ({!Channel.unseal}, which copies the tag
+    into the client's scratch before checking either), or surface its
+    typed server-side failure.  The body is its only allocation.  A
+    served reply read after its plane's next flush is {!Stale_reply}
+    (its frame may have been overwritten: see {!Msg.reply}); a tag that
+    fails, a frame shorter than a tag or a view outside its image is
+    {!Bad_auth}.  It never raises on a malformed reply. *)
 

@@ -56,6 +56,9 @@ type reject =
       (** a migration blob that cannot install: malformed bytes, identity
           mismatch, live session-id collision, or state exceeding the
           stride *)
+  | Stale_reply
+      (** (client side) a served reply read after its plane flushed
+          again, when its frame may have been overwritten: see {!reply} *)
 
 (** The attested exchange's refusals as the plane and its clients name
     them. *)
@@ -87,12 +90,31 @@ type request = {
   frame : bytes;  (** ciphertext, then its 32-byte tag *)
 }
 
+(** A request's answer from [Serve.flush].  A served reply's frame is
+    not copied: it is read where the ring left it, in the reply image
+    of the ring that served the request ([Urts.ring_reply_buf]).
+
+    {b Lifetime.}  That image is rewritten only when its ring dispatches
+    again, in a later flush of the same plane (an image that grows is a
+    new buffer, and the old one keeps its bytes).  So a served reply is
+    readable until its plane's next flush: every reply carries the
+    plane's flush counter and the flush it came from, and
+    [Client.read_reply] refuses a reply read later as {!Stale_reply},
+    never reading another request's bytes.  To keep a frame longer,
+    copy [r_len] bytes of [r_image] from [r_off] before the next
+    flush. *)
 type reply = {
   r_session_id : int;
   r_seq : int;
-  r_result : (bytes, reject) result;
-      (** the reply frame, copied out of its ring slot once, or the typed
-          server-side failure *)
+  r_result : (unit, reject) result;
+      (** [Ok ()]: the enclave sealed a reply, whose frame (ciphertext,
+          then its 32-byte tag) is the view below; or the typed
+          server-side failure, with an empty view *)
+  r_image : bytes;  (** the served ring's reply image, borrowed *)
+  r_off : int;  (** where the frame starts in [r_image] *)
+  r_len : int;  (** the frame's length *)
+  r_flushes : int ref;  (** the plane's flush counter *)
+  r_flush : int;  (** its value in the flush that answered *)
 }
 
 type resume = { r_ticket : bytes; r_nonce : bytes }

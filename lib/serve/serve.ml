@@ -21,7 +21,7 @@ let reject_kinds =
     "replayed-nonce"; "unknown-tenant"; "unknown-session"; "unsupported";
     "bad-auth"; "bad-sequence"; "backpressure"; "quota-exhausted";
     "session-fault"; "bad-ticket"; "ticket-expired"; "session-migrated";
-    "tenant-migrated"; "tenant-busy"; "import-conflict";
+    "tenant-migrated"; "tenant-busy"; "import-conflict"; "stale-reply";
   |]
 
 let reject_kind = function
@@ -44,6 +44,7 @@ let reject_kind = function
   | Tenant_migrated _ -> 16
   | Tenant_busy _ -> 17
   | Import_conflict _ -> 18
+  | Stale_reply -> 19
 
 let reject_name r = reject_kinds.(reject_kind r)
 let reject_counters = Array.map (fun k -> "serve.reject." ^ k) reject_kinds
@@ -79,6 +80,8 @@ let pp_reject fmt = function
       Format.fprintf fmt "tenant %s has %d staged requests mid-flush" tenant
         staged
   | Import_conflict m -> Format.fprintf fmt "migration import conflict: %s" m
+  | Stale_reply ->
+      Format.pp_print_string fmt "reply read after its plane flushed again"
 
 (* ---------------------------------------------------------------------- *)
 (* Plane state                                                            *)
@@ -142,19 +145,15 @@ let stage_push (st : stage) req =
   st.sg_reqs.(n) <- req;
   st.sg_n <- n + 1
 
-(* One ring shard of a tenant, built on its first use with the scheduler
-   arguments its dispatches take, each already an option, so a flush
-   builds none of them. *)
+(* One ring shard of a tenant, built on its first use with its
+   scheduler job, so a flush builds no job, link or callback. *)
 type lane = {
   ring : Urts.ring;
   entries : int array;
       (* slot -> stage index of the request staged there this flush: how
          the ring's in-enclave channel finds a slot's header *)
   mutable err : string option;  (* the ring's failure, one flush *)
-  core : int option;
-  label : string option;
-  on_result : Sched.on_result option;
-  on_slice : (cycles:int -> unit) option;
+  job : Sched.job;
 }
 
 type tenant = {
@@ -243,6 +242,9 @@ type t = {
          requests takes the next shard, so both many-tenant and single
          hot-tenant flushes spread over every core *)
   fault_msgs : (int, string) Hashtbl.t;  (* session faults, one flush *)
+  flushes_begun : int ref;
+      (* a reply is readable while this still reads the flush that
+         answered it ({!Msg.reply}) *)
   (* --- critical-path ledger --- *)
   mutable submit_cyc : int;  (* platform cycles inside [submit] since the last flush *)
   core_mark : int array;  (* per-core clock when the current flush began *)
@@ -335,6 +337,7 @@ let create_node ~platform (nc : Node_config.t) =
     shards = max 1 config.sched.Sched.cores;
     rotor = 0;
     fault_msgs = Hashtbl.create 8;
+    flushes_begun = ref 0;
     submit_cyc = 0;
     core_mark = Array.make (max 1 config.sched.Sched.cores) 0;
     ledger = empty_ledger;
@@ -751,20 +754,21 @@ let lane_for t (tn : tenant) shard =
           ~shard
           ~shards:t.shards ~slots:t.config.max_queue ~slot_bytes
       in
-      let rec l =
-        {
-          ring;
-          entries;
-          err = None;
-          core = Some (shard mod max 1 t.config.sched.Sched.cores);
-          label = Some tn.t_name;
-          on_result =
-            Some
-              (fun ~index:_ ~core:_ -> function
-                | Ok () -> () | Error msg -> l.err <- Some msg);
-          on_slice = Some (fun ~cycles -> charge tn cycles);
-        }
+      (* Slots report in [Sched.run], once the lane is in [tn.lanes]. *)
+      let on_result ~index:_ ~core:_ = function
+        | Ok () -> ()
+        | Error msg -> (
+            match tn.lanes.(shard) with
+            | Some l -> l.err <- Some msg
+            | None -> ())
       in
+      let job =
+        Sched.ring_job t.sched ~core:(shard mod max 1 t.config.sched.Sched.cores)
+          ~label:tn.t_name ~on_result
+          ~on_slice:(fun ~cycles -> charge tn cycles)
+          ring
+      in
+      let l = { ring; entries; err = None; job } in
       tn.lanes.(shard) <- Some l;
       l
 
@@ -784,15 +788,16 @@ let recycle (tn : tenant) =
     tn.lanes
 
 (* The dispatch path.  Staging, dispatch and reply bytes live in reusable
-   arenas and the pinned marshalling rings, and every lane, channel,
-   counter handle and retry thunk is built once.  Per request a flush
-   allocates the enclave's private copy of the slot body (the worker
-   opens it away from the shared segment) and the reply frame with its
-   record and list cell; the rest is per ring or per flush.  Every
-   flush ends in [recycle], aborted or not, so a ring with staged slots
-   is one this flush staged into. *)
+   arenas and the pinned marshalling rings, and every lane, scheduler
+   job, channel, counter handle and retry thunk is built once.  Per
+   request a flush allocates the enclave's private copy of the slot body
+   (the worker opens it away from the shared segment) and the reply
+   record with its list cell, which views the frame in the ring's reply
+   image; the rest is per flush.  Every flush ends in [recycle], aborted
+   or not, so a ring with staged slots is one this flush staged into. *)
 let drain t =
   Telemetry.incr t.telemetry "serve.flush";
+  incr t.flushes_begun;
   Channel.new_flush t.channel;
   Hashtbl.reset t.fault_msgs;
   let tenants =
@@ -854,26 +859,37 @@ let drain t =
           match tn.lanes.(shard) with
           | Some l when Urts.ring_staged l.ring > 0 ->
               incr rings_used;
-              Sched.submit_ring t.sched ?core:l.core ?label:l.label
-                ?on_result:l.on_result ?on_slice:l.on_slice l.ring
+              Sched.submit_job t.sched l.job
           | Some _ | None -> ()
         done
       end)
     tenants;
   Sched.run t.sched;
-  (* Assembly: walk the same sorted stages, copying each sealed reply
-     slot out once as its frame, or turning a refused slot into its typed
-     reject.  Reply order is the contract: tenant insertion order, then
-     session id, then admission order.  The walk runs backwards and
+  (* Assembly: walk the same sorted stages, viewing each sealed reply
+     slot where the ring left it, or turning a refused slot into its
+     typed reject.  Reply order is the contract: tenant insertion order,
+     then session id, then admission order.  The walk runs backwards and
      conses each reply onto the front, so the list needs no reversal. *)
   let out = ref [] in
-  let emit sid seq r_result =
-    out := { r_session_id = sid; r_seq = seq; r_result } :: !out
+  let flush = !(t.flushes_begun) in
+  let emit sid seq r_result r_image r_off r_len =
+    out :=
+      {
+        r_session_id = sid;
+        r_seq = seq;
+        r_result;
+        r_image;
+        r_off;
+        r_len;
+        r_flushes = t.flushes_begun;
+        r_flush = flush;
+      }
+      :: !out
   in
   let emit_err sid seq rej =
     Telemetry.incr t.telemetry "serve.request.failed";
     Telemetry.incr t.telemetry (reject_counter rej);
-    emit sid seq (Error rej)
+    emit sid seq (Error rej) Bytes.empty 0 0
   in
   List.iter
     (fun tn ->
@@ -896,7 +912,7 @@ let drain t =
                 let buf = Urts.ring_reply_buf ring in
                 if framed >= Urts.tag_bytes then begin
                   Telemetry.bump t.c_ok 1;
-                  emit sid seq (Ok (Bytes.sub buf off framed))
+                  emit sid seq (Ok ()) buf off framed
                 end
                 else if framed = Channel.refusal_bytes then
                   emit_err sid seq (Channel.refused buf ~off ~seq)

@@ -184,7 +184,8 @@ val flush : t -> reply list
     its slots from the head and reads its reply image back
     ({!Hyperenclave_sdk.Urts.ring_dispatch}), and a core with no slot of
     its own left joins the ring and serves slots from the tail
-    ({!Hyperenclave_sched.Sched.submit_ring}).  Inside the enclave each
+    ({!Hyperenclave_sched.Sched.submit_job}; each ring's job is built
+    with the ring, once).  Inside the enclave each
     slot is opened, checked for freshness and sealed back by
     {!Channel.ring}, on the clock of the core that serves it, so the
     shared segments carry no plaintext; a slot that fails a check runs
@@ -192,8 +193,11 @@ val flush : t -> reply list
     ring whose dispatch fails answers every request it carried with a
     typed {!Session_fault}.  Tenant quotas are charged from the dispatch
     cycles.  Replies come in tenant insertion order, then session id,
-    then admission order, each frame copied out of its slot once.  Each
-    flush adds one entry to the {!ledger}.
+    then admission order.  No frame is copied out of its slot: a served
+    reply views its frame in the ring's reply image, readable until this
+    plane's next flush rewrites the rings ({!reply}; a later
+    {!Client.read_reply} of it is {!Stale_reply}).  Each flush adds one
+    entry to the {!ledger}.
 
     An exception that escapes — a handler raising something the
     scheduler does not turn into a typed failure, or a monitor

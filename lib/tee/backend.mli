@@ -48,7 +48,7 @@ type t = {
   urts : Urts.t option;
       (** The SDK handle behind a HyperEnclave backend ([None] for native
           and the SGX model): what the slot ring ({!Urts.create_ring})
-          takes, and with it {!Hyperenclave_sched.Sched.submit_ring}.
+          takes, and with it {!Hyperenclave_sched.Sched.ring_job}.
           Batched dispatch exists only there, so the serving plane hosts
           only backends that have one. *)
   identity : bytes option;

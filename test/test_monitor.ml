@@ -1142,6 +1142,28 @@ let test_two_enclaves_thrash_small_epc () =
   Urts.destroy a;
   Urts.destroy b
 
+(* The switchless worker's context allocates nothing once warm: the
+   enclave's own [Some] becomes the current enclave, the normal context
+   is saved in place, and both switches pass the tables' own options
+   through.  A fresh [Some enclave], a saved pair in its option and a
+   boxed [~npt] per switch read 11 words under GU. *)
+let test_worker_context_allocation () =
+  List.iter
+    (fun mode ->
+      let p, handle = simple_enclave ~mode () in
+      let m = p.Platform.monitor and enclave = Urts.enclave handle in
+      let words () =
+        let w0 = Gc.minor_words () in
+        Monitor.with_worker m enclave ignore;
+        Gc.minor_words () -. w0
+      in
+      ignore (words () : float);
+      Alcotest.(check (float 0.))
+        (Sgx_types.mode_name mode ^ ": a warm worker context allocates nothing")
+        0. (words ());
+      Urts.destroy handle)
+    [ Sgx_types.GU; Sgx_types.HU ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest audit_qcheck;
@@ -1183,6 +1205,8 @@ let suite =
     Alcotest.test_case "EINIT sigstruct checks" `Quick test_einit_rejects_bad_sigstruct;
     Alcotest.test_case "EEXIT target validation" `Quick test_eexit_target_validation;
     Alcotest.test_case "TCS busy/nesting" `Quick test_tcs_busy_and_nesting;
+    Alcotest.test_case "worker context allocates nothing" `Quick
+      test_worker_context_allocation;
     Alcotest.test_case "AEX / ERESUME" `Quick test_aex_eresume;
     Alcotest.test_case "demand commit (EDMM)" `Quick test_demand_commit;
     Alcotest.test_case "EMODPR/EMODPE/EREMOVE" `Quick test_edmm_perms;

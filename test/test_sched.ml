@@ -444,6 +444,56 @@ let test_finished_jobs_released () =
   Alcotest.(check bool) "on_result collected" false (Weak.check closures 0);
   Urts.destroy handle
 
+(* A job is built once and queued per run: the same job serves a freshly
+   staged ring in each run it is submitted to, every slot once, and
+   queueing it twice before a run is refused (it would link the queue
+   into a cycle). *)
+let test_job_queued_per_run () =
+  let p = Platform.create ~seed:4310L () in
+  let handle = make_enclave p ~seed_name:"sched-job" ~burn:5_000 in
+  let sched =
+    Sched.create ~shared_clock:p.Platform.clock ~telemetry:(telemetry p)
+      two_cores
+  in
+  let ring =
+    Urts.create_ring handle ~shard:0 ~shards:1 ~slots:4 ~slot_bytes:32
+  in
+  let served = ref [] in
+  let job =
+    Sched.ring_job sched ~core:1
+      ~on_result:(fun ~index ~core:_ -> function
+        | Ok () -> served := index :: !served
+        | Error m -> Alcotest.failf "slot %d failed: %s" index m)
+      ring
+  in
+  let stage_all tag =
+    Urts.ring_reset ring;
+    List.iter (stage ring) (requests ~tag 4)
+  in
+  List.iter
+    (fun tag ->
+      stage_all tag;
+      served := [];
+      Sched.submit_job sched job;
+      Sched.run sched;
+      Alcotest.(check (list int))
+        (tag ^ ": every slot served once") [ 0; 1; 2; 3 ]
+        (List.sort compare !served);
+      Alcotest.(check (list string))
+        (tag ^ ": replies")
+        (List.map (fun (_, d) -> Bytes.to_string d) (requests ~tag 4))
+        (ring_replies ring))
+    [ "a"; "b" ];
+  stage_all "c";
+  Sched.submit_job sched job;
+  Alcotest.check_raises "queued twice before a run"
+    (Invalid_argument "Sched.submit_job: job already queued") (fun () ->
+      Sched.submit_job sched job);
+  Sched.run sched;
+  Alcotest.(check int) "three runs' requests" 12
+    (Sched.stats sched).Sched.total_requests;
+  Urts.destroy handle
+
 (* --- slot placement: run-relative time and ring joins ----------------------- *)
 
 (* An enclave whose ECALL 1 burns the cycle count its payload names, so
@@ -724,6 +774,8 @@ let suite =
       test_work_stealing_invariance;
     Alcotest.test_case "finished jobs are released" `Quick
       test_finished_jobs_released;
+    Alcotest.test_case "a job is built once and queued per run" `Quick
+      test_job_queued_per_run;
     Alcotest.test_case "2-enclave/2-core chaos with invariant checks" `Quick
       test_chaos_invariants;
     Alcotest.test_case "ring images grow on demand" `Quick test_ring_images_grow;

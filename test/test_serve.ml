@@ -71,6 +71,9 @@ let frame_lies frame =
 
 let outcome = function Ok _ -> "accepted" | Error r -> Serve.reject_name r
 
+(* A copy of a served reply's frame, read from its view. *)
+let reply_frame (r : Serve.reply) = Bytes.sub r.Serve.r_image r.Serve.r_off r.Serve.r_len
+
 (* A reply as its client reads it: the body, or the reject's label. *)
 let read_as client reply =
   Result.map_error Serve.reject_name
@@ -950,13 +953,32 @@ let test_reply_splice_rejected () =
       expect_reject "bad-auth"
         (Serve.Client.read_reply c1 { reply with Serve.r_seq = reply.Serve.r_seq + 9 });
       (match reply.Serve.r_result with
-      | Ok frame ->
+      | Ok () ->
+          let frame = reply_frame reply in
           List.iter
             (fun (what, lie) ->
-              match Serve.Client.read_reply c1 { reply with Serve.r_result = Ok lie } with
+              match
+                Serve.Client.read_reply c1
+                  { reply with Serve.r_image = lie; r_off = 0; r_len = Bytes.length lie }
+              with
               | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
               | r -> Alcotest.(check string) what "bad-auth" (outcome r))
             (frame_lies frame);
+          (* A view outside its image is a lie too, never an exception. *)
+          List.iter
+            (fun (what, view) ->
+              Alcotest.(check string) what "bad-auth"
+                (outcome (Serve.Client.read_reply c1 view)))
+            [
+              ("offset past the image", { reply with Serve.r_off = Bytes.length reply.Serve.r_image });
+              ("negative offset", { reply with Serve.r_off = -1 });
+              ("length past the image", { reply with Serve.r_len = max_int });
+            ];
+          (* The rightful recipient still reads it cleanly, until the
+             plane's next flush. *)
+          (match Serve.Client.read_reply c1 reply with
+          | Ok body -> Alcotest.(check string) "rightful read" "mine" (Bytes.to_string body)
+          | Error r -> Alcotest.failf "rightful read rejected: %a" Serve.pp_reject r);
           (* Reply-as-request: the direction byte in nonce and AAD domain
              separate the two halves of the channel, so the enclave
              refuses it in the flush that serves the next request. *)
@@ -971,12 +993,12 @@ let test_reply_splice_rejected () =
               Alcotest.(check (result string string)) "reply-as-request"
                 (Error "bad-auth") reflected;
               Alcotest.(check (result string string)) "next" (Ok "next") next
-          | replies -> Alcotest.failf "expected 2 replies, got %d" (List.length replies))
-      | Error r -> Alcotest.failf "reply carried a rejection: %a" Serve.pp_reject r);
-      (* The rightful recipient still reads it cleanly. *)
-      (match Serve.Client.read_reply c1 reply with
-      | Ok body -> Alcotest.(check string) "rightful read" "mine" (Bytes.to_string body)
-      | Error r -> Alcotest.failf "rightful read rejected: %a" Serve.pp_reject r)
+          | replies -> Alcotest.failf "expected 2 replies, got %d" (List.length replies));
+          (* That flush rewrote the ring the reply views: reading it now
+             is a typed refusal, never the bytes of the requests since. *)
+          Alcotest.(check (result string string)) "read after the next flush"
+            (Error "stale-reply") (read_as c1 reply)
+      | Error r -> Alcotest.failf "reply carried a rejection: %a" Serve.pp_reject r)
   | replies -> Alcotest.failf "expected 1 reply, got %d" (List.length replies));
   (match Invariants.check p.Platform.monitor with
   | [] -> ()
@@ -1503,8 +1525,8 @@ let pin_exchange plane client text ~len ~request ~reply =
   pinned "request frame" ~len ~sha:request req.Serve.frame;
   admit plane req;
   match Serve.flush plane with
-  | [ ({ Serve.r_result = Ok frame; _ } as r) ] ->
-      pinned "reply frame" ~len ~sha:reply frame;
+  | [ ({ Serve.r_result = Ok (); _ } as r) ] ->
+      pinned "reply frame" ~len ~sha:reply (reply_frame r);
       Alcotest.(check (result string string)) "reply body"
         (Ok (String.uppercase_ascii text)) (read_as client r)
   | _ -> Alcotest.fail "expected one served reply"
@@ -1714,11 +1736,13 @@ let test_client_allocation () =
 
 (* The plane sets its request path up once: once warm, admitting and
    flushing 32 sealed requests of one session allocates per request only
-   the enclave's private copy of the slot body, the reply frame, its
-   record and list cell, and the ring's share of the dispatch, about 56
-   words.  Building the trusted environment per dispatch and the
-   handler env, tags, counter lookups and retry closures per call read
-   132. *)
+   the enclave's private copy of the slot body, the reply record (a view
+   of its frame in the ring's reply image) with its list cell, and the
+   flush's share of its own lists and closures, about 29 words.  A
+   reply frame copied out of its slot, a scheduler job and report
+   closure per ring and a boxed worker context per dispatch read 46;
+   building the trusted environment per dispatch and the handler env,
+   tags, counter lookups and retry closures per call read 132. *)
 let test_plane_allocation () =
   let _p, plane, _backend, client = build ~seed:7092L () in
   establish plane client;
@@ -1749,19 +1773,21 @@ let test_plane_allocation () =
     ignore (flush_words ())
   done;
   let words = flush_words () in
-  if words > 80. then
+  if words > 35. then
     Alcotest.failf
-      "submit + flush allocated %.1f minor words per request (> 80)" words;
+      "submit + flush allocated %.1f minor words per request (> 35)" words;
   Serve.destroy plane
 
 (* A flush sets little up per flush: once warm, admitting and flushing
    one sealed 100-byte request allocates the enclave's copy of the slot
-   body, the reply frame with its record and list cell, the ring's
-   scheduler job and queue link, and the flush's own lists and closures,
-   about 150 words on 1, 2 and 8 cores alike.  A per-core statistics snapshot per run, a
-   protected worker context per dispatch, boxed submit options, a boxed
-   frame per page the ring legs walk and a tuple per reply read 205, 212
-   and 254. *)
+   body, the reply record (a view of its frame) with its list cell, and
+   the flush's own lists and closures, 98 words on 1, 2 and 8 cores
+   alike; the lane's scheduler job and the worker context allocate
+   nothing.  A copied reply frame, a job, queue link and report closure
+   per ring and a boxed worker context per dispatch read 145; a per-core
+   statistics snapshot per run, a protected worker context per
+   dispatch, boxed submit options, a boxed frame per page the ring legs
+   walk and a tuple per reply read 205, 212 and 254. *)
 let test_one_request_flush_allocation () =
   List.iter
     (fun cores ->
@@ -1793,9 +1819,9 @@ let test_one_request_flush_allocation () =
         ignore (flush_words () : float)
       done;
       let words = flush_words () in
-      if words > 165. then
+      if words > 110. then
         Alcotest.failf
-          "%d cores: a one-request flush allocated %.0f minor words (> 165)"
+          "%d cores: a one-request flush allocated %.0f minor words (> 110)"
           cores words;
       Serve.destroy plane)
     [ 1; 2; 8 ]
