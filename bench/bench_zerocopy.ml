@@ -29,7 +29,7 @@ let resume_vs_handshake () =
   let before = Cycles.now p.Platform.clock in
   let resume = Serve.Client.resume_hello client ~ticket in
   (match Serve.resume plane resume with
-  | Ok session_id -> Serve.Client.complete_resume client ~session_id
+  | Ok resumed -> Serve.Client.complete_resume client resumed
   | Error r -> Util.fail what "resume" r);
   let resume_cycles = Cycles.now p.Platform.clock - before in
   (* The resumed channel must actually serve: one sealed roundtrip. *)

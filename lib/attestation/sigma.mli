@@ -35,7 +35,8 @@ val transcript : label:string -> bytes list -> bytes
 val key : label:string -> bytes -> nonce:bytes -> bytes
 (** [key ~label secret ~nonce] is SHA-256 over [label ‖ secret ‖ nonce]:
     the 32-byte key of an agreed secret ({!agree}), or of a ticketed key
-    resumed under a fresh nonce. *)
+    resumed under both parties' nonces, the client's then the server's
+    fixed-length one. *)
 
 val respond :
   Hyperenclave_hw.Rng.t ->

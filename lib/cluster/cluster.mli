@@ -39,8 +39,8 @@
       pinned hapk, pinned quoting-enclave MRENCLAVE, transcript
       binding), exports the tenant
       ({!Hyperenclave_serve.Serve.export_tenant}: one opaque blob of
-      session keys, sequence cursors, committed EDMM pages and the
-      nonces burnt for the tenant, in a format the serving plane owns)
+      session keys, sequence cursors and committed EDMM pages, in a
+      format the serving plane owns; no replay-cache nonce travels)
       and seals those
       bytes under a transport key derived from the {!Kx} agreement, with
       an AAD binding tenant, route and nonce that both ends derive and

@@ -19,8 +19,13 @@ let key raw = { raw; keys = Authenc.prepare raw }
 let agree secret peer ~nonce =
   Result.map key (Sigma.agree ~label:key_label secret peer ~nonce)
 
-let resume_key raw ~nonce = key (Sigma.key ~label:resume_label raw ~nonce)
-let resumed k ~nonce = resume_key k.raw ~nonce
+(* Fixed, and last in the resumed key's input: no two pairs collide. *)
+let server_nonce_bytes = 16
+
+let resume_key raw ~client ~server =
+  key (Sigma.key ~label:resume_label raw ~nonce:(Bytes.cat client server))
+
+let resumed k ~client ~server = resume_key k.raw ~client ~server
 
 (* Nonce [dir][0^3][seq:8]; AAD: 10-byte domain, session id, sequence
    number, ECALL id; [tag] holds a frame's tag while it is checked. *)
@@ -162,7 +167,9 @@ let issue t ~id ~tenant ~expires =
   charge t ~setups:1 ~bytes:(Bytes.length payload);
   Authenc.seal t.ticket_key ~aad:ticket_aad ~nonce:(Rng.bytes t.rng 12) payload
 
-let redeem t ticket ~nonce =
+type ticketed = bytes
+
+let redeem t ticket =
   charge t ~setups:1 ~bytes:(max 0 (Bytes.length ticket - Authenc.overhead));
   match Authenc.unseal t.ticket_key ~aad:ticket_aad ticket with
   | exception Authenc.Authentication_failure ->
@@ -175,7 +182,12 @@ let redeem t ticket ~nonce =
         Ok
           ( Bytes.sub_string p 8 n,
             Int64.to_int (Bytes.get_int64_le p (8 + n + key_bytes)),
-            resume_key (Bytes.sub p (8 + n) key_bytes) ~nonce )
+            Bytes.sub p (8 + n) key_bytes )
+
+let resume t ~owner ~id ticketed ~nonce =
+  let server = Rng.bytes t.rng server_nonce_bytes in
+  open_session t ~owner ~id (resume_key ticketed ~client:nonce ~server) ~top:0;
+  server
 
 let record_bytes = 8 + key_bytes + 8
 

@@ -23,10 +23,12 @@
     {2 Session resumption}
 
     A {e ticket} is a session's key, tenant name and expiry sealed under
-    the store's ticket key.  Presented with a fresh nonce it opens a new
-    session for one AEAD unseal, skipping the quote; both sides derive
-    the new key from the ticketed key and the nonce ({!resumed}), so the
-    ticketed key never carries traffic.
+    the store's ticket key.  Presented with the client's fresh nonce it
+    opens a new session for one AEAD unseal, skipping the quote, and the
+    store draws a fresh nonce of its own ({!resume}).  Both sides derive
+    the new key from the ticketed key and both nonces ({!resumed}), so
+    the ticketed key never carries traffic, and a replayed resumption
+    opens at most a session under a key that nobody holds.
 
     {2 Prices}
 
@@ -55,8 +57,11 @@ type key
 val agree : Kx.secret -> Kx.public -> nonce:bytes -> (key, Sigma.failure) result
 (** A handshake's session key, on either end. *)
 
-val resumed : key -> nonce:bytes -> key
-(** The key of a session resumed with [nonce] from a ticket for [key]. *)
+val resumed : key -> client:bytes -> server:bytes -> key
+(** The key of a session resumed from a ticket for [key]:
+    {!Hyperenclave_attestation.Sigma.key} over the ticketed key and
+    [client ‖ server].  The server's nonce has a fixed length and comes
+    last, so the input is unambiguous. *)
 
 type scratch  (** one end's nonce, AAD and tag scratch *)
 
@@ -105,9 +110,17 @@ val issue : t -> id:int -> tenant:string -> expires:int -> bytes
 (** The ticket of session [id]: [(tenant, key, expires)] sealed under
     the ticket key and AAD ["serve-ticket:v1"], payload + 44 bytes. *)
 
-val redeem : t -> bytes -> nonce:bytes -> (string * int * key, string) result
-(** A ticket's tenant and expiry, and the key its session resumes under
-    with [nonce]; or why the ticket is refused. *)
+type ticketed  (** the session key a ticket carries *)
+
+val redeem : t -> bytes -> (string * int * ticketed, string) result
+(** A ticket's tenant, expiry and ticketed key; or why the ticket is
+    refused.  Draws nothing. *)
+
+val resume : t -> owner:Urts.t -> id:int -> ticketed -> nonce:bytes -> bytes
+(** Draw a 16-byte server nonce from the store's RNG and open session
+    [id] for [owner] ({!open_session}) under the key resumed from the
+    ticketed key with the client's [nonce] and that server nonce
+    ({!resumed}); returns the server nonce. *)
 
 val record_bytes : int
 (** 48: a session's key-carrying migration fields,

@@ -59,12 +59,13 @@ let resume_hello t ~ticket =
       t.send_seq <- 0;
       { r_ticket = ticket; r_nonce = nonce }
 
-let complete_resume t ~session_id =
+let complete_resume t (rs : resumed) =
   match t.pending_resume with
   | None -> invalid_arg "Serve.Client.complete_resume: no resume in flight"
   | Some (nonce, key) ->
       t.pending_resume <- None;
-      t.session <- Some (session_id, Channel.resumed key ~nonce)
+      let key = Channel.resumed key ~client:nonce ~server:rs.rs_nonce in
+      t.session <- Some (rs.rs_session_id, key)
 
 let ( let* ) = Result.bind
 

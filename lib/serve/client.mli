@@ -49,9 +49,11 @@ val resume_hello : t -> ticket:bytes -> resume
     session becomes unusable on this client.
     @raise Invalid_argument without an established session. *)
 
-val complete_resume : t -> session_id:int -> unit
-(** Accept the plane's {!Serve.resume} result: derive and prepare the
-    resumed channel key and switch to the new session.
+val complete_resume : t -> resumed -> unit
+(** Accept the plane's {!Serve.resume} answer: derive and prepare the
+    resumed channel key from the ticketed key, this client's nonce and
+    the answer's server nonce ({!Channel.resumed}), and switch to the
+    answer's session.
     @raise Invalid_argument without a {!resume_hello} in flight. *)
 
 val session_id : t -> int

@@ -120,3 +120,8 @@ type reply = {
 type resume = { r_ticket : bytes; r_nonce : bytes }
 (** A resumption: a ticket from [Serve.issue_ticket] and the client's
     fresh nonce. *)
+
+type resumed = { rs_session_id : int; rs_nonce : bytes }
+(** The plane's answer to a {!resume}, as an {!accept} answers a hello:
+    the new session's id and the server's fresh 16-byte nonce, which the
+    resumed key takes after the client's. *)

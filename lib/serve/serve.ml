@@ -90,9 +90,6 @@ type config = {
   sched : Sched.config;
   max_queue : int;
   cycle_quota : int option;
-  nonce_cache : int;
-      (** replay-cache bound: only the last [nonce_cache] handshake /
-          resume nonces are remembered *)
   ticket_ttl : int;  (** session-ticket lifetime, shared-clock cycles *)
 }
 
@@ -101,7 +98,6 @@ let default_config =
     sched = { Sched.default_config with Sched.drop_on_error = true };
     max_queue = 64;
     cycle_quota = None;
-    nonce_cache = 1024;
     ticket_ttl = 1_000_000_000;
   }
 
@@ -228,9 +224,8 @@ type t = {
       (* session id -> destination node: after cutover a straggler
          addressing a moved session gets a typed forward, not a bare
          unknown-session *)
-  seen_nonces : (string, string list) Hashtbl.t;
-      (* replay cache: burnt nonce -> the tenants it was burnt for *)
-  nonce_order : string Queue.t;  (* FIFO eviction for the replay cache *)
+  seen_nonces : (string, unit) Hashtbl.t;  (* the replay cache *)
+  nonce_order : string Queue.t;  (* its FIFO eviction order *)
   channel : Channel.t;  (* the enclave's half: every session's secrets *)
   mutable next_session : int;
   mutable qe : Urts.t option;  (* lazily-built quoting enclave *)
@@ -283,8 +278,6 @@ let create_node ~platform (nc : Node_config.t) =
   | Some q when q <= 0 ->
       invalid_arg "Serve.create_node: cycle_quota must be positive"
   | _ -> ());
-  if config.nonce_cache <= 0 then
-    invalid_arg "Serve.create_node: nonce_cache must be positive";
   if config.ticket_ttl <= 0 then
     invalid_arg "Serve.create_node: ticket_ttl must be positive";
   if config.sched.Sched.batch <= 0 || config.sched.Sched.batch > max_batch then
@@ -362,33 +355,22 @@ let session_reject t id =
   | Some to_node -> Session_migrated { to_node }
   | None -> Unknown_session id
 
-(* Bounded replay cache: burn a nonce for [tenants], evicting oldest
-   entries past the configured bound so session churn cannot grow the
-   table without limit.  Lookup is node-wide: returns [true] when the
-   nonce was already burnt, for any tenant.  The tenants an entry records
-   pick the migrations that carry it ([export_tenant]). *)
-let key_replayed t ~tenants key =
+(* The node's replay cache: the last [nonce_cache] handshake and resume
+   nonces, FIFO.  Burns [nonce]; [true] if it was already burnt.  It
+   checks outside input and guards no key: a replay it misses opens a
+   session whose key takes the server's fresh share or nonce. *)
+let nonce_cache = 1024
+
+let nonce_replayed t nonce =
+  let key = Bytes.to_string nonce in
   if Hashtbl.mem t.seen_nonces key then true
   else begin
-    Hashtbl.add t.seen_nonces key tenants;
+    Hashtbl.add t.seen_nonces key ();
     Queue.push key t.nonce_order;
-    while Queue.length t.nonce_order > t.config.nonce_cache do
-      Hashtbl.remove t.seen_nonces (Queue.pop t.nonce_order)
-    done;
+    if Queue.length t.nonce_order > nonce_cache then
+      Hashtbl.remove t.seen_nonces (Queue.pop t.nonce_order);
     false
   end
-
-let nonce_replayed t ~tenants nonce =
-  key_replayed t ~tenants (Bytes.to_string nonce)
-
-(* Record that a burnt nonce was burnt for [tenant] too; its FIFO place
-   does not move, and an evicted nonce stays evicted. *)
-let burn_for t key ~tenant =
-  match Hashtbl.find t.seen_nonces key with
-  | tenants ->
-      if not (List.mem tenant tenants) then
-        Hashtbl.replace t.seen_nonces key (tenant :: tenants)
-  | exception Not_found -> ()
 
 (* ---------------------------------------------------------------------- *)
 (* Session state ECALLs (EDMM-backed elastic per-session state)           *)
@@ -633,9 +615,9 @@ let handshake t ~tenant hello =
   | Some { t_migrated_to = Some to_node; _ } ->
       reject t (Tenant_migrated { tenant; to_node })
   | Some tn -> (
-      (* Burn the nonce even when the handshake later fails: a replayed
-         challenge must never get a second quote. *)
-      if nonce_replayed t ~tenants:[ tenant ] hello.nonce then
+      (* Burn the nonce even when the handshake later fails: a challenge
+         replayed while its nonce is cached gets no second quote. *)
+      if nonce_replayed t hello.nonce then
         refuse Replayed_nonce
       else
         match
@@ -1026,13 +1008,12 @@ let close_session t ~session =
 
 (* A migrating tenant on the wire, every integer a u64 LE and every
    field length-prefixed:
-     "hemig1:" [tenant] [identity] [n]
+     "hemig2:" [tenant] [identity] [n]
        n x ( [id] [channel record] [pages] [state] )
-     [m] m x [nonce]
    Sessions in ascending id order, each with the record the channel
-   store writes ({!Channel.export}); the nonces burnt for the tenant, in
-   replay-cache FIFO order. *)
-let blob_magic = "hemig1:"
+   store writes ({!Channel.export}).  No nonce travels: the replay cache
+   is node-local. *)
+let blob_magic = "hemig2:"
 
 type moved = {
   m_id : int;
@@ -1083,13 +1064,8 @@ let decode_blob b =
           let m_state = field "state" in
           { m_id; m_key; m_top; m_pages; m_state })
     in
-    let nonces =
-      Array.init (u64 ~max:1_000_000 "nonce count") (fun _ ->
-          let n = u64 "nonce" in
-          Bytes.sub_string b (take n "nonce") n)
-    in
     if !pos <> Bytes.length b then raise (Malformed "trailing bytes");
-    (tenant, identity, moved, nonces)
+    (tenant, identity, moved)
   with
   | x -> Ok x
   | exception Malformed what -> Error ("malformed migration blob: " ^ what)
@@ -1149,14 +1125,6 @@ let export_tenant t ~tenant =
   let sessions =
     List.sort (fun a b -> compare a.s_id b.s_id) (tenant_sessions t tn)
   in
-  (* Carry the tenant's burnt nonces: one burnt before the move must
-     stay burnt after it, or a recorded handshake replays against the
-     destination.  Other tenants' nonces stay: each travels with its own
-     tenant, and a nonce replayed at another tenant gets a quote binding
-     that tenant's MRENCLAVE, which the victim's client refuses.  A
-     nonce burnt for no tenant (a resume whose ticket never opened)
-     stays too: a ticket opens only on the plane that sealed it. *)
-  let mine n = List.mem tenant (Hashtbl.find t.seen_nonces n) in
   (* The blob is sized up front and written once, each state page
      copied straight into place. *)
   let prefixed len = 8 + len in
@@ -1169,10 +1137,6 @@ let export_tenant t ~tenant =
           n + 8 + Channel.record_bytes + 8
           + prefixed (s.s_pages * Addr.page_size))
         8 sessions
-    + Queue.fold
-        (fun n nonce ->
-          if mine nonce then n + prefixed (String.length nonce) else n)
-        8 t.nonce_order
   in
   let blob = Bytes.create size and pos = ref 0 in
   let u64 v =
@@ -1207,14 +1171,6 @@ let export_tenant t ~tenant =
         pack rest
   in
   let* () = pack sessions in
-  u64 (Queue.fold (fun k n -> if mine n then k + 1 else k) 0 t.nonce_order);
-  Queue.iter
-    (fun n ->
-      if mine n then begin
-        u64 (String.length n);
-        string n
-      end)
-    t.nonce_order;
   Telemetry.incr t.telemetry "serve.migrate.export";
   Ok blob
 
@@ -1236,7 +1192,7 @@ let retire_tenant t ~tenant ~to_node =
 
 let import_tenant t blob =
   rejected t @@
-  let* tenant, identity, moved, nonces =
+  let* tenant, identity, moved =
     Result.map_error (fun m -> Import_conflict m) (decode_blob blob)
   in
   let* tn =
@@ -1299,11 +1255,6 @@ let import_tenant t blob =
          again. *)
       resume_session_ids t ~next:(m.m_id + 1))
     moved;
-  (* Each carried nonce is already its cache key. *)
-  let tenants = [ tenant ] in
-  Array.iter
-    (fun key -> if key_replayed t ~tenants key then burn_for t key ~tenant)
-    nonces;
   tn.t_migrated_to <- None;
   Telemetry.incr t.telemetry "serve.migrate.import";
   Ok (List.length moved)
@@ -1346,14 +1297,13 @@ let issue_ticket t ~session =
       Ok ticket
 
 let resume t (r : resume) =
-  (* Burn the nonce first, success or not — a replayed resumption must
-     never open a second session. *)
-  if nonce_replayed t ~tenants:[] r.r_nonce then reject t Replayed_nonce
+  (* Burn the nonce first, success or not: a resumption replayed while
+     its nonce is cached opens nothing. *)
+  if nonce_replayed t r.r_nonce then reject t Replayed_nonce
   else
-    match Channel.redeem t.channel r.r_ticket ~nonce:r.r_nonce with
+    match Channel.redeem t.channel r.r_ticket with
     | Error m -> reject t (Bad_ticket m)
-    | Ok (tenant, expires, key) -> (
-        burn_for t (Bytes.to_string r.r_nonce) ~tenant;
+    | Ok (tenant, expires, ticketed) -> (
         if Cycles.now t.platform.Platform.clock > expires then
           reject t Ticket_expired
         else
@@ -1362,12 +1312,14 @@ let resume t (r : resume) =
           | Some { t_migrated_to = Some to_node; _ } ->
               reject t (Tenant_migrated { tenant; to_node })
           | Some tn ->
-              Channel.open_session t.channel ~owner:tn.urts ~id:t.next_session
-                key ~top:0;
+              let rs_nonce =
+                Channel.resume t.channel ~owner:tn.urts ~id:t.next_session
+                  ticketed ~nonce:r.r_nonce
+              in
               let s = open_fresh t tn in
               Telemetry.incr t.telemetry "serve.resume";
               Telemetry.incr t.telemetry "serve.session_open";
-              Ok s.s_id)
+              Ok { rs_session_id = s.s_id; rs_nonce })
 
 module Client = struct
   include Client

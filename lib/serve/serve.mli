@@ -68,18 +68,14 @@ type config = {
           cycles come from scheduler slice deltas — the tenant's handlers
           and the channel crypto its ring workers run — and are
           replenished with {!grant} *)
-  nonce_cache : int;
-      (** replay-cache bound: only the most recent [nonce_cache]
-          handshake / resumption nonces are remembered (FIFO eviction),
-          so session churn cannot grow the table without limit *)
   ticket_ttl : int;
       (** resumption-ticket lifetime in shared-clock cycles *)
 }
 
 val default_config : config
 (** 2 cores (scheduler defaults with [drop_on_error]), 64-request
-    queues, unmetered quotas, 1024-nonce replay cache, 1e9-cycle ticket
-    TTL. *)
+    queues, unmetered quotas, 1e9-cycle ticket TTL.  The replay cache's
+    bound is fixed ({!handshake}). *)
 
 val state_stride_pages : int
 (** 16: the per-session EDMM state region, in pages — the bound on
@@ -148,7 +144,8 @@ val quoting_identity : t -> bytes
 (** {1 Server operations} *)
 
 val handshake : t -> tenant:string -> hello -> (accept, reject) result
-(** Burn the hello's nonce ({!Replayed_nonce} if seen), then
+(** Burn the hello's nonce in the node's cache of its last 1,024
+    handshake and resumption nonces ({!Replayed_nonce} if there), then
     {!Channel.handshake}: a fresh EREPORT and ems over the transcript,
     paired with the platform quote from boot (no TPM command).
     Counters: [serve.handshake] / [serve.handshake_rejected]. *)
@@ -157,11 +154,15 @@ val issue_ticket : t -> session:int -> (bytes, reject) result
 (** A resumption ticket ({!Channel.issue}) expiring [ticket_ttl] cycles
     from now.  Counter: [serve.ticket_issued]. *)
 
-val resume : t -> resume -> (int, reject) result
-(** Open a new session from a ticket: burn the nonce in the handshake
+val resume : t -> resume -> (resumed, reject) result
+(** Open a new session from a ticket: burn the client's nonce in the
     replay cache, open the ticket ({!Channel.redeem}), check its TTL and
-    tenant.  Typed failures: {!Replayed_nonce}, {!Bad_ticket},
-    {!Ticket_expired}, {!Unknown_tenant}.  Counters: [serve.resume],
+    tenant, then open the session under a key that takes a fresh server
+    nonce ({!Channel.resume}); answer its id and that nonce.  A refused
+    resume draws nothing, and a record replayed after its nonce left the
+    cache opens a session whose key nobody holds.  Typed failures:
+    {!Replayed_nonce}, {!Bad_ticket}, {!Ticket_expired},
+    {!Unknown_tenant}, {!Tenant_migrated}.  Counters: [serve.resume],
     [serve.session_open]. *)
 
 val submit : t -> request -> (unit, reject) result
@@ -287,10 +288,9 @@ val export_tenant : t -> tenant:string -> (bytes, reject) result
 (** Pack a tenant for migration: its MRENCLAVE, its live sessions in
     ascending id order — each with its id, its channel record
     ({!Channel.export}), its committed page count and those pages'
-    bytes, read out through the enclave — and the replay-cache entries
-    burnt for this tenant, in FIFO order.  Other tenants' entries stay,
-    and so does a resumption nonce whose ticket never opened: a ticket
-    opens only on the plane that sealed it.  Refuses with
+    bytes, read out through the enclave — under the magic ["hemig2:"].
+    No nonce travels: the replay cache is node-local, and the blob
+    depends on nothing but the tenant's sessions.  Refuses with
     {!Tenant_busy} while admitted requests are still staged and
     {!Tenant_migrated} after cutover.  Does not mutate the plane. *)
 
@@ -299,8 +299,8 @@ val import_tenant : t -> bytes -> (int, reject) result
     registered here and measure identically to the blob's identity.
     Sessions reopen with their original ids, keys and window tops, so
     clients notice nothing; EDMM pages are re-committed and replayed
-    through the enclave; the carried nonces are burnt here for the
-    tenant.  A malformed blob, an identity mismatch, a live session-id
+    through the enclave.  A malformed blob (one in an older format is
+    refused at its magic), an identity mismatch, a live session-id
     collision or a session larger than {!state_stride_pages} is
     {!Import_conflict}, and a mid-install failure rolls back; it never
     raises on malformed bytes.  Returns the number of sessions

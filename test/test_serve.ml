@@ -835,26 +835,33 @@ let test_session_churn_reuses_state_slots () =
   Alcotest.(check int) "one live session after churn" 1 (Serve.session_count plane);
   Serve.destroy plane
 
+(* Hello [i] of a numbered run whose share is no group element: it
+   burns its nonce and costs the plane nothing else. *)
+let garbage_hello i =
+  let nonce = Bytes.make 16 'n' in
+  Bytes.set_int64_le nonce 0 (Int64.of_int i);
+  { Serve.nonce; client_kx = Bytes.make 32 'x' }
+
+(* Burn the nonces of garbage hellos 0 to [n - 1]. *)
+let burn_nonces plane n =
+  for i = 0 to n - 1 do
+    expect_reject "unknown-key-share"
+      (Serve.handshake plane ~tenant:"acme" (garbage_hello i))
+  done
+
 let test_nonce_cache_bounded () =
-  (* The replay cache remembers only the last [nonce_cache] nonces — a
-     hard memory bound.  Recent nonces are still rejected; one pushed
-     out by newer handshakes is accepted again (the documented trade of
-     a bounded cache). *)
-  let config = { Serve.default_config with Serve.nonce_cache = 4 } in
-  let _p, plane, _backend, client = build ~seed:7052L ~config () in
+  (* The replay cache remembers only the last 1,024 nonces — a hard
+     memory bound.  Recent nonces are still rejected; one pushed out by
+     newer handshakes is accepted again (the documented trade of a
+     bounded cache). *)
+  let _p, plane, _backend, client = build ~seed:7052L () in
   let oldest = Serve.Client.hello client in
   (match Serve.handshake plane ~tenant:"acme" oldest with
   | Ok _ -> ()
   | Error r -> Alcotest.failf "handshake rejected: %a" Serve.pp_reject r);
-  let newest = ref oldest in
-  for _ = 1 to 4 do
-    let hello = Serve.Client.hello client in
-    newest := hello;
-    match Serve.handshake plane ~tenant:"acme" hello with
-    | Ok _ -> ()
-    | Error r -> Alcotest.failf "handshake rejected: %a" Serve.pp_reject r
-  done;
-  expect_reject "replayed-nonce" (Serve.handshake plane ~tenant:"acme" !newest);
+  burn_nonces plane 1024;
+  expect_reject "replayed-nonce"
+    (Serve.handshake plane ~tenant:"acme" (garbage_hello 1023));
   (match Serve.handshake plane ~tenant:"acme" oldest with
   | Ok _ -> ()
   | Error r ->
@@ -1024,9 +1031,10 @@ let test_ticket_resume () =
   let old_sid = Serve.Client.session_id client in
   let resume = Serve.Client.resume_hello client ~ticket in
   (match Serve.resume plane resume with
-  | Ok session_id ->
-      Alcotest.(check bool) "fresh session id" true (session_id <> old_sid);
-      Serve.Client.complete_resume client ~session_id
+  | Ok resumed ->
+      Alcotest.(check bool) "fresh session id" true
+        (resumed.Serve.rs_session_id <> old_sid);
+      Serve.Client.complete_resume client resumed
   | Error r -> Alcotest.failf "resume rejected: %a" Serve.pp_reject r);
   (* The resumed channel serves without any new quote having been cut. *)
   (match Serve.Client.roundtrip plane client [ (2, Bytes.of_string "resumed") ] with
@@ -1071,8 +1079,10 @@ let test_ticket_expired () =
   Serve.destroy plane
 
 let test_ticket_replay_rejected () =
-  (* The client's fresh resume nonce is burnt on first use: replaying
-     the whole resume record must not mint a second session. *)
+  (* The client's fresh resume nonce is burnt on first use: a resume
+     record replayed while its nonce is cached opens no second session.
+     After eviction it may open one, whose key nobody holds: "a resume
+     replayed after eviction serves nobody". *)
   let _p, plane, _backend, client = build ~seed:7059L () in
   establish plane client;
   let ticket =
@@ -1082,13 +1092,75 @@ let test_ticket_replay_rejected () =
   in
   let resume = Serve.Client.resume_hello client ~ticket in
   (match Serve.resume plane resume with
-  | Ok session_id -> Serve.Client.complete_resume client ~session_id
+  | Ok resumed -> Serve.Client.complete_resume client resumed
   | Error r -> Alcotest.failf "first resume rejected: %a" Serve.pp_reject r);
   expect_reject "replayed-nonce" (Serve.resume plane resume);
   (* The legitimately resumed session is unaffected by the replay. *)
   (match Serve.Client.roundtrip plane client [ (1, Bytes.of_string "still here") ] with
   | [ Ok body ] -> Alcotest.(check string) "unaffected" "still here" (Bytes.to_string body)
   | _ -> Alcotest.fail "resumed session broken by replay attempt");
+  Serve.destroy plane
+
+(* A resume record replayed once its nonce has left the replay cache
+   opens a session, but one whose key nobody holds: each resume draws a
+   fresh server nonce, which the resumed key takes after the client's.
+   The clone is the client rebuilt from its RNG seed and the recorded
+   accept, so it holds the client's resumption nonce and ticketed key;
+   completed with the first answer's server nonce against the replayed
+   session id, its frames read bad-auth, while the client's own session
+   still serves. *)
+let test_resume_replay_after_eviction () =
+  let seed = 7059L in
+  let p, plane, backend, client = build ~seed () in
+  let accept =
+    match Serve.handshake plane ~tenant:"acme" (Serve.Client.hello client) with
+    | Ok a -> a
+    | Error r -> Alcotest.failf "handshake rejected: %a" Serve.pp_reject r
+  in
+  (match Serve.Client.establish client accept with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "establish failed: %a" Serve.pp_reject r);
+  let ticket =
+    match Serve.issue_ticket plane ~session:(Serve.Client.session_id client) with
+    | Ok tk -> tk
+    | Error r -> Alcotest.failf "issue_ticket rejected: %a" Serve.pp_reject r
+  in
+  let resume = Serve.Client.resume_hello client ~ticket in
+  let first =
+    match Serve.resume plane resume with
+    | Ok resumed -> resumed
+    | Error r -> Alcotest.failf "resume rejected: %a" Serve.pp_reject r
+  in
+  Serve.Client.complete_resume client first;
+  burn_nonces plane 1024;
+  let replayed =
+    match Serve.resume plane resume with
+    | Ok resumed -> resumed
+    | Error r -> Alcotest.failf "replayed resume: %a" Serve.pp_reject r
+  in
+  let identity = Option.get backend.Backend.identity in
+  let clone =
+    Serve.Client.create
+      ~rng:(Rng.create ~seed:(Int64.add seed 1L))
+      ~golden:(golden_of p) ~policy:(policy_pinning identity)
+      ~expected_tenant:identity ()
+  in
+  ignore (Serve.Client.hello clone : Serve.hello);
+  (match Serve.Client.establish clone accept with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "clone establish: %a" Serve.pp_reject r);
+  ignore (Serve.Client.resume_hello clone ~ticket : Serve.resume);
+  Serve.Client.complete_resume clone
+    { first with Serve.rs_session_id = replayed.Serve.rs_session_id };
+  let ping c =
+    match Serve.Client.roundtrip plane c [ (1, Bytes.of_string "ping") ] with
+    | [ r ] -> Result.map_error Serve.reject_name (Result.map Bytes.to_string r)
+    | _ -> Alcotest.fail "expected one reply"
+  in
+  Alcotest.(check (result string string)) "the replayed session serves nobody"
+    (Error "bad-auth") (ping clone);
+  Alcotest.(check (result string string)) "the client's session serves"
+    (Ok "ping") (ping client);
   Serve.destroy plane
 
 let test_telemetry_counters () =
@@ -1507,9 +1579,9 @@ let test_migration_blob_kat () =
   (* Nodes running different builds exchange these bytes during a
      rolling upgrade, so the wire form is pinned byte for byte. *)
   let blob = exported_blob () in
-  Alcotest.(check int) "blob length" 8363 (Bytes.length blob);
+  Alcotest.(check int) "blob length" 8331 (Bytes.length blob);
   Alcotest.(check string) "blob sha256"
-    "4ec15dfe05d0abaf60d2eb04629798403b99ef7c9a13e46a32562758a0073888"
+    "3947e16d1c16f2314758adcc8f0449c374f73af011a0148408bffc588c9e6b13"
     (Crypto.Sha256.to_hex (Crypto.Sha256.digest_bytes blob))
 
 let pinned what ~len ~sha frame =
@@ -1544,8 +1616,9 @@ let test_channel_frame_kat () =
   Serve.destroy plane
 
 (* The same pin for a ticket-resumed session: its key derives from the
-   ticketed key and the client's resumption nonce on both ends, so these
-   frames pin that derivation as the frames above pin the handshake's. *)
+   ticketed key, the client's resumption nonce and the server's on both
+   ends, so these frames pin that derivation as the frames above pin the
+   handshake's. *)
 let test_resumed_frame_kat () =
   let _p, plane, _backend, client = build ~seed:7066L () in
   establish plane client;
@@ -1555,11 +1628,11 @@ let test_resumed_frame_kat () =
     | Error r -> Alcotest.failf "issue_ticket rejected: %a" Serve.pp_reject r
   in
   (match Serve.resume plane (Serve.Client.resume_hello client ~ticket) with
-  | Ok session_id -> Serve.Client.complete_resume client ~session_id
+  | Ok resumed -> Serve.Client.complete_resume client resumed
   | Error r -> Alcotest.failf "resume rejected: %a" Serve.pp_reject r);
   pin_exchange plane client "resumed frame known answer" ~len:58
-    ~request:"7488197bb78ddf9a9af17e387cca6a26ce5bf4fc5f8803d7d8021e47d0d706da"
-    ~reply:"6b6a0eb759a9b52e1c83953e1c6ec3d23bbd2f2149bc88b8a1f9703e4d4d83b9";
+    ~request:"b42b66c505ee09bfc9721dc90e3e9eac83884668e7ef22e0013503ef88cd4b19"
+    ~reply:"4a8c2811ba2029760b9e8ca65e8d794ec31eee04ff68c53dcafc699c8d55bdd6";
   Serve.destroy plane
 
 (* The paths that open a session from a key, pinned at one seed: the
@@ -1591,12 +1664,12 @@ let test_ticket_kat () =
   let resumed, resume =
     timed (fun () ->
         match Serve.resume plane (Serve.Client.resume_hello client ~ticket) with
-        | Ok session_id -> session_id
+        | Ok resumed -> resumed
         | Error r -> Alcotest.failf "resume rejected: %a" Serve.pp_reject r)
   in
   Alcotest.(check int) "resume cycles" 4156 resume;
-  Alcotest.(check int) "resumed session id" 1 resumed;
-  Serve.Client.complete_resume client ~session_id:resumed;
+  Alcotest.(check int) "resumed session id" 1 resumed.Serve.rs_session_id;
+  Serve.Client.complete_resume client resumed;
   (match Serve.Client.roundtrip plane client [ (2, Bytes.of_string "ping") ] with
   | [ Ok body ] ->
       Alcotest.(check string) "resumed session serves" "PING"
@@ -1631,7 +1704,7 @@ let test_malformed_blob_refused () =
   expect_conflict "trailing byte" (Bytes.cat blob (Bytes.make 1 '\000'));
   (* The count follows the magic and two length-prefixed fields: the
      tenant name and its 32-byte identity. *)
-  let count_off = String.length "hemig1:" + 8 + String.length "acme" + 8 + 32 in
+  let count_off = String.length "hemig2:" + 8 + String.length "acme" + 8 + 32 in
   Alcotest.(check int) "session count word" 1
     (Int64.to_int (Bytes.get_int64_le blob count_off));
   List.iter
@@ -2143,6 +2216,8 @@ let suite =
     Alcotest.test_case "ticket tampered" `Quick test_ticket_tampered;
     Alcotest.test_case "ticket expired" `Quick test_ticket_expired;
     Alcotest.test_case "ticket replay rejected" `Quick test_ticket_replay_rejected;
+    Alcotest.test_case "a resume replayed after eviction serves nobody" `Quick
+      test_resume_replay_after_eviction;
     Alcotest.test_case "telemetry counters" `Quick test_telemetry_counters;
     Alcotest.test_case "client keys prepared once (allocation)" `Quick
       test_client_allocation;
