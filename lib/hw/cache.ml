@@ -19,7 +19,10 @@
    simulated space — far above any workload here.  The tick field has 30
    bits; [renormalize] compresses stamps to per-set ranks before it can
    overflow, which preserves within-set order (LRU never compares across
-   sets) and hence every observable result. *)
+   sets) and hence every observable result.
+
+   The slab is built on the first [access]: a model that is never
+   accessed holds none, and a flush of it has nothing to clear. *)
 
 let line_shift = 6
 let line_bytes = 1 lsl line_shift
@@ -27,7 +30,7 @@ let line_bytes = 1 lsl line_shift
 type t = {
   ways : int;
   sets : int;
-  slab : int array; (* sets x ways packed words *)
+  mutable slab : int array; (* sets x ways packed words; empty until used *)
   mutable tick : int;
   mutable accesses : int;
   mutable misses : int;
@@ -48,7 +51,7 @@ let create ?(ways = 16) ~size_bytes () =
   {
     ways;
     sets;
-    slab = Array.make (sets * ways) invalid;
+    slab = [||];
     tick = 0;
     accesses = 0;
     misses = 0;
@@ -83,6 +86,7 @@ let access t ~write addr =
   t.accesses <- t.accesses + 1;
   if t.tick >= renorm_threshold then renormalize t;
   t.tick <- t.tick + 1;
+  if Array.length t.slab = 0 then t.slab <- Array.make (t.sets * t.ways) invalid;
   let tag = line_no addr in
   let base = (tag land (t.sets - 1)) * t.ways in
   let slab = t.slab in
@@ -122,10 +126,11 @@ let access t ~write addr =
 let flush_line t addr =
   let tag = line_no addr in
   let base = (tag land (t.sets - 1)) * t.ways in
-  for i = 0 to t.ways - 1 do
-    let w = t.slab.(base + i) in
-    if w <> invalid && w land tag_mask = tag then t.slab.(base + i) <- invalid
-  done
+  if Array.length t.slab > 0 then
+    for i = 0 to t.ways - 1 do
+      let w = t.slab.(base + i) in
+      if w <> invalid && w land tag_mask = tag then t.slab.(base + i) <- invalid
+    done
 
 let flush_all t = Array.fill t.slab 0 (Array.length t.slab) invalid
 let size_bytes t = t.sets * t.ways * line_bytes

@@ -11,7 +11,8 @@ type result = Hit | Miss of { evicted_dirty : bool }
 
 val create : ?ways:int -> size_bytes:int -> unit -> t
 (** 64-byte lines; default 16 ways.  [size_bytes] is rounded to a power-of-
-    two number of sets. *)
+    two number of sets.  The model's storage is allocated on the first
+    {!access}, so one that is never accessed costs no memory. *)
 
 val access : t -> write:bool -> int -> result
 (** Look up the line containing the physical address, filling on miss; a

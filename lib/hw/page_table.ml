@@ -19,69 +19,124 @@ type entry = {
   mutable dirty : bool;
 }
 
-type node = Table of node option array | Leaf of entry option array
+(* Levels 3 and 2 hold tables and level 1 holds leaves.  Where
+   [map_identity] would fill an absent leaf, it leaves [Identity] in its
+   slot instead: slots [lo, hi) of that leaf map each vpn to itself.
+   Whatever reaches it first (a walk, a lookup, an update or an
+   iteration) builds the leaf in place, so no reader can tell it from
+   one that [map] filled. *)
+type identity = { lo : int; hi : int; perms : perms }
+
+type node =
+  | Table of node option array
+  | Leaf of entry option array
+  | Identity of identity
 
 type t = {
-  root : node;
+  root : node option array;
   mutable mapped : int;
   mutable nodes : int;
   mutable generation : int;
 }
 
 let fanout = 512
-let new_table () = Table (Array.make fanout None)
-let new_leaf () = Leaf (Array.make fanout None)
+let create () = { root = Array.make fanout None; mapped = 0; nodes = 1; generation = 0 }
+let index vpn level = (vpn lsr (9 * level)) land 0x1ff
 
-let create () = { root = new_table (); mapped = 0; nodes = 1; generation = 0 }
+(* Build the identity leaf over [vpn] in its slot of [table]. *)
+let build table vpn { lo; hi; perms } =
+  let base = vpn land lnot 0x1ff in
+  let slots =
+    Array.init fanout (fun i ->
+        if i < lo || i >= hi then None
+        else Some { frame = base lor i; perms; accessed = false; dirty = false })
+  in
+  table.(index vpn 1) <- Some (Leaf slots);
+  slots
 
-(* Descend from the root (level 3) to the leaf table (level 0), creating
-   interior nodes on demand when [create_missing]. *)
-let rec descend t node level vpn create_missing =
-  match node with
-  | Leaf slots -> Some slots
-  | Table slots -> (
-      let idx = (vpn lsr (9 * level)) land 0x1ff in
-      match slots.(idx) with
-      | Some child -> descend t child (level - 1) vpn create_missing
-      | None ->
-          if not create_missing then None
-          else begin
-            let child = if level = 1 then new_leaf () else new_table () in
-            slots.(idx) <- Some child;
-            t.nodes <- t.nodes + 1;
-            descend t child (level - 1) vpn create_missing
-          end)
+(* The level-1 table over [vpn]'s leaf, descending from [slots] at
+   [level], or [[||]] if there is none; [create_missing] builds absent
+   tables on the way. *)
+let rec leaf_table t slots level vpn create_missing =
+  if level = 1 then slots
+  else
+    let idx = index vpn level in
+    match slots.(idx) with
+    | Some (Table child) -> leaf_table t child (level - 1) vpn create_missing
+    | None when create_missing ->
+        let child = Array.make fanout None in
+        slots.(idx) <- Some (Table child);
+        t.nodes <- t.nodes + 1;
+        leaf_table t child (level - 1) vpn create_missing
+    | Some (Leaf _ | Identity _) | None -> [||]
 
-let leaf_index vpn = vpn land 0x1ff
+(* [vpn]'s leaf, built if unbuilt; [create_missing] creates an absent
+   one, and the tables above it, empty. *)
+let leaf t vpn create_missing =
+  match leaf_table t t.root 3 vpn create_missing with
+  | [||] -> None
+  | table -> (
+      match table.(index vpn 1) with
+      | Some (Leaf slots) -> Some slots
+      | Some (Identity r) -> Some (build table vpn r)
+      | None when create_missing ->
+          let slots = Array.make fanout None in
+          table.(index vpn 1) <- Some (Leaf slots);
+          t.nodes <- t.nodes + 1;
+          Some slots
+      | Some (Table _) | None -> None)
 
 let map t ~vpn ~frame ~perms =
-  match descend t t.root 3 vpn true with
+  match leaf t vpn true with
   | None -> assert false
   | Some slots ->
-      let idx = leaf_index vpn in
+      let idx = index vpn 0 in
       if slots.(idx) = None then t.mapped <- t.mapped + 1;
       t.generation <- t.generation + 1;
       slots.(idx) <- Some { frame; perms; accessed = false; dirty = false }
 
 let unmap t ~vpn =
-  match descend t t.root 3 vpn false with
+  match leaf t vpn false with
   | None -> ()
   | Some slots ->
-      let idx = leaf_index vpn in
+      let idx = index vpn 0 in
       if slots.(idx) <> None then begin
         slots.(idx) <- None;
         t.generation <- t.generation + 1;
         t.mapped <- t.mapped - 1
       end
 
+let map_identity t ~first_frame ~nframes ~perms =
+  if first_frame < 0 || nframes < 0 then invalid_arg "Page_table.map_identity";
+  let last = first_frame + nframes in
+  let rec from vpn =
+    if vpn < last then begin
+      let base = vpn land lnot 0x1ff in
+      let stop = min last (base + fanout) in
+      let table = leaf_table t t.root 3 vpn true in
+      (match table.(index vpn 1) with
+      | None ->
+          table.(index vpn 1) <-
+            Some (Identity { lo = vpn - base; hi = stop - base; perms });
+          t.nodes <- t.nodes + 1;
+          t.mapped <- t.mapped + (stop - vpn);
+          t.generation <- t.generation + (stop - vpn)
+      | Some _ ->
+          for vpn = vpn to stop - 1 do
+            map t ~vpn ~frame:vpn ~perms
+          done);
+      from stop
+    end
+  in
+  from first_frame
+
 (* The leaf slot's own option: a lookup allocates nothing. *)
-let rec find node level vpn =
-  match node with
-  | Leaf slots -> slots.(leaf_index vpn)
-  | Table slots -> (
-      match slots.((vpn lsr (9 * level)) land 0x1ff) with
-      | Some child -> find child (level - 1) vpn
-      | None -> None)
+let rec find slots level vpn =
+  match slots.(index vpn level) with
+  | None -> None
+  | Some (Table child) -> find child (level - 1) vpn
+  | Some (Leaf leaf) -> leaf.(index vpn 0)
+  | Some (Identity r) -> (build slots vpn r).(index vpn 0)
 
 let lookup t ~vpn = find t.root 3 vpn
 
@@ -95,14 +150,17 @@ let protect t ~vpn ~perms =
 (* A real walk loads one entry per level including the leaf PTE.  Like
    [find], a top-level function rather than a closure over [vpn]: a walk
    on a TLB miss allocates nothing. *)
-let rec walk_from node level vpn levels_visited =
+let rec walk_from slots level vpn levels_visited =
   incr levels_visited;
-  match node with
-  | Leaf slots -> slots.(leaf_index vpn)
-  | Table slots -> (
-      match slots.((vpn lsr (9 * level)) land 0x1ff) with
-      | None -> None
-      | Some child -> walk_from child (level - 1) vpn levels_visited)
+  match slots.(index vpn level) with
+  | None -> None
+  | Some (Table child) -> walk_from child (level - 1) vpn levels_visited
+  | Some (Leaf leaf) ->
+      incr levels_visited;
+      leaf.(index vpn 0)
+  | Some (Identity r) ->
+      incr levels_visited;
+      (build slots vpn r).(index vpn 0)
 
 let walk t ~vpn ~levels_visited = walk_from t.root 3 vpn levels_visited
 
@@ -110,22 +168,21 @@ let mapped_count t = t.mapped
 let table_pages t = t.nodes
 
 let iter t f =
-  let rec go node base level =
-    match node with
-    | Leaf slots ->
-        Array.iteri
-          (fun i slot ->
-            match slot with
-            | None -> ()
-            | Some e -> f ~vpn:(base lor i) e)
-          slots
-    | Table slots ->
-        Array.iteri
-          (fun i slot ->
-            match slot with
-            | None -> ()
-            | Some child -> go child (base lor (i lsl (9 * level))) (level - 1))
-          slots
+  let iter_leaf base slots =
+    Array.iteri
+      (fun i slot -> match slot with None -> () | Some e -> f ~vpn:(base lor i) e)
+      slots
+  in
+  let rec go slots base level =
+    Array.iteri
+      (fun i slot ->
+        let base = base lor (i lsl (9 * level)) in
+        match slot with
+        | None -> ()
+        | Some (Table child) -> go child base (level - 1)
+        | Some (Leaf leaf) -> iter_leaf base leaf
+        | Some (Identity r) -> iter_leaf base (build slots base r))
+      slots
   in
   go t.root 0 3
 

@@ -41,6 +41,15 @@ val map : t -> vpn:int -> frame:int -> perms:perms -> unit
 (** Install a translation for virtual page [vpn].  Remapping an existing
     vpn overwrites it (like writing a PTE). *)
 
+val map_identity : t -> first_frame:int -> nframes:int -> perms:perms -> unit
+(** Map each vpn of [first_frame, first_frame + nframes) to the frame of
+    the same number: the table a [map] per frame would build, with the
+    same [mapped_count], [table_pages] and [generation].  Each leaf that
+    the range reaches through an empty slot is built on first touch, by
+    the first walk, lookup, update or iteration that reaches it, with
+    accessed and dirty clear; a leaf that already exists is mapped into
+    at once.  @raise Invalid_argument on a negative bound. *)
+
 val unmap : t -> vpn:int -> unit
 (** Remove a translation; no-op if absent. *)
 

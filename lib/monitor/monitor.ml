@@ -144,10 +144,10 @@ let launch t ~boot_log ~sealed_root_key =
   let total_frames = Phys_mem.frames t.mem in
   let res_lo = t.config.reserved_base_frame in
   let res_hi = res_lo + t.config.reserved_nframes in
-  for frame = 0 to total_frames - 1 do
-    if frame < res_lo || frame >= res_hi then
-      Page_table.map t.normal_npt ~vpn:frame ~frame ~perms:Page_table.rwx
-  done;
+  Page_table.map_identity t.normal_npt ~first_frame:0 ~nframes:res_lo
+    ~perms:Page_table.rwx;
+  Page_table.map_identity t.normal_npt ~first_frame:res_hi
+    ~nframes:(total_frames - res_hi) ~perms:Page_table.rwx;
   (* R-3: no device may ever DMA into the reservation. *)
   Iommu.revoke_everywhere t.iommu ~first_frame:res_lo
     ~nframes:t.config.reserved_nframes;

@@ -11,7 +11,10 @@ type reject =
       (** the quote did not verify (client side) *)
   | Channel_binding_mismatch
       (** the quote verifies but does not bind this transcript *)
-  | Bad_wire of string  (** quote wire bytes failed structural decode *)
+  | Bad_wire of string
+      (** wire bytes that fail a structural check: a quote that does not
+          decode, or (at the plane) a hello's or resume's nonce that is
+          not 16 bytes long, [Bad_wire "nonce"] *)
   | Unknown_key_share  (** the peer's key share is not a group element *)
   | Replayed_nonce  (** handshake nonce already seen by this plane *)
   | Unknown_tenant of string
@@ -70,7 +73,12 @@ let of_sigma : Hyperenclave_attestation.Sigma.failure -> reject = function
 
 (** {1 Wire messages} *)
 
-type hello = { nonce : bytes; client_kx : Hyperenclave_crypto.Kx.public }
+type hello = {
+  nonce : bytes;
+      (** 16 fresh bytes; the plane refuses any other length as
+          [Bad_wire "nonce"] before its replay cache sees it *)
+  client_kx : Hyperenclave_crypto.Kx.public;
+}
 
 type accept = {
   session_id : int;
@@ -119,7 +127,8 @@ type reply = {
 
 type resume = { r_ticket : bytes; r_nonce : bytes }
 (** A resumption: a ticket from [Serve.issue_ticket] and the client's
-    fresh nonce. *)
+    fresh 16-byte nonce (any other length is [Bad_wire "nonce"], and
+    the replay cache never sees it). *)
 
 type resumed = { rs_session_id : int; rs_nonce : bytes }
 (** The plane's answer to a {!resume}, as an {!accept} answers a hello:

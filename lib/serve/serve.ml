@@ -55,7 +55,7 @@ let pp_reject fmt = function
       Format.fprintf fmt "handshake failed: %a" Verifier.pp_failure f
   | Channel_binding_mismatch ->
       Format.pp_print_string fmt "quote does not bind this transcript"
-  | Bad_wire m -> Format.fprintf fmt "malformed quote wire: %s" m
+  | Bad_wire m -> Format.fprintf fmt "malformed wire: %s" m
   | Unknown_key_share -> Format.pp_print_string fmt "unknown key-exchange share"
   | Replayed_nonce -> Format.pp_print_string fmt "handshake nonce replayed"
   | Unknown_tenant n -> Format.fprintf fmt "unknown tenant %s" n
@@ -358,8 +358,11 @@ let session_reject t id =
 (* The node's replay cache: the last [nonce_cache] handshake and resume
    nonces, FIFO.  Burns [nonce]; [true] if it was already burnt.  It
    checks outside input and guards no key: a replay it misses opens a
-   session whose key takes the server's fresh share or nonce. *)
+   session whose key takes the server's fresh share or nonce.  Callers
+   refuse a nonce that is not [nonce_bytes] long before it gets here,
+   so the cache holds at most 16 KiB of keys. *)
 let nonce_cache = 1024
+let nonce_bytes = 16
 
 let nonce_replayed t nonce =
   let key = Bytes.to_string nonce in
@@ -617,8 +620,8 @@ let handshake t ~tenant hello =
   | Some tn -> (
       (* Burn the nonce even when the handshake later fails: a challenge
          replayed while its nonce is cached gets no second quote. *)
-      if nonce_replayed t hello.nonce then
-        refuse Replayed_nonce
+      if Bytes.length hello.nonce <> nonce_bytes then refuse (Bad_wire "nonce")
+      else if nonce_replayed t hello.nonce then refuse Replayed_nonce
       else
         match
           Channel.handshake t.channel ~owner:tn.urts ~id:t.next_session hello
@@ -1299,7 +1302,8 @@ let issue_ticket t ~session =
 let resume t (r : resume) =
   (* Burn the nonce first, success or not: a resumption replayed while
      its nonce is cached opens nothing. *)
-  if nonce_replayed t r.r_nonce then reject t Replayed_nonce
+  if Bytes.length r.r_nonce <> nonce_bytes then reject t (Bad_wire "nonce")
+  else if nonce_replayed t r.r_nonce then reject t Replayed_nonce
   else
     match Channel.redeem t.channel r.r_ticket with
     | Error m -> reject t (Bad_ticket m)

@@ -145,7 +145,8 @@ val quoting_identity : t -> bytes
 
 val handshake : t -> tenant:string -> hello -> (accept, reject) result
 (** Burn the hello's nonce in the node's cache of its last 1,024
-    handshake and resumption nonces ({!Replayed_nonce} if there), then
+    handshake and resumption nonces ({!Replayed_nonce} if there; a nonce
+    that is not 16 bytes long is [Bad_wire "nonce"] and burns nothing), then
     {!Channel.handshake}: a fresh EREPORT and ems over the transcript,
     paired with the platform quote from boot (no TPM command).
     Counters: [serve.handshake] / [serve.handshake_rejected]. *)
@@ -156,12 +157,13 @@ val issue_ticket : t -> session:int -> (bytes, reject) result
 
 val resume : t -> resume -> (resumed, reject) result
 (** Open a new session from a ticket: burn the client's nonce in the
-    replay cache, open the ticket ({!Channel.redeem}), check its TTL and
+    replay cache (a nonce that is not 16 bytes long is
+    [Bad_wire "nonce"] and burns nothing), open the ticket ({!Channel.redeem}), check its TTL and
     tenant, then open the session under a key that takes a fresh server
     nonce ({!Channel.resume}); answer its id and that nonce.  A refused
     resume draws nothing, and a record replayed after its nonce left the
     cache opens a session whose key nobody holds.  Typed failures:
-    {!Replayed_nonce}, {!Bad_ticket}, {!Ticket_expired},
+    {!Bad_wire}, {!Replayed_nonce}, {!Bad_ticket}, {!Ticket_expired},
     {!Unknown_tenant}, {!Tenant_migrated}.  Counters: [serve.resume],
     [serve.session_open]. *)
 

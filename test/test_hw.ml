@@ -211,7 +211,11 @@ let test_page_table () =
   Page_table.unmap pt ~vpn:0x12345;
   check "unmapped" 0 (Page_table.mapped_count pt);
   Alcotest.check_raises "protect missing" Not_found (fun () ->
-      Page_table.protect pt ~vpn:1 ~perms:Page_table.rw)
+      Page_table.protect pt ~vpn:1 ~perms:Page_table.rw);
+  Alcotest.check_raises "negative identity range"
+    (Invalid_argument "Page_table.map_identity") (fun () ->
+      Page_table.map_identity pt ~first_frame:0 ~nframes:(-1)
+        ~perms:Page_table.rw)
 
 let test_page_table_iter () =
   let pt = Page_table.create () in
@@ -224,6 +228,113 @@ let test_page_table_iter () =
   Alcotest.(check (list int)) "all visited" (List.sort compare vpns)
     (List.sort compare !seen);
   check_bool "multiple radix nodes" true (Page_table.table_pages pt > 4)
+
+(* [map_identity] builds each leaf on first touch; every reader must see
+   the table a [map] per frame builds.  A case is two ranges around a
+   gap, which mostly start and end off a leaf boundary, over a base at 0
+   or straddling a level-1 table boundary (0x40000), then a run of
+   operations applied to both tables; a map may land in an unbuilt
+   leaf.  A walk sets accessed (and, for a
+   write, dirty) on the entry it finds, as the MMU does.  Every result,
+   [levels_visited], [mapped_count], [table_pages] and [generation] must
+   agree after each operation, and every entry at the end. *)
+let identity_range_equivalence =
+  let open QCheck in
+  let op = Gen.(triple (int_bound 7) (int_bound 3583) (int_bound 100_000)) in
+  let case =
+    Gen.(
+      pair
+        (quad (oneofl [ 0; 0x40000 - 1500 ]) (int_bound 1000) (int_bound 1500)
+           (pair (int_bound 600) (int_bound 1000)))
+        (list_size (int_range 1 60) op))
+  in
+  let print ((base, a, n, (gap, m)), ops) =
+    Printf.sprintf "base=0x%x a=%d n=%d gap=%d m=%d ops=[%s]" base a n gap m
+      (String.concat "; "
+         (List.map (fun (k, v, x) -> Printf.sprintf "(%d,%d,%d)" k v x) ops))
+  in
+  let entry_state = function
+    | None -> None
+    | Some (e : Page_table.entry) ->
+        Some (e.frame, e.perms, e.accessed, e.dirty)
+  in
+  let entries pt =
+    let l = ref [] in
+    Page_table.iter pt (fun ~vpn e -> l := (vpn, entry_state (Some e)) :: !l);
+    List.rev !l
+  in
+  Test.make ~name:"identity range equals per-vpn map" ~count:200
+    (make ~print case)
+    (fun ((base, a, n, (gap, m)), ops) ->
+      let lazy_pt = Page_table.create () and eager = Page_table.create () in
+      let first = base + a in
+      let second = first + n + gap in
+      List.iter
+        (fun (first_frame, nframes) ->
+          Page_table.map_identity lazy_pt ~first_frame ~nframes
+            ~perms:Page_table.rwx;
+          for vpn = first_frame to first_frame + nframes - 1 do
+            Page_table.map eager ~vpn ~frame:vpn ~perms:Page_table.rwx
+          done)
+        [ (first, n); (second, m) ];
+      let snaps = ref [] in
+      let agree what x y =
+        if x <> y then Test.fail_reportf "%s differs" what
+      in
+      let both f = (f lazy_pt, f eager) in
+      let step (kind, v, x) =
+        let vpn = base + v in
+        (match kind with
+        | 0 ->
+            let walk pt =
+              let levels = ref 0 in
+              let e = Page_table.walk pt ~vpn ~levels_visited:levels in
+              Option.iter
+                (fun (e : Page_table.entry) ->
+                  e.accessed <- true;
+                  if x land 1 = 1 then e.dirty <- true)
+                e;
+              (entry_state e, !levels)
+            in
+            let l, e = both walk in
+            agree "walk" l e
+        | 1 ->
+            let l, e = both (fun pt -> entry_state (Page_table.lookup pt ~vpn)) in
+            agree "lookup" l e
+        | 2 ->
+            let perms = if x land 1 = 1 then Page_table.ro else Page_table.rx in
+            let l, e =
+              both (fun pt ->
+                  match Page_table.protect pt ~vpn ~perms with
+                  | () -> true
+                  | exception Not_found -> false)
+            in
+            agree "protect" l e
+        | 3 -> ignore (both (fun pt -> Page_table.unmap pt ~vpn))
+        | 4 ->
+            ignore
+              (both (fun pt -> Page_table.map pt ~vpn ~frame:x ~perms:Page_table.rw))
+        | 5 ->
+            let l, e = both entries in
+            agree "iter" l e
+        | 6 -> snaps := both Page_table.snapshot :: !snaps
+        | _ -> (
+            match !snaps with
+            | (l, e) :: rest ->
+                Page_table.restore lazy_pt l;
+                Page_table.restore eager e;
+                snaps := rest
+            | [] -> ()));
+        agree "mapped_count" (Page_table.mapped_count lazy_pt)
+          (Page_table.mapped_count eager);
+        agree "table_pages" (Page_table.table_pages lazy_pt)
+          (Page_table.table_pages eager);
+        agree "generation" (Page_table.generation lazy_pt)
+          (Page_table.generation eager)
+      in
+      List.iter step ops;
+      agree "entries" (entries lazy_pt) (entries eager);
+      true)
 
 (* --- Tlb ---------------------------------------------------------------------------- *)
 
@@ -555,6 +666,36 @@ let test_fast_table_allocation () =
       Fast_table.remove t (k land 127);
       Fast_table.set t (k land 127) k)
 
+(* The slab is built on the first access: an untouched model holds
+   none, and flushing it changes nothing, so a model flushed before its
+   first access gives every later hit, miss and statistic of one that
+   was not. *)
+let test_cache_slab_on_first_access () =
+  let fresh () = Cache.create ~size_bytes:(64 * 1024) () in
+  let flushed = fresh () and plain = fresh () in
+  let words c = Obj.reachable_words (Obj.repr c) in
+  check_bool "no slab before the first access" true (words plain < 64);
+  Cache.flush_all flushed;
+  Cache.flush_line flushed 0x1000;
+  check_bool "flushes build no slab" true (words flushed < 64);
+  check "flushes count nothing" 0
+    (Cache.accesses flushed + Cache.misses flushed);
+  let rng = Rng.create ~seed:11L and differ = ref 0 in
+  for i = 1 to 20_000 do
+    let addr = Rng.int rng (256 * 1024) and write = Rng.bool rng in
+    if i mod 97 = 0 then begin
+      Cache.flush_line flushed addr;
+      Cache.flush_line plain addr
+    end;
+    if Cache.access flushed ~write addr <> Cache.access plain ~write addr then
+      incr differ
+  done;
+  check "results differing" 0 !differ;
+  check "accesses" (Cache.accesses plain) (Cache.accesses flushed);
+  check "misses" (Cache.misses plain) (Cache.misses flushed);
+  check_bool "the first access built the slab" true
+    (words plain > Cache.size_bytes plain / 64)
+
 let test_cache_dirty_writeback () =
   let cache = Cache.create ~size_bytes:(4 * 1024) ~ways:1 () in
   ignore (Cache.access cache ~write:true 0x0);
@@ -630,6 +771,7 @@ let suite =
         test_frame_alloc_contiguous_fragmented;
       Alcotest.test_case "page_table basics" `Quick test_page_table;
       Alcotest.test_case "page_table iter" `Quick test_page_table_iter;
+      QCheck_alcotest.to_alcotest identity_range_equivalence;
       Alcotest.test_case "tlb" `Quick test_tlb;
       Alcotest.test_case "mmu translate" `Quick test_mmu_translate;
       Alcotest.test_case "mmu cached PTE semantics" `Quick test_mmu_cached_pte;
@@ -638,6 +780,8 @@ let suite =
       Alcotest.test_case "mmu switch flushes TLB" `Quick test_mmu_switch_flushes;
       Alcotest.test_case "cache basics" `Quick test_cache;
       Alcotest.test_case "cache capacity" `Quick test_cache_capacity;
+      Alcotest.test_case "cache slab built on first access" `Quick
+        test_cache_slab_on_first_access;
       Alcotest.test_case "mem_crypto costs" `Quick test_mem_crypto_costs;
       Alcotest.test_case "iommu (R-3 primitive)" `Quick test_iommu;
       Alcotest.test_case "fast_table probes allocate nothing" `Quick

@@ -869,6 +869,78 @@ let test_nonce_cache_bounded () =
         Serve.pp_reject r);
   Serve.destroy plane
 
+(* The replay cache is bounded in bytes too: a hello or resume whose
+   nonce is not 16 bytes long is refused before the cache sees it.  64
+   hellos and 64 resumes with 64 KiB nonces (the hellos' shares are no
+   group element, so a burnt nonce would be all they leave) keep the
+   oldest nonce of a full cache cached, so none was burnt, and leave the
+   live heap where it was. *)
+let test_nonce_cache_bytes_bounded () =
+  let _p, plane, _backend, client = build ~seed:7052L () in
+  let oldest = Serve.Client.hello client in
+  (match Serve.handshake plane ~tenant:"acme" oldest with
+  | Ok _ -> ()
+  | Error r -> Alcotest.failf "handshake rejected: %a" Serve.pp_reject r);
+  burn_nonces plane 1023;
+  let long_nonce i =
+    let nonce = Bytes.make 65536 'n' in
+    Bytes.set_int64_le nonce 0 (Int64.of_int i);
+    nonce
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let live0 = live_words () in
+  for i = 0 to 63 do
+    expect_reject "bad-wire"
+      (Serve.handshake plane ~tenant:"acme"
+         { (garbage_hello i) with Serve.nonce = long_nonce i });
+    expect_reject "bad-wire"
+      (Serve.resume plane
+         { Serve.r_ticket = Bytes.of_string "junk"; r_nonce = long_nonce (64 + i) })
+  done;
+  List.iter
+    (fun len ->
+      expect_reject "bad-wire"
+        (Serve.handshake plane ~tenant:"acme"
+           { (garbage_hello 0) with Serve.nonce = Bytes.make len 'n' }))
+    [ 0; 15; 17 ];
+  let grown =
+    float_of_int ((live_words () - live0) * (Sys.word_size / 8)) /. 1048576.
+  in
+  if grown >= 0.1 then
+    Alcotest.failf "refused nonces grew the live heap by %.2f MB" grown;
+  expect_reject "replayed-nonce" (Serve.handshake plane ~tenant:"acme" oldest);
+  Serve.destroy plane
+
+(* Each tenant's LLC model builds its slab on its first access, which an
+   echo tenant never makes: adding one grows the live heap by under
+   0.5 MB (1.28 MB with an eager slab).  Serving it builds no leaf of
+   the normal VM's nested table, which late launch leaves unbuilt. *)
+let test_echo_tenant_footprint () =
+  let p, plane, _backend, client = build ~seed:7059L () in
+  let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1048576. in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  ignore (Serve.add_tenant plane ~name:"beta" (tenant_config ()));
+  let grown = mb (live_words () - before) in
+  if grown >= 0.5 then
+    Alcotest.failf "an echo tenant grew the live heap by %.2f MB" grown;
+  establish plane client;
+  (match Serve.Client.roundtrip plane client [ (1, Bytes.of_string "hi") ] with
+  | [ Ok _ ] -> ()
+  | _ -> Alcotest.fail "echo request failed");
+  let npt =
+    mb (Obj.reachable_words (Obj.repr (Monitor.normal_npt p.Platform.monitor)))
+  in
+  if npt >= 0.1 then
+    Alcotest.failf "the normal NPT holds %.2f MB after serving" npt;
+  Serve.destroy plane
+
 let test_destroy_owns_tenant_backends () =
   (* PR 6 teardown fix: the plane created the tenant backends, so
      [destroy] tears them down too — no enclave outlives the plane —
@@ -2208,6 +2280,10 @@ let suite =
     Alcotest.test_case "session churn reuses state slots" `Quick
       test_session_churn_reuses_state_slots;
     Alcotest.test_case "nonce cache bounded" `Quick test_nonce_cache_bounded;
+    Alcotest.test_case "nonce cache bounded in bytes" `Quick
+      test_nonce_cache_bytes_bounded;
+    Alcotest.test_case "an echo tenant builds no LLC slab or NPT leaf" `Quick
+      test_echo_tenant_footprint;
     Alcotest.test_case "destroy owns tenant backends" `Quick
       test_destroy_owns_tenant_backends;
     Alcotest.test_case "sched stats read-only" `Quick test_sched_stats_read_only;

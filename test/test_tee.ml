@@ -21,6 +21,33 @@ let test_platform_determinism () =
     "different seed, different hapk" false
     (Bytes.equal (Monitor.hapk a.Platform.monitor) (Monitor.hapk c.Platform.monitor))
 
+(* Late launch leaves each leaf of the normal VM's identity NPT unbuilt
+   until something reaches it, and no LLC slab exists before its first
+   access: a fresh platform retains under 1 MB (2.81 MB with both
+   eager).  The table still reads as the eager one did, and the R-1
+   audit reaches a mapping in a leaf that launch left unbuilt. *)
+let test_platform_footprint () =
+  let p = Platform.create () in
+  let m = p.Platform.monitor in
+  let npt = Monitor.normal_npt m in
+  let retained =
+    float_of_int (Obj.reachable_words (Obj.repr p) * (Sys.word_size / 8))
+    /. 1048576.
+  in
+  if retained >= 1. then
+    Alcotest.failf "a fresh platform retains %.2f MB" retained;
+  Alcotest.(check int) "identity mappings" 32_768 (Page_table.mapped_count npt);
+  Alcotest.(check int) "table pages" 67 (Page_table.table_pages npt);
+  let res_base, _ = Monitor.reserved_range m in
+  Page_table.map npt ~vpn:5 ~frame:res_base ~perms:Page_table.rw;
+  Alcotest.(check (list string)) "R-1 flagged" [ "R-1" ]
+    (List.map (fun f -> f.Monitor.invariant) (Monitor.audit m));
+  Page_table.map npt ~vpn:5 ~frame:5 ~perms:Page_table.rwx;
+  Alcotest.(check int) "audits clean" 0 (List.length (Monitor.audit m));
+  let identity = ref 0 in
+  Page_table.iter npt (fun ~vpn e -> if e.Page_table.frame = vpn then incr identity);
+  Alcotest.(check int) "every mapping reached" 32_768 !identity
+
 let test_backends_agree_on_results () =
   (* The same handler must produce identical outputs on every backend —
      only the cycle accounting differs. *)
@@ -197,6 +224,8 @@ let test_mem_sim_allocation () =
 let suite =
   [
     Alcotest.test_case "platform determinism" `Quick test_platform_determinism;
+    Alcotest.test_case "a fresh platform retains under 1 MB" `Quick
+      test_platform_footprint;
     Alcotest.test_case "backends agree on results" `Quick
       test_backends_agree_on_results;
     Alcotest.test_case "backend cost ordering" `Quick test_backend_cost_ordering;
